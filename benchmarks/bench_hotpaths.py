@@ -4,8 +4,9 @@ Each benchmark times the optimised implementation under pytest-benchmark
 (so ``--benchmark-json`` captures it for the perf trajectory) and compares
 it against a scalar reference — the seed implementation, preserved inline —
 on identical inputs.  The asserts encode the floor this PR claims: >= 3x on
-BM25 query throughput, >= 2x on ``find_paths``, and byte-identical verdicts
-between the serial and parallel grid runners.
+BM25 query throughput, >= 2x on ``find_paths``, byte-identical verdicts
+between the serial and parallel grid runners, and token counts equal to the
+seed loop's at >= 2x its speed on distinct texts and >= 20x on repeated ones.
 
 Run with::
 
@@ -27,9 +28,11 @@ from conftest import run_once
 
 from repro.baselines import build_reference_graph
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
+from repro.llm import LLMClient, count_tokens
 from repro.retrieval import HashingEmbedder, SearchEngine
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+_SEED_TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +131,19 @@ def scalar_embed_many(texts, dimensions=256):
             vector /= norm
         out[row] = vector
     return out
+
+
+def scalar_count_tokens(text, subword_length=6):
+    """The seed's finditer loop: build the subword list, return its length."""
+    tokens = []
+    for match in _SEED_TOKEN_RE.finditer(text):
+        piece = match.group(0)
+        if len(piece) <= subword_length or not piece.isalnum():
+            tokens.append(piece)
+            continue
+        for start in range(0, len(piece), subword_length):
+            tokens.append(piece[start : start + subword_length])
+    return len(tokens)
 
 
 def _timed(func, *args):
@@ -234,6 +250,72 @@ def test_benchmark_embed_many(benchmark, runner):
         f"\nembed_many: {len(texts)} texts — scalar {scalar_time:.3f}s, "
         f"batched {batch_time:.3f}s, {scalar_time / batch_time:.1f}x"
     )
+
+
+class _RecordingLLM(LLMClient):
+    """Passes calls through to a model and keeps every text it was billed for."""
+
+    def __init__(self, inner):
+        super().__init__(inner.name)
+        self.inner = inner
+        self.texts = []
+
+    def generate(self, prompt, *, metadata=None):
+        response = self.inner.generate(prompt, metadata=metadata)
+        self.texts += [prompt, response.text]
+        return response
+
+
+@pytest.fixture(scope="module")
+def token_texts(runner):
+    """The distinct prompts and completions of dka / giv-z / rag over 40 facts."""
+    model = _RecordingLLM(runner.registry.get("gemma2:9b"))
+    for method in ("dka", "giv-z", "rag"):
+        strategy = runner.build_strategy(method, "factbench", model)
+        for fact in runner.dataset("factbench")[:40]:
+            strategy.validate(fact)
+    return sorted(set(model.texts))
+
+
+def test_benchmark_token_counting(benchmark, token_texts):
+    texts = token_texts
+    repeats = 50
+    # Copies that are equal but not the same object, so the memoised pass
+    # hashes every string the way a freshly built prompt is hashed.
+    copies = [[text[:1] + text[1:] for text in texts] for _ in range(repeats)]
+
+    def distinct_pass():
+        count_tokens.cache_clear()
+        return [count_tokens(text) for text in texts]
+
+    def repeated_pass():
+        return sum(count_tokens(text) for batch in copies for text in batch)
+
+    def scalar_pass():
+        return [scalar_count_tokens(text) for text in texts]
+
+    counts = run_once(benchmark, distinct_pass)
+    reference = scalar_pass()
+    # Both sides are a few milliseconds: interleave them and keep each side's
+    # best round, so a busy neighbour slows neither or both.
+    scalar_time = single_time = float("inf")
+    for _ in range(15):
+        scalar_time = min(scalar_time, _timed(scalar_pass)[1])
+        single_time = min(single_time, _timed(distinct_pass)[1])
+    repeated_total, repeated_time = _timed(repeated_pass)
+    single_speedup = scalar_time / single_time
+    repeated_speedup = scalar_time * repeats / repeated_time
+    print(
+        f"\ncount_tokens: {len(texts)} distinct texts (mean {sum(map(len, texts)) // len(texts)} chars) — "
+        f"seed loop {scalar_time / len(texts) * 1e6:.1f} us/text, "
+        f"single pass {single_time / len(texts) * 1e6:.1f} us/text ({single_speedup:.1f}x), "
+        f"repeated {repeated_time / (len(texts) * repeats) * 1e6:.2f} us/text ({repeated_speedup:.0f}x)"
+    )
+    assert len(texts) <= count_tokens.cache_info().maxsize, "the fixed set must fit the memo"
+    assert counts == reference, "token counts must equal the seed loop's"
+    assert repeated_total == sum(reference) * repeats
+    assert single_speedup >= 2.0, f"single-pass count {single_speedup:.2f}x below the 2x floor"
+    assert repeated_speedup >= 20.0, f"memoised count {repeated_speedup:.1f}x below the 20x floor"
 
 
 def _verdict_bytes(grid) -> bytes:

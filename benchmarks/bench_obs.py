@@ -61,6 +61,14 @@ THROUGHPUT_EPSILON_RPS = 5.0
 REQUESTS = 400
 CONCURRENCY = 32
 
+#: Families ``RouterMetrics`` creates per configured edge (the session
+#: fallback counter is fleet-level and always present).
+EDGE_METRIC_NAMES = tuple(
+    name
+    for name in ROUTER_METRIC_NAMES
+    if name.startswith("router_geo_") and name != "router_geo_session_fallbacks_total"
+)
+
 
 @pytest.fixture(scope="module")
 def obs_bench_runner() -> BenchmarkRunner:
@@ -84,7 +92,7 @@ def _workload(runner):
     )
 
 
-def _run_load(runner, obs):
+def _run_load(runner, obs, edges=0):
     """One closed-loop run against a fresh 2x2 fleet; returns the report."""
 
     async def go():
@@ -93,6 +101,10 @@ def _run_load(runner, obs):
             2,
             ServiceConfig(enable_cache=False, time_scale=0.01),
             replicas=2,
+            # The geo tier needs a store to replicate; the edge-less fleet
+            # keeps serving straight from the runner as before.
+            store=runner.sharded_store("factbench", 2).replay_twin() if edges else None,
+            edges=edges,
         )
         if obs is not None:
             router.set_observability(obs)
@@ -140,13 +152,21 @@ def test_benchmark_tracing_overhead_within_ceiling(benchmark, obs_bench_runner):
     assert len(obs.tracer.trace_ids()) >= traced.completed
 
 
-def test_benchmark_exposition_parses_and_is_complete(benchmark, obs_bench_runner):
+@pytest.mark.parametrize("edges", [0, 1])
+def test_benchmark_exposition_parses_and_is_complete(benchmark, obs_bench_runner, edges):
     obs = Observability.for_clock(seed=42, sample_rate=0.05, trace_capacity=1024)
-    report, exposition = run_once(benchmark, _run_load, obs_bench_runner, obs)
+    report, exposition = run_once(benchmark, _run_load, obs_bench_runner, obs, edges)
 
     parsed = parse_exposition(exposition)  # strict: raises on malformed lines
     for name in SERVICE_METRIC_NAMES + ROUTER_METRIC_NAMES:
-        assert name in parsed, f"exposition lost metric family {name!r}"
+        if name in EDGE_METRIC_NAMES:
+            # Per-edge families exist once per configured edge, labelled.
+            samples = parsed[name]["samples"] if name in parsed else []
+            edge_labels = [labels for _, labels, _ in samples if 'edge="' in labels]
+            assert len(edge_labels) == edges, f"{name!r}: {edge_labels} for {edges} edges"
+            assert all('edge="edge-0"' in labels for labels in edge_labels)
+        else:
+            assert name in parsed, f"exposition lost metric family {name!r}"
     # Per-replica series carry fleet coordinates; a 2x2 fleet has 4 of each.
     samples = parsed["service_requests_total"]["samples"]
     labelled = {labels for _, labels, _ in samples}

@@ -16,13 +16,14 @@ verification, and computes the max flow with NetworkX.
 from __future__ import annotations
 
 import math
-from typing import Dict, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Set
 
 from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
 from .base import GraphFactChecker
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["KnowledgeStream"]
 
@@ -46,6 +47,10 @@ class KnowledgeStream(GraphFactChecker):
         self.flow_normalizer = flow_normalizer
 
     def score(self, subject: str, predicate: str, obj: str) -> float:
+        # networkx is imported where it is used so that ``import repro`` does
+        # not pay for it.
+        import networkx as nx
+
         if subject == obj:
             return 0.0
         nodes = self._neighborhood(subject, obj)
@@ -91,6 +96,8 @@ class KnowledgeStream(GraphFactChecker):
         edges through generic hubs, following the specificity weighting of the
         original Knowledge Stream / Knowledge Linker line of work.
         """
+        import networkx as nx
+
         network = nx.DiGraph()
         seen: Dict[tuple, float] = {}
         for node in nodes:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..validation.base import ValidationRun
 from .metrics import classwise_f1
@@ -119,6 +118,10 @@ def mcnemar_test(run_a: ValidationRun, run_b: ValidationRun) -> McNemarResult:
     n = b + c
     if n == 0:
         return McNemarResult(b=b, c=c, statistic=0.0, p_value=1.0)
+    # Imported here: scipy.stats takes about a second to load and nothing else
+    # in the package needs it.
+    from scipy import stats
+
     if n < 25:
         p_value = float(stats.binomtest(min(b, c), n=n, p=0.5).pvalue)
         statistic = float(min(b, c))

@@ -29,11 +29,12 @@ from the ESE database explorers; see ``docs/architecture.md``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .triples import Triple
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["KnowledgeGraph", "Path", "PathStep"]
 
@@ -426,6 +427,8 @@ class KnowledgeGraph:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export to a NetworkX multigraph (used by the max-flow baseline)."""
+        import networkx as nx  # only this export needs it
+
         graph = nx.MultiDiGraph(name=self.name)
         for triple in self._triples:
             graph.add_edge(triple.subject, triple.object, predicate=triple.predicate)

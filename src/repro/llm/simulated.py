@@ -37,7 +37,7 @@ from ..worldmodel.entities import RELATIONS
 from ..worldmodel.generator import World
 from .base import LLMClient, LLMResponse
 from .profiles import ModelProfile
-from .tokenizer import SimpleTokenizer
+from .tokenizer import count_tokens
 
 __all__ = ["SimulatedLLM"]
 
@@ -77,7 +77,6 @@ class SimulatedLLM(LLMClient):
         self.world = world
         self.seed = seed
         self.verbalizer = Verbalizer(world)
-        self.tokenizer = SimpleTokenizer()
 
     # ------------------------------------------------------------------ API
 
@@ -384,8 +383,8 @@ class SimulatedLLM(LLMClient):
     # ------------------------------------------------------------ accounting
 
     def _package(self, prompt: str, text: str, meta: Mapping[str, Any]) -> LLMResponse:
-        prompt_tokens = self.tokenizer.count(prompt)
-        completion_tokens = self.tokenizer.count(text)
+        prompt_tokens = count_tokens(prompt)
+        completion_tokens = count_tokens(text)
         latency = self._latency(prompt_tokens, completion_tokens, meta)
         return LLMResponse(
             text=text,

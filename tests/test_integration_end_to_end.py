@@ -1,7 +1,12 @@
 """End-to-end integration tests: from world generation to consensus verdicts."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.datasets import load_dataset, save_dataset
 from repro.evaluation import classwise_f1_from_run
@@ -78,3 +83,44 @@ class TestEndToEnd:
         assert "dka" in tasks
         assert "rag" in tasks
         assert "transform" in tasks or "question-generation" in tasks
+
+
+_LAZY_IMPORT_PROBE = """
+import sys
+import repro
+heavy = ("scipy.stats", "networkx")
+assert not [name for name in heavy if name in sys.modules], sorted(sys.modules)
+
+from repro.evaluation import mcnemar_test
+from repro.kg import KnowledgeGraph, Triple
+from repro.validation import ValidationResult, ValidationRun, Verdict
+
+def run(model, flags):
+    out = ValidationRun(method="dka", model=model, dataset="synthetic")
+    for index, flag in enumerate(flags):
+        out.add(ValidationResult(fact_id=f"f{index}", verdict=Verdict.from_bool(flag),
+                                 gold_label=True, model=model, method="dka",
+                                 latency_seconds=0.1, prompt_tokens=5, completion_tokens=5))
+    return out
+
+small = mcnemar_test(run("a", [True] * 10), run("b", [False] * 8 + [True] * 2))
+assert (small.b, small.c) == (8, 0) and small.p_value == 0.0078125, small
+large = mcnemar_test(run("a", [True] * 40), run("b", [False] * 30 + [True] * 10))
+assert large.b == 30 and large.significant, large
+
+graph = KnowledgeGraph()
+graph.add(Triple("a", "knows", "b"))
+graph.add(Triple("b", "knows", "c"))
+exported = graph.to_networkx()
+assert sorted(exported.edges(data="predicate")) == [("a", "b", "knows"), ("b", "c", "knows")]
+assert all(name in sys.modules for name in heavy)
+"""
+
+
+def test_import_repro_defers_scipy_stats_and_networkx():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -38,6 +38,20 @@ class TestTokenizer:
         text = "Verification of knowledge graph statements requires careful contextual analysis."
         assert count_tokens(text) >= len(text.split())
 
+    def test_every_entry_point_shares_one_memo(self):
+        text = "one memo behind SimpleTokenizer.count and count_tokens"
+        first = SimpleTokenizer().count(text)
+        hits = count_tokens.cache_info().hits
+        assert SimpleTokenizer().count(text) == count_tokens(text) == first
+        assert count_tokens.cache_info().hits == hits + 2
+
+    def test_memo_size_stays_at_its_cap(self):
+        cap = count_tokens.cache_info().maxsize
+        assert cap is not None
+        for index in range(cap + 64):
+            assert count_tokens(f"text {index}") == 2
+        assert count_tokens.cache_info().currsize == cap
+
 
 class TestProfiles:
     def test_four_open_source_models(self):

@@ -1,13 +1,15 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings
+import re
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.efficiency import iqr_filter
 from repro.evaluation.metrics import classwise_f1, confusion_counts, precision_recall_f1
 from repro.evaluation.upset import exclusive_intersections, upset_intersections
 from repro.kg import KnowledgeGraph, Triple, camel_case, decode_label, encode_label, split_camel_case
-from repro.llm.tokenizer import SimpleTokenizer
+from repro.llm.tokenizer import SimpleTokenizer, count_tokens
 from repro.retrieval.chunking import SlidingWindowChunker, split_sentences
 from repro.retrieval.embeddings import HashingEmbedder
 from repro.validation.consensus import majority_vote
@@ -158,6 +160,44 @@ def test_tokenizer_never_negative_and_concat_superadditive(text):
     count = tokenizer.count(text)
     assert count >= 0
     assert tokenizer.count(text + " " + text) >= count
+
+
+_SEED_TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+_SEED_SUBWORD_LENGTH = 6
+
+
+def _seed_tokenize(text):
+    """The seed tokenizer loop, kept verbatim as the reference."""
+    tokens = []
+    for match in _SEED_TOKEN_RE.finditer(text):
+        piece = match.group(0)
+        if len(piece) <= _SEED_SUBWORD_LENGTH or not piece.isalnum():
+            tokens.append(piece)
+            continue
+        for start in range(0, len(piece), _SEED_SUBWORD_LENGTH):
+            tokens.append(piece[start : start + _SEED_SUBWORD_LENGTH])
+    return tokens
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=300))
+@example("caf\u00e9 x\u00b2 \u0663\u0663\u0663 na\u00efve\u00b2\u0663abc")  # non-ASCII isalnum() characters
+@example("a\x1cb\x1dc\x1ed\x1fe \x1c\x1f")  # \x1c-\x1f count as whitespace
+@example(" ".join("a" * (6 * k + d) for k in range(4) for d in (-1, 0, 1) if 6 * k + d > 0))
+@example("x" * 17 + "\u00e9" + "9" * 13 + "-" + "Z" * 6)
+def test_tokenize_matches_the_seed_loop_and_count_is_its_length(text):
+    tokenizer = SimpleTokenizer()
+    tokens = tokenizer.tokenize(text)
+    assert tokens == _seed_tokenize(text)
+    assert tokenizer.count(text) == len(tokens)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.text(max_size=40), min_size=1, max_size=8), st.data())
+def test_token_memo_is_transparent_under_interleaved_repeats(texts, data):
+    order = data.draw(st.lists(st.sampled_from(texts), min_size=1, max_size=24))
+    for text in order:
+        assert count_tokens(text) == len(_seed_tokenize(text))
 
 
 # ----------------------------------------------------------------- embeddings
