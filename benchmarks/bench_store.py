@@ -1,6 +1,6 @@
 """Versioned-store benchmark: incremental maintenance speedup, epoch-fresh serving.
 
-Two floors, mirroring the PR 3 acceptance criteria:
+Three floors; the first two mirror the PR 3 acceptance criteria:
 
 1. **Incremental >= 3x rebuild** — a 5% mutation batch (triple removes,
    triple adds, document adds) applied to a >= 5k-triple / 3k-document
@@ -17,6 +17,11 @@ Two floors, mirroring the PR 3 acceptance criteria:
    pipeline run over the *snapshot of the epoch it was answered at*, with
    the ingest visibly changing RAG verdicts and invalidating the verdict
    cache via the epoch-keyed lookup.
+
+3. **Evidence reuse, in counts** — on the same 6k/3k store, 50 ``rag``
+   reads after a triple-only batch perform 0 searches, and after a 5%
+   document batch they search again for every fact but make 0 upstream
+   (transformation / question-generation) LLM calls.
 
 Run with::
 
@@ -35,9 +40,12 @@ import pytest
 from conftest import run_once
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
+from repro.datasets import LabeledFact
 from repro.kg import KnowledgeGraph, Triple
+from repro.llm import TelemetryCollector
 from repro.retrieval import SearchEngine
-from repro.retrieval.corpus import Document
+from repro.retrieval.cache import LRUCache
+from repro.retrieval.corpus import Corpus, Document
 from repro.retrieval.embeddings import HashingEmbedder
 from repro.retrieval.mock_api import MockSearchAPI
 from repro.service import (
@@ -351,3 +359,80 @@ def test_benchmark_epoch_fresh_verdicts_across_mid_load_ingest(
         for key in offline_pre
         if key[0] == "dka"
     )
+
+
+# ---------------------------------------------------------------------------
+# Part 3: what an ingest costs the RAG evidence cache, in counts
+# ---------------------------------------------------------------------------
+
+RAG_READS = 50
+
+
+def test_benchmark_evidence_reuse_across_ingests(benchmark, store_bench_runner):
+    runner = store_bench_runner
+    triples = _synthetic_triples(NUM_TRIPLES)
+    corpus = Corpus(_synthetic_documents(NUM_DOCUMENTS))
+    api = MockSearchAPI(corpus)
+    store = VersionedKnowledgeStore.adopt(
+        corpus=corpus, search_engine=api.engine, triples=triples
+    )
+    telemetry = TelemetryCollector()
+    rag = RAGValidator(
+        model=runner.registry.get(MODELS[0]),
+        search_api=api,
+        kg_encoding=runner.encoding("factbench"),
+        config=runner.config.rag_config(),
+        verbalizer=runner.verbalizer,
+        telemetry=telemetry,
+        evidence_cache=LRUCache(4096),
+    )
+    facts = [
+        LabeledFact(
+            fact_id=f"synthetic-{index}",
+            triple=triple,
+            label=True,
+            dataset="synthetic",
+            subject_name=triple.subject,
+            object_name=triple.object,
+            predicate_name=triple.predicate,
+        )
+        for index, triple in enumerate(triples[:RAG_READS])
+    ]
+
+    def upstream_calls():
+        return sum(
+            len(telemetry.records(task=task))
+            for task in ("transform", "question-generation")
+        )
+
+    def read_all():
+        """(searches, upstream LLM calls) that one rag read of every fact costs."""
+        api.reset_log()
+        before = upstream_calls()
+        for fact in facts:
+            rag.validate(fact)
+        return len(api.query_log()), upstream_calls() - before
+
+    cold = read_all()
+    assert cold[0] >= RAG_READS and cold[1] == 2 * RAG_READS
+
+    store.apply(
+        [mutation for mutation in _mutation_batch(store) if mutation.document is None]
+    )
+    after_triples = run_once(benchmark, read_all)
+
+    documents = _synthetic_documents(int(NUM_DOCUMENTS * MUTATION_FRACTION), prefix="ingest")
+    store.apply([Mutation.add_document(document) for document in documents])
+    after_documents = read_all()
+    repeated = read_all()
+
+    print(
+        f"\n{RAG_READS} rag reads (searches, upstream LLM calls): cold {cold}, "
+        f"after a triple-only batch {after_triples}, after a "
+        f"{len(documents)}-document batch {after_documents}, repeated {repeated}"
+    )
+    assert after_triples == (0, 0), "a triple-only ingest cost RAG retrieval work"
+    assert after_documents == (cold[0], 0), (
+        "a document ingest must re-search every fact from its cached questions"
+    )
+    assert repeated == (0, 0)

@@ -17,6 +17,7 @@ from ..llm.base import LLMClient
 from ..llm.registry import ModelRegistry
 from ..llm.telemetry import TelemetryCollector
 from ..kg.triples import Triple
+from ..retrieval.cache import LRUCache
 from ..retrieval.corpus import Corpus
 from ..retrieval.mock_api import MockSearchAPI
 from ..retrieval.reranker import CrossEncoderReranker
@@ -89,7 +90,7 @@ class BenchmarkRunner:
         self._verbalizer: Optional[Verbalizer] = None
         self._reranker = CrossEncoderReranker()
         self._reranker_warmed: set = set()
-        self._evidence_caches: Dict[str, dict] = {}
+        self._evidence_caches: Dict[str, LRUCache] = {}
         self._stores: Dict[str, VersionedKnowledgeStore] = {}
         self._sharded_stores: Dict[Tuple[str, int], ShardedStore] = {}
         self._runs: Dict[Tuple[str, str, str], ValidationRun] = {}
@@ -157,9 +158,9 @@ class BenchmarkRunner:
         BM25 engine, the world-model reference triples, and the shared
         reranker's embedding cache — all maintained *in place* on ingest,
         so RAG strategies built by :meth:`build_strategy` observe mutations
-        immediately instead of forcing an index rebuild.  A mutation
-        listener clears the dataset's RAG evidence cache (retrieval results
-        computed against the old corpus must not survive the epoch bump).
+        immediately instead of forcing an index rebuild; their cached
+        evidence is stamped with the engine's ``generation``, so a document
+        ingest makes it stale and a triple-only one leaves it valid.
         Built once per dataset; subsequent calls return the same store (a
         conflicting ``store_config`` on a later call is an error rather
         than being silently ignored).
@@ -188,13 +189,6 @@ class BenchmarkRunner:
             embedder=self._reranker.embedder,
             name=f"{dataset_name}-store",
         )
-
-        def _invalidate_evidence(epoch: int, mutations) -> None:
-            cache = self._evidence_caches.get(dataset_name)
-            if cache:
-                cache.clear()
-
-        store.subscribe(_invalidate_evidence)
         self._stores[dataset_name] = store
         return store
 
@@ -308,7 +302,12 @@ class BenchmarkRunner:
         question_generator = QuestionGenerator(
             upstream_model, self._reranker, rag_config, self.telemetry
         )
-        cache = self._evidence_caches.setdefault(dataset_name, {})
+        cache = self._evidence_caches.get(dataset_name)
+        if cache is None:
+            # Room for every fact of the dataset (the grid and the warm pass
+            # never evict), bounded for a service asked for arbitrary facts.
+            cache = LRUCache(max(4096, len(self.dataset(dataset_name))))
+            self._evidence_caches[dataset_name] = cache
         return RAGValidator(
             model=model,
             search_api=self.search_api(dataset_name),
@@ -352,7 +351,7 @@ class BenchmarkRunner:
 
         World, registry, datasets and — when the RAG method is configured —
         corpora, search indexes, corpus-level reranker embeddings, and the
-        per-fact RAG evidence caches (phases 1–3 are model-independent, so
+        per-fact RAG evidence caches (phases 1–4 are model-independent, so
         they are computed once here rather than once per worker).  Calling
         this before forking a process pool means workers inherit the built
         substrates through copy-on-write memory instead of rebuilding them.
@@ -369,7 +368,7 @@ class BenchmarkRunner:
                     self._warm_evidence(dataset_name)
 
     def _warm_evidence(self, dataset_name: str) -> None:
-        """Run RAG phases 1–3 for every fact into the shared evidence cache."""
+        """Run RAG phases 1–4 for every fact into the shared evidence cache."""
         validator = self._build_rag_strategy(
             dataset_name, self.registry.get(self.config.models[0])
         )

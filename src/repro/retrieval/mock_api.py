@@ -11,13 +11,17 @@ returns the extracted page text (which may be empty, like failed
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 from .corpus import Corpus, Document
 from .search import SearchEngine, SearchResult
 
 __all__ = ["SerpEntry", "MockSearchAPI"]
+
+#: How many of the most recent queries :meth:`MockSearchAPI.query_log` keeps.
+QUERY_LOG_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class MockSearchAPI:
         self.corpus = corpus
         self.engine = SearchEngine(corpus)
         self.default_num_results = default_num_results
-        self._query_log: List[Dict[str, str]] = []
+        self._query_log: Deque[Dict[str, str]] = deque(maxlen=QUERY_LOG_CAP)
 
     # -- search ------------------------------------------------------------------
 
@@ -98,7 +102,7 @@ class MockSearchAPI:
     # -- introspection ----------------------------------------------------------------
 
     def query_log(self) -> List[Dict[str, str]]:
-        """All queries issued so far (useful for cost accounting and tests)."""
+        """The last ``QUERY_LOG_CAP`` queries, oldest first (cost accounting, tests)."""
         return list(self._query_log)
 
     def reset_log(self) -> None:

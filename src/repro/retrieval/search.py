@@ -21,6 +21,7 @@ versioned knowledge store's streaming-ingest path relies on.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ from .corpus import Corpus, Document
 __all__ = ["SearchResult", "SearchEngine"]
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+
+#: One counter for every engine in the process, so two engines never share
+#: a :attr:`SearchEngine.generation` value.
+_GENERATIONS = itertools.count(1)
 
 
 def _tokenize(text: str) -> List[str]:
@@ -54,6 +59,10 @@ class SearchEngine:
     Titles are weighted more heavily than body text, which mirrors how web
     search surfaces entity-profile pages for entity-name queries — the
     behaviour the RAG pipeline depends on.
+
+    :attr:`generation` changes whenever the index does (build,
+    :meth:`add_documents`, :meth:`rebuild`) and never on :meth:`search`:
+    results retrieved at one generation hold while the engine reports it.
     """
 
     def __init__(
@@ -76,6 +85,7 @@ class SearchEngine:
         self._idf: np.ndarray = np.zeros(0)
         self._length_norm: np.ndarray = np.zeros(0)
         self._avg_length = 0.0
+        self.generation = 0
         self._build_index()
 
     def _weighted_terms(self, document: Document) -> Counter:
@@ -113,6 +123,8 @@ class SearchEngine:
 
     def _refresh_statistics(self) -> None:
         """Recompute the derived vectors (cheap, fully vectorised)."""
+        # Every index change ends here, so this is where the generation moves.
+        self.generation = next(_GENERATIONS)
         lengths = self._doc_lengths
         self._avg_length = float(lengths.mean()) if len(lengths) else 0.0
         # Precomputed per-document BM25 length normalisation.

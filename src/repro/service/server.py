@@ -480,14 +480,6 @@ class ValidationService:
                 while self._pending:
                     await asyncio.sleep(0.001)
                 report = self.store.apply(mutations)
-                # Retrieval-bearing strategies must not reuse evidence
-                # gathered against the old corpus, wherever their caches
-                # live (store listeners cover runner-owned caches; this
-                # covers caches private to provider-built strategies).
-                for strategy in self._strategies.values():
-                    invalidate = getattr(strategy, "invalidate_evidence", None)
-                    if invalidate is not None:
-                        invalidate()
                 self._strategies.clear()
                 self.metrics.observe_ingest(report.total_ops)
             finally:

@@ -315,8 +315,7 @@ class VersionedKnowledgeStore:
     def subscribe(self, listener: MutationListener) -> None:
         """Register a callback invoked after every applied batch.
 
-        The online service and the benchmark runner use this to invalidate
-        derived caches (RAG evidence, cached strategies) on ingest.
+        The geo replicator uses this to enqueue each batch for the edges.
         """
         self._listeners.append(listener)
 

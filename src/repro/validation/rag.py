@@ -32,6 +32,7 @@ from ..kg.namespaces import KGEncoding
 from ..kg.verbalization import Verbalizer
 from ..llm.base import LLMClient
 from ..llm.telemetry import TelemetryCollector
+from ..retrieval.cache import LRUCache
 from ..retrieval.chunking import SlidingWindowChunker
 from ..retrieval.corpus import Document
 from ..retrieval.mock_api import MockSearchAPI
@@ -215,7 +216,7 @@ class RAGValidator(ValidationStrategy):
         telemetry: Optional[TelemetryCollector] = None,
         network_model: Optional[NetworkLatencyModel] = None,
         include_network_latency: bool = False,
-        evidence_cache: Optional[Dict[str, Tuple["RetrievedEvidence", float]]] = None,
+        evidence_cache: Optional[LRUCache] = None,
     ) -> None:
         self.model = model
         self.search_api = search_api
@@ -235,7 +236,7 @@ class RAGValidator(ValidationStrategy):
         self.include_network_latency = include_network_latency
         # Shared evidence cache: the paper's pipeline runs transformation and
         # question generation with a single model (Gemma2) for every
-        # validator, so phases 1–3 can be computed once per fact and reused
+        # validator, so phases 1–4 can be computed once per fact and reused
         # across the model zoo.
         self.evidence_cache = evidence_cache
 
@@ -245,43 +246,36 @@ class RAGValidator(ValidationStrategy):
         """Run phases 1–4 for one fact; returns evidence and upstream LLM latency.
 
         When an evidence cache is attached, results are reused across
-        validators sharing the cache.
+        validators sharing the cache.  An entry is ``(upstream, generation,
+        evidence)``: ``upstream = (statement, questions, llm_latency)`` is a
+        function of the fact and the upstream model and is kept for good;
+        ``evidence`` (phases 3–4) holds while the search engine reports the
+        ``generation`` it was retrieved at, then is redone from ``upstream``.
         """
-        if self.evidence_cache is not None and fact.fact_id in self.evidence_cache:
-            return self.evidence_cache[fact.fact_id]
-        evidence, llm_latency = self._retrieve_uncached(fact)
-        if self.evidence_cache is not None:
-            self.evidence_cache[fact.fact_id] = (evidence, llm_latency)
-        return evidence, llm_latency
+        generation = self.search_api.engine.generation
+        cache = self.evidence_cache
+        entry = cache.get(fact.fact_id) if cache is not None else None
+        if entry is None:
+            upstream = self._generate_questions(fact)
+        else:
+            upstream, stamp, evidence = entry
+            if stamp == generation:
+                return evidence, upstream[2]
+        # Stamp with the generation read *before* retrieving: an index that
+        # moves meanwhile leaves a stale stamp, never a wrongly fresh one.
+        evidence = self._retrieve_evidence(upstream[0], upstream[1])
+        if cache is not None:
+            cache.put(fact.fact_id, (upstream, generation, evidence))
+        return evidence, upstream[2]
 
-    def invalidate_evidence(self, fact_ids: Optional[Sequence[str]] = None) -> int:
-        """Drop cached phase 1–4 evidence; returns how many entries went.
-
-        Called when the underlying corpus mutates (the versioned knowledge
-        store ingesting documents): retrieval results computed against the
-        old corpus must not be reused at the new epoch.  ``fact_ids``
-        narrows the invalidation; by default everything goes — retrieval
-        is corpus-global, so any document add can change any fact's SERP.
-        """
-        if self.evidence_cache is None:
-            return 0
-        if fact_ids is None:
-            dropped = len(self.evidence_cache)
-            self.evidence_cache.clear()
-            return dropped
-        dropped = 0
-        for fact_id in fact_ids:
-            if self.evidence_cache.pop(fact_id, None) is not None:
-                dropped += 1
-        return dropped
-
-    def _retrieve_uncached(self, fact: LabeledFact) -> Tuple[RetrievedEvidence, float]:
-        llm_latency = 0.0
+    def _generate_questions(self, fact: LabeledFact) -> Tuple[str, List[Tuple[str, float]], float]:
+        """Phases 1–2: ``(statement, scored questions, upstream LLM latency)``."""
         statement, transform_latency = self.transformer.transform(fact)
-        llm_latency += transform_latency
         questions, question_latency = self.question_generator.generate(fact, statement)
-        llm_latency += question_latency
+        return statement, questions, transform_latency + question_latency
 
+    def _retrieve_evidence(self, statement: str, questions: List[Tuple[str, float]]) -> RetrievedEvidence:
+        """Phases 3–4 against the search index as it stands now."""
         eligible = [
             question for question, score in questions
             if score >= self.config.relevance_threshold
@@ -293,7 +287,7 @@ class RAGValidator(ValidationStrategy):
         top_documents = self._select_documents(statement, documents)
         chunks = self._select_chunks(statement, top_documents)
 
-        evidence = RetrievedEvidence(
+        return RetrievedEvidence(
             statement=statement,
             questions=questions,
             selected_queries=queries,
@@ -301,7 +295,6 @@ class RAGValidator(ValidationStrategy):
             chunks=chunks,
             retrieval_latency_seconds=self.network_model.serp_time(len(queries)),
         )
-        return evidence, llm_latency
 
     def _retrieve_documents(self, queries: Sequence[str]) -> List[Document]:
         """Phase 3: issue queries, fetch pages, filter KG-origin sources."""

@@ -246,3 +246,16 @@ class TestMockSearchAPI:
         assert log[-1]["num"] == "3"
         search_api.reset_log()
         assert search_api.query_log() == []
+
+    def test_query_log_is_bounded(self, search_api):
+        from repro.retrieval.mock_api import QUERY_LOG_CAP
+
+        search_api.reset_log()
+        for index in range(10 * QUERY_LOG_CAP):
+            search_api.search("", num=index)  # an empty query is logged, not ranked
+        log = search_api.query_log()
+        assert len(log) == QUERY_LOG_CAP
+        assert log[-1]["num"] == str(10 * QUERY_LOG_CAP - 1)
+        assert log[0]["num"] == str(9 * QUERY_LOG_CAP)
+        search_api.reset_log()
+        assert search_api.query_log() == []

@@ -15,6 +15,8 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.datasets import LabeledFact
@@ -231,18 +233,118 @@ class TestRunnerStore:
                 "factbench", StoreConfig(index_rebuild_fraction=0.1)
             )
 
-    def test_rag_validator_invalidate_evidence(self, runner):
-        strategy = runner.build_strategy(
-            "rag", "factbench", runner.registry.get("gemma2:9b")
-        )
+    def test_engine_generation_moves_with_the_index_only(self, runner):
+        from repro.retrieval.search import SearchEngine
+
+        corpus = runner.corpus("factbench")
+        engine = runner.search_api("factbench").engine
+        built = engine.generation
+        assert SearchEngine(corpus).generation != built
+        engine.search("profile and background")
+        assert engine.generation == built
         fact = runner.dataset("factbench")[0]
-        strategy.retrieve(fact)
-        assert fact.fact_id in strategy.evidence_cache
-        assert strategy.invalidate_evidence(["not-present"]) == 0
-        assert strategy.invalidate_evidence([fact.fact_id]) == 1
-        strategy.retrieve(fact)
-        assert strategy.invalidate_evidence() == 1
-        assert strategy.evidence_cache == {}
+        document = _news_doc(0, fact)
+        corpus.add(document)
+        engine.add_documents([document])
+        added = engine.generation
+        assert added != built
+        engine.add_documents([])  # an empty batch changes nothing
+        assert engine.generation == added
+        engine.rebuild()
+        assert engine.generation not in (built, added)
+
+
+class TestEvidenceReuse:
+    """Cached RAG evidence is valid by construction, not by invalidation."""
+
+    @staticmethod
+    def _rag_reads_around_ingest(runner, mutations):
+        """Serve four facts, ingest, serve them again; count what the second
+        round cost in searches and upstream (phase 1–2) LLM calls."""
+        store = runner.versioned_store("factbench")
+        service = ValidationService.from_runner(runner, ServiceConfig(), store=store)
+        facts = runner.dataset("factbench").facts()[:4]
+        api = runner.search_api("factbench")
+
+        def upstream_calls():
+            return [
+                len(runner.telemetry.records(task=task))
+                for task in ("transform", "question-generation")
+            ]
+
+        async def go():
+            async with service:
+                for fact in facts:
+                    await service.submit(ServiceRequest(fact, "rag", "gemma2:9b"))
+                api.reset_log()
+                before = upstream_calls()
+                await service.apply_mutations(mutations(facts))
+                after = [
+                    await service.submit(ServiceRequest(fact, "rag", "gemma2:9b"))
+                    for fact in facts
+                ]
+                return before, after
+
+        before, after = asyncio.run(go())
+        assert before == [len(facts), len(facts)]
+        assert all(not response.cached for response in after)  # re-judged at the new epoch
+        return len(api.query_log()), upstream_calls() == before
+
+    def test_triple_only_ingest_issues_zero_searches(self, runner):
+        searches, upstream_unchanged = self._rag_reads_around_ingest(
+            runner, lambda facts: [Mutation.add_triple("Mid", "worksFor", "Load")]
+        )
+        assert searches == 0 and upstream_unchanged
+
+    def test_document_ingest_searches_again_without_upstream_llm_calls(self, runner):
+        searches, upstream_unchanged = self._rag_reads_around_ingest(
+            runner,
+            lambda facts: [
+                Mutation.add_document(_news_doc(i, fact)) for i, fact in enumerate(facts)
+            ],
+        )
+        assert searches >= 4 and upstream_unchanged
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("triples"), st.integers(1, 3)),
+                st.tuples(st.just("documents"), st.integers(1, 3)),
+                st.tuples(st.just("retrieve"), st.integers(0, 11)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_cached_evidence_equals_uncached_under_any_interleaving(
+        self, store_service_config, steps
+    ):
+        runner = BenchmarkRunner(store_service_config)
+        store = runner.versioned_store("factbench")
+        facts = runner.dataset("factbench").facts()
+        model = runner.registry.get("gemma2:9b")
+        cached = runner.build_strategy("rag", "factbench", model)
+        uncached = runner.build_strategy("rag", "factbench", model)
+        uncached.evidence_cache = None
+        added = 0
+        for kind, value in steps:
+            if kind == "retrieve":
+                fact = facts[value % len(facts)]
+                assert cached.retrieve(fact) == uncached.retrieve(fact)
+                continue
+            batch = []
+            for _ in range(value):
+                if kind == "triples":
+                    batch.append(Mutation.add_triple(f"Subject{added}", "worksFor", "Load"))
+                else:
+                    batch.append(
+                        Mutation.add_document(_news_doc(added, facts[added % len(facts)]))
+                    )
+                added += 1
+            store.apply(batch)
+        for fact in facts:
+            assert cached.retrieve(fact) == uncached.retrieve(fact)
 
 
 class TestMixedWorkload:

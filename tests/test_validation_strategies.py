@@ -4,6 +4,7 @@ import pytest
 
 from repro.kg import DBPEDIA_ENCODING
 from repro.llm import TelemetryCollector
+from repro.retrieval.cache import LRUCache
 from repro.validation import (
     DirectKnowledgeAssessment,
     GuidedIterativeVerification,
@@ -120,7 +121,7 @@ class TestRAG:
         assert result.latency_seconds > 0
 
     def test_evidence_cache_shared_across_models(self, registry, verbalizer, search_api, covered_facts):
-        cache = {}
+        cache = LRUCache(8)
         config = RAGConfig(serp_results_per_query=15, selected_documents=5)
         validators = [
             RAGValidator(
@@ -134,10 +135,13 @@ class TestRAG:
             for name in ("gemma2:9b", "mistral:7b")
         ]
         validators[0].validate(covered_facts[0])
-        assert covered_facts[0].fact_id in cache
-        cached_evidence, __ = cache[covered_facts[0].fact_id]
-        evidence, __ = validators[1].retrieve(covered_facts[0])
-        assert evidence is cached_evidence
+        (statement, questions, upstream_latency), generation, cached_evidence = cache.get(
+            covered_facts[0].fact_id
+        )
+        assert generation == search_api.engine.generation
+        assert (statement, questions) == (cached_evidence.statement, cached_evidence.questions)
+        evidence, latency = validators[1].retrieve(covered_facts[0])
+        assert evidence is cached_evidence and latency == upstream_latency
 
     def test_rag_slower_than_dka(self, rag_validator, gemma, verbalizer, covered_facts):
         dka = DirectKnowledgeAssessment(gemma, verbalizer)
