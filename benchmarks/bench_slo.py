@@ -39,9 +39,14 @@ import pytest
 from conftest import run_once
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
-from repro.benchmark.cli import _fleet_slos
 from repro.chaos.clock import VirtualClock
-from repro.obs import MetricsScraper, Observability, SLOMonitor, render_dashboard
+from repro.obs import (
+    MetricsScraper,
+    Observability,
+    SLOMonitor,
+    fleet_slos,
+    render_dashboard,
+)
 from repro.service import (
     LoadGenerator,
     ServiceConfig,
@@ -94,7 +99,7 @@ def _monitor_for(router, clock=None, events=None):
             clock=clock,
             interval_s=REFRESH_S,
         ),
-        _fleet_slos(2, 2),
+        fleet_slos(2, 2),
         events=events,
     )
 

@@ -487,30 +487,38 @@ def build_service_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_service_args(args) -> None:
+def _validate_names(methods, models, datasets, what: str = "") -> None:
     """Fail fast on typos (or empty lists) before any substrate is built."""
     from ..llm.profiles import ALL_PROFILES
     from .runner import KNOWN_DATASETS, KNOWN_METHODS
 
-    for name, values in (("methods", args.methods), ("models", args.models),
-                         ("datasets", args.datasets)):
+    for name, values, known in (
+        ("method", methods, list(KNOWN_METHODS)),
+        ("model", models, sorted(ALL_PROFILES)),
+        ("dataset", datasets, list(KNOWN_DATASETS)),
+    ):
         if not values:
-            raise SystemExit(f"--{name} must name at least one entry")
-    unknown_methods = [method for method in args.methods if method not in KNOWN_METHODS]
-    if unknown_methods:
-        raise SystemExit(
-            f"unknown method(s) {unknown_methods}; choose from {list(KNOWN_METHODS)}"
-        )
-    unknown_models = [model for model in args.models if model not in ALL_PROFILES]
-    if unknown_models:
-        raise SystemExit(
-            f"unknown model(s) {unknown_models}; choose from {sorted(ALL_PROFILES)}"
-        )
-    unknown_datasets = [name for name in args.datasets if name not in KNOWN_DATASETS]
-    if unknown_datasets:
-        raise SystemExit(
-            f"unknown dataset(s) {unknown_datasets}; choose from {list(KNOWN_DATASETS)}"
-        )
+            raise SystemExit(f"--{name}s must name at least one entry")
+        unknown = [value for value in values if value not in known]
+        if unknown:
+            raise SystemExit(
+                f"{what}unknown {name}(s) {unknown}; choose from {known}"
+            )
+
+
+def _experiment_config(args, methods, datasets, models, seed: int) -> ExperimentConfig:
+    """The serving subcommands' :class:`ExperimentConfig`: the shared scale
+    flags from ``args``, the grid axes and seed from the caller."""
+    return ExperimentConfig(
+        scale=args.scale,
+        max_facts_per_dataset=args.max_facts or None,
+        world_scale=args.world_scale,
+        methods=tuple(methods),
+        datasets=tuple(datasets),
+        models=tuple(models),
+        include_commercial_in_grid=False,
+        seed=seed,
+    )
 
 
 def _service_setup(args):
@@ -523,20 +531,13 @@ def _service_setup(args):
     """
     from ..service import ServiceConfig, ShardedValidationService, ValidationService
 
-    _validate_service_args(args)
+    _validate_names(args.methods, args.models, args.datasets)
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     if args.replicas < 1:
         raise SystemExit("--replicas must be >= 1")
-    config = ExperimentConfig(
-        scale=args.scale,
-        max_facts_per_dataset=args.max_facts or None,
-        world_scale=args.world_scale,
-        methods=tuple(args.methods),
-        datasets=tuple(args.datasets),
-        models=tuple(args.models),
-        include_commercial_in_grid=False,
-        seed=args.seed,
+    config = _experiment_config(
+        args, args.methods, args.datasets, args.models, args.seed
     )
     runner = BenchmarkRunner(config)
     service_config = ServiceConfig(
@@ -778,41 +779,19 @@ def _run_chaos(args, stream: TextIO) -> int:
     CI can gate on the exit code while still getting the full table.
     """
     from ..chaos import ScenarioError, ScenarioRunner, load_scenario
-    from ..llm.profiles import ALL_PROFILES
-    from .runner import KNOWN_DATASETS, KNOWN_METHODS
 
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         raise SystemExit(f"invalid scenario: {exc}")
-    unknown_methods = [m for m in scenario.methods if m not in KNOWN_METHODS]
-    if unknown_methods:
-        raise SystemExit(
-            f"scenario names unknown method(s) {unknown_methods}; "
-            f"choose from {list(KNOWN_METHODS)}"
-        )
-    unknown_models = [m for m in scenario.models if m not in ALL_PROFILES]
-    if unknown_models:
-        raise SystemExit(
-            f"scenario names unknown model(s) {unknown_models}; "
-            f"choose from {sorted(ALL_PROFILES)}"
-        )
-    if scenario.dataset not in KNOWN_DATASETS:
-        raise SystemExit(
-            f"scenario names unknown dataset {scenario.dataset!r}; "
-            f"choose from {list(KNOWN_DATASETS)}"
-        )
-    config = ExperimentConfig(
-        scale=args.scale,
-        max_facts_per_dataset=args.max_facts or None,
-        world_scale=args.world_scale,
-        methods=tuple(scenario.methods),
-        datasets=(scenario.dataset,),
-        models=tuple(scenario.models),
-        include_commercial_in_grid=False,
-        seed=scenario.seed,
+    _validate_names(
+        scenario.methods, scenario.models, [scenario.dataset], what="scenario names "
     )
-    runner = BenchmarkRunner(config)
+    runner = BenchmarkRunner(
+        _experiment_config(
+            args, scenario.methods, [scenario.dataset], scenario.models, scenario.seed
+        )
+    )
     stream.write(
         f"running scenario {scenario.name!r}: {scenario.cell_count} cells "
         f"({len(scenario.topologies)} topologies x {len(scenario.traffics)} "
@@ -829,42 +808,6 @@ def _run_chaos(args, stream: TextIO) -> int:
             handle.write(table.csv(include_timings=False))
         stream.write(f"deterministic run table written to {args.deterministic_csv}\n")
     return 0 if table.ok else 1
-
-
-def _fleet_slos(shards: int, replicas: int):
-    """The SLO set the ``obs top`` / ``obs slo`` modes monitor.
-
-    Count- and gauge-derived only (availability from outcome counters,
-    fleet health from the unhealthy-replica gauge) — request latencies
-    read the real wall clock even under the virtual one, so a latency SLO
-    would break the byte-identical-rerun guarantee the CI smoke diffs.
-    """
-    from ..obs import SLO, AvailabilitySLI, HealthSLI
-
-    fleet_size = float(shards * replicas)
-    return [
-        SLO(
-            "availability",
-            objective=0.999,
-            sli=AvailabilitySLI.of(
-                good={
-                    "service_requests_total": {"outcome": "completed"},
-                    "router_degraded_total": {},
-                },
-                bad={"router_failures_total": {}},
-            ),
-            description="FAILED responses vs answered requests",
-        ),
-        SLO(
-            "fleet-availability",
-            objective=0.99,
-            sli=HealthSLI(
-                "router_unhealthy_replicas",
-                bad_when=lambda value: value / fleet_size,
-            ),
-            description="replica-time in the routing rotation",
-        ),
-    ]
 
 
 def _parse_kill_target(raw: str):
@@ -890,14 +833,20 @@ def _run_obs_dashboard(args, stream: TextIO) -> int:
     ``obs top --once`` twice and diffs.
     """
     from ..chaos.clock import VirtualClock
-    from ..obs import MetricsScraper, Observability, SLOMonitor, render_dashboard
+    from ..obs import (
+        MetricsScraper,
+        Observability,
+        SLOMonitor,
+        fleet_slos,
+        render_dashboard,
+    )
     from ..service import (
         ServiceConfig,
         ShardedValidationService,
         build_workload,
     )
 
-    _validate_service_args(args)
+    _validate_names(args.methods, args.models, args.datasets)
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     if args.replicas < 1:
@@ -913,15 +862,8 @@ def _run_obs_dashboard(args, stream: TextIO) -> int:
         raise SystemExit(
             f"--kill {args.kill} is outside the {args.shards}x{args.replicas} fleet"
         )
-    config = ExperimentConfig(
-        scale=args.scale,
-        max_facts_per_dataset=args.max_facts or None,
-        world_scale=args.world_scale,
-        methods=tuple(args.methods),
-        datasets=tuple(args.datasets),
-        models=tuple(args.models),
-        include_commercial_in_grid=False,
-        seed=args.seed,
+    config = _experiment_config(
+        args, args.methods, args.datasets, args.models, args.seed
     )
     runner = BenchmarkRunner(config)
     datasets = [runner.dataset(name) for name in config.datasets]
@@ -956,7 +898,7 @@ def _run_obs_dashboard(args, stream: TextIO) -> int:
             clock=clock,
             interval_s=args.refresh,
         ),
-        _fleet_slos(args.shards, args.replicas),
+        fleet_slos(args.shards, args.replicas),
         events=obs.events,
     )
     title = f"{args.datasets[0]} {args.shards}x{args.replicas}"
@@ -1030,14 +972,7 @@ def _run_obs(args, stream: TextIO) -> int:
     stream.write(service.metrics.exposition() + "\n")
 
     tracer = obs.tracer
-    worst_spans: list = []
-    worst_duration = -1.0
-    for spans in tracer.traces().values():
-        roots = [span for span in spans if span.parent_id is None]
-        duration = max((span.duration_s for span in roots), default=0.0)
-        if duration > worst_duration:
-            worst_duration = duration
-            worst_spans = spans
+    _, worst_spans = tracer.slowest_trace()
     if worst_spans:
         title = "Slowest trace"
         stream.write(f"{title}\n{'-' * len(title)}\n")

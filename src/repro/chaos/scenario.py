@@ -74,7 +74,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import Observability
 from ..obs.alerts import SLOMonitor
-from ..obs.slo import SLO, AvailabilitySLI, HealthSLI
+from ..obs.slo import fleet_slos
 from ..obs.timeseries import MetricsScraper
 from ..obs.trace import slowest_path as _slowest_path
 from ..retrieval.corpus import Document
@@ -247,7 +247,6 @@ _SERVICE_KEYS = {
     "queue_depth",
     "enable_cache",
     "cache_capacity",
-    "cache_shards",
     "batch_overhead_s",
     "time_scale",
 }
@@ -951,59 +950,6 @@ class ScenarioRunner:
                 await router.kill_replica(shard, replica)
             await self.clock.sleep(self.poll_interval_s)
 
-    def _cell_slos(self, topology: Topology) -> List[SLO]:
-        """The SLO set every cell is monitored against.
-
-        Deliberately **count- and gauge-derived only** (no latency SLO):
-        request latencies read the real wall clock even under a virtual
-        one, so a latency alert could flap across reruns and break the
-        ``forbid_alerts`` reference invariant.  Availability and fleet
-        health are exact counts, deterministic on both clocks.
-        """
-        fleet_size = float(topology.shards * topology.replicas)
-        slos = [
-            SLO(
-                "availability",
-                objective=0.999,
-                sli=AvailabilitySLI.of(
-                    good={
-                        "service_requests_total": {"outcome": "completed"},
-                        "router_degraded_total": {},
-                    },
-                    bad={"router_failures_total": {}},
-                ),
-                description="FAILED responses vs answered requests",
-            ),
-            SLO(
-                "fleet-availability",
-                objective=0.99,
-                sli=HealthSLI(
-                    "router_unhealthy_replicas",
-                    bad_when=lambda value: value / fleet_size,
-                ),
-                description="replica-time in the routing rotation",
-            ),
-        ]
-        if topology.edges > 0:
-            # Geo topologies also watch watermark lag: an instant is bad
-            # when the fleet-summed worst-shard lag exceeds the configured
-            # staleness bound — the burn-rate alert behind the edge-lag
-            # runbook.  Gauge-derived, so deterministic like the others.
-            bound = self.scenario.geo_staleness_bound_epochs
-            lag_budget = float(bound if bound is not None else 8) * topology.edges
-            slos.append(
-                SLO(
-                    "replication-staleness",
-                    objective=0.95,
-                    sli=HealthSLI(
-                        "router_geo_watermark_lag_epochs",
-                        bad_when=lambda lag: 1.0 if lag > lag_budget else 0.0,
-                    ),
-                    description="edge-time inside the staleness bound",
-                )
-            )
-        return slos
-
     async def _drive_monitor(self, monitor: SLOMonitor) -> None:
         while True:
             monitor.tick()
@@ -1057,6 +1003,7 @@ class ScenarioRunner:
             self.clock, seed=scenario.seed, trace_capacity=4096
         )
         router.set_observability(obs)
+        bound = scenario.geo_staleness_bound_epochs
         # Per-cell SLO monitor: scrapes the fleet's merged families on the
         # runner's clock and steps burn-rate alerts into the cell's event
         # log, so "did this fault page?" is checkable like any invariant.
@@ -1069,7 +1016,14 @@ class ScenarioRunner:
                 clock=self.clock,
                 interval_s=self.poll_interval_s,
             ),
-            self._cell_slos(topology),
+            fleet_slos(
+                topology.shards,
+                topology.replicas,
+                topology.edges,
+                # The gauge is fleet-summed, so the budget is the staleness
+                # bound (8 epochs when unset) once per edge.
+                lag_budget=float(8 if bound is None else bound) * topology.edges,
+            ),
             events=obs.events,
         )
         injector: Optional[FaultInjector] = None
@@ -1145,16 +1099,7 @@ class ScenarioRunner:
             geo_diverged=geo_diverged,
             max_edge_staleness=max_edge_staleness,
         )
-        worst_trace = ""
-        slowest = ""
-        worst_duration = -1.0
-        for trace_id, spans in obs.tracer.traces().items():
-            roots = [span for span in spans if span.parent_id is None]
-            duration = max((span.duration_s for span in roots), default=0.0)
-            if duration > worst_duration:
-                worst_duration = duration
-                worst_trace = trace_id
-                slowest = _slowest_path(spans)
+        worst_trace, worst_spans = obs.tracer.slowest_trace()
         return CellResult(
             topology=topology,
             traffic=traffic,
@@ -1164,7 +1109,7 @@ class ScenarioRunner:
             checks=checks,
             verdict_digest=_verdict_digest(report.verdicts()),
             reference=case is None,
-            slowest_path=slowest,
+            slowest_path=_slowest_path(worst_spans),
             worst_trace=worst_trace,
             event_counts=obs.events.counts(),
             fired_alerts=fired_alerts,

@@ -12,7 +12,7 @@ Three cooperating pieces, all deterministic under the injectable
   transitions (health, failover, quiesce, kills, budget exhaustion,
   alert lifecycle);
 * :mod:`repro.obs.timeseries` — ring-buffered time series scraped from
-  any registry on the clock, with downsampled rollups and range queries;
+  any registry on the clock, with range queries;
 * :mod:`repro.obs.slo` — declarative SLOs (availability, latency,
   health/staleness) with exact error budgets and multi-window
   multi-burn-rate rules;
@@ -57,11 +57,10 @@ from .slo import (
     SLO,
     SLOStatus,
     WindowSample,
+    fleet_slos,
 )
 from .timeseries import (
-    DEFAULT_ROLLUP_TIERS,
     MetricsScraper,
-    RollupPoint,
     SeriesPoint,
     TimeSeries,
     series_key,
@@ -84,7 +83,6 @@ __all__ = [
     "ALERT_STATES",
     "DEFAULT_BURN_RULES",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_ROLLUP_TIERS",
     "EVENT_KINDS",
     "SPAN_TAXONOMY",
     "STATUS_DEGRADED",
@@ -106,7 +104,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsScraper",
     "Observability",
-    "RollupPoint",
     "RuleReading",
     "SLO",
     "SLOMonitor",
@@ -118,6 +115,7 @@ __all__ = [
     "Tracer",
     "WindowSample",
     "budget_bar",
+    "fleet_slos",
     "maybe_span",
     "parse_exposition",
     "percentile",

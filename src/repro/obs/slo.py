@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .timeseries import MetricsScraper
 
@@ -40,6 +40,7 @@ __all__ = [
     "SLO",
     "SLOStatus",
     "WindowSample",
+    "fleet_slos",
 ]
 
 
@@ -328,3 +329,59 @@ class SLO:
             budget_remaining=remaining,
             rules=tuple(readings),
         )
+
+
+def fleet_slos(
+    shards: int, replicas: int, edges: int = 0, lag_budget: float = 0.0
+) -> List[SLO]:
+    """The SLO set a serving fleet is monitored against (``obs top`` /
+    ``obs slo`` and every chaos scenario cell).
+
+    Deliberately **count- and gauge-derived only** (no latency SLO):
+    request latencies read the real wall clock even under a virtual one,
+    so a latency alert could flap across reruns and break the
+    byte-identical-rerun guarantees (the ``forbid_alerts`` reference
+    invariant, the CI render smoke).  Availability and fleet health are
+    exact counts, deterministic on both clocks.
+
+    With ``edges > 0`` the set also watches watermark lag: an instant is
+    bad when the fleet-summed worst-shard lag exceeds ``lag_budget``
+    epochs — the burn-rate alert behind the edge-lag runbook.
+    """
+    fleet_size = float(shards * replicas)
+    slos = [
+        SLO(
+            "availability",
+            objective=0.999,
+            sli=AvailabilitySLI.of(
+                good={
+                    "service_requests_total": {"outcome": "completed"},
+                    "router_degraded_total": {},
+                },
+                bad={"router_failures_total": {}},
+            ),
+            description="FAILED responses vs answered requests",
+        ),
+        SLO(
+            "fleet-availability",
+            objective=0.99,
+            sli=HealthSLI(
+                "router_unhealthy_replicas",
+                bad_when=lambda value: value / fleet_size,
+            ),
+            description="replica-time in the routing rotation",
+        ),
+    ]
+    if edges > 0:
+        slos.append(
+            SLO(
+                "replication-staleness",
+                objective=0.95,
+                sli=HealthSLI(
+                    "router_geo_watermark_lag_epochs",
+                    bad_when=lambda lag: 1.0 if lag > lag_budget else 0.0,
+                ),
+                description="edge-time inside the staleness bound",
+            )
+        )
+    return slos

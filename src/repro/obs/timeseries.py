@@ -1,4 +1,4 @@
-"""Metric time series: ring-buffered samples with downsampled rollups.
+"""Metric time series: ring-buffered samples of scraped metrics.
 
 PR 7 gave the fleet a :class:`~repro.obs.registry.MetricsRegistry` that
 answers "what is the value *now*"; this module adds *history*.  A
@@ -6,19 +6,16 @@ answers "what is the value *now*"; this module adds *history*.  A
 merged fleet families, or any callable returning
 :class:`~repro.obs.registry.MetricFamily` rows) on the injectable
 :class:`~repro.chaos.clock.Clock` and lands every sample in a
-:class:`TimeSeries`:
+:class:`TimeSeries`: a ring of the last ``capacity`` ``(ts, value)``
+points.
 
-* a **raw ring** of the last ``capacity`` ``(ts, value)`` points, and
-* **rollup tiers** — per resolution (say 10 s and 60 s buckets) a ring of
-  min/max/mean/last aggregates — so a dashboard can sparkline an hour of
-  history without keeping an hour of raw points.
-
-Memory is bounded *by construction*: every ring is a ``deque(maxlen=…)``
-and the scraper refuses to grow past ``max_series`` distinct series
-(excess series are counted in :attr:`MetricsScraper.dropped_series`, never
-silently materialised).  Under a :class:`~repro.chaos.clock.VirtualClock`
-the sample timestamps — and therefore every range query, rollup, and
-sparkline derived from them — are deterministic.
+Memory is bounded *by construction*: every ring drops its oldest point
+past ``capacity`` and the scraper refuses to grow past ``max_series``
+distinct series (excess series are counted in
+:attr:`MetricsScraper.dropped_series`, never silently materialised).
+Under a :class:`~repro.chaos.clock.VirtualClock` the sample timestamps —
+and therefore every range query and sparkline derived from them — are
+deterministic.
 
 :meth:`TimeSeries.increase` is the counter-rate primitive the SLO layer
 builds on: a reset-aware sum of positive deltas over a window, so a
@@ -28,27 +25,19 @@ replica restart (``ServiceMetrics.start`` resets its registry) reads as
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..chaos.clock import Clock, MonotonicClock
 from .registry import MetricFamily, MetricsRegistry
 
 __all__ = [
-    "DEFAULT_ROLLUP_TIERS",
     "MetricsScraper",
-    "RollupPoint",
     "SeriesPoint",
     "TimeSeries",
     "series_key",
 ]
-
-#: ``(resolution_s, buckets retained)`` per rollup tier: ten-second buckets
-#: for the dashboard's short sparklines, minute buckets for SLO windows.
-DEFAULT_ROLLUP_TIERS: Tuple[Tuple[float, int], ...] = ((10.0, 360), (60.0, 240))
 
 
 def series_key(name: str, labels: Mapping[str, str]) -> str:
@@ -71,51 +60,8 @@ class SeriesPoint:
     value: float
 
 
-@dataclass(frozen=True)
-class RollupPoint:
-    """One downsampled bucket: aggregates over ``[start_s, start_s + res)``."""
-
-    start_s: float
-    min: float
-    max: float
-    mean: float
-    last: float
-    count: int
-
-
-class _RollupBucket:
-    __slots__ = ("start_s", "min", "max", "sum", "last", "count")
-
-    def __init__(self, start_s: float, value: float) -> None:
-        self.start_s = start_s
-        self.min = value
-        self.max = value
-        self.sum = value
-        self.last = value
-        self.count = 1
-
-    def add(self, value: float) -> None:
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.sum += value
-        self.last = value
-        self.count += 1
-
-    def freeze(self) -> RollupPoint:
-        return RollupPoint(
-            start_s=self.start_s,
-            min=self.min,
-            max=self.max,
-            mean=self.sum / self.count,
-            last=self.last,
-            count=self.count,
-        )
-
-
 class TimeSeries:
-    """One scraped series: a raw ring plus per-tier rollup rings."""
+    """One scraped series: a ring of its last ``capacity`` raw points."""
 
     def __init__(
         self,
@@ -123,13 +69,9 @@ class TimeSeries:
         labels: Tuple[Tuple[str, str], ...],
         kind: str,
         capacity: int = 512,
-        tiers: Tuple[Tuple[float, int], ...] = DEFAULT_ROLLUP_TIERS,
     ) -> None:
         if capacity < 1:
             raise ValueError("series capacity must be >= 1")
-        for resolution, buckets in tiers:
-            if resolution <= 0 or buckets < 1:
-                raise ValueError(f"invalid rollup tier ({resolution}, {buckets})")
         self.name = name
         self.labels = labels
         self.kind = kind
@@ -143,15 +85,11 @@ class TimeSeries:
         self._ts: List[float] = []
         self._values: List[float] = []
         self._cum: List[float] = []
-        self._tiers = tuple(tiers)
-        self._rollups: Dict[float, Deque[_RollupBucket]] = {
-            resolution: deque(maxlen=buckets) for resolution, buckets in tiers
-        }
 
     # ---------------------------------------------------------------- writing
 
     def observe(self, ts_s: float, value: float) -> None:
-        """Record one sample and fold it into every rollup tier."""
+        """Record one sample (the oldest drops out past ``capacity``)."""
         if not self._values:
             delta = value  # a counter is born at zero
         elif value >= self._values[-1]:
@@ -165,12 +103,6 @@ class TimeSeries:
             del self._ts[0]
             del self._values[0]
             del self._cum[0]
-        for resolution, buckets in self._rollups.items():
-            start = math.floor(ts_s / resolution) * resolution
-            if buckets and buckets[-1].start_s == start:
-                buckets[-1].add(value)
-            else:
-                buckets.append(_RollupBucket(start, value))
 
     # ---------------------------------------------------------------- queries
 
@@ -200,26 +132,6 @@ class TimeSeries:
         reads instead of materialising :class:`SeriesPoint` objects."""
         lo, hi = self._window(start_s, end_s)
         return self._ts[lo:hi], self._values[lo:hi]
-
-    def rollup(
-        self,
-        resolution: float,
-        start_s: Optional[float] = None,
-        end_s: Optional[float] = None,
-    ) -> List[RollupPoint]:
-        """Downsampled buckets for one tier; raises for an unknown tier."""
-        buckets = self._rollups.get(resolution)
-        if buckets is None:
-            raise ValueError(
-                f"series {self.key!r} keeps tiers "
-                f"{sorted(self._rollups)}, not {resolution}"
-            )
-        return [
-            bucket.freeze()
-            for bucket in buckets
-            if (start_s is None or bucket.start_s >= start_s)
-            and (end_s is None or bucket.start_s <= end_s)
-        ]
 
     def latest(self) -> Optional[SeriesPoint]:
         """The most recent sample, or ``None`` before the first scrape."""
@@ -273,7 +185,6 @@ class MetricsScraper:
         clock: Optional[Clock] = None,
         interval_s: float = 1.0,
         capacity: int = 512,
-        tiers: Tuple[Tuple[float, int], ...] = DEFAULT_ROLLUP_TIERS,
         max_series: int = 2048,
     ) -> None:
         if interval_s <= 0:
@@ -284,7 +195,6 @@ class MetricsScraper:
         self.clock = clock or MonotonicClock()
         self.interval_s = interval_s
         self.capacity = capacity
-        self.tiers = tuple(tiers)
         self.max_series = max_series
         self._series: Dict[str, TimeSeries] = {}
         # Selector fast path: series grouped by sample name (key-sorted),
@@ -321,7 +231,6 @@ class MetricsScraper:
                         tuple(sample.labels),
                         family.kind,
                         capacity=self.capacity,
-                        tiers=self.tiers,
                     )
                     self._series[key] = series
                     bucket = self._by_name.setdefault(name, [])

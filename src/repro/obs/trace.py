@@ -32,7 +32,7 @@ import threading
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from ..chaos.clock import Clock, MonotonicClock
 
@@ -424,6 +424,22 @@ class Tracer:
         """Every committed trace (shallow copy), commit order."""
         with self._lock:
             return OrderedDict((key, list(value)) for key, value in self._traces.items())
+
+    def slowest_trace(self) -> Tuple[str, List[Span]]:
+        """``(trace_id, spans)`` of the committed trace whose root span ran
+        longest — the earliest committed on a tie, ``("", [])`` when
+        nothing is committed."""
+        worst: Tuple[str, List[Span]] = ("", [])
+        worst_duration = -1.0
+        for trace_id, spans in self.traces().items():
+            duration = max(
+                (span.duration_s for span in spans if span.parent_id is None),
+                default=0.0,
+            )
+            if duration > worst_duration:
+                worst_duration = duration
+                worst = (trace_id, spans)
+        return worst
 
     # ------------------------------------------------------------- export
 

@@ -1,23 +1,19 @@
-"""Sharded verdict cache for the online validation service.
+"""Verdict cache for the online validation service.
 
 A verdict is fully determined by the fact and the ``(method, model)``
 strategy that judges it (the simulated models are deterministic, and real
 deployments routinely cache idempotent verdicts for a TTL), so repeat
 requests can be answered without touching a strategy worker.
 
-The cache is built on the thread-safe
-:class:`~repro.retrieval.cache.LRUCache` and split across independent
-shards: each key hashes to one shard, so concurrent frontends contend on
-``1/shards`` of the lock surface, and eviction pressure in one hot shard
-cannot wipe the others.
+The cache is one thread-safe :class:`~repro.retrieval.cache.LRUCache`
+(eviction is global least-recently-used) plus locked hit/miss counters.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..datasets.base import LabeledFact
 from ..retrieval.cache import LRUCache
@@ -65,7 +61,6 @@ class CacheStats:
     misses: int
     size: int
     capacity: int
-    shards: int
 
     @property
     def hit_rate(self) -> float:
@@ -75,25 +70,14 @@ class CacheStats:
 
 
 class VerdictCache:
-    """A sharded LRU mapping ``verdict_cache_key -> ValidationResult``."""
+    """An LRU mapping ``verdict_cache_key -> ValidationResult``."""
 
-    def __init__(self, capacity: int = 4096, shards: int = 8) -> None:
-        if capacity < 1 or shards < 1:
-            raise ValueError("capacity and shards must be >= 1")
-        shards = min(shards, capacity)
-        per_shard = max(1, capacity // shards)
-        self._shards: List[LRUCache] = [LRUCache(per_shard) for _ in range(shards)]
-        self.capacity = per_shard * shards
+    def __init__(self, capacity: int = 4096) -> None:
+        self._entries = LRUCache(capacity)  # raises ValueError when < 1
+        self.capacity = capacity
         self._hits = 0
         self._misses = 0
         self._stats_lock = threading.Lock()
-
-    def _shard_for(self, key: Hashable) -> LRUCache:
-        # Process-stable digest (not builtin hash(): PYTHONHASHSEED varies)
-        # so shard assignment — and therefore eviction behaviour — is
-        # reproducible across runs.
-        digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
-        return self._shards[int.from_bytes(digest, "big") % len(self._shards)]
 
     def get(
         self,
@@ -110,8 +94,7 @@ class VerdictCache:
         served-traffic hit rate.  ``epoch`` scopes the lookup to one store
         version; entries written at earlier epochs never match.
         """
-        key = verdict_cache_key(fact, method, model, epoch)
-        value = self._shard_for(key).get(key)
+        value = self._entries.get(verdict_cache_key(fact, method, model, epoch))
         if record:
             if value is None:
                 self.record_miss()
@@ -138,17 +121,15 @@ class VerdictCache:
         epoch: int = 0,
     ) -> None:
         """Store ``result`` under the (fact, method, model, epoch) key,
-        evicting LRU entries from the owning shard when it is full."""
-        key = verdict_cache_key(fact, method, model, epoch)
-        self._shard_for(key).put(key, result)
+        evicting the least recently used entry when the cache is full."""
+        self._entries.put(verdict_cache_key(fact, method, model, epoch), result)
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return len(self._entries)
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""
-        for shard in self._shards:
-            shard.clear()
+        self._entries.clear()
         with self._stats_lock:
             self._hits = 0
             self._misses = 0
@@ -158,9 +139,5 @@ class VerdictCache:
         with self._stats_lock:
             hits, misses = self._hits, self._misses
         return CacheStats(
-            hits=hits,
-            misses=misses,
-            size=len(self),
-            capacity=self.capacity,
-            shards=len(self._shards),
+            hits=hits, misses=misses, size=len(self), capacity=self.capacity
         )

@@ -29,10 +29,8 @@ class ServiceConfig:
         than buffered without bound — the MSMQ-style backpressure shape.
     enable_cache:
         Whether completed verdicts are cached and served on repeat requests.
-    cache_capacity / cache_shards:
-        Total verdict-cache capacity and the number of independent LRU
-        shards it is split across (sharding keeps lock contention low when
-        frontends call in from multiple threads).
+    cache_capacity:
+        Verdict-cache capacity in entries (one global LRU).
     batch_overhead_s:
         Fixed *simulated* dispatch cost per backend batch (connection /
         scheduling / prompt-prefix overhead).  Micro-batching amortizes it
@@ -52,7 +50,6 @@ class ServiceConfig:
     queue_depth: int = 256
     enable_cache: bool = True
     cache_capacity: int = 4096
-    cache_shards: int = 8
     batch_overhead_s: float = 0.25
     time_scale: float = 0.0
     latency_window: int = 4096
@@ -62,8 +59,8 @@ class ServiceConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.cache_capacity < 1 or self.cache_shards < 1:
-            raise ValueError("cache capacity and shards must be >= 1")
+        if self.cache_capacity < 1:
+            raise ValueError("cache_capacity must be >= 1")
         if self.batch_linger_s < 0 or self.batch_overhead_s < 0 or self.time_scale < 0:
             raise ValueError("durations must be non-negative")
         if self.latency_window < 1:

@@ -10,10 +10,11 @@ Request::
      "method": "dka", "model": "gemma2:9b", "id": "optional-correlation-id",
      "session": "optional-client-token", "region": "optional-edge-name"}
 
-``session``/``region`` ride the wire to a geo-aware router behind the
-frontend (read-your-writes sessions and edge-local reads; see
-:mod:`repro.service.router`); against a plain service they are ignored.
-Edge-involved replies carry ``served_by`` and ``staleness_epochs``.
+``session``/``region`` ride the wire to the service behind the frontend
+(read-your-writes sessions and edge-local reads at a geo-aware router, see
+:mod:`repro.service.router`; a plain service is the primary tier and
+serves them as such).  Edge-involved replies carry ``served_by`` and
+``staleness_epochs``.
 
 Response::
 
@@ -42,9 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import inspect
 import json
-from functools import lru_cache
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..datasets.base import FactDataset
@@ -52,20 +51,6 @@ from ..obs.trace import STATUS_DEGRADED, STATUS_FAILED, STATUS_SHED, Tracer
 from .server import RequestOutcome, ServiceRequest, ValidationService
 
 __all__ = ["TCPValidationFrontend"]
-
-
-@lru_cache(maxsize=64)
-def _submit_keywords_for(service_type: type) -> frozenset:
-    try:
-        parameters = inspect.signature(service_type.submit).parameters
-    except (AttributeError, TypeError, ValueError):  # pragma: no cover
-        return frozenset()
-    return frozenset(parameters)
-
-
-def _submit_keywords(service) -> frozenset:
-    """Parameter names of the service's ``submit`` (cached per type)."""
-    return _submit_keywords_for(type(service))
 
 
 class TCPValidationFrontend:
@@ -289,20 +274,14 @@ class TCPValidationFrontend:
                 # stall/slow faults hold the reply on the injector's clock;
                 # error/kill faults surface as an error reply below.
                 await self.fault_injector.fire("frontend")
-            kwargs = {}
-            # Session tokens and region affinity on the wire: forwarded only
-            # when the backing service is the geo-aware router (the plain
-            # service ignores neither gracefully — it has no such kwargs).
+            # Session tokens and region affinity ride the wire as-is: both
+            # front doors (plain service, sharded router) take them.
             session = payload.get("session")
             region = payload.get("region")
-            if session is not None or region is not None:
-                supported = _submit_keywords(self.service)
-                if session is not None and "session" in supported:
-                    kwargs["session"] = str(session)
-                if region is not None and "region" in supported:
-                    kwargs["region"] = str(region)
             response = await self.service.submit(
-                ServiceRequest(fact, method, model), **kwargs
+                ServiceRequest(fact, method, model),
+                session=str(session) if session is not None else None,
+                region=str(region) if region is not None else None,
             )
         except Exception as exc:
             return {"id": correlation, "outcome": "error", "error": str(exc)}

@@ -22,7 +22,6 @@ benchmark exercises epoch-fresh verdicts under live-update traffic.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -60,21 +59,6 @@ class IngestRequest:
 
 #: One schedule item: a single-fact read or a mutation-batch write.
 WorkItem = Union[ServiceRequest, IngestRequest]
-
-
-def _keyword_names(callable_) -> frozenset:
-    """The keyword-capable parameter names of a callable (empty on doubles
-    whose signatures cannot be introspected)."""
-    try:
-        parameters = inspect.signature(callable_).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic doubles
-        return frozenset()
-    return frozenset(
-        name
-        for name, parameter in parameters.items()
-        if parameter.kind
-        in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
-    )
 
 
 def build_workload(
@@ -158,8 +142,7 @@ class LoadReport:
     snapshot: MetricsSnapshot = field(repr=False)
     requests: List[WorkItem] = field(default_factory=list, repr=False)
     #: Index-aligned session tokens: ``sessions[i]`` is the client identity
-    #: that issued item ``i`` (``None`` when sessions were disabled or the
-    #: driven service does not speak them).
+    #: that issued item ``i`` (``None`` when sessions were disabled).
     sessions: List[Optional[str]] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -335,7 +318,8 @@ class LoadGenerator:
 
     Works against a plain :class:`ValidationService` or a
     :class:`~repro.service.router.ShardedValidationService` — both expose
-    the ``submit`` / ``apply_mutations`` / ``metrics`` surface.  Raises
+    the same ``submit(request, session=, region=)`` /
+    ``apply_mutations(mutations, session=)`` / ``metrics`` surface.  Raises
     :class:`ValueError` when ``concurrency < 1``.
     """
 
@@ -356,26 +340,12 @@ class LoadGenerator:
         #: (``None`` entries pin clients to the primary tier).  Empty = no
         #: geo affinity, every read goes to the primary.
         self.regions: List[Optional[str]] = list(regions) if regions else []
-        # Every client used to share one implicit identity, which made
-        # session-consistency effects invisible under load; each virtual
-        # client is now its own session token — when the driven service
-        # speaks sessions (the sharded router does; the plain service and
-        # older doubles do not, detected by signature, not isinstance, so
-        # wrappers and fakes keep working).
-        submit_params = _keyword_names(service.submit)
-        apply_params = _keyword_names(service.apply_mutations)
-        self._session_kwarg = (
-            sessions and "session" in submit_params and "session" in apply_params
-        )
-        self._region_kwarg = "region" in submit_params
-        if self.regions and not self._region_kwarg:
-            raise ValueError(
-                f"{type(service).__name__}.submit takes no 'region'; "
-                "regions need a geo-aware router"
-            )
+        #: Each virtual client is its own session token (one shared identity
+        #: would hide session-consistency effects under load).
+        self.sessions = sessions
 
     def _client_session(self, client_index: int) -> Optional[str]:
-        return f"client-{client_index}" if self._session_kwarg else None
+        return f"client-{client_index}" if self.sessions else None
 
     def _client_region(self, client_index: int) -> Optional[str]:
         if not self.regions:
@@ -386,12 +356,9 @@ class LoadGenerator:
         session = self._client_session(client_index)
         if isinstance(item, IngestRequest):
             started = time.perf_counter()
-            if session is not None:
-                report = await self.service.apply_mutations(
-                    list(item.mutations), session=session
-                )
-            else:
-                report = await self.service.apply_mutations(list(item.mutations))
+            report = await self.service.apply_mutations(
+                list(item.mutations), session=session
+            )
             # The INGESTED epoch vector is the *session's write floor*: the
             # landed epoch at every shard this batch actually touched, zero
             # elsewhere.  The full fleet vector would entangle the session
@@ -414,13 +381,9 @@ class LoadGenerator:
                 epoch=report.epoch,
                 epoch_vector=vector,
             )
-        kwargs = {}
-        if session is not None:
-            kwargs["session"] = session
-        region = self._client_region(client_index)
-        if region is not None:
-            kwargs["region"] = region
-        return await self.service.submit(item, **kwargs)
+        return await self.service.submit(
+            item, session=session, region=self._client_region(client_index)
+        )
 
     async def run(self) -> LoadReport:
         """Replay the schedule on the caller's event loop (the service must

@@ -45,7 +45,6 @@ reason about which shard versions an answer reflects.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import random
 import threading
 import time
@@ -1265,16 +1264,16 @@ class ShardedValidationService:
             return None
         if response.outcome is not RequestOutcome.COMPLETED:
             return None
-        edge = self.geo.edges[edge_name]
-        vector = edge.applied_vector
-        staleness = max(self.epoch_vector[shard_index] - vector[shard_index], 0)
         self.metrics.observe_geo_read(edge_name)
-        return dataclasses.replace(
-            response,
-            epoch=sum(vector),
-            epoch_vector=vector,
-            served_by=edge_name,
-            staleness_epochs=staleness,
+        return self._respond(
+            response.outcome,
+            shard_index,
+            response.latency_seconds,
+            result=response.result,
+            cached=response.cached,
+            batch_size=response.batch_size,
+            edge=edge_name,
+            trace_id=response.trace_id,
         )
 
     # ---------------------------------------------------------------- properties
@@ -1366,15 +1365,11 @@ class ShardedValidationService:
             if response is not None:
                 return response
         if self._tracer is None:
-            return self._stamp_tier(
-                await self._submit_inner(request, shard_index, None)
-            )
+            return await self._submit_inner(request, shard_index, None)
         with self._tracer.span("router.route", f"shard:{shard_index}") as span:
             span.attributes["method"] = request.method
             span.attributes["shard"] = shard_index
-            response = self._stamp_tier(
-                await self._submit_inner(request, shard_index, span)
-            )
+            response = await self._submit_inner(request, shard_index, span)
             span.attributes["outcome"] = response.outcome.name
             if response.outcome is RequestOutcome.FAILED:
                 span.status = STATUS_FAILED
@@ -1385,9 +1380,9 @@ class ShardedValidationService:
                 stale_epoch = response.stale_epoch or 0
                 span.attributes["stale_epoch"] = stale_epoch
                 span.attributes["staleness_epochs"] = (
-                    self.epoch_vector[shard_index] - stale_epoch
+                    response.epoch_vector[shard_index] - stale_epoch
                 )
-            return dataclasses.replace(response, trace_id=span.trace_id)
+            return response
 
     async def _submit_inner(
         self,
@@ -1396,6 +1391,7 @@ class ShardedValidationService:
         span: Optional[Span],
     ) -> ServiceResponse:
         started = time.perf_counter()
+        trace_id = span.trace_id if span is not None else None
         policy = self.retry_policy
         max_attempts = policy.max_attempts if policy is not None else 1
         deadline = (
@@ -1445,10 +1441,21 @@ class ShardedValidationService:
                             f"shard:{shard_index}",
                             faulted_attempts=len(errors),
                         )
-                self._remember_verdict(request, response)
-                if retries:
-                    response = dataclasses.replace(response, retries=retries)
-                return self._stamp(response, shard_index)
+                if policy is not None:
+                    # Only a retry policy can ever degrade to this verdict.
+                    self._remember_verdict(request, response)
+                return self._respond(
+                    response.outcome,
+                    shard_index,
+                    response.latency_seconds,
+                    result=response.result,
+                    cached=response.cached,
+                    batch_size=response.batch_size,
+                    shard_epoch=response.epoch,
+                    retries=retries,
+                    # Untraced, a replica's own trace id (if any) passes through.
+                    trace_id=trace_id or response.trace_id,
+                )
         if not errors:  # pragma: no cover - defensive: empty order
             errors.append(f"shard {shard_index} has no serving replicas")
         if policy is not None:
@@ -1460,15 +1467,38 @@ class ShardedValidationService:
                     attempts=max_attempts,
                     retries=retries,
                 )
-            degraded = self._degraded_response(request, started, retries, errors)
-            if degraded is not None:
-                lag = None
-                if degraded.stale_epoch is not None:
-                    lag = max(self.epoch_vector[shard_index] - degraded.stale_epoch, 0)
-                self.metrics.observe_degraded(counted_errors, staleness_epochs=lag)
+            key = self._stale_key(request)
+            entry = self._stale.get(key)
+            if entry is not None:
+                self._stale.move_to_end(key)
+                result, stale_epoch = entry
+                degraded = self._respond(
+                    RequestOutcome.DEGRADED,
+                    shard_index,
+                    time.perf_counter() - started,
+                    result=result,
+                    cached=True,
+                    error="; ".join(errors),
+                    retries=retries,
+                    stale_epoch=stale_epoch,
+                    trace_id=trace_id,
+                )
+                self.metrics.observe_degraded(
+                    counted_errors,
+                    staleness_epochs=max(
+                        degraded.epoch_vector[shard_index] - stale_epoch, 0
+                    ),
+                )
                 return degraded
         self.metrics.observe_failure(timeout=timed_out, counted_errors=counted_errors)
-        return self._failed_response(started, shard_index, "; ".join(errors), retries)
+        return self._respond(
+            RequestOutcome.FAILED,
+            shard_index,
+            time.perf_counter() - started,
+            error="; ".join(errors),
+            retries=retries,
+            trace_id=trace_id,
+        )
 
     async def _attempt(
         self,
@@ -1756,33 +1786,6 @@ class ShardedValidationService:
         while len(self._stale) > self._stale_capacity:
             self._stale.popitem(last=False)
 
-    def _degraded_response(
-        self,
-        request: ServiceRequest,
-        started: float,
-        retries: int,
-        errors: List[str],
-    ) -> Optional[ServiceResponse]:
-        """The stale last-known-good answer, or ``None`` when the request's
-        coordinates were never answered (degradation has nothing to serve)."""
-        entry = self._stale.get(self._stale_key(request))
-        if entry is None:
-            return None
-        result, stale_epoch = entry
-        self._stale.move_to_end(self._stale_key(request))
-        vector = self.epoch_vector
-        return ServiceResponse(
-            outcome=RequestOutcome.DEGRADED,
-            result=result,
-            cached=True,
-            latency_seconds=time.perf_counter() - started,
-            epoch=sum(vector),
-            epoch_vector=vector,
-            error="; ".join(errors),
-            retries=retries,
-            stale_epoch=stale_epoch,
-        )
-
     def _replica_label(self, shard_index: int, replica_index: int) -> str:
         if len(self.groups[shard_index]) == 1:
             return f"shard {shard_index}"
@@ -1903,33 +1906,60 @@ class ShardedValidationService:
                 f"(epochs {sorted(epochs)})"
             )
 
-    def _stamp(self, response: ServiceResponse, index: int) -> ServiceResponse:
-        """Attach the composite epoch vector; the owning shard's component is
-        the per-shard epoch the response was actually served at."""
-        vector = list(self.epoch_vector)
-        vector[index] = response.epoch
-        return dataclasses.replace(
-            response, epoch=sum(vector), epoch_vector=tuple(vector)
-        )
-
-    def _stamp_tier(self, response: ServiceResponse) -> ServiceResponse:
-        """With a geo tier configured, mark primary-served responses as such
-        (``staleness_epochs=0``: the primary is never stale to itself).
-        Without one, responses stay exactly as before the geo tier existed."""
-        if self.geo is None:
-            return response
-        return dataclasses.replace(response, served_by="primary", staleness_epochs=0)
-
-    def _failed_response(
-        self, started: float, index: int, error: str, retries: int = 0
+    def _respond(
+        self,
+        outcome: RequestOutcome,
+        shard_index: int,
+        latency_seconds: float,
+        *,
+        result: Optional[ValidationResult] = None,
+        cached: bool = False,
+        batch_size: int = 0,
+        shard_epoch: Optional[int] = None,
+        edge: Optional[str] = None,
+        error: Optional[str] = None,
+        retries: int = 0,
+        stale_epoch: Optional[int] = None,
+        trace_id: Optional[str] = None,
     ) -> ServiceResponse:
+        """Build the response to one read — the only place the router does.
+
+        The fleet epoch vector is read once.  A replica's answer passes the
+        ``shard_epoch`` it was admitted at, which replaces the owning
+        shard's component; ``DEGRADED``/``FAILED`` answers carry the
+        current fleet vector.  With a geo tier configured a primary-served
+        response is marked ``served_by="primary"`` at zero staleness (the
+        primary is never stale to itself); an ``edge`` answer carries that
+        edge's applied vector and the epochs its owning shard copy trailed
+        the primary.  Without a geo tier both fields stay ``None``.
+        """
+        vector = self.epoch_vector
+        served_by: Optional[str] = None
+        staleness: Optional[int] = None
+        if edge is not None:
+            applied = self.geo.edges[edge].applied_vector
+            served_by = edge
+            staleness = max(vector[shard_index] - applied[shard_index], 0)
+            vector = applied
+        else:
+            if shard_epoch is not None:
+                vector = (
+                    vector[:shard_index] + (shard_epoch,) + vector[shard_index + 1 :]
+                )
+            if self.geo is not None:
+                served_by, staleness = "primary", 0
         return ServiceResponse(
-            outcome=RequestOutcome.FAILED,
-            result=None,
-            cached=False,
-            latency_seconds=time.perf_counter() - started,
-            epoch=self.epoch,
-            epoch_vector=self.epoch_vector,
+            outcome=outcome,
+            result=result,
+            cached=cached,
+            latency_seconds=latency_seconds,
+            batch_size=batch_size,
+            epoch=sum(vector),
+            epoch_vector=vector,
             error=error,
             retries=retries,
+            stale_epoch=stale_epoch,
+            trace_id=trace_id,
+            served_by=served_by,
+            staleness_epochs=staleness,
         )

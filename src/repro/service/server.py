@@ -7,7 +7,7 @@ fact at a time and await a :class:`~repro.validation.base.ValidationResult`.
 Architecture (the muBench-style service shape, with MSMQ-style
 backpressure):
 
-* ``submit()`` is the single entry point.  It first consults the sharded
+* ``submit()`` is the single entry point.  It first consults the
   :class:`~repro.service.cache.VerdictCache`; on a miss it passes admission
   control — a bounded in-flight budget that *sheds* excess load with an
   explicit ``REJECTED`` outcome instead of buffering without bound — and
@@ -34,7 +34,6 @@ backpressure):
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -183,7 +182,7 @@ class ValidationService:
         self._strategies_provider = strategies
         self.store = store
         self.cache: Optional[VerdictCache] = (
-            VerdictCache(self.config.cache_capacity, self.config.cache_shards)
+            VerdictCache(self.config.cache_capacity)
             if self.config.enable_cache
             else None
         )
@@ -329,8 +328,19 @@ class ValidationService:
         """The attached store's current epoch (0 when no store is attached)."""
         return self.store.epoch if self.store is not None else 0
 
-    async def submit(self, request: ServiceRequest) -> ServiceResponse:
+    async def submit(
+        self,
+        request: ServiceRequest,
+        session: Optional[str] = None,
+        region: Optional[str] = None,
+    ) -> ServiceResponse:
         """Validate one fact; never raises for load reasons — it sheds.
+
+        ``session`` and ``region`` are the keywords the sharded router's
+        ``submit`` takes, so front doors drive either by one signature.  A
+        single node is the primary tier: it has no edge to prefer and every
+        read already observes every write, so both are accepted and unused —
+        exactly what the router does with an ineligible region.
 
         Returns a ``COMPLETED`` response (cached or freshly judged) or a
         ``REJECTED`` one when the in-flight budget is full.  Raises
@@ -353,7 +363,7 @@ class ValidationService:
             if response.outcome is RequestOutcome.REJECTED:
                 # Shed requests always survive head sampling: SHED status.
                 span.status = STATUS_SHED
-            return dataclasses.replace(response, trace_id=span.trace_id)
+            return response
 
     async def _submit_inner(
         self, request: ServiceRequest, span: Optional[Span]
@@ -390,7 +400,8 @@ class ValidationService:
                     trace_id=trace_id,
                 )
                 return ServiceResponse(
-                    RequestOutcome.COMPLETED, hit, True, latency, epoch=epoch
+                    RequestOutcome.COMPLETED, hit, True, latency,
+                    epoch=epoch, trace_id=trace_id,
                 )
 
         if self._pending >= self.config.queue_depth:
@@ -401,6 +412,7 @@ class ValidationService:
                 False,
                 time.perf_counter() - started,
                 epoch=epoch,
+                trace_id=trace_id,
             )
 
         if self.cache is not None:
@@ -444,13 +456,19 @@ class ValidationService:
             # this verdict was computed against are exactly that epoch's.
             self.cache.put(request.fact, method, model, result, epoch=epoch)
         return ServiceResponse(
-            RequestOutcome.COMPLETED, result, False, latency, batch_size, epoch=epoch
+            RequestOutcome.COMPLETED, result, False, latency, batch_size,
+            epoch=epoch, trace_id=trace_id,
         )
 
     # ---------------------------------------------------------------- ingestion
 
-    async def apply_mutations(self, mutations: Sequence[Mutation]) -> ApplyReport:
+    async def apply_mutations(
+        self, mutations: Sequence[Mutation], session: Optional[str] = None
+    ) -> ApplyReport:
         """Apply a mutation batch to the attached store at a safe point.
+
+        ``session`` mirrors the router's keyword and is unused here: reads
+        on a single node can never land below its own writes.
 
         Writers serialise on an ingest lock; each ingest closes the
         admission gate (new reads pause — they are *not* shed), waits for

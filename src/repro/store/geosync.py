@@ -413,18 +413,33 @@ class GeoReplicator:
         batches and reported watermarks intact — so edges resume draining
         exactly where they acked.  Missing files (a shard that never
         enqueued) start fresh at the shard's current epoch.
+
+        A queue is only as durable as the primary it feeds: when a queue
+        holds epochs *above* its shard's (the primary was restored from a
+        save older than its last write), those batches belong to a
+        timeline the primary no longer has, and the idempotent
+        :meth:`OutboundQueue.enqueue` would silently drop the new batches
+        that reuse their epochs.  That raises
+        :class:`ReplicaDivergedError` here instead of shipping them.
         """
         queues = []
         for index, shard in enumerate(primary.shards):
             path = os.path.join(queue_dir, f"queue.shard{index}.jsonl")
-            if os.path.exists(path):
-                queues.append(OutboundQueue.load(path, shard_index=index))
-            else:
+            if not os.path.exists(path):
                 queues.append(
                     OutboundQueue(shard_index=index, floor_epoch=shard.epoch, path=path)
                 )
-        replicator = cls(primary, queue_dir=queue_dir, queues=queues)
-        return replicator
+                continue
+            queue = OutboundQueue.load(path, shard_index=index)
+            if queue.max_epoch > shard.epoch:
+                raise ReplicaDivergedError(
+                    f"queue for shard {index} holds epoch {queue.max_epoch} but "
+                    f"the primary resumed at epoch {shard.epoch}: the primary "
+                    "was saved before its last write; restore a newer save or "
+                    "re-bootstrap the edges"
+                )
+            queues.append(queue)
+        return cls(primary, queue_dir=queue_dir, queues=queues)
 
     # ------------------------------------------------------------- wiring
 

@@ -8,7 +8,8 @@ pins the load-bearing parts:
   or docs parses against the *real* argument parsers (experiment mode and
   service mode both), so a renamed flag or subcommand fails CI here;
 * the operations reference documents every service subcommand and every
-  serving-topology flag, and the glossary covers every
+  serving-topology flag, its "Serving options" table names exactly the
+  options the code has, and the glossary covers every
   :class:`MetricsSnapshot` field the CLI prints.
 """
 
@@ -134,6 +135,29 @@ class TestOperationsReferenceComplete:
         for flag in ("--shards", "--replicas", "--request-timeout",
                      "--queue-depth", "--max-batch-size", "--time-scale"):
             assert flag in text, f"operations.md misses {flag}"
+
+    def test_serving_options_table_matches_the_code_both_ways(self):
+        # Options lint: an option added to (or deleted from) ServiceConfig
+        # or the scenario ``service:``/``geo:`` blocks must show up in the
+        # "Serving options" table, and a row there must exist in the code.
+        from repro.chaos.scenario import _GEO_KEYS, _SERVICE_KEYS
+        from repro.service import ServiceConfig
+
+        text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+        section = text.split("### Serving options", 1)[1].split("\n#", 1)[0]
+        documented = {"ServiceConfig": set(), "service:": set(), "geo:": set()}
+        for name, where in re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M):
+            homes = re.findall(r"`([^`]+)`", where)
+            assert homes and set(homes) <= set(documented), (
+                f"row `{name}` names unknown homes {homes}"
+            )
+            for home in homes:
+                documented[home].add(name)
+        assert documented == {
+            "ServiceConfig": {field.name for field in fields(ServiceConfig)},
+            "service:": set(_SERVICE_KEYS),
+            "geo:": set(_GEO_KEYS),
+        }
 
     def test_metrics_glossary_covers_snapshot_fields(self):
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
@@ -312,8 +336,7 @@ class TestObservabilityRunbookComplete:
         # The SLOs-and-alerting section is the reference for the alert
         # lifecycle, the burn-rate windows, and the fleet SLO set — each
         # is linted against the code so a rename must be re-documented.
-        from repro.benchmark.cli import _fleet_slos
-        from repro.obs import ALERT_STATES, DEFAULT_BURN_RULES
+        from repro.obs import ALERT_STATES, DEFAULT_BURN_RULES, fleet_slos
 
         assert "### SLOs and alerting" in runbook
         for state in ALERT_STATES:
@@ -324,10 +347,10 @@ class TestObservabilityRunbookComplete:
             )
             factor = f"{rule.factor:g}"
             assert factor in runbook, f"runbook misses burn factor {factor}"
-        for slo in _fleet_slos(2, 2):
+        for slo in fleet_slos(2, 2, edges=1):
             assert f"`{slo.name}`" in runbook, f"runbook misses SLO `{slo.name}`"
         for needle in ("MetricsScraper", "burn rate", "error budget",
                        "expect_alerts", "forbid_alerts", "obs top", "obs slo",
                        '{"cmd": "slo"}', "bench_slo.py",
-                       "slo-name:severity", "max_series", "rollup"):
+                       "slo-name:severity", "max_series"):
             assert needle in runbook, f"runbook misses {needle!r}"

@@ -48,7 +48,7 @@ def _result(fact: LabeledFact, method: str, model: str, verdict: Verdict = Verdi
 
 class TestVerdictCacheKeying:
     def test_identical_fact_text_distinct_coordinates_never_collide(self):
-        cache = VerdictCache(capacity=64, shards=4)
+        cache = VerdictCache(capacity=64)
         fact = _fact()
         # Same encoded triple text, different dataset and id.
         twin = _fact(fact_id="yago-001", dataset="yago")
@@ -71,7 +71,7 @@ class TestVerdictCacheKeying:
             assert hit.method == method and hit.model == model
 
     def test_hit_preserves_exact_result_fields_including_tokens(self):
-        cache = VerdictCache(capacity=8, shards=2)
+        cache = VerdictCache(capacity=8)
         fact = _fact()
         stored = _result(fact, "dka", "gemma2:9b")
         cache.put(fact, "dka", "gemma2:9b", stored)
@@ -82,7 +82,7 @@ class TestVerdictCacheKeying:
         assert hit.raw_response == stored.raw_response
 
     def test_miss_returns_none_and_counts(self):
-        cache = VerdictCache(capacity=8, shards=2)
+        cache = VerdictCache(capacity=8)
         fact = _fact()
         assert cache.get(fact, "dka", "gemma2:9b") is None
         cache.put(fact, "dka", "gemma2:9b", _result(fact, "dka", "gemma2:9b"))
@@ -92,16 +92,27 @@ class TestVerdictCacheKeying:
         assert stats.hit_rate == pytest.approx(0.5)
         assert stats.size == 1
 
-    def test_capacity_splits_across_shards(self):
-        cache = VerdictCache(capacity=16, shards=4)
-        assert cache.capacity == 16
-        for index in range(200):
-            fact = _fact(fact_id=f"fb-{index:03d}")
+    def test_eviction_is_global_lru_within_capacity(self):
+        cache = VerdictCache(capacity=4)
+        assert cache.capacity == 4
+        facts = [_fact(fact_id=f"fb-{index:03d}") for index in range(5)]
+        for fact in facts[:4]:
             cache.put(fact, "dka", "gemma2:9b", _result(fact, "dka", "gemma2:9b"))
-        assert len(cache) <= 16
+        # Using the oldest entry makes the second-oldest the eviction victim:
+        # recency is tracked across the whole cache, not per key-hash bucket.
+        assert cache.get(facts[0], "dka", "gemma2:9b", record=False) is not None
+        cache.put(facts[4], "dka", "gemma2:9b", _result(facts[4], "dka", "gemma2:9b"))
+        assert len(cache) == 4
+        present = [
+            cache.get(fact, "dka", "gemma2:9b", record=False) is not None
+            for fact in facts
+        ]
+        assert present == [True, False, True, True, True]
+        with pytest.raises(ValueError):
+            VerdictCache(capacity=0)
 
     def test_clear_resets_contents_and_stats(self):
-        cache = VerdictCache(capacity=8, shards=2)
+        cache = VerdictCache(capacity=8)
         fact = _fact()
         cache.put(fact, "dka", "gemma2:9b", _result(fact, "dka", "gemma2:9b"))
         cache.get(fact, "dka", "gemma2:9b")
@@ -117,7 +128,7 @@ class TestVerdictCacheConcurrencyStress:
     def test_epoch_bumps_under_concurrency_never_serve_stale_hits(self):
         # Capacity comfortably above the live key count so a vanished entry
         # could only mean a lost update, not LRU pressure.
-        cache = VerdictCache(capacity=4096, shards=8)
+        cache = VerdictCache(capacity=4096)
         facts = [_fact(fact_id=f"fb-{index:03d}") for index in range(40)]
         epoch_box = [0]  # current epoch, bumped mid-run by the ingest thread
         gets_issued = []
@@ -204,7 +215,7 @@ class TestVerdictCacheConcurrencyStress:
             assert hit is not None and hit.raw_response == f"epoch={final_epoch}"
 
     def test_concurrent_puts_across_epochs_keep_entries_addressable(self):
-        cache = VerdictCache(capacity=2048, shards=4)
+        cache = VerdictCache(capacity=2048)
         facts = [_fact(fact_id=f"fb-{index:03d}") for index in range(20)]
         epochs = range(4)
         errors = []

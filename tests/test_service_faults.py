@@ -389,10 +389,10 @@ class TestGeoTierFaults:
 
         return ShardedStore.partition(triples, [], num_shards=2)
 
-    def _write_batches(self, fleet, count: int):
+    def _write_batches(self, fleet, count: int, start: int = 0):
         from repro.store import Mutation
 
-        for index in range(count):
+        for index in range(start, start + count):
             fleet.apply(
                 [Mutation.add_triple(f"GeoWrite{index}", "worksFor", f"Org{index}")]
             )
@@ -480,6 +480,60 @@ class TestGeoTierFaults:
         assert resumed.depth("edge-0") == pending_before
         assert resumed.drain("edge-0") == pending_before
         assert resumed.verify_converged("edge-0") == rebuilt.state_digests(
+            include_index=False
+        )
+
+    def test_resume_refuses_a_queue_ahead_of_the_restored_primary(self, tmp_path):
+        """A primary restored from a save older than its last write would
+        reuse epochs the queue already holds: the idempotent enqueue would
+        drop the new batches and the drain would ship the dead timeline.
+        ``resume`` refuses up front, naming the shard and both epochs."""
+        from repro.store import ShardedStore
+        from repro.store.geosync import GeoReplicator
+        from repro.store.sharding import ReplicaDivergedError
+
+        queue_dir = str(tmp_path / "queues")
+        fleet = self._fleet()
+        geo = GeoReplicator(fleet, queue_dir=queue_dir)
+        geo.add_edge("edge-0")
+        self._write_batches(fleet, 1)
+        assert fleet.epoch_vector == (1, 2)
+        fleet.save(str(tmp_path / "primary"))
+        self._write_batches(fleet, 3, start=1)  # never saved, but queued + fsynced
+        assert tuple(queue.max_epoch for queue in geo.queues) == (3, 3)
+        geo.close()  # primary process dies
+
+        restored = ShardedStore.load(str(tmp_path / "primary"), 2)
+        assert restored.epoch_vector == (1, 2)
+        with pytest.raises(
+            ReplicaDivergedError, match=r"shard 0 holds epoch 3 .* resumed at epoch 1"
+        ):
+            GeoReplicator.resume(restored, queue_dir)
+
+    def test_resume_after_a_save_at_the_last_write_keeps_shipping(self, tmp_path):
+        """The passing twin: the primary was saved after its last write, so
+        the reloaded queues are level with it, new writes enqueue at fresh
+        epochs and a lagging edge drains old and new batches to parity."""
+        from repro.store import EdgeReplica, ShardedStore
+        from repro.store.geosync import GeoReplicator
+
+        queue_dir = str(tmp_path / "queues")
+        fleet = self._fleet()
+        geo = GeoReplicator(fleet, queue_dir=queue_dir)
+        geo.add_edge("edge-0")
+        self._write_batches(fleet, 4)
+        assert fleet.epoch_vector == (3, 3)
+        fleet.save(str(tmp_path / "primary"))
+        geo.edges["edge-0"].save(str(tmp_path / "edge"))
+        geo.close()
+
+        restored = ShardedStore.load(str(tmp_path / "primary"), 2)
+        resumed = GeoReplicator.resume(restored, queue_dir)
+        resumed.adopt_edge(EdgeReplica.load("edge-0", str(tmp_path / "edge"), 2))
+        self._write_batches(restored, 3, start=4)
+        assert resumed.depth("edge-0") == 7
+        assert resumed.drain("edge-0") == 7
+        assert resumed.verify_converged("edge-0") == restored.state_digests(
             include_index=False
         )
 

@@ -106,7 +106,7 @@ class TestEpochKeyedCache:
         assert len(keys) == 3
 
     def test_cache_entries_are_epoch_scoped(self):
-        cache = VerdictCache(capacity=64, shards=4)
+        cache = VerdictCache(capacity=64)
         fact = _fact()
         old = _result(fact, Verdict.TRUE)
         cache.put(fact, "dka", "m", old, epoch=1)

@@ -7,11 +7,14 @@ import asyncio
 import pytest
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
+from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
 from repro.kg import Triple
+from repro.obs import Observability
 from repro.retrieval.corpus import Document
 from repro.service import (
     LoadGenerator,
     RequestOutcome,
+    RetryPolicy,
     ServiceConfig,
     ServiceRequest,
     ShardedValidationService,
@@ -416,3 +419,221 @@ class TestShardedServiceRouting:
         # Fleet p99 is bounded by the worst shard's p99 (concatenated window).
         assert rollup.p99_latency_s <= max(s.p99_latency_s for s in shards) + 1e-9
         assert "shard" in router.metrics.format_shard_table()
+
+
+class TestResponseStampContract:
+    """Every field the router stamps on a response, for every outcome shape.
+
+    Each shape warms one coordinate at the genesis epochs, writes once to
+    its owning shard (so the fleet vector is uneven and a stale verdict is
+    visibly behind), then provokes the outcome — untraced and traced.
+    """
+
+    POLICY = RetryPolicy(max_attempts=2, base_backoff_s=0.0, max_backoff_s=0.0, jitter=0.0)
+
+    #: shape -> (outcome, served_by, staleness_epochs, retries, has stale_epoch, has error)
+    SHAPES = {
+        "completed": (RequestOutcome.COMPLETED, None, None, 0, False, False),
+        "completed-geo": (RequestOutcome.COMPLETED, "primary", 0, 0, False, False),
+        "completed-retried": (RequestOutcome.COMPLETED, None, None, 1, False, False),
+        "rejected": (RequestOutcome.REJECTED, None, None, 0, False, False),
+        "rejected-geo": (RequestOutcome.REJECTED, "primary", 0, 0, False, False),
+        "degraded": (RequestOutcome.DEGRADED, None, None, 1, True, True),
+        "degraded-geo": (RequestOutcome.DEGRADED, "primary", 0, 1, True, True),
+        "failed": (RequestOutcome.FAILED, None, None, 0, False, True),
+        "failed-geo": (RequestOutcome.FAILED, "primary", 0, 0, False, True),
+        "failed-retried": (RequestOutcome.FAILED, None, None, 1, False, True),
+        "edge": (RequestOutcome.COMPLETED, "edge-0", 1, 0, False, False),
+    }
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_stamped_field(self, shard_runner, shape, traced):
+        outcome, served_by, staleness, retries, stale, errored = self.SHAPES[shape]
+        kind = shape.split("-")[0]
+        geo = served_by is not None
+        shedding = kind == "rejected"
+        router = ShardedValidationService.from_runner(
+            shard_runner,
+            2,
+            ServiceConfig(
+                enable_cache=False,
+                queue_depth=1 if shedding else 256,
+                time_scale=0.01 if shedding else 0.0,
+            ),
+            store=shard_runner.sharded_store("factbench", 2).replay_twin(),
+            retry_policy=self.POLICY if retries or kind == "degraded" else None,
+            edges=1 if geo else 0,
+            drain_interval_s=3600.0,  # the edge never catches up on its own
+        )
+        obs = Observability.for_clock(seed=42)
+        if traced:
+            router.set_observability(obs)
+        dataset = shard_runner.dataset("factbench")
+        request = ServiceRequest(dataset[0], "dka", "gemma2:9b")
+        owner = router.shard_for(request)
+        primary = tuple(2 if index == owner else 1 for index in range(2))
+
+        async def provoke():
+            if kind in ("degraded", "failed"):
+                injector = FaultInjector(
+                    FaultSchedule(
+                        [
+                            FaultEvent(
+                                at_s=0.0,
+                                target=f"shard:{owner}",
+                                fault=FaultSpec.parse("error:1.0"),
+                            )
+                        ]
+                    ),
+                    clock=router.clock,
+                )
+                router.set_fault_injection(injector)
+                injector.start()
+                if shape == "failed-retried":
+                    # Never answered at these coordinates: nothing to degrade to.
+                    return [
+                        await router.submit(
+                            ServiceRequest(request.fact, "giv-z", request.model)
+                        )
+                    ]
+                return [await router.submit(request)]
+            if shape == "completed-retried":
+                replica = router.groups[owner][0]
+                healthy_submit = replica.submit
+                calls = []
+
+                async def flaky(item):
+                    calls.append(item)
+                    if len(calls) == 1:
+                        raise ValueError("first pass faults")
+                    return await healthy_submit(item)
+
+                replica.submit = flaky
+                return [await router.submit(request)]
+            if shedding:
+                owned = [
+                    ServiceRequest(fact, method, "gemma2:9b")
+                    for fact in dataset
+                    for method in ("dka", "giv-z")
+                    if router.shard_for(ServiceRequest(fact, method, "gemma2:9b")) == owner
+                ][:4]
+                responses = await asyncio.gather(
+                    *(router.submit(item) for item in owned)
+                )
+                return [r for r in responses if r.outcome is RequestOutcome.REJECTED]
+            return [await router.submit(request, region="edge-0" if kind == "edge" else None)]
+
+        async def go():
+            async with router:
+                warm = await router.submit(request)
+                await router.apply_mutations(
+                    [Mutation.add_triple(request.fact.triple.subject, "updatedBy", "Feed_X")]
+                )
+                return warm, await provoke()
+
+        warm, responses = asyncio.run(go())
+        assert warm.epoch_vector == (1, 1)
+        assert responses, f"{shape}: the outcome was never provoked"
+        vector = (1, 1) if kind == "edge" else primary
+        for response in responses:
+            assert response.outcome is outcome
+            assert response.epoch_vector == vector
+            assert response.epoch == sum(vector)
+            assert response.served_by == served_by
+            assert response.staleness_epochs == staleness
+            assert response.retries == retries
+            assert response.stale_epoch == (1 if stale else None)
+            if errored:
+                assert "injected error fault" in response.error
+            else:
+                assert response.error is None
+            if kind == "degraded":
+                assert response.result == warm.result and response.cached
+            if not traced:
+                assert response.trace_id is None
+                continue
+            # Primary-tier answers belong to the router's own root span; an
+            # edge answers before the router opens one, so the trace is the
+            # edge worker's.
+            root = next(
+                span
+                for span in obs.tracer.spans(response.trace_id)
+                if span.parent_id is None
+            )
+            assert root.name == ("service.submit" if kind == "edge" else "router.route")
+
+
+class TestFrontDoorsInterchangeable:
+    """``LoadGenerator`` and the TCP frontend hand ``session``/``region`` to
+    whatever they front: a bare service is the primary tier and answers as
+    a 1x1 router without a geo tier does."""
+
+    def _services(self, runner):
+        config = ServiceConfig(max_batch_size=4)
+        bare = ValidationService.from_runner(
+            runner, config, store=runner.sharded_store("factbench", 1).replay_twin().shards[0]
+        )
+        router = ShardedValidationService.from_runner(
+            runner, 1, config, store=runner.sharded_store("factbench", 1).replay_twin()
+        )
+        return bare, router
+
+    def test_loadgen_drives_both_with_sessions_and_regions(self, shard_runner):
+        dataset = shard_runner.dataset("factbench")
+        batch = [Mutation.add_triple(dataset[0].triple.subject, "updatedBy", "Feed_X")]
+        schedule = build_mixed_workload(
+            [dataset], ["dka", "giv-z"], ["gemma2:9b"], 40, [batch], seed=5
+        )
+        reports = [
+            LoadGenerator(
+                service, schedule, concurrency=4, regions=["edge-0", None]
+            ).run_sync()
+            for service in self._services(shard_runner)
+        ]
+        bare, routed = reports
+        # Which client picks which item is scheduling; that every item went
+        # out under a client's own session token is not.
+        clients = {f"client-{index}" for index in range(4)}
+        assert set(bare.sessions) == set(routed.sessions) == clients
+        assert bare.outcome_counts() == routed.outcome_counts()
+        assert bare.outcome_counts()["completed"] == 40
+        assert bare.outcome_counts()["ingested"] == 1
+        assert bare.verdicts() == routed.verdicts()
+
+    def test_tcp_frontend_forwards_session_and_region_to_both(self, shard_runner):
+        import json
+
+        dataset = shard_runner.dataset("factbench")
+        lines = [
+            {"dataset": "factbench", "fact_id": fact.fact_id, "method": "dka",
+             "model": "gemma2:9b", "id": index, "session": "client-0",
+             "region": "edge-0"}
+            for index, fact in enumerate(dataset[:6])
+        ]
+
+        async def drive(service):
+            async with service:
+                async with TCPValidationFrontend(service, {"factbench": dataset}) as frontend:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", frontend.port
+                    )
+                    replies = []
+                    for line in lines:
+                        writer.write(json.dumps(line).encode() + b"\n")
+                        await writer.drain()
+                        replies.append(json.loads(await reader.readline()))
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies
+
+        shared = ("id", "outcome", "verdict", "cached", "fact_id", "method", "model")
+        bare, routed = (
+            [
+                {key: reply.get(key) for key in shared}
+                for reply in asyncio.run(drive(service))
+            ]
+            for service in self._services(shard_runner)
+        )
+        assert bare == routed
+        assert [reply["outcome"] for reply in bare] == ["completed"] * len(lines)

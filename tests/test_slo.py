@@ -3,8 +3,7 @@
 Covers the PR 8 tentpole layer end to end:
 
 * :class:`TimeSeries` — bounded raw rings, open/closed range queries,
-  rollup tiers, and the reset-aware :meth:`~TimeSeries.increase` the SLO
-  math builds on;
+  and the reset-aware :meth:`~TimeSeries.increase` the SLO math builds on;
 * :class:`MetricsScraper` — lazy series materialisation, the
   ``max_series`` cardinality bound, label-subset matching, and
   deterministic sampling under a :class:`VirtualClock`;
@@ -55,8 +54,8 @@ from repro.obs import (
 
 
 class TestTimeSeries:
-    def _series(self, capacity=8, tiers=((10.0, 4),)):
-        return TimeSeries("m_total", (), "counter", capacity=capacity, tiers=tiers)
+    def _series(self, capacity=8):
+        return TimeSeries("m_total", (), "counter", capacity=capacity)
 
     def test_series_key_formats_labels_deterministically(self):
         assert series_key("up", {}) == "up"
@@ -78,23 +77,6 @@ class TestTimeSeries:
         assert [p.ts_s for p in series.points(start_s=1.0, end_s=3.0)] == [2.0, 3.0]
         assert [p.ts_s for p in series.points(end_s=2.0)] == [1.0, 2.0]
         assert series.latest().value == 30.0
-
-    def test_rollup_aggregates_per_tier_bucket(self):
-        series = self._series(tiers=((10.0, 4),))
-        for ts, value in ((0.0, 1.0), (5.0, 3.0), (12.0, 2.0)):
-            series.observe(ts, value)
-        first, second = series.rollup(10.0)
-        assert (first.start_s, first.min, first.max, first.count) == (0.0, 1.0, 3.0, 2)
-        assert first.mean == 2.0 and first.last == 3.0
-        assert second.start_s == 10.0 and second.count == 1
-        with pytest.raises(ValueError, match="tiers"):
-            series.rollup(60.0)
-
-    def test_rollup_rings_are_bounded(self):
-        series = self._series(capacity=64, tiers=((1.0, 3),))
-        for second in range(10):
-            series.observe(float(second), 1.0)
-        assert [bucket.start_s for bucket in series.rollup(1.0)] == [7.0, 8.0, 9.0]
 
     def test_increase_sums_positive_deltas(self):
         series = self._series()
@@ -120,8 +102,6 @@ class TestTimeSeries:
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             self._series(capacity=0)
-        with pytest.raises(ValueError, match="tier"):
-            TimeSeries("m", (), "gauge", tiers=((0.0, 4),))
 
 
 # -------------------------------------------------------------------- scraper
