@@ -14,12 +14,12 @@ features end to end:
 3. point-in-time snapshots for reproducible offline runs;
 4. the online service ingesting evidence mid-traffic — epoch-keyed verdict
    caching re-judges facts against the new knowledge automatically;
-5. JSONL persistence: save, replay, compact.
+5. persistence: save a segment, load it back, compact.
 
 The equivalent CLI commands::
 
-    python -m repro.benchmark.cli ingest --store store.jsonl --mutations ops.jsonl
-    python -m repro.benchmark.cli compact --store store.jsonl
+    python -m repro.benchmark.cli ingest --store store.seg --mutations ops.jsonl
+    python -m repro.benchmark.cli compact --store store.seg
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ async def serve_across_an_ingest(runner: BenchmarkRunner, store) -> None:
 
 def persistence_and_compaction(store: VersionedKnowledgeStore) -> None:
     print("=== 5. Persistence: save, replay, compact ===")
-    path = os.path.join(tempfile.gettempdir(), "streaming_ingest_demo_store.jsonl")
+    path = os.path.join(tempfile.gettempdir(), "streaming_ingest_demo_store.seg")
     store.save(path)
     loaded = VersionedKnowledgeStore.load(path)
     print(

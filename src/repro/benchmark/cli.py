@@ -18,8 +18,9 @@ Usage (after ``pip install -e .``)::
     python -m repro.benchmark.cli loadgen --shards 2 --replicas 3 --requests 500
 
     # Versioned knowledge store: stream mutations in, compact the log.
-    python -m repro.benchmark.cli ingest --store store.jsonl --mutations ops.jsonl
-    python -m repro.benchmark.cli compact --store store.jsonl
+    python -m repro.benchmark.cli ingest --store store.seg --mutations ops.jsonl
+    python -m repro.benchmark.cli compact --store store.seg
+    python -m repro.benchmark.cli convert --store store.seg --output export.jsonl
 
     # Chaos: run a declarative fault-injection scenario matrix.
     python -m repro.benchmark.cli chaos benchmarks/scenarios/smoke.yaml --csv run.csv
@@ -39,9 +40,11 @@ reproduce a single result without running pytest.  ``serve`` exposes the
 :mod:`repro.service` subsystem over newline-delimited JSON; ``loadgen``
 drives an in-process service closed-loop and prints the latency/throughput
 report (the muBench-style deploy-and-measure pair).  ``ingest`` replays a
-persisted :mod:`repro.store` log, applies a batch of mutations from a
-plain JSONL file, and writes the grown log back; ``compact`` collapses a
-log's history into one canonical batch at the current epoch.  ``chaos``
+persisted :mod:`repro.store` segment, applies a batch of mutations from
+a plain JSONL file, and writes the grown segment back; ``compact``
+collapses a store's history into one canonical batch at the current
+epoch; ``convert`` exports a segment as JSONL or imports a JSONL log as a
+segment, whichever its input calls for.  ``chaos``
 loads a YAML scenario (traffic shapes x fleet topologies x fault
 schedules), runs every cell of the matrix against a fresh fleet, checks
 the scenario's invariants, and prints the aggregated run table — exit
@@ -97,17 +100,6 @@ __all__ = [
 #: Subcommands dispatched to the online-serving / store path instead of
 #: the table/figure renderers.
 SERVICE_COMMANDS = ("serve", "loadgen", "ingest", "compact", "convert", "chaos", "obs")
-
-#: Choices of the store persistence ``--format`` knob: ``auto`` keeps the
-#: store's current format (sniffed from the file magic on load).
-STORE_FORMAT_CHOICES = ("auto", "jsonl", "segment")
-
-
-def _chosen_format(args) -> Optional[str]:
-    """The ``--format`` flag as a ``store.save`` argument (auto -> None)."""
-    fmt = getattr(args, "format", "auto")
-    return None if fmt == "auto" else fmt
-
 
 def _render_table2(runner: BenchmarkRunner) -> str:
     rows = table2_dataset_statistics(runner)
@@ -327,65 +319,44 @@ def build_service_parser() -> argparse.ArgumentParser:
     ingest = commands.add_parser(
         "ingest", help="Apply a mutations file to a persisted versioned knowledge store."
     )
-    ingest.add_argument("--store", required=True, help="Store log (JSONL); created when absent.")
+    ingest.add_argument("--store", required=True, help="Store segment file; created when absent.")
     ingest.add_argument(
         "--mutations", required=True,
         help="Plain JSONL mutations file: one add_triple/remove_triple/add_document op per line.",
     )
     ingest.add_argument(
-        "--output", default=None, help="Write the grown log here instead of back to --store."
+        "--output", default=None, help="Write the grown store here instead of back to --store."
     )
     ingest.add_argument(
         "--shards",
         type=int,
         default=1,
         help=(
-            "Route the mutations across N per-shard logs ({store}.shard{i}); "
-            "1 = the single-log store."
-        ),
-    )
-    ingest.add_argument(
-        "--format",
-        choices=STORE_FORMAT_CHOICES,
-        default="auto",
-        help=(
-            "Persistence format for the saved log: jsonl (line-per-mutation), "
-            "segment (paged binary with checkpoints), or auto (keep the "
-            "store's current format; new stores default to jsonl)."
+            "Route the mutations across N per-shard segments ({store}.shard{i}); "
+            "1 = the single-file store."
         ),
     )
 
     compact = commands.add_parser(
-        "compact", help="Collapse a store log's history into one canonical batch."
+        "compact", help="Collapse a store's history into one canonical batch."
     )
+    compact.add_argument("--store", required=True, help="Store segment file to compact.")
     compact.add_argument(
-        "--store", required=True, help="Store log (JSONL or segment) to compact."
-    )
-    compact.add_argument(
-        "--output", default=None, help="Write the compacted log here instead of back to --store."
-    )
-    compact.add_argument(
-        "--format",
-        choices=STORE_FORMAT_CHOICES,
-        default="auto",
-        help="Persistence format for the compacted log (auto = keep current).",
+        "--output", default=None, help="Write the compacted store here instead of back to --store."
     )
 
     convert = commands.add_parser(
         "convert",
         help=(
-            "Re-encode a store log between the jsonl and segment formats "
-            "(state digest is identical either way)."
+            "Export a store segment as a JSONL log, or import a JSONL log as a "
+            "segment: the direction follows from what --store is (state digest "
+            "is identical either way)."
         ),
     )
-    convert.add_argument("--store", required=True, help="Store log (JSONL or segment) to read.")
-    convert.add_argument("--output", required=True, help="Path for the re-encoded log.")
     convert.add_argument(
-        "--format",
-        choices=("jsonl", "segment"),
-        required=True,
-        help="Target persistence format.",
+        "--store", required=True, help="Segment file to export, or JSONL log to import."
     )
+    convert.add_argument("--output", required=True, help="Path for the converted file.")
 
     chaos = commands.add_parser(
         "chaos", help="Run a declarative chaos scenario matrix and check its invariants."
@@ -604,10 +575,11 @@ def _run_serve(args, stream: TextIO) -> int:
 
 
 def _run_sharded_ingest(args, stream: TextIO) -> int:
-    """Route a mutations file across N per-shard logs (``{store}.shard{i}``)."""
+    """Route a mutations file across N per-shard segments (``{store}.shard{i}``)."""
     import os
 
     from ..store import (
+        CorruptSegmentError,
         HashRing,
         ShardedStore,
         VersionedKnowledgeStore,
@@ -626,7 +598,7 @@ def _run_sharded_ingest(args, stream: TextIO) -> int:
             )
         try:
             fleet = ShardedStore.load(args.store, args.shards)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, CorruptSegmentError) as exc:
             raise SystemExit(f"cannot read sharded store logs: {exc}")
         stream.write(
             f"loaded {args.store}.shard0..{args.shards - 1}: epochs "
@@ -650,7 +622,7 @@ def _run_sharded_ingest(args, stream: TextIO) -> int:
     except ValueError as exc:
         raise SystemExit(f"mutation batch rejected: {exc}")
     target = args.output or args.store
-    paths = fleet.save(target, format=_chosen_format(args))
+    paths = fleet.save(target)
     for index, shard_report in report.shard_reports:
         stream.write(
             f"shard {index} -> epoch {shard_report.epoch}: "
@@ -696,7 +668,7 @@ def _run_ingest(args, stream: TextIO) -> int:
     except ValueError as exc:
         raise SystemExit(f"mutation batch rejected: {exc}")
     target = args.output or args.store
-    store.save(target, format=_chosen_format(args))
+    store.save(target)
     stream.write(
         f"epoch {report.epoch}: +{report.triples_added} triples, "
         f"-{report.triples_removed} triples, +{report.documents_added} documents "
@@ -721,7 +693,7 @@ def _run_compact(args, stream: TextIO) -> int:
     before = len(store.log)
     dropped = store.compact()
     target = args.output or args.store
-    store.save(target, format=_chosen_format(args))
+    store.save(target)
     stream.write(
         f"compacted {args.store}: {before} -> {len(store.log)} records "
         f"({dropped} dropped), epoch {store.epoch} "
@@ -731,24 +703,47 @@ def _run_compact(args, stream: TextIO) -> int:
     return 0
 
 
+def _replay_jsonl(path: str):
+    """A store rebuilt from a JSONL export: ``MutationLog.load`` + ``replay``
+    under the header's config.  An empty file would parse as an empty log;
+    it is not one."""
+    import os
+
+    from ..store import MutationLog, StoreConfig, VersionedKnowledgeStore
+
+    if not os.path.getsize(path):
+        raise ValueError(f"{path}: empty file")
+    log, payload = MutationLog.load(path)
+    return VersionedKnowledgeStore.replay(log, config=StoreConfig.from_payload(payload))
+
+
 def _run_convert(args, stream: TextIO) -> int:
-    """Re-encode a store log between formats, proving digest parity."""
+    """Export a segment as JSONL, or import a JSONL log as a segment —
+    whichever ``--store`` calls for — proving digest parity."""
     from ..store import CorruptSegmentError, VersionedKnowledgeStore
 
     try:
-        store = VersionedKnowledgeStore.load(args.store)
-    except (OSError, ValueError, CorruptSegmentError) as exc:
+        store, target = VersionedKnowledgeStore.load(args.store), "jsonl"
+    except CorruptSegmentError as not_a_segment:
+        try:
+            store, target = _replay_jsonl(args.store), "segment"
+        except ValueError as not_jsonl:
+            raise SystemExit(
+                f"cannot read store log: {not_a_segment}; "
+                f"nor does it parse as a JSONL log: {not_jsonl}"
+            )
+    except OSError as exc:
         raise SystemExit(f"cannot read store log: {exc}")
     digest = store.state_digest(include_index=False)
-    store.save(args.output, format=args.format)
-    reloaded = VersionedKnowledgeStore.load(args.output)
-    if reloaded.state_digest(include_index=False) != digest:
+    store.save(args.output, format=target)
+    reload = VersionedKnowledgeStore.load if target == "segment" else _replay_jsonl
+    if reload(args.output).state_digest(include_index=False) != digest:
         raise SystemExit(
             f"digest mismatch after conversion: {args.output} does not "
             f"reproduce {args.store}"
         )
     stream.write(
-        f"converted {args.store} -> {args.output} ({args.format}): "
+        f"converted {args.store} -> {args.output} ({target}): "
         f"epoch {store.epoch}, {len(store.log)} log records\n"
     )
     stream.write(f"state digest {digest[:16]} (verified identical)\n")

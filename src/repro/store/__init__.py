@@ -6,7 +6,8 @@ this package makes them *mutable with history*:
 
 * :mod:`repro.store.log` — :class:`Mutation` records
   (``add_triple`` / ``remove_triple`` / ``add_document``) in an
-  append-only :class:`MutationLog` with JSON-lines persistence;
+  append-only :class:`MutationLog`, with a JSON-lines export/import
+  codec;
 * :mod:`repro.store.store` — :class:`VersionedKnowledgeStore`: monotonic
   epochs, point-in-time :meth:`snapshot` views, deterministic
   :meth:`replay` from disk, :meth:`compact`-ion, and **incremental index
@@ -14,7 +15,9 @@ this package makes them *mutable with history*:
   embedder warm cache extended, the interned graph mutated in place, with
   dirty-fraction rebuild fallbacks) verified byte-identical to a
   from-scratch rebuild;
-* :mod:`repro.store.segment` — the paged binary storage engine:
+* :mod:`repro.store.segment` — the durable format, a paged binary
+  storage engine (the only thing ``load`` opens and every ``save``
+  writes by default):
   :class:`SegmentBackedLog` over fixed-size zlib-compressed CRC-checked
   blocks with an LRU :class:`PageCache`, a footer epoch index, and
   interleaved state checkpoints, so cold start and historical
@@ -38,8 +41,9 @@ Quickstart::
     store.apply([Mutation.add_triple("Ada", "worksFor", "Acme"),
                  Mutation.add_document(new_document)])
     offline_view = store.snapshot(store.epoch - 1)   # reproducible past state
-    store.save("store.jsonl")                        # replayable history
-    store.save("store.seg", format="segment")        # paged binary engine
+    store.save("store.seg")                          # the durable segment file
+    restarted = VersionedKnowledgeStore.load("store.seg")
+    store.save("store.jsonl", format="jsonl")        # human-readable export
 """
 
 from .log import (

@@ -331,13 +331,13 @@ class EdgeReplica:
         primary shards at equal epochs)."""
         return [store.state_digest(include_index=include_index) for store in self.stores]
 
-    def save(self, prefix: str, format: Optional[str] = None) -> List[str]:
+    def save(self, prefix: str) -> List[str]:
         """Persist every shard copy as ``{prefix}.shard{i}`` (the edge's
         durable state — reloading resumes at the applied watermarks)."""
         paths = []
         for index, store in enumerate(self.stores):
             path = f"{prefix}.shard{index}"
-            store.save(path, format=format)
+            store.save(path)
             paths.append(path)
         return paths
 

@@ -1,4 +1,4 @@
-"""Append-only mutation log with JSON-lines persistence.
+"""Append-only mutation log with a JSON-lines export/import codec.
 
 The versioned knowledge store records every state change as a
 :class:`Mutation` stamped with the monotonic epoch it was applied at.  The
@@ -7,7 +7,10 @@ deterministic down to the byte (same interning order, same posting-array
 layout), which is what makes on-disk persistence, point-in-time snapshots,
 and the incremental-vs-rebuild equivalence checks possible.
 
-On disk the log is newline-delimited JSON: a header line carrying the
+The durable on-disk form is the segment file (:mod:`repro.store.segment`);
+the JSONL form written here is the human-readable export, re-imported by
+``MutationLog.load`` + ``VersionedKnowledgeStore.replay`` (the CLI's
+``convert``).  It is newline-delimited JSON: a header line carrying the
 format version and the store configuration knobs that influence replay
 (the dirty-fraction rebuild thresholds), followed by one record per
 mutation with its epoch.  Compaction (performed by the store, which owns
@@ -158,6 +161,20 @@ class Mutation:
         raise ValueError(f"Unknown mutation op {op!r}")
 
 
+def group_batches(
+    records: Iterable[Tuple[int, Mutation]]
+) -> List[Tuple[int, List[Mutation]]]:
+    """Group ``(epoch, mutation)`` records, already in epoch order, into
+    one ``(epoch, [mutations])`` entry per epoch."""
+    grouped: List[Tuple[int, List[Mutation]]] = []
+    for epoch, mutation in records:
+        if grouped and grouped[-1][0] == epoch:
+            grouped[-1][1].append(mutation)
+        else:
+            grouped.append((epoch, [mutation]))
+    return grouped
+
+
 class MutationLog:
     """Ordered ``(epoch, Mutation)`` records plus JSONL persistence.
 
@@ -196,17 +213,36 @@ class MutationLog:
             )
         self._records.extend((epoch, mutation) for mutation in mutations)
 
-    def batches(self, upto: Optional[int] = None) -> List[Tuple[int, List[Mutation]]]:
-        """Records grouped by epoch, in epoch order, optionally bounded."""
-        grouped: List[Tuple[int, List[Mutation]]] = []
+    def records_between(
+        self, after: Optional[int] = None, upto: Optional[int] = None
+    ) -> Iterator[Tuple[int, Mutation]]:
+        """Records with ``after < epoch <= upto``, in log order."""
         for epoch, mutation in self._records:
+            if after is not None and epoch <= after:
+                continue
             if upto is not None and epoch > upto:
                 break
-            if grouped and grouped[-1][0] == epoch:
-                grouped[-1][1].append(mutation)
-            else:
-                grouped.append((epoch, [mutation]))
-        return grouped
+            yield epoch, mutation
+
+    def batches(
+        self, upto: Optional[int] = None, after: Optional[int] = None
+    ) -> List[Tuple[int, List[Mutation]]]:
+        """Records grouped by epoch, in epoch order, optionally bounded to
+        ``after < epoch <= upto``."""
+        return group_batches(self.records_between(after=after, upto=upto))
+
+    def replay_base(self, upto: Optional[int] = None) -> None:
+        """The materialised state replay may start from: a plain log has
+        none, so it replays from its floor (a segment-backed log hands
+        back its newest checkpoint at or below ``upto``)."""
+        return None
+
+    def fork(self) -> "MutationLog":
+        """An independent copy of the log — what a full replay of it
+        would have recorded."""
+        twin = MutationLog(self.floor_epoch)
+        twin._records = list(self._records)
+        return twin
 
     # -- persistence ---------------------------------------------------------
 

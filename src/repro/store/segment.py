@@ -1,11 +1,12 @@
-"""Paged, segmented binary storage engine under the mutation log.
+"""Paged, segmented binary storage engine under the mutation log — the
+store's one durable format.
 
-The JSONL log (:mod:`repro.store.log`) replays from zero: cold start and
-``snapshot(historical_epoch)`` both pay a full parse-and-apply pass over
-the whole history.  This module is the binary engine the ROADMAP names as
-the top open bottleneck fix, shaped like the paged ESE-database explorers
-referenced in PAPERS.md — pages walked through a page cache, compression
-at the block boundary, lazy hydration of expensive views:
+A JSONL log (:mod:`repro.store.log`, now only the export/import codec)
+replays from zero: cold start and ``snapshot(historical_epoch)`` both pay
+a full parse-and-apply pass over the whole history.  This engine is shaped
+like the paged ESE-database explorers referenced in PAPERS.md — pages
+walked through a page cache, compression at the block boundary, lazy
+hydration of expensive views:
 
 * **Blocks.**  Mutation records are struct-packed into fixed-size blocks
   (``block_size`` uncompressed bytes), each zlib-compressed independently
@@ -29,9 +30,13 @@ at the block boundary, lazy hydration of expensive views:
   JSONL replay (floor enforced by ``benchmarks/bench_segment.py``).
 
 Checkpoint payloads are serialised with :mod:`pickle` *inside* the
-CRC-checked block envelope — segment files are trusted local state, the
-same trust model as the JSONL log.  Record blocks use a plain
-length-prefixed struct encoding and are readable without unpickling.
+CRC-checked block envelope.  A CRC proves nothing about who wrote the
+file, and every ``load`` restores a checkpoint, so checkpoints are read
+through an unpickler that resolves exactly one global —
+:class:`~repro.retrieval.corpus.Document` — and raises
+:class:`CorruptSegmentError` for any other: a crafted segment can make
+``load`` fail, not run code.  Record blocks use a plain length-prefixed
+struct encoding and are readable without unpickling.
 
 Layout::
 
@@ -64,7 +69,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
 from ..retrieval.corpus import Corpus, Document
-from .log import ADD_DOCUMENT, ADD_TRIPLE, REMOVE_TRIPLE, Mutation, MutationLog, atomic_write
+from .log import (
+    ADD_DOCUMENT,
+    ADD_TRIPLE,
+    REMOVE_TRIPLE,
+    Mutation,
+    MutationLog,
+    group_batches,
+)
 
 __all__ = [
     "CorruptSegmentError",
@@ -201,6 +213,23 @@ class StoreState:
         for document in self.documents:
             corpus.add(document)
         return graph, corpus
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Checkpoints are builtin containers plus :class:`Document`: refuse
+    to import anything else a pickle stream names."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == (Document.__module__, Document.__qualname__):
+            return Document
+        raise CorruptSegmentError(
+            f"checkpoint pickle references {module}.{name}; only "
+            f"{Document.__module__}.{Document.__qualname__} is admitted"
+        )
+
+
+def _unpickle_checkpoint(payload: bytes) -> Dict[str, object]:
+    return _CheckpointUnpickler(io.BytesIO(payload)).load()
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +557,10 @@ class SegmentReader:
         with open(path, "rb") as handle:
             magic = handle.read(len(SEGMENT_MAGIC))
             if magic != SEGMENT_MAGIC:
-                raise CorruptSegmentError(f"{path}: not a segment file (bad magic)")
+                raise CorruptSegmentError(
+                    f"{path}: not a segment file (bad magic); if it is a JSONL "
+                    "log, import it with `convert`"
+                )
             head = handle.read(8)
             if len(head) != 8:
                 raise CorruptSegmentError(f"{path}: truncated header")
@@ -625,7 +657,9 @@ class SegmentReader:
                 first, last = records[0][0], records[-1][0]
             else:
                 try:
-                    first = last = int(pickle.loads(payload)["epoch"])
+                    first = last = int(_unpickle_checkpoint(payload)["epoch"])
+                except CorruptSegmentError:
+                    raise  # a forbidden global is an attack, not a torn tail
                 except Exception:
                     break
             blocks.append(
@@ -693,15 +727,8 @@ class SegmentReader:
         )
 
     def _read_payload(self, block: BlockInfo) -> bytes:
-        with self._lock:
-            self._handle.seek(block.offset + _BLOCK_HEADER.size)
-            comp = self._handle.read(block.comp_len)
-        if len(comp) != block.comp_len or zlib.crc32(comp) != block.crc:
-            raise CorruptSegmentError(
-                f"{self.path}@{block.offset}: block failed its CRC check"
-            )
         try:
-            payload = zlib.decompress(comp)
+            payload = zlib.decompress(self.read_raw_block(block))
         except zlib.error as exc:
             raise CorruptSegmentError(
                 f"{self.path}@{block.offset}: block does not decompress ({exc})"
@@ -767,7 +794,7 @@ class SegmentReader:
         """Deserialise one checkpoint block into a :class:`StoreState`."""
         payload = self._read_payload(block)
         try:
-            state = pickle.loads(payload)
+            state = _unpickle_checkpoint(payload)
             return StoreState(
                 epoch=int(state["epoch"]),
                 graph_core=state["graph_core"],
@@ -801,64 +828,36 @@ class SegmentReader:
 class SegmentBackedLog(MutationLog):
     """A :class:`MutationLog` whose history lives in a segment file.
 
-    Disk records are decoded lazily through the reader's page cache; new
-    batches append to an in-memory tail (with the same monotonicity check
-    as the plain log) until the next save rewrites the segment — the
-    incremental save path copies the existing compressed blocks verbatim
-    and only encodes the tail.
+    Disk records are decoded lazily through the reader's page cache; the
+    inherited in-memory record list is only the *tail* — batches appended
+    since the segment was opened — until the next save rewrites the
+    segment (the incremental save path copies the existing compressed
+    blocks verbatim and only encodes the tail).
     """
 
-    def __init__(self, reader: SegmentReader, tail: Optional[List[Tuple[int, Mutation]]] = None) -> None:
+    def __init__(self, reader: SegmentReader, tail: Sequence[Tuple[int, Mutation]] = ()) -> None:
         super().__init__(floor_epoch=reader.floor_epoch)
         self.reader = reader
-        self._tail: List[Tuple[int, Mutation]] = list(tail or ())
-        del self._records  # all access goes through disk + tail
-
-    # -- MutationLog surface -------------------------------------------------
+        self._records = list(tail)
 
     def __len__(self) -> int:
-        return self.reader.record_count + len(self._tail)
+        return self.reader.record_count + len(self._records)
 
     def __iter__(self) -> Iterator[Tuple[int, Mutation]]:
         yield from self.reader.iter_records()
-        yield from self._tail
+        yield from self._records
 
     @property
     def max_epoch(self) -> int:
-        if self._tail:
-            return self._tail[-1][0]
+        if self._records:
+            return self._records[-1][0]
         return self.reader.max_epoch
-
-    def append_batch(self, epoch: int, mutations: Sequence[Mutation]) -> None:
-        if epoch <= self.max_epoch:
-            raise ValueError(
-                f"epoch {epoch} is not monotonic (log already at {self.max_epoch})"
-            )
-        self._tail.extend((epoch, mutation) for mutation in mutations)
-
-    def batches(
-        self, upto: Optional[int] = None, after: Optional[int] = None
-    ) -> List[Tuple[int, List[Mutation]]]:
-        grouped: List[Tuple[int, List[Mutation]]] = []
-        for epoch, mutation in self.records_between(after=after, upto=upto):
-            if grouped and grouped[-1][0] == epoch:
-                grouped[-1][1].append(mutation)
-            else:
-                grouped.append((epoch, [mutation]))
-        return grouped
-
-    # -- segment-specific surface --------------------------------------------
 
     def records_between(
         self, after: Optional[int] = None, upto: Optional[int] = None
     ) -> Iterator[Tuple[int, Mutation]]:
         yield from self.reader.iter_records(after=after, upto=upto)
-        for epoch, mutation in self._tail:
-            if after is not None and epoch <= after:
-                continue
-            if upto is not None and epoch > upto:
-                break
-            yield epoch, mutation
+        yield from super().records_between(after=after, upto=upto)
 
     def replay_base(self, upto: Optional[int] = None) -> Optional[StoreState]:
         """The newest checkpoint state at or below ``upto``, for seeking.
@@ -877,19 +876,9 @@ class SegmentBackedLog(MutationLog):
         Replica bootstrap replays the primary's log; forking keeps the
         disk history shared-read while each copy appends independently.
         """
-        return SegmentBackedLog(self.reader, tail=self._tail)
-
-    @property
-    def tail_records(self) -> int:
-        """Records appended in memory since the segment was opened/saved."""
-        return len(self._tail)
+        return SegmentBackedLog(self.reader, tail=self._records)
 
     def tail_batches(self) -> List[Tuple[int, List[Mutation]]]:
-        """The in-memory tail grouped by epoch (for incremental save)."""
-        grouped: List[Tuple[int, List[Mutation]]] = []
-        for epoch, mutation in self._tail:
-            if grouped and grouped[-1][0] == epoch:
-                grouped[-1][1].append(mutation)
-            else:
-                grouped.append((epoch, [mutation]))
-        return grouped
+        """The batches appended in memory since the segment was opened,
+        grouped by epoch (what an incremental save has to encode)."""
+        return group_batches(self._records)

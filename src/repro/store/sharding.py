@@ -547,17 +547,13 @@ class ShardedStore:
         """The on-disk log path of shard ``index`` under ``prefix``."""
         return f"{prefix}.shard{index}"
 
-    def save(self, prefix: str, format: Optional[str] = None) -> List[str]:
-        """Persist each shard's log to ``{prefix}.shard{i}``; returns the paths.
-
-        ``format`` is passed through to each shard's
-        :meth:`VersionedKnowledgeStore.save` (``"jsonl"`` or ``"segment"``;
-        omitted, each shard sticks to its own current format).
-        """
+    def save(self, prefix: str) -> List[str]:
+        """Persist each shard as the segment file ``{prefix}.shard{i}``;
+        returns the paths."""
         paths = []
         for index, shard in enumerate(self.shards):
             path = self.shard_path(prefix, index)
-            shard.save(path, format=format)
+            shard.save(path)
             paths.append(path)
         return paths
 

@@ -9,8 +9,9 @@ and the store's invariant is::
 
 which makes three things fall out for free:
 
-* **persistence** — saving/loading the JSONL log reconstructs the store
-  deterministically, down to interning order and posting-array layout;
+* **persistence** — saving the log as a segment file and loading it back
+  reconstructs the store deterministically, down to interning order and
+  posting-array layout (the JSONL form is a human-readable export);
 * **point-in-time snapshots** — ``snapshot(epoch)`` replays the log up to
   an epoch (or, for the current epoch, takes the cheap structure-preserving
   copies) and hands back an immutable view for reproducible offline runs;
@@ -43,7 +44,6 @@ from .log import ADD_DOCUMENT, ADD_TRIPLE, REMOVE_TRIPLE, Mutation, MutationLog
 from .segment import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_CHECKPOINT_INTERVAL,
-    SEGMENT_MAGIC,
     SegmentBackedLog,
     SegmentReader,
     SegmentWriter,
@@ -51,12 +51,6 @@ from .segment import (
 )
 
 __all__ = ["StoreConfig", "ApplyReport", "StoreSnapshot", "VersionedKnowledgeStore"]
-
-#: Accepted values of the persistence ``format`` knob.  ``segment`` is the
-#: paged binary engine (:mod:`repro.store.segment`); ``jsonl`` stays as the
-#: human-readable compatibility format.  ``load`` sniffs the file magic, so
-#: either format reads back without being told which it is.
-STORE_FORMATS = ("jsonl", "segment")
 
 #: Called after every applied batch: ``listener(epoch, mutations)``.
 MutationListener = Callable[[int, Sequence[Mutation]], None]
@@ -169,10 +163,6 @@ class VersionedKnowledgeStore:
         self._engine: Optional[SearchEngine] = None
         self._epoch = 0
         self._removed_since_reintern = 0
-        #: Format the store was loaded from / last saved as; ``save`` with
-        #: no explicit ``format`` sticks to it (compact + save keeps the
-        #: engine the operator chose).
-        self._save_format: Optional[str] = None
         self._listeners: List[MutationListener] = []
         #: Optional :class:`~repro.obs.trace.Tracer`; when armed, every
         #: :meth:`apply` records a ``store.apply`` span (set by
@@ -263,39 +253,29 @@ class VersionedKnowledgeStore:
         and only the record suffix behind it is applied.  Checkpoints are
         themselves produced by this replay, so the seeked result is
         byte-identical to the from-zero path.
+
+        A full replay's log is a fork of ``log`` (sharing a segment's
+        reader and page cache); a bounded one records what it applied into
+        a fresh log floored where it started.
         """
         store = cls(config, name=name)
         store.embedder = embedder
         store._epoch = log.floor_epoch
-        base: Optional[StoreState] = None
-        replay_base = getattr(log, "replay_base", None)
-        if replay_base is not None:
-            base = replay_base(upto=upto)
+        after = None
+        base = log.replay_base(upto=upto)
         if base is not None:
             store.graph, store.corpus = base.restore(name)
-            store._epoch = base.epoch
+            store._epoch = after = base.epoch
             store._removed_since_reintern = base.removed_since_reintern
-            if upto is None and hasattr(log, "fork"):
-                # Full replay: the forked log (sharing the reader and page
-                # cache) already holds every record — apply without re-recording.
-                store.log = log.fork()
-                for epoch, mutations in log.batches(after=base.epoch):
-                    store._apply_batch(epoch, mutations, record=False)
-            else:
-                # Bounded replay (snapshot path): record the suffix into a
-                # fresh log floored at the checkpoint epoch.
-                store.log = MutationLog(floor_epoch=base.epoch)
-                for epoch, mutations in log.batches(upto=upto, after=base.epoch):
-                    store._apply_batch(epoch, mutations, record=True)
-            return store
-        if upto is None and hasattr(log, "fork"):
+        full = upto is None
+        if full:
             store.log = log.fork()
-            for epoch, mutations in log.batches():
-                store._apply_batch(epoch, mutations, record=False)
-            return store
-        for epoch, mutations in log.batches(upto=upto):
-            store._apply_batch(epoch, mutations, record=True)
-        store.log.floor_epoch = log.floor_epoch
+        floor = store._epoch
+        for epoch, mutations in log.batches(upto=upto, after=after):
+            store._apply_batch(epoch, mutations, record=not full)
+        if not full:
+            # Raised only now: a compacted log's one batch sits *at* its floor.
+            store.log.floor_epoch = floor
         return store
 
     # ------------------------------------------------------------- properties
@@ -477,30 +457,27 @@ class VersionedKnowledgeStore:
     def save(
         self,
         path: str,
-        format: Optional[str] = None,
+        format: str = "segment",
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> None:
         """Persist the mutation log (with replay-relevant config).
 
-        ``format`` picks the engine: ``"jsonl"`` (line-per-mutation, human
-        readable) or ``"segment"`` (paged binary with checkpoints — see
-        :mod:`repro.store.segment`).  Omitted, it sticks to the format the
-        store was loaded from or last saved as, defaulting to the log's
-        native format.  Both writers are crash-atomic.
+        ``"segment"`` is the durable format (paged binary with checkpoints
+        — see :mod:`repro.store.segment`) and the only one :meth:`load`
+        opens.  ``"jsonl"`` writes the human-readable export instead
+        (line-per-mutation; read back with :meth:`MutationLog.load` +
+        :meth:`replay`).  The choice is per call — nothing remembers it —
+        and both writers are crash-atomic.
         """
-        fmt = format or self._save_format
-        if fmt is None:
-            fmt = "segment" if isinstance(self.log, SegmentBackedLog) else "jsonl"
-        if fmt not in STORE_FORMATS:
-            raise ValueError(
-                f"unknown store format {fmt!r}; expected one of {STORE_FORMATS}"
-            )
-        if fmt == "jsonl":
+        if format == "segment":
+            self._save_segment(path, checkpoint_interval, block_size)
+        elif format == "jsonl":
             self.log.save(path, config_payload=self.config.as_payload())
         else:
-            self._save_segment(path, checkpoint_interval, block_size)
-        self._save_format = fmt
+            raise ValueError(
+                f"unknown store format {format!r}; expected 'segment' or 'jsonl'"
+            )
 
     def _checkpoint_state(self) -> StoreState:
         """The live state as a checkpoint payload (serialised immediately
@@ -520,13 +497,15 @@ class VersionedKnowledgeStore:
         if isinstance(log, SegmentBackedLog) and not log.reader.recovered:
             self._save_segment_incremental(log, path)
             return
-        # Conversion path: stream the whole log through a shadow replay so
-        # each interleaved checkpoint carries exactly the state a from-zero
-        # replay would have at that epoch.
+        # Full rewrite.  Each interleaved checkpoint must carry exactly the
+        # state a from-zero replay has at its epoch, so a shadow store
+        # replays the log — but only while another one can still come due.
+        # The head checkpoint is the live store (``store == replay(log)``):
+        # a log shorter than ``checkpoint_interval`` replays nothing here.
         shadow = VersionedKnowledgeStore(self.config, name=self.name)
         shadow._epoch = log.floor_epoch
-        shadow.log.floor_epoch = log.floor_epoch
         since_checkpoint = 0
+        remaining = len(log)
         with SegmentWriter(
             path,
             floor_epoch=log.floor_epoch,
@@ -535,15 +514,17 @@ class VersionedKnowledgeStore:
         ) as writer:
             for epoch, mutations in log.batches():
                 writer.append_batch(epoch, mutations)
-                shadow._apply_batch(epoch, mutations, record=False)
+                if since_checkpoint + remaining >= checkpoint_interval:
+                    shadow._apply_batch(epoch, mutations, record=False)
                 since_checkpoint += len(mutations)
+                remaining -= len(mutations)
                 if since_checkpoint >= checkpoint_interval:
                     writer.checkpoint(shadow._checkpoint_state())
                     since_checkpoint = 0
             if since_checkpoint > 0 or not writer.blocks:
                 # Always leave a head checkpoint so cold start restores
                 # state instead of replaying a suffix.
-                writer.checkpoint(shadow._checkpoint_state())
+                writer.checkpoint(self._checkpoint_state())
 
     def _save_segment_incremental(self, log: SegmentBackedLog, path: str) -> None:
         """Append-style save: copy the existing compressed blocks verbatim
@@ -556,9 +537,10 @@ class VersionedKnowledgeStore:
         ) as writer:
             for block in reader.blocks:
                 writer.copy_raw_block(block, reader.read_raw_block(block))
-            for epoch, mutations in log.tail_batches():
+            tail = log.tail_batches()
+            for epoch, mutations in tail:
                 writer.append_batch(epoch, mutations)
-            if log.tail_records:
+            if tail:
                 writer.checkpoint(self._checkpoint_state())
 
     @classmethod
@@ -568,26 +550,18 @@ class VersionedKnowledgeStore:
         embedder: Optional[HashingEmbedder] = None,
         name: str = "store",
     ) -> "VersionedKnowledgeStore":
-        """Rebuild a store from a saved log, honouring the persisted config.
+        """Rebuild a store from a saved segment, honouring the persisted
+        config: restore the newest checkpoint, replay the suffix behind it.
 
-        The on-disk format is sniffed from the file magic: segment files
-        seek-and-replay from their newest checkpoint; JSONL files replay
-        from zero.  Subsequent ``save`` calls keep the sniffed format.
+        Raises :class:`~repro.store.segment.CorruptSegmentError` for
+        anything that is not a segment file — an empty file, binary junk,
+        or a JSONL export (which ``convert`` imports).
         """
-        with open(path, "rb") as handle:
-            magic = handle.read(len(SEGMENT_MAGIC))
-        if magic == SEGMENT_MAGIC:
-            reader = SegmentReader.open(path)
-            log: MutationLog = SegmentBackedLog(reader)
-            config_payload = reader.config_payload
-            fmt = "segment"
-        else:
-            log, config_payload = MutationLog.load(path)
-            fmt = "jsonl"
-        config = StoreConfig.from_payload(config_payload) if config_payload else None
-        store = cls.replay(log, config=config, embedder=embedder, name=name)
-        store._save_format = fmt
-        return store
+        reader = SegmentReader.open(path)
+        config = StoreConfig.from_payload(reader.config_payload)
+        return cls.replay(
+            SegmentBackedLog(reader), config=config, embedder=embedder, name=name
+        )
 
     def compact(self) -> int:
         """Collapse history into one canonical batch at the current epoch.

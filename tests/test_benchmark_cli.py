@@ -88,6 +88,35 @@ class TestServiceCommands:
         assert "throughput" in out and "p99 latency" in out
         assert "Service metrics" in out
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            # A shard whose header no longer passes its CRC ...
+            (lambda data: data[:20] + b"\xff" * 8 + data[28:], "header failed its CRC"),
+            # ... and a shard that is a JSONL log, not a segment.
+            (lambda data: b'{"kind": "header", "version": 1, "floor_epoch": 0}\n',
+             "import it with `convert`"),
+        ],
+        ids=["corrupted-shard", "jsonl-shard"],
+    )
+    def test_sharded_ingest_reports_an_unreadable_shard_like_single_store_ingest(
+        self, tmp_path, damage, message
+    ):
+        ops = tmp_path / "ops.jsonl"
+        ops.write_text(
+            '{"op": "add_triple", "subject": "a", "predicate": "p", "object": "b"}\n'
+            '{"op": "add_triple", "subject": "c", "predicate": "p", "object": "d"}\n'
+        )
+        argv = ["ingest", "--store", str(tmp_path / "s"), "--mutations", str(ops), "--shards", "2"]
+        assert main(argv, stream=io.StringIO()) == 0
+        shard = tmp_path / "s.shard1"
+        shard.write_bytes(damage(shard.read_bytes()))
+        # A typed exit naming the shard, not a CorruptSegmentError traceback.
+        with pytest.raises(SystemExit, match="cannot read sharded store logs: .*s.shard1.*" + message):
+            main(argv, stream=io.StringIO())
+        with pytest.raises(SystemExit, match="cannot read store log: .*" + message):
+            main(["ingest", "--store", str(shard), "--mutations", str(ops)], stream=io.StringIO())
+
 
 class TestMain:
     def test_main_writes_output_file(self, tmp_path):

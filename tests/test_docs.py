@@ -137,15 +137,20 @@ class TestOperationsReferenceComplete:
             assert flag in text, f"operations.md misses {flag}"
 
     def test_serving_options_table_matches_the_code_both_ways(self):
-        # Options lint: an option added to (or deleted from) ServiceConfig
-        # or the scenario ``service:``/``geo:`` blocks must show up in the
-        # "Serving options" table, and a row there must exist in the code.
+        # Options lint: an option added to (or deleted from) ServiceConfig,
+        # the scenario ``service:``/``geo:`` blocks or the store's ``save``
+        # must show up in the "Serving options" table, and a row there must
+        # exist in the code.
+        import inspect
+
         from repro.chaos.scenario import _GEO_KEYS, _SERVICE_KEYS
         from repro.service import ServiceConfig
+        from repro.store import VersionedKnowledgeStore
 
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
         section = text.split("### Serving options", 1)[1].split("\n#", 1)[0]
-        documented = {"ServiceConfig": set(), "service:": set(), "geo:": set()}
+        save = "VersionedKnowledgeStore.save"
+        documented = {"ServiceConfig": set(), "service:": set(), "geo:": set(), save: set()}
         for name, where in re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M):
             homes = re.findall(r"`([^`]+)`", where)
             assert homes and set(homes) <= set(documented), (
@@ -157,6 +162,8 @@ class TestOperationsReferenceComplete:
             "ServiceConfig": {field.name for field in fields(ServiceConfig)},
             "service:": set(_SERVICE_KEYS),
             "geo:": set(_GEO_KEYS),
+            save: set(inspect.signature(VersionedKnowledgeStore.save).parameters)
+            - {"self", "path"},
         }
 
     def test_metrics_glossary_covers_snapshot_fields(self):
@@ -291,7 +298,7 @@ class TestStorageEngineDocsComplete:
     def test_operations_documents_the_migration_path(self):
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
         for needle in (
-            "`convert`", "--format", "segment", "jsonl",
+            "`convert`", "imported once", "export", "segment", "jsonl",
             "state digest", "bench_segment.py",
         ):
             assert needle in text, f"operations.md migration note misses {needle!r}"

@@ -93,7 +93,8 @@ def test_segment_round_trip_digest_parity(tmp_path):
     store.save(jsonl_path, format="jsonl")
     store.save(segment_path, format="segment", checkpoint_interval=50)
 
-    via_jsonl = VersionedKnowledgeStore.load(jsonl_path)
+    # The JSONL export replayed from zero is the reference path.
+    via_jsonl = VersionedKnowledgeStore.replay(MutationLog.load(jsonl_path)[0])
     via_segment = VersionedKnowledgeStore.load(segment_path)
     assert via_segment.epoch == via_jsonl.epoch == store.epoch
     assert via_segment.state_digest() == via_jsonl.state_digest() == store.state_digest()
@@ -143,7 +144,7 @@ def test_incremental_save_appends_tail(tmp_path):
     loaded.apply([Mutation.add_triple("tail", "p0", "tail-object")])
     loaded.apply([Mutation.add_document(_document(999))])
     second = str(tmp_path / "log2.seg")
-    loaded.save(second)  # sticks to segment format, incremental path
+    loaded.save(second)  # a segment-loaded store takes the incremental path
     reloaded = VersionedKnowledgeStore.load(second)
     assert reloaded.epoch == loaded.epoch
     assert reloaded.state_digest() == loaded.state_digest()
@@ -173,7 +174,7 @@ def test_sharded_store_segment_round_trip(tmp_path):
         [Mutation.add_triple(f"e{rng.randrange(20)}", "p", f"e{rng.randrange(20)}") for _ in range(30)]
     )
     prefix = str(tmp_path / "fleet")
-    fleet.save(prefix, format="segment")
+    fleet.save(prefix)
     loaded = ShardedStore.load(prefix, num_shards=2)
     assert loaded.state_digest() == fleet.state_digest()
     assert all(isinstance(shard.log, SegmentBackedLog) for shard in loaded.shards)
@@ -281,14 +282,72 @@ def test_truncated_segment_missing_footer_recovers(tmp_path):
 
 
 def test_empty_and_garbage_files_raise_typed_error(tmp_path):
-    empty = tmp_path / "empty.seg"
-    empty.write_bytes(b"")
-    with pytest.raises(CorruptSegmentError):
-        SegmentReader.open(str(empty))
-    garbage = tmp_path / "garbage.seg"
-    garbage.write_bytes(b"RSEGMT01" + os.urandom(64))
-    with pytest.raises(CorruptSegmentError):
-        SegmentReader.open(str(garbage))
+    """Nothing but a segment opens — through the reader or through
+    ``load``, which used to sniff the magic and hand anything else to the
+    JSONL parser (an empty file came back as an empty store at epoch 0, a
+    file cut inside the magic as ``JSONDecodeError``, binary junk as
+    ``UnicodeDecodeError``)."""
+    inputs = {
+        "empty": b"",
+        "garbage-behind-the-magic": b"RSEGMT01" + os.urandom(64),
+        "cut-inside-the-magic": b"RSEG",
+        "binary-junk": bytes(range(128, 256)) * 4,
+        "jsonl-log": b'{"kind": "header", "version": 1, "floor_epoch": 0}\n',
+    }
+    for name, content in inputs.items():
+        path = tmp_path / f"{name}.seg"
+        path.write_bytes(content)
+        with pytest.raises(CorruptSegmentError):
+            SegmentReader.open(str(path))
+        with pytest.raises(CorruptSegmentError):
+            VersionedKnowledgeStore.load(str(path))
+    with pytest.raises(CorruptSegmentError, match="import it with `convert`"):
+        VersionedKnowledgeStore.load(str(tmp_path / "jsonl-log.seg"))
+
+
+class _Reduces:
+    """Pickles to a call of ``target(*args)`` — what a crafted checkpoint
+    would carry to run code inside ``pickle.loads``."""
+
+    def __init__(self, target, *args):
+        self.call = (target, args)
+
+    def __reduce__(self):
+        return self.call
+
+
+@pytest.mark.parametrize("footer", [True, False], ids=["load", "scan-recovery"])
+@pytest.mark.parametrize(
+    "target, argument",
+    [(os.system, "touch {marker}"), (eval, "open({marker!r}, 'w')")],
+    ids=["os.system", "builtins.eval"],
+)
+def test_checkpoint_pickle_cannot_import_a_global(tmp_path, target, argument, footer):
+    """Every ``load`` unpickles a checkpoint, so a CRC-valid checkpoint
+    block that reduces to a callable must raise, and run nothing."""
+    import pickle
+
+    from repro.store import SegmentWriter
+    from repro.store.segment import BLOCK_CHECKPOINT
+
+    marker = tmp_path / "executed"
+    gadget = _Reduces(target, argument.format(marker=str(marker)))
+    path = str(tmp_path / "crafted.seg")
+    with SegmentWriter(path) as writer:
+        writer.append_batch(1, [Mutation.add_triple("a", "p", "b")])
+        writer._flush_records(partial_ok=False)
+        # A well-formed checkpoint block (valid CRC, indexed by the footer)
+        # whose ``epoch`` unpickles through the gadget.
+        state = {"epoch": gadget, "graph_core": {}, "documents": [], "removed_since_reintern": 0}
+        writer._write_block(BLOCK_CHECKPOINT, 0, 0, pickle.dumps(state), 1, 1)
+    if not footer:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[:-4])  # lose the end magic: forward CRC scan
+    with pytest.raises(CorruptSegmentError, match="checkpoint pickle references"):
+        VersionedKnowledgeStore.load(path)
+    assert not marker.exists()
 
 
 def test_midfile_bitflip_raises_on_read(tmp_path):

@@ -177,7 +177,7 @@ class TestShardedStore:
 
     def test_save_load_round_trip(self, tmp_path):
         store = ShardedStore.partition(_triples(50), _documents(20), num_shards=2)
-        prefix = str(tmp_path / "fleet.jsonl")
+        prefix = str(tmp_path / "fleet")
         paths = store.save(prefix)
         assert len(paths) == 2
         loaded = ShardedStore.load(prefix, 2)

@@ -12,11 +12,17 @@ The load-bearing properties pinned here:
   observable behaviour;
 * snapshots are immutable point-in-time views, cheap at the current epoch;
 * compaction preserves state, raises the snapshot floor, and keeps the
-  ``store == replay(log)`` invariant.
+  ``store == replay(log)`` invariant;
+* **one durable format** — every way of persisting a store writes a
+  segment file that reloads to the live state; JSONL is only ever an
+  export, and no pass-through or CLI flag can choose otherwise.
 """
 
 from __future__ import annotations
 
+import inspect
+import io
+import json
 import random
 
 import pytest
@@ -26,12 +32,16 @@ from repro.retrieval import Corpus, SearchEngine
 from repro.retrieval.corpus import Document
 from repro.retrieval.embeddings import HashingEmbedder
 from repro.store import (
+    EdgeReplica,
+    GeoReplicator,
     Mutation,
     MutationLog,
+    ShardedStore,
     StoreConfig,
     VersionedKnowledgeStore,
     read_mutations_jsonl,
 )
+from repro.store.segment import SEGMENT_MAGIC
 
 
 def _triples(count: int, seed: int = 0) -> list:
@@ -159,7 +169,7 @@ class TestReplayDeterminism:
 
     def test_save_load_round_trip_preserves_state_and_config(self, store, tmp_path):
         store.apply([Mutation.add_document(d) for d in _documents(3, prefix="x")])
-        path = str(tmp_path / "store.jsonl")
+        path = str(tmp_path / "store.seg")
         store.save(path)
         loaded = VersionedKnowledgeStore.load(path)
         assert loaded.epoch == store.epoch
@@ -291,7 +301,7 @@ class TestCompaction:
         twin = VersionedKnowledgeStore.replay(store.log, config=store.config)
         assert twin.state_digest() == store.state_digest()
         # And it round-trips through disk.
-        path = str(tmp_path / "compacted.jsonl")
+        path = str(tmp_path / "compacted.seg")
         store.save(path)
         assert VersionedKnowledgeStore.load(path).state_digest() == store.state_digest()
 
@@ -350,3 +360,149 @@ class TestGraphCopy:
         assert clone.contains("a", "p", "b")
         assert not graph.contains("c", "p", "d")
         assert len(graph) == 0 and len(clone) == 2
+
+
+# ---------------------------------------------------------------------------
+# one durable format
+
+
+def _digest(store: VersionedKnowledgeStore) -> str:
+    return store.state_digest(include_index=False)
+
+
+def _cli(*argv: str) -> str:
+    from repro.benchmark.cli import main
+
+    out = io.StringIO()
+    assert main(list(argv), stream=out) == 0
+    return out.getvalue()
+
+
+def _ops_file(tmp_path) -> tuple:
+    """A mutations file for the CLI and the same batch for an in-process twin."""
+    batch = [Mutation("add_triple", triple=t) for t in _triples(40)]
+    batch += [Mutation.add_document(d) for d in _documents(6)]
+    path = tmp_path / "ops.jsonl"
+    path.write_text("".join(json.dumps(m.to_json()) + "\n" for m in batch))
+    return str(path), batch
+
+
+# Each way of persisting returns [(file written, digest of the live state)].
+
+
+def _via_store_save(tmp_path):
+    store = VersionedKnowledgeStore.bootstrap(_triples(60), _documents(10))
+    store.save(str(tmp_path / "s"))
+    return [(str(tmp_path / "s"), _digest(store))]
+
+
+def _via_sharded_save(tmp_path):
+    fleet = ShardedStore.partition(_triples(60), _documents(10), num_shards=2)
+    paths = fleet.save(str(tmp_path / "fleet"))
+    return list(zip(paths, map(_digest, fleet.shards)))
+
+
+def _via_edge_save(tmp_path):
+    fleet = ShardedStore.partition(_triples(60), _documents(10), num_shards=2)
+    edge = GeoReplicator(fleet).add_edge("edge-0")
+    paths = edge.save(str(tmp_path / "edge"))
+    return list(zip(paths, map(_digest, edge.stores)))
+
+
+def _via_cli_ingest(tmp_path):
+    ops, batch = _ops_file(tmp_path)
+    _cli("ingest", "--store", str(tmp_path / "s"), "--mutations", ops)
+    twin = VersionedKnowledgeStore()
+    twin.apply(batch)
+    return [(str(tmp_path / "s"), _digest(twin))]
+
+
+def _via_cli_sharded_ingest(tmp_path):
+    ops, batch = _ops_file(tmp_path)
+    _cli("ingest", "--store", str(tmp_path / "s"), "--mutations", ops, "--shards", "2")
+    twin = ShardedStore.partition(num_shards=2)
+    twin.apply(batch)
+    return [(f"{tmp_path / 's'}.shard{i}", _digest(shard)) for i, shard in enumerate(twin.shards)]
+
+
+def _via_cli_compact(tmp_path):
+    ops, batch = _ops_file(tmp_path)
+    _cli("ingest", "--store", str(tmp_path / "s"), "--mutations", ops)
+    _cli("compact", "--store", str(tmp_path / "s"), "--output", str(tmp_path / "c"))
+    twin = VersionedKnowledgeStore()
+    twin.apply(batch)
+    twin.compact()
+    return [(str(tmp_path / "c"), _digest(twin))]
+
+
+def _via_save_compact_save(tmp_path):
+    store = VersionedKnowledgeStore.bootstrap(_triples(60), _documents(10))
+    store.save(str(tmp_path / "s"))
+    store.compact()
+    store.save(str(tmp_path / "s"))
+    return [(str(tmp_path / "s"), _digest(store))]
+
+
+def _via_load_apply_save(tmp_path):
+    VersionedKnowledgeStore.bootstrap(_triples(60), _documents(10)).save(str(tmp_path / "s"))
+    store = VersionedKnowledgeStore.load(str(tmp_path / "s"))
+    store.apply([Mutation.add_triple("late", "p0", "e1")])
+    store.save(str(tmp_path / "s"))
+    return [(str(tmp_path / "s"), _digest(store))]
+
+
+_WAYS_TO_PERSIST = {
+    "VersionedKnowledgeStore.save": _via_store_save,
+    "ShardedStore.save": _via_sharded_save,
+    "EdgeReplica.save": _via_edge_save,
+    "cli ingest": _via_cli_ingest,
+    "cli ingest --shards 2": _via_cli_sharded_ingest,
+    "cli compact": _via_cli_compact,
+    "save, compact(), save": _via_save_compact_save,
+    "load, apply, save": _via_load_apply_save,
+}
+
+
+class TestOneDurableFormat:
+    @pytest.mark.parametrize("way", sorted(_WAYS_TO_PERSIST))
+    def test_every_way_of_persisting_leaves_segments_that_reload_to_live_state(
+        self, way, tmp_path
+    ):
+        written = _WAYS_TO_PERSIST[way](tmp_path)
+        assert written
+        for path, live_digest in written:
+            with open(path, "rb") as handle:
+                assert handle.read(len(SEGMENT_MAGIC)) == SEGMENT_MAGIC, path
+            assert _digest(VersionedKnowledgeStore.load(path)) == live_digest, path
+
+    def test_convert_exports_and_imports_without_being_told_which(self, tmp_path):
+        segment, exported, imported = (str(tmp_path / n) for n in ("s", "e.jsonl", "s2"))
+        store = VersionedKnowledgeStore.bootstrap(
+            _triples(60), _documents(10), config=StoreConfig(graph_rebuild_fraction=0.05)
+        )
+        store.apply([Mutation.remove_triple(*t.as_tuple()) for t in list(store.graph)[:20]])
+        store.save(segment)
+        assert "(jsonl)" in _cli("convert", "--store", segment, "--output", exported)
+        assert json.loads(open(exported).readline())["kind"] == "header"
+        assert "(segment)" in _cli("convert", "--store", exported, "--output", imported)
+        reloaded = VersionedKnowledgeStore.load(imported)
+        assert _digest(reloaded) == _digest(store)
+        assert reloaded.config == store.config
+
+    def test_format_is_one_argument_of_one_method(self, tmp_path):
+        from repro.benchmark.cli import build_service_parser
+
+        assert "format" in inspect.signature(VersionedKnowledgeStore.save).parameters
+        for passthrough in (ShardedStore.save, EdgeReplica.save):
+            assert "format" not in inspect.signature(passthrough).parameters
+        store = VersionedKnowledgeStore.bootstrap(_triples(10))
+        with pytest.raises(ValueError, match="unknown store format"):
+            store.save(str(tmp_path / "s"), format="auto")
+        for argv in (
+            ["ingest", "--store", "s", "--mutations", "m", "--format", "segment"],
+            ["compact", "--store", "s", "--format", "segment"],
+            ["convert", "--store", "s", "--output", "o", "--format", "jsonl"],
+        ):
+            with pytest.raises(SystemExit):
+                build_service_parser().parse_args(argv)
+            build_service_parser().parse_args(argv[:-2])  # ... and only for the flag
