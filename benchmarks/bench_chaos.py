@@ -1,26 +1,17 @@
-"""Chaos-engineering benchmark: fault injection, retry budgets, degradation.
+"""Chaos latency floor: failover under kills must not blow up the tail.
 
-Four floors, mirroring the PR 6 acceptance criteria:
+One floor — a timing ratio no ``benchmarks/e2e`` cell covers, because every
+e2e workload runs fault-free:
 
-1. **Kill one replica per shard under load: zero FAILED, p99 <= 3x the
-   fault-free reference.**  A declarative scenario kills ``replica:1`` of
-   every shard mid-run; the closed-loop report must show every request
-   COMPLETED (failover absorbs the kills) with tail latency within 3x of
-   the fault-free cell of the same matrix.
+**Kill one replica per shard under load: zero FAILED, p99 <= 3x the
+fault-free reference.**  A declarative scenario kills ``replica:1`` of
+every shard mid-run; the closed-loop report must show every request
+COMPLETED (failover absorbs the kills) with tail latency within 3x of
+the fault-free cell of the same matrix.
 
-2. **Retry budget exhaustion with a warm last-known-good cache: DEGRADED,
-   not FAILED.**  With every replica of a shard erroring and the retry
-   budget spent, requests whose verdict was served before must come back
-   as stale, epoch-tagged ``DEGRADED`` responses — never ``FAILED``.
-
-3. **Counters exact.**  ``retries`` / ``degraded`` / ``budget_exhausted``
-   in the metrics snapshot must equal the closed-form expectation from the
-   retry policy, and the per-outcome accounting must sum to the number of
-   submitted requests.
-
-4. **Determinism.**  The same scenario + seed twice must produce a
-   byte-identical run table (deterministic view: cell coordinates, request
-   counts, failure counts, invariant verdicts, verdict digests).
+The clock-free resilience mechanisms — ``DEGRADED`` not ``FAILED`` after
+budget exhaustion with exact retry counters, run-table determinism — are
+tier-1 tests in ``tests/test_chaos.py``.
 
 Run with::
 
@@ -30,27 +21,11 @@ Run with::
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 from conftest import run_once
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
-from repro.chaos import (
-    FaultEvent,
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-    ScenarioRunner,
-    load_scenario,
-)
-from repro.service import (
-    LoadGenerator,
-    RetryPolicy,
-    ServiceConfig,
-    ShardedValidationService,
-    build_workload,
-)
+from repro.chaos import ScenarioRunner, load_scenario
 
 METHODS = ("dka",)
 MODELS = ("gemma2:9b",)
@@ -136,99 +111,3 @@ def test_benchmark_kill_one_replica_per_shard_latency_floor(
         f"p99 under kill-one-replica-per-shard is {ratio:.2f}x the fault-free "
         f"reference (floor: 3x)"
     )
-
-
-def test_benchmark_budget_exhaustion_serves_degraded_not_failed(
-    benchmark, chaos_bench_runner
-):
-    runner = chaos_bench_runner
-    policy = RetryPolicy(max_attempts=3, base_backoff_s=0.001, max_backoff_s=0.01)
-    config = ServiceConfig(
-        max_batch_size=8, queue_depth=4096, enable_cache=False, time_scale=0.0
-    )
-    workload = build_workload(
-        [runner.dataset("factbench")], METHODS, MODELS, 120, seed=5
-    )
-    # Every replica of shard 0 errors on every batch, forever.
-    schedule = FaultSchedule(
-        [FaultEvent(at_s=0.0, target="shard:0", fault=FaultSpec.parse("error:1.0"))]
-    )
-
-    def run() -> tuple:
-        router = ShardedValidationService.from_runner(
-            runner, 1, config, replicas=2, retry_policy=policy
-        )
-        generator = LoadGenerator(router, workload, concurrency=16)
-
-        async def go():
-            async with router:
-                warm = await generator.run()
-                injector = FaultInjector(schedule, clock=router.clock, seed=23)
-                router.set_fault_injection(injector)
-                injector.start()
-                dark = await LoadGenerator(router, workload, concurrency=16).run()
-                return warm, dark, router.metrics.snapshot()
-
-        return asyncio.run(go())
-
-    warm, dark, snapshot = run_once(benchmark, run)
-    total = len(workload)
-
-    print()
-    print(dark.format_table("retry budget exhausted, warm stale cache"))
-
-    # Floor: the warm pass answered everything, so under a total shard
-    # outage every request degrades to its stale verdict — zero FAILED.
-    assert warm.completed == total and warm.failures == 0
-    assert dark.failures == 0, f"{dark.failures} FAILED despite a warm stale cache"
-    assert dark.degraded == total, f"only {dark.degraded}/{total} DEGRADED"
-    for request, response in zip(dark.requests, dark.responses):
-        assert response.degraded
-        assert response.stale_epoch is not None, "DEGRADED response missing its epoch tag"
-        assert response.result is not None
-
-    # Floor: stale verdicts match what the warm pass served.
-    assert dark.verdicts() == warm.verdicts(), "degraded verdicts diverged"
-
-    # Floor: counters exact.  Each degraded request made max_attempts full
-    # passes: max_attempts - 1 retries, one budget exhaustion, one
-    # degradation; and the per-outcome accounting sums to the submissions.
-    expected_retries = total * (policy.max_attempts - 1)
-    assert snapshot.degraded == total, snapshot
-    assert snapshot.budget_exhausted == total, snapshot
-    assert snapshot.retries == expected_retries, (
-        f"expected exactly {expected_retries} retries, counted {snapshot.retries}"
-    )
-    counts = dark.outcome_counts()
-    assert sum(counts.values()) == total, counts
-    print(
-        f"\n{total} requests: {snapshot.retries} retries, "
-        f"{snapshot.budget_exhausted} budget exhaustions, "
-        f"{snapshot.degraded} DEGRADED, 0 FAILED"
-    )
-
-
-def test_benchmark_scenario_run_table_deterministic(benchmark, chaos_bench_runner):
-    scenario_dict = _kill_scenario()
-    scenario_dict["requests"] = 120
-    scenario_dict["matrix"]["traffic"] = [
-        {"shape": "steady"},
-        {"shape": "zipf", "zipf_s": 1.2},
-        {"shape": "flash_crowd", "burst_intensity": 0.8},
-    ]
-
-    def run_table_csv() -> str:
-        scenario = load_scenario(scenario_dict)
-        table = ScenarioRunner(chaos_bench_runner, scenario).run()
-        assert table.ok, f"invariant failures: {table.failed_checks()}"
-        return table.csv(include_timings=False)
-
-    first = run_once(benchmark, run_table_csv)
-    second = run_table_csv()
-
-    # Floor: same scenario + seed -> byte-identical deterministic view.
-    assert first.encode("utf-8") == second.encode("utf-8"), (
-        "run table deterministic view changed between identical runs:\n"
-        f"--- first ---\n{first}\n--- second ---\n{second}"
-    )
-    print(f"\ndeterministic run table ({len(first.splitlines()) - 1} cells):\n{first}")

@@ -11,7 +11,11 @@ point                     where it fires
 ``store``                  the router's write path, before a mutation batch
                            fans out (:meth:`ShardedValidationService.apply_mutations`)
 ``store/ship``             :meth:`~repro.store.sharding.ReplicaGroup.apply`,
-                           before shipping a batch to the secondaries
+                           before shipping a batch to the secondaries —
+                           direct callers of that method only: the served
+                           write path ships through each replica's
+                           ``ValidationService.apply_mutations`` and never
+                           fires it, so scenarios may not target it
 ``frontend``               the TCP front-end, per decoded request line
 ``edge:{i}``               a geo edge's background drain loop, per tick
                            (``kill`` removes the edge; ``stall``/``error``

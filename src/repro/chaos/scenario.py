@@ -310,6 +310,14 @@ def _parse_fault_case(index: int, raw: object) -> FaultCase:
             _require(
                 key in row, f"fault case {name!r} schedule[{row_index}] needs {key!r}"
             )
+        # The router ships through each replica's own apply_mutations, never
+        # ReplicaGroup.apply: a store/ship schedule would run fault-free and
+        # its invariants pass vacuously.
+        _require(
+            row["target"] != "store/ship",
+            f"fault case {name!r} schedule[{row_index}] targets 'store/ship', "
+            "which is not on the served write path; target 'store'",
+        )
         try:
             events.append(
                 FaultEvent(

@@ -543,10 +543,10 @@ def render_exposition(families: Iterable[MetricFamily]) -> str:
 def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
     """Parse Prometheus-style text back into ``{name: {kind, samples}}``.
 
-    A deliberately strict consumer used by the tests and the ``bench_obs``
-    floor: every non-comment line must be ``name{labels} value`` with the
-    name's ``# TYPE`` declared first.  Raises :class:`ValueError` on any
-    malformed line — the floor's "exposition output parses" check.
+    A deliberately strict consumer used by the tests: every non-comment
+    line must be ``name{labels} value`` with the name's ``# TYPE`` declared
+    first.  Raises :class:`ValueError` on any malformed line — the
+    "exposition output parses" check.
 
     Each family dict carries ``kind``, ``samples`` (``(name, labels, value)``
     triples, the stable consumer shape), plus everything :func:`reexpose`

@@ -40,9 +40,6 @@ class ServiceConfig:
         simulated models return latencies without sleeping, so the service
         converts them into real event-loop time at this scale to exercise
         genuine concurrency; ``0.0`` disables sleeping (pure accounting).
-    latency_window:
-        Ring-buffer size for the latency percentiles in
-        :class:`~repro.service.metrics.ServiceMetrics`.
     """
 
     max_batch_size: int = 16
@@ -52,7 +49,6 @@ class ServiceConfig:
     cache_capacity: int = 4096
     batch_overhead_s: float = 0.25
     time_scale: float = 0.0
-    latency_window: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -63,5 +59,3 @@ class ServiceConfig:
             raise ValueError("cache_capacity must be >= 1")
         if self.batch_linger_s < 0 or self.batch_overhead_s < 0 or self.time_scale < 0:
             raise ValueError("durations must be non-negative")
-        if self.latency_window < 1:
-            raise ValueError("latency_window must be >= 1")

@@ -47,6 +47,9 @@ SERVICE_METRIC_NAMES = (
     "service_request_latency_seconds",
 )
 
+#: Raw samples the latency histogram keeps behind the percentiles.
+LATENCY_WINDOW = 4096
+
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
@@ -147,7 +150,7 @@ class ServiceMetrics:
 
     def __init__(
         self,
-        window: int = 4096,
+        window: int = LATENCY_WINDOW,
         telemetry: Optional[TelemetryCollector] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:

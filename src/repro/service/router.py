@@ -102,6 +102,15 @@ ROUTER_METRIC_NAMES = (
     "router_geo_session_fallbacks_total",
 )
 
+#: Bound on the last-known-good verdict cache backing graceful degradation
+#: (LRU-evicted beyond it).
+STALE_CACHE_CAPACITY = 4096
+
+#: Most queued batches one background drain tick applies; the rest wait for
+#: the next tick, so a backlogged edge never monopolises the event loop and
+#: back-pressures primary writes through scheduling delay.
+DRAIN_BATCH_LIMIT = 8
+
 
 @dataclass
 class ReplicaHealth:
@@ -592,9 +601,6 @@ class ShardedValidationService:
         retry backoff, and deadlines; defaults to the real
         :class:`~repro.chaos.clock.MonotonicClock`.  Tests pass a
         :class:`~repro.chaos.clock.VirtualClock` for deterministic timing.
-    stale_cache_capacity:
-        Bound on the last-known-good verdict cache backing graceful
-        degradation (LRU-evicted beyond it).
     geo / edge_services:
         The asynchronous geo tier: a
         :class:`~repro.store.GeoReplicator` over the attached store's
@@ -610,16 +616,11 @@ class ShardedValidationService:
         the visible-staleness bound.  ``None`` disables the bound.
     drain_interval_s / edge_lag_s:
         Seconds between drain ticks per edge (plus the per-edge extra lag
-        from ``edge_lag_s`` — the injected-lag knob benches and chaos
-        scenarios turn).  Writes never wait on a drain: the primary
-        acknowledges as soon as its own tier applied.
-    drain_batch_limit:
-        Most queued batches one background drain tick may apply (default
-        8); the rest wait for the next tick.  Bounding the slice keeps a
-        backlogged edge from monopolising the event loop and
-        back-pressuring primary writes through scheduling delay — the
-        very coupling the async queues exist to prevent.  ``None``
-        removes the cap.  :meth:`drain_edges` is never capped.
+        from ``edge_lag_s`` — the injected-lag knob chaos scenarios
+        turn).  Writes never wait on a drain: the primary acknowledges
+        as soon as its own tier applied.  A background tick applies at
+        most :data:`DRAIN_BATCH_LIMIT` queued batches;
+        :meth:`drain_edges` is never capped.
     drain_seed:
         Seed for the drain scheduler's shard-order shuffle.  Deterministic
         run-table columns must be byte-identical across drain seeds (the
@@ -643,13 +644,11 @@ class ShardedValidationService:
         probe_interval_s: float = 0.25,
         retry_policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
-        stale_cache_capacity: int = 4096,
         geo: Optional[GeoReplicator] = None,
         edge_services: Optional[Mapping[str, Sequence[ValidationService]]] = None,
         staleness_bound_epochs: Optional[int] = None,
         drain_interval_s: float = 0.02,
         edge_lag_s: Optional[Mapping[str, float]] = None,
-        drain_batch_limit: Optional[int] = 8,
         drain_seed: int = 0,
     ) -> None:
         if not shards:
@@ -660,8 +659,6 @@ class ShardedValidationService:
             raise ValueError("unhealthy_after must be >= 1")
         if probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
-        if stale_cache_capacity < 1:
-            raise ValueError("stale_cache_capacity must be >= 1")
         if isinstance(shards[0], ValidationService):
             self.groups: List[List[ValidationService]] = [
                 [service] for service in shards  # type: ignore[list-item]
@@ -722,7 +719,6 @@ class ShardedValidationService:
         # Last known good verdict per request coordinates, with the owning
         # shard's epoch it was computed at — the graceful-degradation store.
         self._stale: "OrderedDict[tuple, Tuple[ValidationResult, int]]" = OrderedDict()
-        self._stale_capacity = stale_cache_capacity
         # Chaos: armed via set_fault_injection; fires the "store" point on
         # the ingest path (replica-level points live on the services).
         self._injector = None
@@ -739,8 +735,6 @@ class ShardedValidationService:
             raise ValueError("staleness_bound_epochs must be >= 0 when set")
         if drain_interval_s <= 0:
             raise ValueError("drain_interval_s must be positive")
-        if drain_batch_limit is not None and drain_batch_limit < 1:
-            raise ValueError("drain_batch_limit must be >= 1 when set")
         self.geo = geo
         self.edge_services: Dict[str, List[ValidationService]] = (
             {name: list(services) for name, services in edge_services.items()}
@@ -758,7 +752,6 @@ class ShardedValidationService:
                     )
         self.staleness_bound_epochs = staleness_bound_epochs
         self.drain_interval_s = drain_interval_s
-        self.drain_batch_limit = drain_batch_limit
         self.edge_lag_s: Dict[str, float] = dict(edge_lag_s or {})
         self.drain_seed = drain_seed
         self._drain_rng = random.Random(drain_seed)
@@ -810,7 +803,6 @@ class ShardedValidationService:
         staleness_bound_epochs: Optional[int] = None,
         drain_interval_s: float = 0.02,
         edge_lag_s: Optional[Mapping[str, float]] = None,
-        drain_batch_limit: Optional[int] = 8,
         drain_seed: int = 0,
         queue_dir: Optional[str] = None,
     ) -> "ShardedValidationService":
@@ -896,7 +888,6 @@ class ShardedValidationService:
             staleness_bound_epochs=staleness_bound_epochs,
             drain_interval_s=drain_interval_s,
             edge_lag_s=edge_lag_s,
-            drain_batch_limit=drain_batch_limit,
             drain_seed=drain_seed,
         )
 
@@ -1137,11 +1128,11 @@ class ShardedValidationService:
         lag, consults the fault injector at point ``edge:{index}`` (kill →
         :meth:`kill_edge`; stall/error → skip the tick, the partition
         case — the edge keeps serving stale reads; slow → extra sleep),
-        then drains at most ``drain_batch_limit`` queued batches so a
-        deep backlog never monopolises the event loop.  Unexpected drain
-        errors
-        (divergence, a validation refusal) kill the edge and are recorded
-        in :attr:`drain_errors` rather than dying silently in a task.
+        then drains at most :data:`DRAIN_BATCH_LIMIT` queued batches so
+        a deep backlog never monopolises the event loop.  Unexpected
+        drain errors (divergence, a validation refusal) kill the edge and
+        are recorded in :attr:`drain_errors` rather than dying silently
+        in a task.
         """
         point = f"edge:{index}"
         try:
@@ -1168,7 +1159,7 @@ class ShardedValidationService:
                         # this tick) but the edge keeps serving stale reads.
                         continue
                 try:
-                    await self._drain_edge(name, self.drain_batch_limit)
+                    await self._drain_edge(name, DRAIN_BATCH_LIMIT)
                 except asyncio.CancelledError:
                     raise
                 except Exception as exc:
@@ -1702,9 +1693,11 @@ class ShardedValidationService:
         Compiles the injector's fault points into every layer this router
         fronts: each replica service fires ``shard:{i}/replica:{j}`` before
         executing a micro-batch, the router fires ``store`` on the ingest
-        path, and the attached :class:`~repro.store.ShardedStore` /
-        per-shard :class:`~repro.store.ReplicaGroup` objects check
-        ``store`` / ``store/ship`` inside their synchronous apply paths.
+        path, and the attached :class:`~repro.store.ShardedStore` checks
+        ``store`` inside its synchronous ``apply``.  ``store/ship`` is not
+        armed: the served write path ships through each replica's
+        :meth:`ValidationService.apply_mutations` and never crosses
+        :meth:`ReplicaGroup.apply`, the only place it exists.
         ``kill`` events are *not* fired here — the scenario driver consumes
         :meth:`~repro.chaos.faults.FaultInjector.due_kills` and calls
         :meth:`kill_replica` so kills share the ops-eviction semantics.
@@ -1724,9 +1717,6 @@ class ShardedValidationService:
                 )
         if self.store is not None:
             self.store.fault_injector = injector
-        if self.replica_groups is not None:
-            for replica_group in self.replica_groups:
-                replica_group.fault_injector = injector
 
     # ---------------------------------------------------------------- observability
 
@@ -1736,11 +1726,12 @@ class ShardedValidationService:
         Fans the bundle's tracer and event log out to every layer this
         router fronts: each replica service traces ``service.submit`` /
         ``worker.execute`` / ``store.read`` under the point label
-        ``shard:{i}/replica:{j}`` and emits quiesce events; the attached
-        store shards / replica groups trace ``store.apply`` and
-        ``store.ship``; the router itself traces ``router.route`` /
-        ``router.attempt`` / ``replica.call`` and emits health, failover,
-        and budget events.
+        ``shard:{i}/replica:{j}`` and emits quiesce events; every store
+        copy traces ``store.apply``; the router itself traces
+        ``router.route`` / ``router.attempt`` / ``replica.call`` and emits
+        health, failover, and budget events.  ``store.ship`` belongs to
+        direct :meth:`ReplicaGroup.apply` callers; a served ingest ships
+        through the replica services and never records it.
         """
         tracer = obs.tracer if obs is not None else None
         events = obs.events if obs is not None else None
@@ -1763,7 +1754,6 @@ class ShardedValidationService:
                 shard.tracer = tracer
         if self.replica_groups is not None:
             for replica_group in self.replica_groups:
-                replica_group.tracer = tracer
                 for store in replica_group.stores:
                     store.tracer = tracer
 
@@ -1783,7 +1773,7 @@ class ShardedValidationService:
         # ``response.epoch`` is pre-stamp here: the owning shard's epoch.
         self._stale[key] = (response.result, response.epoch)
         self._stale.move_to_end(key)
-        while len(self._stale) > self._stale_capacity:
+        while len(self._stale) > STALE_CACHE_CAPACITY:
             self._stale.popitem(last=False)
 
     def _replica_label(self, shard_index: int, replica_index: int) -> str:

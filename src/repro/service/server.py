@@ -186,7 +186,7 @@ class ValidationService:
             if self.config.enable_cache
             else None
         )
-        self.metrics = ServiceMetrics(self.config.latency_window, telemetry)
+        self.metrics = ServiceMetrics(telemetry=telemetry)
         self._pipeline = ValidationPipeline()
         self._strategies: Dict[Tuple[str, str, str], ValidationStrategy] = {}
         self._queues: Dict[Tuple[str, str], asyncio.Queue] = {}

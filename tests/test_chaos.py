@@ -554,6 +554,14 @@ class TestScenarioValidation:
                 "unknown fault target",
             ),
             (
+                # Valid grammar, but the served write path never fires it:
+                # the schedule would run fault-free and pass vacuously.
+                lambda s: s["matrix"]["faults"][0]["schedule"].__setitem__(
+                    0, {"at_s": 0.0, "target": "store/ship", "fault": "error:1.0"}
+                ),
+                "not on the served write path",
+            ),
+            (
                 lambda s: s["matrix"]["faults"][0]["schedule"].__setitem__(
                     0, {"at_s": 0.0, "target": "store", "fault": "melt"}
                 ),

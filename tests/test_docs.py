@@ -222,19 +222,49 @@ class TestOperationsReferenceComplete:
 
     def test_benchmarks_page_names_every_floor_module(self):
         text = (REPO_ROOT / "docs" / "benchmarks.md").read_text(encoding="utf-8")
-        floors = sorted(
-            path.name
-            for path in (REPO_ROOT / "benchmarks").glob("bench_*.py")
-            if path.name in {
-                "bench_hotpaths.py", "bench_service.py", "bench_store.py",
-                "bench_shards.py", "bench_replicas.py", "bench_chaos.py",
-                "bench_obs.py", "bench_slo.py", "bench_segment.py",
-                "bench_geo.py",
-            }
-        )
-        assert len(floors) == 10
-        for name in floors:
+        for name in ("bench_hotpaths.py", "bench_store.py", "bench_segment.py",
+                     "bench_chaos.py"):
+            assert (REPO_ROOT / "benchmarks" / name).is_file(), f"{name} is missing"
             assert name in text, f"docs/benchmarks.md misses {name}"
+
+    def test_every_bench_file_the_docs_name_exists(self):
+        # A floor file that was retired must leave the docs with it.
+        pages = DOC_FILES + [REPO_ROOT / "benchmarks" / "README.md"]
+        for path in pages:
+            for name in set(re.findall(r"bench_\w+\.py", path.read_text(encoding="utf-8"))):
+                assert (REPO_ROOT / "benchmarks" / name).is_file(), (
+                    f"{path.name} names benchmarks/{name}, which does not exist"
+                )
+
+    def test_what_checks_what_names_real_tests_and_real_cells(self):
+        # The property -> check map is only worth having while every test
+        # id resolves and every cell is one BENCHMARK.json declares.
+        import json
+
+        text = (REPO_ROOT / "docs" / "benchmarks.md").read_text(encoding="utf-8")
+        section = text.split("## What checks what", 1)[1].split("\n## ", 1)[0]
+        ids = re.findall(r"`(test_\w+\.py(?:::\w+)+)`", section)
+        assert len(ids) >= 20, "the map lost its test ids"
+        for test_id in ids:
+            filename, *names = test_id.split("::")
+            source = (REPO_ROOT / "tests" / filename).read_text(encoding="utf-8")
+            for name in names:
+                assert re.search(rf"^\s*(class|def) {name}\b", source, re.M), (
+                    f"docs/benchmarks.md names {test_id}, but {filename} has no {name}"
+                )
+        contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        declared = {
+            entry["name"]
+            for key in ("workloads", "end_to_end", "per_layer")
+            for entry in contract[key]
+        }
+        cells = {
+            token
+            for token in re.findall(r"`([a-z0-9_.]+)`", section)
+            if "." in token and not token.endswith(".py")
+        }
+        assert len(cells) >= 10, "the map lost its cells"
+        assert cells <= declared, f"not in BENCHMARK.json: {sorted(cells - declared)}"
 
 
 class TestGeoTierDocsComplete:
@@ -249,7 +279,7 @@ class TestGeoTierDocsComplete:
         for needle in (
             "OutboundQueue", "EdgeReplica", "GeoReplicator", "watermark",
             "floor_epoch", "bootstrap", "staleness_bound_epochs",
-            "drain_batch_limit", "verify_converged", "read-your-writes",
+            "DRAIN_BATCH_LIMIT", "verify_converged", "read-your-writes",
             "exactly-once",
         ):
             assert needle in text, f"architecture.md geo section misses {needle!r}"
@@ -260,7 +290,8 @@ class TestGeoTierDocsComplete:
         for needle in (
             "`router_geo_watermark_lag_epochs`", "`router_geo_queue_depth`",
             "`replication-staleness`", "staleness_epochs", "kill_edge",
-            "queue_dir", "bench_geo.py",
+            "queue_dir", "client.write_p95_ms",
+            "test_lagging_edge_never_blocks_a_write_nor_serves_past_the_bound",
         ):
             assert needle in text, f"edge-lag runbook misses {needle!r}"
 
@@ -358,6 +389,6 @@ class TestObservabilityRunbookComplete:
             assert f"`{slo.name}`" in runbook, f"runbook misses SLO `{slo.name}`"
         for needle in ("MetricsScraper", "burn rate", "error budget",
                        "expect_alerts", "forbid_alerts", "obs top", "obs slo",
-                       '{"cmd": "slo"}', "bench_slo.py",
+                       '{"cmd": "slo"}', "obs.exposition_ms",
                        "slo-name:severity", "max_series"):
             assert needle in runbook, f"runbook misses {needle!r}"

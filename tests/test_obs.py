@@ -45,6 +45,8 @@ from repro.obs import (
     slowest_path,
 )
 from repro.service import (
+    ROUTER_METRIC_NAMES,
+    SERVICE_METRIC_NAMES,
     RequestOutcome,
     RetryPolicy,
     ServiceConfig,
@@ -225,6 +227,58 @@ class TestMetricsRegistry:
             for name, labels, value in parsed["service_requests_total"]["samples"]
         }
         assert samples[("service_requests_total", '{outcome="completed"}')] == 1
+
+    @pytest.mark.parametrize("edges", [0, 1])
+    def test_fleet_exposition_carries_every_family_and_edge_series(
+        self, obs_runner, edges
+    ):
+        """A 2x2 fleet's merged exposition parses strictly and names every
+        ``SERVICE_METRIC_NAMES``/``ROUTER_METRIC_NAMES`` family; the
+        per-edge ``router_geo_*`` families appear exactly once per
+        configured edge with their ``edge`` label (the session-fallback
+        counter is fleet-level and always present)."""
+        per_edge = [
+            name
+            for name in ROUTER_METRIC_NAMES
+            if name.startswith("router_geo_")
+            and name != "router_geo_session_fallbacks_total"
+        ]
+
+        async def go():
+            router = ShardedValidationService.from_runner(
+                obs_runner,
+                2,
+                ServiceConfig(enable_cache=False),
+                replicas=2,
+                # The geo tier needs a store to replicate.
+                store=obs_runner.sharded_store("factbench", 2).replay_twin()
+                if edges
+                else None,
+                edges=edges,
+            )
+            async with router:
+                await router.submit_many(_requests(obs_runner))
+                return router.metrics.exposition()
+
+        parsed = parse_exposition(asyncio.run(go()))
+        for name in SERVICE_METRIC_NAMES + ROUTER_METRIC_NAMES:
+            if name not in per_edge:
+                assert name in parsed, f"exposition lost metric family {name!r}"
+                continue
+            samples = parsed[name]["samples"] if name in parsed else []
+            edge_labels = [labels for _, labels, _ in samples if 'edge="' in labels]
+            assert len(edge_labels) == edges, f"{name!r}: {edge_labels}"
+            assert all('edge="edge-0"' in labels for labels in edge_labels)
+        # Per-replica series carry fleet coordinates: 2x2 -> four of each.
+        labelled = {
+            labels for _, labels, _ in parsed["service_requests_total"]["samples"]
+        }
+        for shard in (0, 1):
+            for replica in (0, 1):
+                assert any(
+                    f'shard="{shard}"' in labels and f'replica="{replica}"' in labels
+                    for labels in labelled
+                ), f"no series for shard:{shard}/replica:{replica}"
 
 
 # ------------------------------------------------------------------ tracer
@@ -678,6 +732,55 @@ class TestFleetSpanTrees:
         counts = obs.events.counts()
         assert counts.get("quiesce_start") == 2  # both replicas gated
         assert counts.get("quiesce_end") == 2
+
+    def test_served_ingest_fires_store_and_never_crosses_the_ship_point(
+        self, obs_runner
+    ):
+        """Pins the served 2x2 write path: the router fires ``store`` once
+        and every replica copy of both shards traces ``store.apply``.
+        Neither the ``store/ship`` fault point nor a ``store.ship`` span
+        appears — the router ships through each replica's own
+        ``apply_mutations``, never ``ReplicaGroup.apply``."""
+        from repro.store import Mutation
+
+        class RecordingInjector(FaultInjector):
+            def __init__(self, clock):
+                super().__init__(clock=clock)
+                self.points = []
+
+            def active_for(self, point):
+                self.points.append(point)
+                return super().active_for(point)
+
+        clock = VirtualClock()
+        obs = Observability.for_clock(clock, seed=13)
+        injector = RecordingInjector(clock)
+        store = obs_runner.sharded_store("factbench", 2).replay_twin()
+
+        async def go():
+            router = ShardedValidationService.from_runner(
+                obs_runner,
+                2,
+                ServiceConfig(enable_cache=False),
+                store=store,
+                replicas=2,
+                clock=clock,
+            )
+            router.set_observability(obs)
+            router.set_fault_injection(injector)
+            async with router:
+                injector.start()
+                return await router.apply_mutations(
+                    [Mutation.add_triple(f"Ship{i}", "worksFor", "Org") for i in range(6)]
+                )
+
+        report = asyncio.run(go())
+        assert report.shards_touched == (0, 1)
+        assert injector.points == ["store"]
+        names = [
+            span.name for trace in obs.tracer.traces().values() for span in trace
+        ]
+        assert names == ["store.apply"] * 4  # 2 shards x 2 replica copies
 
     def test_store_ship_span_on_replica_group_log_shipping(self, obs_runner):
         from repro.store import Mutation

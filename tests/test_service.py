@@ -162,6 +162,15 @@ class TestAdmissionControl:
         snapshot = service.metrics.snapshot()
         assert snapshot.shed_count == 10
         assert snapshot.completed == 2
+        # Overload costs the shed requests, never the admitted ones' answers.
+        offline = ValidationPipeline().run(
+            service_runner.build_strategy(
+                "dka", "factbench", service_runner.registry.get("gemma2:9b")
+            ),
+            service_runner.dataset("factbench"),
+        )
+        by_fact = {result.fact_id: result for result in offline.results}
+        assert all(r.result == by_fact[r.result.fact_id] for r in completed)
 
     def test_rejection_is_load_shedding_not_an_error(self, service_runner):
         fact = service_runner.dataset("factbench")[0]

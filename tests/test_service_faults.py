@@ -610,3 +610,65 @@ class TestGeoTierFaults:
             served >= floor for served, floor in zip(fresh.epoch_vector, frozen)
         )
         assert fallbacks >= 1
+
+    def test_lagging_edge_never_blocks_a_write_nor_serves_past_the_bound(
+        self, fault_runner
+    ):
+        """No wall clock: on a ``VirtualClock`` nothing moves unless the
+        test advances it, so an edge whose lag is 100x the drain interval
+        never drains.  Every write must still return — with the clock
+        untouched and the edge's queue one batch deeper — because writes
+        never wait on an edge.  A read pinned to that edge falls back to
+        the primary once it trails by more than ``staleness_bound_epochs``,
+        and ``drain_edges()`` converges the digests and hands the read
+        back to the edge."""
+        from repro.chaos.clock import VirtualClock
+        from repro.store import Mutation
+
+        writes, bound = 5, 2
+        clock = VirtualClock()
+        router = ShardedValidationService.from_runner(
+            fault_runner,
+            2,
+            ServiceConfig(enable_cache=False),
+            store=fault_runner.sharded_store("factbench", 2).replay_twin(),
+            clock=clock,
+            edges=1,
+            staleness_bound_epochs=bound,
+            drain_interval_s=0.01,
+            edge_lag_s={"edge-0": 1.0},
+        )
+        request = ServiceRequest(
+            fault_runner.dataset("factbench")[0], "dka", "gemma2:9b"
+        )
+        owner = router.shard_for(request)
+
+        async def go():
+            async with router:
+                for index in range(writes):
+                    await router.apply_mutations(
+                        [
+                            Mutation.add_triple(
+                                request.fact.triple.subject, "updatedBy", f"Feed_{index}"
+                            )
+                        ]
+                    )
+                    assert clock.now() == 0.0
+                    assert router.geo.depth("edge-0") == index + 1
+                assert router.geo.lag_vector("edge-0")[owner] == writes > bound
+                behind = await router.submit(request, region="edge-0")
+                drained = await router.drain_edges()
+                digests = router.geo.verify_converged("edge-0")
+                level = await router.submit(request, region="edge-0")
+                return behind, drained, digests, level
+
+        # A write that waited on the edge would park on the virtual clock
+        # forever; bound the run so that regression fails instead of hanging.
+        behind, drained, digests, level = asyncio.run(asyncio.wait_for(go(), 60.0))
+        assert behind.served_by == "primary" and behind.staleness_epochs == 0
+        assert router.metrics.session_fallbacks == 1
+        assert drained == writes and router.geo.depth("edge-0") == 0
+        assert digests == router.store.state_digests(include_index=False)
+        assert level.served_by == "edge-0" and level.staleness_epochs == 0
+        assert behind.result == level.result
+        assert clock.now() == 0.0

@@ -259,8 +259,9 @@ class TestEvidenceReuse:
 
     @staticmethod
     def _rag_reads_around_ingest(runner, mutations):
-        """Serve four facts, ingest, serve them again; count what the second
-        round cost in searches and upstream (phase 1–2) LLM calls."""
+        """Serve four facts, ingest, serve them again; count what each
+        round cost in searches and whether the second made any upstream
+        (phase 1–2) LLM call."""
         store = runner.versioned_store("factbench")
         service = ValidationService.from_runner(runner, ServiceConfig(), store=store)
         facts = runner.dataset("factbench").facts()[:4]
@@ -276,6 +277,7 @@ class TestEvidenceReuse:
             async with service:
                 for fact in facts:
                     await service.submit(ServiceRequest(fact, "rag", "gemma2:9b"))
+                cold = len(api.query_log())
                 api.reset_log()
                 before = upstream_calls()
                 await service.apply_mutations(mutations(facts))
@@ -283,27 +285,28 @@ class TestEvidenceReuse:
                     await service.submit(ServiceRequest(fact, "rag", "gemma2:9b"))
                     for fact in facts
                 ]
-                return before, after
+                return cold, before, after
 
-        before, after = asyncio.run(go())
-        assert before == [len(facts), len(facts)]
+        cold, before, after = asyncio.run(go())
+        assert cold >= len(facts) and before == [len(facts), len(facts)]
         assert all(not response.cached for response in after)  # re-judged at the new epoch
-        return len(api.query_log()), upstream_calls() == before
+        return cold, len(api.query_log()), upstream_calls() == before
 
     def test_triple_only_ingest_issues_zero_searches(self, runner):
-        searches, upstream_unchanged = self._rag_reads_around_ingest(
+        _, searches, upstream_unchanged = self._rag_reads_around_ingest(
             runner, lambda facts: [Mutation.add_triple("Mid", "worksFor", "Load")]
         )
         assert searches == 0 and upstream_unchanged
 
     def test_document_ingest_searches_again_without_upstream_llm_calls(self, runner):
-        searches, upstream_unchanged = self._rag_reads_around_ingest(
+        cold, searches, upstream_unchanged = self._rag_reads_around_ingest(
             runner,
             lambda facts: [
                 Mutation.add_document(_news_doc(i, fact)) for i, fact in enumerate(facts)
             ],
         )
-        assert searches >= 4 and upstream_unchanged
+        # Every cached question is searched again — as many as the cold pass.
+        assert searches == cold and upstream_unchanged
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -387,3 +390,66 @@ class TestMixedWorkload:
             report.verdicts()
         )
         assert report.snapshot.ingests == 2
+
+    def test_every_read_matches_the_offline_pipeline_over_its_epochs_snapshot(
+        self, runner
+    ):
+        """One ingest (fresh evidence + triples) spliced into a concurrent
+        ``dka``/``rag`` closed loop: the verdicts served at each epoch are
+        those of an offline pipeline over ``store.snapshot(epoch)`` — RAG
+        over a from-scratch validator on the snapshot corpus — the ingest
+        flips at least one ``rag`` verdict, and no ``dka`` verdict moves."""
+        from repro.retrieval.mock_api import MockSearchAPI
+        from repro.validation import ValidationPipeline
+        from repro.validation.rag import RAGValidator
+
+        store = runner.versioned_store("factbench")
+        dataset = runner.dataset("factbench")
+        model = runner.registry.get("gemma2:9b")
+        batch = []
+        for index, fact in enumerate(dataset.facts()[:6]):
+            batch.append(Mutation.add_document(_news_doc(index, fact)))
+            batch.append(
+                Mutation.add_triple(
+                    fact.subject_name, fact.base_predicate(), fact.object_name
+                )
+            )
+        workload = build_mixed_workload(
+            [dataset], ["dka", "rag"], ["gemma2:9b"], 120, [batch], seed=3
+        )
+        service = ValidationService.from_runner(
+            runner, ServiceConfig(queue_depth=4096), store=store
+        )
+        report = LoadGenerator(service, workload, concurrency=8).run_sync()
+        assert report.completed == 120 and report.ingests == 1
+        pre_epoch, post_epoch = report.epochs_served()
+        assert post_epoch == pre_epoch + 1
+
+        def offline(epoch):
+            pipeline = ValidationPipeline()
+            rag = RAGValidator(
+                model=model,
+                search_api=MockSearchAPI(
+                    store.snapshot(epoch).corpus,
+                    default_num_results=runner.config.serp_results_per_query,
+                ),
+                kg_encoding=runner.encoding("factbench"),
+                config=runner.config.rag_config(),
+                verbalizer=runner.verbalizer,
+            )
+            strategies = {
+                "dka": runner.build_strategy("dka", "factbench", model),
+                "rag": rag,
+            }
+            return {
+                (method, "gemma2:9b", "factbench", fact_id): verdict.value
+                for method, strategy in strategies.items()
+                for fact_id, verdict in pipeline.run(strategy, dataset).verdicts().items()
+            }
+
+        before, after = offline(pre_epoch), offline(post_epoch)
+        for epoch, reference in ((pre_epoch, before), (post_epoch, after)):
+            served = report.verdicts(epoch=epoch)
+            assert served and served == {key: reference[key] for key in served}
+        moved = {key[0] for key in before if before[key] != after[key]}
+        assert moved == {"rag"}

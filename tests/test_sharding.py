@@ -266,6 +266,50 @@ class TestShardedServiceRouting:
         assert not after.cached
         assert after.result == response.result  # DKA is corpus-independent
 
+    def test_ingest_costs_one_miss_per_coordinate_on_the_owning_shard_only(
+        self, shard_runner
+    ):
+        """Cold pass, warm pass, an ingest routed to one shard, a third
+        pass: the owner's cache re-judges each of its coordinates exactly
+        once (one extra miss apiece), and every other shard counts what a
+        second warm pass gives — exact integers, not a hit rate."""
+        store = shard_runner.sharded_store("factbench", 4).replay_twin()
+        router = ShardedValidationService.from_runner(
+            shard_runner, 4, ServiceConfig(queue_depth=4096), store=store
+        )
+        requests = [
+            ServiceRequest(fact, "dka", "gemma2:9b")
+            for fact in shard_runner.dataset("factbench")
+        ]
+        owner = router.shard_for(requests[0])
+        batch = [
+            Mutation.add_triple(requests[0].fact.triple.subject, "updatedBy", "Feed_X")
+        ]
+
+        async def go():
+            async with router:
+                await router.submit_many(requests)
+                warm = await router.submit_many(requests)
+                report = await router.apply_mutations(batch)
+                return warm, report, await router.submit_many(requests)
+
+        warm, report, after = asyncio.run(go())
+        assert report.shards_touched == (owner,)
+        assert report.epoch_vector == tuple(2 if i == owner else 1 for i in range(4))
+        assert all(response.cached for response in warm)
+        owned = [0] * 4
+        for request in requests:
+            owned[router.shard_for(request)] += 1
+        assert owned[owner] and sum(owned) - owned[owner]
+        for index, service in enumerate(router.shards):
+            stats = service.cache.stats()
+            if index == owner:
+                assert (stats.hits, stats.misses) == (owned[index], 2 * owned[index])
+            else:
+                assert (stats.hits, stats.misses) == (2 * owned[index], owned[index])
+        for request, response in zip(requests, after):
+            assert response.cached == (router.shard_for(request) != owner)
+
     def test_store_and_service_shard_counts_must_agree(self, shard_runner):
         store = shard_runner.sharded_store("factbench", 3)
         with pytest.raises(ValueError):
