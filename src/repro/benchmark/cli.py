@@ -884,12 +884,9 @@ def _run_obs_dashboard(args, stream: TextIO) -> int:
         replicas=args.replicas,
     )
     router.set_observability(obs)
-    # The collect source resolves ``router.metrics`` per scrape: start()
-    # swaps in a fresh RouterMetrics, so binding the method here would
-    # scrape the pre-start object forever.
     monitor = SLOMonitor(
         MetricsScraper(
-            lambda: router.metrics.collect_families(),
+            router.metrics.collect_families,
             clock=clock,
             interval_s=args.refresh,
         ),

@@ -10,12 +10,6 @@ point                     where it fires
                            worker, just before executing a micro-batch
 ``store``                  the router's write path, before a mutation batch
                            fans out (:meth:`ShardedValidationService.apply_mutations`)
-``store/ship``             :meth:`~repro.store.sharding.ReplicaGroup.apply`,
-                           before shipping a batch to the secondaries —
-                           direct callers of that method only: the served
-                           write path ships through each replica's
-                           ``ValidationService.apply_mutations`` and never
-                           fires it, so scenarios may not target it
 ``frontend``               the TCP front-end, per decoded request line
 ``edge:{i}``               a geo edge's background drain loop, per tick
                            (``kill`` removes the edge; ``stall``/``error``
@@ -49,8 +43,7 @@ Fault taxonomy (mirrors the scenario YAML):
   alive, the tail-latency case.
 
 Targets address points by prefix: ``shard:0`` matches every replica of
-shard 0, ``shard:0/replica:1`` exactly one worker, ``store`` both write-
-path points.
+shard 0, ``shard:0/replica:1`` exactly one worker.
 """
 
 from __future__ import annotations
@@ -120,7 +113,7 @@ def parse_edge_target(target: str) -> Optional[int]:
 
 def _valid_target(target: str) -> bool:
     return bool(
-        target in ("store", "store/ship", "frontend")
+        target in ("store", "frontend")
         or _SHARD_TARGET.match(target)
         or _REPLICA_TARGET.match(target)
         or _EDGE_TARGET.match(target)
@@ -222,8 +215,7 @@ class FaultEvent:
         if not _valid_target(self.target):
             raise ValueError(
                 f"unknown fault target {self.target!r}; expected 'store', "
-                "'store/ship', 'frontend', 'shard:<i>', 'shard:<i>/replica:<j>', "
-                "or 'edge:<i>'"
+                "'frontend', 'shard:<i>', 'shard:<i>/replica:<j>', or 'edge:<i>'"
             )
         if self.fault.kind == KILL and self.clear_at_s is not None:
             raise ValueError("kill faults are permanent; they cannot clear")
@@ -384,10 +376,9 @@ class FaultInjector:
     def check(self, point: str) -> None:
         """Synchronous fault point: raise-only faults (``kill``/``error``).
 
-        Used by code that cannot await (the store's synchronous apply
-        path); ``stall``/``slow`` faults are ignored here — a synchronous
-        sleep would block the whole event loop, which is a worse lie than
-        skipping the injection.
+        For code that cannot await; ``stall``/``slow`` faults are ignored
+        here — a synchronous sleep would block the whole event loop, which
+        is a worse lie than skipping the injection.
         """
         self.fired += 1
         for event in self.active_for(point):

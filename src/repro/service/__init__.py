@@ -12,8 +12,8 @@ offline substrates:
   (fact, method, model) with hit/miss telemetry;
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics` /
   :class:`MetricsSnapshot` (p50/p95/p99 latency, throughput, queue depth,
-  cache hit rate, shed count), wired into the shared
-  :class:`~repro.llm.telemetry.TelemetryCollector`;
+  cache hit rate, shed count), every number read from the worker's
+  :class:`~repro.obs.registry.MetricsRegistry`;
 * :mod:`repro.service.frontend` — a newline-delimited-JSON TCP front-end;
 * :mod:`repro.service.loadgen` — the closed-loop :class:`LoadGenerator`
   harness with a deterministic arrival mix, including a mixed read/write
@@ -35,8 +35,9 @@ offline substrates:
   unhealthy and its traffic fails over to siblings (health probes
   re-admit it), so only a whole-shard outage surfaces as an explicit
   ``FAILED`` outcome.  Multi-fact batches scatter-gather with a
-  deterministic merge, and :class:`RouterMetrics` rolls per-replica
-  health/traffic up into one :class:`MetricsSnapshot`.
+  deterministic merge, and :class:`RouterMetrics` reads every replica's
+  and edge copy's registry, plus the router's own, into one
+  :class:`MetricsSnapshot` and one fleet exposition.
 
 With a :class:`~repro.store.VersionedKnowledgeStore` attached (see
 ``BenchmarkRunner.versioned_store``), the service ingests live updates:

@@ -17,9 +17,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..llm.telemetry import TelemetryCollector
 from ..obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -139,22 +138,16 @@ class ServiceMetrics:
     :attr:`registry` (by default a private
     :class:`~repro.obs.registry.MetricsRegistry` — replicas must not share
     one, their per-worker series would collide); :meth:`snapshot` and
-    :meth:`exposition` are two views over the same instruments.
-
-    When a :class:`~repro.llm.telemetry.TelemetryCollector` is attached,
-    every completed request is also recorded there under a
-    ``serve/{method}`` task label, so the existing per-task usage summaries
-    (the paper's Table 3 shape) cover online serving alongside the offline
-    strategies.
+    :meth:`exposition` are two views over the same instruments.  Model
+    cost is not counted here: the strategies record every real model call
+    in the runner's own telemetry.
     """
 
     def __init__(
         self,
         window: int = LATENCY_WINDOW,
-        telemetry: Optional[TelemetryCollector] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.telemetry = telemetry
         self.registry = registry or MetricsRegistry()
         self._lock = threading.Lock()
         self._started_at: Optional[float] = None
@@ -209,28 +202,13 @@ class ServiceMetrics:
         self.registry.reset()
 
     def observe_completion(
-        self,
-        latency_seconds: float,
-        *,
-        method: str = "unknown",
-        model: str = "unknown",
-        prompt_tokens: int = 0,
-        completion_tokens: int = 0,
-        trace_id: Optional[str] = None,
+        self, latency_seconds: float, *, trace_id: Optional[str] = None
     ) -> None:
         """One answered request: record its measured in-service latency
         (``trace_id`` becomes the latency bucket's exemplar when tracing is
-        on) and forward the token accounting to the attached telemetry."""
+        on)."""
         self._completed.inc()
         self._latency.observe(latency_seconds, exemplar=trace_id)
-        if self.telemetry is not None:
-            self.telemetry.record_call(
-                model=model,
-                task=f"serve/{method}",
-                prompt_tokens=prompt_tokens,
-                completion_tokens=completion_tokens,
-                latency_seconds=latency_seconds,
-            )
 
     def observe_shed(self) -> None:
         """One request refused by admission control (``REJECTED``)."""
@@ -262,49 +240,66 @@ class ServiceMetrics:
         """Update the admitted-but-unanswered gauge shown in snapshots."""
         self._queue_depth.set(depth)
 
-    def latencies(self) -> List[float]:
-        """A copy of the histogram's raw-sample window, for cross-shard
-        percentile roll-ups.
-
-        Per-shard percentiles cannot be averaged into fleet percentiles;
-        the sharded router aggregates the raw windows instead.
-        """
-        return self._latency.window()
-
     # ------------------------------------------------------------- snapshot
 
-    def snapshot(self) -> MetricsSnapshot:
-        """An immutable, internally consistent :class:`MetricsSnapshot`
-        derived from the registry instruments (percentiles over the
-        histogram's raw window; throughput over the wall time since
-        :meth:`start`)."""
+    def _elapsed(self) -> float:
         with self._lock:
-            elapsed = (
-                time.perf_counter() - self._started_at
-                if self._started_at is not None
-                else 0.0
-            )
-        latencies = self._latency.window()
-        completed = int(self._completed.value)
-        batches = int(self._batches.value)
-        batched_requests = int(self._batched_requests.value)
+            if self._started_at is None:
+                return 0.0
+            return time.perf_counter() - self._started_at
+
+    def snapshot(self) -> MetricsSnapshot:
+        """An immutable :class:`MetricsSnapshot` derived from the registry
+        instruments (see :meth:`roll_up`)."""
+        return ServiceMetrics.roll_up([self])
+
+    @staticmethod
+    def roll_up(
+        workers: Sequence["ServiceMetrics"], fell_back: Sequence["ServiceMetrics"] = ()
+    ) -> MetricsSnapshot:
+        """One :class:`MetricsSnapshot` read straight from many registries.
+
+        Counters sum; latency percentiles are taken over the *concatenated*
+        raw windows (per-worker percentiles cannot be averaged); wall time
+        is the longest worker window and throughput is total completions
+        over that wall.  ``fell_back`` are workers whose refusals never
+        reach a caller — a router re-routes an edge copy's shed to the
+        primary tier, which answers and counts the read — so everything of
+        theirs counts except ``rejected``.
+        """
+        everyone = [*workers, *fell_back]
+
+        def total(children) -> int:
+            return int(sum(child.value for child in children))
+
+        latencies: List[float] = []
+        for worker in everyone:
+            latencies.extend(worker._latency.window())
+        completed = total(worker._completed for worker in everyone)
+        batches = total(worker._batches for worker in everyone)
+        batched_requests = total(worker._batched_requests for worker in everyone)
+        wall = max((worker._elapsed() for worker in everyone), default=0.0)
+        exemplars = sorted(
+            {pair for worker in everyone for pair in worker._latency.exemplars()},
+            key=lambda pair: (float(pair[0]), pair[1]),  # le label, trace id
+        )
         return MetricsSnapshot(
             completed=completed,
-            rejected=int(self._rejected.value),
-            errors=int(self._errors.value),
-            cache_hits=int(self._cache_hits.value),
-            cache_misses=int(self._cache_misses.value),
+            rejected=total(worker._rejected for worker in workers),
+            errors=total(worker._errors for worker in everyone),
+            cache_hits=total(worker._cache_hits for worker in everyone),
+            cache_misses=total(worker._cache_misses for worker in everyone),
             batches=batches,
             mean_batch_size=batched_requests / batches if batches else 0.0,
-            queue_depth=int(self._queue_depth.value),
-            wall_seconds=elapsed,
-            throughput_rps=completed / elapsed if elapsed > 0 else 0.0,
+            queue_depth=total(worker._queue_depth for worker in everyone),
+            wall_seconds=wall,
+            throughput_rps=completed / wall if wall > 0 else 0.0,
             p50_latency_s=percentile(latencies, 50),
             p95_latency_s=percentile(latencies, 95),
             p99_latency_s=percentile(latencies, 99),
-            ingests=int(self._ingests.value),
-            ingested_ops=int(self._ingested_ops.value),
-            exemplars=tuple(self._latency.exemplars()),
+            ingests=total(worker._ingests for worker in everyone),
+            ingested_ops=total(worker._ingested_ops for worker in everyone),
+            exemplars=tuple(exemplars),
         )
 
     def exposition(self, extra_labels=None) -> str:

@@ -46,14 +46,12 @@ from __future__ import annotations
 
 import asyncio
 import random
-import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..chaos.clock import Clock, MonotonicClock
-from ..llm.telemetry import TelemetryCollector
 from ..obs import Observability
 from ..obs.registry import MetricFamily, MetricsRegistry, render_exposition
 from ..obs.trace import (
@@ -69,7 +67,7 @@ from ..store.sharding import HashRing, ReplicaDivergedError
 from ..validation.base import ValidationResult
 from .cache import verdict_cache_key
 from .config import ServiceConfig
-from .metrics import MetricsSnapshot, percentile
+from .metrics import MetricsSnapshot, ServiceMetrics
 from .policy import RetryPolicy
 from .server import RequestOutcome, ServiceRequest, ServiceResponse, ValidationService
 
@@ -92,8 +90,8 @@ ROUTER_METRIC_NAMES = (
     "router_budget_exhausted_total",
     "router_unhealthy_replicas",
     "router_staleness_epochs",
-    # Geo tier (per-edge series carry an ``edge`` label at collect time;
-    # the session-fallback counter is fleet-level):
+    # Geo tier (per-edge families are ``edge``-labelled; the
+    # session-fallback counter is fleet-level):
     "router_geo_watermark_epoch",
     "router_geo_watermark_lag_epochs",
     "router_geo_queue_depth",
@@ -160,33 +158,24 @@ class ReplicaHealth:
 
 
 class RouterMetrics:
-    """Aggregating view over the per-replica :class:`ServiceMetrics`.
+    """The router's one registry plus read-only views over the fleet.
 
-    Counters sum across every replica of every shard; latency percentiles
-    are computed over the *concatenated* per-replica windows (per-worker
-    percentiles cannot be averaged); wall time is the longest worker
-    window and fleet throughput is total completions over that wall.
+    :attr:`registry` holds what only the router can count (``FAILED``
+    responses, failovers, retries, degradation, the geo tier); every other
+    number is read from the :class:`ServiceMetrics` registry of a
+    :class:`ValidationService` the router fronts — replicas under
+    ``shard``/``replica`` labels, edge copies under ``edge``/``shard``.
+    One object serves the router's whole life: ``start()`` resets the
+    registry and the health table in place.
 
-    ``failures`` counts every ``FAILED`` response the router produced and
-    ``failovers`` every request a sibling replica rescued after its first
-    choice faulted.  The fleet snapshot's ``errors`` counter is adjusted so
-    ``completed + rejected + errors`` accounts for every non-ingest request
-    exactly once: a faulted attempt the owning worker already counted (its
-    strategy raised after admission) is *subtracted* when a sibling later
-    completed the request, and a ``FAILED`` response whose attempts were
-    invisible to the workers (timeouts, stopped replicas) is *added*.
+    The fleet snapshot's ``errors`` is ``router_failures_total``: a faulted
+    attempt that a sibling rescued is a failover, whatever the owning
+    worker counted, so ``completed + rejected + errors + degraded``
+    accounts for every routed read exactly once.
     """
 
-    def __init__(
-        self,
-        groups: Sequence[Sequence[ValidationService]],
-        health: Sequence[Sequence[ReplicaHealth]],
-        edge_names: Sequence[str] = (),
-    ) -> None:
-        self._groups = [list(group) for group in groups]
-        self._health = health
-        #: The router's own instruments (fleet counters the replicas cannot
-        #: see); :meth:`exposition` merges it with every replica registry.
+    def __init__(self, router: "ShardedValidationService") -> None:
+        self._router = router
         self.registry = MetricsRegistry()
         self._failures_total = self.registry.counter(
             "router_failures_total", "FAILED responses after every replica was tried."
@@ -195,11 +184,11 @@ class RouterMetrics:
             "router_timeout_failures_total",
             "The subset of failures involving a stalled replica.",
         )
-        self._failovers_total = self.registry.counter(
+        self.failovers_total = self.registry.counter(
             "router_failovers_total",
             "Requests rescued by a sibling replica after >= 1 faulted attempts.",
         )
-        self._retries_total = self.registry.counter(
+        self.retries_total = self.registry.counter(
             "router_retries_total",
             "Extra full passes over a shard's replicas under the retry policy.",
         )
@@ -207,7 +196,7 @@ class RouterMetrics:
             "router_degraded_total",
             "DEGRADED responses served from the stale verdict cache.",
         )
-        self._budget_exhausted_total = self.registry.counter(
+        self.budget_exhausted_total = self.registry.counter(
             "router_budget_exhausted_total",
             "Requests whose whole retry budget was spent without a live answer.",
         )
@@ -219,117 +208,79 @@ class RouterMetrics:
             "router_staleness_epochs",
             "Epoch lag of the most recent DEGRADED response (0 = serving fresh).",
         )
-        self._geo_session_fallbacks_total = self.registry.counter(
+        self.geo_session_fallbacks_total = self.registry.counter(
             "router_geo_session_fallbacks_total",
             "Reads a session's last-write vector forced off an edge to the primary tier.",
         )
-        #: Per-edge geo instruments; collected with an injected ``edge``
-        #: label (per-edge registries own identical unlabeled series).
-        self._edge_instruments: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-        for name in edge_names:
-            registry = MetricsRegistry()
-            self._edge_instruments[name] = {
-                "registry": registry,
-                "watermark": registry.gauge(
-                    "router_geo_watermark_epoch",
-                    "Composite reported watermark (sum of per-shard acked epochs).",
-                ),
-                "lag": registry.gauge(
-                    "router_geo_watermark_lag_epochs",
-                    "Worst per-shard epochs this edge's reported watermark trails the primary.",
-                ),
-                "depth": registry.gauge(
-                    "router_geo_queue_depth",
-                    "Outbound batches queued for this edge across every shard.",
-                ),
-                "reads": registry.counter(
-                    "router_geo_edge_reads_total",
-                    "Reads this edge answered (stamped with visible staleness).",
-                ),
-                "shipped": registry.counter(
-                    "router_geo_batches_shipped_total",
-                    "Queued batches this edge has applied and acknowledged.",
-                ),
-            }
-        #: Optional hook the router installs to refresh the geo gauges
-        #: right before a scrape (watermarks move between requests).
-        self.geo_refresh = None
-        # Snapshot bookkeeping (not a metric): reconciles worker-counted
-        # errors with router outcomes so the fleet total stays exact.
-        self._error_adjustment = 0
-        self._lock = threading.Lock()
+        if not router.edge_names:
+            return  # no geo tier: the per-edge families do not exist
+        self._geo_watermark_epoch = self.registry.gauge(
+            "router_geo_watermark_epoch",
+            "Composite reported watermark (sum of per-shard acked epochs).",
+            ("edge",),
+        )
+        self._geo_watermark_lag_epochs = self.registry.gauge(
+            "router_geo_watermark_lag_epochs",
+            "Worst per-shard epochs this edge's reported watermark trails the primary.",
+            ("edge",),
+        )
+        self._geo_queue_depth = self.registry.gauge(
+            "router_geo_queue_depth",
+            "Outbound batches queued for this edge across every shard.",
+            ("edge",),
+        )
+        self.geo_edge_reads_total = self.registry.counter(
+            "router_geo_edge_reads_total",
+            "Reads this edge answered (stamped with visible staleness).",
+            ("edge",),
+        )
+        self.geo_batches_shipped_total = self.registry.counter(
+            "router_geo_batches_shipped_total",
+            "Queued batches this edge has applied and acknowledged.",
+            ("edge",),
+        )
+        for family in (
+            self._geo_watermark_epoch,
+            self._geo_watermark_lag_epochs,
+            self._geo_queue_depth,
+            self.geo_edge_reads_total,
+            self.geo_batches_shipped_total,
+        ):
+            for edge in router.edge_names:
+                family.labels(edge=edge)  # zero-valued series still render
 
     # ------------------------------------------------------------- recording
 
-    def observe_failure(self, timeout: bool = False, counted_errors: int = 0) -> None:
-        """One ``FAILED`` response after every replica was tried.
-
-        ``timeout=True`` when a stall past the request timeout contributed;
-        ``counted_errors`` is how many of the failed attempts the owning
-        workers already folded into their own ``errors`` counters (the
-        snapshot keeps the total at exactly one per failed request).
-        """
+    def observe_failure(self, timeout: bool = False) -> None:
+        """One ``FAILED`` response after every replica was tried
+        (``timeout=True`` when a stall past the request timeout contributed)."""
         self._failures_total.inc()
         if timeout:
             self._timeout_failures_total.inc()
-        with self._lock:
-            self._error_adjustment += 1 - counted_errors
 
-    def observe_failover(self, counted_errors: int = 0) -> None:
-        """One request rescued by a sibling after >= 1 faulted attempts."""
-        self._failovers_total.inc()
-        with self._lock:
-            self._error_adjustment -= counted_errors
-
-    def observe_retry(self) -> None:
-        """One extra full pass over a shard's replicas under a retry policy."""
-        self._retries_total.inc()
-
-    def observe_budget_exhausted(self) -> None:
-        """One request whose whole retry budget was spent without an answer
-        (it then either degrades to a stale verdict or fails)."""
-        self._budget_exhausted_total.inc()
-
-    def observe_degraded(
-        self, counted_errors: int = 0, staleness_epochs: Optional[int] = None
-    ) -> None:
-        """One ``DEGRADED`` response served from the stale verdict cache.
-
-        ``counted_errors`` faulted attempts already live in the owning
-        workers' ``errors`` counters; a degraded request lands in
-        ``degraded`` (not ``errors``), so they are subtracted — the fleet
-        invariant becomes ``completed + rejected + errors + degraded ==
-        submitted``.  ``staleness_epochs`` is how many applied epochs the
-        served verdict lagged the shard's watermark — published on the
-        ``router_staleness_epochs`` gauge so the staleness SLO can watch
-        lag over time.
-        """
+    def observe_degraded(self, staleness_epochs: int) -> None:
+        """One ``DEGRADED`` response served from the stale verdict cache,
+        ``staleness_epochs`` applied epochs behind the shard's watermark
+        (the gauge the staleness SLO watches)."""
         self._degraded_total.inc()
-        if staleness_epochs is not None:
-            self._staleness_gauge.set(staleness_epochs)
-        with self._lock:
-            self._error_adjustment -= counted_errors
+        self._staleness_gauge.set(staleness_epochs)
 
-    def observe_geo_read(self, edge: str) -> None:
-        """One read answered by ``edge`` (with visible staleness)."""
-        self._edge_instruments[edge]["reads"].inc()
-
-    def observe_geo_ship(self, edge: str) -> None:
-        """One queued batch applied and acknowledged by ``edge``."""
-        self._edge_instruments[edge]["shipped"].inc()
-
-    def observe_geo_session_fallback(self) -> None:
-        """One read routed to the primary tier because no edge's watermark
-        covered the session's last-write vector (or every covering edge was
-        past the staleness bound)."""
-        self._geo_session_fallbacks_total.inc()
-
-    def set_geo_gauges(self, edge: str, watermark: int, lag: int, depth: int) -> None:
-        """Publish one edge's watermark / lag / queue-depth readings."""
-        instruments = self._edge_instruments[edge]
-        instruments["watermark"].set(watermark)
-        instruments["lag"].set(lag)
-        instruments["depth"].set(depth)
+    def _refresh(self) -> None:
+        """Set the gauges that are read off live state rather than counted:
+        the replicas out of the rotation and each live edge's watermark,
+        worst-shard lag and queue depth (they move between requests)."""
+        router = self._router
+        self._unhealthy_gauge.set(
+            sum(not health.healthy for shard in router.health for health in shard)
+        )
+        for edge in router.live_edge_names:
+            self._geo_watermark_epoch.labels(edge=edge).set(
+                sum(router.geo.watermark_vector(edge))
+            )
+            self._geo_watermark_lag_epochs.labels(edge=edge).set(
+                max(router.geo.lag_vector(edge))
+            )
+            self._geo_queue_depth.labels(edge=edge).set(router.geo.depth(edge))
 
     # ------------------------------------------------------------- properties
 
@@ -346,144 +297,62 @@ class RouterMetrics:
     @property
     def failovers(self) -> int:
         """Requests answered by a sibling after their first choice faulted."""
-        return int(self._failovers_total.value)
-
-    @property
-    def retries(self) -> int:
-        """Extra full passes made over a shard's replicas (policy-driven)."""
-        return int(self._retries_total.value)
-
-    @property
-    def degraded(self) -> int:
-        """``DEGRADED`` responses served from the stale verdict cache."""
-        return int(self._degraded_total.value)
-
-    @property
-    def budget_exhausted(self) -> int:
-        """Requests whose whole retry budget was spent without a live answer."""
-        return int(self._budget_exhausted_total.value)
-
-    @property
-    def unhealthy_replicas(self) -> int:
-        """Replicas currently out of the regular routing rotation."""
-        count = sum(
-            1 for shard in self._health for health in shard if not health.healthy
-        )
-        self._unhealthy_gauge.set(count)
-        return count
-
-    @property
-    def edge_reads(self) -> int:
-        """Reads answered by the edge tier, every edge summed."""
-        return sum(
-            int(instruments["reads"].value)
-            for instruments in self._edge_instruments.values()
-        )
-
-    @property
-    def batches_shipped(self) -> int:
-        """Queued batches the edge fleet has applied and acknowledged."""
-        return sum(
-            int(instruments["shipped"].value)
-            for instruments in self._edge_instruments.values()
-        )
+        return int(self.failovers_total.value)
 
     @property
     def session_fallbacks(self) -> int:
         """Reads forced off the edge tier by read-your-writes coverage."""
-        return int(self._geo_session_fallbacks_total.value)
+        return int(self.geo_session_fallbacks_total.value)
 
     # ------------------------------------------------------------- snapshots
 
-    def _aggregate(
-        self,
-        services: Sequence[ValidationService],
-        extra_errors: int = 0,
-        failovers: int = 0,
-        unhealthy: int = 0,
-        retries: int = 0,
-        degraded: int = 0,
-        budget_exhausted: int = 0,
-    ) -> MetricsSnapshot:
-        snapshots = [service.metrics.snapshot() for service in services]
-        latencies: List[float] = []
-        for service in services:
-            latencies.extend(service.metrics.latencies())
-        completed = sum(snapshot.completed for snapshot in snapshots)
-        batches = sum(snapshot.batches for snapshot in snapshots)
-        batched_requests = sum(
-            round(snapshot.mean_batch_size * snapshot.batches) for snapshot in snapshots
-        )
-        wall = max((snapshot.wall_seconds for snapshot in snapshots), default=0.0)
-
-        def _exemplar_key(pair: Tuple[str, str]) -> Tuple[float, str]:
-            le, trace_id = pair
-            return (float("inf") if le == "+Inf" else float(le), trace_id)
-
-        exemplars = sorted(
-            {pair for snapshot in snapshots for pair in snapshot.exemplars},
-            key=_exemplar_key,
-        )
-        return MetricsSnapshot(
-            completed=completed,
-            rejected=sum(snapshot.rejected for snapshot in snapshots),
-            errors=sum(snapshot.errors for snapshot in snapshots) + extra_errors,
-            cache_hits=sum(snapshot.cache_hits for snapshot in snapshots),
-            cache_misses=sum(snapshot.cache_misses for snapshot in snapshots),
-            batches=batches,
-            mean_batch_size=batched_requests / batches if batches else 0.0,
-            queue_depth=sum(snapshot.queue_depth for snapshot in snapshots),
-            wall_seconds=wall,
-            throughput_rps=completed / wall if wall > 0 else 0.0,
-            p50_latency_s=percentile(latencies, 50),
-            p95_latency_s=percentile(latencies, 95),
-            p99_latency_s=percentile(latencies, 99),
-            ingests=sum(snapshot.ingests for snapshot in snapshots),
-            ingested_ops=sum(snapshot.ingested_ops for snapshot in snapshots),
-            failovers=failovers,
-            unhealthy_replicas=unhealthy,
-            retries=retries,
-            degraded=degraded,
-            budget_exhausted=budget_exhausted,
-            exemplars=tuple(exemplars),
-        )
-
     def snapshot(self) -> MetricsSnapshot:
-        """One fleet-wide roll-up across every replica of every shard."""
-        with self._lock:
-            adjustment = self._error_adjustment
-        return self._aggregate(
-            [service for group in self._groups for service in group],
-            extra_errors=adjustment,
+        """One fleet-wide roll-up across every replica and every edge copy."""
+        self._refresh()
+        return replace(
+            ServiceMetrics.roll_up(
+                [service.metrics for group in self._router.groups for service in group],
+                fell_back=[
+                    service.metrics
+                    for services in self._router.edge_services.values()
+                    for service in services
+                ],
+            ),
+            errors=self.failures,
             failovers=self.failovers,
-            unhealthy=self.unhealthy_replicas,
-            retries=self.retries,
-            degraded=self.degraded,
-            budget_exhausted=self.budget_exhausted,
+            unhealthy_replicas=int(self._unhealthy_gauge.value),
+            retries=int(self.retries_total.value),
+            degraded=int(self._degraded_total.value),
+            budget_exhausted=int(self.budget_exhausted_total.value),
         )
 
     def collect_families(self) -> List[MetricFamily]:
         """Every fleet instrument as collected metric families.
 
-        Per-replica registries are collected with injected ``shard`` and
-        ``replica`` labels (they own identical unlabeled series — merging
-        without the labels would collide), then merged with the router's
-        own fleet counters.  This is the :class:`~repro.obs.timeseries.MetricsScraper`
-        source for SLO evaluation and the ``obs top`` dashboard.
+        Each service registry is collected with its fleet coordinates
+        injected as labels — replicas under ``shard``/``replica``, edge
+        copies under ``edge``/``shard`` (the registries own identical
+        unlabeled series; merging without them would collide) — then the
+        router's own.  This is the
+        :class:`~repro.obs.timeseries.MetricsScraper` source for SLO
+        evaluation and the ``obs top`` dashboard.
         """
-        self.unhealthy_replicas  # refresh the gauge before collecting
-        if self.geo_refresh is not None:
-            self.geo_refresh()  # watermark/lag/depth gauges move between scrapes
+        self._refresh()
         families = []
-        for shard_index, group in enumerate(self._groups):
+        for shard_index, group in enumerate(self._router.groups):
             for replica_index, service in enumerate(group):
                 families.extend(
                     service.metrics.registry.collect(
                         {"shard": str(shard_index), "replica": str(replica_index)}
                     )
                 )
-        for edge_name, instruments in self._edge_instruments.items():
-            families.extend(instruments["registry"].collect({"edge": edge_name}))
+        for edge in self._router.edge_names:
+            for shard_index, service in enumerate(self._router.edge_services[edge]):
+                families.extend(
+                    service.metrics.registry.collect(
+                        {"edge": edge, "shard": str(shard_index)}
+                    )
+                )
         families.extend(self.registry.collect())
         return families
 
@@ -492,20 +361,24 @@ class RouterMetrics:
         return render_exposition(self.collect_families())
 
     def per_shard(self) -> List[MetricsSnapshot]:
-        """One aggregated snapshot per logical shard (its replicas summed)."""
-        return [self._aggregate(group) for group in self._groups]
+        """One snapshot per logical shard (its primary-tier replicas summed;
+        ``errors`` here are the workers' own counts)."""
+        return [
+            ServiceMetrics.roll_up([service.metrics for service in group])
+            for group in self._router.groups
+        ]
 
     def per_replica(self) -> List[Tuple[int, int, MetricsSnapshot, ReplicaHealth]]:
         """``(shard, replica, snapshot, health)`` for every replica worker."""
         rows = []
-        for shard_index, group in enumerate(self._groups):
+        for shard_index, group in enumerate(self._router.groups):
             for replica_index, service in enumerate(group):
                 rows.append(
                     (
                         shard_index,
                         replica_index,
                         service.metrics.snapshot(),
-                        self._health[shard_index][replica_index],
+                        self._router.health[shard_index][replica_index],
                     )
                 )
         return rows
@@ -770,10 +643,7 @@ class ShardedValidationService:
             [ReplicaHealth(shard_index, replica_index) for replica_index in range(len(group))]
             for shard_index, group in enumerate(self.groups)
         ]
-        self.metrics = RouterMetrics(
-            self.groups, self.health, edge_names=sorted(self.edge_services)
-        )
-        self.metrics.geo_refresh = self._refresh_geo_gauges
+        self.metrics = RouterMetrics(self)
         self._rr = [0] * len(self.groups)
         self._closed = False
         # Replicas hard-stopped by kill_replica: their store copies missed
@@ -784,6 +654,10 @@ class ShardedValidationService:
         # true until the fan-out applies; (re)created in start() so a
         # router reused across event loops never holds a dead-loop lock.
         self._ingest_lock = asyncio.Lock()
+        # One drain of an edge at a time: a second drain entering while the
+        # first waits in an apply would read the same pending suffix off the
+        # same edge epoch and apply it twice.  (Re)created in start().
+        self._drain_locks = {name: asyncio.Lock() for name in self.edge_services}
 
     @classmethod
     def from_runner(
@@ -791,7 +665,6 @@ class ShardedValidationService:
         runner,
         num_shards: int,
         config: Optional[ServiceConfig] = None,
-        telemetry: Optional[TelemetryCollector] = None,
         store: Optional[ShardedStore] = None,
         request_timeout_s: Optional[float] = None,
         replicas: int = 1,
@@ -853,9 +726,7 @@ class ShardedValidationService:
                 else:
                     replica_store = None
                 group.append(
-                    ValidationService.from_runner(
-                        runner, config, telemetry, store=replica_store
-                    )
+                    ValidationService.from_runner(runner, config, store=replica_store)
                 )
             groups.append(group)
         geo: Optional[GeoReplicator] = None
@@ -870,7 +741,7 @@ class ShardedValidationService:
                 edge = geo.add_edge(name)
                 edge_services[name] = [
                     ValidationService.from_runner(
-                        runner, config, telemetry, store=edge.stores[shard_index]
+                        runner, config, store=edge.stores[shard_index]
                     )
                     for shard_index in range(num_shards)
                 ]
@@ -903,15 +774,17 @@ class ShardedValidationService:
         """
         self._closed = False
         self._ingest_lock = asyncio.Lock()
+        self._drain_locks = {name: asyncio.Lock() for name in self.edge_services}
         self._rr = [0] * len(self.groups)
-        self.health = [
-            [ReplicaHealth(shard_index, replica_index) for replica_index in range(len(group))]
-            for shard_index, group in enumerate(self.groups)
-        ]
-        self.metrics = RouterMetrics(
-            self.groups, self.health, edge_names=sorted(self.edge_services)
-        )
-        self.metrics.geo_refresh = self._refresh_geo_gauges if self.geo else None
+        # Both reset in place: ``self.metrics`` and ``self.health`` (and
+        # anything bound to them, a scraper say) are the same objects
+        # across stop()/start() cycles.
+        for shard_index, healths in enumerate(self.health):
+            healths[:] = [
+                ReplicaHealth(shard_index, replica_index)
+                for replica_index in range(len(healths))
+            ]
+        self.metrics.registry.reset()
         for shard_index, group in enumerate(self.groups):
             for replica_index, service in enumerate(group):
                 if (shard_index, replica_index) in self._dead:
@@ -1089,33 +962,37 @@ class ShardedValidationService:
         scheduler whose interleavings the property suite sweeps.  Each
         landed batch is acked immediately: the edge store's own epoch is
         the durable watermark, so a crash between apply and ack costs only
-        a redundant re-report, never a double-apply.
+        a redundant re-report, never a double-apply.  Drains of one edge
+        take turns (a background tick and a foreground :meth:`drain_edges`
+        can overlap): the pending suffix is read under the edge's lock.
         """
         services = self.edge_services[name]
         shard_order = list(range(len(services)))
         self._drain_rng.shuffle(shard_order)
+        shipped = self.metrics.geo_batches_shipped_total.labels(edge=name)
         applied = 0
-        for shard_index in shard_order:
-            queue = self.geo.queues[shard_index]
-            service = services[shard_index]
-            edge_store = service.store
-            budget = None if max_batches is None else max_batches - applied
-            if budget is not None and budget <= 0:
-                break
-            for epoch, batch in queue.pending_after(edge_store.epoch, limit=budget):
-                report = await service.apply_mutations(batch)
-                if report.epoch != epoch:
-                    raise ReplicaDivergedError(
-                        f"edge {name} shard {shard_index} landed epoch "
-                        f"{report.epoch}, queue shipped {epoch}"
-                    )
-                queue.ack(name, epoch)
-                self.metrics.observe_geo_ship(name)
-                applied += 1
-                if budget is not None:
-                    budget -= 1
-                    if budget <= 0:
-                        break
+        async with self._drain_locks[name]:
+            for shard_index in shard_order:
+                queue = self.geo.queues[shard_index]
+                service = services[shard_index]
+                edge_store = service.store
+                budget = None if max_batches is None else max_batches - applied
+                if budget is not None and budget <= 0:
+                    break
+                for epoch, batch in queue.pending_after(edge_store.epoch, limit=budget):
+                    report = await service.apply_mutations(batch)
+                    if report.epoch != epoch:
+                        raise ReplicaDivergedError(
+                            f"edge {name} shard {shard_index} landed epoch "
+                            f"{report.epoch}, queue shipped {epoch}"
+                        )
+                    queue.ack(name, epoch)
+                    shipped.inc()
+                    applied += 1
+                    if budget is not None:
+                        budget -= 1
+                        if budget <= 0:
+                            break
         if applied and self._events is not None:
             index = sorted(self.edge_services).index(name)
             self._events.emit("edge_drain", f"edge:{index}", batches=applied)
@@ -1169,19 +1046,6 @@ class ShardedValidationService:
         except asyncio.CancelledError:
             return
 
-    def _refresh_geo_gauges(self) -> None:
-        """Push current watermark/lag/queue-depth readings per live edge."""
-        if self.geo is None:
-            return
-        for name in self.live_edge_names:
-            try:
-                watermarks = self.geo.watermark_vector(name)
-                lag = self.geo.lag_vector(name)
-                depth = self.geo.depth(name)
-            except KeyError:  # pragma: no cover - edge removed mid-collect
-                continue
-            self.metrics.set_geo_gauges(name, sum(watermarks), max(lag), depth)
-
     def _edge_for_read(
         self, shard_index: int, session: Optional[str], region: Optional[str]
     ) -> Optional[str]:
@@ -1215,12 +1079,12 @@ class ShardedValidationService:
                 if any(
                     watermarks[shard] < epoch for shard, epoch in floor.items()
                 ):
-                    self.metrics.observe_geo_session_fallback()
+                    self.metrics.geo_session_fallbacks_total.inc()
                     return None
         if self.staleness_bound_epochs is not None:
             primary_epoch = self.epoch_vector[shard_index]
             if primary_epoch - watermark > self.staleness_bound_epochs:
-                self.metrics.observe_geo_session_fallback()
+                self.metrics.geo_session_fallbacks_total.inc()
                 return None
         return region
 
@@ -1255,7 +1119,7 @@ class ShardedValidationService:
             return None
         if response.outcome is not RequestOutcome.COMPLETED:
             return None
-        self.metrics.observe_geo_read(edge_name)
+        self.metrics.geo_edge_reads_total.labels(edge=edge_name).inc()
         return self._respond(
             response.outcome,
             shard_index,
@@ -1391,13 +1255,12 @@ class ShardedValidationService:
             else None
         )
         errors: List[str] = []
-        counted_errors = 0
         timed_out = False
         retries = 0
         for attempt in range(max_attempts):
             if attempt:
                 retries += 1
-                self.metrics.observe_retry()
+                self.metrics.retries_total.inc()
                 backoff = policy.backoff_s(attempt, self._retry_rng)
                 if deadline is not None:
                     # Deadline propagation: never sleep past the budget.
@@ -1415,17 +1278,16 @@ class ShardedValidationService:
             ) as attempt_span:
                 if attempt_span is not None:
                     attempt_span.attributes["attempt"] = attempt + 1
-                response, pass_counted, pass_timed_out = await self._attempt(
+                response, pass_timed_out = await self._attempt(
                     request, shard_index, errors, deadline
                 )
                 if attempt_span is not None and response is None:
                     attempt_span.status = STATUS_FAILED
                     attempt_span.attributes["error"] = "all replicas faulted"
-            counted_errors += pass_counted
             timed_out = timed_out or pass_timed_out
             if response is not None:
                 if errors:
-                    self.metrics.observe_failover(counted_errors)
+                    self.metrics.failovers_total.inc()
                     if self._events is not None:
                         self._events.emit(
                             "failover",
@@ -1450,7 +1312,7 @@ class ShardedValidationService:
         if not errors:  # pragma: no cover - defensive: empty order
             errors.append(f"shard {shard_index} has no serving replicas")
         if policy is not None:
-            self.metrics.observe_budget_exhausted()
+            self.metrics.budget_exhausted_total.inc()
             if self._events is not None:
                 self._events.emit(
                     "budget_exhausted",
@@ -1475,13 +1337,10 @@ class ShardedValidationService:
                     trace_id=trace_id,
                 )
                 self.metrics.observe_degraded(
-                    counted_errors,
-                    staleness_epochs=max(
-                        degraded.epoch_vector[shard_index] - stale_epoch, 0
-                    ),
+                    max(degraded.epoch_vector[shard_index] - stale_epoch, 0)
                 )
                 return degraded
-        self.metrics.observe_failure(timeout=timed_out, counted_errors=counted_errors)
+        self.metrics.observe_failure(timeout=timed_out)
         return self._respond(
             RequestOutcome.FAILED,
             shard_index,
@@ -1497,17 +1356,15 @@ class ShardedValidationService:
         shard_index: int,
         errors: List[str],
         deadline: Optional[float],
-    ) -> Tuple[Optional[ServiceResponse], int, bool]:
+    ) -> Tuple[Optional[ServiceResponse], bool]:
         """One full pass over the owning shard's replicas.
 
-        Returns ``(response, counted_errors, timed_out)``: the first
-        replica's answer (``None`` when every replica faulted), how many
-        faulted attempts the owning workers already counted in their own
-        ``errors``, and whether a stall past the per-attempt timeout (or
-        the deadline's remainder, whichever is tighter) contributed.
+        Returns ``(response, timed_out)``: the first replica's answer
+        (``None`` when every replica faulted) and whether a stall past the
+        per-attempt timeout (or the deadline's remainder, whichever is
+        tighter) contributed.
         """
         group = self.groups[shard_index]
-        counted_errors = 0
         timed_out = False
         for replica_index in self._replica_order(shard_index):
             service = group[replica_index]
@@ -1560,17 +1417,12 @@ class ShardedValidationService:
                 self.health[shard_index][replica_index].probing = False
                 raise
             except Exception as exc:
-                if not (isinstance(exc, RuntimeError) and service._closed):
-                    # The owning worker counted this admitted-but-failed
-                    # request in its own errors counter; remember it so the
-                    # fleet snapshot never double-counts after a failover.
-                    counted_errors += 1
                 errors.append(f"{label} failed: {exc!r}")
                 self._record_failure(shard_index, replica_index)
                 continue
             self._record_success(shard_index, replica_index)
-            return response, counted_errors, timed_out
-        return None, counted_errors, timed_out
+            return response, timed_out
+        return None, timed_out
 
     async def submit_many(
         self, requests: Sequence[ServiceRequest]
@@ -1692,15 +1544,11 @@ class ShardedValidationService:
 
         Compiles the injector's fault points into every layer this router
         fronts: each replica service fires ``shard:{i}/replica:{j}`` before
-        executing a micro-batch, the router fires ``store`` on the ingest
-        path, and the attached :class:`~repro.store.ShardedStore` checks
-        ``store`` inside its synchronous ``apply``.  ``store/ship`` is not
-        armed: the served write path ships through each replica's
-        :meth:`ValidationService.apply_mutations` and never crosses
-        :meth:`ReplicaGroup.apply`, the only place it exists.
-        ``kill`` events are *not* fired here — the scenario driver consumes
-        :meth:`~repro.chaos.faults.FaultInjector.due_kills` and calls
-        :meth:`kill_replica` so kills share the ops-eviction semantics.
+        executing a micro-batch and the router fires ``store`` on the
+        ingest path.  ``kill`` events are *not* fired here — the scenario
+        driver consumes :meth:`~repro.chaos.faults.FaultInjector.due_kills`
+        and calls :meth:`kill_replica` so kills share the ops-eviction
+        semantics.
 
         The geo tier's ``edge:{i}`` points are consulted by each edge's
         background drain loop directly (kill → :meth:`kill_edge`;
@@ -1715,8 +1563,6 @@ class ShardedValidationService:
                 service.set_fault_injection(
                     injector, f"shard:{shard_index}/replica:{replica_index}"
                 )
-        if self.store is not None:
-            self.store.fault_injector = injector
 
     # ---------------------------------------------------------------- observability
 

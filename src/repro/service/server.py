@@ -40,7 +40,6 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datasets.base import LabeledFact
-from ..llm.telemetry import TelemetryCollector
 from ..obs.events import EventLog
 from ..obs.trace import STATUS_FAILED, STATUS_SHED, Span, SpanContext, Tracer
 from ..store import ApplyReport, Mutation, VersionedKnowledgeStore
@@ -169,13 +168,16 @@ _QueueItem = Tuple[
 
 
 class ValidationService:
-    """Coalesces single-fact requests into per-``(method, model)`` batches."""
+    """Coalesces single-fact requests into per-``(method, model)`` batches.
+
+    ``telemetry`` is accepted and unused; ``benchmarks/e2e`` still passes it.
+    """
 
     def __init__(
         self,
         strategies: StrategyProvider,
         config: Optional[ServiceConfig] = None,
-        telemetry: Optional[TelemetryCollector] = None,
+        telemetry: object = None,
         store: Optional[VersionedKnowledgeStore] = None,
     ) -> None:
         self.config = config or ServiceConfig()
@@ -186,7 +188,7 @@ class ValidationService:
             if self.config.enable_cache
             else None
         )
-        self.metrics = ServiceMetrics(telemetry=telemetry)
+        self.metrics = ServiceMetrics()
         self._pipeline = ValidationPipeline()
         self._strategies: Dict[Tuple[str, str, str], ValidationStrategy] = {}
         self._queues: Dict[Tuple[str, str], asyncio.Queue] = {}
@@ -247,27 +249,21 @@ class ValidationService:
         cls,
         runner,
         config: Optional[ServiceConfig] = None,
-        telemetry: Optional[TelemetryCollector] = None,
         store: Optional[VersionedKnowledgeStore] = None,
     ) -> "ValidationService":
         """Build a service over a ``BenchmarkRunner``'s substrates.
 
         Strategies come from ``runner.build_strategy`` (so RAG reuses the
-        runner's corpora/search indexes/evidence caches) and serving records
-        land in the runner's telemetry unless a separate collector is given.
-        Pass ``store=runner.versioned_store(dataset)`` to enable the
+        runner's corpora/search indexes/evidence caches, and every model
+        call they make lands in the runner's telemetry).  Pass
+        ``store=runner.versioned_store(dataset)`` to enable the
         :meth:`apply_mutations` write path with in-place substrate updates.
         """
 
         def provider(method: str, dataset: str, model_name: str) -> ValidationStrategy:
             return runner.build_strategy(method, dataset, runner.registry.get(model_name))
 
-        return cls(
-            provider,
-            config,
-            telemetry if telemetry is not None else runner.telemetry,
-            store=store,
-        )
+        return cls(provider, config, store=store)
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -391,14 +387,7 @@ class ValidationService:
                 self.cache.record_hit()
                 self.metrics.observe_cache(True)
                 latency = time.perf_counter() - started
-                self.metrics.observe_completion(
-                    latency,
-                    method=method,
-                    model=model,
-                    prompt_tokens=hit.prompt_tokens,
-                    completion_tokens=hit.completion_tokens,
-                    trace_id=trace_id,
-                )
+                self.metrics.observe_completion(latency, trace_id=trace_id)
                 return ServiceResponse(
                     RequestOutcome.COMPLETED, hit, True, latency,
                     epoch=epoch, trace_id=trace_id,
@@ -442,14 +431,7 @@ class ValidationService:
             self.metrics.set_queue_depth(self._pending)
 
         latency = time.perf_counter() - started
-        self.metrics.observe_completion(
-            latency,
-            method=method,
-            model=model,
-            prompt_tokens=result.prompt_tokens,
-            completion_tokens=result.completion_tokens,
-            trace_id=trace_id,
-        )
+        self.metrics.observe_completion(latency, trace_id=trace_id)
         if self.cache is not None:
             # Keyed under the admission-time epoch: apply_mutations drains
             # every in-flight request before mutating, so the substrates

@@ -215,9 +215,6 @@ class ReplicaGroup:
         self.stores: List[VersionedKnowledgeStore] = list(stores)
         self.verify_digests = verify_digests
         self.include_index = include_index
-        #: Chaos hook: when armed (duck-typed ``FaultInjector``), every
-        #: log ship checks the synchronous ``store/ship`` fault point.
-        self.fault_injector = None
         #: Optional :class:`~repro.obs.trace.Tracer`; when armed, every
         #: per-replica log ship records a ``store.ship`` span.
         self.tracer = None
@@ -300,11 +297,6 @@ class ReplicaGroup:
         batch = list(mutations)
         report = self.primary.apply(batch)
         for replica in self.stores[1:]:
-            if self.fault_injector is not None:
-                # Raise-style faults only (the apply path is synchronous);
-                # the primary has applied, so an injected shipping error
-                # surfaces as the divergence it would really cause.
-                self.fault_injector.check("store/ship")
             if self.tracer is not None:
                 with self.tracer.span("store.ship", replica.name) as span:
                     span.attributes["epoch"] = report.epoch
@@ -365,9 +357,6 @@ class ShardedStore:
         if not shards:
             raise ValueError("a ShardedStore needs at least one shard")
         self.shards: List[VersionedKnowledgeStore] = list(shards)
-        #: Chaos hook: when armed (duck-typed ``FaultInjector``), every
-        #: batch apply checks the synchronous ``store`` fault point first.
-        self.fault_injector = None
         self.ring = ring or HashRing(len(self.shards))
         if self.ring.num_shards != len(self.shards):
             raise ValueError(
@@ -480,10 +469,6 @@ class ShardedStore:
         batch = list(mutations)
         if not batch:
             raise ValueError("mutation batch must not be empty")
-        if self.fault_injector is not None:
-            # Raise-style faults only: an injected error rejects the batch
-            # before any shard validates or applies (all-or-nothing holds).
-            self.fault_injector.check("store")
         groups = self.route(batch)
         for index in sorted(groups):
             self.shards[index]._validate(groups[index])

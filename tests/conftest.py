@@ -9,6 +9,7 @@ composition).
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.datasets import build_dbpedia, build_factbench, build_yago
@@ -16,6 +17,11 @@ from repro.kg.verbalization import Verbalizer
 from repro.llm import ModelRegistry
 from repro.retrieval import MockSearchAPI, WebCorpusConfig, WebCorpusGenerator
 from repro.worldmodel import WorldConfig, build_world
+
+# A failing property prints its ``@reproduce_failure`` blob, not only the
+# shrunk draw: replaying a real-clock race needs the exact example.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -554,12 +554,12 @@ class TestScenarioValidation:
                 "unknown fault target",
             ),
             (
-                # Valid grammar, but the served write path never fires it:
-                # the schedule would run fault-free and pass vacuously.
+                # No code fires it, so the grammar no longer has it: the
+                # schedule would run fault-free and pass vacuously.
                 lambda s: s["matrix"]["faults"][0]["schedule"].__setitem__(
                     0, {"at_s": 0.0, "target": "store/ship", "fault": "error:1.0"}
                 ),
-                "not on the served write path",
+                "unknown fault target 'store/ship'",
             ),
             (
                 lambda s: s["matrix"]["faults"][0]["schedule"].__setitem__(

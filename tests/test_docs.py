@@ -351,6 +351,34 @@ class TestObservabilityRunbookComplete:
 
         for name in SERVICE_METRIC_NAMES + ROUTER_METRIC_NAMES:
             assert f"`{name}`" in runbook, f"runbook misses metric `{name}`"
+        # Every "`label` = `a` / `b`" cell of the family tables lists exactly
+        # the label values a fresh worker / a 1-edge router renders.
+        from repro.service import ServiceMetrics, ShardedValidationService, ValidationService
+        from repro.store import GeoReplicator, ShardedStore
+
+        store = ShardedStore.partition([], [], num_shards=1)
+        geo = GeoReplicator(store)
+        router = ShardedValidationService(
+            [ValidationService(None)],
+            store=store,
+            geo=geo,
+            edge_services={
+                "edge-0": [ValidationService(None, store=geo.add_edge("edge-0").stores[0])]
+            },
+        )
+        rendered = ServiceMetrics().exposition() + router.metrics.exposition()
+        cells = re.findall(
+            r"^\| `(\w+)` \| \w+ \| `(\w+)` = (`\w+`(?: / `\w+`)*) \|$", runbook, re.M
+        )
+        assert len(cells) >= 2, "the label-value cells moved; fix this lint"
+        for family, label, values in cells:
+            emitted = re.findall(
+                rf'^{family}\w*{{[^}}]*\b{label}="([^"]*)"', rendered, re.M
+            )
+            assert set(re.findall(r"`(\w+)`", values)) == set(emitted), (
+                f"runbook lists `{family}` `{label}` values {values}, "
+                f"the code renders {sorted(set(emitted))}"
+            )
 
     def test_every_span_name_documented(self, runbook):
         from repro.obs import SPAN_TAXONOMY

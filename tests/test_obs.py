@@ -280,6 +280,137 @@ class TestMetricsRegistry:
                     for labels in labelled
                 ), f"no series for shard:{shard}/replica:{replica}"
 
+    @pytest.mark.parametrize("edges", [0, 1])
+    def test_fleet_exposition_shape_is_pinned_and_covers_edge_copies(
+        self, obs_runner, edges
+    ):
+        """After a scripted ``VirtualClock`` run on a 2x2 fleet (reads, one
+        injected failover, one ingest, one edge drain, one edge read) the
+        exposition has exactly these families, kinds and label sets.  The
+        replica and router rows are PR 16's output written out; the edge
+        copies' ``service_*`` series under ``edge``/``shard`` are new, and
+        every ``router_*`` family lives in the router's one registry."""
+        from repro.store import Mutation
+
+        clock = VirtualClock()
+        requests = _requests(obs_runner)
+
+        async def go():
+            router = ShardedValidationService.from_runner(
+                obs_runner,
+                2,
+                ServiceConfig(enable_cache=False),
+                store=obs_runner.sharded_store("factbench", 2).replay_twin(),
+                replicas=2,
+                clock=clock,
+                edges=edges,
+            )
+            first = requests[0]
+            owner = router.shard_for(first)
+            async with router:
+                injector = FaultInjector(
+                    FaultSchedule(
+                        [
+                            FaultEvent(
+                                at_s=0.0,
+                                target=f"shard:{owner}/replica:0",
+                                fault=FaultSpec.parse("error:1.0"),
+                            )
+                        ]
+                    ),
+                    clock=clock,
+                    seed=1,
+                )
+                router.set_fault_injection(injector)
+                injector.start()
+                await router.submit_many(requests)
+                router.set_fault_injection(None)
+                await router.apply_mutations(
+                    [Mutation.add_triple(first.fact.triple.subject, "updatedBy", "Feed")]
+                )
+                if edges:
+                    assert await router.drain_edges() == 1
+                    served = await router.submit(first, region="edge-0")
+                    assert served.served_by == "edge-0"
+                return router, router.metrics.exposition()
+
+        router, text = asyncio.run(go())
+        assert router.metrics.failovers == 1
+        # family: (kind, label names each sample carries beyond its fleet
+        # coordinates)
+        service = {
+            "service_requests_total": ("counter", [("outcome",)]),
+            "service_verdict_cache_lookups_total": ("counter", [("result",)]),
+            "service_batches_total": ("counter", [()]),
+            "service_batched_requests_total": ("counter", [()]),
+            "service_queue_depth": ("gauge", [()]),
+            "service_ingests_total": ("counter", [()]),
+            "service_ingested_ops_total": ("counter", [()]),
+            "service_request_latency_seconds": ("histogram", [("le",), ()]),
+        }
+        fleet_level = {
+            "router_failures_total": "counter",
+            "router_timeout_failures_total": "counter",
+            "router_failovers_total": "counter",
+            "router_retries_total": "counter",
+            "router_degraded_total": "counter",
+            "router_budget_exhausted_total": "counter",
+            "router_unhealthy_replicas": "gauge",
+            "router_staleness_epochs": "gauge",
+            "router_geo_session_fallbacks_total": "counter",
+        }
+        per_edge = {
+            "router_geo_watermark_epoch": "gauge",
+            "router_geo_watermark_lag_epochs": "gauge",
+            "router_geo_queue_depth": "gauge",
+            "router_geo_edge_reads_total": "counter",
+            "router_geo_batches_shipped_total": "counter",
+        }
+        coordinates = [("shard", "replica")] + [("edge", "shard")] * edges
+        expected = {
+            name: (kind, {frozenset(at + own) for at in coordinates for own in owns})
+            for name, (kind, owns) in service.items()
+        }
+        expected.update(
+            {name: (kind, {frozenset()}) for name, kind in fleet_level.items()}
+        )
+        if edges:
+            expected.update(
+                {name: (kind, {frozenset({"edge"})}) for name, kind in per_edge.items()}
+            )
+        parsed = parse_exposition(text)
+        shape = {
+            name: (
+                family["kind"],
+                {
+                    frozenset(re.findall(r'(\w+)="', labels))
+                    for _, labels, _ in family["samples"]
+                },
+            )
+            for name, family in parsed.items()
+        }
+        assert shape == expected
+        assert set(expected) == set(SERVICE_METRIC_NAMES + ROUTER_METRIC_NAMES) - (
+            set() if edges else set(per_edge)
+        )
+        if edges:
+            requests_total = {
+                labels: value
+                for _, labels, value in parsed["service_requests_total"]["samples"]
+            }
+            owner = router.shard_for(requests[0])
+            at_edge = f'{{edge="edge-0",shard="{owner}",outcome="completed"}}'
+            assert requests_total[at_edge] == 1
+        # One registry holds every router_* family; no service registry does.
+        assert set(router.metrics.registry.names()) == {
+            name for name in expected if name.startswith("router_")
+        }
+        copies = [service for group in router.groups for service in group]
+        copies += [s for services in router.edge_services.values() for s in services]
+        assert len(copies) == 4 + 2 * edges
+        for copy in copies:
+            assert sorted(copy.metrics.registry.names()) == sorted(SERVICE_METRIC_NAMES)
+
 
 # ------------------------------------------------------------------ tracer
 

@@ -378,7 +378,7 @@ class TestMetrics:
     def test_snapshot_shape_and_telemetry_wiring(self, service_runner):
         facts = list(service_runner.dataset("factbench"))[:6]
         telemetry = service_runner.telemetry
-        before = len(telemetry.records(task="serve/dka"))
+        before = len(telemetry.records(task="dka"))
         service = ValidationService.from_runner(service_runner, ServiceConfig(enable_cache=False))
         _drive(service, [ServiceRequest(fact, "dka", "gemma2:9b") for fact in facts])
         snapshot = service.metrics.snapshot()
@@ -387,10 +387,17 @@ class TestMetrics:
         assert snapshot.throughput_rps > 0
         assert 0 < snapshot.p50_latency_s <= snapshot.p95_latency_s <= snapshot.p99_latency_s
         assert "p95" in snapshot.format_table()
-        # Serving records land in the shared TelemetryCollector by task label.
-        serve_records = telemetry.records(task="serve/dka")
-        assert len(serve_records) - before == 6
-        assert all(record.model == "gemma2:9b" for record in serve_records[-6:])
+        # Only the strategies' own model calls land in the collector: six
+        # cache-miss reads add six ``dka`` records and no ``serve/*`` task,
+        # and a cache hit — no model ran — adds nothing at all.
+        assert len(telemetry.records(task="dka")) - before == 6
+        assert not [task for task in telemetry.by_task() if task.startswith("serve/")]
+        cached = ValidationService.from_runner(service_runner, ServiceConfig())
+        request = ServiceRequest(facts[0], "dka", "gemma2:9b")
+        _drive(cached, [request])
+        warm = len(telemetry)
+        assert all(response.cached for response in _drive(cached, [request] * 200))
+        assert len(telemetry) == warm
 
     def test_restart_resets_the_measurement_window(self, service_runner):
         facts = list(service_runner.dataset("factbench"))[:5]

@@ -229,6 +229,42 @@ class TestDrainAcrossShards:
 
         asyncio.run(go())
 
+    def test_restart_keeps_one_metrics_object_and_a_bound_scraper_live(
+        self, fault_runner
+    ):
+        """``router.metrics`` is one object for the router's life: a
+        ``stop()``/``start()`` cycle zeroes it in place, so a scraper bound
+        to ``collect_families`` before the restart keeps seeing the fleet."""
+        from repro.obs.timeseries import MetricsScraper
+
+        dataset = fault_runner.dataset("factbench")
+        requests = [ServiceRequest(fact, "dka", "gemma2:9b") for fact in dataset]
+        router = _poisoned_router(
+            fault_runner, 2, {1}, ServiceConfig(enable_cache=False)
+        )
+        metrics, health = router.metrics, router.health
+        scraper = MetricsScraper(metrics.collect_families)
+        healthy = next(r for r in requests if router.shard_for(r) == 0)
+        completed = {"outcome": "completed"}
+
+        async def go():
+            async with router:
+                await router.submit_many(requests)
+            assert metrics.failures > 0 and metrics.snapshot().completed > 0
+            assert not health[1][0].healthy
+            async with router:
+                assert router.metrics is metrics and router.health is health
+                assert metrics.failures == 0 == metrics.snapshot().completed
+                assert metrics.snapshot().unhealthy_replicas == 0
+                scraper.scrape_once()
+                assert scraper.last_value("service_requests_total", completed) == 0
+                await router.submit(healthy)
+                scraper.scrape_once()
+            assert metrics.snapshot().completed == 1
+            assert scraper.last_value("service_requests_total", completed) == 1
+
+        asyncio.run(go())
+
     def test_stop_drain_does_not_wait_on_dead_replica_queue(self, fault_runner):
         """Regression: drain-stop on a router whose shard has an unhealthy
         replica must hard-stop that replica instead of waiting for its
@@ -672,3 +708,56 @@ class TestGeoTierFaults:
         assert level.served_by == "edge-0" and level.staleness_epochs == 0
         assert behind.result == level.result
         assert clock.now() == 0.0
+
+    def test_concurrent_drains_of_one_edge_apply_each_batch_once(self, fault_runner):
+        """Two drains of one edge — a background tick racing a foreground
+        ``drain_edges()`` — must not read the pending suffix off the same
+        epoch: the first parks in the edge copy's quiesce wait behind an
+        in-flight read, and a second that entered meanwhile used to ship
+        the same batch again.  No clock in any assertion: the tick interval
+        outlasts the test, so the only drains are the two gathered below."""
+        from repro.store import Mutation
+
+        batches = 3
+        router = ShardedValidationService.from_runner(
+            fault_runner,
+            2,
+            ServiceConfig(enable_cache=False, time_scale=0.02),
+            store=fault_runner.sharded_store("factbench", 2).replay_twin(),
+            edges=1,
+            drain_interval_s=3600.0,
+        )
+        request = ServiceRequest(
+            fault_runner.dataset("factbench")[0], "dka", "gemma2:9b"
+        )
+        owner = router.shard_for(request)
+        edge_service = router.edge_services["edge-0"][owner]
+
+        async def go():
+            async with router:
+                for index in range(batches):
+                    await router.apply_mutations(
+                        [
+                            Mutation.add_triple(
+                                request.fact.triple.subject, "updatedBy", f"Feed_{index}"
+                            )
+                        ]
+                    )
+                admitted_at = edge_service.epoch
+                held = asyncio.ensure_future(router.submit(request, region="edge-0"))
+                while not edge_service.pending:
+                    await asyncio.sleep(0)
+                applied = await asyncio.gather(
+                    router.drain_edges(), router.drain_edges()
+                )
+                digests = router.geo.verify_converged("edge-0")
+                return admitted_at, await held, applied, digests
+
+        admitted_at, held, applied, digests = asyncio.run(go())
+        assert sum(applied) == batches and router.geo.depth("edge-0") == 0
+        assert router.drain_errors == []
+        assert digests == router.store.state_digests(include_index=False)
+        # The held read was answered by the edge at the epoch it was admitted
+        # at, every queued batch still ahead of it.
+        assert held.served_by == "edge-0" and held.staleness_epochs == batches
+        assert held.epoch_vector[owner] == admitted_at

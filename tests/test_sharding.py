@@ -9,7 +9,7 @@ import pytest
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
 from repro.kg import Triple
-from repro.obs import Observability
+from repro.obs import Observability, parse_exposition
 from repro.retrieval.corpus import Document
 from repro.service import (
     LoadGenerator,
@@ -463,6 +463,139 @@ class TestShardedServiceRouting:
         # Fleet p99 is bounded by the worst shard's p99 (concatenated window).
         assert rollup.p99_latency_s <= max(s.p99_latency_s for s in shards) + 1e-9
         assert "shard" in router.metrics.format_shard_table()
+
+    _REPLICA_ZERO = ("shard:0/replica:0", "shard:1/replica:0")
+    _WHOLE_FLEET = ("shard:0", "shard:1")
+    #: What happens to 8 reads -> (completed, rejected, errors, degraded, edge reads).
+    _ACCOUNTING_ROWS = {
+        "all-primary": ({}, (8, 0, 0, 0, 0)),
+        "caught-up-edge": ({"region": "edge-0"}, (8, 0, 0, 0, 8)),
+        "edge-past-the-staleness-bound": (
+            {"region": "edge-0", "writes": 2, "fleet": {"staleness_bound_epochs": 1}},
+            (8, 0, 0, 0, 0),
+        ),
+        "edge-sheds-primary-answers": (
+            {"region": "edge-0", "concurrent": True, "config": {"queue_depth": 1}},
+            None,  # how many shed is the scheduler's business; the sums are not
+        ),
+        "worker-raises-failover": (
+            {"faults": ("error:1.0", _REPLICA_ZERO)}, (8, 0, 0, 0, 0)
+        ),
+        "stall-timeout-failover": (
+            {"faults": ("stall:30", _REPLICA_ZERO), "fleet": {"request_timeout_s": 0.05}},
+            (8, 0, 0, 0, 0),
+        ),
+        "whole-shard-down-failed": (
+            {"faults": ("error:1.0", _WHOLE_FLEET)}, (0, 0, 8, 0, 0)
+        ),
+        "retry-budget-spent-degraded": (
+            {
+                "warm": True,
+                "faults": ("error:1.0", _WHOLE_FLEET),
+                "fleet": {
+                    "retry_policy": RetryPolicy(
+                        max_attempts=2, base_backoff_s=0.0, max_backoff_s=0.0
+                    )
+                },
+            },
+            (8, 0, 0, 8, 0),
+        ),
+    }
+
+    @pytest.mark.parametrize("row", list(_ACCOUNTING_ROWS))
+    def test_fleet_metrics_sum_to_the_routed_reads(self, shard_runner, row):
+        """Whatever happens to a read on a 2x2 fleet with one edge — served
+        by the primary tier or by the edge, shed by the edge and answered by
+        the primary, rescued by a sibling, failed or degraded — the fleet
+        snapshot counts it exactly once, ``errors`` is the router's
+        ``FAILED`` count, and the primary tier's completions plus the
+        edge's reads are the fleet's."""
+        script, expected = self._ACCOUNTING_ROWS[row]
+        region = script.get("region")
+        requests = [
+            ServiceRequest(fact, "dka", "gemma2:9b")
+            for fact in shard_runner.dataset("factbench")[:8]
+        ]
+        router = ShardedValidationService.from_runner(
+            shard_runner,
+            2,
+            ServiceConfig(enable_cache=False, **script.get("config", {})),
+            store=shard_runner.sharded_store("factbench", 2).replay_twin(),
+            replicas=2,
+            edges=1,
+            drain_interval_s=3600.0,  # no background tick: the edge lags by `writes`
+            **script.get("fleet", {}),
+        )
+
+        async def go():
+            async with router:
+                for index in range(script.get("writes", 0)):
+                    await router.apply_mutations(
+                        [
+                            Mutation.add_triple(
+                                request.fact.triple.subject, "updatedBy", f"Feed_{index}"
+                            )
+                            for request in requests
+                        ]
+                    )
+                routed = []
+                if script.get("warm"):
+                    routed += [await router.submit(request) for request in requests]
+                if "faults" in script:
+                    fault, targets = script["faults"]
+                    injector = FaultInjector(
+                        FaultSchedule(
+                            [
+                                FaultEvent(0.0, target, FaultSpec.parse(fault))
+                                for target in targets
+                            ]
+                        ),
+                        clock=router.clock,
+                    )
+                    router.set_fault_injection(injector)
+                    injector.start()
+                reads = [router.submit(request, region=region) for request in requests]
+                if script.get("concurrent"):
+                    return routed + list(await asyncio.gather(*reads))
+                return routed + [await read for read in reads]
+
+        routed = asyncio.run(asyncio.wait_for(go(), 60.0))
+        snapshot = router.metrics.snapshot()
+        outcomes = [response.outcome for response in routed]
+        by_outcome = tuple(
+            outcomes.count(outcome)
+            for outcome in (
+                RequestOutcome.COMPLETED,
+                RequestOutcome.REJECTED,
+                RequestOutcome.FAILED,
+                RequestOutcome.DEGRADED,
+            )
+        )
+        assert sum(by_outcome) == len(routed)
+        assert by_outcome == (
+            snapshot.completed, snapshot.rejected, snapshot.errors, snapshot.degraded
+        )
+        assert snapshot.errors == router.metrics.failures
+        edge_reads = sum(response.served_by == "edge-0" for response in routed)
+        edge_reads_total = parse_exposition(router.metrics.exposition())[
+            "router_geo_edge_reads_total"
+        ]["samples"]
+        assert [value for _, _, value in edge_reads_total] == [edge_reads]
+        assert (
+            sum(shard.completed for shard in router.metrics.per_shard()) + edge_reads
+            == snapshot.completed
+        )
+        if expected is not None:
+            assert by_outcome + (edge_reads,) == expected
+        elif row == "edge-sheds-primary-answers":
+            edge_sheds = sum(
+                service.metrics.snapshot().rejected
+                for service in router.edge_services["edge-0"]
+            )
+            assert edge_sheds > 0 and snapshot.completed > edge_reads > 0
+        if "failover" in row:
+            # Rescued reads are failovers, whatever the sick workers counted.
+            assert snapshot.failovers > 0 and snapshot.unhealthy_replicas > 0
 
 
 class TestResponseStampContract:
