@@ -807,12 +807,12 @@ def _run_chaos(args, stream: TextIO) -> int:
 
 def _parse_kill_target(raw: str):
     """``shard:I/replica:J`` -> ``(I, J)``; SystemExit on anything else."""
-    import re
+    from ..chaos import parse_replica_target
 
-    match = re.fullmatch(r"shard:(\d+)/replica:(\d+)", raw)
-    if match is None:
+    target = parse_replica_target(raw)
+    if target is None:
         raise SystemExit(f"--kill must look like shard:0/replica:1, got {raw!r}")
-    return int(match.group(1)), int(match.group(2))
+    return target
 
 
 def _run_obs_dashboard(args, stream: TextIO) -> int:

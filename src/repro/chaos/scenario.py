@@ -10,7 +10,7 @@ product::
     models: ["gemma2:9b"]
     requests: 120
     concurrency: 8
-    service:                    # router + worker knobs (all optional)
+    service:                    # ServiceConfig fields + the two router timers
       request_timeout_s: 0.25
       probe_interval_s: 0.05
       time_scale: 0.0
@@ -55,20 +55,24 @@ columns** (latency percentiles, retry/failover tallies, wall time) vary
 with the wall clock and are excluded from ``csv(include_timings=False)``
 — the view the determinism floor asserts on.
 
+Every mapping block has one declaration, a frozen dataclass: its field
+names are the block's keys, its annotations their types, its defaults the
+defaults and its ``__post_init__`` the value rules (see :func:`_build`).
 Malformed scenarios raise :class:`ScenarioError` with a message naming the
-offending key — unknown fault targets (grammar-level or out of the
-matrix's topology bounds), overlapping fault windows, negative times, and
-empty matrix axes are all load-time errors, never mid-run surprises.
+offending key — unknown keys, mistyped or out-of-range values, unknown
+fault targets (grammar-level or out of the matrix's topology bounds),
+overlapping fault windows, negative times, and empty matrix axes are all
+load-time errors, never mid-run surprises.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import hashlib
 import json
-import random
-from dataclasses import dataclass, field, replace
+import re
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -100,6 +104,7 @@ from .traffic import TrafficSpec, build_traffic
 __all__ = [
     "CellResult",
     "FaultCase",
+    "GeoOptions",
     "InvariantCheck",
     "Invariants",
     "RunTable",
@@ -120,21 +125,73 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _typed(value: object, hint: object, where: str) -> object:
+    """``value`` as annotation ``hint`` admits it, else a :class:`ScenarioError`
+    naming ``where``.  Nothing is coerced: an int passes for a float, a bool
+    never passes for a number, and a YAML sequence comes back as the tuple
+    its field declares."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:  # Optional[X]
+        if value is None and type(None) in args:
+            return None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _typed(value, inner, where)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(hints) == len(value):
+            return tuple(
+                _typed(item, item_hint, f"{where}[{index}]")
+                for index, (item, item_hint) in enumerate(zip(value, hints))
+            )
+    elif origin is dict and isinstance(value, dict):
+        return {
+            _typed(key, args[0], where): _typed(item, args[1], f"{where}[{key!r}]")
+            for key, item in value.items()
+        }
+    elif origin is None:
+        accepted = (int, float) if hint is float else hint
+        if isinstance(value, accepted) and isinstance(value, bool) == (hint is bool):
+            return value
+    name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+    raise ScenarioError(f"{where} must be {name}, got {value!r}")
+
+
+def _build(cls, raw: object, where: str, **built):
+    """One scenario block from its one declaration, the dataclass ``cls``.
+
+    The field names are the keys ``raw`` may hold (less the ``built``
+    ones, which the loader fills from other blocks), the annotations the
+    types, the field defaults the defaults and ``__post_init__`` the value
+    rules.  A block left out (``None``) is all defaults; anything wrong is
+    a :class:`ScenarioError` naming ``where``.
+    """
+    raw = {} if raw is None else raw
+    _require(isinstance(raw, dict), f"{where} must be a mapping, got {raw!r}")
+    unknown = set(raw) - ({item.name for item in fields(cls)} - set(built))
+    _require(not unknown, f"unknown {where} keys {sorted(unknown, key=str)}")
+    hints = typing.get_type_hints(cls)
+    values = {
+        key: _typed(value, hints[key], f"{where}.{key}") for key, value in raw.items()
+    }
+    try:
+        return cls(**values, **built)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Topology:
     """One fleet shape: ``shards`` logical shards x ``replicas`` workers,
     plus ``edges`` asynchronous geo edge replicas (0 = no geo tier)."""
 
-    shards: int
-    replicas: int
+    shards: int = 1
+    replicas: int = 1
     edges: int = 0
 
     def __post_init__(self) -> None:
-        _require(self.shards >= 1, f"topology shards must be >= 1, got {self.shards}")
-        _require(
-            self.replicas >= 1, f"topology replicas must be >= 1, got {self.replicas}"
-        )
-        _require(self.edges >= 0, f"topology edges must be >= 0, got {self.edges}")
+        _require(self.shards >= 1, f"shards must be >= 1, got {self.shards}")
+        _require(self.replicas >= 1, f"replicas must be >= 1, got {self.replicas}")
+        _require(self.edges >= 0, f"edges must be >= 0, got {self.edges}")
 
     @property
     def label(self) -> str:
@@ -148,6 +205,38 @@ class FaultCase:
 
     name: str
     schedule: FaultSchedule
+
+    def __post_init__(self) -> None:
+        _require(bool(self.name), "a fault case needs a non-empty 'name'")
+
+
+@dataclass(frozen=True)
+class GeoOptions:
+    """The ``geo:`` block: how topologies with ``edges > 0`` run their geo
+    tier (the router arguments of the same names, plus the load
+    generator's ``regions``)."""
+
+    #: Edge reads trailing the primary by more epochs than this fall back
+    #: to the primary (``None`` = no bound).
+    staleness_bound_epochs: Optional[int] = None
+    #: Seconds between background drain ticks per edge.
+    drain_interval_s: float = 0.02
+    #: Extra seconds per drain tick, by edge name (injected lag).
+    edge_lag_s: Dict[str, float] = field(default_factory=dict)
+    #: Seed of the drain scheduler's shard-order shuffle.
+    drain_seed: int = 0
+    #: The client-region affinity cycle the load generator assigns
+    #: (``None`` entries pin clients to the primary).
+    regions: Tuple[Optional[str], ...] = ()
+
+    def __post_init__(self) -> None:
+        bound = self.staleness_bound_epochs
+        _require(bound is None or bound >= 0, "staleness_bound_epochs must be >= 0 when set")
+        _require(self.drain_interval_s > 0, "drain_interval_s must be positive")
+        _require(
+            all(lag >= 0 for lag in self.edge_lag_s.values()),
+            "edge_lag_s must be >= 0 seconds for every edge",
+        )
 
 
 @dataclass(frozen=True)
@@ -173,63 +262,65 @@ class Invariants:
     edge_staleness_bound_epochs: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _require(self.max_failed >= 0, "invariants.max_failed must be >= 0")
-        _require(
-            self.staleness_bound_epochs is None or self.staleness_bound_epochs >= 0,
-            "invariants.staleness_bound_epochs must be >= 0 when set",
-        )
-        _require(
-            self.edge_staleness_bound_epochs is None
-            or self.edge_staleness_bound_epochs >= 0,
-            "invariants.edge_staleness_bound_epochs must be >= 0 when set",
-        )
+        _require(self.max_failed >= 0, "max_failed must be >= 0")
+        for name in ("staleness_bound_epochs", "edge_staleness_bound_epochs"):
+            bound = getattr(self, name)
+            _require(bound is None or bound >= 0, f"{name} must be >= 0 when set")
 
     def expected_alerts_for(self, fault_name: str) -> Tuple[str, ...]:
         """Alert ids that must fire during ``fault_name``'s cell."""
-        for name, ids in self.expect_alerts:
-            if name == fault_name:
-                return ids
-        return ()
+        return dict(self.expect_alerts).get(fault_name, ())
 
     def forbidden_alerts_for(self, fault_name: str) -> Optional[Tuple[str, ...]]:
         """Alert ids that must stay silent during ``fault_name``'s cell,
         or ``None`` when the cell is unconstrained."""
-        for name, ids in self.forbid_alerts:
-            if name == fault_name:
-                return ids
-        return None
+        return dict(self.forbid_alerts).get(fault_name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """A parsed, validated scenario (see the module docstring schema)."""
+    """A parsed, validated scenario (see the module docstring schema).
 
-    name: str
-    seed: int
-    dataset: str
-    methods: Tuple[str, ...]
-    models: Tuple[str, ...]
-    requests: int
-    concurrency: int
+    The fields up to ``store`` are the top-level keys of the same names;
+    the loader fills the rest from the nested blocks — ``request_timeout_s``
+    and ``probe_interval_s`` are the two router timers of ``service:``,
+    whose other keys are :class:`ServiceConfig`'s, and the three matrix
+    axes come out of ``matrix:``.
+    """
+
+    name: str = "scenario"
+    seed: int = 0
+    dataset: str = "factbench"
+    methods: Tuple[str, ...] = ("dka",)
+    models: Tuple[str, ...] = ()
+    requests: int = 200
+    concurrency: int = 8
+    #: Attach per-cell sharded stores (writes, epochs, the geo tier).
+    store: bool = False
+    service: ServiceConfig
+    #: Seconds before a stalled replica attempt is abandoned (``None`` = never).
+    request_timeout_s: Optional[float] = 0.25
+    #: Seconds an unhealthy replica rests before one canary request.
+    probe_interval_s: float = 0.05
+    retry: Optional[RetryPolicy]
+    geo: GeoOptions
     topologies: Tuple[Topology, ...]
     traffics: Tuple[TrafficSpec, ...]
     fault_cases: Tuple[FaultCase, ...]
-    invariants: Invariants = Invariants()
-    retry_policy: Optional[RetryPolicy] = None
-    attach_store: bool = False
-    request_timeout_s: Optional[float] = 0.25
-    probe_interval_s: float = 0.05
-    unhealthy_after: int = 1
-    service_config: Dict[str, object] = field(default_factory=dict)
-    #: Geo-tier knobs (apply to topologies with ``edges > 0``): routing
-    #: staleness bound, background drain cadence, per-edge extra lag, the
-    #: drain scheduler's seed, and the client-region affinity cycle the
-    #: load generator assigns (``None`` entries pin clients to primary).
-    geo_staleness_bound_epochs: Optional[int] = None
-    geo_drain_interval_s: float = 0.02
-    geo_edge_lag_s: Tuple[Tuple[str, float], ...] = ()
-    geo_drain_seed: int = 0
-    geo_regions: Tuple[Optional[str], ...] = ()
+    invariants: Invariants
+
+    def __post_init__(self) -> None:
+        _require(bool(self.name), "'name' must be a non-empty string")
+        _require(bool(self.dataset), "'dataset' must be a non-empty string")
+        _require(bool(self.methods), "'methods' must list at least one method")
+        _require(bool(self.models), "'models' must list at least one model")
+        _require(self.requests >= 1, "'requests' must be >= 1")
+        _require(self.concurrency >= 1, "'concurrency' must be >= 1")
+        _require(
+            self.request_timeout_s is None or self.request_timeout_s > 0,
+            "service.request_timeout_s must be positive when set",
+        )
+        _require(self.probe_interval_s > 0, "service.probe_interval_s must be positive")
 
     @property
     def cell_count(self) -> int:
@@ -238,138 +329,65 @@ class Scenario:
         return pairs * (len(self.fault_cases) + 1)
 
 
-_SERVICE_KEYS = {
-    "request_timeout_s",
-    "probe_interval_s",
-    "unhealthy_after",
-    "max_batch_size",
-    "batch_linger_s",
-    "queue_depth",
-    "enable_cache",
-    "cache_capacity",
-    "batch_overhead_s",
-    "time_scale",
-}
-
-_TOP_KEYS = {
-    "name",
-    "seed",
-    "dataset",
-    "methods",
-    "models",
-    "requests",
-    "concurrency",
-    "service",
-    "retry",
-    "store",
-    "geo",
-    "matrix",
-    "invariants",
-}
-
-_GEO_KEYS = {
-    "staleness_bound_epochs",
-    "drain_interval_s",
-    "edge_lag_s",
-    "drain_seed",
-    "regions",
-}
+#: The names the router gives a topology's edges: ``edge-0``, ``edge-1``, …
+_EDGE_NAME = re.compile(r"edge-(0|[1-9][0-9]*)")
 
 
 def _parse_fault_case(index: int, raw: object) -> FaultCase:
-    _require(
-        isinstance(raw, dict), f"matrix.faults[{index}] must be a mapping, got {raw!r}"
-    )
-    assert isinstance(raw, dict)
-    unknown = set(raw) - {"name", "schedule"}
-    _require(not unknown, f"matrix.faults[{index}] has unknown keys {sorted(unknown)}")
-    name = raw.get("name")
-    _require(
-        isinstance(name, str) and bool(name),
-        f"matrix.faults[{index}] needs a non-empty 'name'",
-    )
+    where = f"matrix.faults[{index}]"
+    _require(isinstance(raw, dict), f"{where} must be a mapping, got {raw!r}")
     rows = raw.get("schedule")
     _require(
         isinstance(rows, list) and bool(rows),
-        f"fault case {name!r} needs a non-empty 'schedule' list",
+        f"{where} needs a non-empty 'schedule' list",
     )
     events: List[FaultEvent] = []
-    assert isinstance(rows, list)
     for row_index, row in enumerate(rows):
-        _require(
-            isinstance(row, dict),
-            f"fault case {name!r} schedule[{row_index}] must be a mapping",
-        )
-        assert isinstance(row, dict)
-        unknown = set(row) - {"at_s", "target", "fault", "clear_at_s"}
-        _require(
-            not unknown,
-            f"fault case {name!r} schedule[{row_index}] has unknown keys {sorted(unknown)}",
-        )
-        for key in ("at_s", "target", "fault"):
-            _require(
-                key in row, f"fault case {name!r} schedule[{row_index}] needs {key!r}"
-            )
-        try:
-            events.append(
-                FaultEvent(
-                    at_s=float(row["at_s"]),
-                    target=str(row["target"]),
-                    fault=FaultSpec.parse(row["fault"]),
-                    clear_at_s=(
-                        float(row["clear_at_s"]) if row.get("clear_at_s") is not None else None
-                    ),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(
-                f"fault case {name!r} schedule[{row_index}]: {exc}"
-            ) from exc
+        at = f"{where}.schedule[{row_index}]"
+        if isinstance(row, dict) and "fault" in row:
+            fault = row["fault"]
+            if isinstance(fault, dict):
+                fault = _build(FaultSpec, fault, f"{at}.fault")
+            else:  # the one value with a spelling of its own ("stall:0.5")
+                try:
+                    fault = FaultSpec.parse(fault)
+                except ValueError as exc:
+                    raise ScenarioError(f"{at}.fault: {exc}") from exc
+            row = {**row, "fault": fault}
+        events.append(_build(FaultEvent, row, at))
     try:
         schedule = FaultSchedule(events)
     except ValueError as exc:
-        raise ScenarioError(f"fault case {name!r}: {exc}") from exc
-    return FaultCase(str(name), schedule)
+        raise ScenarioError(f"{where}: {exc}") from exc
+    return _build(FaultCase, {**raw, "schedule": schedule}, where)
 
 
 def _check_target_bounds(case: FaultCase, topologies: Sequence[Topology]) -> None:
-    """Every targeted shard/replica index must exist in every topology —
-    the matrix runs every fault case against every topology."""
+    """Every targeted shard/replica/edge index must exist in every topology
+    — the matrix runs every fault case against every topology."""
     for event in case.schedule:
         target = event.target
-        edge = parse_edge_target(target)
+        edge, coordinates = parse_edge_target(target), parse_replica_target(target)
         if edge is not None:
-            for topology in topologies:
-                _require(
-                    edge < topology.edges,
-                    f"fault case {case.name!r} targets {target!r} but topology "
-                    f"{topology.label} has only {topology.edges} edge(s)",
-                )
-            continue
-        coordinates = parse_replica_target(target)
-        shard: Optional[int]
-        replica: Optional[int]
-        if coordinates is not None:
-            shard, replica = coordinates
+            wanted = {"edge": edge}
+        elif coordinates is not None:
+            wanted = dict(zip(("shard", "replica"), coordinates))
         elif target.startswith("shard:"):
-            shard, replica = int(target.split(":", 1)[1]), None
+            wanted = {"shard": int(target.split(":", 1)[1])}
         else:
             continue
         for topology in topologies:
-            _require(
-                shard < topology.shards,
-                f"fault case {case.name!r} targets {target!r} but topology "
-                f"{topology.label} has only {topology.shards} shard(s)",
-            )
-            _require(
-                replica is None or replica < topology.replicas,
-                f"fault case {case.name!r} targets {target!r} but topology "
-                f"{topology.label} has only {topology.replicas} replica(s)",
-            )
+            for axis, index in wanted.items():
+                count = getattr(topology, f"{axis}s")
+                _require(
+                    index < count,
+                    f"fault case {case.name!r} targets {target!r} but topology "
+                    f"{topology.label} has only {count} {axis}(s)",
+                )
 
 
 def _parse_alert_map(
-    key: str, raw: object, cell_names: set, allow_wildcard: bool
+    key: str, raw: object, cell_names: set
 ) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
     """Validate an ``invariants.expect_alerts`` / ``forbid_alerts`` block:
     a mapping of fault-case name (or ``"none"``) to a list of alert ids
@@ -378,7 +396,6 @@ def _parse_alert_map(
         isinstance(raw, dict),
         f"invariants.{key} must map fault-case names to alert-id lists",
     )
-    assert isinstance(raw, dict)
     entries = []
     for cell_name, ids in raw.items():
         _require(
@@ -390,7 +407,6 @@ def _parse_alert_map(
             isinstance(ids, list) and bool(ids),
             f"invariants.{key}[{cell_name!r}] must be a non-empty list of alert ids",
         )
-        assert isinstance(ids, list)
         for alert_id in ids:
             _require(
                 isinstance(alert_id, str) and bool(alert_id),
@@ -398,7 +414,7 @@ def _parse_alert_map(
             )
             if alert_id == "*":
                 _require(
-                    allow_wildcard,
+                    key == "forbid_alerts",
                     f"invariants.{key}[{cell_name!r}] cannot use '*' "
                     "(only forbid_alerts may forbid everything)",
                 )
@@ -415,11 +431,14 @@ def _parse_alert_map(
 def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     """Parse and validate a scenario from a YAML file path or a mapping.
 
-    Raises :class:`ScenarioError` for malformed input: unknown keys,
-    unknown fault targets (including targets outside the matrix's
-    topology bounds), overlapping fault windows on one target, negative
-    times, and empty matrix axes all fail here, with the offending key in
-    the message.
+    Every block is built from its declaring dataclass by :func:`_build`
+    (unknown keys, mistyped values and out-of-range values fail there);
+    what is left here is what no single block can see: fault targets
+    inside every topology's bounds, edge names against the widest
+    topology, a ``geo:`` block needing an edge, writes or edges needing
+    ``store: true``, unique cell labels, non-empty matrix axes, and the
+    alert-map grammar.  Raises :class:`ScenarioError` — and nothing else —
+    for any malformed input, with the offending key in the message.
     """
     if isinstance(source, (str, Path)):
         import yaml
@@ -434,221 +453,115 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     else:
         data = source
     _require(isinstance(data, dict), f"a scenario must be a mapping, got {type(data).__name__}")
-    assert isinstance(data, dict)
-    unknown = set(data) - _TOP_KEYS
-    _require(not unknown, f"unknown scenario keys {sorted(unknown)}")
+    top = dict(data)
 
-    name = data.get("name", "scenario")
-    _require(isinstance(name, str) and bool(name), "scenario 'name' must be a non-empty string")
-    seed = data.get("seed", 0)
-    _require(isinstance(seed, int), "scenario 'seed' must be an integer")
-    dataset = data.get("dataset", "factbench")
-    _require(isinstance(dataset, str) and bool(dataset), "'dataset' must be a non-empty string")
-    methods = tuple(data.get("methods", ("dka",)))
-    models = tuple(data.get("models", ()))
-    _require(bool(methods), "'methods' must list at least one method")
-    _require(bool(models), "'models' must list at least one model")
-    requests = data.get("requests", 200)
+    # ``service:`` holds ServiceConfig's keys (with the scenario defaults
+    # for two of them) beside the two router timers Scenario declares.
+    service = top.pop("service", None)
     _require(
-        isinstance(requests, int) and requests >= 1, "'requests' must be an integer >= 1"
+        service is None or isinstance(service, dict),
+        f"service must be a mapping, got {service!r}",
     )
-    concurrency = data.get("concurrency", 8)
-    _require(
-        isinstance(concurrency, int) and concurrency >= 1,
-        "'concurrency' must be an integer >= 1",
-    )
-
-    service = data.get("service", {}) or {}
-    _require(isinstance(service, dict), "'service' must be a mapping")
-    unknown = set(service) - _SERVICE_KEYS
-    _require(not unknown, f"unknown service keys {sorted(unknown)}")
-    request_timeout_s = service.get("request_timeout_s", 0.25)
-    probe_interval_s = service.get("probe_interval_s", 0.05)
-    unhealthy_after = service.get("unhealthy_after", 1)
-    config_overrides = {
-        key: value
-        for key, value in service.items()
-        if key not in ("request_timeout_s", "probe_interval_s", "unhealthy_after")
+    service = dict(service or {})
+    hints = typing.get_type_hints(Scenario)
+    timers = {
+        key: _typed(service.pop(key, getattr(Scenario, key)), hints[key], f"service.{key}")
+        for key in ("request_timeout_s", "probe_interval_s")
     }
+    config = _build(
+        ServiceConfig, {"max_batch_size": 8, "queue_depth": 4096, **service}, "service"
+    )
 
-    retry = data.get("retry")
-    retry_policy: Optional[RetryPolicy] = None
+    retry = top.pop("retry", None)
     if retry is not None:
-        _require(isinstance(retry, dict), "'retry' must be a mapping")
         try:
-            retry_policy = RetryPolicy(**retry)
-        except (TypeError, ValueError) as exc:
+            retry = _build(RetryPolicy, retry, "retry")
+        except ScenarioError as exc:
             raise ScenarioError(f"invalid retry policy: {exc}") from exc
 
-    attach_store = bool(data.get("store", False))
+    geo = _build(GeoOptions, top.pop("geo", None), "geo")
 
-    matrix = data.get("matrix")
+    matrix = top.pop("matrix", None)
     _require(isinstance(matrix, dict), "a scenario needs a 'matrix' mapping")
-    assert isinstance(matrix, dict)
-    unknown = set(matrix) - {"topology", "traffic", "faults"}
-    _require(not unknown, f"unknown matrix keys {sorted(unknown)}")
-    raw_topologies = matrix.get("topology") or []
-    raw_traffics = matrix.get("traffic") or []
-    raw_faults = matrix.get("faults") or []
-    _require(
-        bool(raw_topologies),
-        "the scenario matrix is empty: matrix.topology must list at least one topology",
+    matrix = dict(matrix)
+    axes = {axis: matrix.pop(axis, None) for axis in ("topology", "traffic", "faults")}
+    _require(not matrix, f"unknown matrix keys {sorted(matrix, key=str)}")
+    for axis, rows in axes.items():
+        _require(
+            isinstance(rows, list) and bool(rows),
+            f"the scenario matrix is empty: matrix.{axis} must list at least one "
+            "entry (the fault-free reference runs automatically)",
+        )
+    topologies = tuple(
+        _build(Topology, raw, f"matrix.topology[{index}]")
+        for index, raw in enumerate(axes["topology"])
     )
-    _require(
-        bool(raw_traffics),
-        "the scenario matrix is empty: matrix.traffic must list at least one traffic shape",
+    traffics = tuple(
+        _build(TrafficSpec, raw, f"matrix.traffic[{index}]")
+        for index, raw in enumerate(axes["traffic"])
     )
-    _require(
-        bool(raw_faults),
-        "the scenario matrix is empty: matrix.faults must list at least one fault case "
-        "(the fault-free reference runs automatically)",
+    fault_cases = tuple(
+        _parse_fault_case(index, raw) for index, raw in enumerate(axes["faults"])
     )
 
-    topologies: List[Topology] = []
-    for index, raw in enumerate(raw_topologies):
-        _require(isinstance(raw, dict), f"matrix.topology[{index}] must be a mapping")
-        unknown = set(raw) - {"shards", "replicas", "edges"}
-        _require(not unknown, f"matrix.topology[{index}] has unknown keys {sorted(unknown)}")
-        try:
-            topologies.append(
-                Topology(
-                    int(raw.get("shards", 1)),
-                    int(raw.get("replicas", 1)),
-                    int(raw.get("edges", 0)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"matrix.topology[{index}]: {exc}") from exc
+    invariants = top.pop("invariants", None)
+    if isinstance(invariants, dict):  # anything else is _build's to refuse
+        cell_names = {case.name for case in fault_cases} | {"none"}
+        invariants = dict(invariants)
+        for key in ("expect_alerts", "forbid_alerts"):
+            if key in invariants:
+                invariants[key] = _parse_alert_map(key, invariants[key], cell_names)
 
-    traffics: List[TrafficSpec] = []
-    for index, raw in enumerate(raw_traffics):
-        _require(isinstance(raw, dict), f"matrix.traffic[{index}] must be a mapping")
-        try:
-            traffics.append(TrafficSpec(**raw))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"matrix.traffic[{index}]: {exc}") from exc
+    scenario = _build(
+        Scenario,
+        top,
+        "scenario",
+        service=config,
+        **timers,
+        retry=retry,
+        geo=geo,
+        topologies=topologies,
+        traffics=traffics,
+        fault_cases=fault_cases,
+        invariants=_build(Invariants, invariants, "invariants"),
+    )
+
     shapes = [traffic.shape for traffic in traffics]
     _require(
         len(set(shapes)) == len(shapes),
         f"matrix.traffic repeats a shape ({shapes}); each cell needs a distinct label",
     )
-
-    fault_cases = [_parse_fault_case(index, raw) for index, raw in enumerate(raw_faults)]
     names = [case.name for case in fault_cases]
     _require(len(set(names)) == len(names), f"matrix.faults repeats a name ({names})")
     for case in fault_cases:
         _check_target_bounds(case, topologies)
 
-    max_edges = max((topology.edges for topology in topologies), default=0)
-
-    geo_raw = data.get("geo", {}) or {}
-    _require(isinstance(geo_raw, dict), "'geo' must be a mapping")
-    assert isinstance(geo_raw, dict)
-    unknown = set(geo_raw) - _GEO_KEYS
-    _require(not unknown, f"unknown geo keys {sorted(unknown)}")
-    if geo_raw:
-        _require(
-            max_edges > 0,
-            "a 'geo' block needs at least one topology with edges > 0",
-        )
-    geo_bound = geo_raw.get("staleness_bound_epochs")
+    max_edges = max(topology.edges for topology in topologies)
     _require(
-        geo_bound is None or (isinstance(geo_bound, int) and geo_bound >= 0),
-        "geo.staleness_bound_epochs must be an integer >= 0 when set",
+        geo == GeoOptions() or max_edges > 0,
+        "a 'geo' block needs at least one topology with edges > 0",
     )
-    geo_drain_interval = float(geo_raw.get("drain_interval_s", 0.02))
-    _require(geo_drain_interval > 0, "geo.drain_interval_s must be positive")
-    geo_drain_seed = geo_raw.get("drain_seed", 0)
-    _require(isinstance(geo_drain_seed, int), "geo.drain_seed must be an integer")
-    edge_names = {f"edge-{index}" for index in range(max_edges)}
-    raw_lag = geo_raw.get("edge_lag_s", {}) or {}
-    _require(
-        isinstance(raw_lag, dict), "geo.edge_lag_s must map edge names to seconds"
-    )
-    geo_edge_lag: List[Tuple[str, float]] = []
-    for edge_name, lag in sorted(raw_lag.items()):
-        _require(
-            edge_name in edge_names,
-            f"geo.edge_lag_s names unknown edge {edge_name!r} "
-            f"(topologies define {sorted(edge_names) or 'no edges'})",
-        )
-        _require(
-            isinstance(lag, (int, float)) and lag >= 0,
-            f"geo.edge_lag_s[{edge_name!r}] must be >= 0 seconds",
-        )
-        geo_edge_lag.append((str(edge_name), float(lag)))
-    raw_regions = geo_raw.get("regions", []) or []
-    _require(isinstance(raw_regions, list), "geo.regions must be a list")
-    geo_regions: List[Optional[str]] = []
-    for region in raw_regions:
-        _require(
-            region is None or region in edge_names,
-            f"geo.regions names unknown edge {region!r} "
-            f"(topologies define {sorted(edge_names) or 'no edges'})",
-        )
-        geo_regions.append(region)
-
-    invariants_raw = data.get("invariants", {}) or {}
-    _require(isinstance(invariants_raw, dict), "'invariants' must be a mapping")
-    unknown = set(invariants_raw) - {
-        "max_failed",
-        "verdict_parity",
-        "staleness_bound_epochs",
-        "expect_alerts",
-        "forbid_alerts",
-        "geo_converged",
-        "edge_staleness_bound_epochs",
-    }
-    _require(not unknown, f"unknown invariant keys {sorted(unknown)}")
-    cell_names = {case.name for case in fault_cases} | {"none"}
-    invariants_kwargs = dict(invariants_raw)
-    for key in ("expect_alerts", "forbid_alerts"):
-        if key in invariants_kwargs:
-            invariants_kwargs[key] = _parse_alert_map(
-                key, invariants_kwargs[key], cell_names, allow_wildcard=(key == "forbid_alerts")
+    for key, named in (("edge_lag_s", geo.edge_lag_s), ("regions", geo.regions)):
+        for name in named:
+            match = None if name is None else _EDGE_NAME.fullmatch(name)
+            _require(
+                name is None or (match is not None and int(match[1]) < max_edges),
+                f"geo.{key} names unknown edge {name!r} (the widest topology "
+                f"has {max_edges} edge(s), named edge-0 upward)",
             )
-    try:
-        invariants = Invariants(**invariants_kwargs)
-    except TypeError as exc:
-        raise ScenarioError(f"invalid invariants: {exc}") from exc
-
     if any(traffic.write_fraction > 0 for traffic in traffics):
         _require(
-            attach_store,
+            scenario.store,
             "a traffic shape mixes writes (write_fraction > 0) but 'store' is false; "
             "ingest needs per-cell sharded stores",
         )
     if max_edges > 0:
         _require(
-            attach_store,
+            scenario.store,
             "a topology has edges > 0 but 'store' is false; the geo tier "
             "replicates per-cell sharded stores",
         )
-
-    return Scenario(
-        name=name,
-        seed=seed,
-        dataset=dataset,
-        methods=tuple(str(method) for method in methods),
-        models=tuple(str(model) for model in models),
-        requests=requests,
-        concurrency=concurrency,
-        topologies=tuple(topologies),
-        traffics=tuple(traffics),
-        fault_cases=tuple(fault_cases),
-        invariants=invariants,
-        retry_policy=retry_policy,
-        attach_store=attach_store,
-        request_timeout_s=request_timeout_s,
-        probe_interval_s=probe_interval_s,
-        unhealthy_after=unhealthy_after,
-        service_config=config_overrides,
-        geo_staleness_bound_epochs=geo_bound,
-        geo_drain_interval_s=geo_drain_interval,
-        geo_edge_lag_s=tuple(geo_edge_lag),
-        geo_drain_seed=geo_drain_seed,
-        geo_regions=tuple(geo_regions),
-    )
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -841,6 +754,10 @@ class RunTable:
         return "\n".join(lines) + "\n"
 
 
+#: Seconds between a cell's driver polls: due replica kills, SLO scrapes.
+POLL_INTERVAL_S = 0.005
+
+
 class ScenarioRunner:
     """Expands a :class:`Scenario` matrix and runs every cell.
 
@@ -857,20 +774,16 @@ class ScenarioRunner:
         runner,
         scenario: Scenario,
         clock: Optional[Clock] = None,
-        poll_interval_s: float = 0.005,
         drain_seed: Optional[int] = None,
     ) -> None:
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
         self.runner = runner
         self.scenario = scenario
         self.clock = clock or MonotonicClock()
-        self.poll_interval_s = poll_interval_s
         #: Drain-scheduler seed override (``chaos --drain-seed``): the CI
         #: determinism floor re-runs the geo scenario under two seeds and
         #: diffs the deterministic CSV view byte-for-byte.
         self.drain_seed = (
-            drain_seed if drain_seed is not None else scenario.geo_drain_seed
+            drain_seed if drain_seed is not None else scenario.geo.drain_seed
         )
 
     # ------------------------------------------------------------- execution
@@ -895,16 +808,6 @@ class ScenarioRunner:
         return RunTable(scenario, cells)
 
     # ------------------------------------------------------------- internals
-
-    def _service_config(self) -> ServiceConfig:
-        defaults = {
-            "max_batch_size": 8,
-            "batch_linger_s": 0.0,
-            "queue_depth": 4096,
-            "time_scale": 0.0,
-        }
-        defaults.update(self.scenario.service_config)
-        return ServiceConfig(**defaults)  # type: ignore[arg-type]
 
     def _ingest_factory(self, traffic: TrafficSpec):
         dataset = self.runner.dataset(self.scenario.dataset)
@@ -948,12 +851,12 @@ class ScenarioRunner:
         while True:
             for shard, replica in injector.due_kills():
                 await router.kill_replica(shard, replica)
-            await self.clock.sleep(self.poll_interval_s)
+            await self.clock.sleep(POLL_INTERVAL_S)
 
     async def _drive_monitor(self, monitor: SLOMonitor) -> None:
         while True:
             monitor.tick()
-            await self.clock.sleep(self.poll_interval_s)
+            await self.clock.sleep(POLL_INTERVAL_S)
 
     async def _run_cell(
         self,
@@ -974,26 +877,26 @@ class ScenarioRunner:
             spec,
             ingest_factory=self._ingest_factory(spec) if spec.write_fraction > 0 else None,
         )
+        geo = scenario.geo
         store = None
-        if scenario.attach_store:
+        if scenario.store:
             store = self.runner.sharded_store(
                 scenario.dataset, topology.shards
             ).replay_twin()
         router = ShardedValidationService.from_runner(
             self.runner,
             topology.shards,
-            self._service_config(),
+            scenario.service,
             store=store,
             request_timeout_s=scenario.request_timeout_s,
             replicas=topology.replicas,
-            unhealthy_after=scenario.unhealthy_after,
             probe_interval_s=scenario.probe_interval_s,
-            retry_policy=scenario.retry_policy,
+            retry_policy=scenario.retry,
             clock=self.clock,
             edges=topology.edges,
-            staleness_bound_epochs=scenario.geo_staleness_bound_epochs,
-            drain_interval_s=scenario.geo_drain_interval_s,
-            edge_lag_s=dict(scenario.geo_edge_lag_s),
+            staleness_bound_epochs=geo.staleness_bound_epochs,
+            drain_interval_s=geo.drain_interval_s,
+            edge_lag_s=geo.edge_lag_s,
             drain_seed=self.drain_seed,
         )
         # Per-cell observability: a fresh seeded tracer + event log on the
@@ -1003,7 +906,7 @@ class ScenarioRunner:
             self.clock, seed=scenario.seed, trace_capacity=4096
         )
         router.set_observability(obs)
-        bound = scenario.geo_staleness_bound_epochs
+        bound = geo.staleness_bound_epochs
         # Per-cell SLO monitor: scrapes the fleet's merged families on the
         # runner's clock and steps burn-rate alerts into the cell's event
         # log, so "did this fault page?" is checkable like any invariant.
@@ -1011,7 +914,7 @@ class ScenarioRunner:
             MetricsScraper(
                 router.metrics.collect_families,
                 clock=self.clock,
-                interval_s=self.poll_interval_s,
+                interval_s=POLL_INTERVAL_S,
             ),
             fleet_slos(
                 topology.shards,
@@ -1041,13 +944,9 @@ class ScenarioRunner:
                 driver = asyncio.get_running_loop().create_task(
                     self._drive_faults(injector, router)
                 )
-            regions = (
-                list(scenario.geo_regions)
-                if topology.edges > 0 and scenario.geo_regions
-                else None
-            )
+            # A fleet without edges ignores the region hints.
             generator = LoadGenerator(
-                router, schedule, scenario.concurrency, regions=regions
+                router, schedule, scenario.concurrency, regions=geo.regions
             )
             try:
                 report = await generator.run()

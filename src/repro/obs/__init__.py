@@ -148,8 +148,6 @@ class Observability:
         seed: int = 0,
         sample_rate: float = 1.0,
         trace_capacity: int = 512,
-        event_capacity: int = 4096,
-        max_spans_per_trace: int = 4096,
     ) -> "Observability":
         clock = clock or MonotonicClock()
         return cls(
@@ -158,7 +156,6 @@ class Observability:
                 seed=seed,
                 sample_rate=sample_rate,
                 capacity=trace_capacity,
-                max_spans_per_trace=max_spans_per_trace,
             ),
-            events=EventLog(clock=clock, capacity=event_capacity),
+            events=EventLog(clock=clock),
         )

@@ -17,11 +17,6 @@ class ServiceConfig:
         Upper bound on how many queued requests one ``(method, model)``
         worker coalesces into a single micro-batch.  ``1`` disables
         batching (the single-request-at-a-time baseline in the benchmark).
-    batch_linger_s:
-        Optional *real* seconds a worker waits after draining the queue for
-        more requests to arrive before dispatching an under-full batch.
-        ``0.0`` dispatches whatever is queued immediately; closed-loop load
-        keeps queues non-empty, so batches form without lingering.
     queue_depth:
         Admission-control bound on the number of in-flight (admitted, not
         yet answered) requests across all workers.  A request arriving at a
@@ -43,7 +38,6 @@ class ServiceConfig:
     """
 
     max_batch_size: int = 16
-    batch_linger_s: float = 0.0
     queue_depth: int = 256
     enable_cache: bool = True
     cache_capacity: int = 4096
@@ -57,5 +51,5 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
-        if self.batch_linger_s < 0 or self.batch_overhead_s < 0 or self.time_scale < 0:
+        if self.batch_overhead_s < 0 or self.time_scale < 0:
             raise ValueError("durations must be non-negative")

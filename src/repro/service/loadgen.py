@@ -142,7 +142,7 @@ class LoadReport:
     snapshot: MetricsSnapshot = field(repr=False)
     requests: List[WorkItem] = field(default_factory=list, repr=False)
     #: Index-aligned session tokens: ``sessions[i]`` is the client identity
-    #: that issued item ``i`` (``None`` when sessions were disabled).
+    #: that issued item ``i`` (``None`` for an item issued outside a session).
     sessions: List[Optional[str]] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -329,7 +329,6 @@ class LoadGenerator:
         requests: Sequence[WorkItem],
         concurrency: int = 8,
         regions: Optional[Sequence[Optional[str]]] = None,
-        sessions: bool = True,
     ) -> None:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
@@ -340,12 +339,11 @@ class LoadGenerator:
         #: (``None`` entries pin clients to the primary tier).  Empty = no
         #: geo affinity, every read goes to the primary.
         self.regions: List[Optional[str]] = list(regions) if regions else []
-        #: Each virtual client is its own session token (one shared identity
-        #: would hide session-consistency effects under load).
-        self.sessions = sessions
 
-    def _client_session(self, client_index: int) -> Optional[str]:
-        return f"client-{client_index}" if self.sessions else None
+    def _client_session(self, client_index: int) -> str:
+        # Each virtual client is its own session token (one shared identity
+        # would hide session-consistency effects under load).
+        return f"client-{client_index}"
 
     def _client_region(self, client_index: int) -> Optional[str]:
         if not self.regions:
@@ -389,9 +387,9 @@ class LoadGenerator:
         """Replay the schedule on the caller's event loop (the service must
         already be started) and return the index-aligned report.
 
-        Raises :class:`RuntimeError` when outcome accounting breaks or —
-        with sessions active — any client observes an epoch vector below
-        its own last write (:meth:`LoadReport.session_violations`)."""
+        Raises :class:`RuntimeError` when outcome accounting breaks or any
+        client observes an epoch vector below its own last write
+        (:meth:`LoadReport.session_violations`)."""
         responses: List[Optional[ServiceResponse]] = [None] * len(self.requests)
         sessions: List[Optional[str]] = [None] * len(self.requests)
         next_index = 0

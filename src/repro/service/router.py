@@ -120,9 +120,8 @@ class ReplicaHealth:
         The replica's coordinates in the fleet.
     healthy:
         Whether the balancer currently routes regular traffic here.  A
-        replica turns unhealthy after ``unhealthy_after`` consecutive
-        faults and healthy again the moment any request (including a
-        probe) succeeds on it.
+        replica turns unhealthy on its first fault and healthy again the
+        moment any request (including a probe) succeeds on it.
     served:
         Requests this replica answered (completions and shed responses).
     failures / timeouts:
@@ -440,12 +439,10 @@ class ShardedValidationService:
         per shard — the PR 4 topology) or a sequence of replica groups
         (one inner sequence of services per logical shard; the first
         member of each group is the shard's primary for epoch reporting).
-    ring:
-        Routing ring; defaults to ``HashRing(num_shards)`` and must match
-        the attached store's ring when one is given.
     store:
         The :class:`~repro.store.ShardedStore` of shard *primaries*; wires
-        the :meth:`apply_mutations` write path.
+        the :meth:`apply_mutations` write path, and its ring routes reads
+        and writes alike (without a store: ``HashRing(num_shards)``).
     request_timeout_s:
         Per-attempt budget before a stalled replica is abandoned and the
         request fails over to a sibling.  ``None`` disables timeouts (a
@@ -456,8 +453,6 @@ class ShardedValidationService:
         the replica services' stores (one store copy per service).  When
         given, every ingest is digest-verified across each owning group's
         live members.
-    unhealthy_after:
-        Consecutive faults before a replica leaves the routing rotation.
     probe_interval_s:
         Seconds an unhealthy replica rests before the balancer routes one
         canary request at it.
@@ -502,18 +497,16 @@ class ShardedValidationService:
     Raises
     ------
     ValueError
-        On empty shard lists, non-positive timeouts/thresholds, or a
-        ring/store/replica-group shape that disagrees with ``shards``.
+        On empty shard lists, non-positive timeouts, or a
+        store/replica-group shape that disagrees with ``shards``.
     """
 
     def __init__(
         self,
         shards: ShardServices,
-        ring: Optional[HashRing] = None,
         store: Optional[ShardedStore] = None,
         request_timeout_s: Optional[float] = None,
         replica_groups: Optional[Sequence[ReplicaGroup]] = None,
-        unhealthy_after: int = 1,
         probe_interval_s: float = 0.25,
         retry_policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
@@ -528,8 +521,6 @@ class ShardedValidationService:
             raise ValueError("a ShardedValidationService needs at least one shard")
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive when set")
-        if unhealthy_after < 1:
-            raise ValueError("unhealthy_after must be >= 1")
         if probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
         if isinstance(shards[0], ValidationService):
@@ -550,17 +541,11 @@ class ShardedValidationService:
         self.shards: List[ValidationService] = [group[0] for group in self.groups]
         self.store = store
         self.replica_groups = list(replica_groups) if replica_groups is not None else None
-        if store is not None:
-            if store.num_shards != len(self.groups):
-                raise ValueError(
-                    f"store partitions {store.num_shards} ways but "
-                    f"{len(self.groups)} shard groups were given"
-                )
-            # One ring routes both reads and writes; a divergent ring would
-            # judge facts on one shard and invalidate another.
-            if ring is not None and ring != store.ring:
-                raise ValueError("ring must match the attached store's ring")
-            ring = store.ring
+        if store is not None and store.num_shards != len(self.groups):
+            raise ValueError(
+                f"store partitions {store.num_shards} ways but "
+                f"{len(self.groups)} shard groups were given"
+            )
         if self.replica_groups is not None:
             if len(self.replica_groups) != len(self.groups):
                 raise ValueError(
@@ -575,14 +560,10 @@ class ShardedValidationService:
                         f"shard {index}: {len(group)} replica services but "
                         f"{replica_group.num_replicas} store copies"
                     )
-        self.ring = ring or HashRing(len(self.groups))
-        if self.ring.num_shards != len(self.groups):
-            raise ValueError(
-                f"ring routes over {self.ring.num_shards} shards but "
-                f"{len(self.groups)} shard groups were given"
-            )
+        # One ring routes both reads and writes; a divergent ring would
+        # judge facts on one shard and invalidate another.
+        self.ring = store.ring if store is not None else HashRing(len(self.groups))
         self.request_timeout_s = request_timeout_s
-        self.unhealthy_after = unhealthy_after
         self.probe_interval_s = probe_interval_s
         self.retry_policy = retry_policy
         self.clock: Clock = clock or MonotonicClock()
@@ -668,7 +649,6 @@ class ShardedValidationService:
         store: Optional[ShardedStore] = None,
         request_timeout_s: Optional[float] = None,
         replicas: int = 1,
-        unhealthy_after: int = 1,
         probe_interval_s: float = 0.25,
         retry_policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
@@ -750,7 +730,6 @@ class ShardedValidationService:
             store=store,
             request_timeout_s=request_timeout_s,
             replica_groups=replica_groups,
-            unhealthy_after=unhealthy_after,
             probe_interval_s=probe_interval_s,
             retry_policy=retry_policy,
             clock=clock,
@@ -1370,14 +1349,14 @@ class ShardedValidationService:
             service = group[replica_index]
             label = self._replica_label(shard_index, replica_index)
             timeout_s = self.request_timeout_s
-            if deadline is not None:
+            if deadline is not None:  # only a retry policy sets one
                 remaining = deadline - self.clock.now()
                 if remaining <= 0:
                     errors.append(
                         f"request deadline exhausted before trying {label}"
                     )
                     break
-                timeout_s = remaining if timeout_s is None else min(timeout_s, remaining)
+                timeout_s = self.retry_policy.attempt_timeout_s(timeout_s, remaining)
             if service._closed:
                 errors.append(f"{label} is stopped")
                 self._record_failure(shard_index, replica_index)
@@ -1699,15 +1678,14 @@ class ShardedValidationService:
             health.timeouts += 1
         health.consecutive_failures += 1
         health.probing = False
-        if health.consecutive_failures >= self.unhealthy_after:
-            if health.healthy and self._events is not None:
-                self._events.emit(
-                    "replica_unhealthy",
-                    f"shard:{shard_index}/replica:{replica_index}",
-                    consecutive_failures=health.consecutive_failures,
-                    timeout=timeout,
-                )
-            health.healthy = False
+        if health.healthy and self._events is not None:
+            self._events.emit(
+                "replica_unhealthy",
+                f"shard:{shard_index}/replica:{replica_index}",
+                consecutive_failures=health.consecutive_failures,
+                timeout=timeout,
+            )
+        health.healthy = False
         # Every fault re-anchors the probe timer, so a failed canary rests
         # the replica for another full interval before the next one.
         health.marked_unhealthy_at = self.clock.now()

@@ -511,25 +511,15 @@ class ValidationService:
             self._strategies[key] = strategy
         return strategy
 
-    def _drain_nowait(self, queue: asyncio.Queue, batch: List[_QueueItem]) -> None:
+    async def _drain_batch(self, queue: asyncio.Queue) -> List[_QueueItem]:
+        """Take one batch: the first item blocks, whatever else is already
+        queued coalesces behind it up to ``max_batch_size``."""
+        batch: List[_QueueItem] = [await queue.get()]
         while len(batch) < self.config.max_batch_size:
             try:
                 batch.append(queue.get_nowait())
             except asyncio.QueueEmpty:
                 break
-
-    async def _drain_batch(self, queue: asyncio.Queue) -> List[_QueueItem]:
-        """Take one batch: first item blocks, the rest coalesce.
-
-        With ``batch_linger_s > 0`` an under-full batch waits exactly one
-        linger window for more arrivals (not one window per arrival — the
-        first request's dispatch delay is bounded by a single linger).
-        """
-        batch: List[_QueueItem] = [await queue.get()]
-        self._drain_nowait(queue, batch)
-        if len(batch) < self.config.max_batch_size and self.config.batch_linger_s > 0:
-            await asyncio.sleep(self.config.batch_linger_s)
-            self._drain_nowait(queue, batch)
         return batch
 
     async def _worker(self, key: Tuple[str, str], queue: asyncio.Queue) -> None:

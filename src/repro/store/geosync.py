@@ -21,9 +21,9 @@ tracked, not enforced:
   JSON line (fsynced), so queued-but-unshipped batches survive a primary
   restart, and a torn final line from a crash is dropped on load;
 * a cold edge **bootstraps** from a snapshot: the primary shard logs are
-  replayed up to a checkpoint epoch (deterministic replay makes the copy
+  replayed to their heads (deterministic replay makes the copy
   byte-identical by construction), the watermark starts there, and the
-  queue replays only the suffix behind it.
+  queue replays only what is enqueued afterwards.
 
 Convergence is provable: once every queue drains, each edge's per-shard
 ``state_digest`` is byte-identical to the primary's
@@ -36,7 +36,7 @@ import json
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .log import Mutation, MutationLog
+from .log import Mutation, atomic_write
 from .sharding import ReplicaDivergedError, ShardedStore
 from .store import VersionedKnowledgeStore
 
@@ -46,11 +46,13 @@ __all__ = ["EdgeReplica", "GeoReplicator", "OutboundQueue"]
 class OutboundQueue:
     """One shard's durable outbound replication queue with watermark acks.
 
-    Batches enter at the epoch the primary applied them (dense, strictly
-    monotonic — the same contract as :class:`~repro.store.log.MutationLog`,
-    which backs the in-memory state).  Each subscribed edge has a
-    **watermark**: the highest epoch it has acknowledged applying.
-    :meth:`pending_after` answers the suffix an edge still owes, so a
+    Batches enter at the epoch the primary applied them, and the epochs
+    are **dense**: batch *n* of the queue is epoch ``floor_epoch + n``,
+    enforced by :meth:`enqueue`, so a batch lost on its way here is
+    noticed at the next one instead of at an edge.  Each subscribed edge
+    has a **watermark**: the highest epoch it has acknowledged applying.
+    :meth:`pending_after` answers the suffix an edge still owes (a slice —
+    its cost is the batches returned, not the batches queued), so a
     consumer that acks after every applied batch resumes exactly at its
     watermark after a crash.
 
@@ -68,8 +70,13 @@ class OutboundQueue:
     def __init__(
         self, shard_index: int = 0, floor_epoch: int = 0, path: Optional[str] = None
     ) -> None:
+        if floor_epoch < 0:
+            raise ValueError("floor_epoch must be >= 0")
         self.shard_index = shard_index
-        self._log = MutationLog(floor_epoch=floor_epoch)
+        #: Epochs at or below this predate the queue (snapshot territory).
+        self.floor_epoch = floor_epoch
+        #: ``_batches[i]`` is the batch applied at epoch ``floor_epoch + 1 + i``.
+        self._batches: List[Tuple[Mutation, ...]] = []
         self._watermarks: Dict[str, int] = {}
         self._path = path
         self._handle = None
@@ -86,14 +93,9 @@ class OutboundQueue:
     # ------------------------------------------------------------- properties
 
     @property
-    def floor_epoch(self) -> int:
-        """Epochs at or below this predate the queue (snapshot territory)."""
-        return self._log.floor_epoch
-
-    @property
     def max_epoch(self) -> int:
         """The newest enqueued batch's epoch (the primary's shard epoch)."""
-        return self._log.max_epoch
+        return self.floor_epoch + len(self._batches)
 
     @property
     def watermarks(self) -> Dict[str, int]:
@@ -107,23 +109,29 @@ class OutboundQueue:
 
     def depth(self, edge: str) -> int:
         """Batches enqueued but not yet acknowledged by ``edge``."""
-        return len(self.pending_after(self.watermark(edge)))
+        return max(self.max_epoch - self.watermark(edge), 0)
 
     # ------------------------------------------------------------- producing
 
     def enqueue(self, epoch: int, mutations: Sequence[Mutation]) -> bool:
         """Record one applied batch; returns whether it was new.
 
-        Idempotent on ``epoch``: with replicated primaries every store
-        copy reports the same batch at the same epoch, and only the first
-        report is recorded.  A genuinely non-monotonic epoch (a gap or a
-        regression below the floor) raises :class:`ValueError` — the queue
-        mirrors the shard log's dense-epoch contract.
+        Idempotent on a queued ``epoch``: with replicated primaries every
+        store copy reports the same batch at the same epoch, and only the
+        first report is recorded.  Anything else but the next epoch — a
+        gap above the newest batch, or an epoch at or below the floor —
+        raises :class:`ValueError`: a batch went missing between the
+        store and the queue, and no edge could ever be caught up past it.
         """
-        if epoch <= self.max_epoch:
+        if self.floor_epoch < epoch <= self.max_epoch:
             return False
-        batch = list(mutations)
-        self._log.append_batch(epoch, batch)
+        if epoch != self.max_epoch + 1:
+            raise ValueError(
+                f"epoch {epoch} breaks shard {self.shard_index}'s dense queue "
+                f"(floor {self.floor_epoch}, newest {self.max_epoch})"
+            )
+        batch = tuple(mutations)
+        self._batches.append(batch)
         self._append(
             {
                 "kind": "batch",
@@ -137,7 +145,7 @@ class OutboundQueue:
 
     def pending_after(
         self, watermark: int, limit: Optional[int] = None
-    ) -> List[Tuple[int, List[Mutation]]]:
+    ) -> List[Tuple[int, Sequence[Mutation]]]:
         """The ``(epoch, batch)`` suffix strictly above ``watermark``.
 
         Epoch order, at most ``limit`` batches when set.  Raises
@@ -150,14 +158,9 @@ class OutboundQueue:
                 f"watermark {watermark} is below the queue floor "
                 f"{self.floor_epoch}; bootstrap from a snapshot first"
             )
-        pending = [
-            (epoch, batch)
-            for epoch, batch in self._log.batches()
-            if epoch > watermark
-        ]
-        if limit is not None:
-            pending = pending[:limit]
-        return pending
+        start = watermark - self.floor_epoch
+        stop = None if limit is None else start + limit
+        return list(enumerate(self._batches[start:stop], start=watermark + 1))
 
     def register(self, edge: str, watermark: int) -> None:
         """Start tracking ``edge`` at ``watermark`` (its bootstrap epoch)."""
@@ -188,12 +191,9 @@ class OutboundQueue:
         low = min(self._watermarks.values())
         if low <= self.floor_epoch:
             return 0
-        kept = [(epoch, batch) for epoch, batch in self._log.batches() if epoch > low]
-        dropped = len(self._log.batches()) - len(kept)
-        log = MutationLog(floor_epoch=low)
-        for epoch, batch in kept:
-            log.append_batch(epoch, batch)
-        self._log = log
+        dropped = min(low - self.floor_epoch, len(self._batches))
+        del self._batches[:dropped]
+        self.floor_epoch = low
         self._rewrite()
         return dropped
 
@@ -213,8 +213,6 @@ class OutboundQueue:
         if self._path is None:
             return
         self.close()
-        from .log import atomic_write
-
         with atomic_write(self._path) as handle:
             handle.write(
                 json.dumps(
@@ -228,7 +226,7 @@ class OutboundQueue:
                 )
                 + "\n"
             )
-            for epoch, batch in self._log.batches():
+            for epoch, batch in self.pending_after(self.floor_epoch):
                 handle.write(
                     json.dumps(
                         {
@@ -279,12 +277,16 @@ class OutboundQueue:
                 raise ValueError(f"{path}:{number}: corrupt queue record")
             kind = record.get("kind")
             if kind == "header":
-                queue._log.floor_epoch = int(record.get("floor_epoch", 0))
+                queue.floor_epoch = int(record.get("floor_epoch", 0))
                 queue.shard_index = int(record.get("shard", shard_index))
             elif kind == "batch":
-                queue._log.append_batch(
-                    int(record["epoch"]),
-                    [Mutation.from_json(m) for m in record["mutations"]],
+                if int(record["epoch"]) != queue.max_epoch + 1:
+                    raise ValueError(
+                        f"{path}:{number}: epoch {record['epoch']} breaks the "
+                        f"dense sequence (newest {queue.max_epoch})"
+                    )
+                queue._batches.append(
+                    tuple(Mutation.from_json(m) for m in record["mutations"])
                 )
             elif kind == "ack":
                 edge, epoch = str(record["edge"]), int(record["epoch"])
@@ -471,40 +473,28 @@ class GeoReplicator:
 
     # ------------------------------------------------------------- edges
 
-    def add_edge(
-        self, name: str, checkpoint_epoch: Optional[int] = None
-    ) -> EdgeReplica:
-        """Cold-bootstrap an edge: snapshot at a checkpoint, then catch up.
+    def add_edge(self, name: str) -> EdgeReplica:
+        """Cold-bootstrap an edge: snapshot at the primary's heads, then
+        catch up.
 
-        Each shard is rebuilt by deterministic replay of the primary's log
-        up to ``checkpoint_epoch`` (the snapshot transfer — byte-identical
-        by construction), the edge's watermarks register at the epochs the
+        Each shard is rebuilt by deterministic replay of the primary's
+        whole log (the snapshot transfer — byte-identical by
+        construction), the edge's watermarks register at the epochs the
         replay landed on, and subsequent :meth:`drain` calls replay only
-        the queue suffix behind them.  ``None`` checkpoints at the current
-        primary epochs (an empty catch-up).
-
-        Raises :class:`ValueError` for a duplicate name or a checkpoint
-        below a queue floor (those batches predate the queue — nothing
-        could catch the edge up).
+        what the queues receive afterwards.  Raises :class:`ValueError`
+        for a duplicate name.
         """
         if name in self.edges:
             raise ValueError(f"edge {name!r} already exists")
-        stores = []
-        for index, primary in enumerate(self.primary.shards):
-            upto = checkpoint_epoch
-            store = VersionedKnowledgeStore.replay(
+        stores = [
+            VersionedKnowledgeStore.replay(
                 primary.log,
                 config=primary.config,
                 embedder=primary.embedder,
-                upto=upto,
                 name=f"{name}-s{index}",
             )
-            if store.epoch < self.queues[index].floor_epoch:
-                raise ValueError(
-                    f"checkpoint {store.epoch} for shard {index} is below the "
-                    f"queue floor {self.queues[index].floor_epoch}"
-                )
-            stores.append(store)
+            for index, primary in enumerate(self.primary.shards)
+        ]
         edge = EdgeReplica(name, stores)
         self.edges[name] = edge
         for index, store in enumerate(stores):

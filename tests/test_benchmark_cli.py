@@ -118,6 +118,31 @@ class TestServiceCommands:
             main(["ingest", "--store", str(shard), "--mutations", str(ops)], stream=io.StringIO())
 
 
+    def test_chaos_refuses_a_bad_service_value_before_any_substrate_is_built(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(
+            "models: ['gemma2:9b']\n"
+            "service: {max_batch_size: 0}\n"
+            "matrix:\n"
+            "  topology: [{shards: 1, replicas: 2}]\n"
+            "  traffic: [{shape: steady}]\n"
+            "  faults:\n"
+            "    - name: kill\n"
+            "      schedule: [{at_s: 0.0, target: 'shard:0/replica:1', fault: kill}]\n"
+        )
+
+        def no_runner(*args, **kwargs):
+            raise AssertionError("a BenchmarkRunner was built for an invalid scenario")
+
+        monkeypatch.setattr("repro.benchmark.cli.BenchmarkRunner", no_runner)
+        stream = io.StringIO()
+        with pytest.raises(SystemExit, match="invalid scenario: .*max_batch_size"):
+            main(["chaos", str(scenario)], stream=stream)
+        assert "running scenario" not in stream.getvalue()
+
+
 class TestMain:
     def test_main_writes_output_file(self, tmp_path):
         output = tmp_path / "table2.txt"

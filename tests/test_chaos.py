@@ -40,6 +40,7 @@ from repro.chaos import (
     build_traffic,
     load_scenario,
 )
+from repro.chaos.scenario import GeoOptions, Invariants, Topology
 from repro.service import (
     RequestOutcome,
     RetryPolicy,
@@ -494,6 +495,52 @@ def _minimal_scenario(**overrides) -> dict:
     return scenario
 
 
+def _geo_scenario() -> dict:
+    """``_minimal_scenario`` with every optional block filled in and an edge."""
+    scenario = _minimal_scenario(
+        store=True,
+        service={"request_timeout_s": 0.25, "probe_interval_s": 0.02, "time_scale": 0.0},
+        retry={"max_attempts": 2, "base_backoff_s": 0.001},
+        geo={
+            "staleness_bound_epochs": 4,
+            "drain_interval_s": 0.01,
+            "edge_lag_s": {"edge-0": 0.05},
+            "drain_seed": 1,
+            "regions": ["edge-0", None],
+        },
+        invariants={
+            "max_failed": 0,
+            "geo_converged": True,
+            "edge_staleness_bound_epochs": 4,
+            "forbid_alerts": {"none": ["*"]},
+        },
+    )
+    scenario["matrix"]["topology"][0]["edges"] = 1
+    scenario["matrix"]["traffic"][0]["write_fraction"] = 0.25
+    return scenario
+
+
+def _paths(node, prefix=()):
+    """The path of every value nested anywhere inside a dict/list tree."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestScenarioValidation:
     def test_minimal_scenario_loads(self):
         scenario = load_scenario(_minimal_scenario())
@@ -586,6 +633,19 @@ class TestScenarioValidation:
                 ),
                 "'store' is false",
             ),
+            # Values of the wrong type or out of range, each caught at load
+            # by its block's declaration and named by key (nothing is coerced).
+            (lambda s: s.update(service={"max_batch_size": 0}), "max_batch_size"),
+            (lambda s: s.update(service={"request_timeout_s": -1}), "request_timeout_s"),
+            (lambda s: s.update(service={"time_scale": "x"}), "time_scale"),
+            (lambda s: s.update(geo={"drain_interval_s": "x"}), "drain_interval_s"),
+            (lambda s: s.update(models=5), "models"),
+            (lambda s: s.update(store="false"), "store"),
+            (lambda s: s.update(invariants={"verdict_parity": "no"}), "verdict_parity"),
+            (lambda s: s.update(methods="dka"), "methods"),
+            (lambda s: s.update(requests=True), "requests"),
+            (lambda s: s["matrix"]["topology"][0].update(shards=2.7), "shards"),
+            (lambda s: s["matrix"]["topology"][0].update(replicas="2"), "replicas"),
         ],
     )
     def test_malformed_scenarios_raise_scenario_error(self, mutate, message):
@@ -603,6 +663,61 @@ class TestScenarioValidation:
         scenario["matrix"]["faults"][0]["schedule"][0]["target"] = "shard:0/replica:5"
         with pytest.raises(ScenarioError, match="only 2 replica"):
             load_scenario(scenario)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_load_scenario_is_total(self, data):
+        """Whatever value sits at whatever key, loading ends in a
+        ``Scenario`` or a ``ScenarioError`` — never in a bare
+        ``TypeError``/``ValueError`` the CLI would print as a traceback."""
+        from repro.chaos.scenario import Scenario
+
+        scenario = data.draw(st.sampled_from([_minimal_scenario, _geo_scenario]))()
+        path = data.draw(st.sampled_from(list(_paths(scenario))))
+        node = scenario
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(_JSONISH)
+        try:
+            loaded = load_scenario(scenario)
+        except ScenarioError:
+            return
+        assert isinstance(loaded, Scenario)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            ServiceConfig(max_batch_size=2, enable_cache=False, time_scale=0.5),
+            RetryPolicy(max_attempts=5, jitter=0.0, deadline_s=1.5),
+            Topology(shards=3, replicas=2, edges=1),
+            TrafficSpec(shape="zipf", zipf_s=1.4, write_fraction=0.25),
+            Invariants(
+                max_failed=2,
+                verdict_parity=False,
+                staleness_bound_epochs=3,
+                expect_alerts=(("kill", ("fleet-availability:page",)),),
+                geo_converged=True,
+            ),
+            GeoOptions(
+                staleness_bound_epochs=2,
+                drain_interval_s=0.5,
+                edge_lag_s={"edge-0": 0.1},
+                drain_seed=9,
+                regions=("edge-0", None),
+            ),
+        ],
+        ids=lambda block: type(block).__name__,
+    )
+    def test_a_block_is_built_from_its_declaration_alone(self, block):
+        """No key, default or type lives outside the dataclass: an empty
+        block is the dataclass's defaults and ``asdict`` round-trips."""
+        import dataclasses
+
+        from repro.chaos.scenario import _build
+
+        cls = type(block)
+        assert _build(cls, {}, "block") == cls()
+        assert _build(cls, dataclasses.asdict(block), "block") == block
 
 
 # ----------------------------------------------------------- traffic shapes

@@ -143,7 +143,7 @@ class TestOperationsReferenceComplete:
         # exist in the code.
         import inspect
 
-        from repro.chaos.scenario import _GEO_KEYS, _SERVICE_KEYS
+        from repro.chaos.scenario import GeoOptions
         from repro.service import ServiceConfig
         from repro.store import VersionedKnowledgeStore
 
@@ -160,8 +160,9 @@ class TestOperationsReferenceComplete:
                 documented[home].add(name)
         assert documented == {
             "ServiceConfig": {field.name for field in fields(ServiceConfig)},
-            "service:": set(_SERVICE_KEYS),
-            "geo:": set(_GEO_KEYS),
+            "service:": {field.name for field in fields(ServiceConfig)}
+            | {"request_timeout_s", "probe_interval_s"},
+            "geo:": {field.name for field in fields(GeoOptions)},
             save: set(inspect.signature(VersionedKnowledgeStore.save).parameters)
             - {"self", "path"},
         }
@@ -197,6 +198,7 @@ class TestOperationsReferenceComplete:
         # messages point at, so it must cover every fault kind, every
         # fault-point family, and every invariant key.
         from repro.chaos import FAULT_KINDS
+        from repro.chaos.scenario import Invariants
 
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
         assert "## Chaos runbook" in text
@@ -204,8 +206,10 @@ class TestOperationsReferenceComplete:
             assert f"`{kind}" in text, f"runbook misses fault kind {kind!r}"
         for point in ("store", "frontend", "shard:i", "shard:i/replica:j"):
             assert point in text, f"runbook misses fault point {point!r}"
-        for invariant in ("max_failed", "verdict_parity", "staleness_bound_epochs"):
-            assert invariant in text, f"runbook misses invariant {invariant!r}"
+        for invariant in fields(Invariants):
+            assert f"`{invariant.name}`" in text, (
+                f"runbook misses invariant {invariant.name!r}"
+            )
         assert "DEGRADED" in text and "verdict_digest" in text
 
     def test_chaos_runbook_quotes_the_pinned_smoke_scenario(self):

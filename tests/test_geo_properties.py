@@ -21,7 +21,9 @@ schedule and replay exactly.
 from __future__ import annotations
 
 import asyncio
+import os
 import random
+import tempfile
 from typing import Dict, List, Set
 
 import pytest
@@ -36,7 +38,7 @@ from repro.service import (
     ServiceRequest,
     ShardedValidationService,
 )
-from repro.store import GeoReplicator, Mutation, ShardedStore
+from repro.store import GeoReplicator, Mutation, OutboundQueue, ShardedStore
 
 NUM_SHARDS = 2
 
@@ -188,6 +190,51 @@ class TestDrainInterleavingsConverge:
         )
         assert applied == owed
         assert geo.lag_vector("edge-0") == (0,) * NUM_SHARDS
+
+
+class TestQueueAccounting:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_depth_is_the_pending_suffix_through_any_history(self, data):
+        """Enqueues, acks, truncations and save/load cycles in any order:
+        an edge's ``depth`` is always the length of its pending suffix, and
+        that suffix is the dense epochs from its watermark to the head."""
+        floor = data.draw(st.integers(0, 5), label="floor")
+        edges = ["edge-0", "edge-1"]
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "queue.jsonl")
+            queue = OutboundQueue(floor_epoch=floor, path=path)
+            for edge in edges:
+                queue.register(edge, floor)
+            for _ in range(data.draw(st.integers(1, 30), label="steps")):
+                step = data.draw(
+                    st.sampled_from(["enqueue", "enqueue", "ack", "truncate", "reload"]),
+                    label="step",
+                )
+                if step == "enqueue":
+                    epoch = queue.max_epoch + 1
+                    queue.enqueue(epoch, [Mutation.add_triple(f"S{epoch}", "p", "O")])
+                elif step == "ack":
+                    edge = data.draw(st.sampled_from(edges), label="edge")
+                    queue.ack(
+                        edge,
+                        data.draw(
+                            st.integers(queue.watermark(edge), queue.max_epoch),
+                            label="epoch",
+                        ),
+                    )
+                elif step == "truncate":
+                    queue.truncate()
+                else:
+                    queue.close()
+                    queue = OutboundQueue.load(path)
+                for edge in edges:
+                    pending = queue.pending_after(queue.watermark(edge))
+                    assert queue.depth(edge) == len(pending)
+                    assert [epoch for epoch, _ in pending] == list(
+                        range(queue.watermark(edge) + 1, queue.max_epoch + 1)
+                    )
+            queue.close()
 
 
 # --------------------------------------------- serving-tier session safety

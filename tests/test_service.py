@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 import pytest
 
@@ -114,35 +113,6 @@ class TestMicroBatching:
         # Two (method, model) workers -> two batches of four, never merged.
         assert [response.batch_size for response in responses] == [4] * 8
         assert {response.result.method for response in responses} == {"dka", "giv-z"}
-
-
-class TestBatchLinger:
-    def test_single_linger_window_coalesces_late_arrivals(self, service_runner):
-        facts = list(service_runner.dataset("factbench"))[:4]
-        service = ValidationService.from_runner(
-            service_runner,
-            ServiceConfig(enable_cache=False, max_batch_size=8, batch_linger_s=0.08),
-        )
-
-        async def go():
-            async with service:
-                first = asyncio.create_task(
-                    service.submit(ServiceRequest(facts[0], "dka", "gemma2:9b"))
-                )
-                await asyncio.sleep(0.01)  # worker is inside its linger window
-                rest = [
-                    asyncio.create_task(service.submit(ServiceRequest(fact, "dka", "gemma2:9b")))
-                    for fact in facts[1:]
-                ]
-                return await asyncio.gather(first, *rest)
-
-        before = time.perf_counter()
-        responses = asyncio.run(go())
-        elapsed = time.perf_counter() - before
-        # The late arrivals joined the first request's batch...
-        assert [response.batch_size for response in responses] == [4] * 4
-        # ...and the wait was one linger window, not one window per arrival.
-        assert elapsed < 4 * 0.08
 
 
 class TestAdmissionControl:

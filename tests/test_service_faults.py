@@ -433,6 +433,59 @@ class TestGeoTierFaults:
                 [Mutation.add_triple(f"GeoWrite{index}", "worksFor", f"Org{index}")]
             )
 
+    def test_enqueue_enforces_the_dense_epoch_contract(self):
+        """The next epoch is recorded, a sibling replica's report of a
+        queued epoch is the silent duplicate, and anything else — a gap,
+        or an epoch the floor already covers — is a lost batch: it raises
+        at the queue instead of diverging an edge later."""
+        from repro.store import Mutation, OutboundQueue
+
+        batch = [Mutation.add_triple("GeoWrite", "worksFor", "Org")]
+        queue = OutboundQueue(floor_epoch=3)
+        assert queue.enqueue(4, batch) is True
+        assert queue.enqueue(4, batch) is False
+        for lost in (6, 3, 2):  # a gap; at the floor; below it
+            with pytest.raises(ValueError, match="dense"):
+                queue.enqueue(lost, batch)
+        assert (queue.floor_epoch, queue.max_epoch) == (3, 4)
+        assert queue.enqueue(5, batch) is True
+
+    def test_a_caught_up_edge_costs_nothing_however_much_is_queued(self):
+        """``pending_after`` and ``depth`` run per shard per edge per drain
+        tick and per metrics scrape: their cost is the batches they hand
+        back (or a bisect's few probes), never the whole queue.  Counted on
+        a stand-in for the queue's list — no clock."""
+        from repro.store import Mutation, OutboundQueue
+
+        class CountingList(list):
+            visited = 0
+
+            def __getitem__(self, index):
+                found = super().__getitem__(index)
+                self.visited += len(found) if isinstance(index, slice) else 1
+                return found
+
+            def __iter__(self):
+                self.visited += len(self)
+                return super().__iter__()
+
+        queued, per_batch = 2000, 8
+        queue = OutboundQueue()
+        queue.register("edge-0", 0)
+        for epoch in range(1, queued + 1):
+            queue.enqueue(
+                epoch,
+                [Mutation.add_triple(f"S{epoch}", "p", f"O{i}") for i in range(per_batch)],
+            )
+        queue.ack("edge-0", queued)
+        queue._batches = counting = CountingList(queue._batches)
+        assert queue.pending_after(queue.max_epoch, limit=8) == []
+        assert queue.depth("edge-0") == 0
+        behind = queue.pending_after(queued - 20, limit=8)
+        assert [epoch for epoch, _ in behind] == list(range(queued - 19, queued - 11))
+        # 8 batches handed back plus, at most, two bisects over 16,000 records.
+        assert counting.visited <= 8 + 2 * 14
+
     def test_edge_crash_mid_drain_resumes_without_skip_or_double_apply(
         self, tmp_path
     ):

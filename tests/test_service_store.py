@@ -38,7 +38,7 @@ from repro.validation import ValidationResult, Verdict
 
 
 @pytest.fixture(scope="module")
-def store_service_config():
+def store_experiment_config():
     return ExperimentConfig(
         scale=0.03,
         max_facts_per_dataset=12,
@@ -52,9 +52,9 @@ def store_service_config():
 
 
 @pytest.fixture()
-def runner(store_service_config):
+def runner(store_experiment_config):
     # Function-scoped: each test gets a fresh store epoch counter.
-    return BenchmarkRunner(store_service_config)
+    return BenchmarkRunner(store_experiment_config)
 
 
 def _fact(fact_id: str = "fb-1") -> LabeledFact:
@@ -321,9 +321,9 @@ class TestEvidenceReuse:
         )
     )
     def test_cached_evidence_equals_uncached_under_any_interleaving(
-        self, store_service_config, steps
+        self, store_experiment_config, steps
     ):
-        runner = BenchmarkRunner(store_service_config)
+        runner = BenchmarkRunner(store_experiment_config)
         store = runner.versioned_store("factbench")
         facts = runner.dataset("factbench").facts()
         model = runner.registry.get("gemma2:9b")
