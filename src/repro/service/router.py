@@ -23,8 +23,10 @@ Routing and consistency:
 * **Writes** route by the same key (:func:`mutation_shard_key`) and ship
   to **every replica** of the owning shard: each replica service quiesces
   itself, applies the identical batch to its own store copy, and bumps its
-  epoch — the group stays in lockstep, enforced by byte-identical state
-  digests when a replicated store is attached.  Other shards keep serving
+  epoch — the group stays in lockstep, checked after every ship through
+  :meth:`~repro.store.ReplicaGroup.lockstep` (chained digests, O(1), with
+  the full state-digest audit behind them) when a replicated store is
+  attached.  Other shards keep serving
   throughout, and because verdict-cache keys carry the per-shard epoch, an
   ingest invalidates only the owning shard's cached verdicts.
 * **Faults fail over, then surface**: a replica that raises, stalls past
@@ -90,6 +92,7 @@ ROUTER_METRIC_NAMES = (
     "router_budget_exhausted_total",
     "router_unhealthy_replicas",
     "router_staleness_epochs",
+    "router_lockstep_audits_total",
     # Geo tier (per-edge families are ``edge``-labelled; the
     # session-fallback counter is fleet-level):
     "router_geo_watermark_epoch",
@@ -206,6 +209,11 @@ class RouterMetrics:
         self._staleness_gauge = self.registry.gauge(
             "router_staleness_epochs",
             "Epoch lag of the most recent DEGRADED response (0 = serving fresh).",
+        )
+        self.lockstep_audits_total = self.registry.counter(
+            "router_lockstep_audits_total",
+            "Full state-digest audits a ship escalated to and passed (O(store), "
+            "under the ingest lock).",
         )
         self.geo_session_fallbacks_total = self.registry.counter(
             "router_geo_session_fallbacks_total",
@@ -451,7 +459,7 @@ class ShardedValidationService:
     replica_groups:
         The per-shard :class:`~repro.store.ReplicaGroup` objects backing
         the replica services' stores (one store copy per service).  When
-        given, every ingest is digest-verified across each owning group's
+        given, every ingest is lockstep-checked across each owning group's
         live members.
     probe_interval_s:
         Seconds an unhealthy replica rests before the balancer routes one
@@ -1442,11 +1450,12 @@ class ShardedValidationService:
         in-flight reads, apply the identical batch to their own store copy,
         bump their epoch) while the rest of the fleet keeps serving — the
         per-shard invalidation contract: only the mutated shard's cached
-        verdicts go stale.  With replicated stores attached, the group is
-        digest-verified after the ship (:class:`ReplicaDivergedError` on
-        any drift); replicas whose workers were killed are skipped and stay
-        out of the rotation (their store copies stop at the pre-ingest
-        epoch).
+        verdicts go stale.  With replicated stores attached, the group's
+        live members are lockstep-checked after the ship
+        (:class:`ReplicaDivergedError` on any drift, and when a replica
+        refuses a batch a sibling applied); replicas whose workers were
+        killed are skipped and stay out of the rotation (their store
+        copies stop at the pre-ingest epoch).
 
         The all-or-nothing contract of :meth:`ShardedStore.apply` extends
         to this path: every sub-batch is validated against its shard
@@ -1495,15 +1504,28 @@ class ShardedValidationService:
                 validation_store = live_by_shard[index][0].store
                 if validation_store is None:
                     validation_store = self.store.shards[index]
-                validation_store._validate(groups_map[index])
+                validation_store.validate(groups_map[index])
 
             async def apply_to_shard(index: int):
+                live = live_by_shard[index]
                 reports = await asyncio.gather(
-                    *(
-                        service.apply_mutations(groups_map[index])
-                        for service in live_by_shard[index]
-                    )
+                    *(service.apply_mutations(groups_map[index]) for service in live),
+                    return_exceptions=True,
                 )
+                for service, report in zip(live, reports):
+                    if isinstance(report, ValueError) and service is not live[0]:
+                        # The copy validation ran against did apply (its own
+                        # error would have been raised first); a sibling
+                        # refusing the same batch has diverged from it.
+                        replicas = self.groups[index]
+                        raise ReplicaDivergedError(
+                            f"shard {index} replica {replicas.index(service)} at epoch "
+                            f"{service.epoch} refused the batch replica "
+                            f"{replicas.index(live[0])} applied at epoch "
+                            f"{live[0].epoch}: {report}"
+                        ) from report
+                    if isinstance(report, BaseException):
+                        raise report
                 self._verify_group(index)
                 return reports[0]
 
@@ -1691,13 +1713,9 @@ class ShardedValidationService:
         health.marked_unhealthy_at = self.clock.now()
 
     def _verify_group(self, shard_index: int) -> None:
-        """Lockstep-check one shard's live replica stores after a ship.
-
-        Epochs are always compared (O(1)); the full state-digest pass —
-        which hashes the whole graph + corpus per replica, a cost that
-        scales with store size rather than batch size — honours the
-        group's ``verify_digests`` knob so large deployments can opt out.
-        """
+        """Lockstep-check one shard's live replica stores after a ship
+        (:meth:`~repro.store.ReplicaGroup.lockstep`: O(1) unless it
+        escalates to the full audit, which the registry counts)."""
         if self.replica_groups is None:
             return
         replica_group = self.replica_groups[shard_index]
@@ -1706,19 +1724,13 @@ class ShardedValidationService:
             for service, store in zip(self.groups[shard_index], replica_group.stores)
             if not service._closed
         ]
-        epochs = {store.epoch for store in live}
-        diverged = len(epochs) != 1
-        if not diverged and replica_group.verify_digests:
-            digests = {
-                store.state_digest(include_index=replica_group.include_index)
-                for store in live
-            }
-            diverged = len(digests) != 1
-        if diverged:
+        try:
+            if replica_group.lockstep(live):
+                self.metrics.lockstep_audits_total.inc()
+        except ReplicaDivergedError as exc:
             raise ReplicaDivergedError(
-                f"shard {shard_index} replicas diverged after log ship "
-                f"(epochs {sorted(epochs)})"
-            )
+                f"shard {shard_index} replicas diverged after log ship: {exc}"
+            ) from exc
 
     def _respond(
         self,

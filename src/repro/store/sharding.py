@@ -35,9 +35,12 @@ is shipped to every replica at the same epoch, exactly the MSMQ-style
 multi-branch synchronisation scheme (arXiv:0912.2134) the append-only
 :class:`~repro.store.log.MutationLog` makes cheap.  Because replay is
 deterministic down to interning order and posting-array layout, shipping
-the same batches in the same order *must* produce byte-identical replicas;
-the group enforces that with post-apply state digests and raises
-:class:`ReplicaDivergedError` the moment a copy drifts.
+the same batches in the same order *must* produce byte-identical replicas.
+The group proves it with a full state-digest audit at construction and,
+after every ship, an O(1) comparison of the members' *chained* digests
+(:meth:`ReplicaGroup.lockstep`), which escalates back to the audit — the
+only thing that raises :class:`ReplicaDivergedError` — when the chains
+disagree or a store-size of writes has passed since the last one.
 """
 
 from __future__ import annotations
@@ -158,12 +161,15 @@ class ShardApplyReport:
 
 
 class ReplicaDivergedError(RuntimeError):
-    """A replica's state digest stopped matching its group's primary.
+    """A replica stopped matching its group's primary.
 
-    With deterministic replay this can only happen when a replica's store
-    was mutated outside the group's :meth:`ReplicaGroup.apply` path (or a
-    bug broke replay determinism); the group refuses to keep serving a
-    diverged copy rather than returning split-brain verdicts.
+    Raised by the full state-digest audit when a member's epoch or bytes
+    disagree, and by a ship when a member refuses a batch another member
+    already applied.  With deterministic replay this can only happen when
+    a replica's store was mutated outside the group's
+    :meth:`ReplicaGroup.apply` path (or a bug broke replay determinism);
+    the group refuses to keep serving a diverged copy rather than
+    returning split-brain verdicts.
     """
 
 
@@ -173,8 +179,8 @@ class ReplicaGroup:
     ``stores[0]`` is the **primary**: every mutation batch is validated and
     applied there first, then shipped — the same batch, in the same order,
     at the same epoch — to each replica.  Deterministic replay guarantees
-    the copies stay byte-identical; :meth:`verify` proves it after every
-    ship when ``verify_digests`` is set (the default).
+    the copies stay byte-identical; :meth:`verify` proves it at
+    construction and :meth:`lockstep` checks it after every ship.
 
     The group exists so a serving tier can fan *reads* across the copies
     and fail over when one copy's worker dies; the store layer itself only
@@ -184,13 +190,9 @@ class ReplicaGroup:
     ----------
     stores:
         The member stores, primary first.  All members must share one epoch
-        (and, when ``verify_digests`` is set, one state digest) at
-        construction time.
-    verify_digests:
-        When true (default), :meth:`apply` digest-checks the whole group
-        after shipping and :meth:`verify` runs at construction.
+        and one state digest at construction time.
     include_index:
-        Whether digest checks cover the BM25 index layout as well as the
+        Whether the audits cover the BM25 index layout as well as the
         graph + corpus bytes.  Defaults to ``False``: the serving tier's
         replica stores are versioning substrates (strategies read the
         runner's own indexes), and hashing the index would force a full
@@ -207,13 +209,11 @@ class ReplicaGroup:
     def __init__(
         self,
         stores: Sequence[VersionedKnowledgeStore],
-        verify_digests: bool = True,
         include_index: bool = False,
     ) -> None:
         if not stores:
             raise ValueError("a ReplicaGroup needs at least one store")
         self.stores: List[VersionedKnowledgeStore] = list(stores)
-        self.verify_digests = verify_digests
         self.include_index = include_index
         #: Optional :class:`~repro.obs.trace.Tracer`; when armed, every
         #: per-replica log ship records a ``store.ship`` span.
@@ -223,15 +223,13 @@ class ReplicaGroup:
             raise ValueError(
                 f"replica epochs diverge at construction: {sorted(epochs)}"
             )
-        if verify_digests:
-            self.verify()
+        self.verify()
 
     @classmethod
     def replicate(
         cls,
         primary: VersionedKnowledgeStore,
         replicas: int,
-        verify_digests: bool = True,
         include_index: bool = False,
     ) -> "ReplicaGroup":
         """Grow one store into a group of ``replicas`` total copies.
@@ -255,7 +253,7 @@ class ReplicaGroup:
             )
             for index in range(1, replicas)
         )
-        return cls(copies, verify_digests=verify_digests, include_index=include_index)
+        return cls(copies, include_index=include_index)
 
     # ------------------------------------------------------------- properties
 
@@ -284,36 +282,62 @@ class ReplicaGroup:
         touches anything) leaves every copy untouched.  After the primary
         applies, the identical batch is shipped to each replica; replay
         determinism means every copy lands on the same epoch with the same
-        bytes, which :meth:`verify` enforces when ``verify_digests`` is
-        set.
+        bytes, which :meth:`lockstep` checks.
 
         Returns the **primary's** :class:`~repro.store.store.ApplyReport`
         (the replicas' reports are byte-for-byte the same story).
 
-        Raises :class:`ValueError` for an empty or invalid batch and
-        :class:`ReplicaDivergedError` when a shipped replica's epoch or
-        digest stops matching the primary's.
+        Raises :class:`ValueError` for an empty batch or one the primary
+        refuses, and :class:`ReplicaDivergedError` when a replica refuses
+        the batch the primary applied or the lockstep check fails.
         """
         batch = list(mutations)
         report = self.primary.apply(batch)
         for replica in self.stores[1:]:
-            if self.tracer is not None:
-                with self.tracer.span("store.ship", replica.name) as span:
-                    span.attributes["epoch"] = report.epoch
-                    span.attributes["ops"] = len(batch)
-                    shipped = replica.apply(batch)
-            else:
-                shipped = replica.apply(batch)
-            if shipped.epoch != report.epoch:
+            try:
+                if self.tracer is not None:
+                    with self.tracer.span("store.ship", replica.name) as span:
+                        span.attributes["epoch"] = report.epoch
+                        span.attributes["ops"] = len(batch)
+                        replica.apply(batch)
+                else:
+                    replica.apply(batch)
+            except ValueError as exc:
                 raise ReplicaDivergedError(
-                    f"replica {replica.name} applied at epoch {shipped.epoch}, "
-                    f"primary at {report.epoch}"
-                )
-        if self.verify_digests:
-            self.verify()
+                    f"replica {replica.name} at epoch {replica.epoch} refused the "
+                    f"batch primary {self.primary.name} applied at epoch "
+                    f"{report.epoch}: {exc}"
+                ) from exc
+        self.lockstep(self.stores)
         return report
 
     # ------------------------------------------------------------- verification
+
+    def lockstep(self, members: Sequence[VersionedKnowledgeStore]) -> bool:
+        """Check the live ``members`` agree after a ship; O(1) when they do.
+
+        Equal epochs and equal chained digests
+        (:attr:`VersionedKnowledgeStore.chain_digest`) mean the members
+        were byte-identical at their last audit and have applied the same
+        batches with the same effects in the same order since.  The chain
+        is only a filter: when epochs or chains differ, the full audit of
+        :meth:`verify` runs over ``members`` and either raises
+        :class:`ReplicaDivergedError` or — equal bytes reached by different
+        streams — re-anchors them.  The audit also runs once a member has
+        folded as many mutations as it held live items at its anchor
+        (``len(graph) + len(corpus)`` then): an edit that bypassed
+        ``apply`` leaves the chain untouched, so this bounds how long it
+        can hide to one store-size of writes while keeping the hashing
+        amortised O(1) per mutation.  Returns whether the audit ran.
+        """
+        if (
+            len({store.epoch for store in members}) == 1
+            and len({store.chain_digest for store in members}) == 1
+            and all(store._ops_to_audit > 0 for store in members)
+        ):
+            return False
+        self._audit(members, self.include_index)
+        return True
 
     def digests(self, include_index: Optional[bool] = None) -> List[str]:
         """Per-member state digests, primary first."""
@@ -323,22 +347,32 @@ class ReplicaGroup:
     def verify(self, include_index: Optional[bool] = None) -> str:
         """Prove the group byte-identical; returns the shared digest.
 
-        Raises :class:`ReplicaDivergedError` when any member's digest (or
-        epoch) disagrees with the primary's.
+        The full audit: every member's ``state_digest`` is computed and
+        compared, then each member's chained digest is anchored at the
+        shared value (see :meth:`lockstep`).  Raises
+        :class:`ReplicaDivergedError` when any member's digest (or epoch)
+        disagrees with the primary's.
         """
-        epochs = [store.epoch for store in self.stores]
+        include = self.include_index if include_index is None else include_index
+        return self._audit(self.stores, include)
+
+    @staticmethod
+    def _audit(members: Sequence[VersionedKnowledgeStore], include_index: bool) -> str:
+        epochs = [store.epoch for store in members]
         if len(set(epochs)) != 1:
             raise ReplicaDivergedError(f"replica epochs diverge: {epochs}")
-        digests = self.digests(include_index=include_index)
+        digests = [store.state_digest(include_index=include_index) for store in members]
         if len(set(digests)) != 1:
             diverged = [
                 store.name
-                for store, digest in zip(self.stores, digests)
+                for store, digest in zip(members, digests)
                 if digest != digests[0]
             ]
             raise ReplicaDivergedError(
-                f"replicas diverged from primary {self.primary.name}: {diverged}"
+                f"replicas diverged from {members[0].name}: {diverged}"
             )
+        for store in members:
+            store._anchor_chain(digests[0])
         return digests[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -471,7 +505,7 @@ class ShardedStore:
             raise ValueError("mutation batch must not be empty")
         groups = self.route(batch)
         for index in sorted(groups):
-            self.shards[index]._validate(groups[index])
+            self.shards[index].validate(groups[index])
         reports: List[Tuple[int, ApplyReport]] = []
         for index in sorted(groups):
             reports.append((index, self.shards[index].apply(groups[index])))
@@ -490,12 +524,7 @@ class ShardedStore:
             digest.update(shard_digest.encode("ascii"))
         return digest.hexdigest()
 
-    def replicate(
-        self,
-        replicas: int,
-        verify_digests: bool = True,
-        include_index: bool = False,
-    ) -> List[ReplicaGroup]:
+    def replicate(self, replicas: int, include_index: bool = False) -> List[ReplicaGroup]:
         """One :class:`ReplicaGroup` per shard, each ``replicas`` copies deep.
 
         The live shards become the group primaries; the secondaries are
@@ -507,12 +536,7 @@ class ShardedStore:
         Raises :class:`ValueError` when ``replicas < 1``.
         """
         return [
-            ReplicaGroup.replicate(
-                shard,
-                replicas,
-                verify_digests=verify_digests,
-                include_index=include_index,
-            )
+            ReplicaGroup.replicate(shard, replicas, include_index=include_index)
             for shard in self.shards
         ]
 

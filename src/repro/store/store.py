@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
@@ -48,6 +48,7 @@ from .segment import (
     SegmentReader,
     SegmentWriter,
     StoreState,
+    encode_record,
 )
 
 __all__ = ["StoreConfig", "ApplyReport", "StoreSnapshot", "VersionedKnowledgeStore"]
@@ -163,6 +164,11 @@ class VersionedKnowledgeStore:
         self._engine: Optional[SearchEngine] = None
         self._epoch = 0
         self._removed_since_reintern = 0
+        # The chained digest (see :attr:`chain_digest`) and how many more
+        # mutations it may fold before a full audit is due again: the live
+        # size at the last anchor, counted down (never anchored = due).
+        self._chain = hashlib.sha256().hexdigest()
+        self._ops_to_audit = 0
         self._listeners: List[MutationListener] = []
         #: Optional :class:`~repro.obs.trace.Tracer`; when armed, every
         #: :meth:`apply` records a ``store.apply`` span (set by
@@ -286,6 +292,19 @@ class VersionedKnowledgeStore:
         return self._epoch
 
     @property
+    def chain_digest(self) -> str:
+        """Running digest of what :meth:`apply` did since the last anchor.
+
+        Every live batch folds in its records and the state-dependent part
+        of its :class:`ApplyReport` (:meth:`compact` folds a marker;
+        ``replay``/``load``/``snapshot`` fold nothing), so two stores that
+        a full audit found byte-identical (:meth:`ReplicaGroup.verify`
+        anchors both chains there) and whose chains still agree applied
+        the same batches with the same effects in the same order since.
+        """
+        return self._chain
+
+    @property
     def search_engine(self) -> SearchEngine:
         """The BM25 index over the store's corpus, maintained incrementally."""
         if self._engine is None:
@@ -328,7 +347,7 @@ class VersionedKnowledgeStore:
         batch = list(mutations)
         if not batch:
             raise ValueError("mutation batch must not be empty")
-        self._validate(batch)
+        self.validate(batch)
         epoch = self._epoch + 1
         if self.tracer is not None:
             with self.tracer.span("store.apply", self.name) as span:
@@ -337,27 +356,56 @@ class VersionedKnowledgeStore:
                 report = self._apply_batch(epoch, batch, record=True)
         else:
             report = self._apply_batch(epoch, batch, record=True)
+        chain = hashlib.sha256(self._chain.encode("ascii"))
+        for mutation in batch:
+            chain.update(encode_record(epoch, mutation))
+        # ...and what the batch did, which depends on the state it met.
+        chain.update(
+            b"%d %d %d %d"
+            % (
+                report.triples_added,
+                report.triples_removed,
+                report.documents_added,
+                report.graph_rebuilt,
+            )
+        )
+        self._chain = chain.hexdigest()
+        self._ops_to_audit -= len(batch)
         for listener in self._listeners:
             listener(epoch, batch)
         return report
 
-    def _validate(self, batch: Sequence[Mutation]) -> None:
-        triples = self.graph.triples()
-        doc_ids = {document.doc_id for document in self.corpus}
+    def _anchor_chain(self, digest: str) -> None:
+        """Restart the chain at a full audit's shared digest
+        (:meth:`ReplicaGroup.verify` anchors every member it audited)."""
+        self._chain = digest
+        self._ops_to_audit = len(self.graph) + len(self.corpus)
+
+    def validate(self, batch: Sequence[Mutation]) -> None:
+        """Raise :class:`ValueError` if the live state refuses ``batch`` (it
+        removes an absent triple or adds a duplicate document id).
+
+        Costs O(batch) and touches nothing: membership is asked of the live
+        graph and corpus, with a batch-local overlay for what earlier
+        mutations of the same batch added or removed.
+        """
+        live: Dict[Triple, bool] = {}
+        new_doc_ids: Set[str] = set()
         for position, mutation in enumerate(batch):
             if mutation.op == ADD_TRIPLE:
-                triples.add(mutation.triple)
+                live[mutation.triple] = True
             elif mutation.op == REMOVE_TRIPLE:
-                if mutation.triple not in triples:
+                triple = mutation.triple
+                if not live.get(triple, triple in self.graph):
                     raise ValueError(
-                        f"batch[{position}]: cannot remove absent triple {mutation.triple}"
+                        f"batch[{position}]: cannot remove absent triple {triple}"
                     )
-                triples.discard(mutation.triple)
+                live[triple] = False
             else:  # ADD_DOCUMENT
                 doc_id = mutation.document.doc_id
-                if doc_id in doc_ids:
+                if doc_id in new_doc_ids or doc_id in self.corpus:
                     raise ValueError(f"batch[{position}]: duplicate document id {doc_id!r}")
-                doc_ids.add(doc_id)
+                new_doc_ids.add(doc_id)
 
     def _apply_batch(
         self, epoch: int, batch: Sequence[Mutation], record: bool
@@ -592,6 +640,8 @@ class VersionedKnowledgeStore:
         self._removed_since_reintern = 0
         if self._engine is not None:
             self._engine.rebuild()
+        # A member that compacted alone must stop matching its group.
+        self._chain = hashlib.sha256(self._chain.encode("ascii") + b"compact").hexdigest()
         return before - len(self.log)
 
     # ------------------------------------------------------------- verification

@@ -16,12 +16,28 @@ from repro.datasets import build_dbpedia, build_factbench, build_yago
 from repro.kg.verbalization import Verbalizer
 from repro.llm import ModelRegistry
 from repro.retrieval import MockSearchAPI, WebCorpusConfig, WebCorpusGenerator
+from repro.store import VersionedKnowledgeStore
 from repro.worldmodel import WorldConfig, build_world
 
 # A failing property prints its ``@reproduce_failure`` blob, not only the
 # shrunk draw: replaying a real-clock race needs the exact example.
 settings.register_profile("repro", print_blob=True)
 settings.load_profile("repro")
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Every ``VersionedKnowledgeStore.state_digest`` call, as a list of the
+    stores' names — the integer the O(batch) claim is made of."""
+    calls = []
+    original = VersionedKnowledgeStore.state_digest
+
+    def counting(self, include_index=True):
+        calls.append(self.name)
+        return original(self, include_index=include_index)
+
+    monkeypatch.setattr(VersionedKnowledgeStore, "state_digest", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -358,6 +358,7 @@ class TestMetricsRegistry:
             "router_unhealthy_replicas": "gauge",
             "router_staleness_epochs": "gauge",
             "router_geo_session_fallbacks_total": "counter",
+            "router_lockstep_audits_total": "counter",
         }
         per_edge = {
             "router_geo_watermark_epoch": "gauge",

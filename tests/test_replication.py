@@ -119,6 +119,51 @@ class TestReplicaGroup:
         with pytest.raises(ReplicaDivergedError):
             group.apply([Mutation.add_triple("Ada", "mentors", "Grace")])
 
+    def test_replica_refusing_a_batch_the_primary_applied_is_divergence(self):
+        """Regression: the replica's ``ValueError`` used to escape as a
+        "nothing was applied" error with the primary already at epoch 2."""
+        triple = Triple("Ada", "worksFor", "Acme")
+        group = ReplicaGroup.replicate(_store(), 2)
+        group.stores[1].graph.remove(triple)
+        with pytest.raises(
+            ReplicaDivergedError,
+            match=r"replica primary-replica1 at epoch 1 refused .* primary applied at epoch 2",
+        ) as raised:
+            group.apply([Mutation.remove_triple(*triple.as_tuple())])
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert [store.epoch for store in group.stores] == [2, 1]
+        # The passing twin: a batch the *primary* refuses is still a plain
+        # ValueError and no member moves.
+        group = ReplicaGroup.replicate(_store(), 2)
+        group.primary.graph.remove(triple)
+        with pytest.raises(ValueError, match="absent triple") as raised:
+            group.apply([Mutation.remove_triple(*triple.as_tuple())])
+        assert not isinstance(raised.value, ReplicaDivergedError)
+        assert [store.epoch for store in group.stores] == [1, 1]
+
+    def test_bypass_edit_is_raised_when_ops_since_anchor_reach_the_anchored_size(
+        self, digest_calls
+    ):
+        """An edit that never went through ``apply`` leaves epochs and
+        chains equal; the size rule bounds how long it hides."""
+        primary = VersionedKnowledgeStore.bootstrap(
+            triples=[Triple(f"e{i}", "p", f"e{i + 1}") for i in range(6)]
+        )
+        group = ReplicaGroup.replicate(primary, 2)
+        size = len(primary.graph) + len(primary.corpus)  # live items at the anchor
+        assert size == 6
+        group.stores[1].graph.add(Triple("Rogue", "edit", "Replica"))
+        batch = [Mutation.add_triple("e0", "q", "e1"), Mutation.add_triple("e1", "q", "e2")]
+        crossing = -(-size // len(batch))  # the ship where ops-since-anchor >= size
+        digest_calls.clear()
+        for _ in range(crossing - 1):
+            group.apply(batch)
+            assert group.stores[0].chain_digest == group.stores[1].chain_digest
+        assert digest_calls == [], "an audit ran before the size rule was due"
+        with pytest.raises(ReplicaDivergedError, match="store-replica1"):
+            group.apply(batch)
+        assert len(digest_calls) == 2
+
     def test_empty_group_and_bad_replica_counts_rejected(self):
         with pytest.raises(ValueError):
             ReplicaGroup([])
@@ -127,7 +172,7 @@ class TestReplicaGroup:
         mismatched = [_store("a"), _store("b")]
         mismatched[1].add_triple("Extra", "epoch", "Bump")
         with pytest.raises(ValueError, match="epochs diverge"):
-            ReplicaGroup(mismatched, verify_digests=False)
+            ReplicaGroup(mismatched)
 
     def test_runner_replica_groups_are_isolated_between_calls(self, replica_runner):
         """``BenchmarkRunner.replica_groups`` replays a fresh twin per call:
@@ -610,32 +655,46 @@ class TestReplicatedIngest:
 
         asyncio.run(go())
 
-    def test_ingest_skips_digest_check_when_group_opted_out(self, replica_runner):
-        """The router honours ReplicaGroup.verify_digests: epochs are always
-        lockstep-checked, but the O(store) digest pass can be opted out."""
-        fleet = replica_runner.sharded_store("factbench", 2).replay_twin()
-        groups = fleet.replicate(2, verify_digests=False)
-        shard_services = [
-            [
-                ValidationService.from_runner(
-                    replica_runner,
-                    ServiceConfig(max_batch_size=4),
-                    store=group.stores[replica_index],
-                )
-                for replica_index in range(2)
-            ]
-            for group in groups
-        ]
-        router = ShardedValidationService(
-            shard_services, store=fleet, replica_groups=groups
+    def _replicated_router(self, runner, store=None):
+        store = store or runner.sharded_store("factbench", 2).replay_twin()
+        router = ShardedValidationService.from_runner(
+            runner, 2, ServiceConfig(max_batch_size=4), store=store, replicas=2
         )
-        subject = _requests(replica_runner)[0].fact.triple.subject
-        calls = {"digests": 0}
-        original = VersionedKnowledgeStore.state_digest
+        return store, router
 
-        def counting(self, include_index=True):
-            calls["digests"] += 1
-            return original(self, include_index=include_index)
+    def test_forked_replicas_at_equal_epochs_are_refused_at_the_next_ship(
+        self, replica_runner
+    ):
+        """Equal epochs, different streams: only the chained digest can
+        tell, and it does at the very next ship."""
+        store, router = self._replicated_router(replica_runner)
+        subject = _requests(replica_runner)[0].fact.triple.subject
+        owner = store.shard_for(subject)
+        copies = router.replica_groups[owner].stores
+        copies[0].apply([Mutation.add_triple(subject, "forkedBy", "Left")])
+        copies[1].apply([Mutation.add_triple(subject, "forkedBy", "Right")])
+        assert [copy.epoch for copy in copies] == [2, 2]
+
+        async def go():
+            async with router:
+                with pytest.raises(
+                    ReplicaDivergedError, match=f"shard {owner} replicas diverged"
+                ):
+                    await router.apply_mutations(
+                        [Mutation.add_triple(subject, "flaggedBy", "Audit")]
+                    )
+
+        asyncio.run(go())
+
+    def test_same_out_of_band_batch_on_every_replica_is_not_divergence(
+        self, replica_runner, digest_calls
+    ):
+        store, router = self._replicated_router(replica_runner)
+        subject = _requests(replica_runner)[0].fact.triple.subject
+        owner = store.shard_for(subject)
+        for copy in router.replica_groups[owner].stores:
+            copy.apply([Mutation.add_triple(subject, "patchedBy", "Ops")])
+        digest_calls.clear()
 
         async def go():
             async with router:
@@ -643,14 +702,107 @@ class TestReplicatedIngest:
                     [Mutation.add_triple(subject, "flaggedBy", "Audit")]
                 )
 
-        VersionedKnowledgeStore.state_digest = counting
-        try:
-            asyncio.run(go())
-        finally:
-            VersionedKnowledgeStore.state_digest = original
-        assert calls["digests"] == 0, "digest pass ran despite verify_digests=False"
-        owner = fleet.shard_for(subject)
-        assert all(copy.epoch == 2 for copy in groups[owner].stores)
+        asyncio.run(go())
+        assert digest_calls == []
+        assert [copy.epoch for copy in router.replica_groups[owner].stores] == [3, 3]
+
+    def test_served_replica_refusing_a_shipped_batch_is_divergence(
+        self, replica_runner
+    ):
+        """Regression (served twin of the group test): the router validated
+        against the first live copy only, and a sibling's ``ValueError``
+        escaped as if nothing had been applied."""
+        store, router = self._replicated_router(replica_runner)
+        owner = 0
+        triple = next(iter(store.shards[owner].graph))
+        removal = [Mutation.remove_triple(*triple.as_tuple())]
+        copies = router.replica_groups[owner].stores
+        copies[1].graph.remove(triple)
+
+        async def go():
+            async with router:
+                with pytest.raises(
+                    ReplicaDivergedError,
+                    match=(
+                        f"shard {owner} replica 1 at epoch 1 refused the batch "
+                        "replica 0 applied at epoch 2"
+                    ),
+                ) as raised:
+                    await router.apply_mutations(removal)
+                assert isinstance(raised.value.__cause__, ValueError)
+                assert [copy.epoch for copy in copies] == [2, 1]
+                # The passing twin: refused by the copy validation runs
+                # against, it is still ValueError and nothing moves.
+                with pytest.raises(ValueError, match="absent triple") as raised:
+                    await router.apply_mutations(removal)
+                assert not isinstance(raised.value, ReplicaDivergedError)
+                assert [copy.epoch for copy in copies] == [2, 1]
+
+        asyncio.run(go())
+
+    def test_served_ingest_hashes_no_store_until_an_audit_is_due(
+        self, replica_runner, digest_calls
+    ):
+        """Counts, no clock.  A served two-shard ingest on an R=2 fleet
+        takes 0 full digests (4 before the chained digest); over a long
+        untampered run the only ones taken are the size rule's audits —
+        one per live member per crossing, each counted in the registry."""
+        store, router = self._replicated_router(replica_runner)
+        subjects = {}
+        for request in _requests(replica_runner):
+            subject = request.fact.triple.subject
+            subjects.setdefault(store.shard_for(subject), subject)
+        assert sorted(subjects) == [0, 1]
+        audits = router.metrics.lockstep_audits_total
+
+        async def one_two_shard_ingest():
+            async with router:
+                report = await router.apply_mutations(
+                    [
+                        Mutation.add_triple(subjects[0], "flaggedBy", "Audit"),
+                        Mutation.add_triple(subjects[1], "flaggedBy", "Audit"),
+                    ]
+                )
+                assert report.shards_touched == (0, 1)
+                assert audits.value == 0
+
+        digest_calls.clear()
+        asyncio.run(one_two_shard_ingest())
+        assert digest_calls == []
+
+        # A small fleet, so the size rule comes due many times in a short
+        # run.  The test keeps its own ledger per shard: mutations left
+        # until the shipped ones match the live size at the last anchor.
+        small = ShardedStore.partition(
+            triples=[Triple(f"e{i}", "p", f"e{i + 1}") for i in range(12)], num_shards=2
+        )
+        _, router = self._replicated_router(replica_runner, small)
+        audits = router.metrics.lockstep_audits_total
+        left = [len(shard.graph) + len(shard.corpus) for shard in small.shards]
+        crossings = 0
+
+        async def long_run():
+            nonlocal crossings
+            async with router:
+                for step in range(60):
+                    batch = [
+                        Mutation.add_triple(f"e{(step + k) % 12}", f"q{step % 3}", f"n{step}")
+                        for k in range(3)
+                    ]
+                    await router.apply_mutations(batch)
+                    for index, part in small.route(batch).items():
+                        left[index] -= len(part)
+                        if left[index] <= 0:
+                            shard = small.shards[index]
+                            left[index] = len(shard.graph) + len(shard.corpus)
+                            crossings += 1
+                    assert audits.value == crossings
+
+        digest_calls.clear()
+        asyncio.run(long_run())
+        assert crossings >= 4
+        assert len(digest_calls) == crossings * 2
+        assert audits.value == crossings
 
     def test_rejected_batch_mutates_no_replica(self, replica_runner):
         store = replica_runner.sharded_store("factbench", 2).replay_twin()

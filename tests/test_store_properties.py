@@ -15,6 +15,11 @@ Rebuild fallbacks are exercised too: one configuration uses aggressive
 dirty-fraction thresholds so replay must take the same rebuild branches at
 the same epochs to stay byte-identical.  Seeds are fixed (no new deps, no
 flakes): every sequence that ever fails can be replayed exactly.
+
+The same histories pin the replica group's O(batch) lockstep check — a
+tampered member stream is refused at the next ship exactly when the full
+state digests would refuse it — and ``validate`` against its set-copy
+reference.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.retrieval.corpus import Document
 from repro.store import (
     Mutation,
     MutationLog,
+    ReplicaDivergedError,
     ReplicaGroup,
     ShardedStore,
     StoreConfig,
@@ -253,6 +259,190 @@ def test_replica_groups_over_sharded_fleet_stay_identical(seed):
             f"seed {seed}: shard {index} replica group diverged from the "
             f"unreplicated fleet"
         )
+
+
+TAMPER_KINDS = ("flip", "extra", "swap")
+TAMPER_SEEDS = range(100, 130)
+
+
+def _random_add(rng: random.Random) -> Mutation:
+    """An add from the generator's own triple space (so sometimes a no-op)."""
+    return Mutation.add_triple(
+        f"entity{rng.randrange(30)}", f"pred{rng.randrange(5)}", f"entity{rng.randrange(30)}"
+    )
+
+
+def _tampered_ship(seed: int, kind: str):
+    """Ship a random history through an R=2 group, tamper the replica's
+    stream once through its public ``apply``, then ship one more batch.
+
+    Returns ``(raised, diverged)`` — whether that last ship raised
+    :class:`ReplicaDivergedError`, and whether the members' epochs or full
+    state digests, computed here afterwards, differ — or ``None`` when the
+    dice produced a tamper the replica's own validation refuses.
+    """
+    rng = random.Random(seed)
+    # Fewer operations than the 60 items the group is anchored over: the
+    # size rule never comes due, so only the chain can notice the tamper.
+    triples, documents, batches = _random_history(rng, operations=40)
+    primary = VersionedKnowledgeStore.bootstrap(triples=triples, documents=documents)
+    group = ReplicaGroup.replicate(primary, 2)
+    replica = group.stores[1]
+    *history, first, second, last = batches
+    for batch in history:
+        group.apply(batch)  # untampered: never raises
+    if kind == "flip":  # one mutation of one batch differs on the replica
+        group.apply(first)
+        position = rng.randrange(len(second))
+        flipped = list(second)
+        while flipped[position] == second[position]:
+            flipped[position] = _random_add(rng)
+        streams = ([second], [flipped])
+    elif kind == "extra":  # the replica applies a batch nobody shipped
+        group.apply(first)
+        streams = ([second], [second, [_random_add(rng)]])
+    else:  # swap: two adjacent batches land in the other order
+        streams = ([first, second], [second, first])
+    try:
+        # Validating the concatenation is validating the sequence.
+        replica.validate([mutation for batch in streams[1] for mutation in batch])
+    except ValueError:
+        return None
+    for store, stream in zip(group.stores, streams):
+        for batch in stream:
+            store.apply(batch)
+    try:
+        group.apply(last)
+        raised = False
+    except ReplicaDivergedError:
+        raised = True
+    diverged = (
+        primary.epoch != replica.epoch
+        or primary.state_digest(include_index=False)
+        != replica.state_digest(include_index=False)
+    )
+    return raised, diverged
+
+
+@pytest.mark.parametrize("kind", TAMPER_KINDS)
+def test_tampered_stream_is_refused_iff_the_full_digests_would(kind):
+    """ROADMAP item 6's bar: one flipped mutation, one extra batch or one
+    swapped pair on one member is caught at the next ship by the chained
+    digest exactly when the full digest would catch it — no false negative
+    on the apply path, and a chain-only mismatch over converged state
+    re-anchors instead of raising."""
+    outcomes = {seed: _tampered_ship(seed, kind) for seed in TAMPER_SEEDS}
+    concluded = {seed: outcome for seed, outcome in outcomes.items() if outcome}
+    assert len(concluded) >= 25
+    for seed, (raised, diverged) in concluded.items():
+        assert raised == diverged, f"seed {seed} ({kind}): {raised=}, {diverged=}"
+    # Not vacuous: some seed of every kind ended diverged.
+    assert any(diverged for _, diverged in concluded.values())
+
+
+def test_chain_only_mismatch_over_converged_state_reanchors(digest_calls):
+    """Two batches adding edges between already-interned, disjoint nodes
+    commute byte-for-byte: swapped on one member, the epochs and the full
+    digests agree and only the chains differ.  The next ship escalates,
+    finds nothing, re-anchors — and the ship after it is O(1) again."""
+    primary = VersionedKnowledgeStore.bootstrap(
+        triples=[Triple(f"n{i}", "p", f"n{i + 1}") for i in range(0, 16, 2)]
+        + [Triple("n0", "q", "n1")]
+    )
+    group = ReplicaGroup.replicate(primary, 2)
+    replica = group.stores[1]
+    left = [Mutation.add_triple("n2", "q", "n3")]
+    right = [Mutation.add_triple("n4", "q", "n5")]
+    primary.apply(left), primary.apply(right)
+    replica.apply(right), replica.apply(left)
+    assert primary.epoch == replica.epoch
+    assert primary.state_digest() == replica.state_digest()
+    assert primary.chain_digest != replica.chain_digest
+
+    digest_calls.clear()
+    group.apply([Mutation.add_triple("n6", "q", "n7")])  # escalates, does not raise
+    assert sorted(digest_calls) == sorted(store.name for store in group.stores)
+    assert primary.chain_digest == replica.chain_digest
+    digest_calls.clear()
+    group.apply([Mutation.add_triple("n8", "q", "n9")])
+    assert digest_calls == []
+
+
+def _reference_validate(store: VersionedKnowledgeStore, batch) -> None:
+    """``validate`` as it was before it went O(batch): a copy of the whole
+    triple set and of every document id, mutated as the batch is walked."""
+    triples = store.graph.triples()
+    doc_ids = {document.doc_id for document in store.corpus}
+    for position, mutation in enumerate(batch):
+        if mutation.op == "add_triple":
+            triples.add(mutation.triple)
+        elif mutation.op == "remove_triple":
+            if mutation.triple not in triples:
+                raise ValueError(
+                    f"batch[{position}]: cannot remove absent triple {mutation.triple}"
+                )
+            triples.discard(mutation.triple)
+        else:
+            doc_id = mutation.document.doc_id
+            if doc_id in doc_ids:
+                raise ValueError(f"batch[{position}]: duplicate document id {doc_id!r}")
+            doc_ids.add(doc_id)
+
+
+def _verdict(check, store, batch):
+    try:
+        check(store, batch)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22, 23])
+def test_validate_matches_the_set_copy_reference(seed, monkeypatch):
+    rng = random.Random(seed)
+    triples, documents, batches = _random_history(rng, operations=120)
+    store = VersionedKnowledgeStore.bootstrap(triples=triples, documents=documents)
+    live, absent = Triple("entity0", "hand", "built"), Triple("never", "was", "here")
+    store.add_triple(*live.as_tuple())
+    doc = _document(10_000, rng)
+    add, remove = (
+        lambda triple: Mutation(op="add_triple", triple=triple),
+        lambda triple: Mutation(op="remove_triple", triple=triple),
+    )
+    hand_built = [  # (batch, refused)
+        ([add(absent), remove(absent)], False),
+        ([remove(live), add(live), remove(live)], False),
+        ([remove(live), remove(live)], True),
+        ([remove(absent)], True),
+        ([Mutation.add_document(doc), Mutation.add_document(doc)], True),
+        ([Mutation.add_document(documents[0])], True),
+    ]
+    live_validate = VersionedKnowledgeStore.validate
+    rejected = accepted = 0
+
+    def same_verdict(batch):
+        nonlocal rejected, accepted
+        reference = _verdict(_reference_validate, store, batch)
+        with monkeypatch.context() as patch:
+            # O(batch) means never materialising the triple set.
+            patch.setattr(
+                type(store.graph), "triples",
+                lambda self: pytest.fail("validate copied the whole triple set"),
+            )
+            assert _verdict(live_validate, store, batch) == reference
+        rejected += reference is not None
+        accepted += reference is None
+        return reference
+
+    for batch, refused in hand_built:
+        assert (same_verdict(batch) is not None) == refused
+    for batch in batches:
+        # The batch that is due (valid by construction) and two from
+        # anywhere in the history, which the current state may well refuse.
+        for candidate in (batch, rng.choice(batches), rng.choice(batches)):
+            same_verdict(candidate)
+        store.apply(batch)
+    assert accepted > len(batches) and rejected > 10
 
 
 def test_log_persistence_round_trips_random_mutations(tmp_path):
