@@ -14,22 +14,21 @@ class ServiceConfig:
     Attributes
     ----------
     max_batch_size:
-        Upper bound on how many queued requests one ``(method, model)``
-        worker coalesces into a single micro-batch.  ``1`` disables
-        batching (the single-request-at-a-time baseline in the benchmark).
+        Upper bound on how many waiting requests one ``(method, model)``
+        worker coalesces into a single micro-batch.  At ``1`` every request
+        is its own full batch and leaves at once, bounded by ``queue_depth``.
     queue_depth:
         Admission-control bound on the number of in-flight (admitted, not
-        yet answered) requests across all workers.  A request arriving at a
-        full service is shed with an explicit ``REJECTED`` outcome rather
-        than buffered without bound — the MSMQ-style backpressure shape.
+        yet answered) requests across all workers, waiting or in the backend.
+        A request arriving at a full service is shed with an explicit
+        ``REJECTED`` outcome, not buffered — the MSMQ-style backpressure shape.
     enable_cache:
         Whether completed verdicts are cached and served on repeat requests.
     cache_capacity:
         Verdict-cache capacity in entries (one global LRU).
     batch_overhead_s:
         Fixed *simulated* dispatch cost per backend batch (connection /
-        scheduling / prompt-prefix overhead).  Micro-batching amortizes it
-        across the batch; the single-request baseline pays it per request.
+        scheduling / prompt-prefix overhead), amortized across the batch.
     time_scale:
         Real seconds slept per simulated second of backend execution.  The
         simulated models return latencies without sleeping, so the service

@@ -41,6 +41,7 @@ SERVICE_METRIC_NAMES = (
     "service_batches_total",
     "service_batched_requests_total",
     "service_queue_depth",
+    "service_batches_in_flight",
     "service_ingests_total",
     "service_ingested_ops_total",
     "service_request_latency_seconds",
@@ -175,6 +176,9 @@ class ServiceMetrics:
         self._queue_depth = self.registry.gauge(
             "service_queue_depth", "Admitted-but-unanswered requests right now."
         )
+        self._batches_in_flight = self.registry.gauge(
+            "service_batches_in_flight", "Micro-batches in the backend right now."
+        )
         self._ingests = self.registry.counter(
             "service_ingests_total", "Mutation batches applied."
         )
@@ -230,6 +234,10 @@ class ServiceMetrics:
         """One dispatched micro-batch of ``size`` requests."""
         self._batches.inc()
         self._batched_requests.inc(size)
+
+    def observe_backend(self, delta: int) -> None:
+        """One micro-batch entered (``+1``) or left (``-1``) the backend."""
+        self._batches_in_flight.inc(delta)
 
     def observe_ingest(self, ops: int) -> None:
         """One applied mutation batch of ``ops`` operations."""

@@ -1,27 +1,25 @@
 """Asyncio fact-validation service with micro-batching and admission control.
 
-This is the repo's first *online* serving scenario: instead of iterating a
-whole :class:`~repro.datasets.base.FactDataset` offline, clients submit one
-fact at a time and await a :class:`~repro.validation.base.ValidationResult`.
+The online serving scenario: instead of iterating a whole
+:class:`~repro.datasets.base.FactDataset` offline, clients submit one fact
+at a time and await a :class:`~repro.validation.base.ValidationResult`.
 
-Architecture (the muBench-style service shape, with MSMQ-style
-backpressure):
+Architecture (muBench-style service shape, MSMQ-style backpressure):
 
 * ``submit()`` is the single entry point.  It first consults the
   :class:`~repro.service.cache.VerdictCache`; on a miss it passes admission
   control — a bounded in-flight budget that *sheds* excess load with an
   explicit ``REJECTED`` outcome instead of buffering without bound — and
   enqueues the request for its ``(method, model)`` strategy worker.
-* Each worker drains its queue into a micro-batch (up to
-  ``max_batch_size``), runs the batch through
+* Each worker coalesces its waiting requests into micro-batches of at most
+  ``max_batch_size`` and runs each through
   :meth:`~repro.validation.pipeline.ValidationPipeline.run_facts` — the
-  exact offline code path, so online verdicts are byte-identical to
-  offline ones — and resolves the per-request futures.
-* The simulated backend executes a micro-batch *concurrently*: batch wall
-  time is ``batch_overhead_s`` plus the **maximum** of the items' simulated
-  latencies, converted to real event-loop time via ``time_scale``.  A
-  single-request server pays the overhead plus its own latency per request,
-  which is what the benchmark's >= 2x throughput floor measures.
+  offline code path, so online verdicts are byte-identical to offline ones.
+* The simulated backend executes a micro-batch *concurrently*: it takes
+  ``batch_overhead_s`` plus the **maximum** of the items' simulated
+  latencies, times ``time_scale``, in a task of its own whose return resolves
+  the per-request futures.  A key's next batch leaves when none of its
+  batches is in the backend or when it is full (``_drain_batch``).
 * With a :class:`~repro.store.VersionedKnowledgeStore` attached, the
   service also serves *writes*: :meth:`ValidationService.apply_mutations`
   quiesces admissions, drains the in-flight requests, applies the batch
@@ -35,9 +33,11 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..datasets.base import LabeledFact
 from ..obs.events import EventLog
@@ -167,6 +167,15 @@ _QueueItem = Tuple[
 ]
 
 
+class _Lane(NamedTuple):
+    """One ``(method, model)`` key.  ``wake`` is set by an arrival and by a
+    batch's return: the two events that can let the key's next batch leave."""
+
+    waiting: deque[_QueueItem]
+    in_backend: set[asyncio.Task]
+    wake: asyncio.Event
+
+
 class ValidationService:
     """Coalesces single-fact requests into per-``(method, model)`` batches.
 
@@ -191,7 +200,7 @@ class ValidationService:
         self.metrics = ServiceMetrics()
         self._pipeline = ValidationPipeline()
         self._strategies: Dict[Tuple[str, str, str], ValidationStrategy] = {}
-        self._queues: Dict[Tuple[str, str], asyncio.Queue] = {}
+        self._queues: Dict[Tuple[str, str], _Lane] = {}
         self._workers: Dict[Tuple[str, str], asyncio.Task] = {}
         self._inflight: set = set()
         self._pending = 0
@@ -283,27 +292,28 @@ class ValidationService:
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting work; by default *drain* in-flight requests first.
 
-        With ``drain=True`` every admitted request — queued or mid-batch —
-        is answered before the strategy workers are cancelled, so no
-        accepted request is ever dropped without a response during
-        shutdown.  ``drain=False`` is the hard-stop path: queued and
-        mid-batch requests fail with :class:`asyncio.CancelledError`
-        (their futures are cancelled explicitly, so no ``submit`` awaits
-        forever).
+        With ``drain=True`` every admitted request — waiting or in the
+        backend — is answered before the strategy workers are cancelled, so
+        no accepted request is ever dropped without a response during
+        shutdown.  ``drain=False`` is the hard-stop path: the batches in the
+        backend are cancelled with the workers, and every admitted request
+        fails with :class:`asyncio.CancelledError` (their futures are
+        cancelled explicitly, so no ``submit`` awaits forever).
         """
         self._closed = True
         if drain:
             while self._pending:
                 await asyncio.sleep(0.001)
-        for task in self._workers.values():
+        tasks = list(self._workers.values())
+        for lane in self._queues.values():
+            tasks.extend(lane.in_backend)
+        for task in tasks:
             task.cancel()
-        if self._workers:
-            await asyncio.gather(*self._workers.values(), return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
         self._workers.clear()
         self._queues.clear()
         for future in list(self._inflight):
-            if not future.done():
-                future.cancel()
+            future.cancel()
 
     async def __aenter__(self) -> "ValidationService":
         await self.start()
@@ -414,12 +424,12 @@ class ValidationService:
         )
         self._inflight.add(future)
         try:
-            self._queue_for(method, model).put_nowait(
+            lane = self._queue_for(method, model)
+            lane.waiting.append(
                 (request, future, span.context if span is not None else None)
             )
+            lane.wake.set()
             result, batch_size = await future
-        except asyncio.CancelledError:
-            raise
         except Exception:
             # Admitted but the batch failed (strategy exception): account it
             # so completed + rejected + errors still equals submitted.
@@ -492,16 +502,15 @@ class ValidationService:
 
     # ---------------------------------------------------------------- internals
 
-    def _queue_for(self, method: str, model: str) -> asyncio.Queue:
+    def _queue_for(self, method: str, model: str) -> _Lane:
         key = (method, model)
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._queues[key] = queue
+        lane = self._queues.get(key)
+        if lane is None:
+            lane = self._queues[key] = _Lane(deque(), set(), asyncio.Event())
             self._workers[key] = asyncio.get_running_loop().create_task(
-                self._worker(key, queue), name=f"validation-worker-{method}-{model}"
+                self._worker(key, lane), name=f"validation-worker-{method}-{model}"
             )
-        return queue
+        return lane
 
     def _strategy(self, method: str, dataset: str, model: str) -> ValidationStrategy:
         key = (method, dataset, model)
@@ -511,30 +520,44 @@ class ValidationService:
             self._strategies[key] = strategy
         return strategy
 
-    async def _drain_batch(self, queue: asyncio.Queue) -> List[_QueueItem]:
-        """Take one batch: the first item blocks, whatever else is already
-        queued coalesces behind it up to ``max_batch_size``."""
-        batch: List[_QueueItem] = [await queue.get()]
-        while len(batch) < self.config.max_batch_size:
-            try:
-                batch.append(queue.get_nowait())
-            except asyncio.QueueEmpty:
-                break
+    def _drain_batch(self, lane: _Lane) -> List[_QueueItem]:
+        """The key's next batch if it may leave now, else ``[]``.
+
+        It leaves when none of the key's batches is in the backend (whatever
+        waits coalesces, up to ``max_batch_size``) or when it is full: waiting
+        behind the batch in flight is what fills the next one, and a full one
+        has nothing left to wait for.  ``queue_depth`` alone bounds the backend.
+        A request whose caller gave up (future done) is dropped: it takes no slot.
+        """
+        size, waiting = self.config.max_batch_size, lane.waiting
+        if lane.in_backend and len(waiting) < size:
+            return []
+        batch: List[_QueueItem] = []
+        while waiting and len(batch) < size:
+            item = waiting.popleft()
+            if not item[1].done():
+                batch.append(item)
+        if lane.in_backend and len(batch) < size:
+            # Abandoned requests made it look full: it still waits, in order.
+            waiting.extendleft(reversed(batch))
+            return []
         return batch
 
-    async def _worker(self, key: Tuple[str, str], queue: asyncio.Queue) -> None:
+    async def _worker(self, key: Tuple[str, str], lane: _Lane) -> None:
+        """Launch the key's batches; the backend wait is a per-batch task that
+        answers on return, so this sleeps only until an arrival or a return."""
         method, model = key
         while True:
-            batch = await self._drain_batch(queue)
+            while not (batch := self._drain_batch(lane)):
+                lane.wake.clear()
+                await lane.wake.wait()
             self.metrics.observe_batch(len(batch))
             if self._fault_injector is not None:
                 try:
                     await self._fault_injector.fire(self._fault_point)
                 except Exception as exc:
                     # Injected fault: fail the whole micro-batch explicitly.
-                    for _, future, _ in batch:
-                        if not future.done():
-                            future.set_exception(exc)
+                    self._settle(batch, [exc] * len(batch), None, None)
                     continue
             tracer = self._tracer
             spans: Optional[List[Optional[Span]]] = None
@@ -553,6 +576,7 @@ class ValidationService:
                         span.attributes["batch_size"] = len(batch)
                         span.attributes["method"] = method
             outcomes = self._execute(method, model, batch, spans)
+            settle = partial(self._settle, batch, outcomes, spans, tracer)
             succeeded = [
                 outcome for outcome in outcomes if isinstance(outcome, ValidationResult)
             ]
@@ -560,22 +584,45 @@ class ValidationService:
                 simulated = self.config.batch_overhead_s + max(
                     result.latency_seconds for result in succeeded
                 )
-                await asyncio.sleep(simulated * self.config.time_scale)
-            for index, ((_, future, _), outcome) in enumerate(zip(batch, outcomes)):
-                if spans is not None and tracer is not None:
-                    span = spans[index]
-                    if span is not None:
-                        if isinstance(outcome, ValidationResult):
-                            tracer.end_span(span)
-                        else:
-                            span.attributes["error"] = type(outcome).__name__
-                            tracer.end_span(span, status=STATUS_FAILED)
-                if future.done():
-                    continue
+                backend = asyncio.create_task(
+                    asyncio.sleep(simulated * self.config.time_scale)
+                )
+                backend.add_done_callback(partial(self._returned, lane, settle))
+                lane.in_backend.add(backend)
+                self.metrics.observe_backend(+1)
+            else:
+                settle()
+
+    def _returned(self, lane: _Lane, settle: partial, backend: asyncio.Task) -> None:
+        """A batch is back from the backend: answer it, let the next one leave."""
+        lane.in_backend.discard(backend)
+        self.metrics.observe_backend(-1)
+        if not backend.cancelled():  # a hard stop cancels the wait: no answers
+            settle()
+        lane.wake.set()
+
+    @staticmethod
+    def _settle(
+        batch: List[_QueueItem],
+        outcomes: List[Any],
+        spans: Optional[List[Optional[Span]]],
+        tracer: Optional[Tracer],
+    ) -> None:
+        """End each item's ``worker.execute`` span and resolve its future."""
+        traced = spans if spans is not None else [None] * len(batch)
+        for (_, future, _), outcome, span in zip(batch, outcomes, traced):
+            if span is not None and tracer is not None:
                 if isinstance(outcome, ValidationResult):
-                    future.set_result((outcome, len(batch)))
+                    tracer.end_span(span)
                 else:
-                    future.set_exception(outcome)
+                    span.attributes["error"] = type(outcome).__name__
+                    tracer.end_span(span, status=STATUS_FAILED)
+            if future.done():
+                continue
+            if isinstance(outcome, ValidationResult):
+                future.set_result((outcome, len(batch)))
+            else:
+                future.set_exception(outcome)
 
     def _execute(
         self,

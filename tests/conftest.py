@@ -8,6 +8,8 @@ composition).
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 from hypothesis import settings
 
@@ -16,6 +18,7 @@ from repro.datasets import build_dbpedia, build_factbench, build_yago
 from repro.kg.verbalization import Verbalizer
 from repro.llm import ModelRegistry
 from repro.retrieval import MockSearchAPI, WebCorpusConfig, WebCorpusGenerator
+from repro.service import ServiceRequest
 from repro.store import VersionedKnowledgeStore
 from repro.worldmodel import WorldConfig, build_world
 
@@ -38,6 +41,49 @@ def digest_calls(monkeypatch):
 
     monkeypatch.setattr(VersionedKnowledgeStore, "state_digest", counting)
     return calls
+
+
+class BackendShape:
+    """For tests that hold micro-batches in the simulated backend
+    (``time_scale > 0``, ``max_batch_size=8``): state is reached and read in
+    event-loop turns and counts — never by sleeping or reading a clock."""
+
+    @staticmethod
+    async def turns(count: int = 5) -> None:
+        """Let everything that is ready run: submitted requests reach their
+        lane and the worker sees them.  Yields only — no time passes."""
+        for _ in range(count):
+            await asyncio.sleep(0)
+
+    @staticmethod
+    def in_flight(service) -> float:
+        return service.metrics.registry.get("service_batches_in_flight").value
+
+    @staticmethod
+    def submit(service, facts):
+        return [
+            asyncio.create_task(service.submit(ServiceRequest(fact, "dka", "gemma2:9b")))
+            for fact in facts
+        ]
+
+    @classmethod
+    async def three_groups(cls, service, facts):
+        """Twelve requests as: one batch in the backend, a second *full*
+        batch in the backend beside it, a partial batch waiting behind."""
+        tasks = cls.submit(service, facts[:1])
+        await cls.turns()
+        tasks += cls.submit(service, facts[1:9])
+        await cls.turns()
+        tasks += cls.submit(service, facts[9:12])
+        await cls.turns()
+        assert service.metrics.snapshot().batches == 2 == cls.in_flight(service)
+        assert service.pending == 12 and not any(task.done() for task in tasks)
+        return tasks
+
+
+@pytest.fixture
+def backend():
+    return BackendShape
 
 
 @pytest.fixture(scope="session")

@@ -347,6 +347,7 @@ class TestMetricsRegistry:
             "service_ingests_total": ("counter", [()]),
             "service_ingested_ops_total": ("counter", [()]),
             "service_request_latency_seconds": ("histogram", [("le",), ()]),
+            "service_batches_in_flight": ("gauge", [()]),
         }
         fleet_level = {
             "router_failures_total": "counter",

@@ -114,6 +114,143 @@ class TestMicroBatching:
         assert [response.batch_size for response in responses] == [4] * 8
         assert {response.result.method for response in responses} == {"dka", "giv-z"}
 
+    # The launch rule — a key's next batch leaves when none of its batches is
+    # in the backend or when it is full — in counts and ordering, no clock in
+    # any assertion: ``time_scale`` only has to keep a batch in the backend
+    # while a handful of event-loop turns run, and the tests wait on the
+    # answers, never on time.
+    CONFIG = dict(enable_cache=False, max_batch_size=8, time_scale=0.4)
+
+    def _service(self, runner, **overrides):
+        return ValidationService.from_runner(
+            runner, ServiceConfig(**{**self.CONFIG, **overrides})
+        )
+
+    def test_a_batch_that_can_grow_waits_and_a_full_one_does_not(self, service_runner, backend):
+        facts = list(service_runner.dataset("factbench"))[:9]
+        service = self._service(service_runner)
+
+        async def go():
+            async with service:
+                first = backend.submit(service, facts[:1])
+                await backend.turns()
+                assert service.metrics.snapshot().batches == 1  # in the backend
+                seven = backend.submit(service, facts[1:8])
+                await backend.turns()
+                # Waiting behind the batch in flight is what fills the next one.
+                assert service.metrics.snapshot().batches == 1
+                assert service.pending == 8
+                assert not any(task.done() for task in first + seven)
+                eighth = backend.submit(service, facts[8:])
+                await backend.turns()
+                # A full batch has nothing left to wait for: it is in the
+                # backend beside the first, which has not returned.
+                assert service.metrics.snapshot().batches == 2
+                assert not first[0].done()
+                return await asyncio.gather(*first, *seven, *eighth)
+
+        responses = asyncio.run(go())
+        assert all(r.outcome is RequestOutcome.COMPLETED for r in responses)
+        assert [r.batch_size for r in responses] == [1] + [8] * 8
+        offline = ValidationPipeline().run_facts(
+            service_runner.build_strategy(
+                "dka", "factbench", service_runner.registry.get("gemma2:9b")
+            ),
+            facts,
+            dataset="factbench",
+        )
+        assert [r.result for r in responses] == offline
+
+    def test_full_batches_overlap_in_the_backend(self, service_runner, backend):
+        facts = (list(service_runner.dataset("factbench")) * 2)[:25]
+        service = self._service(service_runner)
+
+        async def go():
+            async with service:
+                first = backend.submit(service, facts[:1])
+                await backend.turns()
+                rest = backend.submit(service, facts[1:])
+                await backend.turns()
+                # Three full batches launched before the first returned.
+                assert service.metrics.snapshot().batches == 4
+                assert backend.in_flight(service) == 4
+                assert service.pending == 25 and not first[0].done()
+                responses = await asyncio.gather(*first, *rest)
+                assert backend.in_flight(service) == 0
+                return responses
+
+        responses = asyncio.run(go())
+        assert all(r.outcome is RequestOutcome.COMPLETED for r in responses)
+        assert [r.batch_size for r in responses] == [1] + [8] * 24
+
+    def test_admission_not_a_slot_count_bounds_the_backend(self, service_runner, backend):
+        facts = (list(service_runner.dataset("factbench")) * 2)[:17]
+        service = self._service(service_runner, queue_depth=16)
+
+        async def go():
+            async with service:
+                tasks = backend.submit(service, facts)
+                await backend.turns()
+                # 16 admitted — the whole first drain went at once (8), the
+                # next 8 behind it were a full batch — and the 17th shed.
+                assert service.pending == 16
+                assert backend.in_flight(service) == 2
+                return await asyncio.gather(*tasks)
+
+        responses = asyncio.run(go())
+        assert [r.outcome for r in responses] == (
+            [RequestOutcome.COMPLETED] * 16 + [RequestOutcome.REJECTED]
+        )
+        assert service.metrics.snapshot().shed_count == 1
+
+    def test_abandoned_requests_are_not_judged_and_take_no_slot(self, service_runner, backend):
+        """A caller that gave up (the router's timeout, or any cancel) must
+        not cost a strategy call or a place in a batch — nor make the batch
+        behind one in flight look full when it is not."""
+        facts = list(service_runner.dataset("factbench"))[:9]
+        judged = []
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+                self.method_name = inner.method_name
+
+            def validate(self, fact):
+                judged.append(fact.fact_id)
+                return self.inner.validate(fact)
+
+        def provider(method, dataset, model):
+            return Counting(
+                service_runner.build_strategy(
+                    method, dataset, service_runner.registry.get(model)
+                )
+            )
+
+        service = ValidationService(provider, ServiceConfig(**self.CONFIG))
+
+        async def go():
+            async with service:
+                first = backend.submit(service, facts[:1])
+                await backend.turns()
+                gave_up = backend.submit(service, facts[1:8])
+                await backend.turns()
+                for task in gave_up:
+                    task.cancel()
+                await backend.turns()
+                assert service.pending == 1
+                live = backend.submit(service, facts[8:])
+                await backend.turns()
+                # Eight wait, one of them alive: not a full batch, so it waits.
+                assert service.metrics.snapshot().batches == 1
+                return await asyncio.gather(*first, *live)
+
+        first, live = asyncio.run(go())
+        assert judged == [facts[0].fact_id, facts[8].fact_id]
+        assert (first.batch_size, live.batch_size) == (1, 1)
+        snapshot = service.metrics.snapshot()
+        assert (snapshot.batches, snapshot.completed) == (2, 2)
+
+
 
 class TestAdmissionControl:
     def test_overload_sheds_with_explicit_rejected_outcome(self, service_runner):
@@ -229,47 +366,68 @@ class TestLifecycleAndFailure:
 
         asyncio.run(go())
 
-    def test_stop_drains_inflight_requests_before_cancelling_workers(self, service_runner):
-        facts = list(service_runner.dataset("factbench"))[:4]
+    def test_stop_drains_inflight_requests_before_cancelling_workers(self, service_runner, backend):
+        facts = list(service_runner.dataset("factbench"))[:12]
         service = ValidationService.from_runner(
             service_runner,
-            ServiceConfig(enable_cache=False, max_batch_size=1, time_scale=0.05),
+            ServiceConfig(enable_cache=False, max_batch_size=8, time_scale=0.2),
         )
 
         async def go():
             await service.start()
-            tasks = [
-                asyncio.create_task(service.submit(ServiceRequest(fact, "dka", "gemma2:9b")))
-                for fact in facts
-            ]
-            await asyncio.sleep(0.01)  # first batch mid-sleep, rest still queued
+            tasks = await backend.three_groups(service, facts)
             await asyncio.wait_for(service.stop(), timeout=5.0)
             outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-            # Every accepted request gets a real response: nothing queued or
-            # mid-batch is dropped by a graceful shutdown.
+            # Every accepted request gets a real response: nothing waiting or
+            # in the backend is dropped by a graceful shutdown.
             assert all(isinstance(outcome, ServiceResponse) for outcome in outcomes)
             assert all(outcome.outcome is RequestOutcome.COMPLETED for outcome in outcomes)
+            assert [outcome.batch_size for outcome in outcomes] == [1] + [8] * 8 + [3] * 3
             assert service.metrics.snapshot().completed == len(facts)
+            assert backend.in_flight(service) == 0
 
         asyncio.run(go())
 
-    def test_stop_without_drain_cancels_inflight_requests(self, service_runner):
-        facts = list(service_runner.dataset("factbench"))[:4]
+    def test_stop_without_drain_cancels_inflight_requests(self, service_runner, backend):
+        facts = list(service_runner.dataset("factbench"))[:12]
         service = ValidationService.from_runner(
             service_runner,
-            ServiceConfig(enable_cache=False, max_batch_size=1, time_scale=0.05),
+            ServiceConfig(enable_cache=False, max_batch_size=8, time_scale=0.2),
         )
 
         async def go():
             await service.start()
-            tasks = [
-                asyncio.create_task(service.submit(ServiceRequest(fact, "dka", "gemma2:9b")))
-                for fact in facts
-            ]
-            await asyncio.sleep(0.01)  # first batch mid-sleep, rest still queued
+            tasks = await backend.three_groups(service, facts)
             await asyncio.wait_for(service.stop(drain=False), timeout=2.0)
             outcomes = await asyncio.gather(*tasks, return_exceptions=True)
             assert all(isinstance(outcome, asyncio.CancelledError) for outcome in outcomes)
+            # The batches in the backend went with the worker: nothing of the
+            # service is left on the loop, and nothing was answered.
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert service.pending == 0 == backend.in_flight(service)
+            assert service.metrics.snapshot().completed == 0
+
+        asyncio.run(go())
+
+    def test_hard_stop_in_the_turn_of_a_launch_leaves_nothing_behind(
+        self, service_runner, backend
+    ):
+        fact = service_runner.dataset("factbench")[0]
+        service = ValidationService.from_runner(
+            service_runner, ServiceConfig(enable_cache=False, time_scale=0.2)
+        )
+
+        async def go():
+            await service.start()
+            (task,) = backend.submit(service, [fact])
+            while not service.metrics.snapshot().batches:
+                await asyncio.sleep(0)
+            # Launched this very turn: the batch's wait has not run a step yet.
+            await asyncio.wait_for(service.stop(drain=False), timeout=2.0)
+            (outcome,) = await asyncio.gather(task, return_exceptions=True)
+            assert isinstance(outcome, asyncio.CancelledError)
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert service.pending == 0 == backend.in_flight(service)
 
         asyncio.run(go())
 

@@ -197,6 +197,51 @@ class TestShardFailuresSurface:
         )
 
 
+class TestStallFault:
+    def test_stall_holds_the_worker_not_the_batches_in_the_backend(
+        self, fault_runner, backend
+    ):
+        """A ``stall`` fault fires where a batch leaves: it parks the worker
+        — and the batch it was about to run — on the injector's clock, while
+        the batches already in the backend return on their own.  The stall is
+        virtual time, so nothing here depends on how long anything takes."""
+        from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
+        from repro.chaos.clock import VirtualClock
+
+        clock = VirtualClock()
+        injector = FaultInjector(
+            FaultSchedule(
+                [FaultEvent(at_s=1.0, target="shard:0", fault=FaultSpec.parse("stall:30"))]
+            ),
+            clock=clock,
+        )
+        service = ValidationService.from_runner(
+            fault_runner,
+            ServiceConfig(enable_cache=False, max_batch_size=8, time_scale=0.2),
+        )
+        service.set_fault_injection(injector, "shard:0/replica:0")
+        facts = list(fault_runner.dataset("factbench"))[:12]
+
+        async def go():
+            async with service:
+                injector.start()
+                tasks = await backend.three_groups(service, facts)
+                clock.advance(1.0)  # the stall is live; two batches are in the backend
+                in_backend = await asyncio.gather(*tasks[:9])
+                await backend.turns()
+                # Both returned under the stall; their return woke the worker,
+                # which drained the partial batch and is parked with it.
+                assert injector.injected["stall"] == 1 and clock.pending_sleepers == 1
+                assert service.pending == 3 and backend.in_flight(service) == 0
+                assert not any(task.done() for task in tasks[9:])
+                await clock.run_for(30.0)
+                return in_backend + await asyncio.gather(*tasks[9:])
+
+        responses = asyncio.run(asyncio.wait_for(go(), timeout=10.0))
+        assert all(r.outcome is RequestOutcome.COMPLETED for r in responses)
+        assert [r.batch_size for r in responses] == [1] + [8] * 8 + [3] * 3
+
+
 class TestDrainAcrossShards:
     def test_stop_drain_true_answers_every_admitted_request_on_every_shard(
         self, fault_runner
@@ -265,12 +310,14 @@ class TestDrainAcrossShards:
 
         asyncio.run(go())
 
-    def test_stop_drain_does_not_wait_on_dead_replica_queue(self, fault_runner):
+    def test_stop_drain_does_not_wait_on_dead_replica_queue(
+        self, fault_runner, backend
+    ):
         """Regression: drain-stop on a router whose shard has an unhealthy
         replica must hard-stop that replica instead of waiting for its
         wedged queue to empty (pre-fix this hung for the stall's full
         duration — hours of simulated latency)."""
-        config = ServiceConfig(enable_cache=False, max_batch_size=1, time_scale=1.0)
+        config = ServiceConfig(enable_cache=False, max_batch_size=8, time_scale=1.0)
 
         def healthy_provider(method, dataset, model):
             return fault_runner.build_strategy(
@@ -283,25 +330,23 @@ class TestDrainAcrossShards:
             lambda method, dataset, model: _StallingStrategy(3600.0), config
         )
         router = ShardedValidationService([[healthy, stalling]])
-        dataset = fault_runner.dataset("factbench")
-        request = ServiceRequest(dataset[0], "dka", "gemma2:9b")
+        facts = list(fault_runner.dataset("factbench"))[:12]
 
         async def go():
             await router.start()
-            # Pin one request on the sick replica (direct submit bypasses
-            # the balancer) so its queue is genuinely non-empty at stop.
-            stuck = asyncio.create_task(stalling.submit(request))
-            await asyncio.sleep(0.05)
-            assert stalling.pending == 1
+            # Pin requests on the sick replica (direct submit bypasses the
+            # balancer): two batches wedged in its backend and a partial one
+            # genuinely queued behind them at stop.
+            stuck = await backend.three_groups(stalling, facts)
             router.mark_unhealthy(0, 1)
             started = time.perf_counter()
             await asyncio.wait_for(router.stop(drain=True), timeout=2.0)
             assert time.perf_counter() - started < 2.0
-            # The wedged request is abandoned explicitly (the hard-stop
+            # The wedged requests are abandoned explicitly (the hard-stop
             # contract), never silently dropped or waited out.
-            (outcome,) = await asyncio.gather(stuck, return_exceptions=True)
-            assert isinstance(outcome, asyncio.CancelledError)
-            assert stalling.pending == 0
+            outcomes = await asyncio.gather(*stuck, return_exceptions=True)
+            assert all(isinstance(outcome, asyncio.CancelledError) for outcome in outcomes)
+            assert stalling.pending == 0 == backend.in_flight(stalling)
             assert router.pending == 0
 
         asyncio.run(go())

@@ -156,35 +156,43 @@ class TestApplyMutations:
         snapshot = service.metrics.snapshot()
         assert snapshot.ingests == 1 and snapshot.ingested_ops == 1
 
-    def test_ingest_waits_for_inflight_requests_to_drain(self, runner):
+    def test_ingest_waits_for_inflight_requests_to_drain(self, runner, backend):
         store = runner.versioned_store("factbench")
         service = ValidationService.from_runner(
             runner,
-            ServiceConfig(enable_cache=False, max_batch_size=1, time_scale=0.02),
+            ServiceConfig(enable_cache=False, max_batch_size=8, time_scale=0.2),
             store=store,
         )
-        facts = list(runner.dataset("factbench"))[:3]
+        facts = list(runner.dataset("factbench"))[:12]
+        seen_at_apply = []
+        apply = store.apply
+
+        def applying(mutations):
+            seen_at_apply.append(
+                (service.pending, backend.in_flight(service), [r.done() for r in reads])
+            )
+            return apply(mutations)
+
+        store.apply = applying
+        reads = []
 
         async def go():
             async with service:
-                reads = [
-                    asyncio.create_task(
-                        service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
-                    )
-                    for fact in facts
-                ]
-                await asyncio.sleep(0.005)  # reads admitted, batches in flight
+                # Two batches in the backend and a partial one waiting behind.
+                reads.extend(await backend.three_groups(service, facts))
                 report = await service.apply_mutations(
                     [Mutation.add_triple("Mid", "worksFor", "Load")]
                 )
-                responses = await asyncio.gather(*reads)
-                return report, responses
+                return report, await asyncio.gather(*reads)
 
         report, responses = asyncio.run(go())
-        # Every read admitted before the ingest completed at the old epoch —
-        # the write waited for the drain instead of mutating under them.
+        # The write applied only once every batch had returned from the
+        # backend — the waiting partial one included — and every read
+        # admitted before it carries its admission epoch.
+        assert seen_at_apply == [(0, 0, [True] * 12)]
         assert all(response.epoch == report.epoch - 1 for response in responses)
         assert all(response.outcome is RequestOutcome.COMPLETED for response in responses)
+        assert [response.batch_size for response in responses] == [1] + [8] * 8 + [3] * 3
 
     def test_rag_verdicts_refresh_against_ingested_evidence(self, runner):
         store = runner.versioned_store("factbench")
