@@ -16,7 +16,6 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import time
@@ -27,7 +26,7 @@ import pytest
 from conftest import run_once
 
 from repro.baselines import build_reference_graph
-from repro.benchmark import BenchmarkRunner, ExperimentConfig
+from repro.benchmark import BenchmarkRunner, ExperimentConfig, grid_digests
 from repro.llm import LLMClient, count_tokens
 from repro.retrieval import HashingEmbedder, SearchEngine
 
@@ -318,20 +317,6 @@ def test_benchmark_token_counting(benchmark, token_texts):
     assert repeated_speedup >= 20.0, f"memoised count {repeated_speedup:.1f}x below the 20x floor"
 
 
-def _verdict_bytes(grid) -> bytes:
-    payload = {
-        method: {
-            dataset: {
-                model: {fid: verdict.value for fid, verdict in run.verdicts().items()}
-                for model, run in models.items()
-            }
-            for dataset, models in datasets.items()
-        }
-        for method, datasets in grid.items()
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
 @pytest.fixture(scope="module")
 def grid_config():
     return ExperimentConfig(
@@ -360,6 +345,6 @@ def test_benchmark_grid_serial_vs_parallel(benchmark, grid_config):
         f"\ngrid: serial {serial_time:.2f}s, parallel(4) {parallel_time:.2f}s "
         f"({len(serial_runner.grid_cells())} cells)"
     )
-    assert _verdict_bytes(parallel_grid) == _verdict_bytes(serial_grid), (
+    assert grid_digests(parallel_grid) == grid_digests(serial_grid), (
         "parallel grid verdicts must be byte-identical to the serial run"
     )

@@ -2,9 +2,9 @@
 
 One :class:`BenchmarkRunner` is built per session at a reduced-but-faithful
 scale (the paper-scale configuration is documented in
-``repro.benchmark.config.PAPER_SCALE_CONFIG``); every ``bench_*`` module
-regenerates one table or figure from it and prints the rows so the output can
-be compared side-by-side with the paper.
+``repro.benchmark.config.PAPER_SCALE_CONFIG``); ``bench_paper.py``
+regenerates every table and figure from it and prints the rows so the output
+can be compared side-by-side with the paper.
 
 Perf runs should emit machine-readable JSON for the BENCH_* trajectory::
 

@@ -50,14 +50,18 @@ def main() -> None:
                              title=f"Error clustering by dataset and model ({method})"))
     print()
 
-    print("=== Overlap of correct predictions across models (Figure 4 style) ===")
     correct_by_model = {name: [] for name in runner.config.models}
     for dataset_name in runner.config.datasets:
         for name in runner.config.models:
             correct_by_model[name].extend(
                 runner.run(method, dataset_name, name).correct_fact_ids()
             )
-    print(format_upset(upset_intersections(correct_by_model)))
+    print(
+        format_upset(
+            upset_intersections(correct_by_model),
+            title="=== Overlap of correct predictions across models (Figure 4 style) ===",
+        )
+    )
 
 
 if __name__ == "__main__":

@@ -2,11 +2,15 @@
 
 from .config import PAPER_SCALE_CONFIG, QUICK_CONFIG, ExperimentConfig
 from .experiments import (
+    EXPERIMENTS,
+    Experiment,
     ablation_rag_configuration,
     baseline_comparison,
     figure2_ranked_f1,
     figure3_pareto,
     figure4_upset,
+    grid_digests,
+    paper_document,
     rag_corpus_statistics,
     table2_dataset_statistics,
     table3_rag_dataset_costs,
@@ -17,12 +21,13 @@ from .experiments import (
     table8_execution_time,
     table9_error_clustering,
 )
-from .cli import EXPERIMENTS, main as cli_main, run_experiment
+from .cli import main as cli_main, run_experiment
 from .runner import BenchmarkRunner
 
 __all__ = [
     "BenchmarkRunner",
     "EXPERIMENTS",
+    "Experiment",
     "cli_main",
     "run_experiment",
     "ExperimentConfig",
@@ -33,6 +38,8 @@ __all__ = [
     "figure2_ranked_f1",
     "figure3_pareto",
     "figure4_upset",
+    "grid_digests",
+    "paper_document",
     "rag_corpus_statistics",
     "table2_dataset_statistics",
     "table3_rag_dataset_costs",

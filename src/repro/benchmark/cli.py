@@ -57,35 +57,10 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import Callable, Dict, Optional, TextIO
+from typing import Optional, TextIO
 
-from ..evaluation import (
-    format_alignment_table,
-    format_error_table,
-    format_f1_table,
-    format_pareto_points,
-    format_ranking_series,
-    format_table,
-    format_time_table,
-    format_upset,
-)
 from .config import ExperimentConfig
-from .experiments import (
-    ablation_rag_configuration,
-    baseline_comparison,
-    figure2_ranked_f1,
-    figure3_pareto,
-    figure4_upset,
-    rag_corpus_statistics,
-    table2_dataset_statistics,
-    table3_rag_dataset_costs,
-    table4_rag_configuration,
-    table5_classwise_f1,
-    table6_alignment,
-    table7_consensus_f1,
-    table8_execution_time,
-    table9_error_clustering,
-)
+from .experiments import EXPERIMENTS
 from .runner import BenchmarkRunner
 
 __all__ = [
@@ -100,140 +75,6 @@ __all__ = [
 #: Subcommands dispatched to the online-serving / store path instead of
 #: the table/figure renderers.
 SERVICE_COMMANDS = ("serve", "loadgen", "ingest", "compact", "convert", "chaos", "obs")
-
-def _render_table2(runner: BenchmarkRunner) -> str:
-    rows = table2_dataset_statistics(runner)
-    return format_table(
-        ["dataset", "facts", "predicates", "facts/entity", "gold accuracy"],
-        [[r["dataset"], r["num_facts"], r["num_predicates"], r["avg_facts_per_entity"], r["gold_accuracy"]] for r in rows],
-        title="Table 2: dataset statistics",
-    )
-
-
-def _render_table3(runner: BenchmarkRunner) -> str:
-    costs = table3_rag_dataset_costs(runner)
-    return format_table(
-        ["task", "avg time (s)", "avg tokens"],
-        [
-            ["Question Generation", costs["question_generation_avg_seconds"], costs["question_generation_avg_tokens"]],
-            ["Get documents (SERP pages)", costs["serp_collection_avg_seconds"], "-"],
-            ["Fetch documents per triple", costs["document_fetch_avg_seconds"], "-"],
-        ],
-        title="Table 3: RAG dataset generation cost",
-    )
-
-
-def _render_table4(runner: BenchmarkRunner) -> str:
-    return format_table(
-        ["RAG component", "parameter"],
-        [list(row) for row in table4_rag_configuration(runner)],
-        title="Table 4: RAG pipeline configuration",
-    )
-
-
-def _render_table5(runner: BenchmarkRunner) -> str:
-    return format_f1_table(table5_classwise_f1(runner))
-
-
-def _render_table6(runner: BenchmarkRunner) -> str:
-    alignment, ties = table6_alignment(runner)
-    return format_alignment_table(alignment, ties)
-
-
-def _render_table7(runner: BenchmarkRunner) -> str:
-    table = table7_consensus_f1(runner)
-    rows = []
-    for dataset, methods in table.items():
-        for method, judges in methods.items():
-            row = [dataset, method]
-            for judge in ("agg-cons-up", "agg-cons-down", "agg-commercial"):
-                row.extend([judges[judge]["f1_true"], judges[judge]["f1_false"]])
-            rows.append(row)
-    return format_table(
-        ["dataset", "method", "up F1(T)", "up F1(F)", "down F1(T)", "down F1(F)", "gpt F1(T)", "gpt F1(F)"],
-        rows,
-        title="Table 7: consensus performance",
-    )
-
-
-def _render_table8(runner: BenchmarkRunner) -> str:
-    return format_time_table(table8_execution_time(runner))
-
-
-def _render_table9(runner: BenchmarkRunner) -> str:
-    table = table9_error_clustering(runner)
-    return format_error_table({dataset: block["counts"] for dataset, block in table.items()})
-
-
-def _render_figure2(runner: BenchmarkRunner) -> str:
-    figure = figure2_ranked_f1(runner)
-    left = format_ranking_series(
-        figure["ranked_by_f1_true"], "f1_true", figure["random_guess_f1_true"],
-        title="Figure 2 (left): ranked by F1(T)",
-    )
-    right = format_ranking_series(
-        figure["ranked_by_f1_false"], "f1_false", figure["random_guess_f1_false"],
-        title="Figure 2 (right): ranked by F1(F)",
-    )
-    return left + "\n\n" + right
-
-
-def _render_figure3(runner: BenchmarkRunner) -> str:
-    figure = figure3_pareto(runner)
-    return format_pareto_points(figure["points"], figure["frontier_f1_false"])
-
-
-def _render_figure4(runner: BenchmarkRunner) -> str:
-    sections = []
-    for method, cells in figure4_upset(runner).items():
-        sections.append(format_upset(cells, title=f"Figure 4 ({method})"))
-    return "\n\n".join(sections)
-
-
-def _render_corpus_stats(runner: BenchmarkRunner) -> str:
-    stats = rag_corpus_statistics(runner)
-    columns = ["num_documents", "mean_docs_per_fact", "text_coverage_rate", "questions_per_fact"]
-    return format_table(
-        ["dataset"] + columns,
-        [[name] + [values.get(column, 0.0) for column in columns] for name, values in stats.items()],
-        title="RAG corpus statistics",
-    )
-
-
-def _render_ablation(runner: BenchmarkRunner) -> str:
-    rows = ablation_rag_configuration(runner)
-    return format_table(
-        ["k_d", "threshold", "chunk window", "F1(T)", "F1(F)"],
-        [[r["selected_documents"], r["relevance_threshold"], r["chunk_window"], r["f1_true"], r["f1_false"]] for r in rows],
-        title="RAG configuration ablation",
-    )
-
-
-def _render_baselines(runner: BenchmarkRunner) -> str:
-    results = baseline_comparison(runner)
-    return format_table(
-        ["approach", "F1(T)", "F1(F)", "avg s/fact"],
-        [[name, s["f1_true"], s["f1_false"], s["avg_seconds"]] for name, s in results.items()],
-        title="Internal KG baselines vs LLM strategies",
-    )
-
-
-EXPERIMENTS: Dict[str, Callable[[BenchmarkRunner], str]] = {
-    "table2": _render_table2,
-    "table3": _render_table3,
-    "table4": _render_table4,
-    "table5": _render_table5,
-    "table6": _render_table6,
-    "table7": _render_table7,
-    "table8": _render_table8,
-    "table9": _render_table9,
-    "figure2": _render_figure2,
-    "figure3": _render_figure3,
-    "figure4": _render_figure4,
-    "corpus-stats": _render_corpus_stats,
-    "ablation": _render_ablation,
-    "baselines": _render_baselines,
-}
 
 
 # --------------------------------------------------------------- online serving
@@ -1021,15 +862,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run_experiment(name: str, runner: BenchmarkRunner) -> str:
     """Render one experiment (or all of them) to text."""
     if name == "all":
-        sections = []
-        for key in EXPERIMENTS:
-            sections.append(EXPERIMENTS[key](runner))
-        return "\n\n".join(sections)
+        return "\n\n".join(experiment.render(runner) for experiment in EXPERIMENTS.values())
     try:
-        render = EXPERIMENTS[name]
+        experiment = EXPERIMENTS[name]
     except KeyError as exc:
         raise KeyError(f"Unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}") from exc
-    return render(runner)
+    return experiment.render(runner)
 
 
 def main(argv: Optional[list] = None, stream: Optional[TextIO] = None) -> int:

@@ -1,14 +1,21 @@
 """Per-table / per-figure experiment definitions.
 
-Every public function regenerates one table or figure of the paper from a
+Every data function regenerates one table or figure of the paper from a
 :class:`~repro.benchmark.runner.BenchmarkRunner` and returns plain data
-structures (dicts/lists) that the ``benchmarks/`` harness prints and that the
-tests assert qualitative properties on.
+structures (dicts/lists) that the tests assert qualitative properties on.
+:data:`EXPERIMENTS` declares each table/figure once — its title, its data
+function and the formatter (with its columns) of that data — and is what the
+CLI, ``benchmarks/bench_paper.py`` and the tests iterate;
+:func:`paper_document` is every experiment's data as one JSON-ready
+document, pinned at the tier-1 scale in ``BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import hashlib
+import json
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..baselines import (
     EvidentialPathChecker,
@@ -21,12 +28,26 @@ from ..datasets.statistics import statistics_table, summarize_similarities
 from ..evaluation.efficiency import average_response_time
 from ..evaluation.error_analysis import ErrorAnalyzer
 from ..evaluation.metrics import classwise_f1_from_run, classwise_f1, random_guess_f1
-from ..evaluation.pareto import TradeoffPoint, build_tradeoff_points, pareto_frontier
+from ..evaluation.pareto import build_tradeoff_points, pareto_frontier
+from ..evaluation.reporting import (
+    format_alignment_table,
+    format_error_table,
+    format_f1_table,
+    format_pareto_points,
+    format_ranking_series,
+    format_table,
+    format_time_table,
+    format_upset,
+)
 from ..evaluation.upset import IntersectionCell, upset_intersections
-from ..validation.rag import RAGConfig
+from ..validation.base import ValidationRun
 from .runner import BenchmarkRunner
 
 __all__ = [
+    "Experiment",
+    "EXPERIMENTS",
+    "grid_digests",
+    "paper_document",
     "table2_dataset_statistics",
     "table3_rag_dataset_costs",
     "table4_rag_configuration",
@@ -64,7 +85,7 @@ def table3_rag_dataset_costs(
         "serp_collection_avg_seconds": round(stats.avg_serp_seconds, 2),
         "document_fetch_avg_seconds": round(stats.avg_fetch_seconds, 2),
         "questions_per_fact": round(stats.avg_questions_per_fact, 2),
-        "documents_collected": float(stats.num_documents),
+        "documents_collected": stats.num_documents,
     }
 
 
@@ -302,18 +323,7 @@ def ablation_rag_configuration(
     rows: List[Dict[str, float]] = []
     base = runner.config.rag_config()
     for variant in variants:
-        config = RAGConfig(
-            transformation_model=base.transformation_model,
-            question_model=base.question_model,
-            num_questions=base.num_questions,
-            relevance_threshold=float(variant["relevance_threshold"]),
-            selected_questions=base.selected_questions,
-            selected_documents=int(variant["selected_documents"]),
-            serp_results_per_query=base.serp_results_per_query,
-            chunk_window=int(variant["chunk_window"]),
-            chunk_stride=base.chunk_stride,
-            max_evidence_chunks=base.max_evidence_chunks,
-        )
+        config = replace(base, **variant)
         from ..validation.rag import RAGValidator, TripleTransformer, QuestionGenerator
 
         upstream = runner.registry.get(config.transformation_model)
@@ -331,9 +341,7 @@ def ablation_rag_configuration(
         scores = classwise_f1_from_run(run)
         rows.append(
             {
-                "selected_documents": float(variant["selected_documents"]),
-                "relevance_threshold": float(variant["relevance_threshold"]),
-                "chunk_window": float(variant["chunk_window"]),
+                **variant,
                 "f1_true": round(scores.f1_true, 3),
                 "f1_false": round(scores.f1_false, 3),
             }
@@ -351,7 +359,10 @@ def baseline_comparison(
 
     The reference KG is built from the world with a fraction of facts
     withheld, emulating real KG incompleteness; PredPath is trained on a
-    held-out split of the dataset.
+    held-out split of the dataset.  The two families are timed in different
+    units, so each has its own key: a graph baseline's ``measured_seconds``
+    is this machine's wall clock around ``score``, an LLM strategy's
+    ``simulated_seconds`` is the simulated model's latency.
     """
     dataset = runner.dataset(dataset_name).sample(max_facts, seed=runner.config.seed)
     graph = build_reference_graph(
@@ -373,7 +384,7 @@ def baseline_comparison(
         results[name] = {
             "f1_true": round(scores.f1_true, 3),
             "f1_false": round(scores.f1_false, 3),
-            "avg_seconds": round(average_response_time(run.latencies()), 4),
+            "measured_seconds": round(average_response_time(run.latencies()), 4),
         }
     # LLM reference points on the same test facts (DKA and RAG with Gemma2).
     from ..validation.pipeline import ValidationPipeline
@@ -385,6 +396,214 @@ def baseline_comparison(
         results[f"gemma2:9b/{method}"] = {
             "f1_true": round(scores.f1_true, 3),
             "f1_false": round(scores.f1_false, 3),
-            "avg_seconds": round(average_response_time(run.latencies()), 4),
+            "simulated_seconds": round(average_response_time(run.latencies()), 4),
         }
     return results
+
+
+# ------------------------------------------------------- the one declaration
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One table or figure of the paper: its title, how its numbers are
+    computed from a runner, and how those numbers are printed."""
+
+    title: str
+    data: Callable[[BenchmarkRunner], Any]
+    format: Callable[[Any, str], str]
+
+    def render(self, runner: BenchmarkRunner) -> str:
+        return self.format(self.data(runner), self.title)
+
+
+def _table(
+    headers: Sequence[str], rows: Callable[[Any], Iterable[Sequence[object]]]
+) -> Callable[[Any, str], str]:
+    """A formatter printing ``rows(data)`` under ``headers``."""
+    return lambda data, title: format_table(headers, list(rows(data)), title)
+
+
+def _format_figure2(figure: Dict[str, object], title: str) -> str:
+    return "\n\n".join(
+        format_ranking_series(
+            figure[f"ranked_by_{metric}"],
+            metric,
+            figure[f"random_guess_{metric}"],
+            title=f"{title} ({side}): ranked by {label}",
+        )
+        for side, metric, label in (("left", "f1_true", "F1(T)"), ("right", "f1_false", "F1(F)"))
+    )
+
+
+_JUDGES = ("agg-cons-up", "agg-cons-down", "agg-commercial")
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table2": Experiment(
+        "Table 2: dataset statistics",
+        table2_dataset_statistics,
+        _table(
+            ["dataset", "facts", "predicates", "facts/entity", "gold accuracy"],
+            lambda rows: (
+                [r["dataset"], r["num_facts"], r["num_predicates"], r["avg_facts_per_entity"], r["gold_accuracy"]]
+                for r in rows
+            ),
+        ),
+    ),
+    "table3": Experiment(
+        "Table 3: RAG dataset generation cost",
+        table3_rag_dataset_costs,
+        _table(
+            ["task", "avg time (s)", "avg tokens"],
+            lambda costs: [
+                ["Question Generation", costs["question_generation_avg_seconds"], costs["question_generation_avg_tokens"]],
+                ["Get documents (SERP pages)", costs["serp_collection_avg_seconds"], "-"],
+                ["Fetch documents per triple", costs["document_fetch_avg_seconds"], "-"],
+            ],
+        ),
+    ),
+    "table4": Experiment(
+        "Table 4: RAG pipeline configuration",
+        table4_rag_configuration,
+        _table(["RAG component", "parameter"], lambda rows: rows),
+    ),
+    "table5": Experiment(
+        "Table 5: class-wise F1 by dataset, method, and model",
+        table5_classwise_f1,
+        format_f1_table,
+    ),
+    "table6": Experiment(
+        "Table 6: consensus alignment (CA) and tie rates",
+        table6_alignment,
+        lambda data, title: format_alignment_table(*data, title),
+    ),
+    "table7": Experiment(
+        "Table 7: consensus performance",
+        table7_consensus_f1,
+        _table(
+            ["dataset", "method", "up F1(T)", "up F1(F)", "down F1(T)", "down F1(F)", "gpt F1(T)", "gpt F1(F)"],
+            lambda table: (
+                [dataset, method]
+                + [judges[judge][metric] for judge in _JUDGES for metric in ("f1_true", "f1_false")]
+                for dataset, methods in table.items()
+                for method, judges in methods.items()
+            ),
+        ),
+    ),
+    "table8": Experiment(
+        "Table 8: average execution time (seconds)",
+        table8_execution_time,
+        format_time_table,
+    ),
+    "table9": Experiment(
+        "Table 9: error clustering by dataset and model",
+        table9_error_clustering,
+        lambda table, title: format_error_table(
+            {dataset: block["counts"] for dataset, block in table.items()}, title
+        ),
+    ),
+    "figure2": Experiment("Figure 2", figure2_ranked_f1, _format_figure2),
+    "figure3": Experiment(
+        "Figure 3: time/F1 trade-off",
+        figure3_pareto,
+        lambda figure, title: format_pareto_points(
+            figure["points"], figure["frontier_f1_false"], title
+        ),
+    ),
+    "figure4": Experiment(
+        "Figure 4",
+        figure4_upset,
+        lambda cells_by_method, title: "\n\n".join(
+            format_upset(cells, title=f"{title} ({method})")
+            for method, cells in cells_by_method.items()
+        ),
+    ),
+    "corpus-stats": Experiment(
+        "RAG corpus statistics",
+        rag_corpus_statistics,
+        _table(
+            ["dataset", "num_documents", "mean_docs_per_fact", "text_coverage_rate", "questions_per_fact"],
+            lambda stats: (
+                [name, s["num_documents"], s["mean_docs_per_fact"], s["text_coverage_rate"], s["questions_per_fact"]]
+                for name, s in stats.items()
+            ),
+        ),
+    ),
+    "ablation": Experiment(
+        "RAG configuration ablation",
+        ablation_rag_configuration,
+        _table(
+            ["k_d", "threshold", "chunk window", "F1(T)", "F1(F)"],
+            lambda rows: (
+                [r["selected_documents"], r["relevance_threshold"], r["chunk_window"], r["f1_true"], r["f1_false"]]
+                for r in rows
+            ),
+        ),
+    ),
+    "baselines": Experiment(
+        "Internal KG baselines vs LLM strategies "
+        "(measured: this machine's wall clock, not pinned; simulated: model latency)",
+        baseline_comparison,
+        _table(
+            ["approach", "F1(T)", "F1(F)", "measured s/fact", "simulated s/fact"],
+            lambda results: (
+                [name, s["f1_true"], s["f1_false"], s.get("measured_seconds", "-"), s.get("simulated_seconds", "-")]
+                for name, s in results.items()
+            ),
+        ),
+    ),
+}
+
+
+# ------------------------------------------------------------------ the pin
+
+
+def grid_digests(grid: Dict[str, Dict[str, Dict[str, ValidationRun]]]) -> Dict[str, str]:
+    """One digest per cell of ``grid[method][dataset][model]`` (the shape
+    :meth:`BenchmarkRunner.run_grid` returns), keyed ``dataset/method/model``,
+    over the run's ordered verdicts and resource accounting."""
+    return {
+        f"{dataset}/{method}/{model}": hashlib.sha256(
+            json.dumps(
+                [
+                    (r.fact_id, r.verdict.value, r.prompt_tokens, r.completion_tokens, r.latency_seconds)
+                    for r in run.results
+                ]
+            ).encode("utf-8")
+        ).hexdigest()
+        for method, datasets in grid.items()
+        for dataset, models in datasets.items()
+        for model, run in models.items()
+    }
+
+
+def _canonical(value: Any) -> Any:
+    """``value`` as JSON-ready data: dataclasses as dicts, sequences as
+    lists, keys sorted; ``measured_*`` keys (wall-clock readings) dropped."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {
+            key: _canonical(value[key])
+            for key in sorted(value)
+            if not key.startswith("measured_")
+        }
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def paper_document(runner: BenchmarkRunner) -> Dict[str, Any]:
+    """Every number of the reproduction as one JSON-ready document.
+
+    ``experiments[name]`` is that experiment's data and ``grid`` the
+    :func:`grid_digests` of the full method x dataset x model grid.  A
+    pure function of ``runner.config``: nothing in it is read from a
+    clock, so two runs — in any process, under any hash seed — are equal.
+    """
+    return _canonical(
+        {
+            "experiments": {name: experiment.data(runner) for name, experiment in EXPERIMENTS.items()},
+            "grid": grid_digests(runner.run_grid()),
+        }
+    )

@@ -408,10 +408,6 @@ class BenchmarkRunner:
                 }
         return grid
 
-    def full_grid(self) -> Dict[str, Dict[str, Dict[str, ValidationRun]]]:
-        """Serial alias of :meth:`run_grid` (kept for API compatibility)."""
-        return self.run_grid(parallel=1)
-
     # ------------------------------------------------------------- consensus
 
     def consensus(self, method: str, dataset_name: str, judge: str = "none") -> ConsensusRun:

@@ -48,7 +48,7 @@ def _cell(value: object) -> str:
 
 def format_f1_table(
     f1_table: Mapping[str, Mapping[str, Mapping[str, Mapping[str, float]]]],
-    title: str = "Table 5: class-wise F1 by dataset, method, and model",
+    title: str = "",
 ) -> str:
     """``f1_table[dataset][method][model] -> {"f1_true", "f1_false"}``."""
     rows: List[List[object]] = []
@@ -72,7 +72,7 @@ def format_f1_table(
 def format_alignment_table(
     alignment_table: Mapping[str, Mapping[str, Mapping[str, float]]],
     tie_rates: Mapping[str, Mapping[str, float]],
-    title: str = "Table 6: consensus alignment (CA) and tie rates",
+    title: str = "",
 ) -> str:
     """``alignment_table[dataset][method][model] -> CA``; ``tie_rates[dataset][method]``."""
     rows: List[List[object]] = []
@@ -90,7 +90,7 @@ def format_alignment_table(
 
 def format_time_table(
     time_table: Mapping[str, Mapping[str, Mapping[str, float]]],
-    title: str = "Table 8: average execution time (seconds)",
+    title: str = "",
 ) -> str:
     """``time_table[dataset][method][model] -> seconds``."""
     rows: List[List[object]] = []
@@ -108,7 +108,7 @@ def format_time_table(
 
 def format_error_table(
     error_counts: Mapping[str, Mapping[str, Mapping[str, int]]],
-    title: str = "Table 9: error clustering by dataset and model",
+    title: str = "",
 ) -> str:
     """``error_counts[dataset][model] -> {E1..E6 -> count}``."""
     categories = ("E1", "E2", "E3", "E4", "E5", "E6")
@@ -127,7 +127,7 @@ def format_ranking_series(
     series: Sequence[Mapping[str, object]],
     metric: str,
     baseline: float,
-    title: str = "Figure 2: ranked F1 series",
+    title: str,
 ) -> str:
     """Ranked bars of Figure 2: one line per configuration, plus the baseline."""
     lines = [title, f"random-guess baseline: {baseline:.2f}"]
@@ -138,20 +138,24 @@ def format_ranking_series(
     return "\n".join(lines)
 
 
-def format_pareto_points(points, frontier, title: str = "Figure 3: time/F1 trade-off") -> str:
-    """Figure 3 as text: every point plus a marker for frontier members."""
-    frontier_labels = {point.label() for point in frontier}
+def format_pareto_points(points, frontier, title: str) -> str:
+    """Figure 3 as text: every point plus a marker for frontier members.
+
+    A configuration is one point per dataset, so membership is decided by
+    the point itself and the dataset is part of the row label.
+    """
+    on_frontier = set(frontier)
     lines = [title, f"{'configuration':<36} {'time(s)':>8} {'F1(T)':>7} {'F1(F)':>7}  frontier"]
     for point in sorted(points, key=lambda item: item.time_seconds):
-        marker = "*" if point.label() in frontier_labels else ""
+        marker = "*" if point in on_frontier else ""
         lines.append(
-            f"{point.label():<36} {point.time_seconds:>8.2f} {point.f1_true:>7.2f} "
-            f"{point.f1_false:>7.2f}  {marker}"
+            f"{point.dataset + '/' + point.label():<36} {point.time_seconds:>8.2f} "
+            f"{point.f1_true:>7.2f} {point.f1_false:>7.2f}  {marker}"
         )
     return "\n".join(lines)
 
 
-def format_upset(cells, title: str = "Figure 4: intersections of correct predictions") -> str:
+def format_upset(cells, title: str) -> str:
     """Figure 4 as text: one line per exclusive model-combination cell."""
     lines = [title]
     for cell in cells:

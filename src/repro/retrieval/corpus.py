@@ -126,14 +126,14 @@ class Corpus:
         counts = sorted(per_fact.values())
         total = len(self._documents)
         summary: Dict[str, float] = {
-            "num_documents": float(total),
-            "num_facts_with_documents": float(len(per_fact)),
-            "empty_documents": float(self.empty_count()),
+            "num_documents": total,
+            "num_facts_with_documents": len(per_fact),
+            "empty_documents": self.empty_count(),
             "text_coverage_rate": round(self.text_coverage_rate(), 4),
         }
         if counts:
-            summary["min_docs_per_fact"] = float(counts[0])
-            summary["max_docs_per_fact"] = float(counts[-1])
+            summary["min_docs_per_fact"] = counts[0]
+            summary["max_docs_per_fact"] = counts[-1]
             summary["mean_docs_per_fact"] = round(sum(counts) / len(counts), 2)
-            summary["median_docs_per_fact"] = float(counts[len(counts) // 2])
+            summary["median_docs_per_fact"] = counts[len(counts) // 2]
         return summary

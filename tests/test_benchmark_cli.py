@@ -28,6 +28,14 @@ class TestParser:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_every_experiment_renders_under_its_one_title(self, runner, name):
+        # Figures 2 and 4 print one panel per metric / method, each headed
+        # by the title plus the panel's name.
+        lines = run_experiment(name, runner).splitlines()
+        assert lines[0].startswith(EXPERIMENTS[name].title)
+        assert len(lines) > 2 and all(lines[1:3])
+
     def test_table2_renders(self, runner):
         rendered = run_experiment("table2", runner)
         assert "Table 2" in rendered

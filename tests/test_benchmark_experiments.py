@@ -9,16 +9,23 @@ under RAG, and so on.
 import pytest
 
 from repro.benchmark import (
+    EXPERIMENTS,
+    ablation_rag_configuration,
+    baseline_comparison,
     figure2_ranked_f1,
     figure3_pareto,
     figure4_upset,
+    rag_corpus_statistics,
     table2_dataset_statistics,
+    table3_rag_dataset_costs,
     table4_rag_configuration,
     table5_classwise_f1,
     table6_alignment,
     table7_consensus_f1,
     table8_execution_time,
+    table9_error_clustering,
 )
+from repro.evaluation import ERROR_CATEGORIES
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +47,13 @@ class TestTable2:
     def test_dbpedia_has_most_predicates(self, runner):
         rows = {row["dataset"]: row for row in table2_dataset_statistics(runner)}
         assert rows["dbpedia"]["num_predicates"] >= rows["yago"]["num_predicates"]
+
+
+class TestTable3:
+    def test_several_questions_survive_per_fact_and_counts_are_integers(self, runner):
+        costs = table3_rag_dataset_costs(runner)
+        assert costs["questions_per_fact"] >= 2
+        assert type(costs["documents_collected"]) is int and costs["documents_collected"] > 0
 
 
 class TestTable4:
@@ -136,6 +150,55 @@ class TestTable8:
         assert dka["mistral:7b"] == min(dka.values())
 
 
+class TestTable9:
+    def test_every_model_is_clustered_into_the_six_categories(self, runner):
+        table = table9_error_clustering(runner)
+        assert set(table) == set(runner.config.datasets)
+        for block in table.values():
+            assert set(block["counts"]) == set(runner.config.models)
+            for model_counts in block["counts"].values():
+                assert set(model_counts) == set(ERROR_CATEGORIES)
+            assert block["unique_ratios"]
+            for ratio in block["unique_ratios"].values():
+                assert 0.0 <= ratio <= 1.0
+
+
+class TestAuxiliaryStudies:
+    def test_corpus_statistics_coverage_and_integer_counts(self, runner):
+        stats = rag_corpus_statistics(runner)
+        assert set(stats) == set(runner.config.datasets)
+        for dataset_stats in stats.values():
+            assert 0.6 <= dataset_stats["text_coverage_rate"] <= 1.0
+            assert dataset_stats["questions_per_fact"] >= 2
+            assert type(dataset_stats["num_documents"]) is int
+        # A count prints as a count, not as ``841.00``.
+        corpus_stats = EXPERIMENTS["corpus-stats"]
+        rendered = corpus_stats.format(stats, corpus_stats.title)
+        assert f"factbench  {stats['factbench']['num_documents']} " in rendered
+
+    def test_ablation_sweeps_the_three_knobs_with_integer_sizes(self, runner):
+        rows = ablation_rag_configuration(runner)
+        assert len(rows) >= 5
+        for knob in ("selected_documents", "relevance_threshold", "chunk_window"):
+            assert len({row[knob] for row in rows}) >= 3
+        for row in rows:
+            assert type(row["selected_documents"]) is int and type(row["chunk_window"]) is int
+            assert 0.0 <= row["f1_true"] <= 1.0 and 0.0 <= row["f1_false"] <= 1.0
+
+    def test_baselines_keep_measured_and_simulated_seconds_apart(self, runner):
+        results = baseline_comparison(runner)
+        graph = {"kstream", "klinker", "predpath", "evidential-paths"}
+        assert graph <= set(results)
+        for name, scores in results.items():
+            # Wall clock around ``score`` for a graph baseline, simulated
+            # model latency for an LLM strategy: never one column.
+            expected = "measured_seconds" if name in graph else "simulated_seconds"
+            assert {"measured_seconds", "simulated_seconds"} & set(scores) == {expected}
+        baselines = EXPERIMENTS["baselines"]
+        header = baselines.format(results, baselines.title).splitlines()[1]
+        assert "measured s/fact" in header and "simulated s/fact" in header
+
+
 class TestFigures:
     def test_figure2_contains_consensus_and_baseline(self, runner):
         figure = figure2_ranked_f1(runner)
@@ -168,6 +231,18 @@ class TestFigures:
         best_overall_true = max(point.f1_true for point in points)
         best_rag_true = max(point.f1_true for point in points if point.method == "rag")
         assert best_rag_true >= best_overall_true - 0.1
+
+    def test_figure3_stars_exactly_the_frontier_points(self, runner):
+        # One configuration is three points (one per dataset); a namesake
+        # of a frontier point in another dataset is not on the frontier.
+        figure = figure3_pareto(runner)
+        frontier = figure["frontier_f1_false"]
+        figure3 = EXPERIMENTS["figure3"]
+        rows = figure3.format(figure, figure3.title).splitlines()[2:]
+        starred = [row.split()[0] for row in rows if row.rstrip().endswith("*")]
+        assert sorted(starred) == sorted(
+            f"{point.dataset}/{point.model}/{point.method}" for point in frontier
+        )
 
     def test_figure4_all_model_cell_is_largest_for_rag(self, runner):
         cells_by_method = figure4_upset(runner)

@@ -4,31 +4,14 @@ The grid cells are deterministic, so the parallel runner must produce
 verdicts byte-identical to the serial runner, merged in grid order.
 """
 
-import json
-
 import pytest
 
-from repro.benchmark import BenchmarkRunner, ExperimentConfig
+from repro.benchmark import BenchmarkRunner, ExperimentConfig, grid_digests
 from repro.validation import ParallelValidationPipeline
 
 
 def _square(value):
     return value * value
-
-
-def _grid_verdict_bytes(grid) -> bytes:
-    """Canonical byte serialisation of every verdict in a grid."""
-    payload = {
-        method: {
-            dataset: {
-                model: {fact_id: verdict.value for fact_id, verdict in run.verdicts().items()}
-                for model, run in models.items()
-            }
-            for dataset, models in datasets.items()
-        }
-        for method, datasets in grid.items()
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +45,7 @@ class TestRunGrid:
     def test_parallel_verdicts_byte_identical_to_serial(self, tiny_config):
         serial = BenchmarkRunner(tiny_config).run_grid(parallel=1)
         parallel = BenchmarkRunner(tiny_config).run_grid(parallel=2)
-        assert _grid_verdict_bytes(parallel) == _grid_verdict_bytes(serial)
+        assert grid_digests(parallel) == grid_digests(serial)
 
     def test_parallel_populates_run_cache(self, tiny_config):
         runner = BenchmarkRunner(tiny_config)
@@ -75,12 +58,6 @@ class TestRunGrid:
         runner = BenchmarkRunner(tiny_config)
         runner.run_grid(parallel=2)
         assert len(runner.telemetry) > 0
-
-    def test_full_grid_matches_run_grid(self, tiny_config):
-        runner = BenchmarkRunner(tiny_config)
-        assert _grid_verdict_bytes(runner.full_grid()) == _grid_verdict_bytes(
-            runner.run_grid(parallel=1)
-        )
 
     def test_grid_cells_cover_configuration(self, tiny_config):
         runner = BenchmarkRunner(tiny_config)
