@@ -47,6 +47,7 @@ reason about which shard versions an answer reflects.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import random
 import time
 from collections import OrderedDict
@@ -65,6 +66,7 @@ from ..obs.trace import (
     maybe_span,
 )
 from ..store import GeoReplicator, Mutation, ReplicaGroup, ShardApplyReport, ShardedStore
+from ..store.geosync import sync_and_close
 from ..store.sharding import HashRing, ReplicaDivergedError
 from ..validation.base import ValidationResult
 from .cache import verdict_cache_key
@@ -796,6 +798,9 @@ class ShardedValidationService:
             for index, name in enumerate(sorted(self.edge_services))
             if name not in self._edge_dead
         ]
+        # Until stop(), apply_mutations commits the queues, off the loop.
+        for queue in self.geo.queues if self.geo is not None else ():
+            queue.autocommit = False
 
     async def stop(self, drain: bool = True) -> None:
         """Stop every replica; ``drain=True`` answers admitted requests first.
@@ -836,6 +841,10 @@ class ShardedValidationService:
                 )
                 stops.append(service.stop(drain=replica_drain))
         await asyncio.gather(*stops)
+        # Enqueues commit inline again; unsynced acks become durable here.
+        for queue in self.geo.queues if self.geo is not None else ():
+            queue.autocommit = True
+            queue.commit()
 
     async def __aenter__(self) -> "ShardedValidationService":
         await self.start()
@@ -1444,7 +1453,11 @@ class ShardedValidationService:
         session's last-write vector: subsequent :meth:`submit` calls with
         the same token only route to edges whose watermarks cover it —
         the read-your-writes contract.  Writes always land on the primary
-        tier; edges catch up asynchronously through their queues.
+        tier; edges catch up asynchronously through their queues.  The
+        call returns (and records the session vector) only once every
+        touched shard's queue has committed the batch — off the loop, so
+        reads go on — and nothing ships before that.  An :class:`OSError`
+        from a sync fails the ingest; the record rides the next commit.
 
         Each owning shard's replicas quiesce *themselves* (drain their
         in-flight reads, apply the identical batch to their own store copy,
@@ -1532,6 +1545,17 @@ class ShardedValidationService:
             reports = await asyncio.gather(
                 *(apply_to_shard(index) for index in indexes)
             )
+            if self.geo is not None:
+                # Each touched queue's one commit, the fsyncs side by side on
+                # worker threads (a pathless queue has none and takes no
+                # hop): reads go on; the write is not acknowledged before.
+                with contextlib.ExitStack() as commits:
+                    queues = (self.geo.queues[index] for index in indexes)
+                    fds = [commits.enter_context(queue.committing()) for queue in queues]
+                    run = asyncio.get_running_loop().run_in_executor
+                    await asyncio.gather(
+                        *(run(None, sync_and_close, fd) for fd in fds if fd is not None)
+                    )
             if session is not None:
                 vector = self._sessions.setdefault(session, {})
                 for index, report in zip(indexes, reports):

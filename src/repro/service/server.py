@@ -211,6 +211,9 @@ class ValidationService:
         self._admission_gate = asyncio.Event()
         self._admission_gate.set()
         self._ingest_lock = asyncio.Lock()
+        # Set while ``_pending == 0``: what quiesce and drain wait on.
+        self._idle = asyncio.Event()
+        self._idle.set()
         # Chaos hook: when armed, every micro-batch fires this named fault
         # point before executing (see repro.chaos.faults.FaultInjector).
         self._fault_injector = None
@@ -279,14 +282,17 @@ class ValidationService:
     async def start(self) -> None:
         """(Re)open the service on the current event loop.
 
-        Recreates the loop-bound primitives (admission gate, ingest lock)
-        and restarts the metrics window; strategy workers spawn lazily on
-        the first request for their ``(method, model)``.
+        Recreates the loop-bound primitives (admission gate, ingest lock,
+        idle event) and restarts the metrics window; strategy workers spawn
+        lazily on the first request for their ``(method, model)``.
         """
         self._closed = False
         self._admission_gate = asyncio.Event()
         self._admission_gate.set()
         self._ingest_lock = asyncio.Lock()
+        self._idle = asyncio.Event()
+        if not self._pending:
+            self._idle.set()
         self.metrics.start()
 
     async def stop(self, drain: bool = True) -> None:
@@ -302,8 +308,7 @@ class ValidationService:
         """
         self._closed = True
         if drain:
-            while self._pending:
-                await asyncio.sleep(0.001)
+            await self._idle.wait()
         tasks = list(self._workers.values())
         for lane in self._queues.values():
             tasks.extend(lane.in_backend)
@@ -418,6 +423,7 @@ class ValidationService:
             self.cache.record_miss()
             self.metrics.observe_cache(False)
         self._pending += 1
+        self._idle.clear()
         self.metrics.set_queue_depth(self._pending)
         future: "asyncio.Future[Tuple[ValidationResult, int]]" = (
             asyncio.get_running_loop().create_future()
@@ -438,6 +444,8 @@ class ValidationService:
         finally:
             self._inflight.discard(future)
             self._pending -= 1
+            if not self._pending:
+                self._idle.set()
             self.metrics.set_queue_depth(self._pending)
 
         latency = time.perf_counter() - started
@@ -464,12 +472,12 @@ class ValidationService:
 
         Writers serialise on an ingest lock; each ingest closes the
         admission gate (new reads pause — they are *not* shed), waits for
-        the in-flight requests to drain, applies the batch (incremental
-        index maintenance keeps the warm substrates hot), and reopens the
-        gate.  The store epoch advance makes every previously cached
-        verdict key stale automatically, and the cached per-``(method,
-        dataset, model)`` strategies are dropped so the next batch rebuilds
-        them over the mutated substrates.
+        the in-flight requests to drain (the last one to finish wakes it),
+        applies the batch (incremental index maintenance keeps the warm
+        substrates hot), and reopens the gate.  The store epoch advance
+        makes every previously cached verdict key stale automatically, and
+        the cached per-``(method, dataset, model)`` strategies are dropped
+        so the next batch rebuilds them over the mutated substrates.
 
         Returns the store's :class:`~repro.store.ApplyReport`.  Raises
         :class:`RuntimeError` when no store is attached or the service is
@@ -487,8 +495,7 @@ class ValidationService:
                     "quiesce_start", self._obs_point, pending=self._pending
                 )
             try:
-                while self._pending:
-                    await asyncio.sleep(0.001)
+                await self._idle.wait()
                 report = self.store.apply(mutations)
                 self._strategies.clear()
                 self.metrics.observe_ingest(report.total_ops)

@@ -17,9 +17,12 @@ tracked, not enforced:
   :meth:`OutboundQueue.ack`; the serving tier reads those reported
   watermarks to route read-your-writes sessions and to stamp visible
   staleness on edge-served responses;
-* queues are durable when given a path: every enqueue and ack appends one
-  JSON line (fsynced), so queued-but-unshipped batches survive a primary
-  restart, and a torn final line from a crash is dropped on load;
+* queues are durable when given a path, and *written* is not *durable*:
+  enqueues and acks append flushed JSON lines, :meth:`OutboundQueue.commit`
+  fsyncs them, and a batch ships only once a commit covers it, so no edge
+  gets what a primary restart could lose.  An ack never syncs alone: a
+  restart that loses it finds a watermark behind, the safe side
+  everywhere.  A torn final line from a crash is cut off on load;
 * a cold edge **bootstraps** from a snapshot: the primary shard logs are
   replayed to their heads (deterministic replay makes the copy
   byte-identical by construction), the watermark starts there, and the
@@ -32,15 +35,25 @@ Convergence is provable: once every queue drains, each edge's per-shard
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .log import Mutation, atomic_write
 from .sharding import ReplicaDivergedError, ShardedStore
 from .store import VersionedKnowledgeStore
 
-__all__ = ["EdgeReplica", "GeoReplicator", "OutboundQueue"]
+__all__ = ["EdgeReplica", "GeoReplicator", "OutboundQueue", "sync_and_close"]
+
+
+def sync_and_close(fd: int) -> None:
+    """fsync and close a descriptor :meth:`OutboundQueue.committing` handed
+    out: all of a commit that may leave the caller's thread."""
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class OutboundQueue:
@@ -62,9 +75,15 @@ class OutboundQueue:
     instead (:meth:`GeoReplicator.add_edge`).
 
     With ``path`` set the queue is durable: every enqueue and ack appends
-    one JSON line, flushed and fsynced, so queued-but-unshipped batches
-    survive a primary restart.  :meth:`load` ignores a torn final line
-    (the crash contract of an append-only log) and replays acks last-wins.
+    one flushed JSON line and :meth:`commit` fsyncs what has been written;
+    :meth:`pending_after` never answers above ``durable_epoch``, the newest
+    batch a commit covers.  ``enqueue`` commits before it returns while
+    ``autocommit`` is set (a started router clears it and commits off the
+    event loop before it acknowledges the write), ``register`` always; an
+    ``ack`` is durable with the file's next commit (``commit``, ``close``,
+    ``truncate``) and losing it costs a redundant report.  Without a path a
+    batch is durable at ``enqueue``.  :meth:`load` cuts off a torn final
+    line (the crash contract of an append-only log), acks replay last-wins.
     """
 
     def __init__(
@@ -78,17 +97,16 @@ class OutboundQueue:
         #: ``_batches[i]`` is the batch applied at epoch ``floor_epoch + 1 + i``.
         self._batches: List[Tuple[Mutation, ...]] = []
         self._watermarks: Dict[str, int] = {}
+        #: The newest batch a finished commit covers; nothing above ships.
+        self.durable_epoch = floor_epoch
+        self.autocommit = True
         self._path = path
         self._handle = None
+        # Records appended, and how many of them a finished sync covers.
+        self._written = self._synced = 0
         if path is not None and not os.path.exists(path):
-            self._append(
-                {
-                    "kind": "header",
-                    "version": 1,
-                    "shard": shard_index,
-                    "floor_epoch": floor_epoch,
-                }
-            )
+            self._append(self._header())
+            self.commit()
 
     # ------------------------------------------------------------- properties
 
@@ -132,13 +150,9 @@ class OutboundQueue:
             )
         batch = tuple(mutations)
         self._batches.append(batch)
-        self._append(
-            {
-                "kind": "batch",
-                "epoch": epoch,
-                "mutations": [mutation.to_json() for mutation in batch],
-            }
-        )
+        self._append(self._batch_record(epoch, batch))
+        if self.autocommit or self._path is None:
+            self.commit()
         return True
 
     # ------------------------------------------------------------- consuming
@@ -146,9 +160,10 @@ class OutboundQueue:
     def pending_after(
         self, watermark: int, limit: Optional[int] = None
     ) -> List[Tuple[int, Sequence[Mutation]]]:
-        """The ``(epoch, batch)`` suffix strictly above ``watermark``.
+        """The *durable* ``(epoch, batch)`` suffix strictly above ``watermark``.
 
-        Epoch order, at most ``limit`` batches when set.  Raises
+        Epoch order, at most ``limit`` batches when set, none above
+        ``durable_epoch``.  Raises
         :class:`ValueError` when ``watermark`` is below the queue floor —
         those batches predate the queue, so replaying from it would
         silently skip history (a bootstrap must supply them instead).
@@ -159,7 +174,9 @@ class OutboundQueue:
                 f"{self.floor_epoch}; bootstrap from a snapshot first"
             )
         start = watermark - self.floor_epoch
-        stop = None if limit is None else start + limit
+        stop = self.durable_epoch - self.floor_epoch
+        if limit is not None:
+            stop = min(stop, start + limit)
         return list(enumerate(self._batches[start:stop], start=watermark + 1))
 
     def register(self, edge: str, watermark: int) -> None:
@@ -168,12 +185,13 @@ class OutboundQueue:
             raise ValueError(f"edge {edge!r} is already registered")
         self._watermarks[edge] = watermark
         self._append({"kind": "ack", "edge": edge, "epoch": watermark})
+        self.commit()  # a lost registration lets truncate() drop owed batches
 
     def ack(self, edge: str, epoch: int) -> None:
         """Record ``edge``'s applied-epoch watermark (monotonic, last-wins).
 
         A stale ack (an epoch at or below the current watermark) is a
-        no-op: watermarks only advance.
+        no-op: watermarks only advance.  Durable with the next commit.
         """
         current = self._watermarks.get(edge)
         if current is not None and epoch <= current:
@@ -206,49 +224,65 @@ class OutboundQueue:
             self._handle = open(self._path, "a", encoding="utf-8")
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._written += 1
+
+    @contextlib.contextmanager
+    def committing(self) -> Iterator[Optional[int]]:
+        """The one commit, its fsync left to the caller: yields a descriptor
+        for :func:`sync_and_close` (``None`` when a finished sync covers
+        every record) and, on a clean exit, makes what was written *before
+        entry* durable.  All queue state changes here, on the caller's
+        thread; an error leaves it for the next commit."""
+        written, target = self._written, self.max_epoch
+        yield os.dup(self._handle.fileno()) if written > self._synced else None
+        self._synced = max(self._synced, written)
+        self.durable_epoch = max(self.durable_epoch, target)
+
+    def commit(self) -> None:
+        """fsync every record written so far; advances ``durable_epoch``."""
+        with self.committing() as fd:
+            if fd is not None:
+                sync_and_close(fd)
+
+    def _header(self) -> Dict[str, object]:
+        return {
+            "kind": "header",
+            "version": 1,
+            "shard": self.shard_index,
+            "floor_epoch": self.floor_epoch,
+        }
+
+    @staticmethod
+    def _batch_record(epoch: int, batch: Sequence[Mutation]) -> Dict[str, object]:
+        return {
+            "kind": "batch",
+            "epoch": epoch,
+            "mutations": [mutation.to_json() for mutation in batch],
+        }
 
     def _rewrite(self) -> None:
         """Compact the durable file after :meth:`truncate` (atomic replace)."""
         if self._path is None:
             return
         self.close()
+        records = [self._header()]
+        records += [
+            self._batch_record(epoch, batch)
+            for epoch, batch in enumerate(self._batches, start=self.floor_epoch + 1)
+        ]
+        records += [
+            {"kind": "ack", "edge": edge, "epoch": epoch}
+            for edge, epoch in sorted(self._watermarks.items())
+        ]
         with atomic_write(self._path) as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": "header",
-                        "version": 1,
-                        "shard": self.shard_index,
-                        "floor_epoch": self.floor_epoch,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            for epoch, batch in self.pending_after(self.floor_epoch):
-                handle.write(
-                    json.dumps(
-                        {
-                            "kind": "batch",
-                            "epoch": epoch,
-                            "mutations": [m.to_json() for m in batch],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            for edge, epoch in sorted(self._watermarks.items()):
-                handle.write(
-                    json.dumps(
-                        {"kind": "ack", "edge": edge, "epoch": epoch}, sort_keys=True
-                    )
-                    + "\n"
-                )
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._synced, self.durable_epoch = self._written, self.max_epoch
 
     def close(self) -> None:
-        """Release the append handle (the queue stays usable; it reopens)."""
+        """Commit; release the append handle (the queue stays usable)."""
         if self._handle is not None:
+            self.commit()
             self._handle.close()
             self._handle = None
 
@@ -257,23 +291,30 @@ class OutboundQueue:
         """Rebuild a durable queue from its append-only file.
 
         Batches and acks replay in file order (acks last-wins); a torn
-        final line — the only damage an fsynced append-only log can take —
-        is dropped.  A malformed line *before* the final one raises
-        :class:`ValueError`: that is corruption, not a crash artifact.
+        final line — the only damage an fsynced append-only log can take;
+        one that parses but lacks its newline is torn too — is cut out of
+        the file, so the next append starts a record of its own.  A
+        malformed line *before* the final one raises :class:`ValueError`:
+        that is corruption, not a crash artifact.
         """
         queue = cls(shard_index=shard_index)
         queue._path = path
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             lines = handle.readlines()
-        for number, line in enumerate(lines, start=1):
-            line = line.strip()
+        for number, raw in enumerate(lines, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
+                if not raw.endswith(b"\n"):
+                    raise ValueError("the append never finished")
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                if number == len(lines):
-                    break  # torn tail from a crash mid-append
+            except ValueError:
+                if number == len(lines):  # torn tail from a crash mid-append
+                    with open(path, "r+b") as handle:
+                        handle.truncate(sum(map(len, lines[:-1])))
+                        os.fsync(handle.fileno())
+                    break
                 raise ValueError(f"{path}:{number}: corrupt queue record")
             kind = record.get("kind")
             if kind == "header":
@@ -290,11 +331,10 @@ class OutboundQueue:
                 )
             elif kind == "ack":
                 edge, epoch = str(record["edge"]), int(record["epoch"])
-                current = queue._watermarks.get(edge)
-                if current is None or epoch > current:
-                    queue._watermarks[edge] = epoch
+                queue._watermarks[edge] = max(epoch, queue._watermarks.get(edge, epoch))
             else:
                 raise ValueError(f"{path}:{number}: unknown queue record {kind!r}")
+        queue.durable_epoch = queue.max_epoch
         return queue
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -369,8 +409,8 @@ class GeoReplicator:
 
     ``queue_dir`` makes the queues durable (``queue.shard{i}.jsonl``
     each); pass the same directory to :meth:`resume` after a primary
-    restart to recover queued-but-unshipped batches and every reported
-    watermark.
+    restart to recover queued-but-unshipped batches and the watermarks of
+    the last commit.
     """
 
     def __init__(
@@ -411,10 +451,11 @@ class GeoReplicator:
     def resume(cls, primary: ShardedStore, queue_dir: str) -> "GeoReplicator":
         """Rebuild the replicator after a primary restart.
 
-        Durable queue files in ``queue_dir`` are reloaded — pending
-        batches and reported watermarks intact — so edges resume draining
-        exactly where they acked.  Missing files (a shard that never
-        enqueued) start fresh at the shard's current epoch.
+        Durable queue files in ``queue_dir`` are reloaded: every committed
+        batch, and the watermarks as of the last commit — acks written
+        since may be gone, so a watermark can trail what its edge applied
+        until :meth:`adopt_edge` or the next drain re-reports it.  Missing
+        files (a shard that never enqueued) start at the shard's epoch.
 
         A queue is only as durable as the primary it feeds: when a queue
         holds epochs *above* its shard's (the primary was restored from a

@@ -9,6 +9,9 @@ composition).
 from __future__ import annotations
 
 import asyncio
+import errno
+import os
+import threading
 
 import pytest
 from hypothesis import settings
@@ -41,6 +44,58 @@ def digest_calls(monkeypatch):
 
     monkeypatch.setattr(VersionedKnowledgeStore, "state_digest", counting)
     return calls
+
+
+class FsyncTrace:
+    """``os.fsync``, shimmed.  ``calls`` records every sync that *returned*
+    as ``(thread, path, size at sync)`` — the bytes of ``path`` no crash can
+    take back.  ``hold()`` parks every later sync made off the main thread
+    (the event loop's, in these tests) until ``release()``; ``held`` is set
+    once one has arrived.  ``fail_next = n`` makes the next ``n`` syncs
+    raise :class:`OSError` instead."""
+
+    def __init__(self) -> None:
+        self.calls = []
+        self.fail_next = 0
+        self.held = threading.Event()
+        self._gate = threading.Event()
+        self._gate.set()
+        self._real = os.fsync
+
+    def __call__(self, fd: int) -> None:
+        path = os.readlink(f"/proc/self/fd/{fd}")
+        if self.fail_next:
+            self.fail_next -= 1
+            raise OSError(errno.EIO, "injected fsync failure", path)
+        if threading.current_thread() is not threading.main_thread():
+            self.held.set()
+            assert self._gate.wait(timeout=30), "a held fsync was never released"
+        self._real(fd)
+        self.calls.append((threading.current_thread(), path, os.fstat(fd).st_size))
+
+    def hold(self) -> None:
+        self.held.clear()
+        self._gate.clear()
+
+    def release(self) -> None:
+        self._gate.set()
+
+    def on_main_thread(self):
+        return [call for call in self.calls if call[0] is threading.main_thread()]
+
+    def synced_size(self, path: str) -> int:
+        """Bytes of ``path`` covered by its last returned sync (0 if none)."""
+        path = os.path.realpath(path)
+        sizes = [size for _, synced, size in self.calls if synced == path]
+        return sizes[-1] if sizes else 0
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    trace = FsyncTrace()
+    monkeypatch.setattr(os, "fsync", trace)
+    yield trace
+    trace.release()
 
 
 class BackendShape:

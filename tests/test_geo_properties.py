@@ -192,49 +192,88 @@ class TestDrainInterleavingsConverge:
         assert geo.lag_vector("edge-0") == (0,) * NUM_SHARDS
 
 
+def _crash_and_reload(data, queue: OutboundQueue, path: str, synced: int) -> OutboundQueue:
+    """The primary dies without a commit: the file keeps any prefix at or
+    past its last returned sync (``synced`` bytes) — whole unsynced records,
+    half of one — or, with nothing unsynced to lose, the torn start of a
+    next append (up to a whole record missing only its newline)."""
+    if queue._handle is not None:
+        queue._handle.close()
+        queue._handle = None
+    keep = data.draw(st.integers(synced, os.path.getsize(path)), label="keep")
+    with open(path, "rb") as handle:
+        survived, lost = handle.read(keep), handle.read()
+    if not lost:
+        record = b'{"edge": "edge-0", "epoch": %d, "kind": "ack"}' % (queue.max_epoch + 7)
+        survived += record[: data.draw(st.integers(0, len(record)), label="torn")]
+    with open(path, "wb") as handle:
+        handle.write(survived)
+    return OutboundQueue.load(path)
+
+
 class TestQueueAccounting:
-    @settings(max_examples=40, deadline=None)
+    STEPS = ["enqueue", "write", "commit", "ack", "truncate", "reload", "crash"]
+
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_depth_is_the_pending_suffix_through_any_history(self, data):
-        """Enqueues, acks, truncations and save/load cycles in any order:
-        an edge's ``depth`` is always the length of its pending suffix, and
-        that suffix is the dense epochs from its watermark to the head."""
+        """Enqueues (committed at once, or only written as under a started
+        router), commits, acks, truncations, save/load cycles and crashes
+        in any order, the queue reloaded and used again after each crash.
+        Throughout: every batch whose commit returned is present, epochs
+        stay dense, nothing above ``durable_epoch`` is handed out,
+        watermarks lost in a crash only ever fall behind, and no reload
+        raises."""
         floor = data.draw(st.integers(0, 5), label="floor")
         edges = ["edge-0", "edge-1"]
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "queue.jsonl")
             queue = OutboundQueue(floor_epoch=floor, path=path)
-            for edge in edges:
-                queue.register(edge, floor)
-            for _ in range(data.draw(st.integers(1, 30), label="steps")):
-                step = data.draw(
-                    st.sampled_from(["enqueue", "enqueue", "ack", "truncate", "reload"]),
-                    label="step",
-                )
-                if step == "enqueue":
-                    epoch = queue.max_epoch + 1
-                    queue.enqueue(epoch, [Mutation.add_triple(f"S{epoch}", "p", "O")])
-                elif step == "ack":
-                    edge = data.draw(st.sampled_from(edges), label="edge")
-                    queue.ack(
-                        edge,
-                        data.draw(
-                            st.integers(queue.watermark(edge), queue.max_epoch),
-                            label="epoch",
-                        ),
-                    )
-                elif step == "truncate":
-                    queue.truncate()
-                else:
-                    queue.close()
-                    queue = OutboundQueue.load(path)
+            try:
                 for edge in edges:
-                    pending = queue.pending_after(queue.watermark(edge))
-                    assert queue.depth(edge) == len(pending)
-                    assert [epoch for epoch, _ in pending] == list(
-                        range(queue.watermark(edge) + 1, queue.max_epoch + 1)
-                    )
-            queue.close()
+                    queue.register(edge, floor)
+                # What no crash may take back: the file as of the last
+                # returned sync, and the newest batch a commit covered.
+                synced, promised = os.path.getsize(path), floor
+                for _ in range(data.draw(st.integers(1, 30), label="steps")):
+                    step = data.draw(st.sampled_from(self.STEPS), label="step")
+                    committed = True
+                    if step in ("enqueue", "write"):
+                        epoch = queue.max_epoch + 1
+                        queue.autocommit = committed = step == "enqueue"
+                        queue.enqueue(epoch, [Mutation.add_triple(f"S{epoch}", "p", "O")])
+                        queue.autocommit = True
+                    elif step == "commit":
+                        queue.commit()
+                    elif step == "ack":
+                        committed = False
+                        edge = data.draw(st.sampled_from(edges), label="edge")
+                        # Only what shipped can be acked; only durable ships.
+                        low = queue.watermark(edge)
+                        high = max(low, queue.durable_epoch)
+                        queue.ack(edge, data.draw(st.integers(low, high), label="epoch"))
+                    elif step == "truncate":
+                        committed = queue.truncate() > 0
+                    elif step == "reload":
+                        queue.close()
+                        queue = OutboundQueue.load(path)
+                    else:
+                        before = queue.watermarks
+                        queue = _crash_and_reload(data, queue, path, synced)
+                        assert set(queue.watermarks) == set(edges)
+                        assert all(queue.watermark(edge) <= before[edge] for edge in edges)
+                    if committed:
+                        synced, promised = os.path.getsize(path), queue.max_epoch
+                    assert queue.floor_epoch <= promised <= queue.durable_epoch
+                    assert queue.durable_epoch <= queue.max_epoch
+                    for edge in edges:
+                        pending = queue.pending_after(queue.watermark(edge))
+                        assert queue.depth(edge) == queue.max_epoch - queue.watermark(edge)
+                        assert [epoch for epoch, _ in pending] == list(
+                            range(queue.watermark(edge) + 1, queue.durable_epoch + 1)
+                        )
+            finally:
+                queue.close()  # also when hypothesis abandons an example mid-draw
 
 
 # --------------------------------------------- serving-tier session safety

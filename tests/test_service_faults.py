@@ -15,6 +15,7 @@ The router's contract under faults:
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 
 import pytest
@@ -447,6 +448,15 @@ class TestDrainAcrossShards:
 # ------------------------------------------------------------- geo tier faults
 
 
+def _release(*fleets) -> None:
+    """Close the segment readers behind stores loaded from disk (a loaded
+    store reads its file lazily for as long as it lives) — CI runs this
+    file with an unclosed handle as an error."""
+    for fleet in fleets:
+        for store in fleet.shards if hasattr(fleet, "shards") else fleet.stores:
+            store.log.reader.close()
+
+
 class TestGeoTierFaults:
     """The async geo tier under faults: crash-resume, partition, restart."""
 
@@ -531,6 +541,40 @@ class TestGeoTierFaults:
         # 8 batches handed back plus, at most, two bisects over 16,000 records.
         assert counting.visited <= 8 + 2 * 14
 
+    def test_appends_after_a_torn_tail_recovery_start_a_record_of_their_own(
+        self, tmp_path
+    ):
+        """A crash mid-append leaves a fragment; ``load`` used to drop it in
+        memory only, so the next (acknowledged, fsynced) batch was glued to
+        it, read back as "the torn tail" and lost — and the one after made
+        the file unloadable.  ``load`` cuts the fragment out of the file.  A
+        whole record missing only its newline is torn the same way: the
+        sync that would have made it durable never returned."""
+        from repro.store import Mutation, OutboundQueue
+
+        def batch(epoch):
+            return [Mutation.add_triple(f"S{epoch}", "p", "O")]
+
+        path = str(tmp_path / "queue.jsonl")
+        queue = OutboundQueue(path=path)
+        queue.enqueue(1, batch(1))
+        queue.close()
+        for fragment in ('{"kind": "batch", "epo', '{"edge": "edge-0", "epoch": 9, "kind": "ack"}'):
+            intact = os.path.getsize(path)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(fragment)
+            queue = OutboundQueue.load(path)
+            assert os.path.getsize(path) == intact and queue.watermarks == {}
+            head = queue.max_epoch
+            assert queue.enqueue(head + 1, batch(head + 1)) is True
+            assert queue.enqueue(head + 2, batch(head + 2)) is True
+            queue.close()
+            reloaded = OutboundQueue.load(path)
+            assert reloaded.max_epoch == reloaded.durable_epoch == head + 2
+            assert [epoch for epoch, _ in reloaded.pending_after(0)] == list(
+                range(1, head + 3)
+            )
+
     def test_edge_crash_mid_drain_resumes_without_skip_or_double_apply(
         self, tmp_path
     ):
@@ -586,6 +630,8 @@ class TestGeoTierFaults:
         assert geo.verify_converged("edge-0") == fleet.state_digests(
             include_index=False
         )
+        geo.close()
+        _release(restored)
 
     def test_primary_restart_preserves_queued_unshipped_batches(self, tmp_path):
         """Queued-but-unshipped batches and reported watermarks survive a
@@ -616,6 +662,8 @@ class TestGeoTierFaults:
         assert resumed.verify_converged("edge-0") == rebuilt.state_digests(
             include_index=False
         )
+        resumed.close()
+        _release(restored)
 
     def test_resume_refuses_a_queue_ahead_of_the_restored_primary(self, tmp_path):
         """A primary restored from a save older than its last write would
@@ -643,6 +691,7 @@ class TestGeoTierFaults:
             ReplicaDivergedError, match=r"shard 0 holds epoch 3 .* resumed at epoch 1"
         ):
             GeoReplicator.resume(restored, queue_dir)
+        _release(restored)
 
     def test_resume_after_a_save_at_the_last_write_keeps_shipping(self, tmp_path):
         """The passing twin: the primary was saved after its last write, so
@@ -663,13 +712,16 @@ class TestGeoTierFaults:
 
         restored = ShardedStore.load(str(tmp_path / "primary"), 2)
         resumed = GeoReplicator.resume(restored, queue_dir)
-        resumed.adopt_edge(EdgeReplica.load("edge-0", str(tmp_path / "edge"), 2))
+        edge = EdgeReplica.load("edge-0", str(tmp_path / "edge"), 2)
+        resumed.adopt_edge(edge)
         self._write_batches(restored, 3, start=4)
         assert resumed.depth("edge-0") == 7
         assert resumed.drain("edge-0") == 7
         assert resumed.verify_converged("edge-0") == restored.state_digests(
             include_index=False
         )
+        resumed.close()
+        _release(restored, edge)
 
     def test_partitioned_edge_serves_stale_stamped_reads_and_sessions_route_around(
         self, fault_runner
@@ -859,3 +911,286 @@ class TestGeoTierFaults:
         # at, every queued batch still ahead of it.
         assert held.served_by == "edge-0" and held.staleness_epochs == batches
         assert held.epoch_vector[owner] == admitted_at
+
+
+# ------------------------------------------------------- durable queue commits
+
+
+class TestDurableCommit:
+    """Written is not durable: who syncs a queue record, on which thread,
+    and what may ship or be acknowledged before the sync returns.  Every
+    claim is read off the ``fsyncs`` shim — syncs that returned, by thread,
+    path and size — never off a clock."""
+
+    SESSION = "writer"
+
+    def _router(self, fault_runner, tmp_path):
+        """2 shards x 2 replicas + 1 edge over durable queues; the drain
+        loop's tick outlasts the test, so every drain is the test's own."""
+        return ShardedValidationService.from_runner(
+            fault_runner,
+            2,
+            ServiceConfig(time_scale=0.0),
+            store=fault_runner.sharded_store("factbench", 2).replay_twin(),
+            replicas=2,
+            edges=1,
+            drain_interval_s=3600.0,
+            queue_dir=str(tmp_path / "queues"),
+        )
+
+    @staticmethod
+    def _two_shard_batch(router, tag):
+        from repro.store import Mutation
+
+        batch, owners, index = [], set(), 0
+        while owners != {0, 1}:
+            mutation = Mutation.add_triple(f"Durable{tag}_{index}", "worksFor", "Org")
+            owner = next(iter(router.store.route([mutation])))
+            if owner not in owners:
+                owners.add(owner)
+                batch.append(mutation)
+            index += 1
+        return batch
+
+    @staticmethod
+    def _one_read_per_shard(router, fault_runner):
+        requests = {}
+        for fact in fault_runner.dataset("factbench"):
+            request = ServiceRequest(fact, "dka", "gemma2:9b")
+            requests.setdefault(router.shard_for(request), request)
+        assert sorted(requests) == [0, 1]
+        return [requests[0], requests[1]]
+
+    @staticmethod
+    async def _until_held(fsyncs):
+        while not fsyncs.held.is_set():
+            await asyncio.sleep(0.001)
+
+    @staticmethod
+    def _queue_paths(router):
+        return sorted(os.path.realpath(queue._path) for queue in router.geo.queues)
+
+    def test_an_ingest_is_two_syncs_off_the_loop_and_a_drain_is_none(
+        self, fault_runner, tmp_path, fsyncs
+    ):
+        router = self._router(fault_runner, tmp_path)
+        ingests = 3
+
+        async def go():
+            async with router:
+                per_ingest = []
+                for index in range(ingests):
+                    before = len(fsyncs.calls)
+                    await router.apply_mutations(self._two_shard_batch(router, index))
+                    per_ingest.append(fsyncs.calls[before:])
+                before = len(fsyncs.calls)
+                drained = await router.drain_edges()
+                during_drain = fsyncs.calls[before:]
+                router.geo.verify_converged("edge-0")
+                return per_ingest, drained, during_drain, list(fsyncs.on_main_thread())
+
+        started = len(fsyncs.on_main_thread())
+        per_ingest, drained, during_drain, on_loop = asyncio.run(
+            asyncio.wait_for(go(), 60.0)
+        )
+        for calls in per_ingest:
+            assert sorted(path for _, path, _ in calls) == self._queue_paths(router)
+        # Nothing synced on the loop thread between start() and the drain.
+        assert len(on_loop) == started
+        assert drained == 2 * ingests and during_drain == []
+        # stop() left no ack unsynced, so closing has nothing to do.
+        for queue in router.geo.queues:
+            assert fsyncs.synced_size(queue._path) == os.path.getsize(queue._path)
+        before = len(fsyncs.calls)
+        router.geo.close()
+        assert len(fsyncs.calls) == before
+
+    def test_nothing_is_acknowledged_or_shipped_while_the_sync_is_held(
+        self, fault_runner, tmp_path, fsyncs
+    ):
+        router = self._router(fault_runner, tmp_path)
+
+        async def go():
+            async with router:
+                reads = self._one_read_per_shard(router, fault_runner)
+                await router.apply_mutations(self._two_shard_batch(router, "first"))
+                await router.drain_edges()
+                durable = [queue.durable_epoch for queue in router.geo.queues]
+                fsyncs.hold()
+                ingest = asyncio.ensure_future(
+                    router.apply_mutations(
+                        self._two_shard_batch(router, "held"), session=self.SESSION
+                    )
+                )
+                await self._until_held(fsyncs)
+                # The shards applied and the records are written — and the
+                # loop is free: both shards and the edge answer reads.
+                assert router.epoch_vector == tuple(epoch + 1 for epoch in durable)
+                for request in reads:
+                    for region in (None, "edge-0"):
+                        response = await router.submit(request, region=region)
+                        assert response.outcome is RequestOutcome.COMPLETED
+                assert not ingest.done()
+                assert router.session_vector(self.SESSION) == {}
+                for queue, epoch in zip(router.geo.queues, durable):
+                    assert queue.max_epoch == epoch + 1
+                    assert queue.durable_epoch == epoch
+                    assert queue.pending_after(epoch) == []
+                assert await router.drain_edges() == 0
+                fsyncs.release()
+                report = await ingest
+                landed = {shard: shard_report.epoch for shard, shard_report in report.shard_reports}
+                assert router.session_vector(self.SESSION) == landed
+                assert [queue.durable_epoch for queue in router.geo.queues] == [
+                    landed[0], landed[1]
+                ]
+                assert await router.drain_edges() == 2
+                router.geo.verify_converged("edge-0")
+
+        asyncio.run(asyncio.wait_for(go(), 60.0))
+        router.geo.close()
+
+    def test_a_failed_sync_fails_the_ingest_and_the_next_commit_covers_both(
+        self, fault_runner, tmp_path, fsyncs
+    ):
+        router = self._router(fault_runner, tmp_path)
+
+        async def go():
+            async with router:
+                durable = [queue.durable_epoch for queue in router.geo.queues]
+                before = len(fsyncs.calls)
+                fsyncs.fail_next = 1
+                with pytest.raises(OSError, match="injected fsync failure"):
+                    await router.apply_mutations(
+                        self._two_shard_batch(router, "lost"), session=self.SESSION
+                    )
+                assert router.session_vector(self.SESSION) == {}
+                assert [queue.durable_epoch for queue in router.geo.queues] == durable
+                assert await router.drain_edges() == 0
+                # The sibling queue's sync did return — and counts for
+                # nothing: the ingest failed, so neither record is durable.
+                while len(fsyncs.calls) == before:
+                    await asyncio.sleep(0.001)
+                await router.apply_mutations(self._two_shard_batch(router, "next"))
+                assert len(fsyncs.calls) - before == 1 + 2
+                for queue, epoch in zip(router.geo.queues, durable):
+                    assert queue.durable_epoch == queue.max_epoch == epoch + 2
+                    assert fsyncs.synced_size(queue._path) == os.path.getsize(queue._path)
+                assert await router.drain_edges() == 4
+                router.geo.verify_converged("edge-0")
+
+        asyncio.run(asyncio.wait_for(go(), 60.0))
+        router.geo.close()
+
+    def test_stop_with_a_commit_in_flight_leaves_clean_files_and_inline_commits(
+        self, fault_runner, tmp_path, fsyncs
+    ):
+        router = self._router(fault_runner, tmp_path)
+
+        async def go():
+            await router.start()
+            fsyncs.hold()
+            ingest = asyncio.ensure_future(
+                router.apply_mutations(self._two_shard_batch(router, "held"))
+            )
+            await self._until_held(fsyncs)
+            await router.stop()
+            # stop() synced what the held workers have not: no file is dirty
+            # and the batch is durable, though its ingest has yet to return.
+            for queue in router.geo.queues:
+                assert fsyncs.synced_size(queue._path) == os.path.getsize(queue._path)
+                assert queue.durable_epoch == queue.max_epoch
+            assert not ingest.done()
+            fsyncs.release()
+            return await ingest
+
+        report = asyncio.run(asyncio.wait_for(go(), 60.0))
+        assert sorted(shard for shard, _ in report.shard_reports) == [0, 1]
+        # No router serves the replicator now: the listener commits inline
+        # again, so a direct store write is durable (and ships) on return.
+        on_loop = len(fsyncs.on_main_thread())
+        router.store.apply(self._two_shard_batch(router, "inline"))
+        assert len(fsyncs.on_main_thread()) - on_loop == 2
+        for queue in router.geo.queues:
+            assert queue.durable_epoch == queue.max_epoch
+            assert fsyncs.synced_size(queue._path) == os.path.getsize(queue._path)
+        router.geo.close()
+
+    def test_without_a_router_apply_syncs_inline_and_ships_at_once(
+        self, tmp_path, fsyncs
+    ):
+        """The ``_probe_geosync`` shape: ``twin.apply`` then ``drain_all``."""
+        from repro.store.geosync import GeoReplicator
+
+        faults = TestGeoTierFaults()
+        fleet = faults._fleet()
+        geo = GeoReplicator(fleet, queue_dir=str(tmp_path / "queues"))
+        geo.add_edge("edge-0")
+        writes = 4
+        for index in range(writes):
+            before = len(fsyncs.on_main_thread())
+            faults._write_batches(fleet, 1, start=index)
+            assert len(fsyncs.on_main_thread()) > before
+            for queue in geo.queues:
+                assert queue.durable_epoch == queue.max_epoch
+                assert fsyncs.synced_size(queue._path) == os.path.getsize(queue._path)
+        assert len(fsyncs.calls) == len(fsyncs.on_main_thread())
+        before, backlog = len(fsyncs.calls), geo.depth("edge-0")
+        assert geo.drain_all() == backlog == writes
+        assert len(fsyncs.calls) == before  # acks ride the next commit
+        geo.verify_converged("edge-0")
+        geo.close()
+        for queue in geo.queues:
+            assert fsyncs.synced_size(queue._path) == os.path.getsize(queue._path)
+
+    def test_a_restart_that_loses_every_unsynced_ack_converges_without_a_double_apply(
+        self, tmp_path, fsyncs
+    ):
+        """The primary dies after a drain whose acks never met a commit:
+        ``resume`` comes back with the watermarks of the last commit — behind
+        what the edge applied — ``adopt_edge`` re-reports from the edge's own
+        epochs, and the next drain applies exactly what the edge lacks."""
+        from repro.store import EdgeReplica
+        from repro.store.geosync import GeoReplicator
+
+        faults = TestGeoTierFaults()
+        queue_dir = str(tmp_path / "queues")
+        fleet = faults._fleet()
+        geo = GeoReplicator(fleet, queue_dir=queue_dir)
+        edge = geo.add_edge("edge-0")
+        registered = geo.watermark_vector("edge-0")
+        faults._write_batches(fleet, 4)
+        assert geo.drain("edge-0") == sum(fleet.epoch_vector) - sum(registered)
+        assert geo.watermark_vector("edge-0") == fleet.epoch_vector
+        edge.save(str(tmp_path / "edge"))
+        # The crash: nothing commits, and every byte no sync covered is gone.
+        for queue in geo.queues:
+            queue._handle.close()
+            assert fsyncs.synced_size(queue._path) < os.path.getsize(queue._path)
+            os.truncate(queue._path, fsyncs.synced_size(queue._path))
+
+        rebuilt = fleet.replay_twin()
+        resumed = GeoReplicator.resume(rebuilt, queue_dir)
+        assert resumed.watermark_vector("edge-0") == registered
+        assert tuple(queue.max_epoch for queue in resumed.queues) == fleet.epoch_vector
+        restored = EdgeReplica.load("edge-0", str(tmp_path / "edge"), 2)
+        resumed.adopt_edge(restored)
+        assert resumed.watermark_vector("edge-0") == fleet.epoch_vector
+        faults._write_batches(rebuilt, 3, start=4)
+        applied = []
+
+        def recording(shard_index, epoch, batch):
+            applied.append((shard_index, epoch))
+            return restored.stores[shard_index].apply(batch).epoch
+
+        resumed.drain("edge-0", apply=recording)
+        assert sorted(applied) == [
+            (shard, epoch)
+            for shard in (0, 1)
+            for epoch in range(fleet.epoch_vector[shard] + 1, rebuilt.epoch_vector[shard] + 1)
+        ]
+        assert resumed.verify_converged("edge-0") == rebuilt.state_digests(
+            include_index=False
+        )
+        resumed.close()
+        _release(restored)

@@ -194,6 +194,38 @@ class TestApplyMutations:
         assert all(response.outcome is RequestOutcome.COMPLETED for response in responses)
         assert [response.batch_size for response in responses] == [1] + [8] * 8 + [3] * 3
 
+    def test_quiesce_and_drain_wait_on_each_loops_own_idle_event(self, runner, backend):
+        """One service object over two event loops: on each, an ingest and a
+        draining ``stop()`` park behind reads held in the backend and return
+        only once the last of them has — woken by that read, on an event
+        made for the running loop (a first loop's would raise here)."""
+        store = runner.versioned_store("factbench")
+        service = ValidationService.from_runner(
+            runner,
+            ServiceConfig(enable_cache=False, max_batch_size=8, time_scale=0.05),
+            store=store,
+        )
+        facts = list(runner.dataset("factbench"))[:4]
+
+        async def go(tag):
+            await service.start()
+            reads = backend.submit(service, facts)
+            await backend.turns()
+            assert service.pending == len(facts)
+            report = await service.apply_mutations(
+                [Mutation.add_triple(f"Loop{tag}", "worksFor", "Idle")]
+            )
+            assert service.pending == 0 and all(read.done() for read in reads)
+            late = backend.submit(service, facts)
+            await backend.turns()
+            assert service.pending == len(facts)
+            await service.stop(drain=True)
+            assert service.pending == 0 and all(read.done() for read in late)
+            return report.epoch
+
+        first = asyncio.run(asyncio.wait_for(go(1), 60.0))
+        assert asyncio.run(asyncio.wait_for(go(2), 60.0)) == first + 1
+
     def test_rag_verdicts_refresh_against_ingested_evidence(self, runner):
         store = runner.versioned_store("factbench")
         service = ValidationService.from_runner(
