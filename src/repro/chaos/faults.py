@@ -48,6 +48,7 @@ shard 0, ``shard:0/replica:1`` exactly one worker.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -162,6 +163,8 @@ class FaultSpec:
                 numbers = [float(part) for part in parts]
             except ValueError as exc:
                 raise ValueError(f"malformed fault {value!r}: {exc}") from exc
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"malformed fault {value!r}: parameters must be finite")
             if kind == KILL:
                 if numbers:
                     raise ValueError("kill faults take no parameters")

@@ -70,6 +70,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 import re
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -151,6 +152,11 @@ def _typed(value: object, hint: object, where: str) -> object:
     elif origin is None:
         accepted = (int, float) if hint is float else hint
         if isinstance(value, accepted) and isinstance(value, bool) == (hint is bool):
+            # NaN compares false with every bound, so a rule would pass it.
+            _require(
+                not isinstance(value, float) or math.isfinite(value),
+                f"{where} must be finite, got {value!r}",
+            )
             return value
     name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
     raise ScenarioError(f"{where} must be {name}, got {value!r}")

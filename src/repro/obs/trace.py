@@ -66,7 +66,6 @@ SPAN_TAXONOMY = (
     "worker.execute",     # the request's share of its micro-batch
     "store.read",         # the batch group's strategy run over the store
     "store.apply",        # one mutation batch applied to one store copy
-    "store.ship",         # log-shipping that batch to one replica copy
 )
 
 

@@ -460,9 +460,9 @@ class ShardedValidationService:
         would) — stall detection and health probing need it set.
     replica_groups:
         The per-shard :class:`~repro.store.ReplicaGroup` objects backing
-        the replica services' stores (one store copy per service).  When
-        given, every ingest is lockstep-checked across each owning group's
-        live members.
+        the replica services' stores (one store copy per service, in
+        order); every ingest settles through the owning groups.  Defaults
+        to a group of one per attached shard (``store.replicate(1)``).
     probe_interval_s:
         Seconds an unhealthy replica rests before the balancer routes one
         canary request at it.
@@ -550,13 +550,15 @@ class ShardedValidationService:
         #: surface tests and callers index into.
         self.shards: List[ValidationService] = [group[0] for group in self.groups]
         self.store = store
-        self.replica_groups = list(replica_groups) if replica_groups is not None else None
         if store is not None and store.num_shards != len(self.groups):
             raise ValueError(
                 f"store partitions {store.num_shards} ways but "
                 f"{len(self.groups)} shard groups were given"
             )
-        if self.replica_groups is not None:
+        if not replica_groups and store is not None:
+            replica_groups = store.replicate(1)
+        self.replica_groups: List[ReplicaGroup] = list(replica_groups or ())
+        if self.replica_groups:
             if len(self.replica_groups) != len(self.groups):
                 raise ValueError(
                     f"{len(self.replica_groups)} replica groups for "
@@ -674,7 +676,7 @@ class ShardedValidationService:
         Each replica gets its own :class:`ValidationService` (own queues,
         workers, verdict cache, admission budget) built from the runner's
         strategy provider.  With a :class:`~repro.store.ShardedStore`
-        attached and ``replicas > 1``, the store is grown into per-shard
+        attached, the store is grown into per-shard
         :class:`~repro.store.ReplicaGroup` copies (log-shipped from each
         shard's log) so every replica worker serves its own byte-identical
         store copy — the fleet shards remain the group primaries.
@@ -702,29 +704,17 @@ class ShardedValidationService:
             raise ValueError(
                 f"store partitions {store.num_shards} ways; asked for {num_shards}"
             )
-        replica_groups: Optional[List[ReplicaGroup]] = None
-        if store is not None and replicas > 1:
-            replica_groups = store.replicate(replicas)
-        groups: List[List[ValidationService]] = []
-        for shard_index in range(num_shards):
-            group = []
-            for replica_index in range(replicas):
-                if replica_groups is not None:
-                    replica_store = replica_groups[shard_index].stores[replica_index]
-                elif store is not None:
-                    replica_store = store.shards[shard_index]
-                else:
-                    replica_store = None
-                group.append(
-                    ValidationService.from_runner(runner, config, store=replica_store)
-                )
-            groups.append(group)
+        replica_groups = store.replicate(replicas) if store is not None else []
+        copies = [group.stores for group in replica_groups] or [[None] * replicas] * num_shards
+        groups = [
+            [ValidationService.from_runner(runner, config, store=copy) for copy in stores]
+            for stores in copies
+        ]
         geo: Optional[GeoReplicator] = None
         edge_services: Optional[Dict[str, List[ValidationService]]] = None
         if edges:
             geo = GeoReplicator(store, queue_dir=queue_dir)
-            if replica_groups is not None:
-                geo.wire_replicas(replica_groups)
+            geo.wire_replicas(replica_groups)
             edge_services = {}
             for edge_index in range(edges):
                 name = f"edge-{edge_index}"
@@ -1463,11 +1453,12 @@ class ShardedValidationService:
         in-flight reads, apply the identical batch to their own store copy,
         bump their epoch) while the rest of the fleet keeps serving — the
         per-shard invalidation contract: only the mutated shard's cached
-        verdicts go stale.  With replicated stores attached, the group's
-        live members are lockstep-checked after the ship
-        (:class:`ReplicaDivergedError` on any drift, and when a replica
-        refuses a batch a sibling applied); replicas whose workers were
-        killed are skipped and stay out of the rotation (their store
+        verdicts go stale.  Their outcomes settle through the shard's
+        group (:meth:`~repro.store.ReplicaGroup.settle`:
+        :class:`ReplicaDivergedError` when a replica refuses a batch a
+        sibling applied, or on any drift).  Replicas whose workers stopped
+        before they applied — killed before the ingest or during its
+        fan-out — are skipped and stay out of the rotation (their store
         copies stop at the pre-ingest epoch).
 
         The all-or-nothing contract of :meth:`ShardedStore.apply` extends
@@ -1494,57 +1485,43 @@ class ShardedValidationService:
         async with self._ingest_lock:
             # Liveness and validation both run for EVERY owning shard before
             # ANY shard applies, so a doomed batch leaves the fleet
-            # untouched.  Validation uses each shard's first *live*
-            # replica's store: a killed primary's copy stops at its death
-            # epoch and no longer reflects the state the live replicas
-            # would apply against.
-            live_by_shard: dict = {}
-            for index in indexes:
-                live = []
-                for replica_index, service in enumerate(self.groups[index]):
-                    if service._closed:
-                        # A killed replica cannot apply; it must never
-                        # rejoin the rotation with a stale store copy.
-                        self.health[index][replica_index].healthy = False
-                        continue
-                    live.append(service)
+            # untouched.  Validation uses each shard's first *live* copy: a
+            # killed primary's copy stops at its death epoch and no longer
+            # reflects the state the live replicas would apply against.
+            live_by_shard = {index: self._live_replicas(index) for index in indexes}
+            for index, live in live_by_shard.items():
                 if not live:
                     raise RuntimeError(
                         f"shard {index} has no live replicas to apply the batch"
                     )
-                live_by_shard[index] = live
-            for index in indexes:
-                validation_store = live_by_shard[index][0].store
-                if validation_store is None:
-                    validation_store = self.store.shards[index]
-                validation_store.validate(groups_map[index])
+                self.replica_groups[index].stores[live[0]].validate(groups_map[index])
 
-            async def apply_to_shard(index: int):
+            async def ship(index: int):
                 live = live_by_shard[index]
-                reports = await asyncio.gather(
-                    *(service.apply_mutations(groups_map[index]) for service in live),
+                outcomes = await asyncio.gather(
+                    *(self.groups[index][j].apply_mutations(groups_map[index]) for j in live),
                     return_exceptions=True,
                 )
-                for service, report in zip(live, reports):
-                    if isinstance(report, ValueError) and service is not live[0]:
-                        # The copy validation ran against did apply (its own
-                        # error would have been raised first); a sibling
-                        # refusing the same batch has diverged from it.
-                        replicas = self.groups[index]
-                        raise ReplicaDivergedError(
-                            f"shard {index} replica {replicas.index(service)} at epoch "
-                            f"{service.epoch} refused the batch replica "
-                            f"{replicas.index(live[0])} applied at epoch "
-                            f"{live[0].epoch}: {report}"
-                        ) from report
-                    if isinstance(report, BaseException):
-                        raise report
-                self._verify_group(index)
-                return reports[0]
+                # A replica stopped between the liveness check and its apply
+                # applied nothing: skipped like one killed before the ingest.
+                alive = self._live_replicas(index)
+                settled = [
+                    (j, outcome)
+                    for j, outcome in zip(live, outcomes)
+                    if j in alive or not isinstance(outcome, BaseException)
+                ]
+                if not settled:
+                    raise outcomes[0]
+                group = self.replica_groups[index]
+                report, audited = group.settle(
+                    [group.stores[j] for j, _ in settled],
+                    [outcome for _, outcome in settled],
+                )
+                if audited:
+                    self.metrics.lockstep_audits_total.inc()
+                return report
 
-            reports = await asyncio.gather(
-                *(apply_to_shard(index) for index in indexes)
-            )
+            reports = await asyncio.gather(*(ship(index) for index in indexes))
             if self.geo is not None:
                 # Each touched queue's one commit, the fsyncs side by side on
                 # worker threads (a pathless queue has none and takes no
@@ -1598,11 +1575,9 @@ class ShardedValidationService:
         router fronts: each replica service traces ``service.submit`` /
         ``worker.execute`` / ``store.read`` under the point label
         ``shard:{i}/replica:{j}`` and emits quiesce events; every store
-        copy traces ``store.apply``; the router itself traces
+        copy traces ``store.apply`` (its service arms it); the router traces
         ``router.route`` / ``router.attempt`` / ``replica.call`` and emits
-        health, failover, and budget events.  ``store.ship`` belongs to
-        direct :meth:`ReplicaGroup.apply` callers; a served ingest ships
-        through the replica services and never records it.
+        health, failover, and budget events.
         """
         tracer = obs.tracer if obs is not None else None
         events = obs.events if obs is not None else None
@@ -1618,15 +1593,6 @@ class ShardedValidationService:
                 service.set_observability(
                     tracer, events, f"edge:{edge_index}/shard:{shard_index}"
                 )
-                if service.store is not None:
-                    service.store.tracer = tracer
-        if self.store is not None:
-            for shard in self.store.shards:
-                shard.tracer = tracer
-        if self.replica_groups is not None:
-            for replica_group in self.replica_groups:
-                for store in replica_group.stores:
-                    store.tracer = tracer
 
     # ---------------------------------------------------------------- internals
 
@@ -1736,25 +1702,16 @@ class ShardedValidationService:
         # the replica for another full interval before the next one.
         health.marked_unhealthy_at = self.clock.now()
 
-    def _verify_group(self, shard_index: int) -> None:
-        """Lockstep-check one shard's live replica stores after a ship
-        (:meth:`~repro.store.ReplicaGroup.lockstep`: O(1) unless it
-        escalates to the full audit, which the registry counts)."""
-        if self.replica_groups is None:
-            return
-        replica_group = self.replica_groups[shard_index]
-        live = [
-            store
-            for service, store in zip(self.groups[shard_index], replica_group.stores)
-            if not service._closed
-        ]
-        try:
-            if replica_group.lockstep(live):
-                self.metrics.lockstep_audits_total.inc()
-        except ReplicaDivergedError as exc:
-            raise ReplicaDivergedError(
-                f"shard {shard_index} replicas diverged after log ship: {exc}"
-            ) from exc
+    def _live_replicas(self, shard_index: int) -> List[int]:
+        """Indexes of the shard's running replicas.  A stopped one cannot
+        apply, so it leaves the rotation rather than rejoin with a stale copy."""
+        live = []
+        for replica_index, service in enumerate(self.groups[shard_index]):
+            if service._closed:
+                self.health[shard_index][replica_index].healthy = False
+            else:
+                live.append(replica_index)
+        return live
 
     def _respond(
         self,

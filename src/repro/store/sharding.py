@@ -30,17 +30,17 @@ benchmarks treat partition-local epochs as the consistency unit.
 Replication (:class:`ReplicaGroup`) is the availability axis on top of the
 partitioning axis: one logical shard becomes R byte-identical
 :class:`VersionedKnowledgeStore` copies kept in sync by *log shipping* —
-the primary validates and applies a batch first, then the identical batch
-is shipped to every replica at the same epoch, exactly the MSMQ-style
+a batch is validated on the first live copy, then the identical batch is
+shipped to every copy at the same epoch, exactly the MSMQ-style
 multi-branch synchronisation scheme (arXiv:0912.2134) the append-only
 :class:`~repro.store.log.MutationLog` makes cheap.  Because replay is
 deterministic down to interning order and posting-array layout, shipping
 the same batches in the same order *must* produce byte-identical replicas.
 The group proves it with a full state-digest audit at construction and,
 after every ship, an O(1) comparison of the members' *chained* digests
-(:meth:`ReplicaGroup.lockstep`), which escalates back to the audit — the
-only thing that raises :class:`ReplicaDivergedError` — when the chains
-disagree or a store-size of writes has passed since the last one.
+(:meth:`ReplicaGroup.lockstep`), which escalates back to the audit when
+the chains disagree or a store-size of writes has passed since the last
+one.
 """
 
 from __future__ import annotations
@@ -164,10 +164,10 @@ class ReplicaDivergedError(RuntimeError):
     """A replica stopped matching its group's primary.
 
     Raised by the full state-digest audit when a member's epoch or bytes
-    disagree, and by a ship when a member refuses a batch another member
-    already applied.  With deterministic replay this can only happen when
-    a replica's store was mutated outside the group's
-    :meth:`ReplicaGroup.apply` path (or a bug broke replay determinism);
+    disagree, and by :meth:`ReplicaGroup.settle` when a member refuses a
+    batch another member already applied.  With deterministic replay this
+    can only happen when a replica's store was mutated outside a ship
+    (or a bug broke replay determinism);
     the group refuses to keep serving a diverged copy rather than
     returning split-brain verdicts.
     """
@@ -176,11 +176,14 @@ class ReplicaDivergedError(RuntimeError):
 class ReplicaGroup:
     """R byte-identical copies of one logical shard, synced by log shipping.
 
-    ``stores[0]`` is the **primary**: every mutation batch is validated and
-    applied there first, then shipped — the same batch, in the same order,
-    at the same epoch — to each replica.  Deterministic replay guarantees
-    the copies stay byte-identical; :meth:`verify` proves it at
-    construction and :meth:`lockstep` checks it after every ship.
+    A ship has four steps: validate on the first live member; every member
+    tries the batch; a member refusing what another applied is
+    :class:`ReplicaDivergedError`; :meth:`lockstep` runs over the members
+    that applied.  :meth:`apply` runs all four over every member; the
+    serving router runs the first two through its replica services and
+    hands their outcomes to :meth:`settle`, which owns the last two.
+    :meth:`verify` proves the copies byte-identical at construction; a
+    group of one is never audited (there is nothing to compare it with).
 
     The group exists so a serving tier can fan *reads* across the copies
     and fail over when one copy's worker dies; the store layer itself only
@@ -215,15 +218,13 @@ class ReplicaGroup:
             raise ValueError("a ReplicaGroup needs at least one store")
         self.stores: List[VersionedKnowledgeStore] = list(stores)
         self.include_index = include_index
-        #: Optional :class:`~repro.obs.trace.Tracer`; when armed, every
-        #: per-replica log ship records a ``store.ship`` span.
-        self.tracer = None
         epochs = {store.epoch for store in self.stores}
         if len(epochs) != 1:
             raise ValueError(
                 f"replica epochs diverge at construction: {sorted(epochs)}"
             )
-        self.verify()
+        if len(self.stores) > 1:
+            self.verify()
 
     @classmethod
     def replicate(
@@ -275,41 +276,54 @@ class ReplicaGroup:
     # ------------------------------------------------------------- mutation
 
     def apply(self, mutations: Sequence[Mutation]) -> ApplyReport:
-        """Validate on the primary, apply there, then ship to every replica.
+        """Ship one batch to every member: validate on the primary, apply
+        on each member, then :meth:`settle`.
 
-        The primary's validation gates the whole group: a rejected batch
-        (``ValueError`` from the primary's ``apply``, raised before it
-        touches anything) leaves every copy untouched.  After the primary
-        applies, the identical batch is shipped to each replica; replay
-        determinism means every copy lands on the same epoch with the same
-        bytes, which :meth:`lockstep` checks.
-
-        Returns the **primary's** :class:`~repro.store.store.ApplyReport`
-        (the replicas' reports are byte-for-byte the same story).
+        A batch the primary refuses leaves every copy untouched.  Returns
+        the **primary's** :class:`~repro.store.store.ApplyReport` (the
+        replicas' reports are byte-for-byte the same story).
 
         Raises :class:`ValueError` for an empty batch or one the primary
-        refuses, and :class:`ReplicaDivergedError` when a replica refuses
-        the batch the primary applied or the lockstep check fails.
+        refuses, and :class:`ReplicaDivergedError` when a member refuses
+        the batch another applied or the lockstep check fails.
         """
         batch = list(mutations)
-        report = self.primary.apply(batch)
-        for replica in self.stores[1:]:
+        self.primary.validate(batch)
+        outcomes: List[object] = []
+        for store in self.stores:
             try:
-                if self.tracer is not None:
-                    with self.tracer.span("store.ship", replica.name) as span:
-                        span.attributes["epoch"] = report.epoch
-                        span.attributes["ops"] = len(batch)
-                        replica.apply(batch)
-                else:
-                    replica.apply(batch)
+                outcomes.append(store.apply(batch))
             except ValueError as exc:
+                outcomes.append(exc)
+        return self.settle(self.stores, outcomes)[0]
+
+    def settle(
+        self, members: Sequence[VersionedKnowledgeStore], outcomes: Sequence[object]
+    ) -> Tuple[ApplyReport, bool]:
+        """Conclude a ship from what each member's apply did.
+
+        ``outcomes[i]`` is ``members[i]``'s report, or the exception its
+        (atomic) apply raised.  A :class:`ValueError` beside a member that
+        applied is :class:`ReplicaDivergedError`; any other exception, or a
+        batch every member refused, is re-raised as it came.  Otherwise
+        :meth:`lockstep` runs over ``members``.  Returns the first report
+        and whether the lockstep check escalated to the full audit.
+        """
+        applied = [
+            (store, outcome)
+            for store, outcome in zip(members, outcomes)
+            if not isinstance(outcome, BaseException)
+        ]
+        for store, outcome in zip(members, outcomes):
+            if isinstance(outcome, ValueError) and applied:
+                source, report = applied[0]
                 raise ReplicaDivergedError(
-                    f"replica {replica.name} at epoch {replica.epoch} refused the "
-                    f"batch primary {self.primary.name} applied at epoch "
-                    f"{report.epoch}: {exc}"
-                ) from exc
-        self.lockstep(self.stores)
-        return report
+                    f"replica {store.name} at epoch {store.epoch} refused the batch "
+                    f"{source.name} applied at epoch {report.epoch}: {outcome}"
+                ) from outcome
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return outcomes[0], self.lockstep(members)
 
     # ------------------------------------------------------------- verification
 
@@ -328,9 +342,10 @@ class ReplicaGroup:
         (``len(graph) + len(corpus)`` then): an edit that bypassed
         ``apply`` leaves the chain untouched, so this bounds how long it
         can hide to one store-size of writes while keeping the hashing
-        amortised O(1) per mutation.  Returns whether the audit ran.
+        amortised O(1) per mutation.  A lone member has nothing to be
+        compared with and is never audited.  Returns whether the audit ran.
         """
-        if (
+        if len(members) < 2 or (
             len({store.epoch for store in members}) == 1
             and len({store.chain_digest for store in members}) == 1
             and all(store._ops_to_audit > 0 for store in members)
@@ -529,9 +544,9 @@ class ShardedStore:
 
         The live shards become the group primaries; the secondaries are
         replayed from each shard's own log.  Returns the groups in shard
-        order — the substrate a replicated serving tier
-        (:class:`~repro.service.router.ShardedValidationService` with
-        ``replicas > 1``) hands one store copy per replica worker.
+        order — the substrate the serving tier
+        (:class:`~repro.service.router.ShardedValidationService`) hands one
+        store copy per replica worker and ships every ingest through.
 
         Raises :class:`ValueError` when ``replicas < 1``.
         """

@@ -22,6 +22,7 @@ Covers the chaos subsystem's contracts:
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,8 @@ class TestFaultGrammar:
             "error:1.5",
             "slow",
             "slow:0.1:0.1:0.1",
+            "slow:inf",
+            "stall:nan",
             {"kind": "stall", "duration_s": 1.0, "bogus": 2},
             {"duration_s": 1.0},
             42,
@@ -520,6 +523,25 @@ def _geo_scenario() -> dict:
     return scenario
 
 
+def _floats(node):
+    """Every float reachable from a loaded scenario."""
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _floats(item)
+    elif isinstance(node, dict):
+        yield from _floats(list(node.items()))
+    elif hasattr(node, "__dict__"):
+        yield from _floats(vars(node))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _paths(node, prefix=()):
     """The path of every value nested anywhere inside a dict/list tree."""
     if isinstance(node, dict):
@@ -533,8 +555,10 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _JSONISH = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | _NON_FINITE
+    | st.text(max_size=8),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=8), children, max_size=3),
     max_leaves=6,
@@ -646,6 +670,32 @@ class TestScenarioValidation:
             (lambda s: s.update(requests=True), "requests"),
             (lambda s: s["matrix"]["topology"][0].update(shards=2.7), "shards"),
             (lambda s: s["matrix"]["topology"][0].update(replicas="2"), "replicas"),
+            # NaN and infinity pass every range rule, so they are refused first.
+            (
+                lambda s: s["matrix"]["faults"][0]["schedule"][0].update(at_s=math.nan),
+                r"schedule\[0\]\.at_s must be finite, got nan",
+            ),
+            (
+                lambda s: s.update(retry={"base_backoff_s": math.nan}),
+                "base_backoff_s must be finite",
+            ),
+            (
+                lambda s: s.update(service={"batch_overhead_s": math.nan}),
+                "batch_overhead_s must be finite",
+            ),
+            (lambda s: s.update(service={"time_scale": math.inf}), "time_scale must be finite"),
+            (
+                lambda s: s.update(service={"probe_interval_s": math.inf}),
+                "probe_interval_s must be finite",
+            ),
+            (
+                lambda s: s["matrix"]["faults"][0]["schedule"][0].update(fault="slow:inf"),
+                "parameters must be finite",
+            ),
+            (
+                lambda s: s["matrix"]["faults"][0]["schedule"][0].update(fault="stall:nan"),
+                "parameters must be finite",
+            ),
         ],
     )
     def test_malformed_scenarios_raise_scenario_error(self, mutate, message):
@@ -669,20 +719,35 @@ class TestScenarioValidation:
     def test_load_scenario_is_total(self, data):
         """Whatever value sits at whatever key, loading ends in a
         ``Scenario`` or a ``ScenarioError`` — never in a bare
-        ``TypeError``/``ValueError`` the CLI would print as a traceback."""
+        ``TypeError``/``ValueError`` the CLI would print as a traceback —
+        and a ``Scenario`` holds no NaN or infinity: either one passes every
+        range rule (a kill at ``at_s: .nan`` never fires)."""
         from repro.chaos.scenario import Scenario
 
         scenario = data.draw(st.sampled_from([_minimal_scenario, _geo_scenario]))()
         path = data.draw(st.sampled_from(list(_paths(scenario))))
-        node = scenario
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = data.draw(_JSONISH)
+        _at(scenario, path[:-1])[path[-1]] = data.draw(_JSONISH)
         try:
             loaded = load_scenario(scenario)
         except ScenarioError:
             return
         assert isinstance(loaded, Scenario)
+        assert all(map(math.isfinite, _floats(loaded)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_no_numeric_key_admits_a_non_finite_value(self, value):
+        """Exhaustive twin of the totality property for the one value class
+        every range rule lets through."""
+        reference = _geo_scenario()
+        numeric = [
+            path for path in _paths(reference) if type(_at(reference, path)) in (int, float)
+        ]
+        assert len(numeric) >= 15
+        for path in numeric:
+            scenario = _geo_scenario()
+            _at(scenario, path[:-1])[path[-1]] = value
+            with pytest.raises(ScenarioError):
+                load_scenario(scenario)
 
     @pytest.mark.parametrize(
         "block",

@@ -915,31 +915,6 @@ class TestFleetSpanTrees:
         ]
         assert names == ["store.apply"] * 4  # 2 shards x 2 replica copies
 
-    def test_store_ship_span_on_replica_group_log_shipping(self, obs_runner):
-        from repro.store import Mutation
-        from repro.retrieval.corpus import Document
-
-        obs = Observability.for_clock(VirtualClock(), seed=17)
-        sharded = obs_runner.sharded_store("factbench", 1).replay_twin()
-        group = sharded.replicate(2)[0]
-        group.tracer = obs.tracer
-        document = Document(
-            doc_id="obs-ship-0",
-            url="https://obs.example/ship",
-            title="Obs ship",
-            text="Shipped evidence.",
-            source="obs.example",
-            kind="news",
-        )
-        group.apply([Mutation.add_document(document)])
-        spans = [
-            span for trace in obs.tracer.traces().values() for span in trace
-        ]
-        ships = [span for span in spans if span.name == "store.ship"]
-        assert len(ships) == 1  # primary applies, one replica receives the ship
-        assert ships[0].attributes["ops"] == 1
-        assert ships[0].attributes["epoch"] == group.epoch
-
 
 # ----------------------------------------------------------- chaos run table
 

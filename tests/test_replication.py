@@ -678,7 +678,7 @@ class TestReplicatedIngest:
         async def go():
             async with router:
                 with pytest.raises(
-                    ReplicaDivergedError, match=f"shard {owner} replicas diverged"
+                    ReplicaDivergedError, match=f"replicas diverged from {copies[0].name}: "
                 ):
                     await router.apply_mutations(
                         [Mutation.add_triple(subject, "flaggedBy", "Audit")]
@@ -724,8 +724,8 @@ class TestReplicatedIngest:
                 with pytest.raises(
                     ReplicaDivergedError,
                     match=(
-                        f"shard {owner} replica 1 at epoch 1 refused the batch "
-                        "replica 0 applied at epoch 2"
+                        f"replica {copies[1].name} at epoch 1 refused the batch "
+                        f"{copies[0].name} applied at epoch 2"
                     ),
                 ) as raised:
                     await router.apply_mutations(removal)
@@ -803,6 +803,142 @@ class TestReplicatedIngest:
         assert crossings >= 4
         assert len(digest_calls) == crossings * 2
         assert audits.value == crossings
+
+    def test_single_replica_router_ships_through_groups_of_one_and_hashes_nothing(
+        self, replica_runner, digest_calls
+    ):
+        """R=1 with a store: one group of one per shard, never audited —
+        not at construction, not when the size rule would have come due."""
+        small = ShardedStore.partition(
+            triples=[Triple(f"e{i}", "p", f"e{i + 1}") for i in range(12)], num_shards=2
+        )
+        digest_calls.clear()
+        router = ShardedValidationService.from_runner(
+            replica_runner, 2, ServiceConfig(max_batch_size=4), store=small
+        )
+        assert [group.stores for group in router.replica_groups] == [
+            [shard] for shard in small.shards
+        ]
+
+        async def go():
+            async with router:
+                for step in range(20):
+                    report = await router.apply_mutations(
+                        [Mutation.add_triple(f"e{k}", "q", f"n{step}") for k in range(12)]
+                    )
+                    assert report.shards_touched == (0, 1)
+
+        asyncio.run(go())
+        assert digest_calls == []
+        assert router.metrics.lockstep_audits_total.value == 0
+        assert small.epoch_vector == (21, 21)
+
+    def test_replica_killed_during_the_fan_out_is_skipped_not_failed(self, replica_runner):
+        """Regression: a kill landing between the liveness check and the
+        fan-out failed an ingest its sibling had already applied — no
+        session vector, no queue commit — and the caller's retry applied
+        the batch a second time."""
+        store, router = self._replicated_router(replica_runner)
+        subject = _requests(replica_runner)[0].fact.triple.subject
+        owner = store.shard_for(subject)
+        copies = router.replica_groups[owner].stores
+
+        async def go():
+            async with router:
+                ingest = asyncio.ensure_future(
+                    router.apply_mutations(
+                        [Mutation.add_triple(subject, "flaggedBy", "Audit")], session="s"
+                    )
+                )
+                kill = asyncio.ensure_future(router.kill_replica(owner, 1))
+                report = await ingest
+                await kill
+                assert report.epoch_vector[owner] == 2
+                assert [copy.epoch for copy in copies] == [2, 1]
+                assert router.session_vector("s") == {owner: 2}
+                assert not router.health[owner][1].healthy
+                await router.apply_mutations(
+                    [Mutation.remove_triple(subject, "flaggedBy", "Audit")]
+                )
+                assert [copy.epoch for copy in copies] == [3, 1]
+
+        asyncio.run(go())
+
+    @staticmethod
+    def _ship_until_refused(path, runner, store, owner, tamper, batch, ships, digest_calls):
+        """Tamper with shard ``owner``'s two copies, then ship ``batch``
+        ``ships`` times through ``path``: ``ReplicaGroup.apply`` directly or
+        the router's ``apply_mutations``.  Returns the copies, the
+        :class:`ReplicaDivergedError` raised and the digests taken."""
+        if path == "direct":
+            group = store.replicate(2)[owner]
+        else:
+            router = ShardedValidationService.from_runner(
+                runner, 2, ServiceConfig(max_batch_size=4), store=store, replicas=2
+            )
+            group = router.replica_groups[owner]
+        tamper(group.stores)
+        digest_calls.clear()
+
+        async def served():
+            async with router:
+                for _ in range(ships):
+                    await router.apply_mutations(batch)
+
+        with pytest.raises(ReplicaDivergedError) as raised:
+            if path == "direct":
+                for _ in range(ships):
+                    group.apply(batch)
+            else:
+                asyncio.run(served())
+        return group.stores, raised.value, len(digest_calls)
+
+    @pytest.mark.parametrize("case", ["refusing_sibling", "fork", "bypass_edit"])
+    @pytest.mark.parametrize("path", ["direct", "served"])
+    def test_both_ship_paths_refuse_divergence_alike(
+        self, replica_runner, digest_calls, path, case
+    ):
+        """One protocol: the direct and the served ship raise the same error,
+        worded the same, leave the same epochs and take the same audits."""
+        if case == "bypass_edit":
+            store = ShardedStore.partition(
+                triples=[Triple(f"e{i}", "p", f"e{i + 1}") for i in range(12)], num_shards=2
+            )
+        else:
+            store = replica_runner.sharded_store("factbench", 2).replay_twin()
+        owner = 0
+        subjects = sorted({t.subject for t in store.shards[owner].graph})
+        triple = min(store.shards[owner].graph)
+        batch = [Mutation.add_triple(subject, "flaggedBy", "Audit") for subject in subjects[:2]]
+        ships, epochs, audits = 1, [2, 2], 2
+        if case == "refusing_sibling":
+            batch = [Mutation.remove_triple(*triple.as_tuple())]
+            tamper = lambda copies: copies[1].graph.remove(triple)
+            epochs, audits = [2, 1], 0
+        elif case == "fork":
+            def tamper(copies):
+                copies[0].apply([Mutation.add_triple(triple.subject, "forkedBy", "Left")])
+                copies[1].apply([Mutation.add_triple(triple.subject, "forkedBy", "Right")])
+            epochs = [3, 3]
+        else:
+            tamper = lambda copies: copies[1].graph.add(Triple("Rogue", "edit", "Replica"))
+            size = len(store.shards[owner].graph)  # live items at the anchor
+            ships = -(-size // len(batch))  # the ship where ops-since-anchor >= size
+            epochs = [1 + ships] * 2
+        copies, error, digests = self._ship_until_refused(
+            path, replica_runner, store, owner, tamper, batch, ships, digest_calls
+        )
+        if case == "refusing_sibling":
+            assert str(error) == (
+                f"replica {copies[1].name} at epoch 1 refused the batch "
+                f"{copies[0].name} applied at epoch 2: "
+                f"batch[0]: cannot remove absent triple {triple}"
+            )
+            assert isinstance(error.__cause__, ValueError)
+        else:
+            assert str(error) == f"replicas diverged from {copies[0].name}: {[copies[1].name]}"
+        assert [copy.epoch for copy in copies] == epochs
+        assert digests == audits
 
     def test_rejected_batch_mutates_no_replica(self, replica_runner):
         store = replica_runner.sharded_store("factbench", 2).replay_twin()
