@@ -74,7 +74,6 @@ from .trace import (
     Span,
     SpanContext,
     Tracer,
-    maybe_span,
     render_spans,
     slowest_path,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "WindowSample",
     "budget_bar",
     "fleet_slos",
-    "maybe_span",
     "parse_exposition",
     "percentile",
     "reexpose",

@@ -30,7 +30,6 @@ import json
 import random
 import threading
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
@@ -45,7 +44,6 @@ __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "maybe_span",
     "render_spans",
     "slowest_path",
 ]
@@ -492,20 +490,6 @@ class _SpanScope:
             span.attributes.setdefault("error", exc_type.__name__)
         self._tracer.end_span(span)
         return False
-
-
-def maybe_span(
-    tracer: Optional[Tracer],
-    name: str,
-    target: str = "",
-    parent: Optional[Union[Span, SpanContext]] = None,
-):
-    """``tracer.span(...)`` when tracing is armed, a ``None``-yielding
-    no-op context otherwise — the guard every instrumentation site uses so
-    the tracing-off path stays a single ``is None`` check."""
-    if tracer is None:
-        return nullcontext(None)
-    return tracer.span(name, target, parent=parent)
 
 
 def _format_attributes(span: Span) -> str:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import operator
 import random
 import time
 from collections import OrderedDict
@@ -63,7 +64,6 @@ from ..obs.trace import (
     STATUS_SHED,
     Span,
     Tracer,
-    maybe_span,
 )
 from ..store import GeoReplicator, Mutation, ReplicaGroup, ShardApplyReport, ShardedStore
 from ..store.geosync import sync_and_close
@@ -113,6 +113,8 @@ STALE_CACHE_CAPACITY = 4096
 #: the next tick, so a backlogged edge never monopolises the event loop and
 #: back-pressures primary writes through scheduling delay.
 DRAIN_BATCH_LIMIT = 8
+
+_EPOCH = operator.attrgetter("epoch")
 
 
 @dataclass
@@ -638,6 +640,9 @@ class ShardedValidationService:
         ]
         self.metrics = RouterMetrics(self)
         self._rr = [0] * len(self.groups)
+        # Replica indexes by round-robin distance from each offset.
+        size = len(self.groups[0])
+        self._rotations = [[(rr + step) % size for step in range(size)] for rr in range(size)]
         self._closed = False
         # Replicas hard-stopped by kill_replica: their store copies missed
         # every ingest since the kill, so they must never rejoin — not even
@@ -1068,7 +1073,7 @@ class ShardedValidationService:
                     self.metrics.geo_session_fallbacks_total.inc()
                     return None
         if self.staleness_bound_epochs is not None:
-            primary_epoch = self.epoch_vector[shard_index]
+            primary_epoch = self._shard_epoch(shard_index)
             if primary_epoch - watermark > self.staleness_bound_epochs:
                 self.metrics.geo_session_fallbacks_total.inc()
                 return None
@@ -1137,11 +1142,14 @@ class ShardedValidationService:
 
     @property
     def epoch_vector(self) -> Tuple[int, ...]:
-        """Per-shard epochs: the max over each group's live replicas (a
-        killed replica's lagging store copy never rolls the shard back)."""
-        return tuple(
-            max(service.epoch for service in group) for group in self.groups
-        )
+        """Per-shard epochs: the max over each group's replicas, stopped
+        ones included — a killed replica's copy misses every later ingest,
+        so its lower epoch never wins the max."""
+        return tuple([max(map(_EPOCH, group)) for group in self.groups])
+
+    def _shard_epoch(self, shard_index: int) -> int:
+        """One component of :attr:`epoch_vector`."""
+        return max(map(_EPOCH, self.groups[shard_index]))
 
     @property
     def epoch(self) -> int:
@@ -1259,17 +1267,21 @@ class ShardedValidationService:
                     f"after {attempt} of {max_attempts} attempts"
                 )
                 break
-            with maybe_span(
-                self._tracer, "router.attempt", f"shard:{shard_index}", parent=span
-            ) as attempt_span:
-                if attempt_span is not None:
-                    attempt_span.attributes["attempt"] = attempt + 1
+            if self._tracer is None:
                 response, pass_timed_out = await self._attempt(
                     request, shard_index, errors, deadline
                 )
-                if attempt_span is not None and response is None:
-                    attempt_span.status = STATUS_FAILED
-                    attempt_span.attributes["error"] = "all replicas faulted"
+            else:
+                with self._tracer.span(
+                    "router.attempt", f"shard:{shard_index}", parent=span
+                ) as attempt_span:
+                    attempt_span.attributes["attempt"] = attempt + 1
+                    response, pass_timed_out = await self._attempt(
+                        request, shard_index, errors, deadline
+                    )
+                    if response is None:
+                        attempt_span.status = STATUS_FAILED
+                        attempt_span.attributes["error"] = "all replicas faulted"
             timed_out = timed_out or pass_timed_out
             if response is not None:
                 if errors:
@@ -1352,59 +1364,63 @@ class ShardedValidationService:
         """
         group = self.groups[shard_index]
         timed_out = False
-        for replica_index in self._replica_order(shard_index):
+        order = self._replica_order(shard_index)
+        for replica_index in order:
             service = group[replica_index]
-            label = self._replica_label(shard_index, replica_index)
             timeout_s = self.request_timeout_s
             if deadline is not None:  # only a retry policy sets one
                 remaining = deadline - self.clock.now()
                 if remaining <= 0:
                     errors.append(
-                        f"request deadline exhausted before trying {label}"
+                        "request deadline exhausted before trying "
+                        + self._replica_label(shard_index, replica_index)
                     )
+                    if replica_index == order[0]:
+                        # Untried, so release the canary this pass picked
+                        # (a due replica heads the order) for the next one.
+                        self.health[shard_index][replica_index].probing = False
                     break
                 timeout_s = self.retry_policy.attempt_timeout_s(timeout_s, remaining)
             if service._closed:
-                errors.append(f"{label} is stopped")
-                self._record_failure(shard_index, replica_index)
+                self._record_failure(errors, shard_index, replica_index, "is stopped")
                 continue
+            call = service.submit(request)
+            if timeout_s is not None:
+                call = asyncio.wait_for(call, timeout=timeout_s)
             try:
-                with maybe_span(
-                    self._tracer,
-                    "replica.call",
-                    f"shard:{shard_index}/replica:{replica_index}",
-                ) as call_span:
-                    if timeout_s is not None:
-                        response = await asyncio.wait_for(
-                            service.submit(request), timeout=timeout_s
-                        )
-                    else:
-                        response = await service.submit(request)
-                    if (
-                        call_span is not None
-                        and response.outcome is RequestOutcome.REJECTED
-                    ):
-                        call_span.status = STATUS_SHED
+                if self._tracer is None:
+                    response = await call
+                else:
+                    with self._tracer.span(
+                        "replica.call", f"shard:{shard_index}/replica:{replica_index}"
+                    ) as call_span:
+                        response = await call
+                        if response.outcome is RequestOutcome.REJECTED:
+                            call_span.status = STATUS_SHED
             except asyncio.TimeoutError:
                 timed_out = True
-                errors.append(f"{label} stalled past {timeout_s:.3f}s")
-                self._record_failure(shard_index, replica_index, timeout=True)
+                self._record_failure(
+                    errors, shard_index, replica_index,
+                    f"stalled past {timeout_s:.3f}s", timeout=True,
+                )
                 continue
             except asyncio.CancelledError:
                 if service._closed and not self._closed:
                     # The replica was hard-stopped under us (kill_replica):
                     # its future cancellation is a replica fault to fail
                     # over from, not our caller cancelling.
-                    errors.append(f"{label} was stopped mid-request")
-                    self._record_failure(shard_index, replica_index)
+                    self._record_failure(
+                        errors, shard_index, replica_index, "was stopped mid-request"
+                    )
                     continue
                 # Caller cancellation: release an in-flight canary so the
                 # replica stays probe-eligible for the next request.
                 self.health[shard_index][replica_index].probing = False
                 raise
             except Exception as exc:
-                errors.append(f"{label} failed: {exc!r}")
-                self._record_failure(shard_index, replica_index)
+                self._record_failure(
+                    errors, shard_index, replica_index, f"failed: {exc!r}"
+                )
                 continue
             self._record_success(shard_index, replica_index)
             return response, timed_out
@@ -1625,7 +1641,8 @@ class ShardedValidationService:
         Unhealthy-but-running replicas stay at the tail so a shard whose
         every replica is marked down still *tries* (a request is the
         cheapest probe there is) instead of failing instantly; stopped
-        replicas are skipped by :meth:`submit` outright.
+        replicas are skipped by :meth:`submit` outright.  Only a shard with
+        a replica out of the rotation reads the clock and classifies.
         """
         group = self.groups[shard_index]
         healths = self.health[shard_index]
@@ -1633,16 +1650,25 @@ class ShardedValidationService:
             return [0]
         offset = self._rr[shard_index]
         self._rr[shard_index] = (offset + 1) % len(group)
+        # Round-robin distance order, so a stable sort by queue depth alone
+        # is the (depth, distance) order — and equal depths need none.
+        healthy = [
+            index
+            for index in self._rotations[offset]
+            if healths[index].healthy and not group[index]._closed
+        ]
+        depths = [group[index].pending for index in healthy]
+        if depths and min(depths) != max(depths):
+            healthy.sort(key=lambda index: group[index].pending)
+        if len(healthy) == len(group):
+            return healthy
         now = self.clock.now()
-        healthy: List[int] = []
         due: List[int] = []
         resting: List[int] = []
         for replica_index, health in enumerate(healths):
-            if group[replica_index]._closed:
+            if health.healthy or group[replica_index]._closed:
                 continue
-            if health.healthy:
-                healthy.append(replica_index)
-            elif (
+            if (
                 not health.probing
                 and health.marked_unhealthy_at is not None
                 and now - health.marked_unhealthy_at >= self.probe_interval_s
@@ -1650,9 +1676,6 @@ class ShardedValidationService:
                 due.append(replica_index)
             else:
                 resting.append(replica_index)
-        healthy.sort(
-            key=lambda index: (group[index].pending, (index - offset) % len(group))
-        )
         order: List[int] = []
         if due:
             probe = min(due, key=lambda index: healths[index].marked_unhealthy_at)
@@ -1682,8 +1705,11 @@ class ShardedValidationService:
                 )
 
     def _record_failure(
-        self, shard_index: int, replica_index: int, timeout: bool = False
+        self, errors: List[str], shard_index: int, replica_index: int, what: str,
+        timeout: bool = False,
     ) -> None:
+        """Count one faulted attempt; ``errors`` gets ``"<replica> <what>"``."""
+        errors.append(f"{self._replica_label(shard_index, replica_index)} {what}")
         health = self.health[shard_index][replica_index]
         health.failures += 1
         if timeout:
@@ -1731,28 +1757,29 @@ class ShardedValidationService:
     ) -> ServiceResponse:
         """Build the response to one read — the only place the router does.
 
-        The fleet epoch vector is read once.  A replica's answer passes the
-        ``shard_epoch`` it was admitted at, which replaces the owning
-        shard's component; ``DEGRADED``/``FAILED`` answers carry the
-        current fleet vector.  With a geo tier configured a primary-served
-        response is marked ``served_by="primary"`` at zero staleness (the
-        primary is never stale to itself); an ``edge`` answer carries that
-        edge's applied vector and the epochs its owning shard copy trailed
-        the primary.  Without a geo tier both fields stay ``None``.
+        The fleet epoch vector is read in one pass.  A replica's answer
+        passes the ``shard_epoch`` it was admitted at, which stands in for
+        the owning shard's component (its group is not read);
+        ``DEGRADED``/``FAILED`` answers carry the current fleet vector.  With
+        a geo tier configured a primary-served response is marked
+        ``served_by="primary"`` at zero staleness (the primary is never
+        stale to itself); an ``edge`` answer carries that edge's applied
+        vector and the epochs its owning shard copy trailed the primary.
+        Without a geo tier both fields stay ``None``.
         """
-        vector = self.epoch_vector
         served_by: Optional[str] = None
         staleness: Optional[int] = None
         if edge is not None:
-            applied = self.geo.edges[edge].applied_vector
+            vector = self.geo.edges[edge].applied_vector
             served_by = edge
-            staleness = max(vector[shard_index] - applied[shard_index], 0)
-            vector = applied
+            staleness = max(self._shard_epoch(shard_index) - vector[shard_index], 0)
         else:
-            if shard_epoch is not None:
-                vector = (
-                    vector[:shard_index] + (shard_epoch,) + vector[shard_index + 1 :]
-                )
+            vector = tuple([
+                shard_epoch
+                if index == shard_index and shard_epoch is not None
+                else max(map(_EPOCH, group))
+                for index, group in enumerate(self.groups)
+            ])
             if self.geo is not None:
                 served_by, staleness = "primary", 0
         return ServiceResponse(

@@ -66,6 +66,10 @@ __all__ = [
 ]
 
 
+#: Bound on :class:`HashRing`'s per-key owner memo, emptied whole when full
+#: (a miss costs only the hash it would cost without one).
+RING_MEMO_CAPACITY = 4096
+
 def _point(key: str) -> int:
     """Process-stable 64-bit hash (builtin ``hash`` varies with PYTHONHASHSEED)."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
@@ -80,6 +84,8 @@ class HashRing:
     assignment is a pure function of ``(key, num_shards, replicas)`` —
     stable across processes and runs — and adding a shard moves only the
     keys that fall between the new shard's points and their predecessors.
+    Because it is, :meth:`shard_for` memoises each key's owner (at most
+    :data:`RING_MEMO_CAPACITY` keys).
     """
 
     def __init__(self, num_shards: int, replicas: int = 64) -> None:
@@ -96,15 +102,19 @@ class HashRing:
         points.sort()
         self._points = [point for point, _ in points]
         self._owners = [shard for _, shard in points]
+        self._memo: Dict[str, int] = {}
 
     def shard_for(self, key: str) -> int:
         """The shard index owning ``key``."""
         if self.num_shards == 1:
             return 0
-        index = bisect_right(self._points, _point(key))
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
+        owner = self._memo.get(key)
+        if owner is None:
+            if len(self._memo) >= RING_MEMO_CAPACITY:
+                self._memo.clear()
+            index = bisect_right(self._points, _point(key)) % len(self._points)
+            owner = self._memo[key] = self._owners[index]
+        return owner
 
     def __eq__(self, other: object) -> bool:
         return (

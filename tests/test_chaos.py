@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -356,6 +357,174 @@ class TestProbeTimingOnVirtualClock:
         assert order[0] == 1, "probe-due replica should head the pick order"
         assert router.health[0][1].probes == 1
         assert router.health[0][1].probing
+
+    def test_a_canary_abandoned_on_an_exhausted_deadline_is_probed_again(self, runner):
+        class TickingClock(VirtualClock):
+            """Moves 4 ms every time it is read, as a real clock does
+            between the balancer's pick and the attempt's deadline check."""
+
+            def now(self):
+                reading = super().now()
+                self.advance(0.004)
+                return reading
+
+        clock = TickingClock()
+        router = ShardedValidationService.from_runner(
+            runner,
+            1,
+            ServiceConfig(enable_cache=False),
+            replicas=2,
+            probe_interval_s=0.25,
+            retry_policy=RetryPolicy(max_attempts=1, deadline_s=0.006),
+            clock=clock,
+        )
+        request = ServiceRequest(runner.dataset("factbench")[0], "dka", "gemma2:9b")
+
+        async def go():
+            async with router:
+                router.mark_unhealthy(0, 1)
+                clock.advance(1.0)
+                response = await router.submit(request)
+                health = router.health[0][1]
+                released = (health.probing, health.probes)
+                # Once due again, the replica is probed again.
+                clock.advance(10.0)
+                return response, released, router._replica_order(0), health
+
+        response, released, order, health = asyncio.run(go())
+        assert "request deadline exhausted before trying shard 0 replica 1" in (
+            response.error
+        )
+        assert released == (False, 1), "the untried canary must be released"
+        assert order == [1, 0]
+        assert health.probing and health.probes == 2
+
+
+def _reference_replica_order(self, shard_index):
+    """The balancer's pick order as it was computed with a per-read sort:
+    the body of ``ShardedValidationService._replica_order`` before the
+    selector stopped classifying fully healthy shards, kept verbatim."""
+    group = self.groups[shard_index]
+    healths = self.health[shard_index]
+    if len(group) == 1:
+        return [0]
+    offset = self._rr[shard_index]
+    self._rr[shard_index] = (offset + 1) % len(group)
+    now = self.clock.now()
+    healthy = []
+    due = []
+    resting = []
+    for replica_index, health in enumerate(healths):
+        if group[replica_index]._closed:
+            continue
+        if health.healthy:
+            healthy.append(replica_index)
+        elif (
+            not health.probing
+            and health.marked_unhealthy_at is not None
+            and now - health.marked_unhealthy_at >= self.probe_interval_s
+        ):
+            due.append(replica_index)
+        else:
+            resting.append(replica_index)
+    healthy.sort(
+        key=lambda index: (group[index].pending, (index - offset) % len(group))
+    )
+    order = []
+    if due:
+        probe = min(due, key=lambda index: healths[index].marked_unhealthy_at)
+        probe_health = healths[probe]
+        probe_health.probing = True
+        probe_health.probes += 1
+        order.append(probe)
+        resting.extend(index for index in due if index != probe)
+    order.extend(healthy)
+    order.extend(sorted(resting))
+    return order
+
+
+class _StubReplica:
+    """What the balancer reads of a replica service, and what start() calls."""
+
+    def __init__(self, pending: int, stopped: bool) -> None:
+        self.pending = pending
+        self._closed = stopped
+
+    async def start(self) -> None:
+        self._closed = False
+
+
+_replica_state = st.fixed_dictionaries(
+    {
+        "healthy": st.booleans(),
+        "stopped": st.booleans(),
+        "probing": st.booleans(),
+        "marked_at": st.none() | st.floats(0.0, 2.0),
+        "pending": st.integers(0, 3),
+    }
+)
+
+
+class TestBalancerOrder:
+    """The selector's order and side effects equal the sorting reference's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.integers(1, 4),
+        shards=st.integers(1, 2),
+        now=st.floats(0.0, 2.0),
+    )
+    def test_order_and_health_match_the_sorting_reference(self, data, size, shards, now):
+        clock = VirtualClock(now)
+        groups = []
+        for _ in range(shards):
+            states = data.draw(st.lists(_replica_state, min_size=size, max_size=size))
+            groups.append(states)
+        router = ShardedValidationService(
+            [
+                [_StubReplica(state["pending"], state["stopped"]) for state in states]
+                for states in groups
+            ],
+            probe_interval_s=0.25,
+            clock=clock,
+        )
+        for shard_index, states in enumerate(groups):
+            for replica_index, state in enumerate(states):
+                health = router.health[shard_index][replica_index]
+                health.healthy = state["healthy"]
+                health.probing = state["probing"]
+                health.marked_unhealthy_at = state["marked_at"]
+                if state["stopped"]:
+                    router._dead.add((shard_index, replica_index))
+            router._rr[shard_index] = data.draw(st.integers(0, size - 1))
+        steps = data.draw(
+            st.lists(
+                st.sampled_from(["order", "order", "advance", "pending", "start"]),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        for step in steps:
+            if step == "advance":
+                clock.advance(data.draw(st.floats(0.0, 0.5)))
+            elif step == "pending":
+                for group in router.groups:
+                    for replica in group:
+                        replica.pending = data.draw(st.integers(0, 3))
+            elif step == "start":
+                asyncio.run(router.start())
+            for shard_index in range(shards):
+                rr = list(router._rr)
+                healths = [replace(health) for health in router.health[shard_index]]
+                reference = _reference_replica_order(router, shard_index)
+                expected = (list(router._rr), list(router.health[shard_index]))
+                router._rr[:] = rr
+                router.health[shard_index][:] = healths
+                order = router._replica_order(shard_index)
+                assert isinstance(order, list)
+                assert order == reference
+                assert (router._rr, router.health[shard_index]) == expected
 
 
 # ------------------------------------------------- retry/degrade integration

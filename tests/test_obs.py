@@ -36,7 +36,6 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     Tracer,
-    maybe_span,
     parse_exposition,
     percentile,
     reexpose,
@@ -551,10 +550,6 @@ class TestTracer:
         [trace_id] = tracer.trace_ids()
         assert slowest_path(tracer.spans(trace_id)) == "router.route>replica.call"
         assert slowest_path([]) == ""
-
-    def test_maybe_span_none_tracer_is_a_noop(self):
-        with maybe_span(None, "router.route", "shard:0") as span:
-            assert span is None
 
     def test_max_spans_per_trace_bounds_memory_and_counts_drops(self):
         tracer = Tracer(VirtualClock(), seed=1, max_spans_per_trace=3)

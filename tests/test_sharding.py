@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
 from repro.kg import Triple
 from repro.obs import Observability, parse_exposition
 from repro.retrieval.corpus import Document
+from repro.service import router as router_module
 from repro.service import (
     LoadGenerator,
     RequestOutcome,
@@ -29,6 +32,8 @@ from repro.store import (
     VersionedKnowledgeStore,
     mutation_shard_key,
 )
+from repro.store import sharding
+from repro.store.sharding import RING_MEMO_CAPACITY
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +108,20 @@ class TestHashRing:
             HashRing(0)
         with pytest.raises(ValueError):
             HashRing(2, replicas=0)
+
+    def test_owner_memo_is_bounded_and_never_changes_an_answer(self):
+        rng = random.Random(26)
+        # More distinct keys than the memo holds, with repeats: hits, misses
+        # and whole-memo evictions all happen.
+        pool = [f"entity{rng.getrandbits(40)}" for _ in range(RING_MEMO_CAPACITY + 2000)]
+        keys = [rng.choice(pool) for _ in range(10_000)]
+        ring, fresh = HashRing(3), HashRing(3)
+        for key in keys:
+            owner = ring.shard_for(key)
+            assert len(ring._memo) <= RING_MEMO_CAPACITY
+            fresh._memo.clear()
+            assert owner == fresh.shard_for(key)
+        assert len(set(keys)) > RING_MEMO_CAPACITY
 
 
 class TestMutationRouting:
@@ -596,6 +615,101 @@ class TestShardedServiceRouting:
         if "failover" in row:
             # Rescued reads are failovers, whatever the sick workers counted.
             assert snapshot.failovers > 0 and snapshot.unhealthy_replicas > 0
+
+
+@pytest.fixture(scope="module")
+def wide_runner():
+    return BenchmarkRunner(
+        ExperimentConfig(
+            scale=0.03,
+            max_facts_per_dataset=60,
+            world_scale=0.15,
+            methods=("dka",),
+            datasets=("factbench",),
+            models=("gemma2:9b",),
+            include_commercial_in_grid=False,
+            seed=11,
+        )
+    )
+
+
+class TestHitReadCost:
+    """What a cache-hit read through a 2x2 router does, in counts."""
+
+    READS = 2000
+
+    def _requests(self, runner, subjects=40):
+        by_subject = {}
+        for fact in runner.dataset("factbench"):
+            by_subject.setdefault(fact.triple.subject, fact)
+        facts = list(by_subject.values())[:subjects]
+        assert len(facts) == subjects
+        return [ServiceRequest(fact, "dka", "gemma2:9b") for fact in facts]
+
+    def _hit_reads(self, router, requests):
+        async def go():
+            async with router:
+                # Warm every replica's own cache, so each read is a hit.
+                for request in requests:
+                    for service in router.groups[router.shard_for(request)]:
+                        await service.submit(request)
+                return [
+                    await router.submit(requests[index % len(requests)])
+                    for index in range(self.READS)
+                ]
+
+        responses = asyncio.run(go())
+        assert all(
+            r.outcome is RequestOutcome.COMPLETED and r.cached for r in responses
+        )
+        return responses
+
+    def test_untraced_hits_hash_each_subject_once_and_open_no_span(
+        self, wide_runner, monkeypatch
+    ):
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(), replicas=2
+        )
+        requests = self._requests(wide_runner)
+        hashed, spans, labels = [], [], []
+        point = sharding._point
+        monkeypatch.setattr(sharding, "_point", lambda key: hashed.append(key) or point(key))
+        monkeypatch.setattr(
+            router_module,
+            "maybe_span",
+            lambda *args, **kwargs: spans.append(args) or nullcontext(None),
+            raising=False,
+        )
+        label = router._replica_label
+        monkeypatch.setattr(
+            router,
+            "_replica_label",
+            lambda *args: labels.append(args) or label(*args),
+        )
+        self._hit_reads(router, requests)
+        assert len(hashed) <= len(requests)
+        assert spans == []
+        assert labels == [], "a replica's label is formatted only on a fault"
+
+    def test_traced_hits_keep_the_route_attempt_call_submit_tree(self, wide_runner):
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(), replicas=2
+        )
+        obs = Observability.for_clock(seed=42)
+        router.set_observability(obs)
+        responses = self._hit_reads(router, self._requests(wide_runner))
+        for response in responses[-100:]:
+            spans = obs.tracer.spans(response.trace_id)
+            by_id = {span.span_id: span for span in spans}
+            leaf = next(span for span in spans if span.name == "service.submit")
+            chain = [leaf.name]
+            while leaf.parent_id is not None:
+                leaf = by_id[leaf.parent_id]
+                chain.append(leaf.name)
+            assert chain == [
+                "service.submit", "replica.call", "router.attempt", "router.route"
+            ]
+            assert len(spans) == 4
 
 
 class TestResponseStampContract:
