@@ -17,13 +17,14 @@ result (content *and* order) is identical to a plain forward BFS.
 
 The interned **core** (interning tables + per-node edge lists) is the
 graph's source of truth; the string-keyed SPO/POS/OSP indexes and the
-triple set are *derived* views, rebuilt from the core on demand.  A graph
-restored from a binary storage-engine checkpoint
-(:meth:`KnowledgeGraph.from_core_state`) starts with the core only and
-hydrates the derived indexes lazily on first string-level access, which is
-what lets a cold start serve its first traversal verdict without paying
-for index materialisation (the page-cache/lazy-hydration shape borrowed
-from the ESE database explorers; see ``docs/architecture.md``).
+triple set are *derived* views, rebuilt from the core on demand.  Every
+graph — new or restored from a storage-engine checkpoint
+(:meth:`KnowledgeGraph.from_core_state`) — starts with the core only and
+hydrates the derived indexes on its first string-level query, so a log
+replay or a compaction never maintains indexes nobody asked for and a cold
+start serves its first traversal verdict without paying for them (the
+page-cache/lazy-hydration shape borrowed from the ESE database explorers;
+see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -50,16 +51,12 @@ _IdStep = Tuple[int, int, int]
 class KnowledgeGraph:
     """A directed, labelled multigraph of triples with standard KG indexes."""
 
-    #: Derived string-index attributes hydrated lazily from the interned
-    #: core when the graph was restored from a storage-engine checkpoint.
+    #: Derived string-index attributes, absent until the first string-level
+    #: query hydrates them from the interned core.
     _DERIVED = ("_triples", "_spo", "_pos", "_osp")
 
     def __init__(self, name: str = "kg") -> None:
         self.name = name
-        self._triples: Set[Triple] = set()
-        self._spo: Dict[str, Dict[str, Set[str]]] = {}
-        self._pos: Dict[str, Dict[str, Set[str]]] = {}
-        self._osp: Dict[str, Dict[str, Set[str]]] = {}
         # Interning tables: every node / predicate string maps to a dense id.
         self._node_ids: Dict[str, int] = {}
         self._node_names: List[str] = []
@@ -79,9 +76,9 @@ class KnowledgeGraph:
     # -- lazy hydration ------------------------------------------------------
 
     def __getattr__(self, name: str):
-        # Only reached when an attribute is *missing*: a checkpoint-restored
-        # graph carries the interned core only, and the first access to a
-        # derived string index materialises all four in one pass.
+        # Only reached when an attribute is *missing*: a graph carries the
+        # interned core only until the first access to a derived string
+        # index materialises all four in one pass.
         if name in KnowledgeGraph._DERIVED:
             self._hydrate()
             return self.__dict__[name]
@@ -91,7 +88,8 @@ class KnowledgeGraph:
 
     @property
     def hydrated(self) -> bool:
-        """Whether the derived string indexes are materialised."""
+        """Whether the derived string indexes are materialised: False from
+        construction (or a checkpoint restore) until a string-level query."""
         return "_triples" in self.__dict__
 
     def _hydrate(self) -> None:
@@ -112,10 +110,11 @@ class KnowledgeGraph:
                 s_spo.setdefault(p, set()).add(o)
                 pos.setdefault(p, {}).setdefault(o, set()).add(s)
                 osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        self._triples = triples
+        # ``_triples`` last: ``hydrated`` and ``add`` read it as "all four".
         self._spo = spo
         self._pos = pos
         self._osp = osp
+        self._triples = triples
 
     # -- interning ----------------------------------------------------------
 
@@ -237,7 +236,11 @@ class KnowledgeGraph:
         return self._core_contains(s, p, o)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples))
+        # Sorted off the core, without hydrating, before the first yield.
+        names, preds = self._node_names, self._pred_names
+        spo = sorted((names[s], preds[p], names[o])
+                     for s, edges in enumerate(self._out) for p, o in edges)
+        return (Triple(*triple) for triple in spo)
 
     def contains(self, subject: str, predicate: str, obj: str) -> bool:
         return self._core_contains(subject, predicate, obj)

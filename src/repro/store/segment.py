@@ -61,6 +61,7 @@ import os
 import pickle
 import struct
 import threading
+import weakref
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -539,6 +540,7 @@ class SegmentReader:
         self._pinned_pages: Dict[int, List[Tuple[int, Mutation]]] = {}
         self._lock = threading.Lock()
         self._handle = open(path, "rb")
+        weakref.finalize(self, self._handle.close)  # a store reads it for life
         self.record_blocks = [b for b in blocks if b.kind == BLOCK_RECORDS]
         self.checkpoints = [b for b in blocks if b.kind == BLOCK_CHECKPOINT]
         self.record_count = sum(b.count for b in self.record_blocks)

@@ -11,7 +11,8 @@ which makes three things fall out for free:
 
 * **persistence** — saving the log as a segment file and loading it back
   reconstructs the store deterministically, down to interning order and
-  posting-array layout (the JSONL form is a human-readable export);
+  posting-array layout (the JSONL form is a human-readable export); a
+  saved store reads the segment it wrote, so its next save appends;
 * **point-in-time snapshots** — ``snapshot(epoch)`` replays the log up to
   an epoch (or, for the current epoch, takes the cheap structure-preserving
   copies) and hands back an immutable view for reproducible offline runs;
@@ -253,8 +254,8 @@ class VersionedKnowledgeStore:
         batch qualifies).  Replaying the full log of a live store yields a
         byte-identical twin (``state_digest`` matches).
 
-        A segment-backed log (:class:`SegmentBackedLog`) is *seeked*, not
-        replayed from zero: the nearest checkpoint at or below ``upto`` is
+        A saved or loaded store's :class:`SegmentBackedLog` is *seeked*,
+        not replayed from zero: the nearest checkpoint at or below ``upto`` is
         restored (the graph comes back with its derived indexes unhydrated)
         and only the record suffix behind it is applied.  Checkpoints are
         themselves produced by this replay, so the seeked result is
@@ -516,10 +517,14 @@ class VersionedKnowledgeStore:
         opens.  ``"jsonl"`` writes the human-readable export instead
         (line-per-mutation; read back with :meth:`MutationLog.load` +
         :meth:`replay`).  The choice is per call — nothing remembers it —
-        and both writers are crash-atomic.
+        and both writers are crash-atomic.  After a segment save the store
+        reads that file, as a loaded store does, so the next save appends:
+        ``checkpoint_interval`` and ``block_size`` shape a full rewrite
+        only.  A JSONL export does not switch the log.
         """
         if format == "segment":
             self._save_segment(path, checkpoint_interval, block_size)
+            self.log = SegmentBackedLog(SegmentReader.open(path))
         elif format == "jsonl":
             self.log.save(path, config_payload=self.config.as_payload())
         else:
@@ -576,7 +581,7 @@ class VersionedKnowledgeStore:
 
     def _save_segment_incremental(self, log: SegmentBackedLog, path: str) -> None:
         """Append-style save: copy the existing compressed blocks verbatim
-        and encode only the in-memory tail, plus a fresh head checkpoint."""
+        and encode only the in-memory tail, plus a head checkpoint if any."""
         reader = log.reader
         with SegmentWriter(
             path,

@@ -1,9 +1,13 @@
 """Tests for the indexed triple store and its path queries."""
 
 import random
+import sys
+import threading
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kg import KnowledgeGraph, Triple
 
@@ -234,3 +238,119 @@ class TestExports:
     def test_iteration_sorted(self, small_graph):
         listed = list(small_graph)
         assert listed == sorted(listed)
+
+
+_NODES = ["a", "b", "c", "d", "e"]
+_PREDICATES = ["p", "q"]
+
+
+def _core_answers(graph):
+    """Every public answer a graph gives off its interned core."""
+    return (
+        list(graph),
+        graph.nodes(),
+        [graph.neighbors(node) for node in _NODES],
+        [graph.find_paths(s, t, max_length=3) for s in _NODES for t in _NODES],
+        graph.state_digest(),
+    )
+
+
+def _string_answers(graph):
+    """Every public answer a graph gives off its derived string indexes."""
+    return (
+        graph.triples(),
+        [graph.objects(s, p) for s in _NODES for p in _PREDICATES],
+        [graph.subjects(p, o) for p in _PREDICATES for o in _NODES],
+        [graph.predicates_between(s, o) for s in _NODES for o in _NODES],
+        [graph.triples_with_predicate(p) for p in _PREDICATES],
+        graph.predicates(),
+    )
+
+
+class TestLazyHydration:
+    """Every graph starts as its interned core; the string indexes hydrate
+    on the first string-level query, and nothing a caller can ask tells
+    the two lifecycles apart."""
+
+    def test_a_new_graph_stays_core_only_until_a_string_level_query(self, small_graph):
+        assert not KnowledgeGraph().hydrated
+        small_graph.remove(Triple("alice", "spouse", "bob"))
+        clone = small_graph.copy()
+        for graph in (small_graph, clone):
+            _core_answers(graph)
+            graph.contains("alice", "employer", "acme")
+            graph.degree("alice")
+            graph.out_edges("alice")
+            assert not graph.hydrated
+        assert small_graph.objects("alice", "employer") == ["acme"]
+        assert small_graph.hydrated and not clone.hydrated
+
+    def test_threads_racing_the_first_string_level_query_see_whole_indexes(self):
+        triples = [Triple(f"s{i % 50}", f"p{i % 7}", f"o{i % 61}") for i in range(3000)]
+        lazy, eager = KnowledgeGraph(), KnowledgeGraph()
+        eager.triples()
+        lazy.add_all(triples)
+        eager.add_all(triples)
+        answers = []
+        barrier = threading.Barrier(8)
+
+        def first_query():
+            barrier.wait(timeout=10)
+            answers.append(
+                (lazy.objects("s3", "p3"), lazy.subjects("p3", "o3"),
+                 lazy.predicates(), len(lazy.triples()))
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_query) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = (eager.objects("s3", "p3"), eager.subjects("p3", "o3"),
+                    eager.predicates(), len(eager.triples()))
+        assert answers == [expected] * 8
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        history=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(_NODES),
+                st.sampled_from(_PREDICATES),
+                st.sampled_from(_NODES),
+            ),
+            max_size=40,
+        ),
+        hydrate_at=st.integers(min_value=0, max_value=40),
+    )
+    def test_hydrated_from_the_start_and_never_hydrated_answer_alike(
+        self, history, hydrate_at
+    ):
+        # Removals included: an incrementally maintained index and one
+        # hydrated from the core then differ in dict key order.
+        eager, lazy, midway = KnowledgeGraph(), KnowledgeGraph(), KnowledgeGraph()
+        eager.triples()
+        assert eager.hydrated
+        for step, (is_add, s, p, o) in enumerate(history):
+            if step == hydrate_at:
+                midway.triples()
+            triple = Triple(s, p, o)
+            outcomes = {
+                graph.add(triple) if is_add else graph.remove(triple)
+                for graph in (eager, lazy, midway)
+            }
+            assert len(outcomes) == 1
+        expected_core = _core_answers(eager)
+        assert _core_answers(lazy) == expected_core
+        assert not lazy.hydrated
+        assert _core_answers(midway) == expected_core
+        expected_strings = _string_answers(eager)
+        assert _string_answers(lazy) == expected_strings
+        assert lazy.hydrated
+        assert _string_answers(midway) == expected_strings

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -111,14 +112,88 @@ def test_segment_smaller_than_jsonl(tmp_path):
 
 def test_historical_snapshot_parity(tmp_path):
     store = _grow_store(60)
+    epochs = (1, store.epoch // 2, store.epoch - 1)
+    # Taken before the save: from-zero replays of the in-memory log.
+    expected = {epoch: store.snapshot(epoch) for epoch in epochs}
     segment_path = str(tmp_path / "log.seg")
     store.save(segment_path, format="segment", checkpoint_interval=40)
     via_segment = VersionedKnowledgeStore.load(segment_path)
-    for epoch in (1, store.epoch // 2, store.epoch - 1):
-        expected = store.snapshot(epoch)
-        got = via_segment.snapshot(epoch)
+    for epoch in epochs:
+        for got in (via_segment.snapshot(epoch), store.snapshot(epoch)):
+            assert got.graph.state_digest() == expected[epoch].graph.state_digest()
+            assert [d.doc_id for d in got.corpus] == [
+                d.doc_id for d in expected[epoch].corpus
+            ]
+
+
+def test_a_saved_store_reads_its_segment_so_a_resave_encodes_nothing(
+    tmp_path, monkeypatch
+):
+    """Only the first save of a never-loaded store encodes records and
+    shadow-replays batches; the store then reads the file it wrote, so the
+    next save copies it byte for byte and a historical snapshot seeks."""
+    from repro.store import segment as segment_module
+
+    store = _grow_store(60)
+    from_zero = store.log.fork()  # a plain log: replay starts at epoch 0
+    calls = {"encode_record": 0, "_apply_batch": 0}
+    encode_record = segment_module.encode_record
+    apply_batch = VersionedKnowledgeStore._apply_batch
+
+    def counting_encode(*args):
+        calls["encode_record"] += 1
+        return encode_record(*args)
+
+    def counting_apply(self, *args, **kwargs):
+        calls["_apply_batch"] += 1
+        return apply_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(segment_module, "encode_record", counting_encode)
+    monkeypatch.setattr(VersionedKnowledgeStore, "_apply_batch", counting_apply)
+
+    def save(name: str) -> dict:
+        calls.update(encode_record=0, _apply_batch=0)
+        store.save(str(tmp_path / name), checkpoint_interval=40)
+        return dict(calls)
+
+    first = save("first.seg")
+    assert first["encode_record"] == len(from_zero) == 240
+    assert first["_apply_batch"] > 0  # the shadow replay behind the checkpoints
+    assert isinstance(store.log, SegmentBackedLog)
+    assert store.log.reader.path == str(tmp_path / "first.seg")
+    assert save("second.seg") == {"encode_record": 0, "_apply_batch": 0}
+    assert (tmp_path / "first.seg").read_bytes() == (tmp_path / "second.seg").read_bytes()
+    monkeypatch.undo()
+
+    first_checkpoint = store.log.reader.checkpoints[0].first_epoch
+    for epoch in (first_checkpoint + 1, store.epoch // 2, store.epoch - 1):
+        assert store.log.replay_base(epoch) is not None  # seeks, not from zero
+        expected = VersionedKnowledgeStore.replay(from_zero, upto=epoch)
+        got = store.snapshot(epoch)
         assert got.graph.state_digest() == expected.graph.state_digest()
         assert [d.doc_id for d in got.corpus] == [d.doc_id for d in expected.corpus]
+
+
+def test_a_resave_after_new_batches_encodes_only_them(tmp_path, monkeypatch):
+    from repro.store import segment as segment_module
+
+    store = _grow_store(30)
+    store.save(str(tmp_path / "s"))
+    store.apply([Mutation.add_triple("tail", "p0", "tail-object")])
+    store.apply([Mutation.add_document(_document(999))])
+    encoded = []
+    encode_record = segment_module.encode_record
+    monkeypatch.setattr(
+        segment_module,
+        "encode_record",
+        lambda *args: encoded.append(args) or encode_record(*args),
+    )
+    store.save(str(tmp_path / "s"))
+    assert [epoch for epoch, _ in encoded] == [store.epoch - 1, store.epoch]
+    monkeypatch.undo()
+    assert store.log.tail_batches() == []  # the store reads the new file
+    reloaded = VersionedKnowledgeStore.load(str(tmp_path / "s"))
+    assert reloaded.state_digest() == store.state_digest()
 
 
 def test_segment_load_seeks_instead_of_replaying(tmp_path):
@@ -408,7 +483,7 @@ def test_jsonl_save_is_crash_atomic(tmp_path, monkeypatch):
     path = str(tmp_path / "log.jsonl")
     first = _grow_store(5)
     first.save(path, format="jsonl")
-    before = open(path, encoding="utf-8").read()
+    before = Path(path).read_text(encoding="utf-8")
 
     class Boom(RuntimeError):
         pass
@@ -420,7 +495,7 @@ def test_jsonl_save_is_crash_atomic(tmp_path, monkeypatch):
     with pytest.raises(Boom):
         second.save(path, format="jsonl")
     monkeypatch.undo()
-    assert open(path, encoding="utf-8").read() == before
+    assert Path(path).read_text(encoding="utf-8") == before
     assert not [p for p in os.listdir(tmp_path) if ".tmp." in p]
 
 
@@ -428,7 +503,7 @@ def test_segment_save_is_crash_atomic(tmp_path, monkeypatch):
     path = str(tmp_path / "log.seg")
     first = _grow_store(5)
     first.save(path, format="segment")
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
 
     class Boom(RuntimeError):
         pass
@@ -438,7 +513,7 @@ def test_segment_save_is_crash_atomic(tmp_path, monkeypatch):
     with pytest.raises(Boom):
         second.save(path, format="segment")
     monkeypatch.undo()
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert not [p for p in os.listdir(tmp_path) if ".tmp." in p]
 
 
@@ -450,7 +525,7 @@ def test_atomic_write_cleans_up_on_error(tmp_path):
         with atomic_write(target) as handle:
             handle.write("partial")
             raise ValueError("boom")
-    assert open(target, encoding="utf-8").read() == "original"
+    assert Path(target).read_text(encoding="utf-8") == "original"
     assert os.listdir(tmp_path) == ["out.txt"]
 
 

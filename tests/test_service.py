@@ -503,6 +503,15 @@ class TestMetrics:
         with pytest.raises(ValueError):
             percentile(values, -1)
 
+    def test_p99_of_a_concatenation_can_exceed_every_parts_p99(self):
+        # Why a fleet roll-up is not bounded by its worst shard's p99.
+        a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 10.0]
+        b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.9]
+        assert percentile(a, 99) == pytest.approx(9.79)
+        assert percentile(b, 99) == pytest.approx(9.697)
+        assert percentile(a + b, 99) == pytest.approx(9.985)
+        assert percentile(a + b, 99) > max(percentile(a, 99), percentile(b, 99))
+
     def test_snapshot_shape_and_telemetry_wiring(self, service_runner):
         facts = list(service_runner.dataset("factbench"))[:6]
         telemetry = service_runner.telemetry

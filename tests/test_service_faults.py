@@ -448,15 +448,6 @@ class TestDrainAcrossShards:
 # ------------------------------------------------------------- geo tier faults
 
 
-def _release(*fleets) -> None:
-    """Close the segment readers behind stores loaded from disk (a loaded
-    store reads its file lazily for as long as it lives) — CI runs this
-    file with an unclosed handle as an error."""
-    for fleet in fleets:
-        for store in fleet.shards if hasattr(fleet, "shards") else fleet.stores:
-            store.log.reader.close()
-
-
 class TestGeoTierFaults:
     """The async geo tier under faults: crash-resume, partition, restart."""
 
@@ -631,7 +622,6 @@ class TestGeoTierFaults:
             include_index=False
         )
         geo.close()
-        _release(restored)
 
     def test_primary_restart_preserves_queued_unshipped_batches(self, tmp_path):
         """Queued-but-unshipped batches and reported watermarks survive a
@@ -663,7 +653,6 @@ class TestGeoTierFaults:
             include_index=False
         )
         resumed.close()
-        _release(restored)
 
     def test_resume_refuses_a_queue_ahead_of_the_restored_primary(self, tmp_path):
         """A primary restored from a save older than its last write would
@@ -691,7 +680,6 @@ class TestGeoTierFaults:
             ReplicaDivergedError, match=r"shard 0 holds epoch 3 .* resumed at epoch 1"
         ):
             GeoReplicator.resume(restored, queue_dir)
-        _release(restored)
 
     def test_resume_after_a_save_at_the_last_write_keeps_shipping(self, tmp_path):
         """The passing twin: the primary was saved after its last write, so
@@ -721,7 +709,6 @@ class TestGeoTierFaults:
             include_index=False
         )
         resumed.close()
-        _release(restored, edge)
 
     def test_partitioned_edge_serves_stale_stamped_reads_and_sessions_route_around(
         self, fault_runner
@@ -1193,4 +1180,3 @@ class TestDurableCommit:
             include_index=False
         )
         resumed.close()
-        _release(restored)

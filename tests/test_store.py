@@ -24,6 +24,7 @@ import inspect
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -362,8 +363,40 @@ class TestGraphCopy:
         assert len(graph) == 0 and len(clone) == 2
 
 
-# ---------------------------------------------------------------------------
-# one durable format
+class TestCoreOnlyGraphs:
+    def test_no_store_path_builds_string_indexes_nobody_asked_for(self, tmp_path):
+        """A new store, a from-zero replay, a snapshot, a load, the re-intern
+        and a compaction each hand back a graph that is its interned core
+        until a string-level query runs."""
+        store = VersionedKnowledgeStore.bootstrap(
+            _triples(200), _documents(10), config=StoreConfig(graph_rebuild_fraction=0.05)
+        )
+        assert not store.graph.hydrated
+        report = store.apply(
+            [Mutation.remove_triple(*t.as_tuple()) for t in list(store.graph)[:40]]
+        )
+        assert report.graph_rebuilt
+        from_zero = store.log.fork()  # a plain log: replay starts at epoch 0
+        path = str(tmp_path / "s")
+        store.save(path)
+        replayed = VersionedKnowledgeStore.replay(from_zero, config=store.config)
+        compacted = VersionedKnowledgeStore.load(path)
+        compacted.compact()
+        graphs = {
+            "new": KnowledgeGraph(),
+            "re-interned": store.graph,
+            "replay from zero": replayed.graph,
+            "historical snapshot": store.snapshot(1).graph,
+            "current snapshot": store.snapshot().graph,
+            "load": VersionedKnowledgeStore.load(path).graph,
+            "compact": compacted.graph,
+        }
+        for how, graph in graphs.items():
+            assert not graph.hydrated, how
+        for how, graph in graphs.items():
+            graph.predicates()
+            assert graph.hydrated, how
+
 
 
 def _digest(store: VersionedKnowledgeStore) -> str:
@@ -483,7 +516,7 @@ class TestOneDurableFormat:
         store.apply([Mutation.remove_triple(*t.as_tuple()) for t in list(store.graph)[:20]])
         store.save(segment)
         assert "(jsonl)" in _cli("convert", "--store", segment, "--output", exported)
-        assert json.loads(open(exported).readline())["kind"] == "header"
+        assert json.loads(Path(exported).read_text().splitlines()[0])["kind"] == "header"
         assert "(segment)" in _cli("convert", "--store", exported, "--output", imported)
         reloaded = VersionedKnowledgeStore.load(imported)
         assert _digest(reloaded) == _digest(store)

@@ -185,9 +185,13 @@ def test_unsharded_history_replay_and_snapshots(seed, tmp_path):
     store = VersionedKnowledgeStore.bootstrap(triples=triples, documents=documents)
     _ = store.search_engine
     digests_by_epoch = {store.epoch: store.state_digest()}
+    views_by_epoch = {}
     for batch in batches:
         store.apply(batch)
         digests_by_epoch[store.epoch] = store.state_digest()
+        views_by_epoch[store.epoch] = (
+            store.graph.state_digest(), [d.doc_id for d in store.corpus]
+        )
 
     # Full replay reproduces the head digest...
     twin = VersionedKnowledgeStore.replay(store.log, config=store.config)
@@ -203,9 +207,13 @@ def test_unsharded_history_replay_and_snapshots(seed, tmp_path):
         )
     # ...and a save/load round-trip preserves all of it.
     path = str(tmp_path / "store.jsonl")
-    store.save(path)
+    store.save(path, checkpoint_interval=25)
     loaded = VersionedKnowledgeStore.load(path)
     assert loaded.state_digest() == store.state_digest()
+    # ...and the saved store, which now seeks its own file's checkpoints.
+    for epoch, view in views_by_epoch.items():
+        snapshot = store.snapshot(epoch)
+        assert (snapshot.graph.state_digest(), [d.doc_id for d in snapshot.corpus]) == view
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12, 13])
