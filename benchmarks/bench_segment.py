@@ -3,8 +3,8 @@
 The segment file is the store's one durable format; the JSONL export
 replayed from zero is the reference the floors are measured against.  The
 reference is the seed's replay, kept inline (:func:`_seed_replay`): its
-graph maintains the SPO/POS/OSP string indexes from the first record on,
-as ``KnowledgeGraph()`` did when the floors were set.  Today's
+graph maintains the string indexes from the first record on, as
+``KnowledgeGraph()`` did when the floors were set.  Today's
 ``VersionedKnowledgeStore.replay`` builds only the interned core, so
 timing it would move the reference with the code it measures; its ratio is
 printed beside the floor, unasserted.

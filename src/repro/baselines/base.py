@@ -58,9 +58,6 @@ class GraphFactChecker(ABC):
     def score(self, subject: str, predicate: str, obj: str) -> float:
         """Truth score in ``[0, 1]`` for the candidate triple."""
 
-    def classify(self, subject: str, predicate: str, obj: str) -> bool:
-        return self.score(subject, predicate, obj) >= self.threshold
-
     def validate(self, fact: LabeledFact) -> ValidationResult:
         """Adapter so graph baselines produce the same result records as LLM strategies."""
         start = time.perf_counter()

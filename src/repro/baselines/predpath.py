@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..datasets.base import LabeledFact
 from ..kg.graph import KnowledgeGraph
@@ -45,7 +45,6 @@ class PredPath(GraphFactChecker):
         # Per-predicate signature weights plus a per-predicate bias.
         self._weights: Dict[str, Dict[PathSignature, float]] = defaultdict(dict)
         self._bias: Dict[str, float] = {}
-        self._trained_predicates: set = set()
 
     # -- training ---------------------------------------------------------------
 
@@ -91,11 +90,6 @@ class PredPath(GraphFactChecker):
         total = num_positive + num_negative
         prior = (num_positive + self.smoothing) / (total + 2 * self.smoothing) if total else 0.5
         self._bias[predicate] = math.log(prior / (1.0 - prior))
-        self._trained_predicates.add(predicate)
-
-    @property
-    def trained_predicates(self) -> set:
-        return set(self._trained_predicates)
 
     # -- scoring ---------------------------------------------------------------------
 

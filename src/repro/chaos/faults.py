@@ -51,8 +51,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .clock import Clock, MonotonicClock
 
@@ -288,7 +288,7 @@ class _ActiveFault:
 class FaultInjector:
     """Evaluates a :class:`FaultSchedule` at named fault points.
 
-    The injector is lazy: :meth:`fire` / :meth:`check` first roll the
+    The injector is lazy: :meth:`fire` first rolls the
     schedule forward to ``clock.now()`` (activating due events, retiring
     cleared ones), then apply whatever is active at the given point.  The
     error-fault RNG is seeded, so a single-threaded replay of the same
@@ -375,23 +375,6 @@ class FaultInjector:
             self._consumed_kills.add(coordinates)
             due.append(coordinates)
         return due
-
-    def check(self, point: str) -> None:
-        """Synchronous fault point: raise-only faults (``kill``/``error``).
-
-        For code that cannot await; ``stall``/``slow`` faults are ignored
-        here — a synchronous sleep would block the whole event loop, which
-        is a worse lie than skipping the injection.
-        """
-        self.fired += 1
-        for event in self.active_for(point):
-            kind = event.fault.kind
-            if kind == KILL:
-                self.injected[KILL] += 1
-                raise InjectedFaultError(point, KILL)
-            if kind == ERROR and self._rng.random() < event.fault.rate:
-                self.injected[ERROR] += 1
-                raise InjectedFaultError(point, ERROR, f"rate={event.fault.rate}")
 
     async def fire(self, point: str) -> None:
         """Asynchronous fault point: applies every active fault at ``point``.

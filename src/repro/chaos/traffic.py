@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..datasets.base import FactDataset, LabeledFact
@@ -112,10 +112,6 @@ class TrafficSpec:
             raise ValueError("write_fraction must be in [0, 1)")
         if self.write_batch_size < 1:
             raise ValueError("write_batch_size must be >= 1")
-
-    def with_requests(self, requests: int) -> "TrafficSpec":
-        """This spec resized to a scenario's per-cell request count."""
-        return replace(self, requests=requests)
 
 
 def _hot_set(facts: Sequence[LabeledFact], fraction: float, rng: random.Random) -> List[LabeledFact]:

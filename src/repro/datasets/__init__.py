@@ -11,7 +11,6 @@ from .base import FactDataset, LabeledFact
 from .builders import DatasetBuilder, DatasetSpec
 from .dbpedia import build_dbpedia, dbpedia_spec, predicate_alias_pool
 from .factbench import FACTBENCH_PREDICATES, build_factbench, factbench_spec
-from .loaders import fact_from_record, fact_to_record, load_dataset, save_dataset
 from .statistics import (
     DatasetStatistics,
     SimilarityDistribution,
@@ -35,12 +34,8 @@ __all__ = [
     "build_yago",
     "compute_statistics",
     "dbpedia_spec",
-    "fact_from_record",
-    "fact_to_record",
     "factbench_spec",
-    "load_dataset",
     "predicate_alias_pool",
-    "save_dataset",
     "statistics_table",
     "summarize_similarities",
     "yago_spec",

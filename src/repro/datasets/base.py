@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..kg.triples import Triple
 
@@ -62,9 +61,6 @@ class LabeledFact:
         """The world-schema predicate this fact's (possibly aliased) predicate maps to."""
         return self.canonical_predicate or self.predicate_name
 
-    def with_label(self, label: bool) -> "LabeledFact":
-        return replace(self, label=label)
-
 
 class FactDataset:
     """An ordered collection of :class:`LabeledFact` with summary statistics."""
@@ -118,16 +114,7 @@ class FactDataset:
         counts = Counter(fact.label for fact in self._facts)
         return {True: counts.get(True, 0), False: counts.get(False, 0)}
 
-    def predicate_distribution(self) -> Dict[str, int]:
-        return dict(Counter(fact.predicate_name for fact in self._facts))
-
-    def topic_distribution(self) -> Dict[str, int]:
-        return dict(Counter(fact.topic for fact in self._facts))
-
     # -- selection --------------------------------------------------------------
-
-    def filter(self, predicate: Callable[[LabeledFact], bool]) -> "FactDataset":
-        return FactDataset(self.name, [fact for fact in self._facts if predicate(fact)])
 
     def sample(self, count: int, seed: int = 0) -> "FactDataset":
         """Deterministic stratified subsample preserving the label balance.
@@ -165,12 +152,6 @@ class FactDataset:
             FactDataset(f"{self.name}-train", shuffled[:cut]),
             FactDataset(f"{self.name}-test", shuffled[cut:]),
         )
-
-    def by_predicate(self) -> Dict[str, List[LabeledFact]]:
-        grouped: Dict[str, List[LabeledFact]] = defaultdict(list)
-        for fact in self._facts:
-            grouped[fact.predicate_name].append(fact)
-        return dict(grouped)
 
     def summary(self) -> Dict[str, float]:
         """The Table 2 row for this dataset."""

@@ -1,6 +1,6 @@
 """Evaluation and analysis: metrics, efficiency, Pareto, UpSet, error taxonomy."""
 
-from .efficiency import TimingSummary, average_response_time, iqr_filter, summarize_latencies
+from .efficiency import average_response_time, iqr_filter
 from .error_analysis import (
     ERROR_CATEGORIES,
     ErrorAnalysis,
@@ -11,7 +11,6 @@ from .error_analysis import (
 from .metrics import (
     ClasswiseF1,
     ConfusionCounts,
-    accuracy,
     classwise_f1,
     classwise_f1_from_run,
     confusion_counts,
@@ -32,7 +31,6 @@ from .reporting import (
 )
 from .upset import (
     IntersectionCell,
-    all_model_intersection_size,
     exclusive_intersections,
     upset_intersections,
 )
@@ -45,14 +43,11 @@ __all__ = [
     "ErrorAnalyzer",
     "ErrorRecord",
     "IntersectionCell",
-    "TimingSummary",
     "BootstrapInterval",
     "McNemarResult",
     "bootstrap_f1_interval",
     "mcnemar_test",
     "TradeoffPoint",
-    "accuracy",
-    "all_model_intersection_size",
     "average_response_time",
     "build_tradeoff_points",
     "classwise_f1",
@@ -71,7 +66,6 @@ __all__ = [
     "pareto_frontier",
     "precision_recall_f1",
     "random_guess_f1",
-    "summarize_latencies",
     "unique_ratio",
     "upset_intersections",
 ]

@@ -7,32 +7,11 @@ do not distort the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["TimingSummary", "iqr_filter", "average_response_time", "summarize_latencies"]
-
-
-@dataclass(frozen=True)
-class TimingSummary:
-    """Latency statistics for one (method, model, dataset) combination."""
-
-    mean_seconds: float
-    median_seconds: float
-    p95_seconds: float
-    raw_count: int
-    filtered_count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "mean_seconds": self.mean_seconds,
-            "median_seconds": self.median_seconds,
-            "p95_seconds": self.p95_seconds,
-            "raw_count": self.raw_count,
-            "filtered_count": self.filtered_count,
-        }
+__all__ = ["iqr_filter", "average_response_time"]
 
 
 def iqr_filter(values: Sequence[float], multiplier: float = 1.5) -> List[float]:
@@ -59,19 +38,3 @@ def average_response_time(latencies: Sequence[float], multiplier: float = 1.5) -
     if not filtered:
         return 0.0
     return float(np.mean(filtered))
-
-
-def summarize_latencies(latencies: Sequence[float], multiplier: float = 1.5) -> TimingSummary:
-    """Full latency summary (mean after filtering, plus quantiles)."""
-    raw = [float(value) for value in latencies]
-    filtered = iqr_filter(raw, multiplier)
-    if not filtered:
-        return TimingSummary(0.0, 0.0, 0.0, len(raw), 0)
-    array = np.asarray(filtered)
-    return TimingSummary(
-        mean_seconds=float(np.mean(array)),
-        median_seconds=float(np.median(array)),
-        p95_seconds=float(np.percentile(array, 95)),
-        raw_count=len(raw),
-        filtered_count=len(filtered),
-    )

@@ -23,9 +23,9 @@ space, a faithful lightweight stand-in for the UMAP+HDBSCAN step.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -44,15 +44,6 @@ __all__ = [
 ]
 
 ERROR_CATEGORIES: Tuple[str, ...] = ("E1", "E2", "E3", "E4", "E5", "E6")
-
-_CATEGORY_LABELS: Dict[str, str] = {
-    "E1": "Unlabeled (context missing the asserted details)",
-    "E2": "Relationship errors",
-    "E3": "Role attribution errors",
-    "E4": "Geographic/nationality errors",
-    "E5": "Genre/classification errors",
-    "E6": "Identifier/biographical errors",
-}
 
 # Keyword anchors per category, applied to the LLM-generated explanation.
 _CATEGORY_KEYWORDS: Dict[str, Tuple[str, ...]] = {
@@ -122,10 +113,6 @@ class ErrorAnalysis:
             all_fact_models[record.fact_id].add(record.model)
         ratios["total"] = unique_ratio(all_fact_models)
         return ratios
-
-    def counts_by_topic(self) -> Dict[str, int]:
-        """Errors per topic partition (the DBpedia stratified analysis)."""
-        return dict(Counter(record.fact_id.split("-")[0] for record in self.records))
 
 
 def unique_ratio(fact_models: Mapping[str, set]) -> float:
@@ -236,7 +223,3 @@ class ErrorAnalyzer:
             model = models[model_name]
             analysis.records.extend(self.analyze_run(run, dataset, model))
         return analysis
-
-    @staticmethod
-    def category_label(category: str) -> str:
-        return _CATEGORY_LABELS.get(category, category)

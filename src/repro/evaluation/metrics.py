@@ -8,7 +8,7 @@ independently for the "True" and "False" labels so that class imbalance
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "ConfusionCounts",
@@ -17,7 +17,6 @@ __all__ = [
     "precision_recall_f1",
     "classwise_f1",
     "classwise_f1_from_run",
-    "accuracy",
     "random_guess_f1",
 ]
 
@@ -127,18 +126,6 @@ def classwise_f1(
 def classwise_f1_from_run(run) -> ClasswiseF1:
     """Convenience wrapper for :class:`~repro.validation.base.ValidationRun`."""
     return classwise_f1(run.predictions(), run.gold())
-
-
-def accuracy(predictions: Mapping[str, Optional[bool]], gold: Mapping[str, bool]) -> float:
-    """Simple accuracy over answered items (unanswered count as wrong)."""
-    if not gold:
-        return 0.0
-    correct = sum(
-        1
-        for fact_id, label in gold.items()
-        if predictions.get(fact_id) is not None and predictions[fact_id] == label
-    )
-    return correct / len(gold)
 
 
 def random_guess_f1(positive_rate: float, guess_positive_rate: float = 0.5) -> Tuple[float, float]:

@@ -10,14 +10,12 @@ models complement each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 __all__ = [
     "IntersectionCell",
     "upset_intersections",
     "exclusive_intersections",
-    "all_model_intersection_size",
 ]
 
 
@@ -69,12 +67,3 @@ def upset_intersections(
         if len(items) >= min_count
     ]
     return sorted(bars, key=lambda cell: (-cell.count, cell.models))
-
-
-def all_model_intersection_size(correct_by_model: Mapping[str, Sequence[str]]) -> int:
-    """Size of the intersection containing every model (the paper's headline cell)."""
-    sets = [set(items) for items in correct_by_model.values()]
-    if not sets:
-        return 0
-    common = set.intersection(*sets)
-    return len(common)

@@ -3,8 +3,8 @@
 This package plays the role of the real KGs (DBpedia, YAGO, Freebase) that
 the paper's datasets are drawn from: it stores triples with their
 source-specific encodings, exposes the path/degree queries needed by the
-internal KG-based fact-checking baselines, enforces schema constraints for
-negative-example generation, and verbalizes triples into natural language.
+internal KG-based fact-checking baselines, states the schema constraints the
+ontology-rule screener applies, and verbalizes triples into natural language.
 """
 
 from .graph import KnowledgeGraph, Path, PathStep
@@ -20,9 +20,8 @@ from .namespaces import (
     encode_label,
     split_camel_case,
 )
-from .rdf_io import load_ntriples, parse_triple_line, save_ntriples, serialize_triple
 from .sampling import CorruptedFact, CorruptionStrategy, NegativeSampler
-from .schema import Ontology, SchemaViolation, default_ontology
+from .schema import Ontology, default_ontology
 from .triples import Triple
 from .verbalization import Verbalizer
 
@@ -38,7 +37,6 @@ __all__ = [
     "Ontology",
     "Path",
     "PathStep",
-    "SchemaViolation",
     "Triple",
     "Verbalizer",
     "YAGO_ENCODING",
@@ -47,9 +45,5 @@ __all__ = [
     "decode_predicate",
     "default_ontology",
     "encode_label",
-    "load_ntriples",
-    "parse_triple_line",
-    "save_ntriples",
-    "serialize_triple",
     "split_camel_case",
 ]

@@ -3,8 +3,7 @@
 The internal KG-based baselines (KStream, KLinker, PredPath) and the
 rule-based checker operate directly over a knowledge graph: they need fast
 neighbour expansion, degree statistics, and bounded path enumeration.  This
-module provides a lightweight in-memory triple store with SPO/POS/OSP
-indexes and a NetworkX export for the flow-based baseline.
+module provides a lightweight in-memory triple store with SPO/POS indexes.
 
 Internally every node and predicate is interned to a small integer and the
 adjacency is kept as per-node edge lists over those integers, so the hot
@@ -16,7 +15,7 @@ branch that provably cannot meet the target within the hop budget.  The
 result (content *and* order) is identical to a plain forward BFS.
 
 The interned **core** (interning tables + per-node edge lists) is the
-graph's source of truth; the string-keyed SPO/POS/OSP indexes and the
+graph's source of truth; the string-keyed SPO/POS indexes and the
 triple set are *derived* views, rebuilt from the core on demand.  Every
 graph — new or restored from a storage-engine checkpoint
 (:meth:`KnowledgeGraph.from_core_state`) — starts with the core only and
@@ -30,12 +29,9 @@ see ``docs/architecture.md``).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .triples import Triple
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["KnowledgeGraph", "Path", "PathStep"]
 
@@ -53,7 +49,7 @@ class KnowledgeGraph:
 
     #: Derived string-index attributes, absent until the first string-level
     #: query hydrates them from the interned core.
-    _DERIVED = ("_triples", "_spo", "_pos", "_osp")
+    _DERIVED = ("_triples", "_spo", "_pos")
 
     def __init__(self, name: str = "kg") -> None:
         self.name = name
@@ -78,7 +74,7 @@ class KnowledgeGraph:
     def __getattr__(self, name: str):
         # Only reached when an attribute is *missing*: a graph carries the
         # interned core only until the first access to a derived string
-        # index materialises all four in one pass.
+        # index materialises all three in one pass.
         if name in KnowledgeGraph._DERIVED:
             self._hydrate()
             return self.__dict__[name]
@@ -93,11 +89,10 @@ class KnowledgeGraph:
         return "_triples" in self.__dict__
 
     def _hydrate(self) -> None:
-        """Build the triple set and SPO/POS/OSP indexes from the core."""
+        """Build the triple set and SPO/POS indexes from the core."""
         triples: Set[Triple] = set()
         spo: Dict[str, Dict[str, Set[str]]] = {}
         pos: Dict[str, Dict[str, Set[str]]] = {}
-        osp: Dict[str, Dict[str, Set[str]]] = {}
         names, preds = self._node_names, self._pred_names
         for s_id, edges in enumerate(self._out):
             if not edges:
@@ -109,11 +104,9 @@ class KnowledgeGraph:
                 triples.add(Triple(s, p, o))
                 s_spo.setdefault(p, set()).add(o)
                 pos.setdefault(p, {}).setdefault(o, set()).add(s)
-                osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        # ``_triples`` last: ``hydrated`` and ``add`` read it as "all four".
+        # ``_triples`` last: ``hydrated`` and ``add`` read it as "all three".
         self._spo = spo
         self._pos = pos
-        self._osp = osp
         self._triples = triples
 
     # -- interning ----------------------------------------------------------
@@ -170,7 +163,6 @@ class KnowledgeGraph:
             self._triples.add(triple)
             self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
             self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-            self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         s_id = self._intern_node(s)
         o_id = self._intern_node(o)
         p_id = self._intern_predicate(p)
@@ -194,7 +186,6 @@ class KnowledgeGraph:
             self._triples.discard(triple)
             self._discard_index(self._spo, s, p, o)
             self._discard_index(self._pos, p, o, s)
-            self._discard_index(self._osp, o, s, p)
         s_id = self._node_ids[s]
         o_id = self._node_ids[o]
         p_id = self._pred_ids[p]
@@ -255,9 +246,6 @@ class KnowledgeGraph:
     def subjects(self, predicate: str, obj: str) -> List[str]:
         return sorted(self._pos.get(predicate, {}).get(obj, ()))
 
-    def predicates_between(self, subject: str, obj: str) -> List[str]:
-        return sorted(self._osp.get(obj, {}).get(subject, ()))
-
     def triples_with_predicate(self, predicate: str) -> List[Triple]:
         result = []
         for obj, subjects in self._pos.get(predicate, {}).items():
@@ -274,22 +262,6 @@ class KnowledgeGraph:
             for name, node_id in self._node_ids.items()
             if self._out[node_id] or self._in[node_id]
         )
-
-    def out_edges(self, node: str) -> List[Tuple[str, str]]:
-        """Outgoing ``(predicate, object)`` pairs for a node."""
-        node_id = self._node_ids.get(node)
-        if node_id is None:
-            return []
-        names, preds = self._node_names, self._pred_names
-        return [(preds[p], names[o]) for p, o in self._out[node_id]]
-
-    def in_edges(self, node: str) -> List[Tuple[str, str]]:
-        """Incoming ``(predicate, subject)`` pairs for a node."""
-        node_id = self._node_ids.get(node)
-        if node_id is None:
-            return []
-        names, preds = self._node_names, self._pred_names
-        return [(preds[p], names[s]) for p, s in self._in[node_id]]
 
     def degree(self, node: str) -> int:
         node_id = self._node_ids.get(node)
@@ -426,16 +398,7 @@ class KnowledgeGraph:
         """
         return tuple((predicate, direction) for predicate, direction, __ in path)
 
-    # -- exports --------------------------------------------------------------
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export to a NetworkX multigraph (used by the max-flow baseline)."""
-        import networkx as nx  # only this export needs it
-
-        graph = nx.MultiDiGraph(name=self.name)
-        for triple in self._triples:
-            graph.add_edge(triple.subject, triple.object, predicate=triple.predicate)
-        return graph
+    # -- copies ---------------------------------------------------------------
 
     def copy(self) -> "KnowledgeGraph":
         """Structure-preserving clone: interning tables and edge order included.
@@ -458,10 +421,6 @@ class KnowledgeGraph:
             clone._pos = {
                 p: {o: set(subs) for o, subs in inner.items()}
                 for p, inner in self._pos.items()
-            }
-            clone._osp = {
-                o: {s: set(preds) for s, preds in inner.items()}
-                for o, inner in self._osp.items()
             }
         clone._node_ids = dict(self._node_ids)
         clone._node_names = list(self._node_names)
@@ -498,7 +457,7 @@ class KnowledgeGraph:
         """Rebuild a graph from :meth:`core_state` output, **lazily**.
 
         Only the interned core is materialised; the triple set and the
-        SPO/POS/OSP string indexes hydrate on first access, so a
+        SPO/POS string indexes hydrate on first access, so a
         checkpoint-restored graph can serve traversal queries
         (``find_paths``, ``neighbors``, ``contains``) without paying for
         them.  The caller owns the containers afterwards.

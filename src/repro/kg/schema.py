@@ -1,62 +1,27 @@
-"""Ontology / schema layer: classes, domain-range constraints, A-Box vs T-Box.
+"""Ontology / schema layer: domain-range and functionality constraints.
 
-FactBench generates its negative examples "ensuring adherence to domain and
-range constraints", and the DBpedia dataset excludes T-Box (schema-level)
-triples, keeping only A-Box assertions.  Both behaviours need an explicit
-schema, which this module provides on top of the world-model relation specs.
+The paper proposes screening facts with the KG's ontology ("transitivity,
+domain/range constraints, and other properties").  This module states those
+constraints on top of the world-model relation specs;
+:class:`~repro.validation.rules.OntologyRuleChecker` is the one checker that
+applies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Optional
 
 from ..worldmodel.entities import RELATIONS, EntityType, RelationSpec
-from .triples import Triple
 
-__all__ = ["Ontology", "SchemaViolation", "default_ontology"]
-
-
-@dataclass(frozen=True)
-class SchemaViolation:
-    """A single constraint violation found while validating a triple."""
-
-    triple: Triple
-    constraint: str
-    detail: str
+__all__ = ["Ontology", "default_ontology"]
 
 
 @dataclass
 class Ontology:
-    """Domain/range and cardinality constraints over known predicates.
-
-    The ontology also distinguishes A-Box assertions (facts about
-    individuals) from T-Box axioms (facts about the schema itself, e.g.
-    ``rdfs:subClassOf`` statements), because the DBpedia evaluation dataset
-    retains only A-Box triples.
-    """
+    """Domain/range and cardinality constraints over known predicates."""
 
     relations: Dict[str, RelationSpec] = field(default_factory=lambda: dict(RELATIONS))
-    tbox_predicates: Set[str] = field(
-        default_factory=lambda: {
-            "rdfs:subClassOf",
-            "rdfs:subPropertyOf",
-            "rdfs:domain",
-            "rdfs:range",
-            "owl:equivalentClass",
-            "owl:disjointWith",
-        }
-    )
-
-    def knows_predicate(self, predicate: str) -> bool:
-        return predicate in self.relations or predicate in self.tbox_predicates
-
-    def is_tbox(self, predicate: str) -> bool:
-        """T-Box predicates describe the schema, not individuals."""
-        return predicate in self.tbox_predicates
-
-    def is_abox(self, predicate: str) -> bool:
-        return predicate in self.relations
 
     def domain_of(self, predicate: str) -> Optional[EntityType]:
         spec = self.relations.get(predicate)
@@ -69,73 +34,6 @@ class Ontology:
     def is_functional(self, predicate: str) -> bool:
         spec = self.relations.get(predicate)
         return bool(spec and spec.functional)
-
-    def predicates_with_signature(
-        self, domain: Optional[EntityType] = None, range_: Optional[EntityType] = None
-    ) -> List[str]:
-        """Predicates whose domain/range match the given types (None = any)."""
-        matches = []
-        for name, spec in sorted(self.relations.items()):
-            if domain is not None and spec.domain != domain:
-                continue
-            if range_ is not None and spec.range != range_:
-                continue
-            matches.append(name)
-        return matches
-
-    def validate_triple(
-        self,
-        triple: Triple,
-        subject_type: Optional[EntityType],
-        object_type: Optional[EntityType],
-    ) -> List[SchemaViolation]:
-        """Check a triple against the schema.
-
-        Returns an empty list when the triple is schema-conformant.  Unknown
-        predicates yield a single ``unknown-predicate`` violation; unknown
-        entity types are treated leniently (no violation), mirroring how
-        open-world KGs handle untyped resources.
-        """
-        violations: List[SchemaViolation] = []
-        spec = self.relations.get(triple.predicate)
-        if spec is None:
-            if triple.predicate not in self.tbox_predicates:
-                violations.append(
-                    SchemaViolation(triple, "unknown-predicate", triple.predicate)
-                )
-            return violations
-        if subject_type is not None and subject_type != spec.domain:
-            violations.append(
-                SchemaViolation(
-                    triple,
-                    "domain",
-                    f"expected {spec.domain.value}, got {subject_type.value}",
-                )
-            )
-        if object_type is not None and object_type != spec.range:
-            violations.append(
-                SchemaViolation(
-                    triple,
-                    "range",
-                    f"expected {spec.range.value}, got {object_type.value}",
-                )
-            )
-        return violations
-
-    def check_functionality(
-        self, predicate: str, existing_objects: Iterable[str], new_object: str
-    ) -> Optional[SchemaViolation]:
-        """Flag a second object for a functional predicate."""
-        if not self.is_functional(predicate):
-            return None
-        existing = [obj for obj in existing_objects if obj != new_object]
-        if existing:
-            return SchemaViolation(
-                Triple("?", predicate, new_object),
-                "functional",
-                f"{predicate} already has object(s) {existing}",
-            )
-        return None
 
 
 def default_ontology() -> Ontology:

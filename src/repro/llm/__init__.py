@@ -6,7 +6,7 @@ grounded in the shared world model and calibrated per-model via
 :class:`ModelProfile`.
 """
 
-from .base import GenerationError, LLMClient, LLMResponse
+from .base import LLMClient, LLMResponse
 from .profiles import (
     ALL_PROFILES,
     COMMERCIAL_MODELS,
@@ -16,30 +16,26 @@ from .profiles import (
     get_profile,
     upgrade_of,
 )
-from .registry import ModelRegistry, create_model, create_models, default_open_source_names
+from .registry import ModelRegistry, create_model
 from .simulated import SimulatedLLM
 from .telemetry import CallRecord, TelemetryCollector, UsageSummary
-from .tokenizer import SimpleTokenizer, count_tokens
+from .tokenizer import count_tokens
 
 __all__ = [
     "ALL_PROFILES",
     "COMMERCIAL_MODELS",
     "CallRecord",
-    "GenerationError",
     "LLMClient",
     "LLMResponse",
     "ModelProfile",
     "ModelRegistry",
     "OPEN_SOURCE_MODELS",
-    "SimpleTokenizer",
     "SimulatedLLM",
     "TelemetryCollector",
     "UPGRADE_VARIANTS",
     "UsageSummary",
     "count_tokens",
     "create_model",
-    "create_models",
-    "default_open_source_names",
     "get_profile",
     "upgrade_of",
 ]

@@ -15,14 +15,10 @@ substitution point between "real LLM" and "simulated LLM".
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-__all__ = ["LLMResponse", "LLMClient", "GenerationError"]
-
-
-class GenerationError(RuntimeError):
-    """Raised when a client cannot produce a response for a prompt."""
+__all__ = ["LLMResponse", "LLMClient"]
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,6 @@ class ModelProfile:
     completion_token_rate_s: float
     verbosity: int = 30
 
-    def with_name(self, name: str) -> "ModelProfile":
-        return replace(self, name=name)
-
 
 OPEN_SOURCE_MODELS: Dict[str, ModelProfile] = {
     profile.name: profile

@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from ..worldmodel.generator import World
-from .base import LLMClient
-from .profiles import ALL_PROFILES, OPEN_SOURCE_MODELS, get_profile, upgrade_of
+from .profiles import get_profile, upgrade_of
 from .simulated import SimulatedLLM
 
-__all__ = ["create_model", "create_models", "default_open_source_names", "ModelRegistry"]
-
-
-def default_open_source_names() -> List[str]:
-    """The four open-source backbone models evaluated throughout the paper."""
-    return list(OPEN_SOURCE_MODELS)
+__all__ = ["create_model", "ModelRegistry"]
 
 
 def create_model(name: str, world: World, seed: int = 0) -> SimulatedLLM:
@@ -26,11 +20,6 @@ def create_model(name: str, world: World, seed: int = 0) -> SimulatedLLM:
         When the name is not in the benchmark's model zoo.
     """
     return SimulatedLLM(get_profile(name), world, seed=seed)
-
-
-def create_models(names: Sequence[str], world: World, seed: int = 0) -> Dict[str, SimulatedLLM]:
-    """Instantiate a set of models, keyed by name."""
-    return {name: create_model(name, world, seed=seed) for name in names}
 
 
 class ModelRegistry:
@@ -52,12 +41,6 @@ class ModelRegistry:
             self._cache[name] = create_model(name, self.world, seed=self.seed)
         return self._cache[name]
 
-    def open_source_models(self) -> Dict[str, SimulatedLLM]:
-        return {name: self.get(name) for name in default_open_source_names()}
-
     def upgrade_for(self, base_name: str) -> SimulatedLLM:
         """The larger tie-breaker variant of ``base_name`` (e.g. 9B -> 27B)."""
         return self.get(upgrade_of(base_name).name)
-
-    def available(self) -> List[str]:
-        return sorted(ALL_PROFILES)

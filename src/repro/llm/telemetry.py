@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
 from .base import LLMResponse
 
@@ -135,13 +135,6 @@ class TelemetryCollector:
         self, model: Optional[str] = None, task: Optional[str] = None
     ) -> UsageSummary:
         return UsageSummary.from_records(self.records(model, task))
-
-    def by_task(self) -> Dict[str, UsageSummary]:
-        """Per-task aggregation (the shape of the paper's Table 3)."""
-        grouped: Dict[str, List[CallRecord]] = defaultdict(list)
-        for record in self.records():
-            grouped[record.task].append(record)
-        return {task: UsageSummary.from_records(items) for task, items in sorted(grouped.items())}
 
     def by_model(self) -> Dict[str, UsageSummary]:
         grouped: Dict[str, List[CallRecord]] = defaultdict(list)

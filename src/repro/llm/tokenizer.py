@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import List
 
-__all__ = ["SimpleTokenizer", "count_tokens"]
+__all__ = ["count_tokens"]
 
 # One token = up to six ASCII alphanumerics (a greedy ``{1,6}`` cuts a long
 # word into the same fixed-size chunks slicing would) or one other
@@ -32,19 +31,3 @@ _MEMO_SIZE = 1024
 def count_tokens(text: str) -> int:
     """Number of tokens in ``text`` (exact; memoised per distinct text)."""
     return len(_TOKEN_RE.findall(text))
-
-
-class SimpleTokenizer:
-    """Splits text into word and punctuation tokens, then into subwords.
-
-    Long alphanumeric words are broken into fixed-size chunks to emulate the
-    subword inflation of BPE tokenizers, so token counts grow slightly
-    faster than word counts — matching the ~1.3x ratio real tokenizers show
-    on English prose.
-    """
-
-    def tokenize(self, text: str) -> List[str]:
-        return _TOKEN_RE.findall(text)
-
-    def count(self, text: str) -> int:
-        return count_tokens(text)

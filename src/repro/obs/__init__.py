@@ -13,7 +13,7 @@ Three cooperating pieces, all deterministic under the injectable
   alert lifecycle);
 * :mod:`repro.obs.timeseries` — ring-buffered time series scraped from
   any registry on the clock, with range queries;
-* :mod:`repro.obs.slo` — declarative SLOs (availability, latency,
+* :mod:`repro.obs.slo` — declarative SLOs (availability and
   health/staleness) with exact error budgets and multi-window
   multi-burn-rate rules;
 * :mod:`repro.obs.alerts` — the alert manager's
@@ -42,9 +42,7 @@ from .registry import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    parse_exposition,
     percentile,
-    reexpose,
     render_exposition,
 )
 from .slo import (
@@ -52,7 +50,6 @@ from .slo import (
     AvailabilitySLI,
     BurnRule,
     HealthSLI,
-    LatencySLI,
     RuleReading,
     SLO,
     SLOStatus,
@@ -98,7 +95,6 @@ __all__ = [
     "Gauge",
     "HealthSLI",
     "Histogram",
-    "LatencySLI",
     "MetricFamily",
     "MetricsRegistry",
     "MetricsScraper",
@@ -115,9 +111,7 @@ __all__ = [
     "WindowSample",
     "budget_bar",
     "fleet_slos",
-    "parse_exposition",
     "percentile",
-    "reexpose",
     "render_dashboard",
     "render_exposition",
     "render_spans",

@@ -147,10 +147,6 @@ class AlertManager:
     def get(self, alert_id: str) -> Optional[Alert]:
         return self._alerts.get(alert_id)
 
-    def active_ids(self) -> List[str]:
-        """Ids currently pending or firing, sorted."""
-        return sorted(a.alert_id for a in self._alerts.values() if a.active)
-
     def fired_ids(self) -> List[str]:
         """Ids that ever reached *firing* this run, sorted — what the
         chaos ``expect_alerts`` / ``forbid_alerts`` invariants check."""

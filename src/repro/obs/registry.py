@@ -44,9 +44,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "Sample",
-    "parse_exposition",
     "percentile",
-    "reexpose",
     "render_exposition",
 ]
 
@@ -225,9 +223,6 @@ class _GaugeChild:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -251,9 +246,6 @@ class Gauge(_Metric):
 
     def inc(self, amount: float = 1.0) -> None:
         self._default().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
 
     @property
     def value(self) -> float:
@@ -536,107 +528,5 @@ def render_exposition(families: Iterable[MetricFamily]) -> str:
             if sample.exemplar is not None:
                 trace_id, observed = sample.exemplar
                 line += f' # {{trace_id="{trace_id}"}} {_format_value(observed)}'
-            lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
-    """Parse Prometheus-style text back into ``{name: {kind, samples}}``.
-
-    A deliberately strict consumer used by the tests: every non-comment
-    line must be ``name{labels} value`` with the name's ``# TYPE`` declared
-    first.  Raises :class:`ValueError` on any malformed line — the
-    "exposition output parses" check.
-
-    Each family dict carries ``kind``, ``samples`` (``(name, labels, value)``
-    triples, the stable consumer shape), plus everything :func:`reexpose`
-    needs to reconstruct the text byte-for-byte: ``help`` (the ``# HELP``
-    line's text, ``""`` when absent) and ``exemplars`` (one entry per
-    sample: ``None`` or the ``(trace_id, observed value)`` pair).
-    """
-    import re
-
-    help_line = re.compile(r"^# HELP (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*) (?P<help>.*)$")
-    type_line = re.compile(r"^# TYPE (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*) (?P<kind>counter|gauge|histogram)$")
-    sample_line = re.compile(
-        r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-        r"(?P<labels>\{[^}]*\})? "
-        r"(?P<value>[0-9eE+.\-]+|\+Inf|-Inf|NaN)"
-        r"(?: # \{trace_id=\"(?P<trace>[0-9a-f]+)\"\} (?P<observed>[0-9eE+.\-]+))?$"
-    )
-    families: Dict[str, Dict[str, object]] = {}
-    helps: Dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            match = help_line.match(line)
-            if match is None:
-                raise ValueError(f"line {lineno}: malformed HELP line {line!r}")
-            helps[match.group("name")] = match.group("help")
-            continue
-        if line.startswith("# TYPE "):
-            match = type_line.match(line)
-            if match is None:
-                raise ValueError(f"line {lineno}: malformed TYPE line {line!r}")
-            families[match.group("name")] = {
-                "kind": match.group("kind"),
-                "help": helps.get(match.group("name"), ""),
-                "samples": [],
-                "exemplars": [],
-            }
-            continue
-        match = sample_line.match(line)
-        if match is None:
-            raise ValueError(f"line {lineno}: malformed sample line {line!r}")
-        name = match.group("name")
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in families:
-                base = name[: -len(suffix)]
-                break
-        if base not in families:
-            raise ValueError(f"line {lineno}: sample {name!r} before its TYPE line")
-        families[base]["samples"].append(  # type: ignore[union-attr]
-            (name, match.group("labels") or "", float(match.group("value")))
-        )
-        families[base]["exemplars"].append(  # type: ignore[union-attr]
-            (match.group("trace"), float(match.group("observed")))
-            if match.group("trace") is not None
-            else None
-        )
-    return families
-
-
-def _reexpose_value(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return _format_value(value)
-
-
-def reexpose(families: Mapping[str, Mapping[str, object]]) -> str:
-    """Render :func:`parse_exposition` output back to exposition text.
-
-    The inverse half of the round-trip property the registry tests pin:
-    for any text produced by :func:`render_exposition`,
-    ``reexpose(parse_exposition(text)) == text`` byte-for-byte — every
-    family, label string, value rendering, and exemplar survives.
-    """
-    lines: List[str] = []
-    for base in sorted(families):
-        family = families[base]
-        help_text = str(family.get("help", ""))
-        if help_text:
-            lines.append(f"# HELP {base} {help_text}")
-        lines.append(f"# TYPE {base} {family['kind']}")
-        samples = family["samples"]  # type: ignore[index]
-        exemplars = family.get("exemplars") or [None] * len(samples)  # type: ignore[arg-type]
-        for (name, labels, value), exemplar in zip(samples, exemplars):  # type: ignore[misc]
-            line = f"{name}{labels} {_reexpose_value(value)}"
-            if exemplar is not None:
-                trace_id, observed = exemplar
-                line += f' # {{trace_id="{trace_id}"}} {_reexpose_value(observed)}'
             lines.append(line)
     return "\n".join(lines) + "\n"

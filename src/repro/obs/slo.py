@@ -2,12 +2,10 @@
 
 An :class:`SLO` binds an *objective* (say 99.9% good) to an *SLI* — a
 recipe that reads a :class:`~repro.obs.timeseries.MetricsScraper` window
-and answers ``(good, bad)``.  Three SLI families cover the fleet:
+and answers ``(good, bad)``.  Two SLI families cover the fleet:
 
 * :class:`AvailabilitySLI` — request availability from outcome counters
   (reset-aware increases, so replica restarts do not fake errors);
-* :class:`LatencySLI` — "fraction of requests under T" straight from the
-  histogram's cumulative ``_bucket`` series, no percentile estimation;
 * :class:`HealthSLI` — a *time-based* SLI over gauge samples: each scrape
   instant is good or bad by a predicate on the gauge (unhealthy replicas,
   staleness epoch lag), so a dead replica burns budget even while
@@ -35,7 +33,6 @@ __all__ = [
     "AvailabilitySLI",
     "BurnRule",
     "HealthSLI",
-    "LatencySLI",
     "RuleReading",
     "SLO",
     "SLOStatus",
@@ -102,44 +99,6 @@ class AvailabilitySLI:
             for name, labels in self.bad_metrics
         )
         return WindowSample(good=max(good, 0.0), bad=max(bad, 0.0))
-
-
-@dataclass(frozen=True)
-class LatencySLI:
-    """Fraction of requests answered within ``threshold_s``.
-
-    Reads the cumulative histogram directly: good is the increase of the
-    ``_bucket`` series whose ``le`` bound equals the threshold, bad is
-    the ``_count`` increase minus that.  ``threshold_s`` must therefore
-    be one of the histogram's configured bucket bounds.
-    """
-
-    metric: str
-    threshold_s: float
-    labels: Tuple[Tuple[str, str], ...] = ()
-
-    def _le_label(self) -> str:
-        # Mirrors registry._format_value: int-form for whole bounds.
-        value = self.threshold_s
-        if value == int(value):
-            return str(int(value))
-        return repr(value)
-
-    def evaluate(
-        self, scraper: MetricsScraper, start_s: float, end_s: float
-    ) -> WindowSample:
-        selector = dict(self.labels)
-        total = scraper.sum_increase(
-            f"{self.metric}_count", start_s, end_s, selector
-        )
-        under = scraper.sum_increase(
-            f"{self.metric}_bucket",
-            start_s,
-            end_s,
-            {**selector, "le": self._le_label()},
-        )
-        good = min(under, total)
-        return WindowSample(good=max(good, 0.0), bad=max(total - good, 0.0))
 
 
 @dataclass(frozen=True)

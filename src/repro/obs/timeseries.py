@@ -133,12 +133,6 @@ class TimeSeries:
         lo, hi = self._window(start_s, end_s)
         return self._ts[lo:hi], self._values[lo:hi]
 
-    def latest(self) -> Optional[SeriesPoint]:
-        """The most recent sample, or ``None`` before the first scrape."""
-        if not self._ts:
-            return None
-        return SeriesPoint(self._ts[-1], self._values[-1])
-
     def increase(self, start_s: float, end_s: float) -> float:
         """Reset-aware counter increase over ``(start_s, end_s]``.
 
@@ -172,7 +166,7 @@ class MetricsScraper:
 
     One scrape walks every family the source collects and appends one
     point per sample line (histogram ``_bucket``/``_sum``/``_count``
-    series included — the latency SLO reads threshold buckets directly).
+    series included).
     Series materialise lazily on first sight and never exceed
     ``max_series``; beyond that new series are *counted* as dropped, not
     stored, so a label-cardinality explosion degrades visibly instead of
@@ -285,17 +279,6 @@ class MetricsScraper:
         return sum(
             series.increase(start_s, end_s) for series in self.match(name, labels)
         )
-
-    def last_value(
-        self, name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> float:
-        """The latest values of every matching series, summed (gauges)."""
-        total = 0.0
-        for series in self.match(name, labels):
-            latest = series.latest()
-            if latest is not None:
-                total += latest.value
-        return total
 
     def __len__(self) -> int:
         return len(self._series)

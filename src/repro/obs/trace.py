@@ -6,9 +6,9 @@ store read/apply/ship — opens a child span of whatever span is current in
 its task, carried implicitly through :mod:`contextvars` (asyncio tasks
 copy the ambient context at creation, so ``asyncio.wait_for`` and
 ``gather`` fan-outs inherit the right parent for free).  Across the TCP
-wire the context travels explicitly: :meth:`Tracer.inject` produces the
-``trace`` payload field the frontend's :meth:`Tracer.extract` re-parents
-from.
+wire the context travels explicitly: a client sends the ``trace``
+payload field (``trace_id``, ``span_id``, ``sampled``) and the frontend's
+:meth:`Tracer.extract` re-parents from it.
 
 Determinism contract: span/trace ids come from a seeded RNG, and start/end
 times are read from the injectable :class:`~repro.chaos.clock.Clock` —
@@ -233,22 +233,6 @@ class Tracer:
             self.spans_dropped += 1
         else:
             spans.append(span)
-
-    def current_context(self) -> Optional[SpanContext]:
-        """The ambient span context of the calling task, if any."""
-        span = self._current.get()
-        return None if span is None else span.context
-
-    def inject(self, context: Optional[SpanContext] = None) -> Optional[Dict[str, Any]]:
-        """The wire form of ``context`` (default: the ambient one)."""
-        context = context if context is not None else self.current_context()
-        if context is None:
-            return None
-        return {
-            "trace_id": context.trace_id,
-            "span_id": context.span_id,
-            "sampled": context.sampled,
-        }
 
     @staticmethod
     def extract(carrier: Optional[Mapping[str, Any]]) -> Optional[SpanContext]:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["Document", "Corpus"]
 
@@ -95,19 +95,6 @@ class Corpus:
         clone._documents = dict(self._documents)
         clone._by_url = dict(self._by_url)
         return clone
-
-    def filter_sources(self, excluded_sources: Sequence[str]) -> List[Document]:
-        """Documents whose source is not in ``excluded_sources``.
-
-        Matching is suffix-based so ``"wikipedia.org"`` also excludes
-        ``"en.wikipedia.org"``.
-        """
-        excluded = tuple(excluded_sources)
-        return [
-            document
-            for document in self._documents.values()
-            if not any(document.source.endswith(suffix) for suffix in excluded)
-        ]
 
     def empty_count(self) -> int:
         return sum(1 for document in self._documents.values() if document.is_empty)

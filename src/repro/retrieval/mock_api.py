@@ -4,24 +4,20 @@ FactCheck ships a hosted mock API that "emulates conventional web search
 APIs while returning consistent results from our dataset", so experiments
 are reproducible and independent of live search drift.  This class is the
 in-process equivalent: the same query parameters (``lr``, ``hl``, ``gl``,
-``num``), SERP-shaped results, and a separate content-fetch step that
-returns the extracted page text (which may be empty, like failed
+``num``), SERP-shaped results, and a separate page-fetch step that returns
+the document behind a result (whose text may be empty, like failed
 ``newspaper4k`` extractions).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .corpus import Corpus, Document
-from .search import SearchEngine, SearchResult
+from .search import SearchEngine
 
 __all__ = ["SerpEntry", "MockSearchAPI"]
-
-#: How many of the most recent queries :meth:`MockSearchAPI.query_log` keeps.
-QUERY_LOG_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class MockSearchAPI:
         self.corpus = corpus
         self.engine = SearchEngine(corpus)
         self.default_num_results = default_num_results
-        self._query_log: Deque[Dict[str, str]] = deque(maxlen=QUERY_LOG_CAP)
 
     # -- search ------------------------------------------------------------------
 
@@ -65,12 +60,10 @@ class MockSearchAPI:
     ) -> List[SerpEntry]:
         """Run a query with Google-style parameters and return SERP entries.
 
-        The locale parameters are accepted (and logged) for interface
-        fidelity; the synthetic corpus is monolingual so they do not change
-        the results.
+        The locale parameters are accepted for interface fidelity; the
+        synthetic corpus is monolingual so they do not change the results.
         """
         limit = num if num is not None else self.default_num_results
-        self._query_log.append({"q": query, "lr": lr, "hl": hl, "gl": gl, "num": str(limit)})
         results = self.engine.search(query, num_results=limit)
         return [
             SerpEntry(
@@ -85,25 +78,5 @@ class MockSearchAPI:
 
     # -- page fetch -----------------------------------------------------------------
 
-    def fetch_content(self, url: str) -> Optional[str]:
-        """Return the extracted text of a page, or ``None`` for unknown URLs.
-
-        Empty strings are legitimate return values: they correspond to pages
-        whose text extraction failed (13% of the paper's corpus).
-        """
-        document = self.corpus.by_url(url)
-        if document is None:
-            return None
-        return document.text
-
     def fetch_document(self, url: str) -> Optional[Document]:
         return self.corpus.by_url(url)
-
-    # -- introspection ----------------------------------------------------------------
-
-    def query_log(self) -> List[Dict[str, str]]:
-        """The last ``QUERY_LOG_CAP`` queries, oldest first (cost accounting, tests)."""
-        return list(self._query_log)
-
-    def reset_log(self) -> None:
-        self._query_log.clear()

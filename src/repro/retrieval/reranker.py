@@ -19,9 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Sequence
 
 from .cache import LRUCache
 from .embeddings import HashingEmbedder
@@ -103,15 +101,6 @@ class CrossEncoderReranker:
             )
             scores.append(1.0 / (1.0 + math.exp(-logit)))
         return scores
-
-    def top_k(self, query: str, candidates: Sequence[str], k: int) -> List[ScoredText]:
-        return self.rank(query, candidates)[: max(0, k)]
-
-    def filter_by_threshold(
-        self, query: str, candidates: Sequence[str], threshold: float
-    ) -> List[ScoredText]:
-        """Candidates whose score is at least ``threshold``, ranked."""
-        return [item for item in self.rank(query, candidates) if item.score >= threshold]
 
     def precompute(self, texts: Iterable[str]) -> int:
         """Warm the embedding and term caches for a corpus of candidate texts.

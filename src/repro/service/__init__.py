@@ -63,7 +63,6 @@ from .loadgen import (
     IngestRequest,
     LoadGenerator,
     LoadReport,
-    build_mixed_workload,
     build_workload,
 )
 from .metrics import SERVICE_METRIC_NAMES, MetricsSnapshot, ServiceMetrics, percentile
@@ -103,7 +102,6 @@ __all__ = [
     "TCPValidationFrontend",
     "ValidationService",
     "VerdictCache",
-    "build_mixed_workload",
     "build_workload",
     "percentile",
     "verdict_cache_key",

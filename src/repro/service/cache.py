@@ -62,12 +62,6 @@ class CacheStats:
     size: int
     capacity: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over recorded lookups (0.0 when nothing recorded)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class VerdictCache:
     """An LRU mapping ``verdict_cache_key -> ValidationResult``."""

@@ -34,9 +34,9 @@ of closing the connection.
 
 Tracing: with :meth:`TCPValidationFrontend.set_observability` armed, every
 validation request runs under a ``frontend.request`` root span (re-parented
-from the optional ``trace`` payload field — the wire form of
-:meth:`~repro.obs.trace.Tracer.inject` — so client spans connect), and the
-reply carries the ``trace_id``.
+from the optional ``trace`` payload field — ``trace_id``, ``span_id`` and
+``sampled`` of the client's span — so client spans connect), and the reply
+carries the ``trace_id``.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ class TCPValidationFrontend:
     def set_fault_injection(self, injector) -> None:
         """Arm (or with ``None`` disarm) the ``frontend`` chaos fault point."""
         self.fault_injector = injector
-
-    def set_slo_monitor(self, monitor) -> None:
-        """Arm (or with ``None`` disarm) the ``slo`` control command with an
-        :class:`~repro.obs.alerts.SLOMonitor` (the caller owns its scrape
-        cadence; the verb evaluates once per query so replies are fresh)."""
-        self.slo_monitor = monitor
 
     def set_observability(self, obs) -> None:
         """Arm (or with ``obs=None`` disarm) tracing at the frontend *and*

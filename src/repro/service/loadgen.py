@@ -14,9 +14,8 @@ runs over the same spec replay byte-identical workloads.
 The schedule may also carry *writes*: an :class:`IngestRequest` wraps a
 mutation batch that the picking client applies through
 :meth:`ValidationService.apply_mutations`, advancing the store epoch
-mid-load.  :func:`build_mixed_workload` splices ingest batches into a read
-schedule at deterministic, evenly spaced positions, which is how the
-benchmark exercises epoch-fresh verdicts under live-update traffic.
+mid-load, which is how the benchmark exercises epoch-fresh verdicts under
+live-update traffic.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "IngestRequest",
     "LoadGenerator",
     "LoadReport",
-    "build_mixed_workload",
     "build_workload",
 ]
 
@@ -96,35 +94,6 @@ def build_workload(
                 model=rng.choice(list(models)),
             )
         )
-    return schedule
-
-
-def build_mixed_workload(
-    datasets: Sequence[FactDataset],
-    methods: Sequence[str],
-    models: Sequence[str],
-    total_requests: int,
-    ingest_batches: Sequence[Sequence[Mutation]],
-    seed: int = 0,
-    method_weights: Optional[Mapping[str, float]] = None,
-) -> List[WorkItem]:
-    """A read schedule with ingest batches spliced in at deterministic spots.
-
-    The reads come from :func:`build_workload` (same seed, same mix); the
-    ``k`` ingest batches land at evenly spaced positions ``(i + 1) *
-    total / (k + 1)`` so the load alternates read phases with writes.  The
-    mixed schedule is fully deterministic: two calls with the same inputs
-    produce byte-identical arrival orders.
-    """
-    reads = build_workload(
-        datasets, methods, models, total_requests, seed=seed, method_weights=method_weights
-    )
-    schedule: List[WorkItem] = list(reads)
-    for position, batch in enumerate(ingest_batches):
-        index = (position + 1) * total_requests // (len(ingest_batches) + 1)
-        # Each earlier insertion shifted the tail by one; offset by the
-        # number of batches already spliced in.
-        schedule.insert(min(index + position, len(schedule)), IngestRequest(tuple(batch)))
     return schedule
 
 
@@ -216,22 +185,6 @@ class LoadReport:
         for response in self.responses:
             counts[response.outcome.value] += 1
         return counts
-
-    def epochs_served(self) -> List[int]:
-        """The distinct store epochs read responses were answered at."""
-        return sorted({
-            response.epoch
-            for response in self.responses
-            if response.outcome is RequestOutcome.COMPLETED
-        })
-
-    @property
-    def edge_served(self) -> int:
-        """Reads a geo edge answered locally (``served_by`` != primary)."""
-        return sum(
-            1 for response in self.responses
-            if response.served_by not in (None, "primary")
-        )
 
     def session_violations(self) -> List[str]:
         """Read-your-writes violations, one line each (empty = the invariant held).

@@ -92,11 +92,6 @@ class MetricsSnapshot:
     exemplars: Tuple[Tuple[str, str], ...] = ()
 
     @property
-    def shed_count(self) -> int:
-        """Requests refused by admission control (alias of ``rejected``)."""
-        return self.rejected
-
-    @property
     def cache_hit_rate(self) -> float:
         """Verdict-cache hits over served traffic (0.0 when nothing served)."""
         total = self.cache_hits + self.cache_misses

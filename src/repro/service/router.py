@@ -301,11 +301,6 @@ class RouterMetrics:
         return int(self._failures_total.value)
 
     @property
-    def timeout_failures(self) -> int:
-        """The subset of :attr:`failures` involving a stalled replica."""
-        return int(self._timeout_failures_total.value)
-
-    @property
     def failovers(self) -> int:
         """Requests answered by a sibling after their first choice faulted."""
         return int(self.failovers_total.value)
@@ -803,7 +798,7 @@ class ShardedValidationService:
         Replicas stop concurrently, so the drain wall time is the slowest
         *healthy* replica's, not the sum — and crucially not an unhealthy
         replica's: a replica that is out of the rotation (stalled, killed,
-        or marked via :meth:`mark_unhealthy`) is hard-stopped instead of
+        or marked unhealthy by a failed probe) is hard-stopped instead of
         drained, so a dead replica's stuck queue can never wedge shutdown.
         Its in-flight futures are cancelled explicitly (the PR 4 hard-stop
         contract), never silently dropped.  The exception is a group with
@@ -869,17 +864,6 @@ class ShardedValidationService:
             )
         await self.groups[shard_index][replica_index].stop(drain=False)
 
-    def mark_unhealthy(self, shard_index: int, replica_index: int) -> None:
-        """Evict one replica from the routing rotation by hand.
-
-        The balancer stops sending regular traffic immediately; a health
-        probe after ``probe_interval_s`` re-admits the replica if it still
-        answers.  Raises :class:`IndexError` for out-of-range coordinates.
-        """
-        health = self.health[shard_index][replica_index]
-        health.healthy = False
-        health.marked_unhealthy_at = self.clock.now()
-
     # ---------------------------------------------------------------- geo tier
 
     @property
@@ -897,10 +881,6 @@ class ShardedValidationService:
         if self.geo is None:
             raise RuntimeError("no geo tier configured")
         return self.geo.watermark_vector(name)
-
-    def session_vector(self, session: str) -> Dict[int, int]:
-        """A session token's last-write epochs by shard (empty if unseen)."""
-        return dict(self._sessions.get(session, {}))
 
     async def kill_edge(self, name: str) -> None:
         """Hard-stop one edge replica (fault injection / ops eviction).

@@ -554,10 +554,6 @@ class GeoReplicator:
             else:
                 self.queues[index].register(edge.name, store.epoch)
 
-    def remove_edge(self, name: str) -> None:
-        """Forget an edge (it stops holding queue truncation back)."""
-        self.edges.pop(name, None)
-
     # ------------------------------------------------------------- draining
 
     def drain(

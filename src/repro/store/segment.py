@@ -64,7 +64,7 @@ import threading
 import weakref
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..kg.graph import KnowledgeGraph
@@ -809,15 +809,6 @@ class SegmentReader:
             raise CorruptSegmentError(
                 f"{self.path}@{block.offset}: checkpoint does not deserialise ({exc})"
             ) from exc
-
-    def records_since_last_checkpoint(self) -> int:
-        """On-disk records behind the newest checkpoint (checkpoint cadence)."""
-        checkpoint = self.latest_checkpoint()
-        if checkpoint is None:
-            return self.record_count
-        return sum(
-            1 for _ in self.iter_records(after=checkpoint.first_epoch)
-        )
 
     def close(self) -> None:
         self._handle.close()

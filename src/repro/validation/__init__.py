@@ -19,10 +19,8 @@ from .giv import GuidedIterativeVerification
 from .hybrid import HybridConfig, HybridValidator
 from .pipeline import (
     ParallelValidationPipeline,
-    StrategyFactory,
     ValidationPipeline,
     progress_label,
-    run_matrix,
 )
 from .prompts import (
     FEW_SHOT_EXAMPLES,
@@ -67,7 +65,6 @@ __all__ = [
     "RuleGuardedValidator",
     "RuleVerdict",
     "RetrievedEvidence",
-    "StrategyFactory",
     "TripleTransformer",
     "ParallelValidationPipeline",
     "ValidationPipeline",
@@ -86,6 +83,5 @@ __all__ = [
     "question_generation_prompt",
     "rag_prompt",
     "reprompt_suffix",
-    "run_matrix",
     "transform_prompt",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..datasets.base import FactDataset, LabeledFact
 
@@ -93,9 +93,6 @@ class ValidationRun:
     def correct_fact_ids(self) -> List[str]:
         """Facts this run judged correctly (used for the UpSet analysis)."""
         return [result.fact_id for result in self.results if result.is_correct]
-
-    def invalid_count(self) -> int:
-        return sum(1 for result in self.results if result.verdict is Verdict.INVALID)
 
 
 class ValidationStrategy(ABC):

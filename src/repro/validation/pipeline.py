@@ -3,25 +3,17 @@
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from ..datasets.base import FactDataset, LabeledFact
-from ..llm.base import LLMClient
 from ..llm.telemetry import TelemetryCollector
-from .base import ValidationResult, ValidationRun, ValidationStrategy, Verdict
+from .base import ValidationResult, ValidationRun, ValidationStrategy
 
 __all__ = [
     "ValidationPipeline",
     "ParallelValidationPipeline",
-    "StrategyFactory",
     "progress_label",
-    "run_matrix",
 ]
-
-#: Builds a strategy for a given model; used to run the same method across
-#: the whole model zoo.
-StrategyFactory = Callable[[LLMClient], ValidationStrategy]
 
 
 def progress_label(method: str, dataset: str, model: str = "") -> str:
@@ -88,17 +80,6 @@ class ValidationPipeline:
             if self.progress is not None:
                 self.progress(label, index + 1, total)
         return results
-
-    def run_models(
-        self,
-        factory: StrategyFactory,
-        models: Mapping[str, LLMClient],
-        dataset: FactDataset,
-    ) -> Dict[str, ValidationRun]:
-        """Run one method (via its factory) for every model on one dataset."""
-        return {
-            name: self.run(factory(model), dataset) for name, model in sorted(models.items())
-        }
 
 
 _Cell = TypeVar("_Cell")
@@ -172,23 +153,3 @@ class ParallelValidationPipeline(ValidationPipeline):
                 if self.progress is not None:
                     self.progress(self._cell_label(cell), index + 1, total)
             return results
-
-
-def run_matrix(
-    factories: Mapping[str, StrategyFactory],
-    models: Mapping[str, LLMClient],
-    datasets: Sequence[FactDataset],
-    pipeline: Optional[ValidationPipeline] = None,
-) -> Dict[str, Dict[str, Dict[str, ValidationRun]]]:
-    """Run a full method x dataset x model grid.
-
-    Returns a nested mapping ``results[method][dataset][model] -> ValidationRun``,
-    which is the shape all the table/figure generators consume.
-    """
-    pipeline = pipeline or ValidationPipeline()
-    results: Dict[str, Dict[str, Dict[str, ValidationRun]]] = {}
-    for method_name, factory in factories.items():
-        results[method_name] = {}
-        for dataset in datasets:
-            results[method_name][dataset.name] = pipeline.run_models(factory, models, dataset)
-    return results

@@ -18,7 +18,7 @@ truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..datasets.base import LabeledFact
 from ..kg.schema import Ontology, default_ontology
@@ -93,10 +93,6 @@ class OntologyRuleChecker:
         if reasons:
             return RuleVerdict(decision=False, reasons=tuple(reasons))
         return RuleVerdict(decision=None, reasons=())
-
-    def screen_dataset(self, facts) -> Dict[str, RuleVerdict]:
-        """Screen a dataset; returns fact_id -> rule verdict."""
-        return {fact.fact_id: self.check(fact) for fact in facts}
 
 
 class RuleGuardedValidator(ValidationStrategy):

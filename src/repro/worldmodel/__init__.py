@@ -7,7 +7,7 @@ and simulated LLM knowledge — is derived from one :class:`World` instance,
 so they are mutually consistent by construction.
 """
 
-from .entities import RELATIONS, Entity, EntityType, RelationSpec, relation_spec
+from .entities import RELATIONS, Entity, EntityType, RelationSpec
 from .facts import Fact, FactStore
 from .generator import World, WorldConfig, build_world
 from .names import NameGenerator
@@ -23,5 +23,4 @@ __all__ = [
     "World",
     "WorldConfig",
     "build_world",
-    "relation_spec",
 ]

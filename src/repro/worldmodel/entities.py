@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-__all__ = ["EntityType", "Entity", "RelationSpec", "RELATIONS", "relation_spec"]
+__all__ = ["EntityType", "Entity", "RelationSpec", "RELATIONS"]
 
 
 class EntityType(str, Enum):
@@ -59,12 +59,6 @@ class Entity:
     etype: EntityType
     popularity: float = 0.5
     attributes: Tuple[Tuple[str, Any], ...] = ()
-
-    def attribute(self, key: str, default: Any = None) -> Any:
-        for name, value in self.attributes:
-            if name == key:
-                return value
-        return default
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name} ({self.etype.value})"
@@ -412,17 +406,3 @@ RELATIONS: Dict[str, RelationSpec] = {
         ),
     ]
 }
-
-
-def relation_spec(name: str) -> RelationSpec:
-    """Look up a relation spec by predicate name.
-
-    Raises
-    ------
-    KeyError
-        If the predicate is unknown to the world schema.
-    """
-    try:
-        return RELATIONS[name]
-    except KeyError as exc:
-        raise KeyError(f"Unknown relation: {name!r}") from exc

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-from .entities import Entity, EntityType, RELATIONS, RelationSpec
+from typing import Dict, Iterator, List, Set, Tuple
 
 __all__ = ["Fact", "FactStore"]
 
@@ -95,7 +93,3 @@ class FactStore:
 
     def all_facts(self) -> List[Fact]:
         return sorted(self._facts)
-
-    def entity_fact_counts(self) -> Dict[str, int]:
-        """Number of facts each entity participates in (as subject or object)."""
-        return {entity: len(facts) for entity, facts in self._entity_index.items()}

@@ -21,10 +21,10 @@ the property the RAG experiments rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .entities import Entity, EntityType, RELATIONS, RelationSpec
+from .entities import Entity, EntityType
 from .facts import Fact, FactStore
 from .names import NameGenerator
 
@@ -87,9 +87,6 @@ class World:
         entity_id = self._name_to_id.get(name)
         return self.entities.get(entity_id) if entity_id else None
 
-    def entities_of_type(self, etype: EntityType) -> List[Entity]:
-        return list(self.by_type.get(etype, ()))
-
     def name(self, entity_id: str) -> str:
         return self.entity(entity_id).name
 
@@ -100,9 +97,6 @@ class World:
 
     def true_objects(self, subject: str, predicate: str) -> List[str]:
         return self.facts.objects(subject, predicate)
-
-    def relation(self, predicate: str) -> RelationSpec:
-        return RELATIONS[predicate]
 
     def predicates(self) -> List[str]:
         return self.facts.predicates()

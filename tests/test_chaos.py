@@ -42,6 +42,7 @@ from repro.chaos import (
     build_traffic,
     load_scenario,
 )
+from repro.chaos.faults import parse_edge_target, parse_replica_target
 from repro.chaos.scenario import GeoOptions, Invariants, Topology
 from repro.service import (
     RequestOutcome,
@@ -51,6 +52,7 @@ from repro.service import (
     ShardedValidationService,
 )
 from repro.service.loadgen import IngestRequest
+from support import mark_unhealthy
 
 
 # --------------------------------------------------------------- VirtualClock
@@ -187,8 +189,51 @@ class TestFaultGrammar:
         )
         assert schedule.kill_targets() == [(0.2, (1, 0))]
 
+    @pytest.mark.parametrize(
+        "target, replica, edge",
+        [
+            pytest.param(target, replica, edge, id=target)
+            for target, replica, edge in (
+                ("shard:0/replica:1", (0, 1), None),
+                ("shard:12/replica:3", (12, 3), None),
+                ("edge:4", None, 4),
+                ("shard:2", None, None),
+                ("store", None, None),
+                ("shard:0/replica:1/extra", None, None),
+                ("edge:-1", None, None),
+            )
+        ],
+    )
+    def test_target_parsers_read_only_their_own_form(self, target, replica, edge):
+        assert parse_replica_target(target) == replica
+        assert parse_edge_target(target) == edge
+
+    def test_event_matches_its_target_and_every_point_beneath_it(self):
+        shard = FaultEvent(at_s=0.0, target="shard:1", fault=FaultSpec.parse("error:0.5"))
+        assert shard.matches("shard:1")
+        assert shard.matches("shard:1/replica:0")
+        # A prefix only counts at a path boundary: shard:1 is not shard:10.
+        assert not shard.matches("shard:10/replica:0")
+        assert not shard.matches("shard:0/replica:1")
+        replica = FaultEvent(at_s=0.0, target="shard:1/replica:0", fault=FaultSpec.parse("kill"))
+        assert replica.matches("shard:1/replica:0")
+        assert not replica.matches("shard:1")
+        assert not replica.matches("shard:1/replica:1")
+
 
 # -------------------------------------------------------------- FaultInjector
+
+
+def _fire_now(injector, point):
+    """Run ``injector.fire(point)`` to completion without an event loop: a
+    ``kill``/``error`` fault (or none) never suspends, it raises or returns."""
+    coroutine = injector.fire(point)
+    try:
+        coroutine.send(None)
+    except StopIteration:
+        return
+    coroutine.close()
+    raise AssertionError(f"fault point {point!r} suspended")
 
 
 class TestFaultInjector:
@@ -209,13 +254,13 @@ class TestFaultInjector:
                 )
             ]
         )
-        injector.check("shard:0/replica:0")  # before at_s: inert
+        _fire_now(injector, "shard:0/replica:0")  # before at_s: inert
         clock.advance(0.6)
         with pytest.raises(InjectedFaultError, match="error"):
-            injector.check("shard:0/replica:0")
-        injector.check("shard:1/replica:0")  # other shard: no match
+            _fire_now(injector, "shard:0/replica:0")
+        _fire_now(injector, "shard:1/replica:0")  # other shard: no match
         clock.advance(0.5)  # past clear_at_s
-        injector.check("shard:0/replica:0")
+        _fire_now(injector, "shard:0/replica:0")
         assert injector.injected["error"] == 1
 
     def test_window_fully_passed_never_activates(self):
@@ -230,7 +275,7 @@ class TestFaultInjector:
             ]
         )
         clock.advance(5.0)  # the whole window passed while nothing fired
-        injector.check("store")
+        _fire_now(injector, "store")
         assert injector.injected["error"] == 0
 
     def test_due_kills_are_consumed_exactly_once(self):
@@ -243,7 +288,7 @@ class TestFaultInjector:
         assert injector.due_kills() == []
         # The point itself still raises as defence in depth.
         with pytest.raises(InjectedFaultError, match="kill"):
-            injector.check("shard:0/replica:1")
+            _fire_now(injector, "shard:0/replica:1")
 
     def test_stall_suspends_on_the_injector_clock(self):
         async def go():
@@ -275,7 +320,7 @@ class TestFaultInjector:
             outcomes = []
             for _ in range(40):
                 try:
-                    injector.check("shard:0/replica:0")
+                    _fire_now(injector, "shard:0/replica:0")
                     outcomes.append(False)
                 except InjectedFaultError:
                     outcomes.append(True)
@@ -284,6 +329,46 @@ class TestFaultInjector:
         assert run(7) == run(7)
         assert run(7) != run(8)  # and the seed actually matters
         assert any(run(7)) and not all(run(7))  # rate 0.5 is a coin, not a constant
+
+    def test_the_timeline_starts_at_start_not_at_construction(self):
+        clock = VirtualClock()
+        injector = FaultInjector(
+            FaultSchedule([FaultEvent(at_s=0.0, target="store", fault=FaultSpec.parse("kill"))]),
+            clock=clock,
+        )
+        clock.advance(3.0)
+        assert injector.elapsed() == 0.0
+        _fire_now(injector, "store")  # not started: nothing is active yet
+        assert injector.active_for("store") == []
+        injector.start()
+        clock.advance(0.25)
+        assert injector.elapsed() == pytest.approx(0.25)
+        with pytest.raises(InjectedFaultError, match="kill"):
+            _fire_now(injector, "store")
+        assert injector.fired == 1 and injector.injected["kill"] == 1
+
+    def test_slow_fault_delays_by_its_latency_within_the_jitter(self):
+        async def go(jitter):
+            spec = f"slow:0.2:{jitter}" if jitter else "slow:0.2"
+            injector, clock = self._injector(
+                [FaultEvent(at_s=0.0, target="shard:0", fault=FaultSpec.parse(spec))]
+            )
+            woke = []
+
+            async def fire():
+                await injector.fire("shard:0/replica:0")
+                woke.append(clock.now())
+
+            task = asyncio.ensure_future(fire())
+            await asyncio.sleep(0)
+            assert not woke
+            await clock.run_for(1.0)
+            await task
+            assert injector.injected["slow"] == 1
+            return woke[0]
+
+        assert asyncio.run(go(0.0)) == pytest.approx(0.2)
+        assert 0.1 - 1e-9 <= asyncio.run(go(0.1)) <= 0.3 + 1e-9
 
 
 # ---------------------------------------------------------------- RetryPolicy
@@ -346,7 +431,7 @@ class TestProbeTimingOnVirtualClock:
             probe_interval_s=0.25,
             clock=clock,
         )
-        router.mark_unhealthy(0, 1)
+        mark_unhealthy(router, 0, 1)
         # Resting: the unhealthy replica stays at the tail as a last resort.
         assert router._replica_order(0) == [0, 1]
         assert router.health[0][1].probes == 0
@@ -382,7 +467,7 @@ class TestProbeTimingOnVirtualClock:
 
         async def go():
             async with router:
-                router.mark_unhealthy(0, 1)
+                mark_unhealthy(router, 0, 1)
                 clock.advance(1.0)
                 response = await router.submit(request)
                 health = router.health[0][1]
@@ -398,6 +483,19 @@ class TestProbeTimingOnVirtualClock:
         assert released == (False, 1), "the untried canary must be released"
         assert order == [1, 0]
         assert health.probing and health.probes == 2
+
+    def test_replica_table_reports_each_replica_health(self, runner):
+        router = ShardedValidationService.from_runner(
+            runner, 1, ServiceConfig(enable_cache=False), replicas=2, clock=VirtualClock()
+        )
+        mark_unhealthy(router, 0, 1)
+        title, rule, header, *rows = router.metrics.format_replica_table().splitlines()
+        assert title == "Per-replica health" and rule == "-" * len(title)
+        assert header.split()[:3] == ["shard", "replica", "state"]
+        assert [row.split()[:3] for row in rows] == [
+            ["0", "0", "healthy"],
+            ["0", "1", "unhealthy"],
+        ]
 
 
 def _reference_replica_order(self, shard_index):

@@ -1,5 +1,7 @@
 """Tests for the FactBench / YAGO / DBpedia dataset builders and FactDataset."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.datasets import (
@@ -10,6 +12,7 @@ from repro.datasets import (
     compute_statistics,
     predicate_alias_pool,
     statistics_table,
+    summarize_similarities,
 )
 
 
@@ -82,7 +85,7 @@ class TestDBpedia:
         assert "birthPlace" in pool
 
     def test_topics_assigned(self, dbpedia_small):
-        topics = dbpedia_small.topic_distribution()
+        topics = {fact.topic for fact in dbpedia_small}
         assert len(topics) >= 2
 
 
@@ -114,14 +117,6 @@ class TestFactDataset:
         with pytest.raises(ValueError):
             factbench_small.split(1.5)
 
-    def test_filter(self, factbench_small):
-        positives = factbench_small.filter(lambda fact: fact.label)
-        assert len(positives) == factbench_small.label_counts()[True]
-
-    def test_by_predicate_groups_cover_everything(self, factbench_small):
-        grouped = factbench_small.by_predicate()
-        assert sum(len(group) for group in grouped.values()) == len(factbench_small)
-
     def test_summary_keys(self, factbench_small):
         summary = factbench_small.summary()
         assert set(summary) == {
@@ -129,6 +124,29 @@ class TestFactDataset:
             "num_predicates",
             "avg_facts_per_entity",
             "gold_accuracy",
+        }
+
+    def test_label_counts_partition_the_dataset(self, factbench_small):
+        counts = factbench_small.label_counts()
+        assert set(counts) == {True, False}
+        assert counts[True] + counts[False] == len(factbench_small)
+        assert counts[True] / len(factbench_small) == factbench_small.gold_accuracy()
+
+    def test_avg_facts_per_entity_divides_by_distinct_subjects(self, factbench_small):
+        facts = factbench_small.facts()
+        first, second = facts[0], next(f for f in facts if f.subject_name != facts[0].subject_name)
+        dataset = FactDataset("tiny", [first, second, replace(first, fact_id="again")])
+        assert dataset.avg_facts_per_entity() == pytest.approx(3 / 2)
+
+    def test_empty_dataset_reports_zeroes(self):
+        empty = FactDataset("empty", [])
+        assert empty.label_counts() == {True: 0, False: 0}
+        assert empty.gold_accuracy() == 0.0
+        assert empty.summary() == {
+            "num_facts": 0,
+            "num_predicates": 0,
+            "avg_facts_per_entity": 0.0,
+            "gold_accuracy": 0.0,
         }
 
 
@@ -142,3 +160,21 @@ class TestStatistics:
         rows = statistics_table([factbench_small, yago_small])
         assert [row["dataset"] for row in rows] == ["factbench", "yago"]
         assert rows[1]["gold_accuracy"] > rows[0]["gold_accuracy"]
+
+    def test_similarity_tiers_split_at_the_paper_thresholds(self):
+        # 0.70 is high and 0.40 is medium: each tier's lower bound is inclusive.
+        distribution = summarize_similarities([0.1, 0.3, 0.4, 0.6, 0.7, 0.9])
+        assert distribution.high_share == pytest.approx(2 / 6)
+        assert distribution.medium_share == pytest.approx(2 / 6)
+        assert distribution.low_share == pytest.approx(2 / 6)
+        assert distribution.median == pytest.approx(0.5)
+        assert distribution.iqr == pytest.approx(distribution.q3 - distribution.q1)
+        row = distribution.as_dict()
+        assert list(row) == [
+            "mean", "median", "std", "q1", "q3", "iqr",
+            "high_share", "medium_share", "low_share",
+        ]
+        assert row["mean"] == pytest.approx(0.5)
+
+    def test_similarity_summary_of_no_scores_is_all_zero(self):
+        assert set(summarize_similarities([]).as_dict().values()) == {0.0}

@@ -398,7 +398,7 @@ class TestObservabilityRunbookComplete:
 
     def test_runbook_covers_statuses_sampling_and_exemplars(self, runbook):
         for needle in ("SHED", "DEGRADED", "Head sampling", "sample_rate",
-                       "exemplar", "trace_id", "parse_exposition",
+                       "exemplar", "trace_id", "tests' strict parser",
                        "VirtualClock", "byte-identical"):
             assert needle in runbook, f"runbook misses {needle!r}"
 

@@ -5,11 +5,18 @@ import pytest
 from repro.evaluation import (
     ERROR_CATEGORIES,
     ErrorAnalyzer,
+    TradeoffPoint,
+    format_alignment_table,
     format_error_table,
     format_f1_table,
+    format_pareto_points,
+    format_ranking_series,
     format_table,
     format_time_table,
+    format_upset,
+    pareto_frontier,
     unique_ratio,
+    upset_intersections,
 )
 from repro.evaluation.error_analysis import ErrorAnalysis, ErrorRecord
 from repro.validation import DirectKnowledgeAssessment
@@ -47,9 +54,6 @@ class TestCategorizer:
     def test_unmatched_text_still_categorized(self, analyzer):
         category = analyzer.categorize("Completely unrelated words about nothing specific.")
         assert category in ERROR_CATEGORIES
-
-    def test_category_labels(self):
-        assert "Geographic" in ErrorAnalyzer.category_label("E4")
 
 
 class TestUniqueRatio:
@@ -89,6 +93,29 @@ class TestErrorAnalysis:
         assert all(record.category in ERROR_CATEGORIES for record in records)
         assert all(record.explanation for record in records)
 
+    def test_analyze_runs_gathers_every_model_into_one_block(
+        self, registry, verbalizer, factbench_small
+    ):
+        dataset = factbench_small.sample(16, seed=5)
+        models = {name: registry.get(name) for name in ("mistral:7b", "gemma2:9b")}
+        runs = {
+            name: DirectKnowledgeAssessment(model, verbalizer).validate_dataset(dataset)
+            for name, model in models.items()
+        }
+        analysis = ErrorAnalyzer().analyze_runs(runs, dataset, models)
+        assert analysis.dataset == dataset.name
+        wrong = {
+            name: sum(result.is_correct is False for result in run.results)
+            for name, run in runs.items()
+        }
+        assert sum(wrong.values()) > 0
+        assert [record.model for record in analysis.records] == [
+            name for name in sorted(runs) for _ in range(wrong[name])
+        ]
+        assert analysis.totals_by_model() == {
+            name: count for name, count in sorted(wrong.items()) if count
+        }
+
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -111,3 +138,41 @@ class TestReporting:
         counts = {"ds": {"m1": {"E1": 1, "E4": 5}}}
         rendered = format_error_table(counts)
         assert "E4" in rendered and "5" in rendered
+
+    def test_format_alignment_table_shows_ties_as_a_percentage(self):
+        table = {"ds": {"dka": {"m2": 0.5, "m1": 0.75}}}
+        rendered = format_alignment_table(table, {"ds": {"dka": 0.25}})
+        header, _, row = rendered.splitlines()
+        assert header.split() == ["dataset", "method", "ties", "m1", "m2"]
+        assert row.split() == ["ds", "dka", "25%", "0.75", "0.50"]
+
+    def test_format_ranking_series_leads_with_the_baseline(self):
+        series = [{"label": "gemma2:9b/dka", "f1_true": 0.8}, {"label": "mistral:7b/rag", "f1_true": 0.65}]
+        lines = format_ranking_series(series, "f1_true", 0.62, "Figure 2").splitlines()
+        assert lines[:2] == ["Figure 2", "random-guess baseline: 0.62"]
+        assert [line.split() for line in lines[2:]] == [
+            ["gemma2:9b/dka", "0.80"],
+            ["mistral:7b/rag", "0.65"],
+        ]
+
+    def test_format_pareto_points_marks_frontier_members_in_time_order(self):
+        points = [
+            TradeoffPoint("m1", "rag", "d", 2.0, 0.90, 0.85),
+            TradeoffPoint("m1", "dka", "d", 0.2, 0.70, 0.60),
+            TradeoffPoint("m2", "dka", "d", 0.3, 0.60, 0.40),  # dominated
+        ]
+        frontier = pareto_frontier(points, metric="f1_false")
+        lines = format_pareto_points(points, frontier, "Figure 3").splitlines()
+        assert lines[0] == "Figure 3"
+        rows = [line.split() for line in lines[2:]]
+        assert [row[0] for row in rows] == ["d/m1/dka", "d/m2/dka", "d/m1/rag"]
+        assert [row[-1] == "*" for row in rows] == [True, False, True]
+
+    def test_format_upset_prints_one_line_per_cell(self):
+        cells = upset_intersections({"m1": ["f1", "f2"], "m2": ["f2"]})
+        lines = format_upset(cells, "Figure 4").splitlines()
+        assert lines[0] == "Figure 4"
+        assert [line.rsplit(None, 1) for line in lines[1:]] == [
+            [cell.label(), str(cell.count)] for cell in cells
+        ]
+        assert format_upset([], "Figure 4") == "Figure 4"

@@ -4,8 +4,6 @@ import pytest
 
 from repro.evaluation import (
     TradeoffPoint,
-    accuracy,
-    all_model_intersection_size,
     average_response_time,
     build_tradeoff_points,
     classwise_f1,
@@ -15,7 +13,6 @@ from repro.evaluation import (
     pareto_frontier,
     precision_recall_f1,
     random_guess_f1,
-    summarize_latencies,
     upset_intersections,
 )
 
@@ -53,10 +50,25 @@ class TestConfusionAndF1:
         assert scores.f1_true == pytest.approx(0.5)
         assert scores.f1_false == pytest.approx(0.5)
 
-    def test_accuracy(self):
-        gold = {"a": True, "b": False, "c": True}
-        assert accuracy({"a": True, "b": True, "c": None}, gold) == pytest.approx(1 / 3)
-        assert accuracy({}, {}) == 0.0
+    def test_unanswered_items_count_against_neither_class(self):
+        gold = {"a": True, "b": False, "c": True, "d": False}
+        predictions = {"a": True, "b": False, "c": None}  # "d" was never judged
+        scores = classwise_f1(predictions, gold)
+        assert scores.f1_true == 1.0 and scores.f1_false == 1.0
+        assert confusion_counts(predictions, gold).unanswered == 2
+
+    def test_as_dict_carries_every_score_under_its_field_name(self):
+        gold = {"a": True, "b": True, "c": False}
+        scores = classwise_f1({"a": True, "b": False, "c": False}, gold)
+        row = scores.as_dict()
+        assert row == {name: getattr(scores, name) for name in row}
+        assert set(row) == {
+            "f1_true", "f1_false",
+            "precision_true", "recall_true",
+            "precision_false", "recall_false",
+        }
+        assert (row["precision_true"], row["recall_true"]) == (1.0, 0.5)
+        assert (row["precision_false"], row["recall_false"]) == (0.5, 1.0)
 
     def test_random_guess_f1_balanced(self):
         f1_t, f1_f = random_guess_f1(0.5)
@@ -85,13 +97,6 @@ class TestEfficiency:
     def test_average_response_time(self):
         assert average_response_time([0.2, 0.2, 0.2, 0.2, 10.0]) == pytest.approx(0.2)
         assert average_response_time([]) == 0.0
-
-    def test_summarize_latencies(self):
-        summary = summarize_latencies([0.1, 0.2, 0.3, 0.4, 9.0])
-        assert summary.raw_count == 5
-        assert summary.filtered_count == 4
-        assert summary.mean_seconds == pytest.approx(0.25)
-        assert summary.median_seconds == pytest.approx(0.25)
 
 
 class TestPareto:
@@ -147,11 +152,6 @@ class TestUpset:
         bars = upset_intersections(correct)
         counts = [bar.count for bar in bars]
         assert counts == sorted(counts, reverse=True)
-
-    def test_all_model_intersection(self):
-        correct = {"m1": ["f1", "f2"], "m2": ["f2", "f3"]}
-        assert all_model_intersection_size(correct) == 1
-        assert all_model_intersection_size({}) == 0
 
     def test_min_count_filter(self):
         correct = {"m1": ["f1"], "m2": ["f2"]}

@@ -8,7 +8,6 @@ import pytest
 
 import repro
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
-from repro.datasets import load_dataset, save_dataset
 from repro.evaluation import classwise_f1_from_run
 from repro.validation import Verdict
 
@@ -67,19 +66,10 @@ class TestEndToEnd:
         scores = classwise_f1_from_run(run)
         assert scores.f1_true > 0.5
 
-    def test_dataset_roundtrip_through_disk_preserves_results(self, tiny_runner, tmp_path):
-        dataset = tiny_runner.dataset("factbench")
-        path = save_dataset(dataset, tmp_path / "factbench.jsonl")
-        reloaded = load_dataset(path)
-        strategy = tiny_runner.build_strategy("dka", "factbench", tiny_runner.registry.get("gemma2:9b"))
-        original = {fact.fact_id: strategy.validate(fact).verdict for fact in dataset}
-        restored = {fact.fact_id: strategy.validate(fact).verdict for fact in reloaded}
-        assert original == restored
-
     def test_telemetry_accumulates_across_methods(self, tiny_runner):
         tiny_runner.run("dka", "factbench", "gemma2:9b")
         tiny_runner.run("rag", "factbench", "gemma2:9b")
-        tasks = tiny_runner.telemetry.by_task()
+        tasks = {record.task for record in tiny_runner.telemetry.records()}
         assert "dka" in tasks
         assert "rag" in tasks
         assert "transform" in tasks or "question-generation" in tasks
@@ -91,6 +81,7 @@ import repro
 heavy = ("scipy.stats", "networkx")
 assert not [name for name in heavy if name in sys.modules], sorted(sys.modules)
 
+from repro.baselines import KnowledgeStream
 from repro.evaluation import mcnemar_test
 from repro.kg import KnowledgeGraph, Triple
 from repro.validation import ValidationResult, ValidationRun, Verdict
@@ -109,10 +100,9 @@ large = mcnemar_test(run("a", [True] * 40), run("b", [False] * 30 + [True] * 10)
 assert large.b == 30 and large.significant, large
 
 graph = KnowledgeGraph()
-graph.add(Triple("a", "knows", "b"))
-graph.add(Triple("b", "knows", "c"))
-exported = graph.to_networkx()
-assert sorted(exported.edges(data="predicate")) == [("a", "b", "knows"), ("b", "c", "knows")]
+for subject, obj in (("a", "b"), ("b", "c"), ("a", "c")):
+    graph.add(Triple(subject, "knows", obj))
+assert KnowledgeStream(graph).score("a", "knows", "c") > 0.0  # flow routes through b
 assert all(name in sys.modules for name in heavy)
 """
 

@@ -78,12 +78,12 @@ class TestMutation:
     def test_remove_updates_indexes(self, small_graph):
         small_graph.remove(Triple("alice", "employer", "acme"))
         assert "acme" not in small_graph.objects("alice", "employer")
-        assert ("employer", "acme") not in small_graph.out_edges("alice")
+        assert ("employer", +1, "acme") not in small_graph.neighbors("alice")
 
     def test_remove_leaves_no_ghost_predicates(self, small_graph):
         small_graph.remove(Triple("alice", "spouse", "bob"))
         assert "spouse" not in small_graph.predicates()
-        assert small_graph.predicates_between("alice", "bob") == []
+        assert small_graph.objects("alice", "spouse") == []
 
     def test_remove_leaves_no_ghost_nodes(self, small_graph):
         # freedonia participates in exactly one triple; removing it must
@@ -98,7 +98,7 @@ class TestMutation:
         small_graph.remove(triple)
         assert small_graph.add(triple) is True
         assert small_graph.contains("alice", "spouse", "bob")
-        assert ("spouse", "bob") in small_graph.out_edges("alice")
+        assert ("spouse", +1, "bob") in small_graph.neighbors("alice")
 
 
 class TestQueries:
@@ -109,9 +109,6 @@ class TestQueries:
     def test_objects_and_subjects(self, small_graph):
         assert small_graph.objects("alice", "birthPlace") == ["springfield"]
         assert small_graph.subjects("birthPlace", "springfield") == ["alice", "bob"]
-
-    def test_predicates_between(self, small_graph):
-        assert small_graph.predicates_between("alice", "bob") == ["spouse"]
 
     def test_triples_with_predicate(self, small_graph):
         triples = small_graph.triples_with_predicate("birthPlace")
@@ -226,10 +223,6 @@ class TestPathEquivalence:
 
 
 class TestExports:
-    def test_to_networkx_preserves_edge_count(self, small_graph):
-        graph = small_graph.to_networkx()
-        assert graph.number_of_edges() == len(small_graph)
-
     def test_copy_is_independent(self, small_graph):
         clone = small_graph.copy()
         clone.add(Triple("new", "p", "node"))
@@ -261,7 +254,6 @@ def _string_answers(graph):
         graph.triples(),
         [graph.objects(s, p) for s in _NODES for p in _PREDICATES],
         [graph.subjects(p, o) for p in _PREDICATES for o in _NODES],
-        [graph.predicates_between(s, o) for s in _NODES for o in _NODES],
         [graph.triples_with_predicate(p) for p in _PREDICATES],
         graph.predicates(),
     )
@@ -280,7 +272,6 @@ class TestLazyHydration:
             _core_answers(graph)
             graph.contains("alice", "employer", "acme")
             graph.degree("alice")
-            graph.out_edges("alice")
             assert not graph.hydrated
         assert small_graph.objects("alice", "employer") == ["acme"]
         assert small_graph.hydrated and not clone.hydrated

@@ -78,6 +78,21 @@ class TestEncodings:
     def test_freebase_entities_use_prefix(self):
         assert FREEBASE_ENCODING.encode_entity("Marie Curie") == "fb:Marie_Curie"
 
+    def test_predicates_take_each_kg_naming_convention(self):
+        assert DBPEDIA_ENCODING.encode_predicate("birthPlace") == (
+            "http://dbpedia.org/ontology/birthPlace"
+        )
+        # YAGO keeps has/is predicates and prefixes "has" to the rest.
+        assert YAGO_ENCODING.encode_predicate("isMarriedTo") == "<isMarriedTo>"
+        assert YAGO_ENCODING.encode_predicate("hasCapital") == "<hasCapital>"
+        assert YAGO_ENCODING.encode_predicate("birthPlace") == "<hasBirthPlace>"
+        assert FREEBASE_ENCODING.encode_predicate("birthPlace") == "fb:birth.place"
+
+    def test_encoded_predicates_decode_to_the_kg_label(self):
+        assert decode_predicate(DBPEDIA_ENCODING.encode_predicate("birthPlace")) == "birthPlace"
+        assert decode_predicate(YAGO_ENCODING.encode_predicate("birthPlace")) == "hasBirthPlace"
+        assert decode_predicate(FREEBASE_ENCODING.encode_predicate("birthPlace")) == "birth.place"
+
     def test_source_domains_include_wikipedia(self):
         for encoding in ENCODINGS.values():
             assert any("wikipedia" in domain for domain in encoding.source_domains)

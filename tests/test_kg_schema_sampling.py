@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.kg import CorruptionStrategy, NegativeSampler, Triple, default_ontology
-from repro.worldmodel import EntityType
+from repro.kg import CorruptionStrategy, NegativeSampler, default_ontology
+from repro.worldmodel import RELATIONS, EntityType
 
 
 class TestOntology:
@@ -13,54 +13,27 @@ class TestOntology:
         assert ontology.range_of("birthPlace") is EntityType.CITY
         assert ontology.domain_of("unknownPredicate") is None
 
-    def test_abox_vs_tbox(self):
-        ontology = default_ontology()
-        assert ontology.is_abox("spouse")
-        assert ontology.is_tbox("rdfs:subClassOf")
-        assert not ontology.is_abox("rdfs:subClassOf")
-
-    def test_validate_conformant_triple(self):
-        ontology = default_ontology()
-        triple = Triple("Alice", "birthPlace", "Springfield")
-        assert ontology.validate_triple(triple, EntityType.PERSON, EntityType.CITY) == []
-
-    def test_validate_domain_violation(self):
-        ontology = default_ontology()
-        triple = Triple("Springfield", "birthPlace", "Springfield")
-        violations = ontology.validate_triple(triple, EntityType.CITY, EntityType.CITY)
-        assert any(v.constraint == "domain" for v in violations)
-
-    def test_validate_range_violation(self):
-        ontology = default_ontology()
-        triple = Triple("Alice", "birthPlace", "Bob")
-        violations = ontology.validate_triple(triple, EntityType.PERSON, EntityType.PERSON)
-        assert any(v.constraint == "range" for v in violations)
-
-    def test_validate_unknown_predicate(self):
-        ontology = default_ontology()
-        triple = Triple("Alice", "someRandomProperty", "Bob")
-        violations = ontology.validate_triple(triple, None, None)
-        assert [v.constraint for v in violations] == ["unknown-predicate"]
-
-    def test_untyped_entities_are_lenient(self):
-        ontology = default_ontology()
-        triple = Triple("Alice", "birthPlace", "Springfield")
-        assert ontology.validate_triple(triple, None, None) == []
-
     def test_functionality_check(self):
         ontology = default_ontology()
-        violation = ontology.check_functionality("capital", ["OldCapital"], "NewCapital")
-        assert violation is not None and violation.constraint == "functional"
-        assert ontology.check_functionality("starring", ["A"], "B") is None
-        assert ontology.check_functionality("capital", [], "NewCapital") is None
+        assert ontology.is_functional("capital")
+        assert not ontology.is_functional("starring")
+        assert not ontology.is_functional("unknownPredicate")
 
-    def test_predicates_with_signature(self):
+    def test_ontology_mirrors_the_relation_schema(self):
         ontology = default_ontology()
-        person_to_city = ontology.predicates_with_signature(
-            domain=EntityType.PERSON, range_=EntityType.CITY
-        )
-        assert "birthPlace" in person_to_city and "deathPlace" in person_to_city
-        assert "capital" not in person_to_city
+        assert set(ontology.relations) == set(RELATIONS)
+        for name, spec in RELATIONS.items():
+            assert ontology.domain_of(name) is spec.domain, name
+            assert ontology.range_of(name) is spec.range, name
+            assert ontology.is_functional(name) == spec.functional, name
+
+    def test_each_ontology_owns_its_relation_table(self):
+        narrowed = default_ontology()
+        del narrowed.relations["birthPlace"]
+        assert narrowed.domain_of("birthPlace") is None
+        assert not narrowed.is_functional("birthPlace")
+        assert "birthPlace" in RELATIONS
+        assert default_ontology().domain_of("birthPlace") is EntityType.PERSON
 
 
 class TestNegativeSampler:

@@ -33,7 +33,7 @@ class TestStatements:
         assert "Alice Ashcombe" in sentence
 
     def test_statement_uses_world_names_when_available(self, world, verbalizer):
-        person = world.entities_of_type(list(world.by_type)[0])[0]
+        person = world.by_type[list(world.by_type)[0]][0]
         # encode a triple whose labels match a real world entity name
         triple = DBPEDIA_ENCODING.encode_triple(person.name, "birthPlace", "Nowhere Town")
         sentence = verbalizer.statement(triple)

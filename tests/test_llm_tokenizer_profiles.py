@@ -5,13 +5,10 @@ import pytest
 from repro.llm import (
     ALL_PROFILES,
     OPEN_SOURCE_MODELS,
-    SimpleTokenizer,
     TelemetryCollector,
     UPGRADE_VARIANTS,
     count_tokens,
     create_model,
-    create_models,
-    default_open_source_names,
     get_profile,
     upgrade_of,
 )
@@ -20,14 +17,13 @@ from repro.llm.base import LLMResponse
 
 class TestTokenizer:
     def test_empty_text(self):
-        assert SimpleTokenizer().count("") == 0
+        assert count_tokens("") == 0
 
     def test_word_and_punctuation(self):
-        assert SimpleTokenizer().count("Hello, world!") == 4
+        assert count_tokens("Hello, world!") == 4
 
     def test_long_words_split_into_subwords(self):
-        tokenizer = SimpleTokenizer()
-        assert tokenizer.count("internationalization") > 1
+        assert count_tokens("internationalization") > 1
 
     def test_count_monotone_in_text_length(self):
         short = count_tokens("The capital of Valdoria is Brimworth.")
@@ -39,11 +35,11 @@ class TestTokenizer:
         assert count_tokens(text) >= len(text.split())
 
     def test_every_entry_point_shares_one_memo(self):
-        text = "one memo behind SimpleTokenizer.count and count_tokens"
-        first = SimpleTokenizer().count(text)
+        text = "one memo behind count_tokens"
+        first = count_tokens(text)
         hits = count_tokens.cache_info().hits
-        assert SimpleTokenizer().count(text) == count_tokens(text) == first
-        assert count_tokens.cache_info().hits == hits + 2
+        assert count_tokens(text) == first
+        assert count_tokens.cache_info().hits == hits + 1
 
     def test_memo_size_stays_at_its_cap(self):
         cap = count_tokens.cache_info().maxsize
@@ -106,14 +102,9 @@ class TestProfiles:
 
 
 class TestRegistry:
-    def test_default_names(self):
-        assert default_open_source_names() == list(OPEN_SOURCE_MODELS)
-
     def test_create_model_and_models(self, world):
         model = create_model("gemma2:9b", world)
         assert model.name == "gemma2:9b"
-        models = create_models(["gemma2:9b", "mistral:7b"], world)
-        assert set(models) == {"gemma2:9b", "mistral:7b"}
 
     def test_registry_caches_instances(self, registry):
         assert registry.get("gemma2:9b") is registry.get("gemma2:9b")
@@ -121,9 +112,6 @@ class TestRegistry:
     def test_registry_upgrade_for(self, registry):
         upgraded = registry.upgrade_for("qwen2.5:7b")
         assert upgraded.name == "qwen2.5:14b"
-
-    def test_registry_available_lists_all(self, registry):
-        assert set(registry.available()) == set(ALL_PROFILES)
 
 
 class TestTelemetry:
@@ -155,7 +143,6 @@ class TestTelemetry:
         telemetry.record(self._response(model="a"), task="dka")
         telemetry.record(self._response(model="a"), task="rag")
         telemetry.record(self._response(model="b"), task="rag")
-        assert set(telemetry.by_task()) == {"dka", "rag"}
         assert telemetry.by_model()["a"].calls == 2
 
     def test_empty_summary(self):
@@ -170,3 +157,26 @@ class TestTelemetry:
     def test_total_tokens(self):
         record = TelemetryCollector().record(self._response(prompt=7, completion=3))
         assert record.total_tokens == 10
+
+    def test_record_call_and_extend_feed_the_same_log(self):
+        worker = TelemetryCollector()
+        worker.record_call("a", "serve/dka", prompt_tokens=4, completion_tokens=2, latency_seconds=0.1)
+        worker.record_call("a", "serve/rag")
+        telemetry = TelemetryCollector()
+        telemetry.record(self._response(model="a"), task="dka")
+        telemetry.extend(worker.records())
+        assert [record.task for record in telemetry.records(model="a")] == [
+            "dka", "serve/dka", "serve/rag",
+        ]
+        assert telemetry.records(task="serve/rag")[0].total_tokens == 0
+
+    def test_usage_summary_averages_per_call(self):
+        telemetry = TelemetryCollector()
+        telemetry.record(self._response(prompt=10, completion=2, latency=1.0), task="dka")
+        telemetry.record(self._response(prompt=20, completion=6, latency=2.0), task="dka")
+        summary = telemetry.summary()
+        assert summary.calls == 2
+        assert (summary.avg_prompt_tokens, summary.avg_completion_tokens) == (15.0, 4.0)
+        assert summary.avg_total_tokens == 19.0
+        assert summary.avg_latency_seconds == pytest.approx(1.5)
+        assert summary.total_latency_seconds == pytest.approx(3.0)

@@ -12,6 +12,7 @@ degraded-after-budget-exhaustion journeys on a :class:`VirtualClock`
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import io
 import json
 import re
@@ -36,9 +37,7 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     Tracer,
-    parse_exposition,
     percentile,
-    reexpose,
     render_exposition,
     render_spans,
     slowest_path,
@@ -54,6 +53,12 @@ from repro.service import (
     ShardedValidationService,
     ValidationService,
 )
+from support import parse_exposition, reexpose
+
+
+def _carrier(span) -> dict:
+    """The ``trace`` payload field a client sends for one of its spans."""
+    return dataclasses.asdict(span.context)
 
 
 # ------------------------------------------------------------------ fixtures
@@ -125,9 +130,8 @@ class TestMetricsRegistry:
         assert requests.labels(outcome="ok").value == 3
         depth = registry.gauge("queue_depth", "Depth.")
         depth.set(7)
-        depth.inc()
-        depth.dec(3)
-        assert depth.value == 5
+        depth.inc(-3)
+        assert depth.value == 4
         latency = registry.histogram("latency_seconds", "Latency.", window=8)
         for value in (0.002, 0.004, 0.5):
             latency.observe(value)
@@ -480,7 +484,7 @@ class TestTracer:
     def test_inject_extract_round_trip_and_malformed(self):
         tracer = Tracer(VirtualClock(), seed=2)
         with tracer.span("frontend.request", "frontend") as span:
-            carrier = tracer.inject()
+            carrier = _carrier(span)
         context = Tracer.extract(carrier)
         assert context is not None
         assert context.trace_id == span.trace_id
@@ -491,8 +495,8 @@ class TestTracer:
     def test_remote_parent_anchors_a_local_subtree(self):
         upstream = Tracer(VirtualClock(), seed=4)
         downstream = Tracer(VirtualClock(), seed=5)
-        with upstream.span("client.request", "client"):
-            carrier = upstream.inject()
+        with upstream.span("client.request", "client") as span:
+            carrier = _carrier(span)
         remote = Tracer.extract(carrier)
         with downstream.span("frontend.request", "frontend", parent=remote) as span:
             assert span.trace_id == remote.trace_id
@@ -550,6 +554,22 @@ class TestTracer:
         [trace_id] = tracer.trace_ids()
         assert slowest_path(tracer.spans(trace_id)) == "router.route>replica.call"
         assert slowest_path([]) == ""
+
+    def test_slowest_trace_is_the_longest_root_earliest_on_a_tie(self):
+        clock = VirtualClock()
+        tracer = Tracer(clock, seed=12)
+        assert tracer.slowest_trace() == ("", [])
+        for duration in (0.25, 0.5, 0.5, 0.125):  # binary-exact, so the tie is exact
+            with tracer.span("router.route", "shard:0"):
+                with tracer.span("replica.call", "shard:0/replica:0"):
+                    clock.advance(duration)
+        # A long child does not make its trace the slowest: roots decide.
+        with tracer.span("router.route", "shard:0") as root:
+            tracer.record_span("store.read", "store", root, 0.0, 9.0)
+        trace_id, spans = tracer.slowest_trace()
+        assert trace_id == tracer.trace_ids()[1]
+        assert spans == tracer.spans(trace_id)
+        assert [span.name for span in spans] == ["router.route", "replica.call"]
 
     def test_max_spans_per_trace_bounds_memory_and_counts_drops(self):
         tracer = Tracer(VirtualClock(), seed=1, max_spans_per_trace=3)
@@ -1088,8 +1108,8 @@ class TestFrontendTracing:
                 frontend = TCPValidationFrontend(service, {"factbench": dataset})
                 frontend.set_observability(obs)
                 async with frontend:
-                    with client.span("client.request", "client"):
-                        carrier = client.inject()
+                    with client.span("client.request", "client") as span:
+                        carrier = _carrier(span)
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", frontend.port
                     )

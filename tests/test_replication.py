@@ -34,6 +34,7 @@ from repro.store import (
     VersionedKnowledgeStore,
 )
 from repro.validation.base import ValidationResult, ValidationStrategy, Verdict
+from support import session_vector
 
 
 @pytest.fixture(scope="module")
@@ -855,7 +856,7 @@ class TestReplicatedIngest:
                 await kill
                 assert report.epoch_vector[owner] == 2
                 assert [copy.epoch for copy in copies] == [2, 1]
-                assert router.session_vector("s") == {owner: 2}
+                assert session_vector(router, "s") == {owner: 2}
                 assert not router.health[owner][1].healthy
                 await router.apply_mutations(
                     [Mutation.remove_triple(subject, "flaggedBy", "Audit")]

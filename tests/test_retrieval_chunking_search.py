@@ -232,30 +232,8 @@ class TestMockSearchAPI:
 
     def test_fetch_content_roundtrip(self, search_api, corpus_small):
         document = next(doc for doc in corpus_small if not doc.is_empty)
-        assert search_api.fetch_content(document.url) == document.text
-        assert search_api.fetch_document(document.url).doc_id == document.doc_id
+        fetched = search_api.fetch_document(document.url)
+        assert (fetched.doc_id, fetched.text) == (document.doc_id, document.text)
 
     def test_fetch_unknown_url(self, search_api):
-        assert search_api.fetch_content("https://unknown.example/page") is None
-
-    def test_query_log_records_parameters(self, search_api):
-        search_api.reset_log()
-        search_api.search("some query", gl="us", num=3)
-        log = search_api.query_log()
-        assert log[-1]["q"] == "some query"
-        assert log[-1]["num"] == "3"
-        search_api.reset_log()
-        assert search_api.query_log() == []
-
-    def test_query_log_is_bounded(self, search_api):
-        from repro.retrieval.mock_api import QUERY_LOG_CAP
-
-        search_api.reset_log()
-        for index in range(10 * QUERY_LOG_CAP):
-            search_api.search("", num=index)  # an empty query is logged, not ranked
-        log = search_api.query_log()
-        assert len(log) == QUERY_LOG_CAP
-        assert log[-1]["num"] == str(10 * QUERY_LOG_CAP - 1)
-        assert log[0]["num"] == str(9 * QUERY_LOG_CAP)
-        search_api.reset_log()
-        assert search_api.query_log() == []
+        assert search_api.fetch_document("https://unknown.example/page") is None

@@ -35,14 +35,6 @@ class TestCorpus:
         with pytest.raises(ValueError):
             corpus.add(_doc("a"))
 
-    def test_filter_sources_suffix_match(self):
-        corpus = Corpus([
-            _doc("a", source="en.wikipedia.org"),
-            _doc("b", source="encyclia.org"),
-        ])
-        remaining = corpus.filter_sources(["wikipedia.org"])
-        assert [doc.doc_id for doc in remaining] == ["b"]
-
     def test_empty_and_coverage(self):
         corpus = Corpus([_doc("a", text=""), _doc("b"), _doc("c")])
         assert corpus.empty_count() == 1
@@ -157,21 +149,30 @@ class TestReranker:
         assert reranker.score("", "text") == 0.0
         assert reranker.score("query", "  ") == 0.0
 
-    def test_top_k_bounds(self):
-        reranker = CrossEncoderReranker()
-        results = reranker.top_k("query terms", ["query terms here", "other", "query"], k=2)
-        assert len(results) == 2
-        assert reranker.top_k("q", ["a"], k=0) == []
-
-    def test_filter_by_threshold(self):
-        reranker = CrossEncoderReranker()
-        query = "Aldric Fenwick Brimworth"
-        candidates = ["Aldric Fenwick lives in Brimworth", "completely unrelated sentence"]
-        kept = reranker.filter_by_threshold(query, candidates, threshold=0.5)
-        assert all(item.score >= 0.5 for item in kept)
-        assert any(item.index == 0 for item in kept)
-
     def test_ties_broken_by_index(self):
         reranker = CrossEncoderReranker()
         ranked = reranker.rank("zzz", ["same text", "same text"])
         assert [item.index for item in ranked] == [0, 1]
+
+    def test_batch_scores_match_pairwise_scores(self):
+        reranker = CrossEncoderReranker()
+        query = "Aldric Fenwick was born in Brimworth."
+        candidates = [
+            "Aldric Fenwick was born in Brimworth and studied engineering.",
+            "   ",
+            "Stock prices of Apex Industries rallied after the announcement.",
+            "Brimworth",
+        ]
+        batch = reranker.score_batch(query, candidates)
+        assert batch == pytest.approx([reranker.score(query, text) for text in candidates])
+        assert batch[1] == 0.0
+        assert reranker.score_batch("  ", candidates) == [0.0] * len(candidates)
+        assert reranker.score_batch(query, []) == []
+
+    def test_precompute_counts_new_texts_and_leaves_scores_unchanged(self):
+        candidates = ["Aldric Fenwick lives in Brimworth", "completely unrelated sentence"]
+        cold = CrossEncoderReranker().rank("Aldric Fenwick", candidates)
+        warmed = CrossEncoderReranker()
+        assert warmed.precompute(candidates + candidates[:1]) == 2  # duplicates collapse
+        assert warmed.precompute(candidates) == 0  # already resident
+        assert warmed.rank("Aldric Fenwick", candidates) == cold

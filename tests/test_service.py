@@ -201,7 +201,7 @@ class TestMicroBatching:
         assert [r.outcome for r in responses] == (
             [RequestOutcome.COMPLETED] * 16 + [RequestOutcome.REJECTED]
         )
-        assert service.metrics.snapshot().shed_count == 1
+        assert service.metrics.snapshot().rejected == 1
 
     def test_abandoned_requests_are_not_judged_and_take_no_slot(self, service_runner, backend):
         """A caller that gave up (the router's timeout, or any cancel) must
@@ -267,7 +267,7 @@ class TestAdmissionControl:
         assert all(response.outcome is RequestOutcome.REJECTED for response in rejected)
         assert all(response.result is None for response in rejected)
         snapshot = service.metrics.snapshot()
-        assert snapshot.shed_count == 10
+        assert snapshot.rejected == 10
         assert snapshot.completed == 2
         # Overload costs the shed requests, never the admitted ones' answers.
         offline = ValidationPipeline().run(
@@ -528,7 +528,7 @@ class TestMetrics:
         # cache-miss reads add six ``dka`` records and no ``serve/*`` task,
         # and a cache hit — no model ran — adds nothing at all.
         assert len(telemetry.records(task="dka")) - before == 6
-        assert not [task for task in telemetry.by_task() if task.startswith("serve/")]
+        assert not [r for r in telemetry.records() if r.task.startswith("serve/")]
         cached = ValidationService.from_runner(service_runner, ServiceConfig())
         request = ServiceRequest(facts[0], "dka", "gemma2:9b")
         _drive(cached, [request])

@@ -89,7 +89,6 @@ class TestVerdictCacheKeying:
         assert cache.get(fact, "dka", "gemma2:9b") is not None
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == pytest.approx(0.5)
         assert stats.size == 1
 
     def test_eviction_is_global_lru_within_capacity(self):
@@ -110,6 +109,20 @@ class TestVerdictCacheKeying:
         assert present == [True, False, True, True, True]
         with pytest.raises(ValueError):
             VerdictCache(capacity=0)
+
+    def test_deferred_lookups_count_only_once_recorded(self):
+        cache = VerdictCache(capacity=8)
+        fact = _fact()
+        cache.put(fact, "dka", "gemma2:9b", _result(fact, "dka", "gemma2:9b"), epoch=1)
+        assert cache.get(fact, "dka", "gemma2:9b", record=False, epoch=1) is not None
+        assert cache.get(fact, "dka", "gemma2:9b", record=False, epoch=2) is None
+        assert (cache.stats().hits, cache.stats().misses) == (0, 0)
+        # The caller settles the deferred lookups once admission decides.
+        cache.record_hit()
+        cache.record_miss()
+        cache.record_miss()
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.size, stats.capacity) == (1, 2, 1, 8)
 
     def test_clear_resets_contents_and_stats(self):
         cache = VerdictCache(capacity=8)

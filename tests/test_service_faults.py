@@ -30,6 +30,7 @@ from repro.service import (
     ValidationService,
 )
 from repro.validation.base import ValidationResult, ValidationStrategy, Verdict
+from support import last_value, mark_unhealthy, session_vector
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,7 @@ class TestShardFailuresSurface:
         # counted by its shard's own errors counter, so the fleet snapshot
         # reports it exactly once (router timeouts would add on top).
         assert router.metrics.failures == len(failed)
-        assert router.metrics.timeout_failures == 0
+        assert router.metrics.registry.get("router_timeout_failures_total").value == 0
         snapshot = router.metrics.snapshot()
         assert snapshot.errors == len(failed)
         assert snapshot.completed == len(responses) - len(failed)
@@ -168,7 +169,7 @@ class TestShardFailuresSurface:
         assert stalled, "the stalled shard owned no request (routing broke?)"
         # Timeouts are invisible to the shard's own counters, so the router
         # folds exactly these into the fleet errors.
-        assert router.metrics.timeout_failures == len(stalled)
+        assert router.metrics.registry.get("router_timeout_failures_total").value == len(stalled)
         assert router.metrics.snapshot().errors == len(stalled)
         for response in stalled:
             assert "stalled past" in response.error
@@ -303,11 +304,11 @@ class TestDrainAcrossShards:
                 assert metrics.failures == 0 == metrics.snapshot().completed
                 assert metrics.snapshot().unhealthy_replicas == 0
                 scraper.scrape_once()
-                assert scraper.last_value("service_requests_total", completed) == 0
+                assert last_value(scraper, "service_requests_total", completed) == 0
                 await router.submit(healthy)
                 scraper.scrape_once()
             assert metrics.snapshot().completed == 1
-            assert scraper.last_value("service_requests_total", completed) == 1
+            assert last_value(scraper, "service_requests_total", completed) == 1
 
         asyncio.run(go())
 
@@ -339,7 +340,7 @@ class TestDrainAcrossShards:
             # balancer): two batches wedged in its backend and a partial one
             # genuinely queued behind them at stop.
             stuck = await backend.three_groups(stalling, facts)
-            router.mark_unhealthy(0, 1)
+            mark_unhealthy(router, 0, 1)
             started = time.perf_counter()
             await asyncio.wait_for(router.stop(drain=True), timeout=2.0)
             assert time.perf_counter() - started < 2.0
@@ -374,7 +375,7 @@ class TestDrainAcrossShards:
 
         async def go():
             await router.start()
-            router.mark_unhealthy(0, 1)  # all traffic lands on the healthy replica
+            mark_unhealthy(router, 0, 1)  # all traffic lands on the healthy replica
             tasks = [
                 asyncio.create_task(router.submit(request)) for request in requests
             ]
@@ -409,8 +410,8 @@ class TestDrainAcrossShards:
             assert router.pending > 0
             # Transient faults marked both sole replicas unhealthy, but they
             # are alive and serving everything.
-            router.mark_unhealthy(0, 0)
-            router.mark_unhealthy(1, 0)
+            mark_unhealthy(router, 0, 0)
+            mark_unhealthy(router, 1, 0)
             await asyncio.wait_for(router.stop(drain=True), timeout=10.0)
             outcomes = await asyncio.gather(*tasks)
             assert all(
@@ -603,7 +604,6 @@ class TestGeoTierFaults:
         geo.edges["edge-0"].save(str(tmp_path / "edge"))
         restored = EdgeReplica.load("edge-0", str(tmp_path / "edge"), 2)
         assert restored.applied_vector == vector_at_crash
-        geo.remove_edge("edge-0")
         geo.adopt_edge(restored)
 
         def recording(shard_index, epoch, batch):
@@ -1018,7 +1018,7 @@ class TestDurableCommit:
                         response = await router.submit(request, region=region)
                         assert response.outcome is RequestOutcome.COMPLETED
                 assert not ingest.done()
-                assert router.session_vector(self.SESSION) == {}
+                assert session_vector(router, self.SESSION) == {}
                 for queue, epoch in zip(router.geo.queues, durable):
                     assert queue.max_epoch == epoch + 1
                     assert queue.durable_epoch == epoch
@@ -1027,7 +1027,7 @@ class TestDurableCommit:
                 fsyncs.release()
                 report = await ingest
                 landed = {shard: shard_report.epoch for shard, shard_report in report.shard_reports}
-                assert router.session_vector(self.SESSION) == landed
+                assert session_vector(router, self.SESSION) == landed
                 assert [queue.durable_epoch for queue in router.geo.queues] == [
                     landed[0], landed[1]
                 ]
@@ -1051,7 +1051,7 @@ class TestDurableCommit:
                     await router.apply_mutations(
                         self._two_shard_batch(router, "lost"), session=self.SESSION
                     )
-                assert router.session_vector(self.SESSION) == {}
+                assert session_vector(router, self.SESSION) == {}
                 assert [queue.durable_epoch for queue in router.geo.queues] == durable
                 assert await router.drain_edges() == 0
                 # The sibling queue's sync did return — and counts for

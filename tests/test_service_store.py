@@ -30,11 +30,11 @@ from repro.service import (
     ServiceRequest,
     ValidationService,
     VerdictCache,
-    build_mixed_workload,
     verdict_cache_key,
 )
 from repro.store import Mutation
 from repro.validation import ValidationResult, Verdict
+from support import build_mixed_workload, epochs_served
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +306,11 @@ class TestEvidenceReuse:
         service = ValidationService.from_runner(runner, ServiceConfig(), store=store)
         facts = runner.dataset("factbench").facts()[:4]
         api = runner.search_api("factbench")
+        queries = []
+
+        def counted_search(query, **params):
+            queries.append(query)
+            return type(api).search(api, query, **params)
 
         def upstream_calls():
             return [
@@ -317,8 +322,8 @@ class TestEvidenceReuse:
             async with service:
                 for fact in facts:
                     await service.submit(ServiceRequest(fact, "rag", "gemma2:9b"))
-                cold = len(api.query_log())
-                api.reset_log()
+                cold = len(queries)
+                queries.clear()
                 before = upstream_calls()
                 await service.apply_mutations(mutations(facts))
                 after = [
@@ -327,10 +332,14 @@ class TestEvidenceReuse:
                 ]
                 return cold, before, after
 
-        cold, before, after = asyncio.run(go())
+        api.search = counted_search
+        try:
+            cold, before, after = asyncio.run(go())
+        finally:
+            del api.search
         assert cold >= len(facts) and before == [len(facts), len(facts)]
         assert all(not response.cached for response in after)  # re-judged at the new epoch
-        return cold, len(api.query_log()), upstream_calls() == before
+        return cold, len(queries), upstream_calls() == before
 
     def test_triple_only_ingest_issues_zero_searches(self, runner):
         _, searches, upstream_unchanged = self._rag_reads_around_ingest(
@@ -423,7 +432,7 @@ class TestMixedWorkload:
         assert report.ingests == 2
         assert report.completed == 40
         assert store.epoch == base_epoch + 2
-        served = report.epochs_served()
+        served = epochs_served(report)
         assert served[0] == base_epoch and served[-1] == base_epoch + 2
         # Per-epoch verdict tables partition the completed reads.
         assert sum(len(report.verdicts(epoch=epoch)) for epoch in served) >= len(
@@ -462,7 +471,7 @@ class TestMixedWorkload:
         )
         report = LoadGenerator(service, workload, concurrency=8).run_sync()
         assert report.completed == 120 and report.ingests == 1
-        pre_epoch, post_epoch = report.epochs_served()
+        pre_epoch, post_epoch = epochs_served(report)
         assert post_epoch == pre_epoch + 1
 
         def offline(epoch):

@@ -11,7 +11,7 @@ import pytest
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
 from repro.kg import Triple
-from repro.obs import Observability, parse_exposition
+from repro.obs import Observability
 from repro.retrieval.corpus import Document
 from repro.service import router as router_module
 from repro.service import (
@@ -23,7 +23,6 @@ from repro.service import (
     ShardedValidationService,
     TCPValidationFrontend,
     ValidationService,
-    build_mixed_workload,
     percentile,
 )
 from repro.store import (
@@ -35,6 +34,7 @@ from repro.store import (
 )
 from repro.store import sharding
 from repro.store.sharding import RING_MEMO_CAPACITY
+from support import build_mixed_workload, epochs_served, parse_exposition
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +413,7 @@ class TestShardedServiceRouting:
         assert report.rejected == 0 and report.failures == 0
         # The ingest bumped exactly one shard: the composite epoch served
         # before and after differs by one.
-        served = report.epochs_served()
+        served = epochs_served(report)
         assert served[0] == 4  # genesis: every shard at epoch 1
         assert served[-1] == 5
         assert report.snapshot.ingests == 1

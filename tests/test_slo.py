@@ -7,8 +7,8 @@ Covers the PR 8 tentpole layer end to end:
 * :class:`MetricsScraper` — lazy series materialisation, the
   ``max_series`` cardinality bound, label-subset matching, and
   deterministic sampling under a :class:`VirtualClock`;
-* the SLI family — availability from counters, latency from histogram
-  buckets, time-based health from gauges — plus exact error budgets and
+* the SLI family — availability from counters, time-based health from
+  gauges — plus exact error budgets and
   the multi-window multi-burn-rate trip condition;
 * :class:`AlertManager` — pending→firing→resolved lifecycles, ``for_s``
   hold-down, and the structured events each transition emits;
@@ -37,17 +37,18 @@ from repro.obs import (
     BurnRule,
     EventLog,
     HealthSLI,
-    LatencySLI,
     MetricsRegistry,
     MetricsScraper,
     SLO,
     SLOMonitor,
     TimeSeries,
+    WindowSample,
     budget_bar,
     render_dashboard,
     series_key,
     sparkline,
 )
+from support import last_value
 
 
 # ----------------------------------------------------------------- time series
@@ -76,7 +77,7 @@ class TestTimeSeries:
             series.observe(second, second * 10)
         assert [p.ts_s for p in series.points(start_s=1.0, end_s=3.0)] == [2.0, 3.0]
         assert [p.ts_s for p in series.points(end_s=2.0)] == [1.0, 2.0]
-        assert series.latest().value == 30.0
+        assert series.points()[-1].value == 30.0
 
     def test_increase_sums_positive_deltas(self):
         series = self._series()
@@ -138,7 +139,7 @@ class TestMetricsScraper:
         names = {series.name for key in scraper.keys() for series in [scraper.get(key)]}
         assert names == {"lat_seconds_bucket", "lat_seconds_sum", "lat_seconds_count"}
         under = scraper.match("lat_seconds_bucket", {"le": "0.01"})
-        assert len(under) == 1 and under[0].latest().value == 1.0
+        assert len(under) == 1 and under[0].points()[-1].value == 1.0
 
     def test_max_series_bound_counts_drops_instead_of_growing(self):
         registry = MetricsRegistry()
@@ -165,7 +166,7 @@ class TestMetricsScraper:
         assert len(scraper.match("served_total")) == 1
         assert len(scraper.match("served_total", {"shard": "0"})) == 1
         assert scraper.match("served_total", {"shard": "9"}) == []
-        assert scraper.last_value("served_total") == 3.0
+        assert last_value(scraper, "served_total") == 3.0
 
     def test_sum_increase_spans_replicas_and_respects_windows(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -227,19 +228,6 @@ class TestSLIs:
         window = sli.evaluate(_scraped(registry), -1.0, 1.0)
         assert (window.good, window.bad) == (97.0, 3.0)
         assert window.bad_ratio == 0.03
-
-    def test_latency_sli_reads_threshold_bucket_directly(self):
-        registry = MetricsRegistry()
-        latency = registry.histogram("lat_seconds", "L.", buckets=(0.01, 0.1, 1.0))
-        for value in (0.004, 0.005, 0.05, 0.5):
-            latency.observe(value)
-        sli = LatencySLI("lat_seconds", threshold_s=0.01)
-        window = sli.evaluate(_scraped(registry), -1.0, 1.0)
-        assert (window.good, window.bad) == (2.0, 2.0)
-        # Whole-number thresholds use the int-form le label the renderer emits.
-        whole = LatencySLI("lat_seconds", threshold_s=1.0)
-        window = whole.evaluate(_scraped(registry), -1.0, 1.0)
-        assert (window.good, window.bad) == (4.0, 0.0)
 
     def test_health_sli_is_time_based_and_merges_replicas(self):
         registry = MetricsRegistry()
@@ -321,6 +309,36 @@ class TestSLO:
         assert status.budget_remaining == 1.0
         assert all(not reading.exceeded for reading in status.rules)
 
+    def test_error_budget_and_burn_rate_follow_the_objective(self):
+        slo = self._slo(objective=0.999)
+        assert slo.error_budget == pytest.approx(0.001)
+        assert slo.burn_rate(WindowSample(good=990.0, bad=10.0)) == pytest.approx(10.0)
+        assert slo.burn_rate(WindowSample(good=1.0, bad=0.0)) == 0.0
+        assert slo.burn_rate(WindowSample(good=0.0, bad=0.0)) == 0.0
+
+    def test_budget_window_defaults_to_the_longest_rule_window(self):
+        assert self._slo().budget_window_s == 21600.0
+        short = SLO(
+            "avail",
+            0.99,
+            AvailabilitySLI.of(good={"good_total": {}}, bad={"bad_total": {}}),
+            budget_window_s=60.0,
+        )
+        assert short.budget_window_s == 60.0
+        # Badness older than the budget window no longer spends the budget.
+        registry = MetricsRegistry()
+        bad = registry.counter("bad_total", "B.")
+        good = registry.counter("good_total", "G.")
+        clock = VirtualClock()
+        scraper = MetricsScraper(registry, clock=clock)
+        scraper.scrape_once()
+        bad.inc(5)
+        scraper.scrape_once(now=1.0)
+        good.inc(100)
+        scraper.scrape_once(now=100.0)
+        assert short.evaluate(scraper, now_s=100.0).budget_remaining == 1.0
+        assert self._slo().evaluate(scraper, now_s=100.0).budget_remaining < 0.0
+
 
 # ---------------------------------------------------------------------- alerts
 
@@ -363,7 +381,6 @@ class TestAlertManager:
         alert = manager.get("avail:page")
         assert alert.state == "firing" and alert.fired_count == 1
         assert manager.fired_ids() == ["avail:page"]
-        assert manager.active_ids() == ["avail:page"]
         # The pending event still lands first so the timeline is explicit.
         kinds = [event.kind for event in events.events()]
         assert kinds == ["alert_pending", "alert_firing"]
@@ -413,6 +430,28 @@ class TestAlertManager:
         kinds = [event.kind for event in events.events()]
         assert kinds == ["alert_pending"], "no firing, so no resolved event"
 
+    def test_alerts_keep_registration_order_and_active_tracks_the_lifecycle(self):
+        clock = VirtualClock()
+        registry, scraper = self._burning_scraper(clock)
+        quiet = SLO(
+            "quiet",
+            0.99,
+            AvailabilitySLI.of(good={"good_total": {}}, bad={}),
+            rules=(BurnRule("ticket", factor=6.0, long_window_s=3600.0, short_window_s=300.0),),
+        )
+        manager = AlertManager([self._slo(), quiet])
+        assert [alert.alert_id for alert in manager.alerts()] == ["avail:page", "quiet:ticket"]
+        assert not any(alert.active for alert in manager.alerts())
+        manager.evaluate_once(scraper, now_s=1.0)
+        assert [alert.alert_id for alert in manager.alerts() if alert.active] == ["avail:page"]
+        registry.counter("good_total", "G.").inc(10_000_000)
+        clock.advance(3601.0)
+        scraper.scrape_once()
+        manager.evaluate_once(scraper, now_s=3602.0)
+        page = manager.get("avail:page")
+        assert page.state == "resolved" and not page.active
+        assert manager.get("no:such") is None
+
 
 class TestSLOMonitor:
     def test_tick_scrapes_evaluates_and_payload_is_json_safe(self):
@@ -436,6 +475,19 @@ class TestSLOMonitor:
         json.dumps(payload)  # JSON-safe end to end
         assert payload["slos"][0]["name"] == "avail"
         assert payload["alerts"][0]["alert_id"] == "avail:page"
+
+    def test_tick_reads_the_scraper_clock_unless_told_the_time(self):
+        clock = VirtualClock()
+        registry = MetricsRegistry()
+        registry.counter("good_total", "G.").inc(1)
+        slos = [SLO("avail", 0.99, AvailabilitySLI.of(good={"good_total": {}}, bad={}))]
+        monitor = SLOMonitor(MetricsScraper(registry, clock=clock), slos)
+        assert monitor.slos == tuple(slos)
+        clock.advance(2.0)
+        monitor.tick()
+        monitor.tick(now_s=5.0)
+        [series] = monitor.scraper.match("good_total")
+        assert [point.ts_s for point in series.points()] == [2.0, 5.0]
 
 
 # ------------------------------------------------------------------- dashboard
@@ -703,7 +755,7 @@ class TestFrontendSLOVerb:
                     ],
                 )
                 frontend = TCPValidationFrontend(router, {"factbench": dataset})
-                frontend.set_slo_monitor(monitor)
+                frontend.slo_monitor = monitor
                 async with frontend:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", frontend.port

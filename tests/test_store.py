@@ -42,6 +42,7 @@ from repro.store import (
     VersionedKnowledgeStore,
     read_mutations_jsonl,
 )
+from repro.store.log import group_batches
 from repro.store.segment import SEGMENT_MAGIC
 
 
@@ -110,6 +111,34 @@ class TestMutationSerialisation:
         log.append_batch(1, [Mutation.add_triple("a", "p", "b")])
         with pytest.raises(ValueError):
             log.append_batch(1, [Mutation.add_triple("c", "p", "d")])
+
+    def test_log_windows_are_open_closed_and_batches_group_by_epoch(self):
+        log = MutationLog()
+        batches = {
+            epoch: [Mutation.add_triple(f"s{epoch}", "p", f"o{index}") for index in range(epoch)]
+            for epoch in (1, 2, 4)
+        }
+        for epoch, batch in batches.items():
+            log.append_batch(epoch, batch)
+        assert log.max_epoch == 4 and len(log) == 7
+        assert [epoch for epoch, _ in log.records_between(after=1, upto=2)] == [2, 2]
+        assert [epoch for epoch, _ in log.records_between(after=2)] == [4] * 4
+        assert list(log.records_between(upto=0)) == []
+        assert log.batches() == sorted(batches.items())
+        assert log.batches(after=1, upto=3) == [(2, batches[2])]
+        assert group_batches([]) == []
+
+    def test_config_payload_round_trips_and_defaults_missing_keys(self):
+        config = StoreConfig(index_rebuild_fraction=0.1, graph_rebuild_fraction=0.05)
+        payload = config.as_payload()
+        assert json.loads(json.dumps(payload)) == payload
+        assert StoreConfig.from_payload(payload) == config
+        assert StoreConfig.from_payload({}) == StoreConfig()
+        assert StoreConfig.from_payload({"graph_rebuild_fraction": 0.2}) == StoreConfig(
+            graph_rebuild_fraction=0.2
+        )
+        with pytest.raises(ValueError, match="index_rebuild_fraction"):
+            StoreConfig.from_payload({"index_rebuild_fraction": 0.0})
 
 
 class TestApply:

@@ -38,20 +38,68 @@ class TestOntologyRules:
     def test_range_violation_refuted(self, world, rule_checker):
         from repro.worldmodel import EntityType
 
-        person = world.entities_of_type(EntityType.PERSON)[0]
-        other_person = world.entities_of_type(EntityType.PERSON)[1]
+        person = world.by_type[EntityType.PERSON][0]
+        other_person = world.by_type[EntityType.PERSON][1]
         fact = _fact(world, person.name, "birthPlace", other_person.name)
         verdict = rule_checker.check(fact)
         assert verdict.refuted
         assert any("range violation" in reason for reason in verdict.reasons)
 
+    def test_domain_violation_refuted(self, world, rule_checker):
+        from repro.worldmodel import EntityType
+
+        city, other_city = world.by_type[EntityType.CITY][:2]
+        fact = _fact(world, city.name, "birthPlace", other_city.name)
+        verdict = rule_checker.check(fact)
+        assert verdict.refuted
+        assert [reason.split(":")[0] for reason in verdict.reasons] == ["domain violation"]
+
+    def test_entity_unknown_to_the_world_abstains(self, world, rule_checker):
+        from repro.worldmodel import EntityType
+
+        city = world.by_type[EntityType.CITY][0]
+        for subject, obj in (("Nobody Known", "Nowhere Known"), ("Nobody Known", city.name)):
+            verdict = rule_checker.check(_fact(world, subject, "birthPlace", obj))
+            assert verdict.decision is None and verdict.reasons == ()
+
+    def test_predicate_without_a_spec_abstains(self, world, rule_checker):
+        from repro.worldmodel import EntityType
+
+        city = world.by_type[EntityType.CITY][0]
+        person = world.by_type[EntityType.PERSON][0]
+        verdict = rule_checker.check(_fact(world, city.name, "someRandomProperty", person.name))
+        assert verdict.decision is None and verdict.reasons == ()
+
+    def test_domain_and_range_violations_are_reported_together(self, world, rule_checker):
+        from repro.worldmodel import EntityType
+
+        city = world.by_type[EntityType.CITY][0]
+        person = world.by_type[EntityType.PERSON][0]
+        verdict = rule_checker.check(_fact(world, city.name, "birthPlace", person.name))
+        assert verdict.refuted
+        assert [reason.split(":")[0] for reason in verdict.reasons] == [
+            "domain violation",
+            "range violation",
+        ]
+
+    def test_checker_applies_the_ontology_it_is_given(self, world):
+        from repro.kg.schema import Ontology
+        from repro.worldmodel import EntityType
+
+        person, other_person = world.by_type[EntityType.PERSON][:2]
+        fact = _fact(world, person.name, "birthPlace", other_person.name)
+        assert OntologyRuleChecker(world).check(fact).refuted
+        # An ontology without the predicate has no rule to apply: abstain.
+        unconstrained = OntologyRuleChecker(world, ontology=Ontology(relations={}))
+        assert unconstrained.check(fact).decision is None
+
     def test_functionality_violation_refuted(self, world, rule_checker):
         from repro.worldmodel import EntityType
 
-        person = world.entities_of_type(EntityType.PERSON)[0]
+        person = world.by_type[EntityType.PERSON][0]
         true_city_id = world.true_objects(person.entity_id, "birthPlace")[0]
         wrong_city = next(
-            city for city in world.entities_of_type(EntityType.CITY)
+            city for city in world.by_type[EntityType.CITY]
             if city.entity_id != true_city_id
         )
         fact = _fact(world, person.name, "birthPlace", wrong_city.name)
@@ -62,7 +110,7 @@ class TestOntologyRules:
     def test_true_fact_abstains(self, world, rule_checker):
         from repro.worldmodel import EntityType
 
-        person = world.entities_of_type(EntityType.PERSON)[0]
+        person = world.by_type[EntityType.PERSON][0]
         true_city = world.name(world.true_objects(person.entity_id, "birthPlace")[0])
         fact = _fact(world, person.name, "birthPlace", true_city, label=True)
         verdict = rule_checker.check(fact)
@@ -75,16 +123,15 @@ class TestOntologyRules:
 
     def test_rule_refutations_are_sound_on_generated_data(self, rule_checker, factbench_small):
         # Whenever the rules refute a dataset fact, the gold label must be False.
-        screened = rule_checker.screen_dataset(factbench_small.facts())
         for fact in factbench_small:
-            if screened[fact.fact_id].refuted:
+            if rule_checker.check(fact).refuted:
                 assert fact.label is False
 
     def test_rule_guarded_validator_skips_llm_on_refutation(self, world, rule_checker, gemma, verbalizer):
         from repro.worldmodel import EntityType
 
-        person = world.entities_of_type(EntityType.PERSON)[2]
-        other_person = world.entities_of_type(EntityType.PERSON)[3]
+        person = world.by_type[EntityType.PERSON][2]
+        other_person = world.by_type[EntityType.PERSON][3]
         fact = _fact(world, person.name, "birthPlace", other_person.name)
         guarded = RuleGuardedValidator(rule_checker, DirectKnowledgeAssessment(gemma, verbalizer))
         result = guarded.validate(fact)

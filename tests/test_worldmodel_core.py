@@ -11,7 +11,6 @@ from repro.worldmodel import (
     World,
     WorldConfig,
     build_world,
-    relation_spec,
 )
 
 
@@ -22,15 +21,11 @@ class TestRelationSchema:
             assert spec.question_templates, name
 
     def test_relation_spec_lookup(self):
-        assert relation_spec("birthPlace").range is EntityType.CITY
-
-    def test_relation_spec_unknown_raises(self):
-        with pytest.raises(KeyError):
-            relation_spec("definitelyNotARelation")
+        assert RELATIONS["birthPlace"].range is EntityType.CITY
 
     def test_functional_relations_marked(self):
-        assert relation_spec("capital").functional
-        assert not relation_spec("starring").functional
+        assert RELATIONS["capital"].functional
+        assert not RELATIONS["starring"].functional
 
     def test_categories_are_known(self):
         allowed = {"relationship", "role", "geographic", "genre", "biographical"}
@@ -38,11 +33,6 @@ class TestRelationSchema:
 
 
 class TestEntity:
-    def test_attribute_lookup(self):
-        entity = Entity("e1", "Thing", EntityType.PERSON, attributes=(("year", 1990),))
-        assert entity.attribute("year") == 1990
-        assert entity.attribute("missing", "default") == "default"
-
     def test_entities_are_hashable_and_frozen(self):
         entity = Entity("e1", "Thing", EntityType.PERSON)
         with pytest.raises(AttributeError):
@@ -104,18 +94,18 @@ class TestWorldGeneration:
             assert required in populated
 
     def test_every_person_has_birthplace_and_nationality(self, world):
-        persons = world.entities_of_type(EntityType.PERSON)
+        persons = world.by_type[EntityType.PERSON]
         assert persons
         for person in persons[:50]:
             assert world.true_objects(person.entity_id, "birthPlace")
             assert world.true_objects(person.entity_id, "nationality")
 
     def test_functional_relations_have_single_object(self, world):
-        for person in world.entities_of_type(EntityType.PERSON)[:80]:
+        for person in world.by_type[EntityType.PERSON][:80]:
             assert len(world.true_objects(person.entity_id, "birthPlace")) == 1
 
     def test_nationality_consistent_with_birthplace(self, world):
-        for person in world.entities_of_type(EntityType.PERSON)[:60]:
+        for person in world.by_type[EntityType.PERSON][:60]:
             birth_cities = world.true_objects(person.entity_id, "birthPlace")
             nationalities = world.true_objects(person.entity_id, "nationality")
             located_in = world.true_objects(birth_cities[0], "locatedIn")
@@ -123,7 +113,7 @@ class TestWorldGeneration:
                 assert nationalities[0] == located_in[0]
 
     def test_spouse_is_symmetric(self, world):
-        for person in world.entities_of_type(EntityType.PERSON):
+        for person in world.by_type[EntityType.PERSON]:
             for spouse_id in world.true_objects(person.entity_id, "spouse"):
                 assert person.entity_id in world.true_objects(spouse_id, "spouse")
 
@@ -137,7 +127,7 @@ class TestWorldGeneration:
         assert 0.0 < value <= 1.0
 
     def test_entity_lookup_by_name(self, world):
-        entity = world.entities_of_type(EntityType.PERSON)[0]
+        entity = world.by_type[EntityType.PERSON][0]
         assert world.entity_by_name(entity.name) == entity
         assert world.entity_by_name("No Such Person") is None
 
