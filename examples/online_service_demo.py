@@ -4,15 +4,16 @@ Run with::
 
     PYTHONPATH=src python examples/online_service_demo.py
 
-The script builds a small substrate, starts the asyncio validation service
-in-process, and walks through the serving features one at a time:
+The script builds a small substrate, starts a single node in-process (the
+1x1 fleet: one shard of one ``ValidationService`` worker behind the
+router), and walks through the serving features one at a time:
 
 1. single-fact requests returning full ``ValidationResult``s;
 2. micro-batching under concurrent submissions;
 3. verdict-cache hits on repeat traffic;
 4. admission control shedding overload with explicit ``REJECTED`` outcomes;
 5. a closed-loop load-generator run with the latency/throughput report;
-6. the same service behind the TCP JSON-lines front-end.
+6. the same node behind the TCP JSON-lines front-end.
 
 The equivalent CLI commands::
 
@@ -30,8 +31,8 @@ from repro.service import (
     LoadGenerator,
     ServiceConfig,
     ServiceRequest,
+    ShardedValidationService,
     TCPValidationFrontend,
-    ValidationService,
     build_workload,
 )
 
@@ -53,7 +54,7 @@ def build_runner() -> BenchmarkRunner:
 async def single_requests(runner: BenchmarkRunner) -> None:
     print("=== 1. Single-fact requests ===")
     dataset = runner.dataset("factbench")
-    async with ValidationService.from_runner(runner) as service:
+    async with ShardedValidationService.from_runner(runner, 1) as service:
         for fact in dataset.facts()[:3]:
             response = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
             result = response.result
@@ -69,7 +70,7 @@ async def micro_batching(runner: BenchmarkRunner) -> None:
     print("\n=== 2. Micro-batching under concurrency ===")
     dataset = runner.dataset("factbench")
     config = ServiceConfig(max_batch_size=8, enable_cache=False)
-    async with ValidationService.from_runner(runner, config) as service:
+    async with ShardedValidationService.from_runner(runner, 1, config) as service:
         responses = await asyncio.gather(
             *(service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
               for fact in dataset.facts()[:8])
@@ -82,13 +83,14 @@ async def micro_batching(runner: BenchmarkRunner) -> None:
 async def verdict_cache(runner: BenchmarkRunner) -> None:
     print("\n=== 3. Verdict cache ===")
     fact = runner.dataset("factbench")[0]
-    async with ValidationService.from_runner(runner) as service:
+    async with ShardedValidationService.from_runner(runner, 1) as service:
         first = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
         second = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
         print(f"  first:  cached={first.cached}  {first.latency_seconds * 1000:.3f} ms")
         print(f"  second: cached={second.cached}   {second.latency_seconds * 1000:.3f} ms "
               f"(identical result: {second.result == first.result})")
-        print(f"  cache stats: {service.cache.stats()}")
+        worker = service.groups[0][0]  # the node's one replica worker
+        print(f"  cache stats: {worker.cache.stats()}")
 
 
 async def admission_control(runner: BenchmarkRunner) -> None:
@@ -96,7 +98,7 @@ async def admission_control(runner: BenchmarkRunner) -> None:
     dataset = runner.dataset("factbench")
     config = ServiceConfig(max_batch_size=1, queue_depth=3, time_scale=0.01,
                            enable_cache=False)
-    async with ValidationService.from_runner(runner, config) as service:
+    async with ShardedValidationService.from_runner(runner, 1, config) as service:
         responses = await asyncio.gather(
             *(service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
               for fact in dataset.facts()[:12])
@@ -116,9 +118,8 @@ def closed_loop(runner: BenchmarkRunner) -> None:
         seed=5,
         method_weights={"dka": 3.0, "giv-z": 1.0},
     )
-    service = ValidationService.from_runner(
-        runner, ServiceConfig(max_batch_size=16, time_scale=0.002)
-    )
+    config = ServiceConfig(max_batch_size=16, time_scale=0.002)
+    service = ShardedValidationService.from_runner(runner, 1, config)
     report = LoadGenerator(service, workload, concurrency=24).run_sync()
     print("  " + report.format_table().replace("\n", "\n  "))
 
@@ -126,7 +127,7 @@ def closed_loop(runner: BenchmarkRunner) -> None:
 async def tcp_frontend(runner: BenchmarkRunner) -> None:
     print("\n=== 6. TCP JSON-lines front-end ===")
     dataset = runner.dataset("factbench")
-    async with ValidationService.from_runner(runner) as service:
+    async with ShardedValidationService.from_runner(runner, 1) as service:
         async with TCPValidationFrontend(service, {"factbench": dataset}) as frontend:
             reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
             request = {

@@ -12,7 +12,7 @@ on the subject entity and walks the sharded tier end to end:
    growing the ring remaps only a fraction of the key space;
 2. scatter-gather serving: a multi-fact batch fans out to the owning
    shards and merges deterministically — verdicts byte-identical to the
-   unsharded service;
+   single node (the 1x1 fleet);
 3. per-shard ingest: a mutation batch routed to one shard bumps only
    that shard's epoch, so only its cached verdicts go stale while every
    other shard keeps serving from cache;
@@ -88,16 +88,16 @@ async def scatter_gather(runner: BenchmarkRunner) -> None:
     router = ShardedValidationService.from_runner(runner, NUM_SHARDS, config)
     async with router:
         gathered = await router.submit_many(requests)
-    plain = ValidationService.from_runner(runner, config)
-    async with plain:
-        flat = await asyncio.gather(*(plain.submit(req) for req in requests))
+    single = ShardedValidationService.from_runner(runner, 1, config)
+    async with single:
+        flat = await single.submit_many(requests)
     identical = all(a.result == b.result for a, b in zip(gathered, flat))
     per_shard = [snapshot.completed for snapshot in router.metrics.per_shard()]
     print(
         f"scattered {len(requests)} facts across shards {per_shard}, "
         f"gathered in submission order"
     )
-    print(f"verdicts byte-identical to the unsharded service: {identical}\n")
+    print(f"verdicts byte-identical to the single node (the 1x1 fleet): {identical}\n")
 
 
 async def per_shard_ingest(runner: BenchmarkRunner) -> None:
@@ -145,8 +145,9 @@ async def fault_isolation(runner: BenchmarkRunner) -> None:
             return runner.build_strategy(method, dataset_name, runner.registry.get(model))
         return healthy
 
-    shards = [ValidationService(provider_for(i), config) for i in range(NUM_SHARDS)]
-    router = ShardedValidationService(shards)
+    # One replica group of one worker per shard.
+    groups = [[ValidationService(provider_for(i), config)] for i in range(NUM_SHARDS)]
+    router = ShardedValidationService(groups)
     async with router:
         responses = await router.submit_many(requests)
     outcomes = Counter(response.outcome.value for response in responses)

@@ -31,8 +31,8 @@ import tempfile
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.retrieval import SearchEngine
 from repro.retrieval.corpus import Document
-from repro.service import ServiceConfig, ServiceRequest, ValidationService
-from repro.store import Mutation, VersionedKnowledgeStore
+from repro.service import ServiceConfig, ServiceRequest, ShardedValidationService
+from repro.store import Mutation, ShardedStore, VersionedKnowledgeStore
 
 
 def build_runner() -> BenchmarkRunner:
@@ -117,7 +117,11 @@ async def serve_across_an_ingest(runner: BenchmarkRunner, store) -> None:
     print("=== 4. Online service across a mid-traffic ingest ===")
     dataset = runner.dataset("factbench")
     fact = dataset.facts()[4]
-    service = ValidationService.from_runner(runner, ServiceConfig(), store=store)
+    # The single node is the 1x1 fleet: the ingest crosses the router and
+    # the shard's replica group of one, as it would on any fleet.
+    service = ShardedValidationService.from_runner(
+        runner, 1, ServiceConfig(), store=ShardedStore([store])
+    )
     async with service:
         first = await service.submit(ServiceRequest(fact, "rag", "gemma2:9b"))
         repeat = await service.submit(ServiceRequest(fact, "rag", "gemma2:9b"))

@@ -38,8 +38,10 @@ Each experiment prints the corresponding table/figure in the same text
 format the ``benchmarks/`` harness uses, so the CLI is the quickest way to
 reproduce a single result without running pytest.  ``serve`` exposes the
 :mod:`repro.service` subsystem over newline-delimited JSON; ``loadgen``
-drives an in-process service closed-loop and prints the latency/throughput
-report (the muBench-style deploy-and-measure pair).  ``ingest`` replays a
+drives an in-process fleet closed-loop and prints the latency/throughput
+report (the muBench-style deploy-and-measure pair).  Both build a
+``--shards`` x ``--replicas`` router; the default 1x1 fleet is the single
+node.  ``ingest`` replays a
 persisted :mod:`repro.store` segment, applies a batch of mutations from
 a plain JSONL file, and writes the grown segment back; ``compact``
 collapses a store's history into one canonical batch at the current
@@ -56,6 +58,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import sys
 from typing import Optional, TextIO
 
@@ -110,7 +113,8 @@ def build_service_parser() -> argparse.ArgumentParser:
             default=1,
             help=(
                 "Partition serving across N shard workers routed by consistent "
-                "hash of the subject entity (1 = the unsharded service)."
+                "hash of the subject entity (1 with --replicas 1 = the 1x1 "
+                "fleet, a single node)."
             ),
         )
         sub.add_argument(
@@ -128,9 +132,9 @@ def build_service_parser() -> argparse.ArgumentParser:
             type=float,
             default=0.0,
             help=(
-                "Sharded/replicated only: seconds before a stalled replica "
-                "request is abandoned — failed over to a sibling when one "
-                "exists, an explicit FAILED outcome otherwise (0 = no timeout)."
+                "Seconds before a stalled replica request is abandoned — "
+                "failed over to a sibling when one exists, an explicit FAILED "
+                "outcome otherwise (0 = no timeout)."
             ),
         )
         sub.add_argument(
@@ -333,67 +337,59 @@ def _experiment_config(args, methods, datasets, models, seed: int) -> Experiment
     )
 
 
-def _service_setup(args):
-    """Build the (runner, service, datasets) triple the subcommands share.
-
-    With ``--shards N > 1`` the service is a
-    :class:`~repro.service.ShardedValidationService` routing over N shard
-    workers (same submit/metrics surface, so the front-end and load
-    generator drive it unchanged).
-    """
-    from ..service import ServiceConfig, ShardedValidationService, ValidationService
+def _service_setup(args, time_scale: Optional[float] = None):
+    """Build the (runner, router, datasets) triple the serving subcommands
+    share: a :class:`~repro.service.ShardedValidationService` of
+    ``--shards`` x ``--replicas`` workers (the default 1x1 fleet is the
+    single node).  ``time_scale`` overrides ``--time-scale``."""
+    from ..service import ServiceConfig, ShardedValidationService
 
     _validate_names(args.methods, args.models, args.datasets)
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     if args.replicas < 1:
         raise SystemExit("--replicas must be >= 1")
+    if not math.isfinite(args.request_timeout) or args.request_timeout < 0:
+        raise SystemExit("--request-timeout must be a finite number of seconds >= 0")
     config = _experiment_config(
         args, args.methods, args.datasets, args.models, args.seed
     )
     runner = BenchmarkRunner(config)
-    service_config = ServiceConfig(
-        max_batch_size=args.max_batch_size,
-        queue_depth=args.queue_depth,
-        enable_cache=not args.no_cache,
-        time_scale=args.time_scale,
+    router = ShardedValidationService.from_runner(
+        runner,
+        args.shards,
+        ServiceConfig(
+            max_batch_size=args.max_batch_size,
+            queue_depth=args.queue_depth,
+            enable_cache=not args.no_cache,
+            time_scale=args.time_scale if time_scale is None else time_scale,
+        ),
+        request_timeout_s=args.request_timeout or None,
+        replicas=args.replicas,
     )
-    if args.shards > 1 or args.replicas > 1:
-        service = ShardedValidationService.from_runner(
-            runner,
-            args.shards,
-            service_config,
-            request_timeout_s=args.request_timeout or None,
-            replicas=args.replicas,
-        )
-    else:
-        service = ValidationService.from_runner(runner, service_config)
     datasets = {name: runner.dataset(name) for name in config.datasets}
-    return runner, service, datasets
+    return runner, router, datasets
 
 
 def _run_serve(args, stream: TextIO) -> int:
     from ..service import TCPValidationFrontend
 
-    _, service, datasets = _service_setup(args)
+    _, router, datasets = _service_setup(args)
 
     async def serve() -> None:
-        async with service:
+        async with router:
             async with TCPValidationFrontend(
-                service,
+                router,
                 datasets,
                 args.host,
                 args.port,
                 allowed_methods=args.methods,
                 allowed_models=args.models,
             ) as frontend:
-                shard_note = f"; {args.shards} shards" if args.shards > 1 else ""
-                if args.replicas > 1:
-                    shard_note += f"; {args.replicas} replicas/shard"
                 stream.write(
                     f"serving {sorted(datasets)} on {frontend.host}:{frontend.port} "
                     f"(methods {','.join(args.methods)}; models "
-                    f"{','.join(args.models)}{shard_note})\n"
+                    f"{','.join(args.models)}; {args.shards}x{args.replicas} fleet)\n"
                 )
                 if hasattr(stream, "flush"):
                     stream.flush()
@@ -407,12 +403,17 @@ def _run_serve(args, stream: TextIO) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
-    stream.write(service.metrics.snapshot().format_table() + "\n")
-    if hasattr(service.metrics, "format_shard_table"):
-        stream.write("\n" + service.metrics.format_shard_table() + "\n")
-    if args.replicas > 1 and hasattr(service.metrics, "format_replica_table"):
-        stream.write("\n" + service.metrics.format_replica_table() + "\n")
+    _write_fleet_tables(router, stream)
     return 0
+
+
+def _write_fleet_tables(router, stream: TextIO) -> None:
+    """The fleet snapshot and per-shard tables, plus per-replica health
+    when the shards are replicated."""
+    stream.write(router.metrics.snapshot().format_table() + "\n")
+    stream.write("\n" + router.metrics.format_shard_table() + "\n")
+    if router.num_replicas > 1:
+        stream.write("\n" + router.metrics.format_replica_table() + "\n")
 
 
 def _run_sharded_ingest(args, stream: TextIO) -> int:
@@ -594,17 +595,13 @@ def _run_convert(args, stream: TextIO) -> int:
 def _run_loadgen(args, stream: TextIO) -> int:
     from ..service import LoadGenerator, build_workload
 
-    _, service, datasets = _service_setup(args)
+    _, router, datasets = _service_setup(args)
     workload = build_workload(
         list(datasets.values()), args.methods, args.models, args.requests, seed=args.seed
     )
-    report = LoadGenerator(service, workload, concurrency=args.concurrency).run_sync()
+    report = LoadGenerator(router, workload, concurrency=args.concurrency).run_sync()
     stream.write(report.format_table("Closed-loop load run") + "\n\n")
-    stream.write(service.metrics.snapshot().format_table() + "\n")
-    if hasattr(service.metrics, "format_shard_table"):
-        stream.write("\n" + service.metrics.format_shard_table() + "\n")
-    if args.replicas > 1 and hasattr(service.metrics, "format_replica_table"):
-        stream.write("\n" + service.metrics.format_replica_table() + "\n")
+    _write_fleet_tables(router, stream)
     return 0
 
 
@@ -676,17 +673,9 @@ def _run_obs_dashboard(args, stream: TextIO) -> int:
         fleet_slos,
         render_dashboard,
     )
-    from ..service import (
-        ServiceConfig,
-        ShardedValidationService,
-        build_workload,
-    )
+    from ..service import build_workload
 
-    _validate_names(args.methods, args.models, args.datasets)
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.replicas < 1:
-        raise SystemExit("--replicas must be >= 1")
+    _, router, datasets = _service_setup(args, time_scale=0.0)  # no backend sleeps
     if args.refresh <= 0:
         raise SystemExit("--refresh must be > 0")
     if args.frames < 1:
@@ -698,31 +687,12 @@ def _run_obs_dashboard(args, stream: TextIO) -> int:
         raise SystemExit(
             f"--kill {args.kill} is outside the {args.shards}x{args.replicas} fleet"
         )
-    config = _experiment_config(
-        args, args.methods, args.datasets, args.models, args.seed
-    )
-    runner = BenchmarkRunner(config)
-    datasets = [runner.dataset(name) for name in config.datasets]
     schedule = build_workload(
-        datasets, args.methods, args.models, args.requests, seed=args.seed
+        list(datasets.values()), args.methods, args.models, args.requests, seed=args.seed
     )
     clock = VirtualClock()
     obs = Observability.for_clock(
         clock, seed=args.seed, sample_rate=args.sample_rate, trace_capacity=4096
-    )
-    # Always the sharded router (even 1x1): the dashboard's health table
-    # and the fleet SLOs read RouterMetrics' per-replica quadruples.
-    router = ShardedValidationService.from_runner(
-        runner,
-        args.shards,
-        ServiceConfig(
-            max_batch_size=args.max_batch_size,
-            queue_depth=args.queue_depth,
-            enable_cache=not args.no_cache,
-            time_scale=0.0,
-        ),
-        request_timeout_s=args.request_timeout or None,
-        replicas=args.replicas,
     )
     router.set_observability(obs)
     monitor = SLOMonitor(
@@ -780,29 +750,26 @@ def _run_obs(args, stream: TextIO) -> int:
     optionally exports every committed span as JSONL.
     """
     from ..obs import Observability, render_spans
-    from ..service import LoadGenerator, ShardedValidationService, build_workload
+    from ..service import LoadGenerator, build_workload
 
     if not 0.0 <= args.sample_rate <= 1.0:
         raise SystemExit("--sample-rate must be within [0, 1]")
     if args.mode in ("top", "slo"):
         return _run_obs_dashboard(args, stream)
-    _, service, datasets = _service_setup(args)
+    _, router, datasets = _service_setup(args)
     obs = Observability.for_clock(
         seed=args.seed, sample_rate=args.sample_rate, trace_capacity=4096
     )
-    if isinstance(service, ShardedValidationService):
-        service.set_observability(obs)
-    else:
-        service.set_observability(obs.tracer, obs.events)
+    router.set_observability(obs)
     workload = build_workload(
         list(datasets.values()), args.methods, args.models, args.requests, seed=args.seed
     )
-    report = LoadGenerator(service, workload, concurrency=args.concurrency).run_sync()
+    report = LoadGenerator(router, workload, concurrency=args.concurrency).run_sync()
     stream.write(report.format_table("Traced load run") + "\n\n")
-    stream.write(service.metrics.snapshot().format_table() + "\n\n")
+    stream.write(router.metrics.snapshot().format_table() + "\n\n")
     title = "Metrics exposition"
     stream.write(f"{title}\n{'-' * len(title)}\n")
-    stream.write(service.metrics.exposition() + "\n")
+    stream.write(router.metrics.exposition() + "\n")
 
     tracer = obs.tracer
     _, worst_spans = tracer.slowest_trace()

@@ -4,10 +4,11 @@ The ROADMAP's north star is a production-scale system serving heavy
 fact-validation traffic; this package is the serving layer over the
 offline substrates:
 
-* :mod:`repro.service.server` — the asyncio :class:`ValidationService`:
-  single-fact requests coalesce into micro-batches per ``(method, model)``
-  strategy worker, with a bounded in-flight budget that sheds overload
-  with an explicit ``REJECTED`` outcome;
+* :mod:`repro.service.server` — the asyncio :class:`ValidationService`,
+  the replica worker behind the router: single-fact requests coalesce
+  into micro-batches per ``(method, model)`` strategy worker, with a
+  bounded in-flight budget that sheds overload with an explicit
+  ``REJECTED`` outcome;
 * :mod:`repro.service.cache` — the sharded :class:`VerdictCache` keyed on
   (fact, method, model) with hit/miss telemetry;
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics` /
@@ -18,7 +19,7 @@ offline substrates:
 * :mod:`repro.service.loadgen` — the closed-loop :class:`LoadGenerator`
   harness with a deterministic arrival mix, including a mixed read/write
   mode (:class:`IngestRequest` items in the schedule apply mutation
-  batches through :meth:`ValidationService.apply_mutations`);
+  batches through the router's ``apply_mutations``);
 * :mod:`repro.service.policy` — :class:`RetryPolicy`: bounded retry
   budgets with jittered exponential backoff and deadline propagation.
   With a policy attached, the router retries a fully-faulted shard pass
@@ -27,7 +28,8 @@ offline substrates:
   instead of ``FAILED`` — graceful degradation under injected failure
   (see :mod:`repro.chaos`);
 * :mod:`repro.service.router` — :class:`ShardedValidationService`: the
-  scale-out tier routing reads and writes to N logical shards — each a
+  one front door (a single node is the 1x1 fleet), routing reads and
+  writes to N logical shards — each a
   **replica group** of R :class:`ValidationService` workers over
   log-shipped byte-identical store copies — by consistent hash of the
   subject entity.  Single-fact reads fan out across each group behind a
@@ -39,20 +41,25 @@ offline substrates:
   and edge copy's registry, plus the router's own, into one
   :class:`MetricsSnapshot` and one fleet exposition.
 
-With a :class:`~repro.store.VersionedKnowledgeStore` attached (see
-``BenchmarkRunner.versioned_store``), the service ingests live updates:
-each applied batch advances the store epoch, and because verdict-cache
-keys carry the epoch, stale verdicts invalidate automatically.
+With a :class:`~repro.store.ShardedStore` attached (for one node,
+``ShardedStore([runner.versioned_store(dataset)])``), the router ingests
+live updates: each applied batch advances the owning shards' epochs, and
+because verdict-cache keys carry the epoch, stale verdicts invalidate
+automatically.
 
 Quickstart::
 
     from repro.benchmark import BenchmarkRunner, ExperimentConfig
-    from repro.service import LoadGenerator, ServiceConfig, ValidationService, build_workload
+    from repro.service import (
+        LoadGenerator, ServiceConfig, ShardedValidationService, build_workload,
+    )
 
     runner = BenchmarkRunner(ExperimentConfig(datasets=("factbench",)))
-    service = ValidationService.from_runner(runner, ServiceConfig(max_batch_size=16))
+    router = ShardedValidationService.from_runner(
+        runner, 1, ServiceConfig(max_batch_size=16)
+    )
     workload = build_workload([runner.dataset("factbench")], ["dka"], ["gemma2:9b"], 200)
-    report = LoadGenerator(service, workload, concurrency=16).run_sync()
+    report = LoadGenerator(router, workload, concurrency=16).run_sync()
     print(report.format_table())
 """
 

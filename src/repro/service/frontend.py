@@ -10,17 +10,17 @@ Request::
      "method": "dka", "model": "gemma2:9b", "id": "optional-correlation-id",
      "session": "optional-client-token", "region": "optional-edge-name"}
 
-``session``/``region`` ride the wire to the service behind the frontend
-(read-your-writes sessions and edge-local reads at a geo-aware router, see
-:mod:`repro.service.router`; a plain service is the primary tier and
-serves them as such).  Edge-involved replies carry ``served_by`` and
-``staleness_epochs``.
+``session``/``region`` ride the wire to the router behind the frontend
+(read-your-writes sessions and edge-local reads with a geo tier, see
+:mod:`repro.service.router`; without one every read is a primary read).
+Every reply the router answered carries its per-shard ``epoch_vector``;
+geo-tier replies add ``served_by`` and ``staleness_epochs``.
 
 Response::
 
     {"id": ..., "outcome": "completed", "verdict": "true", "cached": false,
      "latency_ms": 1.91, "fact_id": "factbench-000123",
-     "method": "dka", "model": "gemma2:9b"}
+     "method": "dka", "model": "gemma2:9b", "epoch_vector": [1]}
 
 Control commands: ``{"cmd": "metrics"}`` returns a
 :class:`~repro.service.metrics.MetricsSnapshot` as JSON;
@@ -48,17 +48,19 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..datasets.base import FactDataset
 from ..obs.trace import STATUS_DEGRADED, STATUS_FAILED, STATUS_SHED, Tracer
-from .server import RequestOutcome, ServiceRequest, ValidationService
+from .router import ShardedValidationService
+from .server import RequestOutcome, ServiceRequest
 
 __all__ = ["TCPValidationFrontend"]
 
 
 class TCPValidationFrontend:
-    """Serves a :class:`ValidationService` over newline-delimited JSON."""
+    """Serves a :class:`ShardedValidationService` over newline-delimited JSON
+    (a single node is the 1x1 fleet)."""
 
     def __init__(
         self,
-        service: ValidationService,
+        service: ShardedValidationService,
         datasets: Mapping[str, FactDataset],
         host: str = "127.0.0.1",
         port: int = 0,
@@ -103,19 +105,11 @@ class TCPValidationFrontend:
 
     def set_observability(self, obs) -> None:
         """Arm (or with ``obs=None`` disarm) tracing at the frontend *and*
-        in the service behind it (``obs`` is an
-        :class:`~repro.obs.Observability` bundle; the service fans it out
-        to whatever layers it fronts)."""
+        in the router behind it (``obs`` is an
+        :class:`~repro.obs.Observability` bundle; the router fans it out
+        to every layer it fronts)."""
         self.tracer = obs.tracer if obs is not None else None
-        if isinstance(self.service, ValidationService):
-            self.service.set_observability(
-                obs.tracer if obs is not None else None,
-                obs.events if obs is not None else None,
-            )
-        else:
-            # The sharded router (or any fleet-shaped service) takes the
-            # whole bundle and fans it out itself.
-            self.service.set_observability(obs)
+        self.service.set_observability(obs)
 
     async def start(self) -> None:
         """Bind and start accepting connections; with ``port=0`` the
@@ -268,8 +262,7 @@ class TCPValidationFrontend:
                 # stall/slow faults hold the reply on the injector's clock;
                 # error/kill faults surface as an error reply below.
                 await self.fault_injector.fire("frontend")
-            # Session tokens and region affinity ride the wire as-is: both
-            # front doors (plain service, sharded router) take them.
+            # Session tokens and region affinity ride the wire as-is.
             session = payload.get("session")
             region = payload.get("region")
             response = await self.service.submit(
@@ -300,8 +293,7 @@ class TCPValidationFrontend:
             reply["error"] = response.error
         if response.retries:
             reply["retries"] = response.retries
-        if response.epoch_vector:
-            reply["epoch_vector"] = list(response.epoch_vector)
+        reply["epoch_vector"] = list(response.epoch_vector)
         if response.served_by is not None:
             # Geo-tier visibility on the wire: which tier answered, and how
             # many epochs an edge-served read trailed the primary.

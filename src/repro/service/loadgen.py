@@ -2,7 +2,9 @@
 
 The muBench replication package pairs every deployed service with a load
 generator that replays a workload and collects per-run latency/throughput;
-this module is that harness for :class:`ValidationService`.
+this module is that harness for
+:class:`~repro.service.router.ShardedValidationService` (a single node is
+the 1x1 fleet).
 
 The generator is *closed-loop*: ``concurrency`` virtual clients each keep
 exactly one request in flight, issuing the next item of a shared schedule
@@ -12,10 +14,9 @@ deterministic arrival mix — seeded weighted draws over the configured
 runs over the same spec replay byte-identical workloads.
 
 The schedule may also carry *writes*: an :class:`IngestRequest` wraps a
-mutation batch that the picking client applies through
-:meth:`ValidationService.apply_mutations`, advancing the store epoch
-mid-load, which is how the benchmark exercises epoch-fresh verdicts under
-live-update traffic.
+mutation batch that the picking client applies through the router's
+``apply_mutations``, advancing the owning shards' epochs mid-load, which is
+how the benchmark exercises epoch-fresh verdicts under live-update traffic.
 """
 
 from __future__ import annotations
@@ -29,12 +30,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..datasets.base import FactDataset
 from ..store import Mutation
 from .metrics import MetricsSnapshot
-from .server import (
-    RequestOutcome,
-    ServiceRequest,
-    ServiceResponse,
-    ValidationService,
-)
+from .router import ShardedValidationService
+from .server import RequestOutcome, ServiceRequest, ServiceResponse
 
 __all__ = [
     "IngestRequest",
@@ -267,18 +264,14 @@ class LoadReport:
 
 
 class LoadGenerator:
-    """Drives a service with ``concurrency`` closed-loop virtual clients.
+    """Drives a router with ``concurrency`` closed-loop virtual clients.
 
-    Works against a plain :class:`ValidationService` or a
-    :class:`~repro.service.router.ShardedValidationService` — both expose
-    the same ``submit(request, session=, region=)`` /
-    ``apply_mutations(mutations, session=)`` / ``metrics`` surface.  Raises
-    :class:`ValueError` when ``concurrency < 1``.
+    Raises :class:`ValueError` when ``concurrency < 1``.
     """
 
     def __init__(
         self,
-        service: ValidationService,
+        service: ShardedValidationService,
         requests: Sequence[WorkItem],
         concurrency: int = 8,
         regions: Optional[Sequence[Optional[str]]] = None,
@@ -316,13 +309,9 @@ class LoadGenerator:
             # with other clients' concurrent writes on shards it never
             # wrote — the router's read-your-writes gate (and therefore
             # :meth:`LoadReport.session_violations`) covers own writes only.
-            vector = getattr(report, "epoch_vector", ())
-            shard_reports = getattr(report, "shard_reports", None)
-            if shard_reports is not None:
-                landed = [0] * len(vector)
-                for shard_index, shard_report in shard_reports:
-                    landed[shard_index] = shard_report.epoch
-                vector = tuple(landed)
+            landed = [0] * len(report.epoch_vector)
+            for shard_index, shard_report in report.shard_reports:
+                landed[shard_index] = shard_report.epoch
             return ServiceResponse(
                 outcome=RequestOutcome.INGESTED,
                 result=None,
@@ -330,7 +319,7 @@ class LoadGenerator:
                 latency_seconds=time.perf_counter() - started,
                 batch_size=report.total_ops,
                 epoch=report.epoch,
-                epoch_vector=vector,
+                epoch_vector=tuple(landed),
             )
         return await self.service.submit(
             item, session=session, region=self._client_region(client_index)

@@ -2,10 +2,10 @@
 
 :class:`ShardedValidationService` fronts N logical shards, each backed by a
 **replica group** of R independent
-:class:`~repro.service.server.ValidationService` workers, and exposes the
-same surface the unsharded service does (``submit`` / ``apply_mutations``
-/ ``metrics`` / async context manager), so the TCP front-end, the load
-generator, and the CLI drive either interchangeably.
+:class:`~repro.service.server.ValidationService` workers.  It is the one
+front door (``submit`` / ``apply_mutations`` / ``metrics`` / async context
+manager) the TCP front-end, the load generator and the CLI drive; a single
+node is the 1x1 fleet.
 
 Routing and consistency:
 
@@ -18,7 +18,7 @@ Routing and consistency:
 * **Batches** scatter-gather: :meth:`submit_many` fans a multi-fact batch
   out to the owning shards concurrently and merges the responses back in
   submission order — a deterministic merge, so the gathered verdicts are
-  byte-identical to the unsharded service (and to the offline pipeline)
+  byte-identical to a single worker's (and to the offline pipeline's)
   for the same coordinates, whichever replica happens to answer.
 * **Writes** route by the same key (:func:`mutation_shard_key`) and ship
   to **every replica** of the owning shard: each replica service quiesces
@@ -53,7 +53,7 @@ import random
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..chaos.clock import Clock, MonotonicClock
 from ..obs import Observability
@@ -429,12 +429,6 @@ class RouterMetrics:
         return "\n".join(lines)
 
 
-#: Constructor input: one service per shard (R=1), or one group per shard.
-ShardServices = Union[
-    Sequence[ValidationService], Sequence[Sequence[ValidationService]]
-]
-
-
 class ShardedValidationService:
     """Routes single-fact requests and mutations to their owning shard,
     load-balancing reads across each shard's replica group.
@@ -442,10 +436,9 @@ class ShardedValidationService:
     Parameters
     ----------
     shards:
-        Either a flat sequence of :class:`ValidationService` (one replica
-        per shard — the PR 4 topology) or a sequence of replica groups
-        (one inner sequence of services per logical shard; the first
-        member of each group is the shard's primary for epoch reporting).
+        One replica group per logical shard: an inner sequence of
+        :class:`ValidationService` workers, the shard's primary first
+        (``[[service]]`` is the single node).
     store:
         The :class:`~repro.store.ShardedStore` of shard *primaries*; wires
         the :meth:`apply_mutations` write path, and its ring routes reads
@@ -510,7 +503,7 @@ class ShardedValidationService:
 
     def __init__(
         self,
-        shards: ShardServices,
+        shards: Sequence[Sequence[ValidationService]],
         store: Optional[ShardedStore] = None,
         request_timeout_s: Optional[float] = None,
         replica_groups: Optional[Sequence[ReplicaGroup]] = None,
@@ -530,12 +523,7 @@ class ShardedValidationService:
             raise ValueError("request_timeout_s must be positive when set")
         if probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
-        if isinstance(shards[0], ValidationService):
-            self.groups: List[List[ValidationService]] = [
-                [service] for service in shards  # type: ignore[list-item]
-            ]
-        else:
-            self.groups = [list(group) for group in shards]  # type: ignore[arg-type]
+        self.groups: List[List[ValidationService]] = [list(group) for group in shards]
         if any(not group for group in self.groups):
             raise ValueError("every shard needs at least one replica service")
         if len({len(group) for group in self.groups}) != 1:
@@ -543,9 +531,6 @@ class ShardedValidationService:
                 "every shard needs the same number of replica services; got "
                 f"{[len(group) for group in self.groups]}"
             )
-        #: The shard primaries (first replica of each group) — the PR 4
-        #: surface tests and callers index into.
-        self.shards: List[ValidationService] = [group[0] for group in self.groups]
         self.store = store
         if store is not None and store.num_shards != len(self.groups):
             raise ValueError(
@@ -623,6 +608,7 @@ class ShardedValidationService:
         #: kills the edge and records the reason here for post-mortems.
         self.drain_errors: List[str] = []
         # Read-your-writes sessions: token -> {shard: last-write epoch}.
+        # Only an edge read consults them, so only a geo tier records them.
         self._sessions: Dict[str, Dict[int, int]] = {}
         # Edges hard-stopped by kill_edge (never rejoin without a bootstrap).
         self._edge_dead: set = set()
@@ -1413,8 +1399,8 @@ class ShardedValidationService:
 
         The fan-out is concurrent per shard; the merge is deterministic —
         ``responses[i]`` answers ``requests[i]`` regardless of shard
-        completion order, so gathered verdicts are byte-identical to the
-        unsharded service's for the same coordinates.  A failing request
+        completion order, so gathered verdicts are byte-identical to a
+        single worker's for the same coordinates.  A failing request
         occupies its slot with a ``FAILED`` response; it never silently
         drops or fails its neighbours.
         """
@@ -1435,10 +1421,12 @@ class ShardedValidationService:
     ) -> ShardApplyReport:
         """Route a mutation batch to its owning shards; ship to every replica.
 
-        A ``session`` token records the landed per-shard epochs as the
-        session's last-write vector: subsequent :meth:`submit` calls with
-        the same token only route to edges whose watermarks cover it —
-        the read-your-writes contract.  Writes always land on the primary
+        With a geo tier, a ``session`` token records the landed per-shard
+        epochs as the session's last-write vector: subsequent :meth:`submit`
+        calls with the same token only route to edges whose watermarks
+        cover it — the read-your-writes contract.  Without one every read
+        is a primary read, which already covers every write, so the token
+        is not recorded.  Writes always land on the primary
         tier; edges catch up asynchronously through their queues.  The
         call returns (and records the session vector) only once every
         touched shard's queue has committed the batch — off the loop, so
@@ -1491,6 +1479,14 @@ class ShardedValidationService:
                         f"shard {index} has no live replicas to apply the batch"
                     )
                 self.replica_groups[index].stores[live[0]].validate(groups_map[index])
+            # The fan-out below reaches the replicas only after its task
+            # hops; pause their reads now, or cache hits (which never yield)
+            # would take the schedule past the write before it lands.
+            paused = [
+                self.groups[index][j] for index, live in live_by_shard.items() for j in live
+            ]
+            for service in paused:
+                service.pause_reads()
 
             async def ship(index: int):
                 live = live_by_shard[index]
@@ -1517,7 +1513,15 @@ class ShardedValidationService:
                     self.metrics.lockstep_audits_total.inc()
                 return report
 
-            reports = await asyncio.gather(*(ship(index) for index in indexes))
+            try:
+                reports = await asyncio.gather(*(ship(index) for index in indexes))
+            except asyncio.CancelledError:
+                # A cancelled gather returns once every task it started is
+                # done, each apply having reopened its own gate; a replica
+                # whose apply never started must not stay paused.
+                for service in paused:
+                    service.resume_reads()
+                raise
             if self.geo is not None:
                 # Each touched queue's one commit, the fsyncs side by side on
                 # worker threads (a pathless queue has none and takes no
@@ -1529,10 +1533,10 @@ class ShardedValidationService:
                     await asyncio.gather(
                         *(run(None, sync_and_close, fd) for fd in fds if fd is not None)
                     )
-            if session is not None:
-                vector = self._sessions.setdefault(session, {})
-                for index, report in zip(indexes, reports):
-                    vector[index] = max(vector.get(index, 0), report.epoch)
+                if session is not None:
+                    vector = self._sessions.setdefault(session, {})
+                    for index, report in zip(indexes, reports):
+                        vector[index] = max(vector.get(index, 0), report.epoch)
         return ShardApplyReport(tuple(zip(indexes, reports)), self.epoch_vector)
 
     # ---------------------------------------------------------------- chaos

@@ -3,6 +3,10 @@
 The online serving scenario: instead of iterating a whole
 :class:`~repro.datasets.base.FactDataset` offline, clients submit one fact
 at a time and await a :class:`~repro.validation.base.ValidationResult`.
+:class:`ValidationService` is the replica worker: clients reach it through
+:class:`~repro.service.router.ShardedValidationService` (a single node is
+the 1x1 fleet), which calls ``submit(request)`` and
+``apply_mutations(mutations)`` positionally.
 
 Architecture (muBench-style service shape, MSMQ-style backpressure):
 
@@ -127,7 +131,7 @@ class ServiceResponse:
     #: so a slow reply links straight to its span tree.
     trace_id: Optional[str] = None
     #: Which tier answered: ``"primary"`` or an edge name behind a
-    #: geo-replicated router; ``None`` from a bare :class:`ValidationService`.
+    #: geo-replicated router; ``None`` without a geo tier.
     served_by: Optional[str] = None
     #: For edge-served reads: how many applied epochs the edge's shard copy
     #: trailed the primary at serve time (0 = fully caught up).  Staleness
@@ -307,6 +311,8 @@ class ValidationService:
         cancelled explicitly, so no ``submit`` awaits forever).
         """
         self._closed = True
+        # Reads held by a paused gate wake and see the service stopped.
+        self._admission_gate.set()
         if drain:
             await self._idle.wait()
         tasks = list(self._workers.values())
@@ -339,19 +345,8 @@ class ValidationService:
         """The attached store's current epoch (0 when no store is attached)."""
         return self.store.epoch if self.store is not None else 0
 
-    async def submit(
-        self,
-        request: ServiceRequest,
-        session: Optional[str] = None,
-        region: Optional[str] = None,
-    ) -> ServiceResponse:
+    async def submit(self, request: ServiceRequest) -> ServiceResponse:
         """Validate one fact; never raises for load reasons — it sheds.
-
-        ``session`` and ``region`` are the keywords the sharded router's
-        ``submit`` takes, so front doors drive either by one signature.  A
-        single node is the primary tier: it has no edge to prefer and every
-        read already observes every write, so both are accepted and unused —
-        exactly what the router does with an ineligible region.
 
         Returns a ``COMPLETED`` response (cached or freshly judged) or a
         ``REJECTED`` one when the in-flight budget is full.  Raises
@@ -462,13 +457,24 @@ class ValidationService:
 
     # ---------------------------------------------------------------- ingestion
 
-    async def apply_mutations(
-        self, mutations: Sequence[Mutation], session: Optional[str] = None
-    ) -> ApplyReport:
-        """Apply a mutation batch to the attached store at a safe point.
+    def pause_reads(self) -> None:
+        """Close the admission gate now, ahead of an :meth:`apply_mutations`.
 
-        ``session`` mirrors the router's keyword and is unused here: reads
-        on a single node can never land below its own writes.
+        A write's caller may yield the loop before the apply starts (the
+        router's fan-out does); a cache hit never yields, so without this
+        reads admitted in between would all be served at the old epoch.
+        The next :meth:`apply_mutations` (or :meth:`stop`) reopens the gate;
+        a caller whose apply never starts reopens it with :meth:`resume_reads`.
+        """
+        self._admission_gate.clear()
+
+    def resume_reads(self) -> None:
+        """Reopen the gate :meth:`pause_reads` closed for an apply that never
+        started.  Never call it while an apply is in progress."""
+        self._admission_gate.set()
+
+    async def apply_mutations(self, mutations: Sequence[Mutation]) -> ApplyReport:
+        """Apply a mutation batch to the attached store at a safe point.
 
         Writers serialise on an ingest lock; each ingest closes the
         admission gate (new reads pause — they are *not* shed), waits for

@@ -1,10 +1,15 @@
 """Tests for the command-line interface that regenerates tables and figures."""
 
 import io
+import json
+import re
+import socket
+import threading
+import time
 
 import pytest
 
-from repro.benchmark import EXPERIMENTS, run_experiment
+from repro.benchmark import EXPERIMENTS, BenchmarkRunner, ExperimentConfig, run_experiment
 from repro.benchmark.cli import build_parser, build_service_parser, main
 
 
@@ -95,6 +100,57 @@ class TestServiceCommands:
         assert "Closed-loop load run: 40 requests" in out
         assert "throughput" in out and "p99 latency" in out
         assert "Service metrics" in out
+
+    SMALL = ["--scale", "0.02", "--max-facts", "10", "--world-scale", "0.12",
+             "--methods", "dka", "--models", "gemma2:9b", "--time-scale", "0"]
+
+    def test_the_default_shape_is_the_1x1_fleet(self):
+        """At the default ``--shards 1 --replicas 1`` both front doors run
+        the router: ``loadgen`` prints its per-shard table and a ``serve``
+        reply carries the epoch vector."""
+        stream = io.StringIO()
+        assert main(["loadgen", "--requests", "12", *self.SMALL], stream=stream) == 0
+        out = stream.getvalue()
+        assert "Per-shard metrics" in out and "Per-replica health" not in out
+
+        fact = BenchmarkRunner(
+            ExperimentConfig(scale=0.02, max_facts_per_dataset=10, world_scale=0.12, seed=7)
+        ).dataset("factbench")[0]
+        banner = io.StringIO()
+        server = threading.Thread(
+            target=main,
+            args=(["serve", "--port", "0", "--max-requests", "1", *self.SMALL],),
+            kwargs={"stream": banner},
+        )
+        server.start()
+        deadline = time.monotonic() + 60
+        try:
+            while not (bound := re.search(r"127\.0\.0\.1:(\d+)", banner.getvalue())):
+                assert server.is_alive(), "serve exited before it bound a port"
+                assert time.monotonic() < deadline, "serve never bound a port"
+                time.sleep(0.01)
+            with socket.create_connection(("127.0.0.1", int(bound.group(1))), timeout=30) as conn:
+                conn.sendall(
+                    json.dumps(
+                        {"dataset": "factbench", "fact_id": fact.fact_id,
+                         "method": "dka", "model": "gemma2:9b"}
+                    ).encode() + b"\n"
+                )
+                with conn.makefile("rb") as lines:
+                    reply = json.loads(lines.readline())
+        finally:
+            server.join(timeout=60)
+        assert not server.is_alive()
+        assert reply["outcome"] == "completed"
+        assert reply["epoch_vector"] == [0]
+        assert "1x1 fleet" in banner.getvalue()
+        assert "Per-shard metrics" in banner.getvalue()
+
+    @pytest.mark.parametrize("shape", [[], ["--shards", "2"]], ids=["1x1", "2x1"])
+    @pytest.mark.parametrize("timeout", ["-1", "nan", "inf"])
+    def test_a_bad_request_timeout_is_a_one_line_error_at_every_shape(self, shape, timeout):
+        with pytest.raises(SystemExit, match="--request-timeout must be a finite"):
+            main(["loadgen", "--request-timeout", timeout, *shape], stream=io.StringIO())
 
     @pytest.mark.parametrize(
         "damage, message",

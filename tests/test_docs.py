@@ -363,7 +363,7 @@ class TestObservabilityRunbookComplete:
         store = ShardedStore.partition([], [], num_shards=1)
         geo = GeoReplicator(store)
         router = ShardedValidationService(
-            [ValidationService(None)],
+            [[ValidationService(None)]],
             store=store,
             geo=geo,
             edge_services={

@@ -1101,11 +1101,11 @@ class TestFrontendTracing:
         fact = dataset[0]
 
         async def go():
-            service = ValidationService.from_runner(
-                obs_runner, ServiceConfig(enable_cache=False)
+            router = ShardedValidationService.from_runner(
+                obs_runner, 1, ServiceConfig(enable_cache=False)
             )
-            async with service:
-                frontend = TCPValidationFrontend(service, {"factbench": dataset})
+            async with router:
+                frontend = TCPValidationFrontend(router, {"factbench": dataset})
                 frontend.set_observability(obs)
                 async with frontend:
                     with client.span("client.request", "client") as span:

@@ -538,6 +538,42 @@ class TestReplicatedIngest:
         # invalidation is freshness bookkeeping, not verdict churn.
         assert [r.result.verdict for r in after] == [r.result.verdict for r in cold]
 
+    def test_an_ingest_cancelled_before_its_fan_out_leaves_no_replica_paused(
+        self, replica_runner
+    ):
+        """The router pauses the owning replicas' reads before its fan-out
+        tasks run; cancelled at that first suspension, it applies nothing
+        and every replica serves again instead of holding its reads."""
+        store = replica_runner.sharded_store("factbench", 2).replay_twin()
+        router = ShardedValidationService.from_runner(
+            replica_runner, 2, ServiceConfig(queue_depth=4096), store=store, replicas=2
+        )
+        request = _requests(replica_runner)[0]
+        owner = store.shard_for(request.fact.triple.subject)
+        batch = [Mutation.add_triple(request.fact.triple.subject, "updatedBy", "Feed")]
+
+        async def go():
+            async with router:
+                ingest = asyncio.get_running_loop().create_task(
+                    router.apply_mutations(batch)
+                )
+                # One turn: the ingest pauses the replicas and schedules its
+                # fan-out tasks behind this one, which cancels them unstarted.
+                await asyncio.sleep(0)
+                assert not router.groups[owner][0]._admission_gate.is_set()
+                ingest.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await ingest
+                return [
+                    await asyncio.wait_for(service.submit(request), 10.0)
+                    for service in router.groups[owner]
+                ]
+
+        responses = asyncio.run(go())
+        assert all(r.outcome is RequestOutcome.COMPLETED for r in responses)
+        assert [r.epoch for r in responses] == [1, 1]
+        assert all(copy.epoch == 1 for copy in router.replica_groups[owner].stores)
+
     def test_ingest_validates_against_live_replicas_after_primary_kill(
         self, replica_runner
     ):
@@ -656,10 +692,10 @@ class TestReplicatedIngest:
 
         asyncio.run(go())
 
-    def _replicated_router(self, runner, store=None):
+    def _replicated_router(self, runner, store=None, **fleet):
         store = store or runner.sharded_store("factbench", 2).replay_twin()
         router = ShardedValidationService.from_runner(
-            runner, 2, ServiceConfig(max_batch_size=4), store=store, replicas=2
+            runner, 2, ServiceConfig(max_batch_size=4), store=store, replicas=2, **fleet
         )
         return store, router
 
@@ -838,8 +874,11 @@ class TestReplicatedIngest:
         """Regression: a kill landing between the liveness check and the
         fan-out failed an ingest its sibling had already applied — no
         session vector, no queue commit — and the caller's retry applied
-        the batch a second time."""
-        store, router = self._replicated_router(replica_runner)
+        the batch a second time.  (An edge makes the router keep sessions;
+        its drain tick outlasts the test.)"""
+        store, router = self._replicated_router(
+            replica_runner, edges=1, drain_interval_s=3600.0
+        )
         subject = _requests(replica_runner)[0].fact.triple.subject
         owner = store.shard_for(subject)
         copies = router.replica_groups[owner].stores

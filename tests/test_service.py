@@ -15,6 +15,7 @@ from repro.service import (
     ServiceConfig,
     ServiceRequest,
     ServiceResponse,
+    ShardedValidationService,
     TCPValidationFrontend,
     ValidationService,
     build_workload,
@@ -555,8 +556,10 @@ class TestLoadGenerator:
         workload = build_workload(
             datasets, ["dka", "giv-z"], ["gemma2:9b", "qwen2.5:7b"], 80, seed=5
         )
-        service = ValidationService.from_runner(service_runner, ServiceConfig(time_scale=0.001))
-        report = LoadGenerator(service, workload, concurrency=8).run_sync()
+        router = ShardedValidationService.from_runner(
+            service_runner, 1, ServiceConfig(time_scale=0.001)
+        )
+        report = LoadGenerator(router, workload, concurrency=8).run_sync()
         assert report.total == 80
         assert report.completed == 80
         assert report.rejected == 0
@@ -603,9 +606,9 @@ class TestTCPFrontend:
         dataset = service_runner.dataset("factbench")
 
         async def go():
-            service = ValidationService.from_runner(service_runner, ServiceConfig())
-            async with service:
-                async with TCPValidationFrontend(service, {"factbench": dataset}) as frontend:
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
                     assert frontend.port != 0
                     reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
 
@@ -652,10 +655,10 @@ class TestTCPFrontend:
         dataset = service_runner.dataset("factbench")
 
         async def go():
-            service = ValidationService.from_runner(service_runner, ServiceConfig())
-            async with service:
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
                 frontend = TCPValidationFrontend(
-                    service, {"factbench": dataset},
+                    router, {"factbench": dataset},
                     allowed_methods=("dka",), allowed_models=("gemma2:9b",),
                 )
                 async with frontend:
@@ -684,7 +687,7 @@ class TestTCPFrontend:
     def test_empty_allowlist_denies_all_instead_of_unrestricting(self, service_runner):
         dataset = service_runner.dataset("factbench")
         frontend = TCPValidationFrontend(
-            ValidationService.from_runner(service_runner, ServiceConfig()),
+            ShardedValidationService.from_runner(service_runner, 1),
             {"factbench": dataset},
             allowed_methods=[],
         )
@@ -695,9 +698,9 @@ class TestTCPFrontend:
         dataset = service_runner.dataset("factbench")
 
         async def go():
-            service = ValidationService.from_runner(service_runner, ServiceConfig())
-            async with service:
-                async with TCPValidationFrontend(service, {"factbench": dataset}) as frontend:
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
                     # Client 1 vanishes mid-request: a partial line with no
                     # newline, then an abortive close (RST via SO_LINGER 0
                     # where supported; plain close otherwise).
@@ -756,9 +759,9 @@ class TestTCPFrontend:
         dataset = service_runner.dataset("factbench")
 
         async def go():
-            service = ValidationService.from_runner(service_runner, ServiceConfig())
-            async with service:
-                async with TCPValidationFrontend(service, {"factbench": dataset}) as frontend:
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
                     reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
                     # A line that ends mid-object: terminated, but truncated.
                     writer.write(b'{"dataset": "factbench", "fact_id"\n')
@@ -793,9 +796,9 @@ class TestTCPFrontend:
         dataset = service_runner.dataset("factbench")
 
         async def go():
-            service = ValidationService.from_runner(service_runner, ServiceConfig())
-            async with service:
-                async with TCPValidationFrontend(service, {"factbench": dataset}) as frontend:
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
                     reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
                     writer.write(b'{"pad": "' + b"x" * 200_000 + b'"}\n')
                     await writer.drain()

@@ -88,7 +88,7 @@ def _poisoned_router(runner, num_shards, poison_shards, config, *, stall=None,
                     raise ConnectionError("shard backend unreachable")
         else:
             provider = healthy
-        shards.append(ValidationService(provider, config))
+        shards.append([ValidationService(provider, config)])
     return ShardedValidationService(
         shards, request_timeout_s=request_timeout_s
     )

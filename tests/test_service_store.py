@@ -7,7 +7,8 @@ Covers the PR 3 service-side contract:
 * ``ValidationService.apply_mutations`` quiesces in-flight work, applies
   the batch, and advances the epoch visible on every subsequent response;
 * the mixed read/write load-generator schedule applies ingest batches
-  mid-run and the report splits verdicts by the epoch they were served at.
+  mid-run through the 1x1 fleet and the report splits verdicts by the
+  epoch they were served at.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from repro.service import (
     RequestOutcome,
     ServiceConfig,
     ServiceRequest,
+    ShardedValidationService,
     ValidationService,
     VerdictCache,
     verdict_cache_key,
 )
-from repro.store import Mutation
+from repro.store import Mutation, ShardedStore
 from repro.validation import ValidationResult, Verdict
 from support import build_mixed_workload, epochs_served
 
@@ -155,6 +157,38 @@ class TestApplyMutations:
         assert again.cached and again.epoch == report.epoch
         snapshot = service.metrics.snapshot()
         assert snapshot.ingests == 1 and snapshot.ingested_ops == 1
+
+    def test_paused_reads_wait_for_the_apply_and_a_stop_releases_them(self, runner):
+        """``pause_reads`` holds even a would-be cache hit until the next
+        apply lands; a stop in place of the apply fails the held read
+        instead of leaving it parked on the gate."""
+        store = runner.versioned_store("factbench")
+        service = ValidationService.from_runner(runner, ServiceConfig(), store=store)
+        request = ServiceRequest(runner.dataset("factbench")[0], "dka", "gemma2:9b")
+
+        async def go():
+            await service.start()
+            first = await service.submit(request)
+            service.pause_reads()
+            held = asyncio.ensure_future(service.submit(request))
+            await asyncio.sleep(0)
+            assert not held.done()
+            report = await service.apply_mutations(
+                [Mutation.add_triple("Paused", "worksFor", "Org")]
+            )
+            after = await held
+            service.pause_reads()
+            stranded = asyncio.ensure_future(service.submit(request))
+            await asyncio.sleep(0)
+            assert not stranded.done()
+            await service.stop(drain=False)
+            with pytest.raises(RuntimeError, match="service is stopped"):
+                await stranded
+            return first, report, after
+
+        first, report, after = asyncio.run(asyncio.wait_for(go(), 60.0))
+        assert report.epoch == first.epoch + 1
+        assert after.epoch == report.epoch and not after.cached
 
     def test_ingest_waits_for_inflight_requests_to_drain(self, runner, backend):
         store = runner.versioned_store("factbench")
@@ -416,8 +450,8 @@ class TestMixedWorkload:
 
     def test_loadgen_applies_writes_and_reports_epochs(self, runner):
         store = runner.versioned_store("factbench")
-        service = ValidationService.from_runner(
-            runner, ServiceConfig(time_scale=0.001), store=store
+        router = ShardedValidationService.from_runner(
+            runner, 1, ServiceConfig(time_scale=0.001), store=ShardedStore([store])
         )
         dataset = runner.dataset("factbench")
         base_epoch = store.epoch
@@ -427,7 +461,7 @@ class TestMixedWorkload:
         workload = build_mixed_workload(
             [dataset], ["dka"], ["gemma2:9b"], 40, batches, seed=2
         )
-        report = LoadGenerator(service, workload, concurrency=6).run_sync()
+        report = LoadGenerator(router, workload, concurrency=6).run_sync()
         assert report.total == 42
         assert report.ingests == 2
         assert report.completed == 40
@@ -466,10 +500,10 @@ class TestMixedWorkload:
         workload = build_mixed_workload(
             [dataset], ["dka", "rag"], ["gemma2:9b"], 120, [batch], seed=3
         )
-        service = ValidationService.from_runner(
-            runner, ServiceConfig(queue_depth=4096), store=store
+        router = ShardedValidationService.from_runner(
+            runner, 1, ServiceConfig(queue_depth=4096), store=ShardedStore([store])
         )
-        report = LoadGenerator(service, workload, concurrency=8).run_sync()
+        report = LoadGenerator(router, workload, concurrency=8).run_sync()
         assert report.completed == 120 and report.ingests == 1
         pre_epoch, post_epoch = epochs_served(report)
         assert post_epoch == pre_epoch + 1

@@ -34,7 +34,7 @@ from repro.store import (
 )
 from repro.store import sharding
 from repro.store.sharding import RING_MEMO_CAPACITY
-from support import build_mixed_workload, epochs_served, parse_exposition
+from support import build_mixed_workload, epochs_served, parse_exposition, session_vector
 
 
 @pytest.fixture(scope="module")
@@ -321,8 +321,8 @@ class TestShardedServiceRouting:
         for request in requests:
             owned[router.shard_for(request)] += 1
         assert owned[owner] and sum(owned) - owned[owner]
-        for index, service in enumerate(router.shards):
-            stats = service.cache.stats()
+        for index, group in enumerate(router.groups):
+            stats = group[0].cache.stats()
             if index == owner:
                 assert (stats.hits, stats.misses) == (owned[index], 2 * owned[index])
             else:
@@ -870,20 +870,23 @@ class TestResponseStampContract:
             assert root.name == ("service.submit" if kind == "edge" else "router.route")
 
 
-class TestFrontDoorsInterchangeable:
-    """``LoadGenerator`` and the TCP frontend hand ``session``/``region`` to
-    whatever they front: a bare service is the primary tier and answers as
-    a 1x1 router without a geo tier does."""
+class TestFleetShapes:
+    """``LoadGenerator`` and the TCP frontend drive every fleet shape the
+    same way: the 1x1 fleet (the single node) and a 2x1 fleet answer one
+    schedule, ``session``/``region`` hints included, with the same outcomes
+    and verdicts."""
 
-    def _services(self, runner):
+    def _routers(self, runner):
         config = ServiceConfig(max_batch_size=4)
-        bare = ValidationService.from_runner(
-            runner, config, store=runner.sharded_store("factbench", 1).replay_twin().shards[0]
-        )
-        router = ShardedValidationService.from_runner(
-            runner, 1, config, store=runner.sharded_store("factbench", 1).replay_twin()
-        )
-        return bare, router
+        return [
+            ShardedValidationService.from_runner(
+                runner,
+                shards,
+                config,
+                store=runner.sharded_store("factbench", shards).replay_twin(),
+            )
+            for shards in (1, 2)
+        ]
 
     def test_loadgen_drives_both_with_sessions_and_regions(self, shard_runner):
         dataset = shard_runner.dataset("factbench")
@@ -891,21 +894,43 @@ class TestFrontDoorsInterchangeable:
         schedule = build_mixed_workload(
             [dataset], ["dka", "giv-z"], ["gemma2:9b"], 40, [batch], seed=5
         )
-        reports = [
+        routers = self._routers(shard_runner)
+        single, sharded = (
             LoadGenerator(
-                service, schedule, concurrency=4, regions=["edge-0", None]
+                router, schedule, concurrency=4, regions=["edge-0", None]
             ).run_sync()
-            for service in self._services(shard_runner)
-        ]
-        bare, routed = reports
+            for router in routers
+        )
         # Which client picks which item is scheduling; that every item went
         # out under a client's own session token is not.
         clients = {f"client-{index}" for index in range(4)}
-        assert set(bare.sessions) == set(routed.sessions) == clients
-        assert bare.outcome_counts() == routed.outcome_counts()
-        assert bare.outcome_counts()["completed"] == 40
-        assert bare.outcome_counts()["ingested"] == 1
-        assert bare.verdicts() == routed.verdicts()
+        assert set(single.sessions) == set(sharded.sessions) == clients
+        assert single.outcome_counts() == sharded.outcome_counts()
+        assert single.outcome_counts()["completed"] == 40
+        assert single.outcome_counts()["ingested"] == 1
+        assert single.verdicts() == sharded.verdicts()
+        assert {len(r.epoch_vector) for r in single.responses} == {1}
+        assert {len(r.epoch_vector) for r in sharded.responses} == {2}
+
+    def test_a_router_without_a_geo_tier_records_no_session(self, shard_runner):
+        """Only an edge read consults a session's last-write vector, so a
+        fleet without edges keeps none, however many writes carry a token."""
+        subject = shard_runner.dataset("factbench")[0].triple.subject
+        routers = self._routers(shard_runner)
+
+        async def write(router):
+            async with router:
+                for index in range(3):
+                    report = await router.apply_mutations(
+                        [Mutation.add_triple(subject, "updatedBy", f"Feed_{index}")],
+                        session="writer",
+                    )
+                return report
+
+        for router in routers:
+            report = asyncio.run(write(router))
+            assert [shard.epoch for _, shard in report.shard_reports] == [4]  # genesis + 3
+            assert session_vector(router, "writer") == {}
 
     def test_tcp_frontend_forwards_session_and_region_to_both(self, shard_runner):
         import json
@@ -918,9 +943,9 @@ class TestFrontDoorsInterchangeable:
             for index, fact in enumerate(dataset[:6])
         ]
 
-        async def drive(service):
-            async with service:
-                async with TCPValidationFrontend(service, {"factbench": dataset}) as frontend:
+        async def drive(router):
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", frontend.port
                     )
@@ -933,13 +958,11 @@ class TestFrontDoorsInterchangeable:
                     await writer.wait_closed()
                     return replies
 
+        single, sharded = (asyncio.run(drive(router)) for router in self._routers(shard_runner))
         shared = ("id", "outcome", "verdict", "cached", "fact_id", "method", "model")
-        bare, routed = (
-            [
-                {key: reply.get(key) for key in shared}
-                for reply in asyncio.run(drive(service))
-            ]
-            for service in self._services(shard_runner)
-        )
-        assert bare == routed
-        assert [reply["outcome"] for reply in bare] == ["completed"] * len(lines)
+        assert [{key: reply.get(key) for key in shared} for reply in single] == [
+            {key: reply.get(key) for key in shared} for reply in sharded
+        ]
+        assert [reply["outcome"] for reply in single] == ["completed"] * len(lines)
+        assert {len(reply["epoch_vector"]) for reply in single} == {1}
+        assert {len(reply["epoch_vector"]) for reply in sharded} == {2}

@@ -720,6 +720,10 @@ class TestObsDashboardCLI:
         with pytest.raises(SystemExit, match="shard:0/replica:1"):
             self._run("top", "--once", "--kill", "replica-one")
 
+    def test_a_bad_fleet_shape_is_reported_before_the_kill_target(self):
+        with pytest.raises(SystemExit, match="--shards must be >= 1"):
+            self._run("top", "--once", "--shards", "0", "--kill", "shard:0/replica:0")
+
 
 class TestFrontendSLOVerb:
     def test_slo_verb_serves_the_monitor_payload(self, runner):
@@ -789,16 +793,16 @@ class TestFrontendSLOVerb:
         assert handled == 1
 
     def test_slo_verb_without_a_monitor_is_an_error_reply(self, runner):
-        from repro.service import ServiceConfig, TCPValidationFrontend, ValidationService
+        from repro.service import ServiceConfig, ShardedValidationService, TCPValidationFrontend
 
         dataset = runner.dataset("factbench")
 
         async def go():
-            service = ValidationService.from_runner(
-                runner, ServiceConfig(enable_cache=False)
+            router = ShardedValidationService.from_runner(
+                runner, 1, ServiceConfig(enable_cache=False)
             )
-            async with service:
-                frontend = TCPValidationFrontend(service, {"factbench": dataset})
+            async with router:
+                frontend = TCPValidationFrontend(router, {"factbench": dataset})
                 async with frontend:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", frontend.port
