@@ -21,15 +21,12 @@ from .experiments import (
     table8_execution_time,
     table9_error_clustering,
 )
-from .cli import main as cli_main, run_experiment
 from .runner import BenchmarkRunner
 
 __all__ = [
     "BenchmarkRunner",
     "EXPERIMENTS",
     "Experiment",
-    "cli_main",
-    "run_experiment",
     "ExperimentConfig",
     "PAPER_SCALE_CONFIG",
     "QUICK_CONFIG",

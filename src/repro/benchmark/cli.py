@@ -177,8 +177,8 @@ def build_service_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "Route the mutations across N per-shard segments ({store}.shard{i}); "
-            "1 = the single-file store."
+            "Shard count of the store: 1 = the single file --store, N >= 2 = "
+            "N per-shard segment files --store.shard0 .. --store.shardN-1."
         ),
     )
 
@@ -416,43 +416,33 @@ def _write_fleet_tables(router, stream: TextIO) -> None:
         stream.write("\n" + router.metrics.format_replica_table() + "\n")
 
 
-def _run_sharded_ingest(args, stream: TextIO) -> int:
-    """Route a mutations file across N per-shard segments (``{store}.shard{i}``)."""
-    import os
-
+def _run_ingest(args, stream: TextIO) -> int:
+    """Apply a mutations file to the fleet of ``--shards`` saved under
+    ``--store`` (:meth:`ShardedStore.load`, which refuses files of another
+    shard count) and save it, one line per file written."""
     from ..store import (
         CorruptSegmentError,
-        HashRing,
         ShardedStore,
         VersionedKnowledgeStore,
         read_mutations_jsonl,
     )
 
-    if os.path.exists(f"{args.store}.shard0"):
-        # A smaller --shards than the fleet was saved with would silently
-        # orphan the higher-numbered shards and misroute every key on a
-        # wrong-sized ring; refuse instead.  (A larger --shards fails in
-        # load() on the first missing shard file.)
-        if os.path.exists(f"{args.store}.shard{args.shards}"):
-            raise SystemExit(
-                f"{args.store}.shard{args.shards} exists: the fleet was saved "
-                f"with more than --shards {args.shards} shards"
-            )
-        try:
-            fleet = ShardedStore.load(args.store, args.shards)
-        except (OSError, ValueError, CorruptSegmentError) as exc:
-            raise SystemExit(f"cannot read sharded store logs: {exc}")
-        stream.write(
-            f"loaded {args.store}.shard0..{args.shards - 1}: epochs "
-            f"{list(fleet.epoch_vector)}, {fleet.total_triples} triples, "
-            f"{fleet.total_documents} documents\n"
-        )
-    else:
+    if args.shards < 1:
+        raise SystemExit("--shards must be >= 1")
+    try:
+        fleet = ShardedStore.load(args.store, args.shards)
+    except FileNotFoundError:
         fleet = ShardedStore(
-            [VersionedKnowledgeStore(name=f"store-shard{i}") for i in range(args.shards)],
-            HashRing(args.shards),
+            [VersionedKnowledgeStore(name=f"store-shard{i}") for i in range(args.shards)]
         )
-        stream.write(f"{args.store}.shard0 not found; starting an empty fleet\n")
+        stream.write(f"{args.store} not found; starting an empty store\n")
+    except (OSError, ValueError, CorruptSegmentError) as exc:
+        raise SystemExit(f"cannot read store log: {exc}")
+    else:
+        stream.write(
+            f"loaded {args.store}: epochs {list(fleet.epoch_vector)}, "
+            f"{fleet.total_triples} triples, {fleet.total_documents} documents\n"
+        )
     try:
         mutations = read_mutations_jsonl(args.mutations)
     except (OSError, ValueError) as exc:
@@ -463,8 +453,6 @@ def _run_sharded_ingest(args, stream: TextIO) -> int:
         report = fleet.apply(mutations)
     except ValueError as exc:
         raise SystemExit(f"mutation batch rejected: {exc}")
-    target = args.output or args.store
-    paths = fleet.save(target)
     for index, shard_report in report.shard_reports:
         stream.write(
             f"shard {index} -> epoch {shard_report.epoch}: "
@@ -472,56 +460,15 @@ def _run_sharded_ingest(args, stream: TextIO) -> int:
             f"-{shard_report.triples_removed} triples, "
             f"+{shard_report.documents_added} documents\n"
         )
-    stream.write(
-        f"saved {len(paths)} shard logs under {target}.shard*; "
-        f"epoch vector {list(fleet.epoch_vector)}\n"
-    )
-    stream.write(f"fleet digest {fleet.state_digest(include_index=False)[:16]}\n")
-    return 0
-
-
-def _run_ingest(args, stream: TextIO) -> int:
-    import os
-
-    from ..store import CorruptSegmentError, VersionedKnowledgeStore, read_mutations_jsonl
-
-    if args.shards > 1:
-        return _run_sharded_ingest(args, stream)
-    if os.path.exists(args.store):
-        try:
-            store = VersionedKnowledgeStore.load(args.store)
-        except (OSError, ValueError, CorruptSegmentError) as exc:
-            raise SystemExit(f"cannot read store log: {exc}")
+    # Graph + corpus digests only (what `convert` prints per file): hashing
+    # the BM25 index would force a full index build just for a log line.
+    paths = fleet.save(args.output or args.store)
+    digests = fleet.state_digests(include_index=False)
+    for shard, path, digest in zip(fleet.shards, paths, digests):
         stream.write(
-            f"loaded {args.store}: epoch {store.epoch}, {len(store.graph)} triples, "
-            f"{len(store.corpus)} documents\n"
+            f"saved {path}: epoch {shard.epoch}, {len(shard.log)} log records, "
+            f"state digest {digest[:16]}\n"
         )
-    else:
-        store = VersionedKnowledgeStore()
-        stream.write(f"{args.store} not found; starting an empty store\n")
-    try:
-        mutations = read_mutations_jsonl(args.mutations)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read mutations: {exc}")
-    if not mutations:
-        raise SystemExit(f"{args.mutations} contains no mutations")
-    try:
-        report = store.apply(mutations)
-    except ValueError as exc:
-        raise SystemExit(f"mutation batch rejected: {exc}")
-    target = args.output or args.store
-    store.save(target)
-    stream.write(
-        f"epoch {report.epoch}: +{report.triples_added} triples, "
-        f"-{report.triples_removed} triples, +{report.documents_added} documents "
-        f"(index: {report.index_strategy}"
-        f"{', graph re-interned' if report.graph_rebuilt else ''}) "
-        f"in {report.seconds:.3f}s\n"
-    )
-    stream.write(f"saved {len(store.log)} log records to {target}\n")
-    # Graph + corpus digest only: hashing the BM25 index would force a
-    # full index build just for a log line.
-    stream.write(f"state digest {store.state_digest(include_index=False)[:16]}\n")
     return 0
 
 

@@ -22,7 +22,7 @@ from ..retrieval.corpus import Corpus
 from ..retrieval.mock_api import MockSearchAPI
 from ..retrieval.reranker import CrossEncoderReranker
 from ..retrieval.webgen import WebCorpusGenerator
-from ..store import ReplicaGroup, ShardedStore, StoreConfig, VersionedKnowledgeStore
+from ..store import ShardedStore, VersionedKnowledgeStore
 from ..validation.base import ValidationRun, ValidationStrategy
 from ..validation.consensus import ConsensusRun, MajorityVoteConsensus
 from ..validation.dka import DirectKnowledgeAssessment
@@ -149,9 +149,7 @@ class BenchmarkRunner:
             )
         return self._search_apis[dataset_name]
 
-    def versioned_store(
-        self, dataset_name: str, store_config: Optional[StoreConfig] = None
-    ) -> VersionedKnowledgeStore:
+    def versioned_store(self, dataset_name: str) -> VersionedKnowledgeStore:
         """A :class:`VersionedKnowledgeStore` adopting this dataset's substrates.
 
         The store wraps the dataset's live corpus, the ``MockSearchAPI``'s
@@ -161,18 +159,10 @@ class BenchmarkRunner:
         immediately instead of forcing an index rebuild; their cached
         evidence is stamped with the engine's ``generation``, so a document
         ingest makes it stale and a triple-only one leaves it valid.
-        Built once per dataset; subsequent calls return the same store (a
-        conflicting ``store_config`` on a later call is an error rather
-        than being silently ignored).
+        Built once per dataset; subsequent calls return the same store.
         """
         if dataset_name in self._stores:
-            store = self._stores[dataset_name]
-            if store_config is not None and store_config != store.config:
-                raise ValueError(
-                    f"store for {dataset_name!r} already built with "
-                    f"{store.config}; cannot reconfigure to {store_config}"
-                )
-            return store
+            return self._stores[dataset_name]
         corpus = self.corpus(dataset_name)
         api = self.search_api(dataset_name)
         self._warm_reranker(dataset_name)
@@ -185,19 +175,13 @@ class BenchmarkRunner:
             corpus=corpus,
             search_engine=api.engine,
             triples=triples,
-            config=store_config,
             embedder=self._reranker.embedder,
             name=f"{dataset_name}-store",
         )
         self._stores[dataset_name] = store
         return store
 
-    def sharded_store(
-        self,
-        dataset_name: str,
-        num_shards: int,
-        store_config: Optional[StoreConfig] = None,
-    ) -> ShardedStore:
+    def sharded_store(self, dataset_name: str, num_shards: int) -> ShardedStore:
         """Partition this dataset's graph + corpus across ``num_shards`` stores.
 
         Unlike :meth:`versioned_store`, the shards do *not* adopt the live
@@ -209,19 +193,12 @@ class BenchmarkRunner:
         versioning and routing substrate
         (see :class:`~repro.service.ShardedValidationService`).
         Built once per ``(dataset, num_shards)``; later calls return the
-        same fleet (a conflicting ``store_config`` is an error).
+        same fleet — replicate a fresh ``replay_twin()`` of it for groups
+        that share no store state.
         """
         key = (dataset_name, num_shards)
         if key in self._sharded_stores:
-            fleet = self._sharded_stores[key]
-            if store_config is not None and any(
-                store_config != shard.config for shard in fleet.shards
-            ):
-                raise ValueError(
-                    f"sharded store for {key!r} already built; cannot "
-                    f"reconfigure to {store_config}"
-                )
-            return fleet
+            return self._sharded_stores[key]
         world = self.world
         triples = [
             Triple(world.name(fact.subject), fact.predicate, world.name(fact.object))
@@ -231,36 +208,10 @@ class BenchmarkRunner:
             triples=triples,
             documents=list(self.corpus(dataset_name)),
             num_shards=num_shards,
-            config=store_config,
             name=f"{dataset_name}-store",
         )
         self._sharded_stores[key] = fleet
         return fleet
-
-    def replica_groups(
-        self,
-        dataset_name: str,
-        num_shards: int,
-        replicas: int,
-        store_config: Optional[StoreConfig] = None,
-    ) -> List[ReplicaGroup]:
-        """Replicate this dataset's sharded store into per-shard groups.
-
-        Each logical shard becomes a :class:`~repro.store.ReplicaGroup`
-        of ``replicas`` byte-identical copies, log-shipped from the shard's
-        mutation log.  Every call replays a **fresh twin** of the cached
-        :meth:`sharded_store` fleet first, so two calls share no store
-        state at all — primaries included — and routers built from
-        separate calls can ingest independently.  (A router wanting the
-        matching primaries fleet can build it as
-        ``ShardedStore([group.primary for group in groups])``.)
-
-        Returns the groups in shard order.  Raises :class:`ValueError`
-        when ``replicas < 1`` (and propagates :meth:`sharded_store`'s
-        config-conflict error).
-        """
-        fleet = self.sharded_store(dataset_name, num_shards, store_config)
-        return fleet.replay_twin().replicate(replicas)
 
     # ------------------------------------------------------------- strategies
 

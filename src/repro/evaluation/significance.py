@@ -33,9 +33,6 @@ class BootstrapInterval:
     upper: float
     confidence: float
 
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def bootstrap_f1_interval(
     run: ValidationRun,

@@ -15,8 +15,8 @@ branch that provably cannot meet the target within the hop budget.  The
 result (content *and* order) is identical to a plain forward BFS.
 
 The interned **core** (interning tables + per-node edge lists) is the
-graph's source of truth; the string-keyed SPO/POS indexes and the
-triple set are *derived* views, rebuilt from the core on demand.  Every
+graph's source of truth; the string-keyed SPO/POS indexes are
+*derived* views, rebuilt from the core on demand.  Every
 graph — new or restored from a storage-engine checkpoint
 (:meth:`KnowledgeGraph.from_core_state`) — starts with the core only and
 hydrates the derived indexes on its first string-level query, so a log
@@ -49,7 +49,7 @@ class KnowledgeGraph:
 
     #: Derived string-index attributes, absent until the first string-level
     #: query hydrates them from the interned core.
-    _DERIVED = ("_triples", "_spo", "_pos")
+    _DERIVED = ("_spo", "_pos")
 
     def __init__(self, name: str = "kg") -> None:
         self.name = name
@@ -74,7 +74,7 @@ class KnowledgeGraph:
     def __getattr__(self, name: str):
         # Only reached when an attribute is *missing*: a graph carries the
         # interned core only until the first access to a derived string
-        # index materialises all three in one pass.
+        # index materialises both in one pass.
         if name in KnowledgeGraph._DERIVED:
             self._hydrate()
             return self.__dict__[name]
@@ -86,11 +86,10 @@ class KnowledgeGraph:
     def hydrated(self) -> bool:
         """Whether the derived string indexes are materialised: False from
         construction (or a checkpoint restore) until a string-level query."""
-        return "_triples" in self.__dict__
+        return "_pos" in self.__dict__
 
     def _hydrate(self) -> None:
-        """Build the triple set and SPO/POS indexes from the core."""
-        triples: Set[Triple] = set()
+        """Build the SPO/POS indexes from the core."""
         spo: Dict[str, Dict[str, Set[str]]] = {}
         pos: Dict[str, Dict[str, Set[str]]] = {}
         names, preds = self._node_names, self._pred_names
@@ -101,13 +100,11 @@ class KnowledgeGraph:
             s_spo = spo.setdefault(s, {})
             for p_id, o_id in edges:
                 p, o = preds[p_id], names[o_id]
-                triples.add(Triple(s, p, o))
                 s_spo.setdefault(p, set()).add(o)
                 pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        # ``_triples`` last: ``hydrated`` and ``add`` read it as "all three".
+        # ``_pos`` last: ``hydrated`` and ``add`` read it as "both".
         self._spo = spo
         self._pos = pos
-        self._triples = triples
 
     # -- interning ----------------------------------------------------------
 
@@ -159,8 +156,7 @@ class KnowledgeGraph:
         s, p, o = triple.as_tuple()
         if self._core_contains(s, p, o):
             return False
-        if "_triples" in self.__dict__:
-            self._triples.add(triple)
+        if "_pos" in self.__dict__:
             self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
             self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         s_id = self._intern_node(s)
@@ -182,8 +178,7 @@ class KnowledgeGraph:
         s, p, o = triple.as_tuple()
         if not self._core_contains(s, p, o):
             return False
-        if "_triples" in self.__dict__:
-            self._triples.discard(triple)
+        if "_pos" in self.__dict__:
             self._discard_index(self._spo, s, p, o)
             self._discard_index(self._pos, p, o, s)
         s_id = self._node_ids[s]
@@ -236,15 +231,8 @@ class KnowledgeGraph:
     def contains(self, subject: str, predicate: str, obj: str) -> bool:
         return self._core_contains(subject, predicate, obj)
 
-    def triples(self) -> Set[Triple]:
-        """A copy of the triple set (unordered; iterate the graph for sorted)."""
-        return set(self._triples)
-
     def objects(self, subject: str, predicate: str) -> List[str]:
         return sorted(self._spo.get(subject, {}).get(predicate, ()))
-
-    def subjects(self, predicate: str, obj: str) -> List[str]:
-        return sorted(self._pos.get(predicate, {}).get(obj, ()))
 
     def triples_with_predicate(self, predicate: str) -> List[Triple]:
         result = []
@@ -412,8 +400,7 @@ class KnowledgeGraph:
         """
         clone = KnowledgeGraph.__new__(KnowledgeGraph)
         clone.name = self.name
-        if "_triples" in self.__dict__:
-            clone._triples = set(self._triples)
+        if self.hydrated:
             clone._spo = {
                 s: {p: set(objs) for p, objs in inner.items()}
                 for s, inner in self._spo.items()
@@ -456,8 +443,8 @@ class KnowledgeGraph:
     def from_core_state(cls, state: Dict[str, object], name: str = "kg") -> "KnowledgeGraph":
         """Rebuild a graph from :meth:`core_state` output, **lazily**.
 
-        Only the interned core is materialised; the triple set and the
-        SPO/POS string indexes hydrate on first access, so a
+        Only the interned core is materialised; the SPO/POS string
+        indexes hydrate on first access, so a
         checkpoint-restored graph can serve traversal queries
         (``find_paths``, ``neighbors``, ``contains``) without paying for
         them.  The caller owns the containers afterwards.

@@ -45,17 +45,6 @@ class Verbalizer:
         words = split_camel_case(base_predicate)
         return f"{subject} {words} {obj}."
 
-    def question(self, triple: Triple, variant: int = 0) -> str:
-        """Render one of the predicate's question templates about the subject."""
-        subject = self.subject_label(triple)
-        predicate = self._strip_yago_prefix(decode_predicate(triple.predicate))
-        spec = RELATIONS.get(predicate)
-        if spec is not None and spec.question_templates:
-            template = spec.question_templates[variant % len(spec.question_templates)]
-            return template.format(s=subject, o=self.object_label(triple))
-        words = split_camel_case(predicate)
-        return f"What is the {words} of {subject}?"
-
     def subject_label(self, triple: Triple) -> str:
         return self._label(triple.subject)
 

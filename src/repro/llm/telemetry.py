@@ -10,9 +10,8 @@ Table 8.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .base import LLMResponse
 
@@ -135,9 +134,3 @@ class TelemetryCollector:
         self, model: Optional[str] = None, task: Optional[str] = None
     ) -> UsageSummary:
         return UsageSummary.from_records(self.records(model, task))
-
-    def by_model(self) -> Dict[str, UsageSummary]:
-        grouped: Dict[str, List[CallRecord]] = defaultdict(list)
-        for record in self.records():
-            grouped[record.model].append(record)
-        return {model: UsageSummary.from_records(items) for model, items in sorted(grouped.items())}

@@ -60,10 +60,6 @@ class Alert:
     last_long_burn: float = 0.0
     last_short_burn: float = 0.0
 
-    @property
-    def active(self) -> bool:
-        return self.state in ("pending", "firing")
-
 
 class AlertManager:
     """Evaluates SLOs and drives every alert's lifecycle.

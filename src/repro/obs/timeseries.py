@@ -245,10 +245,6 @@ class MetricsScraper:
 
     # ---------------------------------------------------------------- queries
 
-    def keys(self) -> List[str]:
-        """Every materialised series key, sorted."""
-        return sorted(self._series)
-
     def get(self, key: str) -> Optional[TimeSeries]:
         return self._series.get(key)
 

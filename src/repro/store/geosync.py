@@ -38,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .log import Mutation, atomic_write
 from .sharding import ReplicaDivergedError, ShardedStore
@@ -368,29 +368,17 @@ class EdgeReplica:
         """Per-shard applied epochs — the edge's true (durable) watermarks."""
         return tuple(store.epoch for store in self.stores)
 
-    def state_digests(self, include_index: bool = False) -> List[str]:
-        """Per-shard state digests (convergence is digest parity with the
-        primary shards at equal epochs)."""
-        return [store.state_digest(include_index=include_index) for store in self.stores]
-
     def save(self, prefix: str) -> List[str]:
-        """Persist every shard copy as ``{prefix}.shard{i}`` (the edge's
-        durable state — reloading resumes at the applied watermarks)."""
-        paths = []
-        for index, store in enumerate(self.stores):
-            path = f"{prefix}.shard{index}"
-            store.save(path)
-            paths.append(path)
-        return paths
+        """Persist every shard copy as a fleet's files
+        (:meth:`ShardedStore.save`) — the edge's durable state: reloading
+        resumes at the applied watermarks."""
+        return ShardedStore(self.stores).save(prefix)
 
     @classmethod
     def load(cls, name: str, prefix: str, num_shards: int) -> "EdgeReplica":
-        """Reload a saved edge; its applied vector is the resume point."""
-        stores = [
-            VersionedKnowledgeStore.load(f"{prefix}.shard{index}", name=f"{name}-s{index}")
-            for index in range(num_shards)
-        ]
-        return cls(name, stores)
+        """Reload a saved edge (:meth:`ShardedStore.load`); its applied
+        vector is the resume point."""
+        return cls(name, ShardedStore.load(prefix, num_shards, name=name).shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EdgeReplica({self.name!r}, applied={self.applied_vector})"
@@ -407,10 +395,10 @@ class GeoReplicator:
     ingest — lands the batch in the owning shard's queue with no extra
     bookkeeping at the call sites.
 
-    ``queue_dir`` makes the queues durable (``queue.shard{i}.jsonl``
-    each); pass the same directory to :meth:`resume` after a primary
-    restart to recover queued-but-unshipped batches and the watermarks of
-    the last commit.
+    ``queue_dir`` makes the queues durable (one JSONL file per shard,
+    named by :meth:`_queue_path`); pass the same directory to
+    :meth:`resume` after a primary restart to recover queued-but-unshipped
+    batches and the watermarks of the last commit.
     """
 
     def __init__(
@@ -432,7 +420,7 @@ class GeoReplicator:
                 OutboundQueue(
                     shard_index=index,
                     floor_epoch=shard.epoch,
-                    path=self._queue_path(index),
+                    path=self._queue_path(queue_dir, index),
                 )
                 for index, shard in enumerate(primary.shards)
             ]
@@ -441,11 +429,13 @@ class GeoReplicator:
         for index, shard in enumerate(primary.shards):
             self._subscribe(index, shard)
 
-    def _queue_path(self, index: int) -> Optional[str]:
-        if self.queue_dir is None:
+    @staticmethod
+    def _queue_path(queue_dir: Optional[str], index: int) -> Optional[str]:
+        """Shard ``index``'s durable queue file (``None`` without a directory)."""
+        if queue_dir is None:
             return None
-        os.makedirs(self.queue_dir, exist_ok=True)
-        return os.path.join(self.queue_dir, f"queue.shard{index}.jsonl")
+        os.makedirs(queue_dir, exist_ok=True)
+        return os.path.join(queue_dir, f"queue.shard{index}.jsonl")
 
     @classmethod
     def resume(cls, primary: ShardedStore, queue_dir: str) -> "GeoReplicator":
@@ -467,7 +457,7 @@ class GeoReplicator:
         """
         queues = []
         for index, shard in enumerate(primary.shards):
-            path = os.path.join(queue_dir, f"queue.shard{index}.jsonl")
+            path = cls._queue_path(queue_dir, index)
             if not os.path.exists(path):
                 queues.append(
                     OutboundQueue(shard_index=index, floor_epoch=shard.epoch, path=path)
@@ -561,20 +551,16 @@ class GeoReplicator:
         name: str,
         shard_index: Optional[int] = None,
         max_batches: Optional[int] = None,
-        apply: Optional[Callable[[int, int, Sequence[Mutation]], int]] = None,
     ) -> int:
         """Apply pending batches to one edge; returns batches applied.
 
         Resumes from the edge's **applied** epoch (its durable watermark),
         not the reported one — a lost ack can only cause a redundant
-        report, never a skipped or double-applied batch.  Each applied
-        batch is acked back to the queue immediately.
-
-        ``apply`` overrides the application step (the serving tier routes
-        it through each edge service so caches quiesce); it receives
-        ``(shard_index, epoch, batch)`` and must return the epoch the
-        edge's store landed on.  A landing epoch that disagrees with the
-        queued epoch raises :class:`ReplicaDivergedError`.
+        report, never a skipped or double-applied batch: the queue's
+        epochs are dense, so each batch lands on exactly the epoch it was
+        queued at.  Each applied batch is acked back to the queue
+        immediately.  ``shard_index`` limits the drain to one shard and
+        ``max_batches`` to that many batches per shard.
         """
         edge = self.edges[name]
         applied = 0
@@ -584,17 +570,8 @@ class GeoReplicator:
         for index in shards:
             queue = self.queues[index]
             store = edge.stores[index]
-            budget = max_batches
-            for epoch, batch in queue.pending_after(store.epoch, limit=budget):
-                if apply is not None:
-                    landed = apply(index, epoch, batch)
-                else:
-                    landed = store.apply(batch).epoch
-                if landed != epoch:
-                    raise ReplicaDivergedError(
-                        f"edge {name!r} shard {index} applied at epoch {landed}, "
-                        f"queue shipped epoch {epoch}"
-                    )
+            for epoch, batch in queue.pending_after(store.epoch, limit=max_batches):
+                store.apply(batch)
                 queue.ack(name, epoch)
                 applied += 1
         return applied
@@ -629,15 +606,10 @@ class GeoReplicator:
 
     # ------------------------------------------------------------- convergence
 
-    def converged(self, name: str) -> bool:
-        """Whether ``name`` has applied everything the primary has."""
-        edge = self.edges[name]
-        return edge.applied_vector == tuple(s.epoch for s in self.primary.shards)
-
-    def verify_converged(self, name: str, include_index: bool = False) -> List[str]:
+    def verify_converged(self, name: str) -> List[str]:
         """Prove one drained edge byte-identical to the primary per shard.
 
-        Returns the shared per-shard digests; raises
+        Returns the shared per-shard graph + corpus digests; raises
         :class:`ReplicaDivergedError` on any epoch or digest mismatch —
         with deterministic replay that can only mean a copy was mutated
         outside the queue path.
@@ -650,8 +622,8 @@ class GeoReplicator:
                     f"edge {name!r} shard {index} at epoch {store.epoch}, "
                     f"primary at {primary.epoch} (queue not drained?)"
                 )
-            ours = store.state_digest(include_index=include_index)
-            theirs = primary.state_digest(include_index=include_index)
+            ours = store.state_digest(include_index=False)
+            theirs = primary.state_digest(include_index=False)
             if ours != theirs:
                 raise ReplicaDivergedError(
                     f"edge {name!r} shard {index} digest diverged from primary"

@@ -45,7 +45,10 @@ one.
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import itertools
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -63,12 +66,37 @@ __all__ = [
     "ShardApplyReport",
     "ShardedStore",
     "mutation_shard_key",
+    "shard_paths",
 ]
 
 
 #: Bound on :class:`HashRing`'s per-key owner memo, emptied whole when full
 #: (a miss costs only the hash it would cost without one).
 RING_MEMO_CAPACITY = 4096
+#: Virtual points each shard owns on a :class:`HashRing`: a fleet's ring is
+#: a function of its shard count alone.
+RING_POINTS = 64
+
+
+def shard_paths(prefix: str, num_shards: int) -> List[str]:
+    """The segment files a fleet of ``num_shards`` is saved as under
+    ``prefix``: one shard is the single file ``prefix``, and N >= 2 shards
+    are ``prefix.shard0``, ``prefix.shard1``, ... one per shard."""
+    if num_shards == 1:
+        return [prefix]
+    return [f"{prefix}.shard{index}" for index in range(num_shards)]
+
+
+def _saved_paths(prefix: str) -> List[str]:
+    """The files of whatever is saved under ``prefix`` (none: empty): the
+    one-shard file, then a larger fleet's shard files up to the first gap."""
+    found = [path for path in shard_paths(prefix, 1) if os.path.exists(path)]
+    for index in itertools.count():
+        path = shard_paths(prefix, index + 2)[index]  # one name at every N >= 2
+        if not os.path.exists(path):
+            return found
+        found.append(path)
+
 
 def _point(key: str) -> int:
     """Process-stable 64-bit hash (builtin ``hash`` varies with PYTHONHASHSEED)."""
@@ -79,27 +107,24 @@ def _point(key: str) -> int:
 class HashRing:
     """Consistent-hash ring mapping string keys to shard indexes.
 
-    Each shard owns ``replicas`` virtual points on a 64-bit ring; a key is
-    owned by the first point at or after its own hash (wrapping).  The
-    assignment is a pure function of ``(key, num_shards, replicas)`` —
-    stable across processes and runs — and adding a shard moves only the
-    keys that fall between the new shard's points and their predecessors.
+    Each shard owns :data:`RING_POINTS` virtual points on a 64-bit ring; a
+    key is owned by the first point at or after its own hash (wrapping).
+    The assignment is a pure function of ``(key, num_shards)`` — stable
+    across processes and runs — and adding a shard moves only the keys
+    that fall between the new shard's points and their predecessors.
     Because it is, :meth:`shard_for` memoises each key's owner (at most
     :data:`RING_MEMO_CAPACITY` keys).
     """
 
-    def __init__(self, num_shards: int, replicas: int = 64) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.num_shards = num_shards
-        self.replicas = replicas
-        points: List[Tuple[int, int]] = []
-        for shard in range(num_shards):
-            for replica in range(replicas):
-                points.append((_point(f"shard-{shard}:{replica}"), shard))
-        points.sort()
+        points = sorted(
+            (_point(f"shard-{shard}:{index}"), shard)
+            for shard in range(num_shards)
+            for index in range(RING_POINTS)
+        )
         self._points = [point for point, _ in points]
         self._owners = [shard for _, shard in points]
         self._memo: Dict[str, int] = {}
@@ -116,15 +141,8 @@ class HashRing:
             owner = self._memo[key] = self._owners[index]
         return owner
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HashRing)
-            and other.num_shards == self.num_shards
-            and other.replicas == self.replicas
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HashRing(num_shards={self.num_shards}, replicas={self.replicas})"
+        return f"HashRing(num_shards={self.num_shards})"
 
 
 def mutation_shard_key(mutation: Mutation) -> str:
@@ -199,17 +217,16 @@ class ReplicaGroup:
     and fail over when one copy's worker dies; the store layer itself only
     guarantees the copies agree.
 
+    The audits hash each member's graph + corpus, not its BM25 index
+    layout: the serving tier's replica stores are versioning substrates
+    (strategies read the runner's own indexes), and hashing the index
+    would force a full index build per ingest.
+
     Parameters
     ----------
     stores:
         The member stores, primary first.  All members must share one epoch
         and one state digest at construction time.
-    include_index:
-        Whether the audits cover the BM25 index layout as well as the
-        graph + corpus bytes.  Defaults to ``False``: the serving tier's
-        replica stores are versioning substrates (strategies read the
-        runner's own indexes), and hashing the index would force a full
-        index build per ingest.  Property tests flip it on.
 
     Raises
     ------
@@ -219,15 +236,10 @@ class ReplicaGroup:
         From the constructor or :meth:`apply` when digests disagree.
     """
 
-    def __init__(
-        self,
-        stores: Sequence[VersionedKnowledgeStore],
-        include_index: bool = False,
-    ) -> None:
+    def __init__(self, stores: Sequence[VersionedKnowledgeStore]) -> None:
         if not stores:
             raise ValueError("a ReplicaGroup needs at least one store")
         self.stores: List[VersionedKnowledgeStore] = list(stores)
-        self.include_index = include_index
         epochs = {store.epoch for store in self.stores}
         if len(epochs) != 1:
             raise ValueError(
@@ -237,12 +249,7 @@ class ReplicaGroup:
             self.verify()
 
     @classmethod
-    def replicate(
-        cls,
-        primary: VersionedKnowledgeStore,
-        replicas: int,
-        include_index: bool = False,
-    ) -> "ReplicaGroup":
+    def replicate(cls, primary: VersionedKnowledgeStore, replicas: int) -> "ReplicaGroup":
         """Grow one store into a group of ``replicas`` total copies.
 
         The secondaries are built by replaying the primary's mutation log —
@@ -264,7 +271,7 @@ class ReplicaGroup:
             )
             for index in range(1, replicas)
         )
-        return cls(copies, include_index=include_index)
+        return cls(copies)
 
     # ------------------------------------------------------------- properties
 
@@ -361,32 +368,26 @@ class ReplicaGroup:
             and all(store._ops_to_audit > 0 for store in members)
         ):
             return False
-        self._audit(members, self.include_index)
+        self._audit(members)
         return True
 
-    def digests(self, include_index: Optional[bool] = None) -> List[str]:
-        """Per-member state digests, primary first."""
-        include = self.include_index if include_index is None else include_index
-        return [store.state_digest(include_index=include) for store in self.stores]
-
-    def verify(self, include_index: Optional[bool] = None) -> str:
+    def verify(self) -> str:
         """Prove the group byte-identical; returns the shared digest.
 
-        The full audit: every member's ``state_digest`` is computed and
-        compared, then each member's chained digest is anchored at the
-        shared value (see :meth:`lockstep`).  Raises
+        The full audit: every member's graph + corpus ``state_digest`` is
+        computed and compared, then each member's chained digest is
+        anchored at the shared value (see :meth:`lockstep`).  Raises
         :class:`ReplicaDivergedError` when any member's digest (or epoch)
         disagrees with the primary's.
         """
-        include = self.include_index if include_index is None else include_index
-        return self._audit(self.stores, include)
+        return self._audit(self.stores)
 
     @staticmethod
-    def _audit(members: Sequence[VersionedKnowledgeStore], include_index: bool) -> str:
+    def _audit(members: Sequence[VersionedKnowledgeStore]) -> str:
         epochs = [store.epoch for store in members]
         if len(set(epochs)) != 1:
             raise ReplicaDivergedError(f"replica epochs diverge: {epochs}")
-        digests = [store.state_digest(include_index=include_index) for store in members]
+        digests = [store.state_digest(include_index=False) for store in members]
         if len(set(digests)) != 1:
             diverged = [
                 store.name
@@ -410,18 +411,11 @@ class ReplicaGroup:
 class ShardedStore:
     """N :class:`VersionedKnowledgeStore` shards behind one routing ring."""
 
-    def __init__(
-        self, shards: Sequence[VersionedKnowledgeStore], ring: Optional[HashRing] = None
-    ) -> None:
+    def __init__(self, shards: Sequence[VersionedKnowledgeStore]) -> None:
         if not shards:
             raise ValueError("a ShardedStore needs at least one shard")
         self.shards: List[VersionedKnowledgeStore] = list(shards)
-        self.ring = ring or HashRing(len(self.shards))
-        if self.ring.num_shards != len(self.shards):
-            raise ValueError(
-                f"ring routes over {self.ring.num_shards} shards but "
-                f"{len(self.shards)} were given"
-            )
+        self.ring = HashRing(len(self.shards))
 
     # ------------------------------------------------------------- construction
 
@@ -434,14 +428,13 @@ class ShardedStore:
         config: Optional[StoreConfig] = None,
         embedder: Optional[HashingEmbedder] = None,
         name: str = "store",
-        replicas: int = 64,
     ) -> "ShardedStore":
         """Partition a corpus + graph across ``num_shards`` fresh shards.
 
         Each shard is bootstrapped with its slice as a genesis batch, so
         every shard independently satisfies ``shard == replay(shard.log)``.
         """
-        ring = HashRing(num_shards, replicas)
+        ring = HashRing(num_shards)
         shard_triples: List[List[Triple]] = [[] for _ in range(num_shards)]
         shard_documents: List[List[Document]] = [[] for _ in range(num_shards)]
         for triple in triples:
@@ -460,7 +453,7 @@ class ShardedStore:
             )
             for index in range(num_shards)
         ]
-        return cls(shards, ring)
+        return cls(shards)
 
     # ------------------------------------------------------------- properties
 
@@ -542,14 +535,7 @@ class ShardedStore:
         """Per-shard state digests, in shard order."""
         return [shard.state_digest(include_index=include_index) for shard in self.shards]
 
-    def state_digest(self, include_index: bool = True) -> str:
-        """One digest over the whole fleet (order-sensitive over shards)."""
-        digest = hashlib.sha256()
-        for shard_digest in self.state_digests(include_index=include_index):
-            digest.update(shard_digest.encode("ascii"))
-        return digest.hexdigest()
-
-    def replicate(self, replicas: int, include_index: bool = False) -> List[ReplicaGroup]:
+    def replicate(self, replicas: int) -> List[ReplicaGroup]:
         """One :class:`ReplicaGroup` per shard, each ``replicas`` copies deep.
 
         The live shards become the group primaries; the secondaries are
@@ -560,10 +546,7 @@ class ShardedStore:
 
         Raises :class:`ValueError` when ``replicas < 1``.
         """
-        return [
-            ReplicaGroup.replicate(shard, replicas, include_index=include_index)
-            for shard in self.shards
-        ]
+        return [ReplicaGroup.replicate(shard, replicas) for shard in self.shards]
 
     def replay_twin(self) -> "ShardedStore":
         """Rebuild every shard from its own mutation log (byte-identical)."""
@@ -573,22 +556,16 @@ class ShardedStore:
             )
             for shard in self.shards
         ]
-        return ShardedStore(twins, HashRing(self.ring.num_shards, self.ring.replicas))
+        return ShardedStore(twins)
 
     # ------------------------------------------------------------- persistence
 
-    def shard_path(self, prefix: str, index: int) -> str:
-        """The on-disk log path of shard ``index`` under ``prefix``."""
-        return f"{prefix}.shard{index}"
-
     def save(self, prefix: str) -> List[str]:
-        """Persist each shard as the segment file ``{prefix}.shard{i}``;
+        """Persist each shard as the segment file :func:`shard_paths` names;
         returns the paths."""
-        paths = []
-        for index, shard in enumerate(self.shards):
-            path = self.shard_path(prefix, index)
+        paths = shard_paths(prefix, self.num_shards)
+        for shard, path in zip(self.shards, paths):
             shard.save(path)
-            paths.append(path)
         return paths
 
     @classmethod
@@ -598,16 +575,30 @@ class ShardedStore:
         num_shards: int,
         embedder: Optional[HashingEmbedder] = None,
         name: str = "store",
-        replicas: int = 64,
     ) -> "ShardedStore":
-        """Rebuild a fleet from ``{prefix}.shard{i}`` logs (all must exist)."""
-        shards = [
-            VersionedKnowledgeStore.load(
-                f"{prefix}.shard{index}", embedder=embedder, name=f"{name}-shard{index}"
+        """Rebuild a fleet of ``num_shards`` from the files :func:`shard_paths`
+        names under ``prefix``.
+
+        Raises :class:`FileNotFoundError` when nothing is saved under
+        ``prefix``, and :class:`ValueError` naming the files found when
+        they are another shard count's: a fleet is never loaded short of
+        shards or beside a second store.
+        """
+        paths = shard_paths(prefix, num_shards)
+        found = _saved_paths(prefix)
+        if found != paths:
+            if not found:
+                raise FileNotFoundError(errno.ENOENT, "no store saved under this name", prefix)
+            raise ValueError(
+                f"{prefix}: holds {len(found)} saved shard(s) ({', '.join(found)}), "
+                f"not the {num_shards} requested ({', '.join(paths)})"
             )
-            for index in range(num_shards)
-        ]
-        return cls(shards, HashRing(num_shards, replicas))
+        return cls(
+            [
+                VersionedKnowledgeStore.load(path, embedder=embedder, name=f"{name}-shard{index}")
+                for index, path in enumerate(paths)
+            ]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

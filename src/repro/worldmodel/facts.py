@@ -43,7 +43,6 @@ class FactStore:
     def __init__(self) -> None:
         self._facts: Set[Fact] = set()
         self._sp_index: Dict[Tuple[str, str], List[str]] = defaultdict(list)
-        self._po_index: Dict[Tuple[str, str], List[str]] = defaultdict(list)
         self._predicate_index: Dict[str, List[Fact]] = defaultdict(list)
         self._entity_index: Dict[str, List[Fact]] = defaultdict(list)
 
@@ -63,7 +62,6 @@ class FactStore:
             return fact
         self._facts.add(fact)
         self._sp_index[(subject, predicate)].append(obj)
-        self._po_index[(predicate, obj)].append(subject)
         self._predicate_index[predicate].append(fact)
         self._entity_index[subject].append(fact)
         self._entity_index[obj].append(fact)
@@ -76,10 +74,6 @@ class FactStore:
     def objects(self, subject: str, predicate: str) -> List[str]:
         """All true objects for ``(subject, predicate)`` (empty if none)."""
         return list(self._sp_index.get((subject, predicate), ()))
-
-    def subjects(self, predicate: str, obj: str) -> List[str]:
-        """All true subjects for ``(predicate, object)`` (empty if none)."""
-        return list(self._po_index.get((predicate, obj), ()))
 
     def facts_for_predicate(self, predicate: str) -> List[Fact]:
         return list(self._predicate_index.get(predicate, ()))

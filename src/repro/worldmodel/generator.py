@@ -117,12 +117,6 @@ class World:
                 values.append(0.5)
         return sum(values) / len(values)
 
-    def describe(self) -> Dict[str, int]:
-        """Population summary used in docs and sanity tests."""
-        summary = {etype.value: len(items) for etype, items in self.by_type.items() if items}
-        summary["facts"] = len(self.facts)
-        return summary
-
 
 class _WorldBuilder:
     """Internal builder that populates a :class:`World` deterministically."""

@@ -166,6 +166,11 @@ def session_vector(router, session: str) -> Dict[int, int]:
     return dict(router._sessions.get(session, {}))
 
 
+def series_keys(scraper) -> List[str]:
+    """Every series key a scraper has materialised, sorted."""
+    return sorted(scraper._series)
+
+
 def last_value(scraper, name: str, labels: Optional[Mapping[str, str]] = None) -> float:
     """The latest sample of every series matching ``name``/``labels``, summed."""
     total = 0.0

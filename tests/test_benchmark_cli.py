@@ -2,15 +2,21 @@
 
 import io
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.benchmark import EXPERIMENTS, BenchmarkRunner, ExperimentConfig, run_experiment
-from repro.benchmark.cli import build_parser, build_service_parser, main
+from repro.benchmark import EXPERIMENTS, BenchmarkRunner, ExperimentConfig
+from repro.benchmark.cli import build_parser, build_service_parser, main, run_experiment
+
+SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -176,10 +182,75 @@ class TestServiceCommands:
         shard = tmp_path / "s.shard1"
         shard.write_bytes(damage(shard.read_bytes()))
         # A typed exit naming the shard, not a CorruptSegmentError traceback.
-        with pytest.raises(SystemExit, match="cannot read sharded store logs: .*s.shard1.*" + message):
+        with pytest.raises(SystemExit, match=r"cannot read store log: .*s\.shard1.*" + message):
             main(argv, stream=io.StringIO())
-        with pytest.raises(SystemExit, match="cannot read store log: .*" + message):
+        with pytest.raises(SystemExit, match=r"cannot read store log: .*s\.shard1.*" + message):
             main(["ingest", "--store", str(shard), "--mutations", str(ops)], stream=io.StringIO())
+
+    OPS = (
+        '{"op": "add_triple", "subject": "a", "predicate": "p", "object": "b"}\n'
+        '{"op": "add_triple", "subject": "c", "predicate": "p", "object": "d"}\n'
+        '{"op": "add_triple", "subject": "e", "predicate": "p", "object": "f"}\n'
+    )
+
+    @pytest.mark.parametrize(
+        "saved, asked, found",
+        [
+            (2, 1, "s.shard1"),
+            (1, 2, "s"),
+            (3, 2, "s.shard2"),
+            (2, 3, "s.shard1"),
+        ],
+        ids=["1-beside-2", "2-beside-1", "2-beside-3", "3-beside-2"],
+    )
+    def test_ingest_refuses_a_shard_count_other_than_the_saved_one(
+        self, tmp_path, saved, asked, found
+    ):
+        """``ingest`` never starts a second store beside a saved one: a
+        ``--shards`` that disagrees with the files under ``--store`` is one
+        typed exit naming the last file found and the count it implies,
+        with nothing written."""
+        ops = tmp_path / "ops.jsonl"
+        ops.write_text(self.OPS)
+        argv = ["ingest", "--store", str(tmp_path / "s"), "--mutations", str(ops)]
+        assert main(argv + ["--shards", str(saved)], stream=io.StringIO()) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(
+            SystemExit,
+            match=rf"cannot read store log: .*: holds {saved} saved shard\(s\) "
+            rf"\(.*{re.escape(found)}\), not the {asked} requested",
+        ):
+            main(argv + ["--shards", str(asked)], stream=io.StringIO())
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_ingest_prints_per_file_the_state_digest_convert_prints(self, tmp_path, shards):
+        ops = tmp_path / "ops.jsonl"
+        ops.write_text(self.OPS)
+        out = io.StringIO()
+        store = str(tmp_path / "s")
+        argv = ["ingest", "--store", store, "--mutations", str(ops), "--shards", str(shards)]
+        assert main(argv, stream=out) == 0
+        saved = re.findall(r"^saved (\S+): .*, state digest ([0-9a-f]{16})$", out.getvalue(), re.M)
+        expected = [store] if shards == 1 else [f"{store}.shard{i}" for i in range(shards)]
+        assert [path for path, _ in saved] == expected
+        for path, digest in saved:
+            converted = io.StringIO()
+            argv = ["convert", "--store", path, "--output", path + ".jsonl"]
+            assert main(argv, stream=converted) == 0
+            assert f"\nstate digest {digest} " in converted.getvalue()
+
+    def test_running_the_cli_as_a_module_prints_no_runpy_warning(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SOURCE_ROOT), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.benchmark.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
 
     def test_chaos_refuses_a_bad_service_value_before_any_substrate_is_built(

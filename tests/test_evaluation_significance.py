@@ -51,7 +51,7 @@ class TestBootstrap:
     def test_empty_run(self):
         interval = bootstrap_f1_interval(_run("m", [], []))
         assert interval.point == 0.0
-        assert interval.width() == 0.0
+        assert interval.upper - interval.lower == 0.0
 
     def test_invalid_metric(self):
         with pytest.raises(ValueError):

@@ -153,7 +153,7 @@ class TestDrainInterleavingsConverge:
         geo.drain_all()
         expected = primary.state_digests(include_index=False)
         for name in names:
-            assert geo.converged(name)
+            assert geo.edges[name].applied_vector == primary.epoch_vector
             assert geo.verify_converged(name) == expected
             assert geo.watermark_vector(name) == primary.epoch_vector
             assert geo.depth(name) == 0

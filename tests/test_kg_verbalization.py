@@ -40,26 +40,6 @@ class TestStatements:
         assert person.name in sentence
 
 
-class TestQuestions:
-    def test_question_from_template(self):
-        verbalizer = Verbalizer()
-        triple = DBPEDIA_ENCODING.encode_triple("Marie Curie", "birthPlace", "Warsaw Town")
-        question = verbalizer.question(triple, variant=0)
-        assert question == "Where was Marie Curie born?"
-
-    def test_question_variants_cycle(self):
-        verbalizer = Verbalizer()
-        triple = DBPEDIA_ENCODING.encode_triple("Marie Curie", "birthPlace", "Warsaw Town")
-        variants = {verbalizer.question(triple, variant=i) for i in range(6)}
-        assert len(variants) == 3  # birthPlace has three question templates
-
-    def test_question_generic_for_unknown_predicate(self):
-        verbalizer = Verbalizer()
-        triple = Triple("Marie_Curie", "obscureProperty", "Value")
-        question = verbalizer.question(triple)
-        assert question.startswith("What is the obscure property of")
-
-
 class TestLabels:
     def test_subject_and_object_labels(self):
         verbalizer = Verbalizer()

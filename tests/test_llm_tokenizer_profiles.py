@@ -143,7 +143,8 @@ class TestTelemetry:
         telemetry.record(self._response(model="a"), task="dka")
         telemetry.record(self._response(model="a"), task="rag")
         telemetry.record(self._response(model="b"), task="rag")
-        assert telemetry.by_model()["a"].calls == 2
+        assert telemetry.summary(model="a").calls == 2
+        assert telemetry.summary(task="rag").calls == 2
 
     def test_empty_summary(self):
         assert TelemetryCollector().summary().calls == 0

@@ -1,11 +1,12 @@
 """The surface of ``src/repro`` is what a production path reaches.
 
 An AST walk lists every top-level function and class in ``src/repro`` and
-every public method of those classes, and counts the uses of each name — a
-``Name`` or an ``Attribute`` node — in ``src/``, ``benchmarks/`` and
-``examples/``, outside the statement that defines it.  Imports and
-``__all__`` strings are not uses.  Tests do not count: a helper only the
-tests call lives in ``tests/``.
+every public method of those classes, and counts the uses of each name in
+``src/``, ``benchmarks/`` and ``examples/``, outside the statement that
+defines it: a ``Name`` or an ``Attribute`` node for a top-level definition,
+an ``Attribute`` node only for a method (a local variable of the same name
+is not a call).  Imports and ``__all__`` strings are not uses.  Tests do
+not count: a helper only the tests call lives in ``tests/``.
 
 A definition with no use fails the census unless ``ALLOWED`` names it with a
 one-line reason; an ``ALLOWED`` name that is used again, or no longer exists,
@@ -19,7 +20,7 @@ from __future__ import annotations
 import ast
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_ROOT = REPO_ROOT / "src"
@@ -47,41 +48,51 @@ def _module_name(path: Path, source_root: Path) -> str:
     return ".".join(parts)
 
 
-def _name_uses(tree: ast.AST) -> Counter:
-    uses: Counter = Counter()
+def _uses(tree: ast.AST) -> Tuple[Counter, Counter]:
+    """``(bare names, attribute names)`` appearing in ``tree``, counted."""
+    names: Counter = Counter()
+    attributes: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            uses[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            uses[node.attr] += 1
-    return uses
+            attributes[node.attr] += 1
+    return names, attributes
 
 
 def _definitions(tree: ast.Module, module: str):
-    """``(qualified name, bare name, defining node)`` for the census."""
+    """``(qualified name, bare name, defining node, is a method)`` for the
+    census."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds):
             continue
-        yield f"{module}.{node.name}", node.name, node
+        yield f"{module}.{node.name}", node.name, node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, kinds[:2]) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", member.name, member
+                    yield f"{module}.{node.name}.{member.name}", member.name, member, True
 
 
 def census(source_root: Path, package: str, user_dirs: Iterable[Path]) -> Dict[str, bool]:
     """Every qualified name under ``source_root/package``, mapped to whether
     a file under ``user_dirs`` uses it outside its own definition."""
-    uses: Counter = Counter()
+    names: Counter = Counter()
+    attributes: Counter = Counter()
     for directory in user_dirs:
         for path in sorted(directory.rglob("*.py")):
-            uses += _name_uses(ast.parse(path.read_text(encoding="utf-8")))
+            file_names, file_attributes = _uses(ast.parse(path.read_text(encoding="utf-8")))
+            names += file_names
+            attributes += file_attributes
     reached = {}
     for path in sorted((source_root / package).rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualified, name, node in _definitions(tree, _module_name(path, source_root)):
-            reached[qualified] = uses[name] > _name_uses(node)[name]
+        for qualified, name, node, method in _definitions(tree, _module_name(path, source_root)):
+            own_names, own_attributes = _uses(node)
+            uses = attributes[name] - own_attributes[name]
+            if not method:
+                uses += names[name] - own_names[name]
+            reached[qualified] = uses > 0
     return reached
 
 
@@ -157,6 +168,21 @@ def test_the_census_fails_on_an_unreached_definition(tmp_path):
     assert [line.split(":")[0] for line in _problems_in(root, {"pkg.lib.spare": "r"})] == [
         "pkg.lib.used"
     ]
+
+
+def test_only_an_attribute_use_reaches_a_method(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "from .lib import Box, spare, used\n",
+        "src/pkg/lib.py": _LIBRARY,
+        "examples/demo.py": "from pkg import Box, spare, used\nused(); spare()\nput = Box()\n",
+    })
+    # A local variable named like the method does not call it ...
+    assert [line.split(":")[0] for line in _problems_in(root, {})] == ["pkg.lib.Box.put"]
+    # ... an attribute use does.
+    (root / "examples/demo.py").write_text(
+        "from pkg import Box, spare, used\nused(); spare()\nBox().put()\n"
+    )
+    assert _problems_in(root, {}) == []
 
 
 def test_the_census_fails_on_a_stale_allowed_entry(tmp_path):

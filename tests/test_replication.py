@@ -75,11 +75,11 @@ def _store(name: str = "primary") -> VersionedKnowledgeStore:
 
 class TestReplicaGroup:
     def test_replicate_builds_byte_identical_copies(self):
-        group = ReplicaGroup.replicate(_store(), 3, include_index=True)
+        group = ReplicaGroup.replicate(_store(), 3)
         assert group.num_replicas == 3
         assert group.primary is group.stores[0]
-        assert len(set(group.digests(include_index=True))) == 1
-        assert group.verify() == group.primary.state_digest(include_index=True)
+        assert len({store.state_digest(include_index=True) for store in group.stores}) == 1
+        assert group.verify() == group.primary.state_digest(include_index=False)
 
     def test_apply_ships_to_every_replica_at_the_same_epoch(self):
         group = ReplicaGroup.replicate(_store(), 3)
@@ -100,17 +100,17 @@ class TestReplicaGroup:
         )
         assert report.epoch == 2
         assert all(store.epoch == 2 for store in group.stores)
-        assert len(set(group.digests(include_index=True))) == 1
+        assert len({store.state_digest(include_index=True) for store in group.stores}) == 1
         for store in group.stores:
-            assert Triple("Ada", "mentors", "Grace") in store.graph.triples()
+            assert Triple("Ada", "mentors", "Grace") in store.graph
             assert len(store.corpus) == 2
 
     def test_rejected_batch_leaves_every_copy_untouched(self):
         group = ReplicaGroup.replicate(_store(), 3)
-        before = group.digests(include_index=True)
+        before = [store.state_digest(include_index=True) for store in group.stores]
         with pytest.raises(ValueError, match="absent triple"):
             group.apply([Mutation.remove_triple("Ada", "never", "existed")])
-        assert group.digests(include_index=True) == before
+        assert [store.state_digest(include_index=True) for store in group.stores] == before
         assert all(store.epoch == 1 for store in group.stores)
 
     def test_out_of_band_mutation_is_detected_as_divergence(self):
@@ -175,12 +175,13 @@ class TestReplicaGroup:
         with pytest.raises(ValueError, match="epochs diverge"):
             ReplicaGroup(mismatched)
 
-    def test_runner_replica_groups_are_isolated_between_calls(self, replica_runner):
-        """``BenchmarkRunner.replica_groups`` replays a fresh twin per call:
-        byte-identical groups sharing no store state, so ingesting through
-        one fleet never aliases (or epoch-skews) another."""
-        groups_a = replica_runner.replica_groups("factbench", 2, 2)
-        groups_b = replica_runner.replica_groups("factbench", 2, 2)
+    def test_groups_replicated_from_fresh_twins_are_isolated(self, replica_runner):
+        """Replicating a fresh ``replay_twin()`` of the runner's cached fleet
+        gives byte-identical groups sharing no store state, so ingesting
+        through one fleet never aliases (or epoch-skews) another."""
+        fleet = replica_runner.sharded_store("factbench", 2)
+        groups_a = fleet.replay_twin().replicate(2)
+        groups_b = fleet.replay_twin().replicate(2)
         subject = list(replica_runner.dataset("factbench"))[0].triple.subject
         owner = ShardedStore(
             [group.primary for group in groups_a]
@@ -215,7 +216,7 @@ class TestReplicaGroup:
         for shard, group in zip(fleet.shards, groups):
             assert group.primary is shard
             assert group.num_replicas == 2
-            assert len(set(group.digests())) == 1
+            assert len({store.state_digest(include_index=False) for store in group.stores}) == 1
 
 
 class _FlakyStrategy(ValidationStrategy):
@@ -522,7 +523,7 @@ class TestReplicatedIngest:
         # Every replica of the owning shard applied the batch in lockstep...
         group = router.replica_groups[owner]
         assert all(store_copy.epoch == 2 for store_copy in group.stores)
-        assert len(set(group.digests())) == 1
+        assert len({store.state_digest(include_index=False) for store in group.stores}) == 1
         # ...the sibling shard's replicas did not move...
         assert all(
             store_copy.epoch == 1
@@ -998,6 +999,6 @@ class TestReplicatedIngest:
                     )
                 for group in router.replica_groups:
                     assert all(copy.epoch == 1 for copy in group.stores)
-                    assert len(set(group.digests())) == 1
+                    assert len({s.state_digest(include_index=False) for s in group.stores}) == 1
 
         asyncio.run(go())

@@ -251,7 +251,7 @@ def test_sharded_store_segment_round_trip(tmp_path):
     prefix = str(tmp_path / "fleet")
     fleet.save(prefix)
     loaded = ShardedStore.load(prefix, num_shards=2)
-    assert loaded.state_digest() == fleet.state_digest()
+    assert loaded.state_digests() == fleet.state_digests()
     assert all(isinstance(shard.log, SegmentBackedLog) for shard in loaded.shards)
 
 
@@ -262,8 +262,10 @@ def test_replication_from_segment_log_shares_reader(tmp_path):
     segment_path = str(tmp_path / "log.seg")
     store.save(segment_path, format="segment")
     primary = VersionedKnowledgeStore.load(segment_path)
-    group = ReplicaGroup.replicate(primary, 3, include_index=True)
-    assert group.verify() == primary.state_digest()
+    group = ReplicaGroup.replicate(primary, 3)
+    assert {store.state_digest(include_index=True) for store in group.stores} == {
+        primary.state_digest(include_index=True)
+    }
     replica_log = group.stores[1].log
     assert isinstance(replica_log, SegmentBackedLog)
     assert replica_log.reader is primary.log.reader  # shared page cache

@@ -580,24 +580,13 @@ class TestGeoTierFaults:
         fleet = self._fleet()
         geo = GeoReplicator(fleet, queue_dir=str(tmp_path / "queues"))
         geo.add_edge("edge-0")
+        floors = [queue.floor_epoch for queue in geo.queues]
         self._write_batches(fleet, 6)
 
-        applied_epochs = {0: [], 1: []}
-        calls = 0
-
-        def crashy(shard_index, epoch, batch):
-            nonlocal calls
-            calls += 1
-            if calls > 2:
-                raise RuntimeError("edge crashed mid-drain")
-            landed = geo.edges["edge-0"].stores[shard_index].apply(batch).epoch
-            applied_epochs[shard_index].append(epoch)
-            return landed
-
-        with pytest.raises(RuntimeError, match="crashed mid-drain"):
-            geo.drain("edge-0", apply=crashy)
+        # The edge dies after two batches of shard 0 and none of shard 1.
+        assert geo.drain("edge-0", shard_index=0, max_batches=2) == 2
         vector_at_crash = geo.edges["edge-0"].applied_vector
-        assert sum(len(v) for v in applied_epochs.values()) == 2
+        assert vector_at_crash == (floors[0] + 2, floors[1])
 
         # The crash-restart: persist the edge, reload it, re-attach.  Its
         # applied vector (the durable watermark) is exactly where it died.
@@ -606,18 +595,17 @@ class TestGeoTierFaults:
         assert restored.applied_vector == vector_at_crash
         geo.adopt_edge(restored)
 
-        def recording(shard_index, epoch, batch):
-            landed = restored.stores[shard_index].apply(batch).epoch
-            applied_epochs[shard_index].append(epoch)
-            return landed
-
-        geo.drain("edge-0", apply=recording)
-        # Exactly-once per epoch per shard, densely up to the primary head.
-        for shard_index, primary in enumerate(fleet.shards):
-            begin = geo.queues[shard_index].floor_epoch
-            assert applied_epochs[shard_index] == list(
-                range(begin + 1, primary.epoch + 1)
+        geo.drain("edge-0")
+        # Exactly-once per epoch per shard, densely up to the primary head:
+        # the edge's own log holds each queued batch once, in epoch order.
+        for index, (primary, store) in enumerate(zip(fleet.shards, restored.stores)):
+            shipped = geo.queues[index].pending_after(floors[index])
+            assert [epoch for epoch, _ in shipped] == list(
+                range(floors[index] + 1, primary.epoch + 1)
             )
+            assert [
+                (epoch, list(batch)) for epoch, batch in store.log.batches(after=floors[index])
+            ] == [(epoch, list(batch)) for epoch, batch in shipped]
         assert geo.verify_converged("edge-0") == fleet.state_digests(
             include_index=False
         )
@@ -1164,18 +1152,15 @@ class TestDurableCommit:
         resumed.adopt_edge(restored)
         assert resumed.watermark_vector("edge-0") == fleet.epoch_vector
         faults._write_batches(rebuilt, 3, start=4)
-        applied = []
-
-        def recording(shard_index, epoch, batch):
-            applied.append((shard_index, epoch))
-            return restored.stores[shard_index].apply(batch).epoch
-
-        resumed.drain("edge-0", apply=recording)
-        assert sorted(applied) == [
-            (shard, epoch)
-            for shard in (0, 1)
-            for epoch in range(fleet.epoch_vector[shard] + 1, rebuilt.epoch_vector[shard] + 1)
-        ]
+        # The drain stops after one batch per shard, then finishes: the
+        # edge's own log holds exactly the batches it lacked, once each.
+        owed = [after - before for before, after in zip(fleet.epoch_vector, rebuilt.epoch_vector)]
+        assert resumed.drain("edge-0", max_batches=1) == sum(min(count, 1) for count in owed)
+        resumed.drain("edge-0")
+        for shard, store in enumerate(restored.stores):
+            assert [
+                epoch for epoch, _ in store.log.batches(after=fleet.epoch_vector[shard])
+            ] == list(range(fleet.epoch_vector[shard] + 1, rebuilt.epoch_vector[shard] + 1))
         assert resumed.verify_converged("edge-0") == rebuilt.state_digests(
             include_index=False
         )

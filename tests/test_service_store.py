@@ -298,15 +298,6 @@ class TestRunnerStore:
     def test_versioned_store_is_cached_per_dataset(self, runner):
         assert runner.versioned_store("factbench") is runner.versioned_store("factbench")
 
-    def test_conflicting_reconfiguration_is_an_error_not_silence(self, runner):
-        from repro.store import StoreConfig
-
-        runner.versioned_store("factbench")
-        with pytest.raises(ValueError, match="already built"):
-            runner.versioned_store(
-                "factbench", StoreConfig(index_rebuild_fraction=0.1)
-            )
-
     def test_engine_generation_moves_with_the_index_only(self, runner):
         from repro.retrieval.search import SearchEngine
 

