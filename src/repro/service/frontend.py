@@ -188,7 +188,7 @@ class TCPValidationFrontend:
         """Produce ``(reply, counts_toward_requests_handled)`` for one line."""
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
             return {"outcome": "error", "error": f"malformed JSON: {exc}"}, True
         if not isinstance(payload, dict):
             return {"outcome": "error", "error": "request must be a JSON object"}, True

@@ -462,8 +462,7 @@ class ShardedValidationService:
         inside the policy's deadline) up to the budget; after the budget is
         spent the router serves the last known good verdict for the
         coordinates as an epoch-tagged ``DEGRADED`` response when one
-        exists, and only fails otherwise.  ``None`` keeps the PR 5
-        behaviour: one pass, then ``FAILED``.
+        exists, and only fails otherwise.  ``None``: one pass, then ``FAILED``.
     clock:
         Injectable :class:`~repro.chaos.clock.Clock` for probe timers,
         retry backoff, and deadlines; defaults to the real
@@ -1048,7 +1047,7 @@ class ShardedValidationService:
     async def _submit_edge(
         self, request: ServiceRequest, shard_index: int, edge_name: str
     ) -> Optional[ServiceResponse]:
-        """Serve one read from an edge shard copy, or ``None`` to fall back.
+        """Serve one read from an edge shard copy (untraced: its cache step first).
 
         Any edge fault — a stall past the request timeout, a raise, a
         service stopped under us, or an admission rejection — returns
@@ -1058,22 +1057,24 @@ class ShardedValidationService:
         true staleness, visible to the caller) and the epochs its owning
         shard copy trailed the primary at serve time.
         """
-        service = self.edge_services[edge_name][shard_index]
-        if service._closed:
-            return None
-        try:
-            if self.request_timeout_s is not None:
-                response = await asyncio.wait_for(
-                    service.submit(request), timeout=self.request_timeout_s
-                )
-            else:
-                response = await service.submit(request)
-        except asyncio.CancelledError:
-            if service._closed and not self._closed:
+        service = self.edge_services[edge_name][shard_index]  # running: _edge_for_read
+        hit = None if self._tracer is not None else service.cached(request, time.perf_counter())
+        if hit is not None:
+            response = ServiceResponse(RequestOutcome.COMPLETED, hit[0], True, hit[2])
+        else:
+            try:
+                if self.request_timeout_s is not None:
+                    response = await asyncio.wait_for(
+                        service.submit(request), timeout=self.request_timeout_s
+                    )
+                else:
+                    response = await service.submit(request)
+            except asyncio.CancelledError:
+                if service._closed and not self._closed:
+                    return None
+                raise
+            except (asyncio.TimeoutError, Exception):
                 return None
-            raise
-        except (asyncio.TimeoutError, Exception):
-            return None
         if response.outcome is not RequestOutcome.COMPLETED:
             return None
         self.metrics.geo_edge_reads_total.labels(edge=edge_name).inc()
@@ -1147,7 +1148,9 @@ class ShardedValidationService:
         tier, so the edge tier never adds a failure mode.
 
         The balancer picks the least-loaded healthy replica first (round-
-        robin tie-break); a faulted attempt — raise, stall past
+        robin tie-break); an untraced read asks that replica's cache step
+        (:meth:`ValidationService.cached`) and answers a hit here, else takes
+        the attempt loop from that same order.  A faulted attempt — raise, stall past
         ``request_timeout_s``, or a replica killed mid-request — marks the
         replica and retries on the next sibling, so single-replica faults
         are invisible to the caller.  Load shedding still surfaces as
@@ -1180,7 +1183,18 @@ class ShardedValidationService:
             if response is not None:
                 return response
         if self._tracer is None:
-            return await self._submit_inner(request, shard_index, None)
+            order = self._replica_order(shard_index)
+            hit = order and self.groups[shard_index][order[0]].cached(request, time.perf_counter())
+            if not hit:
+                return await self._submit_inner(request, shard_index, None, order)
+            result, shard_epoch, latency = hit
+            self._record_success(shard_index, order[0])
+            if self.retry_policy is not None:
+                self._remember_verdict(request, result, shard_epoch)
+            return self._respond(
+                RequestOutcome.COMPLETED, shard_index, latency,
+                result=result, cached=True, shard_epoch=shard_epoch,
+            )
         with self._tracer.span("router.route", f"shard:{shard_index}") as span:
             span.attributes["method"] = request.method
             span.attributes["shard"] = shard_index
@@ -1204,6 +1218,7 @@ class ShardedValidationService:
         request: ServiceRequest,
         shard_index: int,
         span: Optional[Span],
+        order: Optional[List[int]] = None,
     ) -> ServiceResponse:
         started = time.perf_counter()
         trace_id = span.trace_id if span is not None else None
@@ -1235,7 +1250,7 @@ class ShardedValidationService:
                 break
             if self._tracer is None:
                 response, pass_timed_out = await self._attempt(
-                    request, shard_index, errors, deadline
+                    request, shard_index, errors, deadline, None if attempt else order
                 )
             else:
                 with self._tracer.span(
@@ -1258,9 +1273,9 @@ class ShardedValidationService:
                             f"shard:{shard_index}",
                             faulted_attempts=len(errors),
                         )
-                if policy is not None:
+                if policy is not None and response.outcome is RequestOutcome.COMPLETED:
                     # Only a retry policy can ever degrade to this verdict.
-                    self._remember_verdict(request, response)
+                    self._remember_verdict(request, response.result, response.epoch)
                 return self._respond(
                     response.outcome,
                     shard_index,
@@ -1320,8 +1335,9 @@ class ShardedValidationService:
         shard_index: int,
         errors: List[str],
         deadline: Optional[float],
+        order: Optional[List[int]] = None,
     ) -> Tuple[Optional[ServiceResponse], bool]:
-        """One full pass over the owning shard's replicas.
+        """One full pass over the owning shard's replicas (in ``order`` if drawn).
 
         Returns ``(response, timed_out)``: the first replica's answer
         (``None`` when every replica faulted) and whether a stall past the
@@ -1330,7 +1346,7 @@ class ShardedValidationService:
         """
         group = self.groups[shard_index]
         timed_out = False
-        order = self._replica_order(shard_index)
+        order = self._replica_order(shard_index) if order is None else order
         for replica_index in order:
             service = group[replica_index]
             timeout_s = self.request_timeout_s
@@ -1601,14 +1617,13 @@ class ShardedValidationService:
         # of the stale store is answering across epochs.
         return verdict_cache_key(request.fact, request.method, request.model, epoch=0)[1:]
 
-    def _remember_verdict(self, request: ServiceRequest, response: ServiceResponse) -> None:
-        """Retain the last known good verdict (and the owning shard's epoch
-        it was computed at) for graceful degradation."""
-        if response.outcome is not RequestOutcome.COMPLETED or response.result is None:
-            return
+    def _remember_verdict(
+        self, request: ServiceRequest, result: ValidationResult, shard_epoch: int
+    ) -> None:
+        """Retain the last known good verdict and the owning shard's epoch it
+        was computed at (not a stamped fleet sum) for graceful degradation."""
         key = self._stale_key(request)
-        # ``response.epoch`` is pre-stamp here: the owning shard's epoch.
-        self._stale[key] = (response.result, response.epoch)
+        self._stale[key] = (result, shard_epoch)
         self._stale.move_to_end(key)
         while len(self._stale) > STALE_CACHE_CAPACITY:
             self._stale.popitem(last=False)

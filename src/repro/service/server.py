@@ -348,6 +348,7 @@ class ValidationService:
     async def submit(self, request: ServiceRequest) -> ServiceResponse:
         """Validate one fact; never raises for load reasons — it sheds.
 
+        A hit is :meth:`cached`'s answer; a miss is admitted and queued.
         Returns a ``COMPLETED`` response (cached or freshly judged) or a
         ``REJECTED`` one when the in-flight budget is full.  Raises
         :class:`RuntimeError` when the service is stopped, propagates the
@@ -376,7 +377,7 @@ class ValidationService:
     ) -> ServiceResponse:
         started = time.perf_counter()
         trace_id = span.trace_id if span is not None else None
-        if not self._admission_gate.is_set():
+        while not self._admission_gate.is_set():
             # An ingest is quiescing the service; hold the request (reads
             # are paused, not shed) until the new epoch is live.  The
             # latency clock is already running: the quiesce stall is part
@@ -384,24 +385,13 @@ class ValidationService:
             await self._admission_gate.wait()
             if self._closed:
                 raise RuntimeError("service is stopped")
+        hit = self.cached(request, started, trace_id)
+        if hit is not None:
+            return ServiceResponse(
+                RequestOutcome.COMPLETED, hit[0], True, hit[2], epoch=hit[1], trace_id=trace_id
+            )
         method, model = request.method, request.model
         epoch = self.epoch
-
-        if self.cache is not None:
-            # Hit/miss accounting is deferred: hits bypass admission control
-            # (absorbing load is the cache's job), but a miss only counts
-            # once the request is actually admitted — shed requests must not
-            # deflate the served-traffic hit rate.
-            hit = self.cache.get(request.fact, method, model, record=False, epoch=epoch)
-            if hit is not None:
-                self.cache.record_hit()
-                self.metrics.observe_cache(True)
-                latency = time.perf_counter() - started
-                self.metrics.observe_completion(latency, trace_id=trace_id)
-                return ServiceResponse(
-                    RequestOutcome.COMPLETED, hit, True, latency,
-                    epoch=epoch, trace_id=trace_id,
-                )
 
         if self._pending >= self.config.queue_depth:
             self.metrics.observe_shed()
@@ -454,6 +444,26 @@ class ValidationService:
             RequestOutcome.COMPLETED, result, False, latency, batch_size,
             epoch=epoch, trace_id=trace_id,
         )
+
+    def cached(
+        self, request: ServiceRequest, started: float, trace_id: Optional[str] = None
+    ) -> Optional[Tuple[ValidationResult, int, float]]:
+        """A verdict-cache hit as ``(verdict, epoch, latency since started)``,
+        counted as served and never shed; ``None``, counting nothing, when the
+        replica is stopped, its reads are paused, it has no cache, or a miss."""
+        if self._closed or not self._admission_gate.is_set() or self.cache is None:
+            return None
+        epoch = self.epoch
+        hit = self.cache.get(
+            request.fact, request.method, request.model, record=False, epoch=epoch
+        )
+        if hit is None:
+            return None
+        self.cache.record_hit()
+        self.metrics.observe_cache(True)
+        latency = time.perf_counter() - started
+        self.metrics.observe_completion(latency, trace_id=trace_id)
+        return hit, epoch, latency
 
     # ---------------------------------------------------------------- ingestion
 

@@ -31,6 +31,25 @@ settings.register_profile("repro", print_blob=True)
 settings.load_profile("repro")
 
 
+@pytest.fixture(autouse=True)
+def loop_exceptions(monkeypatch):
+    """Every exception a test left for an event loop's exception handler —
+    a dying connection handler, a task that failed with no one awaiting it.
+    asyncio only logs these, so a test must fail on them itself."""
+    calls = []
+    original = asyncio.BaseEventLoop.call_exception_handler
+
+    def recording(self, context):
+        calls.append(context)
+        return original(self, context)
+
+    monkeypatch.setattr(asyncio.BaseEventLoop, "call_exception_handler", recording)
+    yield calls
+    assert not calls, "left for the loop's exception handler: " + "; ".join(
+        f"{context.get('message')} ({context.get('exception')!r})" for context in calls
+    )
+
+
 @pytest.fixture
 def digest_calls(monkeypatch):
     """Every ``VersionedKnowledgeStore.state_digest`` call, as a list of the

@@ -820,3 +820,33 @@ class TestTCPFrontend:
 
         reply = asyncio.run(go())
         assert reply["outcome"] == "error" and "too long" in reply["error"]
+
+    def test_non_utf8_and_deeply_nested_lines_get_error_replies(self, service_runner):
+        """Neither bytes that are not UTF-8 nor nesting past the parser's
+        recursion limit (well under the line limit) may kill the handler: each
+        gets a malformed-JSON reply, and the same connection answers the next
+        line."""
+        dataset = service_runner.dataset("factbench")
+        bad_lines = [b'{"a": "\xff"}', b"[" * 10_000 + b"]" * 10_000]
+
+        async def go():
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
+                    replies = []
+                    for line in bad_lines:
+                        for sent in (line, b'"x"'):
+                            writer.write(sent + b"\n")
+                            await writer.drain()
+                            replies.append(json.loads(await reader.readline()))
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies, frontend.requests_handled
+
+        replies, handled = asyncio.run(go())
+        assert [reply["outcome"] for reply in replies] == ["error"] * 4
+        assert "malformed JSON" in replies[0]["error"]
+        assert "malformed JSON" in replies[2]["error"]
+        assert replies[1]["error"] == replies[3]["error"] == "request must be a JSON object"
+        assert handled == 4

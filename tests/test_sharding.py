@@ -657,6 +657,19 @@ def wide_runner():
     )
 
 
+def _submit_calls(monkeypatch):
+    """Every ``ValidationService.submit`` call made from now on."""
+    calls = []
+    submit = ValidationService.submit
+
+    async def counting(service, request):
+        calls.append(request)
+        return await submit(service, request)
+
+    monkeypatch.setattr(ValidationService, "submit", counting)
+    return calls
+
+
 class TestHitReadCost:
     """What a cache-hit read through a 2x2 router does, in counts."""
 
@@ -670,13 +683,17 @@ class TestHitReadCost:
         assert len(facts) == subjects
         return [ServiceRequest(fact, "dka", "gemma2:9b") for fact in facts]
 
+    @staticmethod
+    async def _warm(router, requests):
+        """Warm every replica's own cache, so each routed read is a hit."""
+        for request in requests:
+            for service in router.groups[router.shard_for(request)]:
+                await service.submit(request)
+
     def _hit_reads(self, router, requests):
         async def go():
             async with router:
-                # Warm every replica's own cache, so each read is a hit.
-                for request in requests:
-                    for service in router.groups[router.shard_for(request)]:
-                        await service.submit(request)
+                await self._warm(router, requests)
                 return [
                     await router.submit(requests[index % len(requests)])
                     for index in range(self.READS)
@@ -715,6 +732,37 @@ class TestHitReadCost:
         assert spans == []
         assert labels == [], "a replica's label is formatted only on a fault"
 
+    @pytest.mark.parametrize("timeout_s", [None, 30.0], ids=["no-timeout", "timeout"])
+    def test_untraced_hits_never_call_the_replica_submit(
+        self, wide_runner, monkeypatch, timeout_s
+    ):
+        """The router answers a hit from the replica's cache step in its own
+        frame; only a miss goes through ``submit``.  Each read advances its
+        shard's round-robin once, so the two replicas split it evenly."""
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(), replicas=2, request_timeout_s=timeout_s
+        )
+        requests = self._requests(wide_runner)
+        reads = [requests[index % len(requests)] for index in range(self.READS)]
+
+        async def go():
+            async with router:
+                await self._warm(router, requests)
+                calls = _submit_calls(monkeypatch)
+                hits = [await router.submit(request) for request in reads]
+                hit_calls = len(calls)
+                served = [[health.served for health in healths] for healths in router.health]
+                miss = await router.submit(ServiceRequest(requests[0].fact, "dka", "qwen2.5:7b"))
+                return hits, hit_calls, served, miss, len(calls)
+
+        hits, hit_calls, served, miss, calls = asyncio.run(go())
+        assert all(r.outcome is RequestOutcome.COMPLETED and r.cached for r in hits)
+        assert hit_calls == 0
+        assert not miss.cached and calls == 1
+        per_shard = [sum(router.shard_for(r) == shard for r in reads) for shard in range(2)]
+        assert served == [[count // 2] * 2 for count in per_shard]
+        assert sum(map(sum, served)) == self.READS
+
     def test_traced_hits_keep_the_route_attempt_call_submit_tree(self, wide_runner):
         router = ShardedValidationService.from_runner(
             wide_runner, 2, ServiceConfig(), replicas=2
@@ -734,6 +782,114 @@ class TestHitReadCost:
                 "service.submit", "replica.call", "router.attempt", "router.route"
             ]
             assert len(spans) == 4
+
+
+class TestHitStepContract:
+    """A read the router answers from a replica's cache step keeps every
+    part of the read contract the queued path has."""
+
+    POLICY = RetryPolicy(max_attempts=2, base_backoff_s=0.0, max_backoff_s=0.0, jitter=0.0)
+
+    def _router(self, runner, replicas=1, **kwargs):
+        return ShardedValidationService.from_runner(
+            runner,
+            2,
+            ServiceConfig(),
+            store=runner.sharded_store("factbench", 2).replay_twin(),
+            replicas=replicas,
+            **kwargs,
+        )
+
+    @staticmethod
+    def _request(runner):
+        return ServiceRequest(runner.dataset("factbench")[0], "dka", "gemma2:9b")
+
+    @staticmethod
+    def _touch(request, feed="Feed_X"):
+        """A write to the request's owning shard: one epoch up there."""
+        return [Mutation.add_triple(request.fact.triple.subject, "updatedBy", feed)]
+
+    def test_a_paused_replica_holds_a_hit_until_the_apply(self, shard_runner):
+        router = self._router(shard_runner)
+        request = self._request(shard_runner)
+        owner = router.shard_for(request)
+
+        async def go():
+            async with router:
+                warm = await router.submit(request)
+                assert (await router.submit(request)).cached
+                router.groups[owner][0].pause_reads()
+                read = asyncio.ensure_future(router.submit(request))
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                held = not read.done()
+                await router.apply_mutations(self._touch(request))
+                return warm, held, await read
+
+        warm, held, read = asyncio.run(go())
+        assert held, "a paused replica answered a hit at the old epoch"
+        assert read.outcome is RequestOutcome.COMPLETED
+        assert read.epoch_vector[owner] == warm.epoch_vector[owner] + 1
+        assert read.epoch == sum(read.epoch_vector)
+
+    def test_a_hit_feeds_the_stale_store_with_the_owning_shards_epoch(self, shard_runner):
+        router = self._router(shard_runner, replicas=2, retry_policy=self.POLICY)
+        request = self._request(shard_runner)
+        owner = router.shard_for(request)
+
+        async def go():
+            async with router:
+                await router.apply_mutations(self._touch(request))
+                for service in router.groups[owner]:
+                    await service.submit(request)  # the router never saw a miss
+                hit = await router.submit(request)
+                await router.apply_mutations(self._touch(request, "Feed_Y"))
+                injector = FaultInjector(
+                    FaultSchedule(
+                        [
+                            FaultEvent(
+                                at_s=0.0,
+                                target=f"shard:{owner}",
+                                fault=FaultSpec.parse("error:1.0"),
+                            )
+                        ]
+                    ),
+                    clock=router.clock,
+                )
+                router.set_fault_injection(injector)
+                injector.start()
+                return hit, await router.submit(request)
+
+        hit, degraded = asyncio.run(go())
+        assert hit.cached and hit.epoch_vector[owner] == 2
+        assert hit.epoch != 2, "the fleet sum must differ from the shard epoch"
+        assert degraded.outcome is RequestOutcome.DEGRADED
+        assert degraded.result == hit.result
+        assert degraded.stale_epoch == hit.epoch_vector[owner] == 2
+        assert degraded.epoch_vector[owner] == 3
+
+    def test_an_edge_hit_carries_the_edges_stamp_and_counts(self, shard_runner, monkeypatch):
+        router = self._router(shard_runner, edges=1, drain_interval_s=3600.0)
+        request = self._request(shard_runner)
+        owner = router.shard_for(request)
+        edge_reads = router.metrics.geo_edge_reads_total.labels(edge="edge-0")
+
+        async def go():
+            async with router:
+                await router.apply_mutations(self._touch(request))
+                await router.edge_services["edge-0"][owner].submit(request)
+                calls = _submit_calls(monkeypatch)
+                before = edge_reads.value
+                response = await router.submit(request, region="edge-0")
+                return response, edge_reads.value - before, len(calls)
+
+        response, counted, calls = asyncio.run(go())
+        assert calls == 0, "an edge hit is answered from the cache step"
+        assert response.outcome is RequestOutcome.COMPLETED and response.cached
+        assert response.served_by == "edge-0"
+        assert response.epoch_vector == router.geo.edges["edge-0"].applied_vector == (1, 1)
+        assert response.staleness_epochs == 1
+        assert counted == 1
 
 
 class TestResponseStampContract:
