@@ -15,14 +15,12 @@ substitution point between "real LLM" and "simulated LLM".
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 __all__ = ["LLMResponse", "LLMClient"]
 
 
-@dataclass(frozen=True)
-class LLMResponse:
+class LLMResponse(NamedTuple):
     """A single model completion plus its resource accounting.
 
     ``latency_seconds`` is the (simulated or measured) wall-clock inference

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from .base import LLMResponse
 
 __all__ = ["CallRecord", "TelemetryCollector", "UsageSummary"]
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     """One recorded LLM invocation."""
 
     model: str

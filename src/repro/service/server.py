@@ -93,8 +93,7 @@ class ServiceRequest:
     model: str
 
 
-@dataclass(frozen=True)
-class ServiceResponse:
+class ServiceResponse(NamedTuple):
     """The service's answer, with per-request latency accounting.
 
     ``latency_seconds`` is the *measured* wall time inside the service

@@ -105,6 +105,7 @@ DEFAULT_PAGE_CACHE_BLOCKS = 64
 
 BLOCK_RECORDS = 0
 BLOCK_CHECKPOINT = 1
+_BLOCK_KINDS = (BLOCK_RECORDS, BLOCK_CHECKPOINT)
 
 #: The block's final batch continues in the next block: recovery that
 #: loses the next block must drop this batch's trailing records too.
@@ -113,6 +114,9 @@ FLAG_CONTINUES = 1
 _BLOCK_HEADER = struct.Struct("<BBIIII")  # kind, flags, count, raw, comp, crc
 _FOOTER_TAIL = struct.Struct("<II8s")  # footer len, footer crc, end magic
 _RECORD_HEAD = struct.Struct("<IB")  # epoch, op
+#: Largest footer index the reader inflates (~80k blocks, ~5 GiB of records
+#: at the default block size); a larger one is treated as lost.
+_FOOTER_MAX_RAW = 8 * 1024 * 1024
 
 _OP_CODES = {ADD_TRIPLE: 0, REMOVE_TRIPLE: 1, ADD_DOCUMENT: 2}
 _OP_NAMES = {code: op for op, code in _OP_CODES.items()}
@@ -127,6 +131,21 @@ class CorruptSegmentError(RuntimeError):
     damage (a truncated tail behind an intact prefix) is *recovered*
     rather than raised — see :meth:`SegmentReader.open`.
     """
+
+
+def _inflate(comp: bytes, limit: int) -> Optional[bytes]:
+    """``comp`` inflated, or None unless it is one complete zlib stream of
+    at most ``limit`` bytes with no input left over.  Output stops at
+    ``limit + 1`` bytes, so a block that inflates far past what its
+    header states costs no more than that to reject."""
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(comp, limit + 1)
+    except zlib.error:
+        return None
+    if len(raw) > limit or not inflater.eof or inflater.unused_data:
+        return None
+    return raw
 
 
 # --------------------------------------------------------------------------
@@ -610,11 +629,32 @@ class SegmentReader:
         footer_raw = handle.read(footer_len)
         if zlib.crc32(footer_raw) != footer_crc:
             return None
-        try:
-            payload = json.loads(zlib.decompress(footer_raw))
-            return [BlockInfo.from_json(row) for row in payload["blocks"]]
-        except (zlib.error, json.JSONDecodeError, KeyError, TypeError, ValueError):
+        index = _inflate(footer_raw, _FOOTER_MAX_RAW)
+        if index is None:
             return None
+        try:
+            rows = json.loads(index)["blocks"]
+            blocks = [BlockInfo.from_json(row) for row in rows]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            return None
+        if not all(type(value) is int for row in rows for value in row):
+            return None
+        # A CRC proves the footer intact, not honest: trust it only when
+        # each row fits a block header and the blocks lie end to end over
+        # exactly the data region.
+        end = data_start
+        for block in blocks:
+            try:
+                _BLOCK_HEADER.pack(
+                    block.kind, block.flags, block.count, block.raw_len,
+                    block.comp_len, block.crc,
+                )
+            except struct.error:
+                return None
+            if block.kind not in _BLOCK_KINDS or block.offset != end:
+                return None
+            end = block.offset + _BLOCK_HEADER.size + block.comp_len
+        return blocks if end == footer_start else None
 
     @staticmethod
     def _scan_blocks(
@@ -635,18 +675,15 @@ class SegmentReader:
             if len(head) != _BLOCK_HEADER.size:
                 break
             kind, flags, count, raw_len, comp_len, crc = _BLOCK_HEADER.unpack(head)
-            if kind not in (BLOCK_RECORDS, BLOCK_CHECKPOINT):
+            if kind not in _BLOCK_KINDS:
                 break
             if offset + _BLOCK_HEADER.size + comp_len > size:
                 break  # torn final block
             comp = handle.read(comp_len)
             if zlib.crc32(comp) != crc:
                 break
-            try:
-                payload = zlib.decompress(comp)
-            except zlib.error:
-                break
-            if len(payload) != raw_len:
+            payload = _inflate(comp, raw_len)
+            if payload is None or len(payload) != raw_len:
                 break
             first = last = 0
             if kind == BLOCK_RECORDS:
@@ -729,15 +766,11 @@ class SegmentReader:
         )
 
     def _read_payload(self, block: BlockInfo) -> bytes:
-        try:
-            payload = zlib.decompress(self.read_raw_block(block))
-        except zlib.error as exc:
+        payload = _inflate(self.read_raw_block(block), block.raw_len)
+        if payload is None or len(payload) != block.raw_len:
             raise CorruptSegmentError(
-                f"{self.path}@{block.offset}: block does not decompress ({exc})"
-            ) from exc
-        if len(payload) != block.raw_len:
-            raise CorruptSegmentError(
-                f"{self.path}@{block.offset}: block length mismatch"
+                f"{self.path}@{block.offset}: block does not inflate to its "
+                f"stated {block.raw_len} bytes"
             )
         return payload
 
@@ -763,6 +796,11 @@ class SegmentReader:
             return page
         payload = self._read_payload(block)
         page = decode_records(payload, block.count, f"{self.path}@{block.offset}")
+        if not page or (page[0][0], page[-1][0]) != (block.first_epoch, block.last_epoch):
+            raise CorruptSegmentError(
+                f"{self.path}@{block.offset}: records do not span the indexed "
+                f"epochs [{block.first_epoch}, {block.last_epoch}]"
+            )
         self.page_cache.put(block.offset, page)
         return page
 
@@ -797,8 +835,14 @@ class SegmentReader:
         payload = self._read_payload(block)
         try:
             state = _unpickle_checkpoint(payload)
+            epoch = int(state["epoch"])
+            if epoch != block.first_epoch:
+                raise CorruptSegmentError(
+                    f"{self.path}@{block.offset}: checkpoint holds epoch {epoch}, "
+                    f"indexed at {block.first_epoch}"
+                )
             return StoreState(
-                epoch=int(state["epoch"]),
+                epoch=epoch,
                 graph_core=state["graph_core"],
                 documents=list(state["documents"]),
                 removed_since_reintern=int(state["removed_since_reintern"]),

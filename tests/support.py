@@ -1,6 +1,7 @@
 """Helpers only the tests use: the strict exposition parser and its inverse,
 a read schedule with ingest batches spliced in, and probes into a load
-report, a router and a metrics scraper.
+report, a router and a metrics scraper; and the list of tuple-backed
+records the record census and the docs lint both check.
 
 Import as ``from support import ...``; pytest puts ``tests/`` on the path.
 """
@@ -12,10 +13,15 @@ import re
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.datasets.base import FactDataset
+from repro.llm import CallRecord, LLMResponse
 from repro.obs.registry import _format_value
 from repro.service.loadgen import IngestRequest, WorkItem, build_workload
-from repro.service.server import RequestOutcome
+from repro.service.server import RequestOutcome, ServiceResponse
 from repro.store import Mutation
+
+#: The per-request records built as ``typing.NamedTuple``s, in the order
+#: ``docs/architecture.md`` lists them.
+TUPLE_RECORDS = (ServiceResponse, LLMResponse, CallRecord)
 
 _HELP_LINE = re.compile(r"^# HELP (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*) (?P<help>.*)$")
 _TYPE_LINE = re.compile(

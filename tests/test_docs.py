@@ -10,7 +10,8 @@ pins the load-bearing parts:
 * the operations reference documents every service subcommand and every
   serving-topology flag, its "Serving options" table names exactly the
   options the code has, and the glossary covers every
-  :class:`MetricsSnapshot` field the CLI prints.
+  :class:`MetricsSnapshot` field the CLI prints;
+* the architecture page lists exactly the tuple-backed records.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.benchmark.cli import (
     build_service_parser,
 )
 from repro.service.metrics import MetricsSnapshot
+from support import TUPLE_RECORDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = [
@@ -330,6 +332,16 @@ class TestStorageEngineDocsComplete:
         ):
             assert needle in text, f"architecture.md storage section misses {needle!r}"
 
+    def test_docs_state_what_a_bomb_block_and_an_untiled_footer_do(self):
+        from repro.store.segment import _FOOTER_MAX_RAW
+
+        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+        assert "`raw_len + 1`" in architecture and "tiles the data region" in architecture
+        assert f"{_FOOTER_MAX_RAW >> 20} MiB" in architecture
+        operations = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+        for needle in ("A bomb block in a store file", "A footer that does not tile the file"):
+            assert needle in operations, f"operations.md cheat-sheet misses {needle!r}"
+
     def test_operations_documents_the_migration_path(self):
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
         for needle in (
@@ -337,6 +349,17 @@ class TestStorageEngineDocsComplete:
             "state digest", "bench_segment.py",
         ):
             assert needle in text, f"operations.md migration note misses {needle!r}"
+
+
+class TestRecordDocs:
+    def test_the_tuple_backed_records_list_matches_the_census(self):
+        """``docs/architecture.md`` names exactly the records
+        ``tests/test_records.py``'s census finds, in ``TUPLE_RECORDS`` order."""
+        text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+        match = re.search(r"^\*\*Tuple-backed records:\*\* (?P<names>[^.]*)\.", text, re.M)
+        assert match, "architecture.md has no **Tuple-backed records:** list"
+        documented = re.findall(r"`([A-Za-z]+)`", match.group("names"))
+        assert documented == [cls.__name__ for cls in TUPLE_RECORDS]
 
 
 class TestObservabilityRunbookComplete:

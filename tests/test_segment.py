@@ -8,6 +8,9 @@ Covers the crash-safety contract end to end:
   — never silently-wrong state (hypothesis property plus fixed fixtures
   for a torn final record and a truncated segment);
 * mid-file corruption behind a valid footer raises on read;
+* hostile input: a zlib bomb inflates only to its stated length, a
+  CRC-valid footer that does not tile the file falls back to the scan,
+  and an index row its block or checkpoint contradicts raises;
 * ``MutationLog.save`` (and the segment writer) are crash-atomic: a
   simulated crash mid-write leaves the previous log intact;
 * ``MutationLog.load`` rejects non-monotonic / below-floor epochs with
@@ -18,9 +21,12 @@ Covers the crash-safety contract end to end:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
+import tracemalloc
+import zlib
 from pathlib import Path
 from typing import List
 
@@ -475,6 +481,166 @@ def test_page_cache_eviction_and_stats(tmp_path):
     # Re-reading the hottest tail blocks now hits.
     list(reader.iter_records(after=store.epoch - 2))
     assert cache.stats()["hits"] > 0
+
+
+# ---------------------------------------------------------------------------
+# hostile input: zlib bombs and forged footers
+
+
+@functools.lru_cache(maxsize=1)
+def _bomb() -> bytes:
+    """One zlib stream of 256 MiB of zeros, ~261 KB compressed, built a
+    MiB at a time so the test itself never holds the inflated bytes."""
+    deflater = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    return b"".join([deflater.compress(chunk) for _ in range(256)] + [deflater.flush()])
+
+
+def _bomb_segment(tmp_path, footer: bool) -> str:
+    """A segment header plus one CRC-valid record block whose header says
+    one default-size block but whose payload inflates to 256 MiB."""
+    from repro.store import SegmentWriter
+    from repro.store.segment import BLOCK_RECORDS, DEFAULT_BLOCK_SIZE, BlockInfo
+
+    comp = _bomb()
+    path = tmp_path / "bomb.seg"
+    with SegmentWriter(str(path)) as writer:
+        header_end = writer._handle.tell()
+        info = BlockInfo(
+            BLOCK_RECORDS, header_end, 0, 1, DEFAULT_BLOCK_SIZE, len(comp), zlib.crc32(comp), 1, 1
+        )
+        writer.copy_raw_block(info, comp)
+    if not footer:
+        path.write_bytes(path.read_bytes()[: header_end + _headersize() + len(comp)])
+    return str(path)
+
+
+def _peak_traced_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_bomb_block_found_by_the_scan_is_damage_and_inflates_bounded(tmp_path):
+    path = _bomb_segment(tmp_path, footer=False)
+    assert os.path.getsize(path) < 300_000
+    opened = []
+    peak = _peak_traced_bytes(lambda: opened.append(SegmentReader.open(path)))
+    reader = opened[0]
+    assert reader.recovered and reader.blocks == []
+    assert peak < 4 * 1024 * 1024
+    reader.close()
+
+
+def test_a_bomb_block_behind_a_footer_raises_and_inflates_bounded(tmp_path):
+    path = _bomb_segment(tmp_path, footer=True)
+    reader = SegmentReader.open(path)
+    assert not reader.recovered and len(reader.record_blocks) == 1
+    reader.close()
+
+    def load():
+        with pytest.raises(CorruptSegmentError, match="does not inflate"):
+            VersionedKnowledgeStore.load(path)
+
+    assert _peak_traced_bytes(load) < 4 * 1024 * 1024
+
+
+def test_inflate_rejects_a_longer_shorter_or_trailing_stream():
+    from repro.store.segment import _inflate
+
+    comp = zlib.compress(b"x" * 100)
+    assert _inflate(comp, 100) == b"x" * 100
+    assert _inflate(comp, 99) is None  # inflates past its limit
+    assert _inflate(comp[:-3], 100) is None  # a truncated stream
+    assert _inflate(comp + b"junk", 100) is None  # input left unconsumed
+    assert _inflate(b"not zlib", 100) is None
+
+
+def _one_triple_per_epoch(tmp_path, epochs: int = 30, **save_options) -> tuple:
+    store = VersionedKnowledgeStore(name="forged")
+    for epoch in range(epochs):
+        store.apply([Mutation.add_triple(f"s{epoch}", "p", f"o{epoch}")])
+    path = tmp_path / "honest.seg"
+    store.save(str(path), **save_options)
+    return store, path
+
+
+def _with_footer(path: Path, forge) -> str:
+    """``path`` re-written with a CRC-valid footer whose block rows are
+    ``forge(rows)``: the file's blocks stay byte-for-byte as they were."""
+    from repro.store.segment import _END_MAGIC, _FOOTER_TAIL
+
+    data = path.read_bytes()
+    footer_len, _, _ = _FOOTER_TAIL.unpack(data[-_FOOTER_TAIL.size:])
+    footer_start = len(data) - _FOOTER_TAIL.size - footer_len
+    rows = json.loads(zlib.decompress(data[footer_start:-_FOOTER_TAIL.size]))["blocks"]
+    footer = zlib.compress(json.dumps({"blocks": forge(rows)}).encode("utf-8"))
+    forged = path.with_name("forged.seg")
+    forged.write_bytes(
+        data[:footer_start] + footer + _FOOTER_TAIL.pack(len(footer), zlib.crc32(footer), _END_MAGIC)
+    )
+    return str(forged)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda rows: [],
+        lambda rows: [[9] + row[1:] if row[0] == 0 else row for row in rows],
+        lambda rows: rows[1:],
+        lambda rows: rows[::-1],
+        lambda rows: rows + [rows[-1]],
+        lambda rows: [[row[0], row[1] + 1] + row[2:] for row in rows],
+        lambda rows: [[str(value) for value in row] for row in rows],
+        lambda rows: [row[:4] + [-1] + row[5:] for row in rows],
+        lambda rows: [row[:4] + [1 << 64] + row[5:] for row in rows],
+    ],
+    ids=[
+        "no-blocks", "unknown-kind", "first-dropped", "out-of-order", "overlap", "shifted",
+        "strings", "negative-length", "length-past-u32",
+    ],
+)
+def test_a_footer_that_does_not_tile_the_file_falls_back_to_the_scan(tmp_path, forge):
+    """A CRC-valid footer is trusted only when its blocks lie end to end
+    over the data region; otherwise the scan rebuilds the honest index."""
+    store, path = _one_triple_per_epoch(tmp_path)
+    forged = _with_footer(path, forge)
+    reader = SegmentReader.open(forged)
+    assert reader.recovered
+    reader.close()
+    loaded = VersionedKnowledgeStore.load(forged)
+    assert loaded.epoch == 30
+    assert loaded.state_digest() == store.state_digest()
+    assert len(loaded.snapshot(5).graph) == len(store.snapshot(5).graph) == 5
+
+
+def test_the_honest_footer_tiles_the_file(tmp_path):
+    _, path = _one_triple_per_epoch(tmp_path)
+    reader = SegmentReader.open(_with_footer(path, lambda rows: rows))
+    assert not reader.recovered
+    reader.close()
+
+
+def test_a_record_row_whose_epochs_the_block_does_not_span_raises(tmp_path):
+    _, path = _one_triple_per_epoch(tmp_path)
+    forged = _with_footer(
+        path, lambda rows: [row[:7] + [row[7] + 1, row[8]] if row[0] == 0 else row for row in rows]
+    )
+    loaded = VersionedKnowledgeStore.load(forged)  # the head checkpoint
+    with pytest.raises(CorruptSegmentError, match="do not span the indexed epochs"):
+        loaded.snapshot(5)
+
+
+def test_a_checkpoint_row_at_another_epoch_raises(tmp_path):
+    _, path = _one_triple_per_epoch(tmp_path, checkpoint_interval=10)
+    forged = _with_footer(
+        path, lambda rows: [row[:7] + [row[7] - 1, row[8] - 1] if row[0] == 1 else row for row in rows]
+    )
+    with pytest.raises(CorruptSegmentError, match="checkpoint holds epoch"):
+        VersionedKnowledgeStore.load(forged)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.service import (
     RetryPolicy,
     ServiceConfig,
     ServiceRequest,
+    ServiceResponse,
     ShardedValidationService,
     TCPValidationFrontend,
     ValidationService,
@@ -762,6 +763,34 @@ class TestHitReadCost:
         per_shard = [sum(router.shard_for(r) == shard for r in reads) for shard in range(2)]
         assert served == [[count // 2] * 2 for count in per_shard]
         assert sum(map(sum, served)) == self.READS
+
+    def test_untraced_hits_build_one_response_each(self, wide_runner, monkeypatch):
+        """The response is the only record a hit builds: one per read."""
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(), replicas=2
+        )
+        requests = self._requests(wide_runner)
+        built = []
+        new = ServiceResponse.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        async def go():
+            async with router:
+                await self._warm(router, requests)
+                monkeypatch.setattr(ServiceResponse, "__new__", counting_new)
+                hits = [
+                    await router.submit(requests[index % len(requests)])
+                    for index in range(self.READS)
+                ]
+                monkeypatch.undo()
+                return hits
+
+        hits = asyncio.run(go())
+        assert all(r.outcome is RequestOutcome.COMPLETED and r.cached for r in hits)
+        assert built == [ServiceResponse] * self.READS
 
     def test_traced_hits_keep_the_route_attempt_call_submit_tree(self, wide_runner):
         router = ShardedValidationService.from_runner(
