@@ -133,8 +133,7 @@ def _replay_jsonl(path: str, replay=_seed_replay) -> VersionedKnowledgeStore:
     """Parse the JSONL export and replay it from zero (``replay``: the
     fixed reference by default, ``VersionedKnowledgeStore.replay`` for
     today's path)."""
-    log, _ = MutationLog.load(path)
-    return replay(log)
+    return replay(MutationLog.load(path))
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +204,7 @@ def test_cold_start_floor(corpus_paths, benchmark):
 
 def test_historical_snapshot_floor(corpus_paths, benchmark):
     store, jsonl_path, segment_path = corpus_paths
-    log, _ = MutationLog.load(jsonl_path)
+    log = MutationLog.load(jsonl_path)
     via_segment = VersionedKnowledgeStore.load(segment_path)
     # Half an interval past the last checkpoint at or below 90 % of the
     # history: the seek restores that checkpoint and replays a real suffix.

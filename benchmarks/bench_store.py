@@ -172,7 +172,7 @@ def test_benchmark_incremental_maintenance_vs_rebuild(benchmark):
 
     # Byte-identity 3: the in-place graph equals the deterministic log
     # replay — interning, edge order, and hence path enumeration order.
-    twin = VersionedKnowledgeStore.replay(store.log, config=store.config)
+    twin = VersionedKnowledgeStore.replay(store.log)
     assert twin.graph.state_digest() == store.graph.state_digest(), (
         "in-place graph maintenance diverged from log replay"
     )

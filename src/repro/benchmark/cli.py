@@ -493,17 +493,15 @@ def _run_compact(args, stream: TextIO) -> int:
 
 
 def _replay_jsonl(path: str):
-    """A store rebuilt from a JSONL export: ``MutationLog.load`` + ``replay``
-    under the header's config.  An empty file would parse as an empty log;
-    it is not one."""
+    """A store rebuilt from a JSONL export: ``MutationLog.load`` +
+    ``replay``.  An empty file would parse as an empty log; it is not one."""
     import os
 
-    from ..store import MutationLog, StoreConfig, VersionedKnowledgeStore
+    from ..store import MutationLog, VersionedKnowledgeStore
 
     if not os.path.getsize(path):
         raise ValueError(f"{path}: empty file")
-    log, payload = MutationLog.load(path)
-    return VersionedKnowledgeStore.replay(log, config=StoreConfig.from_payload(payload))
+    return VersionedKnowledgeStore.replay(MutationLog.load(path))
 
 
 def _run_convert(args, stream: TextIO) -> int:

@@ -72,7 +72,7 @@ from .sharding import (
     ShardedStore,
     mutation_shard_key,
 )
-from .store import ApplyReport, StoreConfig, StoreSnapshot, VersionedKnowledgeStore
+from .store import ApplyReport, StoreSnapshot, VersionedKnowledgeStore
 
 __all__ = [
     "ADD_DOCUMENT",
@@ -94,7 +94,6 @@ __all__ = [
     "SegmentWriter",
     "ShardApplyReport",
     "ShardedStore",
-    "StoreConfig",
     "StoreSnapshot",
     "StoreState",
     "VersionedKnowledgeStore",

@@ -520,7 +520,6 @@ class GeoReplicator:
         stores = [
             VersionedKnowledgeStore.replay(
                 primary.log,
-                config=primary.config,
                 embedder=primary.embedder,
                 name=f"{name}-s{index}",
             )
@@ -576,11 +575,9 @@ class GeoReplicator:
                 applied += 1
         return applied
 
-    def drain_all(self, max_batches: Optional[int] = None) -> int:
-        """Drain every edge fully (or ``max_batches`` per shard per edge)."""
-        return sum(
-            self.drain(name, max_batches=max_batches) for name in sorted(self.edges)
-        )
+    def drain_all(self) -> int:
+        """Drain every edge fully."""
+        return sum(self.drain(name) for name in sorted(self.edges))
 
     # ------------------------------------------------------------- accounting
 

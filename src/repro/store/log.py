@@ -11,8 +11,7 @@ The durable on-disk form is the segment file (:mod:`repro.store.segment`);
 the JSONL form written here is the human-readable export, re-imported by
 ``MutationLog.load`` + ``VersionedKnowledgeStore.replay`` (the CLI's
 ``convert``).  It is newline-delimited JSON: a header line carrying the
-format version and the store configuration knobs that influence replay
-(the dirty-fraction rebuild thresholds), followed by one record per
+format version and the log's floor epoch, followed by one record per
 mutation with its epoch.  Compaction (performed by the store, which owns
 the current state) rewrites the log as a single batch reproducing the
 live state at the current epoch and raises the log's *floor*: epochs below
@@ -42,8 +41,9 @@ __all__ = [
 
 
 @contextlib.contextmanager
-def atomic_write(path: str, mode: str = "w", encoding: Optional[str] = "utf-8"):
-    """Crash-atomic file replacement: temp file + fsync + ``os.replace``.
+def atomic_write(path: str):
+    """Crash-atomic replacement of a UTF-8 text file: temp file + fsync +
+    ``os.replace``.
 
     The payload is written to ``{path}.tmp.{pid}`` in the same directory
     (so the final rename never crosses a filesystem), flushed and fsynced
@@ -52,7 +52,7 @@ def atomic_write(path: str, mode: str = "w", encoding: Optional[str] = "utf-8"):
     the temp file; readers never observe a half-written log.
     """
     tmp_path = f"{path}.tmp.{os.getpid()}"
-    handle = open(tmp_path, mode, encoding=encoding)
+    handle = open(tmp_path, "w", encoding="utf-8")
     try:
         with handle:
             yield handle
@@ -63,6 +63,13 @@ def atomic_write(path: str, mode: str = "w", encoding: Optional[str] = "utf-8"):
         with contextlib.suppress(OSError):
             os.remove(tmp_path)
         raise
+
+
+def is_floor_epoch(value: object) -> bool:
+    """Whether a header's ``floor_epoch`` is usable: a non-negative ``int``
+    (a ``bool`` or a float is not one)."""
+    return type(value) is int and value >= 0
+
 
 ADD_TRIPLE = "add_triple"
 REMOVE_TRIPLE = "remove_triple"
@@ -246,19 +253,13 @@ class MutationLog:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path: str, config_payload: Optional[Dict[str, object]] = None) -> None:
+    def save(self, path: str) -> None:
         """Write the log as JSONL: one header line, then one line per record.
 
         The write is crash-atomic (see :func:`atomic_write`): an
         interrupted save leaves any previous log at ``path`` intact.
         """
-        header: Dict[str, object] = {
-            "kind": "header",
-            "version": 1,
-            "floor_epoch": self.floor_epoch,
-        }
-        if config_payload:
-            header["config"] = config_payload
+        header = {"kind": "header", "version": 1, "floor_epoch": self.floor_epoch}
         with atomic_write(path) as handle:
             handle.write(json.dumps(header, sort_keys=True) + "\n")
             for epoch, mutation in self:
@@ -292,34 +293,49 @@ class MutationLog:
         return epoch
 
     @classmethod
-    def load(cls, path: str) -> Tuple["MutationLog", Dict[str, object]]:
-        """Read a JSONL log; returns ``(log, header config payload)``.
+    def load(cls, path: str) -> "MutationLog":
+        """Read a JSONL log.
 
         Raises :class:`ValueError` (with the offending line number) for a
-        record whose epoch is missing, below the header floor, or breaks
-        the grouped-monotonic ordering :meth:`append_batch` would have
-        enforced at write time.
+        line that is not a JSON object, a header anywhere but the first
+        non-blank line, a header floor that is not a non-negative integer,
+        and a record whose epoch is missing, below the header floor, or
+        breaks the grouped-monotonic ordering :meth:`append_batch` would
+        have enforced at write time.  Header keys other than
+        ``floor_epoch`` are not read.
         """
         log = cls()
-        config_payload: Dict[str, object] = {}
         last_epoch: Optional[int] = None
+        first = True
         with open(path, "r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                where = f"{path}:{line_number}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: not valid JSON ({exc})") from exc
+                if not isinstance(record, dict):
+                    raise ValueError(f"{where}: record is not a JSON object")
                 if record.get("kind") == "header":
-                    log.floor_epoch = int(record.get("floor_epoch", 0))
-                    payload = record.get("config")
-                    if isinstance(payload, dict):
-                        config_payload = payload
-                    continue
-                last_epoch = log._check_loaded_epoch(
-                    record.get("epoch"), last_epoch, f"{path}:{line_number}"
-                )
-                log._records.append((last_epoch, Mutation.from_json(record)))
-        return log, config_payload
+                    if not first:
+                        raise ValueError(f"{where}: a header after the first line")
+                    floor = record.get("floor_epoch", 0)
+                    if not is_floor_epoch(floor):
+                        raise ValueError(
+                            f"{where}: header floor_epoch {floor!r} is not a "
+                            "non-negative integer"
+                        )
+                    log.floor_epoch = floor
+                else:
+                    last_epoch = log._check_loaded_epoch(
+                        record.get("epoch"), last_epoch, where
+                    )
+                    log._records.append((last_epoch, Mutation.from_json(record)))
+                first = False
+        return log
 
 
 def read_mutations_jsonl(path: str) -> List[Mutation]:

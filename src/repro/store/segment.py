@@ -9,7 +9,7 @@ walked through a page cache, compression at the block boundary, lazy
 hydration of expensive views:
 
 * **Blocks.**  Mutation records are struct-packed into fixed-size blocks
-  (``block_size`` uncompressed bytes), each zlib-compressed independently
+  (:data:`BLOCK_SIZE` uncompressed bytes), each zlib-compressed independently
   and guarded by a CRC32 over the compressed payload.  A torn final
   record or a truncated segment fails its CRC/length check and recovery
   truncates to the longest valid *batch* prefix instead of loading
@@ -40,7 +40,7 @@ struct encoding and are readable without unpickling.
 
 Layout::
 
-    [ header ]  magic, version + JSON (floor_epoch, config)
+    [ header ]  magic, u32 len | u32 crc | JSON (version, floor_epoch)
     [ block ]*  u8 kind | u8 flags | u32 count | u32 raw | u32 comp
                 | u32 crc | payload
     [ footer ]  zlib(JSON block index) | u32 len | u32 crc | end magic
@@ -77,6 +77,7 @@ from .log import (
     Mutation,
     MutationLog,
     group_batches,
+    is_floor_epoch,
 )
 
 __all__ = [
@@ -86,9 +87,10 @@ __all__ = [
     "SegmentReader",
     "SegmentWriter",
     "StoreState",
-    "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_CHECKPOINT_INTERVAL",
-    "DEFAULT_PAGE_CACHE_BLOCKS",
+    "BLOCK_SIZE",
+    "CHECKPOINT_INTERVAL",
+    "COMPRESSION_LEVEL",
+    "PAGE_CACHE_BLOCKS",
     "SEGMENT_MAGIC",
 ]
 
@@ -96,12 +98,18 @@ SEGMENT_MAGIC = b"RSEGMT01"
 _END_MAGIC = b"RSEGEND1"
 SEGMENT_VERSION = 1
 
+# The engine's settings.  Each is read where it is used, so a test can
+# shrink one with ``monkeypatch.setattr``; none is persisted, and a reader
+# opens a file written under any of them.
+
 #: Uncompressed record bytes per block before the writer cuts a new one.
-DEFAULT_BLOCK_SIZE = 64 * 1024
-#: Records between interleaved state checkpoints.
-DEFAULT_CHECKPOINT_INTERVAL = 5_000
-#: Decoded blocks the LRU page cache keeps resident.
-DEFAULT_PAGE_CACHE_BLOCKS = 64
+BLOCK_SIZE = 64 * 1024
+#: Records between interleaved state checkpoints of a full rewrite.
+CHECKPOINT_INTERVAL = 5_000
+#: zlib level of record blocks (checkpoints use 1: pickled int tuples).
+COMPRESSION_LEVEL = 6
+#: Decoded blocks each reader's LRU page cache keeps resident.
+PAGE_CACHE_BLOCKS = 64
 
 BLOCK_RECORDS = 0
 BLOCK_CHECKPOINT = 1
@@ -286,17 +294,15 @@ class BlockInfo:
 
 
 class PageCache:
-    """Bounded LRU cache of decoded record blocks, keyed by file offset.
+    """LRU cache of up to :data:`PAGE_CACHE_BLOCKS` decoded record blocks,
+    keyed by file offset.
 
     One entry is one block's decoded ``(epoch, Mutation)`` list — the unit
     a historical snapshot or suffix replay touches.  Thread-safe: replica
     stores forked off one segment share a single reader and cache.
     """
 
-    def __init__(self, capacity: int = DEFAULT_PAGE_CACHE_BLOCKS) -> None:
-        if capacity < 1:
-            raise ValueError("page cache capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -317,7 +323,7 @@ class PageCache:
         with self._lock:
             self._pages[offset] = page
             self._pages.move_to_end(offset)
-            while len(self._pages) > self.capacity:
+            while len(self._pages) > PAGE_CACHE_BLOCKS:
                 self._pages.popitem(last=False)
                 self.evictions += 1
 
@@ -328,7 +334,7 @@ class PageCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "resident": len(self._pages),
-                "capacity": self.capacity,
+                "capacity": PAGE_CACHE_BLOCKS,
             }
 
 
@@ -344,19 +350,8 @@ class SegmentWriter:
     leaves any previous segment intact.
     """
 
-    def __init__(
-        self,
-        path: str,
-        floor_epoch: int = 0,
-        config_payload: Optional[Dict[str, object]] = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        compression_level: int = 6,
-    ) -> None:
-        if block_size < 256:
-            raise ValueError("block_size must be >= 256 bytes")
+    def __init__(self, path: str, floor_epoch: int = 0) -> None:
         self.path = path
-        self.block_size = block_size
-        self.compression_level = compression_level
         self.blocks: List[BlockInfo] = []
         self._tmp_path = f"{path}.tmp.{os.getpid()}"
         self._handle = open(self._tmp_path, "wb")
@@ -364,11 +359,7 @@ class SegmentWriter:
         self._buffer_bytes = 0
         self._encoded: List[bytes] = []
         self._closed = False
-        header = {
-            "version": SEGMENT_VERSION,
-            "floor_epoch": floor_epoch,
-            "config": config_payload or {},
-        }
+        header = {"version": SEGMENT_VERSION, "floor_epoch": floor_epoch}
         header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
         self._handle.write(SEGMENT_MAGIC)
         self._handle.write(struct.pack("<II", len(header_raw), zlib.crc32(header_raw)))
@@ -397,7 +388,7 @@ class SegmentWriter:
             self._buffer.append((epoch, mutation))
             self._encoded.append(raw)
             self._buffer_bytes += len(raw)
-        while self._buffer_bytes >= self.block_size:
+        while self._buffer_bytes >= BLOCK_SIZE:
             self._flush_records(partial_ok=True)
 
     def checkpoint(self, state: StoreState) -> None:
@@ -439,14 +430,14 @@ class SegmentWriter:
     def _flush_records(self, partial_ok: bool) -> None:
         if not self._buffer:
             return
-        if partial_ok and self._buffer_bytes > self.block_size:
+        if partial_ok and self._buffer_bytes > BLOCK_SIZE:
             # Cut at the record whose encoded bytes cross the threshold.
             size = 0
             cut = 0
             for raw in self._encoded:
                 size += len(raw)
                 cut += 1
-                if size >= self.block_size:
+                if size >= BLOCK_SIZE:
                     break
         else:
             cut = len(self._buffer)
@@ -473,7 +464,7 @@ class SegmentWriter:
         last_epoch: int,
         compression_level: Optional[int] = None,
     ) -> None:
-        level = self.compression_level if compression_level is None else compression_level
+        level = COMPRESSION_LEVEL if compression_level is None else compression_level
         comp = zlib.compress(payload, level)
         crc = zlib.crc32(comp)
         offset = self._handle.tell()
@@ -537,22 +528,15 @@ class SegmentReader:
     """Random access over one segment file through the page cache."""
 
     def __init__(
-        self,
-        path: str,
-        floor_epoch: int,
-        config_payload: Dict[str, object],
-        blocks: List[BlockInfo],
-        recovered: bool,
-        page_cache: Optional[PageCache] = None,
+        self, path: str, floor_epoch: int, blocks: List[BlockInfo], recovered: bool
     ) -> None:
         self.path = path
         self.floor_epoch = floor_epoch
-        self.config_payload = config_payload
         self.blocks = blocks
         #: True when the footer was lost and the index was rebuilt by a
         #: forward CRC scan (crash recovery path).
         self.recovered = recovered
-        self.page_cache = page_cache or PageCache()
+        self.page_cache = PageCache()
         #: Blocks whose on-disk record count no longer matches the logical
         #: view (a recovered torn batch was trimmed): pinned outside the
         #: LRU so eviction can never resurrect the dropped records.
@@ -567,12 +551,13 @@ class SegmentReader:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def open(cls, path: str, page_cache: Optional[PageCache] = None) -> "SegmentReader":
+    def open(cls, path: str) -> "SegmentReader":
         """Open a segment: footer-indexed fast path, scan recovery fallback.
 
         Raises :class:`CorruptSegmentError` when even the header is
-        unreadable; a valid header with a damaged tail recovers the
-        longest valid batch prefix instead (``reader.recovered``).
+        unreadable, or its ``floor_epoch`` is not a non-negative integer;
+        a valid header with a damaged tail recovers the longest valid
+        batch prefix instead (``reader.recovered``).
         """
         size = os.path.getsize(path)
         with open(path, "rb") as handle:
@@ -593,20 +578,23 @@ class SegmentReader:
                 header = json.loads(header_raw)
             except json.JSONDecodeError as exc:
                 raise CorruptSegmentError(f"{path}: header is not JSON ({exc})") from exc
+            if not isinstance(header, dict):
+                raise CorruptSegmentError(f"{path}: header is not a JSON object")
             if header.get("version") != SEGMENT_VERSION:
                 raise CorruptSegmentError(
                     f"{path}: unsupported segment version {header.get('version')!r}"
+                )
+            floor = header.get("floor_epoch", 0)
+            if not is_floor_epoch(floor):
+                raise CorruptSegmentError(
+                    f"{path}: header floor_epoch {floor!r} is not a non-negative integer"
                 )
             data_start = handle.tell()
             blocks = cls._read_footer(handle, path, data_start, size)
             recovered = blocks is None
             if blocks is None:
                 blocks = cls._scan_blocks(handle, path, data_start, size)
-        floor = int(header.get("floor_epoch", 0))
-        reader = cls(
-            path, floor, dict(header.get("config") or {}), blocks, recovered,
-            page_cache,
-        )
+        reader = cls(path, floor, blocks, recovered)
         reader._validate_index()
         return reader
 

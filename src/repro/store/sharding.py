@@ -51,13 +51,12 @@ import itertools
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..kg.triples import Triple
 from ..retrieval.corpus import Document
-from ..retrieval.embeddings import HashingEmbedder
 from .log import ADD_DOCUMENT, Mutation
-from .store import ApplyReport, StoreConfig, VersionedKnowledgeStore
+from .store import ApplyReport, VersionedKnowledgeStore
 
 __all__ = [
     "HashRing",
@@ -265,7 +264,6 @@ class ReplicaGroup:
         copies.extend(
             VersionedKnowledgeStore.replay(
                 primary.log,
-                config=primary.config,
                 embedder=primary.embedder,
                 name=f"{primary.name}-replica{index}",
             )
@@ -425,8 +423,6 @@ class ShardedStore:
         triples: Iterable[Triple] = (),
         documents: Iterable[Document] = (),
         num_shards: int = 4,
-        config: Optional[StoreConfig] = None,
-        embedder: Optional[HashingEmbedder] = None,
         name: str = "store",
     ) -> "ShardedStore":
         """Partition a corpus + graph across ``num_shards`` fresh shards.
@@ -447,8 +443,6 @@ class ShardedStore:
             VersionedKnowledgeStore.bootstrap(
                 triples=shard_triples[index],
                 documents=shard_documents[index],
-                config=config,
-                embedder=embedder,
                 name=f"{name}-shard{index}",
             )
             for index in range(num_shards)
@@ -552,7 +546,7 @@ class ShardedStore:
         """Rebuild every shard from its own mutation log (byte-identical)."""
         twins = [
             VersionedKnowledgeStore.replay(
-                shard.log, config=shard.config, embedder=shard.embedder, name=shard.name
+                shard.log, embedder=shard.embedder, name=shard.name
             )
             for shard in self.shards
         ]
@@ -569,13 +563,7 @@ class ShardedStore:
         return paths
 
     @classmethod
-    def load(
-        cls,
-        prefix: str,
-        num_shards: int,
-        embedder: Optional[HashingEmbedder] = None,
-        name: str = "store",
-    ) -> "ShardedStore":
+    def load(cls, prefix: str, num_shards: int, name: str = "store") -> "ShardedStore":
         """Rebuild a fleet of ``num_shards`` from the files :func:`shard_paths`
         names under ``prefix``.
 
@@ -595,7 +583,7 @@ class ShardedStore:
             )
         return cls(
             [
-                VersionedKnowledgeStore.load(path, embedder=embedder, name=f"{name}-shard{index}")
+                VersionedKnowledgeStore.load(path, name=f"{name}-shard{index}")
                 for index, path in enumerate(paths)
             ]
         )

@@ -21,12 +21,14 @@ which makes three things fall out for free:
   cache, and the interned graph *in place*, and the state digests prove
   the result identical to a from-scratch rebuild.
 
-The dirty-fraction thresholds in :class:`StoreConfig` bound the cost of
-incrementality: a batch that adds a large fraction of the corpus falls
-back to a full index rebuild (same bytes either way), and a graph that has
-accumulated too many removals is re-interned from its sorted triples (a
-decision that is a pure function of the log, so replay takes the same
-branch at the same batch and byte-identity is preserved).
+Two module constants bound the cost of incrementality:
+:data:`INDEX_REBUILD_FRACTION` sends a batch that adds a large fraction of
+the corpus to a full index rebuild (same bytes either way), and
+:data:`GRAPH_REBUILD_FRACTION` re-interns a graph that has accumulated too
+many removals from its sorted triples (a decision that is a pure function
+of the log, so replay takes the same branch at the same batch and
+byte-identity is preserved).  Neither is persisted: a saved file holds the
+log, and the code that replays it holds the thresholds.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from ..retrieval.corpus import Corpus, Document
 from ..retrieval.embeddings import HashingEmbedder
 from ..retrieval.search import SearchEngine
 from .log import ADD_DOCUMENT, ADD_TRIPLE, REMOVE_TRIPLE, Mutation, MutationLog
+from . import segment
 from .segment import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_CHECKPOINT_INTERVAL,
     SegmentBackedLog,
     SegmentReader,
     SegmentWriter,
@@ -52,57 +53,22 @@ from .segment import (
     encode_record,
 )
 
-__all__ = ["StoreConfig", "ApplyReport", "StoreSnapshot", "VersionedKnowledgeStore"]
+__all__ = ["ApplyReport", "StoreSnapshot", "VersionedKnowledgeStore"]
 
 #: Called after every applied batch: ``listener(epoch, mutations)``.
 MutationListener = Callable[[int, Sequence[Mutation]], None]
 
 
-@dataclass(frozen=True)
-class StoreConfig:
-    """Tuning knobs of :class:`VersionedKnowledgeStore`.
-
-    Attributes
-    ----------
-    index_rebuild_fraction:
-        When one batch adds more than this fraction of the post-batch
-        corpus, the BM25 index is rebuilt from scratch instead of patched
-        incrementally (the concatenation work would exceed a clean build).
-        Incremental and rebuilt indexes are byte-identical, so this is a
-        pure performance trade-off.
-    graph_rebuild_fraction:
-        When the removals accumulated since the last re-interning exceed
-        this fraction of the live graph, the graph is rebuilt from its
-        sorted triples to shed ghost interning entries.  The decision is a
-        deterministic function of the log, so replay rebuilds at the same
-        epochs and stays byte-identical.
-    """
-
-    index_rebuild_fraction: float = 0.5
-    graph_rebuild_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.index_rebuild_fraction <= 1.0:
-            raise ValueError("index_rebuild_fraction must be in (0, 1]")
-        if not 0.0 < self.graph_rebuild_fraction <= 1.0:
-            raise ValueError("graph_rebuild_fraction must be in (0, 1]")
-
-    def as_payload(self) -> Dict[str, float]:
-        """The replay-relevant knobs as a JSON-serialisable dict (persisted
-        in the log header so a loaded store rebuilds identically)."""
-        return {
-            "index_rebuild_fraction": self.index_rebuild_fraction,
-            "graph_rebuild_fraction": self.graph_rebuild_fraction,
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, object]) -> "StoreConfig":
-        """Rebuild a config from :meth:`as_payload` output (missing keys
-        fall back to the defaults)."""
-        return StoreConfig(
-            index_rebuild_fraction=float(payload.get("index_rebuild_fraction", 0.5)),
-            graph_rebuild_fraction=float(payload.get("graph_rebuild_fraction", 0.5)),
-        )
+#: When one batch adds more than this fraction of the post-batch corpus, the
+#: BM25 index is rebuilt from scratch instead of patched incrementally (the
+#: concatenation work would exceed a clean build).  Incremental and rebuilt
+#: indexes are byte-identical, so this is a pure performance trade-off.
+INDEX_REBUILD_FRACTION = 0.5
+#: When the removals accumulated since the last re-interning exceed this
+#: fraction of the live graph, the graph is rebuilt from its sorted triples
+#: to shed ghost interning entries.  The decision is a deterministic function
+#: of the log, so replay rebuilds at the same epochs and stays byte-identical.
+GRAPH_REBUILD_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -155,8 +121,7 @@ class StoreSnapshot:
 class VersionedKnowledgeStore:
     """Mutable, versioned wrapper over the KG and retrieval substrates."""
 
-    def __init__(self, config: Optional[StoreConfig] = None, name: str = "store") -> None:
-        self.config = config or StoreConfig()
+    def __init__(self, name: str = "store") -> None:
         self.name = name
         self.graph = KnowledgeGraph(name=f"{name}-kg")
         self.corpus = Corpus()
@@ -183,12 +148,11 @@ class VersionedKnowledgeStore:
         cls,
         triples: Iterable[Triple] = (),
         documents: Iterable[Document] = (),
-        config: Optional[StoreConfig] = None,
         embedder: Optional[HashingEmbedder] = None,
         name: str = "store",
     ) -> "VersionedKnowledgeStore":
         """A fresh store seeded with one genesis batch (epoch 1 if non-empty)."""
-        store = cls(config, name=name)
+        store = cls(name=name)
         store.embedder = embedder
         genesis = [Mutation(ADD_TRIPLE, triple=triple) for triple in triples]
         genesis.extend(Mutation(ADD_DOCUMENT, document=document) for document in documents)
@@ -202,7 +166,6 @@ class VersionedKnowledgeStore:
         corpus: Corpus,
         search_engine: Optional[SearchEngine] = None,
         triples: Sequence[Triple] = (),
-        config: Optional[StoreConfig] = None,
         embedder: Optional[HashingEmbedder] = None,
         name: str = "store",
     ) -> "VersionedKnowledgeStore":
@@ -216,7 +179,7 @@ class VersionedKnowledgeStore:
         corpus order) and the given triples is written to the log, keeping
         the ``store == replay(log)`` invariant intact.
         """
-        store = cls(config, name=name)
+        store = cls(name=name)
         store.embedder = embedder
         store.corpus = corpus
         if search_engine is not None and search_engine.corpus is not corpus:
@@ -242,7 +205,6 @@ class VersionedKnowledgeStore:
     def replay(
         cls,
         log: MutationLog,
-        config: Optional[StoreConfig] = None,
         embedder: Optional[HashingEmbedder] = None,
         upto: Optional[int] = None,
         name: str = "store",
@@ -265,7 +227,7 @@ class VersionedKnowledgeStore:
         reader and page cache); a bounded one records what it applied into
         a fresh log floored where it started.
         """
-        store = cls(config, name=name)
+        store = cls(name=name)
         store.embedder = embedder
         store._epoch = log.floor_epoch
         after = None
@@ -448,7 +410,7 @@ class VersionedKnowledgeStore:
         if self._engine is None or not new_documents:
             return "untouched"
         dirty = len(new_documents) / max(1, len(self.corpus))
-        if dirty > self.config.index_rebuild_fraction:
+        if dirty > INDEX_REBUILD_FRACTION:
             self._engine.rebuild()
             return "rebuild"
         self._engine.add_documents(new_documents)
@@ -463,7 +425,7 @@ class VersionedKnowledgeStore:
         """
         self._removed_since_reintern += removed
         live = len(self.graph)
-        if self._removed_since_reintern <= self.config.graph_rebuild_fraction * max(1, live):
+        if self._removed_since_reintern <= GRAPH_REBUILD_FRACTION * max(1, live):
             return False
         rebuilt = KnowledgeGraph(name=self.graph.name)
         for triple in self.graph:
@@ -496,21 +458,13 @@ class VersionedKnowledgeStore:
             raise ValueError(
                 f"epoch {epoch} predates the log's compaction floor {self.log.floor_epoch}"
             )
-        replayed = VersionedKnowledgeStore.replay(
-            self.log, config=self.config, upto=epoch, name=self.name
-        )
+        replayed = VersionedKnowledgeStore.replay(self.log, upto=epoch, name=self.name)
         return StoreSnapshot(epoch, replayed.graph, replayed.corpus)
 
     # ------------------------------------------------------------- persistence
 
-    def save(
-        self,
-        path: str,
-        format: str = "segment",
-        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> None:
-        """Persist the mutation log (with replay-relevant config).
+    def save(self, path: str, format: str = "segment") -> None:
+        """Persist the mutation log.
 
         ``"segment"`` is the durable format (paged binary with checkpoints
         — see :mod:`repro.store.segment`) and the only one :meth:`load`
@@ -519,14 +473,14 @@ class VersionedKnowledgeStore:
         :meth:`replay`).  The choice is per call — nothing remembers it —
         and both writers are crash-atomic.  After a segment save the store
         reads that file, as a loaded store does, so the next save appends:
-        ``checkpoint_interval`` and ``block_size`` shape a full rewrite
-        only.  A JSONL export does not switch the log.
+        the segment engine's checkpoint cadence and block size shape a full
+        rewrite only.  A JSONL export does not switch the log.
         """
         if format == "segment":
-            self._save_segment(path, checkpoint_interval, block_size)
+            self._save_segment(path)
             self.log = SegmentBackedLog(SegmentReader.open(path))
         elif format == "jsonl":
-            self.log.save(path, config_payload=self.config.as_payload())
+            self.log.save(path)
         else:
             raise ValueError(
                 f"unknown store format {format!r}; expected 'segment' or 'jsonl'"
@@ -543,9 +497,7 @@ class VersionedKnowledgeStore:
             removed_since_reintern=self._removed_since_reintern,
         )
 
-    def _save_segment(
-        self, path: str, checkpoint_interval: int, block_size: int
-    ) -> None:
+    def _save_segment(self, path: str) -> None:
         log = self.log
         if isinstance(log, SegmentBackedLog) and not log.reader.recovered:
             self._save_segment_incremental(log, path)
@@ -554,17 +506,13 @@ class VersionedKnowledgeStore:
         # state a from-zero replay has at its epoch, so a shadow store
         # replays the log — but only while another one can still come due.
         # The head checkpoint is the live store (``store == replay(log)``):
-        # a log shorter than ``checkpoint_interval`` replays nothing here.
-        shadow = VersionedKnowledgeStore(self.config, name=self.name)
+        # a log shorter than the checkpoint interval replays nothing here.
+        checkpoint_interval = segment.CHECKPOINT_INTERVAL
+        shadow = VersionedKnowledgeStore(name=self.name)
         shadow._epoch = log.floor_epoch
         since_checkpoint = 0
         remaining = len(log)
-        with SegmentWriter(
-            path,
-            floor_epoch=log.floor_epoch,
-            config_payload=self.config.as_payload(),
-            block_size=block_size,
-        ) as writer:
+        with SegmentWriter(path, floor_epoch=log.floor_epoch) as writer:
             for epoch, mutations in log.batches():
                 writer.append_batch(epoch, mutations)
                 if since_checkpoint + remaining >= checkpoint_interval:
@@ -583,11 +531,7 @@ class VersionedKnowledgeStore:
         """Append-style save: copy the existing compressed blocks verbatim
         and encode only the in-memory tail, plus a head checkpoint if any."""
         reader = log.reader
-        with SegmentWriter(
-            path,
-            floor_epoch=reader.floor_epoch,
-            config_payload=self.config.as_payload(),
-        ) as writer:
+        with SegmentWriter(path, floor_epoch=reader.floor_epoch) as writer:
             for block in reader.blocks:
                 writer.copy_raw_block(block, reader.read_raw_block(block))
             tail = log.tail_batches()
@@ -597,24 +541,15 @@ class VersionedKnowledgeStore:
                 writer.checkpoint(self._checkpoint_state())
 
     @classmethod
-    def load(
-        cls,
-        path: str,
-        embedder: Optional[HashingEmbedder] = None,
-        name: str = "store",
-    ) -> "VersionedKnowledgeStore":
-        """Rebuild a store from a saved segment, honouring the persisted
-        config: restore the newest checkpoint, replay the suffix behind it.
+    def load(cls, path: str, name: str = "store") -> "VersionedKnowledgeStore":
+        """Rebuild a store from a saved segment: restore the newest
+        checkpoint, replay the suffix behind it.
 
         Raises :class:`~repro.store.segment.CorruptSegmentError` for
         anything that is not a segment file — an empty file, binary junk,
         or a JSONL export (which ``convert`` imports).
         """
-        reader = SegmentReader.open(path)
-        config = StoreConfig.from_payload(reader.config_payload)
-        return cls.replay(
-            SegmentBackedLog(reader), config=config, embedder=embedder, name=name
-        )
+        return cls.replay(SegmentBackedLog(SegmentReader.open(path)), name=name)
 
     def compact(self) -> int:
         """Collapse history into one canonical batch at the current epoch.

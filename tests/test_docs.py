@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from dataclasses import fields
@@ -341,6 +342,36 @@ class TestStorageEngineDocsComplete:
         operations = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
         for needle in ("A bomb block in a store file", "A footer that does not tile the file"):
             assert needle in operations, f"operations.md cheat-sheet misses {needle!r}"
+
+    def test_the_store_engine_constants_table_matches_the_code(self):
+        """Every row names a constant of its module at its value, and every
+        constant the engine is tuned by has a row."""
+        import importlib
+
+        text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+        section = text.split("### Store engine constants", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `store/(\w+)\.py` \| `([^`]+)` \|", section, re.M)
+        documented = {}
+        for name, module, value in rows:
+            actual = getattr(importlib.import_module(f"repro.store.{module}"), name)
+            assert json.loads(value) == actual, f"row `{name}` says {value}, code has {actual}"
+            documented[name] = module
+        assert documented == {
+            "CHECKPOINT_INTERVAL": "segment",
+            "BLOCK_SIZE": "segment",
+            "COMPRESSION_LEVEL": "segment",
+            "PAGE_CACHE_BLOCKS": "segment",
+            "INDEX_REBUILD_FRACTION": "store",
+            "GRAPH_REBUILD_FRACTION": "store",
+        }
+
+    def test_docs_state_what_a_hostile_header_does(self):
+        operations = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+        for needle in ("A hostile segment header", "A hostile JSONL header"):
+            assert needle in operations, f"operations.md cheat-sheet misses {needle!r}"
+        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+        assert "JSON {version, floor_epoch}  " in architecture
+        assert "has a `floor_epoch` that is not" in architecture
 
     def test_operations_documents_the_migration_path(self):
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")

@@ -10,7 +10,11 @@ Covers the crash-safety contract end to end:
 * mid-file corruption behind a valid footer raises on read;
 * hostile input: a zlib bomb inflates only to its stated length, a
   CRC-valid footer that does not tile the file falls back to the scan,
-  and an index row its block or checkpoint contradicts raises;
+  an index row its block or checkpoint contradicts raises, and a header
+  with an unusable floor (or a JSONL header past the first line) is a
+  typed error, from ``load`` and from ``convert`` alike;
+* files whose header still carries the ``config`` key older writers
+  added load to the same state;
 * ``MutationLog.save`` (and the segment writer) are crash-atomic: a
   simulated crash mid-write leaves the previous log intact;
 * ``MutationLog.load`` rejects non-monotonic / below-floor epochs with
@@ -21,10 +25,14 @@ Covers the crash-safety contract end to end:
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import json
 import os
 import random
+import re
+import struct
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -46,6 +54,7 @@ from repro.store import (
     VersionedKnowledgeStore,
     atomic_write,
 )
+from repro.store import segment as segment_module
 
 
 def _document(index: int, text: str = "") -> Document:
@@ -57,6 +66,16 @@ def _document(index: int, text: str = "") -> Document:
         source="test",
         fact_id=f"fact{index % 5}",
     )
+
+
+@contextlib.contextmanager
+def _engine(**constants):
+    """The segment engine with some of its module constants changed (for
+    helpers that cannot take the ``monkeypatch`` fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(segment_module, name, value)
+        yield
 
 
 def _grow_store(batches: int, rng_seed: int = 11, batch_size: int = 4) -> VersionedKnowledgeStore:
@@ -93,18 +112,73 @@ def _grow_store(batches: int, rng_seed: int = 11, batch_size: int = 4) -> Versio
 # round-trip parity
 
 
-def test_segment_round_trip_digest_parity(tmp_path):
+def test_segment_round_trip_digest_parity(tmp_path, monkeypatch):
     store = _grow_store(80)
     jsonl_path = str(tmp_path / "log.jsonl")
     segment_path = str(tmp_path / "log.seg")
     store.save(jsonl_path, format="jsonl")
-    store.save(segment_path, format="segment", checkpoint_interval=50)
+    monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 50)
+    store.save(segment_path, format="segment")
 
     # The JSONL export replayed from zero is the reference path.
-    via_jsonl = VersionedKnowledgeStore.replay(MutationLog.load(jsonl_path)[0])
+    via_jsonl = VersionedKnowledgeStore.replay(MutationLog.load(jsonl_path))
     via_segment = VersionedKnowledgeStore.load(segment_path)
     assert via_segment.epoch == via_jsonl.epoch == store.epoch
     assert via_segment.state_digest() == via_jsonl.state_digest() == store.state_digest()
+
+    # Files saved before the rebuild thresholds became constants carry
+    # them in the header; nothing reads that key, so both load the same.
+    # (Re-heading with the header the writer wrote changes no byte.)
+    honest_header = _with_header(Path(segment_path), {"version": 1, "floor_epoch": 0})
+    assert Path(honest_header).read_bytes() == Path(segment_path).read_bytes()
+    old_segment = _with_header(Path(segment_path), dict(_OLD_HEADER, floor_epoch=0))
+    reader, honest = SegmentReader.open(old_segment), SegmentReader.open(segment_path)
+    assert not reader.recovered  # its footer tiles the file: the blocks moved intact
+    assert [b.crc for b in reader.blocks] == [b.crc for b in honest.blocks]
+    reader.close()
+    honest.close()
+    assert VersionedKnowledgeStore.load(old_segment).state_digest() == store.state_digest()
+    lines = Path(jsonl_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    assert "config" not in header
+    old_jsonl = tmp_path / "old.jsonl"
+    old_jsonl.write_text(
+        json.dumps(dict(header, **_OLD_HEADER), sort_keys=True) + "\n" + "".join(lines[1:]),
+        encoding="utf-8",
+    )
+    via_old = VersionedKnowledgeStore.replay(MutationLog.load(str(old_jsonl)))
+    assert via_old.state_digest() == store.state_digest()
+
+
+#: The header key every file saved before the rebuild thresholds became
+#: module constants carried (their values never changed).
+_OLD_HEADER = {
+    "version": 1,
+    "config": {"graph_rebuild_fraction": 0.5, "index_rebuild_fraction": 0.5},
+}
+
+
+def _with_header(path: Path, header: dict, name: str = "reheaded.seg") -> str:
+    """``path`` re-written under a CRC-valid ``header``: the blocks byte for
+    byte, the footer rows moved to where the blocks now lie."""
+    from repro.store.segment import _END_MAGIC, _FOOTER_TAIL, SEGMENT_MAGIC
+
+    data = path.read_bytes()
+    (old_len,) = struct.unpack_from("<I", data, len(SEGMENT_MAGIC))
+    data_start = len(SEGMENT_MAGIC) + 8 + old_len
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    footer_len, _, _ = _FOOTER_TAIL.unpack(data[-_FOOTER_TAIL.size:])
+    footer_start = len(data) - _FOOTER_TAIL.size - footer_len
+    rows = json.loads(zlib.decompress(data[footer_start:-_FOOTER_TAIL.size]))["blocks"]
+    moved = [[row[0], row[1] + len(raw) - old_len] + row[2:] for row in rows]
+    footer = zlib.compress(json.dumps({"blocks": moved}, separators=(",", ":")).encode(), 6)
+    out = path.with_name(name)
+    out.write_bytes(
+        SEGMENT_MAGIC + struct.pack("<II", len(raw), zlib.crc32(raw)) + raw
+        + data[data_start:footer_start]
+        + footer + _FOOTER_TAIL.pack(len(footer), zlib.crc32(footer), _END_MAGIC)
+    )
+    return str(out)
 
 
 def test_segment_smaller_than_jsonl(tmp_path):
@@ -116,13 +190,14 @@ def test_segment_smaller_than_jsonl(tmp_path):
     assert os.path.getsize(segment_path) < os.path.getsize(jsonl_path)
 
 
-def test_historical_snapshot_parity(tmp_path):
+def test_historical_snapshot_parity(tmp_path, monkeypatch):
     store = _grow_store(60)
     epochs = (1, store.epoch // 2, store.epoch - 1)
     # Taken before the save: from-zero replays of the in-memory log.
     expected = {epoch: store.snapshot(epoch) for epoch in epochs}
     segment_path = str(tmp_path / "log.seg")
-    store.save(segment_path, format="segment", checkpoint_interval=40)
+    monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 40)
+    store.save(segment_path, format="segment")
     via_segment = VersionedKnowledgeStore.load(segment_path)
     for epoch in epochs:
         for got in (via_segment.snapshot(epoch), store.snapshot(epoch)):
@@ -138,8 +213,6 @@ def test_a_saved_store_reads_its_segment_so_a_resave_encodes_nothing(
     """Only the first save of a never-loaded store encodes records and
     shadow-replays batches; the store then reads the file it wrote, so the
     next save copies it byte for byte and a historical snapshot seeks."""
-    from repro.store import segment as segment_module
-
     store = _grow_store(60)
     from_zero = store.log.fork()  # a plain log: replay starts at epoch 0
     calls = {"encode_record": 0, "_apply_batch": 0}
@@ -156,10 +229,11 @@ def test_a_saved_store_reads_its_segment_so_a_resave_encodes_nothing(
 
     monkeypatch.setattr(segment_module, "encode_record", counting_encode)
     monkeypatch.setattr(VersionedKnowledgeStore, "_apply_batch", counting_apply)
+    monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 40)
 
     def save(name: str) -> dict:
         calls.update(encode_record=0, _apply_batch=0)
-        store.save(str(tmp_path / name), checkpoint_interval=40)
+        store.save(str(tmp_path / name))
         return dict(calls)
 
     first = save("first.seg")
@@ -181,8 +255,6 @@ def test_a_saved_store_reads_its_segment_so_a_resave_encodes_nothing(
 
 
 def test_a_resave_after_new_batches_encodes_only_them(tmp_path, monkeypatch):
-    from repro.store import segment as segment_module
-
     store = _grow_store(30)
     store.save(str(tmp_path / "s"))
     store.apply([Mutation.add_triple("tail", "p0", "tail-object")])
@@ -202,11 +274,12 @@ def test_a_resave_after_new_batches_encodes_only_them(tmp_path, monkeypatch):
     assert reloaded.state_digest() == store.state_digest()
 
 
-def test_segment_load_seeks_instead_of_replaying(tmp_path):
+def test_segment_load_seeks_instead_of_replaying(tmp_path, monkeypatch):
     """Cold start restores the head checkpoint: no record block is decoded."""
     store = _grow_store(50)
     segment_path = str(tmp_path / "log.seg")
-    store.save(segment_path, format="segment", checkpoint_interval=10_000)
+    monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 10_000)
+    store.save(segment_path, format="segment")
     loaded = VersionedKnowledgeStore.load(segment_path)
     assert isinstance(loaded.log, SegmentBackedLog)
     stats = loaded.log.reader.page_cache.stats()
@@ -298,7 +371,8 @@ def test_service_ingest_on_segment_loaded_store(tmp_path):
 def _saved_segment(tmp_path, batches: int = 24, block_size: int = 512) -> tuple:
     store = _grow_store(batches, rng_seed=3)
     path = str(tmp_path / "crash.seg")
-    store.save(path, format="segment", checkpoint_interval=48, block_size=block_size)
+    with _engine(CHECKPOINT_INTERVAL=48, BLOCK_SIZE=block_size):
+        store.save(path, format="segment")
     with open(path, "rb") as handle:
         data = handle.read()
     return store, path, data
@@ -468,10 +542,12 @@ def test_truncation_at_any_offset_is_prefix_or_typed_error(tmp_path_factory, dat
     _assert_valid_prefix(store, truncated)
 
 
-def test_page_cache_eviction_and_stats(tmp_path):
+def test_page_cache_eviction_and_stats(tmp_path, monkeypatch):
     store, path, _ = _saved_segment(tmp_path, batches=40, block_size=384)
-    cache = PageCache(capacity=2)
-    reader = SegmentReader.open(path, page_cache=cache)
+    monkeypatch.setattr(segment_module, "PAGE_CACHE_BLOCKS", 2)
+    reader = SegmentReader.open(path)
+    cache = reader.page_cache
+    assert isinstance(cache, PageCache) and cache.stats()["capacity"] == 2
     log = SegmentBackedLog(reader)
     assert log.batches() == store.log.batches()  # full scan through 2 pages
     stats = cache.stats()
@@ -500,14 +576,14 @@ def _bomb_segment(tmp_path, footer: bool) -> str:
     """A segment header plus one CRC-valid record block whose header says
     one default-size block but whose payload inflates to 256 MiB."""
     from repro.store import SegmentWriter
-    from repro.store.segment import BLOCK_RECORDS, DEFAULT_BLOCK_SIZE, BlockInfo
+    from repro.store.segment import BLOCK_RECORDS, BLOCK_SIZE, BlockInfo
 
     comp = _bomb()
     path = tmp_path / "bomb.seg"
     with SegmentWriter(str(path)) as writer:
         header_end = writer._handle.tell()
         info = BlockInfo(
-            BLOCK_RECORDS, header_end, 0, 1, DEFAULT_BLOCK_SIZE, len(comp), zlib.crc32(comp), 1, 1
+            BLOCK_RECORDS, header_end, 0, 1, BLOCK_SIZE, len(comp), zlib.crc32(comp), 1, 1
         )
         writer.copy_raw_block(info, comp)
     if not footer:
@@ -559,12 +635,13 @@ def test_inflate_rejects_a_longer_shorter_or_trailing_stream():
     assert _inflate(b"not zlib", 100) is None
 
 
-def _one_triple_per_epoch(tmp_path, epochs: int = 30, **save_options) -> tuple:
+def _one_triple_per_epoch(tmp_path, epochs: int = 30, **constants) -> tuple:
     store = VersionedKnowledgeStore(name="forged")
     for epoch in range(epochs):
         store.apply([Mutation.add_triple(f"s{epoch}", "p", f"o{epoch}")])
     path = tmp_path / "honest.seg"
-    store.save(str(path), **save_options)
+    with _engine(**constants):
+        store.save(str(path))
     return store, path
 
 
@@ -635,12 +712,113 @@ def test_a_record_row_whose_epochs_the_block_does_not_span_raises(tmp_path):
 
 
 def test_a_checkpoint_row_at_another_epoch_raises(tmp_path):
-    _, path = _one_triple_per_epoch(tmp_path, checkpoint_interval=10)
+    _, path = _one_triple_per_epoch(tmp_path, CHECKPOINT_INTERVAL=10)
     forged = _with_footer(
         path, lambda rows: [row[:7] + [row[7] - 1, row[8] - 1] if row[0] == 1 else row for row in rows]
     )
     with pytest.raises(CorruptSegmentError, match="checkpoint holds epoch"):
         VersionedKnowledgeStore.load(forged)
+
+
+# ---------------------------------------------------------------------------
+# hostile input: headers
+
+#: ``floor_epoch`` values a CRC-valid header may carry that no writer
+#: produces: each used to load (``true`` as floor 1, ``2.7`` as 2) or to
+#: raise an untyped ``ValueError``.
+_BAD_FLOORS = ["abc", -3, True, 2.7]
+
+
+def _convert_exit(tmp_path, store: str) -> str:
+    """``convert``'s exit message for ``store``: it must stop with one
+    ``cannot read store log:`` line, not a traceback."""
+    from repro.benchmark.cli import main
+
+    argv = ["convert", "--store", store, "--output", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exited:
+        main(argv, stream=io.StringIO())
+    message = str(exited.value.code)
+    assert message.startswith("cannot read store log: ") and "\n" not in message
+    assert not (tmp_path / "out").exists()
+    return message
+
+
+@pytest.mark.parametrize("floor", _BAD_FLOORS, ids=repr)
+def test_a_segment_header_floor_that_is_not_a_non_negative_int_is_corrupt(tmp_path, floor):
+    _, path = _one_triple_per_epoch(tmp_path, epochs=3)
+    hostile = _with_header(path, {"version": 1, "floor_epoch": floor})
+    message = f"header floor_epoch {floor!r} is not a non-negative integer"
+    with pytest.raises(CorruptSegmentError, match=re.escape(message)):
+        SegmentReader.open(hostile)
+    with pytest.raises(CorruptSegmentError, match=re.escape(message)):
+        VersionedKnowledgeStore.load(hostile)
+    assert message in _convert_exit(tmp_path, hostile)
+
+
+def test_a_segment_header_that_is_not_an_object_is_corrupt(tmp_path):
+    _, path = _one_triple_per_epoch(tmp_path, epochs=3)
+    with pytest.raises(CorruptSegmentError, match="header is not a JSON object"):
+        VersionedKnowledgeStore.load(_with_header(path, [1, "floor_epoch"]))
+
+
+_RECORD = {"op": "add_triple", "subject": "a", "predicate": "p", "object": "b"}
+
+
+def test_a_jsonl_header_after_the_first_line_is_refused(tmp_path):
+    """A second header used to move the floor to 10 under records at
+    epochs 1-2: the log loaded as epoch 11 and ``convert`` died in the
+    segment writer."""
+    path = tmp_path / "two-headers.jsonl"
+    _write_jsonl(
+        path,
+        [
+            {"kind": "header", "version": 1, "floor_epoch": 0},
+            dict(_RECORD, epoch=1),
+            dict(_RECORD, subject="c", epoch=2),
+            {"kind": "header", "version": 1, "floor_epoch": 10},
+        ],
+    )
+    with pytest.raises(ValueError, match=r"two-headers\.jsonl:4: a header after the first line"):
+        MutationLog.load(str(path))
+    assert "two-headers.jsonl:4: a header after the first line" in _convert_exit(
+        tmp_path, str(path)
+    )
+
+
+@pytest.mark.parametrize("floor", _BAD_FLOORS, ids=repr)
+def test_a_jsonl_header_floor_that_is_not_a_non_negative_int_is_refused(tmp_path, floor):
+    path = tmp_path / "floor.jsonl"
+    _write_jsonl(path, [{"kind": "header", "version": 1, "floor_epoch": floor}])
+    message = f"floor.jsonl:1: header floor_epoch {floor!r} is not a non-negative integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MutationLog.load(str(path))
+    assert message in _convert_exit(tmp_path, str(path))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("{not json", "not valid JSON"), ("[1, 2]", "record is not a JSON object")],
+    ids=["not-json", "not-an-object"],
+)
+def test_a_jsonl_line_that_is_not_an_object_names_its_line(tmp_path, line, message):
+    path = tmp_path / "junk.jsonl"
+    path.write_text(
+        json.dumps({"kind": "header", "version": 1, "floor_epoch": 0}) + "\n" + line + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=rf"junk\.jsonl:2: {message}"):
+        MutationLog.load(str(path))
+
+
+def test_a_jsonl_header_may_follow_blank_lines(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text(
+        "\n" + json.dumps({"kind": "header", "version": 1, "floor_epoch": 4}) + "\n"
+        + json.dumps(dict(_RECORD, epoch=5)) + "\n",
+        encoding="utf-8",
+    )
+    log = MutationLog.load(str(path))
+    assert (log.floor_epoch, log.max_epoch) == (4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +933,7 @@ def test_load_accepts_grouped_equal_epochs(tmp_path):
             {"op": "add_triple", "subject": "e", "predicate": "p", "object": "f", "epoch": 2},
         ],
     )
-    log, _ = MutationLog.load(path)
+    log = MutationLog.load(path)
     assert [epoch for epoch, _ in log.batches()] == [1, 2]
 
 

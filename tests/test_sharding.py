@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import sys
 from contextlib import nullcontext
 
 import pytest
@@ -11,9 +12,8 @@ import pytest
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
 from repro.kg import Triple
-from repro.obs import Observability
+from repro.obs import Observability, Tracer
 from repro.retrieval.corpus import Document
-from repro.service import router as router_module
 from repro.service import (
     LoadGenerator,
     RequestOutcome,
@@ -691,14 +691,21 @@ class TestHitReadCost:
             for service in router.groups[router.shard_for(request)]:
                 await service.submit(request)
 
-    def _hit_reads(self, router, requests):
+    def _hit_reads(self, router, requests, profile=None):
+        """``READS`` hits after the warm-up, with ``profile`` (a
+        ``sys.setprofile`` hook) installed for the hits alone."""
+
         async def go():
             async with router:
                 await self._warm(router, requests)
-                return [
-                    await router.submit(requests[index % len(requests)])
-                    for index in range(self.READS)
-                ]
+                sys.setprofile(profile)
+                try:
+                    return [
+                        await router.submit(requests[index % len(requests)])
+                        for index in range(self.READS)
+                    ]
+                finally:
+                    sys.setprofile(None)
 
         responses = asyncio.run(go())
         assert all(
@@ -716,19 +723,29 @@ class TestHitReadCost:
         hashed, spans, labels = [], [], []
         point = sharding._point
         monkeypatch.setattr(sharding, "_point", lambda key: hashed.append(key) or point(key))
-        monkeypatch.setattr(
-            router_module,
-            "maybe_span",
-            lambda *args, **kwargs: spans.append(args) or nullcontext(None),
-            raising=False,
-        )
         label = router._replica_label
         monkeypatch.setattr(
             router,
             "_replica_label",
             lambda *args: labels.append(args) or label(*args),
         )
-        self._hit_reads(router, requests)
+        # Every way to open a span, or the null context a span-or-not
+        # branch would hand back, seen as Python calls by a profiler hook.
+        span_openers = {
+            code.__code__: code.__qualname__
+            for code in (Tracer.start_span, Tracer.span, Tracer.record_span, nullcontext.__init__)
+        }
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in span_openers:
+                spans.append(span_openers[frame.f_code])
+
+        sys.setprofile(profile)
+        nullcontext(None)  # the spy sees what it looks for
+        sys.setprofile(None)
+        assert spans == ["nullcontext.__init__"]
+        spans.clear()
+        self._hit_reads(router, requests, profile=profile)
         assert len(hashed) <= len(requests)
         assert spans == []
         assert labels == [], "a replica's label is formatted only on a fault"

@@ -38,10 +38,10 @@ from repro.store import (
     Mutation,
     MutationLog,
     ShardedStore,
-    StoreConfig,
     VersionedKnowledgeStore,
     read_mutations_jsonl,
 )
+from repro.store import store as store_module
 from repro.store.log import group_batches
 from repro.store.segment import SEGMENT_MAGIC
 
@@ -128,18 +128,6 @@ class TestMutationSerialisation:
         assert log.batches(after=1, upto=3) == [(2, batches[2])]
         assert group_batches([]) == []
 
-    def test_config_payload_round_trips_and_defaults_missing_keys(self):
-        config = StoreConfig(index_rebuild_fraction=0.1, graph_rebuild_fraction=0.05)
-        payload = config.as_payload()
-        assert json.loads(json.dumps(payload)) == payload
-        assert StoreConfig.from_payload(payload) == config
-        assert StoreConfig.from_payload({}) == StoreConfig()
-        assert StoreConfig.from_payload({"graph_rebuild_fraction": 0.2}) == StoreConfig(
-            graph_rebuild_fraction=0.2
-        )
-        with pytest.raises(ValueError, match="index_rebuild_fraction"):
-            StoreConfig.from_payload({"index_rebuild_fraction": 0.0})
-
 
 class TestApply:
     def test_epoch_advances_once_per_batch(self, store):
@@ -192,27 +180,33 @@ class TestReplayDeterminism:
             + [Mutation.add_document(d) for d in _documents(6, prefix="n")]
         )
         store.apply([Mutation.add_document(d) for d in _documents(4, prefix="m")])
-        twin = VersionedKnowledgeStore.replay(store.log, config=store.config)
+        twin = VersionedKnowledgeStore.replay(store.log)
         assert twin.epoch == store.epoch
         assert twin.state_digest() == store.state_digest()
         assert twin.graph.state_digest() == store.graph.state_digest()
 
-    def test_save_load_round_trip_preserves_state_and_config(self, store, tmp_path):
+    def test_save_load_round_trip_preserves_state_and_persists_no_config(
+        self, store, tmp_path
+    ):
         store.apply([Mutation.add_document(d) for d in _documents(3, prefix="x")])
         path = str(tmp_path / "store.seg")
         store.save(path)
         loaded = VersionedKnowledgeStore.load(path)
         assert loaded.epoch == store.epoch
         assert loaded.state_digest() == store.state_digest()
-        assert loaded.config == store.config
+        # The header holds the format and the floor; the rebuild thresholds
+        # live in the code that replays the file.
+        data = Path(path).read_bytes()
+        header_len = int.from_bytes(data[8:12], "little")
+        assert json.loads(data[16 : 16 + header_len]) == {"floor_epoch": 0, "version": 1}
 
-    def test_replay_honours_graph_rebuild_threshold_deterministically(self):
-        config = StoreConfig(graph_rebuild_fraction=0.05)
-        store = VersionedKnowledgeStore.bootstrap(triples=_triples(200), config=config)
+    def test_replay_honours_graph_rebuild_threshold_deterministically(self, monkeypatch):
+        monkeypatch.setattr(store_module, "GRAPH_REBUILD_FRACTION", 0.05)
+        store = VersionedKnowledgeStore.bootstrap(triples=_triples(200))
         live = list(store.graph)
         report = store.apply([Mutation.remove_triple(*t.as_tuple()) for t in live[:40]])
         assert report.graph_rebuilt  # 40/160 > 5%
-        twin = VersionedKnowledgeStore.replay(store.log, config=config)
+        twin = VersionedKnowledgeStore.replay(store.log)
         assert twin.graph.state_digest() == store.graph.state_digest()
 
     def test_mutations_jsonl_reader(self, tmp_path):
@@ -248,10 +242,9 @@ class TestIncrementalEqualsRebuild:
         assert report.index_strategy == "incremental"
         assert store.search_engine.state_digest() == SearchEngine(store.corpus).state_digest()
 
-    def test_index_rebuild_fallback_above_dirty_fraction(self):
-        store = VersionedKnowledgeStore.bootstrap(
-            documents=_documents(20), config=StoreConfig(index_rebuild_fraction=0.1)
-        )
+    def test_index_rebuild_fallback_above_dirty_fraction(self, monkeypatch):
+        monkeypatch.setattr(store_module, "INDEX_REBUILD_FRACTION", 0.1)
+        store = VersionedKnowledgeStore.bootstrap(documents=_documents(20))
         _ = store.search_engine
         report = store.apply([Mutation.add_document(d) for d in _documents(10, prefix="big")])
         assert report.index_strategy == "rebuild"
@@ -263,7 +256,7 @@ class TestIncrementalEqualsRebuild:
             [Mutation.remove_triple(*t.as_tuple()) for t in live[:15]]
             + [Mutation.add_triple(f"e{i}", "p2", f"e{i + 3}") for i in range(10)]
         )
-        scratch = VersionedKnowledgeStore.replay(store.log, config=store.config)
+        scratch = VersionedKnowledgeStore.replay(store.log)
         nodes = store.graph.nodes()
         assert nodes == scratch.graph.nodes()
         rng = random.Random(7)
@@ -328,7 +321,7 @@ class TestCompaction:
         assert store.epoch == epoch  # epochs stay monotonic across compaction
         assert store.log.floor_epoch == epoch
         # The invariant store == replay(log) still holds post-compaction.
-        twin = VersionedKnowledgeStore.replay(store.log, config=store.config)
+        twin = VersionedKnowledgeStore.replay(store.log)
         assert twin.state_digest() == store.state_digest()
         # And it round-trips through disk.
         path = str(tmp_path / "compacted.seg")
@@ -355,7 +348,7 @@ class TestAdoption:
         # The adopted objects themselves grew — no rebuild, no copies.
         assert store.corpus is corpus and store.search_engine is engine
         assert len(engine) == 31
-        twin = VersionedKnowledgeStore.replay(store.log, config=store.config)
+        twin = VersionedKnowledgeStore.replay(store.log)
         assert twin.state_digest() == store.state_digest()
 
     def test_adopt_rejects_foreign_engine(self):
@@ -393,13 +386,14 @@ class TestGraphCopy:
 
 
 class TestCoreOnlyGraphs:
-    def test_no_store_path_builds_string_indexes_nobody_asked_for(self, tmp_path):
+    def test_no_store_path_builds_string_indexes_nobody_asked_for(
+        self, tmp_path, monkeypatch
+    ):
         """A new store, a from-zero replay, a snapshot, a load, the re-intern
         and a compaction each hand back a graph that is its interned core
         until a string-level query runs."""
-        store = VersionedKnowledgeStore.bootstrap(
-            _triples(200), _documents(10), config=StoreConfig(graph_rebuild_fraction=0.05)
-        )
+        monkeypatch.setattr(store_module, "GRAPH_REBUILD_FRACTION", 0.05)
+        store = VersionedKnowledgeStore.bootstrap(_triples(200), _documents(10))
         assert not store.graph.hydrated
         report = store.apply(
             [Mutation.remove_triple(*t.as_tuple()) for t in list(store.graph)[:40]]
@@ -408,7 +402,7 @@ class TestCoreOnlyGraphs:
         from_zero = store.log.fork()  # a plain log: replay starts at epoch 0
         path = str(tmp_path / "s")
         store.save(path)
-        replayed = VersionedKnowledgeStore.replay(from_zero, config=store.config)
+        replayed = VersionedKnowledgeStore.replay(from_zero)
         compacted = VersionedKnowledgeStore.load(path)
         compacted.compact()
         graphs = {
@@ -537,19 +531,21 @@ class TestOneDurableFormat:
                 assert handle.read(len(SEGMENT_MAGIC)) == SEGMENT_MAGIC, path
             assert _digest(VersionedKnowledgeStore.load(path)) == live_digest, path
 
-    def test_convert_exports_and_imports_without_being_told_which(self, tmp_path):
+    def test_convert_exports_and_imports_without_being_told_which(
+        self, tmp_path, monkeypatch
+    ):
         segment, exported, imported = (str(tmp_path / n) for n in ("s", "e.jsonl", "s2"))
-        store = VersionedKnowledgeStore.bootstrap(
-            _triples(60), _documents(10), config=StoreConfig(graph_rebuild_fraction=0.05)
-        )
+        monkeypatch.setattr(store_module, "GRAPH_REBUILD_FRACTION", 0.05)
+        store = VersionedKnowledgeStore.bootstrap(_triples(60), _documents(10))
         store.apply([Mutation.remove_triple(*t.as_tuple()) for t in list(store.graph)[:20]])
         store.save(segment)
         assert "(jsonl)" in _cli("convert", "--store", segment, "--output", exported)
-        assert json.loads(Path(exported).read_text().splitlines()[0])["kind"] == "header"
+        assert json.loads(Path(exported).read_text().splitlines()[0]) == {
+            "floor_epoch": 0, "kind": "header", "version": 1
+        }
         assert "(segment)" in _cli("convert", "--store", exported, "--output", imported)
         reloaded = VersionedKnowledgeStore.load(imported)
         assert _digest(reloaded) == _digest(store)
-        assert reloaded.config == store.config
 
     def test_format_is_one_argument_of_one_method(self, tmp_path):
         from repro.benchmark.cli import build_service_parser

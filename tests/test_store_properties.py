@@ -37,9 +37,10 @@ from repro.store import (
     ReplicaDivergedError,
     ReplicaGroup,
     ShardedStore,
-    StoreConfig,
     VersionedKnowledgeStore,
 )
+from repro.store import segment as segment_module
+from repro.store import store as store_module
 
 NUM_SHARDS = 3
 
@@ -160,16 +161,15 @@ def test_any_sharded_interleaving_replays_byte_identical(seed):
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_aggressive_rebuild_thresholds_replay_identically(seed):
+def test_aggressive_rebuild_thresholds_replay_identically(seed, monkeypatch):
     # Tiny dirty fractions force the rebuild fallbacks (index rebuild,
     # graph re-interning) to fire repeatedly; the decisions are functions
     # of the log, so replay must take the same branches and stay identical.
-    config = StoreConfig(index_rebuild_fraction=0.01, graph_rebuild_fraction=0.05)
+    monkeypatch.setattr(store_module, "INDEX_REBUILD_FRACTION", 0.01)
+    monkeypatch.setattr(store_module, "GRAPH_REBUILD_FRACTION", 0.05)
     rng = random.Random(seed)
     triples, documents, batches = _random_history(rng, operations=90)
-    store = ShardedStore.partition(
-        triples, documents, num_shards=NUM_SHARDS, config=config
-    )
+    store = ShardedStore.partition(triples, documents, num_shards=NUM_SHARDS)
     for shard in store.shards:
         _ = shard.search_engine
     for batch in batches:
@@ -179,7 +179,7 @@ def test_aggressive_rebuild_thresholds_replay_identically(seed):
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
-def test_unsharded_history_replay_and_snapshots(seed, tmp_path):
+def test_unsharded_history_replay_and_snapshots(seed, tmp_path, monkeypatch):
     rng = random.Random(seed)
     triples, documents, batches = _random_history(rng, operations=80)
     store = VersionedKnowledgeStore.bootstrap(triples=triples, documents=documents)
@@ -194,20 +194,19 @@ def test_unsharded_history_replay_and_snapshots(seed, tmp_path):
         )
 
     # Full replay reproduces the head digest...
-    twin = VersionedKnowledgeStore.replay(store.log, config=store.config)
+    twin = VersionedKnowledgeStore.replay(store.log)
     assert twin.state_digest() == store.state_digest()
     # ...bounded replay reproduces every historical digest...
     for epoch in sorted(digests_by_epoch):
-        partial = VersionedKnowledgeStore.replay(
-            store.log, config=store.config, upto=epoch
-        )
+        partial = VersionedKnowledgeStore.replay(store.log, upto=epoch)
         assert partial.epoch == epoch
         assert partial.state_digest() == digests_by_epoch[epoch], (
             f"seed {seed}: epoch {epoch} not reproducible from the log"
         )
     # ...and a save/load round-trip preserves all of it.
     path = str(tmp_path / "store.jsonl")
-    store.save(path, checkpoint_interval=25)
+    monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 25)
+    store.save(path)
     loaded = VersionedKnowledgeStore.load(path)
     assert loaded.state_digest() == store.state_digest()
     # ...and the saved store, which now seeks its own file's checkpoints.
@@ -243,7 +242,7 @@ def test_any_interleaving_log_ships_byte_identical_replicas(seed):
         _assert_path_parity(primary, replica, check_rng)
         # Each replica's own log is a complete, independently replayable
         # history of the shipped batches.
-        twin = VersionedKnowledgeStore.replay(replica.log, config=replica.config)
+        twin = VersionedKnowledgeStore.replay(replica.log)
         assert twin.state_digest() == replica.state_digest()
 
 
@@ -461,7 +460,7 @@ def test_log_persistence_round_trips_random_mutations(tmp_path):
         log.append_batch(epoch, batch)
     path = str(tmp_path / "log.jsonl")
     log.save(path)
-    loaded, _ = MutationLog.load(path)
+    loaded = MutationLog.load(path)
     assert len(loaded) == len(log)
     assert [
         (epoch, mutation.to_json()) for epoch, mutation in loaded
