@@ -522,7 +522,11 @@ def _run_convert(args, stream: TextIO) -> int:
     except OSError as exc:
         raise SystemExit(f"cannot read store log: {exc}")
     digest = store.state_digest(include_index=False)
-    store.save(args.output, format=target)
+    try:
+        # An export decodes every record block the load left unread.
+        store.save(args.output, format=target)
+    except CorruptSegmentError as exc:
+        raise SystemExit(f"cannot read store log: {exc}")
     reload = VersionedKnowledgeStore.load if target == "segment" else _replay_jsonl
     if reload(args.output).state_digest(include_index=False) != digest:
         raise SystemExit(

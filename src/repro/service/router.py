@@ -12,9 +12,14 @@ Routing and consistency:
 * **Reads** route by consistent hash of the fact's subject entity — the
   same :class:`~repro.store.sharding.HashRing` the store partition uses —
   to the owning *shard*, then a load balancer picks one of the shard's
-  replicas: healthy replicas are ordered by queue depth (least pending
-  first) with a round-robin tie-break, so single-fact reads fan out across
-  the whole group instead of serialising through one worker.
+  replicas.  In a group that caches verdicts, each verdict coordinate has
+  a **home** replica (a process-stable hash of its dataset, fact id,
+  method and model), and its reads go there unless the home is out of the
+  rotation or at least one full batch deeper than the shallowest healthy
+  sibling — so the group's caches divide the shard's coordinates instead
+  of each holding the same ones.  A cacheless group orders healthy
+  replicas by queue depth (least pending first) with a round-robin
+  tie-break, so single-fact reads fan out across the whole group.
 * **Batches** scatter-gather: :meth:`submit_many` fans a multi-fact batch
   out to the owning shards concurrently and merges the responses back in
   submission order — a deterministic merge, so the gathered verdicts are
@@ -51,6 +56,7 @@ import contextlib
 import operator
 import random
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -108,6 +114,10 @@ ROUTER_METRIC_NAMES = (
 #: Bound on the last-known-good verdict cache backing graceful degradation
 #: (LRU-evicted beyond it).
 STALE_CACHE_CAPACITY = 4096
+
+#: Bound on the router's per-coordinate home-replica memo, emptied whole
+#: when full (a miss costs only the crc32 it would cost without one).
+HOME_MEMO_CAPACITY = 4096
 
 #: Most queued batches one background drain tick applies; the rest wait for
 #: the next tick, so a backlogged edge never monopolises the event loop and
@@ -620,9 +630,18 @@ class ShardedValidationService:
         ]
         self.metrics = RouterMetrics(self)
         self._rr = [0] * len(self.groups)
-        # Replica indexes by round-robin distance from each offset.
+        # Replica indexes by rotation distance from each offset.
         size = len(self.groups[0])
         self._rotations = [[(rr + step) % size for step in range(size)] for rr in range(size)]
+        # Per shard, the queue-depth lead at which a caching group's home
+        # replica yields its reads to a shallower sibling: one full batch.
+        # None: a cacheless group, which round-robins.
+        self._home_lead: List[Optional[int]] = [
+            group[0].config.max_batch_size if group[0].cache is not None else None
+            for group in self.groups
+        ]
+        # (dataset, fact_id, method, model) -> home replica index.
+        self._homes: Dict[Tuple[str, str, str, str], int] = {}
         self._closed = False
         # Replicas hard-stopped by kill_replica: their store copies missed
         # every ingest since the kill, so they must never rejoin — not even
@@ -1147,15 +1166,17 @@ class ShardedValidationService:
         ineligible, faulted, or unknown region falls back to the primary
         tier, so the edge tier never adds a failure mode.
 
-        The balancer picks the least-loaded healthy replica first (round-
-        robin tie-break); an untraced read asks that replica's cache step
-        (:meth:`ValidationService.cached`) and answers a hit here, else takes
-        the attempt loop from that same order.  A faulted attempt — raise, stall past
-        ``request_timeout_s``, or a replica killed mid-request — marks the
-        replica and retries on the next sibling, so single-replica faults
-        are invisible to the caller.  Load shedding still surfaces as
-        ``REJECTED`` (that is the owning replica's admission control
-        speaking, not a fault).
+        The balancer (:meth:`_replica_order`) picks the request's home
+        replica first in a caching group (unless it is out or a full batch
+        deeper than a sibling), else the least-loaded healthy replica
+        (round-robin tie-break); an untraced read asks that replica's cache
+        step (:meth:`ValidationService.cached`) and answers a hit here, else
+        takes the attempt loop from that same order.  A faulted attempt —
+        raise, stall past ``request_timeout_s``, or a replica killed
+        mid-request — marks the replica and retries on the next sibling, so
+        single-replica faults are invisible to the caller.  Load shedding
+        still surfaces as ``REJECTED`` (that is the owning replica's
+        admission control speaking, not a fault).
 
         When every replica of one pass faults and a ``retry_policy`` is
         set, the router backs off (jittered exponential, on the router
@@ -1183,7 +1204,7 @@ class ShardedValidationService:
             if response is not None:
                 return response
         if self._tracer is None:
-            order = self._replica_order(shard_index)
+            order = self._replica_order(shard_index, request)
             hit = order and self.groups[shard_index][order[0]].cached(request, time.perf_counter())
             if not hit:
                 return await self._submit_inner(request, shard_index, None, order)
@@ -1346,7 +1367,7 @@ class ShardedValidationService:
         """
         group = self.groups[shard_index]
         timed_out = False
-        order = self._replica_order(shard_index) if order is None else order
+        order = self._replica_order(shard_index, request) if order is None else order
         for replica_index in order:
             service = group[replica_index]
             timeout_s = self.request_timeout_s
@@ -1633,9 +1654,19 @@ class ShardedValidationService:
             return f"shard {shard_index}"
         return f"shard {shard_index} replica {replica_index}"
 
-    def _replica_order(self, shard_index: int) -> List[int]:
-        """Balancer pick order: probe-due canary, then healthy replicas by
-        queue depth (round-robin tie-break), then unhealthy last resorts.
+    def _replica_order(self, shard_index: int, request: ServiceRequest) -> List[int]:
+        """Balancer pick order: probe-due canary, then the healthy rotation,
+        then unhealthy last resorts.
+
+        In a group that caches verdicts, the rotation starts at the
+        request's **home** replica, so each replica caches its own share of
+        the shard's coordinates instead of all of them; it is re-sorted by
+        queue depth only when its head is at least one full batch deeper
+        than the shallowest healthy sibling.  A cacheless group's rotation
+        starts at a round-robin offset and is sorted by queue depth whenever
+        depths differ.  A stopped or unhealthy home's reads go to the next
+        healthy replica in its rotation, and come back once it is
+        readmitted.
 
         Unhealthy-but-running replicas stay at the tail so a shard whose
         every replica is marked down still *tries* (a request is the
@@ -1647,9 +1678,17 @@ class ShardedValidationService:
         healths = self.health[shard_index]
         if len(group) == 1:
             return [0]
-        offset = self._rr[shard_index]
-        self._rr[shard_index] = (offset + 1) % len(group)
-        # Round-robin distance order, so a stable sort by queue depth alone
+        lead = self._home_lead[shard_index]
+        if lead is None:
+            offset = self._rr[shard_index]
+            self._rr[shard_index] = (offset + 1) % len(group)
+        else:
+            fact = request.fact
+            key = (fact.dataset, fact.fact_id, request.method, request.model)
+            offset = self._homes.get(key)
+            if offset is None:
+                offset = self._home(key)
+        # Rotation distance order, so a stable sort by queue depth alone
         # is the (depth, distance) order — and equal depths need none.
         healthy = [
             index
@@ -1657,7 +1696,9 @@ class ShardedValidationService:
             if healths[index].healthy and not group[index]._closed
         ]
         depths = [group[index].pending for index in healthy]
-        if depths and min(depths) != max(depths):
+        if depths and (
+            min(depths) != max(depths) if lead is None else depths[0] - min(depths) >= lead
+        ):
             healthy.sort(key=lambda index: group[index].pending)
         if len(healthy) == len(group):
             return healthy
@@ -1686,6 +1727,16 @@ class ShardedValidationService:
         order.extend(healthy)
         order.extend(sorted(resting))
         return order
+
+    def _home(self, key: Tuple[str, str, str, str]) -> int:
+        """The home replica of one verdict coordinate: its crc32 (stable
+        across processes, unlike the builtin ``hash``) modulo the group
+        size, memoised."""
+        if len(self._homes) >= HOME_MEMO_CAPACITY:
+            self._homes.clear()
+        digest = zlib.crc32("\0".join(key).encode("utf-8"))
+        home = self._homes[key] = digest % self.num_replicas
+        return home
 
     def _record_success(self, shard_index: int, replica_index: int) -> None:
         health = self.health[shard_index][replica_index]

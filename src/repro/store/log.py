@@ -298,11 +298,10 @@ class MutationLog:
 
         Raises :class:`ValueError` (with the offending line number) for a
         line that is not a JSON object, a header anywhere but the first
-        non-blank line, a header floor that is not a non-negative integer,
-        and a record whose epoch is missing, below the header floor, or
-        breaks the grouped-monotonic ordering :meth:`append_batch` would
-        have enforced at write time.  Header keys other than
-        ``floor_epoch`` are not read.
+        non-blank line, a header whose ``version`` is not ``1``, a header
+        floor that is not a non-negative integer, and a record whose epoch
+        is missing, below the header floor, or breaks the grouped-monotonic
+        ordering :meth:`append_batch` would have enforced at write time.
         """
         log = cls()
         last_epoch: Optional[int] = None
@@ -322,6 +321,9 @@ class MutationLog:
                 if record.get("kind") == "header":
                     if not first:
                         raise ValueError(f"{where}: a header after the first line")
+                    version = record.get("version")
+                    if type(version) is not int or version != 1:
+                        raise ValueError(f"{where}: header version {version!r} is not 1")
                     floor = record.get("floor_epoch", 0)
                     if not is_floor_epoch(floor):
                         raise ValueError(

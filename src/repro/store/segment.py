@@ -211,6 +211,8 @@ def decode_records(payload: bytes, count: int, where: str) -> List[Tuple[int, Mu
             records.append((epoch, mutation))
     except struct.error as exc:
         raise CorruptSegmentError(f"{where}: truncated record ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptSegmentError(f"{where}: record field is not UTF-8 ({exc})") from exc
     if offset != limit:
         raise CorruptSegmentError(f"{where}: {limit - offset} trailing bytes in block")
     return records

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,8 @@ from repro.chaos import (
 )
 from repro.chaos.faults import parse_edge_target, parse_replica_target
 from repro.chaos.scenario import GeoOptions, Invariants, Topology
+from repro.datasets.base import LabeledFact
+from repro.kg import Triple
 from repro.service import (
     RequestOutcome,
     RetryPolicy,
@@ -431,14 +434,15 @@ class TestProbeTimingOnVirtualClock:
             probe_interval_s=0.25,
             clock=clock,
         )
+        request = ServiceRequest(runner.dataset("factbench")[0], "dka", "gemma2:9b")
         mark_unhealthy(router, 0, 1)
         # Resting: the unhealthy replica stays at the tail as a last resort.
-        assert router._replica_order(0) == [0, 1]
+        assert router._replica_order(0, request) == [0, 1]
         assert router.health[0][1].probes == 0
         clock.advance(0.2)  # not yet due
-        assert router._replica_order(0) == [0, 1]
+        assert router._replica_order(0, request) == [0, 1]
         clock.advance(0.1)  # 0.3 s > probe_interval_s: probe due
-        order = router._replica_order(0)
+        order = router._replica_order(0, request)
         assert order[0] == 1, "probe-due replica should head the pick order"
         assert router.health[0][1].probes == 1
         assert router.health[0][1].probing
@@ -474,7 +478,7 @@ class TestProbeTimingOnVirtualClock:
                 released = (health.probing, health.probes)
                 # Once due again, the replica is probed again.
                 clock.advance(10.0)
-                return response, released, router._replica_order(0), health
+                return response, released, router._replica_order(0, request), health
 
         response, released, order, health = asyncio.run(go())
         assert "request deadline exhausted before trying shard 0 replica 1" in (
@@ -498,16 +502,26 @@ class TestProbeTimingOnVirtualClock:
         ]
 
 
-def _reference_replica_order(self, shard_index):
+def _reference_replica_order(self, shard_index, request):
     """The balancer's pick order as it was computed with a per-read sort:
     the body of ``ShardedValidationService._replica_order`` before the
-    selector stopped classifying fully healthy shards, kept verbatim."""
+    selector stopped classifying fully healthy shards, kept verbatim for a
+    cacheless group, plus the home rule for a caching one: rotate from the
+    request's home replica (the crc32 of its dataset, fact id, method and
+    model) and sort by depth only when the first healthy replica is at
+    least one full batch deeper than the shallowest."""
     group = self.groups[shard_index]
     healths = self.health[shard_index]
     if len(group) == 1:
         return [0]
-    offset = self._rr[shard_index]
-    self._rr[shard_index] = (offset + 1) % len(group)
+    caching = group[0].cache is not None
+    if caching:
+        fact = request.fact
+        coordinate = f"{fact.dataset}\0{fact.fact_id}\0{request.method}\0{request.model}"
+        offset = zlib.crc32(coordinate.encode()) % len(group)
+    else:
+        offset = self._rr[shard_index]
+        self._rr[shard_index] = (offset + 1) % len(group)
     now = self.clock.now()
     healthy = []
     due = []
@@ -525,9 +539,17 @@ def _reference_replica_order(self, shard_index):
             due.append(replica_index)
         else:
             resting.append(replica_index)
-    healthy.sort(
-        key=lambda index: (group[index].pending, (index - offset) % len(group))
-    )
+
+    def by_depth(index):
+        return (group[index].pending, (index - offset) % len(group))
+
+    if caching:
+        healthy.sort(key=lambda index: (index - offset) % len(group))
+        shallowest = min((group[index].pending for index in healthy), default=0)
+        if healthy and group[healthy[0]].pending - shallowest >= group[0].config.max_batch_size:
+            healthy.sort(key=by_depth)
+    else:
+        healthy.sort(key=by_depth)
     order = []
     if due:
         probe = min(due, key=lambda index: healths[index].marked_unhealthy_at)
@@ -544,12 +566,20 @@ def _reference_replica_order(self, shard_index):
 class _StubReplica:
     """What the balancer reads of a replica service, and what start() calls."""
 
-    def __init__(self, pending: int, stopped: bool) -> None:
+    def __init__(self, pending: int, stopped: bool, config: ServiceConfig) -> None:
         self.pending = pending
         self._closed = stopped
+        self.config = config
+        self.cache = {} if config.enable_cache else None
 
     async def start(self) -> None:
         self._closed = False
+
+
+def _request(fact_id: str, method: str, model: str) -> ServiceRequest:
+    triple = Triple(f"{fact_id}-subject", "p", "o")
+    fact = LabeledFact(fact_id, triple, True, "factbench", "subject", "o", "p")
+    return ServiceRequest(fact, method, model)
 
 
 _replica_state = st.fixed_dictionaries(
@@ -562,9 +592,17 @@ _replica_state = st.fixed_dictionaries(
     }
 )
 
+_requests = st.builds(
+    _request,
+    st.sampled_from([f"factbench-{index:06d}" for index in range(8)]),
+    st.sampled_from(["dka", "giv-z", "rag"]),
+    st.sampled_from(["gemma2:9b", "qwen2.5:7b"]),
+)
+
 
 class TestBalancerOrder:
-    """The selector's order and side effects equal the sorting reference's."""
+    """The selector's order and side effects equal the sorting reference's,
+    for cacheless (round-robin) and caching (home replica) groups."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -572,8 +610,13 @@ class TestBalancerOrder:
         size=st.integers(1, 4),
         shards=st.integers(1, 2),
         now=st.floats(0.0, 2.0),
+        config=st.builds(
+            ServiceConfig, max_batch_size=st.integers(1, 4), enable_cache=st.booleans()
+        ),
     )
-    def test_order_and_health_match_the_sorting_reference(self, data, size, shards, now):
+    def test_order_and_health_match_the_sorting_reference(
+        self, data, size, shards, now, config
+    ):
         clock = VirtualClock(now)
         groups = []
         for _ in range(shards):
@@ -581,7 +624,7 @@ class TestBalancerOrder:
             groups.append(states)
         router = ShardedValidationService(
             [
-                [_StubReplica(state["pending"], state["stopped"]) for state in states]
+                [_StubReplica(state["pending"], state["stopped"], config) for state in states]
                 for states in groups
             ],
             probe_interval_s=0.25,
@@ -613,13 +656,14 @@ class TestBalancerOrder:
             elif step == "start":
                 asyncio.run(router.start())
             for shard_index in range(shards):
+                request = data.draw(_requests)
                 rr = list(router._rr)
                 healths = [replace(health) for health in router.health[shard_index]]
-                reference = _reference_replica_order(router, shard_index)
+                reference = _reference_replica_order(router, shard_index, request)
                 expected = (list(router._rr), list(router.health[shard_index]))
                 router._rr[:] = rr
                 router.health[shard_index][:] = healths
-                order = router._replica_order(shard_index)
+                order = router._replica_order(shard_index, request)
                 assert isinstance(order, list)
                 assert order == reference
                 assert (router._rr, router.health[shard_index]) == expected

@@ -365,9 +365,24 @@ class TestStorageEngineDocsComplete:
             "GRAPH_REBUILD_FRACTION": "store",
         }
 
+    def test_the_serving_memo_bounds_table_matches_the_code(self):
+        import importlib
+
+        text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+        section = text.split("### Serving memo bounds", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)/(\w+)\.py` \| `(\d+)` \|", section, re.M)
+        assert [name for name, *_ in rows] == [
+            "RING_MEMO_CAPACITY", "HOME_MEMO_CAPACITY", "STALE_CACHE_CAPACITY"
+        ]
+        for name, package, module, value in rows:
+            actual = getattr(importlib.import_module(f"repro.{package}.{module}"), name)
+            assert int(value) == actual, f"row `{name}` says {value}, code has {actual}"
+
     def test_docs_state_what_a_hostile_header_does(self):
         operations = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
-        for needle in ("A hostile segment header", "A hostile JSONL header"):
+        for needle in (
+            "A hostile segment header", "A hostile JSONL header", "A record field that is not UTF-8"
+        ):
             assert needle in operations, f"operations.md cheat-sheet misses {needle!r}"
         architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
         assert "JSON {version, floor_epoch}  " in architecture

@@ -1020,9 +1020,8 @@ class TestFrontendTracing:
                 frontend = TCPValidationFrontend(router, {"factbench": dataset})
                 frontend.set_observability(obs)
                 async with frontend:
-                    shard = router.shard_for(
-                        ServiceRequest(fact, "dka", "gemma2:9b")
-                    )
+                    request = ServiceRequest(fact, "dka", "gemma2:9b")
+                    shard = router.shard_for(request)
                     # The replica the balancer picks first dies mid-call
                     # (an injected error — a pre-kill would leave the
                     # rotation before any attempt), so the request's first
@@ -1030,7 +1029,7 @@ class TestFrontendTracing:
                     # Peek the balancer's next pick without perturbing its
                     # round-robin state (the order call advances it).
                     rr = router._rr[shard]
-                    victim = router._replica_order(shard)[0]
+                    victim = router._replica_order(shard, request)[0]
                     router._rr[shard] = rr
                     injector = FaultInjector(
                         FaultSchedule(

@@ -810,6 +810,48 @@ def test_a_jsonl_line_that_is_not_an_object_names_its_line(tmp_path, line, messa
         MutationLog.load(str(path))
 
 
+@pytest.mark.parametrize("version", [2, 0, "1", True, None], ids=repr)
+def test_a_jsonl_header_of_another_version_is_refused(tmp_path, version):
+    """``version`` used to go unread: a version-2 export imported as 1."""
+    path = tmp_path / "version.jsonl"
+    header = {"kind": "header", "floor_epoch": 0}
+    if version is not None:
+        header["version"] = version
+    _write_jsonl(path, [header, dict(_RECORD, epoch=1)])
+    message = f"version.jsonl:1: header version {version!r} is not 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MutationLog.load(str(path))
+    assert message in _convert_exit(tmp_path, str(path))
+
+
+def test_a_record_field_that_is_not_utf8_is_corrupt(tmp_path, monkeypatch):
+    """A CRC-valid record block holding a non-UTF-8 field used to raise
+    ``UnicodeDecodeError`` out of every read that decoded it, and
+    ``convert`` ended in a traceback."""
+    store = VersionedKnowledgeStore(name="forged")
+    for epoch in range(3):
+        store.apply([Mutation.add_triple(f"subject{epoch}", "p", f"o{epoch}")])
+    encode_record = segment_module.encode_record
+    monkeypatch.setattr(
+        segment_module,
+        "encode_record",
+        lambda epoch, mutation: encode_record(epoch, mutation).replace(
+            b"subject1", b"\xffubject1"
+        ),
+    )
+    path = str(tmp_path / "forged.seg")
+    store.save(path)
+    monkeypatch.undo()
+    message = "record field is not UTF-8"
+    with pytest.raises(CorruptSegmentError, match=rf"forged\.seg@\d+: {message}"):
+        VersionedKnowledgeStore.load(path).snapshot(1)
+    reader = SegmentReader.open(path)
+    with pytest.raises(CorruptSegmentError, match=message):
+        list(reader.iter_records())
+    reader.close()
+    assert message in _convert_exit(tmp_path, path)
+
+
 def test_a_jsonl_header_may_follow_blank_lines(tmp_path):
     path = tmp_path / "blank.jsonl"
     path.write_text(

@@ -5,12 +5,13 @@ from __future__ import annotations
 import asyncio
 import random
 import sys
+import zlib
 from contextlib import nullcontext
 
 import pytest
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
-from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
+from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec, VirtualClock
 from repro.kg import Triple
 from repro.obs import Observability, Tracer
 from repro.retrieval.corpus import Document
@@ -34,7 +35,13 @@ from repro.store import (
 )
 from repro.store import sharding
 from repro.store.sharding import RING_MEMO_CAPACITY
-from support import build_mixed_workload, epochs_served, parse_exposition, session_vector
+from support import (
+    build_mixed_workload,
+    epochs_served,
+    mark_unhealthy,
+    parse_exposition,
+    session_vector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -671,18 +678,42 @@ def _submit_calls(monkeypatch):
     return calls
 
 
+def _subject_requests(runner, subjects=40, model="gemma2:9b"):
+    """One ``dka`` request per subject, for the first ``subjects`` subjects."""
+    by_subject = {}
+    for fact in runner.dataset("factbench"):
+        by_subject.setdefault(fact.triple.subject, fact)
+    facts = list(by_subject.values())[:subjects]
+    assert len(facts) == subjects
+    return [ServiceRequest(fact, "dka", model) for fact in facts]
+
+
+def _home(request, replicas=2):
+    """A request's home replica, derived here from the definition: the crc32
+    of its dataset, fact id, method and model, joined by NUL bytes."""
+    fact = request.fact
+    coordinate = f"{fact.dataset}\0{fact.fact_id}\0{request.method}\0{request.model}"
+    return zlib.crc32(coordinate.encode()) % replicas
+
+
+async def _served_by(router, request):
+    """One read, and the ``(shard, replica)`` whose served count it moved."""
+    before = [[health.served for health in healths] for healths in router.health]
+    response = await router.submit(request)
+    moved = [
+        (shard, replica)
+        for shard, healths in enumerate(router.health)
+        for replica, health in enumerate(healths)
+        if health.served != before[shard][replica]
+    ]
+    assert len(moved) == 1
+    return response, moved[0]
+
+
 class TestHitReadCost:
     """What a cache-hit read through a 2x2 router does, in counts."""
 
     READS = 2000
-
-    def _requests(self, runner, subjects=40):
-        by_subject = {}
-        for fact in runner.dataset("factbench"):
-            by_subject.setdefault(fact.triple.subject, fact)
-        facts = list(by_subject.values())[:subjects]
-        assert len(facts) == subjects
-        return [ServiceRequest(fact, "dka", "gemma2:9b") for fact in facts]
 
     @staticmethod
     async def _warm(router, requests):
@@ -719,10 +750,12 @@ class TestHitReadCost:
         router = ShardedValidationService.from_runner(
             wide_runner, 2, ServiceConfig(), replicas=2
         )
-        requests = self._requests(wide_runner)
-        hashed, spans, labels = [], [], []
+        requests = _subject_requests(wide_runner)
+        hashed, homed, spans, labels = [], [], [], []
         point = sharding._point
         monkeypatch.setattr(sharding, "_point", lambda key: hashed.append(key) or point(key))
+        home = router._home
+        monkeypatch.setattr(router, "_home", lambda key: homed.append(key) or home(key))
         label = router._replica_label
         monkeypatch.setattr(
             router,
@@ -747,6 +780,7 @@ class TestHitReadCost:
         spans.clear()
         self._hit_reads(router, requests, profile=profile)
         assert len(hashed) <= len(requests)
+        assert len(homed) <= len(requests), "a coordinate's home is hashed once"
         assert spans == []
         assert labels == [], "a replica's label is formatted only on a fault"
 
@@ -755,38 +789,42 @@ class TestHitReadCost:
         self, wide_runner, monkeypatch, timeout_s
     ):
         """The router answers a hit from the replica's cache step in its own
-        frame; only a miss goes through ``submit``.  Each read advances its
-        shard's round-robin once, so the two replicas split it evenly."""
+        frame; only a miss goes through ``submit``.  Each coordinate is
+        served by its home replica alone, and every replica is some
+        coordinate's home."""
         router = ShardedValidationService.from_runner(
             wide_runner, 2, ServiceConfig(), replicas=2, request_timeout_s=timeout_s
         )
-        requests = self._requests(wide_runner)
+        requests = _subject_requests(wide_runner)
         reads = [requests[index % len(requests)] for index in range(self.READS)]
 
         async def go():
             async with router:
                 await self._warm(router, requests)
                 calls = _submit_calls(monkeypatch)
-                hits = [await router.submit(request) for request in reads]
+                hits, servers = [], {}
+                for request in reads:
+                    response, server = await _served_by(router, request)
+                    hits.append(response)
+                    servers.setdefault(request.fact.fact_id, set()).add(server)
                 hit_calls = len(calls)
-                served = [[health.served for health in healths] for healths in router.health]
                 miss = await router.submit(ServiceRequest(requests[0].fact, "dka", "qwen2.5:7b"))
-                return hits, hit_calls, served, miss, len(calls)
+                return hits, hit_calls, servers, miss, len(calls)
 
-        hits, hit_calls, served, miss, calls = asyncio.run(go())
+        hits, hit_calls, servers, miss, calls = asyncio.run(go())
         assert all(r.outcome is RequestOutcome.COMPLETED and r.cached for r in hits)
         assert hit_calls == 0
         assert not miss.cached and calls == 1
-        per_shard = [sum(router.shard_for(r) == shard for r in reads) for shard in range(2)]
-        assert served == [[count // 2] * 2 for count in per_shard]
-        assert sum(map(sum, served)) == self.READS
+        assert len(servers) == len(requests)
+        assert all(len(replicas) == 1 for replicas in servers.values())
+        assert set().union(*servers.values()) == {(s, r) for s in range(2) for r in range(2)}
 
     def test_untraced_hits_build_one_response_each(self, wide_runner, monkeypatch):
         """The response is the only record a hit builds: one per read."""
         router = ShardedValidationService.from_runner(
             wide_runner, 2, ServiceConfig(), replicas=2
         )
-        requests = self._requests(wide_runner)
+        requests = _subject_requests(wide_runner)
         built = []
         new = ServiceResponse.__new__
 
@@ -815,7 +853,7 @@ class TestHitReadCost:
         )
         obs = Observability.for_clock(seed=42)
         router.set_observability(obs)
-        responses = self._hit_reads(router, self._requests(wide_runner))
+        responses = self._hit_reads(router, _subject_requests(wide_runner))
         for response in responses[-100:]:
             spans = obs.tracer.spans(response.trace_id)
             by_id = {span.span_id: span for span in spans}
@@ -828,6 +866,96 @@ class TestHitReadCost:
                 "service.submit", "replica.call", "router.attempt", "router.route"
             ]
             assert len(spans) == 4
+
+
+class TestHomeReplica:
+    """Cache-affine selection: in a caching group each coordinate reads from
+    its home replica unless that replica is out or a full batch deeper."""
+
+    def test_every_read_of_a_coordinate_goes_to_its_home(self, wide_runner):
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(), replicas=2
+        )
+        requests = _subject_requests(wide_runner) + _subject_requests(
+            wide_runner, model="qwen2.5:7b"
+        )
+
+        async def go():
+            async with router:
+                servers = {}
+                for index in range(400):
+                    request = requests[index % len(requests)]
+                    _, server = await _served_by(router, request)
+                    servers.setdefault((request.fact.fact_id, request.model), set()).add(server)
+                return servers
+
+        servers = asyncio.run(go())
+        assert {
+            coordinate: {(router.shard_for(request), _home(request))}
+            for request in requests
+            for coordinate in [(request.fact.fact_id, request.model)]
+        } == servers
+
+    def test_a_stopped_home_fails_over_and_serves_again_on_readmission(self, wide_runner):
+        clock = VirtualClock()
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(), replicas=2, clock=clock, probe_interval_s=0.25
+        )
+        request = _subject_requests(wide_runner)[0]
+        shard, home = router.shard_for(request), _home(request)
+
+        async def reads(count):
+            return [(await _served_by(router, request))[1] for _ in range(count)]
+
+        async def go():
+            async with router:
+                healthy = await reads(3)
+                mark_unhealthy(router, shard, home)
+                await router.groups[shard][home].stop(drain=False)
+                stopped = await reads(3)
+                await router.groups[shard][home].start()
+                resting = await reads(3)
+                clock.advance(0.25)
+                readmitted = await reads(3)
+                return healthy, stopped, resting, readmitted
+
+        healthy, stopped, resting, readmitted = asyncio.run(go())
+        assert healthy == [(shard, home)] * 3
+        assert stopped == resting == [(shard, 1 - home)] * 3
+        assert readmitted == [(shard, home)] * 3
+        health = router.health[shard][home]
+        assert health.healthy and health.readmissions == 1 and health.probes == 1
+
+    @pytest.mark.parametrize("sibling_depth", [0, 2])
+    def test_a_home_a_full_batch_deeper_loses_the_lead(self, wide_runner, sibling_depth):
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(max_batch_size=4), replicas=2
+        )
+        request = _subject_requests(wide_runner)[0]
+        shard, home = router.shard_for(request), _home(request)
+        group = router.groups[shard]
+        group[1 - home]._pending = sibling_depth
+        group[home]._pending = sibling_depth + 3
+        assert router._replica_order(shard, request) == [home, 1 - home]
+        group[home]._pending = sibling_depth + 4
+        assert router._replica_order(shard, request) == [1 - home, home]
+
+    def test_a_cacheless_router_splits_a_shards_reads_in_half(self, wide_runner):
+        router = ShardedValidationService.from_runner(
+            wide_runner, 2, ServiceConfig(enable_cache=False), replicas=2
+        )
+        requests = _subject_requests(wide_runner)
+        reads = [requests[index % len(requests)] for index in range(200)]
+
+        async def go():
+            async with router:
+                for request in reads:
+                    await router.submit(request)
+                return [[health.served for health in healths] for healths in router.health]
+
+        served = asyncio.run(go())
+        per_shard = [sum(router.shard_for(r) == shard for r in reads) for shard in range(2)]
+        assert served == [[count - count // 2, count // 2] for count in per_shard]
 
 
 class TestHitStepContract:
