@@ -109,7 +109,7 @@ async def main() -> None:
         probe = ServiceRequest(facts[5], "dka", "gemma2:9b")
         shard = router.shard_for(probe)
         rr = router._rr[shard]
-        victim = router._replica_order(shard)[0]
+        victim = router._replica_order(shard, probe)[0]
         router._rr[shard] = rr
         injector = FaultInjector(
             FaultSchedule(

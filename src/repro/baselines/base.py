@@ -45,14 +45,17 @@ def build_reference_graph(world: World, exclude_fraction: float = 0.0, seed: int
     return graph
 
 
+#: Truth score at or above which a graph baseline says ``TRUE``.
+THRESHOLD = 0.5
+
+
 class GraphFactChecker(ABC):
     """A fact checker that scores triples from KG topology alone."""
 
     method_name: str = "graph-baseline"
 
-    def __init__(self, graph: KnowledgeGraph, threshold: float = 0.5) -> None:
+    def __init__(self, graph: KnowledgeGraph) -> None:
         self.graph = graph
-        self.threshold = threshold
 
     @abstractmethod
     def score(self, subject: str, predicate: str, obj: str) -> float:
@@ -63,7 +66,7 @@ class GraphFactChecker(ABC):
         start = time.perf_counter()
         truth_score = self.score(fact.subject_name, fact.base_predicate(), fact.object_name)
         elapsed = time.perf_counter() - start
-        verdict = Verdict.from_bool(truth_score >= self.threshold)
+        verdict = Verdict.from_bool(truth_score >= THRESHOLD)
         return ValidationResult(
             fact_id=fact.fact_id,
             verdict=verdict,

@@ -14,28 +14,21 @@ import heapq
 import math
 from typing import Dict, List, Tuple
 
-from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
 from .base import GraphFactChecker
 
 __all__ = ["KnowledgeLinker"]
+
+#: Longest path, in hops, the search follows.
+MAX_PATH_LENGTH = 4
+#: Heap pops after which the search gives up and scores the pair 0.
+MAX_EXPANSIONS = 20000
 
 
 class KnowledgeLinker(GraphFactChecker):
     """Best-path (maximum-specificity) truth scorer."""
 
     method_name = "klinker"
-
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        threshold: float = 0.5,
-        max_path_length: int = 4,
-        max_expansions: int = 20000,
-    ) -> None:
-        super().__init__(graph, threshold)
-        self.max_path_length = max_path_length
-        self.max_expansions = max_expansions
 
     def score(self, subject: str, predicate: str, obj: str) -> float:
         if subject == obj:
@@ -62,13 +55,13 @@ class KnowledgeLinker(GraphFactChecker):
         while heap:
             cost, node = heapq.heappop(heap)
             expansions += 1
-            if expansions > self.max_expansions:
+            if expansions > MAX_EXPANSIONS:
                 break
             if node == target:
                 return cost
             if cost > distances.get(node, math.inf):
                 continue
-            if hops[node] >= self.max_path_length:
+            if hops[node] >= MAX_PATH_LENGTH:
                 continue
             for pred, direction, neighbor in self.graph.neighbors(node):
                 edge = (node, pred, neighbor) if direction == +1 else (neighbor, pred, node)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Set
 
-from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
 from .base import GraphFactChecker
 
@@ -27,24 +26,18 @@ if TYPE_CHECKING:
 
 __all__ = ["KnowledgeStream"]
 
+#: BFS depth of the region grown around each endpoint.
+MAX_HOPS = 3
+#: Nodes at which the region stops growing (keeps max-flow tractable).
+MAX_NODES = 400
+#: Flow at which the score reaches ``1 - 1/e``.
+FLOW_NORMALIZER = 3.0
+
 
 class KnowledgeStream(GraphFactChecker):
     """Max-flow based truth scorer."""
 
     method_name = "kstream"
-
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        threshold: float = 0.5,
-        max_hops: int = 3,
-        max_nodes: int = 400,
-        flow_normalizer: float = 3.0,
-    ) -> None:
-        super().__init__(graph, threshold)
-        self.max_hops = max_hops
-        self.max_nodes = max_nodes
-        self.flow_normalizer = flow_normalizer
 
     def score(self, subject: str, predicate: str, obj: str) -> float:
         # networkx is imported where it is used so that ``import repro`` does
@@ -64,7 +57,7 @@ class KnowledgeStream(GraphFactChecker):
         except nx.NetworkXError:
             return 0.0
         # Squash the unbounded flow value into [0, 1].
-        return 1.0 - math.exp(-flow_value / self.flow_normalizer)
+        return 1.0 - math.exp(-flow_value / FLOW_NORMALIZER)
 
     # -- internals ---------------------------------------------------------------
 
@@ -74,14 +67,14 @@ class KnowledgeStream(GraphFactChecker):
         for seed in (subject, obj):
             frontier = {seed}
             nodes.add(seed)
-            for __ in range(self.max_hops):
+            for __ in range(MAX_HOPS):
                 next_frontier: Set[str] = set()
                 for node in frontier:
                     for __, ___, neighbor in self.graph.neighbors(node):
                         if neighbor not in nodes:
                             next_frontier.add(neighbor)
                             nodes.add(neighbor)
-                            if len(nodes) >= self.max_nodes:
+                            if len(nodes) >= MAX_NODES:
                                 return nodes
                 frontier = next_frontier
                 if not frontier:

@@ -24,24 +24,21 @@ __all__ = ["PredPath"]
 
 PathSignature = Tuple[Tuple[str, int], ...]
 
+#: Longest predicate path, in hops, mined between two endpoints.
+MAX_PATH_LENGTH = 3
+#: Paths mined per endpoint pair.
+MAX_PATHS_PER_PAIR = 120
+#: Additive (Laplace) smoothing of the per-signature rates.
+SMOOTHING = 1.0
+
 
 class PredPath(GraphFactChecker):
     """Supervised predicate-path classifier."""
 
     method_name = "predpath"
 
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        threshold: float = 0.5,
-        max_path_length: int = 3,
-        max_paths_per_pair: int = 120,
-        smoothing: float = 1.0,
-    ) -> None:
-        super().__init__(graph, threshold)
-        self.max_path_length = max_path_length
-        self.max_paths_per_pair = max_paths_per_pair
-        self.smoothing = smoothing
+    def __init__(self, graph: KnowledgeGraph) -> None:
+        super().__init__(graph)
         # Per-predicate signature weights plus a per-predicate bias.
         self._weights: Dict[str, Dict[PathSignature, float]] = defaultdict(dict)
         self._bias: Dict[str, float] = {}
@@ -79,16 +76,16 @@ class PredPath(GraphFactChecker):
         weights: Dict[PathSignature, float] = {}
         all_signatures = set(positive_counts) | set(negative_counts)
         for signature in all_signatures:
-            positive_rate = (positive_counts[signature] + self.smoothing) / (
-                num_positive + 2 * self.smoothing
+            positive_rate = (positive_counts[signature] + SMOOTHING) / (
+                num_positive + 2 * SMOOTHING
             )
-            negative_rate = (negative_counts[signature] + self.smoothing) / (
-                num_negative + 2 * self.smoothing
+            negative_rate = (negative_counts[signature] + SMOOTHING) / (
+                num_negative + 2 * SMOOTHING
             )
             weights[signature] = math.log(positive_rate / negative_rate)
         self._weights[predicate] = weights
         total = num_positive + num_negative
-        prior = (num_positive + self.smoothing) / (total + 2 * self.smoothing) if total else 0.5
+        prior = (num_positive + SMOOTHING) / (total + 2 * SMOOTHING) if total else 0.5
         self._bias[predicate] = math.log(prior / (1.0 - prior))
 
     # -- scoring ---------------------------------------------------------------------
@@ -105,8 +102,8 @@ class PredPath(GraphFactChecker):
         paths = self.graph.find_paths(
             subject,
             obj,
-            max_length=self.max_path_length,
+            max_length=MAX_PATH_LENGTH,
             exclude=Triple(subject, predicate, obj),
-            max_paths=self.max_paths_per_pair,
+            max_paths=MAX_PATHS_PER_PAIR,
         )
         return [KnowledgeGraph.path_signature(path) for path in paths]

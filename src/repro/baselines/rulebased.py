@@ -23,6 +23,11 @@ from .predpath import PredPath
 
 __all__ = ["EvidentialPathChecker"]
 
+#: KG triples of a predicate sampled as positive training examples.
+EXAMPLES_PER_PREDICATE = 40
+#: Mixed into each predicate's sampling seed.
+SEED = 0
+
 
 class EvidentialPathChecker(GraphFactChecker):
     """Unsupervised positive/negative evidential-path scorer.
@@ -33,18 +38,9 @@ class EvidentialPathChecker(GraphFactChecker):
 
     method_name = "evidential-paths"
 
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        threshold: float = 0.5,
-        examples_per_predicate: int = 40,
-        max_path_length: int = 3,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(graph, threshold)
-        self.examples_per_predicate = examples_per_predicate
-        self.seed = seed
-        self._scorer = PredPath(graph, threshold=threshold, max_path_length=max_path_length)
+    def __init__(self, graph: KnowledgeGraph) -> None:
+        super().__init__(graph)
+        self._scorer = PredPath(graph)
         self._prepared: set = set()
 
     # -- unsupervised example generation ------------------------------------------
@@ -62,12 +58,12 @@ class EvidentialPathChecker(GraphFactChecker):
         triples = self.graph.triples_with_predicate(predicate)
         if len(triples) < 2:
             return []
-        seed_payload = f"{self.seed}|{predicate}".encode("utf-8")
+        seed_payload = f"{SEED}|{predicate}".encode("utf-8")
         rng = random.Random(
             int.from_bytes(hashlib.blake2b(seed_payload, digest_size=8).digest(), "big")
         )
         rng.shuffle(triples)
-        selected = triples[: self.examples_per_predicate]
+        selected = triples[: EXAMPLES_PER_PREDICATE]
         objects = sorted({triple.object for triple in triples})
         examples: List[LabeledFact] = []
         for index, triple in enumerate(selected):

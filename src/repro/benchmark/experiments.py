@@ -74,11 +74,10 @@ def table2_dataset_statistics(runner: BenchmarkRunner) -> List[Dict[str, float]]
     return statistics_table(datasets)
 
 
-def table3_rag_dataset_costs(
-    runner: BenchmarkRunner, dataset_name: str = "factbench", max_facts: int = 25
-) -> Dict[str, float]:
-    """Table 3: average time and token cost per RAG dataset-generation step."""
-    __, stats = runner.build_rag_dataset(dataset_name, max_facts=max_facts)
+def table3_rag_dataset_costs(runner: BenchmarkRunner) -> Dict[str, float]:
+    """Table 3: average time and token cost per RAG dataset-generation step,
+    over 25 FactBench facts."""
+    __, stats = runner.build_rag_dataset("factbench", max_facts=25)
     return {
         "question_generation_avg_seconds": round(stats.avg_question_generation_seconds, 2),
         "question_generation_avg_tokens": round(stats.avg_question_generation_tokens, 2),
@@ -168,15 +167,13 @@ def table8_execution_time(runner: BenchmarkRunner) -> Dict[str, Dict[str, Dict[s
     return table
 
 
-def table9_error_clustering(
-    runner: BenchmarkRunner, method: str = "rag"
-) -> Dict[str, Dict[str, object]]:
-    """Table 9: E1–E6 error counts per dataset and model, plus unique ratios."""
+def table9_error_clustering(runner: BenchmarkRunner) -> Dict[str, Dict[str, object]]:
+    """Table 9: E1–E6 error counts of RAG per dataset and model, plus unique ratios."""
     analyzer = ErrorAnalyzer()
     table: Dict[str, Dict[str, object]] = {}
     for dataset_name in runner.config.datasets:
         dataset = runner.dataset(dataset_name)
-        runs = runner.runs_for(method, dataset_name, tuple(runner.config.models))
+        runs = runner.runs_for("rag", dataset_name, tuple(runner.config.models))
         models = {name: runner.registry.get(name) for name in runner.config.models}
         analysis = analyzer.analyze_runs(runs, dataset, models)
         table[dataset_name] = {
@@ -296,21 +293,18 @@ def rag_corpus_statistics(runner: BenchmarkRunner) -> Dict[str, Dict[str, float]
     return stats
 
 
-def ablation_rag_configuration(
-    runner: BenchmarkRunner,
-    dataset_name: str = "factbench",
-    model_name: str = "gemma2:9b",
-    max_facts: int = 40,
-) -> List[Dict[str, float]]:
+def ablation_rag_configuration(runner: BenchmarkRunner) -> List[Dict[str, float]]:
     """Ablation over the RAG configuration (selected documents, threshold, window).
 
     Mirrors the configuration-selection experiments the paper publishes in its
-    repository: each row reports F1 for one configuration variant.
+    repository: each row reports F1 for one configuration variant, judged by
+    Gemma2 on 40 FactBench facts.
     """
     from ..validation.pipeline import ValidationPipeline
 
-    dataset = runner.dataset(dataset_name).sample(max_facts, seed=runner.config.seed)
-    model = runner.registry.get(model_name)
+    dataset_name = "factbench"
+    dataset = runner.dataset(dataset_name).sample(40, seed=runner.config.seed)
+    model = runner.registry.get("gemma2:9b")
     variants = [
         {"selected_documents": 2, "relevance_threshold": 0.5, "chunk_window": 3},
         {"selected_documents": 5, "relevance_threshold": 0.5, "chunk_window": 3},
@@ -349,25 +343,20 @@ def ablation_rag_configuration(
     return rows
 
 
-def baseline_comparison(
-    runner: BenchmarkRunner,
-    dataset_name: str = "factbench",
-    max_facts: int = 40,
-    kg_incompleteness: float = 0.25,
-) -> Dict[str, Dict[str, float]]:
-    """Internal KG-based baselines vs. LLM strategies on the same facts.
+def baseline_comparison(runner: BenchmarkRunner) -> Dict[str, Dict[str, float]]:
+    """Internal KG-based baselines vs. LLM strategies on the same 40
+    FactBench facts.
 
-    The reference KG is built from the world with a fraction of facts
+    The reference KG is built from the world with a quarter of its facts
     withheld, emulating real KG incompleteness; PredPath is trained on a
     held-out split of the dataset.  The two families are timed in different
     units, so each has its own key: a graph baseline's ``measured_seconds``
     is this machine's wall clock around ``score``, an LLM strategy's
     ``simulated_seconds`` is the simulated model's latency.
     """
-    dataset = runner.dataset(dataset_name).sample(max_facts, seed=runner.config.seed)
-    graph = build_reference_graph(
-        runner.world, exclude_fraction=kg_incompleteness, seed=runner.config.seed
-    )
+    dataset_name = "factbench"
+    dataset = runner.dataset(dataset_name).sample(40, seed=runner.config.seed)
+    graph = build_reference_graph(runner.world, exclude_fraction=0.25, seed=runner.config.seed)
     train, test = dataset.split(train_fraction=0.5, seed=runner.config.seed)
     predpath = PredPath(graph)
     predpath.fit(train.facts())

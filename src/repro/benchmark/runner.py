@@ -280,7 +280,7 @@ class BenchmarkRunner:
         if key not in self._runs:
             model = self.registry.get(model_name)
             strategy = self.build_strategy(method, dataset_name, model)
-            pipeline = ValidationPipeline(self.telemetry)
+            pipeline = ValidationPipeline()
             self._runs[key] = pipeline.run(strategy, self.dataset(dataset_name))
         return self._runs[key]
 
@@ -297,7 +297,7 @@ class BenchmarkRunner:
             for model_name in self.config.grid_models()
         ]
 
-    def prepare(self, warm_rag_evidence: bool = True) -> None:
+    def prepare(self) -> None:
         """Pre-build every substrate the grid cells share.
 
         World, registry, datasets and — when the RAG method is configured —
@@ -315,8 +315,7 @@ class BenchmarkRunner:
             if "rag" in self.config.methods:
                 self.search_api(dataset_name)
                 self._warm_reranker(dataset_name)
-                if warm_rag_evidence:
-                    self._warm_evidence(dataset_name)
+                self._warm_evidence(dataset_name)
 
     def _warm_evidence(self, dataset_name: str) -> None:
         """Run RAG phases 1–4 for every fact into the shared evidence cache."""

@@ -64,8 +64,8 @@ class VirtualClock(Clock):
     them run.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._sequence = itertools.count()
         self._sleepers: List[Tuple[float, int, "asyncio.Future[None]"]] = []
 

@@ -91,7 +91,7 @@ from ..service.router import ShardedValidationService
 from ..service.server import ServiceRequest
 from ..store import Mutation
 from ..store.sharding import ReplicaDivergedError
-from .clock import Clock, MonotonicClock
+from .clock import MonotonicClock
 from .faults import (
     FaultEvent,
     FaultInjector,
@@ -779,12 +779,11 @@ class ScenarioRunner:
         self,
         runner,
         scenario: Scenario,
-        clock: Optional[Clock] = None,
         drain_seed: Optional[int] = None,
     ) -> None:
         self.runner = runner
         self.scenario = scenario
-        self.clock = clock or MonotonicClock()
+        self.clock = MonotonicClock()
         #: Drain-scheduler seed override (``chaos --drain-seed``): the CI
         #: determinism floor re-runs the geo scenario under two seeds and
         #: diffs the deterministic CSV view byte-for-byte.

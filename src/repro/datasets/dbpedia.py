@@ -77,7 +77,7 @@ class _DBpediaBuilder(DatasetBuilder):
         return self._alias_rng.choice(pool)
 
 
-def dbpedia_spec(seed: int = 47) -> DatasetSpec:
+def dbpedia_spec() -> DatasetSpec:
     """The DBpedia Table 2 profile: 9,344 facts, ~1,092 predicates, mu=0.85."""
     return DatasetSpec(
         name="dbpedia",
@@ -91,22 +91,19 @@ def dbpedia_spec(seed: int = 47) -> DatasetSpec:
             CorruptionStrategy.PREDICATE_SWAP,
             CorruptionStrategy.RANDOM,
         ),
-        seed=seed,
+        seed=47,
     )
 
 
-def build_dbpedia(
-    world: World,
-    scale: float = 1.0,
-    seed: int = 47,
-    predicate_target: int = _TARGET_PREDICATE_COUNT,
-) -> FactDataset:
+def build_dbpedia(world: World, scale: float = 1.0) -> FactDataset:
     """Build the DBpedia-style dataset at the given scale.
 
-    ``predicate_target`` controls how many distinct predicate labels the
-    alias pools provide in total; it is scaled together with the fact count
-    so small test datasets are not drowned in aliases.
+    The alias pools provide ``_TARGET_PREDICATE_COUNT`` distinct predicate
+    labels in total, scaled together with the fact count so small test
+    datasets are not drowned in aliases.
     """
-    spec = dbpedia_spec(seed)
-    scaled_target = max(len(_DBPEDIA_PREDICATES), int(round(predicate_target * min(1.0, scale * 2))))
+    spec = dbpedia_spec()
+    scaled_target = max(
+        len(_DBPEDIA_PREDICATES), int(round(_TARGET_PREDICATE_COUNT * min(1.0, scale * 2)))
+    )
     return _DBpediaBuilder(world, spec, scale=scale, predicate_target=scaled_target).build()

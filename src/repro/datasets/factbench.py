@@ -34,7 +34,7 @@ FACTBENCH_PREDICATES = (
 )
 
 
-def factbench_spec(seed: int = 13) -> DatasetSpec:
+def factbench_spec() -> DatasetSpec:
     """The FactBench Table 2 profile: 2,800 facts, 10 predicates, mu=0.54."""
     return DatasetSpec(
         name="factbench",
@@ -48,11 +48,11 @@ def factbench_spec(seed: int = 13) -> DatasetSpec:
             CorruptionStrategy.PREDICATE_SWAP,
             CorruptionStrategy.RANDOM,
         ),
-        seed=seed,
+        seed=13,
     )
 
 
-def build_factbench(world: World, scale: float = 1.0, seed: int = 13) -> FactDataset:
+def build_factbench(world: World, scale: float = 1.0) -> FactDataset:
     """Build the FactBench-style dataset at the given scale.
 
     Parameters
@@ -61,7 +61,5 @@ def build_factbench(world: World, scale: float = 1.0, seed: int = 13) -> FactDat
         The synthetic ground-truth world.
     scale:
         Fraction of the paper-scale 2,800 facts to generate (1.0 = full size).
-    seed:
-        Sampling seed; fixed by default so datasets are reproducible.
     """
-    return DatasetBuilder(world, factbench_spec(seed), scale=scale).build()
+    return DatasetBuilder(world, factbench_spec(), scale=scale).build()

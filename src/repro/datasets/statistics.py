@@ -95,19 +95,20 @@ class SimilarityDistribution:
         }
 
 
-def summarize_similarities(
-    scores: Sequence[float],
-    high_threshold: float = 0.70,
-    medium_threshold: float = 0.40,
-) -> SimilarityDistribution:
+#: Lower bounds (inclusive) of the paper's high and medium similarity tiers.
+HIGH_SIMILARITY = 0.70
+MEDIUM_SIMILARITY = 0.40
+
+
+def summarize_similarities(scores: Sequence[float]) -> SimilarityDistribution:
     """Summarize question similarity scores with the paper's tiering."""
     if not scores:
         return SimilarityDistribution(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     array = np.asarray(list(scores), dtype=float)
     q1 = float(np.percentile(array, 25))
     q3 = float(np.percentile(array, 75))
-    high = float(np.mean(array >= high_threshold))
-    low = float(np.mean(array < medium_threshold))
+    high = float(np.mean(array >= HIGH_SIMILARITY))
+    low = float(np.mean(array < MEDIUM_SIMILARITY))
     medium = max(0.0, 1.0 - high - low)
     return SimilarityDistribution(
         mean=float(array.mean()),

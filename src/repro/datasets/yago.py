@@ -67,7 +67,7 @@ class _YagoBuilder(DatasetBuilder):
         return _YAGO_PREDICATE_NAMES.get(fact.predicate, fact.predicate)
 
 
-def yago_spec(seed: int = 29) -> DatasetSpec:
+def yago_spec() -> DatasetSpec:
     """The YAGO Table 2 profile: 1,386 facts, 16 predicates, mu=0.99."""
     return DatasetSpec(
         name="yago",
@@ -79,11 +79,11 @@ def yago_spec(seed: int = 29) -> DatasetSpec:
             CorruptionStrategy.OBJECT_RANGE,
             CorruptionStrategy.SUBJECT_DOMAIN,
         ),
-        seed=seed,
+        seed=29,
         negatives_from_tail=True,
     )
 
 
-def build_yago(world: World, scale: float = 1.0, seed: int = 29) -> FactDataset:
+def build_yago(world: World, scale: float = 1.0) -> FactDataset:
     """Build the YAGO-style dataset (extreme class imbalance) at the given scale."""
-    return _YagoBuilder(world, yago_spec(seed), scale=scale).build()
+    return _YagoBuilder(world, yago_spec(), scale=scale).build()

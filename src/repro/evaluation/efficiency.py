@@ -13,9 +13,12 @@ import numpy as np
 
 __all__ = ["iqr_filter", "average_response_time"]
 
+#: The ``m`` of the outlier rule: the paper's 1.5 x IQR.
+IQR_MULTIPLIER = 1.5
 
-def iqr_filter(values: Sequence[float], multiplier: float = 1.5) -> List[float]:
-    """Drop values outside ``[Q1 - m*IQR, Q3 + m*IQR]``.
+
+def iqr_filter(values: Sequence[float]) -> List[float]:
+    """Drop values outside ``[Q1 - m*IQR, Q3 + m*IQR]``, ``m = IQR_MULTIPLIER``.
 
     With fewer than four observations the filter is a no-op (quartiles are
     not meaningful), which keeps small test runs intact.
@@ -27,14 +30,14 @@ def iqr_filter(values: Sequence[float], multiplier: float = 1.5) -> List[float]:
     q1 = float(np.percentile(array, 25))
     q3 = float(np.percentile(array, 75))
     iqr = q3 - q1
-    lower = q1 - multiplier * iqr
-    upper = q3 + multiplier * iqr
+    lower = q1 - IQR_MULTIPLIER * iqr
+    upper = q3 + IQR_MULTIPLIER * iqr
     return [value for value in data if lower <= value <= upper]
 
 
-def average_response_time(latencies: Sequence[float], multiplier: float = 1.5) -> float:
+def average_response_time(latencies: Sequence[float]) -> float:
     """The paper's theta-bar: mean latency after IQR outlier removal."""
-    filtered = iqr_filter(latencies, multiplier)
+    filtered = iqr_filter(latencies)
     if not filtered:
         return 0.0
     return float(np.mean(filtered))

@@ -126,8 +126,8 @@ def unique_ratio(fact_models: Mapping[str, set]) -> float:
 class ErrorAnalyzer:
     """Builds error logs from validation runs and categorises them."""
 
-    def __init__(self, embedder: Optional[HashingEmbedder] = None) -> None:
-        self.embedder = embedder or HashingEmbedder()
+    def __init__(self) -> None:
+        self.embedder = HashingEmbedder()
         self._centroids = self._build_centroids()
 
     def _build_centroids(self) -> Dict[str, np.ndarray]:

@@ -128,18 +128,15 @@ def classwise_f1_from_run(run) -> ClasswiseF1:
     return classwise_f1(run.predictions(), run.gold())
 
 
-def random_guess_f1(positive_rate: float, guess_positive_rate: float = 0.5) -> Tuple[float, float]:
+def random_guess_f1(positive_rate: float) -> Tuple[float, float]:
     """Expected F1(T)/F1(F) of a guesser on a dataset with the given class balance.
 
-    Used for the "Random Guessing" reference line in Figure 2.  For a guesser
-    that answers "true" with probability ``guess_positive_rate`` on a dataset
-    whose true-positive rate is ``positive_rate``:
+    Used for the "Random Guessing" reference line in Figure 2.  For a
+    fair-coin guesser on a dataset whose true-positive rate is
+    ``positive_rate``:
 
-    * precision(T) = positive_rate, recall(T) = guess_positive_rate
-    * precision(F) = 1 - positive_rate, recall(F) = 1 - guess_positive_rate
+    * precision(T) = positive_rate, recall(T) = 0.5
+    * precision(F) = 1 - positive_rate, recall(F) = 0.5
     """
-    p_t, r_t = positive_rate, guess_positive_rate
-    f1_t = 2 * p_t * r_t / (p_t + r_t) if (p_t + r_t) else 0.0
-    p_f, r_f = 1.0 - positive_rate, 1.0 - guess_positive_rate
-    f1_f = 2 * p_f * r_f / (p_f + r_f) if (p_f + r_f) else 0.0
-    return f1_t, f1_f
+    p_t, p_f = positive_rate, 1.0 - positive_rate
+    return 2 * p_t * 0.5 / (p_t + 0.5), 2 * p_f * 0.5 / (p_f + 0.5)

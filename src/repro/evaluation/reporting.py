@@ -48,7 +48,7 @@ def _cell(value: object) -> str:
 
 def format_f1_table(
     f1_table: Mapping[str, Mapping[str, Mapping[str, Mapping[str, float]]]],
-    title: str = "",
+    title: str,
 ) -> str:
     """``f1_table[dataset][method][model] -> {"f1_true", "f1_false"}``."""
     rows: List[List[object]] = []
@@ -72,7 +72,7 @@ def format_f1_table(
 def format_alignment_table(
     alignment_table: Mapping[str, Mapping[str, Mapping[str, float]]],
     tie_rates: Mapping[str, Mapping[str, float]],
-    title: str = "",
+    title: str,
 ) -> str:
     """``alignment_table[dataset][method][model] -> CA``; ``tie_rates[dataset][method]``."""
     rows: List[List[object]] = []
@@ -90,7 +90,7 @@ def format_alignment_table(
 
 def format_time_table(
     time_table: Mapping[str, Mapping[str, Mapping[str, float]]],
-    title: str = "",
+    title: str,
 ) -> str:
     """``time_table[dataset][method][model] -> seconds``."""
     rows: List[List[object]] = []
@@ -108,7 +108,7 @@ def format_time_table(
 
 def format_error_table(
     error_counts: Mapping[str, Mapping[str, Mapping[str, int]]],
-    title: str = "",
+    title: str,
 ) -> str:
     """``error_counts[dataset][model] -> {E1..E6 -> count}``."""
     categories = ("E1", "E2", "E3", "E4", "E5", "E6")

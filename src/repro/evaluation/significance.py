@@ -23,6 +23,9 @@ from .metrics import classwise_f1
 
 __all__ = ["BootstrapInterval", "bootstrap_f1_interval", "McNemarResult", "mcnemar_test"]
 
+#: Coverage of every bootstrap interval.
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class BootstrapInterval:
@@ -38,7 +41,6 @@ def bootstrap_f1_interval(
     run: ValidationRun,
     metric: str = "f1_true",
     num_samples: int = 500,
-    confidence: float = 0.95,
     seed: int = 0,
 ) -> BootstrapInterval:
     """Bootstrap CI for one class-wise F1 metric of a validation run.
@@ -52,7 +54,7 @@ def bootstrap_f1_interval(
     gold = run.gold()
     fact_ids = list(gold)
     if not fact_ids:
-        return BootstrapInterval(0.0, 0.0, 0.0, confidence)
+        return BootstrapInterval(0.0, 0.0, 0.0, CONFIDENCE)
     point = getattr(classwise_f1(predictions, gold), metric)
     rng = random.Random(seed)
     samples = []
@@ -63,10 +65,10 @@ def bootstrap_f1_interval(
             f"{fact_id}#{i}": predictions.get(fact_id) for i, fact_id in enumerate(resampled)
         }
         samples.append(getattr(classwise_f1(resampled_predictions, resampled_gold), metric))
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - CONFIDENCE) / 2.0
     lower = float(np.quantile(samples, alpha))
     upper = float(np.quantile(samples, 1.0 - alpha))
-    return BootstrapInterval(point=point, lower=lower, upper=upper, confidence=confidence)
+    return BootstrapInterval(point=point, lower=lower, upper=upper, confidence=CONFIDENCE)
 
 
 @dataclass(frozen=True)

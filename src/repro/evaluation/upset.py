@@ -46,24 +46,18 @@ def exclusive_intersections(sets: Mapping[str, Set[str]]) -> Dict[FrozenSet[str]
     return cells
 
 
-def upset_intersections(
-    correct_by_model: Mapping[str, Sequence[str]],
-    min_count: int = 0,
-) -> List[IntersectionCell]:
+def upset_intersections(correct_by_model: Mapping[str, Sequence[str]]) -> List[IntersectionCell]:
     """The UpSet bars: exclusive intersection sizes, largest first.
 
     Parameters
     ----------
     correct_by_model:
         Mapping of model name to the fact ids that model predicted correctly.
-    min_count:
-        Drop cells smaller than this (purely presentational).
     """
     sets = {name: set(items) for name, items in correct_by_model.items()}
     cells = exclusive_intersections(sets)
     bars = [
         IntersectionCell(models=tuple(sorted(owners)), count=len(items))
         for owners, items in cells.items()
-        if len(items) >= min_count
     ]
     return sorted(bars, key=lambda cell: (-cell.count, cell.models))

@@ -22,6 +22,9 @@ from ..worldmodel.generator import World
 
 __all__ = ["CorruptionStrategy", "CorruptedFact", "NegativeSampler"]
 
+#: Draws :meth:`NegativeSampler.corrupt` makes before it gives up.
+MAX_ATTEMPTS = 50
+
 
 class CorruptionStrategy(str, Enum):
     """Ways of turning a true fact into a false one.
@@ -71,20 +74,19 @@ class NegativeSampler:
         self,
         fact: Fact,
         strategy: Optional[CorruptionStrategy] = None,
-        max_attempts: int = 50,
         allowed_predicates: Optional[Sequence[str]] = None,
     ) -> Optional[CorruptedFact]:
         """Produce a negative derived from ``fact``.
 
         Returns ``None`` when no valid corruption could be found within
-        ``max_attempts`` draws (e.g. the entity pool for the required type is
+        ``MAX_ATTEMPTS`` draws (e.g. the entity pool for the required type is
         too small), so callers can skip and move on.  When
         ``allowed_predicates`` is given, predicate-swap corruptions are
         restricted to that set, so a dataset never acquires predicates outside
         its declared relation inventory.
         """
         chosen = strategy or self.rng.choice(list(CorruptionStrategy))
-        for __ in range(max_attempts):
+        for __ in range(MAX_ATTEMPTS):
             candidate = self._attempt(fact, chosen, allowed_predicates)
             if candidate is None:
                 continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple
 
 from .base import LLMResponse
 
@@ -109,17 +109,9 @@ class TelemetryCollector:
         with self._lock:
             self._records.extend(items)
 
-    def records(
-        self, model: Optional[str] = None, task: Optional[str] = None
-    ) -> List[CallRecord]:
+    def records(self) -> List[CallRecord]:
         with self._lock:
-            snapshot = list(self._records)
-        return [
-            record
-            for record in snapshot
-            if (model is None or record.model == model)
-            and (task is None or record.task == task)
-        ]
+            return list(self._records)
 
     def __len__(self) -> int:
         with self._lock:
@@ -129,7 +121,5 @@ class TelemetryCollector:
         with self._lock:
             self._records.clear()
 
-    def summary(
-        self, model: Optional[str] = None, task: Optional[str] = None
-    ) -> UsageSummary:
-        return UsageSummary.from_records(self.records(model, task))
+    def summary(self) -> UsageSummary:
+        return UsageSummary.from_records(self.records())

@@ -36,7 +36,7 @@ from .alerts import ALERT_STATES, Alert, AlertManager, SLOMonitor
 from .dashboard import budget_bar, render_dashboard, sparkline
 from .events import EVENT_KINDS, Event, EventLog
 from .registry import (
-    DEFAULT_LATENCY_BUCKETS,
+    LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -78,7 +78,7 @@ from .trace import (
 __all__ = [
     "ALERT_STATES",
     "DEFAULT_BURN_RULES",
-    "DEFAULT_LATENCY_BUCKETS",
+    "LATENCY_BUCKETS",
     "EVENT_KINDS",
     "SPAN_TAXONOMY",
     "STATUS_DEGRADED",

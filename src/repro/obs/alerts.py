@@ -173,9 +173,9 @@ class SLOMonitor:
     def slos(self) -> Tuple[SLO, ...]:
         return self.manager.slos
 
-    def tick(self, now_s: Optional[float] = None) -> List[SLOStatus]:
+    def tick(self) -> List[SLOStatus]:
         """Scrape once, evaluate every SLO, step every alert."""
-        ts = self.scraper.clock.now() if now_s is None else now_s
+        ts = self.scraper.clock.now()
         self.scraper.scrape_once(now=ts)
         self._statuses = self.manager.evaluate_once(self.scraper, ts)
         return self._statuses

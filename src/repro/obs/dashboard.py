@@ -33,19 +33,24 @@ __all__ = [
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
+#: Characters in a sparkline: the last this many scrapes.
+SPARK_WIDTH = 32
+#: Characters inside an error-budget gauge's brackets.
+BUDGET_BAR_WIDTH = 20
+
 #: Alert-board glyph per lifecycle state.
 _STATE_GLYPHS = {"inactive": "·", "pending": "~", "firing": "!", "resolved": "✓"}
 
 
-def sparkline(values: Sequence[float], width: int = 32) -> str:
-    """The last ``width`` values as a block-character sparkline.
+def sparkline(values: Sequence[float]) -> str:
+    """The last ``SPARK_WIDTH`` values as a block-character sparkline.
 
     Scaling is per-line (min..max of the shown window); a flat line
     renders as all-low so "nothing happening" looks calm, not maxed.
     """
     if not values:
         return ""
-    shown = list(values)[-width:]
+    shown = list(values)[-SPARK_WIDTH:]
     low, high = min(shown), max(shown)
     if high <= low:
         return _SPARK_CHARS[0] * len(shown)
@@ -56,11 +61,11 @@ def sparkline(values: Sequence[float], width: int = 32) -> str:
     )
 
 
-def budget_bar(fraction: float, width: int = 20) -> str:
+def budget_bar(fraction: float) -> str:
     """An error-budget gauge: ``[██████░░░░]``; clamps to [0, 1]."""
     clamped = min(max(fraction, 0.0), 1.0)
-    filled = int(clamped * width + 0.5)
-    return "[" + "█" * filled + "░" * (width - filled) + "]"
+    filled = int(clamped * BUDGET_BAR_WIDTH + 0.5)
+    return "[" + "█" * filled + "░" * (BUDGET_BAR_WIDTH - filled) + "]"
 
 
 def _merged_points(
@@ -95,7 +100,6 @@ def render_dashboard(
     events: Optional[EventLog] = None,
     now_s: Optional[float] = None,
     title: str = "fleet",
-    spark_width: int = 32,
 ) -> str:
     """Render one dashboard frame as a multi-line string.
 
@@ -135,8 +139,8 @@ def render_dashboard(
         ("failures", failures, sum(failures)),
         ("unhealthy", unhealthy, unhealthy[-1] if unhealthy else 0.0),
     ):
-        spark = sparkline(values, spark_width) or "(no samples)"
-        lines.append(f"{label:>9}  {spark:<{spark_width}}  {total:>8.0f}")
+        spark = sparkline(values) or "(no samples)"
+        lines.append(f"{label:>9}  {spark:<{SPARK_WIDTH}}  {total:>8.0f}")
 
     # ----------------------------------------------------------- error budgets
     statuses = monitor.statuses

@@ -63,16 +63,17 @@ class Event:
         }
 
 
+#: Events an :class:`EventLog` keeps; the oldest is overwritten past it.
+EVENT_LOG_CAPACITY = 4096
+
+
 class EventLog:
     """Bounded, thread-safe, clock-stamped event buffer."""
 
-    def __init__(self, clock: Optional[Clock] = None, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock or MonotonicClock()
-        self.capacity = capacity
         self._lock = threading.Lock()
-        self._events: Deque[Event] = deque(maxlen=capacity)
+        self._events: Deque[Event] = deque(maxlen=EVENT_LOG_CAPACITY)
         self._seq = 0
         #: Events overwritten by the ring since construction — ``seq`` is
         #: still globally monotonic, so ``dropped + len(log)`` == emitted.
@@ -90,13 +91,10 @@ class EventLog:
             self._events.append(event)
             return event
 
-    def events(self, kind: Optional[str] = None) -> List[Event]:
-        """A copy of the buffer, oldest first; optionally one kind only."""
+    def events(self) -> List[Event]:
+        """A copy of the buffer, oldest first."""
         with self._lock:
-            events = list(self._events)
-        if kind is None:
-            return events
-        return [event for event in events if event.kind == kind]
+            return list(self._events)
 
     def counts(self) -> Dict[str, int]:
         """``{kind: occurrences}`` over the current buffer."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
+    "LATENCY_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -48,11 +48,14 @@ __all__ = [
     "render_exposition",
 ]
 
-#: Fixed latency buckets (seconds): sub-millisecond through multi-second,
-#: matching the simulated-backend latency range the service benchmarks use.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
+#: Every histogram's bucket bounds (seconds), ascending: sub-millisecond
+#: through multi-second, matching the simulated-backend latency range the
+#: service benchmarks use.
+LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
+#: Raw observations a histogram keeps per label set for exact percentiles.
+HISTOGRAM_WINDOW = 4096
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -329,22 +332,9 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: Tuple[str, ...],
-        buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-        window: int = 4096,
-    ) -> None:
-        if not buckets:
-            raise ValueError("a histogram needs at least one bucket bound")
-        if list(buckets) != sorted(buckets):
-            raise ValueError("histogram buckets must be sorted ascending")
-        if window < 1:
-            raise ValueError("histogram window must be >= 1")
-        self.buckets = tuple(float(bound) for bound in buckets)
-        self.window_size = window
+    def __init__(self, name: str, help: str, labelnames: Tuple[str, ...]) -> None:
+        self.buckets = LATENCY_BUCKETS
+        self.window_size = HISTOGRAM_WINDOW
         super().__init__(name, help, labelnames)
 
     def _new_child(self) -> _HistogramChild:
@@ -384,7 +374,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: "Dict[str, _Metric]" = {}
 
-    def _get_or_create(self, cls, name: str, help: str, labelnames, **kwargs):
+    def _get_or_create(self, cls, name: str, help: str, labelnames):
         labelnames = tuple(labelnames)
         with self._lock:
             existing = self._metrics.get(name)
@@ -395,7 +385,7 @@ class MetricsRegistry:
                         f"{existing.kind} with labels {existing.labelnames}"
                     )
                 return existing
-            metric = cls(name, help, labelnames, **kwargs)
+            metric = cls(name, help, labelnames)
             self._metrics[name] = metric
             return metric
 
@@ -407,17 +397,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labelnames: Iterable[str] = ()) -> Gauge:
         return self._get_or_create(Gauge, name, help, labelnames)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Iterable[str] = (),
-        buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-        window: int = 4096,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labelnames, buckets=buckets, window=window
-        )
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create(Histogram, name, help, ())
 
     def names(self) -> List[str]:
         with self._lock:
@@ -479,11 +460,9 @@ class MetricsRegistry:
             families.append(family)
         return families
 
-    def exposition(
-        self, extra_labels: Optional[Mapping[str, object]] = None
-    ) -> str:
+    def exposition(self) -> str:
         """This registry alone as Prometheus-style text."""
-        return render_exposition(self.collect(extra_labels))
+        return render_exposition(self.collect())
 
 
 def _format_value(value: float) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from .timeseries import MetricsScraper
 
@@ -217,7 +217,7 @@ class SLO:
     """A named objective over an SLI, with burn-rate alert rules.
 
     ``budget_window_s`` is the compliance window the error budget is
-    accounted over (defaults to the longest rule window).  Everything in
+    accounted over: the longest rule window.  Everything in
     :meth:`evaluate` derives from scraper contents and ``now_s`` alone.
     """
 
@@ -227,7 +227,6 @@ class SLO:
         objective: float,
         sli,
         rules: Tuple[BurnRule, ...] = DEFAULT_BURN_RULES,
-        budget_window_s: Optional[float] = None,
         description: str = "",
     ) -> None:
         if not 0.0 < objective < 1.0:
@@ -238,9 +237,7 @@ class SLO:
         self.objective = objective
         self.sli = sli
         self.rules = tuple(rules)
-        self.budget_window_s = budget_window_s or max(
-            rule.long_window_s for rule in rules
-        )
+        self.budget_window_s = max(rule.long_window_s for rule in rules)
         self.description = description
 
     @property

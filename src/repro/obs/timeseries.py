@@ -6,11 +6,11 @@ answers "what is the value *now*"; this module adds *history*.  A
 merged fleet families, or any callable returning
 :class:`~repro.obs.registry.MetricFamily` rows) on the injectable
 :class:`~repro.chaos.clock.Clock` and lands every sample in a
-:class:`TimeSeries`: a ring of the last ``capacity`` ``(ts, value)``
+:class:`TimeSeries`: a ring of the last ``SERIES_CAPACITY`` ``(ts, value)``
 points.
 
 Memory is bounded *by construction*: every ring drops its oldest point
-past ``capacity`` and the scraper refuses to grow past ``max_series``
+past ``SERIES_CAPACITY`` and the scraper refuses to grow past ``MAX_SERIES``
 distinct series (excess series are counted in
 :attr:`MetricsScraper.dropped_series`, never silently materialised).
 Under a :class:`~repro.chaos.clock.VirtualClock` the sample timestamps —
@@ -39,6 +39,12 @@ __all__ = [
     "series_key",
 ]
 
+#: Raw points each series keeps; the oldest drops out past it.
+SERIES_CAPACITY = 512
+#: Distinct series one scraper stores; samples of further series are
+#: counted in ``dropped_series``, not stored.
+MAX_SERIES = 2048
+
 
 def series_key(name: str, labels: Mapping[str, str]) -> str:
     """The canonical series identity: ``name`` or ``name{k="v",...}``.
@@ -61,22 +67,13 @@ class SeriesPoint:
 
 
 class TimeSeries:
-    """One scraped series: a ring of its last ``capacity`` raw points."""
+    """One scraped series: a ring of its last ``SERIES_CAPACITY`` raw points."""
 
-    def __init__(
-        self,
-        name: str,
-        labels: Tuple[Tuple[str, str], ...],
-        kind: str,
-        capacity: int = 512,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("series capacity must be >= 1")
+    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...], kind: str) -> None:
         self.name = name
         self.labels = labels
         self.kind = kind
         self.key = series_key(name, dict(labels))
-        self.capacity = capacity
         # Parallel arrays instead of a point ring: timestamps are sorted
         # (scrapes are monotonic), so window queries bisect in O(log n),
         # and ``_cum`` carries the running reset-aware increase so
@@ -89,7 +86,7 @@ class TimeSeries:
     # ---------------------------------------------------------------- writing
 
     def observe(self, ts_s: float, value: float) -> None:
-        """Record one sample (the oldest drops out past ``capacity``)."""
+        """Record one sample (the oldest drops out past ``SERIES_CAPACITY``)."""
         if not self._values:
             delta = value  # a counter is born at zero
         elif value >= self._values[-1]:
@@ -99,39 +96,26 @@ class TimeSeries:
         self._ts.append(ts_s)
         self._values.append(value)
         self._cum.append((self._cum[-1] if self._cum else 0.0) + delta)
-        if len(self._ts) > self.capacity:
+        if len(self._ts) > SERIES_CAPACITY:
             del self._ts[0]
             del self._values[0]
             del self._cum[0]
 
     # ---------------------------------------------------------------- queries
 
-    def _window(
-        self, start_s: Optional[float], end_s: Optional[float]
-    ) -> Tuple[int, int]:
+    def _window(self, start_s: float, end_s: float) -> Tuple[int, int]:
         """Index slice ``[lo, hi)`` of points with ``start_s < ts <= end_s``."""
-        lo = 0 if start_s is None else bisect_right(self._ts, start_s)
-        hi = len(self._ts) if end_s is None else bisect_right(self._ts, end_s)
-        return lo, hi
+        return bisect_right(self._ts, start_s), bisect_right(self._ts, end_s)
 
-    def points(
-        self, start_s: Optional[float] = None, end_s: Optional[float] = None
-    ) -> List[SeriesPoint]:
-        """Raw points with ``start_s < ts <= end_s`` (open/closed range)."""
-        lo, hi = self._window(start_s, end_s)
-        return [
-            SeriesPoint(self._ts[index], self._values[index])
-            for index in range(lo, hi)
-        ]
+    def points(self) -> List[SeriesPoint]:
+        """Every raw point the ring holds, oldest first."""
+        return [SeriesPoint(ts, value) for ts, value in zip(self._ts, self._values)]
 
-    def samples(
-        self, start_s: Optional[float] = None, end_s: Optional[float] = None
-    ) -> Tuple[List[float], List[float]]:
-        """Parallel ``(timestamps, values)`` lists over the same open/closed
-        range as :meth:`points` — the allocation-light form hot SLI math
-        reads instead of materialising :class:`SeriesPoint` objects."""
-        lo, hi = self._window(start_s, end_s)
-        return self._ts[lo:hi], self._values[lo:hi]
+    def samples(self) -> Tuple[List[float], List[float]]:
+        """Parallel ``(timestamps, values)`` copies of :meth:`points` — the
+        allocation-light form hot SLI math reads instead of materialising
+        :class:`SeriesPoint` objects."""
+        return self._ts[:], self._values[:]
 
     def increase(self, start_s: float, end_s: float) -> float:
         """Reset-aware counter increase over ``(start_s, end_s]``.
@@ -168,7 +152,7 @@ class MetricsScraper:
     point per sample line (histogram ``_bucket``/``_sum``/``_count``
     series included).
     Series materialise lazily on first sight and never exceed
-    ``max_series``; beyond that new series are *counted* as dropped, not
+    ``MAX_SERIES``; beyond that new series are *counted* as dropped, not
     stored, so a label-cardinality explosion degrades visibly instead of
     eating the heap.
     """
@@ -178,18 +162,12 @@ class MetricsScraper:
         source: CollectSource,
         clock: Optional[Clock] = None,
         interval_s: float = 1.0,
-        capacity: int = 512,
-        max_series: int = 2048,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
-        if max_series < 1:
-            raise ValueError("max_series must be >= 1")
         self._collect = source.collect if isinstance(source, MetricsRegistry) else source
         self.clock = clock or MonotonicClock()
         self.interval_s = interval_s
-        self.capacity = capacity
-        self.max_series = max_series
         self._series: Dict[str, TimeSeries] = {}
         # Selector fast path: series grouped by sample name (key-sorted),
         # with the label dict cached per series — ``match`` runs on every
@@ -200,7 +178,7 @@ class MetricsScraper:
         #: SLIs park prepared cumulative window structures here so one
         #: tick's five rule windows share one pass over the raw points.
         self.query_cache: Dict[object, object] = {}
-        #: Samples refused because ``max_series`` was reached.
+        #: Samples refused because ``MAX_SERIES`` was reached.
         self.dropped_series = 0
         #: Completed scrape passes.
         self.scrapes = 0
@@ -217,15 +195,10 @@ class MetricsScraper:
                 key = series_key(name, dict(sample.labels))
                 series = self._series.get(key)
                 if series is None:
-                    if len(self._series) >= self.max_series:
+                    if len(self._series) >= MAX_SERIES:
                         self.dropped_series += 1
                         continue
-                    series = TimeSeries(
-                        name,
-                        tuple(sample.labels),
-                        family.kind,
-                        capacity=self.capacity,
-                    )
+                    series = TimeSeries(name, tuple(sample.labels), family.kind)
                     self._series[key] = series
                     bucket = self._by_name.setdefault(name, [])
                     bucket.append((series, dict(series.labels)))

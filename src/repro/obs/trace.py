@@ -53,6 +53,10 @@ STATUS_FAILED = "FAILED"
 STATUS_DEGRADED = "DEGRADED"
 STATUS_SHED = "SHED"
 
+#: Spans a :class:`Tracer` buffers per trace; further spans are counted in
+#: ``spans_dropped`` instead.
+MAX_SPANS_PER_TRACE = 4096
+
 #: Every span name the serving tier emits, root-to-leaf — the taxonomy the
 #: observability runbook documents and the docs lint pins.
 SPAN_TAXONOMY = (
@@ -171,12 +175,12 @@ class Tracer:
         buffer in the meantime).
     capacity:
         Committed traces retained (oldest evicted beyond it).
-    max_spans_per_trace:
-        Spans retained per trace.  Pathological requests (retry storms,
-        huge batches, stragglers re-tracing a committed trace) previously
-        grew span lists without limit; beyond this cap further spans are
-        counted in :attr:`spans_dropped` instead of buffered, so a soak
-        run's memory is bounded by ``capacity * max_spans_per_trace``.
+
+    Each trace buffers at most ``MAX_SPANS_PER_TRACE`` spans: pathological
+    requests (retry storms, huge batches, stragglers re-tracing a committed
+    trace) count further spans in :attr:`spans_dropped` instead of
+    buffering them, so a soak run's memory is bounded by
+    ``capacity * MAX_SPANS_PER_TRACE``.
     """
 
     def __init__(
@@ -185,18 +189,14 @@ class Tracer:
         seed: int = 0,
         sample_rate: float = 1.0,
         capacity: int = 512,
-        max_spans_per_trace: int = 4096,
     ) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be within [0, 1]")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if max_spans_per_trace < 1:
-            raise ValueError("max_spans_per_trace must be >= 1")
         self.clock = clock or MonotonicClock()
         self.sample_rate = sample_rate
         self.capacity = capacity
-        self.max_spans_per_trace = max_spans_per_trace
         self._id_rng = random.Random(seed)
         # A separate stream for sampling draws: the id sequence (and so
         # byte-identical trees) must not depend on the sample rate.
@@ -217,7 +217,7 @@ class Tracer:
         self._traces: "OrderedDict[str, List[Span]]" = OrderedDict()
         #: Traces dropped by head sampling (all-OK, sampled out).
         self.sampled_out = 0
-        #: Spans refused because their trace hit ``max_spans_per_trace``.
+        #: Spans refused because their trace hit ``MAX_SPANS_PER_TRACE``.
         self.spans_dropped = 0
 
     # ------------------------------------------------------------- ids/context
@@ -229,7 +229,7 @@ class Tracer:
         """Append under the per-trace cap; count the span as dropped
         otherwise (the span object still closes normally, it just never
         exports).  Caller holds the lock."""
-        if len(spans) >= self.max_spans_per_trace:
+        if len(spans) >= MAX_SPANS_PER_TRACE:
             self.spans_dropped += 1
         else:
             spans.append(span)
@@ -362,7 +362,6 @@ class Tracer:
         parent: Union[Span, SpanContext],
         start_s: float,
         end_s: float,
-        status: str = STATUS_OK,
         **attributes: Any,
     ) -> Span:
         """Add an already-measured child span (shared-work attribution:
@@ -380,7 +379,6 @@ class Tracer:
                 next(self._seq),
             )
             span.end_s = end_s
-            span.status = status
             span.attributes.update(attributes)
             if parent.trace_id in self._active:
                 self._append_bounded(self._active[parent.trace_id], span)

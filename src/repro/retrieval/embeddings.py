@@ -26,6 +26,15 @@ from .cache import LRUCache
 
 __all__ = ["HashingEmbedder", "cosine_similarity"]
 
+#: Length of every embedding vector (hash buckets).
+DIMENSIONS = 256
+#: Embeddings one embedder memoises (an LRU; :meth:`HashingEmbedder.warm`
+#: grows it to hold a warmed corpus).
+EMBEDDING_CACHE_SIZE = 50000
+#: Texts :meth:`HashingEmbedder.warm` embeds per batch, so a large corpus
+#: never materialises one giant intermediate matrix.
+WARM_BATCH_SIZE = 4096
+
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 _STOPWORDS = frozenset(
@@ -42,20 +51,17 @@ def _tokens(text: str) -> List[str]:
 class HashingEmbedder:
     """Maps text to a fixed-size normalised vector via token hashing."""
 
-    def __init__(self, dimensions: int = 256, cache_size: int = 50000) -> None:
-        if dimensions <= 0:
-            raise ValueError("dimensions must be positive")
-        self.dimensions = dimensions
-        self._cache = LRUCache(cache_size)
+    def __init__(self) -> None:
+        self._cache = LRUCache(EMBEDDING_CACHE_SIZE)
         # Token hashes are tiny and shared across every text; a generous
         # bound keeps the whole (finite) corpus vocabulary resident.
-        self._buckets = LRUCache(max(cache_size, 200_000))
+        self._buckets = LRUCache(200_000)
 
     def _bucket(self, token: str) -> int:
         bucket = self._buckets.get(token)
         if bucket is None:
             digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            bucket = int.from_bytes(digest, "big") % self.dimensions
+            bucket = int.from_bytes(digest, "big") % DIMENSIONS
             self._buckets.put(token, bucket)
         return bucket
 
@@ -64,7 +70,7 @@ class HashingEmbedder:
         cached = self._cache.get(text)
         if cached is not None:
             return cached
-        vector = np.zeros(self.dimensions, dtype=float)
+        vector = np.zeros(DIMENSIONS, dtype=float)
         for token in _tokens(text):
             vector[self._bucket(token)] += 1.0
         # Sub-linear scaling dampens very frequent tokens.
@@ -82,8 +88,8 @@ class HashingEmbedder:
         accumulated with a single scatter-add, then normalised row-wise.
         """
         if not texts:
-            return np.zeros((0, self.dimensions), dtype=float)
-        matrix = np.empty((len(texts), self.dimensions), dtype=float)
+            return np.zeros((0, DIMENSIONS), dtype=float)
+        matrix = np.empty((len(texts), DIMENSIONS), dtype=float)
         miss_positions: List[int] = []
         for position, text in enumerate(texts):
             cached = self._cache.get(text)
@@ -98,7 +104,7 @@ class HashingEmbedder:
                 for token in _tokens(texts[position]):
                     rows.append(row)
                     cols.append(self._bucket(token))
-            counts = np.zeros((len(miss_positions), self.dimensions), dtype=float)
+            counts = np.zeros((len(miss_positions), DIMENSIONS), dtype=float)
             if rows:
                 np.add.at(counts, (rows, cols), 1.0)
             counts = np.sqrt(counts)
@@ -111,15 +117,14 @@ class HashingEmbedder:
                 matrix[position] = vector
         return matrix
 
-    def warm(self, texts: Iterable[str], batch_size: int = 4096) -> int:
+    def warm(self, texts: Iterable[str]) -> int:
         """Pre-populate the cache with a corpus; returns how many were new.
 
         Used to build the corpus-level embedding matrix once so downstream
         rerankers never re-embed documents per query.  The cache grows to
         hold the whole warmed corpus (otherwise a corpus larger than the
         LRU bound would silently thrash, paying the warm-up cost for
-        nothing), and the batch is chunked so very large corpora never
-        materialise one giant intermediate matrix.
+        nothing), embedding ``WARM_BATCH_SIZE`` texts at a time.
         """
         fresh = [text for text in dict.fromkeys(texts) if text not in self._cache]
         if not fresh:
@@ -127,8 +132,8 @@ class HashingEmbedder:
         needed = len(self._cache) + len(fresh)
         if self._cache.capacity < needed:
             self._cache.capacity = needed
-        for start in range(0, len(fresh), batch_size):
-            self.embed_many(fresh[start : start + batch_size])
+        for start in range(0, len(fresh), WARM_BATCH_SIZE):
+            self.embed_many(fresh[start : start + WARM_BATCH_SIZE])
         return len(fresh)
 
     def similarity(self, text_a: str, text_b: str) -> float:

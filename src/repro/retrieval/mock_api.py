@@ -3,8 +3,9 @@
 FactCheck ships a hosted mock API that "emulates conventional web search
 APIs while returning consistent results from our dataset", so experiments
 are reproducible and independent of live search drift.  This class is the
-in-process equivalent: the same query parameters (``lr``, ``hl``, ``gl``,
-``num``), SERP-shaped results, and a separate page-fetch step that returns
+in-process equivalent: a query with a result count (``num``; the corpus
+is monolingual, so there is no locale), SERP-shaped results, and a
+separate page-fetch step that returns
 the document behind a result (whose text may be empty, like failed
 ``newspaper4k`` extractions).
 """
@@ -49,20 +50,9 @@ class MockSearchAPI:
 
     # -- search ------------------------------------------------------------------
 
-    def search(
-        self,
-        query: str,
-        *,
-        lr: str = "lang_en",
-        hl: str = "en",
-        gl: str = "us",
-        num: Optional[int] = None,
-    ) -> List[SerpEntry]:
-        """Run a query with Google-style parameters and return SERP entries.
-
-        The locale parameters are accepted for interface fidelity; the
-        synthetic corpus is monolingual so they do not change the results.
-        """
+    def search(self, query: str, *, num: Optional[int] = None) -> List[SerpEntry]:
+        """Run a query and return up to ``num`` SERP entries (the corpus is
+        monolingual, so a query has no locale)."""
         limit = num if num is not None else self.default_num_results
         results = self.engine.search(query, num_results=limit)
         return [

@@ -28,6 +28,12 @@ __all__ = ["CrossEncoderReranker", "ScoredText"]
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
+#: The relevance logit: ``LEXICAL_WEIGHT * containment + SEMANTIC_WEIGHT *
+#: cosine + BIAS``, squashed through a sigmoid.
+LEXICAL_WEIGHT = 2.4
+SEMANTIC_WEIGHT = 2.0
+BIAS = -1.4
+
 
 @dataclass(frozen=True)
 class ScoredText:
@@ -41,17 +47,8 @@ class ScoredText:
 class CrossEncoderReranker:
     """Scores query/candidate pairs and ranks candidates by relevance."""
 
-    def __init__(
-        self,
-        embedder: HashingEmbedder | None = None,
-        lexical_weight: float = 2.4,
-        semantic_weight: float = 2.0,
-        bias: float = -1.4,
-    ) -> None:
-        self.embedder = embedder or HashingEmbedder()
-        self.lexical_weight = lexical_weight
-        self.semantic_weight = semantic_weight
-        self.bias = bias
+    def __init__(self) -> None:
+        self.embedder = HashingEmbedder()
         self._term_cache = LRUCache(50000)
 
     def score(self, query: str, candidate: str) -> float:
@@ -60,7 +57,7 @@ class CrossEncoderReranker:
             return 0.0
         lexical = self._containment(query, candidate)
         semantic = self.embedder.similarity(query, candidate)
-        logit = self.lexical_weight * lexical + self.semantic_weight * semantic + self.bias
+        logit = LEXICAL_WEIGHT * lexical + SEMANTIC_WEIGHT * semantic + BIAS
         return 1.0 / (1.0 + math.exp(-logit))
 
     def rank(self, query: str, candidates: Sequence[str]) -> List[ScoredText]:
@@ -94,11 +91,7 @@ class CrossEncoderReranker:
                 lexical = len(query_terms & self._terms(candidate)) / len(query_terms)
             else:
                 lexical = 0.0
-            logit = (
-                self.lexical_weight * lexical
-                + self.semantic_weight * float(semantic[index])
-                + self.bias
-            )
+            logit = LEXICAL_WEIGHT * lexical + SEMANTIC_WEIGHT * float(semantic[index]) + BIAS
             scores.append(1.0 / (1.0 + math.exp(-logit)))
         return scores
 

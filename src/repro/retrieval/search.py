@@ -35,6 +35,12 @@ __all__ = ["SearchResult", "SearchEngine"]
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
+#: BM25's term-frequency saturation ``k1`` and length normalisation ``b``.
+K1 = 1.5
+B = 0.75
+#: Each title token counts this many body occurrences.
+TITLE_WEIGHT = 2.5
+
 #: One counter for every engine in the process, so two engines never share
 #: a :attr:`SearchEngine.generation` value.
 _GENERATIONS = itertools.count(1)
@@ -65,17 +71,8 @@ class SearchEngine:
     results retrieved at one generation hold while the engine reports it.
     """
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        k1: float = 1.5,
-        b: float = 0.75,
-        title_weight: float = 2.5,
-    ) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
-        self.k1 = k1
-        self.b = b
-        self.title_weight = title_weight
         self._doc_ids: List[str] = []
         self._term_ids: Dict[str, int] = {}
         self._posting_docs: List[np.ndarray] = []
@@ -91,7 +88,7 @@ class SearchEngine:
     def _weighted_terms(self, document: Document) -> Counter:
         weighted = Counter(_tokenize(document.text))
         for token in _tokenize(document.title):
-            weighted[token] += self.title_weight
+            weighted[token] += TITLE_WEIGHT
         return weighted
 
     def _build_index(self) -> None:
@@ -129,7 +126,7 @@ class SearchEngine:
         self._avg_length = float(lengths.mean()) if len(lengths) else 0.0
         # Precomputed per-document BM25 length normalisation.
         if self._avg_length:
-            self._length_norm = 1.0 - self.b + self.b * (lengths / self._avg_length)
+            self._length_norm = 1.0 - B + B * (lengths / self._avg_length)
         else:
             self._length_norm = np.ones_like(lengths)
         n = len(self._doc_ids)
@@ -224,7 +221,7 @@ class SearchEngine:
             return []
         scores = np.zeros(len(self._doc_ids), dtype=np.float64)
         touched: List[np.ndarray] = []
-        k1 = self.k1
+        k1 = K1
         for term, occurrences in Counter(query_terms).items():
             term_id = self._term_ids.get(term)
             if term_id is None:

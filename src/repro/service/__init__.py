@@ -85,6 +85,7 @@ from .server import (
     ServiceRequest,
     ServiceResponse,
     StrategyProvider,
+    UnknownStrategyError,
     ValidationService,
 )
 
@@ -107,6 +108,7 @@ __all__ = [
     "ShardedValidationService",
     "StrategyProvider",
     "TCPValidationFrontend",
+    "UnknownStrategyError",
     "ValidationService",
     "VerdictCache",
     "build_workload",

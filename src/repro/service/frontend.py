@@ -28,9 +28,14 @@ Control commands: ``{"cmd": "metrics"}`` returns a
 ``{"exposition": <Prometheus-style text>}`` rendered from the unified
 metrics registry; ``{"cmd": "slo"}`` returns the armed
 :class:`~repro.obs.alerts.SLOMonitor`'s status payload (error budgets,
-burn rates, alert states) after one fresh evaluation.  Malformed input
-and unknown facts produce ``{"outcome": "error", "error": ...}`` instead
-of closing the connection.
+burn rates, alert states) after one fresh evaluation.  Malformed input,
+unknown facts and methods or models no strategy serves produce
+``{"outcome": "error", "error": ...}`` instead of closing the connection.
+
+A connection that takes longer than ``READ_TIMEOUT_S`` to deliver its next
+line (idle between requests, or stalled mid-line) gets an error reply and
+is closed, as is one beyond ``MAX_CONNECTIONS`` open at once and one whose
+line outgrows asyncio's stream limit.
 
 Tracing: with :meth:`TCPValidationFrontend.set_observability` armed, every
 validation request runs under a ``frontend.request`` root span (re-parented
@@ -42,6 +47,7 @@ carries the ``trace_id``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import json
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -52,6 +58,15 @@ from .router import ShardedValidationService
 from .server import RequestOutcome, ServiceRequest
 
 __all__ = ["TCPValidationFrontend"]
+
+#: Seconds a connection may take to deliver its next request line.
+READ_TIMEOUT_S = 30.0
+#: Connections served at once; one more is refused.
+MAX_CONNECTIONS = 512
+
+
+def _error_line(message: str) -> bytes:
+    return json.dumps({"outcome": "error", "error": message}).encode("utf-8") + b"\n"
 
 
 class TCPValidationFrontend:
@@ -82,6 +97,7 @@ class TCPValidationFrontend:
             frozenset(allowed_models) if allowed_models is not None else None
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections = 0
         #: Chaos hook: when armed (see :meth:`set_fault_injection`), every
         #: validation request fires the ``frontend`` fault point before it
         #: reaches the service; injected faults become error replies.
@@ -143,22 +159,27 @@ class TCPValidationFrontend:
     # ---------------------------------------------------------------- protocol
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        self._connections += 1
         try:
+            if self._connections > MAX_CONNECTIONS:
+                writer.write(_error_line(f"too many connections (limit {MAX_CONNECTIONS})"))
+                await writer.drain()
+                return
             while True:
                 try:
-                    line = await reader.readline()
+                    async with asyncio.timeout(READ_TIMEOUT_S):
+                        line = await reader.readline()
                 except ValueError:
                     # Line exceeds asyncio's stream limit; the buffer cannot
                     # be resynchronised to the next line, so reply with an
                     # explicit error and close instead of dying silently.
-                    writer.write(
-                        json.dumps(
-                            {"outcome": "error", "error": "request line too long"}
-                        ).encode("utf-8")
-                        + b"\n"
-                    )
+                    writer.write(_error_line("request line too long"))
                     await writer.drain()
                     self.requests_handled += 1
+                    break
+                except TimeoutError:
+                    writer.write(_error_line(f"no request line within {READ_TIMEOUT_S:g}s"))
+                    await writer.drain()
                     break
                 if not line:
                     break
@@ -178,11 +199,12 @@ class TCPValidationFrontend:
             # the accept loop and every other connection keep serving.
             pass
         finally:
+            self._connections -= 1
             writer.close()
-            try:
+            # A loop tearing down cancels this wait too: the handler still
+            # ends quietly, not as a cancelled task the loop has to log.
+            with contextlib.suppress(ConnectionError, OSError, asyncio.CancelledError):
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
 
     async def _reply_for(self, line: bytes) -> Tuple[dict, bool]:
         """Produce ``(reply, counts_toward_requests_handled)`` for one line."""

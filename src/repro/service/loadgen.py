@@ -218,20 +218,11 @@ class LoadReport:
                         )
         return violations
 
-    def verdicts(
-        self, epoch: Optional[int] = None
-    ) -> Dict[Tuple[str, str, str, str], str]:
-        """``(method, model, dataset, fact_id) -> verdict`` over completions.
-
-        ``epoch`` restricts the table to responses answered at one store
-        epoch — the handle the mixed read/write benchmark uses to check
-        pre- and post-ingest verdicts independently.
-        """
+    def verdicts(self) -> Dict[Tuple[str, str, str, str], str]:
+        """``(method, model, dataset, fact_id) -> verdict`` over completions."""
         table: Dict[Tuple[str, str, str, str], str] = {}
         for request, response in zip(self.requests, self.responses):
             if not isinstance(request, ServiceRequest) or response.result is None:
-                continue
-            if epoch is not None and response.epoch != epoch:
                 continue
             key = (request.method, request.model, request.fact.dataset, request.fact.fact_id)
             table[key] = response.result.verdict.value

@@ -19,12 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    percentile,
-    render_exposition,
-)
+from ..obs.registry import MetricsRegistry, percentile, render_exposition
 
 __all__ = [
     "SERVICE_METRIC_NAMES",
@@ -46,9 +41,6 @@ SERVICE_METRIC_NAMES = (
     "service_ingested_ops_total",
     "service_request_latency_seconds",
 )
-
-#: Raw samples the latency histogram keeps behind the percentiles.
-LATENCY_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -130,21 +122,16 @@ class MetricsSnapshot:
 class ServiceMetrics:
     """One worker's serving telemetry, backed by a metrics registry.
 
-    Every counter/gauge/histogram is a named instrument in
-    :attr:`registry` (by default a private
-    :class:`~repro.obs.registry.MetricsRegistry` — replicas must not share
-    one, their per-worker series would collide); :meth:`snapshot` and
+    Every counter/gauge/histogram is a named instrument in its private
+    :attr:`registry` (replicas must not share one, their per-worker series
+    would collide); :meth:`snapshot` and
     :meth:`exposition` are two views over the same instruments.  Model
     cost is not counted here: the strategies record every real model call
     in the runner's own telemetry.
     """
 
-    def __init__(
-        self,
-        window: int = LATENCY_WINDOW,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.registry = registry or MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         self._started_at: Optional[float] = None
         requests = self.registry.counter(
@@ -183,8 +170,6 @@ class ServiceMetrics:
         self._latency = self.registry.histogram(
             "service_request_latency_seconds",
             "In-service request latency (queue wait + batch execution).",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-            window=window,
         )
 
     # ------------------------------------------------------------- recording
@@ -305,6 +290,6 @@ class ServiceMetrics:
             exemplars=tuple(exemplars),
         )
 
-    def exposition(self, extra_labels=None) -> str:
+    def exposition(self) -> str:
         """This worker's instruments as Prometheus-style text."""
-        return render_exposition(self.registry.collect(extra_labels))
+        return render_exposition(self.registry.collect())

@@ -79,7 +79,13 @@ from .cache import verdict_cache_key
 from .config import ServiceConfig
 from .metrics import MetricsSnapshot, ServiceMetrics
 from .policy import RetryPolicy
-from .server import RequestOutcome, ServiceRequest, ServiceResponse, ValidationService
+from .server import (
+    RequestOutcome,
+    ServiceRequest,
+    ServiceResponse,
+    UnknownStrategyError,
+    ValidationService,
+)
 
 __all__ = [
     "ROUTER_METRIC_NAMES",
@@ -401,8 +407,9 @@ class RouterMetrics:
 
     # ------------------------------------------------------------- rendering
 
-    def format_shard_table(self, title: str = "Per-shard metrics") -> str:
+    def format_shard_table(self) -> str:
         """One row per logical shard: the tail-latency/queue/shed roll-ups."""
+        title = "Per-shard metrics"
         lines = [title, "-" * len(title)]
         header = (
             f"{'shard':>5}  {'completed':>9}  {'shed':>5}  {'errors':>6}  "
@@ -419,8 +426,9 @@ class RouterMetrics:
             )
         return "\n".join(lines)
 
-    def format_replica_table(self, title: str = "Per-replica health") -> str:
+    def format_replica_table(self) -> str:
         """One row per replica: health state, traffic, faults, probes."""
+        title = "Per-replica health"
         lines = [title, "-" * len(title)]
         header = (
             f"{'shard':>5}  {'replica':>7}  {'state':>9}  {'served':>7}  "
@@ -908,10 +916,8 @@ class ShardedValidationService:
             *(service.stop(drain=False) for service in self.edge_services[name])
         )
 
-    async def drain_edges(
-        self, name: Optional[str] = None, max_batches: Optional[int] = None
-    ) -> int:
-        """Drain queued batches into one edge (or every live edge) now.
+    async def drain_edges(self) -> int:
+        """Drain queued batches into every live edge now.
 
         The background loops already drain at their own pace; this is the
         synchronous path for tests and scenario epilogues that must reach a
@@ -920,12 +926,11 @@ class ShardedValidationService:
         """
         if self.geo is None:
             raise RuntimeError("no geo tier configured")
-        names = [name] if name is not None else self.live_edge_names
         applied = 0
-        for edge_name in names:
+        for edge_name in self.live_edge_names:
             if edge_name in self._edge_dead:
                 continue
-            applied += await self._drain_edge(edge_name, max_batches)
+            applied += await self._drain_edge(edge_name)
         return applied
 
     async def _drain_edge(self, name: str, max_batches: Optional[int] = None) -> int:
@@ -1091,6 +1096,8 @@ class ShardedValidationService:
             except asyncio.CancelledError:
                 if service._closed and not self._closed:
                     return None
+                raise
+            except UnknownStrategyError:
                 raise
             except (asyncio.TimeoutError, Exception):
                 return None
@@ -1418,6 +1425,11 @@ class ShardedValidationService:
                     continue
                 # Caller cancellation: release an in-flight canary so the
                 # replica stays probe-eligible for the next request.
+                self.health[shard_index][replica_index].probing = False
+                raise
+            except UnknownStrategyError:
+                # The request is at fault, not the replica: no health mark,
+                # no failover (every replica would refuse it alike).
                 self.health[shard_index][replica_index].probing = False
                 raise
             except Exception as exc:

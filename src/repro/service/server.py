@@ -58,12 +58,19 @@ __all__ = [
     "ServiceRequest",
     "ServiceResponse",
     "StrategyProvider",
+    "UnknownStrategyError",
     "ValidationService",
 ]
 
 #: Builds a strategy for ``(method, dataset, model_name)``;
 #: ``BenchmarkRunner.build_strategy`` adapts to this via ``from_runner``.
 StrategyProvider = Callable[[str, str, str], ValidationStrategy]
+
+
+class UnknownStrategyError(ValueError):
+    """A request names a method or model no strategy serves.  Raised before
+    the request is admitted: it takes no queue slot and no worker, and a
+    router does not count it against the replica that raised it."""
 
 
 class RequestOutcome(str, Enum):
@@ -350,7 +357,9 @@ class ValidationService:
         A hit is :meth:`cached`'s answer; a miss is admitted and queued.
         Returns a ``COMPLETED`` response (cached or freshly judged) or a
         ``REJECTED`` one when the in-flight budget is full.  Raises
-        :class:`RuntimeError` when the service is stopped, propagates the
+        :class:`UnknownStrategyError`, admitting nothing, when no strategy
+        serves the request's method and model, :class:`RuntimeError` when
+        the service is stopped, propagates the
         strategy's exception when its whole micro-batch group fails, and
         raises :class:`asyncio.CancelledError` when a hard stop abandons
         the request.
@@ -390,6 +399,15 @@ class ValidationService:
                 RequestOutcome.COMPLETED, hit[0], True, hit[2], epoch=hit[1], trace_id=trace_id
             )
         method, model = request.method, request.model
+        try:
+            self._strategy(method, request.fact.dataset, model)
+        except Exception as exc:  # counted like a failed batch, never admitted
+            self.metrics.observe_error()
+            if isinstance(exc, KeyError):
+                raise UnknownStrategyError(
+                    f"no strategy for method {method!r}, model {model!r}"
+                ) from exc
+            raise
         epoch = self.epoch
 
         if self._pending >= self.config.queue_depth:

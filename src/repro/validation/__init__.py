@@ -16,7 +16,7 @@ from .consensus import (
 )
 from .dka import DirectKnowledgeAssessment
 from .giv import GuidedIterativeVerification
-from .hybrid import HybridConfig, HybridValidator
+from .hybrid import HybridValidator
 from .pipeline import (
     ParallelValidationPipeline,
     ValidationPipeline,
@@ -52,7 +52,6 @@ __all__ = [
     "DirectKnowledgeAssessment",
     "FEW_SHOT_EXAMPLES",
     "GuidedIterativeVerification",
-    "HybridConfig",
     "HybridValidator",
     "MajorityVoteConsensus",
     "NetworkLatencyModel",

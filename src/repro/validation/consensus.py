@@ -24,6 +24,9 @@ __all__ = [
     "MajorityVoteConsensus",
 ]
 
+#: Votes one side needs out of the four models to decide outright.
+MAJORITY = 3
+
 #: A tie-breaking callable: given a fact id, return the judge's boolean verdict
 #: (or ``None`` when the judge itself fails to produce one).
 JudgeFn = Callable[[str], Optional[bool]]
@@ -87,19 +90,19 @@ class ConsensusRun:
         return labels
 
 
-def majority_vote(votes: Sequence[Optional[bool]], majority: int = 3) -> Verdict:
+def majority_vote(votes: Sequence[Optional[bool]]) -> Verdict:
     """The paper's voting rule for four models.
 
-    >= ``majority`` true votes -> TRUE; an even split -> TIE; otherwise FALSE.
+    >= ``MAJORITY`` true votes -> TRUE; an even split -> TIE; otherwise FALSE.
     Invalid votes (``None``) simply do not count toward either side, which
     makes the rule degrade gracefully when a model fails to answer.
     """
     valid = [vote for vote in votes if vote is not None]
     positives = sum(1 for vote in valid if vote)
     negatives = len(valid) - positives
-    if positives >= majority:
+    if positives >= MAJORITY:
         return Verdict.TRUE
-    if negatives >= majority:
+    if negatives >= MAJORITY:
         return Verdict.FALSE
     if positives == negatives:
         return Verdict.TIE
@@ -127,9 +130,6 @@ def consensus_alignment(
 
 class MajorityVoteConsensus:
     """Aggregates per-model validation runs into consensus decisions."""
-
-    def __init__(self, majority: int = 3) -> None:
-        self.majority = majority
 
     def aggregate(
         self,
@@ -169,7 +169,7 @@ class MajorityVoteConsensus:
         consensus = ConsensusRun(method=method, dataset=dataset, judge=judge_name)
         for fact_id in ordered_fact_ids:
             votes = {name: predictions_by_model[name].get(fact_id) for name in model_names}
-            verdict = majority_vote(list(votes.values()), majority=self.majority)
+            verdict = majority_vote(list(votes.values()))
             was_tie = verdict is Verdict.TIE
             arbitrated = False
             if was_tie and judge_fn is not None:

@@ -1,15 +1,15 @@
 """Guided Iterative Verification (GIV): structured, retry-based prompting.
 
-GIV uses a structured prompt template that fixes the output format and can
-include dataset-specific constraints.  When the model's output does not
-conform, the system re-prompts, explicitly flagging the non-compliance;
-responses that repeatedly fail are marked invalid.  The strategy is
-evaluated in both zero-shot (GIV-Z) and few-shot (GIV-F) settings.
+GIV uses a structured prompt template that fixes the output format.  When
+the model's output does not conform, the system re-prompts, explicitly
+flagging the non-compliance; responses that repeatedly fail are marked
+invalid.  The strategy is evaluated in both zero-shot (GIV-Z) and few-shot
+(GIV-F) settings.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..datasets.base import LabeledFact
 from ..kg.verbalization import Verbalizer
@@ -20,6 +20,9 @@ from .prompts import giv_prompt, parse_verdict, reprompt_suffix
 
 __all__ = ["GuidedIterativeVerification"]
 
+#: Re-prompts after a non-compliant answer before the verdict is INVALID.
+MAX_RETRIES = 2
+
 
 class GuidedIterativeVerification(ValidationStrategy):
     """Structured prompting with bounded re-prompting on format violations."""
@@ -28,26 +31,18 @@ class GuidedIterativeVerification(ValidationStrategy):
         self,
         model: LLMClient,
         few_shot: bool = False,
-        max_retries: int = 2,
-        constraints: Optional[Sequence[str]] = None,
         verbalizer: Optional[Verbalizer] = None,
         telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         self.model = model
         self.few_shot = few_shot
-        self.max_retries = max_retries
-        self.constraints = list(constraints) if constraints else None
         self.verbalizer = verbalizer or Verbalizer()
         self.telemetry = telemetry
         self.method_name = "giv-f" if few_shot else "giv-z"
 
     def validate(self, fact: LabeledFact) -> ValidationResult:
         statement = self.verbalizer.statement(fact.triple)
-        base_prompt = giv_prompt(
-            fact, statement, few_shot=self.few_shot, constraints=self.constraints
-        )
+        base_prompt = giv_prompt(fact, statement, few_shot=self.few_shot)
         prompt = base_prompt
         total_latency = 0.0
         total_prompt_tokens = 0
@@ -55,7 +50,7 @@ class GuidedIterativeVerification(ValidationStrategy):
         last_text = ""
         parsed: Optional[bool] = None
         attempts = 0
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             attempts = attempt
             response = self.model.generate(
                 prompt,

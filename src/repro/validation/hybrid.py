@@ -7,38 +7,29 @@ an internal KG-based checker (any :class:`~repro.baselines.base.GraphFactChecker
 e.g. Knowledge Linker) *and* with the RAG pipeline, then fuses the two
 signals.  The fusion is deliberately simple and interpretable:
 
-* when the graph score is confidently high or low (outside a configurable
-  uncertainty band) and the LLM verdict agrees, the agreement is reported;
-* when they disagree, the side whose confidence is stronger wins;
-* when the graph checker abstains (score inside the band, e.g. because the
-  reference KG is incomplete around the entities), the LLM verdict stands.
+* whenever the LLM answers, its verdict stands — on a disagreement too, so
+  the hybrid never does worse than RAG when the KG is unreliable;
+* when the LLM fails to answer, the graph's opinion decides: ``TRUE`` or
+  ``FALSE`` when its score is confidently high or low (outside the
+  uncertainty band ``(LOW_BAND, HIGH_BAND)``), ``INVALID`` when it abstains
+  (score inside the band, e.g. because the reference KG is incomplete
+  around the entities).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..baselines.base import GraphFactChecker
 from ..datasets.base import LabeledFact
 from .base import ValidationResult, ValidationStrategy, Verdict
 
-__all__ = ["HybridConfig", "HybridValidator"]
+__all__ = ["HybridValidator"]
 
-
-@dataclass(frozen=True)
-class HybridConfig:
-    """Fusion parameters.
-
-    ``low_band`` / ``high_band`` delimit the graph checker's abstention zone;
-    scores inside ``(low_band, high_band)`` are treated as "the KG does not
-    know".  ``graph_weight`` controls how much a confident graph signal can
-    override a disagreeing LLM verdict.
-    """
-
-    low_band: float = 0.25
-    high_band: float = 0.75
-    graph_weight: float = 0.5
+#: The graph checker's abstention zone: scores inside ``(LOW_BAND,
+#: HIGH_BAND)`` are treated as "the KG does not know".
+LOW_BAND = 0.25
+HIGH_BAND = 0.75
 
 
 class HybridValidator(ValidationStrategy):
@@ -48,11 +39,9 @@ class HybridValidator(ValidationStrategy):
         self,
         graph_checker: GraphFactChecker,
         llm_strategy: ValidationStrategy,
-        config: Optional[HybridConfig] = None,
     ) -> None:
         self.graph_checker = graph_checker
         self.llm_strategy = llm_strategy
-        self.config = config or HybridConfig()
         self.method_name = f"hybrid({graph_checker.method_name}+{llm_strategy.method_name})"
         self.model = getattr(llm_strategy, "model", None)
 
@@ -61,28 +50,18 @@ class HybridValidator(ValidationStrategy):
         score = self.graph_checker.score(
             fact.subject_name, fact.base_predicate(), fact.object_name
         )
-        if score >= self.config.high_band:
+        if score >= HIGH_BAND:
             return True
-        if score <= self.config.low_band:
+        if score <= LOW_BAND:
             return False
         return None
 
     def validate(self, fact: LabeledFact) -> ValidationResult:
         llm_result = self.llm_strategy.validate(fact)
-        llm_verdict = llm_result.verdict.as_bool()
-        graph_verdict = self.graph_opinion(fact)
-
-        fused: Optional[bool]
-        if llm_verdict is None:
+        fused = llm_result.verdict.as_bool()
+        if fused is None:
             # The LLM failed to answer: fall back entirely to the graph.
-            fused = graph_verdict
-        elif graph_verdict is None or graph_verdict == llm_verdict:
-            fused = llm_verdict
-        else:
-            # Disagreement: the graph overrides only in proportion to its
-            # configured weight, deterministically (ties go to the LLM so the
-            # hybrid never does worse than RAG when the KG is unreliable).
-            fused = graph_verdict if self.config.graph_weight > 0.5 else llm_verdict
+            fused = self.graph_opinion(fact)
 
         verdict = Verdict.from_bool(fused) if fused is not None else Verdict.INVALID
         return ValidationResult(

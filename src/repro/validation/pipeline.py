@@ -6,7 +6,6 @@ import multiprocessing
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from ..datasets.base import FactDataset, LabeledFact
-from ..llm.telemetry import TelemetryCollector
 from .base import ValidationResult, ValidationRun, ValidationStrategy
 
 __all__ = [
@@ -16,8 +15,8 @@ __all__ = [
 ]
 
 
-def progress_label(method: str, dataset: str, model: str = "") -> str:
-    """Canonical ``progress`` label: ``method/dataset`` or ``method/dataset/model``.
+def progress_label(method: str, dataset: str) -> str:
+    """Canonical serial ``progress`` label: ``method/dataset``.
 
     Both pipeline flavours report work through the same
     ``progress(label, done, total)`` contract.  The serial pipeline emits one
@@ -26,10 +25,7 @@ def progress_label(method: str, dataset: str, model: str = "") -> str:
     way the label carries the strategy and dataset identifiers, so a single
     callback implementation can consume both.
     """
-    parts = [method, dataset]
-    if model:
-        parts.append(model)
-    return "/".join(parts)
+    return f"{method}/{dataset}"
 
 
 class ValidationPipeline:
@@ -40,12 +36,7 @@ class ValidationPipeline:
     see :class:`ParallelValidationPipeline` for the per-cell variant.
     """
 
-    def __init__(
-        self,
-        telemetry: Optional[TelemetryCollector] = None,
-        progress: Optional[Callable[[str, int, int], None]] = None,
-    ) -> None:
-        self.telemetry = telemetry
+    def __init__(self, progress: Optional[Callable[[str, int, int], None]] = None) -> None:
         self.progress = progress
 
     def run(self, strategy: ValidationStrategy, dataset: FactDataset) -> ValidationRun:
@@ -103,16 +94,15 @@ class ParallelValidationPipeline(ValidationPipeline):
     ``progress`` follows the same ``progress(label, done, total)`` contract
     as the serial pipeline, at cell granularity: one call per completed
     cell, with the label derived from the cell itself (``"/"``-joined for
-    ``(method, dataset, model)`` tuples, matching :func:`progress_label`).
+    ``(method, dataset, model)`` tuples, extending :func:`progress_label`).
     """
 
     def __init__(
         self,
         workers: int = 2,
-        telemetry: Optional[TelemetryCollector] = None,
         progress: Optional[Callable[[str, int, int], None]] = None,
     ) -> None:
-        super().__init__(telemetry, progress)
+        super().__init__(progress)
         self.workers = max(1, int(workers))
 
     @staticmethod

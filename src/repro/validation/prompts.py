@@ -78,7 +78,6 @@ def giv_prompt(
     fact: LabeledFact,
     statement: Optional[str] = None,
     few_shot: bool = False,
-    constraints: Optional[Sequence[str]] = None,
 ) -> str:
     """Guided Iterative Verification prompt (zero-shot or few-shot)."""
     sections: List[str] = [
@@ -87,8 +86,6 @@ def giv_prompt(
         'Respond with a single JSON object: {"verdict": "true" | "false", '
         '"confidence": <0..1>, "reasoning": "<one sentence>"}.',
     ]
-    if constraints:
-        sections.append("Dataset-specific constraints:\n" + "\n".join(f"- {c}" for c in constraints))
     if few_shot:
         sections.append(_few_shot_block())
     sections.append(_statement_block(fact, statement))
@@ -150,14 +147,14 @@ def question_generation_prompt(statement: str, num_questions: int) -> str:
     )
 
 
-def error_explanation_prompt(fact: LabeledFact, predicted: str, statement: Optional[str] = None) -> str:
+def error_explanation_prompt(fact: LabeledFact, predicted: str) -> str:
     """Post-hoc prompt asking the model to explain an incorrect prediction."""
     return (
         "You previously judged the following statement incorrectly as "
         f"'{predicted}'. Explain in one or two sentences what kind of error "
         "was made (missing context, wrong relationship, wrong role, wrong "
         "place, wrong classification, or wrong identifier).\n\n"
-        f"{_statement_block(fact, statement)}\n\nExplanation:"
+        f"{_statement_block(fact, None)}\n\nExplanation:"
     )
 
 

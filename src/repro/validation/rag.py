@@ -190,7 +190,6 @@ class RetrievedEvidence:
     selected_queries: List[str]
     documents: List[Document]
     chunks: List[str]
-    retrieval_latency_seconds: float = 0.0
 
     @property
     def num_documents(self) -> int:
@@ -211,11 +210,8 @@ class RAGValidator(ValidationStrategy):
         transformer: Optional[TripleTransformer] = None,
         question_generator: Optional[QuestionGenerator] = None,
         reranker: Optional[CrossEncoderReranker] = None,
-        chunker: Optional[SlidingWindowChunker] = None,
         verbalizer: Optional[Verbalizer] = None,
         telemetry: Optional[TelemetryCollector] = None,
-        network_model: Optional[NetworkLatencyModel] = None,
-        include_network_latency: bool = False,
         evidence_cache: Optional[LRUCache] = None,
     ) -> None:
         self.model = model
@@ -224,7 +220,7 @@ class RAGValidator(ValidationStrategy):
         self.config = config or RAGConfig()
         self.verbalizer = verbalizer or Verbalizer()
         self.reranker = reranker or CrossEncoderReranker()
-        self.chunker = chunker or SlidingWindowChunker(
+        self.chunker = SlidingWindowChunker(
             window_size=self.config.chunk_window, stride=self.config.chunk_stride
         )
         self.transformer = transformer or TripleTransformer(model, self.verbalizer, telemetry)
@@ -232,8 +228,6 @@ class RAGValidator(ValidationStrategy):
             model, self.reranker, self.config, telemetry
         )
         self.telemetry = telemetry
-        self.network_model = network_model or NetworkLatencyModel()
-        self.include_network_latency = include_network_latency
         # Shared evidence cache: the paper's pipeline runs transformation and
         # question generation with a single model (Gemma2) for every
         # validator, so phases 1–4 can be computed once per fact and reused
@@ -293,7 +287,6 @@ class RAGValidator(ValidationStrategy):
             selected_queries=queries,
             documents=top_documents,
             chunks=chunks,
-            retrieval_latency_seconds=self.network_model.serp_time(len(queries)),
         )
 
     def _retrieve_documents(self, queries: Sequence[str]) -> List[Document]:
@@ -354,8 +347,6 @@ class RAGValidator(ValidationStrategy):
         parsed = parse_verdict(response.text)
         verdict = Verdict.from_bool(parsed) if parsed is not None else Verdict.INVALID
         latency = upstream_latency + response.latency_seconds
-        if self.include_network_latency:
-            latency += evidence.retrieval_latency_seconds
         subject_lower = fact.subject_name.lower()
         return ValidationResult(
             fact_id=fact.fact_id,
@@ -405,14 +396,13 @@ class RAGDatasetBuilder:
         search_api: MockSearchAPI,
         kg_encoding: KGEncoding,
         config: Optional[RAGConfig] = None,
-        network_model: Optional[NetworkLatencyModel] = None,
     ) -> None:
         self.transformer = transformer
         self.question_generator = question_generator
         self.search_api = search_api
         self.kg_encoding = kg_encoding
         self.config = config or RAGConfig()
-        self.network_model = network_model or NetworkLatencyModel()
+        self.network_model = NetworkLatencyModel()
 
     def build(self, dataset: FactDataset) -> Tuple[Dict[str, dict], RAGDatasetStats]:
         """Build per-fact records and aggregate statistics for a dataset."""

@@ -49,9 +49,9 @@ class RuleVerdict:
 class OntologyRuleChecker:
     """Checks candidate triples against domain/range/functionality rules."""
 
-    def __init__(self, world: World, ontology: Optional[Ontology] = None) -> None:
+    def __init__(self, world: World) -> None:
         self.world = world
-        self.ontology = ontology or default_ontology()
+        self.ontology = default_ontology()
 
     def _entity_type(self, name: str) -> Optional[EntityType]:
         entity = self.world.entity_by_name(name)

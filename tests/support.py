@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.datasets.base import FactDataset
-from repro.llm import CallRecord, LLMResponse
+from repro.llm import CallRecord, LLMResponse, UsageSummary
 from repro.obs.registry import _format_value
 from repro.service.loadgen import IngestRequest, WorkItem, build_workload
 from repro.service.server import RequestOutcome, ServiceResponse
@@ -150,6 +150,20 @@ def build_mixed_workload(
     return schedule
 
 
+def calls_of(telemetry, model: Optional[str] = None, task: Optional[str] = None) -> List[CallRecord]:
+    """A telemetry collector's records, filtered by model and task."""
+    return [
+        record
+        for record in telemetry.records()
+        if (model is None or record.model == model) and (task is None or record.task == task)
+    ]
+
+
+def usage_of(telemetry, model: Optional[str] = None, task: Optional[str] = None) -> UsageSummary:
+    """The usage summary of :func:`calls_of`."""
+    return UsageSummary.from_records(calls_of(telemetry, model, task))
+
+
 def epochs_served(report) -> List[int]:
     """The distinct store epochs a load report's reads were answered at."""
     return sorted({
@@ -157,6 +171,19 @@ def epochs_served(report) -> List[int]:
         for response in report.responses
         if response.outcome is RequestOutcome.COMPLETED
     })
+
+
+def verdicts_at(report, epoch: int) -> Dict[Tuple[str, str, str, str], str]:
+    """A load report's verdict table restricted to the reads answered at
+    one store epoch."""
+    table: Dict[Tuple[str, str, str, str], str] = {}
+    for request, response in zip(report.requests, report.responses):
+        if isinstance(request, IngestRequest) or response.result is None:
+            continue
+        if response.epoch == epoch:
+            key = (request.method, request.model, request.fact.dataset, request.fact.fact_id)
+            table[key] = response.result.verdict.value
+    return table
 
 
 def mark_unhealthy(router, shard_index: int, replica_index: int) -> None:

@@ -9,6 +9,8 @@ from repro.baselines import (
     PredPath,
     build_reference_graph,
 )
+from repro.baselines import predpath as predpath_module
+from repro.baselines import rulebased as rulebased_module
 from repro.kg import KnowledgeGraph, Triple
 
 
@@ -98,9 +100,13 @@ class TestKnowledgeLinker:
 
 
 class TestPredPath:
-    def test_fit_and_score_discriminates(self, world, reference_graph, factbench_small):
+    def test_fit_and_score_discriminates(
+        self, world, reference_graph, factbench_small, monkeypatch
+    ):
+        monkeypatch.setattr(predpath_module, "MAX_PATH_LENGTH", 2)
+        monkeypatch.setattr(predpath_module, "MAX_PATHS_PER_PAIR", 40)
         train, test = factbench_small.split(0.6, seed=3)
-        checker = PredPath(reference_graph, max_path_length=2, max_paths_per_pair=40)
+        checker = PredPath(reference_graph)
         checker.fit(train.facts())
         positives = [f for f in test if f.label][:5]
         negatives = [f for f in test if not f.label][:5]
@@ -119,19 +125,22 @@ class TestPredPath:
 
 
 class TestEvidentialPaths:
-    def test_prepare_is_idempotent(self, toy_graph):
-        checker = EvidentialPathChecker(toy_graph, examples_per_predicate=5)
+    def test_prepare_is_idempotent(self, toy_graph, monkeypatch):
+        monkeypatch.setattr(rulebased_module, "EXAMPLES_PER_PREDICATE", 5)
+        checker = EvidentialPathChecker(toy_graph)
         checker.prepare_predicate("birthPlace")
         checker.prepare_predicate("birthPlace")
         assert "birthPlace" in checker._prepared
 
-    def test_score_in_unit_interval(self, reference_graph):
-        checker = EvidentialPathChecker(reference_graph, examples_per_predicate=8)
+    def test_score_in_unit_interval(self, reference_graph, monkeypatch):
+        monkeypatch.setattr(rulebased_module, "EXAMPLES_PER_PREDICATE", 8)
+        checker = EvidentialPathChecker(reference_graph)
         score = checker.score("Nobody Special", "birthPlace", "Nowhere Town")
         assert 0.0 <= score <= 1.0
 
-    def test_validate_dataset_runs(self, reference_graph, factbench_small):
-        checker = EvidentialPathChecker(reference_graph, examples_per_predicate=6)
+    def test_validate_dataset_runs(self, reference_graph, factbench_small, monkeypatch):
+        monkeypatch.setattr(rulebased_module, "EXAMPLES_PER_PREDICATE", 6)
+        checker = EvidentialPathChecker(reference_graph)
         subset = factbench_small.sample(6, seed=1)
         run = checker.validate_dataset(subset)
         assert len(run) == len(subset)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig, PAPER_SCALE_CONFIG, QUICK_CONFIG
+from support import usage_of
 
 
 class TestConfig:
@@ -135,5 +136,5 @@ def test_grid_usage_matches_the_pinned_token_and_latency_totals():
         )
     assert usage == _PINNED_USAGE
     for (model, task), (calls, _, _, latency) in _PINNED_USAGE.items():
-        summary = runner.telemetry.summary(model, task)
+        summary = usage_of(runner.telemetry, model, task)
         assert (summary.calls, summary.total_latency_seconds) == (calls, latency)

@@ -617,7 +617,8 @@ class TestBalancerOrder:
     def test_order_and_health_match_the_sorting_reference(
         self, data, size, shards, now, config
     ):
-        clock = VirtualClock(now)
+        clock = VirtualClock()
+        clock.advance(now)
         groups = []
         for _ in range(shards):
             states = data.draw(st.lists(_replica_state, min_size=size, max_size=size))

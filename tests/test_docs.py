@@ -365,18 +365,23 @@ class TestStorageEngineDocsComplete:
             "GRAPH_REBUILD_FRACTION": "store",
         }
 
-    def test_the_serving_memo_bounds_table_matches_the_code(self):
+    def test_the_bounded_containers_table_matches_the_code(self):
+        """Every row names a constant of its module at its value, and the
+        table lists every bound the serving, obs and retrieval paths have."""
         import importlib
 
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
-        section = text.split("### Serving memo bounds", 1)[1].split("\n#", 1)[0]
-        rows = re.findall(r"^\| `(\w+)` \| `(\w+)/(\w+)\.py` \| `(\d+)` \|", section, re.M)
+        section = text.split("### Bounded containers", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)/(\w+)\.py` \| `([0-9.]+)` \|", section, re.M)
         assert [name for name, *_ in rows] == [
-            "RING_MEMO_CAPACITY", "HOME_MEMO_CAPACITY", "STALE_CACHE_CAPACITY"
+            "RING_MEMO_CAPACITY", "HOME_MEMO_CAPACITY", "STALE_CACHE_CAPACITY",
+            "EVENT_LOG_CAPACITY", "HISTOGRAM_WINDOW", "SERIES_CAPACITY", "MAX_SERIES",
+            "MAX_SPANS_PER_TRACE", "EMBEDDING_CACHE_SIZE", "WARM_BATCH_SIZE",
+            "READ_TIMEOUT_S", "MAX_CONNECTIONS",
         ]
         for name, package, module, value in rows:
             actual = getattr(importlib.import_module(f"repro.{package}.{module}"), name)
-            assert int(value) == actual, f"row `{name}` says {value}, code has {actual}"
+            assert json.loads(value) == actual, f"row `{name}` says {value}, code has {actual}"
 
     def test_docs_state_what_a_hostile_header_does(self):
         operations = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
@@ -491,5 +496,5 @@ class TestObservabilityRunbookComplete:
         for needle in ("MetricsScraper", "burn rate", "error budget",
                        "expect_alerts", "forbid_alerts", "obs top", "obs slo",
                        '{"cmd": "slo"}', "obs.exposition_ms",
-                       "slo-name:severity", "max_series"):
+                       "slo-name:severity", "MAX_SERIES"):
             assert needle in runbook, f"runbook misses {needle!r}"

@@ -126,22 +126,22 @@ class TestReporting:
 
     def test_format_f1_table(self):
         table = {"ds": {"dka": {"m1": {"f1_true": 0.8, "f1_false": 0.3}}}}
-        rendered = format_f1_table(table)
+        rendered = format_f1_table(table, "Table 5")
         assert "m1 F1(T)" in rendered and "0.80" in rendered
 
     def test_format_time_table(self):
         table = {"ds": {"rag": {"m1": 2.3}}}
-        rendered = format_time_table(table)
+        rendered = format_time_table(table, "Table 8")
         assert "2.30" in rendered
 
     def test_format_error_table(self):
         counts = {"ds": {"m1": {"E1": 1, "E4": 5}}}
-        rendered = format_error_table(counts)
+        rendered = format_error_table(counts, "Table 9")
         assert "E4" in rendered and "5" in rendered
 
     def test_format_alignment_table_shows_ties_as_a_percentage(self):
         table = {"ds": {"dka": {"m2": 0.5, "m1": 0.75}}}
-        rendered = format_alignment_table(table, {"ds": {"dka": 0.25}})
+        rendered = format_alignment_table(table, {"ds": {"dka": 0.25}}, "")
         header, _, row = rendered.splitlines()
         assert header.split() == ["dataset", "method", "ties", "m1", "m2"]
         assert row.split() == ["ds", "dka", "25%", "0.75", "0.50"]

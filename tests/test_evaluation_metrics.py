@@ -153,10 +153,6 @@ class TestUpset:
         counts = [bar.count for bar in bars]
         assert counts == sorted(counts, reverse=True)
 
-    def test_min_count_filter(self):
-        correct = {"m1": ["f1"], "m2": ["f2"]}
-        assert upset_intersections(correct, min_count=2) == []
-
     def test_cell_label(self):
         correct = {"m1": ["f1"], "m2": ["f1"]}
         bars = upset_intersections(correct)

@@ -1,8 +1,8 @@
-"""Every defaulted parameter in ``repro.store`` is one a production call sets.
+"""Every defaulted parameter in ``repro`` is one a production call sets.
 
 An AST walk lists every defaulted parameter of every public top-level
-function, public class constructor and public method under
-``src/repro/store`` (names starting with ``_`` are private and skipped), and
+function, public class constructor and public method under ``src/repro``
+(names starting with ``_`` are private and skipped), and
 counts the calls in ``src/``, ``benchmarks/`` and ``examples/`` that pass it:
 by keyword, by position, or through ``*args`` / ``**kwargs``.  Tests do not
 count: a setting only a test changes is a module constant the test
@@ -35,10 +35,24 @@ PRODUCTION_DIRS = (REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "exa
 
 #: Defaulted parameters no production call passes, each kept for a reason.
 ALLOWED: Dict[str, str] = {
+    "repro.benchmark.cli.main(stream)":
+        "tests capture the CLI's output in a buffer; the console entry point writes to stdout",
+    "repro.datasets.dbpedia.build_dbpedia(scale)":
+        "the runner passes it through _DATASET_BUILDERS, a call the name match cannot see",
+    "repro.datasets.factbench.build_factbench(scale)":
+        "the runner passes it through _DATASET_BUILDERS, a call the name match cannot see",
+    "repro.datasets.yago.build_yago(scale)":
+        "the runner passes it through _DATASET_BUILDERS, a call the name match cannot see",
+    "repro.obs.slo.SLO.__init__(rules)":
+        "alert tests hold two SLOs with different burn rules in one manager; a constant cannot",
+    "repro.service.router.ShardedValidationService.from_runner(queue_dir)":
+        "a deployment path: where the durable edge queues live; tests pass a temporary directory",
     "repro.store.geosync.GeoReplicator.drain(shard_index)":
         "crash-mid-drain tests stop a drain at one shard; no production seam can",
     "repro.store.geosync.GeoReplicator.drain(max_batches)":
         "crash-mid-drain tests stop a drain partway; no production seam can",
+    "repro.validation.pipeline.ParallelValidationPipeline.__init__(progress)":
+        "the progress hook of a long grid run; tests pin its callback contract",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -195,8 +209,8 @@ def problems(passed: Mapping[str, bool], allowed: Mapping[str, str]) -> List[str
     return found
 
 
-def test_every_store_parameter_is_set_by_a_production_call_or_allowed():
-    assert problems(census(SOURCE_ROOT, "repro/store", PRODUCTION_DIRS), ALLOWED) == []
+def test_every_parameter_is_set_by_a_production_call_or_allowed():
+    assert problems(census(SOURCE_ROOT, "repro", PRODUCTION_DIRS), ALLOWED) == []
 
 
 def test_every_allowed_entry_has_a_one_line_reason():

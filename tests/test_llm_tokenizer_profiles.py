@@ -13,6 +13,7 @@ from repro.llm import (
     upgrade_of,
 )
 from repro.llm.base import LLMResponse
+from support import calls_of, usage_of
 
 
 class TestTokenizer:
@@ -125,7 +126,7 @@ class TestTelemetry:
         telemetry = TelemetryCollector()
         telemetry.record(self._response(latency=1.0), task="dka")
         telemetry.record(self._response(latency=3.0), task="dka")
-        summary = telemetry.summary(task="dka")
+        summary = usage_of(telemetry, task="dka")
         assert summary.calls == 2
         assert summary.avg_latency_seconds == pytest.approx(2.0)
         assert summary.total_latency_seconds == pytest.approx(4.0)
@@ -134,17 +135,17 @@ class TestTelemetry:
         telemetry = TelemetryCollector()
         telemetry.record(self._response(model="a"), task="dka")
         telemetry.record(self._response(model="b"), task="rag")
-        assert len(telemetry.records(model="a")) == 1
-        assert len(telemetry.records(task="rag")) == 1
-        assert len(telemetry.records(model="a", task="rag")) == 0
+        assert len(calls_of(telemetry, model="a")) == 1
+        assert len(calls_of(telemetry, task="rag")) == 1
+        assert len(calls_of(telemetry, model="a", task="rag")) == 0
 
     def test_by_task_and_by_model_groupings(self):
         telemetry = TelemetryCollector()
         telemetry.record(self._response(model="a"), task="dka")
         telemetry.record(self._response(model="a"), task="rag")
         telemetry.record(self._response(model="b"), task="rag")
-        assert telemetry.summary(model="a").calls == 2
-        assert telemetry.summary(task="rag").calls == 2
+        assert usage_of(telemetry, model="a").calls == 2
+        assert usage_of(telemetry, task="rag").calls == 2
 
     def test_empty_summary(self):
         assert TelemetryCollector().summary().calls == 0
@@ -166,10 +167,10 @@ class TestTelemetry:
         telemetry = TelemetryCollector()
         telemetry.record(self._response(model="a"), task="dka")
         telemetry.extend(worker.records())
-        assert [record.task for record in telemetry.records(model="a")] == [
+        assert [record.task for record in calls_of(telemetry, model="a")] == [
             "dka", "serve/dka", "serve/rag",
         ]
-        assert telemetry.records(task="serve/rag")[0].total_tokens == 0
+        assert calls_of(telemetry, task="serve/rag")[0].total_tokens == 0
 
     def test_usage_summary_averages_per_call(self):
         telemetry = TelemetryCollector()

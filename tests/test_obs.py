@@ -42,6 +42,9 @@ from repro.obs import (
     render_spans,
     slowest_path,
 )
+from repro.obs import events as events_module
+from repro.obs import registry as registry_module
+from repro.obs import trace as trace_module
 from repro.service import (
     ROUTER_METRIC_NAMES,
     SERVICE_METRIC_NAMES,
@@ -53,7 +56,7 @@ from repro.service import (
     ShardedValidationService,
     ValidationService,
 )
-from support import parse_exposition, reexpose
+from support import calls_of, parse_exposition, reexpose
 
 
 def _carrier(span) -> dict:
@@ -132,7 +135,7 @@ class TestMetricsRegistry:
         depth.set(7)
         depth.inc(-3)
         assert depth.value == 4
-        latency = registry.histogram("latency_seconds", "Latency.", window=8)
+        latency = registry.histogram("latency_seconds", "Latency.")
         for value in (0.002, 0.004, 0.5):
             latency.observe(value)
         assert latency.window() == [0.002, 0.004, 0.5]
@@ -147,9 +150,10 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             registry.counter("a_total", "A.", ("shard",))  # labelnames differ
 
-    def test_histogram_window_is_bounded(self):
+    def test_histogram_window_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(registry_module, "HISTOGRAM_WINDOW", 4)
         registry = MetricsRegistry()
-        latency = registry.histogram("latency_seconds", "Latency.", window=4)
+        latency = registry.histogram("latency_seconds", "Latency.")
         for value in range(10):
             latency.observe(float(value))
         assert latency.window() == [6.0, 7.0, 8.0, 9.0]
@@ -212,7 +216,7 @@ class TestMetricsRegistry:
         assert text.count("# TYPE served_total counter") == 1
 
     def test_service_metrics_snapshot_derives_from_registry(self):
-        metrics = ServiceMetrics(window=16)
+        metrics = ServiceMetrics()
         metrics.start()
         metrics.observe_completion(0.004, trace_id="cafe0000cafe0000")
         metrics.observe_shed()
@@ -506,9 +510,7 @@ class TestTracer:
     def test_record_span_attributes_shared_work(self):
         tracer = Tracer(VirtualClock(), seed=6)
         with tracer.span("worker.execute", "w") as parent:
-            tracer.record_span(
-                "store.read", "store", parent, 0.0, 0.5, STATUS_OK, facts=3
-            )
+            tracer.record_span("store.read", "store", parent, 0.0, 0.5, facts=3)
         [trace_id] = tracer.trace_ids()
         spans = tracer.spans(trace_id)
         read = next(span for span in spans if span.name == "store.read")
@@ -571,8 +573,9 @@ class TestTracer:
         assert spans == tracer.spans(trace_id)
         assert [span.name for span in spans] == ["router.route", "replica.call"]
 
-    def test_max_spans_per_trace_bounds_memory_and_counts_drops(self):
-        tracer = Tracer(VirtualClock(), seed=1, max_spans_per_trace=3)
+    def test_max_spans_per_trace_bounds_memory_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_SPANS_PER_TRACE", 3)
+        tracer = Tracer(VirtualClock(), seed=1)
         with tracer.span("router.route", "shard:0"):
             for _ in range(5):
                 with tracer.span("replica.call", "shard:0/replica:0"):
@@ -580,8 +583,6 @@ class TestTracer:
         [trace_id] = tracer.trace_ids()
         assert len(tracer.spans(trace_id)) == 3, "root + first two children"
         assert tracer.spans_dropped == 3
-        with pytest.raises(ValueError, match="max_spans_per_trace"):
-            Tracer(VirtualClock(), seed=1, max_spans_per_trace=0)
 
 
 # ------------------------------------------------------------------ events
@@ -601,15 +602,17 @@ class TestEventLog:
         assert log.counts() == {"failover": 1, "replica_killed": 1}
         assert all(kind in EVENT_KINDS for kind in log.counts())
 
-    def test_bounded_capacity_drops_oldest(self):
-        log = EventLog(VirtualClock(), capacity=2)
+    def test_bounded_capacity_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(events_module, "EVENT_LOG_CAPACITY", 2)
+        log = EventLog(VirtualClock())
         for index in range(4):
             log.emit("failover", f"shard:{index}")
         assert [event.target for event in log.events()] == ["shard:2", "shard:3"]
         assert len(log) == 2
 
-    def test_dropped_counter_accounts_for_every_eviction(self):
-        log = EventLog(VirtualClock(), capacity=2)
+    def test_dropped_counter_accounts_for_every_eviction(self, monkeypatch):
+        monkeypatch.setattr(events_module, "EVENT_LOG_CAPACITY", 2)
+        log = EventLog(VirtualClock())
         assert log.dropped == 0
         for index in range(5):
             log.emit("failover", f"shard:{index}")
@@ -617,8 +620,6 @@ class TestEventLog:
         assert log.dropped + len(log) == 5, "emitted == retained + dropped"
         # seq numbers stay globally monotonic across evictions.
         assert [event.seq for event in log.events()] == [3, 4]
-        with pytest.raises(ValueError):
-            EventLog(VirtualClock(), capacity=0)
 
     def test_export_jsonl_and_table(self):
         log = EventLog(VirtualClock())
@@ -657,7 +658,7 @@ class TestTelemetryConcurrency:
             worker.start()
         for worker in workers:
             worker.join()
-        records = collector.records(task="serve/dka")
+        records = calls_of(collector, task="serve/dka")
         assert len(records) == threads * per_thread
         assert sum(record.prompt_tokens for record in records) == threads * per_thread
 

@@ -35,7 +35,7 @@ def small_dataset(factbench_small):
 class TestProgressLabel:
     def test_label_shapes(self):
         assert progress_label("dka", "factbench") == "dka/factbench"
-        assert progress_label("rag", "yago", "gemma2:9b") == "rag/yago/gemma2:9b"
+        assert progress_label("rag", "yago") == "rag/yago"
 
 
 class TestSerialProgress:

@@ -206,7 +206,7 @@ def test_token_memo_is_transparent_under_interleaved_repeats(texts, data):
 def test_embeddings_unit_norm_or_zero(text):
     import numpy as np
 
-    vector = HashingEmbedder(dimensions=64).embed(text)
+    vector = HashingEmbedder().embed(text)
     norm = np.linalg.norm(vector)
     assert norm == 0.0 or abs(norm - 1.0) < 1e-9
 

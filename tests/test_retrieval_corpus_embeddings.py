@@ -10,6 +10,7 @@ from repro.retrieval import (
     HashingEmbedder,
     cosine_similarity,
 )
+from repro.retrieval import embeddings as embeddings_module
 
 
 def _doc(doc_id, text="some text", source="encyclia.org", url=None):
@@ -52,12 +53,12 @@ class TestCorpus:
 
 class TestEmbeddings:
     def test_embedding_normalised(self):
-        embedder = HashingEmbedder(dimensions=64)
+        embedder = HashingEmbedder()
         vector = embedder.embed("knowledge graphs store facts")
         assert np.isclose(np.linalg.norm(vector), 1.0)
 
     def test_empty_text_zero_vector(self):
-        embedder = HashingEmbedder(dimensions=64)
+        embedder = HashingEmbedder()
         assert np.linalg.norm(embedder.embed("   ")) == 0.0
 
     def test_similarity_of_related_texts_higher(self):
@@ -81,44 +82,46 @@ class TestEmbeddings:
         second = embedder.embed("cached text")
         assert first is second
 
-    def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            HashingEmbedder(dimensions=0)
-
-    def test_embed_many_shape(self):
-        embedder = HashingEmbedder(dimensions=32)
+    def test_embed_many_shape(self, monkeypatch):
+        monkeypatch.setattr(embeddings_module, "DIMENSIONS", 32)
+        embedder = HashingEmbedder()
         matrix = embedder.embed_many(["a b", "c d", "e f"])
         assert matrix.shape == (3, 32)
         assert embedder.embed_many([]).shape == (0, 32)
 
     def test_embed_many_matches_embed(self):
-        embedder = HashingEmbedder(dimensions=64)
+        embedder = HashingEmbedder()
         texts = ["knowledge graphs store facts", "Marie Curie", "", "born in Warsaw"]
-        batch = HashingEmbedder(dimensions=64).embed_many(texts)
+        batch = HashingEmbedder().embed_many(texts)
         for row, text in zip(batch, texts):
             assert np.allclose(row, embedder.embed(text))
 
-    def test_hot_entry_survives_eviction_pressure(self):
+    def test_hot_entry_survives_eviction_pressure(self, monkeypatch):
         # Regression: the seed cache *cleared itself* when full, evicting the
         # hottest entries; the LRU must keep a recently-touched entry alive.
-        embedder = HashingEmbedder(dimensions=16, cache_size=4)
+        monkeypatch.setattr(embeddings_module, "EMBEDDING_CACHE_SIZE", 4)
+        embedder = HashingEmbedder()
         hot = embedder.embed("hot text")
         for index in range(10):
             embedder.embed(f"filler number {index}")
             assert embedder.embed("hot text") is hot  # still the cached object
+        assert len(embedder._cache) == 4
 
-    def test_cold_entry_is_evicted(self):
-        embedder = HashingEmbedder(dimensions=16, cache_size=2)
+    def test_cold_entry_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(embeddings_module, "EMBEDDING_CACHE_SIZE", 2)
+        embedder = HashingEmbedder()
         cold = embedder.embed("cold text")
         embedder.embed("warm text")
         embedder.embed("newer text")  # evicts "cold text" (least recent)
         assert embedder.embed("cold text") is not cold
 
-    def test_warm_precomputes_corpus(self):
-        embedder = HashingEmbedder(dimensions=32)
+    def test_warm_precomputes_corpus(self, monkeypatch):
+        monkeypatch.setattr(embeddings_module, "EMBEDDING_CACHE_SIZE", 1)
+        monkeypatch.setattr(embeddings_module, "WARM_BATCH_SIZE", 1)
+        embedder = HashingEmbedder()
         corpus = ["alpha beta", "gamma delta", "alpha beta"]
         assert embedder.warm(corpus) == 2  # duplicates collapse
-        assert embedder.warm(corpus) == 0  # already resident
+        assert embedder.warm(corpus) == 0  # already resident: the cache grew past its bound
         first = embedder.embed("alpha beta")
         assert embedder.embed("alpha beta") is first
 

@@ -17,11 +17,14 @@ from repro.service import (
     ServiceResponse,
     ShardedValidationService,
     TCPValidationFrontend,
+    UnknownStrategyError,
     ValidationService,
     build_workload,
     percentile,
 )
-from repro.validation import ValidationPipeline
+from repro.service import frontend as frontend_module
+from repro.validation import ValidationPipeline, ValidationResult, ValidationStrategy
+from support import calls_of
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,22 @@ def service_config():
 @pytest.fixture(scope="module")
 def service_runner(service_config):
     return BenchmarkRunner(service_config)
+
+
+class _FailsFirst(ValidationStrategy):
+    """A strategy bug: the first validation raises, later ones delegate."""
+
+    name = "fails-first"
+
+    def __init__(self, inner: ValidationStrategy) -> None:
+        self.inner = inner
+        self.failed = False
+
+    def validate(self, fact) -> ValidationResult:
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("strategy bug")
+        return self.inner.validate(fact)
 
 
 def _drive(service, requests):
@@ -434,19 +453,17 @@ class TestLifecycleAndFailure:
 
     def test_strategy_failure_propagates_and_worker_survives(self, service_runner):
         fact = service_runner.dataset("factbench")[0]
-        calls = {"count": 0}
 
         def flaky_provider(method, dataset, model):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise KeyError("no such strategy")
-            return service_runner.build_strategy(method, dataset, service_runner.registry.get(model))
+            return _FailsFirst(
+                service_runner.build_strategy(method, dataset, service_runner.registry.get(model))
+            )
 
         service = ValidationService(flaky_provider, ServiceConfig(enable_cache=False))
 
         async def go():
             async with service:
-                with pytest.raises(KeyError):
+                with pytest.raises(RuntimeError, match="strategy bug"):
                     await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
                 # The worker keeps serving after a failed batch.
                 return await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
@@ -464,9 +481,10 @@ class TestLifecycleAndFailure:
         yago_fact = service_runner.dataset("yago")[0]
 
         def provider(method, dataset, model):
-            if dataset == "yago":
-                raise KeyError("yago substrate unavailable")
-            return service_runner.build_strategy(method, dataset, service_runner.registry.get(model))
+            strategy = service_runner.build_strategy(
+                method, dataset, service_runner.registry.get(model)
+            )
+            return _FailsFirst(strategy) if dataset == "yago" else strategy
 
         service = ValidationService(provider, ServiceConfig(enable_cache=False, max_batch_size=8))
 
@@ -482,7 +500,27 @@ class TestLifecycleAndFailure:
         # Both rode the same (dka, gemma2:9b) micro-batch; only the yago
         # group's failure surfaces, the factbench request still completes.
         assert ok.outcome is RequestOutcome.COMPLETED and ok.batch_size == 2
-        assert isinstance(failed, KeyError)
+        assert isinstance(failed, RuntimeError)
+
+    def test_an_unknown_method_or_model_is_refused_before_admission(self, service_runner):
+        """No lane, worker or queue slot for a name no strategy serves; the
+        refusal counts as an error, and the service serves on."""
+        fact = service_runner.dataset("factbench")[0]
+        service = ValidationService.from_runner(service_runner, ServiceConfig())
+
+        async def go():
+            async with service:
+                for method, model in (("bogus", "gemma2:9b"), ("dka", "no-such-model")):
+                    with pytest.raises(UnknownStrategyError, match="no strategy"):
+                        await service.submit(ServiceRequest(fact, method, model))
+                assert service._queues == {} and service.pending == 0
+                response = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
+                assert list(service._queues) == [("dka", "gemma2:9b")]
+                return response
+
+        assert asyncio.run(go()).outcome is RequestOutcome.COMPLETED
+        snapshot = service.metrics.snapshot()
+        assert (snapshot.errors, snapshot.completed) == (2, 1)
 
 
 class TestMetrics:
@@ -516,7 +554,7 @@ class TestMetrics:
     def test_snapshot_shape_and_telemetry_wiring(self, service_runner):
         facts = list(service_runner.dataset("factbench"))[:6]
         telemetry = service_runner.telemetry
-        before = len(telemetry.records(task="dka"))
+        before = len(calls_of(telemetry, task="dka"))
         service = ValidationService.from_runner(service_runner, ServiceConfig(enable_cache=False))
         _drive(service, [ServiceRequest(fact, "dka", "gemma2:9b") for fact in facts])
         snapshot = service.metrics.snapshot()
@@ -528,7 +566,7 @@ class TestMetrics:
         # Only the strategies' own model calls land in the collector: six
         # cache-miss reads add six ``dka`` records and no ``serve/*`` task,
         # and a cache hit — no model ran — adds nothing at all.
-        assert len(telemetry.records(task="dka")) - before == 6
+        assert len(calls_of(telemetry, task="dka")) - before == 6
         assert not [r for r in telemetry.records() if r.task.startswith("serve/")]
         cached = ValidationService.from_runner(service_runner, ServiceConfig())
         request = ServiceRequest(facts[0], "dka", "gemma2:9b")
@@ -683,6 +721,165 @@ class TestTCPFrontend:
         assert ok["outcome"] == "completed"
         assert bad_method["outcome"] == "error" and "not served" in bad_method["error"]
         assert bad_model["outcome"] == "error" and "not served" in bad_model["error"]
+
+    def test_an_unserved_method_is_an_error_reply_that_faults_no_replica(self, service_runner):
+        """Without an allowlist, a method or model no strategy serves gets an
+        error reply; no replica is marked, no lane is created, and the next
+        valid read is served by its home replica."""
+        dataset = service_runner.dataset("factbench")
+        fact = dataset[0]
+
+        async def go():
+            router = ShardedValidationService.from_runner(
+                service_runner, 1, ServiceConfig(), replicas=2
+            )
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
+
+                    async def ask(method, model="gemma2:9b"):
+                        payload = {"dataset": "factbench", "fact_id": fact.fact_id,
+                                   "method": method, "model": model}
+                        writer.write(json.dumps(payload).encode() + b"\n")
+                        await writer.drain()
+                        return json.loads(await reader.readline())
+
+                    refused = [await ask("bogus"), await ask("bogus2"), await ask("dka", "nope")]
+                    health = [(h.healthy, h.failures, h.served) for h in router.health[0]]
+                    lanes = [dict(replica._queues) for replica in router.groups[0]]
+                    home = router._replica_order(0, ServiceRequest(fact, "dka", "gemma2:9b"))[0]
+                    served = await ask("dka")
+                    writer.close()
+                    await writer.wait_closed()
+                    return refused, health, lanes, home, served, router.health[0]
+
+        refused, health, lanes, home, served, after = asyncio.run(go())
+        for reply in refused:
+            assert reply["outcome"] == "error" and "no strategy" in reply["error"]
+        assert health == [(True, 0, 0), (True, 0, 0)]
+        assert lanes == [{}, {}]
+        assert served["outcome"] == "completed"
+        assert [replica.served for replica in after] == [int(i == home) for i in range(2)]
+        assert all(replica.healthy and not replica.failures for replica in after)
+
+    def test_a_stalled_connection_is_closed_while_others_keep_serving(
+        self, service_runner, monkeypatch
+    ):
+        """Slow-loris: an idle connection and one stalled mid-line each get an
+        error reply and a close once ``READ_TIMEOUT_S`` passes, while a
+        connection that keeps sending is served throughout."""
+        monkeypatch.setattr(frontend_module, "READ_TIMEOUT_S", 0.2)
+        dataset = service_runner.dataset("factbench")
+        request = json.dumps(
+            {"dataset": "factbench", "fact_id": dataset[0].fact_id,
+             "method": "dka", "model": "gemma2:9b"}
+        ).encode() + b"\n"
+
+        async def go():
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
+                    idle = await asyncio.open_connection("127.0.0.1", frontend.port)
+                    partial = await asyncio.open_connection("127.0.0.1", frontend.port)
+                    partial[1].write(b'{"dataset": "fact')
+                    healthy_reader, healthy_writer = await asyncio.open_connection(
+                        "127.0.0.1", frontend.port
+                    )
+                    served = []
+                    for _ in range(5):  # 0.5 s of traffic, past the deadline
+                        healthy_writer.write(request)
+                        await healthy_writer.drain()
+                        served.append(json.loads(await healthy_reader.readline()))
+                        await asyncio.sleep(0.1)
+                    closed = []
+                    for reader, writer in (idle, partial):
+                        reply = json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+                        closed.append((reply, await asyncio.wait_for(reader.read(), 2.0)))
+                        writer.close()
+                    healthy_writer.close()
+                    await healthy_writer.wait_closed()
+                    await asyncio.sleep(0.05)  # the handler sees EOF and frees its slot
+                    return served, closed, frontend._connections
+
+        served, closed, still_open = asyncio.run(go())
+        assert [reply["outcome"] for reply in served] == ["completed"] * 5
+        for reply, rest in closed:
+            assert reply["outcome"] == "error" and "no request line within 0.2s" in reply["error"]
+            assert rest == b""  # closed after the reply
+        assert still_open == 0
+
+    def test_connections_past_the_cap_are_refused(self, service_runner, monkeypatch):
+        """A flood: connections past ``MAX_CONNECTIONS`` get an error reply
+        and a close; the ones inside the cap keep serving, and a closed one
+        frees its slot."""
+        monkeypatch.setattr(frontend_module, "MAX_CONNECTIONS", 2)
+        dataset = service_runner.dataset("factbench")
+        request = json.dumps(
+            {"dataset": "factbench", "fact_id": dataset[0].fact_id,
+             "method": "dka", "model": "gemma2:9b"}
+        ).encode() + b"\n"
+
+        async def ask(reader, writer):
+            writer.write(request)
+            await writer.drain()
+            return json.loads(await reader.readline())
+
+        async def go():
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
+                    port = frontend.port
+                    first = await asyncio.open_connection("127.0.0.1", port)
+                    second = await asyncio.open_connection("127.0.0.1", port)
+                    answers = [await ask(*first), await ask(*second)]
+                    refused = []
+                    for _ in range(3):
+                        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                        refused.append(
+                            (json.loads(await reader.readline()), await reader.read())
+                        )
+                        writer.close()
+                    answers.append(await ask(*first))
+                    first[1].close()
+                    await first[1].wait_closed()
+                    await asyncio.sleep(0.05)  # the handler sees EOF and frees its slot
+                    third = await asyncio.open_connection("127.0.0.1", port)
+                    answers.append(await ask(*third))
+                    for _, writer in (second, third):
+                        writer.close()
+                        await writer.wait_closed()
+                    return answers, refused
+
+        answers, refused = asyncio.run(go())
+        assert [reply["outcome"] for reply in answers] == ["completed"] * 4
+        for reply, rest in refused:
+            assert reply == {"outcome": "error", "error": "too many connections (limit 2)"}
+            assert rest == b""
+
+    def test_a_handler_cancelled_while_closing_ends_quietly(self, service_runner, monkeypatch):
+        """Loop teardown cancels a handler still waiting for its socket to
+        close; the cancellation must not escape to the loop's exception
+        handler (the ``loop_exceptions`` fixture fails the test if it does)."""
+        dataset = service_runner.dataset("factbench")
+        parked = []
+
+        async def never_closes(writer):
+            parked.append(writer)
+            await asyncio.sleep(3600)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", never_closes)
+
+        async def go():
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
+                    _, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
+                    writer.write_eof()  # the handler reads EOF and parks in its close
+                    await asyncio.sleep(0.05)
+                    writer.close()
+
+        asyncio.run(go())
+        assert parked, "the handler never reached its close"
 
     def test_empty_allowlist_denies_all_instead_of_unrestricting(self, service_runner):
         dataset = service_runner.dataset("factbench")

@@ -36,7 +36,7 @@ from repro.service import (
 )
 from repro.store import Mutation, ShardedStore
 from repro.validation import ValidationResult, Verdict
-from support import build_mixed_workload, epochs_served
+from support import build_mixed_workload, calls_of, epochs_served, verdicts_at
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +339,7 @@ class TestEvidenceReuse:
 
         def upstream_calls():
             return [
-                len(runner.telemetry.records(task=task))
+                len(calls_of(runner.telemetry, task=task))
                 for task in ("transform", "question-generation")
             ]
 
@@ -460,7 +460,7 @@ class TestMixedWorkload:
         served = epochs_served(report)
         assert served[0] == base_epoch and served[-1] == base_epoch + 2
         # Per-epoch verdict tables partition the completed reads.
-        assert sum(len(report.verdicts(epoch=epoch)) for epoch in served) >= len(
+        assert sum(len(verdicts_at(report, epoch)) for epoch in served) >= len(
             report.verdicts()
         )
         assert report.snapshot.ingests == 2
@@ -523,7 +523,7 @@ class TestMixedWorkload:
 
         before, after = offline(pre_epoch), offline(post_epoch)
         for epoch, reference in ((pre_epoch, before), (post_epoch, after)):
-            served = report.verdicts(epoch=epoch)
+            served = verdicts_at(report, epoch)
             assert served and served == {key: reference[key] for key in served}
         moved = {key[0] for key in before if before[key] != after[key]}
         assert moved == {"rag"}

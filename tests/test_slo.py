@@ -48,6 +48,8 @@ from repro.obs import (
     series_key,
     sparkline,
 )
+from repro.obs import dashboard as dashboard_module
+from repro.obs import timeseries as timeseries_module
 from support import last_value, series_keys
 
 
@@ -55,8 +57,8 @@ from support import last_value, series_keys
 
 
 class TestTimeSeries:
-    def _series(self, capacity=8):
-        return TimeSeries("m_total", (), "counter", capacity=capacity)
+    def _series(self):
+        return TimeSeries("m_total", (), "counter")
 
     def test_series_key_formats_labels_deterministically(self):
         assert series_key("up", {}) == "up"
@@ -64,19 +66,20 @@ class TestTimeSeries:
             'up{shard="0",replica="1"}'
         )
 
-    def test_capacity_bounds_the_raw_ring(self):
-        series = self._series(capacity=4)
+    def test_capacity_bounds_the_raw_ring(self, monkeypatch):
+        monkeypatch.setattr(timeseries_module, "SERIES_CAPACITY", 4)
+        series = self._series()
         for second in range(10):
             series.observe(float(second), float(second))
         assert len(series) == 4
         assert [point.ts_s for point in series.points()] == [6.0, 7.0, 8.0, 9.0]
 
-    def test_points_range_is_open_closed(self):
+    def test_window_range_is_open_closed(self):
         series = self._series()
         for second in (1.0, 2.0, 3.0):
             series.observe(second, second * 10)
-        assert [p.ts_s for p in series.points(start_s=1.0, end_s=3.0)] == [2.0, 3.0]
-        assert [p.ts_s for p in series.points(end_s=2.0)] == [1.0, 2.0]
+        assert series.increase(1.0, 3.0) == 20.0  # the points at 2 and 3
+        assert series.increase(0.0, 2.0) == 20.0  # born at 1 with 10, then +10
         assert series.points()[-1].value == 30.0
 
     def test_increase_sums_positive_deltas(self):
@@ -99,10 +102,6 @@ class TestTimeSeries:
         series = self._series()
         series.observe(5.0, 7.0)
         assert series.increase(0.0, 10.0) == 7.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            self._series(capacity=0)
 
 
 # -------------------------------------------------------------------- scraper
@@ -132,7 +131,7 @@ class TestMetricsScraper:
 
     def test_histogram_scrapes_bucket_sum_and_count_series(self):
         registry = MetricsRegistry()
-        latency = registry.histogram("lat_seconds", "L.", buckets=(0.01, 0.1))
+        latency = registry.histogram("lat_seconds", "L.")
         latency.observe(0.004)
         scraper = MetricsScraper(registry, clock=VirtualClock())
         scraper.scrape_once()
@@ -141,12 +140,13 @@ class TestMetricsScraper:
         under = scraper.match("lat_seconds_bucket", {"le": "0.01"})
         assert len(under) == 1 and under[0].points()[-1].value == 1.0
 
-    def test_max_series_bound_counts_drops_instead_of_growing(self):
+    def test_max_series_bound_counts_drops_instead_of_growing(self, monkeypatch):
+        monkeypatch.setattr(timeseries_module, "MAX_SERIES", 4)
         registry = MetricsRegistry()
         fanout = registry.counter("fan_total", "F.", ("idx",))
         for index in range(6):
             fanout.labels(idx=str(index)).inc()
-        scraper = MetricsScraper(registry, clock=VirtualClock(), max_series=4)
+        scraper = MetricsScraper(registry, clock=VirtualClock())
         scraper.scrape_once()
         assert len(scraper) == 4
         assert scraper.dropped_series == 2
@@ -201,8 +201,6 @@ class TestMetricsScraper:
     def test_validation(self):
         with pytest.raises(ValueError, match="interval_s"):
             MetricsScraper(MetricsRegistry(), interval_s=0.0)
-        with pytest.raises(ValueError, match="max_series"):
-            MetricsScraper(MetricsRegistry(), max_series=0)
 
 
 # ------------------------------------------------------------------------ SLOs
@@ -316,13 +314,13 @@ class TestSLO:
         assert slo.burn_rate(WindowSample(good=1.0, bad=0.0)) == 0.0
         assert slo.burn_rate(WindowSample(good=0.0, bad=0.0)) == 0.0
 
-    def test_budget_window_defaults_to_the_longest_rule_window(self):
+    def test_budget_window_is_the_longest_rule_window(self):
         assert self._slo().budget_window_s == 21600.0
-        short = SLO(
-            "avail",
-            0.99,
-            AvailabilitySLI.of(good={"good_total": {}}, bad={"bad_total": {}}),
-            budget_window_s=60.0,
+        short = self._slo(
+            rules=(
+                BurnRule("page", factor=14.4, long_window_s=60.0, short_window_s=5.0),
+                BurnRule("ticket", factor=6.0, long_window_s=30.0, short_window_s=5.0),
+            )
         )
         assert short.budget_window_s == 60.0
         # Badness older than the budget window no longer spends the budget.
@@ -479,7 +477,7 @@ class TestSLOMonitor:
         assert payload["slos"][0]["name"] == "avail"
         assert payload["alerts"][0]["alert_id"] == "avail:page"
 
-    def test_tick_reads_the_scraper_clock_unless_told_the_time(self):
+    def test_tick_reads_the_scraper_clock(self):
         clock = VirtualClock()
         registry = MetricsRegistry()
         registry.counter("good_total", "G.").inc(1)
@@ -488,7 +486,8 @@ class TestSLOMonitor:
         assert monitor.slos == tuple(slos)
         clock.advance(2.0)
         monitor.tick()
-        monitor.tick(now_s=5.0)
+        clock.advance(3.0)
+        monitor.tick()
         [series] = monitor.scraper.match("good_total")
         assert [point.ts_s for point in series.points()] == [2.0, 5.0]
 
@@ -497,18 +496,22 @@ class TestSLOMonitor:
 
 
 class TestDashboard:
-    def test_sparkline_scales_per_window_and_flat_reads_calm(self):
+    def test_sparkline_scales_per_window_and_flat_reads_calm(self, monkeypatch):
         assert sparkline([]) == ""
         assert sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
-        line = sparkline([0.0, 1.0, 2.0, 3.0], width=4)
+        line = sparkline([0.0, 1.0, 2.0, 3.0])
         assert line[0] == "▁" and line[-1] == "█"
-        assert len(sparkline(list(range(100)), width=8)) == 8
+        assert len(sparkline(list(range(100)))) == 32
+        monkeypatch.setattr(dashboard_module, "SPARK_WIDTH", 8)
+        assert sparkline(list(range(100))) == sparkline(list(range(92, 100)))
 
-    def test_budget_bar_clamps(self):
-        assert budget_bar(1.0, width=4) == "[████]"
-        assert budget_bar(0.0, width=4) == "[░░░░]"
-        assert budget_bar(-3.0, width=4) == "[░░░░]"
-        assert budget_bar(0.5, width=4) == "[██░░]"
+    def test_budget_bar_clamps(self, monkeypatch):
+        assert budget_bar(1.0) == "[" + "█" * 20 + "]"
+        monkeypatch.setattr(dashboard_module, "BUDGET_BAR_WIDTH", 4)
+        assert budget_bar(1.0) == "[████]"
+        assert budget_bar(0.0) == "[░░░░]"
+        assert budget_bar(-3.0) == "[░░░░]"
+        assert budget_bar(0.5) == "[██░░]"
 
     def _monitor(self):
         clock = VirtualClock()

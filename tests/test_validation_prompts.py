@@ -39,10 +39,6 @@ class TestPromptConstruction:
         assert FEW_SHOT_EXAMPLES[0][0] in few
         assert FEW_SHOT_EXAMPLES[0][0] not in zero
 
-    def test_giv_constraints_included(self, fact):
-        prompt = giv_prompt(fact, "S.", constraints=["Answers must cite a source."])
-        assert "Answers must cite a source." in prompt
-
     def test_rag_prompt_lists_evidence(self, fact):
         prompt = rag_prompt(fact, ["First chunk.", "Second chunk."], "S.")
         assert "[1] First chunk." in prompt and "[2] Second chunk." in prompt

@@ -7,7 +7,6 @@ from repro.datasets.base import LabeledFact
 from repro.kg import DBPEDIA_ENCODING
 from repro.validation import (
     DirectKnowledgeAssessment,
-    HybridConfig,
     HybridValidator,
     OntologyRuleChecker,
     RuleGuardedValidator,
@@ -82,7 +81,7 @@ class TestOntologyRules:
             "range violation",
         ]
 
-    def test_checker_applies_the_ontology_it_is_given(self, world):
+    def test_checker_applies_its_ontology(self, world):
         from repro.kg.schema import Ontology
         from repro.worldmodel import EntityType
 
@@ -90,7 +89,8 @@ class TestOntologyRules:
         fact = _fact(world, person.name, "birthPlace", other_person.name)
         assert OntologyRuleChecker(world).check(fact).refuted
         # An ontology without the predicate has no rule to apply: abstain.
-        unconstrained = OntologyRuleChecker(world, ontology=Ontology(relations={}))
+        unconstrained = OntologyRuleChecker(world)
+        unconstrained.ontology = Ontology(relations={})
         assert unconstrained.check(fact).decision is None
 
     def test_functionality_violation_refuted(self, world, rule_checker):
@@ -168,13 +168,12 @@ class TestHybridValidator:
         opinions = {hybrid.graph_opinion(fact) for fact in factbench_small.facts()[:20]}
         assert opinions <= {True, False, None}
 
-    def test_llm_preferred_on_disagreement_with_low_graph_weight(self, world, gemma, verbalizer, factbench_small):
+    def test_llm_preferred_on_disagreement(self, world, gemma, verbalizer, factbench_small):
         graph = build_reference_graph(world, exclude_fraction=0.2, seed=2)
         checker = KnowledgeLinker(graph)
         inner = DirectKnowledgeAssessment(gemma, verbalizer)
-        llm_first = HybridValidator(checker, inner, HybridConfig(graph_weight=0.0))
-        # With zero graph weight the fused verdict always follows the LLM
-        # whenever the LLM produced one.
+        llm_first = HybridValidator(checker, inner)
+        # The fused verdict follows the LLM whenever the LLM produced one.
         for fact in factbench_small.facts()[:10]:
             llm_verdict = inner.validate(fact).verdict
             if llm_verdict in (Verdict.TRUE, Verdict.FALSE):

@@ -16,7 +16,9 @@ from repro.validation import (
     ValidationRun,
     Verdict,
 )
+from repro.validation import giv as giv_module
 from repro.validation.rag import NetworkLatencyModel, TripleTransformer
+from support import usage_of
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ class TestDKA:
         telemetry = TelemetryCollector()
         strategy = DirectKnowledgeAssessment(gemma, verbalizer, telemetry)
         strategy.validate(small_subset[0])
-        assert telemetry.summary(task="dka").calls == 1
+        assert usage_of(telemetry, task="dka").calls == 1
 
     def test_deterministic(self, gemma, verbalizer, small_subset):
         strategy = DirectKnowledgeAssessment(gemma, verbalizer)
@@ -56,9 +58,13 @@ class TestGIV:
         assert GuidedIterativeVerification(gemma, few_shot=False).method_name == "giv-z"
         assert GuidedIterativeVerification(gemma, few_shot=True).method_name == "giv-f"
 
-    def test_invalid_max_retries(self, gemma):
-        with pytest.raises(ValueError):
-            GuidedIterativeVerification(gemma, max_retries=-1)
+    def test_retry_budget_bounds_the_reprompts(self, registry, verbalizer, small_subset, monkeypatch):
+        llama = registry.get("llama3.1:8b")
+        monkeypatch.setattr(giv_module, "MAX_RETRIES", 0)
+        run = GuidedIterativeVerification(llama, verbalizer=verbalizer).validate_dataset(
+            small_subset
+        )
+        assert all(result.num_retries == 0 for result in run.results)
 
     def test_run_produces_mostly_valid_verdicts(self, gemma, verbalizer, small_subset):
         run = GuidedIterativeVerification(
