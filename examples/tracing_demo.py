@@ -103,14 +103,14 @@ async def main() -> None:
         print(obs.events.format_table())
 
         banner("3. A replica dies mid-flight: the failover hop, annotated")
-        # Fault the next balancer pick on shard 1 so the request's first
+        # Fault one replica of the probe's shard so a request's first
         # attempt raises *inside* its replica.call span (a pre-kill would
-        # leave the rotation before any attempt was traced).
+        # leave the rotation before any attempt was traced).  A cacheless
+        # shard rotates its first pick, so within one lap of the group the
+        # victim is some request's first attempt.
         probe = ServiceRequest(facts[5], "dka", "gemma2:9b")
         shard = router.shard_for(probe)
-        rr = router._rr[shard]
-        victim = router._replica_order(shard, probe)[0]
-        router._rr[shard] = rr
+        victim = 0
         injector = FaultInjector(
             FaultSchedule(
                 [
@@ -126,7 +126,12 @@ async def main() -> None:
         )
         router.set_fault_injection(injector)
         injector.start()
-        response = await router.submit(probe)
+        for _ in range(NUM_REPLICAS):
+            response = await router.submit(probe)
+            spans = obs.tracer.spans(response.trace_id)
+            attempts = [span for span in spans if span.name == "replica.call"]
+            if len(attempts) > 1:
+                break
         router.set_fault_injection(None)
         print(
             f"outcome: {response.outcome.value} — rescued by the sibling "
@@ -134,8 +139,6 @@ async def main() -> None:
         )
         print()
         print(obs.tracer.render_tree(response.trace_id))
-        spans = obs.tracer.spans(response.trace_id)
-        attempts = [span for span in spans if span.name == "replica.call"]
         print()
         print(
             f"replica.call spans: "

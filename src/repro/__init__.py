@@ -50,7 +50,7 @@ from .validation import (
     ValidationRun,
     Verdict,
 )
-from .worldmodel import World, WorldConfig, build_world
+from .worldmodel import World, build_world
 
 __version__ = "1.0.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "ValidationService",
     "Verdict",
     "World",
-    "WorldConfig",
     "__version__",
     "build_dbpedia",
     "build_factbench",

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..llm.profiles import OPEN_SOURCE_MODELS
-from ..retrieval.webgen import WebCorpusConfig
 from ..validation.rag import RAGConfig
-from ..worldmodel.generator import WorldConfig
 
 __all__ = ["ExperimentConfig", "QUICK_CONFIG", "PAPER_SCALE_CONFIG"]
 
 _DEFAULT_METHODS: Tuple[str, ...] = ("dka", "giv-z", "giv-f", "rag")
 _DEFAULT_DATASETS: Tuple[str, ...] = ("factbench", "yago", "dbpedia")
+
+#: The commercial reference model (the paper's GPT-4o mini), judged beside
+#: the open-source ensemble but not part of its consensus.
+COMMERCIAL_MODEL = "gpt-4o-mini"
 
 
 @dataclass(frozen=True)
@@ -32,15 +34,14 @@ class ExperimentConfig:
         Scale of the synthetic world population.
     methods / datasets / models:
         Which parts of the grid to run.
-    commercial_model:
-        The commercial reference model (GPT-4o mini profile).
     documents_per_fact:
         Average corpus documents generated per fact (paper: ~154).
     serp_results_per_query:
-        SERP depth used during retrieval (paper: 100).
+        SERP depth used during retrieval (paper: 100); the one RAG setting
+        a run varies, so :meth:`rag_config` carries it into the pipeline.
     include_commercial_in_grid:
-        Whether the commercial model is part of the Table 5 grid (it is in
-        the paper, but not part of the 4-model consensus ensemble).
+        Whether :data:`COMMERCIAL_MODEL` is part of the Table 5 grid (it is
+        in the paper, but not part of the 4-model consensus ensemble).
     seed:
         Master seed for world, datasets, corpus, and model behaviour.
     """
@@ -51,39 +52,18 @@ class ExperimentConfig:
     methods: Tuple[str, ...] = _DEFAULT_METHODS
     datasets: Tuple[str, ...] = _DEFAULT_DATASETS
     models: Tuple[str, ...] = tuple(OPEN_SOURCE_MODELS)
-    commercial_model: str = "gpt-4o-mini"
     include_commercial_in_grid: bool = True
     documents_per_fact: int = 14
     serp_results_per_query: int = 40
-    rag: RAGConfig = field(default_factory=RAGConfig)
     seed: int = 7
 
-    def world_config(self) -> WorldConfig:
-        return WorldConfig(scale=self.world_scale, seed=self.seed)
-
-    def corpus_config(self) -> WebCorpusConfig:
-        return WebCorpusConfig(
-            documents_per_fact=self.documents_per_fact, seed=self.seed + 3
-        )
-
     def rag_config(self) -> RAGConfig:
-        return RAGConfig(
-            transformation_model=self.rag.transformation_model,
-            question_model=self.rag.question_model,
-            num_questions=self.rag.num_questions,
-            relevance_threshold=self.rag.relevance_threshold,
-            selected_questions=self.rag.selected_questions,
-            selected_documents=self.rag.selected_documents,
-            serp_results_per_query=self.serp_results_per_query,
-            chunk_window=self.rag.chunk_window,
-            chunk_stride=self.rag.chunk_stride,
-            max_evidence_chunks=self.rag.max_evidence_chunks,
-        )
+        return RAGConfig(serp_results_per_query=self.serp_results_per_query)
 
     def grid_models(self) -> Tuple[str, ...]:
         """Models included in the Table 5 / Table 8 grids."""
         if self.include_commercial_in_grid:
-            return tuple(self.models) + (self.commercial_model,)
+            return tuple(self.models) + (COMMERCIAL_MODEL,)
         return tuple(self.models)
 
 

@@ -318,16 +318,16 @@ def ablation_rag_configuration(runner: BenchmarkRunner) -> List[Dict[str, float]
     base = runner.config.rag_config()
     for variant in variants:
         config = replace(base, **variant)
-        from ..validation.rag import RAGValidator, TripleTransformer, QuestionGenerator
+        from ..validation.rag import UPSTREAM_MODEL, RAGValidator, TripleTransformer, QuestionGenerator
 
-        upstream = runner.registry.get(config.transformation_model)
+        upstream = runner.registry.get(UPSTREAM_MODEL)
         validator = RAGValidator(
             model=model,
             search_api=runner.search_api(dataset_name),
             kg_encoding=runner.encoding(dataset_name),
             config=config,
             transformer=TripleTransformer(upstream, runner.verbalizer),
-            question_generator=QuestionGenerator(upstream, runner._reranker, config),
+            question_generator=QuestionGenerator(upstream, runner._reranker),
             reranker=runner._reranker,
             verbalizer=runner.verbalizer,
         )

@@ -29,6 +29,7 @@ from ..validation.dka import DirectKnowledgeAssessment
 from ..validation.giv import GuidedIterativeVerification
 from ..validation.pipeline import ParallelValidationPipeline, ValidationPipeline
 from ..validation.rag import (
+    UPSTREAM_MODEL,
     QuestionGenerator,
     RAGDatasetBuilder,
     RAGDatasetStats,
@@ -36,7 +37,7 @@ from ..validation.rag import (
     TripleTransformer,
 )
 from ..worldmodel.generator import World, build_world
-from .config import ExperimentConfig, QUICK_CONFIG
+from .config import COMMERCIAL_MODEL, ExperimentConfig, QUICK_CONFIG
 
 __all__ = ["BenchmarkRunner", "KNOWN_DATASETS", "KNOWN_METHODS"]
 
@@ -101,7 +102,7 @@ class BenchmarkRunner:
     @property
     def world(self) -> World:
         if self._world is None:
-            self._world = build_world(self.config.world_config())
+            self._world = build_world(self.config.world_scale, self.config.seed)
         return self._world
 
     @property
@@ -137,7 +138,9 @@ class BenchmarkRunner:
     def corpus(self, dataset_name: str) -> Corpus:
         """The synthetic web corpus generated for one dataset's facts."""
         if dataset_name not in self._corpora:
-            generator = WebCorpusGenerator(self.world, self.config.corpus_config())
+            generator = WebCorpusGenerator(
+                self.world, self.config.documents_per_fact, seed=self.config.seed + 3
+            )
             self._corpora[dataset_name] = generator.build_corpus(self.dataset(dataset_name).facts())
         return self._corpora[dataset_name]
 
@@ -248,11 +251,9 @@ class BenchmarkRunner:
     def _build_rag_strategy(self, dataset_name: str, model: LLMClient) -> RAGValidator:
         self._warm_reranker(dataset_name)
         rag_config = self.config.rag_config()
-        upstream_model = self.registry.get(rag_config.transformation_model)
+        upstream_model = self.registry.get(UPSTREAM_MODEL)
         transformer = TripleTransformer(upstream_model, self.verbalizer, self.telemetry)
-        question_generator = QuestionGenerator(
-            upstream_model, self._reranker, rag_config, self.telemetry
-        )
+        question_generator = QuestionGenerator(upstream_model, self._reranker, self.telemetry)
         cache = self._evidence_caches.get(dataset_name)
         if cache is None:
             # Room for every fact of the dataset (the grid and the warm pass
@@ -401,7 +402,7 @@ class BenchmarkRunner:
 
     def _select_judge_model(self, method: str, judge: str) -> str:
         if judge == "commercial":
-            return self.config.commercial_model
+            return COMMERCIAL_MODEL
         consistency = self._model_consistency(method)
         ordered = sorted(consistency.items(), key=lambda item: item[1])
         base_name = ordered[-1][0] if judge == "cons-up" else ordered[0][0]
@@ -429,11 +430,9 @@ class BenchmarkRunner:
     def build_rag_dataset(self, dataset_name: str, max_facts: Optional[int] = 40) -> Tuple[Dict[str, dict], RAGDatasetStats]:
         """Pre-build the questions + SERP dataset for (a sample of) one dataset."""
         rag_config = self.config.rag_config()
-        upstream_model = self.registry.get(rag_config.transformation_model)
+        upstream_model = self.registry.get(UPSTREAM_MODEL)
         transformer = TripleTransformer(upstream_model, self.verbalizer, self.telemetry)
-        question_generator = QuestionGenerator(
-            upstream_model, self._reranker, rag_config, self.telemetry
-        )
+        question_generator = QuestionGenerator(upstream_model, self._reranker, self.telemetry)
         builder = RAGDatasetBuilder(
             transformer,
             question_generator,

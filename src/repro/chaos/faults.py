@@ -28,10 +28,10 @@ is exactly reproducible on a :class:`~repro.chaos.clock.VirtualClock`.
 
 Fault taxonomy (mirrors the scenario YAML):
 
-* ``kill`` — the component is dead: every fire raises.  Replica-targeted
-  kills are additionally surfaced through :meth:`FaultInjector.due_kills`
-  so a scenario driver can hard-stop the worker for real
-  (:meth:`ShardedValidationService.kill_replica`), which is what makes a
+* ``kill`` — the component is dead: every fire raises.  A scenario driver
+  also hard-stops each replica-targeted kill's worker for real at its
+  ``at_s`` (:meth:`FaultSchedule.kill_targets`,
+  :meth:`ShardedValidationService.kill_replica`), which is what makes a
   kill permanent rather than a string of raises.
 * ``stall(duration_s)`` — every fire suspends for ``duration_s`` of clock
   time: long enough past the request timeout and the router abandons the
@@ -311,7 +311,6 @@ class FaultInjector:
         self._started_at: Optional[float] = None
         self._pending: List[FaultEvent] = []
         self._active: List[_ActiveFault] = []
-        self._consumed_kills: set = set()
         #: Telemetry: fires evaluated and injections applied, by kind.
         self.fired = 0
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
@@ -324,7 +323,6 @@ class FaultInjector:
         self._rng = random.Random(self.seed)
         self._pending = list(self.schedule.events)
         self._active = []
-        self._consumed_kills = set()
         self.fired = 0
         self.injected = {kind: 0 for kind in FAULT_KINDS}
 
@@ -359,22 +357,6 @@ class FaultInjector:
         """The events currently active at ``point`` (rolls time forward)."""
         self._refresh()
         return [active.event for active in self._active if active.event.matches(point)]
-
-    def due_kills(self) -> List[Tuple[int, int]]:
-        """Replica-targeted kill events that have come due and were not yet
-        returned; the scenario driver consumes these to hard-stop workers."""
-        self._refresh()
-        due = []
-        for active in self._active:
-            event = active.event
-            if event.fault.kind != KILL:
-                continue
-            coordinates = parse_replica_target(event.target)
-            if coordinates is None or coordinates in self._consumed_kills:
-                continue
-            self._consumed_kills.add(coordinates)
-            due.append(coordinates)
-        return due
 
     async def fire(self, point: str) -> None:
         """Asynchronous fault point: applies every active fault at ``point``.

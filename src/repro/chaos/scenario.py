@@ -41,12 +41,12 @@ product::
 For every ``(topology, traffic)`` pair the runner first executes a
 **fault-free reference cell**, then each fault case as its own cell: the
 same seeded workload through a fresh fleet with the fault timeline armed
-(kills are consumed from :meth:`FaultInjector.due_kills` by a driver task
-and applied via :meth:`ShardedValidationService.kill_replica`).  Each cell
-is then checked against the scenario's invariants — no ``FAILED`` while a
-quorum is alive, verdict parity against the reference, bounded staleness
-on ``DEGRADED`` answers — and the results aggregate into a
-:class:`RunTable` (CSV + markdown).
+(a driver task sleeps on the cell's clock until each replica kill's
+``at_s`` and applies it via :meth:`ShardedValidationService.kill_replica`).
+Each cell is then checked against the scenario's invariants — no
+``FAILED`` while a quorum is alive, verdict parity against the reference,
+bounded staleness on ``DEGRADED`` answers — and the results aggregate
+into a :class:`RunTable` (CSV + markdown).
 
 Determinism contract: the run table's **deterministic columns** (cell
 coordinates, request counts, failed counts, invariant verdicts, verdict
@@ -760,7 +760,7 @@ class RunTable:
         return "\n".join(lines) + "\n"
 
 
-#: Seconds between a cell's driver polls: due replica kills, SLO scrapes.
+#: Seconds between a cell's SLO scrapes.
 POLL_INTERVAL_S = 0.005
 
 
@@ -769,10 +769,10 @@ class ScenarioRunner:
 
     Cells run sequentially (fresh fleet per cell, deterministic ordering):
     for each ``(topology, traffic)`` pair the fault-free reference first,
-    then each fault case.  A driver task polls the cell's
-    :class:`FaultInjector` for due replica kills and applies them through
-    :meth:`ShardedValidationService.kill_replica`, so kills share the ops
-    eviction semantics everything else in the serving tier assumes.
+    then each fault case.  A driver task applies each scheduled replica
+    kill at its instant through :meth:`ShardedValidationService.kill_replica`,
+    so kills share the ops eviction semantics everything else in the
+    serving tier assumes.
     """
 
     def __init__(
@@ -853,10 +853,13 @@ class ScenarioRunner:
     async def _drive_faults(
         self, injector: FaultInjector, router: ShardedValidationService
     ) -> None:
-        while True:
-            for shard, replica in injector.due_kills():
-                await router.kill_replica(shard, replica)
-            await self.clock.sleep(POLL_INTERVAL_S)
+        """Kill each scheduled replica when the injector's timeline reaches
+        its ``at_s``: kills due at 0 before the cell's first request."""
+        for at_s, (shard, replica) in injector.schedule.kill_targets():
+            delay = at_s - injector.elapsed()
+            if delay > 0:
+                await self.clock.sleep(delay)
+            await router.kill_replica(shard, replica)
 
     async def _drive_monitor(self, monitor: SLOMonitor) -> None:
         while True:
@@ -931,24 +934,17 @@ class ScenarioRunner:
             ),
             events=obs.events,
         )
-        injector: Optional[FaultInjector] = None
         driver: Optional[asyncio.Task] = None
-        watcher: Optional[asyncio.Task] = None
         async with router:
+            loop = asyncio.get_running_loop()
             if case is not None:
                 injector = FaultInjector(case.schedule, clock=self.clock, seed=scenario.seed)
                 router.set_fault_injection(injector)
                 injector.start()
-                # Kills due at t=0 land before the first request is issued.
-                for shard, replica in injector.due_kills():
-                    await router.kill_replica(shard, replica)
-            watcher = asyncio.get_running_loop().create_task(
-                self._drive_monitor(monitor)
-            )
-            if injector is not None:
-                driver = asyncio.get_running_loop().create_task(
-                    self._drive_faults(injector, router)
-                )
+                # Created first, so its first step (the kills due at 0) runs
+                # before the monitor's first scrape and the first request.
+                driver = loop.create_task(self._drive_faults(injector, router))
+            watcher = loop.create_task(self._drive_monitor(monitor))
             # A fleet without edges ignores the region hints.
             generator = LoadGenerator(
                 router, schedule, scenario.concurrency, regions=geo.regions
@@ -960,6 +956,8 @@ class ScenarioRunner:
                     if task is not None:
                         task.cancel()
                         await asyncio.gather(task, return_exceptions=True)
+            if driver is not None and not driver.cancelled() and driver.exception():
+                raise driver.exception()  # a kill the fleet refused (IndexError)
             # Drain every surviving edge to quiescence while the router is
             # still open, then prove byte-identical convergence: after a
             # full drain the edge copies must reach the primary's digests

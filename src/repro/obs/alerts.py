@@ -4,7 +4,7 @@ The :class:`AlertManager` owns one state machine per ``(slo, rule)`` pair
 — alert ids read ``<slo-name>:<severity>``, e.g.
 ``fleet-availability:page`` — and walks it on every evaluation pass:
 
-    inactive ──condition──▶ pending ──held for_s──▶ firing
+    inactive ──condition──▶ pending ──held ALERT_FOR_S──▶ firing
         ▲                      │                       │
         └──────cleared─────────┴───────cleared─────────▶ resolved
 
@@ -12,9 +12,9 @@ Each transition into *pending*, *firing*, or *resolved* emits a
 structured event (``alert_pending`` / ``alert_firing`` /
 ``alert_resolved``) into the shared :class:`~repro.obs.events.EventLog`,
 so alert history rides the same bounded ring, table renderer, and JSONL
-export as replica-health events.  With ``for_s == 0`` (the default
-rules) an alert goes pending *and* firing in the same pass — the pending
-event still lands first, keeping the timeline explicit.
+export as replica-health events.  With ``ALERT_FOR_S == 0`` an alert goes
+pending *and* firing in the same pass — the pending event still lands
+first, keeping the timeline explicit.
 
 :class:`SLOMonitor` bundles the usual trio — scraper, SLO list, alert
 manager — behind a single :meth:`~SLOMonitor.tick`, which is what the
@@ -42,6 +42,10 @@ __all__ = [
 
 #: Every state an alert can be observed in.
 ALERT_STATES: Tuple[str, ...] = ("inactive", "pending", "firing", "resolved")
+
+#: Seconds a tripped burn-rate rule holds in *pending* before its alert
+#: fires (0 = in the same evaluation pass).
+ALERT_FOR_S = 0.0
 
 
 @dataclass
@@ -104,7 +108,7 @@ class AlertManager:
                 alert.state = "pending"
                 alert.since_s = now_s
                 self._emit("alert_pending", alert, reading, now_s)
-            if alert.state == "pending" and now_s - alert.since_s >= reading.for_s:
+            if alert.state == "pending" and now_s - alert.since_s >= ALERT_FOR_S:
                 alert.state = "firing"
                 alert.fired_at_s = now_s
                 alert.fired_count += 1

@@ -34,7 +34,7 @@ EVENT_KINDS = (
     "quiesce_start",       # an ingest closed a worker's admission gate
     "quiesce_end",         # the gate reopened at the new epoch
     "budget_exhausted",    # a request spent its whole retry budget
-    "alert_pending",       # a burn-rate rule tripped; holding for ``for_s``
+    "alert_pending",       # a burn-rate rule tripped; holding for ``ALERT_FOR_S``
     "alert_firing",        # the alert held long enough and paged
     "alert_resolved",      # a firing alert's condition cleared
     "edge_bootstrap",      # a geo edge joined the serving tier (snapshot + replay)

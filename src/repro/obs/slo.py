@@ -113,7 +113,6 @@ class HealthSLI:
 
     metric: str
     bad_when: Callable[[float], float]
-    labels: Tuple[Tuple[str, str], ...] = ()
 
     def evaluate(
         self, scraper: MetricsScraper, start_s: float, end_s: float
@@ -139,7 +138,7 @@ class HealthSLI:
         cached = scraper.query_cache.get(key)
         if cached is not None:
             return cached
-        matched = scraper.match(self.metric, dict(self.labels))
+        matched = scraper.match(self.metric)
         if len(matched) == 1:
             timestamps, merged = matched[0].samples()
         else:
@@ -171,15 +170,13 @@ class BurnRule:
     """One multi-window burn-rate rule.
 
     Fires when the burn rate exceeds ``factor`` over **both** the long
-    and the short window; ``for_s`` requires the condition to hold that
-    long before the alert leaves *pending* (0 = immediately).
+    and the short window.
     """
 
     severity: str
     factor: float
     long_window_s: float
     short_window_s: float
-    for_s: float = 0.0
 
 
 #: The classic Google-SRE pair: page on fast burn, ticket on slow burn.
@@ -209,7 +206,6 @@ class RuleReading:
     factor: float
     long_burn: float
     short_burn: float
-    for_s: float
     exceeded: bool
 
 
@@ -274,7 +270,6 @@ class SLO:
                     factor=rule.factor,
                     long_burn=long_burn,
                     short_burn=short_burn,
-                    for_s=rule.for_s,
                     exceeded=long_burn >= rule.factor and short_burn >= rule.factor,
                 )
             )

@@ -13,7 +13,7 @@ from .embeddings import HashingEmbedder, cosine_similarity
 from .mock_api import MockSearchAPI, SerpEntry
 from .reranker import CrossEncoderReranker, ScoredText
 from .search import SearchEngine, SearchResult
-from .webgen import WebCorpusConfig, WebCorpusGenerator
+from .webgen import WebCorpusGenerator
 
 __all__ = [
     "Chunk",
@@ -28,7 +28,6 @@ __all__ = [
     "SearchResult",
     "SerpEntry",
     "SlidingWindowChunker",
-    "WebCorpusConfig",
     "WebCorpusGenerator",
     "cosine_similarity",
     "split_sentences",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..datasets.base import LabeledFact
@@ -35,7 +34,7 @@ from ..worldmodel.facts import Fact
 from ..worldmodel.generator import World
 from .corpus import Corpus, Document
 
-__all__ = ["WebCorpusConfig", "WebCorpusGenerator"]
+__all__ = ["WebCorpusGenerator"]
 
 
 def _stable_seed(*parts: object) -> int:
@@ -78,30 +77,25 @@ _FILLER_SENTENCES = (
 )
 
 
-@dataclass(frozen=True)
-class WebCorpusConfig:
-    """Controls corpus size and composition.
-
-    ``documents_per_fact`` is the average number of documents generated per
-    benchmark fact.  The paper's corpus averages ~154; the default here is
-    deliberately smaller so the full benchmark runs quickly, and can be
-    raised to paper scale.
-    """
-
-    documents_per_fact: int = 18
-    empty_rate: float = 0.13
-    kg_origin_rate: float = 0.08
-    noise_rate: float = 0.22
-    news_rate: float = 0.15
-    seed: int = 101
+#: Shares of a fact's documents that are extraction failures (the paper's
+#: 13 %), KG-origin pages, unrelated noise and news snippets.
+EMPTY_RATE = 0.13
+KG_ORIGIN_RATE = 0.08
+NOISE_RATE = 0.22
+NEWS_RATE = 0.15
 
 
 class WebCorpusGenerator:
-    """Generates the synthetic web corpus for a collection of facts."""
+    """Generates the synthetic web corpus for a collection of facts.
 
-    def __init__(self, world: World, config: Optional[WebCorpusConfig] = None) -> None:
+    ``documents_per_fact`` is the average number of documents generated per
+    fact (the paper's corpus averages ~154); ``seed`` seeds every draw.
+    """
+
+    def __init__(self, world: World, documents_per_fact: int, seed: int) -> None:
         self.world = world
-        self.config = config or WebCorpusConfig()
+        self.documents_per_fact = documents_per_fact
+        self.seed = seed
         self.verbalizer = Verbalizer(world)
         self._doc_counter = 0
 
@@ -116,13 +110,13 @@ class WebCorpusGenerator:
 
     def documents_for_fact(self, fact: LabeledFact) -> List[Document]:
         """Generate this fact's share of the corpus."""
-        rng = random.Random(_stable_seed(self.config.seed, fact.fact_id))
-        total = max(3, int(rng.gauss(self.config.documents_per_fact, self.config.documents_per_fact * 0.2)))
+        rng = random.Random(_stable_seed(self.seed, fact.fact_id))
+        total = max(3, int(rng.gauss(self.documents_per_fact, self.documents_per_fact * 0.2)))
         documents: List[Document] = []
-        num_empty = int(round(total * self.config.empty_rate))
-        num_kg = int(round(total * self.config.kg_origin_rate))
-        num_noise = int(round(total * self.config.noise_rate))
-        num_news = int(round(total * self.config.news_rate))
+        num_empty = int(round(total * EMPTY_RATE))
+        num_kg = int(round(total * KG_ORIGIN_RATE))
+        num_noise = int(round(total * NOISE_RATE))
+        num_news = int(round(total * NEWS_RATE))
         num_substantive = max(2, total - num_empty - num_kg - num_noise - num_news)
 
         # A "focused" page — one that addresses the queried relation head-on

@@ -1597,9 +1597,8 @@ class ShardedValidationService:
         fronts: each replica service fires ``shard:{i}/replica:{j}`` before
         executing a micro-batch and the router fires ``store`` on the
         ingest path.  ``kill`` events are *not* fired here — the scenario
-        driver consumes :meth:`~repro.chaos.faults.FaultInjector.due_kills`
-        and calls :meth:`kill_replica` so kills share the ops-eviction
-        semantics.
+        driver calls :meth:`kill_replica` at each kill's ``at_s`` so kills
+        share the ops-eviction semantics.
 
         The geo tier's ``edge:{i}`` points are consulted by each edge's
         background drain loop directly (kill → :meth:`kill_edge`;

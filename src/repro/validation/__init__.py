@@ -20,7 +20,6 @@ from .hybrid import HybridValidator
 from .pipeline import (
     ParallelValidationPipeline,
     ValidationPipeline,
-    progress_label,
 )
 from .prompts import (
     FEW_SHOT_EXAMPLES,
@@ -36,7 +35,6 @@ from .prompts import (
 )
 from .rules import OntologyRuleChecker, RuleGuardedValidator, RuleVerdict
 from .rag import (
-    NetworkLatencyModel,
     QuestionGenerator,
     RAGConfig,
     RAGDatasetBuilder,
@@ -54,7 +52,6 @@ __all__ = [
     "GuidedIterativeVerification",
     "HybridValidator",
     "MajorityVoteConsensus",
-    "NetworkLatencyModel",
     "QuestionGenerator",
     "RAGConfig",
     "RAGDatasetBuilder",
@@ -78,7 +75,6 @@ __all__ = [
     "majority_vote",
     "parse_questions",
     "parse_verdict",
-    "progress_label",
     "question_generation_prompt",
     "rag_prompt",
     "reprompt_suffix",

@@ -7,7 +7,7 @@ The pipeline follows the paper's four phases:
    predicates hinder retrieval otherwise).
 2. **Question generation and ranking** — the LLM generates up to ``k_q``
    candidate questions; a cross-encoder scores each against the sentence and
-   only queries above the relevance threshold (top ``selected_questions``)
+   only queries above the relevance threshold (top ``SELECTED_QUESTIONS``)
    are kept.
 3. **Document retrieval and filtering** — every kept query is issued to the
    (mock) search API; documents originating from the KG's own source pages
@@ -54,58 +54,48 @@ __all__ = [
     "RAGValidator",
     "RAGDatasetBuilder",
     "RAGDatasetStats",
-    "NetworkLatencyModel",
 ]
+
+#: The model behind phases 1 and 2 (triple transformation and question
+#: generation) for every validator: Table 4's Gemma2.
+UPSTREAM_MODEL = "gemma2:9b"
+#: Candidate questions generated per fact (``k_q``).
+NUM_QUESTIONS = 10
+#: Questions kept for retrieval, besides the transformed statement.
+SELECTED_QUESTIONS = 3
+#: Sentences the sliding window advances per chunk.
+CHUNK_STRIDE = 2
+#: Top-ranked chunks that become the verification prompt's evidence.
+MAX_EVIDENCE_CHUNKS = 10
+#: Simulated network cost of one SERP request and one document fetch: the
+#: paper reports ~3.6 s of result pages and ~350 s of fetches per fact.
+SERP_REQUEST_SECONDS = 1.2
+DOCUMENT_FETCH_SECONDS = 2.3
 
 
 @dataclass(frozen=True)
 class RAGConfig:
-    """The Table 4 configuration of the RAG pipeline."""
+    """The Table 4 settings a run or the ablation varies (the fixed ones
+    are the module constants above)."""
 
-    transformation_model: str = "gemma2:9b"
-    question_model: str = "gemma2:9b"
-    num_questions: int = 10
     relevance_threshold: float = 0.5
-    selected_questions: int = 3
     selected_documents: int = 10
     serp_results_per_query: int = 100
     chunk_window: int = 3
-    chunk_stride: int = 2
-    max_evidence_chunks: int = 10
 
     def as_table(self) -> List[Tuple[str, str]]:
         """Human-readable (component, parameter) rows, mirroring Table 4."""
         return [
-            ("Human Understandable Text", self.transformation_model),
-            ("Question Generation", self.question_model),
+            ("Human Understandable Text", UPSTREAM_MODEL),
+            ("Question Generation", UPSTREAM_MODEL),
             ("Question Relevance", "lexical+embedding cross-encoder (jina substitute)"),
             ("Relevance Threshold", str(self.relevance_threshold)),
-            ("Selected Questions", str(self.selected_questions)),
+            ("Selected Questions", str(SELECTED_QUESTIONS)),
             ("Selected Documents (k_d)", str(self.selected_documents)),
             ("Document Selection", "lexical+embedding cross-encoder (ms-marco substitute)"),
             ("Embedding Model", "hashing embedder (bge substitute)"),
             ("Chunking Strategy", f"Sliding Window (size = {self.chunk_window})"),
         ]
-
-
-@dataclass(frozen=True)
-class NetworkLatencyModel:
-    """Simulated network costs of the data-collection pipeline.
-
-    The paper reports ~3.6 s to collect the Google result pages per fact and
-    ~350 s to fetch the linked documents for each triple; these constants let
-    the dataset builder report the same cost breakdown without real network
-    access.
-    """
-
-    serp_request_seconds: float = 1.2
-    document_fetch_seconds: float = 2.3
-
-    def serp_time(self, num_queries: int) -> float:
-        return self.serp_request_seconds * num_queries
-
-    def fetch_time(self, num_documents: int) -> float:
-        return self.document_fetch_seconds * num_documents
 
 
 class TripleTransformer:
@@ -147,12 +137,10 @@ class QuestionGenerator:
         self,
         model: LLMClient,
         reranker: Optional[CrossEncoderReranker] = None,
-        config: Optional[RAGConfig] = None,
         telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         self.model = model
         self.reranker = reranker or CrossEncoderReranker()
-        self.config = config or RAGConfig()
         self.telemetry = telemetry
 
     def generate(self, fact: LabeledFact, statement: str) -> Tuple[List[Tuple[str, float]], float]:
@@ -162,13 +150,13 @@ class QuestionGenerator:
         or above the relevance threshold are returned (all of them — the
         caller decides how many to keep for retrieval).
         """
-        prompt = question_generation_prompt(statement, self.config.num_questions)
+        prompt = question_generation_prompt(statement, NUM_QUESTIONS)
         response = self.model.generate(
             prompt,
             metadata={
                 "task": "generate_questions",
                 "fact": fact,
-                "num_questions": self.config.num_questions,
+                "num_questions": NUM_QUESTIONS,
             },
         )
         if self.telemetry is not None:
@@ -221,11 +209,11 @@ class RAGValidator(ValidationStrategy):
         self.verbalizer = verbalizer or Verbalizer()
         self.reranker = reranker or CrossEncoderReranker()
         self.chunker = SlidingWindowChunker(
-            window_size=self.config.chunk_window, stride=self.config.chunk_stride
+            window_size=self.config.chunk_window, stride=CHUNK_STRIDE
         )
         self.transformer = transformer or TripleTransformer(model, self.verbalizer, telemetry)
         self.question_generator = question_generator or QuestionGenerator(
-            model, self.reranker, self.config, telemetry
+            model, self.reranker, telemetry
         )
         self.telemetry = telemetry
         # Shared evidence cache: the paper's pipeline runs transformation and
@@ -274,7 +262,7 @@ class RAGValidator(ValidationStrategy):
             question for question, score in questions
             if score >= self.config.relevance_threshold
         ]
-        selected_questions = eligible[: self.config.selected_questions]
+        selected_questions = eligible[:SELECTED_QUESTIONS]
         queries = [statement] + selected_questions
 
         documents = self._retrieve_documents(queries)
@@ -324,7 +312,7 @@ class RAGValidator(ValidationStrategy):
         if not chunks:
             return []
         ranked = self.reranker.rank(statement, [chunk.text for chunk in chunks])
-        return [item.text for item in ranked[: self.config.max_evidence_chunks]]
+        return [item.text for item in ranked[:MAX_EVIDENCE_CHUNKS]]
 
     # -- validation -----------------------------------------------------------------
 
@@ -402,7 +390,6 @@ class RAGDatasetBuilder:
         self.search_api = search_api
         self.kg_encoding = kg_encoding
         self.config = config or RAGConfig()
-        self.network_model = NetworkLatencyModel()
 
     def build(self, dataset: FactDataset) -> Tuple[Dict[str, dict], RAGDatasetStats]:
         """Build per-fact records and aggregate statistics for a dataset."""
@@ -421,9 +408,9 @@ class RAGDatasetBuilder:
                 sum(len(question.split()) for question, __ in questions) * 1.3
             )
             similarity_scores.extend(score for __, score in questions)
-            top_questions = [question for question, __ in questions[: self.config.selected_questions]]
+            top_questions = [question for question, __ in questions[:SELECTED_QUESTIONS]]
             queries = [statement] + top_questions
-            serp_times.append(self.network_model.serp_time(len(queries)))
+            serp_times.append(SERP_REQUEST_SECONDS * len(queries))
             urls: List[str] = []
             for query in queries:
                 for entry in self.search_api.search(query, num=self.config.serp_results_per_query):
@@ -432,7 +419,7 @@ class RAGDatasetBuilder:
                         for domain in self.kg_encoding.source_domains
                     ):
                         urls.append(entry.url)
-            fetch_times.append(self.network_model.fetch_time(len(urls)))
+            fetch_times.append(DOCUMENT_FETCH_SECONDS * len(urls))
             total_documents += len(urls)
             records[fact.fact_id] = {
                 "statement": statement,

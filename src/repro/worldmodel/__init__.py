@@ -9,7 +9,7 @@ so they are mutually consistent by construction.
 
 from .entities import RELATIONS, Entity, EntityType, RelationSpec
 from .facts import Fact, FactStore
-from .generator import World, WorldConfig, build_world
+from .generator import World, build_world
 from .names import NameGenerator
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "RELATIONS",
     "RelationSpec",
     "World",
-    "WorldConfig",
     "build_world",
 ]

@@ -21,47 +21,34 @@ the property the RAG experiments rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .entities import Entity, EntityType
 from .facts import Fact, FactStore
 from .names import NameGenerator
 
-__all__ = ["WorldConfig", "World", "build_world"]
+__all__ = ["World", "build_world"]
 
 
-@dataclass(frozen=True)
-class WorldConfig:
-    """Sizing knobs for world generation.
-
-    ``scale`` multiplies every population count, so ``scale=1.0`` yields a
-    world large enough to support the paper-scale datasets while
-    ``scale=0.1`` produces a compact world for tests.
-    """
-
-    scale: float = 1.0
-    num_persons: int = 1200
-    num_cities: int = 180
-    num_countries: int = 40
-    num_organizations: int = 150
-    num_universities: int = 90
-    num_films: int = 260
-    num_books: int = 220
-    num_bands: int = 90
-    num_awards: int = 45
-    num_teams: int = 70
-    seed: int = 7
-
-    def scaled(self, count: int, minimum: int = 4) -> int:
-        return max(minimum, int(round(count * self.scale)))
+#: Paper-scale population of each generated entity type; ``build_world``'s
+#: ``scale`` multiplies every count (``scale=1.0`` supports the paper-scale
+#: datasets, ``0.1`` is a compact world for tests).
+NUM_PERSONS = 1200
+NUM_CITIES = 180
+NUM_COUNTRIES = 40
+NUM_ORGANIZATIONS = 150
+NUM_UNIVERSITIES = 90
+NUM_FILMS = 260
+NUM_BOOKS = 220
+NUM_BANDS = 90
+NUM_AWARDS = 45
+NUM_TEAMS = 70
 
 
 class World:
     """The synthetic universe: typed entities plus a ground-truth fact store."""
 
-    def __init__(self, config: WorldConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.entities: Dict[str, Entity] = {}
         self.by_type: Dict[EntityType, List[Entity]] = {etype: [] for etype in EntityType}
         self.facts = FactStore()
@@ -121,14 +108,17 @@ class World:
 class _WorldBuilder:
     """Internal builder that populates a :class:`World` deterministically."""
 
-    def __init__(self, config: WorldConfig) -> None:
-        self.config = config
-        self.rng = random.Random(config.seed)
-        self.names = NameGenerator(config.seed + 1)
-        self.world = World(config)
+    def __init__(self, scale: float, seed: int) -> None:
+        self.scale = scale
+        self.rng = random.Random(seed)
+        self.names = NameGenerator(seed + 1)
+        self.world = World()
         self._counters: Dict[EntityType, int] = {etype: 0 for etype in EntityType}
 
     # -- helpers ------------------------------------------------------------
+
+    def _scaled(self, count: int) -> int:
+        return max(4, int(round(count * self.scale)))
 
     def _new_entity(
         self,
@@ -177,14 +167,13 @@ class _WorldBuilder:
     # -- population ---------------------------------------------------------
 
     def build(self) -> World:
-        cfg = self.config
         self._build_value_pools()
-        self._build_places(cfg)
-        self._build_people(cfg)
-        self._build_organizations(cfg)
-        self._build_universities(cfg)
-        self._build_teams(cfg)
-        self._build_creative_works(cfg)
+        self._build_places()
+        self._build_people()
+        self._build_organizations()
+        self._build_universities()
+        self._build_teams()
+        self._build_creative_works()
         self._build_person_facts()
         return self.world
 
@@ -196,10 +185,10 @@ class _WorldBuilder:
         for language in self.names.language_pool():
             self._new_entity(EntityType.LANGUAGE, language)
 
-    def _build_places(self, cfg: WorldConfig) -> None:
+    def _build_places(self) -> None:
         countries = [
             self._new_entity(EntityType.COUNTRY, self.names.country())
-            for __ in range(cfg.scaled(cfg.num_countries))
+            for __ in range(self._scaled(NUM_COUNTRIES))
         ]
         for country in countries:
             languages = self._pick_many(EntityType.LANGUAGE, self.rng.randint(1, 2))
@@ -207,7 +196,7 @@ class _WorldBuilder:
                 self._add_fact(country, "officialLanguage", language)
         cities = [
             self._new_entity(EntityType.CITY, self.names.city())
-            for __ in range(cfg.scaled(cfg.num_cities))
+            for __ in range(self._scaled(NUM_CITIES))
         ]
         for city in cities:
             country = self._pick(EntityType.COUNTRY)
@@ -224,52 +213,52 @@ class _WorldBuilder:
             capital = self.rng.choice(local) if local else self.rng.choice(cities)
             self._add_fact(country, "capital", capital)
 
-    def _build_people(self, cfg: WorldConfig) -> None:
-        for __ in range(cfg.scaled(cfg.num_persons)):
+    def _build_people(self) -> None:
+        for __ in range(self._scaled(NUM_PERSONS)):
             self._new_entity(EntityType.PERSON, self.names.person())
 
-    def _build_organizations(self, cfg: WorldConfig) -> None:
-        for __ in range(cfg.scaled(cfg.num_organizations)):
+    def _build_organizations(self) -> None:
+        for __ in range(self._scaled(NUM_ORGANIZATIONS)):
             org = self._new_entity(EntityType.ORGANIZATION, self.names.organization())
             self._add_fact(org, "headquarter", self._pick(EntityType.CITY))
             self._add_fact(org, "foundingYear", self._year_entity(self.names.year(1880, 2015)))
             for founder in self._pick_many(EntityType.PERSON, self.rng.randint(1, 2)):
                 self._add_fact(org, "foundedBy", founder)
 
-    def _build_universities(self, cfg: WorldConfig) -> None:
-        for __ in range(cfg.scaled(cfg.num_universities)):
+    def _build_universities(self) -> None:
+        for __ in range(self._scaled(NUM_UNIVERSITIES)):
             city = self._pick(EntityType.CITY)
             university = self._new_entity(
                 EntityType.UNIVERSITY, self.names.university(city.name)
             )
             self._add_fact(university, "universityCity", city)
 
-    def _build_teams(self, cfg: WorldConfig) -> None:
-        for __ in range(cfg.scaled(cfg.num_teams)):
+    def _build_teams(self) -> None:
+        for __ in range(self._scaled(NUM_TEAMS)):
             city = self._pick(EntityType.CITY)
             team = self._new_entity(EntityType.SPORTS_TEAM, self.names.sports_team(city.name))
             self._add_fact(team, "teamCity", city)
 
-    def _build_creative_works(self, cfg: WorldConfig) -> None:
-        for __ in range(cfg.scaled(cfg.num_films)):
+    def _build_creative_works(self) -> None:
+        for __ in range(self._scaled(NUM_FILMS)):
             film = self._new_entity(EntityType.FILM, self.names.film())
             self._add_fact(film, "director", self._pick(EntityType.PERSON))
             for actor in self._pick_many(EntityType.PERSON, self.rng.randint(2, 4)):
                 self._add_fact(film, "starring", actor)
             for genre in self._pick_many(EntityType.GENRE, self.rng.randint(1, 2)):
                 self._add_fact(film, "genre", genre)
-        for __ in range(cfg.scaled(cfg.num_books)):
+        for __ in range(self._scaled(NUM_BOOKS)):
             place = self._pick(EntityType.CITY)
             book = self._new_entity(EntityType.BOOK, self.names.book(place.name))
             self._add_fact(book, "author", self._pick(EntityType.PERSON))
             self._add_fact(book, "publicationYear", self._year_entity(self.names.year(1900, 2020)))
-        for __ in range(cfg.scaled(cfg.num_bands)):
+        for __ in range(self._scaled(NUM_BANDS)):
             band = self._new_entity(EntityType.BAND, self.names.band())
             for member in self._pick_many(EntityType.PERSON, self.rng.randint(2, 4)):
                 self._add_fact(band, "bandMember", member)
             for genre in self._pick_many(EntityType.GENRE, self.rng.randint(1, 2)):
                 self._add_fact(band, "musicGenre", genre)
-        for __ in range(self.config.scaled(self.config.num_awards)):
+        for __ in range(self._scaled(NUM_AWARDS)):
             self._new_entity(EntityType.AWARD, self.names.award())
 
     def _build_person_facts(self) -> None:
@@ -315,13 +304,16 @@ class _WorldBuilder:
                 self._add_fact(person, "award", self._pick(EntityType.AWARD))
 
 
-def build_world(config: Optional[WorldConfig] = None) -> World:
+def build_world(scale: float, seed: int) -> World:
     """Build the synthetic world.
 
     Parameters
     ----------
-    config:
-        Sizing/seeding configuration.  Defaults to :class:`WorldConfig()`.
+    scale:
+        Multiplies every population count (``NUM_*``); each type keeps at
+        least four entities.
+    seed:
+        Seeds every draw, names included.
 
     Returns
     -------
@@ -329,4 +321,4 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
         A fully populated world whose fact store is the ground truth for all
         downstream components.
     """
-    return _WorldBuilder(config or WorldConfig()).build()
+    return _WorldBuilder(scale, seed).build()

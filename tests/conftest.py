@@ -20,10 +20,10 @@ from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.datasets import build_dbpedia, build_factbench, build_yago
 from repro.kg.verbalization import Verbalizer
 from repro.llm import ModelRegistry
-from repro.retrieval import MockSearchAPI, WebCorpusConfig, WebCorpusGenerator
+from repro.retrieval import MockSearchAPI, WebCorpusGenerator
 from repro.service import ServiceRequest
 from repro.store import VersionedKnowledgeStore
-from repro.worldmodel import WorldConfig, build_world
+from repro.worldmodel import build_world
 
 # A failing property prints its ``@reproduce_failure`` blob, not only the
 # shrunk draw: replaying a real-clock race needs the exact example.
@@ -163,7 +163,7 @@ def backend():
 @pytest.fixture(scope="session")
 def world():
     """A compact synthetic world shared by the whole suite."""
-    return build_world(WorldConfig(scale=0.15, seed=11))
+    return build_world(scale=0.15, seed=11)
 
 
 @pytest.fixture(scope="session")
@@ -198,7 +198,7 @@ def dbpedia_small(world):
 
 @pytest.fixture(scope="session")
 def corpus_small(world, factbench_small):
-    generator = WebCorpusGenerator(world, WebCorpusConfig(documents_per_fact=8, seed=5))
+    generator = WebCorpusGenerator(world, documents_per_fact=8, seed=5)
     facts = factbench_small.facts()[:25]
     return generator.build_corpus(facts)
 

@@ -1,8 +1,12 @@
 """Tests for the benchmark configuration and runner."""
 
+import dataclasses
+
 import pytest
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig, PAPER_SCALE_CONFIG, QUICK_CONFIG
+from repro.llm.profiles import OPEN_SOURCE_MODELS
+from repro.validation import RAGConfig
 from support import usage_of
 
 
@@ -27,6 +31,34 @@ class TestConfig:
     def test_rag_config_propagates_serp_depth(self):
         config = ExperimentConfig(serp_results_per_query=33)
         assert config.rag_config().serp_results_per_query == 33
+
+    def test_every_rag_setting_a_config_carries_reaches_the_strategy(self, quick_config):
+        """A RAG setting an ``ExperimentConfig`` carries — a field named like
+        one of ``RAGConfig``'s, or a whole nested ``RAGConfig`` — reaches
+        the RAG strategy's config instead of being dropped on the way."""
+
+        def other(value):
+            if isinstance(value, str):
+                return next(model for model in OPEN_SOURCE_MODELS if model != value)
+            return value * 2 + 1
+
+        rag_fields = dataclasses.fields(RAGConfig)
+        variants = []
+        for field in dataclasses.fields(ExperimentConfig):
+            if field.name in {rag_field.name for rag_field in rag_fields}:
+                value = other(getattr(quick_config, field.name))
+                variants.append(({field.name: value}, field.name, value))
+            elif field.type in ("RAGConfig", RAGConfig):
+                for rag_field in rag_fields:
+                    value = other(rag_field.default)
+                    nested = RAGConfig(**{rag_field.name: value})
+                    variants.append(({field.name: nested}, rag_field.name, value))
+        assert variants, "an ExperimentConfig carries no RAG setting"
+        for overrides, name, value in variants:
+            runner = BenchmarkRunner(dataclasses.replace(quick_config, **overrides))
+            model = runner.registry.get("gemma2:9b")
+            strategy = runner.build_strategy("rag", "factbench", model)
+            assert getattr(strategy.config, name) == value, overrides
 
 
 class TestRunner:

@@ -281,17 +281,44 @@ class TestFaultInjector:
         _fire_now(injector, "store")
         assert injector.injected["error"] == 0
 
-    def test_due_kills_are_consumed_exactly_once(self):
-        injector, clock = self._injector(
-            [FaultEvent(at_s=0.3, target="shard:0/replica:1", fault=FaultSpec.parse("kill"))]
-        )
-        assert injector.due_kills() == []
-        clock.advance(0.4)
-        assert injector.due_kills() == [(0, 1)]
-        assert injector.due_kills() == []
-        # The point itself still raises as defence in depth.
-        with pytest.raises(InjectedFaultError, match="kill"):
-            _fire_now(injector, "shard:0/replica:1")
+    def test_the_scenario_driver_kills_each_replica_at_its_instant(self):
+        """The driver sleeps on the cell's clock until each replica kill's
+        ``at_s`` (no polling); a kill due at 0 lands in its first step."""
+
+        class Fleet:
+            def __init__(self, clock):
+                self.clock = clock
+                self.kills = []
+
+            async def kill_replica(self, shard, replica):
+                self.kills.append((self.clock.now(), shard, replica))
+
+        async def go():
+            injector, clock = self._injector(
+                [
+                    FaultEvent(at_s=0.3, target="shard:0/replica:1", fault=FaultSpec.parse("kill")),
+                    FaultEvent(at_s=0.1, target="store", fault=FaultSpec.parse("kill")),
+                    FaultEvent(at_s=0.0, target="shard:1/replica:0", fault=FaultSpec.parse("kill")),
+                ]
+            )
+            runner = ScenarioRunner(None, load_scenario(_minimal_scenario()))
+            runner.clock = clock
+            fleet = Fleet(clock)
+            driver = asyncio.get_running_loop().create_task(
+                runner._drive_faults(injector, fleet)
+            )
+            await asyncio.sleep(0)
+            assert fleet.kills == [(0.0, 1, 0)]
+            await clock.run_for(0.29)
+            assert fleet.kills == [(0.0, 1, 0)]
+            await clock.run_for(0.01)
+            await driver
+            assert fleet.kills == [(0.0, 1, 0), (0.3, 0, 1)]
+            # The point itself still raises as defence in depth.
+            with pytest.raises(InjectedFaultError, match="kill"):
+                await injector.fire("shard:0/replica:1")
+
+        asyncio.run(go())
 
     def test_stall_suspends_on_the_injector_clock(self):
         async def go():

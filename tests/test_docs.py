@@ -383,6 +383,39 @@ class TestStorageEngineDocsComplete:
             actual = getattr(importlib.import_module(f"repro.{package}.{module}"), name)
             assert json.loads(value) == actual, f"row `{name}` says {value}, code has {actual}"
 
+    def test_the_configuration_constants_table_matches_the_code(self):
+        """Every row names a constant of its module at its value, and the
+        table lists every constant the former configuration fields became."""
+        import importlib
+
+        text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+        section = text.split("### Configuration constants", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(
+            r"^\| `(\w+)` \| `([^`]+)` \| `(\w+)/(\w+)\.py` \| [^|]+ \|$", section, re.M
+        )
+        documented = {}
+        for name, value, package, module in rows:
+            actual = getattr(importlib.import_module(f"repro.{package}.{module}"), name)
+            assert json.loads(value) == actual, f"row `{name}` says {value}, code has {actual}"
+            documented[name] = f"{package}/{module}"
+        assert documented == {
+            **dict.fromkeys(
+                ["UPSTREAM_MODEL", "NUM_QUESTIONS", "SELECTED_QUESTIONS", "CHUNK_STRIDE",
+                 "MAX_EVIDENCE_CHUNKS", "SERP_REQUEST_SECONDS", "DOCUMENT_FETCH_SECONDS"],
+                "validation/rag",
+            ),
+            "COMMERCIAL_MODEL": "benchmark/config",
+            **dict.fromkeys(
+                ["NUM_PERSONS", "NUM_CITIES", "NUM_COUNTRIES", "NUM_ORGANIZATIONS",
+                 "NUM_UNIVERSITIES", "NUM_FILMS", "NUM_BOOKS", "NUM_BANDS", "NUM_AWARDS",
+                 "NUM_TEAMS"],
+                "worldmodel/generator",
+            ),
+            **dict.fromkeys(
+                ["EMPTY_RATE", "KG_ORIGIN_RATE", "NOISE_RATE", "NEWS_RATE"], "retrieval/webgen"
+            ),
+        }
+
     def test_docs_state_what_a_hostile_header_does(self):
         operations = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
         for needle in (

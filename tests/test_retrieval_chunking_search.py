@@ -8,7 +8,6 @@ from repro.retrieval import (
     MockSearchAPI,
     SearchEngine,
     SlidingWindowChunker,
-    WebCorpusConfig,
     WebCorpusGenerator,
     split_sentences,
 )
@@ -180,7 +179,7 @@ class TestSearchEquivalence:
 class TestWebCorpusGenerator:
     @pytest.fixture(scope="class")
     def generated(self, world, factbench_small):
-        generator = WebCorpusGenerator(world, WebCorpusConfig(documents_per_fact=12, seed=2))
+        generator = WebCorpusGenerator(world, documents_per_fact=12, seed=2)
         fact = next(fact for fact in factbench_small if fact.label)
         return fact, generator.documents_for_fact(fact)
 
@@ -209,7 +208,7 @@ class TestWebCorpusGenerator:
         assert all(fact.subject_name in doc.title for doc in profiles)
 
     def test_corpus_provenance_and_coverage(self, world, factbench_small):
-        generator = WebCorpusGenerator(world, WebCorpusConfig(documents_per_fact=10, seed=3))
+        generator = WebCorpusGenerator(world, documents_per_fact=10, seed=3)
         corpus = generator.build_corpus(factbench_small.facts()[:6])
         stats = corpus.stats()
         assert stats["num_facts_with_documents"] == 6
@@ -217,8 +216,8 @@ class TestWebCorpusGenerator:
 
     def test_deterministic_per_fact(self, world, factbench_small):
         fact = factbench_small[0]
-        first = WebCorpusGenerator(world, WebCorpusConfig(seed=4)).documents_for_fact(fact)
-        second = WebCorpusGenerator(world, WebCorpusConfig(seed=4)).documents_for_fact(fact)
+        first = WebCorpusGenerator(world, documents_per_fact=18, seed=4).documents_for_fact(fact)
+        second = WebCorpusGenerator(world, documents_per_fact=18, seed=4).documents_for_fact(fact)
         assert [d.text for d in first] == [d.text for d in second]
 
 

@@ -10,7 +10,7 @@ Covers the PR 8 tentpole layer end to end:
 * the SLI family — availability from counters, time-based health from
   gauges — plus exact error budgets and
   the multi-window multi-burn-rate trip condition;
-* :class:`AlertManager` — pending→firing→resolved lifecycles, ``for_s``
+* :class:`AlertManager` — pending→firing→resolved lifecycles, ``ALERT_FOR_S``
   hold-down, and the structured events each transition emits;
 * :func:`render_dashboard` — byte-identical frames under seeded reruns;
 * the chaos scenario integration — ``expect_alerts`` / ``forbid_alerts``
@@ -48,6 +48,7 @@ from repro.obs import (
     series_key,
     sparkline,
 )
+from repro.obs import alerts as alerts_module
 from repro.obs import dashboard as dashboard_module
 from repro.obs import timeseries as timeseries_module
 from support import last_value, series_keys
@@ -350,19 +351,13 @@ class TestAlertManager:
         scraper.scrape_once()
         return registry, scraper
 
-    def _slo(self, for_s=0.0):
+    def _slo(self):
         return SLO(
             "avail",
             0.99,
             AvailabilitySLI.of(good={"good_total": {}}, bad={"bad_total": {}}),
             rules=(
-                BurnRule(
-                    "page",
-                    factor=14.4,
-                    long_window_s=3600.0,
-                    short_window_s=300.0,
-                    for_s=for_s,
-                ),
+                BurnRule("page", factor=14.4, long_window_s=3600.0, short_window_s=300.0),
             ),
         )
 
@@ -370,7 +365,7 @@ class TestAlertManager:
         with pytest.raises(ValueError, match="duplicate alert id"):
             AlertManager([self._slo(), self._slo()])
 
-    def test_zero_for_s_goes_pending_and_firing_in_one_pass(self):
+    def test_zero_alert_for_s_goes_pending_and_firing_in_one_pass(self):
         clock = VirtualClock()
         _, scraper = self._burning_scraper(clock)
         events = EventLog(clock)
@@ -384,10 +379,11 @@ class TestAlertManager:
         assert kinds == ["alert_pending", "alert_firing"]
         assert events.events()[0].target == "avail:page"
 
-    def test_for_s_holds_the_alert_in_pending(self):
+    def test_alert_for_s_holds_the_alert_in_pending(self, monkeypatch):
+        monkeypatch.setattr(alerts_module, "ALERT_FOR_S", 10.0)
         clock = VirtualClock()
         _, scraper = self._burning_scraper(clock)
-        manager = AlertManager([self._slo(for_s=10.0)])
+        manager = AlertManager([self._slo()])
         manager.evaluate_once(scraper, now_s=1.0)
         assert manager.get("avail:page").state == "pending"
         manager.evaluate_once(scraper, now_s=5.0)
@@ -413,11 +409,12 @@ class TestAlertManager:
         kinds = [event.kind for event in events.events()]
         assert kinds == ["alert_pending", "alert_firing", "alert_resolved"]
 
-    def test_pending_that_never_fired_resolves_silently(self):
+    def test_pending_that_never_fired_resolves_silently(self, monkeypatch):
+        monkeypatch.setattr(alerts_module, "ALERT_FOR_S", 100.0)
         clock = VirtualClock()
         registry, scraper = self._burning_scraper(clock)
         events = EventLog(clock)
-        manager = AlertManager([self._slo(for_s=100.0)], events=events)
+        manager = AlertManager([self._slo()], events=events)
         manager.evaluate_once(scraper, now_s=1.0)
         registry.counter("good_total", "G.").inc(10_000_000)
         clock.advance(3601.0)

@@ -11,13 +11,13 @@ from repro.validation import (
     GuidedIterativeVerification,
     RAGConfig,
     RAGValidator,
-    ValidationPipeline,
     ValidationResult,
     ValidationRun,
     Verdict,
 )
 from repro.validation import giv as giv_module
-from repro.validation.rag import NetworkLatencyModel, TripleTransformer
+from repro.validation import rag as rag_module
+from repro.validation.rag import QuestionGenerator, RAGDatasetBuilder, TripleTransformer
 from support import usage_of
 
 
@@ -92,7 +92,7 @@ class TestGIV:
 class TestRAG:
     @pytest.fixture(scope="class")
     def rag_validator(self, gemma, verbalizer, search_api):
-        config = RAGConfig(serp_results_per_query=15, selected_documents=5, max_evidence_chunks=6)
+        config = RAGConfig(serp_results_per_query=15, selected_documents=5)
         return RAGValidator(
             model=gemma,
             search_api=search_api,
@@ -120,10 +120,11 @@ class TestRAG:
                 assert not document.source.endswith("wikipedia.org")
                 assert not document.source.endswith("dbpedia.org")
 
-    def test_selected_documents_bounded(self, rag_validator, covered_facts):
+    def test_selected_documents_bounded(self, rag_validator, covered_facts, monkeypatch):
+        monkeypatch.setattr(rag_module, "MAX_EVIDENCE_CHUNKS", 6)
         evidence, __ = rag_validator.retrieve(covered_facts[1])
         assert len(evidence.documents) <= rag_validator.config.selected_documents
-        assert len(evidence.chunks) <= rag_validator.config.max_evidence_chunks
+        assert len(evidence.chunks) == 6
 
     def test_validate_result_fields(self, rag_validator, covered_facts):
         result = rag_validator.validate(covered_facts[0])
@@ -193,16 +194,31 @@ class TestRAGPhases:
         config = RAGConfig(relevance_threshold=0.6, chunk_window=4)
         rows = dict(config.as_table())
         assert len(rows) == len(config.as_table()) == 9
-        assert rows["Human Understandable Text"] == config.transformation_model
+        assert rows["Human Understandable Text"] == rag_module.UPSTREAM_MODEL
         assert rows["Relevance Threshold"] == "0.6"
         assert rows["Selected Documents (k_d)"] == str(config.selected_documents)
         assert rows["Chunking Strategy"] == "Sliding Window (size = 4)"
 
-    def test_network_latency_is_linear_in_requests(self):
-        network = NetworkLatencyModel(serp_request_seconds=1.5, document_fetch_seconds=2.0)
-        assert network.serp_time(0) == network.fetch_time(0) == 0.0
-        assert network.serp_time(4) == 6.0
-        assert network.fetch_time(3) == 6.0
+    def test_collection_costs_are_linear_in_requests(
+        self, monkeypatch, gemma, verbalizer, search_api, small_subset
+    ):
+        monkeypatch.setattr(rag_module, "SERP_REQUEST_SECONDS", 1.5)
+        monkeypatch.setattr(rag_module, "DOCUMENT_FETCH_SECONDS", 2.0)
+        builder = RAGDatasetBuilder(
+            TripleTransformer(gemma, verbalizer),
+            QuestionGenerator(gemma),
+            search_api,
+            DBPEDIA_ENCODING,
+        )
+        records, stats = builder.build(small_subset.sample(3, seed=1))
+        queries = [
+            1 + min(len(record["questions"]), rag_module.SELECTED_QUESTIONS)
+            for record in records.values()
+        ]
+        urls = [len(record["urls"]) for record in records.values()]
+        assert stats.avg_serp_seconds == pytest.approx(1.5 * sum(queries) / 3)
+        assert stats.avg_fetch_seconds == pytest.approx(2.0 * sum(urls) / 3)
+        assert sum(urls) > 0
 
 
 class TestRunAccounting:
@@ -227,10 +243,3 @@ class TestRunAccounting:
         assert run.correct_fact_ids() == ["right-true", "right-false"]
         assert [result.is_correct for result in run.results] == [True, False, None, None, True]
 
-
-class TestPipeline:
-    def test_progress_callback_invoked(self, gemma, verbalizer, small_subset):
-        calls = []
-        pipeline = ValidationPipeline(progress=lambda method, done, total: calls.append((done, total)))
-        pipeline.run(DirectKnowledgeAssessment(gemma, verbalizer), small_subset)
-        assert calls[-1] == (len(small_subset), len(small_subset))

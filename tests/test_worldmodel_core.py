@@ -9,9 +9,9 @@ from repro.worldmodel import (
     Fact,
     FactStore,
     World,
-    WorldConfig,
     build_world,
 )
+from repro.worldmodel import generator
 
 
 class TestRelationSchema:
@@ -76,8 +76,8 @@ class TestFactStore:
 
 class TestWorldGeneration:
     def test_world_is_deterministic(self):
-        one = build_world(WorldConfig(scale=0.1, seed=5))
-        two = build_world(WorldConfig(scale=0.1, seed=5))
+        one = build_world(scale=0.1, seed=5)
+        two = build_world(scale=0.1, seed=5)
         assert {etype: len(items) for etype, items in one.by_type.items()} == {
             etype: len(items) for etype, items in two.by_type.items()
         }
@@ -138,12 +138,16 @@ class TestWorldGeneration:
             world.entity("person_99999")
 
     def test_duplicate_entity_rejected(self):
-        world = World(WorldConfig())
+        world = World()
         entity = Entity("x", "X", EntityType.PERSON)
         world.add_entity(entity)
         with pytest.raises(ValueError):
             world.add_entity(entity)
 
-    def test_scaled_counts_respect_minimum(self):
-        config = WorldConfig(scale=0.0001)
-        assert config.scaled(1000) >= 4
+    def test_scaled_counts_respect_minimum(self, monkeypatch):
+        """``scale`` multiplies the ``NUM_*`` constants read at build time;
+        every type keeps at least four entities."""
+        monkeypatch.setattr(generator, "NUM_PERSONS", 100_000)
+        world = build_world(scale=0.0001, seed=1)
+        assert len(world.by_type[EntityType.PERSON]) == 10
+        assert len(world.by_type[EntityType.FILM]) == 4
