@@ -2,12 +2,15 @@
 
 The segment file is the store's one durable format; the JSONL export
 replayed from zero is the reference the floors are measured against.  The
-reference is the seed's replay, kept inline (:func:`_seed_replay`): its
-graph maintains the string indexes from the first record on, as
-``KnowledgeGraph()`` did when the floors were set.  Today's
-``VersionedKnowledgeStore.replay`` builds only the interned core, so
-timing it would move the reference with the code it measures; its ratio is
-printed beside the floor, unasserted.
+reference is the seed's replay, kept inline (:func:`_seed_replay`): the
+seed's per-triple ``add``/``remove`` bodies and batch loop, on a graph that
+maintains the string indexes from the first record on, as
+``KnowledgeGraph()`` did when the floors were set.  It calls none of the
+store's or the graph's apply code, so speeding that code up leaves the
+reference's seconds where they were.  Today's
+``VersionedKnowledgeStore.replay`` builds only the interned core through
+the batch kernel, so timing it would move the reference with the code it
+measures; its ratio is printed beside the floor, unasserted.
 
 Floors (the PR 9 acceptance criteria, now the ROADMAP storage floor):
 
@@ -44,8 +47,12 @@ from typing import Optional
 
 import pytest
 
+from repro.kg.graph import KnowledgeGraph
+from repro.kg.triples import Triple
 from repro.retrieval.corpus import Document
 from repro.store import (
+    ADD_TRIPLE,
+    REMOVE_TRIPLE,
     CorruptSegmentError,
     Mutation,
     MutationLog,
@@ -53,6 +60,7 @@ from repro.store import (
     SegmentReader,
     VersionedKnowledgeStore,
 )
+from repro.store.store import GRAPH_REBUILD_FRACTION
 
 TOTAL_MUTATIONS = 100_000
 BATCH_SIZE = 20
@@ -116,6 +124,118 @@ def _first_verdict(store: VersionedKnowledgeStore) -> bool:
     return store.graph.contains("entity1", "pred0", "entity2") or len(store.graph) > 0
 
 
+# -- the fixed reference: the seed's apply path over the graph's tables ------
+
+
+def _seed_contains(graph: KnowledgeGraph, s: str, p: str, o: str) -> bool:
+    s_id = graph._node_ids.get(s)
+    if s_id is None:
+        return False
+    p_id = graph._pred_ids.get(p)
+    if p_id is None:
+        return False
+    o_id = graph._node_ids.get(o)
+    if o_id is None:
+        return False
+    return (p_id, o_id) in graph._out[s_id]
+
+
+def _seed_intern_node(graph: KnowledgeGraph, name: str) -> int:
+    node_id = graph._node_ids.get(name)
+    if node_id is None:
+        node_id = len(graph._node_names)
+        graph._node_ids[name] = node_id
+        graph._node_names.append(name)
+        graph._out.append({})
+        graph._in.append({})
+        graph._steps_cache.append(None)
+    return node_id
+
+
+def _seed_intern_predicate(graph: KnowledgeGraph, name: str) -> int:
+    pred_id = graph._pred_ids.get(name)
+    if pred_id is None:
+        pred_id = len(graph._pred_names)
+        graph._pred_ids[name] = pred_id
+        graph._pred_names.append(name)
+    return pred_id
+
+
+def _seed_discard(index: dict, a: str, b: str, c: str) -> None:
+    inner = index.get(a)
+    if inner is None:
+        return
+    values = inner.get(b)
+    if values is None:
+        return
+    values.discard(c)
+    if not values:
+        del inner[b]
+        if not inner:
+            del index[a]
+
+
+def _seed_add(graph: KnowledgeGraph, triple: Triple) -> bool:
+    """The seed's ``KnowledgeGraph.add``: one triple, three interning calls."""
+    s, p, o = triple.as_tuple()
+    if _seed_contains(graph, s, p, o):
+        return False
+    if "_pos" in graph.__dict__:
+        graph._spo.setdefault(s, {}).setdefault(p, set()).add(o)
+        graph._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+    s_id = _seed_intern_node(graph, s)
+    o_id = _seed_intern_node(graph, o)
+    p_id = _seed_intern_predicate(graph, p)
+    graph._out[s_id][(p_id, o_id)] = None
+    graph._in[o_id][(p_id, s_id)] = None
+    graph._steps_cache[s_id] = None
+    graph._steps_cache[o_id] = None
+    graph._edge_count += 1
+    return True
+
+
+def _seed_remove(graph: KnowledgeGraph, triple: Triple) -> bool:
+    """The seed's ``KnowledgeGraph.remove``."""
+    s, p, o = triple.as_tuple()
+    if not _seed_contains(graph, s, p, o):
+        return False
+    if "_pos" in graph.__dict__:
+        _seed_discard(graph._spo, s, p, o)
+        _seed_discard(graph._pos, p, o, s)
+    s_id = graph._node_ids[s]
+    o_id = graph._node_ids[o]
+    p_id = graph._pred_ids[p]
+    del graph._out[s_id][(p_id, o_id)]
+    del graph._in[o_id][(p_id, s_id)]
+    graph._steps_cache[s_id] = None
+    graph._steps_cache[o_id] = None
+    graph._edge_count -= 1
+    return True
+
+
+def _seed_apply_batch(store: VersionedKnowledgeStore, epoch: int, mutations) -> None:
+    """The seed's ``_apply_batch`` loop (no search engine, no embedder):
+    per-mutation graph calls, then the re-intern check, then the log."""
+    triples_removed = 0
+    for mutation in mutations:
+        if mutation.op == ADD_TRIPLE:
+            _seed_add(store.graph, mutation.triple)
+        elif mutation.op == REMOVE_TRIPLE:
+            _seed_remove(store.graph, mutation.triple)
+            triples_removed += 1
+        else:
+            store.corpus.add(mutation.document)
+    store._removed_since_reintern += triples_removed
+    if store._removed_since_reintern > GRAPH_REBUILD_FRACTION * max(1, len(store.graph)):
+        rebuilt = KnowledgeGraph(name=store.graph.name)
+        for triple in store.graph:
+            _seed_add(rebuilt, triple)
+        store.graph = rebuilt
+        store._removed_since_reintern = 0
+    store._epoch = epoch
+    store.log.append_batch(epoch, mutations)
+
+
 def _seed_replay(log: MutationLog, upto: Optional[int] = None) -> VersionedKnowledgeStore:
     """The fixed reference: a from-zero replay whose graph is hydrated
     before its first record (and after every re-intern), so each ``add``
@@ -125,7 +245,7 @@ def _seed_replay(log: MutationLog, upto: Optional[int] = None) -> VersionedKnowl
     for epoch, mutations in log.batches(upto=upto):
         if not store.graph.hydrated:
             store.graph._hydrate()
-        store._apply_batch(epoch, mutations, record=True)
+        _seed_apply_batch(store, epoch, mutations)
     return store
 
 

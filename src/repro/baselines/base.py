@@ -36,12 +36,11 @@ def build_reference_graph(world: World, exclude_fraction: float = 0.0, seed: int
 
     rng = random.Random(seed)
     graph = KnowledgeGraph(name="reference")
-    for fact in world.facts.all_facts():
-        if exclude_fraction > 0.0 and rng.random() < exclude_fraction:
-            continue
-        graph.add(
-            Triple(world.name(fact.subject), fact.predicate, world.name(fact.object))
-        )
+    graph.add_all(
+        Triple(world.name(fact.subject), fact.predicate, world.name(fact.object))
+        for fact in world.facts.all_facts()
+        if not (exclude_fraction > 0.0 and rng.random() < exclude_fraction)
+    )
     return graph
 
 

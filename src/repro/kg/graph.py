@@ -102,30 +102,9 @@ class KnowledgeGraph:
                 p, o = preds[p_id], names[o_id]
                 s_spo.setdefault(p, set()).add(o)
                 pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        # ``_pos`` last: ``hydrated`` and ``add`` read it as "both".
+        # ``_pos`` last: ``hydrated`` and ``apply_batch`` read it as "both".
         self._spo = spo
         self._pos = pos
-
-    # -- interning ----------------------------------------------------------
-
-    def _intern_node(self, name: str) -> int:
-        node_id = self._node_ids.get(name)
-        if node_id is None:
-            node_id = len(self._node_names)
-            self._node_ids[name] = node_id
-            self._node_names.append(name)
-            self._out.append({})
-            self._in.append({})
-            self._steps_cache.append(None)
-        return node_id
-
-    def _intern_predicate(self, name: str) -> int:
-        pred_id = self._pred_ids.get(name)
-        if pred_id is None:
-            pred_id = len(self._pred_names)
-            self._pred_ids[name] = pred_id
-            self._pred_names.append(name)
-        return pred_id
 
     def _steps(self, node_id: int) -> List[_IdStep]:
         """Undirected neighbour steps of one node, over interned ids."""
@@ -151,45 +130,77 @@ class KnowledgeGraph:
             return False
         return (p_id, o_id) in self._out[s_id]
 
+    def apply_batch(self, ops: Iterable[Tuple[bool, Triple]]) -> Tuple[int, int]:
+        """Apply ``(add, triple)`` operations in order; returns how many
+        triples were actually ``(added, removed)``.
+
+        The one insert/remove path.  Adding a present triple or removing an
+        absent one is a no-op.  A new subject is interned before a new
+        object, then a new predicate, each taking the next dense id; edges
+        join their per-node lists in insertion order.  A hydrated graph
+        keeps its SPO/POS indexes in step.
+        """
+        node_ids, names, pred_ids = self._node_ids, self._node_names, self._pred_ids
+        out, in_, steps = self._out, self._in, self._steps_cache
+        hydrated = "_pos" in self.__dict__
+        if hydrated:
+            spo, pos = self._spo, self._pos
+        added = removed = 0
+        try:
+            for add, triple in ops:
+                s, p, o = triple.subject, triple.predicate, triple.object
+                s_id = node_ids.get(s)
+                o_id = node_ids.get(o)
+                p_id = pred_ids.get(p)
+                if add:
+                    if s_id is None or o_id is None:
+                        for name in (s, o):  # subject first; a self-loop interns once
+                            if name not in node_ids:
+                                node_ids[name] = len(names)
+                                names.append(name)
+                                out.append({})
+                                in_.append({})
+                                steps.append(None)
+                        s_id, o_id = node_ids[s], node_ids[o]
+                    elif p_id is not None and (p_id, o_id) in out[s_id]:
+                        continue
+                    if p_id is None:
+                        p_id = pred_ids[p] = len(self._pred_names)
+                        self._pred_names.append(p)
+                    out[s_id][(p_id, o_id)] = None
+                    in_[o_id][(p_id, s_id)] = None
+                    if hydrated:
+                        spo.setdefault(s, {}).setdefault(p, set()).add(o)
+                        pos.setdefault(p, {}).setdefault(o, set()).add(s)
+                    added += 1
+                else:
+                    if (s_id is None or o_id is None or p_id is None
+                            or (p_id, o_id) not in out[s_id]):
+                        continue
+                    del out[s_id][(p_id, o_id)]
+                    del in_[o_id][(p_id, s_id)]
+                    if hydrated:
+                        self._discard_index(spo, s, p, o)
+                        self._discard_index(pos, p, o, s)
+                    removed += 1
+                steps[s_id] = None
+                steps[o_id] = None
+        finally:
+            # Also when ``ops`` raises part-way: ``len`` matches the edges applied.
+            self._edge_count += added - removed
+        return added, removed
+
     def add(self, triple: Triple) -> bool:
         """Add a triple; returns ``False`` when it was already present."""
-        s, p, o = triple.as_tuple()
-        if self._core_contains(s, p, o):
-            return False
-        if "_pos" in self.__dict__:
-            self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
-            self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        s_id = self._intern_node(s)
-        o_id = self._intern_node(o)
-        p_id = self._intern_predicate(p)
-        self._out[s_id][(p_id, o_id)] = None
-        self._in[o_id][(p_id, s_id)] = None
-        self._steps_cache[s_id] = None
-        self._steps_cache[o_id] = None
-        self._edge_count += 1
-        return True
+        return self.apply_batch(((True, triple),))[0] == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Add many triples; returns the number actually inserted."""
-        return sum(1 for triple in triples if self.add(triple))
+        return self.apply_batch((True, triple) for triple in triples)[0]
 
     def remove(self, triple: Triple) -> bool:
         """Remove a triple; returns ``False`` when it was not present."""
-        s, p, o = triple.as_tuple()
-        if not self._core_contains(s, p, o):
-            return False
-        if "_pos" in self.__dict__:
-            self._discard_index(self._spo, s, p, o)
-            self._discard_index(self._pos, p, o, s)
-        s_id = self._node_ids[s]
-        o_id = self._node_ids[o]
-        p_id = self._pred_ids[p]
-        del self._out[s_id][(p_id, o_id)]
-        del self._in[o_id][(p_id, s_id)]
-        self._steps_cache[s_id] = None
-        self._steps_cache[o_id] = None
-        self._edge_count -= 1
-        return True
+        return self.apply_batch(((False, triple),))[1] == 1
 
     @staticmethod
     def _discard_index(
@@ -460,7 +471,7 @@ class KnowledgeGraph:
         graph._out = state["out"]
         graph._in = state["in"]
         graph._steps_cache = [None] * len(node_names)
-        graph._edge_count = sum(len(edges) for edges in graph._out)
+        graph._edge_count = sum(map(len, graph._out))
         return graph
 
     def state_digest(self) -> str:

@@ -831,9 +831,19 @@ class SegmentReader:
                     f"{self.path}@{block.offset}: checkpoint holds epoch {epoch}, "
                     f"indexed at {block.first_epoch}"
                 )
+            graph_core = state["graph_core"]
+            tables = [graph_core[key] for key in ("node_names", "pred_names", "out", "in")]
+            names, _, out, in_ = tables
+            if not all(type(table) is list for table in tables) or not (
+                len(names) == len(out) == len(in_)
+            ):
+                raise CorruptSegmentError(
+                    f"{self.path}@{block.offset}: checkpoint graph core is not four "
+                    f"lists with one out and one in edge list per node name"
+                )
             return StoreState(
                 epoch=epoch,
-                graph_core=state["graph_core"],
+                graph_core=graph_core,
                 documents=list(state["documents"]),
                 removed_since_reintern=int(state["removed_since_reintern"]),
             )

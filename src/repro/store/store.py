@@ -16,10 +16,16 @@ which makes three things fall out for free:
 * **point-in-time snapshots** — ``snapshot(epoch)`` replays the log up to
   an epoch (or, for the current epoch, takes the cheap structure-preserving
   copies) and hands back an immutable view for reproducible offline runs;
+  a historical snapshot keeps no log of what it replayed;
 * **verifiable incremental maintenance** — applying a mutation batch
   updates the BM25 posting arrays/IDF/length norms, the embedder warm
   cache, and the interned graph *in place*, and the state digests prove
   the result identical to a from-scratch rebuild.
+
+There is one apply path: a live ``apply``, a replay, a historical snapshot
+and the save's shadow replay all hand a batch's triple adds and removes to
+:meth:`KnowledgeGraph.apply_batch` in one call, and re-interning and
+``compact`` rebuild the graph through it too.
 
 Two module constants bound the cost of incrementality:
 :data:`INDEX_REBUILD_FRACTION` sends a batch that adds a large fraction of
@@ -197,8 +203,7 @@ class VersionedKnowledgeStore:
             # so replay rebuilds the identical corpus in the identical order.
             store._epoch = 1
             store.log.append_batch(1, genesis)
-            for triple in triples:
-                store.graph.add(triple)
+            store.graph.add_all(triples)
         return store
 
     @classmethod
@@ -229,23 +234,31 @@ class VersionedKnowledgeStore:
         """
         store = cls(name=name)
         store.embedder = embedder
-        store._epoch = log.floor_epoch
-        after = None
-        base = log.replay_base(upto=upto)
-        if base is not None:
-            store.graph, store.corpus = base.restore(name)
-            store._epoch = after = base.epoch
-            store._removed_since_reintern = base.removed_since_reintern
         full = upto is None
         if full:
             store.log = log.fork()
-        floor = store._epoch
-        for epoch, mutations in log.batches(upto=upto, after=after):
-            store._apply_batch(epoch, mutations, record=not full)
+        floor = store._replay(log, upto, record=not full)
         if not full:
             # Raised only now: a compacted log's one batch sits *at* its floor.
             store.log.floor_epoch = floor
         return store
+
+    def _replay(self, log: MutationLog, upto: Optional[int], record: bool) -> int:
+        """Bring this fresh store to ``log``'s state at ``upto``: restore
+        the nearest checkpoint at or below it, then apply the batches
+        behind it (recording them into :attr:`log` only when ``record``).
+        Returns the epoch the applied suffix starts from."""
+        self._epoch = log.floor_epoch
+        after = None
+        base = log.replay_base(upto=upto)
+        if base is not None:
+            self.graph, self.corpus = base.restore(self.name)
+            self._epoch = after = base.epoch
+            self._removed_since_reintern = base.removed_since_reintern
+        start = self._epoch
+        for epoch, mutations in log.batches(upto=upto, after=after):
+            self._apply_batch(epoch, mutations, record)
+        return start
 
     # ------------------------------------------------------------- properties
 
@@ -374,19 +387,15 @@ class VersionedKnowledgeStore:
         self, epoch: int, batch: Sequence[Mutation], record: bool
     ) -> ApplyReport:
         started = time.perf_counter()
-        triples_added = 0
-        triples_removed = 0
-        new_documents: List[Document] = []
-        for mutation in batch:
-            if mutation.op == ADD_TRIPLE:
-                if self.graph.add(mutation.triple):
-                    triples_added += 1
-            elif mutation.op == REMOVE_TRIPLE:
-                self.graph.remove(mutation.triple)
-                triples_removed += 1
-            else:
-                self.corpus.add(mutation.document)
-                new_documents.append(mutation.document)
+        triples_added, triples_removed = self.graph.apply_batch(
+            [(mutation.op == ADD_TRIPLE, mutation.triple)
+             for mutation in batch if mutation.document is None]
+        )
+        new_documents = [
+            mutation.document for mutation in batch if mutation.document is not None
+        ]
+        for document in new_documents:
+            self.corpus.add(document)
 
         index_strategy = self._maintain_index(new_documents)
         graph_rebuilt = self._maybe_reintern_graph(triples_removed)
@@ -427,12 +436,16 @@ class VersionedKnowledgeStore:
         live = len(self.graph)
         if self._removed_since_reintern <= GRAPH_REBUILD_FRACTION * max(1, live):
             return False
+        self._reintern_graph()
+        return True
+
+    def _reintern_graph(self) -> None:
+        """Rebuild the graph from its sorted triples: dense interning
+        tables again, with no entry for a node or predicate no edge uses."""
         rebuilt = KnowledgeGraph(name=self.graph.name)
-        for triple in self.graph:
-            rebuilt.add(triple)
+        rebuilt.add_all(self.graph)
         self.graph = rebuilt
         self._removed_since_reintern = 0
-        return True
 
     def _warm_embedder(self, new_documents: Sequence[Document]) -> None:
         if self.embedder is None or not new_documents:
@@ -447,8 +460,8 @@ class VersionedKnowledgeStore:
         """An immutable view of the store at ``epoch`` (default: current).
 
         The current epoch is served from cheap structure-preserving copies;
-        historical epochs replay the log (and are unavailable below the
-        log's compaction floor).
+        historical epochs replay the log without recording what they apply
+        (and are unavailable below the log's compaction floor).
         """
         if epoch is None or epoch == self._epoch:
             return StoreSnapshot(self._epoch, self.graph.copy(), self.corpus.copy())
@@ -458,7 +471,9 @@ class VersionedKnowledgeStore:
             raise ValueError(
                 f"epoch {epoch} predates the log's compaction floor {self.log.floor_epoch}"
             )
-        replayed = VersionedKnowledgeStore.replay(self.log, upto=epoch, name=self.name)
+        # Replayed into a store whose log stays empty: nothing reads it.
+        replayed = VersionedKnowledgeStore(name=self.name)
+        replayed._replay(self.log, epoch, record=False)
         return StoreSnapshot(epoch, replayed.graph, replayed.corpus)
 
     # ------------------------------------------------------------- persistence
@@ -573,11 +588,7 @@ class VersionedKnowledgeStore:
         compacted.floor_epoch = self._epoch
         self.log = compacted
         # Canonicalise the live substrates so the invariant keeps holding.
-        rebuilt = KnowledgeGraph(name=self.graph.name)
-        for triple in self.graph:
-            rebuilt.add(triple)
-        self.graph = rebuilt
-        self._removed_since_reintern = 0
+        self._reintern_graph()
         if self._engine is not None:
             self._engine.rebuild()
         # A member that compacted alone must stop matching its group.

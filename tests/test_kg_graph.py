@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kg import KnowledgeGraph, Triple
+from repro.store import Mutation, VersionedKnowledgeStore
 
 
 def reference_find_paths(graph, source, target, max_length=3, exclude=None, max_paths=200):
@@ -342,3 +343,136 @@ class TestLazyHydration:
         assert _string_answers(lazy) == expected_strings
         assert lazy.hydrated
         assert _string_answers(midway) == expected_strings
+
+
+class _InterningModel:
+    """The interning rules, written out plainly: an added triple's subject
+    takes the next node id if it is new, then its object, then its
+    predicate the next predicate id; each node's out and in edges are
+    lists in insertion order.  Removing leaves every id in place."""
+
+    def __init__(self):
+        self.nodes, self.predicates = [], []
+        self.out, self.into = [], []
+        self.live = set()
+
+    def _node(self, name):
+        if name not in self.nodes:
+            self.nodes.append(name)
+            self.out.append([])
+            self.into.append([])
+        return self.nodes.index(name)
+
+    def apply(self, ops):
+        added = removed = 0
+        for add, triple in ops:
+            s, p, o = triple.as_tuple()
+            if add and triple not in self.live:
+                s_id, o_id = self._node(s), self._node(o)
+                if p not in self.predicates:
+                    self.predicates.append(p)
+                p_id = self.predicates.index(p)
+                self.out[s_id].append((p_id, o_id))
+                self.into[o_id].append((p_id, s_id))
+                self.live.add(triple)
+                added += 1
+            elif not add and triple in self.live:
+                s_id, o_id = self.nodes.index(s), self.nodes.index(o)
+                p_id = self.predicates.index(p)
+                self.out[s_id].remove((p_id, o_id))
+                self.into[o_id].remove((p_id, s_id))
+                self.live.discard(triple)
+                removed += 1
+        return added, removed
+
+    def core_state(self):
+        return {"node_names": self.nodes, "pred_names": self.predicates,
+                "out": self.out, "in": self.into}
+
+    def indexes(self):
+        spo, pos = {}, {}
+        for s, p, o in (triple.as_tuple() for triple in self.live):
+            spo.setdefault(s, {}).setdefault(p, set()).add(o)
+            pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        return spo, pos
+
+
+def _plain_core(graph):
+    """``core_state()`` with each edge dict as the list of its keys."""
+    state = graph.core_state()
+    return {**state, "out": [list(edges) for edges in state["out"]],
+            "in": [list(edges) for edges in state["in"]]}
+
+
+@st.composite
+def _batches(draw):
+    """Batches mixing fresh adds, duplicate adds, removes of live triples,
+    a remove followed by a re-add of the same triple, and self-loops.
+    Every remove names a triple live at that point of its batch."""
+    names = [f"n{i}" for i in range(8)]
+    live, batches = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        batch = []
+        for _ in range(draw(st.integers(min_value=1, max_value=10))):
+            kind = draw(
+                st.sampled_from(["add", "add", "self-loop", "duplicate", "remove", "re-add"])
+            )
+            if kind in ("duplicate", "remove", "re-add") and live:
+                triple = draw(st.sampled_from(live))
+                if kind == "duplicate":
+                    batch.append((True, triple))
+                    continue
+                live.remove(triple)
+                batch.append((False, triple))
+                if kind == "re-add":
+                    batch.append((True, triple))
+                    live.append(triple)
+                continue
+            s = draw(st.sampled_from(names))
+            o = s if kind == "self-loop" else draw(st.sampled_from(names))
+            triple = Triple(s, draw(st.sampled_from(["p", "q", "r"])), o)
+            batch.append((True, triple))
+            if triple not in live:
+                live.append(triple)
+        batches.append(batch)
+    return batches
+
+
+class TestBatchKernel:
+    """``apply_batch`` is every insert and remove; it must follow the
+    interning rules exactly, hydrated or not, and so must a store batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches=_batches())
+    def test_core_only_and_hydrated_graphs_follow_the_interning_model(self, batches):
+        model = _InterningModel()
+        core, hydrated = KnowledgeGraph(), KnowledgeGraph()
+        hydrated.predicates()
+        store = VersionedKnowledgeStore()
+        for batch in batches:
+            counts = model.apply(batch)
+            assert core.apply_batch(batch) == counts
+            assert hydrated.apply_batch(batch) == counts
+            report = store.apply(
+                [(Mutation.add_triple if add else Mutation.remove_triple)(*triple.as_tuple())
+                 for add, triple in batch]
+            )
+            assert (report.triples_added, report.triples_removed) == counts
+            assert len(core) == len(hydrated) == len(store.graph) == len(model.live)
+            assert _plain_core(core) == _plain_core(hydrated) == model.core_state()
+            assert (hydrated._spo, hydrated._pos) == model.indexes()
+            assert not core.hydrated
+        assert (core._spo, core._pos) == model.indexes()
+
+    def test_an_iterable_that_raises_part_way_leaves_len_matching_the_edges(self):
+        def ops():
+            yield True, Triple("a", "p", "b")
+            yield True, Triple("b", "p", "c")
+            yield False, Triple("a", "p", "b")
+            raise RuntimeError("source failed")
+
+        graph = KnowledgeGraph()
+        with pytest.raises(RuntimeError, match="source failed"):
+            graph.apply_batch(ops())
+        assert len(graph) == 1 == sum(map(len, graph.core_state()["out"]))
+        assert list(graph) == [Triple("b", "p", "c")]

@@ -507,6 +507,52 @@ def test_checkpoint_pickle_cannot_import_a_global(tmp_path, target, argument, fo
     assert not marker.exists()
 
 
+def _with_graph_core(tmp_path, **tables) -> str:
+    """A segment whose one CRC-valid checkpoint carries the honest core of
+    a two-triple graph with ``tables`` swapped in."""
+    from repro.kg.graph import KnowledgeGraph
+    from repro.kg.triples import Triple
+    from repro.store import SegmentWriter
+    from repro.store.segment import StoreState
+
+    graph = KnowledgeGraph()
+    graph.add_all([Triple("a", "p", "b"), Triple("b", "q", "c")])
+    path = str(tmp_path / "crafted-core.seg")
+    with SegmentWriter(path) as writer:
+        writer.append_batch(1, [Mutation.add_triple("a", "p", "b")])
+        writer.checkpoint(
+            StoreState(
+                epoch=1,
+                graph_core={**graph.core_state(), **tables},
+                documents=[],
+                removed_since_reintern=0,
+            )
+        )
+    return path
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [{"out": [{}]}, {"in": [{}, {}, {}, {}]}, {"node_names": 5},
+     {"pred_names": ("p", "q")}, {"out": {0: {}}}],
+    ids=["short-out", "long-in", "int-names", "tuple-preds", "dict-out"],
+)
+def test_a_checkpoint_core_of_mismatched_tables_is_corrupt(tmp_path, tables):
+    """A CRC-valid checkpoint whose core tables are not lists, or whose
+    ``out``/``in`` do not hold one entry per node name, used to load into
+    a graph with the wrong ``len`` (then an ``IndexError`` on lookup) or
+    to raise ``TypeError``; it is a typed error before any graph is built."""
+    path = _with_graph_core(tmp_path, **tables)
+    with pytest.raises(CorruptSegmentError, match="checkpoint graph core is not four lists"):
+        VersionedKnowledgeStore.load(path)
+
+
+def test_an_honest_checkpoint_core_loads(tmp_path):
+    loaded = VersionedKnowledgeStore.load(_with_graph_core(tmp_path))
+    assert len(loaded.graph) == 2
+    assert loaded.graph.contains("b", "q", "c")
+
+
 def test_midfile_bitflip_raises_on_read(tmp_path):
     store, path, data = _saved_segment(tmp_path)
     reader = SegmentReader.open(path)

@@ -41,6 +41,7 @@ from repro.store import (
     VersionedKnowledgeStore,
     read_mutations_jsonl,
 )
+from repro.store import segment as segment_module
 from repro.store import store as store_module
 from repro.store.log import group_batches
 from repro.store.segment import SEGMENT_MAGIC
@@ -296,6 +297,44 @@ class TestSnapshots:
         mid = store.snapshot(2)
         assert len(mid.corpus) == 85
         assert not mid.graph.contains("latest", "p0", "node")
+
+    def test_a_historical_snapshot_logs_nothing_and_a_bounded_replay_keeps_its_log(
+        self, store, tmp_path, monkeypatch
+    ):
+        for step in range(6):
+            store.apply(
+                [Mutation.add_triple(f"n{step}", "p0", f"n{step + 1}"),
+                 Mutation.remove_triple(*_triples(300)[step].as_tuple())]
+            )
+        in_memory = VersionedKnowledgeStore.replay(store.log)
+        # A checkpoint at epoch 4: snapshot(6) seeks it and replays a suffix.
+        monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 385)
+        store.save(str(tmp_path / "s.seg"))
+        assert [b.first_epoch for b in store.log.reader.checkpoints] == [4, 7]
+        store.apply([Mutation.add_triple("tail", "p0", "node")])
+        calls = []
+        append_batch = MutationLog.append_batch
+
+        def counting(log, epoch, mutations):
+            calls.append(epoch)
+            return append_batch(log, epoch, mutations)
+
+        monkeypatch.setattr(MutationLog, "append_batch", counting)
+        # (source, epoch, batches the bounded replay applies and records):
+        # the segment-backed log seeks its epoch-4 checkpoint for epoch 6.
+        cases = [(store, 1, [1]), (store, 3, [1, 2, 3]), (store, 6, [5, 6]),
+                 (in_memory, 3, [1, 2, 3]), (in_memory, 6, [1, 2, 3, 4, 5, 6])]
+        for source, epoch, recorded in cases:
+            snapshot = source.snapshot(epoch)
+            assert calls == []
+            bounded = VersionedKnowledgeStore.replay(source.log, upto=epoch)
+            assert calls == recorded
+            calls.clear()
+            assert snapshot.graph.state_digest() == bounded.graph.state_digest()
+            assert [d.doc_id for d in snapshot.corpus] == [d.doc_id for d in bounded.corpus]
+            if recorded[0] == 1:  # a from-zero replay's log replays to its state
+                again = VersionedKnowledgeStore.replay(bounded.log)
+                assert again.state_digest() == bounded.state_digest()
 
     def test_snapshot_search_engine_reflects_its_epoch(self, store):
         _ = store.search_engine
