@@ -23,7 +23,11 @@ Floors (the PR 9 acceptance criteria, now the ROADMAP storage floor):
    checkpoint, page-cached suffix decode) must be at least 10x faster
    than the JSONL store's from-zero replay of the same epoch.  The epoch
    sits half a checkpoint interval past a checkpoint, so the seek really
-   replays a record suffix through the page cache.
+   replays a record suffix through the page cache.  Each timed seek is the
+   first on a freshly loaded store whose suffix pages were warmed untimed,
+   so the figure is one checkpoint decode plus a page-cached suffix.  The
+   third consecutive seek restores the reader's resident checkpoint
+   instead; it is printed beside the floor, unasserted.
 3. **Digest parity** — the segment- and JSONL-loaded stores (and the
    historical snapshots) must be byte-identical: same ``state_digest``,
    same graph digests, same corpus order.
@@ -342,17 +346,27 @@ def test_historical_snapshot_floor(corpus_paths, benchmark):
     jsonl_today_snapshot = VersionedKnowledgeStore.replay(log, upto=historical)
     jsonl_today_seconds = time.perf_counter() - started
 
+    # Each timed seek is the first on a freshly loaded store, behind pages
+    # warmed untimed: warm pages plus one checkpoint decode.  Later seeks
+    # behind the same checkpoint restore the reader's resident copy instead.
     timings = []
     segment_snapshot = None
     for _ in range(3):
+        fresh = VersionedKnowledgeStore.load(segment_path)
+        for _ in fresh.log.records_between(after=below, upto=historical):
+            pass
         started = time.perf_counter()
-        segment_snapshot = via_segment.snapshot(historical)
+        segment_snapshot = fresh.snapshot(historical)
         timings.append(time.perf_counter() - started)
     segment_seconds = min(timings)
+    cache = fresh.log.reader.page_cache.stats()
+    fresh.snapshot(historical)  # the second seek decodes into the resident
+    started = time.perf_counter()
+    resident_snapshot = fresh.snapshot(historical)
+    resident_seconds = time.perf_counter() - started
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # keep JSON shape
 
     speedup = jsonl_seconds / segment_seconds
-    cache = via_segment.log.reader.page_cache.stats()
     print(
         f"\nsnapshot(epoch {historical} of {store.epoch}, checkpoint {below} + "
         f"{historical - below} epochs): jsonl {jsonl_seconds:.3f}s, "
@@ -362,19 +376,23 @@ def test_historical_snapshot_floor(corpus_paths, benchmark):
         f"vs today's core-only JSONL replay {jsonl_today_seconds:.3f}s: "
         f"{jsonl_today_seconds / segment_seconds:.1f}x (unasserted)"
     )
-    print(f"page cache after snapshots: {cache}")
+    print(
+        f"third consecutive seek (resident checkpoint) {resident_seconds:.3f}s: "
+        f"{jsonl_seconds / resident_seconds:.1f}x (unasserted)"
+    )
+    print(f"page cache after the first seek: {cache}")
     assert cache["misses"] > 0, "the seek replayed no record suffix"
+    assert cache["hits"] > 0, "the seek did not read the warmed suffix pages"
     assert speedup >= SNAPSHOT_FLOOR, (
         f"segment historical snapshot only {speedup:.1f}x faster than JSONL "
         f"replay (floor: {SNAPSHOT_FLOOR:.0f}x)"
     )
     for reference in (jsonl_snapshot, jsonl_today_snapshot):
-        assert (
-            segment_snapshot.graph.state_digest() == reference.graph.state_digest()
-        ), "historical snapshots diverged"
-        assert [d.doc_id for d in segment_snapshot.corpus] == [
-            d.doc_id for d in reference.corpus
-        ]
+        for got in (segment_snapshot, resident_snapshot):
+            assert (
+                got.graph.state_digest() == reference.graph.state_digest()
+            ), "historical snapshots diverged"
+            assert [d.doc_id for d in got.corpus] == [d.doc_id for d in reference.corpus]
 
 
 def test_truncation_recovery_sample(corpus_paths):

@@ -8,7 +8,7 @@ from typing import Tuple
 __all__ = ["Triple"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triple:
     """An ``<S, P, O>`` statement as stored in a knowledge graph.
 

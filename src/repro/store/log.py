@@ -81,7 +81,7 @@ _OPS = frozenset({ADD_TRIPLE, REMOVE_TRIPLE, ADD_DOCUMENT})
 _DOC_FIELDS = ("doc_id", "url", "title", "text", "source", "fact_id", "kind")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mutation:
     """One state change: a triple add/remove or a document add.
 

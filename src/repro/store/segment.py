@@ -28,6 +28,12 @@ hydration of expensive views:
   (:meth:`~repro.kg.graph.KnowledgeGraph.from_core_state`), which is what
   makes cold-start-to-first-verdict ~an order of magnitude faster than
   JSONL replay (floor enforced by ``benchmarks/bench_segment.py``).
+* **Resident checkpoint.**  Each reader keeps one checkpoint restored.
+  The second consecutive historical seek of a checkpoint decodes it into
+  that resident, and every later seek behind it restores structure-
+  preserving copies instead of inflating and unpickling the block again
+  (:meth:`SegmentReader.seek_checkpoint`).  A full replay (cold start,
+  replica bootstrap) decodes and owns the head checkpoint.
 
 Checkpoint payloads are serialised with :mod:`pickle` *inside* the
 CRC-checked block envelope.  A CRC proves nothing about who wrote the
@@ -65,7 +71,7 @@ import weakref
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
@@ -243,6 +249,27 @@ class StoreState:
         for document in self.documents:
             corpus.add(document)
         return graph, corpus
+
+
+@dataclass(frozen=True)
+class ResidentCheckpoint:
+    """One checkpoint restored once and kept by its reader.
+
+    Nothing ever mutates or hydrates ``graph`` and ``corpus``: every
+    :meth:`restore` hands out structure-preserving copies, so a seek
+    behind this checkpoint pays neither the inflate nor the unpickle.
+    """
+
+    epoch: int
+    graph: KnowledgeGraph
+    corpus: Corpus
+    removed_since_reintern: int
+
+    def restore(self, name: str) -> Tuple[KnowledgeGraph, Corpus]:
+        """Copies of the resident graph (unhydrated) and corpus."""
+        graph = self.graph.copy()
+        graph.name = f"{name}-kg"
+        return graph, self.corpus.copy()
 
 
 class _CheckpointUnpickler(pickle.Unpickler):
@@ -544,6 +571,11 @@ class SegmentReader:
         #: LRU so eviction can never resurrect the dropped records.
         self._pinned_pages: Dict[int, List[Tuple[int, Mutation]]] = {}
         self._lock = threading.Lock()
+        # The offset of the last bounded seek's checkpoint, and the one
+        # checkpoint kept restored (both swapped under ``_lock``): see
+        # :meth:`seek_checkpoint`.
+        self._last_seek: Optional[int] = None
+        self._resident: Optional[Tuple[int, ResidentCheckpoint]] = None
         self._handle = open(path, "rb")
         weakref.finalize(self, self._handle.close)  # a store reads it for life
         self.record_blocks = [b for b in blocks if b.kind == BLOCK_RECORDS]
@@ -854,6 +886,35 @@ class SegmentReader:
                 f"{self.path}@{block.offset}: checkpoint does not deserialise ({exc})"
             ) from exc
 
+    def seek_checkpoint(self, block: BlockInfo) -> Union[StoreState, ResidentCheckpoint]:
+        """The base of a bounded replay: ``block``'s state, decoded at most
+        twice per run of consecutive seeks behind it.
+
+        The first seek of a checkpoint decodes it and hands the caller the
+        decode, as :meth:`load_checkpoint` does.  The second consecutive
+        seek of it decodes it once more into the reader's one resident
+        checkpoint, replacing any other; that seek and every later one
+        behind it restore copies of the resident.  A one-off seek therefore
+        costs no copy, and a run of seeks behind one checkpoint (an audit
+        walking the epochs of one interval) no further decode.
+        """
+        with self._lock:
+            if self._resident is not None and self._resident[0] == block.offset:
+                self._last_seek = block.offset
+                return self._resident[1]
+            second = self._last_seek == block.offset
+            self._last_seek = block.offset
+        state = self.load_checkpoint(block)
+        if not second:
+            return state
+        graph, corpus = state.restore("resident")
+        resident = ResidentCheckpoint(
+            state.epoch, graph, corpus, state.removed_since_reintern
+        )
+        with self._lock:
+            self._resident = (block.offset, resident)
+        return resident
+
     def close(self) -> None:
         self._handle.close()
 
@@ -896,16 +957,23 @@ class SegmentBackedLog(MutationLog):
         yield from self.reader.iter_records(after=after, upto=upto)
         yield from super().records_between(after=after, upto=upto)
 
-    def replay_base(self, upto: Optional[int] = None) -> Optional[StoreState]:
+    def replay_base(
+        self, upto: Optional[int] = None
+    ) -> Optional[Union[StoreState, ResidentCheckpoint]]:
         """The newest checkpoint state at or below ``upto``, for seeking.
 
         ``VersionedKnowledgeStore.replay`` seeds from this instead of
-        replaying from zero, then applies only ``(base.epoch, upto]``.
+        replaying from zero, then applies only ``(base.epoch, upto]``.  A
+        full replay (``upto`` None: a load, a replica bootstrap) decodes
+        and owns the head checkpoint; a bounded one seeks through the
+        reader's resident checkpoint (:meth:`SegmentReader.seek_checkpoint`).
         """
         checkpoint = self.reader.latest_checkpoint(upto=upto)
         if checkpoint is None:
             return None
-        return self.reader.load_checkpoint(checkpoint)
+        if upto is None:
+            return self.reader.load_checkpoint(checkpoint)
+        return self.reader.seek_checkpoint(checkpoint)
 
     def fork(self) -> "SegmentBackedLog":
         """A twin sharing the reader (and page cache) with its own tail.

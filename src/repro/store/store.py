@@ -16,7 +16,9 @@ which makes three things fall out for free:
 * **point-in-time snapshots** — ``snapshot(epoch)`` replays the log up to
   an epoch (or, for the current epoch, takes the cheap structure-preserving
   copies) and hands back an immutable view for reproducible offline runs;
-  a historical snapshot keeps no log of what it replayed;
+  a historical snapshot keeps no log of what it replayed, and repeated
+  snapshots behind one checkpoint copy the segment reader's resident
+  restore of it instead of decoding it again;
 * **verifiable incremental maintenance** — applying a mutation batch
   updates the BM25 posting arrays/IDF/length norms, the embedder warm
   cache, and the interned graph *in place*, and the state digests prove
@@ -101,7 +103,10 @@ class StoreSnapshot:
     Snapshots of the *current* epoch are cheap: the graph clone preserves
     interning tables and edge order (no re-hashing), the corpus copy shares
     the frozen documents.  Historical epochs are reconstructed by replaying
-    the log, which is slower but exactly reproducible.  The search engine
+    the log, which is slower but exactly reproducible; on a saved or loaded
+    store the replay starts from the nearest checkpoint, restored from the
+    segment reader's resident copy by the same two copies once two
+    consecutive seeks have asked for that checkpoint.  The search engine
     is materialised lazily on first use.
     """
 
@@ -226,7 +231,10 @@ class VersionedKnowledgeStore:
         restored (the graph comes back with its derived indexes unhydrated)
         and only the record suffix behind it is applied.  Checkpoints are
         themselves produced by this replay, so the seeked result is
-        byte-identical to the from-zero path.
+        byte-identical to the from-zero path.  A full replay decodes the
+        head checkpoint and owns it; a bounded one may restore copies of
+        the reader's resident checkpoint instead
+        (:meth:`~repro.store.segment.SegmentReader.seek_checkpoint`).
 
         A full replay's log is a fork of ``log`` (sharing a segment's
         reader and page cache); a bounded one records what it applied into
@@ -461,7 +469,12 @@ class VersionedKnowledgeStore:
 
         The current epoch is served from cheap structure-preserving copies;
         historical epochs replay the log without recording what they apply
-        (and are unavailable below the log's compaction floor).
+        (and are unavailable below the log's compaction floor).  On a
+        segment-backed log the replay seeks the nearest checkpoint at or
+        below ``epoch``: the first seek of a checkpoint decodes it, the
+        second consecutive one decodes it into the reader's resident copy,
+        and later ones copy that resident, so the digest is the from-zero
+        replay's whichever way the checkpoint was restored.
         """
         if epoch is None or epoch == self._epoch:
             return StoreSnapshot(self._epoch, self.graph.copy(), self.corpus.copy())

@@ -367,7 +367,7 @@ class TestStorageEngineDocsComplete:
 
     def test_the_bounded_containers_table_matches_the_code(self):
         """Every row names a constant of its module at its value, and the
-        table lists every bound the serving, obs and retrieval paths have."""
+        table lists every bound the serving, obs, retrieval and store paths have."""
         import importlib
 
         text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
@@ -377,7 +377,7 @@ class TestStorageEngineDocsComplete:
             "RING_MEMO_CAPACITY", "HOME_MEMO_CAPACITY", "STALE_CACHE_CAPACITY",
             "EVENT_LOG_CAPACITY", "HISTOGRAM_WINDOW", "SERIES_CAPACITY", "MAX_SERIES",
             "MAX_SPANS_PER_TRACE", "EMBEDDING_CACHE_SIZE", "WARM_BATCH_SIZE",
-            "READ_TIMEOUT_S", "MAX_CONNECTIONS",
+            "READ_TIMEOUT_S", "MAX_CONNECTIONS", "PAGE_CACHE_BLOCKS",
         ]
         for name, package, module, value in rows:
             actual = getattr(importlib.import_module(f"repro.{package}.{module}"), name)

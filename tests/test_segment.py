@@ -15,6 +15,11 @@ Covers the crash-safety contract end to end:
   typed error, from ``load`` and from ``convert`` alike;
 * files whose header still carries the ``config`` key older writers
   added load to the same state;
+* a historical snapshot equals the from-zero replay at every epoch, in
+  any request order and from several threads at once, whether its checkpoint
+  was decoded or copied from the reader's resident one; the resident
+  is decoded on the second consecutive seek, and nothing a caller does
+  to a snapshot reaches it;
 * ``MutationLog.save`` (and the segment writer) are crash-atomic: a
   simulated crash mid-write leaves the previous log intact;
 * ``MutationLog.load`` rejects non-monotonic / below-floor epochs with
@@ -28,11 +33,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import random
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -42,6 +50,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kg.triples import Triple
 from repro.retrieval.corpus import Document
 from repro.store import (
     CorruptSegmentError,
@@ -603,6 +612,214 @@ def test_page_cache_eviction_and_stats(tmp_path, monkeypatch):
     # Re-reading the hottest tail blocks now hits.
     list(reader.iter_records(after=store.epoch - 2))
     assert cache.stats()["hits"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the resident checkpoint: repeated seeks behind one checkpoint
+
+
+def _history_store() -> VersionedKnowledgeStore:
+    """80 epochs of triple adds, removes, re-adds of removed triples and
+    documents."""
+    rng = random.Random(29)
+    store = VersionedKnowledgeStore(name="history")
+    live: List[tuple] = []
+    removed: List[tuple] = []
+    doc_index = 0
+    for _ in range(80):
+        batch: List[Mutation] = []
+        for _ in range(4):
+            roll = rng.random()
+            if roll < 0.2 and live:
+                triple = live.pop(rng.randrange(len(live)))
+                removed.append(triple)
+                batch.append(Mutation.remove_triple(*triple))
+            elif roll < 0.35 and removed:
+                triple = removed.pop(rng.randrange(len(removed)))
+                live.append(triple)
+                batch.append(Mutation.add_triple(*triple))
+            elif roll < 0.5:
+                doc_index += 1
+                batch.append(Mutation.add_document(_document(doc_index)))
+            else:
+                triple = (f"s{rng.randrange(20)}", f"p{rng.randrange(3)}", f"o{rng.randrange(20)}")
+                if triple in removed:
+                    removed.remove(triple)
+                if triple not in live:
+                    live.append(triple)
+                batch.append(Mutation.add_triple(*triple))
+        store.apply(batch)
+    return store
+
+
+def _view(graph, corpus) -> tuple:
+    return graph.state_digest(), [d.doc_id for d in corpus], len(graph)
+
+
+@pytest.fixture(scope="module")
+def history(tmp_path_factory):
+    """A saved history across several checkpoints, and the from-zero
+    replay of its in-memory log at every epoch."""
+    store = _history_store()
+    from_zero = store.log.fork()
+    ops = [mutation.op for _, mutation in from_zero]
+    removed = {m.triple for _, m in from_zero if m.op == "remove_triple"}
+    assert "add_document" in ops and removed
+    assert any(m.op == "add_triple" and m.triple in removed for _, m in from_zero)
+    path = str(tmp_path_factory.mktemp("history") / "history.seg")
+    with _engine(CHECKPOINT_INTERVAL=40):
+        store.save(path)
+    reference = {}
+    for epoch in range(store.epoch + 1):
+        replayed = VersionedKnowledgeStore.replay(from_zero, upto=epoch)
+        reference[epoch] = _view(replayed.graph, replayed.corpus)
+    return path, reference
+
+
+def _behind(reader: SegmentReader, block, reference) -> List[int]:
+    """The historical epochs whose seek restores ``block``."""
+    return [
+        epoch for epoch in sorted(reference)
+        if epoch < reader.max_epoch and reader.latest_checkpoint(upto=epoch) == block
+    ]
+
+
+def _in_order(order: str, epochs: List[int], reader: SegmentReader) -> List[int]:
+    if order == "ascending":
+        return epochs
+    if order == "descending":
+        return epochs[::-1]
+    if order == "random":
+        return random.Random(3).sample(epochs, len(epochs))
+    # Round-robin over the checkpoints: consecutive seeks restore different ones.
+    groups: dict = {}
+    for epoch in epochs:
+        checkpoint = reader.latest_checkpoint(upto=epoch)
+        groups.setdefault(checkpoint and checkpoint.offset, []).append(epoch)
+    rounds = itertools.zip_longest(*groups.values())
+    return [epoch for round_ in rounds for epoch in round_ if epoch is not None]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random", "checkpoint-alternating"])
+def test_a_seeked_snapshot_equals_the_from_zero_replay_in_any_order(history, order):
+    path, reference = history
+    loaded = VersionedKnowledgeStore.load(path)
+    reader = loaded.log.reader
+    assert len(reader.checkpoints) >= 2
+    for epoch in _in_order(order, sorted(reference), reader):
+        snapshot = loaded.snapshot(epoch)
+        assert _view(snapshot.graph, snapshot.corpus) == reference[epoch], epoch
+
+
+def test_a_seeked_snapshot_shares_nothing_with_the_resident(history):
+    path, reference = history
+    loaded = VersionedKnowledgeStore.load(path)
+    reader = loaded.log.reader
+    block = reader.checkpoints[2]
+    behind = _behind(reader, block, reference)
+    assert len(behind) >= 3 and behind[0] == block.first_epoch
+    for epoch in behind[:2]:
+        loaded.snapshot(epoch)
+    offset, resident = reader._resident
+    assert offset == block.offset
+    # At the checkpoint's own epoch the snapshot is the copy, unreplayed.
+    snapshot = loaded.snapshot(block.first_epoch)
+    graph = snapshot.graph
+    victim = next(iter(graph))
+    assert graph.remove(victim) and graph.add(Triple("alias", "p0", "alias-object"))
+    assert graph.objects(victim.subject, victim.predicate) is not None and graph.hydrated
+    snapshot.corpus.add(_document(10_000))
+    # A store replayed behind the checkpoint applies batches on its copy.
+    twin = VersionedKnowledgeStore.replay(loaded.log, upto=block.first_epoch)
+    twin.apply(
+        [Mutation.add_triple("alias", "p1", "other"), Mutation.remove_triple(*victim.as_tuple()),
+         Mutation.add_document(_document(10_001))]
+    )
+    twin.graph.objects("alias", "p1")
+    for epoch in behind:
+        again = loaded.snapshot(epoch)
+        assert _view(again.graph, again.corpus) == reference[epoch], epoch
+    assert reader._resident[1] is resident
+    assert not resident.graph.hydrated
+
+
+def test_the_first_two_seeks_of_a_checkpoint_decode_it_and_no_later_one(
+    history, monkeypatch
+):
+    path, reference = history
+    decodes = []
+    unpickle = segment_module._unpickle_checkpoint
+    monkeypatch.setattr(
+        segment_module, "_unpickle_checkpoint",
+        lambda payload: decodes.append(1) or unpickle(payload),
+    )
+
+    def decoded(seek) -> int:
+        decodes.clear()
+        seek()
+        return len(decodes)
+
+    loaded = None
+
+    def load():
+        nonlocal loaded
+        loaded = VersionedKnowledgeStore.load(path)
+
+    assert decoded(load) == 1
+    reader = loaded.log.reader
+    assert reader._resident is None  # a load leaves nothing resident
+    block, other = reader.checkpoints[1], reader.checkpoints[3]
+    behind = _behind(reader, block, reference)
+    elsewhere = _behind(reader, other, reference)[0]
+    assert [decoded(lambda: loaded.snapshot(e)) for e in behind[:5]] == [1, 1, 0, 0, 0]
+    # Forked logs share the reader, and so its resident.
+    fork = loaded.log.fork()
+    assert decoded(lambda: VersionedKnowledgeStore.replay(fork, upto=behind[1])) == 0
+    # A seek behind another checkpoint breaks a run without evicting
+    # ``block``; two consecutive seeks behind ``other`` replace it.
+    order = [elsewhere, behind[0], elsewhere, elsewhere, elsewhere]
+    assert [decoded(lambda: loaded.snapshot(e)) for e in order] == [1, 0, 1, 1, 0]
+    assert reader._resident[0] == other.offset
+    # A full replay decodes and owns the head checkpoint, resident or not.
+    head = reader.latest_checkpoint()
+    for _ in range(2):
+        VersionedKnowledgeStore.replay(loaded.log, upto=head.first_epoch)
+    assert reader._resident[0] == head.offset
+    assert decoded(lambda: VersionedKnowledgeStore.replay(loaded.log)) == 1
+    assert decoded(lambda: VersionedKnowledgeStore.replay(fork)) == 1
+
+
+def test_concurrent_seeks_all_match_the_reference(history):
+    """Threads racing to fill and copy one reader's resident checkpoint
+    (more threads than cores, a short switch interval) all get the
+    from-zero replay's state."""
+    path, reference = history
+    loaded = VersionedKnowledgeStore.load(path)
+    epochs = [epoch for epoch in sorted(reference) if epoch < loaded.epoch]
+    threads = 4
+    barrier = threading.Barrier(threads, timeout=30)
+    seen: List[List[tuple]] = [[] for _ in range(threads)]
+
+    def seek(slot: int) -> None:
+        barrier.wait()
+        for epoch in epochs:
+            snapshot = loaded.snapshot(epoch)
+            seen[slot].append((epoch, _view(snapshot.graph, snapshot.corpus)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=seek, args=(slot,)) for slot in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for views in seen:
+        assert len(views) == len(epochs)
+        assert all(view == reference[epoch] for epoch, view in views)
 
 
 # ---------------------------------------------------------------------------

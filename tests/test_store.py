@@ -97,6 +97,25 @@ class TestMutationSerialisation:
         mutation = Mutation.add_document(document)
         assert Mutation.from_json(mutation.to_json()).document == document
 
+    def test_triples_and_mutations_are_slotted_and_pickle(self):
+        """Every decoded page holds one of each per record, so neither
+        carries a ``__dict__``; the fork pool still pickles both."""
+        import pickle
+
+        document = Document(doc_id="d1", url="u", title="t", text="body", source="x")
+        values = [
+            Triple("s", "p", "o"),
+            Mutation.add_triple("s", "p", "o"),
+            Mutation.remove_triple("s", "p", "o"),
+            Mutation.add_document(document),
+        ]
+        for value in values:
+            assert not hasattr(value, "__dict__")
+            twin = pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+            assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            values[0].subject = "other"  # still frozen
+
     def test_malformed_records_rejected(self):
         with pytest.raises(ValueError):
             Mutation.from_json({"op": "drop_table"})
