@@ -966,7 +966,7 @@ class ScenarioRunner:
             geo_diverged: List[str] = []
             if router.geo is not None:
                 await router.drain_edges()
-                for name in router.live_edge_names:
+                for name in router.geo_tier.live_names:
                     try:
                         router.geo.verify_converged(name)
                     except ReplicaDivergedError as exc:

@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, 
 from ..chaos.clock import Clock, MonotonicClock
 
 __all__ = [
+    "OUTCOME_STATUS",
     "SPAN_TAXONOMY",
     "STATUS_DEGRADED",
     "STATUS_FAILED",
@@ -52,6 +53,16 @@ STATUS_OK = "OK"
 STATUS_FAILED = "FAILED"
 STATUS_DEGRADED = "DEGRADED"
 STATUS_SHED = "SHED"
+
+#: The status a request's span ends with, by its outcome: a
+#: ``RequestOutcome`` value or a wire reply's ``outcome``.  Any other
+#: outcome leaves the span's status as it is.
+OUTCOME_STATUS = {
+    "failed": STATUS_FAILED,
+    "error": STATUS_FAILED,
+    "rejected": STATUS_SHED,
+    "degraded": STATUS_DEGRADED,
+}
 
 #: Spans a :class:`Tracer` buffers per trace; further spans are counted in
 #: ``spans_dropped`` instead.

@@ -5,41 +5,27 @@ fact-validation traffic; this package is the serving layer over the
 offline substrates:
 
 * :mod:`repro.service.server` — the asyncio :class:`ValidationService`,
-  the replica worker behind the router: single-fact requests coalesce
-  into micro-batches per ``(method, model)`` strategy worker, with a
-  bounded in-flight budget that sheds overload with an explicit
-  ``REJECTED`` outcome;
-* :mod:`repro.service.cache` — the sharded :class:`VerdictCache` keyed on
-  (fact, method, model) with hit/miss telemetry;
+  the replica worker: single-fact requests coalesce into micro-batches
+  per ``(method, model)`` strategy worker, with a bounded in-flight
+  budget that sheds overload with an explicit ``REJECTED`` outcome;
+* :mod:`repro.service.cache` — the :class:`VerdictCache` keyed on
+  (epoch, fact, method, model) with hit/miss telemetry;
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics` /
-  :class:`MetricsSnapshot` (p50/p95/p99 latency, throughput, queue depth,
-  cache hit rate, shed count), every number read from the worker's
+  :class:`MetricsSnapshot`, every number read from the worker's
   :class:`~repro.obs.registry.MetricsRegistry`;
 * :mod:`repro.service.frontend` — a newline-delimited-JSON TCP front-end;
 * :mod:`repro.service.loadgen` — the closed-loop :class:`LoadGenerator`
-  harness with a deterministic arrival mix, including a mixed read/write
-  mode (:class:`IngestRequest` items in the schedule apply mutation
-  batches through the router's ``apply_mutations``);
-* :mod:`repro.service.policy` — :class:`RetryPolicy`: bounded retry
-  budgets with jittered exponential backoff and deadline propagation.
-  With a policy attached, the router retries a fully-faulted shard pass
-  (on its injectable clock), and after the budget is spent serves the
-  last known good verdict as a stale, epoch-tagged ``DEGRADED`` response
-  instead of ``FAILED`` — graceful degradation under injected failure
-  (see :mod:`repro.chaos`);
+  with deterministic read (and :class:`IngestRequest` write) schedules;
+* :mod:`repro.service.policy` — :class:`RetryPolicy`: retry budgets,
+  jittered exponential backoff and deadline propagation;
 * :mod:`repro.service.router` — :class:`ShardedValidationService`: the
   one front door (a single node is the 1x1 fleet), routing reads and
-  writes to N logical shards — each a
-  **replica group** of R :class:`ValidationService` workers over
-  log-shipped byte-identical store copies — by consistent hash of the
-  subject entity.  Single-fact reads fan out across each group behind a
-  queue-depth-aware balancer; a raising/stalling/killed replica is marked
-  unhealthy and its traffic fails over to siblings (health probes
-  re-admit it), so only a whole-shard outage surfaces as an explicit
-  ``FAILED`` outcome.  Multi-fact batches scatter-gather with a
-  deterministic merge, and :class:`RouterMetrics` reads every replica's
-  and edge copy's registry, plus the router's own, into one
-  :class:`MetricsSnapshot` and one fleet exposition.
+  writes to N logical shards, each a **replica group** of R
+  :class:`ValidationService` workers over byte-identical store copies,
+  plus :class:`RouterMetrics`, one snapshot and exposition for the fleet;
+* :mod:`repro.service.balancer`, :mod:`repro.service.attempts` and
+  :mod:`repro.service.geo` — the router's replica selection and health,
+  its failover/retry/degradation passes, and its geo edge tier.
 
 With a :class:`~repro.store.ShardedStore` attached (for one node,
 ``ShardedStore([runner.versioned_store(dataset)])``), the router ingests
@@ -74,12 +60,8 @@ from .loadgen import (
 )
 from .metrics import SERVICE_METRIC_NAMES, MetricsSnapshot, ServiceMetrics, percentile
 from .policy import RetryPolicy
-from .router import (
-    ROUTER_METRIC_NAMES,
-    ReplicaHealth,
-    RouterMetrics,
-    ShardedValidationService,
-)
+from .balancer import ReplicaHealth
+from .router import ROUTER_METRIC_NAMES, RouterMetrics, ShardedValidationService
 from .server import (
     RequestOutcome,
     ServiceRequest,

@@ -53,7 +53,7 @@ import json
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..datasets.base import FactDataset
-from ..obs.trace import STATUS_DEGRADED, STATUS_FAILED, STATUS_SHED, Tracer
+from ..obs.trace import OUTCOME_STATUS, Tracer
 from .router import ShardedValidationService
 from .server import RequestOutcome, ServiceRequest
 
@@ -239,12 +239,7 @@ class TCPValidationFrontend:
             reply = await self._validate_inner(payload)
             outcome = reply.get("outcome", "")
             span.attributes["outcome"] = outcome
-            if outcome in ("error", "failed"):
-                span.status = STATUS_FAILED
-            elif outcome == "rejected":
-                span.status = STATUS_SHED
-            elif outcome == "degraded":
-                span.status = STATUS_DEGRADED
+            span.status = OUTCOME_STATUS.get(outcome, span.status)
             reply["trace_id"] = span.trace_id
             return reply
 

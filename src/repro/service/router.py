@@ -1,49 +1,26 @@
-"""Sharded, replicated serving tier: read fan-out, failover, scatter-gather.
+"""Sharded, replicated serving tier: routing, ingest and the fleet's metrics.
 
 :class:`ShardedValidationService` fronts N logical shards, each backed by a
 **replica group** of R independent
 :class:`~repro.service.server.ValidationService` workers.  It is the one
 front door (``submit`` / ``apply_mutations`` / ``metrics`` / async context
 manager) the TCP front-end, the load generator and the CLI drive; a single
-node is the 1x1 fleet.
+node is the 1x1 fleet.  Reads and writes route by consistent hash of the
+subject entity — the same :class:`~repro.store.sharding.HashRing` the store
+partition uses — and three collaborators each own one policy and its state:
 
-Routing and consistency:
+* :class:`~repro.service.balancer.ReplicaBalancer` — which replica of the
+  owning shard serves a read, the health table, and readmission probes;
+* :class:`~repro.service.attempts.AttemptExecutor` — failover across the
+  group, retries inside a deadline, and ``DEGRADED`` answers, so only a
+  whole-shard outage surfaces as an explicit ``FAILED`` response;
+* :class:`~repro.service.geo.GeoTier` — edge replica sets fed by durable
+  queues, their drain loops, and read-your-writes sessions.
 
-* **Reads** route by consistent hash of the fact's subject entity — the
-  same :class:`~repro.store.sharding.HashRing` the store partition uses —
-  to the owning *shard*, then a load balancer picks one of the shard's
-  replicas.  In a group that caches verdicts, each verdict coordinate has
-  a **home** replica (a process-stable hash of its dataset, fact id,
-  method and model), and its reads go there unless the home is out of the
-  rotation or at least one full batch deeper than the shallowest healthy
-  sibling — so the group's caches divide the shard's coordinates instead
-  of each holding the same ones.  A cacheless group orders healthy
-  replicas by queue depth (least pending first) with a round-robin
-  tie-break, so single-fact reads fan out across the whole group.
-* **Batches** scatter-gather: :meth:`submit_many` fans a multi-fact batch
-  out to the owning shards concurrently and merges the responses back in
-  submission order — a deterministic merge, so the gathered verdicts are
-  byte-identical to a single worker's (and to the offline pipeline's)
-  for the same coordinates, whichever replica happens to answer.
-* **Writes** route by the same key (:func:`mutation_shard_key`) and ship
-  to **every replica** of the owning shard: each replica service quiesces
-  itself, applies the identical batch to its own store copy, and bumps its
-  epoch — the group stays in lockstep, checked after every ship through
-  :meth:`~repro.store.ReplicaGroup.lockstep` (chained digests, O(1), with
-  the full state-digest audit behind them) when a replicated store is
-  attached.  Other shards keep serving
-  throughout, and because verdict-cache keys carry the per-shard epoch, an
-  ingest invalidates only the owning shard's cached verdicts.
-* **Faults fail over, then surface**: a replica that raises, stalls past
-  ``request_timeout_s``, or is killed mid-request is marked unhealthy and
-  its traffic reroutes to sibling replicas — the client sees a normal
-  ``COMPLETED`` verdict, not a ``FAILED``.  Only when *every* replica of
-  the owning shard fails does the request surface an explicit ``FAILED``
-  response (never an exception, never a hang).  Unhealthy replicas are
-  re-admitted by health probes: after ``probe_interval_s`` the balancer
-  routes one canary request at the suspect; success restores it to the
-  rotation, failure resets the probe timer.
-
+Writes ship to **every replica** of the owning shards, which apply the
+identical batch in lockstep (:meth:`~repro.store.ReplicaGroup.settle`);
+other shards keep serving, and because verdict-cache keys carry the
+per-shard epoch, an ingest invalidates only its shards' cached verdicts.
 Every response is stamped with the composite epoch vector
 (``ServiceResponse.epoch_vector``) and its scalar sum, so clients can
 reason about which shard versions an answer reflects.
@@ -52,44 +29,28 @@ reason about which shard versions an answer reflects.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import operator
-import random
 import time
-import zlib
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..chaos.clock import Clock, MonotonicClock
 from ..obs import Observability
 from ..obs.registry import MetricFamily, MetricsRegistry, render_exposition
-from ..obs.trace import (
-    STATUS_DEGRADED,
-    STATUS_FAILED,
-    STATUS_SHED,
-    Span,
-    Tracer,
-)
+from ..obs.trace import OUTCOME_STATUS, Tracer
 from ..store import GeoReplicator, Mutation, ReplicaGroup, ShardApplyReport, ShardedStore
-from ..store.geosync import sync_and_close
-from ..store.sharding import HashRing, ReplicaDivergedError
+from ..store.sharding import HashRing
 from ..validation.base import ValidationResult
-from .cache import verdict_cache_key
+from .attempts import AttemptExecutor
+from .balancer import ReplicaBalancer, ReplicaHealth
 from .config import ServiceConfig
+from .geo import GeoTier
 from .metrics import MetricsSnapshot, ServiceMetrics
 from .policy import RetryPolicy
-from .server import (
-    RequestOutcome,
-    ServiceRequest,
-    ServiceResponse,
-    UnknownStrategyError,
-    ValidationService,
-)
+from .server import RequestOutcome, ServiceRequest, ServiceResponse, ValidationService
 
 __all__ = [
     "ROUTER_METRIC_NAMES",
-    "ReplicaHealth",
     "RouterMetrics",
     "ShardedValidationService",
 ]
@@ -117,66 +78,7 @@ ROUTER_METRIC_NAMES = (
     "router_geo_session_fallbacks_total",
 )
 
-#: Bound on the last-known-good verdict cache backing graceful degradation
-#: (LRU-evicted beyond it).
-STALE_CACHE_CAPACITY = 4096
-
-#: Bound on the router's per-coordinate home-replica memo, emptied whole
-#: when full (a miss costs only the crc32 it would cost without one).
-HOME_MEMO_CAPACITY = 4096
-
-#: Most queued batches one background drain tick applies; the rest wait for
-#: the next tick, so a backlogged edge never monopolises the event loop and
-#: back-pressures primary writes through scheduling delay.
-DRAIN_BATCH_LIMIT = 8
-
 _EPOCH = operator.attrgetter("epoch")
-
-
-@dataclass
-class ReplicaHealth:
-    """Live health and traffic state of one replica worker.
-
-    Attributes
-    ----------
-    shard / replica:
-        The replica's coordinates in the fleet.
-    healthy:
-        Whether the balancer currently routes regular traffic here.  A
-        replica turns unhealthy on its first fault and healthy again the
-        moment any request (including a probe) succeeds on it.
-    served:
-        Requests this replica answered (completions and shed responses).
-    failures / timeouts:
-        Faulted attempts observed by the router on this replica;
-        ``timeouts`` is the subset abandoned past ``request_timeout_s``.
-    consecutive_failures:
-        Current fault streak; reset to zero by any success.
-    probes:
-        Canary requests routed here while unhealthy.
-    readmissions:
-        Times a probe (or last-resort attempt) restored the replica.
-    marked_unhealthy_at:
-        Router-clock time of the latest fault — the probe timer's
-        anchor — or ``None`` while healthy.  Read through the router's
-        injectable :class:`~repro.chaos.clock.Clock`, so probe timing is
-        deterministic under a virtual clock.
-    probing:
-        True while one canary is in flight (bounds probes to one at a
-        time per replica).
-    """
-
-    shard: int
-    replica: int
-    healthy: bool = True
-    served: int = 0
-    failures: int = 0
-    timeouts: int = 0
-    consecutive_failures: int = 0
-    probes: int = 0
-    readmissions: int = 0
-    marked_unhealthy_at: Optional[float] = None
-    probing: bool = False
 
 
 class RouterMetrics:
@@ -187,8 +89,9 @@ class RouterMetrics:
     number is read from the :class:`ServiceMetrics` registry of a
     :class:`ValidationService` the router fronts — replicas under
     ``shard``/``replica`` labels, edge copies under ``edge``/``shard``.
-    One object serves the router's whole life: ``start()`` resets the
-    registry and the health table in place.
+    The geo tier registers its ``router_geo_*`` families here too.  One
+    object serves the router's whole life: ``start()`` resets the registry
+    and the health table in place.
 
     The fleet snapshot's ``errors`` is ``router_failures_total``: a faulted
     attempt that a sibling rescued is a failover, whatever the owning
@@ -235,46 +138,6 @@ class RouterMetrics:
             "Full state-digest audits a ship escalated to and passed (O(store), "
             "under the ingest lock).",
         )
-        self.geo_session_fallbacks_total = self.registry.counter(
-            "router_geo_session_fallbacks_total",
-            "Reads a session's last-write vector forced off an edge to the primary tier.",
-        )
-        if not router.edge_names:
-            return  # no geo tier: the per-edge families do not exist
-        self._geo_watermark_epoch = self.registry.gauge(
-            "router_geo_watermark_epoch",
-            "Composite reported watermark (sum of per-shard acked epochs).",
-            ("edge",),
-        )
-        self._geo_watermark_lag_epochs = self.registry.gauge(
-            "router_geo_watermark_lag_epochs",
-            "Worst per-shard epochs this edge's reported watermark trails the primary.",
-            ("edge",),
-        )
-        self._geo_queue_depth = self.registry.gauge(
-            "router_geo_queue_depth",
-            "Outbound batches queued for this edge across every shard.",
-            ("edge",),
-        )
-        self.geo_edge_reads_total = self.registry.counter(
-            "router_geo_edge_reads_total",
-            "Reads this edge answered (stamped with visible staleness).",
-            ("edge",),
-        )
-        self.geo_batches_shipped_total = self.registry.counter(
-            "router_geo_batches_shipped_total",
-            "Queued batches this edge has applied and acknowledged.",
-            ("edge",),
-        )
-        for family in (
-            self._geo_watermark_epoch,
-            self._geo_watermark_lag_epochs,
-            self._geo_queue_depth,
-            self.geo_edge_reads_total,
-            self.geo_batches_shipped_total,
-        ):
-            for edge in router.edge_names:
-                family.labels(edge=edge)  # zero-valued series still render
 
     # ------------------------------------------------------------- recording
 
@@ -300,14 +163,7 @@ class RouterMetrics:
         self._unhealthy_gauge.set(
             sum(not health.healthy for shard in router.health for health in shard)
         )
-        for edge in router.live_edge_names:
-            self._geo_watermark_epoch.labels(edge=edge).set(
-                sum(router.geo.watermark_vector(edge))
-            )
-            self._geo_watermark_lag_epochs.labels(edge=edge).set(
-                max(router.geo.lag_vector(edge))
-            )
-            self._geo_queue_depth.labels(edge=edge).set(router.geo.depth(edge))
+        router.geo_tier.refresh()
 
     # ------------------------------------------------------------- properties
 
@@ -324,7 +180,7 @@ class RouterMetrics:
     @property
     def session_fallbacks(self) -> int:
         """Reads forced off the edge tier by read-your-writes coverage."""
-        return int(self.geo_session_fallbacks_total.value)
+        return int(self._router.geo_tier.session_fallbacks_total.value)
 
     # ------------------------------------------------------------- snapshots
 
@@ -392,18 +248,12 @@ class RouterMetrics:
 
     def per_replica(self) -> List[Tuple[int, int, MetricsSnapshot, ReplicaHealth]]:
         """``(shard, replica, snapshot, health)`` for every replica worker."""
-        rows = []
-        for shard_index, group in enumerate(self._router.groups):
-            for replica_index, service in enumerate(group):
-                rows.append(
-                    (
-                        shard_index,
-                        replica_index,
-                        service.metrics.snapshot(),
-                        self._router.health[shard_index][replica_index],
-                    )
-                )
-        return rows
+        health = self._router.health
+        return [
+            (shard, replica, service.metrics.snapshot(), health[shard][replica])
+            for shard, group in enumerate(self._router.groups)
+            for replica, service in enumerate(group)
+        ]
 
     # ------------------------------------------------------------- rendering
 
@@ -475,47 +325,30 @@ class ShardedValidationService:
         Seconds an unhealthy replica rests before the balancer routes one
         canary request at it.
     retry_policy:
-        Optional :class:`~repro.service.policy.RetryPolicy`.  When set, a
-        request whose whole replica pass faults is retried (with backoff,
-        inside the policy's deadline) up to the budget; after the budget is
-        spent the router serves the last known good verdict for the
-        coordinates as an epoch-tagged ``DEGRADED`` response when one
-        exists, and only fails otherwise.  ``None``: one pass, then ``FAILED``.
+        Optional :class:`~repro.service.policy.RetryPolicy`: retries of a
+        fully faulted pass, then ``DEGRADED`` answers
+        (:mod:`~repro.service.attempts`).  ``None``: one pass, then ``FAILED``.
     clock:
         Injectable :class:`~repro.chaos.clock.Clock` for probe timers,
-        retry backoff, and deadlines; defaults to the real
+        retry backoff, deadlines and drain ticks; defaults to the real
         :class:`~repro.chaos.clock.MonotonicClock`.  Tests pass a
         :class:`~repro.chaos.clock.VirtualClock` for deterministic timing.
-    geo / edge_services:
-        The asynchronous geo tier: a
+    geo / edge_services / staleness_bound_epochs / drain_interval_s / edge_lag_s / drain_seed:
+        The asynchronous geo tier (:class:`~repro.service.geo.GeoTier`): a
         :class:`~repro.store.GeoReplicator` over the attached store's
         shards plus, per edge name, one :class:`ValidationService` per
-        shard serving that edge's store copies.  Both or neither.  Edge
-        replicas apply queued batches at their own pace (background drain
-        loops on the router clock); reads carry a ``region`` hint to
-        prefer an edge and are stamped with the edge's epoch vector and
-        visible ``staleness_epochs``.
-    staleness_bound_epochs:
-        Edge reads whose owning-shard watermark trails the primary by
-        more than this many epochs route to the primary tier instead —
-        the visible-staleness bound.  ``None`` disables the bound.
-    drain_interval_s / edge_lag_s:
-        Seconds between drain ticks per edge (plus the per-edge extra lag
-        from ``edge_lag_s`` — the injected-lag knob chaos scenarios
-        turn).  Writes never wait on a drain: the primary acknowledges
-        as soon as its own tier applied.  A background tick applies at
-        most :data:`DRAIN_BATCH_LIMIT` queued batches;
-        :meth:`drain_edges` is never capped.
-    drain_seed:
-        Seed for the drain scheduler's shard-order shuffle.  Deterministic
-        run-table columns must be byte-identical across drain seeds (the
-        CI geo determinism re-run); only timing may move.
+        shard over that edge's store copies (both or neither).  Edge reads
+        trailing the primary by more than ``staleness_bound_epochs`` (unset:
+        no bound) go to the primary tier.  Each edge drains every
+        ``drain_interval_s`` plus its ``edge_lag_s`` (the lag chaos
+        scenarios inject), in a shard order shuffled by ``drain_seed``:
+        run-table columns must be byte-identical across drain seeds.
 
     Raises
     ------
     ValueError
         On empty shard lists, non-positive timeouts, or a
-        store/replica-group shape that disagrees with ``shards``.
+        store/replica-group/edge shape that disagrees with ``shards``.
     """
 
     def __init__(
@@ -557,112 +390,55 @@ class ShardedValidationService:
         if not replica_groups and store is not None:
             replica_groups = store.replicate(1)
         self.replica_groups: List[ReplicaGroup] = list(replica_groups or ())
-        if self.replica_groups:
-            if len(self.replica_groups) != len(self.groups):
-                raise ValueError(
-                    f"{len(self.replica_groups)} replica groups for "
-                    f"{len(self.groups)} shards"
-                )
-            for index, (group, replica_group) in enumerate(
-                zip(self.groups, self.replica_groups)
-            ):
-                if replica_group.num_replicas != len(group):
-                    raise ValueError(
-                        f"shard {index}: {len(group)} replica services but "
-                        f"{replica_group.num_replicas} store copies"
-                    )
+        copies = [replica_group.num_replicas for replica_group in self.replica_groups]
+        if copies and copies != [len(group) for group in self.groups]:
+            raise ValueError(
+                f"replica groups of {copies} store copies for shards of "
+                f"{[len(group) for group in self.groups]} replica services"
+            )
+        if geo is not None and store is None:
+            raise ValueError("the geo tier needs the ShardedStore attached")
         # One ring routes both reads and writes; a divergent ring would
         # judge facts on one shard and invalidate another.
         self.ring = store.ring if store is not None else HashRing(len(self.groups))
-        self.request_timeout_s = request_timeout_s
-        self.probe_interval_s = probe_interval_s
-        self.retry_policy = retry_policy
         self.clock: Clock = clock or MonotonicClock()
-        # Jitter source for retry backoff.  Seeded: backoff *timing* need
-        # not be reproducible, but a fixed seed keeps runs comparable.
-        self._retry_rng = random.Random(0x5EED)
-        # Last known good verdict per request coordinates, with the owning
-        # shard's epoch it was computed at — the graceful-degradation store.
-        self._stale: "OrderedDict[tuple, Tuple[ValidationResult, int]]" = OrderedDict()
         # Chaos: armed via set_fault_injection; fires the "store" point on
         # the ingest path (replica-level points live on the services).
         self._injector = None
         # Observability: armed via set_observability; spans/events fan out
         # to every replica service and attached store.
         self._tracer: Optional[Tracer] = None
-        self._events = None
-        # Geo tier: replicator + per-edge per-shard services, or neither.
-        if (geo is None) != (edge_services is None):
-            raise ValueError("geo and edge_services come together (or not at all)")
-        if geo is not None and store is None:
-            raise ValueError("the geo tier needs the ShardedStore attached")
-        if staleness_bound_epochs is not None and staleness_bound_epochs < 0:
-            raise ValueError("staleness_bound_epochs must be >= 0 when set")
-        if drain_interval_s <= 0:
-            raise ValueError("drain_interval_s must be positive")
-        self.geo = geo
-        self.edge_services: Dict[str, List[ValidationService]] = (
-            {name: list(services) for name, services in edge_services.items()}
-            if edge_services is not None
-            else {}
-        )
-        if self.geo is not None:
-            for name, services in self.edge_services.items():
-                if name not in self.geo.edges:
-                    raise ValueError(f"edge {name!r} has services but no replicator edge")
-                if len(services) != len(self.groups):
-                    raise ValueError(
-                        f"edge {name!r} has {len(services)} services for "
-                        f"{len(self.groups)} shards"
-                    )
-        self.staleness_bound_epochs = staleness_bound_epochs
-        self.drain_interval_s = drain_interval_s
-        self.edge_lag_s: Dict[str, float] = dict(edge_lag_s or {})
-        self.drain_seed = drain_seed
-        self._drain_rng = random.Random(drain_seed)
-        self._drain_tasks: List[asyncio.Task] = []
-        #: Drain-loop failures (a diverged edge, a crashed apply): the loop
-        #: kills the edge and records the reason here for post-mortems.
-        self.drain_errors: List[str] = []
-        # Read-your-writes sessions: token -> {shard: last-write epoch}.
-        # Only an edge read consults them, so only a geo tier records them.
-        self._sessions: Dict[str, Dict[int, int]] = {}
-        # Edges hard-stopped by kill_edge (never rejoin without a bootstrap).
-        self._edge_dead: set = set()
-        # Edges whose bootstrap event was already emitted (start() is
-        # re-entrant across stop()/start() cycles).
-        self._edge_bootstrapped: set = set()
-        self.health: List[List[ReplicaHealth]] = [
-            [ReplicaHealth(shard_index, replica_index) for replica_index in range(len(group))]
-            for shard_index, group in enumerate(self.groups)
-        ]
-        self.metrics = RouterMetrics(self)
-        self._rr = [0] * len(self.groups)
-        # Replica indexes by rotation distance from each offset.
-        size = len(self.groups[0])
-        self._rotations = [[(rr + step) % size for step in range(size)] for rr in range(size)]
-        # Per shard, the queue-depth lead at which a caching group's home
-        # replica yields its reads to a shallower sibling: one full batch.
-        # None: a cacheless group, which round-robins.
-        self._home_lead: List[Optional[int]] = [
-            group[0].config.max_batch_size if group[0].cache is not None else None
-            for group in self.groups
-        ]
-        # (dataset, fact_id, method, model) -> home replica index.
-        self._homes: Dict[Tuple[str, str, str, str], int] = {}
         self._closed = False
-        # Replicas hard-stopped by kill_replica: their store copies missed
-        # every ingest since the kill, so they must never rejoin — not even
-        # across a stop()/start() cycle — without a fresh log ship.
-        self._dead: set = set()
+        self.balancer = ReplicaBalancer(self.groups, self.clock, probe_interval_s)
+        self.health: List[List[ReplicaHealth]] = self.balancer.health
+        self.metrics = RouterMetrics(self)
+        self.attempts = AttemptExecutor(
+            self.balancer,
+            self.metrics,
+            request_timeout_s,
+            retry_policy,
+            respond=self._respond,
+            is_closed=lambda: self._closed,
+        )
+        self.geo_tier = GeoTier(
+            geo,
+            edge_services,
+            num_shards=len(self.groups),
+            registry=self.metrics.registry,
+            attempts=self.attempts,
+            shard_epoch=self._shard_epoch,
+            clock=self.clock,
+            staleness_bound_epochs=staleness_bound_epochs,
+            drain_interval_s=drain_interval_s,
+            edge_lag_s=edge_lag_s,
+            drain_seed=drain_seed,
+        )
+        self.geo = geo
+        self.edge_services: Dict[str, List[ValidationService]] = self.geo_tier.services
         # Serialises cross-shard ingests so the pre-validation below stays
         # true until the fan-out applies; (re)created in start() so a
         # router reused across event loops never holds a dead-loop lock.
         self._ingest_lock = asyncio.Lock()
-        # One drain of an edge at a time: a second drain entering while the
-        # first waits in an apply would read the same pending suffix off the
-        # same edge epoch and apply it twice.  (Re)created in start().
-        self._drain_locks = {name: asyncio.Lock() for name in self.edge_services}
 
     @classmethod
     def from_runner(
@@ -671,17 +447,10 @@ class ShardedValidationService:
         num_shards: int,
         config: Optional[ServiceConfig] = None,
         store: Optional[ShardedStore] = None,
-        request_timeout_s: Optional[float] = None,
         replicas: int = 1,
-        probe_interval_s: float = 0.25,
-        retry_policy: Optional[RetryPolicy] = None,
-        clock: Optional[Clock] = None,
         edges: int = 0,
-        staleness_bound_epochs: Optional[int] = None,
-        drain_interval_s: float = 0.02,
-        edge_lag_s: Optional[Mapping[str, float]] = None,
-        drain_seed: int = 0,
         queue_dir: Optional[str] = None,
+        **fleet,
     ) -> "ShardedValidationService":
         """``num_shards`` x ``replicas`` shard services over one runner.
 
@@ -697,17 +466,13 @@ class ShardedValidationService:
         :class:`~repro.store.GeoReplicator` over the store (durable queues
         when ``queue_dir`` is set), with edges named ``edge-0`` …
         ``edge-{edges-1}``, each serving its own per-shard store copies
-        bootstrapped by snapshot replay and caught up by background drain
-        loops (``drain_interval_s`` plus any per-edge ``edge_lag_s``).
+        bootstrapped by snapshot replay.  ``fleet`` holds the constructor's
+        other keywords (timeouts, retry policy, clock, drain tuning).
 
-        Raises :class:`ValueError` when ``num_shards``/``replicas`` is not
-        positive, the store partitions a different number of ways, or
-        ``edges > 0`` without a store.
+        Raises :class:`ValueError` for what the constructor refuses, when
+        the store partitions other than ``num_shards`` ways, and for
+        ``edges < 0`` or ``edges > 0`` without a store.
         """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         if edges < 0:
             raise ValueError("edges must be >= 0")
         if edges and store is None:
@@ -732,25 +497,16 @@ class ShardedValidationService:
                 name = f"edge-{edge_index}"
                 edge = geo.add_edge(name)
                 edge_services[name] = [
-                    ValidationService.from_runner(
-                        runner, config, store=edge.stores[shard_index]
-                    )
-                    for shard_index in range(num_shards)
+                    ValidationService.from_runner(runner, config, store=edge_store)
+                    for edge_store in edge.stores
                 ]
         return cls(
             groups,
             store=store,
-            request_timeout_s=request_timeout_s,
             replica_groups=replica_groups,
-            probe_interval_s=probe_interval_s,
-            retry_policy=retry_policy,
-            clock=clock,
             geo=geo,
             edge_services=edge_services,
-            staleness_bound_epochs=staleness_bound_epochs,
-            drain_interval_s=drain_interval_s,
-            edge_lag_s=edge_lag_s,
-            drain_seed=drain_seed,
+            **fleet,
         )
 
     # ---------------------------------------------------------------- lifecycle
@@ -765,44 +521,16 @@ class ShardedValidationService:
         """
         self._closed = False
         self._ingest_lock = asyncio.Lock()
-        self._drain_locks = {name: asyncio.Lock() for name in self.edge_services}
-        self._rr = [0] * len(self.groups)
         # Both reset in place: ``self.metrics`` and ``self.health`` (and
         # anything bound to them, a scraper say) are the same objects
         # across stop()/start() cycles.
-        for shard_index, healths in enumerate(self.health):
-            healths[:] = [
-                ReplicaHealth(shard_index, replica_index)
-                for replica_index in range(len(healths))
-            ]
+        self.balancer.reset()
         self.metrics.registry.reset()
         for shard_index, group in enumerate(self.groups):
             for replica_index, service in enumerate(group):
-                if (shard_index, replica_index) in self._dead:
-                    self.health[shard_index][replica_index].healthy = False
-                    continue
-                await service.start()
-        for index, name in enumerate(sorted(self.edge_services)):
-            if name in self._edge_dead:
-                continue
-            for service in self.edge_services[name]:
-                await service.start()
-            if name not in self._edge_bootstrapped:
-                self._edge_bootstrapped.add(name)
-                if self._events is not None:
-                    self._events.emit(
-                        "edge_bootstrap",
-                        f"edge:{index}",
-                        watermark=sum(self.geo.watermark_vector(name)),
-                    )
-        self._drain_tasks = [
-            asyncio.ensure_future(self._drain_loop(name, index))
-            for index, name in enumerate(sorted(self.edge_services))
-            if name not in self._edge_dead
-        ]
-        # Until stop(), apply_mutations commits the queues, off the loop.
-        for queue in self.geo.queues if self.geo is not None else ():
-            queue.autocommit = False
+                if (shard_index, replica_index) not in self.balancer.dead:
+                    await service.start()
+        await self.geo_tier.start()
 
     async def stop(self, drain: bool = True) -> None:
         """Stop every replica; ``drain=True`` answers admitted requests first.
@@ -811,26 +539,15 @@ class ShardedValidationService:
         *healthy* replica's, not the sum — and crucially not an unhealthy
         replica's: a replica that is out of the rotation (stalled, killed,
         or marked unhealthy by a failed probe) is hard-stopped instead of
-        drained, so a dead replica's stuck queue can never wedge shutdown.
-        Its in-flight futures are cancelled explicitly (the PR 4 hard-stop
-        contract), never silently dropped.  The exception is a group with
-        no healthy sibling left (a single-replica shard after one fault,
-        say): its unhealthy-but-running replicas are still the only path to
-        an answer for their admitted requests, so they drain normally.
+        drained, so a dead replica's stuck queue can never wedge shutdown;
+        its in-flight futures are cancelled, never dropped.  The exception
+        is a group with no healthy sibling left (a single-replica shard
+        after one fault, say): its unhealthy-but-running replicas are still
+        the only path to an answer for their admitted requests, so they
+        drain normally.
         """
         self._closed = True
-        for task in self._drain_tasks:
-            task.cancel()
-        if self._drain_tasks:
-            await asyncio.gather(*self._drain_tasks, return_exceptions=True)
-        self._drain_tasks = []
-        stops = []
-        for name in sorted(self.edge_services):
-            if name in self._edge_dead:
-                continue
-            for service in self.edge_services[name]:
-                if not service._closed:
-                    stops.append(service.stop(drain=drain))
+        stops = await self.geo_tier.halt(drain)
         for shard_index, group in enumerate(self.groups):
             healths = self.health[shard_index]
             has_healthy_sibling = any(
@@ -843,10 +560,7 @@ class ShardedValidationService:
                 )
                 stops.append(service.stop(drain=replica_drain))
         await asyncio.gather(*stops)
-        # Enqueues commit inline again; unsynced acks become durable here.
-        for queue in self.geo.queues if self.geo is not None else ():
-            queue.autocommit = True
-            queue.commit()
+        self.geo_tier.commit_queues()
 
     async def __aenter__(self) -> "ShardedValidationService":
         await self.start()
@@ -858,262 +572,23 @@ class ShardedValidationService:
     async def kill_replica(self, shard_index: int, replica_index: int) -> None:
         """Hard-stop one replica in place (fault injection / ops eviction).
 
-        The replica leaves the routing rotation immediately, its in-flight
-        requests fail over to sibling replicas, and — because a stopped
-        service cannot apply mutations — it stays out of the rotation for
-        the rest of the router's life, *including across*
-        ``stop()``/``start()`` cycles (rejoining would need a fresh log
-        ship; its store copy misses every ingest from now on).  Raises
-        :class:`IndexError` for out-of-range coordinates.
+        Its in-flight requests fail over to its siblings, and it stays out
+        of the rotation for the rest of the router's life, stop()/start()
+        cycles included: its store copy misses every ingest from now on.
+        Raises :class:`IndexError` for out-of-range coordinates.
         """
-        health = self.health[shard_index][replica_index]
-        health.healthy = False
-        health.marked_unhealthy_at = self.clock.now()
-        self._dead.add((shard_index, replica_index))
-        if self._events is not None:
-            self._events.emit(
-                "replica_killed", f"shard:{shard_index}/replica:{replica_index}"
-            )
+        self.balancer.kill(shard_index, replica_index)
         await self.groups[shard_index][replica_index].stop(drain=False)
-
-    # ---------------------------------------------------------------- geo tier
 
     @property
     def edge_names(self) -> List[str]:
         """Configured edge replica names, sorted (dead edges included)."""
-        return sorted(self.edge_services)
-
-    @property
-    def live_edge_names(self) -> List[str]:
-        """Edges still serving (not removed by :meth:`kill_edge`)."""
-        return [name for name in sorted(self.edge_services) if name not in self._edge_dead]
-
-    def watermark_vector(self, name: str) -> Tuple[int, ...]:
-        """One edge's *reported* per-shard applied-epoch watermarks."""
-        if self.geo is None:
-            raise RuntimeError("no geo tier configured")
-        return self.geo.watermark_vector(name)
-
-    async def kill_edge(self, name: str) -> None:
-        """Hard-stop one edge replica (fault injection / ops eviction).
-
-        The edge leaves read routing immediately and its drain loop stops;
-        its durable queue entries and reported watermarks stay put, so a
-        recovered edge process can re-attach via
-        :meth:`~repro.store.GeoReplicator.adopt_edge` and resume from
-        exactly the batches it never acked.  Raises :class:`KeyError` for
-        an unknown edge name.
-        """
-        if name not in self.edge_services:
-            raise KeyError(f"unknown edge {name!r}")
-        if name in self._edge_dead:
-            return
-        self._edge_dead.add(name)
-        if self._events is not None:
-            index = sorted(self.edge_services).index(name)
-            self._events.emit("edge_killed", f"edge:{index}")
-        await asyncio.gather(
-            *(service.stop(drain=False) for service in self.edge_services[name])
-        )
+        return self.geo_tier.names
 
     async def drain_edges(self) -> int:
-        """Drain queued batches into every live edge now.
-
-        The background loops already drain at their own pace; this is the
-        synchronous path for tests and scenario epilogues that must reach a
-        converged state before checking digests.  Returns the number of
-        batches applied.  Raises :class:`RuntimeError` without a geo tier.
-        """
-        if self.geo is None:
-            raise RuntimeError("no geo tier configured")
-        applied = 0
-        for edge_name in self.live_edge_names:
-            if edge_name in self._edge_dead:
-                continue
-            applied += await self._drain_edge(edge_name)
-        return applied
-
-    async def _drain_edge(self, name: str, max_batches: Optional[int] = None) -> int:
-        """Apply pending queue batches to one edge through its services.
-
-        Batches land via each edge shard's :class:`ValidationService` (so
-        the quiesce/cache-invalidation contract holds on the edge exactly
-        as on the primary tier), in seeded-shuffled shard order — the drain
-        scheduler whose interleavings the property suite sweeps.  Each
-        landed batch is acked immediately: the edge store's own epoch is
-        the durable watermark, so a crash between apply and ack costs only
-        a redundant re-report, never a double-apply.  Drains of one edge
-        take turns (a background tick and a foreground :meth:`drain_edges`
-        can overlap): the pending suffix is read under the edge's lock.
-        """
-        services = self.edge_services[name]
-        shard_order = list(range(len(services)))
-        self._drain_rng.shuffle(shard_order)
-        shipped = self.metrics.geo_batches_shipped_total.labels(edge=name)
-        applied = 0
-        async with self._drain_locks[name]:
-            for shard_index in shard_order:
-                queue = self.geo.queues[shard_index]
-                service = services[shard_index]
-                edge_store = service.store
-                budget = None if max_batches is None else max_batches - applied
-                if budget is not None and budget <= 0:
-                    break
-                for epoch, batch in queue.pending_after(edge_store.epoch, limit=budget):
-                    report = await service.apply_mutations(batch)
-                    if report.epoch != epoch:
-                        raise ReplicaDivergedError(
-                            f"edge {name} shard {shard_index} landed epoch "
-                            f"{report.epoch}, queue shipped {epoch}"
-                        )
-                    queue.ack(name, epoch)
-                    shipped.inc()
-                    applied += 1
-                    if budget is not None:
-                        budget -= 1
-                        if budget <= 0:
-                            break
-        if applied and self._events is not None:
-            index = sorted(self.edge_services).index(name)
-            self._events.emit("edge_drain", f"edge:{index}", batches=applied)
-        return applied
-
-    async def _drain_loop(self, name: str, index: int) -> None:
-        """One edge's background catch-up pump, on the router clock.
-
-        Each tick sleeps ``drain_interval_s`` plus the edge's configured
-        lag, consults the fault injector at point ``edge:{index}`` (kill →
-        :meth:`kill_edge`; stall/error → skip the tick, the partition
-        case — the edge keeps serving stale reads; slow → extra sleep),
-        then drains at most :data:`DRAIN_BATCH_LIMIT` queued batches so
-        a deep backlog never monopolises the event loop.  Unexpected
-        drain errors (divergence, a validation refusal) kill the edge and
-        are recorded in :attr:`drain_errors` rather than dying silently
-        in a task.
-        """
-        point = f"edge:{index}"
-        try:
-            while not self._closed:
-                await self.clock.sleep(
-                    self.drain_interval_s + self.edge_lag_s.get(name, 0.0)
-                )
-                if self._closed or name in self._edge_dead:
-                    return
-                if self._injector is not None:
-                    events = self._injector.active_for(point)
-                    if any(event.fault.kind == "kill" for event in events):
-                        await self.kill_edge(name)
-                        return
-                    extra = sum(
-                        event.fault.latency_s
-                        for event in events
-                        if event.fault.kind == "slow"
-                    )
-                    if extra:
-                        await self.clock.sleep(extra)
-                    if any(event.fault.kind in ("stall", "error") for event in events):
-                        # The partition case: the queue stalls (no drain
-                        # this tick) but the edge keeps serving stale reads.
-                        continue
-                try:
-                    await self._drain_edge(name, DRAIN_BATCH_LIMIT)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    self.drain_errors.append(f"{name}: {exc!r}")
-                    await self.kill_edge(name)
-                    return
-        except asyncio.CancelledError:
-            return
-
-    def _edge_for_read(
-        self, shard_index: int, session: Optional[str], region: Optional[str]
-    ) -> Optional[str]:
-        """The edge eligible to serve this read, or ``None`` for primary.
-
-        Eligibility is the read-your-writes contract made routable: the
-        edge must be the caller's region, alive, its *reported* watermark
-        vector must cover the session's whole last-write vector (the
-        served response carries the edge's full epoch vector, so a floor
-        miss on *any* written shard — not just the owning one — would let
-        the session observe state below its own write), and — when a
-        staleness bound is configured — the owning shard must trail the
-        primary by at most that many epochs.  A region-matched edge
-        rejected on the session/staleness check counts a
-        ``session fallback``.
-        """
-        if region is None or self.geo is None:
-            return None
-        if region not in self.edge_services or region in self._edge_dead:
-            return None
-        if self.edge_services[region][shard_index]._closed:
-            return None
-        try:
-            watermark = self.geo.queues[shard_index].watermark(region)
-        except KeyError:
-            return None
-        if session is not None:
-            floor = self._sessions.get(session, {})
-            if floor:
-                watermarks = self.geo.watermark_vector(region)
-                if any(
-                    watermarks[shard] < epoch for shard, epoch in floor.items()
-                ):
-                    self.metrics.geo_session_fallbacks_total.inc()
-                    return None
-        if self.staleness_bound_epochs is not None:
-            primary_epoch = self._shard_epoch(shard_index)
-            if primary_epoch - watermark > self.staleness_bound_epochs:
-                self.metrics.geo_session_fallbacks_total.inc()
-                return None
-        return region
-
-    async def _submit_edge(
-        self, request: ServiceRequest, shard_index: int, edge_name: str
-    ) -> Optional[ServiceResponse]:
-        """Serve one read from an edge shard copy (untraced: its cache step first).
-
-        Any edge fault — a stall past the request timeout, a raise, a
-        service stopped under us, or an admission rejection — returns
-        ``None`` and the caller serves from the primary tier instead: the
-        edge tier adds locality, never a new failure mode.  A served
-        response is stamped with the *edge's* applied epoch vector (its
-        true staleness, visible to the caller) and the epochs its owning
-        shard copy trailed the primary at serve time.
-        """
-        service = self.edge_services[edge_name][shard_index]  # running: _edge_for_read
-        hit = None if self._tracer is not None else service.cached(request, time.perf_counter())
-        if hit is not None:
-            response = ServiceResponse(RequestOutcome.COMPLETED, hit[0], True, hit[2])
-        else:
-            try:
-                if self.request_timeout_s is not None:
-                    response = await asyncio.wait_for(
-                        service.submit(request), timeout=self.request_timeout_s
-                    )
-                else:
-                    response = await service.submit(request)
-            except asyncio.CancelledError:
-                if service._closed and not self._closed:
-                    return None
-                raise
-            except UnknownStrategyError:
-                raise
-            except (asyncio.TimeoutError, Exception):
-                return None
-        if response.outcome is not RequestOutcome.COMPLETED:
-            return None
-        self.metrics.geo_edge_reads_total.labels(edge=edge_name).inc()
-        return self._respond(
-            response.outcome,
-            shard_index,
-            response.latency_seconds,
-            result=response.result,
-            cached=response.cached,
-            batch_size=response.batch_size,
-            edge=edge_name,
-            trace_id=response.trace_id,
-        )
+        """Drain queued batches into every live edge now (see
+        :meth:`GeoTier.drain_edges <repro.service.geo.GeoTier.drain_edges>`)."""
+        return await self.geo_tier.drain_edges()
 
     # ---------------------------------------------------------------- properties
 
@@ -1163,38 +638,19 @@ class ShardedValidationService:
     ) -> ServiceResponse:
         """Route one request to its owning shard, failing over across replicas.
 
-        With a geo tier configured, a ``region`` naming a live edge serves
-        the read from that edge's local store copy when the edge is
-        *eligible*: its reported watermark for the owning shard covers the
-        ``session`` token's last write there (read-your-writes) and trails
-        the primary by at most ``staleness_bound_epochs``.  Edge-served
-        responses carry the edge's applied epoch vector, ``served_by`` and
-        ``staleness_epochs`` — staleness is visible, never silent.  An
-        ineligible, faulted, or unknown region falls back to the primary
-        tier, so the edge tier never adds a failure mode.
-
-        The balancer (:meth:`_replica_order`) picks the request's home
-        replica first in a caching group (unless it is out or a full batch
-        deeper than a sibling), else the least-loaded healthy replica
-        (round-robin tie-break); an untraced read asks that replica's cache
-        step (:meth:`ValidationService.cached`) and answers a hit here, else
-        takes the attempt loop from that same order.  A faulted attempt —
-        raise, stall past ``request_timeout_s``, or a replica killed
-        mid-request — marks the replica and retries on the next sibling, so
-        single-replica faults are invisible to the caller.  Load shedding
-        still surfaces as ``REJECTED`` (that is the owning replica's
-        admission control speaking, not a fault).
-
-        When every replica of one pass faults and a ``retry_policy`` is
-        set, the router backs off (jittered exponential, on the router
-        clock) and makes another full pass, up to the budget and inside the
-        policy's deadline.  After the budget is spent it serves the last
-        known good verdict as a stale, epoch-tagged ``DEGRADED`` response
-        when one exists; only then does the caller see a ``FAILED``
-        response carrying the per-attempt error details.  Raises
-        :class:`RuntimeError` when the router is stopped, and propagates
-        :class:`asyncio.CancelledError` when the *caller* (or a router
-        shutdown) cancels the request.
+        A ``region`` naming an eligible edge
+        (:meth:`GeoTier.for_read <repro.service.geo.GeoTier.for_read>`:
+        read-your-writes for ``session``, inside the staleness bound) serves
+        the read from that edge's store copy, stamped with the edge's epoch
+        vector, ``served_by`` and ``staleness_epochs``; an ineligible,
+        faulted, or unknown region falls back to the primary tier.  There,
+        an untraced read asks the balancer's first pick's cache step
+        (:meth:`ValidationService.cached`) and answers a hit here; any other
+        read is an attempt run from that same order (:class:`AttemptExecutor
+        <repro.service.attempts.AttemptExecutor>`).  Load shedding surfaces
+        as ``REJECTED``.  Raises :class:`RuntimeError` when the router is
+        stopped, and propagates :class:`asyncio.CancelledError` when the
+        *caller* (or a router shutdown) cancels the request.
 
         With tracing armed (:meth:`set_observability`), the whole journey
         is one ``router.route`` span with a ``router.attempt`` child per
@@ -1205,105 +661,10 @@ class ShardedValidationService:
         if self._closed:
             raise RuntimeError("service is stopped")
         shard_index = self.shard_for(request)
-        edge_name = self._edge_for_read(shard_index, session, region)
-        if edge_name is not None:
-            response = await self._submit_edge(request, shard_index, edge_name)
+        edge = self.geo_tier.for_read(shard_index, session, region)
+        if edge is not None:
+            response = await self.geo_tier.read(request, shard_index, edge)
             if response is not None:
-                return response
-        if self._tracer is None:
-            order = self._replica_order(shard_index, request)
-            hit = order and self.groups[shard_index][order[0]].cached(request, time.perf_counter())
-            if not hit:
-                return await self._submit_inner(request, shard_index, None, order)
-            result, shard_epoch, latency = hit
-            self._record_success(shard_index, order[0])
-            if self.retry_policy is not None:
-                self._remember_verdict(request, result, shard_epoch)
-            return self._respond(
-                RequestOutcome.COMPLETED, shard_index, latency,
-                result=result, cached=True, shard_epoch=shard_epoch,
-            )
-        with self._tracer.span("router.route", f"shard:{shard_index}") as span:
-            span.attributes["method"] = request.method
-            span.attributes["shard"] = shard_index
-            response = await self._submit_inner(request, shard_index, span)
-            span.attributes["outcome"] = response.outcome.name
-            if response.outcome is RequestOutcome.FAILED:
-                span.status = STATUS_FAILED
-            elif response.outcome is RequestOutcome.REJECTED:
-                span.status = STATUS_SHED
-            elif response.outcome is RequestOutcome.DEGRADED:
-                span.status = STATUS_DEGRADED
-                stale_epoch = response.stale_epoch or 0
-                span.attributes["stale_epoch"] = stale_epoch
-                span.attributes["staleness_epochs"] = (
-                    response.epoch_vector[shard_index] - stale_epoch
-                )
-            return response
-
-    async def _submit_inner(
-        self,
-        request: ServiceRequest,
-        shard_index: int,
-        span: Optional[Span],
-        order: Optional[List[int]] = None,
-    ) -> ServiceResponse:
-        started = time.perf_counter()
-        trace_id = span.trace_id if span is not None else None
-        policy = self.retry_policy
-        max_attempts = policy.max_attempts if policy is not None else 1
-        deadline = (
-            self.clock.now() + policy.deadline_s
-            if policy is not None and policy.deadline_s is not None
-            else None
-        )
-        errors: List[str] = []
-        timed_out = False
-        retries = 0
-        for attempt in range(max_attempts):
-            if attempt:
-                retries += 1
-                self.metrics.retries_total.inc()
-                backoff = policy.backoff_s(attempt, self._retry_rng)
-                if deadline is not None:
-                    # Deadline propagation: never sleep past the budget.
-                    backoff = min(backoff, max(0.0, deadline - self.clock.now()))
-                if backoff > 0:
-                    await self.clock.sleep(backoff)
-            if deadline is not None and deadline - self.clock.now() <= 0:
-                errors.append(
-                    f"deadline of {policy.deadline_s:.3f}s exhausted "
-                    f"after {attempt} of {max_attempts} attempts"
-                )
-                break
-            if self._tracer is None:
-                response, pass_timed_out = await self._attempt(
-                    request, shard_index, errors, deadline, None if attempt else order
-                )
-            else:
-                with self._tracer.span(
-                    "router.attempt", f"shard:{shard_index}", parent=span
-                ) as attempt_span:
-                    attempt_span.attributes["attempt"] = attempt + 1
-                    response, pass_timed_out = await self._attempt(
-                        request, shard_index, errors, deadline
-                    )
-                    if response is None:
-                        attempt_span.status = STATUS_FAILED
-                        attempt_span.attributes["error"] = "all replicas faulted"
-            timed_out = timed_out or pass_timed_out
-            if response is not None:
-                if errors:
-                    self.metrics.failovers_total.inc()
-                    if self._events is not None:
-                        self._events.emit(
-                            "failover",
-                            f"shard:{shard_index}",
-                            faulted_attempts=len(errors),
-                        )
-                if policy is not None and response.outcome is RequestOutcome.COMPLETED:
-                    # Only a retry policy can ever degrade to this verdict.
-                    self._remember_verdict(request, response.result, response.epoch)
                 return self._respond(
                     response.outcome,
                     shard_index,
@@ -1311,135 +672,35 @@ class ShardedValidationService:
                     result=response.result,
                     cached=response.cached,
                     batch_size=response.batch_size,
-                    shard_epoch=response.epoch,
-                    retries=retries,
-                    # Untraced, a replica's own trace id (if any) passes through.
-                    trace_id=trace_id or response.trace_id,
+                    edge=edge,
+                    trace_id=response.trace_id,
                 )
-        if not errors:  # pragma: no cover - defensive: empty order
-            errors.append(f"shard {shard_index} has no serving replicas")
-        if policy is not None:
-            self.metrics.budget_exhausted_total.inc()
-            if self._events is not None:
-                self._events.emit(
-                    "budget_exhausted",
-                    f"shard:{shard_index}",
-                    attempts=max_attempts,
-                    retries=retries,
+        if self._tracer is None:
+            order = self.balancer.order(shard_index, request)
+            hit = order and self.groups[shard_index][order[0]].cached(request, time.perf_counter())
+            if not hit:
+                return await self.attempts.run(request, shard_index, None, order)
+            result, shard_epoch, latency = hit
+            self.balancer.record_success(shard_index, order[0])
+            if self.attempts.retry_policy is not None:
+                self.attempts.remember(request, result, shard_epoch)
+            return self._respond(
+                RequestOutcome.COMPLETED, shard_index, latency,
+                result=result, cached=True, shard_epoch=shard_epoch,
+            )
+        with self._tracer.span("router.route", f"shard:{shard_index}") as span:
+            span.attributes["method"] = request.method
+            span.attributes["shard"] = shard_index
+            response = await self.attempts.run(request, shard_index, span)
+            span.attributes["outcome"] = response.outcome.name
+            span.status = OUTCOME_STATUS.get(response.outcome.value, span.status)
+            if response.outcome is RequestOutcome.DEGRADED:
+                stale_epoch = response.stale_epoch or 0
+                span.attributes["stale_epoch"] = stale_epoch
+                span.attributes["staleness_epochs"] = (
+                    response.epoch_vector[shard_index] - stale_epoch
                 )
-            key = self._stale_key(request)
-            entry = self._stale.get(key)
-            if entry is not None:
-                self._stale.move_to_end(key)
-                result, stale_epoch = entry
-                degraded = self._respond(
-                    RequestOutcome.DEGRADED,
-                    shard_index,
-                    time.perf_counter() - started,
-                    result=result,
-                    cached=True,
-                    error="; ".join(errors),
-                    retries=retries,
-                    stale_epoch=stale_epoch,
-                    trace_id=trace_id,
-                )
-                self.metrics.observe_degraded(
-                    max(degraded.epoch_vector[shard_index] - stale_epoch, 0)
-                )
-                return degraded
-        self.metrics.observe_failure(timeout=timed_out)
-        return self._respond(
-            RequestOutcome.FAILED,
-            shard_index,
-            time.perf_counter() - started,
-            error="; ".join(errors),
-            retries=retries,
-            trace_id=trace_id,
-        )
-
-    async def _attempt(
-        self,
-        request: ServiceRequest,
-        shard_index: int,
-        errors: List[str],
-        deadline: Optional[float],
-        order: Optional[List[int]] = None,
-    ) -> Tuple[Optional[ServiceResponse], bool]:
-        """One full pass over the owning shard's replicas (in ``order`` if drawn).
-
-        Returns ``(response, timed_out)``: the first replica's answer
-        (``None`` when every replica faulted) and whether a stall past the
-        per-attempt timeout (or the deadline's remainder, whichever is
-        tighter) contributed.
-        """
-        group = self.groups[shard_index]
-        timed_out = False
-        order = self._replica_order(shard_index, request) if order is None else order
-        for replica_index in order:
-            service = group[replica_index]
-            timeout_s = self.request_timeout_s
-            if deadline is not None:  # only a retry policy sets one
-                remaining = deadline - self.clock.now()
-                if remaining <= 0:
-                    errors.append(
-                        "request deadline exhausted before trying "
-                        + self._replica_label(shard_index, replica_index)
-                    )
-                    if replica_index == order[0]:
-                        # Untried, so release the canary this pass picked
-                        # (a due replica heads the order) for the next one.
-                        self.health[shard_index][replica_index].probing = False
-                    break
-                timeout_s = self.retry_policy.attempt_timeout_s(timeout_s, remaining)
-            if service._closed:
-                self._record_failure(errors, shard_index, replica_index, "is stopped")
-                continue
-            call = service.submit(request)
-            if timeout_s is not None:
-                call = asyncio.wait_for(call, timeout=timeout_s)
-            try:
-                if self._tracer is None:
-                    response = await call
-                else:
-                    with self._tracer.span(
-                        "replica.call", f"shard:{shard_index}/replica:{replica_index}"
-                    ) as call_span:
-                        response = await call
-                        if response.outcome is RequestOutcome.REJECTED:
-                            call_span.status = STATUS_SHED
-            except asyncio.TimeoutError:
-                timed_out = True
-                self._record_failure(
-                    errors, shard_index, replica_index,
-                    f"stalled past {timeout_s:.3f}s", timeout=True,
-                )
-                continue
-            except asyncio.CancelledError:
-                if service._closed and not self._closed:
-                    # The replica was hard-stopped under us (kill_replica):
-                    # its future cancellation is a replica fault to fail
-                    # over from, not our caller cancelling.
-                    self._record_failure(
-                        errors, shard_index, replica_index, "was stopped mid-request"
-                    )
-                    continue
-                # Caller cancellation: release an in-flight canary so the
-                # replica stays probe-eligible for the next request.
-                self.health[shard_index][replica_index].probing = False
-                raise
-            except UnknownStrategyError:
-                # The request is at fault, not the replica: no health mark,
-                # no failover (every replica would refuse it alike).
-                self.health[shard_index][replica_index].probing = False
-                raise
-            except Exception as exc:
-                self._record_failure(
-                    errors, shard_index, replica_index, f"failed: {exc!r}"
-                )
-                continue
-            self._record_success(shard_index, replica_index)
-            return response, timed_out
-        return None, timed_out
+            return response
 
     async def submit_many(
         self, requests: Sequence[ServiceRequest]
@@ -1470,17 +731,12 @@ class ShardedValidationService:
     ) -> ShardApplyReport:
         """Route a mutation batch to its owning shards; ship to every replica.
 
-        With a geo tier, a ``session`` token records the landed per-shard
-        epochs as the session's last-write vector: subsequent :meth:`submit`
-        calls with the same token only route to edges whose watermarks
-        cover it — the read-your-writes contract.  Without one every read
-        is a primary read, which already covers every write, so the token
-        is not recorded.  Writes always land on the primary
-        tier; edges catch up asynchronously through their queues.  The
-        call returns (and records the session vector) only once every
-        touched shard's queue has committed the batch — off the loop, so
-        reads go on — and nothing ships before that.  An :class:`OSError`
-        from a sync fails the ingest; the record rides the next commit.
+        Writes always land on the primary tier; with a geo tier the call
+        returns only once every touched shard's queue has committed the
+        batch, and a ``session`` token then records the landed epochs for
+        read-your-writes (:meth:`GeoTier.commit
+        <repro.service.geo.GeoTier.commit>`).  An :class:`OSError` from a
+        sync fails the ingest; the record rides the next commit.
 
         Each owning shard's replicas quiesce *themselves* (drain their
         in-flight reads, apply the identical batch to their own store copy,
@@ -1515,13 +771,14 @@ class ShardedValidationService:
             raise ValueError("mutation batch must not be empty")
         groups_map = self.store.route(batch)
         indexes = sorted(groups_map)
+        live_replicas = self.balancer.live_replicas
         async with self._ingest_lock:
             # Liveness and validation both run for EVERY owning shard before
             # ANY shard applies, so a doomed batch leaves the fleet
             # untouched.  Validation uses each shard's first *live* copy: a
             # killed primary's copy stops at its death epoch and no longer
             # reflects the state the live replicas would apply against.
-            live_by_shard = {index: self._live_replicas(index) for index in indexes}
+            live_by_shard = {index: live_replicas(index) for index in indexes}
             for index, live in live_by_shard.items():
                 if not live:
                     raise RuntimeError(
@@ -1545,7 +802,7 @@ class ShardedValidationService:
                 )
                 # A replica stopped between the liveness check and its apply
                 # applied nothing: skipped like one killed before the ingest.
-                alive = self._live_replicas(index)
+                alive = live_replicas(index)
                 settled = [
                     (j, outcome)
                     for j, outcome in zip(live, outcomes)
@@ -1571,21 +828,7 @@ class ShardedValidationService:
                 for service in paused:
                     service.resume_reads()
                 raise
-            if self.geo is not None:
-                # Each touched queue's one commit, the fsyncs side by side on
-                # worker threads (a pathless queue has none and takes no
-                # hop): reads go on; the write is not acknowledged before.
-                with contextlib.ExitStack() as commits:
-                    queues = (self.geo.queues[index] for index in indexes)
-                    fds = [commits.enter_context(queue.committing()) for queue in queues]
-                    run = asyncio.get_running_loop().run_in_executor
-                    await asyncio.gather(
-                        *(run(None, sync_and_close, fd) for fd in fds if fd is not None)
-                    )
-                if session is not None:
-                    vector = self._sessions.setdefault(session, {})
-                    for index, report in zip(indexes, reports):
-                        vector[index] = max(vector.get(index, 0), report.epoch)
+            await self.geo_tier.commit(session, indexes, reports)
         return ShardApplyReport(tuple(zip(indexes, reports)), self.epoch_vector)
 
     # ---------------------------------------------------------------- chaos
@@ -1600,18 +843,15 @@ class ShardedValidationService:
         driver calls :meth:`kill_replica` at each kill's ``at_s`` so kills
         share the ops-eviction semantics.
 
-        The geo tier's ``edge:{i}`` points are consulted by each edge's
-        background drain loop directly (kill → :meth:`kill_edge`;
-        stall/error → the queue stalls while the edge keeps serving
-        epoch-stamped stale reads; slow → added drain lag).  Edge *read*
-        paths are deliberately not armed: a partitioned edge that still
-        answers is the semantics under test.
+        The geo tier's drain loops consult their ``edge:{i}`` points
+        themselves; edge *reads* are deliberately not armed: a partitioned
+        edge that still answers is the semantics under test.
         """
-        self._injector = injector
+        self._injector = self.geo_tier.injector = injector
         for shard_index, group in enumerate(self.groups):
             for replica_index, service in enumerate(group):
                 service.set_fault_injection(
-                    injector, f"shard:{shard_index}/replica:{replica_index}"
+                    injector, self.balancer.point(shard_index, replica_index)
                 )
 
     # ---------------------------------------------------------------- observability
@@ -1629,176 +869,16 @@ class ShardedValidationService:
         """
         tracer = obs.tracer if obs is not None else None
         events = obs.events if obs is not None else None
-        self._tracer = tracer
-        self._events = events
+        self._tracer = self.attempts.tracer = tracer
+        self.balancer.events = self.attempts.events = events
         for shard_index, group in enumerate(self.groups):
             for replica_index, service in enumerate(group):
                 service.set_observability(
-                    tracer, events, f"shard:{shard_index}/replica:{replica_index}"
+                    tracer, events, self.balancer.point(shard_index, replica_index)
                 )
-        for edge_index, name in enumerate(sorted(self.edge_services)):
-            for shard_index, service in enumerate(self.edge_services[name]):
-                service.set_observability(
-                    tracer, events, f"edge:{edge_index}/shard:{shard_index}"
-                )
+        self.geo_tier.set_observability(tracer, events)
 
     # ---------------------------------------------------------------- internals
-
-    def _stale_key(self, request: ServiceRequest) -> tuple:
-        # The verdict-cache key minus its epoch component: the whole point
-        # of the stale store is answering across epochs.
-        return verdict_cache_key(request.fact, request.method, request.model, epoch=0)[1:]
-
-    def _remember_verdict(
-        self, request: ServiceRequest, result: ValidationResult, shard_epoch: int
-    ) -> None:
-        """Retain the last known good verdict and the owning shard's epoch it
-        was computed at (not a stamped fleet sum) for graceful degradation."""
-        key = self._stale_key(request)
-        self._stale[key] = (result, shard_epoch)
-        self._stale.move_to_end(key)
-        while len(self._stale) > STALE_CACHE_CAPACITY:
-            self._stale.popitem(last=False)
-
-    def _replica_label(self, shard_index: int, replica_index: int) -> str:
-        if len(self.groups[shard_index]) == 1:
-            return f"shard {shard_index}"
-        return f"shard {shard_index} replica {replica_index}"
-
-    def _replica_order(self, shard_index: int, request: ServiceRequest) -> List[int]:
-        """Balancer pick order: probe-due canary, then the healthy rotation,
-        then unhealthy last resorts.
-
-        In a group that caches verdicts, the rotation starts at the
-        request's **home** replica, so each replica caches its own share of
-        the shard's coordinates instead of all of them; it is re-sorted by
-        queue depth only when its head is at least one full batch deeper
-        than the shallowest healthy sibling.  A cacheless group's rotation
-        starts at a round-robin offset and is sorted by queue depth whenever
-        depths differ.  A stopped or unhealthy home's reads go to the next
-        healthy replica in its rotation, and come back once it is
-        readmitted.
-
-        Unhealthy-but-running replicas stay at the tail so a shard whose
-        every replica is marked down still *tries* (a request is the
-        cheapest probe there is) instead of failing instantly; stopped
-        replicas are skipped by :meth:`submit` outright.  Only a shard with
-        a replica out of the rotation reads the clock and classifies.
-        """
-        group = self.groups[shard_index]
-        healths = self.health[shard_index]
-        if len(group) == 1:
-            return [0]
-        lead = self._home_lead[shard_index]
-        if lead is None:
-            offset = self._rr[shard_index]
-            self._rr[shard_index] = (offset + 1) % len(group)
-        else:
-            fact = request.fact
-            key = (fact.dataset, fact.fact_id, request.method, request.model)
-            offset = self._homes.get(key)
-            if offset is None:
-                offset = self._home(key)
-        # Rotation distance order, so a stable sort by queue depth alone
-        # is the (depth, distance) order — and equal depths need none.
-        healthy = [
-            index
-            for index in self._rotations[offset]
-            if healths[index].healthy and not group[index]._closed
-        ]
-        depths = [group[index].pending for index in healthy]
-        if depths and (
-            min(depths) != max(depths) if lead is None else depths[0] - min(depths) >= lead
-        ):
-            healthy.sort(key=lambda index: group[index].pending)
-        if len(healthy) == len(group):
-            return healthy
-        now = self.clock.now()
-        due: List[int] = []
-        resting: List[int] = []
-        for replica_index, health in enumerate(healths):
-            if health.healthy or group[replica_index]._closed:
-                continue
-            if (
-                not health.probing
-                and health.marked_unhealthy_at is not None
-                and now - health.marked_unhealthy_at >= self.probe_interval_s
-            ):
-                due.append(replica_index)
-            else:
-                resting.append(replica_index)
-        order: List[int] = []
-        if due:
-            probe = min(due, key=lambda index: healths[index].marked_unhealthy_at)
-            probe_health = healths[probe]
-            probe_health.probing = True
-            probe_health.probes += 1
-            order.append(probe)
-            resting.extend(index for index in due if index != probe)
-        order.extend(healthy)
-        order.extend(sorted(resting))
-        return order
-
-    def _home(self, key: Tuple[str, str, str, str]) -> int:
-        """The home replica of one verdict coordinate: its crc32 (stable
-        across processes, unlike the builtin ``hash``) modulo the group
-        size, memoised."""
-        if len(self._homes) >= HOME_MEMO_CAPACITY:
-            self._homes.clear()
-        digest = zlib.crc32("\0".join(key).encode("utf-8"))
-        home = self._homes[key] = digest % self.num_replicas
-        return home
-
-    def _record_success(self, shard_index: int, replica_index: int) -> None:
-        health = self.health[shard_index][replica_index]
-        health.served += 1
-        health.consecutive_failures = 0
-        health.probing = False
-        if not health.healthy:
-            health.healthy = True
-            health.marked_unhealthy_at = None
-            health.readmissions += 1
-            if self._events is not None:
-                self._events.emit(
-                    "replica_recovered",
-                    f"shard:{shard_index}/replica:{replica_index}",
-                    readmissions=health.readmissions,
-                )
-
-    def _record_failure(
-        self, errors: List[str], shard_index: int, replica_index: int, what: str,
-        timeout: bool = False,
-    ) -> None:
-        """Count one faulted attempt; ``errors`` gets ``"<replica> <what>"``."""
-        errors.append(f"{self._replica_label(shard_index, replica_index)} {what}")
-        health = self.health[shard_index][replica_index]
-        health.failures += 1
-        if timeout:
-            health.timeouts += 1
-        health.consecutive_failures += 1
-        health.probing = False
-        if health.healthy and self._events is not None:
-            self._events.emit(
-                "replica_unhealthy",
-                f"shard:{shard_index}/replica:{replica_index}",
-                consecutive_failures=health.consecutive_failures,
-                timeout=timeout,
-            )
-        health.healthy = False
-        # Every fault re-anchors the probe timer, so a failed canary rests
-        # the replica for another full interval before the next one.
-        health.marked_unhealthy_at = self.clock.now()
-
-    def _live_replicas(self, shard_index: int) -> List[int]:
-        """Indexes of the shard's running replicas.  A stopped one cannot
-        apply, so it leaves the rotation rather than rejoin with a stale copy."""
-        live = []
-        for replica_index, service in enumerate(self.groups[shard_index]):
-            if service._closed:
-                self.health[shard_index][replica_index].healthy = False
-            else:
-                live.append(replica_index)
-        return live
 
     def _respond(
         self,

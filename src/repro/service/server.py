@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from ..datasets.base import LabeledFact
 from ..obs.events import EventLog
-from ..obs.trace import STATUS_FAILED, STATUS_SHED, Span, SpanContext, Tracer
+from ..obs.trace import OUTCOME_STATUS, STATUS_FAILED, Span, SpanContext, Tracer
 from ..store import ApplyReport, Mutation, VersionedKnowledgeStore
 from ..validation.base import ValidationResult, ValidationStrategy
 from ..validation.pipeline import ValidationPipeline
@@ -375,9 +375,8 @@ class ValidationService:
             span.attributes["outcome"] = response.outcome.value
             if response.cached:
                 span.attributes["cached"] = True
-            if response.outcome is RequestOutcome.REJECTED:
-                # Shed requests always survive head sampling: SHED status.
-                span.status = STATUS_SHED
+            # Shed requests always survive head sampling: SHED status.
+            span.status = OUTCOME_STATUS.get(response.outcome.value, span.status)
             return response
 
     async def _submit_inner(

@@ -40,7 +40,7 @@ import json
 import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .log import Mutation, atomic_write
+from .log import Mutation, atomic_write, is_floor_epoch
 from .sharding import ReplicaDivergedError, ShardedStore
 from .store import VersionedKnowledgeStore
 
@@ -295,7 +295,11 @@ class OutboundQueue:
         one that parses but lacks its newline is torn too — is cut out of
         the file, so the next append starts a record of its own.  A
         malformed line *before* the final one raises :class:`ValueError`:
-        that is corruption, not a crash artifact.
+        that is corruption, not a crash artifact.  So does, naming its path
+        and line, a header whose ``version`` is not ``1`` or whose
+        ``floor_epoch`` or ``shard`` is not a non-negative integer, and a
+        record whose ``epoch``, ``edge`` or ``mutations`` is missing or
+        mistyped — the rules the JSONL log and the segment header enforce.
         """
         queue = cls(shard_index=shard_index)
         queue._path = path
@@ -305,6 +309,7 @@ class OutboundQueue:
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}:{number}"
             try:
                 if not raw.endswith(b"\n"):
                     raise ValueError("the append never finished")
@@ -315,25 +320,47 @@ class OutboundQueue:
                         handle.truncate(sum(map(len, lines[:-1])))
                         os.fsync(handle.fileno())
                     break
-                raise ValueError(f"{path}:{number}: corrupt queue record")
+                raise ValueError(f"{where}: corrupt queue record")
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: queue record is not a JSON object")
             kind = record.get("kind")
+            epoch = record.get("epoch")
             if kind == "header":
-                queue.floor_epoch = int(record.get("floor_epoch", 0))
-                queue.shard_index = int(record.get("shard", shard_index))
+                version = record.get("version")
+                if type(version) is not int or version != 1:
+                    raise ValueError(f"{where}: header version {version!r} is not 1")
+                for field in ("floor_epoch", "shard"):
+                    if not is_floor_epoch(record.get(field, 0)):
+                        raise ValueError(
+                            f"{where}: header {field} {record.get(field)!r} is not a "
+                            "non-negative integer"
+                        )
+                queue.floor_epoch = record.get("floor_epoch", 0)
+                queue.shard_index = record.get("shard", shard_index)
+            elif kind in ("batch", "ack") and type(epoch) is not int:
+                raise ValueError(f"{where}: {kind} record missing integer 'epoch'")
             elif kind == "batch":
-                if int(record["epoch"]) != queue.max_epoch + 1:
+                mutations = record.get("mutations")
+                if not isinstance(mutations, list) or not all(
+                    isinstance(mutation, dict) for mutation in mutations
+                ):
+                    raise ValueError(f"{where}: batch record missing a 'mutations' list")
+                if epoch != queue.max_epoch + 1:
                     raise ValueError(
-                        f"{path}:{number}: epoch {record['epoch']} breaks the "
-                        f"dense sequence (newest {queue.max_epoch})"
+                        f"{where}: epoch {epoch} breaks the dense sequence "
+                        f"(newest {queue.max_epoch})"
                     )
-                queue._batches.append(
-                    tuple(Mutation.from_json(m) for m in record["mutations"])
-                )
+                try:
+                    queue._batches.append(tuple(map(Mutation.from_json, mutations)))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
             elif kind == "ack":
-                edge, epoch = str(record["edge"]), int(record["epoch"])
+                edge = record.get("edge")
+                if not isinstance(edge, str):
+                    raise ValueError(f"{where}: ack record missing string 'edge'")
                 queue._watermarks[edge] = max(epoch, queue._watermarks.get(edge, epoch))
             else:
-                raise ValueError(f"{path}:{number}: unknown queue record {kind!r}")
+                raise ValueError(f"{where}: unknown queue record {kind!r}")
         queue.durable_epoch = queue.max_epoch
         return queue
 

@@ -275,9 +275,12 @@ class MutationLog:
         Loading bypasses :meth:`append_batch` for speed, so the same
         invariants — integer epochs at or above the floor, grouped
         strictly-monotonic (equal epochs form one contiguous batch, batch
-        epochs strictly increase) — are enforced here; a hand-edited or
-        corrupted log fails loudly instead of replaying to a wrong state.
-        ``where`` locates the offending record (e.g. ``file.jsonl:17``).
+        epochs strictly increase) — are enforced here, plus the density
+        every store's log has: the first batch sits at the floor or one
+        above it, and each later one directly above the one before (a
+        segment file refuses a gap too).  A hand-edited or corrupted log
+        fails loudly instead of replaying to a wrong state.  ``where``
+        locates the offending record (e.g. ``file.jsonl:17``).
         """
         if not isinstance(epoch, int) or isinstance(epoch, bool):
             raise ValueError(f"{where}: record missing integer 'epoch'")
@@ -290,6 +293,9 @@ class MutationLog:
                 f"{where}: epoch {epoch} is not grouped-monotonic "
                 f"(previous record at epoch {last_epoch})"
             )
+        previous = self.floor_epoch if last_epoch is None else last_epoch
+        if epoch > previous + 1:
+            raise ValueError(f"{where}: epoch {epoch} leaves a gap after epoch {previous}")
         return epoch
 
     @classmethod
@@ -300,8 +306,9 @@ class MutationLog:
         line that is not a JSON object, a header anywhere but the first
         non-blank line, a header whose ``version`` is not ``1``, a header
         floor that is not a non-negative integer, and a record whose epoch
-        is missing, below the header floor, or breaks the grouped-monotonic
-        ordering :meth:`append_batch` would have enforced at write time.
+        is missing, below the header floor, breaks the grouped-monotonic
+        ordering :meth:`append_batch` would have enforced at write time, or
+        leaves an epoch gap no store writes.
         """
         log = cls()
         last_epoch: Optional[int] = None

@@ -730,7 +730,15 @@ class SegmentReader:
         return blocks
 
     def _validate_index(self) -> None:
-        """Enforce epoch ordering across blocks; drop a recovered partial batch."""
+        """Require epoch-contiguous record blocks; drop a recovered partial batch.
+
+        A block starts at the previous block's last epoch when that block
+        ``continues``, else one above it; the first starts at the floor or
+        one above it.  A CRC proves a footer intact, not honest: a row that
+        misplaces a block no bounded seek decodes is caught here, in
+        O(blocks) and decoding nothing (a decoded block's range is checked
+        against its records by :meth:`_block_records`).
+        """
         if self.recovered and self.record_blocks:
             final = self.record_blocks[-1]
             if final.continues:
@@ -738,24 +746,22 @@ class SegmentReader:
                 # records (they are a half-applied batch) by truncating the
                 # index at epoch granularity during reads.
                 self._drop_trailing_epoch(final.last_epoch)
-        last = None
+        starts = (self.floor_epoch, self.floor_epoch + 1)
         for block in self.record_blocks:
-            if block.first_epoch < self.floor_epoch or (
-                last is not None and block.first_epoch < last
-            ):
+            if block.first_epoch not in starts:
                 raise CorruptSegmentError(
                     f"{self.path}@{block.offset}: block epochs "
-                    f"[{block.first_epoch}, {block.last_epoch}] break monotonicity"
+                    f"[{block.first_epoch}, {block.last_epoch}] do not start at "
+                    f"{' or '.join(map(str, starts))}"
                 )
             if block.last_epoch < block.first_epoch:
                 raise CorruptSegmentError(
                     f"{self.path}@{block.offset}: inverted block epoch range"
                 )
-            last = block.last_epoch
+            starts = (block.last_epoch if block.continues else block.last_epoch + 1,)
 
     def _drop_trailing_epoch(self, epoch: int) -> None:
         """Remove all trailing records at ``epoch`` (a torn batch) from view."""
-        self.dropped_partial_epoch = epoch
         kept: List[BlockInfo] = []
         for block in self.record_blocks:
             if block.first_epoch >= epoch:

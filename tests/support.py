@@ -196,7 +196,7 @@ def mark_unhealthy(router, shard_index: int, replica_index: int) -> None:
 
 def session_vector(router, session: str) -> Dict[int, int]:
     """A session token's last-write epochs by shard (empty if unseen)."""
-    return dict(router._sessions.get(session, {}))
+    return dict(router.geo_tier.sessions.get(session, {}))
 
 
 def series_keys(scraper) -> List[str]:

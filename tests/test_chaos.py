@@ -464,12 +464,12 @@ class TestProbeTimingOnVirtualClock:
         request = ServiceRequest(runner.dataset("factbench")[0], "dka", "gemma2:9b")
         mark_unhealthy(router, 0, 1)
         # Resting: the unhealthy replica stays at the tail as a last resort.
-        assert router._replica_order(0, request) == [0, 1]
+        assert router.balancer.order(0, request) == [0, 1]
         assert router.health[0][1].probes == 0
         clock.advance(0.2)  # not yet due
-        assert router._replica_order(0, request) == [0, 1]
+        assert router.balancer.order(0, request) == [0, 1]
         clock.advance(0.1)  # 0.3 s > probe_interval_s: probe due
-        order = router._replica_order(0, request)
+        order = router.balancer.order(0, request)
         assert order[0] == 1, "probe-due replica should head the pick order"
         assert router.health[0][1].probes == 1
         assert router.health[0][1].probing
@@ -505,7 +505,7 @@ class TestProbeTimingOnVirtualClock:
                 released = (health.probing, health.probes)
                 # Once due again, the replica is probed again.
                 clock.advance(10.0)
-                return response, released, router._replica_order(0, request), health
+                return response, released, router.balancer.order(0, request), health
 
         response, released, order, health = asyncio.run(go())
         assert "request deadline exhausted before trying shard 0 replica 1" in (
@@ -547,8 +547,8 @@ def _reference_replica_order(self, shard_index, request):
         coordinate = f"{fact.dataset}\0{fact.fact_id}\0{request.method}\0{request.model}"
         offset = zlib.crc32(coordinate.encode()) % len(group)
     else:
-        offset = self._rr[shard_index]
-        self._rr[shard_index] = (offset + 1) % len(group)
+        offset = self.rr[shard_index]
+        self.rr[shard_index] = (offset + 1) % len(group)
     now = self.clock.now()
     healthy = []
     due = []
@@ -665,8 +665,8 @@ class TestBalancerOrder:
                 health.probing = state["probing"]
                 health.marked_unhealthy_at = state["marked_at"]
                 if state["stopped"]:
-                    router._dead.add((shard_index, replica_index))
-            router._rr[shard_index] = data.draw(st.integers(0, size - 1))
+                    router.balancer.dead.add((shard_index, replica_index))
+            router.balancer.rr[shard_index] = data.draw(st.integers(0, size - 1))
         steps = data.draw(
             st.lists(
                 st.sampled_from(["order", "order", "advance", "pending", "start"]),
@@ -685,16 +685,16 @@ class TestBalancerOrder:
                 asyncio.run(router.start())
             for shard_index in range(shards):
                 request = data.draw(_requests)
-                rr = list(router._rr)
+                rr = list(router.balancer.rr)
                 healths = [replace(health) for health in router.health[shard_index]]
-                reference = _reference_replica_order(router, shard_index, request)
-                expected = (list(router._rr), list(router.health[shard_index]))
-                router._rr[:] = rr
+                reference = _reference_replica_order(router.balancer, shard_index, request)
+                expected = (list(router.balancer.rr), list(router.health[shard_index]))
+                router.balancer.rr[:] = rr
                 router.health[shard_index][:] = healths
-                order = router._replica_order(shard_index, request)
+                order = router.balancer.order(shard_index, request)
                 assert isinstance(order, list)
                 assert order == reference
-                assert (router._rr, router.health[shard_index]) == expected
+                assert (router.balancer.rr, router.health[shard_index]) == expected
 
 
 # ------------------------------------------------- retry/degrade integration

@@ -350,12 +350,12 @@ class TestSessionsThroughTheRouter:
                                 )
                         if response.served_by not in (None, "primary"):
                             assert response.staleness_epochs is not None
-                            watermark = router.watermark_vector(response.served_by)
+                            watermark = router.geo.watermark_vector(response.served_by)
                             assert all(
                                 v >= w for v, w in zip(vector, watermark)
                             ), "edge served below its reported watermark"
                 await router.drain_edges()
-                for name in router.live_edge_names:
+                for name in router.geo_tier.live_names:
                     router.geo.verify_converged(name)
             return violations
 

@@ -1029,9 +1029,9 @@ class TestFrontendTracing:
                     # attempt fails over to the sibling mid-flight.
                     # Peek the balancer's next pick without perturbing its
                     # round-robin state (the order call advances it).
-                    rr = router._rr[shard]
-                    victim = router._replica_order(shard, request)[0]
-                    router._rr[shard] = rr
+                    rr = router.balancer.rr[shard]
+                    victim = router.balancer.order(shard, request)[0]
+                    router.balancer.rr[shard] = rr
                     injector = FaultInjector(
                         FaultSchedule(
                             [

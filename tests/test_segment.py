@@ -966,8 +966,10 @@ def test_the_honest_footer_tiles_the_file(tmp_path):
 
 def test_a_record_row_whose_epochs_the_block_does_not_span_raises(tmp_path):
     _, path = _one_triple_per_epoch(tmp_path)
+    # The one record block, claimed from the floor: the index stays
+    # epoch-contiguous, so only decoding the block can tell.
     forged = _with_footer(
-        path, lambda rows: [row[:7] + [row[7] + 1, row[8]] if row[0] == 0 else row for row in rows]
+        path, lambda rows: [row[:7] + [row[7] - 1, row[8]] if row[0] == 0 else row for row in rows]
     )
     loaded = VersionedKnowledgeStore.load(forged)  # the head checkpoint
     with pytest.raises(CorruptSegmentError, match="do not span the indexed epochs"):
@@ -981,6 +983,28 @@ def test_a_checkpoint_row_at_another_epoch_raises(tmp_path):
     )
     with pytest.raises(CorruptSegmentError, match="checkpoint holds epoch"):
         VersionedKnowledgeStore.load(forged)
+
+
+def test_a_footer_row_that_misplaces_an_undecoded_record_block_raises_at_open(tmp_path):
+    """A CRC-valid footer moving the record block after the epoch-250
+    checkpoint (epochs [251, 356]) to [250, 250] let a bounded seek skip it
+    undecoded: ``snapshot(303)`` restored that checkpoint and silently
+    returned 5,000 triples, not 6,060.  Record blocks must be
+    epoch-contiguous, which the reader checks at open."""
+    store = VersionedKnowledgeStore(name="misplaced")
+    for batch in range(600):
+        store.apply([Mutation.add_triple(f"s{batch}-{i}", "p", f"o{batch}-{i}") for i in range(20)])
+    path = tmp_path / "honest.seg"
+    store.save(str(path))
+    honest = SegmentReader.open(str(path))
+    assert [block.first_epoch for block in honest.checkpoints] == [250, 500, 600]
+    assert [block.first_epoch for block in honest.record_blocks].count(251) == 1
+    honest.close()
+    forged = _with_footer(
+        path, lambda rows: [row[:7] + [250, 250] if row[7] == 251 else row for row in rows]
+    )
+    with pytest.raises(CorruptSegmentError, match=r"\[250, 250\] do not start at 251"):
+        SegmentReader.open(forged)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,12 +1219,30 @@ def test_load_rejects_non_monotonic_epochs(tmp_path):
     _write_jsonl(
         path,
         [
-            {"kind": "header", "version": 1, "floor_epoch": 0},
+            {"kind": "header", "version": 1, "floor_epoch": 1},
             {"op": "add_triple", "subject": "a", "predicate": "p", "object": "b", "epoch": 2},
             {"op": "add_triple", "subject": "c", "predicate": "p", "object": "d", "epoch": 1},
         ],
     )
     with pytest.raises(ValueError, match=r"bad\.jsonl:3.*not grouped-monotonic"):
+        MutationLog.load(path)
+
+
+@pytest.mark.parametrize("epochs, line", [([2], 2), ([1, 1, 3], 4)], ids=["above-floor", "mid-log"])
+def test_load_rejects_an_epoch_gap(tmp_path, epochs, line):
+    """No store's log skips an epoch, and a segment refuses one: the JSONL
+    import names the record that leaves the gap."""
+    path = str(tmp_path / "gap.jsonl")
+    _write_jsonl(
+        path,
+        [{"kind": "header", "version": 1, "floor_epoch": 0}]
+        + [
+            {"op": "add_triple", "subject": f"s{index}", "predicate": "p", "object": "o",
+             "epoch": epoch}
+            for index, epoch in enumerate(epochs)
+        ],
+    )
+    with pytest.raises(ValueError, match=rf"gap\.jsonl:{line}: epoch {epochs[-1]} leaves a gap"):
         MutationLog.load(path)
 
 

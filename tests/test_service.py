@@ -747,7 +747,7 @@ class TestTCPFrontend:
                     refused = [await ask("bogus"), await ask("bogus2"), await ask("dka", "nope")]
                     health = [(h.healthy, h.failures, h.served) for h in router.health[0]]
                     lanes = [dict(replica._queues) for replica in router.groups[0]]
-                    home = router._replica_order(0, ServiceRequest(fact, "dka", "gemma2:9b"))[0]
+                    home = router.balancer.order(0, ServiceRequest(fact, "dka", "gemma2:9b"))[0]
                     served = await ask("dka")
                     writer.close()
                     await writer.wait_closed()

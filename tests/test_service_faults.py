@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import re
 import time
 
 import pytest
@@ -567,6 +568,45 @@ class TestGeoTierFaults:
                 range(1, head + 3)
             )
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"kind": "header", "version": 1, "floor_epoch": -3}', "floor_epoch -3 is not"),
+            ('{"kind": "header", "version": 1, "floor_epoch": true}', "floor_epoch True is not"),
+            ('{"kind": "header", "version": 9, "floor_epoch": 0}', "version 9 is not 1"),
+            ('{"kind": "header", "version": 1, "shard": "0"}', "shard '0' is not"),
+            ('{"kind": "batch", "mutations": []}', "missing integer 'epoch'"),
+            ('{"kind": "batch", "epoch": 1.7, "mutations": []}', "missing integer 'epoch'"),
+            ('{"kind": "batch", "epoch": 1}', "missing a 'mutations' list"),
+            ('{"kind": "batch", "epoch": 1, "mutations": [7]}', "missing a 'mutations' list"),
+            ('{"kind": "batch", "epoch": 1, "mutations": [{"op": "nope"}]}', "Unknown mutation op"),
+            ('{"kind": "ack", "epoch": 1}', "missing string 'edge'"),
+            ('{"kind": "ack", "edge": "edge-0", "epoch": "1"}', "missing integer 'epoch'"),
+            ("[1, 2]", "not a JSON object"),
+        ],
+        ids=[
+            "negative-floor", "bool-floor", "version", "shard", "batch-no-epoch",
+            "float-epoch", "no-mutations", "mutation-not-object", "bad-mutation",
+            "ack-no-edge", "ack-string-epoch", "not-an-object",
+        ],
+    )
+    def test_a_malformed_queue_line_raises_naming_its_path_and_line(
+        self, tmp_path, line, message
+    ):
+        """The queue file obeys the header and record rules the JSONL log and
+        the segment header do: a bad line before the final one is corruption,
+        a ``ValueError`` at ``<path>:<line>``, never a bare ``KeyError`` or a
+        value read as something else (epoch ``1.7`` as batch 1, ``true`` as
+        floor 1)."""
+        from repro.store import OutboundQueue
+
+        path = tmp_path / "queue.jsonl"
+        header = '{"kind": "header", "version": 1, "shard": 0, "floor_epoch": 0}'
+        lines = [line] if '"header"' in line else [header, line]
+        path.write_text("\n".join(lines + ['{"kind": "ack", "edge": "edge-0", "epoch": 0}']) + "\n")
+        with pytest.raises(ValueError, match=rf"queue\.jsonl:{len(lines)}: .*{re.escape(message)}"):
+            OutboundQueue.load(str(path))
+
     def test_edge_crash_mid_drain_resumes_without_skip_or_double_apply(
         self, tmp_path
     ):
@@ -734,7 +774,7 @@ class TestGeoTierFaults:
                 )
                 router.set_fault_injection(injector)
                 injector.start()
-                frozen = router.watermark_vector("edge-1")
+                frozen = router.geo.watermark_vector("edge-1")
                 for index in range(4):
                     await router.apply_mutations(
                         [Mutation.add_triple(f"Partition{index}", "worksFor", "Org")],
@@ -880,7 +920,7 @@ class TestGeoTierFaults:
 
         admitted_at, held, applied, digests = asyncio.run(go())
         assert sum(applied) == batches and router.geo.depth("edge-0") == 0
-        assert router.drain_errors == []
+        assert router.geo_tier.drain_errors == []
         assert digests == router.store.state_digests(include_index=False)
         # The held read was answered by the edge at the epoch it was admitted
         # at, every queued batch still ahead of it.

@@ -754,12 +754,12 @@ class TestHitReadCost:
         hashed, homed, spans, labels = [], [], [], []
         point = sharding._point
         monkeypatch.setattr(sharding, "_point", lambda key: hashed.append(key) or point(key))
-        home = router._home
-        monkeypatch.setattr(router, "_home", lambda key: homed.append(key) or home(key))
-        label = router._replica_label
+        home = router.balancer.home
+        monkeypatch.setattr(router.balancer, "home", lambda key: homed.append(key) or home(key))
+        label = router.balancer.describe
         monkeypatch.setattr(
-            router,
-            "_replica_label",
+            router.balancer,
+            "describe",
             lambda *args: labels.append(args) or label(*args),
         )
         # Every way to open a span, or the null context a span-or-not
@@ -936,9 +936,9 @@ class TestHomeReplica:
         group = router.groups[shard]
         group[1 - home]._pending = sibling_depth
         group[home]._pending = sibling_depth + 3
-        assert router._replica_order(shard, request) == [home, 1 - home]
+        assert router.balancer.order(shard, request) == [home, 1 - home]
         group[home]._pending = sibling_depth + 4
-        assert router._replica_order(shard, request) == [1 - home, home]
+        assert router.balancer.order(shard, request) == [1 - home, home]
 
     def test_a_cacheless_router_splits_a_shards_reads_in_half(self, wide_runner):
         router = ShardedValidationService.from_runner(
@@ -1046,7 +1046,7 @@ class TestHitStepContract:
         router = self._router(shard_runner, edges=1, drain_interval_s=3600.0)
         request = self._request(shard_runner)
         owner = router.shard_for(request)
-        edge_reads = router.metrics.geo_edge_reads_total.labels(edge="edge-0")
+        edge_reads = router.geo_tier.edge_reads_total.labels(edge="edge-0")
 
         async def go():
             async with router:
