@@ -246,7 +246,8 @@ class TCPValidationFrontend:
     async def _validate_inner(self, payload: dict) -> dict:
         correlation = payload.get("id")
         dataset_name = payload.get("dataset", "")
-        dataset = self.datasets.get(dataset_name)
+        # A list or an object is no dataset name, and no dict key either.
+        dataset = self.datasets.get(dataset_name) if isinstance(dataset_name, str) else None
         if dataset is None:
             return {
                 "id": correlation,

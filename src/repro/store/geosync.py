@@ -40,7 +40,7 @@ import json
 import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .log import Mutation, atomic_write, is_floor_epoch
+from .log import Mutation, atomic_write, decode_line, mutation_at, read_header
 from .sharding import ReplicaDivergedError, ShardedStore
 from .store import VersionedKnowledgeStore
 
@@ -291,52 +291,44 @@ class OutboundQueue:
         """Rebuild a durable queue from its append-only file.
 
         Batches and acks replay in file order (acks last-wins); a torn
-        final line — the only damage an fsynced append-only log can take;
-        one that parses but lacks its newline is torn too — is cut out of
-        the file, so the next append starts a record of its own.  A
-        malformed line *before* the final one raises :class:`ValueError`:
-        that is corruption, not a crash artifact.  So does, naming its path
-        and line, a header whose ``version`` is not ``1`` or whose
-        ``floor_epoch`` or ``shard`` is not a non-negative integer, and a
-        record whose ``epoch``, ``edge`` or ``mutations`` is missing or
-        mistyped — the rules the JSONL log and the segment header enforce.
+        final line — the only damage an fsynced append-only log can take:
+        one that lacks its newline, or that :func:`decode_line` refuses —
+        is cut out of the file, so the next append starts a record of its
+        own.  Any other bad line raises :class:`ValueError` naming its path
+        and line: a line :func:`decode_line` refuses, a header past the
+        first line, one :func:`read_header` refuses or of another shard
+        than ``shard_index`` (a swapped file), and a record whose
+        ``epoch``, ``edge`` or ``mutations`` is missing or mistyped or
+        whose mutation :meth:`Mutation.from_json` refuses.
         """
         queue = cls(shard_index=shard_index)
         queue._path = path
         with open(path, "rb") as handle:
             lines = handle.readlines()
+        first = True
         for number, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
+            if raw.isspace():
                 continue
             where = f"{path}:{number}"
             try:
                 if not raw.endswith(b"\n"):
                     raise ValueError("the append never finished")
-                record = json.loads(line)
+                record = decode_line(raw, where)
             except ValueError:
-                if number == len(lines):  # torn tail from a crash mid-append
-                    with open(path, "r+b") as handle:
-                        handle.truncate(sum(map(len, lines[:-1])))
-                        os.fsync(handle.fileno())
-                    break
-                raise ValueError(f"{where}: corrupt queue record")
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: queue record is not a JSON object")
+                if number < len(lines):
+                    raise
+                with open(path, "r+b") as handle:  # torn tail from a crash mid-append
+                    handle.truncate(sum(map(len, lines[:-1])))
+                    os.fsync(handle.fileno())
+                break
             kind = record.get("kind")
             epoch = record.get("epoch")
             if kind == "header":
-                version = record.get("version")
-                if type(version) is not int or version != 1:
-                    raise ValueError(f"{where}: header version {version!r} is not 1")
-                for field in ("floor_epoch", "shard"):
-                    if not is_floor_epoch(record.get(field, 0)):
-                        raise ValueError(
-                            f"{where}: header {field} {record.get(field)!r} is not a "
-                            "non-negative integer"
-                        )
-                queue.floor_epoch = record.get("floor_epoch", 0)
-                queue.shard_index = record.get("shard", shard_index)
+                if not first:
+                    raise ValueError(f"{where}: a header after the first line")
+                queue.floor_epoch, shard = read_header(record, where, "floor_epoch", "shard")
+                if shard != shard_index:
+                    raise ValueError(f"{where}: header shard {shard} is not {shard_index}")
             elif kind in ("batch", "ack") and type(epoch) is not int:
                 raise ValueError(f"{where}: {kind} record missing integer 'epoch'")
             elif kind == "batch":
@@ -350,10 +342,7 @@ class OutboundQueue:
                         f"{where}: epoch {epoch} breaks the dense sequence "
                         f"(newest {queue.max_epoch})"
                     )
-                try:
-                    queue._batches.append(tuple(map(Mutation.from_json, mutations)))
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from exc
+                queue._batches.append(tuple(mutation_at(m, where) for m in mutations))
             elif kind == "ack":
                 edge = record.get("edge")
                 if not isinstance(edge, str):
@@ -361,6 +350,7 @@ class OutboundQueue:
                 queue._watermarks[edge] = max(epoch, queue._watermarks.get(edge, epoch))
             else:
                 raise ValueError(f"{where}: unknown queue record {kind!r}")
+            first = False
         queue.durable_epoch = queue.max_epoch
         return queue
 

@@ -65,10 +65,49 @@ def atomic_write(path: str):
         raise
 
 
-def is_floor_epoch(value: object) -> bool:
-    """Whether a header's ``floor_epoch`` is usable: a non-negative ``int``
-    (a ``bool`` or a float is not one)."""
-    return type(value) is int and value >= 0
+def decode_line(raw: bytes, where: str) -> Dict[str, object]:
+    """One line of a persisted line format (the JSONL log, a mutations
+    file, a durable queue, the segment header) as the object it holds.
+
+    Raises :class:`ValueError` starting ``<where>: `` for bytes that are
+    not UTF-8, malformed JSON, a value nested too deep to decode, and a
+    value that is not an object.
+    """
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{where}: not valid JSON ({exc})") from exc
+    if type(value) is not dict:
+        raise ValueError(f"{where}: record is not a JSON object")
+    return value
+
+
+def read_records(path: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+    """``(where, record)`` for each non-blank line of a JSONL file, in file
+    order: ``where`` is ``<path>:<line>`` and the record is what
+    :func:`decode_line` makes of the line."""
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            if not raw.isspace():
+                where = f"{path}:{number}"
+                yield where, decode_line(raw, where)
+
+
+def read_header(header: Dict[str, object], where: str, *fields: str) -> List[int]:
+    """The header rule every persisted format shares: ``version`` is
+    exactly the ``int`` 1, and each named field (absent: 0) is a
+    non-negative ``int`` (a ``bool`` or a float is not one).  Returns the
+    fields' values; raises :class:`ValueError` starting ``<where>: ``."""
+    version = header.get("version")
+    if type(version) is not int or version != 1:
+        raise ValueError(f"{where}: header version {version!r} is not 1")
+    values = [header.get(field, 0) for field in fields]
+    for field, value in zip(fields, values):
+        if type(value) is not int or value < 0:
+            raise ValueError(
+                f"{where}: header {field} {value!r} is not a non-negative integer"
+            )
+    return values
 
 
 ADD_TRIPLE = "add_triple"
@@ -79,6 +118,9 @@ _OPS = frozenset({ADD_TRIPLE, REMOVE_TRIPLE, ADD_DOCUMENT})
 
 #: Document fields serialised into ``add_document`` records, in order.
 _DOC_FIELDS = ("doc_id", "url", "title", "text", "source", "fact_id", "kind")
+#: The fields an ``add_document`` record may leave out, with their defaults.
+_DOC_DEFAULTS = {"url": "", "title": "", "source": "", "fact_id": "", "kind": "generic"}
+_TRIPLE_FIELDS = ("subject", "predicate", "object")
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,32 +182,45 @@ class Mutation:
     def from_json(record: Dict[str, object]) -> "Mutation":
         """Rebuild a mutation from :meth:`to_json` output.
 
-        Raises :class:`ValueError` for an unknown ``op`` or a record
-        missing the payload fields its op requires.
+        Raises :class:`ValueError` for an unknown ``op``, a triple field
+        that is not a string, or an ``add_document`` record whose
+        ``doc_id`` or ``text`` is missing or whose fields are not strings
+        (the other fields default).  Other keys (a log record's ``epoch``)
+        are ignored.
         """
         op = record.get("op")
-        if op == ADD_DOCUMENT:
+        if op == ADD_TRIPLE or op == REMOVE_TRIPLE:
+            subject, predicate, obj = (
+                record.get("subject"), record.get("predicate"), record.get("object")
+            )
+            if type(subject) is str and type(predicate) is str and type(obj) is str:
+                return Mutation(op, triple=Triple(subject, predicate, obj))
+            fields, names = record, _TRIPLE_FIELDS
+        elif op == ADD_DOCUMENT:
             payload = record.get("document")
             if not isinstance(payload, dict):
                 raise ValueError("add_document record requires a 'document' object")
             # A truncated record must fail loudly, not round-trip into an
             # empty document: identity and content are required, only the
             # genuinely optional metadata fields may default.
-            for required in ("doc_id", "text"):
-                if not isinstance(payload.get(required), str):
-                    raise ValueError(
-                        f"add_document record missing required field {required!r}"
-                    )
-            fields = {name: payload.get(name, "") for name in _DOC_FIELDS[:-1]}
-            fields["kind"] = payload.get("kind", "generic")
-            return Mutation(ADD_DOCUMENT, document=Document(**fields))
-        if op in (ADD_TRIPLE, REMOVE_TRIPLE):
-            try:
-                triple = Triple(record["subject"], record["predicate"], record["object"])
-            except KeyError as exc:
-                raise ValueError(f"{op} record missing field {exc}") from exc
-            return Mutation(op, triple=triple)
-        raise ValueError(f"Unknown mutation op {op!r}")
+            fields, names = {**_DOC_DEFAULTS, **payload}, _DOC_FIELDS
+            values = [fields.get(name) for name in names]
+            if all(type(value) is str for value in values):
+                return Mutation(op, document=Document(*values))
+        else:
+            shown = type(op).__name__ if isinstance(op, (list, dict)) else op
+            raise ValueError(f"Unknown mutation op {shown!r}; expected one of {sorted(_OPS)}")
+        name = next(name for name in names if type(fields.get(name)) is not str)
+        raise ValueError(f"{op} record field {name!r} is missing or not a string")
+
+
+def mutation_at(record: Dict[str, object], where: str) -> Mutation:
+    """:meth:`Mutation.from_json` for a record read at ``where``: its
+    :class:`ValueError` starts ``<where>: ``."""
+    try:
+        return Mutation.from_json(record)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def group_batches(
@@ -267,83 +322,45 @@ class MutationLog:
                 record["epoch"] = epoch
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def _check_loaded_epoch(
-        self, epoch: object, last_epoch: Optional[int], where: str
-    ) -> int:
-        """Validate one loaded record's epoch against the append contract.
-
-        Loading bypasses :meth:`append_batch` for speed, so the same
-        invariants — integer epochs at or above the floor, grouped
-        strictly-monotonic (equal epochs form one contiguous batch, batch
-        epochs strictly increase) — are enforced here, plus the density
-        every store's log has: the first batch sits at the floor or one
-        above it, and each later one directly above the one before (a
-        segment file refuses a gap too).  A hand-edited or corrupted log
-        fails loudly instead of replaying to a wrong state.  ``where``
-        locates the offending record (e.g. ``file.jsonl:17``).
-        """
-        if not isinstance(epoch, int) or isinstance(epoch, bool):
-            raise ValueError(f"{where}: record missing integer 'epoch'")
-        if epoch < self.floor_epoch:
-            raise ValueError(
-                f"{where}: epoch {epoch} is below the log floor {self.floor_epoch}"
-            )
-        if last_epoch is not None and epoch < last_epoch:
-            raise ValueError(
-                f"{where}: epoch {epoch} is not grouped-monotonic "
-                f"(previous record at epoch {last_epoch})"
-            )
-        previous = self.floor_epoch if last_epoch is None else last_epoch
-        if epoch > previous + 1:
-            raise ValueError(f"{where}: epoch {epoch} leaves a gap after epoch {previous}")
-        return epoch
-
     @classmethod
     def load(cls, path: str) -> "MutationLog":
         """Read a JSONL log.
 
-        Raises :class:`ValueError` (with the offending line number) for a
-        line that is not a JSON object, a header anywhere but the first
-        non-blank line, a header whose ``version`` is not ``1``, a header
-        floor that is not a non-negative integer, and a record whose epoch
-        is missing, below the header floor, breaks the grouped-monotonic
-        ordering :meth:`append_batch` would have enforced at write time, or
-        leaves an epoch gap no store writes.
+        Raises :class:`ValueError` naming the offending ``<path>:<line>``
+        for a line :func:`decode_line`, :func:`read_header` or
+        :meth:`Mutation.from_json` refuses, a header past the first
+        non-blank line, and an ``epoch`` that breaks the contract
+        :meth:`append_batch` enforces at write time (this bypasses it for
+        speed) or the density every store's log has: an integer at or
+        above the floor, equal epochs in one run, each batch directly
+        above the one before (a segment refuses a gap too).
         """
         log = cls()
-        last_epoch: Optional[int] = None
-        first = True
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{line_number}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: not valid JSON ({exc})") from exc
-                if not isinstance(record, dict):
-                    raise ValueError(f"{where}: record is not a JSON object")
-                if record.get("kind") == "header":
-                    if not first:
-                        raise ValueError(f"{where}: a header after the first line")
-                    version = record.get("version")
-                    if type(version) is not int or version != 1:
-                        raise ValueError(f"{where}: header version {version!r} is not 1")
-                    floor = record.get("floor_epoch", 0)
-                    if not is_floor_epoch(floor):
-                        raise ValueError(
-                            f"{where}: header floor_epoch {floor!r} is not a "
-                            "non-negative integer"
+        first, previous = True, 0
+        for where, record in read_records(path):
+            if record.get("kind") == "header":
+                if not first:
+                    raise ValueError(f"{where}: a header after the first line")
+                (previous,) = read_header(record, where, "floor_epoch")
+                log.floor_epoch = previous
+            else:
+                epoch = record.get("epoch")
+                if type(epoch) is not int or not previous <= epoch <= previous + 1:
+                    if type(epoch) is not int:
+                        problem = "record missing integer 'epoch'"
+                    elif epoch < log.floor_epoch:
+                        problem = f"epoch {epoch} is below the log floor {log.floor_epoch}"
+                    elif epoch < previous:
+                        problem = (
+                            f"epoch {epoch} is not grouped-monotonic "
+                            f"(previous record at epoch {previous})"
                         )
-                    log.floor_epoch = floor
-                else:
-                    last_epoch = log._check_loaded_epoch(
-                        record.get("epoch"), last_epoch, where
-                    )
-                    log._records.append((last_epoch, Mutation.from_json(record)))
-                first = False
+                    else:
+                        problem = f"epoch {epoch} leaves a gap after epoch {previous}"
+                    raise ValueError(f"{where}: {problem}")
+                log._records.append((epoch, mutation_at(record, where)))
+                previous = epoch
+            first = False
         return log
 
 
@@ -352,20 +369,12 @@ def read_mutations_jsonl(path: str) -> List[Mutation]:
 
     Header lines (``{"kind": "header", …}``) and blank lines are skipped,
     so a saved store log is itself a valid mutations file.  Raises
-    :class:`ValueError` on malformed JSON or unknown ops (with the
-    offending line number) and :class:`OSError` when unreadable.
+    :class:`ValueError` naming the offending ``<path>:<line>`` for a line
+    :func:`decode_line` or :meth:`Mutation.from_json` refuses, and
+    :class:`OSError` when unreadable.
     """
-    mutations: List[Mutation] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: not valid JSON ({exc})") from exc
-            if record.get("kind") == "header":
-                continue
-            mutations.append(Mutation.from_json(record))
-    return mutations
+    return [
+        mutation_at(record, where)
+        for where, record in read_records(path)
+        if record.get("kind") != "header"
+    ]

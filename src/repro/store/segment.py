@@ -82,8 +82,9 @@ from .log import (
     REMOVE_TRIPLE,
     Mutation,
     MutationLog,
+    decode_line,
     group_batches,
-    is_floor_epoch,
+    read_header,
 )
 
 __all__ = [
@@ -102,7 +103,6 @@ __all__ = [
 
 SEGMENT_MAGIC = b"RSEGMT01"
 _END_MAGIC = b"RSEGEND1"
-SEGMENT_VERSION = 1
 
 # The engine's settings.  Each is read where it is used, so a test can
 # shrink one with ``monkeypatch.setattr``; none is persisted, and a reader
@@ -388,7 +388,7 @@ class SegmentWriter:
         self._buffer_bytes = 0
         self._encoded: List[bytes] = []
         self._closed = False
-        header = {"version": SEGMENT_VERSION, "floor_epoch": floor_epoch}
+        header = {"version": 1, "floor_epoch": floor_epoch}
         header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
         self._handle.write(SEGMENT_MAGIC)
         self._handle.write(struct.pack("<II", len(header_raw), zlib.crc32(header_raw)))
@@ -589,7 +589,7 @@ class SegmentReader:
         """Open a segment: footer-indexed fast path, scan recovery fallback.
 
         Raises :class:`CorruptSegmentError` when even the header is
-        unreadable, or its ``floor_epoch`` is not a non-negative integer;
+        unreadable, or :func:`~repro.store.log.read_header` refuses it;
         a valid header with a damaged tail recovers the longest valid
         batch prefix instead (``reader.recovered``).
         """
@@ -609,20 +609,10 @@ class SegmentReader:
             if len(header_raw) != header_len or zlib.crc32(header_raw) != header_crc:
                 raise CorruptSegmentError(f"{path}: header failed its CRC check")
             try:
-                header = json.loads(header_raw)
-            except json.JSONDecodeError as exc:
-                raise CorruptSegmentError(f"{path}: header is not JSON ({exc})") from exc
-            if not isinstance(header, dict):
-                raise CorruptSegmentError(f"{path}: header is not a JSON object")
-            if header.get("version") != SEGMENT_VERSION:
-                raise CorruptSegmentError(
-                    f"{path}: unsupported segment version {header.get('version')!r}"
-                )
-            floor = header.get("floor_epoch", 0)
-            if not is_floor_epoch(floor):
-                raise CorruptSegmentError(
-                    f"{path}: header floor_epoch {floor!r} is not a non-negative integer"
-                )
+                header = decode_line(header_raw, f"{path}: header")
+                (floor,) = read_header(header, path, "floor_epoch")
+            except ValueError as exc:
+                raise CorruptSegmentError(str(exc)) from exc
             data_start = handle.tell()
             blocks = cls._read_footer(handle, path, data_start, size)
             recovered = blocks is None

@@ -1,16 +1,21 @@
 """Helpers only the tests use: the strict exposition parser and its inverse,
 a read schedule with ingest batches spliced in, and probes into a load
-report, a router and a metrics scraper; and the list of tuple-backed
-records the record census and the docs lint both check.
+report, a router and a metrics scraper; the list of tuple-backed records
+the record census and the docs lint both check; and the hostile lines the
+JSON-lines loaders' totality properties feed them.
 
 Import as ``from support import ...``; pytest puts ``tests/`` on the path.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 import re
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from hypothesis import strategies as st
 
 from repro.datasets.base import FactDataset
 from repro.llm import CallRecord, LLMResponse, UsageSummary
@@ -212,3 +217,50 @@ def last_value(scraper, name: str, labels: Optional[Mapping[str, str]] = None) -
         if points:
             total += points[-1].value
     return total
+
+
+#: Any JSON value, a few leaves deep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def hostile_line(data, record: dict) -> bytes:
+    """A line to put where ``record``'s line was, drawn from ``data``:
+    ``record`` with one key, at any depth, dropped or holding any JSON
+    value; any JSON value; or any bytes (a newline in them splits the line).
+    A loader fed it must return or raise its typed error, nothing else."""
+    shape = data.draw(st.sampled_from(["field", "value", "bytes"]))
+    if shape == "bytes":
+        return data.draw(st.binary(max_size=64))
+    if shape == "value":
+        return json.dumps(data.draw(JSON_VALUES)).encode()
+    record = copy.deepcopy(record)
+    target = record
+    while True:
+        key = data.draw(st.sampled_from(sorted(target)))
+        inner = target[key]
+        if isinstance(inner, list) and inner and isinstance(inner[0], dict):
+            inner = inner[0]
+        if not isinstance(inner, dict) or not inner or not data.draw(st.booleans()):
+            break
+        target = inner
+    if data.draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = data.draw(JSON_VALUES)
+    return json.dumps(record).encode()
+
+
+def string_fields(mutations: Sequence[Mutation]) -> bool:
+    """Whether every field of every loaded mutation is a ``str`` (what no
+    loader may hand the store otherwise)."""
+    for mutation in mutations:
+        record = mutation.to_json()
+        values = list(record.pop("document", {}).values()) + list(record.values())
+        if not all(type(value) is str for value in values):
+            return False
+    return True

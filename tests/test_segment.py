@@ -64,6 +64,7 @@ from repro.store import (
     atomic_write,
 )
 from repro.store import segment as segment_module
+from support import hostile_line, string_fields
 
 
 def _document(index: int, text: str = "") -> Document:
@@ -1015,6 +1016,10 @@ def test_a_footer_row_that_misplaces_an_undecoded_record_block_raises_at_open(tm
 #: raise an untyped ``ValueError``.
 _BAD_FLOORS = ["abc", -3, True, 2.7]
 
+#: ``version`` values a CRC-valid header may carry that no writer
+#: produces: the segment header used to load ``true`` (``True == 1``).
+_BAD_VERSIONS = [True, "1", 2]
+
 
 def _convert_exit(tmp_path, store: str) -> str:
     """``convert``'s exit message for ``store``: it must stop with one
@@ -1042,9 +1047,21 @@ def test_a_segment_header_floor_that_is_not_a_non_negative_int_is_corrupt(tmp_pa
     assert message in _convert_exit(tmp_path, hostile)
 
 
+@pytest.mark.parametrize("version", _BAD_VERSIONS, ids=repr)
+def test_a_segment_header_of_another_version_is_corrupt(tmp_path, version):
+    _, path = _one_triple_per_epoch(tmp_path, epochs=3)
+    hostile = _with_header(path, {"version": version, "floor_epoch": 0})
+    message = f"header version {version!r} is not 1"
+    with pytest.raises(CorruptSegmentError, match=re.escape(message)):
+        SegmentReader.open(hostile)
+    with pytest.raises(CorruptSegmentError, match=re.escape(message)):
+        VersionedKnowledgeStore.load(hostile)
+    assert message in _convert_exit(tmp_path, hostile)
+
+
 def test_a_segment_header_that_is_not_an_object_is_corrupt(tmp_path):
     _, path = _one_triple_per_epoch(tmp_path, epochs=3)
-    with pytest.raises(CorruptSegmentError, match="header is not a JSON object"):
+    with pytest.raises(CorruptSegmentError, match="header: record is not a JSON object"):
         VersionedKnowledgeStore.load(_with_header(path, [1, "floor_epoch"]))
 
 
@@ -1084,20 +1101,60 @@ def test_a_jsonl_header_floor_that_is_not_a_non_negative_int_is_refused(tmp_path
 
 @pytest.mark.parametrize(
     "line, message",
-    [("{not json", "not valid JSON"), ("[1, 2]", "record is not a JSON object")],
-    ids=["not-json", "not-an-object"],
+    [
+        (b"{not json", "not valid JSON"),
+        (b"[1, 2]", "record is not a JSON object"),
+        (b'{"epoch": 1, "op": "add_triple", "subject": "\xffa"}', "not valid JSON"),
+        (b"[" * 200_000, "not valid JSON"),
+        (
+            json.dumps(dict(_RECORD, subject=7, epoch=1)).encode(),
+            "add_triple record field 'subject' is missing or not a string",
+        ),
+    ],
+    ids=["not-json", "not-an-object", "not-utf8", "nested-too-deep", "int-subject"],
 )
 def test_a_jsonl_line_that_is_not_an_object_names_its_line(tmp_path, line, message):
+    """Beyond malformed JSON and non-objects: a non-UTF-8 byte used to raise
+    ``UnicodeDecodeError`` with no line, deep nesting ``RecursionError``,
+    and an int subject loaded."""
     path = tmp_path / "junk.jsonl"
-    path.write_text(
-        json.dumps({"kind": "header", "version": 1, "floor_epoch": 0}) + "\n" + line + "\n",
-        encoding="utf-8",
+    path.write_bytes(
+        json.dumps({"kind": "header", "version": 1, "floor_epoch": 0}).encode() + b"\n"
+        + line + b"\n"
     )
     with pytest.raises(ValueError, match=rf"junk\.jsonl:2: {message}"):
         MutationLog.load(str(path))
 
 
-@pytest.mark.parametrize("version", [2, 0, "1", True, None], ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_jsonl_log_load_is_total(tmp_path_factory, data):
+    """Whatever one line of a JSONL log holds, ``MutationLog.load`` returns
+    a log of string-typed mutations or raises ``ValueError`` naming the file
+    and line: never ``KeyError``, ``AttributeError``, ``TypeError``,
+    ``IndexError`` or ``RecursionError``."""
+    document = {"doc_id": "d", "url": "u", "title": "t", "text": "x", "source": "s"}
+    records = [
+        {"kind": "header", "version": 1, "floor_epoch": 0},
+        dict(_RECORD, epoch=1),
+        dict(_RECORD, subject="c", epoch=1),
+        dict(_RECORD, op="remove_triple", epoch=2),
+        {"op": "add_document", "document": document, "epoch": 3},
+    ]
+    lines = [json.dumps(record).encode() for record in records]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    lines[index] = hostile_line(data, records[index])
+    path = tmp_path_factory.mktemp("hostile") / "log.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        log = MutationLog.load(str(path))
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), exc
+    else:
+        assert string_fields([mutation for _, mutation in log])
+
+
+@pytest.mark.parametrize("version", _BAD_VERSIONS + [0, None], ids=repr)
 def test_a_jsonl_header_of_another_version_is_refused(tmp_path, version):
     """``version`` used to go unread: a version-2 export imported as 1."""
     path = tmp_path / "version.jsonl"

@@ -6,6 +6,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.service import (
@@ -24,7 +26,7 @@ from repro.service import (
 )
 from repro.service import frontend as frontend_module
 from repro.validation import ValidationPipeline, ValidationResult, ValidationStrategy
-from support import calls_of
+from support import JSON_VALUES, calls_of
 
 
 @pytest.fixture(scope="module")
@@ -688,6 +690,60 @@ class TestTCPFrontend:
         assert bad_dataset["outcome"] == "error" and "unknown dataset" in bad_dataset["error"]
         assert metrics["completed"] == 2
         assert malformed["outcome"] == "error"
+
+    def test_a_dataset_that_is_not_a_string_is_an_unknown_dataset(self, service_runner):
+        """``{"dataset": []}`` used to raise ``TypeError`` (an unhashable
+        dict key) out of the connection handler: the client read EOF with
+        no reply and the request went uncounted."""
+        dataset = service_runner.dataset("factbench")
+
+        async def go():
+            router = ShardedValidationService.from_runner(service_runner, 1)
+            async with router:
+                async with TCPValidationFrontend(router, {"factbench": dataset}) as frontend:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
+                    replies = []
+                    for value in ([], {}, ["factbench"], 7):
+                        payload = {"dataset": value, "fact_id": dataset[0].fact_id}
+                        writer.write(json.dumps(payload).encode() + b"\n")
+                        await writer.drain()
+                        replies.append(json.loads(await reader.readline()))
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies, frontend.requests_handled
+
+        replies, handled = asyncio.run(go())
+        assert handled == 4
+        for reply in replies:
+            assert reply["outcome"] == "error" and "unknown dataset" in reply["error"]
+
+    def test_reply_for_is_total(self, service_runner):
+        """Whatever line arrives — any bytes, or a JSON object whose keys
+        the protocol reads hold any JSON value — ``_reply_for`` returns a
+        ``(dict, bool)`` whose reply encodes, and never raises."""
+        dataset = service_runner.dataset("factbench")
+        names = ["factbench", "metrics", "slo", "exposition", "dka", "gemma2:9b"]
+        values = JSON_VALUES | st.sampled_from(names + [fact.fact_id for fact in dataset[:3]])
+        keys = st.sampled_from(["dataset", "fact_id", "method", "model", "id", "cmd", "format"])
+        objects = st.dictionaries(keys | st.text(max_size=4), values, max_size=5)
+        lines = objects.map(lambda payload: json.dumps(payload).encode()) | st.binary(max_size=64)
+        router = ShardedValidationService.from_runner(service_runner, 1)
+        frontend = TCPValidationFrontend(router, {"factbench": dataset})
+        loop = asyncio.new_event_loop()
+        loop.run_until_complete(router.start())
+        try:
+
+            @settings(max_examples=150, deadline=None)
+            @given(line=lines)
+            def check(line):
+                reply, counts = loop.run_until_complete(frontend._reply_for(line))
+                assert isinstance(reply, dict) and isinstance(counts, bool)
+                json.dumps(reply)
+
+            check()
+        finally:
+            loop.run_until_complete(router.stop())
+            loop.close()
 
     def test_allowed_method_model_restrictions_enforced(self, service_runner):
         dataset = service_runner.dataset("factbench")

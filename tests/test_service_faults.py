@@ -15,11 +15,14 @@ The router's contract under faults:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.service import (
@@ -31,7 +34,7 @@ from repro.service import (
     ValidationService,
 )
 from repro.validation.base import ValidationResult, ValidationStrategy, Verdict
-from support import last_value, mark_unhealthy, session_vector
+from support import hostile_line, last_value, mark_unhealthy, session_vector, string_fields
 
 
 @pytest.fixture(scope="module")
@@ -583,11 +586,19 @@ class TestGeoTierFaults:
             ('{"kind": "ack", "epoch": 1}', "missing string 'edge'"),
             ('{"kind": "ack", "edge": "edge-0", "epoch": "1"}', "missing integer 'epoch'"),
             ("[1, 2]", "not a JSON object"),
+            (
+                '{"kind": "batch", "epoch": 1, "mutations": [{"op": "add_triple", '
+                '"subject": 7, "predicate": "p", "object": "o"}]}',
+                "field 'subject' is missing or not a string",
+            ),
+            (b'{"kind": "ack", "edge": "edge-\xff", "epoch": 0}', "not valid JSON"),
+            ("[" * 200_000, "not valid JSON"),
         ],
         ids=[
             "negative-floor", "bool-floor", "version", "shard", "batch-no-epoch",
             "float-epoch", "no-mutations", "mutation-not-object", "bad-mutation",
-            "ack-no-edge", "ack-string-epoch", "not-an-object",
+            "ack-no-edge", "ack-string-epoch", "not-an-object", "int-subject",
+            "not-utf8", "nested-too-deep",
         ],
     )
     def test_a_malformed_queue_line_raises_naming_its_path_and_line(
@@ -597,15 +608,69 @@ class TestGeoTierFaults:
         the segment header do: a bad line before the final one is corruption,
         a ``ValueError`` at ``<path>:<line>``, never a bare ``KeyError`` or a
         value read as something else (epoch ``1.7`` as batch 1, ``true`` as
-        floor 1)."""
+        floor 1, an int subject), nor ``UnicodeDecodeError`` or
+        ``RecursionError``."""
         from repro.store import OutboundQueue
 
         path = tmp_path / "queue.jsonl"
-        header = '{"kind": "header", "version": 1, "shard": 0, "floor_epoch": 0}'
-        lines = [line] if '"header"' in line else [header, line]
-        path.write_text("\n".join(lines + ['{"kind": "ack", "edge": "edge-0", "epoch": 0}']) + "\n")
+        line = line if isinstance(line, bytes) else line.encode()
+        header = b'{"kind": "header", "version": 1, "shard": 0, "floor_epoch": 0}'
+        lines = [line] if b'"header"' in line else [header, line]
+        ack = b'{"kind": "ack", "edge": "edge-0", "epoch": 0}'
+        path.write_bytes(b"\n".join(lines + [ack]) + b"\n")
         with pytest.raises(ValueError, match=rf"queue\.jsonl:{len(lines)}: .*{re.escape(message)}"):
             OutboundQueue.load(str(path))
+
+    def test_a_queue_header_past_the_first_line_is_refused(self, tmp_path):
+        """A second header used to move the floor under the batches already
+        read: epochs 1-2 came back as 11-12."""
+        from repro.store import Mutation, OutboundQueue
+
+        path = str(tmp_path / "queue.jsonl")
+        queue = OutboundQueue(path=path)
+        for epoch in (1, 2):
+            queue.enqueue(epoch, [Mutation.add_triple(f"S{epoch}", "p", "O")])
+        queue.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "header", "version": 1, "shard": 0, "floor_epoch": 10}\n')
+            handle.write('{"kind": "ack", "edge": "edge-0", "epoch": 0}\n')
+        with pytest.raises(ValueError, match=r"queue\.jsonl:4: a header after the first line"):
+            OutboundQueue.load(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_outbound_queue_load_is_total(self, tmp_path_factory, data):
+        """Whatever one line of a queue file holds, ``OutboundQueue.load``
+        returns a queue of string-typed batches (a bad final line is a torn
+        tail, cut off) or raises ``ValueError`` naming the file and line:
+        never ``KeyError``, ``AttributeError``, ``TypeError``, ``IndexError``
+        or ``RecursionError``."""
+        from repro.store import OutboundQueue
+
+        triple = {"op": "add_triple", "subject": "a", "predicate": "p", "object": "b"}
+        document = {"doc_id": "d", "url": "u", "title": "t", "text": "x", "source": "s"}
+        records = [
+            {"kind": "header", "version": 1, "shard": 1, "floor_epoch": 4},
+            {"kind": "batch", "epoch": 5, "mutations": [triple, dict(triple, subject="c")]},
+            {"kind": "ack", "edge": "edge-0", "epoch": 4},
+            {"kind": "batch", "epoch": 6, "mutations": [{"op": "add_document",
+                                                          "document": document}]},
+            {"kind": "ack", "edge": "edge-0", "epoch": 6},
+        ]
+        lines = [json.dumps(record).encode() for record in records]
+        index = data.draw(st.integers(0, len(lines) - 1))
+        lines[index] = hostile_line(data, records[index])
+        path = tmp_path_factory.mktemp("hostile") / "queue.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            queue = OutboundQueue.load(str(path), shard_index=1)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), exc
+        else:
+            assert string_fields(
+                [mutation for _, batch in queue.pending_after(queue.floor_epoch)
+                 for mutation in batch]
+            )
 
     def test_edge_crash_mid_drain_resumes_without_skip_or_double_apply(
         self, tmp_path
@@ -708,6 +773,24 @@ class TestGeoTierFaults:
             ReplicaDivergedError, match=r"shard 0 holds epoch 3 .* resumed at epoch 1"
         ):
             GeoReplicator.resume(restored, queue_dir)
+
+    def test_resume_refuses_queue_files_swapped_between_shards(self, tmp_path):
+        """``load`` used to take a queue file's ``shard`` from its header, so
+        a fleet whose two queue files had traded places resumed, and each
+        edge would have applied the other shard's batches."""
+        from repro.store.geosync import GeoReplicator
+
+        queue_dir = tmp_path / "queues"
+        fleet = self._fleet()
+        geo = GeoReplicator(fleet, queue_dir=str(queue_dir))
+        self._write_batches(fleet, 4)
+        geo.close()
+        first, second = queue_dir / "queue.shard0.jsonl", queue_dir / "queue.shard1.jsonl"
+        swapped = second.read_bytes()
+        second.write_bytes(first.read_bytes())
+        first.write_bytes(swapped)
+        with pytest.raises(ValueError, match=r"queue\.shard0\.jsonl:1: header shard 1 is not 0"):
+            GeoReplicator.resume(fleet, str(queue_dir))
 
     def test_resume_after_a_save_at_the_last_write_keeps_shipping(self, tmp_path):
         """The passing twin: the primary was saved after its last write, so

@@ -24,9 +24,12 @@ import inspect
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kg import KnowledgeGraph, Triple
 from repro.retrieval import Corpus, SearchEngine
@@ -45,6 +48,7 @@ from repro.store import segment as segment_module
 from repro.store import store as store_module
 from repro.store.log import group_batches
 from repro.store.segment import SEGMENT_MAGIC
+from support import hostile_line, string_fields
 
 
 def _triples(count: int, seed: int = 0) -> list:
@@ -125,6 +129,16 @@ class TestMutationSerialisation:
             Mutation.from_json({"op": "add_document"})
         with pytest.raises(ValueError):
             Mutation("add_triple")  # missing payload
+        # Each used to load: an int subject, an int url, and (with no path
+        # or line from a loader) a null op.
+        with pytest.raises(ValueError, match="field 'subject' is missing or not a string"):
+            Mutation.from_json({"op": "add_triple", "subject": 7, "predicate": "p", "object": "o"})
+        with pytest.raises(ValueError, match="field 'url' is missing or not a string"):
+            Mutation.from_json(
+                {"op": "add_document", "document": {"doc_id": "d", "text": "x", "url": 5}}
+            )
+        with pytest.raises(ValueError, match="Unknown mutation op None"):
+            Mutation.from_json({"op": None, "subject": "s", "predicate": "p", "object": "o"})
 
     def test_log_epochs_must_be_monotonic(self):
         log = MutationLog()
@@ -239,6 +253,59 @@ class TestReplayDeterminism:
         )
         mutations = read_mutations_jsonl(str(path))
         assert [m.op for m in mutations] == ["add_triple", "add_document"]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"[1, 2]", "record is not a JSON object"),
+            (b'"hello"', "record is not a JSON object"),
+            (
+                b'{"op": "add_triple", "subject": 7, "predicate": "p", "object": "b"}',
+                "add_triple record field 'subject' is missing or not a string",
+            ),
+            (b'{"op": "add_triple", "subject": "\xff"}', "not valid JSON"),
+            (b"[" * 200_000, "not valid JSON"),
+        ],
+        ids=["list", "string", "int-subject", "not-utf8", "nested-too-deep"],
+    )
+    def test_a_bad_mutations_line_names_its_file_and_line(self, tmp_path, line, message):
+        """Each used to escape as something else: ``AttributeError`` for a
+        list or a string, a ``Mutation`` with an int subject that the
+        segment encoder died on, ``UnicodeDecodeError`` with no line, and
+        ``RecursionError``."""
+        path = tmp_path / "ops.jsonl"
+        path.write_bytes(
+            b'{"op": "add_triple", "subject": "a", "predicate": "p", "object": "b"}\n\n'
+            + line + b"\n"
+        )
+        with pytest.raises(ValueError, match=rf"ops\.jsonl:3: {re.escape(message)}"):
+            read_mutations_jsonl(str(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_read_mutations_jsonl_is_total(self, tmp_path_factory, data):
+        """Whatever one line of a mutations file holds, the reader returns
+        string-typed mutations or raises ``ValueError`` naming the file and
+        line: never ``KeyError``, ``AttributeError``, ``TypeError``,
+        ``IndexError`` or ``RecursionError``."""
+        records = [
+            {"kind": "header", "version": 1, "floor_epoch": 0},
+            {"op": "add_triple", "subject": "a", "predicate": "p", "object": "b"},
+            {"op": "remove_triple", "subject": "a", "predicate": "p", "object": "b"},
+            {"op": "add_document", "document": {"doc_id": "d", "url": "u", "title": "t",
+                                                "text": "x", "source": "s", "kind": "news"}},
+        ]
+        lines = [json.dumps(record).encode() for record in records]
+        index = data.draw(st.integers(0, len(lines) - 1))
+        lines[index] = hostile_line(data, records[index])
+        path = tmp_path_factory.mktemp("hostile") / "ops.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            mutations = read_mutations_jsonl(str(path))
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), exc
+        else:
+            assert string_fields(mutations)
 
 
 class TestIncrementalEqualsRebuild:
