@@ -3,10 +3,11 @@
 The segment file is the store's one durable format; the JSONL export
 replayed from zero is the reference the floors are measured against.  The
 reference is the seed's replay, kept inline (:func:`_seed_replay`): the
-seed's per-triple ``add``/``remove`` bodies and batch loop, on a graph that
-maintains the string indexes from the first record on, as
-``KnowledgeGraph()`` did when the floors were set.  It calls none of the
-store's or the graph's apply code, so speeding that code up leaves the
+seed's per-triple ``add``/``remove`` bodies and batch loop, on the seed's
+tuple-keyed graph tables (:class:`_SeedGraph`) that maintain the string
+indexes from the first record on, as ``KnowledgeGraph()`` did when the
+floors were set.  It calls none of the store's or the graph's apply,
+iteration or digest code, so speeding that code up leaves the
 reference's seconds where they were.  Today's
 ``VersionedKnowledgeStore.replay`` builds only the interned core through
 the batch kernel, so timing it would move the reference with the code it
@@ -44,6 +45,8 @@ Run with::
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import time
@@ -51,7 +54,6 @@ from typing import Optional
 
 import pytest
 
-from repro.kg.graph import KnowledgeGraph
 from repro.kg.triples import Triple
 from repro.retrieval.corpus import Document
 from repro.store import (
@@ -128,10 +130,70 @@ def _first_verdict(store: VersionedKnowledgeStore) -> bool:
     return store.graph.contains("entity1", "pred0", "entity2") or len(store.graph) > 0
 
 
-# -- the fixed reference: the seed's apply path over the graph's tables ------
+# -- the fixed reference: the seed's apply path over the seed's tables -------
 
 
-def _seed_contains(graph: KnowledgeGraph, s: str, p: str, o: str) -> bool:
+class _SeedGraph:
+    """The seed's graph tables: per-node edge dicts keyed by ``(pred,
+    other)`` tuples, string indexes once hydrated, and the seed's
+    iteration and digest inline, so the reference runs no
+    ``KnowledgeGraph`` code that a change to the graph could speed up."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._node_ids: dict = {}
+        self._node_names: list = []
+        self._pred_ids: dict = {}
+        self._pred_names: list = []
+        self._out: list = []
+        self._in: list = []
+        self._steps_cache: list = []
+        self._edge_count = 0
+
+    @property
+    def hydrated(self) -> bool:
+        return "_pos" in self.__dict__
+
+    def _hydrate(self) -> None:
+        spo: dict = {}
+        pos: dict = {}
+        names, preds = self._node_names, self._pred_names
+        for s_id, edges in enumerate(self._out):
+            if not edges:
+                continue
+            s = names[s_id]
+            s_spo = spo.setdefault(s, {})
+            for p_id, o_id in edges:
+                p, o = preds[p_id], names[o_id]
+                s_spo.setdefault(p, set()).add(o)
+                pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        self._spo = spo
+        self._pos = pos
+
+    def __len__(self) -> int:
+        return self._edge_count
+
+    def __iter__(self):
+        names, preds = self._node_names, self._pred_names
+        spo = sorted((names[s], preds[p], names[o])
+                     for s, edges in enumerate(self._out) for p, o in edges)
+        return (Triple(*triple) for triple in spo)
+
+    def contains(self, s: str, p: str, o: str) -> bool:
+        return _seed_contains(self, s, p, o)
+
+    def state_digest(self) -> str:
+        payload = {
+            "nodes": self._node_names,
+            "predicates": self._pred_names,
+            "out": [list(edges) for edges in self._out],
+            "in": [list(edges) for edges in self._in],
+        }
+        blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()
+
+
+def _seed_contains(graph: _SeedGraph, s: str, p: str, o: str) -> bool:
     s_id = graph._node_ids.get(s)
     if s_id is None:
         return False
@@ -144,7 +206,7 @@ def _seed_contains(graph: KnowledgeGraph, s: str, p: str, o: str) -> bool:
     return (p_id, o_id) in graph._out[s_id]
 
 
-def _seed_intern_node(graph: KnowledgeGraph, name: str) -> int:
+def _seed_intern_node(graph: _SeedGraph, name: str) -> int:
     node_id = graph._node_ids.get(name)
     if node_id is None:
         node_id = len(graph._node_names)
@@ -156,7 +218,7 @@ def _seed_intern_node(graph: KnowledgeGraph, name: str) -> int:
     return node_id
 
 
-def _seed_intern_predicate(graph: KnowledgeGraph, name: str) -> int:
+def _seed_intern_predicate(graph: _SeedGraph, name: str) -> int:
     pred_id = graph._pred_ids.get(name)
     if pred_id is None:
         pred_id = len(graph._pred_names)
@@ -179,7 +241,7 @@ def _seed_discard(index: dict, a: str, b: str, c: str) -> None:
             del index[a]
 
 
-def _seed_add(graph: KnowledgeGraph, triple: Triple) -> bool:
+def _seed_add(graph: _SeedGraph, triple: Triple) -> bool:
     """The seed's ``KnowledgeGraph.add``: one triple, three interning calls."""
     s, p, o = triple.as_tuple()
     if _seed_contains(graph, s, p, o):
@@ -198,7 +260,7 @@ def _seed_add(graph: KnowledgeGraph, triple: Triple) -> bool:
     return True
 
 
-def _seed_remove(graph: KnowledgeGraph, triple: Triple) -> bool:
+def _seed_remove(graph: _SeedGraph, triple: Triple) -> bool:
     """The seed's ``KnowledgeGraph.remove``."""
     s, p, o = triple.as_tuple()
     if not _seed_contains(graph, s, p, o):
@@ -231,7 +293,7 @@ def _seed_apply_batch(store: VersionedKnowledgeStore, epoch: int, mutations) -> 
             store.corpus.add(mutation.document)
     store._removed_since_reintern += triples_removed
     if store._removed_since_reintern > GRAPH_REBUILD_FRACTION * max(1, len(store.graph)):
-        rebuilt = KnowledgeGraph(name=store.graph.name)
+        rebuilt = _SeedGraph(name=store.graph.name)
         for triple in store.graph:
             _seed_add(rebuilt, triple)
         store.graph = rebuilt
@@ -245,6 +307,7 @@ def _seed_replay(log: MutationLog, upto: Optional[int] = None) -> VersionedKnowl
     before its first record (and after every re-intern), so each ``add``
     maintains the string indexes the way it did at the seed."""
     store = VersionedKnowledgeStore(name="bench-seg")
+    store.graph = _SeedGraph(name=store.graph.name)
     store._epoch = log.floor_epoch
     for epoch, mutations in log.batches(upto=upto):
         if not store.graph.hydrated:

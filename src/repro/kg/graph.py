@@ -8,7 +8,11 @@ module provides a lightweight in-memory triple store with SPO/POS indexes.
 Internally every node and predicate is interned to a small integer and the
 adjacency is kept as per-node edge lists over those integers, so the hot
 traversal loops (``neighbors``, ``find_paths``) touch ints and flat lists
-instead of hashing strings.  ``find_paths`` runs a meet-in-the-middle
+instead of hashing strings.  Each edge is one int, ``pred_id << 32 |
+other_id``, in each of its two per-node dicts.  A dict of ints is never
+tracked by the cyclic garbage collector, so restoring, copying or
+replaying a graph hands the collector no tuple per edge and no dict per
+node to scan.  ``find_paths`` runs a meet-in-the-middle
 search: a backward breadth-first sweep from the target labels every node
 with its distance lower bound, and the forward enumeration prunes any
 branch that provably cannot meet the target within the hop budget.  The
@@ -59,9 +63,10 @@ class KnowledgeGraph:
         self._pred_ids: Dict[str, int] = {}
         self._pred_names: List[str] = []
         # Per-node edge lists over interned ids, insertion-ordered with O(1)
-        # membership and removal: list index `node id` -> {(pred, other): None}.
-        self._out: List[Dict[Tuple[int, int], None]] = []
-        self._in: List[Dict[Tuple[int, int], None]] = []
+        # membership and removal: list index `node id` ->
+        # {pred << 32 | other: None}.
+        self._out: List[Dict[int, None]] = []
+        self._in: List[Dict[int, None]] = []
         # Lazily materialised per-node step lists used by the traversal
         # kernels; entry is None when the node's adjacency changed.
         self._steps_cache: List[Optional[List[_IdStep]]] = []
@@ -98,8 +103,8 @@ class KnowledgeGraph:
                 continue
             s = names[s_id]
             s_spo = spo.setdefault(s, {})
-            for p_id, o_id in edges:
-                p, o = preds[p_id], names[o_id]
+            for edge in edges:
+                p, o = preds[edge >> 32], names[edge & 0xFFFFFFFF]
                 s_spo.setdefault(p, set()).add(o)
                 pos.setdefault(p, {}).setdefault(o, set()).add(s)
         # ``_pos`` last: ``hydrated`` and ``apply_batch`` read it as "both".
@@ -110,8 +115,8 @@ class KnowledgeGraph:
         """Undirected neighbour steps of one node, over interned ids."""
         steps = self._steps_cache[node_id]
         if steps is None:
-            steps = [(p, +1, o) for p, o in self._out[node_id]]
-            steps.extend((p, -1, s) for p, s in self._in[node_id])
+            steps = [(edge >> 32, +1, edge & 0xFFFFFFFF) for edge in self._out[node_id]]
+            steps.extend((edge >> 32, -1, edge & 0xFFFFFFFF) for edge in self._in[node_id])
             self._steps_cache[node_id] = steps
         return steps
 
@@ -128,7 +133,7 @@ class KnowledgeGraph:
         o_id = self._node_ids.get(o)
         if o_id is None:
             return False
-        return (p_id, o_id) in self._out[s_id]
+        return (p_id << 32 | o_id) in self._out[s_id]
 
     def apply_batch(self, ops: Iterable[Tuple[bool, Triple]]) -> Tuple[int, int]:
         """Apply ``(add, triple)`` operations in order; returns how many
@@ -162,23 +167,23 @@ class KnowledgeGraph:
                                 in_.append({})
                                 steps.append(None)
                         s_id, o_id = node_ids[s], node_ids[o]
-                    elif p_id is not None and (p_id, o_id) in out[s_id]:
+                    elif p_id is not None and (p_id << 32 | o_id) in out[s_id]:
                         continue
                     if p_id is None:
                         p_id = pred_ids[p] = len(self._pred_names)
                         self._pred_names.append(p)
-                    out[s_id][(p_id, o_id)] = None
-                    in_[o_id][(p_id, s_id)] = None
+                    out[s_id][p_id << 32 | o_id] = None
+                    in_[o_id][p_id << 32 | s_id] = None
                     if hydrated:
                         spo.setdefault(s, {}).setdefault(p, set()).add(o)
                         pos.setdefault(p, {}).setdefault(o, set()).add(s)
                     added += 1
                 else:
                     if (s_id is None or o_id is None or p_id is None
-                            or (p_id, o_id) not in out[s_id]):
+                            or (p_id << 32 | o_id) not in out[s_id]):
                         continue
-                    del out[s_id][(p_id, o_id)]
-                    del in_[o_id][(p_id, s_id)]
+                    del out[s_id][p_id << 32 | o_id]
+                    del in_[o_id][p_id << 32 | s_id]
                     if hydrated:
                         self._discard_index(spo, s, p, o)
                         self._discard_index(pos, p, o, s)
@@ -235,8 +240,8 @@ class KnowledgeGraph:
     def __iter__(self) -> Iterator[Triple]:
         # Sorted off the core, without hydrating, before the first yield.
         names, preds = self._node_names, self._pred_names
-        spo = sorted((names[s], preds[p], names[o])
-                     for s, edges in enumerate(self._out) for p, o in edges)
+        spo = sorted((names[s], preds[edge >> 32], names[edge & 0xFFFFFFFF])
+                     for s, edges in enumerate(self._out) for edge in edges)
         return (Triple(*triple) for triple in spo)
 
     def contains(self, subject: str, predicate: str, obj: str) -> bool:
@@ -440,8 +445,10 @@ class KnowledgeGraph:
         The core (name tables + per-node edge lists, edge order included)
         is the graph's complete observable state: :meth:`state_digest` is a
         pure function of it and the derived string indexes are rebuilt from
-        it on demand.  The returned containers are the live ones — callers
-        must serialise (or copy) them before the graph mutates again.
+        it on demand.  Each edge list is a dict keyed by packed
+        ``pred << 32 | other`` ints.  The returned containers are the live
+        ones — callers must serialise (or copy) them before the graph
+        mutates again.
         """
         return {
             "node_names": self._node_names,
@@ -482,6 +489,7 @@ class KnowledgeGraph:
         ``find_paths`` results, which depends on edge insertion order)
         behaves identically.  Used to verify that incremental mutation
         maintenance matches a deterministic log replay byte-for-byte.
+        Each packed edge is hashed as its ``[pred, other]`` pair.
         """
         import hashlib
         import json
@@ -489,8 +497,8 @@ class KnowledgeGraph:
         payload = {
             "nodes": self._node_names,
             "predicates": self._pred_names,
-            "out": [list(edges) for edges in self._out],
-            "in": [list(edges) for edges in self._in],
+            "out": [[[e >> 32, e & 0xFFFFFFFF] for e in edges] for edges in self._out],
+            "in": [[[e >> 32, e & 0xFFFFFFFF] for e in edges] for edges in self._in],
         }
         blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()

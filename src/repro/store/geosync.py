@@ -326,7 +326,7 @@ class OutboundQueue:
             if kind == "header":
                 if not first:
                     raise ValueError(f"{where}: a header after the first line")
-                queue.floor_epoch, shard = read_header(record, where, "floor_epoch", "shard")
+                queue.floor_epoch, shard = read_header(record, where, 1, "floor_epoch", "shard")
                 if shard != shard_index:
                     raise ValueError(f"{where}: header shard {shard} is not {shard_index}")
             elif kind in ("batch", "ack") and type(epoch) is not int:

@@ -93,14 +93,17 @@ def read_records(path: str) -> Iterator[Tuple[str, Dict[str, object]]]:
                 yield where, decode_line(raw, where)
 
 
-def read_header(header: Dict[str, object], where: str, *fields: str) -> List[int]:
+def read_header(
+    header: Dict[str, object], where: str, version: int, *fields: str
+) -> List[int]:
     """The header rule every persisted format shares: ``version`` is
-    exactly the ``int`` 1, and each named field (absent: 0) is a
-    non-negative ``int`` (a ``bool`` or a float is not one).  Returns the
-    fields' values; raises :class:`ValueError` starting ``<where>: ``."""
-    version = header.get("version")
-    if type(version) is not int or version != 1:
-        raise ValueError(f"{where}: header version {version!r} is not 1")
+    exactly the ``int`` its format is at (1 for a JSONL log and a queue, 2
+    for a segment), and each named field (absent: 0) is a non-negative
+    ``int`` (a ``bool`` or a float is not one).  Returns the fields'
+    values; raises :class:`ValueError` starting ``<where>: ``."""
+    found = header.get("version")
+    if type(found) is not int or found != version:
+        raise ValueError(f"{where}: header version {found!r} is not {version}")
     values = [header.get(field, 0) for field in fields]
     for field, value in zip(fields, values):
         if type(value) is not int or value < 0:
@@ -341,7 +344,7 @@ class MutationLog:
             if record.get("kind") == "header":
                 if not first:
                     raise ValueError(f"{where}: a header after the first line")
-                (previous,) = read_header(record, where, "floor_epoch")
+                (previous,) = read_header(record, where, 1, "floor_epoch")
                 log.floor_epoch = previous
             else:
                 epoch = record.get("epoch")

@@ -42,11 +42,18 @@ through an unpickler that resolves exactly one global —
 :class:`~repro.retrieval.corpus.Document` — and raises
 :class:`CorruptSegmentError` for any other: a crafted segment can make
 ``load`` fail, not run code.  Record blocks use a plain length-prefixed
-struct encoding and are readable without unpickling.
+struct encoding and are readable without unpickling; one pass over a
+block decodes it (:func:`decode_records`).
+
+A checkpoint's graph core holds each edge as one packed
+``pred << 32 | other`` int (:meth:`KnowledgeGraph.core_state`), so the
+layout is part of the format: the header's ``version`` is 2.  Version 1
+held ``(pred, other)`` tuples, which read as packed ints would restore a
+wrong graph, so :meth:`SegmentReader.open` refuses a version-1 file.
 
 Layout::
 
-    [ header ]  magic, u32 len | u32 crc | JSON (version, floor_epoch)
+    [ header ]  magic, u32 len | u32 crc | JSON (version 2, floor_epoch)
     [ block ]*  u8 kind | u8 flags | u32 count | u32 raw | u32 comp
                 | u32 crc | payload
     [ footer ]  zlib(JSON block index) | u32 len | u32 crc | end magic
@@ -112,7 +119,7 @@ _END_MAGIC = b"RSEGEND1"
 BLOCK_SIZE = 64 * 1024
 #: Records between interleaved state checkpoints of a full rewrite.
 CHECKPOINT_INTERVAL = 5_000
-#: zlib level of record blocks (checkpoints use 1: pickled int tuples).
+#: zlib level of record blocks (checkpoints use 1: pickled ints).
 COMPRESSION_LEVEL = 6
 #: Decoded blocks each reader's LRU page cache keeps resident.
 PAGE_CACHE_BLOCKS = 64
@@ -128,6 +135,7 @@ FLAG_CONTINUES = 1
 _BLOCK_HEADER = struct.Struct("<BBIIII")  # kind, flags, count, raw, comp, crc
 _FOOTER_TAIL = struct.Struct("<II8s")  # footer len, footer crc, end magic
 _RECORD_HEAD = struct.Struct("<IB")  # epoch, op
+_FIELD_LENGTH = struct.Struct("<I")  # each field's UTF-8 byte count
 #: Largest footer index the reader inflates (~80k blocks, ~5 GiB of records
 #: at the default block size); a larger one is treated as lost.
 _FOOTER_MAX_RAW = 8 * 1024 * 1024
@@ -176,45 +184,74 @@ def encode_record(epoch: int, mutation: Mutation) -> bytes:
         fields = [triple.subject, triple.predicate, triple.object]
     for value in fields:
         raw = value.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
+        parts.append(_FIELD_LENGTH.pack(len(raw)))
         parts.append(raw)
     return b"".join(parts)
 
 
 def decode_records(payload: bytes, count: int, where: str) -> List[Tuple[int, Mutation]]:
-    """Decode one record block's payload; inverse of :func:`encode_record`."""
+    """Decode one record block's payload; inverse of :func:`encode_record`.
+
+    One pass over ``payload``: a triple record's three fields are read in
+    line, each a length then a ``bytes`` slice decoded on the spot, so a
+    damaged record raises the same error at the same field as a
+    field-by-field reader would.
+    """
     records: List[Tuple[int, Mutation]] = []
-    view = memoryview(payload)
+    append = records.append
+    unpack_head, unpack_length = _RECORD_HEAD.unpack_from, _FIELD_LENGTH.unpack_from
+    head_size, op_names = _RECORD_HEAD.size, _OP_NAMES
+    new_mutation, set_field = Mutation.__new__, object.__setattr__
+    overrun = f"{where}: record overruns block"
     offset = 0
     limit = len(payload)
     try:
         for _ in range(count):
-            epoch, code = _RECORD_HEAD.unpack_from(view, offset)
-            offset += _RECORD_HEAD.size
-            op = _OP_NAMES.get(code)
+            epoch, code = unpack_head(payload, offset)
+            offset += head_size
+            op = op_names.get(code)
             if op is None:
                 raise CorruptSegmentError(f"{where}: unknown op code {code}")
-            n_fields = 7 if op == ADD_DOCUMENT else 3
-            fields: List[str] = []
-            for _ in range(n_fields):
-                (length,) = struct.unpack_from("<I", view, offset)
-                offset += 4
-                if offset + length > limit:
-                    raise CorruptSegmentError(f"{where}: record overruns block")
-                fields.append(str(view[offset : offset + length], "utf-8"))
-                offset += length
             if op == ADD_DOCUMENT:
-                mutation = Mutation(
+                fields: List[str] = []
+                for _ in _DOC_FIELDS:
+                    (length,) = unpack_length(payload, offset)
+                    start = offset + 4
+                    offset = start + length
+                    if offset > limit:
+                        raise CorruptSegmentError(overrun)
+                    fields.append(payload[start:offset].decode("utf-8"))
+                append((epoch, Mutation(
                     ADD_DOCUMENT, document=Document(**dict(zip(_DOC_FIELDS, fields)))
-                )
-            else:
-                mutation = Mutation.__new__(Mutation)
-                # Bypass __post_init__ re-validation on the hot decode path;
-                # the op/payload pairing is correct by construction here.
-                object.__setattr__(mutation, "op", op)
-                object.__setattr__(mutation, "triple", Triple(*fields))
-                object.__setattr__(mutation, "document", None)
-            records.append((epoch, mutation))
+                )))
+                continue
+            # A triple: its three fields unrolled.
+            (length,) = unpack_length(payload, offset)
+            start = offset + 4
+            offset = start + length
+            if offset > limit:
+                raise CorruptSegmentError(overrun)
+            subject = payload[start:offset].decode("utf-8")
+            (length,) = unpack_length(payload, offset)
+            start = offset + 4
+            offset = start + length
+            if offset > limit:
+                raise CorruptSegmentError(overrun)
+            predicate = payload[start:offset].decode("utf-8")
+            (length,) = unpack_length(payload, offset)
+            start = offset + 4
+            offset = start + length
+            if offset > limit:
+                raise CorruptSegmentError(overrun)
+            mutation = new_mutation(Mutation)
+            # Bypass __post_init__ re-validation on the hot decode path;
+            # the op/payload pairing is correct by construction here.
+            set_field(mutation, "op", op)
+            set_field(mutation, "triple", Triple(
+                subject, predicate, payload[start:offset].decode("utf-8")
+            ))
+            set_field(mutation, "document", None)
+            append((epoch, mutation))
     except struct.error as exc:
         raise CorruptSegmentError(f"{where}: truncated record ({exc})") from exc
     except UnicodeDecodeError as exc:
@@ -388,7 +425,7 @@ class SegmentWriter:
         self._buffer_bytes = 0
         self._encoded: List[bytes] = []
         self._closed = False
-        header = {"version": 1, "floor_epoch": floor_epoch}
+        header = {"version": 2, "floor_epoch": floor_epoch}
         header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
         self._handle.write(SEGMENT_MAGIC)
         self._handle.write(struct.pack("<II", len(header_raw), zlib.crc32(header_raw)))
@@ -434,7 +471,7 @@ class SegmentWriter:
         )
         self._write_block(
             BLOCK_CHECKPOINT, 0, 0, payload, state.epoch, state.epoch,
-            compression_level=1,  # pickled int tuples: favour speed
+            compression_level=1,  # pickled ints: favour speed
         )
 
     def copy_raw_block(self, info: BlockInfo, payload: bytes) -> None:
@@ -610,7 +647,7 @@ class SegmentReader:
                 raise CorruptSegmentError(f"{path}: header failed its CRC check")
             try:
                 header = decode_line(header_raw, f"{path}: header")
-                (floor,) = read_header(header, path, "floor_epoch")
+                (floor,) = read_header(header, path, 2, "floor_epoch")
             except ValueError as exc:
                 raise CorruptSegmentError(str(exc)) from exc
             data_start = handle.tell()
@@ -861,13 +898,19 @@ class SegmentReader:
                 )
             graph_core = state["graph_core"]
             tables = [graph_core[key] for key in ("node_names", "pred_names", "out", "in")]
-            names, _, out, in_ = tables
+            names, preds, out, in_ = tables
             if not all(type(table) is list for table in tables) or not (
                 len(names) == len(out) == len(in_)
             ):
                 raise CorruptSegmentError(
                     f"{self.path}@{block.offset}: checkpoint graph core is not four "
                     f"lists with one out and one in edge list per node name"
+                )
+            if max(len(names), len(preds)) > 1 << 32:
+                # An edge packs each id into 32 bits.
+                raise CorruptSegmentError(
+                    f"{self.path}@{block.offset}: checkpoint graph core names more "
+                    f"than 2**32 nodes or predicates"
                 )
             return StoreState(
                 epoch=epoch,

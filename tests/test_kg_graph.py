@@ -398,10 +398,14 @@ class _InterningModel:
 
 
 def _plain_core(graph):
-    """``core_state()`` with each edge dict as the list of its keys."""
+    """``core_state()`` with each edge dict as the list of its keys, each
+    packed ``pred << 32 | other`` key unpacked to ``(pred, other)``."""
     state = graph.core_state()
-    return {**state, "out": [list(edges) for edges in state["out"]],
-            "in": [list(edges) for edges in state["in"]]}
+
+    def unpacked(tables):
+        return [[(edge >> 32, edge & 0xFFFFFFFF) for edge in edges] for edges in tables]
+
+    return {**state, "out": unpacked(state["out"]), "in": unpacked(state["in"])}
 
 
 @st.composite

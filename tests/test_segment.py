@@ -14,7 +14,13 @@ Covers the crash-safety contract end to end:
   with an unusable floor (or a JSONL header past the first line) is a
   typed error, from ``load`` and from ``convert`` alike;
 * files whose header still carries the ``config`` key older writers
-  added load to the same state;
+  added load to the same state; a version-1 segment (tuple-keyed
+  checkpoint edges) is refused at open;
+* flipping any bytes of a saved segment loads a batch prefix or raises
+  the typed error (hypothesis property); the record codec round-trips
+  and a damaged record payload raises its typed message;
+* no graph a load, a seek, a copy or an apply builds holds a tracked
+  edge dict;
 * a historical snapshot equals the from-zero replay at every epoch, in
   any request order and from several threads at once, whether its checkpoint
   was decoded or copied from the reader's resident one; the resident
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import json
@@ -137,11 +144,13 @@ def test_segment_round_trip_digest_parity(tmp_path, monkeypatch):
     assert via_segment.state_digest() == via_jsonl.state_digest() == store.state_digest()
 
     # Files saved before the rebuild thresholds became constants carry
-    # them in the header; nothing reads that key, so both load the same.
+    # them in the header; nothing reads that key, so a segment header that
+    # carries it loads the same.  (Those segments are version 1, which is
+    # refused: test_a_segment_in_the_tuple_keyed_format_is_refused.)
     # (Re-heading with the header the writer wrote changes no byte.)
-    honest_header = _with_header(Path(segment_path), {"version": 1, "floor_epoch": 0})
+    honest_header = _with_header(Path(segment_path), {"version": 2, "floor_epoch": 0})
     assert Path(honest_header).read_bytes() == Path(segment_path).read_bytes()
-    old_segment = _with_header(Path(segment_path), dict(_OLD_HEADER, floor_epoch=0))
+    old_segment = _with_header(Path(segment_path), dict(_OLD_HEADER, version=2, floor_epoch=0))
     reader, honest = SegmentReader.open(old_segment), SegmentReader.open(segment_path)
     assert not reader.recovered  # its footer tiles the file: the blocks moved intact
     assert [b.crc for b in reader.blocks] == [b.crc for b in honest.blocks]
@@ -561,6 +570,174 @@ def test_an_honest_checkpoint_core_loads(tmp_path):
     loaded = VersionedKnowledgeStore.load(_with_graph_core(tmp_path))
     assert len(loaded.graph) == 2
     assert loaded.graph.contains("b", "q", "c")
+
+
+def test_a_segment_in_the_tuple_keyed_format_is_refused(tmp_path):
+    """Version 1 keyed each checkpoint edge by a ``(pred, other)`` tuple.
+    Read as packed ints such a core is a wrong graph (``len`` 2, yet no
+    triple found), so its header refuses the file before any block is read."""
+    from repro.store import SegmentWriter
+    from repro.store.segment import StoreState
+
+    path = tmp_path / "tuple-keyed.seg"
+    with SegmentWriter(str(path)) as writer:
+        writer.append_batch(1, [Mutation.add_triple("a", "p", "b")])
+        writer.append_batch(2, [Mutation.add_triple("b", "q", "c")])
+        writer.checkpoint(StoreState(
+            epoch=2,
+            graph_core={
+                "node_names": ["a", "b", "c"],
+                "pred_names": ["p", "q"],
+                "out": [{(0, 1): None}, {(1, 2): None}, {}],
+                "in": [{}, {(0, 0): None}, {(1, 1): None}],
+            },
+            documents=[],
+            removed_since_reintern=0,
+        ))
+    version_1 = _with_header(path, {"version": 1, "floor_epoch": 0}, "version-1.seg")
+    message = "version-1.seg: header version 1 is not 2"
+    with pytest.raises(CorruptSegmentError, match=re.escape(message)):
+        SegmentReader.open(version_1)
+    with pytest.raises(CorruptSegmentError, match=re.escape(message)):
+        VersionedKnowledgeStore.load(version_1)
+    assert message in _convert_exit(tmp_path, version_1)
+
+
+def _assert_edges_are_untracked_ints(graph) -> None:
+    """Every per-node edge dict holds packed ints only, so the cyclic
+    collector never tracks it."""
+    core = graph.core_state()
+    for edges in itertools.chain(core["out"], core["in"]):
+        assert not gc.is_tracked(edges)
+        assert all(type(edge) is int for edge in edges)
+
+
+def test_no_graph_core_feeds_the_cycle_collector(tmp_path):
+    store, path, _ = _saved_segment(tmp_path, batches=40)
+    loaded = VersionedKnowledgeStore.load(path)
+    assert len(loaded.log.reader.checkpoints) > 1
+    _assert_edges_are_untracked_ints(loaded.graph)
+    historical = loaded.log.reader.checkpoints[0].first_epoch + 3
+    for _ in range(3):  # decoded, decoded into the resident, then copied
+        snapshot = loaded.snapshot(historical)
+        _assert_edges_are_untracked_ints(snapshot.graph)
+    _assert_edges_are_untracked_ints(loaded.graph.copy())
+    loaded.graph.predicates()  # hydrated: a live apply keeps both in step
+    loaded.apply([Mutation.add_triple("s0", "p9", "new"), Mutation.remove_triple(
+        *next(iter(loaded.graph)).as_tuple())])
+    _assert_edges_are_untracked_ints(loaded.graph)
+    assert loaded.state_digest() == VersionedKnowledgeStore.replay(loaded.log).state_digest()
+
+
+#: Field values a record may carry: empty, ASCII, and non-BMP characters.
+_FIELD_TEXT = st.one_of(
+    st.just(""), st.text(), st.text(alphabet="a\u00e9\u4e2d\U0001f600\U00010348", min_size=1)
+)
+_RECORD_MUTATIONS = st.one_of(
+    st.builds(
+        Mutation,
+        st.sampled_from(["add_triple", "remove_triple"]),
+        triple=st.builds(Triple, _FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT),
+    ),
+    st.builds(
+        Mutation.add_document,
+        st.builds(
+            Document, doc_id=_FIELD_TEXT, url=_FIELD_TEXT, title=_FIELD_TEXT,
+            text=_FIELD_TEXT, source=_FIELD_TEXT, fact_id=_FIELD_TEXT, kind=_FIELD_TEXT,
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2**32 - 1), _RECORD_MUTATIONS), max_size=12
+))
+def test_the_record_codec_round_trips(records):
+    from repro.store.segment import decode_records, encode_record
+
+    payload = b"".join(encode_record(epoch, mutation) for epoch, mutation in records)
+    assert decode_records(payload, len(records), "block") == records
+
+
+def _field(raw: bytes) -> bytes:
+    return struct.pack("<I", len(raw)) + raw
+
+
+def _triple_record(subject: bytes = b"s") -> bytes:
+    return struct.pack("<IB", 7, 0) + _field(subject) + _field(b"p") + _field(b"o")
+
+
+@pytest.mark.parametrize(
+    "payload, count, message",
+    [
+        (struct.pack("<IB", 7, 3) + _field(b"s"), 1, "block: unknown op code 3"),
+        (struct.pack("<IB", 7, 0) + struct.pack("<I", 99) + b"s", 1,
+         "block: record overruns block"),
+        (_triple_record()[:-5] + struct.pack("<I", 2) + b"o", 1,
+         "block: record overruns block"),
+        (struct.pack("<IB", 7, 2) + _field(b"doc") + struct.pack("<I", 99), 1,
+         "block: record overruns block"),
+        (_triple_record()[:3], 1, "block: truncated record ("),
+        (_triple_record()[:7], 1, "block: truncated record ("),
+        (_triple_record(), 2, "block: truncated record ("),
+        (_triple_record(b"\xffs"), 1, "block: record field is not UTF-8 ('utf-8' codec"),
+        (_triple_record() + b"\x00\x00", 1, "block: 2 trailing bytes in block"),
+    ],
+    ids=["op-code", "subject-overrun", "object-overrun", "document-overrun", "head", "length",
+         "missing-record", "non-utf8", "trailing"],
+)
+def test_a_damaged_record_payload_is_corrupt(payload, count, message):
+    from repro.store.segment import decode_records
+
+    with pytest.raises(CorruptSegmentError, match=re.escape(message)):
+        decode_records(payload, count, "block")
+
+
+def _structural_offsets(path: str, size: int) -> List[int]:
+    """The header's bytes, every block header's and the footer tail's:
+    the fields no block CRC covers."""
+    from repro.store.segment import _BLOCK_HEADER, _FOOTER_TAIL
+
+    reader = SegmentReader.open(path)
+    first = reader.blocks[0].offset
+    offsets = list(range(first))
+    for block in reader.blocks:
+        offsets.extend(range(block.offset, block.offset + _BLOCK_HEADER.size))
+    reader.close()
+    return offsets + list(range(size - _FOOTER_TAIL.size, size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flipped_bytes_load_a_batch_prefix_or_raise_typed(tmp_path_factory, data):
+    """Damage anywhere in a multi-checkpoint segment, its header and length
+    fields included, never loads a state the history did not pass through."""
+    base = tmp_path_factory.mktemp("flip")
+    store, path, payload = _saved_segment(base, batches=40, block_size=384)
+    structural = _structural_offsets(path, len(payload))
+    offsets = data.draw(st.lists(
+        st.one_of(st.sampled_from(structural), st.integers(0, len(payload) - 1)),
+        min_size=1, max_size=4,
+    ))
+    damaged = bytearray(payload)
+    for offset in offsets:
+        damaged[offset] ^= data.draw(st.integers(min_value=1, max_value=255))
+    flipped = base / "flipped.seg"
+    flipped.write_bytes(bytes(damaged))
+    try:
+        loaded = VersionedKnowledgeStore.load(str(flipped))
+    except CorruptSegmentError:
+        return
+    reference = VersionedKnowledgeStore.replay(store.log, upto=loaded.epoch)
+    assert loaded.epoch == reference.epoch
+    assert loaded.state_digest() == reference.state_digest()
+    try:
+        batches = loaded.log.batches()
+    except CorruptSegmentError:
+        return  # a block the load did not need is damaged: reading it is typed
+    assert batches == store.log.batches()[: len(batches)]
+    assert not batches or batches[-1][0] == loaded.epoch
 
 
 def test_midfile_bitflip_raises_on_read(tmp_path):
@@ -1016,9 +1193,12 @@ def test_a_footer_row_that_misplaces_an_undecoded_record_block_raises_at_open(tm
 #: raise an untyped ``ValueError``.
 _BAD_FLOORS = ["abc", -3, True, 2.7]
 
-#: ``version`` values a CRC-valid header may carry that no writer
+#: ``version`` values a CRC-valid JSONL header may carry that no writer
 #: produces: the segment header used to load ``true`` (``True == 1``).
 _BAD_VERSIONS = [True, "1", 2]
+#: The segment's: version 1 is the format whose checkpoints keyed each
+#: edge by a ``(pred, other)`` tuple, read as version 2 it is a wrong graph.
+_BAD_SEGMENT_VERSIONS = [True, "1", "2", 2.0, 1, 3]
 
 
 def _convert_exit(tmp_path, store: str) -> str:
@@ -1038,7 +1218,7 @@ def _convert_exit(tmp_path, store: str) -> str:
 @pytest.mark.parametrize("floor", _BAD_FLOORS, ids=repr)
 def test_a_segment_header_floor_that_is_not_a_non_negative_int_is_corrupt(tmp_path, floor):
     _, path = _one_triple_per_epoch(tmp_path, epochs=3)
-    hostile = _with_header(path, {"version": 1, "floor_epoch": floor})
+    hostile = _with_header(path, {"version": 2, "floor_epoch": floor})
     message = f"header floor_epoch {floor!r} is not a non-negative integer"
     with pytest.raises(CorruptSegmentError, match=re.escape(message)):
         SegmentReader.open(hostile)
@@ -1047,11 +1227,11 @@ def test_a_segment_header_floor_that_is_not_a_non_negative_int_is_corrupt(tmp_pa
     assert message in _convert_exit(tmp_path, hostile)
 
 
-@pytest.mark.parametrize("version", _BAD_VERSIONS, ids=repr)
+@pytest.mark.parametrize("version", _BAD_SEGMENT_VERSIONS, ids=repr)
 def test_a_segment_header_of_another_version_is_corrupt(tmp_path, version):
     _, path = _one_triple_per_epoch(tmp_path, epochs=3)
     hostile = _with_header(path, {"version": version, "floor_epoch": 0})
-    message = f"header version {version!r} is not 1"
+    message = f"header version {version!r} is not 2"
     with pytest.raises(CorruptSegmentError, match=re.escape(message)):
         SegmentReader.open(hostile)
     with pytest.raises(CorruptSegmentError, match=re.escape(message)):

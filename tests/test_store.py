@@ -232,7 +232,7 @@ class TestReplayDeterminism:
         # live in the code that replays the file.
         data = Path(path).read_bytes()
         header_len = int.from_bytes(data[8:12], "little")
-        assert json.loads(data[16 : 16 + header_len]) == {"floor_epoch": 0, "version": 1}
+        assert json.loads(data[16 : 16 + header_len]) == {"floor_epoch": 0, "version": 2}
 
     def test_replay_honours_graph_rebuild_threshold_deterministically(self, monkeypatch):
         monkeypatch.setattr(store_module, "GRAPH_REBUILD_FRACTION", 0.05)
