@@ -124,8 +124,8 @@ def _first_verdict(store: VersionedKnowledgeStore) -> bool:
     """The serving hot path's first graph lookup after a cold start.
 
     Internal-KG validation answers from interned-core traversal, so this
-    is deliberately a core-only query — the lazy string indexes stay cold,
-    exactly as they do in production until a string-level query arrives.
+    is a membership test on the restored core, which is the graph's only
+    representation.
     """
     return store.graph.contains("entity1", "pred0", "entity2") or len(store.graph) > 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Optional
 
 from ..datasets.base import FactDataset, LabeledFact
 from ..kg.graph import KnowledgeGraph
@@ -86,9 +85,3 @@ class GraphFactChecker(ABC):
 
     def model_name(self) -> str:
         return self.method_name
-
-    # -- helpers shared by the concrete checkers ------------------------------
-
-    def _direct_edge(self, subject: str, predicate: str, obj: str) -> Optional[Triple]:
-        triple = Triple(subject, predicate, obj)
-        return triple if triple in self.graph else None

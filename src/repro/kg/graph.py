@@ -1,9 +1,9 @@
-"""Indexed triple store with path queries — the KG substrate.
+"""Interned triple store with path queries — the KG substrate.
 
 The internal KG-based baselines (KStream, KLinker, PredPath) and the
 rule-based checker operate directly over a knowledge graph: they need fast
 neighbour expansion, degree statistics, and bounded path enumeration.  This
-module provides a lightweight in-memory triple store with SPO/POS indexes.
+module provides a lightweight in-memory triple store for them.
 
 Internally every node and predicate is interned to a small integer and the
 adjacency is kept as per-node edge lists over those integers, so the hot
@@ -19,21 +19,15 @@ branch that provably cannot meet the target within the hop budget.  The
 result (content *and* order) is identical to a plain forward BFS.
 
 The interned **core** (interning tables + per-node edge lists) is the
-graph's source of truth; the string-keyed SPO/POS indexes are
-*derived* views, rebuilt from the core on demand.  Every
-graph — new or restored from a storage-engine checkpoint
-(:meth:`KnowledgeGraph.from_core_state`) — starts with the core only and
-hydrates the derived indexes on its first string-level query, so a log
-replay or a compaction never maintains indexes nobody asked for and a cold
-start serves its first traversal verdict without paying for them (the
-page-cache/lazy-hydration shape borrowed from the ESE database explorers;
-see ``docs/architecture.md``).
+graph's one representation: every query reads it, a storage-engine
+checkpoint saves and restores it (:meth:`KnowledgeGraph.core_state`,
+:meth:`KnowledgeGraph.from_core_state`) and :meth:`state_digest` hashes it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .triples import Triple
 
@@ -49,11 +43,7 @@ _IdStep = Tuple[int, int, int]
 
 
 class KnowledgeGraph:
-    """A directed, labelled multigraph of triples with standard KG indexes."""
-
-    #: Derived string-index attributes, absent until the first string-level
-    #: query hydrates them from the interned core.
-    _DERIVED = ("_spo", "_pos")
+    """A directed, labelled multigraph of triples over interned ids."""
 
     def __init__(self, name: str = "kg") -> None:
         self.name = name
@@ -70,46 +60,8 @@ class KnowledgeGraph:
         # Lazily materialised per-node step lists used by the traversal
         # kernels; entry is None when the node's adjacency changed.
         self._steps_cache: List[Optional[List[_IdStep]]] = []
-        # Live triple count, maintained on the core so ``len()`` never
-        # forces hydration of the derived indexes.
+        # Live triple count, so ``len()`` never walks the edge lists.
         self._edge_count = 0
-
-    # -- lazy hydration ------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        # Only reached when an attribute is *missing*: a graph carries the
-        # interned core only until the first access to a derived string
-        # index materialises both in one pass.
-        if name in KnowledgeGraph._DERIVED:
-            self._hydrate()
-            return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    @property
-    def hydrated(self) -> bool:
-        """Whether the derived string indexes are materialised: False from
-        construction (or a checkpoint restore) until a string-level query."""
-        return "_pos" in self.__dict__
-
-    def _hydrate(self) -> None:
-        """Build the SPO/POS indexes from the core."""
-        spo: Dict[str, Dict[str, Set[str]]] = {}
-        pos: Dict[str, Dict[str, Set[str]]] = {}
-        names, preds = self._node_names, self._pred_names
-        for s_id, edges in enumerate(self._out):
-            if not edges:
-                continue
-            s = names[s_id]
-            s_spo = spo.setdefault(s, {})
-            for edge in edges:
-                p, o = preds[edge >> 32], names[edge & 0xFFFFFFFF]
-                s_spo.setdefault(p, set()).add(o)
-                pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        # ``_pos`` last: ``hydrated`` and ``apply_batch`` read it as "both".
-        self._spo = spo
-        self._pos = pos
 
     def _steps(self, node_id: int) -> List[_IdStep]:
         """Undirected neighbour steps of one node, over interned ids."""
@@ -122,19 +74,6 @@ class KnowledgeGraph:
 
     # -- mutation -----------------------------------------------------------
 
-    def _core_contains(self, s: str, p: str, o: str) -> bool:
-        """Membership test against the interned core (never hydrates)."""
-        s_id = self._node_ids.get(s)
-        if s_id is None:
-            return False
-        p_id = self._pred_ids.get(p)
-        if p_id is None:
-            return False
-        o_id = self._node_ids.get(o)
-        if o_id is None:
-            return False
-        return (p_id << 32 | o_id) in self._out[s_id]
-
     def apply_batch(self, ops: Iterable[Tuple[bool, Triple]]) -> Tuple[int, int]:
         """Apply ``(add, triple)`` operations in order; returns how many
         triples were actually ``(added, removed)``.
@@ -142,14 +81,10 @@ class KnowledgeGraph:
         The one insert/remove path.  Adding a present triple or removing an
         absent one is a no-op.  A new subject is interned before a new
         object, then a new predicate, each taking the next dense id; edges
-        join their per-node lists in insertion order.  A hydrated graph
-        keeps its SPO/POS indexes in step.
+        join their per-node lists in insertion order.
         """
         node_ids, names, pred_ids = self._node_ids, self._node_names, self._pred_ids
         out, in_, steps = self._out, self._in, self._steps_cache
-        hydrated = "_pos" in self.__dict__
-        if hydrated:
-            spo, pos = self._spo, self._pos
         added = removed = 0
         try:
             for add, triple in ops:
@@ -174,9 +109,6 @@ class KnowledgeGraph:
                         self._pred_names.append(p)
                     out[s_id][p_id << 32 | o_id] = None
                     in_[o_id][p_id << 32 | s_id] = None
-                    if hydrated:
-                        spo.setdefault(s, {}).setdefault(p, set()).add(o)
-                        pos.setdefault(p, {}).setdefault(o, set()).add(s)
                     added += 1
                 else:
                     if (s_id is None or o_id is None or p_id is None
@@ -184,9 +116,6 @@ class KnowledgeGraph:
                         continue
                     del out[s_id][p_id << 32 | o_id]
                     del in_[o_id][p_id << 32 | s_id]
-                    if hydrated:
-                        self._discard_index(spo, s, p, o)
-                        self._discard_index(pos, p, o, s)
                     removed += 1
                 steps[s_id] = None
                 steps[o_id] = None
@@ -207,57 +136,44 @@ class KnowledgeGraph:
         """Remove a triple; returns ``False`` when it was not present."""
         return self.apply_batch(((False, triple),))[1] == 1
 
-    @staticmethod
-    def _discard_index(
-        index: Dict[str, Dict[str, Set[str]]], a: str, b: str, c: str
-    ) -> None:
-        """Remove ``c`` from ``index[a][b]``, pruning empty shells.
-
-        Leaving empty dict/set shells behind would make ``predicates()`` and
-        ``nodes()`` report ghosts for fully removed keys.
-        """
-        inner = index.get(a)
-        if inner is None:
-            return
-        values = inner.get(b)
-        if values is None:
-            return
-        values.discard(c)
-        if not values:
-            del inner[b]
-            if not inner:
-                del index[a]
-
     # -- basic queries ------------------------------------------------------
 
     def __len__(self) -> int:
         return self._edge_count
 
     def __contains__(self, triple: Triple) -> bool:
-        s, p, o = triple.as_tuple()
-        return self._core_contains(s, p, o)
+        return self.contains(*triple.as_tuple())
 
     def __iter__(self) -> Iterator[Triple]:
-        # Sorted off the core, without hydrating, before the first yield.
+        # Sorted before the first yield, so a mutation mid-iteration is safe.
         names, preds = self._node_names, self._pred_names
         spo = sorted((names[s], preds[edge >> 32], names[edge & 0xFFFFFFFF])
                      for s, edges in enumerate(self._out) for edge in edges)
         return (Triple(*triple) for triple in spo)
 
     def contains(self, subject: str, predicate: str, obj: str) -> bool:
-        return self._core_contains(subject, predicate, obj)
-
-    def objects(self, subject: str, predicate: str) -> List[str]:
-        return sorted(self._spo.get(subject, {}).get(predicate, ()))
+        s_id = self._node_ids.get(subject)
+        if s_id is None:
+            return False
+        p_id = self._pred_ids.get(predicate)
+        if p_id is None:
+            return False
+        o_id = self._node_ids.get(obj)
+        if o_id is None:
+            return False
+        return (p_id << 32 | o_id) in self._out[s_id]
 
     def triples_with_predicate(self, predicate: str) -> List[Triple]:
-        result = []
-        for obj, subjects in self._pos.get(predicate, {}).items():
-            result.extend(Triple(s, predicate, obj) for s in subjects)
-        return sorted(result)
-
-    def predicates(self) -> List[str]:
-        return sorted(self._pos)
+        """Every triple with ``predicate``, sorted: one pass over the
+        out-edges, keeping those whose high 32 bits are its id."""
+        p_id = self._pred_ids.get(predicate)
+        if p_id is None:
+            return []
+        names = self._node_names
+        pairs = sorted((names[s], names[edge & 0xFFFFFFFF])
+                       for s, edges in enumerate(self._out)
+                       for edge in edges if edge >> 32 == p_id)
+        return [Triple(s, predicate, o) for s, o in pairs]
 
     def nodes(self) -> List[str]:
         """Nodes that participate in at least one triple."""
@@ -416,15 +332,6 @@ class KnowledgeGraph:
         """
         clone = KnowledgeGraph.__new__(KnowledgeGraph)
         clone.name = self.name
-        if self.hydrated:
-            clone._spo = {
-                s: {p: set(objs) for p, objs in inner.items()}
-                for s, inner in self._spo.items()
-            }
-            clone._pos = {
-                p: {o: set(subs) for o, subs in inner.items()}
-                for p, inner in self._pos.items()
-            }
         clone._node_ids = dict(self._node_ids)
         clone._node_names = list(self._node_names)
         clone._pred_ids = dict(self._pred_ids)
@@ -444,8 +351,7 @@ class KnowledgeGraph:
 
         The core (name tables + per-node edge lists, edge order included)
         is the graph's complete observable state: :meth:`state_digest` is a
-        pure function of it and the derived string indexes are rebuilt from
-        it on demand.  Each edge list is a dict keyed by packed
+        pure function of it and every query reads it.  Each edge list is a dict keyed by packed
         ``pred << 32 | other`` ints.  The returned containers are the live
         ones — callers must serialise (or copy) them before the graph
         mutates again.
@@ -459,13 +365,11 @@ class KnowledgeGraph:
 
     @classmethod
     def from_core_state(cls, state: Dict[str, object], name: str = "kg") -> "KnowledgeGraph":
-        """Rebuild a graph from :meth:`core_state` output, **lazily**.
+        """Rebuild a graph from :meth:`core_state` output.
 
-        Only the interned core is materialised; the SPO/POS string
-        indexes hydrate on first access, so a
-        checkpoint-restored graph can serve traversal queries
-        (``find_paths``, ``neighbors``, ``contains``) without paying for
-        them.  The caller owns the containers afterwards.
+        The graph adopts the containers as they are and rebuilds its
+        name-to-id maps from the name tables, so the caller must not touch
+        them afterwards.
         """
         graph = cls.__new__(cls)
         graph.name = name

@@ -5,8 +5,7 @@ A JSONL log (:mod:`repro.store.log`, now only the export/import codec)
 replays from zero: cold start and ``snapshot(historical_epoch)`` both pay
 a full parse-and-apply pass over the whole history.  This engine is shaped
 like the paged ESE-database explorers referenced in PAPERS.md — pages
-walked through a page cache, compression at the block boundary, lazy
-hydration of expensive views:
+walked through a page cache, compression at the block boundary:
 
 * **Blocks.**  Mutation records are struct-packed into fixed-size blocks
   (:data:`BLOCK_SIZE` uncompressed bytes), each zlib-compressed independently
@@ -24,9 +23,9 @@ hydration of expensive views:
   store state (the graph's interned core, the corpus documents, and the
   replay counters) at their epoch.  Restoring a checkpoint and replaying
   the short record suffix behind it is byte-identical to a from-zero
-  replay — the graph's derived string indexes hydrate lazily
-  (:meth:`~repro.kg.graph.KnowledgeGraph.from_core_state`), which is what
-  makes cold-start-to-first-verdict ~an order of magnitude faster than
+  replay; adopting the saved core
+  (:meth:`~repro.kg.graph.KnowledgeGraph.from_core_state`) instead of
+  re-applying the history is what makes cold-start-to-first-verdict ~an order of magnitude faster than
   JSONL replay (floor enforced by ``benchmarks/bench_segment.py``).
 * **Resident checkpoint.**  Each reader keeps one checkpoint restored.
   The second consecutive historical seek of a checkpoint decodes it into
@@ -270,8 +269,8 @@ class StoreState:
     """Materialised store state carried by one checkpoint block.
 
     ``graph_core`` is :meth:`KnowledgeGraph.core_state` output — the
-    interned name tables and edge lists, *not* the derived string indexes,
-    so restoring stays cheap and the restored graph hydrates lazily.
+    interned name tables and edge lists, the graph's whole state — so
+    restoring adopts containers instead of re-applying triples.
     """
 
     epoch: int
@@ -280,7 +279,7 @@ class StoreState:
     removed_since_reintern: int
 
     def restore(self, name: str) -> Tuple[KnowledgeGraph, Corpus]:
-        """Materialise the graph (lazily hydrated) and corpus."""
+        """Materialise the graph and corpus."""
         graph = KnowledgeGraph.from_core_state(self.graph_core, name=f"{name}-kg")
         corpus = Corpus()
         for document in self.documents:
@@ -292,7 +291,7 @@ class StoreState:
 class ResidentCheckpoint:
     """One checkpoint restored once and kept by its reader.
 
-    Nothing ever mutates or hydrates ``graph`` and ``corpus``: every
+    Nothing ever mutates ``graph`` and ``corpus``: every
     :meth:`restore` hands out structure-preserving copies, so a seek
     behind this checkpoint pays neither the inflate nor the unpickle.
     """
@@ -303,7 +302,7 @@ class ResidentCheckpoint:
     removed_since_reintern: int
 
     def restore(self, name: str) -> Tuple[KnowledgeGraph, Corpus]:
-        """Copies of the resident graph (unhydrated) and corpus."""
+        """Copies of the resident graph and corpus."""
         graph = self.graph.copy()
         graph.name = f"{name}-kg"
         return graph, self.corpus.copy()

@@ -228,9 +228,9 @@ class VersionedKnowledgeStore:
 
         A saved or loaded store's :class:`SegmentBackedLog` is *seeked*,
         not replayed from zero: the nearest checkpoint at or below ``upto`` is
-        restored (the graph comes back with its derived indexes unhydrated)
-        and only the record suffix behind it is applied.  Checkpoints are
-        themselves produced by this replay, so the seeked result is
+        restored (the graph adopts its saved interned core) and only the
+        record suffix behind it is applied.  Checkpoints are themselves
+        produced by this replay, so the seeked result is
         byte-identical to the from-zero path.  A full replay decodes the
         head checkpoint and owns it; a bounded one may restore copies of
         the reader's resident checkpoint instead

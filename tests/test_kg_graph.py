@@ -1,8 +1,7 @@
 """Tests for the indexed triple store and its path queries."""
 
+import pickle
 import random
-import sys
-import threading
 from collections import deque
 
 import pytest
@@ -78,20 +77,20 @@ class TestMutation:
 
     def test_remove_updates_indexes(self, small_graph):
         small_graph.remove(Triple("alice", "employer", "acme"))
-        assert "acme" not in small_graph.objects("alice", "employer")
+        assert not small_graph.contains("alice", "employer", "acme")
         assert ("employer", +1, "acme") not in small_graph.neighbors("alice")
 
     def test_remove_leaves_no_ghost_predicates(self, small_graph):
         small_graph.remove(Triple("alice", "spouse", "bob"))
-        assert "spouse" not in small_graph.predicates()
-        assert small_graph.objects("alice", "spouse") == []
+        assert small_graph.triples_with_predicate("spouse") == []
+        assert all(triple.predicate != "spouse" for triple in small_graph)
 
     def test_remove_leaves_no_ghost_nodes(self, small_graph):
         # freedonia participates in exactly one triple; removing it must
         # remove the node from every report.
         small_graph.remove(Triple("springfield", "locatedIn", "freedonia"))
         assert "freedonia" not in small_graph.nodes()
-        assert "locatedIn" not in small_graph.predicates()
+        assert small_graph.triples_with_predicate("locatedIn") == []
         assert small_graph.degree("freedonia") == 0
 
     def test_readd_after_remove(self, small_graph):
@@ -108,7 +107,11 @@ class TestQueries:
         assert not small_graph.contains("bob", "spouse", "alice")
 
     def test_objects(self, small_graph):
-        assert small_graph.objects("alice", "birthPlace") == ["springfield"]
+        assert [
+            triple.object
+            for triple in small_graph.triples_with_predicate("birthPlace")
+            if triple.subject == "alice"
+        ] == ["springfield"]
 
     def test_triples_with_predicate(self, small_graph):
         triples = small_graph.triples_with_predicate("birthPlace")
@@ -248,62 +251,14 @@ def _core_answers(graph):
     )
 
 
-def _string_answers(graph):
-    """Every public answer a graph gives off its derived string indexes."""
-    return (
-        [graph.objects(s, p) for s in _NODES for p in _PREDICATES],
-        [graph.triples_with_predicate(p) for p in _PREDICATES],
-        graph.predicates(),
-    )
+def _by_brute_force(graph, predicate):
+    """``triples_with_predicate`` written as a filter of the sorted triples."""
+    return [triple for triple in graph if triple.predicate == predicate]
 
 
-class TestLazyHydration:
-    """Every graph starts as its interned core; the string indexes hydrate
-    on the first string-level query, and nothing a caller can ask tells
-    the two lifecycles apart."""
-
-    def test_a_new_graph_stays_core_only_until_a_string_level_query(self, small_graph):
-        assert not KnowledgeGraph().hydrated
-        small_graph.remove(Triple("alice", "spouse", "bob"))
-        clone = small_graph.copy()
-        for graph in (small_graph, clone):
-            _core_answers(graph)
-            graph.contains("alice", "employer", "acme")
-            graph.degree("alice")
-            assert not graph.hydrated
-        assert small_graph.objects("alice", "employer") == ["acme"]
-        assert small_graph.hydrated and not clone.hydrated
-
-    def test_threads_racing_the_first_string_level_query_see_whole_indexes(self):
-        triples = [Triple(f"s{i % 50}", f"p{i % 7}", f"o{i % 61}") for i in range(3000)]
-        lazy, eager = KnowledgeGraph(), KnowledgeGraph()
-        eager.predicates()
-        lazy.add_all(triples)
-        eager.add_all(triples)
-        answers = []
-        barrier = threading.Barrier(8)
-
-        def first_query():
-            barrier.wait(timeout=10)
-            answers.append(
-                (lazy.objects("s3", "p3"), lazy.triples_with_predicate("p3"),
-                 lazy.predicates())
-            )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=first_query) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        expected = (eager.objects("s3", "p3"), eager.triples_with_predicate("p3"),
-                    eager.predicates())
-        assert answers == [expected] * 8
+class TestTriplesWithPredicate:
+    """``triples_with_predicate`` scans the interned core; every way a
+    graph is built must give the same answer as filtering its triples."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -316,33 +271,36 @@ class TestLazyHydration:
             ),
             max_size=40,
         ),
-        hydrate_at=st.integers(min_value=0, max_value=40),
     )
-    def test_hydrated_from_the_start_and_never_hydrated_answer_alike(
-        self, history, hydrate_at
+    def test_live_copied_restored_and_replayed_graphs_match_a_brute_force_filter(
+        self, history
     ):
-        # Removals included: an incrementally maintained index and one
-        # hydrated from the core then differ in dict key order.
-        eager, lazy, midway = KnowledgeGraph(), KnowledgeGraph(), KnowledgeGraph()
-        eager.predicates()
-        assert eager.hydrated
-        for step, (is_add, s, p, o) in enumerate(history):
-            if step == hydrate_at:
-                midway.predicates()
+        graph, store = KnowledgeGraph(), VersionedKnowledgeStore()
+        for is_add, s, p, o in history:
             triple = Triple(s, p, o)
-            outcomes = {
-                graph.add(triple) if is_add else graph.remove(triple)
-                for graph in (eager, lazy, midway)
-            }
-            assert len(outcomes) == 1
-        expected_core = _core_answers(eager)
-        assert _core_answers(lazy) == expected_core
-        assert not lazy.hydrated
-        assert _core_answers(midway) == expected_core
-        expected_strings = _string_answers(eager)
-        assert _string_answers(lazy) == expected_strings
-        assert lazy.hydrated
-        assert _string_answers(midway) == expected_strings
+            if graph.add(triple) if is_add else graph.remove(triple):
+                store.apply(
+                    [(Mutation.add_triple if is_add else Mutation.remove_triple)(s, p, o)]
+                )
+        graphs = {
+            "live": graph,
+            "copy": graph.copy(),
+            "restored": KnowledgeGraph.from_core_state(
+                pickle.loads(pickle.dumps(graph.core_state()))
+            ),
+            "replayed": VersionedKnowledgeStore.replay(store.log).graph,
+        }
+        for how, built in graphs.items():
+            assert list(built) == list(graph), how
+            for predicate in _PREDICATES + ["absent"]:
+                assert built.triples_with_predicate(predicate) == _by_brute_force(
+                    built, predicate
+                ), how
+        # Copies and restores keep the core as it is; a replay rebuilds the
+        # store's own core, re-interns included.
+        for how in ("copy", "restored"):
+            assert _core_answers(graphs[how]) == _core_answers(graph), how
+        assert _core_answers(graphs["replayed"]) == _core_answers(store.graph)
 
 
 class _InterningModel:
@@ -388,13 +346,6 @@ class _InterningModel:
     def core_state(self):
         return {"node_names": self.nodes, "pred_names": self.predicates,
                 "out": self.out, "in": self.into}
-
-    def indexes(self):
-        spo, pos = {}, {}
-        for s, p, o in (triple.as_tuple() for triple in self.live):
-            spo.setdefault(s, {}).setdefault(p, set()).add(o)
-            pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        return spo, pos
 
 
 def _plain_core(graph):
@@ -444,29 +395,24 @@ def _batches(draw):
 
 class TestBatchKernel:
     """``apply_batch`` is every insert and remove; it must follow the
-    interning rules exactly, hydrated or not, and so must a store batch."""
+    interning rules exactly, and so must a store batch."""
 
     @settings(max_examples=200, deadline=None)
     @given(batches=_batches())
-    def test_core_only_and_hydrated_graphs_follow_the_interning_model(self, batches):
+    def test_graphs_and_store_batches_follow_the_interning_model(self, batches):
         model = _InterningModel()
-        core, hydrated = KnowledgeGraph(), KnowledgeGraph()
-        hydrated.predicates()
+        core = KnowledgeGraph()
         store = VersionedKnowledgeStore()
         for batch in batches:
             counts = model.apply(batch)
             assert core.apply_batch(batch) == counts
-            assert hydrated.apply_batch(batch) == counts
             report = store.apply(
                 [(Mutation.add_triple if add else Mutation.remove_triple)(*triple.as_tuple())
                  for add, triple in batch]
             )
             assert (report.triples_added, report.triples_removed) == counts
-            assert len(core) == len(hydrated) == len(store.graph) == len(model.live)
-            assert _plain_core(core) == _plain_core(hydrated) == model.core_state()
-            assert (hydrated._spo, hydrated._pos) == model.indexes()
-            assert not core.hydrated
-        assert (core._spo, core._pos) == model.indexes()
+            assert len(core) == len(store.graph) == len(model.live)
+            assert _plain_core(core) == model.core_state()
 
     def test_an_iterable_that_raises_part_way_leaves_len_matching_the_edges(self):
         def ops():

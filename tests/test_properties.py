@@ -240,7 +240,7 @@ def test_graph_add_remove_roundtrip(edges):
     assert len(graph) == len(set(triples))
     for triple in set(triples):
         assert triple in graph
-        assert triple.object in graph.objects(triple.subject, triple.predicate)
+        assert triple in graph.triples_with_predicate(triple.predicate)
     for triple in set(triples):
         graph.remove(triple)
     assert len(graph) == 0

@@ -304,8 +304,6 @@ def test_segment_load_seeks_instead_of_replaying(tmp_path, monkeypatch):
     stats = loaded.log.reader.page_cache.stats()
     assert stats["misses"] == 0  # head checkpoint covered the whole history
     assert loaded.state_digest() == store.state_digest()
-    # The restored graph hydrates its derived indexes lazily.
-    assert not loaded.graph.hydrated
     assert len(loaded.graph) == len(store.graph)
 
 
@@ -622,7 +620,6 @@ def test_no_graph_core_feeds_the_cycle_collector(tmp_path):
         snapshot = loaded.snapshot(historical)
         _assert_edges_are_untracked_ints(snapshot.graph)
     _assert_edges_are_untracked_ints(loaded.graph.copy())
-    loaded.graph.predicates()  # hydrated: a live apply keeps both in step
     loaded.apply([Mutation.add_triple("s0", "p9", "new"), Mutation.remove_triple(
         *next(iter(loaded.graph)).as_tuple())])
     _assert_edges_are_untracked_ints(loaded.graph)
@@ -905,7 +902,6 @@ def test_a_seeked_snapshot_shares_nothing_with_the_resident(history):
     graph = snapshot.graph
     victim = next(iter(graph))
     assert graph.remove(victim) and graph.add(Triple("alias", "p0", "alias-object"))
-    assert graph.objects(victim.subject, victim.predicate) is not None and graph.hydrated
     snapshot.corpus.add(_document(10_000))
     # A store replayed behind the checkpoint applies batches on its copy.
     twin = VersionedKnowledgeStore.replay(loaded.log, upto=block.first_epoch)
@@ -913,12 +909,10 @@ def test_a_seeked_snapshot_shares_nothing_with_the_resident(history):
         [Mutation.add_triple("alias", "p1", "other"), Mutation.remove_triple(*victim.as_tuple()),
          Mutation.add_document(_document(10_001))]
     )
-    twin.graph.objects("alias", "p1")
     for epoch in behind:
         again = loaded.snapshot(epoch)
         assert _view(again.graph, again.corpus) == reference[epoch], epoch
     assert reader._resident[1] is resident
-    assert not resident.graph.hydrated
 
 
 def test_the_first_two_seeks_of_a_checkpoint_decode_it_and_no_later_one(

@@ -510,16 +510,21 @@ class TestGraphCopy:
         assert len(graph) == 0 and len(clone) == 2
 
 
+#: A graph's whole state: the interning tables, the per-node edge dicts,
+#: the traversal kernels' step lists and the live count.
+_CORE_ATTRIBUTES = {
+    "name", "_node_ids", "_node_names", "_pred_ids", "_pred_names",
+    "_out", "_in", "_steps_cache", "_edge_count",
+}
+
+
 class TestCoreOnlyGraphs:
-    def test_no_store_path_builds_string_indexes_nobody_asked_for(
-        self, tmp_path, monkeypatch
-    ):
-        """A new store, a from-zero replay, a snapshot, a load, the re-intern
-        and a compaction each hand back a graph that is its interned core
-        until a string-level query runs."""
+    def test_every_store_graph_is_its_core_after_every_query(self, tmp_path, monkeypatch):
+        """A new graph, the re-intern, a from-zero replay, both snapshots, a
+        load and a compaction each hand back a graph that answers every
+        public query and still holds nothing but its interned core."""
         monkeypatch.setattr(store_module, "GRAPH_REBUILD_FRACTION", 0.05)
         store = VersionedKnowledgeStore.bootstrap(_triples(200), _documents(10))
-        assert not store.graph.hydrated
         report = store.apply(
             [Mutation.remove_triple(*t.as_tuple()) for t in list(store.graph)[:40]]
         )
@@ -530,8 +535,10 @@ class TestCoreOnlyGraphs:
         replayed = VersionedKnowledgeStore.replay(from_zero)
         compacted = VersionedKnowledgeStore.load(path)
         compacted.compact()
+        new = KnowledgeGraph()
+        new.add_all(_triples(20))
         graphs = {
-            "new": KnowledgeGraph(),
+            "new": new,
             "re-interned": store.graph,
             "replay from zero": replayed.graph,
             "historical snapshot": store.snapshot(1).graph,
@@ -540,11 +547,16 @@ class TestCoreOnlyGraphs:
             "compact": compacted.graph,
         }
         for how, graph in graphs.items():
-            assert not graph.hydrated, how
-        for how, graph in graphs.items():
-            graph.predicates()
-            assert graph.hydrated, how
-
+            triples = list(graph)
+            assert triples, how
+            first, last = triples[0], triples[-1]
+            assert graph.triples_with_predicate(first.predicate), how
+            assert graph.contains(*first.as_tuple()) and first in graph, how
+            assert graph.degree(first.subject) > 0, how
+            assert graph.neighbors(first.subject), how
+            graph.find_paths(first.subject, last.object, max_length=3)
+            assert graph.nodes(), how
+            assert set(vars(graph)) == _CORE_ATTRIBUTES, how
 
 
 def _digest(store: VersionedKnowledgeStore) -> str:
