@@ -66,6 +66,7 @@ from repro.store import (
     SegmentReader,
     VersionedKnowledgeStore,
 )
+from repro.store.log import mutation_at, read_header, read_records
 from repro.store.store import GRAPH_REBUILD_FRACTION
 
 TOTAL_MUTATIONS = 100_000
@@ -279,9 +280,12 @@ def _seed_remove(graph: _SeedGraph, triple: Triple) -> bool:
     return True
 
 
-def _seed_apply_batch(store: VersionedKnowledgeStore, epoch: int, mutations) -> None:
+def _seed_apply_batch(
+    store: VersionedKnowledgeStore, epoch: int, mutations, recorded: list
+) -> None:
     """The seed's ``_apply_batch`` loop (no search engine, no embedder):
-    per-mutation graph calls, then the re-intern check, then the log."""
+    per-mutation graph calls, then the re-intern check, then the log (the
+    seed's ``(epoch, Mutation)`` pairs, appended to ``recorded``)."""
     triples_removed = 0
     for mutation in mutations:
         if mutation.op == ADD_TRIPLE:
@@ -299,28 +303,67 @@ def _seed_apply_batch(store: VersionedKnowledgeStore, epoch: int, mutations) -> 
         store.graph = rebuilt
         store._removed_since_reintern = 0
     store._epoch = epoch
-    store.log.append_batch(epoch, mutations)
+    recorded.extend((epoch, mutation) for mutation in mutations)
 
 
-def _seed_replay(log: MutationLog, upto: Optional[int] = None) -> VersionedKnowledgeStore:
+def _seed_load(path: str) -> tuple:
+    """The seed's ``MutationLog.load``: the same line decoder, header rule
+    and epoch checks, each record parsed into the ``(epoch, Mutation)``
+    pair its log held.  Returns ``(pairs, floor_epoch)``."""
+    pairs: list = []
+    floor_epoch = previous = 0
+    for where, record in read_records(path):
+        if record.get("kind") == "header":
+            (floor_epoch,) = read_header(record, where, 1, "floor_epoch")
+            previous = floor_epoch
+            continue
+        epoch = record.get("epoch")
+        if type(epoch) is not int or not previous <= epoch <= previous + 1:
+            raise ValueError(f"{where}: epoch {epoch!r} out of order")
+        pairs.append((epoch, mutation_at(record, where)))
+        previous = epoch
+    return pairs, floor_epoch
+
+
+def _seed_batches(pairs: list, upto: Optional[int]) -> list:
+    """The seed's ``log.batches(upto=upto)``: its ``records_between``
+    generator over the ``(epoch, Mutation)`` list the seed's log held,
+    grouped by epoch."""
+
+    def records_between():
+        for epoch, mutation in pairs:
+            if upto is not None and epoch > upto:
+                break
+            yield epoch, mutation
+
+    grouped: list = []
+    for epoch, mutation in records_between():
+        if grouped and grouped[-1][0] == epoch:
+            grouped[-1][1].append(mutation)
+        else:
+            grouped.append((epoch, [mutation]))
+    return grouped
+
+
+def _seed_replay(
+    pairs: list, floor_epoch: int, upto: Optional[int] = None
+) -> VersionedKnowledgeStore:
     """The fixed reference: a from-zero replay whose graph is hydrated
     before its first record (and after every re-intern), so each ``add``
-    maintains the string indexes the way it did at the seed."""
+    maintains the string indexes the way it did at the seed.
+
+    ``pairs`` is the ``(epoch, Mutation)`` list the seed's log held
+    (:func:`_seed_load`); the reference pays the seed's batching of it
+    and nothing more."""
     store = VersionedKnowledgeStore(name="bench-seg")
     store.graph = _SeedGraph(name=store.graph.name)
-    store._epoch = log.floor_epoch
-    for epoch, mutations in log.batches(upto=upto):
+    store._epoch = floor_epoch
+    recorded: list = []
+    for epoch, mutations in _seed_batches(pairs, upto):
         if not store.graph.hydrated:
             store.graph._hydrate()
-        _seed_apply_batch(store, epoch, mutations)
+        _seed_apply_batch(store, epoch, mutations, recorded)
     return store
-
-
-def _replay_jsonl(path: str, replay=_seed_replay) -> VersionedKnowledgeStore:
-    """Parse the JSONL export and replay it from zero (``replay``: the
-    fixed reference by default, ``VersionedKnowledgeStore.replay`` for
-    today's path)."""
-    return replay(MutationLog.load(path))
 
 
 @pytest.fixture(scope="module")
@@ -337,13 +380,16 @@ def corpus_paths(tmp_path_factory):
 def test_cold_start_floor(corpus_paths, benchmark):
     store, jsonl_path, segment_path = corpus_paths
 
+    # The reference: the seed's parse of the JSONL export into the pairs
+    # its log held, then the seed's replay of them.
     started = time.perf_counter()
-    via_jsonl = _replay_jsonl(jsonl_path)
+    pairs, floor_epoch = _seed_load(jsonl_path)
+    via_jsonl = _seed_replay(pairs, floor_epoch)
     assert _first_verdict(via_jsonl)
     jsonl_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    via_jsonl_today = _replay_jsonl(jsonl_path, replay=VersionedKnowledgeStore.replay)
+    via_jsonl_today = VersionedKnowledgeStore.replay(MutationLog.load(jsonl_path))
     assert _first_verdict(via_jsonl_today)
     jsonl_today_seconds = time.perf_counter() - started
 
@@ -401,8 +447,9 @@ def test_historical_snapshot_floor(corpus_paths, benchmark):
     ][-1]
     historical = (below + above) // 2
 
+    pairs, floor_epoch = _seed_load(jsonl_path)  # untimed, as at the seed
     started = time.perf_counter()
-    jsonl_snapshot = _seed_replay(log, upto=historical)
+    jsonl_snapshot = _seed_replay(pairs, floor_epoch, upto=historical)
     jsonl_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -416,7 +463,7 @@ def test_historical_snapshot_floor(corpus_paths, benchmark):
     segment_snapshot = None
     for _ in range(3):
         fresh = VersionedKnowledgeStore.load(segment_path)
-        for _ in fresh.log.records_between(after=below, upto=historical):
+        for _ in fresh.log.records(after=below, upto=historical):
             pass
         started = time.perf_counter()
         segment_snapshot = fresh.snapshot(historical)

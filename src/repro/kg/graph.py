@@ -40,6 +40,8 @@ Path = Tuple[PathStep, ...]
 
 #: Internal step over interned ids: (predicate id, direction, node id).
 _IdStep = Tuple[int, int, int]
+#: One :meth:`KnowledgeGraph.apply_batch` op: (not read, remove, s, p, o).
+_Op = Tuple[object, object, str, str, str]
 
 
 class KnowledgeGraph:
@@ -74,25 +76,29 @@ class KnowledgeGraph:
 
     # -- mutation -----------------------------------------------------------
 
-    def apply_batch(self, ops: Iterable[Tuple[bool, Triple]]) -> Tuple[int, int]:
-        """Apply ``(add, triple)`` operations in order; returns how many
-        triples were actually ``(added, removed)``.
+    def apply_batch(self, ops: Iterable[_Op]) -> Tuple[int, int]:
+        """Apply ``(_, remove, subject, predicate, object)`` operations in
+        order; returns how many triples were actually ``(added, removed)``.
 
-        The one insert/remove path.  Adding a present triple or removing an
-        absent one is a no-op.  A new subject is interned before a new
-        object, then a new predicate, each taking the next dense id; edges
-        join their per-node lists in insertion order.
+        The first item is not read and ``remove`` is false to add the
+        triple, true to remove it.  A triple record of a store's log
+        (:data:`repro.store.log.Record`: epoch first, then a triple code
+        that is this flag) is an op as it stands, so replay builds no
+        object per op.  The one insert/remove path.
+        Adding a present triple or removing an absent one is a no-op.  A new
+        subject is interned before a new object, then a new predicate, each
+        taking the next dense id; edges join their per-node lists in
+        insertion order.
         """
         node_ids, names, pred_ids = self._node_ids, self._node_names, self._pred_ids
         out, in_, steps = self._out, self._in, self._steps_cache
         added = removed = 0
         try:
-            for add, triple in ops:
-                s, p, o = triple.subject, triple.predicate, triple.object
+            for _, remove, s, p, o in ops:
                 s_id = node_ids.get(s)
                 o_id = node_ids.get(o)
                 p_id = pred_ids.get(p)
-                if add:
+                if not remove:
                     if s_id is None or o_id is None:
                         for name in (s, o):  # subject first; a self-loop interns once
                             if name not in node_ids:
@@ -126,15 +132,23 @@ class KnowledgeGraph:
 
     def add(self, triple: Triple) -> bool:
         """Add a triple; returns ``False`` when it was already present."""
-        return self.apply_batch(((True, triple),))[0] == 1
+        return self.apply_batch(((None, False, *triple.as_tuple()),))[0] == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Add many triples; returns the number actually inserted."""
-        return self.apply_batch((True, triple) for triple in triples)[0]
+        return self.apply_batch((None, False, *triple.as_tuple()) for triple in triples)[0]
 
     def remove(self, triple: Triple) -> bool:
         """Remove a triple; returns ``False`` when it was not present."""
-        return self.apply_batch(((False, triple),))[1] == 1
+        return self.apply_batch(((None, True, *triple.as_tuple()),))[1] == 1
+
+    def reinterned(self) -> "KnowledgeGraph":
+        """The same triples in a new graph whose interning tables are dense
+        again: added in sorted order, so no entry is left for a node or
+        predicate no edge uses.  Builds no :class:`Triple`."""
+        graph = KnowledgeGraph(name=self.name)
+        graph.apply_batch((None, False, s, p, o) for s, p, o in self.sorted_spo())
+        return graph
 
     # -- basic queries ------------------------------------------------------
 
@@ -146,10 +160,14 @@ class KnowledgeGraph:
 
     def __iter__(self) -> Iterator[Triple]:
         # Sorted before the first yield, so a mutation mid-iteration is safe.
+        return (Triple(*triple) for triple in self.sorted_spo())
+
+    def sorted_spo(self) -> List[Tuple[str, str, str]]:
+        """Every triple as a ``(subject, predicate, object)`` tuple, sorted:
+        the order of iteration, without building a :class:`Triple`."""
         names, preds = self._node_names, self._pred_names
-        spo = sorted((names[s], preds[edge >> 32], names[edge & 0xFFFFFFFF])
-                     for s, edges in enumerate(self._out) for edge in edges)
-        return (Triple(*triple) for triple in spo)
+        return sorted((names[s], preds[edge >> 32], names[edge & 0xFFFFFFFF])
+                      for s, edges in enumerate(self._out) for edge in edges)
 
     def contains(self, subject: str, predicate: str, obj: str) -> bool:
         s_id = self._node_ids.get(subject)

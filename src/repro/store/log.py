@@ -1,8 +1,10 @@
 """Append-only mutation log with a JSON-lines export/import codec.
 
 The versioned knowledge store records every state change as a
-:class:`Mutation` stamped with the monotonic epoch it was applied at.  The
-log is the store's source of truth: replaying it into a fresh store is
+:class:`Mutation` stamped with the monotonic epoch it was applied at, and
+the log keeps each as one flat record (:data:`Record`), the unit a
+segment's page cache holds and replay applies.  The log is the store's
+source of truth: replaying it into a fresh store is
 deterministic down to the byte (same interning order, same posting-array
 layout), which is what makes on-disk persistence, point-in-time snapshots,
 and the incremental-vs-rebuild equivalence checks possible.
@@ -118,6 +120,25 @@ REMOVE_TRIPLE = "remove_triple"
 ADD_DOCUMENT = "add_document"
 
 _OPS = frozenset({ADD_TRIPLE, REMOVE_TRIPLE, ADD_DOCUMENT})
+#: Each op's code in a :data:`Record` and in a segment's record bytes.  A
+#: triple's code is the ``remove`` flag
+#: :meth:`~repro.kg.graph.KnowledgeGraph.apply_batch` reads.
+ADD_TRIPLE_CODE, REMOVE_TRIPLE_CODE, ADD_DOCUMENT_CODE = 0, 1, 2
+OP_CODES = {
+    ADD_TRIPLE: ADD_TRIPLE_CODE,
+    REMOVE_TRIPLE: REMOVE_TRIPLE_CODE,
+    ADD_DOCUMENT: ADD_DOCUMENT_CODE,
+}
+OP_NAMES = {code: op for op, code in OP_CODES.items()}
+
+#: One log record: ``(epoch, code, subject, predicate, object)`` for a
+#: triple add or remove, ``(epoch, ADD_DOCUMENT_CODE, document)`` for a
+#: document add.  Every log stores these, a segment's page cache holds
+#: them and replay hands a triple record to
+#: :meth:`~repro.kg.graph.KnowledgeGraph.apply_batch` as it stands.  A
+#: triple record holds only ``int`` and ``str``, so the cycle collector
+#: stops tracking it at its first young collection.
+Record = Tuple[object, ...]
 
 #: Document fields serialised into ``add_document`` records, in order.
 _DOC_FIELDS = ("doc_id", "url", "title", "text", "source", "fact_id", "kind")
@@ -165,6 +186,24 @@ class Mutation:
     def add_document(document: Document) -> "Mutation":
         """An ``add_document`` mutation carrying ``document`` verbatim."""
         return Mutation(ADD_DOCUMENT, document=document)
+
+    # -- records -------------------------------------------------------------
+
+    def record(self, epoch: int) -> Record:
+        """This mutation as the log :data:`Record` stamped ``epoch``;
+        inverse of :meth:`from_record`."""
+        if self.document is not None:
+            return (epoch, ADD_DOCUMENT_CODE, self.document)
+        triple = self.triple
+        return (epoch, OP_CODES[self.op], triple.subject, triple.predicate, triple.object)
+
+    @staticmethod
+    def from_record(record: Record) -> "Mutation":
+        """The mutation a :data:`Record` holds (its epoch is dropped)."""
+        op = OP_NAMES[record[1]]
+        if op == ADD_DOCUMENT:
+            return Mutation(op, document=record[2])
+        return Mutation(op, triple=Triple(*record[2:]))
 
     # -- serialisation -------------------------------------------------------
 
@@ -226,22 +265,49 @@ def mutation_at(record: Dict[str, object], where: str) -> Mutation:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def group_batches(
-    records: Iterable[Tuple[int, Mutation]]
-) -> List[Tuple[int, List[Mutation]]]:
-    """Group ``(epoch, mutation)`` records, already in epoch order, into
-    one ``(epoch, [mutations])`` entry per epoch."""
-    grouped: List[Tuple[int, List[Mutation]]] = []
-    for epoch, mutation in records:
-        if grouped and grouped[-1][0] == epoch:
-            grouped[-1][1].append(mutation)
-        else:
-            grouped.append((epoch, [mutation]))
+def group_batches(records: Iterable[Record]) -> List[Tuple[int, List[Record]]]:
+    """Group records, already in epoch order, into one ``(epoch,
+    [records])`` entry per epoch."""
+    grouped: List[Tuple[int, List[Record]]] = []
+    batch: List[Record] = []
+    for record in records:
+        if not batch or batch[0][0] != record[0]:
+            batch = []
+            grouped.append((record[0], batch))
+        batch.append(record)
     return grouped
 
 
+def split_batch(records: Sequence[Record]) -> Tuple[Sequence[Record], List[Document]]:
+    """One batch's ``(triple records, documents)``, each in batch order:
+    the graph kernel's ops as they are, and what joins the corpus."""
+    documents = [r[2] for r in records if r[1] == ADD_DOCUMENT_CODE]
+    if not documents:
+        return records, documents
+    return [r for r in records if r[1] != ADD_DOCUMENT_CODE], documents
+
+
+def epoch_window(
+    records: Iterable[Record], after: Optional[int], upto: Optional[int]
+) -> Iterator[Record]:
+    """The records with ``after < epoch <= upto`` (None: unbounded) of an
+    epoch-ordered run, stopping at the first one past ``upto``."""
+    for record in records:
+        epoch = record[0]
+        if after is not None and epoch <= after:
+            continue
+        if upto is not None and epoch > upto:
+            return
+        yield record
+
+
 class MutationLog:
-    """Ordered ``(epoch, Mutation)`` records plus JSONL persistence.
+    """Ordered log records plus JSONL persistence.
+
+    Each entry is a flat :data:`Record`, and replay reads them as they
+    are (:meth:`records`, :meth:`batches`).  Iterating the log yields
+    ``(epoch, Mutation)`` pairs built from the records on demand, for the
+    JSONL export, ``convert`` and tests.
 
     ``floor_epoch`` is the earliest epoch the log can reconstruct: ``0``
     for a full-history log (replaying nothing yields the empty store at
@@ -253,13 +319,14 @@ class MutationLog:
         if floor_epoch < 0:
             raise ValueError("floor_epoch must be >= 0")
         self.floor_epoch = floor_epoch
-        self._records: List[Tuple[int, Mutation]] = []
+        self._records: List[Record] = []
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[Tuple[int, Mutation]]:
-        return iter(self._records)
+        for record in self.records():
+            yield record[0], Mutation.from_record(record)
 
     @property
     def max_epoch(self) -> int:
@@ -272,29 +339,29 @@ class MutationLog:
         Raises :class:`ValueError` when ``epoch`` does not advance the log
         (epochs are strictly monotonic — one per applied batch).
         """
+        self.append_records(epoch, [mutation.record(epoch) for mutation in mutations])
+
+    def append_records(self, epoch: int, records: Sequence[Record]) -> None:
+        """:meth:`append_batch` for a batch already made records stamped
+        ``epoch`` (what the store applied)."""
         if epoch <= self.max_epoch:
             raise ValueError(
                 f"epoch {epoch} is not monotonic (log already at {self.max_epoch})"
             )
-        self._records.extend((epoch, mutation) for mutation in mutations)
+        self._records.extend(records)
 
-    def records_between(
+    def records(
         self, after: Optional[int] = None, upto: Optional[int] = None
-    ) -> Iterator[Tuple[int, Mutation]]:
+    ) -> Iterator[Record]:
         """Records with ``after < epoch <= upto``, in log order."""
-        for epoch, mutation in self._records:
-            if after is not None and epoch <= after:
-                continue
-            if upto is not None and epoch > upto:
-                break
-            yield epoch, mutation
+        return epoch_window(self._records, after, upto)
 
     def batches(
         self, upto: Optional[int] = None, after: Optional[int] = None
-    ) -> List[Tuple[int, List[Mutation]]]:
+    ) -> List[Tuple[int, List[Record]]]:
         """Records grouped by epoch, in epoch order, optionally bounded to
-        ``after < epoch <= upto``."""
-        return group_batches(self.records_between(after=after, upto=upto))
+        ``after < epoch <= upto``: what replay applies."""
+        return group_batches(self.records(after=after, upto=upto))
 
     def replay_base(self, upto: Optional[int] = None) -> None:
         """The materialised state replay may start from: a plain log has
@@ -361,7 +428,7 @@ class MutationLog:
                     else:
                         problem = f"epoch {epoch} leaves a gap after epoch {previous}"
                     raise ValueError(f"{where}: {problem}")
-                log._records.append((epoch, mutation_at(record, where)))
+                log._records.append(mutation_at(record, where).record(epoch))
                 previous = epoch
             first = False
         return log

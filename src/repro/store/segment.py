@@ -15,7 +15,11 @@ walked through a page cache, compression at the block boundary:
   garbage.
 * **Page cache.**  Reads decompress and decode one block at a time
   through a bounded LRU :class:`PageCache`, so historical snapshots touch
-  only the blocks their epoch window needs.
+  only the blocks their epoch window needs.  A cached page is the block's
+  flat log records (:data:`~repro.store.log.Record`), which replay hands
+  to the graph kernel as they are: a snapshot builds no ``Mutation`` or
+  ``Triple``, and a page of triple records holds only ``int`` and
+  ``str``, so the cycle collector has nothing in it to scan.
 * **Footer index.**  A per-segment footer maps every block to its
   ``(offset, first_epoch, last_epoch)`` so ``snapshot(epoch)`` and cold
   start *seek* to the needed suffix instead of replaying from zero.
@@ -42,7 +46,7 @@ through an unpickler that resolves exactly one global —
 :class:`CorruptSegmentError` for any other: a crafted segment can make
 ``load`` fail, not run code.  Record blocks use a plain length-prefixed
 struct encoding and are readable without unpickling; one pass over a
-block decodes it (:func:`decode_records`).
+block decodes it into records (:func:`decode_records`).
 
 A checkpoint's graph core holds each edge as one packed
 ``pred << 32 | other`` int (:meth:`KnowledgeGraph.core_state`), so the
@@ -80,15 +84,17 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..kg.graph import KnowledgeGraph
-from ..kg.triples import Triple
 from ..retrieval.corpus import Corpus, Document
 from .log import (
     ADD_DOCUMENT,
-    ADD_TRIPLE,
-    REMOVE_TRIPLE,
+    ADD_DOCUMENT_CODE,
+    OP_CODES,
+    OP_NAMES,
     Mutation,
     MutationLog,
+    Record,
     decode_line,
+    epoch_window,
     group_batches,
     read_header,
 )
@@ -139,9 +145,6 @@ _FIELD_LENGTH = struct.Struct("<I")  # each field's UTF-8 byte count
 #: at the default block size); a larger one is treated as lost.
 _FOOTER_MAX_RAW = 8 * 1024 * 1024
 
-_OP_CODES = {ADD_TRIPLE: 0, REMOVE_TRIPLE: 1, ADD_DOCUMENT: 2}
-_OP_NAMES = {code: op for op, code in _OP_CODES.items()}
-
 _DOC_FIELDS = ("doc_id", "url", "title", "text", "source", "fact_id", "kind")
 
 
@@ -175,7 +178,7 @@ def _inflate(comp: bytes, limit: int) -> Optional[bytes]:
 
 def encode_record(epoch: int, mutation: Mutation) -> bytes:
     """One mutation as length-prefixed struct bytes (epoch stamped)."""
-    parts = [_RECORD_HEAD.pack(epoch, _OP_CODES[mutation.op])]
+    parts = [_RECORD_HEAD.pack(epoch, OP_CODES[mutation.op])]
     if mutation.op == ADD_DOCUMENT:
         fields = [getattr(mutation.document, name) for name in _DOC_FIELDS]
     else:
@@ -188,19 +191,20 @@ def encode_record(epoch: int, mutation: Mutation) -> bytes:
     return b"".join(parts)
 
 
-def decode_records(payload: bytes, count: int, where: str) -> List[Tuple[int, Mutation]]:
-    """Decode one record block's payload; inverse of :func:`encode_record`.
+def decode_records(payload: bytes, count: int, where: str) -> List[Record]:
+    """Decode one record block's payload into log records (a triple's
+    ``(epoch, code, subject, predicate, object)``, a document's ``(epoch,
+    ADD_DOCUMENT_CODE, Document)``); inverse of :func:`encode_record`.
 
     One pass over ``payload``: a triple record's three fields are read in
     line, each a length then a ``bytes`` slice decoded on the spot, so a
     damaged record raises the same error at the same field as a
     field-by-field reader would.
     """
-    records: List[Tuple[int, Mutation]] = []
+    records: List[Record] = []
     append = records.append
     unpack_head, unpack_length = _RECORD_HEAD.unpack_from, _FIELD_LENGTH.unpack_from
-    head_size, op_names = _RECORD_HEAD.size, _OP_NAMES
-    new_mutation, set_field = Mutation.__new__, object.__setattr__
+    head_size, op_names = _RECORD_HEAD.size, OP_NAMES
     overrun = f"{where}: record overruns block"
     offset = 0
     limit = len(payload)
@@ -208,10 +212,9 @@ def decode_records(payload: bytes, count: int, where: str) -> List[Tuple[int, Mu
         for _ in range(count):
             epoch, code = unpack_head(payload, offset)
             offset += head_size
-            op = op_names.get(code)
-            if op is None:
+            if code not in op_names:
                 raise CorruptSegmentError(f"{where}: unknown op code {code}")
-            if op == ADD_DOCUMENT:
+            if code == ADD_DOCUMENT_CODE:
                 fields: List[str] = []
                 for _ in _DOC_FIELDS:
                     (length,) = unpack_length(payload, offset)
@@ -220,9 +223,7 @@ def decode_records(payload: bytes, count: int, where: str) -> List[Tuple[int, Mu
                     if offset > limit:
                         raise CorruptSegmentError(overrun)
                     fields.append(payload[start:offset].decode("utf-8"))
-                append((epoch, Mutation(
-                    ADD_DOCUMENT, document=Document(**dict(zip(_DOC_FIELDS, fields)))
-                )))
+                append((epoch, code, Document(**dict(zip(_DOC_FIELDS, fields)))))
                 continue
             # A triple: its three fields unrolled.
             (length,) = unpack_length(payload, offset)
@@ -242,15 +243,7 @@ def decode_records(payload: bytes, count: int, where: str) -> List[Tuple[int, Mu
             offset = start + length
             if offset > limit:
                 raise CorruptSegmentError(overrun)
-            mutation = new_mutation(Mutation)
-            # Bypass __post_init__ re-validation on the hot decode path;
-            # the op/payload pairing is correct by construction here.
-            set_field(mutation, "op", op)
-            set_field(mutation, "triple", Triple(
-                subject, predicate, payload[start:offset].decode("utf-8")
-            ))
-            set_field(mutation, "document", None)
-            append((epoch, mutation))
+            append((epoch, code, subject, predicate, payload[start:offset].decode("utf-8")))
     except struct.error as exc:
         raise CorruptSegmentError(f"{where}: truncated record ({exc})") from exc
     except UnicodeDecodeError as exc:
@@ -362,9 +355,11 @@ class PageCache:
     """LRU cache of up to :data:`PAGE_CACHE_BLOCKS` decoded record blocks,
     keyed by file offset.
 
-    One entry is one block's decoded ``(epoch, Mutation)`` list — the unit
-    a historical snapshot or suffix replay touches.  Thread-safe: replica
-    stores forked off one segment share a single reader and cache.
+    One entry is one block's list of log records
+    (:data:`~repro.store.log.Record`, as :func:`decode_records` made
+    them) — the unit a historical snapshot or suffix replay touches and
+    applies as it is.  Thread-safe: replica stores forked off one segment
+    share a single reader and cache.
     """
 
     def __init__(self) -> None:
@@ -372,9 +367,9 @@ class PageCache:
         self.misses = 0
         self.evictions = 0
         self._lock = threading.Lock()
-        self._pages: "OrderedDict[int, List[Tuple[int, Mutation]]]" = OrderedDict()
+        self._pages: "OrderedDict[int, List[Record]]" = OrderedDict()
 
-    def get(self, offset: int) -> Optional[List[Tuple[int, Mutation]]]:
+    def get(self, offset: int) -> Optional[List[Record]]:
         with self._lock:
             page = self._pages.get(offset)
             if page is None:
@@ -384,7 +379,7 @@ class PageCache:
             self.hits += 1
             return page
 
-    def put(self, offset: int, page: List[Tuple[int, Mutation]]) -> None:
+    def put(self, offset: int, page: List[Record]) -> None:
         with self._lock:
             self._pages[offset] = page
             self._pages.move_to_end(offset)
@@ -605,7 +600,7 @@ class SegmentReader:
         #: Blocks whose on-disk record count no longer matches the logical
         #: view (a recovered torn batch was trimmed): pinned outside the
         #: LRU so eviction can never resurrect the dropped records.
-        self._pinned_pages: Dict[int, List[Tuple[int, Mutation]]] = {}
+        self._pinned_pages: Dict[int, List[Record]] = {}
         self._lock = threading.Lock()
         # The offset of the last bounded seek's checkpoint, and the one
         # checkpoint kept restored (both swapped under ``_lock``): see
@@ -681,9 +676,10 @@ class SegmentReader:
         if index is None:
             return None
         try:
-            rows = json.loads(index)["blocks"]
+            # ``decode_line`` maps nesting too deep to decode to ValueError.
+            rows = decode_line(index, f"{path}: footer")["blocks"]
             blocks = [BlockInfo.from_json(row) for row in rows]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             return None
         if not all(type(value) is int for row in rows for value in row):
             return None
@@ -840,7 +836,7 @@ class SegmentReader:
             )
         return comp
 
-    def _block_records(self, block: BlockInfo) -> List[Tuple[int, Mutation]]:
+    def _block_records(self, block: BlockInfo) -> List[Record]:
         """One block's decoded records, through the page cache."""
         pinned = self._pinned_pages.get(block.offset)
         if pinned is not None:
@@ -858,21 +854,17 @@ class SegmentReader:
         self.page_cache.put(block.offset, page)
         return page
 
-    def iter_records(
+    def records(
         self, after: Optional[int] = None, upto: Optional[int] = None
-    ) -> Iterator[Tuple[int, Mutation]]:
-        """Records with ``after < epoch <= upto``, seeking past whole blocks."""
+    ) -> Iterator[Record]:
+        """Records with ``after < epoch <= upto``, seeking past whole
+        blocks: the cached pages' own tuples."""
         for block in self.record_blocks:
             if after is not None and block.last_epoch <= after:
                 continue
             if upto is not None and block.first_epoch > upto:
                 break
-            for epoch, mutation in self._block_records(block):
-                if after is not None and epoch <= after:
-                    continue
-                if upto is not None and epoch > upto:
-                    return
-                yield epoch, mutation
+            yield from epoch_window(self._block_records(block), after, upto)
 
     def latest_checkpoint(self, upto: Optional[int] = None) -> Optional[BlockInfo]:
         """The newest checkpoint block at or below ``upto`` (None: any)."""
@@ -971,7 +963,7 @@ class SegmentBackedLog(MutationLog):
     blocks verbatim and only encodes the tail).
     """
 
-    def __init__(self, reader: SegmentReader, tail: Sequence[Tuple[int, Mutation]] = ()) -> None:
+    def __init__(self, reader: SegmentReader, tail: Sequence[Record] = ()) -> None:
         super().__init__(floor_epoch=reader.floor_epoch)
         self.reader = reader
         self._records = list(tail)
@@ -979,21 +971,17 @@ class SegmentBackedLog(MutationLog):
     def __len__(self) -> int:
         return self.reader.record_count + len(self._records)
 
-    def __iter__(self) -> Iterator[Tuple[int, Mutation]]:
-        yield from self.reader.iter_records()
-        yield from self._records
-
     @property
     def max_epoch(self) -> int:
         if self._records:
             return self._records[-1][0]
         return self.reader.max_epoch
 
-    def records_between(
+    def records(
         self, after: Optional[int] = None, upto: Optional[int] = None
-    ) -> Iterator[Tuple[int, Mutation]]:
-        yield from self.reader.iter_records(after=after, upto=upto)
-        yield from super().records_between(after=after, upto=upto)
+    ) -> Iterator[Record]:
+        yield from self.reader.records(after=after, upto=upto)
+        yield from super().records(after=after, upto=upto)
 
     def replay_base(
         self, upto: Optional[int] = None
@@ -1021,7 +1009,7 @@ class SegmentBackedLog(MutationLog):
         """
         return SegmentBackedLog(self.reader, tail=self._records)
 
-    def tail_batches(self) -> List[Tuple[int, List[Mutation]]]:
+    def tail_batches(self) -> List[Tuple[int, List[Record]]]:
         """The batches appended in memory since the segment was opened,
         grouped by epoch (what an incremental save has to encode)."""
         return group_batches(self._records)

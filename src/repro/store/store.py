@@ -25,9 +25,13 @@ which makes three things fall out for free:
   the result identical to a from-scratch rebuild.
 
 There is one apply path: a live ``apply``, a replay, a historical snapshot
-and the save's shadow replay all hand a batch's triple adds and removes to
-:meth:`KnowledgeGraph.apply_batch` in one call, and re-interning and
-``compact`` rebuild the graph through it too.
+and the save's shadow replay all feed a batch of log records
+(:data:`~repro.store.log.Record`) to one ``_apply_batch``, which hands its
+triple records to :meth:`KnowledgeGraph.apply_batch` as they are, in one
+call; re-interning and ``compact`` rebuild the graph through it too.  A
+live ``apply`` makes its mutations records once; a replay applies the
+records a log (or a segment's page cache) already holds, so it builds no
+``Mutation`` or ``Triple``.
 
 Two module constants bound the cost of incrementality:
 :data:`INDEX_REBUILD_FRACTION` sends a batch that adds a large fraction of
@@ -51,7 +55,17 @@ from ..kg.triples import Triple
 from ..retrieval.corpus import Corpus, Document
 from ..retrieval.embeddings import HashingEmbedder
 from ..retrieval.search import SearchEngine
-from .log import ADD_DOCUMENT, ADD_TRIPLE, REMOVE_TRIPLE, Mutation, MutationLog
+from .log import (
+    ADD_DOCUMENT,
+    ADD_DOCUMENT_CODE,
+    ADD_TRIPLE,
+    ADD_TRIPLE_CODE,
+    REMOVE_TRIPLE,
+    Mutation,
+    MutationLog,
+    Record,
+    split_batch,
+)
 from . import segment
 from .segment import (
     SegmentBackedLog,
@@ -264,8 +278,8 @@ class VersionedKnowledgeStore:
             self._epoch = after = base.epoch
             self._removed_since_reintern = base.removed_since_reintern
         start = self._epoch
-        for epoch, mutations in log.batches(upto=upto, after=after):
-            self._apply_batch(epoch, mutations, record)
+        for epoch, records in log.batches(upto=upto, after=after):
+            self._apply_batch(epoch, records, record)
         return start
 
     # ------------------------------------------------------------- properties
@@ -333,13 +347,14 @@ class VersionedKnowledgeStore:
             raise ValueError("mutation batch must not be empty")
         self.validate(batch)
         epoch = self._epoch + 1
+        records = [mutation.record(epoch) for mutation in batch]
         if self.tracer is not None:
             with self.tracer.span("store.apply", self.name) as span:
                 span.attributes["epoch"] = epoch
                 span.attributes["ops"] = len(batch)
-                report = self._apply_batch(epoch, batch, record=True)
+                report = self._apply_batch(epoch, records, record=True)
         else:
-            report = self._apply_batch(epoch, batch, record=True)
+            report = self._apply_batch(epoch, records, record=True)
         chain = hashlib.sha256(self._chain.encode("ascii"))
         for mutation in batch:
             chain.update(encode_record(epoch, mutation))
@@ -392,16 +407,14 @@ class VersionedKnowledgeStore:
                 new_doc_ids.add(doc_id)
 
     def _apply_batch(
-        self, epoch: int, batch: Sequence[Mutation], record: bool
+        self, epoch: int, records: Sequence[Record], record: bool
     ) -> ApplyReport:
+        """Apply one batch of log records stamped ``epoch`` (recording them
+        into :attr:`log` when ``record``): the triple records go to the
+        graph kernel as they are, then the documents join the corpus."""
         started = time.perf_counter()
-        triples_added, triples_removed = self.graph.apply_batch(
-            [(mutation.op == ADD_TRIPLE, mutation.triple)
-             for mutation in batch if mutation.document is None]
-        )
-        new_documents = [
-            mutation.document for mutation in batch if mutation.document is not None
-        ]
+        triple_records, new_documents = split_batch(records)
+        triples_added, triples_removed = self.graph.apply_batch(triple_records)
         for document in new_documents:
             self.corpus.add(document)
 
@@ -411,7 +424,7 @@ class VersionedKnowledgeStore:
 
         self._epoch = epoch
         if record:
-            self.log.append_batch(epoch, batch)
+            self.log.append_records(epoch, records)
         return ApplyReport(
             epoch=epoch,
             triples_added=triples_added,
@@ -450,9 +463,7 @@ class VersionedKnowledgeStore:
     def _reintern_graph(self) -> None:
         """Rebuild the graph from its sorted triples: dense interning
         tables again, with no entry for a node or predicate no edge uses."""
-        rebuilt = KnowledgeGraph(name=self.graph.name)
-        rebuilt.add_all(self.graph)
-        self.graph = rebuilt
+        self.graph = self.graph.reinterned()
         self._removed_since_reintern = 0
 
     def _warm_embedder(self, new_documents: Sequence[Document]) -> None:
@@ -541,12 +552,12 @@ class VersionedKnowledgeStore:
         since_checkpoint = 0
         remaining = len(log)
         with SegmentWriter(path, floor_epoch=log.floor_epoch) as writer:
-            for epoch, mutations in log.batches():
-                writer.append_batch(epoch, mutations)
+            for epoch, records in log.batches():
+                writer.append_batch(epoch, [Mutation.from_record(r) for r in records])
                 if since_checkpoint + remaining >= checkpoint_interval:
-                    shadow._apply_batch(epoch, mutations, record=False)
-                since_checkpoint += len(mutations)
-                remaining -= len(mutations)
+                    shadow._apply_batch(epoch, records, record=False)
+                since_checkpoint += len(records)
+                remaining -= len(records)
                 if since_checkpoint >= checkpoint_interval:
                     writer.checkpoint(shadow._checkpoint_state())
                     since_checkpoint = 0
@@ -563,8 +574,8 @@ class VersionedKnowledgeStore:
             for block in reader.blocks:
                 writer.copy_raw_block(block, reader.read_raw_block(block))
             tail = log.tail_batches()
-            for epoch, mutations in tail:
-                writer.append_batch(epoch, mutations)
+            for epoch, records in tail:
+                writer.append_batch(epoch, [Mutation.from_record(r) for r in records])
             if tail:
                 writer.checkpoint(self._checkpoint_state())
 
@@ -589,16 +600,15 @@ class VersionedKnowledgeStore:
         still holds afterwards.  Returns the number of log records dropped.
         """
         before = len(self.log)
-        canonical: List[Mutation] = [
-            Mutation(ADD_TRIPLE, triple=triple) for triple in self.graph
+        epoch = self._epoch
+        canonical: List[Record] = [
+            (epoch, ADD_TRIPLE_CODE, s, p, o) for s, p, o in self.graph.sorted_spo()
         ]
-        canonical.extend(
-            Mutation(ADD_DOCUMENT, document=document) for document in self.corpus
-        )
+        canonical.extend((epoch, ADD_DOCUMENT_CODE, document) for document in self.corpus)
         compacted = MutationLog()
         if canonical:
-            compacted.append_batch(self._epoch, canonical)
-        compacted.floor_epoch = self._epoch
+            compacted.append_records(epoch, canonical)
+        compacted.floor_epoch = epoch
         self.log = compacted
         # Canonicalise the live substrates so the invariant keeps holding.
         self._reintern_graph()

@@ -405,7 +405,9 @@ class TestBatchKernel:
         store = VersionedKnowledgeStore()
         for batch in batches:
             counts = model.apply(batch)
-            assert core.apply_batch(batch) == counts
+            # The kernel's op is a triple record: (not read, remove, s, p, o).
+            ops = [(7, 0 if add else 1, *triple.as_tuple()) for add, triple in batch]
+            assert core.apply_batch(ops) == counts
             report = store.apply(
                 [(Mutation.add_triple if add else Mutation.remove_triple)(*triple.as_tuple())
                  for add, triple in batch]
@@ -416,9 +418,9 @@ class TestBatchKernel:
 
     def test_an_iterable_that_raises_part_way_leaves_len_matching_the_edges(self):
         def ops():
-            yield True, Triple("a", "p", "b")
-            yield True, Triple("b", "p", "c")
-            yield False, Triple("a", "p", "b")
+            yield 1, 0, "a", "p", "b"
+            yield 1, 0, "b", "p", "c"
+            yield 2, 1, "a", "p", "b"
             raise RuntimeError("source failed")
 
         graph = KnowledgeGraph()

@@ -242,9 +242,11 @@ def test_a_saved_store_reads_its_segment_so_a_resave_encodes_nothing(
         calls["encode_record"] += 1
         return encode_record(*args)
 
-    def counting_apply(self, *args, **kwargs):
+    def counting_apply(self, epoch, records, record):
         calls["_apply_batch"] += 1
-        return apply_batch(self, *args, **kwargs)
+        # A batch of flat log records, stamped with its epoch.
+        assert all(type(r) is tuple and r[0] == epoch for r in records)
+        return apply_batch(self, epoch, records, record)
 
     monkeypatch.setattr(segment_module, "encode_record", counting_encode)
     monkeypatch.setattr(VersionedKnowledgeStore, "_apply_batch", counting_apply)
@@ -271,6 +273,54 @@ def test_a_saved_store_reads_its_segment_so_a_resave_encodes_nothing(
         got = store.snapshot(epoch)
         assert got.graph.state_digest() == expected.graph.state_digest()
         assert [d.doc_id for d in got.corpus] == [d.doc_id for d in expected.corpus]
+
+
+def test_historical_replay_builds_no_mutation_or_triple(tmp_path, monkeypatch):
+    """A load and snapshots behind every checkpoint, and behind none, apply
+    the page caches' flat records as they are, re-interns included: no
+    ``Mutation`` or ``Triple`` is built, and no cached triple record is
+    left tracked for the cycle collector to scan."""
+    from repro.kg.graph import KnowledgeGraph
+    from repro.store import store as store_module
+
+    # Saved, loaded and replayed alike: replays re-intern their graphs.
+    monkeypatch.setattr(store_module, "GRAPH_REBUILD_FRACTION", 0.05)
+    store, path, _ = _saved_segment(tmp_path, batches=40, block_size=384)
+    calls = {Mutation: 0, Triple: 0, KnowledgeGraph: 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, name in ((Mutation, "__init__"), (Triple, "__init__"),
+                          (KnowledgeGraph, "reinterned")):
+            def counting(self, *args, _cls=cls, _method=getattr(cls, name), **kwargs):
+                calls[_cls] += 1
+                return _method(self, *args, **kwargs)
+
+            patch.setattr(cls, name, counting)
+
+        def alive() -> List[int]:
+            gc.collect()
+            objects = gc.get_objects()
+            return [sum(type(o) is cls for o in objects) for cls in (Mutation, Triple)]
+
+        before = alive()
+        loaded = VersionedKnowledgeStore.load(path)
+        reader = loaded.log.reader
+        checkpoints = [block.first_epoch for block in reader.checkpoints]
+        assert len(checkpoints) >= 3 and checkpoints[-1] == loaded.epoch
+        assert any(block.continues for block in reader.record_blocks)
+        epochs = [checkpoints[0] // 2] + [epoch + 3 for epoch in checkpoints[:-1]]
+        # Twice each: the second consecutive seek decodes into the resident.
+        snapshots = [(e, loaded.snapshot(e)) for e in epochs for _ in range(2)]
+        assert calls[Mutation] == calls[Triple] == 0
+        assert calls[KnowledgeGraph] > 0
+        assert alive() == before
+        pages = [*reader.page_cache._pages.values(), *reader._pinned_pages.values()]
+        triples = [record for page in pages for record in page if len(record) == 5]
+        assert len(triples) > 50
+        assert not any(gc.is_tracked(record) for record in triples)
+    for epoch, snapshot in snapshots:
+        expected = VersionedKnowledgeStore.replay(store.log, upto=epoch)
+        assert snapshot.graph.state_digest() == expected.graph.state_digest()
+        assert list(snapshot.corpus) == list(expected.corpus)
 
 
 def test_a_resave_after_new_batches_encodes_only_them(tmp_path, monkeypatch):
@@ -654,7 +704,9 @@ def test_the_record_codec_round_trips(records):
     from repro.store.segment import decode_records, encode_record
 
     payload = b"".join(encode_record(epoch, mutation) for epoch, mutation in records)
-    assert decode_records(payload, len(records), "block") == records
+    decoded = decode_records(payload, len(records), "block")
+    assert decoded == [mutation.record(epoch) for epoch, mutation in records]
+    assert [(record[0], Mutation.from_record(record)) for record in decoded] == records
 
 
 def _field(raw: bytes) -> bytes:
@@ -785,7 +837,7 @@ def test_page_cache_eviction_and_stats(tmp_path, monkeypatch):
     assert stats["misses"] >= len(reader.record_blocks)
     assert stats["evictions"] > 0
     # Re-reading the hottest tail blocks now hits.
-    list(reader.iter_records(after=store.epoch - 2))
+    list(reader.records(after=store.epoch - 2))
     assert cache.stats()["hits"] > 0
 
 
@@ -1083,13 +1135,24 @@ def _one_triple_per_epoch(tmp_path, epochs: int = 30, **constants) -> tuple:
 def _with_footer(path: Path, forge) -> str:
     """``path`` re-written with a CRC-valid footer whose block rows are
     ``forge(rows)``: the file's blocks stay byte-for-byte as they were."""
-    from repro.store.segment import _END_MAGIC, _FOOTER_TAIL
+    from repro.store.segment import _FOOTER_TAIL
 
     data = path.read_bytes()
     footer_len, _, _ = _FOOTER_TAIL.unpack(data[-_FOOTER_TAIL.size:])
     footer_start = len(data) - _FOOTER_TAIL.size - footer_len
     rows = json.loads(zlib.decompress(data[footer_start:-_FOOTER_TAIL.size]))["blocks"]
-    footer = zlib.compress(json.dumps({"blocks": forge(rows)}).encode("utf-8"))
+    return _with_raw_footer(path, json.dumps({"blocks": forge(rows)}).encode("utf-8"))
+
+
+def _with_raw_footer(path: Path, index: bytes) -> str:
+    """``path`` re-written with ``index`` compressed as its CRC-valid
+    footer: the file's blocks stay byte-for-byte as they were."""
+    from repro.store.segment import _END_MAGIC, _FOOTER_TAIL
+
+    data = path.read_bytes()
+    footer_len, _, _ = _FOOTER_TAIL.unpack(data[-_FOOTER_TAIL.size:])
+    footer_start = len(data) - _FOOTER_TAIL.size - footer_len
+    footer = zlib.compress(index)
     forged = path.with_name("forged.seg")
     forged.write_bytes(
         data[:footer_start] + footer + _FOOTER_TAIL.pack(len(footer), zlib.crc32(footer), _END_MAGIC)
@@ -1127,6 +1190,23 @@ def test_a_footer_that_does_not_tile_the_file_falls_back_to_the_scan(tmp_path, f
     assert loaded.epoch == 30
     assert loaded.state_digest() == store.state_digest()
     assert len(loaded.snapshot(5).graph) == len(store.snapshot(5).graph) == 5
+
+
+@pytest.mark.parametrize(
+    "index", [b"[" * 100_000, b'{"blocks": ' + b"[" * 100_000], ids=["list", "rows"]
+)
+def test_a_footer_nested_too_deep_falls_back_to_the_scan(tmp_path, index):
+    """A CRC-valid footer too deeply nested to decode (``json.dumps``
+    cannot write one, so the bytes are written as they are) is lost, not a
+    ``RecursionError``: the scan rebuilds the index."""
+    store, path = _one_triple_per_epoch(tmp_path)
+    forged = _with_raw_footer(path, index)
+    reader = SegmentReader.open(forged)
+    assert reader.recovered
+    reader.close()
+    loaded = VersionedKnowledgeStore.load(forged)
+    assert loaded.epoch == 30
+    assert loaded.state_digest() == store.state_digest()
 
 
 def test_the_honest_footer_tiles_the_file(tmp_path):
@@ -1365,7 +1445,7 @@ def test_a_record_field_that_is_not_utf8_is_corrupt(tmp_path, monkeypatch):
         VersionedKnowledgeStore.load(path).snapshot(1)
     reader = SegmentReader.open(path)
     with pytest.raises(CorruptSegmentError, match=message):
-        list(reader.iter_records())
+        list(reader.records())
     reader.close()
     assert message in _convert_exit(tmp_path, path)
 

@@ -679,7 +679,7 @@ class TestGeoTierFaults:
         restarts from its *durable* watermark — its own store epochs — and
         the resumed drain applies exactly the missing suffix: every queued
         epoch lands exactly once, then digests prove convergence."""
-        from repro.store import EdgeReplica
+        from repro.store import EdgeReplica, Mutation
         from repro.store.geosync import GeoReplicator
 
         fleet = self._fleet()
@@ -709,7 +709,8 @@ class TestGeoTierFaults:
                 range(floors[index] + 1, primary.epoch + 1)
             )
             assert [
-                (epoch, list(batch)) for epoch, batch in store.log.batches(after=floors[index])
+                (epoch, [Mutation.from_record(record) for record in records])
+                for epoch, records in store.log.batches(after=floors[index])
             ] == [(epoch, list(batch)) for epoch, batch in shipped]
         assert geo.verify_converged("edge-0") == fleet.state_digests(
             include_index=False

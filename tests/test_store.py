@@ -155,11 +155,13 @@ class TestMutationSerialisation:
         for epoch, batch in batches.items():
             log.append_batch(epoch, batch)
         assert log.max_epoch == 4 and len(log) == 7
-        assert [epoch for epoch, _ in log.records_between(after=1, upto=2)] == [2, 2]
-        assert [epoch for epoch, _ in log.records_between(after=2)] == [4] * 4
-        assert list(log.records_between(upto=0)) == []
-        assert log.batches() == sorted(batches.items())
-        assert log.batches(after=1, upto=3) == [(2, batches[2])]
+        assert [record[0] for record in log.records(after=1, upto=2)] == [2, 2]
+        assert [record[0] for record in log.records(after=2)] == [4] * 4
+        assert list(log.records(upto=0)) == []
+        assert list(log) == [(e, m) for e, batch in sorted(batches.items()) for m in batch]
+        records = {e: [m.record(e) for m in batch] for e, batch in batches.items()}
+        assert log.batches() == sorted(records.items())
+        assert log.batches(after=1, upto=3) == [(2, records[2])]
         assert group_batches([]) == []
 
 
@@ -399,13 +401,13 @@ class TestSnapshots:
         assert [b.first_epoch for b in store.log.reader.checkpoints] == [4, 7]
         store.apply([Mutation.add_triple("tail", "p0", "node")])
         calls = []
-        append_batch = MutationLog.append_batch
+        append_records = MutationLog.append_records
 
-        def counting(log, epoch, mutations):
+        def counting(log, epoch, records):
             calls.append(epoch)
-            return append_batch(log, epoch, mutations)
+            return append_records(log, epoch, records)
 
-        monkeypatch.setattr(MutationLog, "append_batch", counting)
+        monkeypatch.setattr(MutationLog, "append_records", counting)
         # (source, epoch, batches the bounded replay applies and records):
         # the segment-backed log seeks its epoch-4 checkpoint for epoch 6.
         cases = [(store, 1, [1]), (store, 3, [1, 2, 3]), (store, 6, [5, 6]),
