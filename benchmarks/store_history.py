@@ -7,7 +7,10 @@ checkpoints plus the head one.  The store is saved and loaded back, and
 ``snapshot(epoch)`` is taken at every 7th epoch, ascending and then
 descending, so runs of seeks land behind each checkpoint.  Each snapshot's
 digest is printed as ``epoch digest`` and compared with a from-zero replay
-of the in-memory log at that epoch; any difference exits 1.
+of the in-memory log at that epoch; any difference exits 1.  A last,
+unprinted ascending pass changes the graph and corpus of every snapshot
+it receives before asking for the next one, which must not start from
+the changed state: its digests are checked the same way.
 
     PYTHONPATH=src python3 benchmarks/store_history.py
 """
@@ -20,6 +23,7 @@ import random
 import sys
 import tempfile
 
+from repro.kg.triples import Triple
 from repro.retrieval.corpus import Document
 from repro.store import Mutation, VersionedKnowledgeStore
 
@@ -88,10 +92,18 @@ def main() -> int:
             replayed = VersionedKnowledgeStore.replay(in_memory, upto=epoch)
             reference[epoch] = digest(replayed.graph, replayed.corpus)
         differ = 0
-        for epoch in epochs + epochs[::-1]:
+        walks = [(epoch, True) for epoch in epochs + epochs[::-1]]
+        walks += [(epoch, False) for epoch in epochs]
+        for epoch, printed in walks:
             snapshot = loaded.snapshot(epoch)
             got = digest(snapshot.graph, snapshot.corpus)
-            print(epoch, got)
+            if printed:
+                print(epoch, got)
+            else:
+                snapshot.graph.add(Triple("changed", "p0", f"e{epoch}"))
+                snapshot.corpus.add(Document(
+                    doc_id=f"changed{epoch}", url=f"https://example.org/changed{epoch}",
+                    title="changed", text="changed", source="history"))
             if got != reference[epoch]:
                 differ += 1
                 print(f"epoch {epoch}: snapshot {got}, from-zero replay "

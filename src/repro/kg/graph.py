@@ -64,6 +64,8 @@ class KnowledgeGraph:
         self._steps_cache: List[Optional[List[_IdStep]]] = []
         # Live triple count, so ``len()`` never walks the edge lists.
         self._edge_count = 0
+        # Bumped on entry to every ``apply_batch`` call: see :attr:`version`.
+        self._version = 0
 
     def _steps(self, node_id: int) -> List[_IdStep]:
         """Undirected neighbour steps of one node, over interned ids."""
@@ -90,6 +92,7 @@ class KnowledgeGraph:
         taking the next dense id; edges join their per-node lists in
         insertion order.
         """
+        self._version += 1
         node_ids, names, pred_ids = self._node_ids, self._node_names, self._pred_ids
         out, in_, steps = self._out, self._in, self._steps_cache
         added = removed = 0
@@ -149,6 +152,14 @@ class KnowledgeGraph:
         graph = KnowledgeGraph(name=self.name)
         graph.apply_batch((None, False, s, p, o) for s, p, o in self.sorted_spo())
         return graph
+
+    @property
+    def version(self) -> int:
+        """How many :meth:`apply_batch` calls (so ``add``, ``remove`` and
+        ``add_all`` calls) this graph has taken, counted as each one starts.
+        A holder that read it while no call was running learns from an equal
+        later read that none has started since."""
+        return self._version
 
     # -- basic queries ------------------------------------------------------
 
@@ -360,6 +371,7 @@ class KnowledgeGraph:
             None if steps is None else list(steps) for steps in self._steps_cache
         ]
         clone._edge_count = self._edge_count
+        clone._version = 0
         return clone
 
     # -- storage-engine checkpoint state -------------------------------------
@@ -382,7 +394,7 @@ class KnowledgeGraph:
         }
 
     @classmethod
-    def from_core_state(cls, state: Dict[str, object], name: str = "kg") -> "KnowledgeGraph":
+    def from_core_state(cls, state: Dict[str, object]) -> "KnowledgeGraph":
         """Rebuild a graph from :meth:`core_state` output.
 
         The graph adopts the containers as they are and rebuilds its
@@ -390,7 +402,7 @@ class KnowledgeGraph:
         them afterwards.
         """
         graph = cls.__new__(cls)
-        graph.name = name
+        graph.name = "kg"
         node_names = state["node_names"]
         pred_names = state["pred_names"]
         graph._node_names = node_names
@@ -401,6 +413,7 @@ class KnowledgeGraph:
         graph._in = state["in"]
         graph._steps_cache = [None] * len(node_names)
         graph._edge_count = sum(map(len, graph._out))
+        graph._version = 0
         return graph
 
     def state_digest(self) -> str:

@@ -28,8 +28,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
-from ..retrieval.corpus import Document
+from ..retrieval.corpus import Corpus, Document
 
 __all__ = [
     "Mutation",
@@ -301,6 +302,26 @@ def epoch_window(
         yield record
 
 
+@dataclass(frozen=True)
+class ReplayBase:
+    """A materialised state at ``epoch`` that a replay starts from: the
+    replaying store adopts ``graph`` and ``corpus`` as they are, takes
+    over the re-intern counter and applies only the batches after
+    ``epoch``."""
+
+    epoch: int
+    graph: KnowledgeGraph
+    corpus: Corpus
+    removed_since_reintern: int
+
+    def copy(self) -> "ReplayBase":
+        """The same state in structure-preserving copies, sharing nothing
+        mutable with this one."""
+        return ReplayBase(
+            self.epoch, self.graph.copy(), self.corpus.copy(), self.removed_since_reintern
+        )
+
+
 class MutationLog:
     """Ordered log records plus JSONL persistence.
 
@@ -320,6 +341,9 @@ class MutationLog:
             raise ValueError("floor_epoch must be >= 0")
         self.floor_epoch = floor_epoch
         self._records: List[Record] = []
+        # The last historical snapshot's state, with the graph version and
+        # corpus size it was handed out at: see :meth:`snapshot_base`.
+        self._kept: Optional[Tuple[ReplayBase, int, int]] = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -363,11 +387,45 @@ class MutationLog:
         ``after < epoch <= upto``: what replay applies."""
         return group_batches(self.records(after=after, upto=upto))
 
-    def replay_base(self, upto: Optional[int] = None) -> None:
+    def replay_base(self, upto: Optional[int] = None) -> Optional[ReplayBase]:
         """The materialised state replay may start from: a plain log has
         none, so it replays from its floor (a segment-backed log hands
         back its newest checkpoint at or below ``upto``)."""
         return None
+
+    def base_epoch(self, upto: Optional[int] = None) -> int:
+        """The epoch :meth:`replay_base` starts a replay to ``upto`` from,
+        found without materialising anything."""
+        return self.floor_epoch
+
+    def snapshot_base(self, upto: int) -> Optional[ReplayBase]:
+        """The state a historical snapshot at ``upto`` replays from.
+
+        That is a copy of the last snapshot's state (:meth:`keep`) when it
+        lies between :meth:`base_epoch` and ``upto`` and the graph and
+        corpus handed out with it are unchanged, so a forward walk through
+        history applies each batch once.  Anything else — a first, a
+        backward or an out-of-range seek, or a kept state its holder
+        changed — starts where :meth:`replay_base` does, copying nothing
+        more.  Either way the kept state is let go here, before the replay
+        allocates, and the snapshot keeps its own state when it is done;
+        a snapshot racing another on the same log may so find none.
+        """
+        kept, self._kept = self._kept, None
+        if kept is not None and self.base_epoch(upto) <= kept[0].epoch <= upto:
+            base, version, size = kept
+            # Read before and after the copy: a change racing it shows.
+            if base.graph.version == version and len(base.corpus) == size:
+                copy = base.copy()
+                if base.graph.version == version and len(base.corpus) == size:
+                    return copy
+        return self.replay_base(upto)
+
+    def keep(self, base: ReplayBase) -> None:
+        """Hold ``base`` — a historical snapshot's state, handed out by
+        reference — as the next :meth:`snapshot_base`'s candidate, replacing
+        any other.  A new log, a fork among them, keeps nothing."""
+        self._kept = (base, base.graph.version, len(base.corpus))
 
     def fork(self) -> "MutationLog":
         """An independent copy of the log — what a full replay of it

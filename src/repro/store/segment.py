@@ -36,7 +36,12 @@ walked through a page cache, compression at the block boundary:
   that resident, and every later seek behind it restores structure-
   preserving copies instead of inflating and unpickling the block again
   (:meth:`SegmentReader.seek_checkpoint`).  A full replay (cold start,
-  replica bootstrap) decodes and owns the head checkpoint.
+  replica bootstrap) decodes and owns the head checkpoint.  A historical
+  ``snapshot`` seeks a checkpoint only when its log's kept state (the
+  last snapshot's, :meth:`~repro.store.log.MutationLog.snapshot_base`)
+  does not lie between that checkpoint and the target, so a forward walk
+  decodes each checkpoint once and the resident serves backward and
+  scattered seeks.
 
 Checkpoint payloads are serialised with :mod:`pickle` *inside* the
 CRC-checked block envelope.  A CRC proves nothing about who wrote the
@@ -81,7 +86,7 @@ import weakref
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..kg.graph import KnowledgeGraph
 from ..retrieval.corpus import Corpus, Document
@@ -93,6 +98,7 @@ from .log import (
     Mutation,
     MutationLog,
     Record,
+    ReplayBase,
     decode_line,
     epoch_window,
     group_batches,
@@ -271,34 +277,15 @@ class StoreState:
     documents: List[Document]
     removed_since_reintern: int
 
-    def restore(self, name: str) -> Tuple[KnowledgeGraph, Corpus]:
-        """Materialise the graph and corpus."""
-        graph = KnowledgeGraph.from_core_state(self.graph_core, name=f"{name}-kg")
+    def restore(self) -> ReplayBase:
+        """Materialise the graph and corpus (the graph adopts the core)."""
         corpus = Corpus()
         for document in self.documents:
             corpus.add(document)
-        return graph, corpus
-
-
-@dataclass(frozen=True)
-class ResidentCheckpoint:
-    """One checkpoint restored once and kept by its reader.
-
-    Nothing ever mutates ``graph`` and ``corpus``: every
-    :meth:`restore` hands out structure-preserving copies, so a seek
-    behind this checkpoint pays neither the inflate nor the unpickle.
-    """
-
-    epoch: int
-    graph: KnowledgeGraph
-    corpus: Corpus
-    removed_since_reintern: int
-
-    def restore(self, name: str) -> Tuple[KnowledgeGraph, Corpus]:
-        """Copies of the resident graph and corpus."""
-        graph = self.graph.copy()
-        graph.name = f"{name}-kg"
-        return graph, self.corpus.copy()
+        return ReplayBase(
+            self.epoch, KnowledgeGraph.from_core_state(self.graph_core), corpus,
+            self.removed_since_reintern,
+        )
 
 
 class _CheckpointUnpickler(pickle.Unpickler):
@@ -603,10 +590,10 @@ class SegmentReader:
         self._pinned_pages: Dict[int, List[Record]] = {}
         self._lock = threading.Lock()
         # The offset of the last bounded seek's checkpoint, and the one
-        # checkpoint kept restored (both swapped under ``_lock``): see
-        # :meth:`seek_checkpoint`.
+        # checkpoint kept restored, never mutated (both swapped under
+        # ``_lock``): see :meth:`seek_checkpoint`.
         self._last_seek: Optional[int] = None
-        self._resident: Optional[Tuple[int, ResidentCheckpoint]] = None
+        self._resident: Optional[Tuple[int, ReplayBase]] = None
         self._handle = open(path, "rb")
         weakref.finalize(self, self._handle.close)  # a store reads it for life
         self.record_blocks = [b for b in blocks if b.kind == BLOCK_RECORDS]
@@ -916,34 +903,31 @@ class SegmentReader:
                 f"{self.path}@{block.offset}: checkpoint does not deserialise ({exc})"
             ) from exc
 
-    def seek_checkpoint(self, block: BlockInfo) -> Union[StoreState, ResidentCheckpoint]:
+    def seek_checkpoint(self, block: BlockInfo) -> ReplayBase:
         """The base of a bounded replay: ``block``'s state, decoded at most
         twice per run of consecutive seeks behind it.
 
         The first seek of a checkpoint decodes it and hands the caller the
-        decode, as :meth:`load_checkpoint` does.  The second consecutive
-        seek of it decodes it once more into the reader's one resident
-        checkpoint, replacing any other; that seek and every later one
-        behind it restore copies of the resident.  A one-off seek therefore
-        costs no copy, and a run of seeks behind one checkpoint (an audit
-        walking the epochs of one interval) no further decode.
+        decode, as a full replay's :meth:`load_checkpoint` does.  The
+        second consecutive seek of it decodes it once more into the
+        reader's one resident checkpoint, replacing any other; that seek
+        and every later one behind it get structure-preserving copies of
+        the resident.  A one-off seek therefore costs no copy, and a run of
+        seeks behind one checkpoint (an audit walking the epochs of one
+        interval) no further decode.
         """
         with self._lock:
-            if self._resident is not None and self._resident[0] == block.offset:
-                self._last_seek = block.offset
-                return self._resident[1]
+            resident = self._resident
             second = self._last_seek == block.offset
             self._last_seek = block.offset
-        state = self.load_checkpoint(block)
+        if resident is not None and resident[0] == block.offset:
+            return resident[1].copy()
+        base = self.load_checkpoint(block).restore()
         if not second:
-            return state
-        graph, corpus = state.restore("resident")
-        resident = ResidentCheckpoint(
-            state.epoch, graph, corpus, state.removed_since_reintern
-        )
+            return base
         with self._lock:
-            self._resident = (block.offset, resident)
-        return resident
+            self._resident = (block.offset, base)
+        return base.copy()
 
     def close(self) -> None:
         self._handle.close()
@@ -983,9 +967,7 @@ class SegmentBackedLog(MutationLog):
         yield from self.reader.records(after=after, upto=upto)
         yield from super().records(after=after, upto=upto)
 
-    def replay_base(
-        self, upto: Optional[int] = None
-    ) -> Optional[Union[StoreState, ResidentCheckpoint]]:
+    def replay_base(self, upto: Optional[int] = None) -> Optional[ReplayBase]:
         """The newest checkpoint state at or below ``upto``, for seeking.
 
         ``VersionedKnowledgeStore.replay`` seeds from this instead of
@@ -998,8 +980,12 @@ class SegmentBackedLog(MutationLog):
         if checkpoint is None:
             return None
         if upto is None:
-            return self.reader.load_checkpoint(checkpoint)
+            return self.reader.load_checkpoint(checkpoint).restore()
         return self.reader.seek_checkpoint(checkpoint)
+
+    def base_epoch(self, upto: Optional[int] = None) -> int:
+        checkpoint = self.reader.latest_checkpoint(upto=upto)
+        return self.floor_epoch if checkpoint is None else checkpoint.first_epoch
 
     def fork(self) -> "SegmentBackedLog":
         """A twin sharing the reader (and page cache) with its own tail.

@@ -16,9 +16,11 @@ which makes three things fall out for free:
 * **point-in-time snapshots** — ``snapshot(epoch)`` replays the log up to
   an epoch (or, for the current epoch, takes the cheap structure-preserving
   copies) and hands back an immutable view for reproducible offline runs;
-  a historical snapshot keeps no log of what it replayed, and repeated
-  snapshots behind one checkpoint copy the segment reader's resident
-  restore of it instead of decoding it again;
+  a historical snapshot keeps no log of what it replayed, starts from a
+  copy of the last one's state when that lies on its way (so a forward
+  walk replays each batch once), and otherwise restores the nearest
+  checkpoint, copying the segment reader's resident restore of it once
+  two consecutive seeks have asked for it;
 * **verifiable incremental maintenance** — applying a mutation batch
   updates the BM25 posting arrays/IDF/length norms, the embedder warm
   cache, and the interned graph *in place*, and the state digests prove
@@ -64,6 +66,7 @@ from .log import (
     Mutation,
     MutationLog,
     Record,
+    ReplayBase,
     split_batch,
 )
 from . import segment
@@ -117,11 +120,16 @@ class StoreSnapshot:
     Snapshots of the *current* epoch are cheap: the graph clone preserves
     interning tables and edge order (no re-hashing), the corpus copy shares
     the frozen documents.  Historical epochs are reconstructed by replaying
-    the log, which is slower but exactly reproducible; on a saved or loaded
-    store the replay starts from the nearest checkpoint, restored from the
-    segment reader's resident copy by the same two copies once two
-    consecutive seeks have asked for that checkpoint.  The search engine
-    is materialised lazily on first use.
+    the log, which is slower but exactly reproducible.  The replay starts
+    from the last historical snapshot's state, copied, when that lies
+    between the nearest checkpoint (or the log's floor) and the epoch and
+    its holder has not changed it; otherwise from the nearest checkpoint
+    on a saved or loaded store, restored from the segment reader's
+    resident copy by the same two copies once two consecutive seeks have
+    asked for that checkpoint; otherwise from the floor.  The store's log
+    keeps a historical snapshot's graph and corpus for that by reference:
+    changing them is allowed and only costs the next snapshot its head
+    start.  The search engine is materialised lazily on first use.
     """
 
     def __init__(self, epoch: int, graph: KnowledgeGraph, corpus: Corpus) -> None:
@@ -259,22 +267,25 @@ class VersionedKnowledgeStore:
         full = upto is None
         if full:
             store.log = log.fork()
-        floor = store._replay(log, upto, record=not full)
+        floor = store._replay(log, upto, log.replay_base(upto), record=not full)
         if not full:
             # Raised only now: a compacted log's one batch sits *at* its floor.
             store.log.floor_epoch = floor
         return store
 
-    def _replay(self, log: MutationLog, upto: Optional[int], record: bool) -> int:
-        """Bring this fresh store to ``log``'s state at ``upto``: restore
-        the nearest checkpoint at or below it, then apply the batches
+    def _replay(
+        self, log: MutationLog, upto: Optional[int], base: Optional[ReplayBase],
+        record: bool,
+    ) -> int:
+        """Bring this fresh store to ``log``'s state at ``upto``: adopt
+        ``base`` (None: start at the log's floor), then apply the batches
         behind it (recording them into :attr:`log` only when ``record``).
         Returns the epoch the applied suffix starts from."""
         self._epoch = log.floor_epoch
         after = None
-        base = log.replay_base(upto=upto)
         if base is not None:
-            self.graph, self.corpus = base.restore(self.name)
+            self.graph, self.corpus = base.graph, base.corpus
+            self.graph.name = f"{self.name}-kg"
             self._epoch = after = base.epoch
             self._removed_since_reintern = base.removed_since_reintern
         start = self._epoch
@@ -480,13 +491,23 @@ class VersionedKnowledgeStore:
 
         The current epoch is served from cheap structure-preserving copies;
         historical epochs replay the log without recording what they apply
-        (and are unavailable below the log's compaction floor).  On a
-        segment-backed log the replay seeks the nearest checkpoint at or
-        below ``epoch``: the first seek of a checkpoint decodes it, the
-        second consecutive one decodes it into the reader's resident copy,
-        and later ones copy that resident, so the digest is the from-zero
-        replay's whichever way the checkpoint was restored.
+        (and are unavailable below the log's compaction floor).  ``epoch``
+        must be an ``int`` (not a ``bool``): anything else raises
+        :class:`TypeError`.
+
+        The replay starts where :meth:`MutationLog.snapshot_base` says: a
+        copy of the last historical snapshot's state (which the log keeps)
+        when it lies between the nearest checkpoint at or below ``epoch``
+        and ``epoch`` and is unchanged, so an ascending walk applies each
+        batch once; else, on a segment-backed log, that checkpoint — the
+        first seek of it decodes it, the second consecutive one decodes it
+        into the reader's resident copy, and later ones copy that resident
+        — or else the log's floor.  The digest is the from-zero replay's
+        whichever base was used, and this snapshot becomes the log's kept
+        state.
         """
+        if epoch is not None and (not isinstance(epoch, int) or isinstance(epoch, bool)):
+            raise TypeError(f"epoch must be an int, not {epoch!r}")
         if epoch is None or epoch == self._epoch:
             return StoreSnapshot(self._epoch, self.graph.copy(), self.corpus.copy())
         if epoch > self._epoch:
@@ -497,7 +518,10 @@ class VersionedKnowledgeStore:
             )
         # Replayed into a store whose log stays empty: nothing reads it.
         replayed = VersionedKnowledgeStore(name=self.name)
-        replayed._replay(self.log, epoch, record=False)
+        replayed._replay(self.log, epoch, self.log.snapshot_base(epoch), record=False)
+        self.log.keep(ReplayBase(
+            epoch, replayed.graph, replayed.corpus, replayed._removed_since_reintern
+        ))
         return StoreSnapshot(epoch, replayed.graph, replayed.corpus)
 
     # ------------------------------------------------------------- persistence

@@ -945,12 +945,13 @@ def test_a_seeked_snapshot_shares_nothing_with_the_resident(history):
     block = reader.checkpoints[2]
     behind = _behind(reader, block, reference)
     assert len(behind) >= 3 and behind[0] == block.first_epoch
-    for epoch in behind[:2]:
-        loaded.snapshot(epoch)
+    # Backwards, so the second seek finds no kept state below it: it fills
+    # the resident, and at the checkpoint's own epoch the snapshot is the
+    # resident's copy, unreplayed.
+    loaded.snapshot(behind[1])
+    snapshot = loaded.snapshot(block.first_epoch)
     offset, resident = reader._resident
     assert offset == block.offset
-    # At the checkpoint's own epoch the snapshot is the copy, unreplayed.
-    snapshot = loaded.snapshot(block.first_epoch)
     graph = snapshot.graph
     victim = next(iter(graph))
     assert graph.remove(victim) and graph.add(Triple("alias", "p0", "alias-object"))
@@ -994,14 +995,21 @@ def test_the_first_two_seeks_of_a_checkpoint_decode_it_and_no_later_one(
     assert reader._resident is None  # a load leaves nothing resident
     block, other = reader.checkpoints[1], reader.checkpoints[3]
     behind = _behind(reader, block, reference)
-    elsewhere = _behind(reader, other, reference)[0]
-    assert [decoded(lambda: loaded.snapshot(e)) for e in behind[:5]] == [1, 1, 0, 0, 0]
+    early, middle, late = _behind(reader, other, reference)[:3]
+    # Forwards, each seek starts from the last one's kept state: one decode,
+    # and the resident stays empty.
+    assert [decoded(lambda: loaded.snapshot(e)) for e in behind[:5]] == [1, 0, 0, 0, 0]
+    assert reader._resident is None
+    # Backwards, no kept state lies below the next epoch: the second seek
+    # of the checkpoint decodes it into the resident, and later ones copy it.
+    assert [decoded(lambda: loaded.snapshot(e)) for e in behind[4::-1]] == [0, 1, 0, 0, 0]
+    assert reader._resident[0] == block.offset
     # Forked logs share the reader, and so its resident.
     fork = loaded.log.fork()
     assert decoded(lambda: VersionedKnowledgeStore.replay(fork, upto=behind[1])) == 0
     # A seek behind another checkpoint breaks a run without evicting
     # ``block``; two consecutive seeks behind ``other`` replace it.
-    order = [elsewhere, behind[0], elsewhere, elsewhere, elsewhere]
+    order = [late, behind[0], late, middle, early]
     assert [decoded(lambda: loaded.snapshot(e)) for e in order] == [1, 0, 1, 1, 0]
     assert reader._resident[0] == other.offset
     # A full replay decodes and owns the head checkpoint, resident or not.
@@ -1044,6 +1052,148 @@ def test_concurrent_seeks_all_match_the_reference(history):
     for views in seen:
         assert len(views) == len(epochs)
         assert all(view == reference[epoch] for epoch, view in views)
+
+
+def _applied(monkeypatch) -> List[int]:
+    """The epochs every store applies from now on, in order."""
+    epochs: List[int] = []
+    apply = VersionedKnowledgeStore._apply_batch
+
+    def spy(self, epoch, records, record):
+        epochs.append(epoch)
+        return apply(self, epoch, records, record)
+
+    monkeypatch.setattr(VersionedKnowledgeStore, "_apply_batch", spy)
+    return epochs
+
+
+def _epochs(after: int, upto: int) -> List[int]:
+    return list(range(after + 1, upto + 1))
+
+
+def test_a_forward_walk_behind_one_checkpoint_applies_each_batch_once(
+    history, monkeypatch
+):
+    path, reference = history
+    loaded = VersionedKnowledgeStore.load(path)
+    reader = loaded.log.reader
+    block = reader.checkpoints[1]
+    behind = _behind(reader, block, reference)
+    applied = _applied(monkeypatch)
+    for epoch in behind:
+        snapshot = loaded.snapshot(epoch)
+        assert _view(snapshot.graph, snapshot.corpus) == reference[epoch], epoch
+    assert applied == _epochs(block.first_epoch, behind[-1])
+
+
+def test_a_never_saved_store_walking_forward_replays_only_the_gaps(monkeypatch):
+    store = _history_store()
+    reference = VersionedKnowledgeStore.replay(store.log.fork(), upto=50)
+    applied = _applied(monkeypatch)
+    for epoch in (10, 11, 30, 50):
+        snapshot = store.snapshot(epoch)
+    assert applied == _epochs(0, 50)
+    assert _view(snapshot.graph, snapshot.corpus) == _view(reference.graph, reference.corpus)
+
+
+def _change_graph_by_add(snapshot) -> None:
+    assert snapshot.graph.add(Triple("alias", "p0", "alias-object"))
+
+
+def _change_graph_by_remove(snapshot) -> None:
+    assert snapshot.graph.remove(next(iter(snapshot.graph)))
+
+
+def _change_corpus(snapshot) -> None:
+    snapshot.corpus.add(_document(10_000))
+
+
+@pytest.mark.parametrize("change", [_change_graph_by_add, _change_graph_by_remove, _change_corpus])
+def test_a_changed_snapshot_is_not_the_next_ones_base(history, monkeypatch, change):
+    path, reference = history
+    loaded = VersionedKnowledgeStore.load(path)
+    reader = loaded.log.reader
+    block = reader.checkpoints[2]
+    first, second, third, fourth = _behind(reader, block, reference)[1:5]
+    applied = _applied(monkeypatch)
+    loaded.snapshot(first)
+    kept = loaded.snapshot(second)
+    assert applied == _epochs(block.first_epoch, second)  # the gap only
+    change(kept)
+    applied.clear()
+    snapshot = loaded.snapshot(third)
+    assert applied == _epochs(block.first_epoch, third)  # from the checkpoint
+    assert _view(snapshot.graph, snapshot.corpus) == reference[third]
+    # ...and the snapshot that replaced it is kept in its place.
+    applied.clear()
+    snapshot = loaded.snapshot(fourth)
+    assert applied == [fourth]
+    assert _view(snapshot.graph, snapshot.corpus) == reference[fourth]
+
+
+@pytest.mark.parametrize("racing", ["graph", "corpus"])
+def test_a_change_racing_the_copy_of_a_kept_state_discards_the_copy(
+    history, monkeypatch, racing
+):
+    """A holder changing the kept snapshot while a seek copies it (here:
+    right after the copy, before the second read) costs the seek its base,
+    never its correctness."""
+    path, reference = history
+    loaded = VersionedKnowledgeStore.load(path)
+    reader = loaded.log.reader
+    block = reader.checkpoints[2]
+    first, second, third = _behind(reader, block, reference)[1:4]
+    loaded.snapshot(first)
+    applied = _applied(monkeypatch)
+    kept = loaded.snapshot(second)
+    assert applied == _epochs(first, second)  # unchanged, so copied
+    holder = getattr(kept, racing)
+    change = _change_corpus if racing == "corpus" else _change_graph_by_add
+    copy = type(holder).copy
+
+    def racing_copy(self):
+        clone = copy(self)
+        if self is holder:
+            change(kept)
+        return clone
+
+    monkeypatch.setattr(type(holder), "copy", racing_copy)
+    applied.clear()
+    snapshot = loaded.snapshot(third)
+    assert applied == _epochs(block.first_epoch, third)
+    assert _view(snapshot.graph, snapshot.corpus) == reference[third]
+
+
+def test_forks_of_one_loaded_log_never_borrow_each_others_kept_state(history, monkeypatch):
+    path, _ = history
+    loaded = VersionedKnowledgeStore.load(path)
+    head = loaded.epoch
+    assert loaded.log.reader.latest_checkpoint().first_epoch == head
+    forks = [VersionedKnowledgeStore.replay(loaded.log) for _ in range(2)]
+    for index, fork in enumerate(forks):
+        for step in range(3):
+            fork.apply([Mutation.add_triple(f"fork{index}", "p0", f"o{step}")])
+    from_zero = []  # each fork's state at ``head + 2``, replayed from epoch 0
+    for fork in forks:
+        log = MutationLog()
+        for epoch, records in fork.log.batches():
+            log.append_records(epoch, records)
+        replayed = VersionedKnowledgeStore.replay(log, upto=head + 2)
+        from_zero.append(_view(replayed.graph, replayed.corpus))
+    assert from_zero[0] != from_zero[1]
+
+    applied = _applied(monkeypatch)
+    ours, theirs = forks
+    ours.snapshot(head + 1)
+    # Past the segment, where the tails differ: the sibling starts from the
+    # shared head checkpoint, not from the other fork's kept state.
+    snapshot = theirs.snapshot(head + 2)
+    assert _view(snapshot.graph, snapshot.corpus) == from_zero[1]
+    assert applied == [head + 1, head + 1, head + 2]
+    applied.clear()
+    snapshot = ours.snapshot(head + 2)
+    assert applied == [head + 2]
+    assert _view(snapshot.graph, snapshot.corpus) == from_zero[0]
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,13 @@ class TestSnapshots:
         assert len(mid.corpus) == 85
         assert not mid.graph.contains("latest", "p0", "node")
 
+    @pytest.mark.parametrize("epoch", [1.5, True, "3"])
+    def test_an_epoch_that_is_not_an_int_is_refused(self, store, epoch):
+        store.apply([Mutation.add_triple("later", "p0", "thing")])
+        store.apply([Mutation.add_triple("latest", "p0", "thing")])
+        with pytest.raises(TypeError, match=re.escape(repr(epoch))):
+            store.snapshot(epoch)
+
     def test_a_historical_snapshot_logs_nothing_and_a_bounded_replay_keeps_its_log(
         self, store, tmp_path, monkeypatch
     ):
@@ -516,7 +523,7 @@ class TestGraphCopy:
 #: the traversal kernels' step lists and the live count.
 _CORE_ATTRIBUTES = {
     "name", "_node_ids", "_node_names", "_pred_ids", "_pred_names",
-    "_out", "_in", "_steps_cache", "_edge_count",
+    "_out", "_in", "_steps_cache", "_edge_count", "_version",
 }
 
 
