@@ -81,19 +81,6 @@ class SimilarityDistribution:
     medium_share: float
     low_share: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "mean": self.mean,
-            "median": self.median,
-            "std": self.std,
-            "q1": self.q1,
-            "q3": self.q3,
-            "iqr": self.iqr,
-            "high_share": self.high_share,
-            "medium_share": self.medium_share,
-            "low_share": self.low_share,
-        }
-
 
 #: Lower bounds (inclusive) of the paper's high and medium similarity tiers.
 HIGH_SIMILARITY = 0.70

@@ -8,7 +8,7 @@ independently for the "True" and "False" labels so that class imbalance
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 __all__ = [
     "ConfusionCounts",
@@ -52,16 +52,6 @@ class ClasswiseF1:
     recall_true: float
     precision_false: float
     recall_false: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "f1_true": self.f1_true,
-            "f1_false": self.f1_false,
-            "precision_true": self.precision_true,
-            "recall_true": self.recall_true,
-            "precision_false": self.precision_false,
-            "recall_false": self.recall_false,
-        }
 
 
 def confusion_counts(

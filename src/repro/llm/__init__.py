@@ -18,7 +18,7 @@ from .profiles import (
 )
 from .registry import ModelRegistry, create_model
 from .simulated import SimulatedLLM
-from .telemetry import CallRecord, TelemetryCollector, UsageSummary
+from .telemetry import CallRecord, TelemetryCollector
 from .tokenizer import count_tokens
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SimulatedLLM",
     "TelemetryCollector",
     "UPGRADE_VARIANTS",
-    "UsageSummary",
     "count_tokens",
     "create_model",
     "get_profile",

@@ -2,20 +2,18 @@
 
 The paper instruments its models with OpenTelemetry (via OpenLIT) to track
 token usage and inference time.  This module is the in-process equivalent: a
-collector records every call, and aggregation helpers produce the per-task
-averages reported in Table 3 and the per-method response times behind
-Table 8.
+collector records every call with its model, task, token counts and latency,
+and the benchmark runner merges the records its grid workers collect.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple
 
 from .base import LLMResponse
 
-__all__ = ["CallRecord", "TelemetryCollector", "UsageSummary"]
+__all__ = ["CallRecord", "TelemetryCollector"]
 
 
 class CallRecord(NamedTuple):
@@ -32,36 +30,8 @@ class CallRecord(NamedTuple):
         return self.prompt_tokens + self.completion_tokens
 
 
-@dataclass(frozen=True)
-class UsageSummary:
-    """Aggregate usage for one (model, task) group."""
-
-    calls: int
-    avg_prompt_tokens: float
-    avg_completion_tokens: float
-    avg_total_tokens: float
-    avg_latency_seconds: float
-    total_latency_seconds: float
-
-    @staticmethod
-    def from_records(records: Iterable[CallRecord]) -> "UsageSummary":
-        items = list(records)
-        if not items:
-            return UsageSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        count = len(items)
-        total_latency = sum(record.latency_seconds for record in items)
-        return UsageSummary(
-            calls=count,
-            avg_prompt_tokens=sum(r.prompt_tokens for r in items) / count,
-            avg_completion_tokens=sum(r.completion_tokens for r in items) / count,
-            avg_total_tokens=sum(r.total_tokens for r in items) / count,
-            avg_latency_seconds=total_latency / count,
-            total_latency_seconds=total_latency,
-        )
-
-
 class TelemetryCollector:
-    """Records LLM calls and aggregates usage by model and task.
+    """Records LLM calls: model, task, token counts and latency.
 
     The collector is shared widely — strategies record into it during
     offline runs and from the online service's asyncio workers (and, in
@@ -120,6 +90,3 @@ class TelemetryCollector:
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
-
-    def summary(self) -> UsageSummary:
-        return UsageSummary.from_records(self.records())

@@ -4,10 +4,11 @@ The offline substrates (knowledge graph, retrieval corpus, BM25 index,
 embedding caches) are frozen at load time everywhere else in the repo;
 this package makes them *mutable with history*:
 
-* :mod:`repro.store.log` — :class:`Mutation` records
-  (``add_triple`` / ``remove_triple`` / ``add_document``) in an
-  append-only :class:`MutationLog`, with a JSON-lines export/import
-  codec;
+* :mod:`repro.store.log` — :class:`Mutation`, one ``add_triple`` /
+  ``remove_triple`` / ``add_document`` of a batch ``apply`` takes, and
+  the append-only :class:`MutationLog` that keeps each applied one as a
+  flat epoch-stamped record (what replay, the segment writer and the
+  replica chain read), with a JSON-lines export/import codec;
 * :mod:`repro.store.store` — :class:`VersionedKnowledgeStore`: monotonic
   epochs, point-in-time :meth:`snapshot` views, deterministic
   :meth:`replay` from disk, :meth:`compact`-ion, and **incremental index
@@ -39,7 +40,9 @@ Quickstart::
 
     store = VersionedKnowledgeStore.bootstrap(triples=kg_triples, documents=docs)
     store.apply([Mutation.add_triple("Ada", "worksFor", "Acme"),
-                 Mutation.add_document(new_document)])
+                 Mutation.add_document(new_document)])   # one batch: epoch + 1
+    batch = list(store.log.records(after=store.epoch - 1))
+    # [(epoch, 0, "Ada", "worksFor", "Acme"), (epoch, 2, new_document)]
     offline_view = store.snapshot(store.epoch - 1)   # reproducible past state
     store.save("store.seg")                          # the durable segment file
     restarted = VersionedKnowledgeStore.load("store.seg")

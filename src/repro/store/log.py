@@ -141,7 +141,8 @@ OP_NAMES = {code: op for op, code in OP_CODES.items()}
 #: stops tracking it at its first young collection.
 Record = Tuple[object, ...]
 
-#: Document fields serialised into ``add_document`` records, in order.
+#: A document's fields in the order a JSONL ``add_document`` record and a
+#: segment's record bytes carry them.
 _DOC_FIELDS = ("doc_id", "url", "title", "text", "source", "fact_id", "kind")
 #: The fields an ``add_document`` record may leave out, with their defaults.
 _DOC_DEFAULTS = {"url": "", "title": "", "source": "", "fact_id": "", "kind": "generic"}
@@ -357,17 +358,12 @@ class MutationLog:
         """The epoch the fully replayed log lands on."""
         return self._records[-1][0] if self._records else self.floor_epoch
 
-    def append_batch(self, epoch: int, mutations: Sequence[Mutation]) -> None:
-        """Record one applied batch at ``epoch``.
+    def append_records(self, epoch: int, records: Sequence[Record]) -> None:
+        """Record one applied batch: its records, each stamped ``epoch``.
 
         Raises :class:`ValueError` when ``epoch`` does not advance the log
         (epochs are strictly monotonic — one per applied batch).
         """
-        self.append_records(epoch, [mutation.record(epoch) for mutation in mutations])
-
-    def append_records(self, epoch: int, records: Sequence[Record]) -> None:
-        """:meth:`append_batch` for a batch already made records stamped
-        ``epoch`` (what the store applied)."""
         if epoch <= self.max_epoch:
             raise ValueError(
                 f"epoch {epoch} is not monotonic (log already at {self.max_epoch})"
@@ -458,7 +454,7 @@ class MutationLog:
         for a line :func:`decode_line`, :func:`read_header` or
         :meth:`Mutation.from_json` refuses, a header past the first
         non-blank line, and an ``epoch`` that breaks the contract
-        :meth:`append_batch` enforces at write time (this bypasses it for
+        :meth:`append_records` enforces at write time (this bypasses it for
         speed) or the density every store's log has: an integer at or
         above the floor, equal epochs in one run, each batch directly
         above the one before (a segment refuses a gap too).

@@ -7,12 +7,13 @@ a full parse-and-apply pass over the whole history.  This engine is shaped
 like the paged ESE-database explorers referenced in PAPERS.md — pages
 walked through a page cache, compression at the block boundary:
 
-* **Blocks.**  Mutation records are struct-packed into fixed-size blocks
-  (:data:`BLOCK_SIZE` uncompressed bytes), each zlib-compressed independently
-  and guarded by a CRC32 over the compressed payload.  A torn final
-  record or a truncated segment fails its CRC/length check and recovery
-  truncates to the longest valid *batch* prefix instead of loading
-  garbage.
+* **Blocks.**  Log records (:data:`~repro.store.log.Record`, as the store
+  keeps them) are struct-packed by :func:`encode_record` into fixed-size
+  blocks (:data:`BLOCK_SIZE` uncompressed bytes), each zlib-compressed
+  independently and guarded by a CRC32 over the compressed payload.  A
+  torn final record or a truncated segment fails its CRC/length check and
+  recovery truncates to the longest valid *batch* prefix instead of
+  loading garbage.
 * **Page cache.**  Reads decompress and decode one block at a time
   through a bounded LRU :class:`PageCache`, so historical snapshots touch
   only the blocks their epoch window needs.  A cached page is the block's
@@ -50,8 +51,9 @@ through an unpickler that resolves exactly one global —
 :class:`~repro.retrieval.corpus.Document` — and raises
 :class:`CorruptSegmentError` for any other: a crafted segment can make
 ``load`` fail, not run code.  Record blocks use a plain length-prefixed
-struct encoding and are readable without unpickling; one pass over a
-block decodes it into records (:func:`decode_records`).
+struct encoding and are readable without unpickling: the writer encodes
+the records it is handed and one pass over a block decodes it back into
+records (:func:`decode_records`), so neither side builds a ``Mutation``.
 
 A checkpoint's graph core holds each edge as one packed
 ``pred << 32 | other`` int (:meth:`KnowledgeGraph.core_state`), so the
@@ -91,17 +93,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..kg.graph import KnowledgeGraph
 from ..retrieval.corpus import Corpus, Document
 from .log import (
-    ADD_DOCUMENT,
+    _DOC_FIELDS,
     ADD_DOCUMENT_CODE,
-    OP_CODES,
     OP_NAMES,
-    Mutation,
     MutationLog,
     Record,
     ReplayBase,
     decode_line,
     epoch_window,
-    group_batches,
     read_header,
 )
 
@@ -151,8 +150,6 @@ _FIELD_LENGTH = struct.Struct("<I")  # each field's UTF-8 byte count
 #: at the default block size); a larger one is treated as lost.
 _FOOTER_MAX_RAW = 8 * 1024 * 1024
 
-_DOC_FIELDS = ("doc_id", "url", "title", "text", "source", "fact_id", "kind")
-
 
 class CorruptSegmentError(RuntimeError):
     """A segment file failed a structural, CRC, or epoch-order check.
@@ -182,14 +179,15 @@ def _inflate(comp: bytes, limit: int) -> Optional[bytes]:
 # record codec
 
 
-def encode_record(epoch: int, mutation: Mutation) -> bytes:
-    """One mutation as length-prefixed struct bytes (epoch stamped)."""
-    parts = [_RECORD_HEAD.pack(epoch, OP_CODES[mutation.op])]
-    if mutation.op == ADD_DOCUMENT:
-        fields = [getattr(mutation.document, name) for name in _DOC_FIELDS]
+def encode_record(record: Record) -> bytes:
+    """One log record as its epoch and op code, then each field as a
+    length-prefixed UTF-8 string; inverse of :func:`decode_records`."""
+    epoch, code = record[0], record[1]
+    parts = [_RECORD_HEAD.pack(epoch, code)]
+    if code == ADD_DOCUMENT_CODE:
+        fields = [getattr(record[2], name) for name in _DOC_FIELDS]
     else:
-        triple = mutation.triple
-        fields = [triple.subject, triple.predicate, triple.object]
+        fields = record[2:]
     for value in fields:
         raw = value.encode("utf-8")
         parts.append(_FIELD_LENGTH.pack(len(raw)))
@@ -402,9 +400,9 @@ class SegmentWriter:
         self.blocks: List[BlockInfo] = []
         self._tmp_path = f"{path}.tmp.{os.getpid()}"
         self._handle = open(self._tmp_path, "wb")
-        self._buffer: List[Tuple[int, Mutation]] = []
+        # Each buffered record's epoch and encoded bytes.
+        self._buffer: List[Tuple[int, bytes]] = []
         self._buffer_bytes = 0
-        self._encoded: List[bytes] = []
         self._closed = False
         header = {"version": 2, "floor_epoch": floor_epoch}
         header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -423,19 +421,25 @@ class SegmentWriter:
 
     # -- appending -----------------------------------------------------------
 
-    def append_batch(self, epoch: int, mutations: Sequence[Mutation]) -> None:
-        """Buffer one batch, cutting blocks as the size threshold passes.
+    def append_batch(self, records: Sequence[Record]) -> None:
+        """Encode and buffer log records, in epoch order, cutting blocks as
+        the size threshold passes.
 
         A block boundary may fall inside a batch; the earlier block then
         carries :data:`FLAG_CONTINUES` so crash recovery can tell a
-        complete batch from one whose tail was lost.
+        complete batch from one whose tail was lost.  The threshold is
+        checked per record, so the buffer holds at most one block and one
+        record whatever the call's length; a cut waits for the next record
+        so its flag sees that record's epoch.
         """
-        for mutation in mutations:
-            raw = encode_record(epoch, mutation)
-            self._buffer.append((epoch, mutation))
-            self._encoded.append(raw)
+        for record in records:
+            full = self._buffer_bytes >= BLOCK_SIZE
+            raw = encode_record(record)
+            self._buffer.append((record[0], raw))
             self._buffer_bytes += len(raw)
-        while self._buffer_bytes >= BLOCK_SIZE:
+            if full:
+                self._flush_records(partial_ok=True)
+        if self._buffer_bytes >= BLOCK_SIZE:
             self._flush_records(partial_ok=True)
 
     def checkpoint(self, state: StoreState) -> None:
@@ -481,7 +485,7 @@ class SegmentWriter:
             # Cut at the record whose encoded bytes cross the threshold.
             size = 0
             cut = 0
-            for raw in self._encoded:
+            for _, raw in self._buffer:
                 size += len(raw)
                 cut += 1
                 if size >= BLOCK_SIZE:
@@ -489,13 +493,11 @@ class SegmentWriter:
         else:
             cut = len(self._buffer)
         chunk = self._buffer[:cut]
-        chunk_raw = self._encoded[:cut]
         self._buffer = self._buffer[cut:]
-        self._encoded = self._encoded[cut:]
         flags = 0
         if self._buffer and self._buffer[0][0] == chunk[-1][0]:
             flags |= FLAG_CONTINUES
-        payload = b"".join(chunk_raw)
+        payload = b"".join([raw for _, raw in chunk])
         self._buffer_bytes -= len(payload)
         self._write_block(
             BLOCK_RECORDS, flags, len(chunk), payload, chunk[0][0], chunk[-1][0]
@@ -994,8 +996,3 @@ class SegmentBackedLog(MutationLog):
         disk history shared-read while each copy appends independently.
         """
         return SegmentBackedLog(self.reader, tail=self._records)
-
-    def tail_batches(self) -> List[Tuple[int, List[Record]]]:
-        """The batches appended in memory since the segment was opened,
-        grouped by epoch (what an incremental save has to encode)."""
-        return group_batches(self._records)

@@ -33,7 +33,12 @@ triple records to :meth:`KnowledgeGraph.apply_batch` as they are, in one
 call; re-interning and ``compact`` rebuild the graph through it too.  A
 live ``apply`` makes its mutations records once; a replay applies the
 records a log (or a segment's page cache) already holds, so it builds no
-``Mutation`` or ``Triple``.
+``Mutation`` or ``Triple``.  Past ``apply`` a mutation has that one shape:
+the chain digest folds each record's segment bytes
+(:func:`~repro.store.segment.encode_record`), and both saves hand the
+log's records to :meth:`SegmentWriter.append_batch` as they are, so a
+save builds no ``Mutation`` either.  Only iterating a log builds them,
+for the JSONL export.
 
 Two module constants bound the cost of incrementality:
 :data:`INDEX_REBUILD_FRACTION` sends a batch that adds a large fraction of
@@ -218,18 +223,16 @@ class VersionedKnowledgeStore:
         if search_engine is not None and search_engine.corpus is not corpus:
             raise ValueError("search_engine must be built over the adopted corpus")
         store._engine = search_engine
-        genesis: List[Mutation] = [
-            Mutation(ADD_TRIPLE, triple=triple) for triple in triples
+        genesis: List[Record] = [
+            (1, ADD_TRIPLE_CODE, *triple.as_tuple()) for triple in triples
         ]
-        genesis.extend(
-            Mutation(ADD_DOCUMENT, document=document) for document in corpus
-        )
+        genesis.extend((1, ADD_DOCUMENT_CODE, document) for document in corpus)
         if genesis:
             # The documents are already in the corpus (and indexed); only the
             # triples need applying.  The log records the full genesis batch
             # so replay rebuilds the identical corpus in the identical order.
             store._epoch = 1
-            store.log.append_batch(1, genesis)
+            store.log.append_records(1, genesis)
             store.graph.add_all(triples)
         return store
 
@@ -329,20 +332,6 @@ class VersionedKnowledgeStore:
 
     # ------------------------------------------------------------- mutation
 
-    def add_triple(self, subject: str, predicate: str, obj: str) -> ApplyReport:
-        """Apply a single-triple add batch (see :meth:`apply`)."""
-        return self.apply([Mutation.add_triple(subject, predicate, obj)])
-
-    def remove_triple(self, subject: str, predicate: str, obj: str) -> ApplyReport:
-        """Apply a single-triple removal batch (see :meth:`apply`);
-        raises :class:`ValueError` when the triple is absent."""
-        return self.apply([Mutation.remove_triple(subject, predicate, obj)])
-
-    def add_document(self, document: Document) -> ApplyReport:
-        """Apply a single-document add batch (see :meth:`apply`);
-        raises :class:`ValueError` on a duplicate ``doc_id``."""
-        return self.apply([Mutation.add_document(document)])
-
     def apply(self, mutations: Sequence[Mutation]) -> ApplyReport:
         """Apply one mutation batch atomically; returns what changed.
 
@@ -367,8 +356,8 @@ class VersionedKnowledgeStore:
         else:
             report = self._apply_batch(epoch, records, record=True)
         chain = hashlib.sha256(self._chain.encode("ascii"))
-        for mutation in batch:
-            chain.update(encode_record(epoch, mutation))
+        for record in records:
+            chain.update(encode_record(record))
         # ...and what the batch did, which depends on the state it met.
         chain.update(
             b"%d %d %d %d"
@@ -577,7 +566,7 @@ class VersionedKnowledgeStore:
         remaining = len(log)
         with SegmentWriter(path, floor_epoch=log.floor_epoch) as writer:
             for epoch, records in log.batches():
-                writer.append_batch(epoch, [Mutation.from_record(r) for r in records])
+                writer.append_batch(records)
                 if since_checkpoint + remaining >= checkpoint_interval:
                     shadow._apply_batch(epoch, records, record=False)
                 since_checkpoint += len(records)
@@ -597,9 +586,8 @@ class VersionedKnowledgeStore:
         with SegmentWriter(path, floor_epoch=reader.floor_epoch) as writer:
             for block in reader.blocks:
                 writer.copy_raw_block(block, reader.read_raw_block(block))
-            tail = log.tail_batches()
-            for epoch, records in tail:
-                writer.append_batch(epoch, [Mutation.from_record(r) for r in records])
+            tail = list(log.records(after=reader.max_epoch))
+            writer.append_batch(tail)
             if tail:
                 writer.checkpoint(self._checkpoint_state())
 

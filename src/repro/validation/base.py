@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
-from ..datasets.base import FactDataset, LabeledFact
+from ..datasets.base import LabeledFact
 
 __all__ = ["Verdict", "ValidationResult", "ValidationRun", "ValidationStrategy"]
 
@@ -109,13 +109,6 @@ class ValidationStrategy(ABC):
     @abstractmethod
     def validate(self, fact: LabeledFact) -> ValidationResult:
         """Judge one fact."""
-
-    def validate_dataset(self, dataset: FactDataset) -> ValidationRun:
-        """Judge every fact in a dataset, preserving its order."""
-        run = ValidationRun(method=self.method_name, model=self.model_name(), dataset=dataset.name)
-        for fact in dataset:
-            run.add(self.validate(fact))
-        return run
 
     def model_name(self) -> str:
         """Name of the underlying model (used in reports)."""

@@ -1,6 +1,7 @@
 """Helpers only the tests use: the strict exposition parser and its inverse,
 a read schedule with ingest batches spliced in, and probes into a load
-report, a router and a metrics scraper; the list of tuple-backed records
+report, a router, a metrics scraper and a telemetry collector (with the
+usage summary of its records); the list of tuple-backed records
 the record census and the docs lint both check; and the hostile lines the
 JSON-lines loaders' totality properties feed them.
 
@@ -13,12 +14,13 @@ import copy
 import json
 import math
 import re
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from repro.datasets.base import FactDataset
-from repro.llm import CallRecord, LLMResponse, UsageSummary
+from repro.llm import CallRecord, LLMResponse
 from repro.obs.registry import _format_value
 from repro.service.loadgen import IngestRequest, WorkItem, build_workload
 from repro.service.server import RequestOutcome, ServiceResponse
@@ -162,6 +164,34 @@ def calls_of(telemetry, model: Optional[str] = None, task: Optional[str] = None)
         for record in telemetry.records()
         if (model is None or record.model == model) and (task is None or record.task == task)
     ]
+
+
+@dataclass(frozen=True)
+class UsageSummary:
+    """Aggregate usage of a group of telemetry records (one model, one task)."""
+
+    calls: int
+    avg_prompt_tokens: float
+    avg_completion_tokens: float
+    avg_total_tokens: float
+    avg_latency_seconds: float
+    total_latency_seconds: float
+
+    @staticmethod
+    def from_records(records: Iterable[CallRecord]) -> "UsageSummary":
+        items = list(records)
+        if not items:
+            return UsageSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        count = len(items)
+        total_latency = sum(record.latency_seconds for record in items)
+        return UsageSummary(
+            calls=count,
+            avg_prompt_tokens=sum(r.prompt_tokens for r in items) / count,
+            avg_completion_tokens=sum(r.completion_tokens for r in items) / count,
+            avg_total_tokens=sum(r.total_tokens for r in items) / count,
+            avg_latency_seconds=total_latency / count,
+            total_latency_seconds=total_latency,
+        )
 
 
 def usage_of(telemetry, model: Optional[str] = None, task: Optional[str] = None) -> UsageSummary:

@@ -1,6 +1,6 @@
 """Tests for the FactBench / YAGO / DBpedia dataset builders and FactDataset."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -169,12 +169,7 @@ class TestStatistics:
         assert distribution.low_share == pytest.approx(2 / 6)
         assert distribution.median == pytest.approx(0.5)
         assert distribution.iqr == pytest.approx(distribution.q3 - distribution.q1)
-        row = distribution.as_dict()
-        assert list(row) == [
-            "mean", "median", "std", "q1", "q3", "iqr",
-            "high_share", "medium_share", "low_share",
-        ]
-        assert row["mean"] == pytest.approx(0.5)
+        assert distribution.mean == pytest.approx(0.5)
 
     def test_similarity_summary_of_no_scores_is_all_zero(self):
-        assert set(summarize_similarities([]).as_dict().values()) == {0.0}
+        assert set(astuple(summarize_similarities([]))) == {0.0}

@@ -19,7 +19,7 @@ from repro.evaluation import (
     upset_intersections,
 )
 from repro.evaluation.error_analysis import ErrorAnalysis, ErrorRecord
-from repro.validation import DirectKnowledgeAssessment
+from repro.validation import DirectKnowledgeAssessment, ValidationPipeline
 
 
 class TestCategorizer:
@@ -85,7 +85,7 @@ class TestErrorAnalysis:
         self, gemma, verbalizer, factbench_small
     ):
         dataset = factbench_small.sample(20, seed=4)
-        run = DirectKnowledgeAssessment(gemma, verbalizer).validate_dataset(dataset)
+        run = ValidationPipeline().run(DirectKnowledgeAssessment(gemma, verbalizer), dataset)
         analyzer = ErrorAnalyzer()
         records = analyzer.analyze_run(run, dataset, gemma)
         wrong = [result for result in run.results if result.is_correct is False]
@@ -99,7 +99,7 @@ class TestErrorAnalysis:
         dataset = factbench_small.sample(16, seed=5)
         models = {name: registry.get(name) for name in ("mistral:7b", "gemma2:9b")}
         runs = {
-            name: DirectKnowledgeAssessment(model, verbalizer).validate_dataset(dataset)
+            name: ValidationPipeline().run(DirectKnowledgeAssessment(model, verbalizer), dataset)
             for name, model in models.items()
         }
         analysis = ErrorAnalyzer().analyze_runs(runs, dataset, models)

@@ -57,18 +57,11 @@ class TestConfusionAndF1:
         assert scores.f1_true == 1.0 and scores.f1_false == 1.0
         assert confusion_counts(predictions, gold).unanswered == 2
 
-    def test_as_dict_carries_every_score_under_its_field_name(self):
+    def test_precision_and_recall_are_per_class(self):
         gold = {"a": True, "b": True, "c": False}
         scores = classwise_f1({"a": True, "b": False, "c": False}, gold)
-        row = scores.as_dict()
-        assert row == {name: getattr(scores, name) for name in row}
-        assert set(row) == {
-            "f1_true", "f1_false",
-            "precision_true", "recall_true",
-            "precision_false", "recall_false",
-        }
-        assert (row["precision_true"], row["recall_true"]) == (1.0, 0.5)
-        assert (row["precision_false"], row["recall_false"]) == (0.5, 1.0)
+        assert (scores.precision_true, scores.recall_true) == (1.0, 0.5)
+        assert (scores.precision_false, scores.recall_false) == (0.5, 1.0)
 
     def test_random_guess_f1_balanced(self):
         f1_t, f1_f = random_guess_f1(0.5)

@@ -124,10 +124,12 @@ class TestTelemetry:
 
     def test_record_and_summary(self):
         telemetry = TelemetryCollector()
-        telemetry.record(self._response(latency=1.0), task="dka")
-        telemetry.record(self._response(latency=3.0), task="dka")
+        telemetry.record(self._response(prompt=10, completion=2, latency=1.0), task="dka")
+        telemetry.record(self._response(prompt=20, completion=6, latency=3.0), task="dka")
         summary = usage_of(telemetry, task="dka")
         assert summary.calls == 2
+        assert (summary.avg_prompt_tokens, summary.avg_completion_tokens) == (15.0, 4.0)
+        assert summary.avg_total_tokens == 19.0
         assert summary.avg_latency_seconds == pytest.approx(2.0)
         assert summary.total_latency_seconds == pytest.approx(4.0)
 
@@ -146,9 +148,7 @@ class TestTelemetry:
         telemetry.record(self._response(model="b"), task="rag")
         assert usage_of(telemetry, model="a").calls == 2
         assert usage_of(telemetry, task="rag").calls == 2
-
-    def test_empty_summary(self):
-        assert TelemetryCollector().summary().calls == 0
+        assert usage_of(telemetry, model="c").calls == 0
 
     def test_clear(self):
         telemetry = TelemetryCollector()
@@ -171,14 +171,3 @@ class TestTelemetry:
             "dka", "serve/dka", "serve/rag",
         ]
         assert calls_of(telemetry, task="serve/rag")[0].total_tokens == 0
-
-    def test_usage_summary_averages_per_call(self):
-        telemetry = TelemetryCollector()
-        telemetry.record(self._response(prompt=10, completion=2, latency=1.0), task="dka")
-        telemetry.record(self._response(prompt=20, completion=6, latency=2.0), task="dka")
-        summary = telemetry.summary()
-        assert summary.calls == 2
-        assert (summary.avg_prompt_tokens, summary.avg_completion_tokens) == (15.0, 4.0)
-        assert summary.avg_total_tokens == 19.0
-        assert summary.avg_latency_seconds == pytest.approx(1.5)
-        assert summary.total_latency_seconds == pytest.approx(3.0)

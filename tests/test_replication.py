@@ -116,7 +116,7 @@ class TestReplicaGroup:
     def test_out_of_band_mutation_is_detected_as_divergence(self):
         group = ReplicaGroup.replicate(_store(), 2)
         # Someone mutates a replica around the group (the forbidden path).
-        group.stores[1].add_triple("Rogue", "edit", "Replica")
+        group.stores[1].apply([Mutation.add_triple("Rogue", "edit", "Replica")])
         with pytest.raises(ReplicaDivergedError):
             group.apply([Mutation.add_triple("Ada", "mentors", "Grace")])
 
@@ -171,7 +171,7 @@ class TestReplicaGroup:
         with pytest.raises(ValueError):
             ReplicaGroup.replicate(_store(), 0)
         mismatched = [_store("a"), _store("b")]
-        mismatched[1].add_triple("Extra", "epoch", "Bump")
+        mismatched[1].apply([Mutation.add_triple("Extra", "epoch", "Bump")])
         with pytest.raises(ValueError, match="epochs diverge"):
             ReplicaGroup(mismatched)
 

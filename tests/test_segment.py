@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -71,6 +72,7 @@ from repro.store import (
     atomic_write,
 )
 from repro.store import segment as segment_module
+from repro.store.log import ADD_DOCUMENT_CODE, ADD_TRIPLE_CODE, REMOVE_TRIPLE_CODE
 from support import hostile_line, string_fields
 
 
@@ -238,9 +240,10 @@ def test_a_saved_store_reads_its_segment_so_a_resave_encodes_nothing(
     encode_record = segment_module.encode_record
     apply_batch = VersionedKnowledgeStore._apply_batch
 
-    def counting_encode(*args):
+    def counting_encode(record):
         calls["encode_record"] += 1
-        return encode_record(*args)
+        assert type(record) is tuple  # the log's own record, not a Mutation
+        return encode_record(record)
 
     def counting_apply(self, epoch, records, record):
         calls["_apply_batch"] += 1
@@ -323,6 +326,115 @@ def test_historical_replay_builds_no_mutation_or_triple(tmp_path, monkeypatch):
         assert list(snapshot.corpus) == list(expected.corpus)
 
 
+def test_a_save_builds_no_mutation_or_triple(tmp_path, monkeypatch):
+    """The first save of a never-saved store (a full rewrite behind a
+    shadow replay) and the append after it hand the log's records to the
+    writer as they are: no ``Mutation`` or ``Triple`` is built."""
+    monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 40)
+    monkeypatch.setattr(segment_module, "BLOCK_SIZE", 512)
+    store = _grow_store(60)
+    calls = {Mutation: 0, Triple: 0}
+
+    def counted_save(name: str) -> None:
+        with pytest.MonkeyPatch.context() as patch:
+            for cls in calls:
+                def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                    calls[_cls] += 1
+                    _init(self, *args, **kwargs)
+
+                patch.setattr(cls, "__init__", counting)
+            store.save(str(tmp_path / name))
+
+    counted_save("full.seg")
+    assert len(store.log.reader.checkpoints) > 1  # the shadow replay ran
+    store.apply([Mutation.add_triple("tail", "p0", "o"), Mutation.add_document(_document(99))])
+    counted_save("incremental.seg")
+    assert store.log.reader.record_count == len(store.log) == 242
+    assert calls == {Mutation: 0, Triple: 0}
+
+
+def _pinned_history(store: VersionedKnowledgeStore, epochs: range) -> None:
+    """Apply a fixed history: fresh and duplicate triple adds, removes of
+    live triples, and documents whose fields hold non-ASCII text."""
+    for epoch in epochs:
+        batch = [
+            Mutation.add_triple(f"s{epoch % 7}", f"p{epoch % 3}", f"o{epoch}"),
+            Mutation.add_triple("Zoë", "bornIn", f"Zürich {epoch % 4}"),
+        ]
+        if epoch % 3 == 0:
+            batch.append(Mutation.remove_triple(
+                f"s{(epoch - 1) % 7}", f"p{(epoch - 1) % 3}", f"o{epoch - 1}"
+            ))
+        if epoch % 4 == 0:
+            batch.append(Mutation.add_document(Document(
+                doc_id=f"d{epoch}", url=f"https://example.org/é/{epoch}",
+                title="Café 中文", text=f"évidence 😀 {epoch} \U00010348",
+                source="pin", fact_id=f"f{epoch % 5}", kind="wiki" if epoch % 8 else "",
+            )))
+        store.apply(batch)
+
+
+def _segment_layout_digest(path: str) -> str:
+    """sha256 of a segment's floor, each block's header fields and its
+    decoded contents: the record bytes, or the checkpoint's state.  Raw
+    file bytes would also pin zlib's deflate output and pickle's stream,
+    which a different build of either may change without a code change."""
+    reader = SegmentReader.open(path)
+    digest = hashlib.sha256(ascii(reader.floor_epoch).encode("ascii"))
+    for block in reader.blocks:
+        digest.update(ascii((
+            block.kind, block.flags, block.count, block.raw_len,
+            block.first_epoch, block.last_epoch,
+        )).encode("ascii"))
+        if block.kind == segment_module.BLOCK_CHECKPOINT:
+            state = reader.load_checkpoint(block)
+            digest.update(ascii((
+                state.epoch, state.graph_core, state.documents, state.removed_since_reintern,
+            )).encode("ascii"))
+        else:
+            digest.update(zlib.decompress(reader.read_raw_block(block)))
+    reader.close()
+    return digest.hexdigest()
+
+
+#: sha256 of what :func:`_pinned_history` writes and folds, computed by the
+#: encoder that took ``Mutation``s: a change to the record codec, the block
+#: cutting, the checkpoint contents, the JSONL export or the chain shows here.
+_PINNED = {
+    "full.seg": "6470f27ac04d3d1e8b1522fbf12ce7d4435a5b60dcbc02875a4b0ea4525ea6d0",
+    "export.jsonl": "93f021fdb539bec59dcca46aab535c274fa614f95711d5414c89b171ca8ee742",
+    "incremental.seg": "150685f2cef2e7f2f752f87ac0860ff979ded5f3aa90574ac3fe4747fbb333c4",
+    "chain": "9812098305d1eb833f1890aa07743d99a1a9155c9a2f218181adf50414c59ce2",
+    "state": "3ece4cbc902e2fbc99692f453eb2291ce356e59914b67d4ca5c199a0bfd48b30",
+}
+
+
+def test_the_store_writes_the_bytes_it_always_wrote(tmp_path, monkeypatch):
+    """Pin the on-disk format across code versions, not only within one: a
+    full rewrite (several blocks, a batch split across two, interleaved
+    checkpoints), its JSONL export, an incremental save appending to it,
+    and the chain and state digests.  Segments are pinned through
+    :func:`_segment_layout_digest`, the export by its bytes."""
+    monkeypatch.setattr(segment_module, "BLOCK_SIZE", 256)
+    monkeypatch.setattr(segment_module, "CHECKPOINT_INTERVAL", 30)
+    store = VersionedKnowledgeStore(name="pinned")
+    _pinned_history(store, range(1, 41))
+    store.save(str(tmp_path / "full.seg"))
+    store.save(str(tmp_path / "export.jsonl"), format="jsonl")
+    full = SegmentReader.open(str(tmp_path / "full.seg"))
+    assert len(full.checkpoints) > 1 and any(b.continues for b in full.record_blocks)
+    full.close()
+    _pinned_history(store, range(41, 46))
+    store.save(str(tmp_path / "incremental.seg"))
+    got = {
+        name: _segment_layout_digest(str(tmp_path / name))
+        for name in ("full.seg", "incremental.seg")
+    }
+    got["export.jsonl"] = hashlib.sha256((tmp_path / "export.jsonl").read_bytes()).hexdigest()
+    got.update(chain=store.chain_digest, state=store.state_digest())
+    assert got == _PINNED
+
+
 def test_a_resave_after_new_batches_encodes_only_them(tmp_path, monkeypatch):
     store = _grow_store(30)
     store.save(str(tmp_path / "s"))
@@ -333,12 +445,13 @@ def test_a_resave_after_new_batches_encodes_only_them(tmp_path, monkeypatch):
     monkeypatch.setattr(
         segment_module,
         "encode_record",
-        lambda *args: encoded.append(args) or encode_record(*args),
+        lambda record: encoded.append(record) or encode_record(record),
     )
     store.save(str(tmp_path / "s"))
-    assert [epoch for epoch, _ in encoded] == [store.epoch - 1, store.epoch]
+    assert [record[0] for record in encoded] == [store.epoch - 1, store.epoch]
     monkeypatch.undo()
-    assert store.log.tail_batches() == []  # the store reads the new file
+    # The store reads the new file: nothing is left past its blocks.
+    assert list(store.log.records(after=store.log.reader.max_epoch)) == []
     reloaded = VersionedKnowledgeStore.load(str(tmp_path / "s"))
     assert reloaded.state_digest() == store.state_digest()
 
@@ -558,7 +671,7 @@ def test_checkpoint_pickle_cannot_import_a_global(tmp_path, target, argument, fo
     gadget = _Reduces(target, argument.format(marker=str(marker)))
     path = str(tmp_path / "crafted.seg")
     with SegmentWriter(path) as writer:
-        writer.append_batch(1, [Mutation.add_triple("a", "p", "b")])
+        writer.append_batch([(1, ADD_TRIPLE_CODE, "a", "p", "b")])
         writer._flush_records(partial_ok=False)
         # A well-formed checkpoint block (valid CRC, indexed by the footer)
         # whose ``epoch`` unpickles through the gadget.
@@ -586,7 +699,7 @@ def _with_graph_core(tmp_path, **tables) -> str:
     graph.add_all([Triple("a", "p", "b"), Triple("b", "q", "c")])
     path = str(tmp_path / "crafted-core.seg")
     with SegmentWriter(path) as writer:
-        writer.append_batch(1, [Mutation.add_triple("a", "p", "b")])
+        writer.append_batch([(1, ADD_TRIPLE_CODE, "a", "p", "b")])
         writer.checkpoint(
             StoreState(
                 epoch=1,
@@ -629,8 +742,8 @@ def test_a_segment_in_the_tuple_keyed_format_is_refused(tmp_path):
 
     path = tmp_path / "tuple-keyed.seg"
     with SegmentWriter(str(path)) as writer:
-        writer.append_batch(1, [Mutation.add_triple("a", "p", "b")])
-        writer.append_batch(2, [Mutation.add_triple("b", "q", "c")])
+        writer.append_batch([(1, ADD_TRIPLE_CODE, "a", "p", "b")])
+        writer.append_batch([(2, ADD_TRIPLE_CODE, "b", "q", "c")])
         writer.checkpoint(StoreState(
             epoch=2,
             graph_core={
@@ -680,14 +793,15 @@ def test_no_graph_core_feeds_the_cycle_collector(tmp_path):
 _FIELD_TEXT = st.one_of(
     st.just(""), st.text(), st.text(alphabet="a\u00e9\u4e2d\U0001f600\U00010348", min_size=1)
 )
-_RECORD_MUTATIONS = st.one_of(
-    st.builds(
-        Mutation,
-        st.sampled_from(["add_triple", "remove_triple"]),
-        triple=st.builds(Triple, _FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT),
+_EPOCHS = st.integers(min_value=0, max_value=2**32 - 1)
+_RECORDS = st.one_of(
+    st.tuples(
+        _EPOCHS, st.sampled_from([ADD_TRIPLE_CODE, REMOVE_TRIPLE_CODE]),
+        _FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT,
     ),
-    st.builds(
-        Mutation.add_document,
+    st.tuples(
+        _EPOCHS,
+        st.just(ADD_DOCUMENT_CODE),
         st.builds(
             Document, doc_id=_FIELD_TEXT, url=_FIELD_TEXT, title=_FIELD_TEXT,
             text=_FIELD_TEXT, source=_FIELD_TEXT, fact_id=_FIELD_TEXT, kind=_FIELD_TEXT,
@@ -697,16 +811,12 @@ _RECORD_MUTATIONS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(records=st.lists(
-    st.tuples(st.integers(min_value=0, max_value=2**32 - 1), _RECORD_MUTATIONS), max_size=12
-))
+@given(records=st.lists(_RECORDS, max_size=12))
 def test_the_record_codec_round_trips(records):
     from repro.store.segment import decode_records, encode_record
 
-    payload = b"".join(encode_record(epoch, mutation) for epoch, mutation in records)
-    decoded = decode_records(payload, len(records), "block")
-    assert decoded == [mutation.record(epoch) for epoch, mutation in records]
-    assert [(record[0], Mutation.from_record(record)) for record in decoded] == records
+    payload = b"".join(encode_record(record) for record in records)
+    assert decode_records(payload, len(records), "block") == records
 
 
 def _field(raw: bytes) -> bytes:
@@ -1583,7 +1693,7 @@ def test_a_record_field_that_is_not_utf8_is_corrupt(tmp_path, monkeypatch):
     monkeypatch.setattr(
         segment_module,
         "encode_record",
-        lambda epoch, mutation: encode_record(epoch, mutation).replace(
+        lambda record: encode_record(record).replace(
             b"subject1", b"\xffubject1"
         ),
     )

@@ -46,7 +46,7 @@ from repro.store import (
 )
 from repro.store import segment as segment_module
 from repro.store import store as store_module
-from repro.store.log import group_batches
+from repro.store.log import ADD_TRIPLE_CODE, group_batches
 from repro.store.segment import SEGMENT_MAGIC
 from support import hostile_line, string_fields
 
@@ -142,9 +142,9 @@ class TestMutationSerialisation:
 
     def test_log_epochs_must_be_monotonic(self):
         log = MutationLog()
-        log.append_batch(1, [Mutation.add_triple("a", "p", "b")])
+        log.append_records(1, [(1, ADD_TRIPLE_CODE, "a", "p", "b")])
         with pytest.raises(ValueError):
-            log.append_batch(1, [Mutation.add_triple("c", "p", "d")])
+            log.append_records(1, [(1, ADD_TRIPLE_CODE, "c", "p", "d")])
 
     def test_log_windows_are_open_closed_and_batches_group_by_epoch(self):
         log = MutationLog()
@@ -153,7 +153,7 @@ class TestMutationSerialisation:
             for epoch in (1, 2, 4)
         }
         for epoch, batch in batches.items():
-            log.append_batch(epoch, batch)
+            log.append_records(epoch, [mutation.record(epoch) for mutation in batch])
         assert log.max_epoch == 4 and len(log) == 7
         assert [record[0] for record in log.records(after=1, upto=2)] == [2, 2]
         assert [record[0] for record in log.records(after=2)] == [4] * 4

@@ -410,7 +410,7 @@ def test_validate_matches_the_set_copy_reference(seed, monkeypatch):
     triples, documents, batches = _random_history(rng, operations=120)
     store = VersionedKnowledgeStore.bootstrap(triples=triples, documents=documents)
     live, absent = Triple("entity0", "hand", "built"), Triple("never", "was", "here")
-    store.add_triple(*live.as_tuple())
+    store.apply([Mutation(op="add_triple", triple=live)])
     doc = _document(10_000, rng)
     add, remove = (
         lambda triple: Mutation(op="add_triple", triple=triple),
@@ -457,7 +457,7 @@ def test_log_persistence_round_trips_random_mutations(tmp_path):
     _, _, batches = _random_history(rng, operations=60)
     log = MutationLog()
     for epoch, batch in enumerate(batches, start=1):
-        log.append_batch(epoch, batch)
+        log.append_records(epoch, [mutation.record(epoch) for mutation in batch])
     path = str(tmp_path / "log.jsonl")
     log.save(path)
     loaded = MutationLog.load(path)

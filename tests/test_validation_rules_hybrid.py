@@ -10,6 +10,7 @@ from repro.validation import (
     HybridValidator,
     OntologyRuleChecker,
     RuleGuardedValidator,
+    ValidationPipeline,
     Verdict,
 )
 
@@ -159,7 +160,7 @@ class TestHybridValidator:
 
     def test_validate_produces_verdicts(self, hybrid, factbench_small):
         subset = factbench_small.sample(10, seed=2)
-        run = hybrid.validate_dataset(subset)
+        run = ValidationPipeline().run(hybrid, subset)
         assert len(run) == len(subset)
         answered = [r for r in run.results if r.verdict in (Verdict.TRUE, Verdict.FALSE)]
         assert answered

@@ -11,6 +11,7 @@ from repro.validation import (
     GuidedIterativeVerification,
     RAGConfig,
     RAGValidator,
+    ValidationPipeline,
     ValidationResult,
     ValidationRun,
     Verdict,
@@ -35,8 +36,8 @@ class TestDKA:
         assert result.verdict in (Verdict.TRUE, Verdict.FALSE, Verdict.INVALID)
         assert result.latency_seconds > 0
 
-    def test_validate_dataset_covers_all_facts(self, gemma, verbalizer, small_subset):
-        run = DirectKnowledgeAssessment(gemma, verbalizer).validate_dataset(small_subset)
+    def test_a_run_covers_all_facts(self, gemma, verbalizer, small_subset):
+        run = ValidationPipeline().run(DirectKnowledgeAssessment(gemma, verbalizer), small_subset)
         assert len(run) == len(small_subset)
         assert set(run.gold()) == {fact.fact_id for fact in small_subset}
 
@@ -61,31 +62,32 @@ class TestGIV:
     def test_retry_budget_bounds_the_reprompts(self, registry, verbalizer, small_subset, monkeypatch):
         llama = registry.get("llama3.1:8b")
         monkeypatch.setattr(giv_module, "MAX_RETRIES", 0)
-        run = GuidedIterativeVerification(llama, verbalizer=verbalizer).validate_dataset(
-            small_subset
+        run = ValidationPipeline().run(
+            GuidedIterativeVerification(llama, verbalizer=verbalizer), small_subset
         )
         assert all(result.num_retries == 0 for result in run.results)
 
     def test_run_produces_mostly_valid_verdicts(self, gemma, verbalizer, small_subset):
-        run = GuidedIterativeVerification(
-            gemma, few_shot=True, verbalizer=verbalizer
-        ).validate_dataset(small_subset)
+        run = ValidationPipeline().run(
+            GuidedIterativeVerification(gemma, few_shot=True, verbalizer=verbalizer), small_subset
+        )
         invalid = [result for result in run.results if result.verdict is Verdict.INVALID]
         assert len(invalid) <= len(small_subset) // 4
 
     def test_giv_latency_exceeds_dka(self, gemma, verbalizer, small_subset):
-        dka_run = DirectKnowledgeAssessment(gemma, verbalizer).validate_dataset(small_subset)
-        giv_run = GuidedIterativeVerification(
-            gemma, few_shot=True, verbalizer=verbalizer
-        ).validate_dataset(small_subset)
+        pipeline = ValidationPipeline()
+        dka_run = pipeline.run(DirectKnowledgeAssessment(gemma, verbalizer), small_subset)
+        giv_run = pipeline.run(
+            GuidedIterativeVerification(gemma, few_shot=True, verbalizer=verbalizer), small_subset
+        )
         assert sum(giv_run.latencies()) > sum(dka_run.latencies())
 
     def test_retries_recorded(self, registry, verbalizer, small_subset):
         # llama has the lowest format compliance, so retries are most likely.
         llama = registry.get("llama3.1:8b")
-        run = GuidedIterativeVerification(
-            llama, few_shot=False, verbalizer=verbalizer
-        ).validate_dataset(small_subset)
+        run = ValidationPipeline().run(
+            GuidedIterativeVerification(llama, few_shot=False, verbalizer=verbalizer), small_subset
+        )
         assert all(result.num_retries >= 0 for result in run.results)
 
 
