@@ -14,8 +14,10 @@ on the subject entity and walks the sharded tier end to end:
    shards and merges deterministically — verdicts byte-identical to the
    single node (the 1x1 fleet);
 3. per-shard ingest: a mutation batch routed to one shard bumps only
-   that shard's epoch, so only its cached verdicts go stale while every
-   other shard keeps serving from cache;
+   that shard's epoch, so only its cached ``rag`` verdicts go stale while
+   every other shard keeps serving from cache, and a ``dka`` verdict, which
+   reads no store, stays cache-hot on every shard (the script exits
+   non-zero if either does not hold);
 4. fault isolation: a shard that raises surfaces an explicit ``FAILED``
    outcome without touching its neighbours;
 5. the aggregate metrics roll-up (fleet percentiles over the combined
@@ -100,14 +102,20 @@ async def scatter_gather(runner: BenchmarkRunner) -> None:
     print(f"verdicts byte-identical to the single node (the 1x1 fleet): {identical}\n")
 
 
-async def per_shard_ingest(runner: BenchmarkRunner) -> None:
+async def per_shard_ingest(runner: BenchmarkRunner) -> bool:
+    """True when the ingest re-judged exactly the owning shard's ``rag``
+    facts and no ``dka`` fact."""
     print("=== 3. Per-shard ingest and cache invalidation ===")
     dataset = runner.dataset("factbench")
     store = runner.sharded_store("factbench", NUM_SHARDS)
     router = ShardedValidationService.from_runner(
         runner, NUM_SHARDS, ServiceConfig(), store=store
     )
-    requests = [ServiceRequest(fact, "dka", "gemma2:9b") for fact in dataset]
+    requests = [
+        ServiceRequest(fact, method, "gemma2:9b")
+        for method in ("dka", "rag")
+        for fact in dataset
+    ]
     target = dataset[0]
     owner = store.shard_for(target.triple.subject)
     async with router:
@@ -122,12 +130,20 @@ async def per_shard_ingest(runner: BenchmarkRunner) -> None:
         f"ingest routed to shard {owner} only (shards touched: "
         f"{list(report.shards_touched)}); epoch vector {list(report.epoch_vector)}"
     )
-    stale = [i for i, r in enumerate(after) if not r.cached]
-    still_hot = sum(1 for r in after if r.cached)
+    dka = [r for q, r in zip(requests, after) if q.method == "dka"]
+    rag = [(router.shard_for(q), r) for q, r in zip(requests, after) if q.method == "rag"]
+    rejudged = [shard for shard, r in rag if not r.cached]
     print(
-        f"after the ingest: {len(stale)} facts re-judged (all owned by shard "
-        f"{owner}), {still_hot} still cache-hot on the other shards\n"
+        f"after the ingest: dka {sum(r.cached for r in dka)}/{len(dka)} still "
+        f"cache-hot on every shard (DKA reads no store)"
     )
+    print(
+        f"rag: {len(rejudged)} facts re-judged (owned by shards "
+        f"{sorted(set(rejudged))}), {len(rag) - len(rejudged)} still cache-hot "
+        f"on the other shards\n"
+    )
+    owned = [shard for shard, _ in rag if shard == owner]
+    return all(r.cached for r in dka) and bool(owned) and rejudged == owned
 
 
 async def fault_isolation(runner: BenchmarkRunner) -> None:
@@ -175,7 +191,11 @@ def main() -> None:
     runner = build_runner()
     consistent_hashing(runner)
     asyncio.run(scatter_gather(runner))
-    asyncio.run(per_shard_ingest(runner))
+    if not asyncio.run(per_shard_ingest(runner)):
+        raise SystemExit(
+            "per-shard ingest: expected every dka fact cache-hot and exactly "
+            "the owning shard's rag facts re-judged"
+        )
     asyncio.run(fault_isolation(runner))
     asyncio.run(metrics_rollup(runner))
 

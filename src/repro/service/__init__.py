@@ -9,7 +9,8 @@ offline substrates:
   per ``(method, model)`` strategy worker, with a bounded in-flight
   budget that sheds overload with an explicit ``REJECTED`` outcome;
 * :mod:`repro.service.cache` — the :class:`VerdictCache` keyed on
-  (epoch, fact, method, model) with hit/miss telemetry;
+  (scope, fact, method, model) with hit/miss telemetry, the scope being
+  the store epoch for a verdict that reads the store;
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics` /
   :class:`MetricsSnapshot`, every number read from the worker's
   :class:`~repro.obs.registry.MetricsRegistry`;
@@ -30,8 +31,8 @@ offline substrates:
 With a :class:`~repro.store.ShardedStore` attached (for one node,
 ``ShardedStore([runner.versioned_store(dataset)])``), the router ingests
 live updates: each applied batch advances the owning shards' epochs, and
-because verdict-cache keys carry the epoch, stale verdicts invalidate
-automatically.
+because the cache key of a store-reading verdict carries the epoch, stale
+verdicts invalidate automatically (a store-free one stays valid).
 
 Quickstart::
 

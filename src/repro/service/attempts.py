@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Tuple
 from ..obs.trace import OUTCOME_STATUS, STATUS_FAILED, Span
 from ..validation.base import ValidationResult
 from .balancer import ReplicaBalancer
-from .cache import verdict_cache_key
+from .cache import coordinate_key
 from .policy import RetryPolicy
 from .server import (
     RequestOutcome,
@@ -51,12 +51,6 @@ class ReplicaFault(Exception):
     def __init__(self, what: str, timeout: bool = False) -> None:
         super().__init__(what)
         self.timeout = timeout
-
-
-def _stale_key(request: ServiceRequest) -> tuple:
-    # The verdict-cache key minus its epoch component: the whole point of
-    # the stale store is answering across epochs.
-    return verdict_cache_key(request.fact, request.method, request.model, epoch=0)[1:]
 
 
 class AttemptExecutor:
@@ -221,7 +215,7 @@ class AttemptExecutor:
                     attempts=max_attempts,
                     retries=retries,
                 )
-            key = _stale_key(request)
+            key = coordinate_key(request.fact, request.method, request.model)
             entry = self._stale.get(key)
             if entry is not None:
                 self._stale.move_to_end(key)
@@ -314,7 +308,7 @@ class AttemptExecutor:
     ) -> None:
         """Retain the last known good verdict and the owning shard's epoch it
         was computed at (not a stamped fleet sum) for graceful degradation."""
-        key = _stale_key(request)
+        key = coordinate_key(request.fact, request.method, request.model)
         self._stale[key] = (result, shard_epoch)
         self._stale.move_to_end(key)
         while len(self._stale) > STALE_CACHE_CAPACITY:

@@ -1,9 +1,18 @@
 """Verdict cache for the online validation service.
 
-A verdict is fully determined by the fact and the ``(method, model)``
-strategy that judges it (the simulated models are deterministic, and real
+A verdict is fully determined by the fact, the ``(method, model)`` strategy
+that judges it and, for a method that reads the knowledge store, the store
+version it read (the simulated models are deterministic, and real
 deployments routinely cache idempotent verdicts for a TTL), so repeat
 requests can be answered without touching a strategy worker.
+
+:func:`verdict_cache_key` leads with the verdict's *scope*
+(:func:`verdict_scope`): the store epoch for a method that reads the
+store, ``None`` for one of :data:`~repro.validation.STORE_FREE_METHODS`.
+An ingest therefore strands only the cached verdicts it can move; a
+store-free one keeps answering.  :func:`coordinate_key` is the key at
+scope ``None``, a verdict's identity at no epoch; the router's
+last-known-good store keys on it.
 
 The cache is one thread-safe :class:`~repro.retrieval.cache.LRUCache`
 (eviction is global least-recently-used) plus locked hit/miss counters.
@@ -17,15 +26,23 @@ from typing import Optional, Tuple
 
 from ..datasets.base import LabeledFact
 from ..retrieval.cache import LRUCache
-from ..validation.base import ValidationResult
+from ..validation.base import STORE_FREE_METHODS, ValidationResult
 
-__all__ = ["CacheStats", "VerdictCache", "verdict_cache_key"]
+__all__ = ["CacheStats", "VerdictCache", "coordinate_key", "verdict_cache_key", "verdict_scope"]
+
+
+def verdict_scope(method: str, epoch: int) -> Optional[int]:
+    """The scope a ``method`` verdict judged at store ``epoch`` is cached
+    under: ``epoch`` itself, or ``None`` (every epoch) when the method is
+    in :data:`~repro.validation.STORE_FREE_METHODS`."""
+    return None if method in STORE_FREE_METHODS else epoch
 
 
 def verdict_cache_key(
-    fact: LabeledFact, method: str, model: str, epoch: int = 0
+    fact: LabeledFact, method: str, model: str, epoch: Optional[int] = 0
 ) -> Tuple:
-    """Collision-free cache key for one (fact, method, model, epoch) verdict.
+    """Collision-free cache key for one (fact, method, model) verdict at
+    scope ``epoch``.
 
     The key carries the owning dataset and the fact id *and* the encoded
     triple itself: two datasets can contain facts with identical surface
@@ -33,11 +50,12 @@ def verdict_cache_key(
     judged by a different method or model must never share an entry —
     verdicts legitimately differ across all of those axes.
 
-    ``epoch`` is the version of the knowledge store the verdict was
-    computed against.  When the store ingests a mutation batch the epoch
-    advances, every old key stops matching, and stale verdicts invalidate
-    automatically — no explicit flush, and verdicts for the old epoch
-    remain addressable until LRU pressure evicts them.
+    An integer ``epoch`` is the version of the knowledge store the verdict
+    was computed against.  When the store ingests a mutation batch the
+    epoch advances, every old key stops matching, and stale verdicts
+    invalidate automatically — no explicit flush, and verdicts for the old
+    epoch remain addressable until LRU pressure evicts them.  ``None``
+    scopes the verdict to no epoch: it matches at every one.
     """
     triple = fact.triple
     return (
@@ -51,6 +69,13 @@ def verdict_cache_key(
         triple.object,
         fact.label,
     )
+
+
+def coordinate_key(fact: LabeledFact, method: str, model: str) -> Tuple:
+    """A verdict's identity at no epoch: its :func:`verdict_cache_key` at
+    scope ``None``.  (One tuple built in one place keeps the cache's hit
+    path to a single call.)"""
+    return verdict_cache_key(fact, method, model, None)
 
 
 @dataclass(frozen=True)
@@ -79,14 +104,15 @@ class VerdictCache:
         method: str,
         model: str,
         record: bool = True,
-        epoch: int = 0,
+        epoch: Optional[int] = 0,
     ) -> Optional[ValidationResult]:
         """Look up a verdict; ``record=False`` defers the hit/miss counting.
 
         The service defers miss accounting until admission control has
         admitted the request — a shed request's lookup must not deflate the
-        served-traffic hit rate.  ``epoch`` scopes the lookup to one store
-        version; entries written at earlier epochs never match.
+        served-traffic hit rate.  ``epoch`` is the scope of
+        :func:`verdict_cache_key`: an integer matches only entries written at
+        that store version, ``None`` only entries written unscoped.
         """
         value = self._entries.get(verdict_cache_key(fact, method, model, epoch))
         if record:
@@ -112,10 +138,10 @@ class VerdictCache:
         method: str,
         model: str,
         result: ValidationResult,
-        epoch: int = 0,
+        epoch: Optional[int] = 0,
     ) -> None:
-        """Store ``result`` under the (fact, method, model, epoch) key,
-        evicting the least recently used entry when the cache is full."""
+        """Store ``result`` under the (fact, method, model) key at scope
+        ``epoch``, evicting the least recently used entry when full."""
         self._entries.put(verdict_cache_key(fact, method, model, epoch), result)
 
     def __len__(self) -> int:

@@ -19,8 +19,9 @@ partition uses — and three collaborators each own one policy and its state:
 
 Writes ship to **every replica** of the owning shards, which apply the
 identical batch in lockstep (:meth:`~repro.store.ReplicaGroup.settle`);
-other shards keep serving, and because verdict-cache keys carry the
-per-shard epoch, an ingest invalidates only its shards' cached verdicts.
+other shards keep serving, and because the cache key of a store-reading
+verdict carries the per-shard epoch, an ingest invalidates only its shards'
+cached store-reading verdicts (a store-free one stays valid everywhere).
 Every response is stamped with the composite epoch vector
 (``ServiceResponse.epoch_vector``) and its scalar sum, so clients can
 reason about which shard versions an answer reflects.
@@ -742,7 +743,9 @@ class ShardedValidationService:
         in-flight reads, apply the identical batch to their own store copy,
         bump their epoch) while the rest of the fleet keeps serving — the
         per-shard invalidation contract: only the mutated shard's cached
-        verdicts go stale.  Their outcomes settle through the shard's
+        store-reading verdicts go stale, and a store-free one (see
+        :func:`~repro.service.cache.verdict_scope`) goes stale on no shard.
+        Their outcomes settle through the shard's
         group (:meth:`~repro.store.ReplicaGroup.settle`:
         :class:`ReplicaDivergedError` when a replica refuses a batch a
         sibling applied, or on any drift).  Replicas whose workers stopped

@@ -28,9 +28,12 @@ Architecture (muBench-style service shape, MSMQ-style backpressure):
   service also serves *writes*: :meth:`ValidationService.apply_mutations`
   quiesces admissions, drains the in-flight requests, applies the batch
   (incremental index maintenance keeps the hot substrates warm), and bumps
-  the store epoch.  Verdict-cache keys carry the epoch, so every verdict
-  cached before the ingest stops matching automatically and post-ingest
-  traffic is re-judged against the fresh knowledge.
+  the store epoch.  The cache key of a verdict that reads the store carries
+  the epoch, so each one cached before the ingest stops matching and
+  post-ingest traffic is re-judged against the fresh knowledge.  A verdict
+  of a :data:`~repro.validation.STORE_FREE_METHODS` method carries no
+  epoch: no ingest can move it, so it keeps answering, stamped with the
+  current epoch like every hit.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from ..obs.trace import OUTCOME_STATUS, STATUS_FAILED, Span, SpanContext, Tracer
 from ..store import ApplyReport, Mutation, VersionedKnowledgeStore
 from ..validation.base import ValidationResult, ValidationStrategy
 from ..validation.pipeline import ValidationPipeline
-from .cache import VerdictCache
+from .cache import VerdictCache, verdict_scope
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
 
@@ -64,6 +67,9 @@ __all__ = [
 
 #: Builds a strategy for ``(method, dataset, model_name)``;
 #: ``BenchmarkRunner.build_strategy`` adapts to this via ``from_runner``.
+#: A service calls it once per key and keeps the strategy across ingests, so
+#: a strategy must read its substrates live (as the runner's do: an attached
+#: store updates the corpus and search index in place).
 StrategyProvider = Callable[[str, str, str], ValidationStrategy]
 
 
@@ -452,10 +458,12 @@ class ValidationService:
         latency = time.perf_counter() - started
         self.metrics.observe_completion(latency, trace_id=trace_id)
         if self.cache is not None:
-            # Keyed under the admission-time epoch: apply_mutations drains
+            # Scoped by the admission-time epoch: apply_mutations drains
             # every in-flight request before mutating, so the substrates
             # this verdict was computed against are exactly that epoch's.
-            self.cache.put(request.fact, method, model, result, epoch=epoch)
+            self.cache.put(
+                request.fact, method, model, result, epoch=verdict_scope(method, epoch)
+            )
         return ServiceResponse(
             RequestOutcome.COMPLETED, result, False, latency, batch_size,
             epoch=epoch, trace_id=trace_id,
@@ -466,12 +474,18 @@ class ValidationService:
     ) -> Optional[Tuple[ValidationResult, int, float]]:
         """A verdict-cache hit as ``(verdict, epoch, latency since started)``,
         counted as served and never shed; ``None``, counting nothing, when the
-        replica is stopped, its reads are paused, it has no cache, or a miss."""
+        replica is stopped, its reads are paused, it has no cache, or a miss.
+        ``epoch`` is the replica's current one, also for a store-free hit
+        cached at an earlier epoch."""
         if self._closed or not self._admission_gate.is_set() or self.cache is None:
             return None
         epoch = self.epoch
         hit = self.cache.get(
-            request.fact, request.method, request.model, record=False, epoch=epoch
+            request.fact,
+            request.method,
+            request.model,
+            record=False,
+            epoch=verdict_scope(request.method, epoch),
         )
         if hit is None:
             return None
@@ -507,9 +521,11 @@ class ValidationService:
         the in-flight requests to drain (the last one to finish wakes it),
         applies the batch (incremental index maintenance keeps the warm
         substrates hot), and reopens the gate.  The store epoch advance
-        makes every previously cached verdict key stale automatically, and
-        the cached per-``(method, dataset, model)`` strategies are dropped
-        so the next batch rebuilds them over the mutated substrates.
+        makes every previously cached store-reading verdict key stale
+        automatically; a store-free verdict (unscoped, see
+        :func:`~repro.service.cache.verdict_scope`) keeps answering.  The
+        per-``(method, dataset, model)`` strategies are kept: they read the
+        store's substrates, which the apply updated in place.
 
         Returns the store's :class:`~repro.store.ApplyReport`.  Raises
         :class:`RuntimeError` when no store is attached or the service is
@@ -529,7 +545,6 @@ class ValidationService:
             try:
                 await self._idle.wait()
                 report = self.store.apply(mutations)
-                self._strategies.clear()
                 self.metrics.observe_ingest(report.total_ops)
             finally:
                 self._admission_gate.set()

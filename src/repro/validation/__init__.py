@@ -6,7 +6,7 @@ four-phase RAG pipeline, and multi-model majority-vote consensus with
 tie-break arbitration.
 """
 
-from .base import ValidationResult, ValidationRun, ValidationStrategy, Verdict
+from .base import STORE_FREE_METHODS, ValidationResult, ValidationRun, ValidationStrategy, Verdict
 from .consensus import (
     ConsensusOutcome,
     ConsensusRun,
@@ -61,6 +61,7 @@ __all__ = [
     "RuleGuardedValidator",
     "RuleVerdict",
     "RetrievedEvidence",
+    "STORE_FREE_METHODS",
     "TripleTransformer",
     "ParallelValidationPipeline",
     "ValidationPipeline",

@@ -5,11 +5,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from ..datasets.base import LabeledFact
 
-__all__ = ["Verdict", "ValidationResult", "ValidationRun", "ValidationStrategy"]
+__all__ = ["STORE_FREE_METHODS", "Verdict", "ValidationResult", "ValidationRun", "ValidationStrategy"]
 
 
 class Verdict(str, Enum):
@@ -114,3 +114,13 @@ class ValidationStrategy(ABC):
         """Name of the underlying model (used in reports)."""
         model = getattr(self, "model", None)
         return getattr(model, "name", "unknown")
+
+
+#: The methods whose verdict reads no knowledge store or corpus: the paper's
+#: internal-knowledge dimension (DKA, GIV zero- and few-shot) judges a fact
+#: from the model alone, so no ingest can move it.  ``rag`` reads retrieved
+#: evidence and is never on the list, and a method it does not name (a
+#: hybrid, a rule guard, a new strategy) counts as reading the store.  The
+#: list is keyed on the name, not on a strategy attribute, so a wrapper that
+#: keeps ``method_name`` keeps the property.
+STORE_FREE_METHODS: FrozenSet[str] = frozenset({"dka", "giv-z", "giv-f"})

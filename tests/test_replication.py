@@ -34,7 +34,7 @@ from repro.store import (
     VersionedKnowledgeStore,
 )
 from repro.validation.base import ValidationResult, ValidationStrategy, Verdict
-from support import session_vector
+from support import calls_of, session_vector
 
 
 @pytest.fixture(scope="module")
@@ -487,7 +487,10 @@ class TestReplicatedIngest:
             store=store,
             replicas=3,
         )
-        requests = _requests(replica_runner)
+        store_free = _requests(replica_runner)
+        requests = [
+            ServiceRequest(request.fact, "rag", request.model) for request in store_free
+        ]
         target = requests[0].fact
         owner = store.shard_for(target.triple.subject)
         other = 1 - owner
@@ -498,26 +501,32 @@ class TestReplicatedIngest:
         )
         batch = [Mutation.add_triple(target.triple.subject, "updatedBy", "Feed")]
 
-        def cached_on(shard_index, fact, epoch):
+        def cached_on(shard_index, fact, method, scope):
             return [
-                service.cache.get(fact, "dka", "gemma2:9b", record=False, epoch=epoch)
+                service.cache.get(fact, method, "gemma2:9b", record=False, epoch=scope)
                 for service in router.groups[shard_index]
             ]
 
         async def go():
             async with router:
                 cold = await router.submit_many(requests)
+                warm_free = await router.submit_many(store_free)
                 report = await router.apply_mutations(batch)
                 # Between the ingest and the next pass: the sibling shard's
                 # epoch-1 entries are still addressable on whichever replica
                 # judged them, while the owning shard has nothing at its new
-                # epoch — every post-ingest read there is re-judged.
-                assert any(hit is not None for hit in cached_on(other, other_fact, 1))
-                assert all(hit is None for hit in cached_on(owner, target, 2))
+                # epoch — every post-ingest rag read there is re-judged.  The
+                # dka entries carry no epoch and still answer on both shards.
+                assert any(hit is not None for hit in cached_on(other, other_fact, "rag", 1))
+                assert all(hit is None for hit in cached_on(owner, target, "rag", 2))
+                assert any(hit is not None for hit in cached_on(owner, target, "dka", None))
+                judged = len(calls_of(replica_runner.telemetry, task="dka"))
+                kept = await router.submit_many(store_free)
+                rerun = len(calls_of(replica_runner.telemetry, task="dka")) - judged
                 after = await router.submit_many(requests)
-                return cold, report, after
+                return cold, warm_free, report, kept, rerun, after
 
-        cold, report, after = asyncio.run(go())
+        cold, warm_free, report, kept, rerun, after = asyncio.run(go())
         assert all(response.outcome is RequestOutcome.COMPLETED for response in cold)
         assert report.shards_touched == (owner,)
         # Every replica of the owning shard applied the batch in lockstep...
@@ -530,14 +539,18 @@ class TestReplicatedIngest:
             for store_copy in router.replica_groups[other].stores
         )
         # ...and post-ingest responses carry the bumped owner epoch with no
-        # owner-shard response served from a stale cache entry.
+        # owner-shard rag response served from a stale cache entry.
         for request, response in zip(requests, after):
             if store.shard_for(request.fact.triple.subject) == owner:
                 assert not response.cached
             assert response.epoch_vector[owner] == 2
-        # Re-judged verdicts are unchanged (DKA never reads the corpus): the
-        # invalidation is freshness bookkeeping, not verdict churn.
+        # Re-judged verdicts are unchanged: a triple-only batch moves no
+        # evidence.
         assert [r.result.verdict for r in after] == [r.result.verdict for r in cold]
+        # Every dka read, on the owning shard too, is a hit at the new epoch
+        # with no strategy run: DKA reads no store.
+        assert all(r.cached and r.epoch_vector[owner] == 2 for r in kept) and rerun == 0
+        assert [r.result for r in kept] == [r.result for r in warm_free]
 
     def test_an_ingest_cancelled_before_its_fan_out_leaves_no_replica_paused(
         self, replica_runner

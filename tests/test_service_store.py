@@ -2,10 +2,14 @@
 
 Covers the PR 3 service-side contract:
 
-* ``verdict_cache_key`` / ``VerdictCache`` carry the store epoch, so a
-  verdict cached before an ingest never answers a post-ingest request;
+* ``verdict_cache_key`` / ``VerdictCache`` carry a scope: the service
+  scopes a store-reading verdict (``rag``, or any method not in
+  ``STORE_FREE_METHODS``) to the store epoch, so one cached before an
+  ingest never answers a post-ingest request, while a ``dka``/``giv``
+  verdict is unscoped and answers across ingests, restamped;
 * ``ValidationService.apply_mutations`` quiesces in-flight work, applies
-  the batch, and advances the epoch visible on every subsequent response;
+  the batch, and advances the epoch visible on every subsequent response,
+  keeping its strategies (they read the store's substrates live);
 * the mixed read/write load-generator schedule applies ingest batches
   mid-run through the 1x1 fleet and the report splits verdicts by the
   epoch they were served at.
@@ -34,8 +38,8 @@ from repro.service import (
     VerdictCache,
     verdict_cache_key,
 )
-from repro.store import Mutation, ShardedStore
-from repro.validation import ValidationResult, Verdict
+from repro.store import Mutation, ShardedStore, VersionedKnowledgeStore
+from repro.validation import ValidationResult, ValidationStrategy, Verdict
 from support import build_mixed_workload, calls_of, epochs_served, verdicts_at
 
 
@@ -121,6 +125,58 @@ class TestEpochKeyedCache:
         assert cache.get(fact, "dka", "m", epoch=2) == new
 
 
+class _CountingStub(ValidationStrategy):
+    """Judges every fact TRUE under any method name and counts its runs."""
+
+    def __init__(self, method: str) -> None:
+        self.method_name = method
+        self.runs = 0
+
+    def validate(self, fact: LabeledFact) -> ValidationResult:
+        self.runs += 1
+        return _result(fact, Verdict.TRUE)
+
+
+class TestStoreFreeScope:
+    @pytest.mark.parametrize(
+        "method, runs",
+        [
+            ("dka", 1),
+            ("giv-z", 1),
+            ("giv-f", 1),
+            ("rag", 2),
+            ("stub", 2),
+            ("rules+dka", 2),
+            ("DKA", 2),
+        ],
+    )
+    def test_only_a_declared_store_free_method_outlives_an_ingest(self, method, runs):
+        """The rule is keyed on the method name: a strategy under a name not
+        in ``STORE_FREE_METHODS`` stays epoch-scoped whatever it reads, and
+        ``rag`` is re-judged after any ingest."""
+        strategies = {}
+
+        def provider(name, dataset, model):
+            return strategies.setdefault(name, _CountingStub(name))
+
+        store = VersionedKnowledgeStore.bootstrap([Triple("Alice", "worksFor", "Acme")])
+        service = ValidationService(provider, ServiceConfig(), store=store)
+        request = ServiceRequest(_fact(), method, "m")
+
+        async def go():
+            async with service:
+                first = await service.submit(request)
+                repeat = await service.submit(request)
+                await service.apply_mutations([Mutation.add_triple("Bob", "worksFor", "Acme")])
+                return first, repeat, await service.submit(request)
+
+        first, repeat, after = asyncio.run(go())
+        assert not first.cached and repeat.cached
+        assert after.epoch == first.epoch + 1
+        assert after.cached == (runs == 1)
+        assert strategies[method].runs == runs
+
+
 class TestApplyMutations:
     def test_apply_requires_a_store(self, runner):
         service = ValidationService.from_runner(runner, ServiceConfig())
@@ -136,47 +192,66 @@ class TestApplyMutations:
         store = runner.versioned_store("factbench")
         service = ValidationService.from_runner(runner, ServiceConfig(), store=store)
         fact = runner.dataset("factbench")[0]
+        rag = ServiceRequest(fact, "rag", "gemma2:9b")
+        dka = ServiceRequest(fact, "dka", "gemma2:9b")
 
         async def go():
             async with service:
-                first = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
-                repeat = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
+                first = await service.submit(rag)
+                repeat = await service.submit(rag)
+                warm = await service.submit(dka)
                 report = await service.apply_mutations(
                     [Mutation.add_triple("Ingested", "worksFor", "Org")]
                 )
-                after = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
-                again = await service.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
-                return first, repeat, report, after, again
+                judged = len(calls_of(runner.telemetry, task="dka"))
+                kept = await service.submit(dka)
+                rerun = len(calls_of(runner.telemetry, task="dka")) - judged
+                after = await service.submit(rag)
+                again = await service.submit(rag)
+                return first, repeat, warm, report, kept, rerun, after, again
 
-        first, repeat, report, after, again = asyncio.run(go())
+        first, repeat, warm, report, kept, rerun, after, again = asyncio.run(go())
         assert not first.cached and repeat.cached
         assert report.epoch == first.epoch + 1
-        # The epoch bump makes the pre-ingest entry stale: a fresh judgement
-        # runs, then repeat traffic at the new epoch hits again.
+        # The epoch bump makes the pre-ingest rag entry stale: a fresh
+        # judgement runs, then repeat traffic at the new epoch hits again.
         assert not after.cached and after.epoch == report.epoch
         assert again.cached and again.epoch == report.epoch
+        # A dka verdict reads no store: it outlives the ingest, answered from
+        # the cache with no strategy run and stamped with the new epoch.
+        assert not warm.cached and warm.epoch == first.epoch
+        assert kept.cached and kept.epoch == report.epoch and rerun == 0
+        assert kept.result == warm.result
         snapshot = service.metrics.snapshot()
         assert snapshot.ingests == 1 and snapshot.ingested_ops == 1
 
     def test_paused_reads_wait_for_the_apply_and_a_stop_releases_them(self, runner):
         """``pause_reads`` holds even a would-be cache hit until the next
         apply lands; a stop in place of the apply fails the held read
-        instead of leaving it parked on the gate."""
+        instead of leaving it parked on the gate.  The held ``rag`` read is
+        re-judged at the new epoch; the held ``dka`` read, which no ingest
+        can move, is a hit stamped with the new epoch."""
         store = runner.versioned_store("factbench")
         service = ValidationService.from_runner(runner, ServiceConfig(), store=store)
-        request = ServiceRequest(runner.dataset("factbench")[0], "dka", "gemma2:9b")
+        fact = runner.dataset("factbench")[0]
+        request = ServiceRequest(fact, "rag", "gemma2:9b")
+        store_free = ServiceRequest(fact, "dka", "gemma2:9b")
 
         async def go():
             await service.start()
             first = await service.submit(request)
+            await service.submit(store_free)
             service.pause_reads()
             held = asyncio.ensure_future(service.submit(request))
+            held_free = asyncio.ensure_future(service.submit(store_free))
             await asyncio.sleep(0)
-            assert not held.done()
+            assert not held.done() and not held_free.done()
+            judged = len(calls_of(runner.telemetry, task="dka"))
             report = await service.apply_mutations(
                 [Mutation.add_triple("Paused", "worksFor", "Org")]
             )
-            after = await held
+            after, after_free = await held, await held_free
+            rerun = len(calls_of(runner.telemetry, task="dka")) - judged
             service.pause_reads()
             stranded = asyncio.ensure_future(service.submit(request))
             await asyncio.sleep(0)
@@ -184,11 +259,14 @@ class TestApplyMutations:
             await service.stop(drain=False)
             with pytest.raises(RuntimeError, match="service is stopped"):
                 await stranded
-            return first, report, after
+            return first, report, after, after_free, rerun
 
-        first, report, after = asyncio.run(asyncio.wait_for(go(), 60.0))
+        first, report, after, after_free, rerun = asyncio.run(
+            asyncio.wait_for(go(), 60.0)
+        )
         assert report.epoch == first.epoch + 1
         assert after.epoch == report.epoch and not after.cached
+        assert after_free.epoch == report.epoch and after_free.cached and rerun == 0
 
     def test_ingest_waits_for_inflight_requests_to_drain(self, runner, backend):
         store = runner.versioned_store("factbench")
@@ -469,17 +547,38 @@ class TestMixedWorkload:
         self, runner
     ):
         """One ingest (fresh evidence + triples) spliced into a concurrent
-        ``dka``/``rag`` closed loop: the verdicts served at each epoch are
-        those of an offline pipeline over ``store.snapshot(epoch)`` — RAG
-        over a from-scratch validator on the snapshot corpus — the ingest
-        flips at least one ``rag`` verdict, and no ``dka`` verdict moves."""
+        ``dka``/``giv-z``/``rag`` closed loop: the verdicts served at each
+        epoch are those of an offline pipeline over ``store.snapshot(epoch)``
+        — RAG over a from-scratch validator on the snapshot corpus — the
+        ingest flips at least one ``rag`` verdict, and no store-free verdict
+        moves.  Across the ingest a store-free coordinate costs no strategy
+        run, a ``rag`` one is re-judged, and each strategy is built once."""
         from repro.retrieval.mock_api import MockSearchAPI
-        from repro.validation import ValidationPipeline
+        from repro.validation import STORE_FREE_METHODS, ValidationPipeline
         from repro.validation.rag import RAGValidator
 
         store = runner.versioned_store("factbench")
         dataset = runner.dataset("factbench")
         model = runner.registry.get("gemma2:9b")
+        methods = ("dka", "giv-z", "rag")
+        build = runner.build_strategy
+        built = {}
+        runs = []  # (method, fact id, store epoch) per strategy run
+
+        def counting_build(method, dataset_name, llm):
+            key = (method, dataset_name, llm.name)
+            built[key] = built.get(key, 0) + 1
+            strategy = build(method, dataset_name, llm)
+            validate = strategy.validate
+
+            def judged(fact):
+                runs.append((method, fact.fact_id, store.epoch))
+                return validate(fact)
+
+            strategy.validate = judged
+            return strategy
+
+        runner.build_strategy = counting_build
         batch = []
         for index, fact in enumerate(dataset.facts()[:6]):
             batch.append(Mutation.add_document(_news_doc(index, fact)))
@@ -489,15 +588,36 @@ class TestMixedWorkload:
                 )
             )
         workload = build_mixed_workload(
-            [dataset], ["dka", "rag"], ["gemma2:9b"], 120, [batch], seed=3
+            [dataset], methods, ["gemma2:9b"], 120, [batch], seed=3
         )
         router = ShardedValidationService.from_runner(
             runner, 1, ServiceConfig(queue_depth=4096), store=ShardedStore([store])
         )
         report = LoadGenerator(router, workload, concurrency=8).run_sync()
+        runner.build_strategy = build
         assert report.completed == 120 and report.ingests == 1
         pre_epoch, post_epoch = epochs_served(report)
         assert post_epoch == pre_epoch + 1
+        assert built == {(method, "factbench", "gemma2:9b"): 1 for method in methods}
+
+        def judged_at(epoch, store_free):
+            return {
+                (method, fact_id)
+                for method, fact_id, at in runs
+                if at == epoch and (method in STORE_FREE_METHODS) == store_free
+            }
+
+        kept = judged_at(pre_epoch, True)
+        revisits = [
+            response
+            for request, response in zip(report.requests, report.responses)
+            if not response.ingested
+            and response.epoch == post_epoch
+            and (request.method, request.fact.fact_id) in kept
+        ]
+        assert revisits and all(response.cached for response in revisits)
+        assert not kept & judged_at(post_epoch, True)
+        assert judged_at(pre_epoch, False) & judged_at(post_epoch, False)
 
         def offline(epoch):
             pipeline = ValidationPipeline()
@@ -513,6 +633,7 @@ class TestMixedWorkload:
             )
             strategies = {
                 "dka": runner.build_strategy("dka", "factbench", model),
+                "giv-z": runner.build_strategy("giv-z", "factbench", model),
                 "rag": rag,
             }
             return {

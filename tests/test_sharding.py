@@ -37,6 +37,7 @@ from repro.store import sharding
 from repro.store.sharding import RING_MEMO_CAPACITY
 from support import (
     build_mixed_workload,
+    calls_of,
     epochs_served,
     mark_unhealthy,
     parse_exposition,
@@ -281,41 +282,51 @@ class TestShardedServiceRouting:
             shard_runner, 3, ServiceConfig(), store=store
         )
         fact = shard_runner.dataset("factbench")[0]
+        rag = ServiceRequest(fact, "rag", "gemma2:9b")
+        dka = ServiceRequest(fact, "dka", "gemma2:9b")
 
         async def go():
             async with router:
-                response = await router.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
+                response = await router.submit(rag)
+                warm = await router.submit(dka)
                 report = await router.apply_mutations(
                     [Mutation.add_triple(fact.triple.subject, "updatedBy", "Feed_X")]
                 )
-                after = await router.submit(ServiceRequest(fact, "dka", "gemma2:9b"))
-                return response, report, after
+                after = await router.submit(rag)
+                kept = await router.submit(dka)
+                return response, warm, report, after, kept
 
-        response, report, after = asyncio.run(go())
+        response, warm, report, after, kept = asyncio.run(go())
         owner = store.shard_for(fact.triple.subject)
         # Pre-ingest: every shard is at its genesis epoch.
-        assert response.epoch_vector == (1, 1, 1)
+        assert response.epoch_vector == warm.epoch_vector == (1, 1, 1)
         assert response.epoch == sum(response.epoch_vector)
         assert report.epoch_vector[owner] == 2
-        # Post-ingest: the owning component advanced, the response is a
-        # fresh (non-cached) judgement at the new epoch.
-        assert after.epoch_vector[owner] == 2
+        # Post-ingest: the owning component advanced, the rag response is a
+        # fresh (non-cached) judgement at the new epoch; a triple-only batch
+        # moves no evidence, so the verdict is the same.
+        assert after.epoch_vector[owner] == 2 and after.epoch == sum(after.epoch_vector)
         assert not after.cached
-        assert after.result == response.result  # DKA is corpus-independent
+        assert after.result == response.result
+        # DKA reads no store: its pre-ingest verdict answers, restamped.
+        assert not warm.cached and kept.cached
+        assert kept.epoch_vector == after.epoch_vector and kept.result == warm.result
 
     def test_ingest_costs_one_miss_per_coordinate_on_the_owning_shard_only(
         self, shard_runner
     ):
         """Cold pass, warm pass, an ingest routed to one shard, a third
-        pass: the owner's cache re-judges each of its coordinates exactly
-        once (one extra miss apiece), and every other shard counts what a
-        second warm pass gives — exact integers, not a hit rate."""
+        pass: the owner's cache re-judges each of its ``rag`` coordinates
+        exactly once (one extra miss apiece) and none of its ``dka`` ones,
+        and every other shard counts what a second warm pass gives — exact
+        integers, not a hit rate."""
         store = shard_runner.sharded_store("factbench", 4).replay_twin()
         router = ShardedValidationService.from_runner(
             shard_runner, 4, ServiceConfig(queue_depth=4096), store=store
         )
         requests = [
-            ServiceRequest(fact, "dka", "gemma2:9b")
+            ServiceRequest(fact, method, "gemma2:9b")
+            for method in ("rag", "dka")
             for fact in shard_runner.dataset("factbench")
         ]
         owner = router.shard_for(requests[0])
@@ -328,24 +339,29 @@ class TestShardedServiceRouting:
                 await router.submit_many(requests)
                 warm = await router.submit_many(requests)
                 report = await router.apply_mutations(batch)
-                return warm, report, await router.submit_many(requests)
+                judged = len(calls_of(shard_runner.telemetry, task="dka"))
+                after = await router.submit_many(requests)
+                rerun = len(calls_of(shard_runner.telemetry, task="dka")) - judged
+                return warm, report, after, rerun
 
-        warm, report, after = asyncio.run(go())
+        warm, report, after, rerun = asyncio.run(go())
         assert report.shards_touched == (owner,)
         assert report.epoch_vector == tuple(2 if i == owner else 1 for i in range(4))
         assert all(response.cached for response in warm)
-        owned = [0] * 4
-        for request in requests:
+        owned = [0] * 4  # per method: both methods read the same facts
+        for request in requests[: len(requests) // 2]:
             owned[router.shard_for(request)] += 1
         assert owned[owner] and sum(owned) - owned[owner]
         for index, group in enumerate(router.groups):
             stats = group[0].cache.stats()
             if index == owner:
-                assert (stats.hits, stats.misses) == (owned[index], 2 * owned[index])
+                assert (stats.hits, stats.misses) == (3 * owned[index], 3 * owned[index])
             else:
-                assert (stats.hits, stats.misses) == (2 * owned[index], owned[index])
+                assert (stats.hits, stats.misses) == (4 * owned[index], 2 * owned[index])
         for request, response in zip(requests, after):
-            assert response.cached == (router.shard_for(request) != owner)
+            stale = request.method == "rag" and router.shard_for(request) == owner
+            assert response.cached != stale
+        assert rerun == 0
 
     def test_store_and_service_shard_counts_must_agree(self, shard_runner):
         store = shard_runner.sharded_store("factbench", 3)
@@ -975,8 +991,8 @@ class TestHitStepContract:
         )
 
     @staticmethod
-    def _request(runner):
-        return ServiceRequest(runner.dataset("factbench")[0], "dka", "gemma2:9b")
+    def _request(runner, method="dka"):
+        return ServiceRequest(runner.dataset("factbench")[0], method, "gemma2:9b")
 
     @staticmethod
     def _touch(request, feed="Feed_X"):
@@ -1007,8 +1023,12 @@ class TestHitStepContract:
         assert read.epoch == sum(read.epoch_vector)
 
     def test_a_hit_feeds_the_stale_store_with_the_owning_shards_epoch(self, shard_runner):
+        """A ``rag`` hit feeds the stale store and the degraded answer after
+        the next ingest; a ``dka`` hit outlives that ingest and is served,
+        restamped, while every strategy run on the shard faults."""
         router = self._router(shard_runner, replicas=2, retry_policy=self.POLICY)
-        request = self._request(shard_runner)
+        request = self._request(shard_runner, "rag")
+        store_free = self._request(shard_runner)
         owner = router.shard_for(request)
 
         async def go():
@@ -1016,6 +1036,7 @@ class TestHitStepContract:
                 await router.apply_mutations(self._touch(request))
                 for service in router.groups[owner]:
                     await service.submit(request)  # the router never saw a miss
+                    await service.submit(store_free)
                 hit = await router.submit(request)
                 await router.apply_mutations(self._touch(request, "Feed_Y"))
                 injector = FaultInjector(
@@ -1032,15 +1053,17 @@ class TestHitStepContract:
                 )
                 router.set_fault_injection(injector)
                 injector.start()
-                return hit, await router.submit(request)
+                return hit, await router.submit(request), await router.submit(store_free)
 
-        hit, degraded = asyncio.run(go())
+        hit, degraded, kept = asyncio.run(go())
         assert hit.cached and hit.epoch_vector[owner] == 2
         assert hit.epoch != 2, "the fleet sum must differ from the shard epoch"
         assert degraded.outcome is RequestOutcome.DEGRADED
         assert degraded.result == hit.result
         assert degraded.stale_epoch == hit.epoch_vector[owner] == 2
         assert degraded.epoch_vector[owner] == 3
+        assert kept.outcome is RequestOutcome.COMPLETED and kept.cached
+        assert kept.epoch_vector[owner] == 3 and kept.stale_epoch is None
 
     def test_an_edge_hit_carries_the_edges_stamp_and_counts(self, shard_runner, monkeypatch):
         router = self._router(shard_runner, edges=1, drain_interval_s=3600.0)
