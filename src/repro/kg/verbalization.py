@@ -10,7 +10,7 @@ transformation failures.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..worldmodel.entities import RELATIONS
 from ..worldmodel.generator import World
@@ -19,12 +19,22 @@ from .triples import Triple
 
 __all__ = ["Verbalizer"]
 
+#: Triples whose statement a :class:`Verbalizer` memoises; emptied whole when full.
+STATEMENT_MEMO_CAPACITY = 4096
+
 
 class Verbalizer:
-    """Converts encoded triples into natural-language statements."""
+    """Converts encoded triples into natural-language statements.
+
+    A statement is a pure function of the triple's three strings: the world
+    is never changed once built and the relation schema is a module
+    constant, so :meth:`statement` memoises each rendering (at most
+    :data:`STATEMENT_MEMO_CAPACITY` triples) for the verbalizer's life.
+    """
 
     def __init__(self, world: Optional[World] = None) -> None:
         self.world = world
+        self._statements: Dict[Tuple[str, str, str], str] = {}
 
     def statement(self, triple: Triple) -> str:
         """Render a triple as a declarative English sentence.
@@ -35,6 +45,15 @@ class Verbalizer:
         the same graceful degradation a template-driven verbalizer over a
         real KG would exhibit for long-tail predicates.
         """
+        key = (triple.subject, triple.predicate, triple.object)
+        statement = self._statements.get(key)
+        if statement is None:
+            if len(self._statements) >= STATEMENT_MEMO_CAPACITY:
+                self._statements.clear()
+            statement = self._statements[key] = self._render(triple)
+        return statement
+
+    def _render(self, triple: Triple) -> str:
         subject = self.subject_label(triple)
         obj = self.object_label(triple)
         predicate = decode_predicate(triple.predicate)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..datasets.base import LabeledFact
 from ..kg.verbalization import Verbalizer
@@ -40,6 +40,10 @@ from .profiles import ModelProfile
 from .tokenizer import count_tokens
 
 __all__ = ["SimulatedLLM"]
+
+#: Facts whose ground truth, and facts whose knowledge slot, a
+#: :class:`SimulatedLLM` memoises (each memo apart); emptied whole when full.
+FACT_MEMO_CAPACITY = 4096
 
 _NONCOMPLIANT_TEXTS = (
     "I would need additional context and supporting references before "
@@ -64,7 +68,18 @@ _NEGATIVE_PHRASES = (
 
 
 class SimulatedLLM(LLMClient):
-    """World-grounded simulated language model."""
+    """World-grounded simulated language model.
+
+    The world, the facts and the model's profile never change while the
+    model lives, so what a fact's verdict derives from them alone is
+    memoised per model: the claim's ground truth (keyed on the subject, the
+    object and the canonical predicate) and whether the model knows the
+    fact's slot (keyed on the subject, both predicates and the popularity),
+    at most :data:`FACT_MEMO_CAPACITY` facts each.  Every key holds exactly
+    the fields its derivation reads, never the fact id: two datasets may
+    reuse one.  The seeded draws, responses, token counts and latencies are
+    those of the unmemoised model.
+    """
 
     def __init__(
         self,
@@ -77,6 +92,9 @@ class SimulatedLLM(LLMClient):
         self.world = world
         self.seed = seed
         self.verbalizer = Verbalizer(world)
+        self._hash_prefix = "\x1f".join((self.name, str(seed)))
+        self._truths: Dict[Tuple[str, str, str], Tuple[Optional[bool], Tuple[str, ...]]] = {}
+        self._knows: Dict[Tuple[str, str, str, float], bool] = {}
 
     # ------------------------------------------------------------------ API
 
@@ -210,25 +228,42 @@ class SimulatedLLM(LLMClient):
         Deterministic per (model, subject, canonical predicate): the same
         model always either knows or does not know a given slot, regardless
         of the prompting method — methods only change how well that
-        knowledge is used.
+        knowledge is used.  Memoised per model (see the class docstring).
         """
-        profile = self.profile
-        popularity = fact.popularity
-        p_known = profile.knowledge_coverage * (0.40 + 0.60 * popularity)
-        if fact.predicate_name != fact.base_predicate():
-            p_known *= 0.78
-        draw = self._hash_uniform("knows", fact.subject_name, fact.base_predicate())
-        return draw < p_known
+        base_predicate = fact.base_predicate()
+        key = (fact.subject_name, fact.predicate_name, base_predicate, fact.popularity)
+        knows = self._knows.get(key)
+        if knows is None:
+            p_known = self.profile.knowledge_coverage * (0.40 + 0.60 * fact.popularity)
+            if fact.predicate_name != base_predicate:
+                p_known *= 0.78
+            draw = self._hash_uniform("knows", fact.subject_name, base_predicate)
+            if len(self._knows) >= FACT_MEMO_CAPACITY:
+                self._knows.clear()
+            knows = self._knows[key] = draw < p_known
+        return knows
 
-    def _ground_truth(self, fact: LabeledFact) -> Tuple[Optional[bool], List[str]]:
-        """Resolve the claim against the world; returns (claim_true, true object names)."""
-        subject = self.world.entity_by_name(fact.subject_name)
-        obj = self.world.entity_by_name(fact.object_name)
+    def _ground_truth(self, fact: LabeledFact) -> Tuple[Optional[bool], Tuple[str, ...]]:
+        """Resolve the claim against the world; returns (claim_true, true object
+        names).  Memoised per model (see the class docstring)."""
         predicate = fact.base_predicate()
+        key = (fact.subject_name, fact.object_name, predicate)
+        truth = self._truths.get(key)
+        if truth is None:
+            if len(self._truths) >= FACT_MEMO_CAPACITY:
+                self._truths.clear()
+            truth = self._truths[key] = self._resolve(*key)
+        return truth
+
+    def _resolve(
+        self, subject_name: str, object_name: str, predicate: str
+    ) -> Tuple[Optional[bool], Tuple[str, ...]]:
+        subject = self.world.entity_by_name(subject_name)
+        obj = self.world.entity_by_name(object_name)
         if subject is None or predicate not in RELATIONS:
-            return None, []
+            return None, ()
         true_object_ids = self.world.true_objects(subject.entity_id, predicate)
-        true_names = [self.world.name(obj_id) for obj_id in true_object_ids]
+        true_names = tuple(self.world.name(obj_id) for obj_id in true_object_ids)
         if obj is None:
             return (False if true_object_ids else None), true_names
         claim_true = self.world.is_true(subject.entity_id, predicate, obj.entity_id)
@@ -414,6 +449,6 @@ class SimulatedLLM(LLMClient):
         return self._stable_hash(*parts) / float(2**64)
 
     def _stable_hash(self, *parts: str) -> int:
-        payload = "\x1f".join((self.name, str(self.seed)) + tuple(parts))
+        payload = "\x1f".join((self._hash_prefix,) + parts)
         digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big")

@@ -161,6 +161,7 @@ def error_explanation_prompt(fact: LabeledFact, predicted: str) -> str:
 _JSON_VERDICT_RE = re.compile(r'"verdict"\s*:\s*"?(true|false)"?', re.IGNORECASE)
 _WORD_TRUE_RE = re.compile(r"\b(true|correct|yes|supported|accurate)\b", re.IGNORECASE)
 _WORD_FALSE_RE = re.compile(r"\b(false|incorrect|no|refuted|inaccurate|wrong)\b", re.IGNORECASE)
+_JSON_WHITESPACE = " \t\r\n"
 
 
 def parse_verdict(text: str) -> Optional[bool]:
@@ -169,20 +170,25 @@ def parse_verdict(text: str) -> Optional[bool]:
     Tries, in order: a JSON ``verdict`` field, a leading ``True``/``False``
     token, and finally keyword matching anywhere in the first sentence.
     Returns ``None`` when the response is non-conformant.
+
+    Only a JSON object can carry a ``verdict`` key, so the whole text is
+    decoded as JSON only when it opens with ``{`` after JSON whitespace
+    (space, tab, CR, LF); prose answers never reach the decoder.
     """
     if not text or not text.strip():
         return None
     match = _JSON_VERDICT_RE.search(text)
     if match:
         return match.group(1).lower() == "true"
-    try:
-        payload = json.loads(text)
-        if isinstance(payload, dict) and "verdict" in payload:
-            value = str(payload["verdict"]).strip().lower()
-            if value in ("true", "false"):
-                return value == "true"
-    except (ValueError, TypeError):
-        pass
+    if text.lstrip(_JSON_WHITESPACE).startswith("{"):
+        try:
+            payload = json.loads(text)
+            if isinstance(payload, dict) and "verdict" in payload:
+                value = str(payload["verdict"]).strip().lower()
+                if value in ("true", "false"):
+                    return value == "true"
+        except (ValueError, TypeError):
+            pass
     head = text.strip().split("\n", 1)[0][:120]
     true_match = _WORD_TRUE_RE.search(head)
     false_match = _WORD_FALSE_RE.search(head)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.llm.simulated import _NONCOMPLIANT_TEXTS
 from repro.validation import (
     FEW_SHOT_EXAMPLES,
     dka_prompt,
@@ -14,6 +15,7 @@ from repro.validation import (
     reprompt_suffix,
     transform_prompt,
 )
+from repro.validation import prompts
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,70 @@ class TestVerdictParsing:
     def test_parse_verdict_both_keywords_first_wins(self):
         assert parse_verdict("true, not false") is True
         assert parse_verdict("false, not true") is False
+
+    # Each expected value was computed by the parser that handed every
+    # text to ``json.loads``; ``"reasoning": "false"`` before the verdict
+    # tells a JSON read (True) from a keyword read (False).
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # The verdict regex reads this object before any decoding.
+            ('\n {"verdict": "false "}', False),
+            # Objects the verdict regex misses but the JSON decoder reads.
+            ('{"verdict": " TRUE "}', True),
+            ('{"reasoning": "false", "verdict": " TRUE "}', True),
+            (' \t\r\n{"reasoning": "false", "verdict": " TRUE "}', True),
+            ('{"verdict": "maybe"}', None),
+            ('{"verdict": 1}', None),
+            # JSON that is not an object: no verdict key, keywords decide.
+            ('"true"', True),
+            ('"false"', False),
+            ("[1]", None),
+            ("1", None),
+            # Not JSON whitespace: the decoder refuses, keywords decide.
+            ('\f{"reasoning": "false", "verdict": " TRUE "}', False),
+            ('\ufeff{"reasoning": "false", "verdict": " TRUE "}', False),
+            ('\xa0{"reasoning": "false", "verdict": " TRUE "}', False),
+        ],
+    )
+    def test_parse_verdict_json_edge_cases(self, text, expected):
+        assert parse_verdict(text) is expected
+
+    @pytest.mark.parametrize("text", _NONCOMPLIANT_TEXTS)
+    def test_parse_verdict_simulated_non_compliance(self, text):
+        assert parse_verdict(text) is None
+
+    def test_only_text_opening_with_a_brace_reaches_the_json_decoder(self, monkeypatch):
+        decoded = []
+        loads = prompts.json.loads
+
+        def spy(text, *args, **kwargs):
+            decoded.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(prompts.json, "loads", spy)
+        never = [
+            *_NONCOMPLIANT_TEXTS,
+            "True. The statement is supported.",
+            "I would need more context to decide.",
+            '"true"',
+            "[1]",
+            "1",
+            '\f{"verdict": " TRUE "}',
+            '\ufeff{"verdict": " TRUE "}',
+            '\xa0{"verdict": " TRUE "}',
+        ]
+        for text in never:
+            parse_verdict(text)
+        assert decoded == []
+        decoded_too = [
+            '{"verdict": " TRUE "}',
+            ' \t\r\n{"reasoning": "false", "verdict": " TRUE "}',
+            "{not json",
+        ]
+        for text in decoded_too:
+            parse_verdict(text)
+        assert decoded == decoded_too
 
 
 class TestQuestionParsing:
