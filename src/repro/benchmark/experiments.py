@@ -317,20 +317,7 @@ def ablation_rag_configuration(runner: BenchmarkRunner) -> List[Dict[str, float]
     rows: List[Dict[str, float]] = []
     base = runner.config.rag_config()
     for variant in variants:
-        config = replace(base, **variant)
-        from ..validation.rag import UPSTREAM_MODEL, RAGValidator, TripleTransformer, QuestionGenerator
-
-        upstream = runner.registry.get(UPSTREAM_MODEL)
-        validator = RAGValidator(
-            model=model,
-            search_api=runner.search_api(dataset_name),
-            kg_encoding=runner.encoding(dataset_name),
-            config=config,
-            transformer=TripleTransformer(upstream, runner.verbalizer),
-            question_generator=QuestionGenerator(upstream, runner._reranker),
-            reranker=runner._reranker,
-            verbalizer=runner.verbalizer,
-        )
+        validator = runner.rag_validator(dataset_name, model, replace(base, **variant))
         run = ValidationPipeline().run(validator, dataset)
         scores = classwise_f1_from_run(run)
         rows.append(

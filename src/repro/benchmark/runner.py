@@ -30,11 +30,10 @@ from ..validation.giv import GuidedIterativeVerification
 from ..validation.pipeline import ParallelValidationPipeline, ValidationPipeline
 from ..validation.rag import (
     UPSTREAM_MODEL,
-    QuestionGenerator,
+    RAGConfig,
     RAGDatasetBuilder,
     RAGDatasetStats,
     RAGValidator,
-    TripleTransformer,
 )
 from ..worldmodel.generator import World, build_world
 from .config import COMMERCIAL_MODEL, ExperimentConfig, QUICK_CONFIG
@@ -108,7 +107,9 @@ class BenchmarkRunner:
     @property
     def registry(self) -> ModelRegistry:
         if self._registry is None:
-            self._registry = ModelRegistry(self.world, seed=self.config.seed)
+            self._registry = ModelRegistry(
+                self.world, seed=self.config.seed, telemetry=self.telemetry
+            )
         return self._registry
 
     @property
@@ -223,15 +224,11 @@ class BenchmarkRunner:
     ) -> ValidationStrategy:
         """Instantiate one validation strategy for a (method, dataset, model)."""
         if method == "dka":
-            return DirectKnowledgeAssessment(model, self.verbalizer, self.telemetry)
+            return DirectKnowledgeAssessment(model, self.verbalizer)
         if method == "giv-z":
-            return GuidedIterativeVerification(
-                model, few_shot=False, verbalizer=self.verbalizer, telemetry=self.telemetry
-            )
+            return GuidedIterativeVerification(model, few_shot=False, verbalizer=self.verbalizer)
         if method == "giv-f":
-            return GuidedIterativeVerification(
-                model, few_shot=True, verbalizer=self.verbalizer, telemetry=self.telemetry
-            )
+            return GuidedIterativeVerification(model, few_shot=True, verbalizer=self.verbalizer)
         if method == "rag":
             return self._build_rag_strategy(dataset_name, model)
         raise KeyError(f"Unknown method {method!r}")
@@ -250,27 +247,32 @@ class BenchmarkRunner:
 
     def _build_rag_strategy(self, dataset_name: str, model: LLMClient) -> RAGValidator:
         self._warm_reranker(dataset_name)
-        rag_config = self.config.rag_config()
-        upstream_model = self.registry.get(UPSTREAM_MODEL)
-        transformer = TripleTransformer(upstream_model, self.verbalizer, self.telemetry)
-        question_generator = QuestionGenerator(upstream_model, self._reranker, self.telemetry)
         cache = self._evidence_caches.get(dataset_name)
         if cache is None:
             # Room for every fact of the dataset (the grid and the warm pass
             # never evict), bounded for a service asked for arbitrary facts.
             cache = LRUCache(max(4096, len(self.dataset(dataset_name))))
             self._evidence_caches[dataset_name] = cache
+        return self.rag_validator(dataset_name, model, self.config.rag_config(), cache)
+
+    def rag_validator(
+        self,
+        dataset_name: str,
+        model: LLMClient,
+        config: RAGConfig,
+        evidence_cache: Optional[LRUCache] = None,
+    ) -> RAGValidator:
+        """A RAG validator judging with ``model`` over this dataset's search
+        index, its phases 1–2 on :data:`UPSTREAM_MODEL`."""
         return RAGValidator(
             model=model,
+            upstream=self.registry.get(UPSTREAM_MODEL),
             search_api=self.search_api(dataset_name),
             kg_encoding=self.encoding(dataset_name),
-            config=rag_config,
-            transformer=transformer,
-            question_generator=question_generator,
+            config=config,
             reranker=self._reranker,
             verbalizer=self.verbalizer,
-            telemetry=self.telemetry,
-            evidence_cache=cache,
+            evidence_cache=evidence_cache,
         )
 
     # ------------------------------------------------------------- grid runs
@@ -429,16 +431,10 @@ class BenchmarkRunner:
 
     def build_rag_dataset(self, dataset_name: str, max_facts: Optional[int] = 40) -> Tuple[Dict[str, dict], RAGDatasetStats]:
         """Pre-build the questions + SERP dataset for (a sample of) one dataset."""
-        rag_config = self.config.rag_config()
-        upstream_model = self.registry.get(UPSTREAM_MODEL)
-        transformer = TripleTransformer(upstream_model, self.verbalizer, self.telemetry)
-        question_generator = QuestionGenerator(upstream_model, self._reranker, self.telemetry)
         builder = RAGDatasetBuilder(
-            transformer,
-            question_generator,
-            self.search_api(dataset_name),
-            self.encoding(dataset_name),
-            rag_config,
+            self.rag_validator(
+                dataset_name, self.registry.get(UPSTREAM_MODEL), self.config.rag_config()
+            )
         )
         dataset = self.dataset(dataset_name)
         if max_facts is not None:

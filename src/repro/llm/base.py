@@ -39,7 +39,13 @@ class LLMResponse(NamedTuple):
 
 
 class LLMClient(ABC):
-    """Minimal text-in / text-out client interface."""
+    """Minimal text-in / text-out client interface.
+
+    Call accounting belongs to the client, not to its callers: a
+    registry-built client (:class:`~repro.llm.registry.ModelRegistry`)
+    records each completion it returns in the runner's
+    :class:`~repro.llm.telemetry.TelemetryCollector`.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name

@@ -37,6 +37,7 @@ from ..worldmodel.entities import RELATIONS
 from ..worldmodel.generator import World
 from .base import LLMClient, LLMResponse
 from .profiles import ModelProfile
+from .telemetry import TelemetryCollector
 from .tokenizer import count_tokens
 
 __all__ = ["SimulatedLLM"]
@@ -44,6 +45,10 @@ __all__ = ["SimulatedLLM"]
 #: Facts whose ground truth, and facts whose knowledge slot, a
 #: :class:`SimulatedLLM` memoises (each memo apart); emptied whole when full.
 FACT_MEMO_CAPACITY = 4096
+
+#: Telemetry labels of the tasks not recorded under their own name; a
+#: verification is recorded under its strategy's method.
+_TASK_LABELS = {"generate_questions": "question-generation"}
 
 _NONCOMPLIANT_TEXTS = (
     "I would need additional context and supporting references before "
@@ -79,6 +84,11 @@ class SimulatedLLM(LLMClient):
     the fields its derivation reads, never the fact id: two datasets may
     reuse one.  The seeded draws, responses, token counts and latencies are
     those of the unmemoised model.
+
+    With a ``telemetry`` collector, every completion :meth:`generate`
+    returns is recorded once, labelled with the verifying method (``dka``,
+    ``giv-z``, ``giv-f``, ``rag``) or the task (``transform``,
+    ``question-generation``, ``explain_error``, ``generic``).
     """
 
     def __init__(
@@ -86,11 +96,13 @@ class SimulatedLLM(LLMClient):
         profile: ModelProfile,
         world: World,
         seed: int = 0,
+        telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         super().__init__(profile.name)
         self.profile = profile
         self.world = world
         self.seed = seed
+        self.telemetry = telemetry
         self.verbalizer = Verbalizer(world)
         self._hash_prefix = "\x1f".join((self.name, str(seed)))
         self._truths: Dict[Tuple[str, str, str], Tuple[Optional[bool], Tuple[str, ...]]] = {}
@@ -116,7 +128,11 @@ class SimulatedLLM(LLMClient):
             text = self._explain_error(meta)
         else:
             text = self._generic(prompt)
-        return self._package(prompt, text, meta)
+        response = self._package(prompt, text, meta)
+        if self.telemetry is not None:
+            label = meta.get("method", "dka") if task == "verify" else _TASK_LABELS.get(task, task)
+            self.telemetry.record(response, task=label)
+        return response
 
     # ----------------------------------------------------------- verification
 

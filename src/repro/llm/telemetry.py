@@ -1,9 +1,12 @@
 """Telemetry: token-usage and latency accounting for LLM calls.
 
 The paper instruments its models with OpenTelemetry (via OpenLIT) to track
-token usage and inference time.  This module is the in-process equivalent: a
-collector records every call with its model, task, token counts and latency,
-and the benchmark runner merges the records its grid workers collect.
+token usage and inference time.  This module is the in-process equivalent:
+the instrumented party is the model client itself.  A registry-built client
+records each completion it returns (model, task label, token counts,
+latency) in the collector the registry hands it, so no strategy or caller
+records anything; the benchmark runner merges the records its grid workers
+collect.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ class CallRecord(NamedTuple):
 class TelemetryCollector:
     """Records LLM calls: model, task, token counts and latency.
 
-    The collector is shared widely — strategies record into it during
-    offline runs and from the online service's asyncio workers (and, in
-    threaded frontends, from multiple threads) — so every mutation holds
-    an internal lock.
+    The collector is shared widely — every model a registry builds records
+    into it, during offline runs and from the online service's asyncio
+    workers (and, in threaded frontends, from multiple threads) — so every
+    mutation holds an internal lock.
     """
 
     def __init__(self) -> None:

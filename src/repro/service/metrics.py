@@ -126,8 +126,8 @@ class ServiceMetrics:
     :attr:`registry` (replicas must not share one, their per-worker series
     would collide); :meth:`snapshot` and
     :meth:`exposition` are two views over the same instruments.  Model
-    cost is not counted here: the strategies record every real model call
-    in the runner's own telemetry.
+    cost is not counted here: every registry-built model records its own
+    calls in the runner's telemetry.
     """
 
     def __init__(self) -> None:

@@ -5,9 +5,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional
 
 from ..datasets.base import LabeledFact
+from .prompts import parse_verdict, reprompt_suffix
 
 __all__ = ["STORE_FREE_METHODS", "Verdict", "ValidationResult", "ValidationRun", "ValidationStrategy"]
 
@@ -109,6 +110,61 @@ class ValidationStrategy(ABC):
     @abstractmethod
     def validate(self, fact: LabeledFact) -> ValidationResult:
         """Judge one fact."""
+
+    def request_verdict(
+        self,
+        fact: LabeledFact,
+        prompt: str,
+        metadata: Mapping[str, Any],
+        retries: int = 0,
+        spent_seconds: float = 0.0,
+        **result_fields: Any,
+    ) -> ValidationResult:
+        """Ask ``self.model`` for a verdict on ``fact``: the one request step
+        of DKA, GIV and RAG.
+
+        Each attempt generates with ``metadata`` plus the ``verify`` task,
+        this method, the fact and the attempt number, and parses the answer.
+        A non-compliant answer is re-prompted, flagged with
+        :func:`reprompt_suffix`, at most ``retries`` times; one that is still
+        non-compliant is INVALID.  Tokens and latency sum over the attempts,
+        on top of ``spent_seconds`` the strategy spent before asking (RAG's
+        upstream phases); ``result_fields`` fill the rest of the result.
+        """
+        latency = spent_seconds
+        prompt_tokens = completion_tokens = 0
+        attempt_prompt = prompt
+        for attempt in range(retries + 1):
+            response = self.model.generate(
+                attempt_prompt,
+                metadata={
+                    "task": "verify",
+                    "method": self.method_name,
+                    "fact": fact,
+                    **metadata,
+                    "attempt": attempt,
+                },
+            )
+            latency += response.latency_seconds
+            prompt_tokens += response.prompt_tokens
+            completion_tokens += response.completion_tokens
+            parsed = parse_verdict(response.text)
+            if parsed is not None:
+                break
+            attempt_prompt = prompt + reprompt_suffix(response.text)
+        return ValidationResult(
+            fact_id=fact.fact_id,
+            verdict=Verdict.from_bool(parsed) if parsed is not None else Verdict.INVALID,
+            gold_label=fact.label,
+            model=self.model.name,
+            method=self.method_name,
+            latency_seconds=latency,
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
+            raw_response=response.text,
+            num_retries=attempt,
+            **result_fields,
+        )
 
     def model_name(self) -> str:
         """Name of the underlying model (used in reports)."""

@@ -12,9 +12,8 @@ from typing import Optional
 from ..datasets.base import LabeledFact
 from ..kg.verbalization import Verbalizer
 from ..llm.base import LLMClient
-from ..llm.telemetry import TelemetryCollector
-from .base import ValidationResult, ValidationStrategy, Verdict
-from .prompts import dka_prompt, parse_verdict
+from .base import ValidationResult, ValidationStrategy
+from .prompts import dka_prompt
 
 __all__ = ["DirectKnowledgeAssessment"]
 
@@ -24,41 +23,12 @@ class DirectKnowledgeAssessment(ValidationStrategy):
 
     method_name = "dka"
 
-    def __init__(
-        self,
-        model: LLMClient,
-        verbalizer: Optional[Verbalizer] = None,
-        telemetry: Optional[TelemetryCollector] = None,
-    ) -> None:
+    def __init__(self, model: LLMClient, verbalizer: Optional[Verbalizer] = None) -> None:
         self.model = model
         self.verbalizer = verbalizer or Verbalizer()
-        self.telemetry = telemetry
 
     def validate(self, fact: LabeledFact) -> ValidationResult:
         statement = self.verbalizer.statement(fact.triple)
-        prompt = dka_prompt(fact, statement)
-        response = self.model.generate(
-            prompt,
-            metadata={
-                "task": "verify",
-                "method": self.method_name,
-                "fact": fact,
-                "few_shot": False,
-                "structured": False,
-            },
-        )
-        if self.telemetry is not None:
-            self.telemetry.record(response, task=self.method_name)
-        parsed = parse_verdict(response.text)
-        verdict = Verdict.from_bool(parsed) if parsed is not None else Verdict.INVALID
-        return ValidationResult(
-            fact_id=fact.fact_id,
-            verdict=verdict,
-            gold_label=fact.label,
-            model=self.model.name,
-            method=self.method_name,
-            latency_seconds=response.latency_seconds,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-            raw_response=response.text,
+        return self.request_verdict(
+            fact, dka_prompt(fact, statement), {"few_shot": False, "structured": False}
         )

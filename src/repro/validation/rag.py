@@ -31,16 +31,14 @@ from ..datasets.base import FactDataset, LabeledFact
 from ..kg.namespaces import KGEncoding
 from ..kg.verbalization import Verbalizer
 from ..llm.base import LLMClient
-from ..llm.telemetry import TelemetryCollector
 from ..retrieval.cache import LRUCache
 from ..retrieval.chunking import SlidingWindowChunker
 from ..retrieval.corpus import Document
 from ..retrieval.mock_api import MockSearchAPI
 from ..retrieval.reranker import CrossEncoderReranker
-from .base import ValidationResult, ValidationStrategy, Verdict
+from .base import ValidationResult, ValidationStrategy
 from .prompts import (
     parse_questions,
-    parse_verdict,
     question_generation_prompt,
     rag_prompt,
     transform_prompt,
@@ -101,15 +99,9 @@ class RAGConfig:
 class TripleTransformer:
     """Phase 1: LLM-based triple-to-sentence transformation."""
 
-    def __init__(
-        self,
-        model: LLMClient,
-        verbalizer: Optional[Verbalizer] = None,
-        telemetry: Optional[TelemetryCollector] = None,
-    ) -> None:
+    def __init__(self, model: LLMClient, verbalizer: Optional[Verbalizer] = None) -> None:
         self.model = model
         self.verbalizer = verbalizer or Verbalizer()
-        self.telemetry = telemetry
 
     def transform(self, fact: LabeledFact) -> Tuple[str, float]:
         """Return ``(sentence, latency_seconds)`` for one fact.
@@ -122,8 +114,6 @@ class TripleTransformer:
         response = self.model.generate(
             prompt, metadata={"task": "transform", "fact": fact}
         )
-        if self.telemetry is not None:
-            self.telemetry.record(response, task="transform")
         sentence = response.text.strip()
         if len(sentence) < 10:
             sentence = self.verbalizer.statement(fact.triple)
@@ -133,15 +123,9 @@ class TripleTransformer:
 class QuestionGenerator:
     """Phase 2: candidate question generation plus cross-encoder ranking."""
 
-    def __init__(
-        self,
-        model: LLMClient,
-        reranker: Optional[CrossEncoderReranker] = None,
-        telemetry: Optional[TelemetryCollector] = None,
-    ) -> None:
+    def __init__(self, model: LLMClient, reranker: Optional[CrossEncoderReranker] = None) -> None:
         self.model = model
         self.reranker = reranker or CrossEncoderReranker()
-        self.telemetry = telemetry
 
     def generate(self, fact: LabeledFact, statement: str) -> Tuple[List[Tuple[str, float]], float]:
         """Return ``(ranked questions with scores, latency_seconds)``.
@@ -159,8 +143,6 @@ class QuestionGenerator:
                 "num_questions": NUM_QUESTIONS,
             },
         )
-        if self.telemetry is not None:
-            self.telemetry.record(response, task="question-generation")
         questions = parse_questions(response.text)
         if not questions:
             questions = [f"What is known about {fact.subject_name}?"]
@@ -185,21 +167,24 @@ class RetrievedEvidence:
 
 
 class RAGValidator(ValidationStrategy):
-    """The full four-phase RAG verification strategy."""
+    """The full four-phase RAG verification strategy.
+
+    ``model`` judges the evidence (the final verify); ``upstream`` runs
+    phases 1–2 for every validator, whatever its judging model
+    (:data:`UPSTREAM_MODEL` in the benchmark).
+    """
 
     method_name = "rag"
 
     def __init__(
         self,
         model: LLMClient,
+        upstream: LLMClient,
         search_api: MockSearchAPI,
         kg_encoding: KGEncoding,
         config: Optional[RAGConfig] = None,
-        transformer: Optional[TripleTransformer] = None,
-        question_generator: Optional[QuestionGenerator] = None,
         reranker: Optional[CrossEncoderReranker] = None,
         verbalizer: Optional[Verbalizer] = None,
-        telemetry: Optional[TelemetryCollector] = None,
         evidence_cache: Optional[LRUCache] = None,
     ) -> None:
         self.model = model
@@ -211,15 +196,11 @@ class RAGValidator(ValidationStrategy):
         self.chunker = SlidingWindowChunker(
             window_size=self.config.chunk_window, stride=CHUNK_STRIDE
         )
-        self.transformer = transformer or TripleTransformer(model, self.verbalizer, telemetry)
-        self.question_generator = question_generator or QuestionGenerator(
-            model, self.reranker, telemetry
-        )
-        self.telemetry = telemetry
-        # Shared evidence cache: the paper's pipeline runs transformation and
-        # question generation with a single model (Gemma2) for every
-        # validator, so phases 1–4 can be computed once per fact and reused
-        # across the model zoo.
+        self.transformer = TripleTransformer(upstream, self.verbalizer)
+        self.question_generator = QuestionGenerator(upstream, self.reranker)
+        # Shared evidence cache: phases 1–2 run on the upstream model for
+        # every validator, so phases 1–4 can be computed once per fact and
+        # reused across the model zoo.
         self.evidence_cache = evidence_cache
 
     # -- retrieval ---------------------------------------------------------------
@@ -238,7 +219,7 @@ class RAGValidator(ValidationStrategy):
         cache = self.evidence_cache
         entry = cache.get(fact.fact_id) if cache is not None else None
         if entry is None:
-            upstream = self._generate_questions(fact)
+            upstream = self.generate_questions(fact)
         else:
             upstream, stamp, evidence = entry
             if stamp == generation:
@@ -250,7 +231,7 @@ class RAGValidator(ValidationStrategy):
             cache.put(fact.fact_id, (upstream, generation, evidence))
         return evidence, upstream[2]
 
-    def _generate_questions(self, fact: LabeledFact) -> Tuple[str, List[Tuple[str, float]], float]:
+    def generate_questions(self, fact: LabeledFact) -> Tuple[str, List[Tuple[str, float]], float]:
         """Phases 1–2: ``(statement, scored questions, upstream LLM latency)``."""
         statement, transform_latency = self.transformer.transform(fact)
         questions, question_latency = self.question_generator.generate(fact, statement)
@@ -288,15 +269,12 @@ class RAGValidator(ValidationStrategy):
                 if document is None:
                     continue
                 seen[entry.url] = document
-        filtered = [
-            document
-            for document in seen.values()
-            if not any(
-                document.source.endswith(domain)
-                for domain in self.kg_encoding.source_domains
-            )
-        ]
-        return filtered
+        return [document for document in seen.values() if not self.from_kg_source(document.source)]
+
+    def from_kg_source(self, source: str) -> bool:
+        """Whether ``source`` is one of the KG's own pages, which phase 3
+        drops to avoid circular verification."""
+        return any(source.endswith(domain) for domain in self.kg_encoding.source_domains)
 
     def _select_documents(self, statement: str, documents: Sequence[Document]) -> List[Document]:
         """Phase 4a: cross-encoder selection of the k_d most relevant documents."""
@@ -318,34 +296,12 @@ class RAGValidator(ValidationStrategy):
 
     def validate(self, fact: LabeledFact) -> ValidationResult:
         evidence, upstream_latency = self.retrieve(fact)
-        prompt = rag_prompt(fact, evidence.chunks, evidence.statement)
-        response = self.model.generate(
-            prompt,
-            metadata={
-                "task": "verify",
-                "method": self.method_name,
-                "fact": fact,
-                "evidence": evidence.chunks,
-                "few_shot": False,
-                "structured": True,
-            },
-        )
-        if self.telemetry is not None:
-            self.telemetry.record(response, task=self.method_name)
-        parsed = parse_verdict(response.text)
-        verdict = Verdict.from_bool(parsed) if parsed is not None else Verdict.INVALID
-        latency = upstream_latency + response.latency_seconds
         subject_lower = fact.subject_name.lower()
-        return ValidationResult(
-            fact_id=fact.fact_id,
-            verdict=verdict,
-            gold_label=fact.label,
-            model=self.model.name,
-            method=self.method_name,
-            latency_seconds=latency,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-            raw_response=response.text,
+        return self.request_verdict(
+            fact,
+            rag_prompt(fact, evidence.chunks, evidence.statement),
+            {"evidence": evidence.chunks, "few_shot": False, "structured": True},
+            spent_seconds=upstream_latency,
             num_evidence_chunks=len(evidence.chunks),
             evidence_mentions_subject=any(
                 subject_lower in chunk.lower() for chunk in evidence.chunks
@@ -355,7 +311,12 @@ class RAGValidator(ValidationStrategy):
 
 @dataclass(frozen=True)
 class RAGDatasetStats:
-    """Aggregate statistics of a pre-built RAG dataset (§4.1 / Table 3)."""
+    """Aggregate statistics of a pre-built RAG dataset (§4.1 / Table 3).
+
+    ``avg_question_generation_tokens`` estimates the generated questions'
+    size as 1.3 tokens per whitespace-separated word; it is not the model's
+    counted completion tokens.
+    """
 
     num_facts: int
     num_questions: int
@@ -371,25 +332,18 @@ class RAGDatasetStats:
 class RAGDatasetBuilder:
     """Pre-builds the questions + SERP dataset that FactCheck publishes.
 
-    The builder runs phases 1–3 for every fact (no verification), records the
-    generated questions with their similarity scores, and accounts for the
-    simulated time/token cost of each step so the Table 3 benchmark can
-    report the same rows.
+    The builder runs phases 1–3 of ``validator`` for every fact (no
+    verification): its upstream phases 1–2, uncached, then one search per
+    query, keeping the result URLs its KG-source filter passes.  It records
+    the generated questions with their similarity scores and accounts for
+    the simulated time/token cost of each step so the Table 3 benchmark can
+    report the same rows.  The question-generation token cost is 1.3 times
+    the questions' whitespace words, not the model's counted completion
+    tokens.
     """
 
-    def __init__(
-        self,
-        transformer: TripleTransformer,
-        question_generator: QuestionGenerator,
-        search_api: MockSearchAPI,
-        kg_encoding: KGEncoding,
-        config: Optional[RAGConfig] = None,
-    ) -> None:
-        self.transformer = transformer
-        self.question_generator = question_generator
-        self.search_api = search_api
-        self.kg_encoding = kg_encoding
-        self.config = config or RAGConfig()
+    def __init__(self, validator: RAGValidator) -> None:
+        self.validator = validator
 
     def build(self, dataset: FactDataset) -> Tuple[Dict[str, dict], RAGDatasetStats]:
         """Build per-fact records and aggregate statistics for a dataset."""
@@ -400,10 +354,10 @@ class RAGDatasetBuilder:
         fetch_times: List[float] = []
         similarity_scores: List[float] = []
         total_documents = 0
+        validator = self.validator
         for fact in dataset:
-            statement, transform_latency = self.transformer.transform(fact)
-            questions, question_latency = self.question_generator.generate(fact, statement)
-            question_latencies.append(transform_latency + question_latency)
+            statement, questions, upstream_latency = validator.generate_questions(fact)
+            question_latencies.append(upstream_latency)
             question_tokens.append(
                 sum(len(question.split()) for question, __ in questions) * 1.3
             )
@@ -413,11 +367,10 @@ class RAGDatasetBuilder:
             serp_times.append(SERP_REQUEST_SECONDS * len(queries))
             urls: List[str] = []
             for query in queries:
-                for entry in self.search_api.search(query, num=self.config.serp_results_per_query):
-                    if entry.url not in urls and not any(
-                        entry.source.endswith(domain)
-                        for domain in self.kg_encoding.source_domains
-                    ):
+                for entry in validator.search_api.search(
+                    query, num=validator.config.serp_results_per_query
+                ):
+                    if entry.url not in urls and not validator.from_kg_source(entry.source):
                         urls.append(entry.url)
             fetch_times.append(DOCUMENT_FETCH_SECONDS * len(urls))
             total_documents += len(urls)

@@ -170,3 +170,54 @@ def test_grid_usage_matches_the_pinned_token_and_latency_totals():
     for (model, task), (calls, _, _, latency) in _PINNED_USAGE.items():
         summary = usage_of(runner.telemetry, model, task)
         assert (summary.calls, summary.total_latency_seconds) == (calls, latency)
+
+
+def test_every_completion_a_registry_model_returns_is_recorded_once(monkeypatch):
+    """A spy on ``SimulatedLLM.generate`` sees each completion of one grid
+    cell per method, a consensus judge and Table 9's explain calls; the
+    runner's telemetry holds exactly those, in order, under the strategies'
+    labels."""
+    from repro.benchmark.experiments import table9_error_clustering
+    from repro.llm import CallRecord, SimulatedLLM
+
+    labels = {"generate_questions": "question-generation"}
+    expected = []
+    generate = SimulatedLLM.generate
+
+    def spy(self, prompt, *, metadata=None):
+        response = generate(self, prompt, metadata=metadata)
+        task = metadata["task"]
+        expected.append(
+            CallRecord(
+                response.model,
+                metadata["method"] if task == "verify" else labels.get(task, task),
+                response.prompt_tokens,
+                response.completion_tokens,
+                response.latency_seconds,
+            )
+        )
+        return response
+
+    monkeypatch.setattr(SimulatedLLM, "generate", spy)
+    runner = BenchmarkRunner(
+        ExperimentConfig(
+            scale=0.01,
+            max_facts_per_dataset=8,
+            world_scale=0.12,
+            documents_per_fact=5,
+            serp_results_per_query=10,
+            datasets=("factbench",),
+            models=("gemma2:9b", "mistral:7b"),
+            seed=5,
+        )
+    )
+    for method in runner.config.methods:
+        runner.run(method, "factbench", "mistral:7b")
+    runner.consensus("dka", "factbench", judge="commercial")
+    table9_error_clustering(runner)
+
+    assert runner.telemetry.records() == expected
+    assert {record.task for record in expected} == {
+        "dka", "giv-z", "giv-f", "rag", "transform", "question-generation", "explain_error",
+    }
+    assert any(record.model == "gpt-4o-mini" for record in expected)

@@ -555,7 +555,7 @@ class TestMixedWorkload:
         run, a ``rag`` one is re-judged, and each strategy is built once."""
         from repro.retrieval.mock_api import MockSearchAPI
         from repro.validation import STORE_FREE_METHODS, ValidationPipeline
-        from repro.validation.rag import RAGValidator
+        from repro.validation.rag import UPSTREAM_MODEL, RAGValidator
 
         store = runner.versioned_store("factbench")
         dataset = runner.dataset("factbench")
@@ -623,6 +623,7 @@ class TestMixedWorkload:
             pipeline = ValidationPipeline()
             rag = RAGValidator(
                 model=model,
+                upstream=runner.registry.get(UPSTREAM_MODEL),
                 search_api=MockSearchAPI(
                     store.snapshot(epoch).corpus,
                     default_num_results=runner.config.serp_results_per_query,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kg import DBPEDIA_ENCODING
-from repro.llm import TelemetryCollector
+from repro.llm import ModelRegistry, TelemetryCollector
 from repro.llm.base import LLMClient, LLMResponse
 from repro.retrieval.cache import LRUCache
 from repro.validation import (
@@ -15,10 +15,14 @@ from repro.validation import (
     ValidationResult,
     ValidationRun,
     Verdict,
+    dka_prompt,
+    giv_prompt,
+    parse_verdict,
+    reprompt_suffix,
 )
 from repro.validation import giv as giv_module
 from repro.validation import rag as rag_module
-from repro.validation.rag import QuestionGenerator, RAGDatasetBuilder, TripleTransformer
+from repro.validation.rag import RAGDatasetBuilder, TripleTransformer
 from support import usage_of
 
 
@@ -41,11 +45,12 @@ class TestDKA:
         assert len(run) == len(small_subset)
         assert set(run.gold()) == {fact.fact_id for fact in small_subset}
 
-    def test_telemetry_recorded(self, gemma, verbalizer, small_subset):
+    def test_telemetry_recorded(self, world, verbalizer, small_subset):
         telemetry = TelemetryCollector()
-        strategy = DirectKnowledgeAssessment(gemma, verbalizer, telemetry)
-        strategy.validate(small_subset[0])
+        gemma = ModelRegistry(world, seed=3, telemetry=telemetry).get("gemma2:9b")
+        DirectKnowledgeAssessment(gemma, verbalizer).validate(small_subset[0])
         assert usage_of(telemetry, task="dka").calls == 1
+        assert len(telemetry) == 1
 
     def test_deterministic(self, gemma, verbalizer, small_subset):
         strategy = DirectKnowledgeAssessment(gemma, verbalizer)
@@ -97,6 +102,7 @@ class TestRAG:
         config = RAGConfig(serp_results_per_query=15, selected_documents=5)
         return RAGValidator(
             model=gemma,
+            upstream=gemma,
             search_api=search_api,
             kg_encoding=DBPEDIA_ENCODING,
             config=config,
@@ -140,6 +146,7 @@ class TestRAG:
         validators = [
             RAGValidator(
                 model=registry.get(name),
+                upstream=registry.get(rag_module.UPSTREAM_MODEL),
                 search_api=search_api,
                 kg_encoding=DBPEDIA_ENCODING,
                 config=config,
@@ -157,6 +164,44 @@ class TestRAG:
         evidence, latency = validators[1].retrieve(covered_facts[0])
         assert evidence is cached_evidence and latency == upstream_latency
 
+    def test_a_shared_cache_runs_phases_1_2_on_the_upstream_model_whoever_misses_first(
+        self, registry, verbalizer, search_api, covered_facts
+    ):
+        """Mistral misses first and gemma judges second: the cached upstream
+        phases are the upstream model's, and neither judge ran them."""
+        cache = LRUCache(8)
+        config = RAGConfig(serp_results_per_query=15, selected_documents=5)
+        upstream = _Spy(registry.get(rag_module.UPSTREAM_MODEL))
+        judges = {name: _Spy(registry.get(name)) for name in ("mistral:7b", "gemma2:9b")}
+        validators = {
+            name: RAGValidator(
+                model=judge,
+                upstream=upstream,
+                search_api=search_api,
+                kg_encoding=DBPEDIA_ENCODING,
+                config=config,
+                verbalizer=verbalizer,
+                evidence_cache=cache,
+            )
+            for name, judge in judges.items()
+        }
+        fact = covered_facts[3]
+        for name in ("mistral:7b", "gemma2:9b"):
+            validators[name].validate(fact)
+        assert [call["task"] for call in upstream.calls] == ["transform", "generate_questions"]
+        assert all(
+            [call["task"] for call in judge.calls] == ["verify"] for judge in judges.values()
+        )
+        alone = RAGValidator(
+            model=registry.get("mistral:7b"),
+            upstream=registry.get(rag_module.UPSTREAM_MODEL),
+            search_api=search_api,
+            kg_encoding=DBPEDIA_ENCODING,
+            config=config,
+            verbalizer=verbalizer,
+        )
+        assert cache.get(fact.fact_id)[0] == alone.generate_questions(fact)
+
     def test_rag_slower_than_dka(self, rag_validator, gemma, verbalizer, covered_facts):
         dka = DirectKnowledgeAssessment(gemma, verbalizer)
         rag_latency = rag_validator.validate(covered_facts[2]).latency_seconds
@@ -165,14 +210,89 @@ class TestRAG:
 
 
 class _FixedReply(LLMClient):
-    """A client whose every completion is ``text``."""
+    """A client whose every completion is ``text``; it keeps each call's
+    prompt and metadata."""
 
     def __init__(self, text):
         super().__init__("fixed")
         self.text = text
+        self.calls = []
 
     def generate(self, prompt, *, metadata=None):
+        self.calls.append((prompt, dict(metadata or {})))
         return LLMResponse(self.text, self.name, prompt_tokens=3, completion_tokens=1, latency_seconds=0.25)
+
+
+class _Spy(LLMClient):
+    """Passes calls through to a model and keeps each call's metadata."""
+
+    def __init__(self, inner):
+        super().__init__(inner.name)
+        self.inner = inner
+        self.calls = []
+
+    def generate(self, prompt, *, metadata=None):
+        self.calls.append(dict(metadata or {}))
+        return self.inner.generate(prompt, metadata=metadata)
+
+
+#: No verdict can be parsed out of it.
+_NON_COMPLIANT = "Several readings are possible, so the assessment is left open here."
+
+
+class TestVerdictRequest:
+    """Each strategy asks for a verdict as often as its budget allows."""
+
+    def _assert_one_request(self, client, result, fact, method):
+        assert parse_verdict(_NON_COMPLIANT) is None
+        assert [metadata["task"] for __, metadata in client.calls] == ["verify"]
+        metadata = client.calls[0][1]
+        assert (metadata["method"], metadata["fact"], metadata["attempt"]) == (method, fact, 0)
+        assert (result.verdict, result.num_retries) == (Verdict.INVALID, 0)
+        assert (result.prompt_tokens, result.completion_tokens) == (3, 1)
+        assert result.raw_response == _NON_COMPLIANT
+
+    def test_dka_asks_once(self, verbalizer, small_subset):
+        client = _FixedReply(_NON_COMPLIANT)
+        fact = small_subset[0]
+        result = DirectKnowledgeAssessment(client, verbalizer).validate(fact)
+        self._assert_one_request(client, result, fact, "dka")
+        assert client.calls[0][0] == dka_prompt(fact, verbalizer.statement(fact.triple))
+        assert result.latency_seconds == 0.25
+
+    def test_rag_asks_once_after_its_upstream_phases(self, gemma, verbalizer, search_api, small_subset):
+        client = _FixedReply(_NON_COMPLIANT)
+        fact = small_subset[0]
+        validator = RAGValidator(
+            model=client,
+            upstream=gemma,
+            search_api=search_api,
+            kg_encoding=DBPEDIA_ENCODING,
+            config=RAGConfig(serp_results_per_query=15, selected_documents=5),
+            verbalizer=verbalizer,
+        )
+        result = validator.validate(fact)
+        self._assert_one_request(client, result, fact, "rag")
+        evidence, upstream_latency = validator.retrieve(fact)
+        assert client.calls[0][1]["evidence"] == evidence.chunks
+        assert result.latency_seconds == upstream_latency + 0.25
+        assert result.num_evidence_chunks == len(evidence.chunks)
+
+    @pytest.mark.parametrize("few_shot", [False, True])
+    def test_giv_reprompts_up_to_its_budget(self, verbalizer, small_subset, few_shot):
+        client = _FixedReply(_NON_COMPLIANT)
+        fact = small_subset[0]
+        result = GuidedIterativeVerification(client, few_shot, verbalizer).validate(fact)
+        attempts = giv_module.MAX_RETRIES + 1
+        base = giv_prompt(fact, verbalizer.statement(fact.triple), few_shot=few_shot)
+        assert [prompt for prompt, __ in client.calls] == (
+            [base] + [base + reprompt_suffix(_NON_COMPLIANT)] * (attempts - 1)
+        )
+        assert [metadata["attempt"] for __, metadata in client.calls] == list(range(attempts))
+        assert {metadata["method"] for __, metadata in client.calls} == {result.method}
+        assert (result.verdict, result.num_retries) == (Verdict.INVALID, attempts - 1)
+        assert (result.prompt_tokens, result.completion_tokens) == (3 * attempts, attempts)
+        assert result.latency_seconds == pytest.approx(0.25 * attempts)
 
 
 class TestRAGPhases:
@@ -186,11 +306,9 @@ class TestRAGPhases:
         self, verbalizer, small_subset
     ):
         fact = small_subset[0]
-        telemetry = TelemetryCollector()
-        transformer = TripleTransformer(_FixedReply("ok"), verbalizer, telemetry)
+        transformer = TripleTransformer(_FixedReply("ok"), verbalizer)
         sentence, _ = transformer.transform(fact)
         assert sentence == verbalizer.statement(fact.triple)
-        assert [record.task for record in telemetry.records()] == ["transform"]
 
     def test_config_table_mirrors_table_4(self):
         config = RAGConfig(relevance_threshold=0.6, chunk_window=4)
@@ -207,10 +325,13 @@ class TestRAGPhases:
         monkeypatch.setattr(rag_module, "SERP_REQUEST_SECONDS", 1.5)
         monkeypatch.setattr(rag_module, "DOCUMENT_FETCH_SECONDS", 2.0)
         builder = RAGDatasetBuilder(
-            TripleTransformer(gemma, verbalizer),
-            QuestionGenerator(gemma),
-            search_api,
-            DBPEDIA_ENCODING,
+            RAGValidator(
+                model=gemma,
+                upstream=gemma,
+                search_api=search_api,
+                kg_encoding=DBPEDIA_ENCODING,
+                verbalizer=verbalizer,
+            )
         )
         records, stats = builder.build(small_subset.sample(3, seed=1))
         queries = [
