@@ -4,10 +4,10 @@ Builds a seeded store of about 12,000 mutations in 600 batches: triple
 adds, removes of live triples, re-adds of removed ones, and documents.  At
 the default checkpoint cadence its segment holds two interleaved
 checkpoints plus the head one.  The store is saved and loaded back, and
-``snapshot(epoch)`` is taken at every 7th epoch, ascending and then
-descending, so runs of seeks land behind each checkpoint.  Each snapshot's
-digest is printed as ``epoch digest`` and compared with a from-zero replay
-of the in-memory log at that epoch; any difference exits 1.  A last,
+``snapshot(epoch)`` is taken at every 7th epoch, ascending, then
+descending, then in a seeded scattered order.  Each snapshot's digest is
+printed as ``epoch digest`` and compared with a from-zero replay of the
+in-memory log at that epoch; any difference exits 1.  A last,
 unprinted ascending pass changes the graph and corpus of every snapshot
 it receives before asking for the next one, which must not start from
 the changed state: its digests are checked the same way.
@@ -30,6 +30,8 @@ from repro.store import Mutation, VersionedKnowledgeStore
 BATCHES = 600
 BATCH_SIZE = 20
 EVERY = 7
+#: Seeds the order of the scattered pass.
+SCATTER_SEED = 11
 
 
 def build_store() -> VersionedKnowledgeStore:
@@ -92,7 +94,8 @@ def main() -> int:
             replayed = VersionedKnowledgeStore.replay(in_memory, upto=epoch)
             reference[epoch] = digest(replayed.graph, replayed.corpus)
         differ = 0
-        walks = [(epoch, True) for epoch in epochs + epochs[::-1]]
+        scattered = random.Random(SCATTER_SEED).sample(epochs, len(epochs))
+        walks = [(epoch, True) for epoch in epochs + epochs[::-1] + scattered]
         walks += [(epoch, False) for epoch in epochs]
         for epoch, printed in walks:
             snapshot = loaded.snapshot(epoch)

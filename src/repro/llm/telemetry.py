@@ -46,31 +46,14 @@ class TelemetryCollector:
         self._records: List[CallRecord] = []
         self._lock = threading.Lock()
 
-    def record(self, response: LLMResponse, task: str = "generic") -> CallRecord:
+    def record(self, response: LLMResponse, task: str) -> CallRecord:
         """Record one response under a task label; returns the stored record."""
-        return self.record_call(
+        record = CallRecord(
             model=response.model,
             task=task,
             prompt_tokens=response.prompt_tokens,
             completion_tokens=response.completion_tokens,
             latency_seconds=response.latency_seconds,
-        )
-
-    def record_call(
-        self,
-        model: str,
-        task: str,
-        prompt_tokens: int = 0,
-        completion_tokens: int = 0,
-        latency_seconds: float = 0.0,
-    ) -> CallRecord:
-        """Record a call from its fields rather than an :class:`LLMResponse`."""
-        record = CallRecord(
-            model=model,
-            task=task,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            latency_seconds=latency_seconds,
         )
         with self._lock:
             self._records.append(record)

@@ -31,10 +31,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..kg.graph import KnowledgeGraph
 from ..kg.triples import Triple
 from ..retrieval.corpus import Corpus, Document
+from ..retrieval.search import SearchEngine
 
 __all__ = [
     "Mutation",
     "MutationLog",
+    "StoreSnapshot",
     "atomic_write",
     "read_mutations_jsonl",
     "ADD_TRIPLE",
@@ -303,23 +305,51 @@ def epoch_window(
         yield record
 
 
-@dataclass(frozen=True)
-class ReplayBase:
-    """A materialised state at ``epoch`` that a replay starts from: the
-    replaying store adopts ``graph`` and ``corpus`` as they are, takes
-    over the re-intern counter and applies only the batches after
-    ``epoch``."""
+class StoreSnapshot:
+    """An immutable point-in-time view of graph + corpus at one epoch, and
+    the one state shape a replay starts from.
 
-    epoch: int
-    graph: KnowledgeGraph
-    corpus: Corpus
-    removed_since_reintern: int
+    Snapshots of the *current* epoch are cheap: the graph clone preserves
+    interning tables and edge order (no re-hashing), the corpus copy shares
+    the frozen documents.  Historical epochs are reconstructed by replaying
+    the log, which is slower but exactly reproducible
+    (:meth:`~repro.store.store.VersionedKnowledgeStore.snapshot` says where
+    the replay starts).  The store's log keeps the last historical snapshot
+    by reference as the next one's head start: changing it is allowed and
+    only costs that head start.
 
-    def copy(self) -> "ReplayBase":
+    A restored checkpoint and a copy of the kept snapshot are snapshots
+    too: a replaying store adopts ``graph`` and ``corpus`` as they are and
+    takes over ``removed_since_reintern``, the re-intern counter at
+    ``epoch``.  The search engine is materialised lazily on first use.
+    """
+
+    def __init__(
+        self, epoch: int, graph: KnowledgeGraph, corpus: Corpus, removed_since_reintern: int
+    ) -> None:
+        self.epoch = epoch
+        self.graph = graph
+        self.corpus = corpus
+        self.removed_since_reintern = removed_since_reintern
+        self._engine: Optional[SearchEngine] = None
+
+    def copy(self) -> "StoreSnapshot":
         """The same state in structure-preserving copies, sharing nothing
         mutable with this one."""
-        return ReplayBase(
+        return StoreSnapshot(
             self.epoch, self.graph.copy(), self.corpus.copy(), self.removed_since_reintern
+        )
+
+    def search_engine(self) -> SearchEngine:
+        """The BM25 index over this snapshot's corpus, built on first use."""
+        if self._engine is None:
+            self._engine = SearchEngine(self.corpus)
+        return self._engine
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"StoreSnapshot(epoch={self.epoch}, triples={len(self.graph)}, "
+            f"documents={len(self.corpus)})"
         )
 
 
@@ -342,9 +372,9 @@ class MutationLog:
             raise ValueError("floor_epoch must be >= 0")
         self.floor_epoch = floor_epoch
         self._records: List[Record] = []
-        # The last historical snapshot's state, with the graph version and
-        # corpus size it was handed out at: see :meth:`snapshot_base`.
-        self._kept: Optional[Tuple[ReplayBase, int, int]] = None
+        # The last historical snapshot, with the graph version and corpus
+        # size it was handed out at: see :meth:`snapshot_base`.
+        self._kept: Optional[Tuple[StoreSnapshot, int, int]] = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -383,7 +413,7 @@ class MutationLog:
         ``after < epoch <= upto``: what replay applies."""
         return group_batches(self.records(after=after, upto=upto))
 
-    def replay_base(self, upto: Optional[int] = None) -> Optional[ReplayBase]:
+    def replay_base(self, upto: Optional[int] = None) -> Optional[StoreSnapshot]:
         """The materialised state replay may start from: a plain log has
         none, so it replays from its floor (a segment-backed log hands
         back its newest checkpoint at or below ``upto``)."""
@@ -394,18 +424,18 @@ class MutationLog:
         found without materialising anything."""
         return self.floor_epoch
 
-    def snapshot_base(self, upto: int) -> Optional[ReplayBase]:
+    def snapshot_base(self, upto: int) -> Optional[StoreSnapshot]:
         """The state a historical snapshot at ``upto`` replays from.
 
-        That is a copy of the last snapshot's state (:meth:`keep`) when it
+        That is a copy of the last snapshot (:meth:`keep`) when it
         lies between :meth:`base_epoch` and ``upto`` and the graph and
         corpus handed out with it are unchanged, so a forward walk through
         history applies each batch once.  Anything else — a first, a
         backward or an out-of-range seek, or a kept state its holder
         changed — starts where :meth:`replay_base` does, copying nothing
-        more.  Either way the kept state is let go here, before the replay
-        allocates, and the snapshot keeps its own state when it is done;
-        a snapshot racing another on the same log may so find none.
+        more.  Either way the kept snapshot is let go here, before the
+        replay allocates, and the new snapshot is kept when it is done; a
+        snapshot racing another on the same log may so find none.
         """
         kept, self._kept = self._kept, None
         if kept is not None and self.base_epoch(upto) <= kept[0].epoch <= upto:
@@ -417,11 +447,11 @@ class MutationLog:
                     return copy
         return self.replay_base(upto)
 
-    def keep(self, base: ReplayBase) -> None:
-        """Hold ``base`` — a historical snapshot's state, handed out by
+    def keep(self, snapshot: StoreSnapshot) -> None:
+        """Hold ``snapshot`` — a historical snapshot, handed out by
         reference — as the next :meth:`snapshot_base`'s candidate, replacing
         any other.  A new log, a fork among them, keeps nothing."""
-        self._kept = (base, base.graph.version, len(base.corpus))
+        self._kept = (snapshot, snapshot.graph.version, len(snapshot.corpus))
 
     def fork(self) -> "MutationLog":
         """An independent copy of the log — what a full replay of it

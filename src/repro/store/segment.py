@@ -32,17 +32,13 @@ walked through a page cache, compression at the block boundary:
   (:meth:`~repro.kg.graph.KnowledgeGraph.from_core_state`) instead of
   re-applying the history is what makes cold-start-to-first-verdict ~an order of magnitude faster than
   JSONL replay (floor enforced by ``benchmarks/bench_segment.py``).
-* **Resident checkpoint.**  Each reader keeps one checkpoint restored.
-  The second consecutive historical seek of a checkpoint decodes it into
-  that resident, and every later seek behind it restores structure-
-  preserving copies instead of inflating and unpickling the block again
-  (:meth:`SegmentReader.seek_checkpoint`).  A full replay (cold start,
-  replica bootstrap) decodes and owns the head checkpoint.  A historical
-  ``snapshot`` seeks a checkpoint only when its log's kept state (the
-  last snapshot's, :meth:`~repro.store.log.MutationLog.snapshot_base`)
-  does not lie between that checkpoint and the target, so a forward walk
-  decodes each checkpoint once and the resident serves backward and
-  scattered seeks.
+  Every seek — a cold start, a replica bootstrap, a historical
+  ``snapshot`` — decodes the checkpoint it restores and owns the
+  decode.  A historical ``snapshot`` seeks a
+  checkpoint only when its log's kept snapshot (the last one,
+  :meth:`~repro.store.log.MutationLog.snapshot_base`) does not lie
+  between that checkpoint and the target, so a forward walk decodes each
+  checkpoint once.
 
 Checkpoint payloads are serialised with :mod:`pickle` *inside* the
 CRC-checked block envelope.  A CRC proves nothing about who wrote the
@@ -98,7 +94,7 @@ from .log import (
     OP_NAMES,
     MutationLog,
     Record,
-    ReplayBase,
+    StoreSnapshot,
     decode_line,
     epoch_window,
     read_header,
@@ -275,12 +271,12 @@ class StoreState:
     documents: List[Document]
     removed_since_reintern: int
 
-    def restore(self) -> ReplayBase:
+    def restore(self) -> StoreSnapshot:
         """Materialise the graph and corpus (the graph adopts the core)."""
         corpus = Corpus()
         for document in self.documents:
             corpus.add(document)
-        return ReplayBase(
+        return StoreSnapshot(
             self.epoch, KnowledgeGraph.from_core_state(self.graph_core), corpus,
             self.removed_since_reintern,
         )
@@ -591,11 +587,6 @@ class SegmentReader:
         #: LRU so eviction can never resurrect the dropped records.
         self._pinned_pages: Dict[int, List[Record]] = {}
         self._lock = threading.Lock()
-        # The offset of the last bounded seek's checkpoint, and the one
-        # checkpoint kept restored, never mutated (both swapped under
-        # ``_lock``): see :meth:`seek_checkpoint`.
-        self._last_seek: Optional[int] = None
-        self._resident: Optional[Tuple[int, ReplayBase]] = None
         self._handle = open(path, "rb")
         weakref.finalize(self, self._handle.close)  # a store reads it for life
         self.record_blocks = [b for b in blocks if b.kind == BLOCK_RECORDS]
@@ -905,32 +896,6 @@ class SegmentReader:
                 f"{self.path}@{block.offset}: checkpoint does not deserialise ({exc})"
             ) from exc
 
-    def seek_checkpoint(self, block: BlockInfo) -> ReplayBase:
-        """The base of a bounded replay: ``block``'s state, decoded at most
-        twice per run of consecutive seeks behind it.
-
-        The first seek of a checkpoint decodes it and hands the caller the
-        decode, as a full replay's :meth:`load_checkpoint` does.  The
-        second consecutive seek of it decodes it once more into the
-        reader's one resident checkpoint, replacing any other; that seek
-        and every later one behind it get structure-preserving copies of
-        the resident.  A one-off seek therefore costs no copy, and a run of
-        seeks behind one checkpoint (an audit walking the epochs of one
-        interval) no further decode.
-        """
-        with self._lock:
-            resident = self._resident
-            second = self._last_seek == block.offset
-            self._last_seek = block.offset
-        if resident is not None and resident[0] == block.offset:
-            return resident[1].copy()
-        base = self.load_checkpoint(block).restore()
-        if not second:
-            return base
-        with self._lock:
-            self._resident = (block.offset, base)
-        return base.copy()
-
     def close(self) -> None:
         self._handle.close()
 
@@ -969,21 +934,18 @@ class SegmentBackedLog(MutationLog):
         yield from self.reader.records(after=after, upto=upto)
         yield from super().records(after=after, upto=upto)
 
-    def replay_base(self, upto: Optional[int] = None) -> Optional[ReplayBase]:
-        """The newest checkpoint state at or below ``upto``, for seeking.
+    def replay_base(self, upto: Optional[int] = None) -> Optional[StoreSnapshot]:
+        """The newest checkpoint state at or below ``upto``, decoded, for
+        seeking.
 
         ``VersionedKnowledgeStore.replay`` seeds from this instead of
-        replaying from zero, then applies only ``(base.epoch, upto]``.  A
-        full replay (``upto`` None: a load, a replica bootstrap) decodes
-        and owns the head checkpoint; a bounded one seeks through the
-        reader's resident checkpoint (:meth:`SegmentReader.seek_checkpoint`).
+        replaying from zero, then applies only ``(base.epoch, upto]``; the
+        caller owns the decode.
         """
         checkpoint = self.reader.latest_checkpoint(upto=upto)
         if checkpoint is None:
             return None
-        if upto is None:
-            return self.reader.load_checkpoint(checkpoint).restore()
-        return self.reader.seek_checkpoint(checkpoint)
+        return self.reader.load_checkpoint(checkpoint).restore()
 
     def base_epoch(self, upto: Optional[int] = None) -> int:
         checkpoint = self.reader.latest_checkpoint(upto=upto)

@@ -17,10 +17,8 @@ which makes three things fall out for free:
   an epoch (or, for the current epoch, takes the cheap structure-preserving
   copies) and hands back an immutable view for reproducible offline runs;
   a historical snapshot keeps no log of what it replayed, starts from a
-  copy of the last one's state when that lies on its way (so a forward
-  walk replays each batch once), and otherwise restores the nearest
-  checkpoint, copying the segment reader's resident restore of it once
-  two consecutive seeks have asked for it;
+  copy of the last one when that lies on its way (so a forward walk
+  replays each batch once), and otherwise decodes the nearest checkpoint;
 * **verifiable incremental maintenance** — applying a mutation batch
   updates the BM25 posting arrays/IDF/length norms, the embedder warm
   cache, and the interned graph *in place*, and the state digests prove
@@ -71,7 +69,7 @@ from .log import (
     Mutation,
     MutationLog,
     Record,
-    ReplayBase,
+    StoreSnapshot,
     split_batch,
 )
 from . import segment
@@ -117,43 +115,6 @@ class ApplyReport:
     def total_ops(self) -> int:
         """Operations the batch performed (adds + removals + documents)."""
         return self.triples_added + self.triples_removed + self.documents_added
-
-
-class StoreSnapshot:
-    """An immutable point-in-time view of graph + corpus at one epoch.
-
-    Snapshots of the *current* epoch are cheap: the graph clone preserves
-    interning tables and edge order (no re-hashing), the corpus copy shares
-    the frozen documents.  Historical epochs are reconstructed by replaying
-    the log, which is slower but exactly reproducible.  The replay starts
-    from the last historical snapshot's state, copied, when that lies
-    between the nearest checkpoint (or the log's floor) and the epoch and
-    its holder has not changed it; otherwise from the nearest checkpoint
-    on a saved or loaded store, restored from the segment reader's
-    resident copy by the same two copies once two consecutive seeks have
-    asked for that checkpoint; otherwise from the floor.  The store's log
-    keeps a historical snapshot's graph and corpus for that by reference:
-    changing them is allowed and only costs the next snapshot its head
-    start.  The search engine is materialised lazily on first use.
-    """
-
-    def __init__(self, epoch: int, graph: KnowledgeGraph, corpus: Corpus) -> None:
-        self.epoch = epoch
-        self.graph = graph
-        self.corpus = corpus
-        self._engine: Optional[SearchEngine] = None
-
-    def search_engine(self) -> SearchEngine:
-        """The BM25 index over this snapshot's corpus, built on first use."""
-        if self._engine is None:
-            self._engine = SearchEngine(self.corpus)
-        return self._engine
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StoreSnapshot(epoch={self.epoch}, triples={len(self.graph)}, "
-            f"documents={len(self.corpus)})"
-        )
 
 
 class VersionedKnowledgeStore:
@@ -256,10 +217,8 @@ class VersionedKnowledgeStore:
         restored (the graph adopts its saved interned core) and only the
         record suffix behind it is applied.  Checkpoints are themselves
         produced by this replay, so the seeked result is
-        byte-identical to the from-zero path.  A full replay decodes the
-        head checkpoint and owns it; a bounded one may restore copies of
-        the reader's resident checkpoint instead
-        (:meth:`~repro.store.segment.SegmentReader.seek_checkpoint`).
+        byte-identical to the from-zero path.  The replay decodes the
+        checkpoint it restores and owns it.
 
         A full replay's log is a fork of ``log`` (sharing a segment's
         reader and page cache); a bounded one records what it applied into
@@ -277,7 +236,7 @@ class VersionedKnowledgeStore:
         return store
 
     def _replay(
-        self, log: MutationLog, upto: Optional[int], base: Optional[ReplayBase],
+        self, log: MutationLog, upto: Optional[int], base: Optional[StoreSnapshot],
         record: bool,
     ) -> int:
         """Bring this fresh store to ``log``'s state at ``upto``: adopt
@@ -485,20 +444,21 @@ class VersionedKnowledgeStore:
         :class:`TypeError`.
 
         The replay starts where :meth:`MutationLog.snapshot_base` says: a
-        copy of the last historical snapshot's state (which the log keeps)
-        when it lies between the nearest checkpoint at or below ``epoch``
-        and ``epoch`` and is unchanged, so an ascending walk applies each
-        batch once; else, on a segment-backed log, that checkpoint — the
-        first seek of it decodes it, the second consecutive one decodes it
-        into the reader's resident copy, and later ones copy that resident
-        — or else the log's floor.  The digest is the from-zero replay's
-        whichever base was used, and this snapshot becomes the log's kept
-        state.
+        copy of the last historical snapshot (which the log keeps) when it
+        lies between the nearest checkpoint at or below ``epoch`` and
+        ``epoch`` and is unchanged, so an ascending walk applies each
+        batch once; else, on a segment-backed log, that checkpoint,
+        decoded; or else the log's floor.  The digest is the from-zero
+        replay's whichever base was used, and the log keeps the snapshot
+        returned.
         """
         if epoch is not None and (not isinstance(epoch, int) or isinstance(epoch, bool)):
             raise TypeError(f"epoch must be an int, not {epoch!r}")
         if epoch is None or epoch == self._epoch:
-            return StoreSnapshot(self._epoch, self.graph.copy(), self.corpus.copy())
+            return StoreSnapshot(
+                self._epoch, self.graph.copy(), self.corpus.copy(),
+                self._removed_since_reintern,
+            )
         if epoch > self._epoch:
             raise ValueError(f"epoch {epoch} is in the future (store at {self._epoch})")
         if epoch < self.log.floor_epoch:
@@ -508,10 +468,11 @@ class VersionedKnowledgeStore:
         # Replayed into a store whose log stays empty: nothing reads it.
         replayed = VersionedKnowledgeStore(name=self.name)
         replayed._replay(self.log, epoch, self.log.snapshot_base(epoch), record=False)
-        self.log.keep(ReplayBase(
+        snapshot = StoreSnapshot(
             epoch, replayed.graph, replayed.corpus, replayed._removed_since_reintern
-        ))
-        return StoreSnapshot(epoch, replayed.graph, replayed.corpus)
+        )
+        self.log.keep(snapshot)
+        return snapshot
 
     # ------------------------------------------------------------- persistence
 

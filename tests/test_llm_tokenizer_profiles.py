@@ -152,18 +152,18 @@ class TestTelemetry:
 
     def test_clear(self):
         telemetry = TelemetryCollector()
-        telemetry.record(self._response())
+        telemetry.record(self._response(), task="dka")
         telemetry.clear()
         assert len(telemetry) == 0
 
     def test_total_tokens(self):
-        record = TelemetryCollector().record(self._response(prompt=7, completion=3))
+        record = TelemetryCollector().record(self._response(prompt=7, completion=3), task="dka")
         assert record.total_tokens == 10
 
-    def test_record_call_and_extend_feed_the_same_log(self):
+    def test_record_and_extend_feed_the_same_log(self):
         worker = TelemetryCollector()
-        worker.record_call("a", "serve/dka", prompt_tokens=4, completion_tokens=2, latency_seconds=0.1)
-        worker.record_call("a", "serve/rag")
+        worker.record(self._response(model="a", prompt=4, completion=2, latency=0.1), task="serve/dka")
+        worker.record(self._response(model="a", prompt=0, completion=0, latency=0.0), task="serve/rag")
         telemetry = TelemetryCollector()
         telemetry.record(self._response(model="a"), task="dka")
         telemetry.extend(worker.records())

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.benchmark import BenchmarkRunner, ExperimentConfig
 from repro.chaos import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
 from repro.chaos.clock import VirtualClock
+from repro.llm.base import LLMResponse
 from repro.llm.telemetry import TelemetryCollector
 from repro.obs import (
     EVENT_KINDS,
@@ -635,21 +636,19 @@ class TestEventLog:
 
 
 class TestTelemetryConcurrency:
-    def test_record_call_is_thread_safe_under_contention(self):
+    def test_record_is_thread_safe_under_contention(self):
         collector = TelemetryCollector()
         threads, per_thread = 8, 250
         start = threading.Barrier(threads)
 
         def hammer(worker: int) -> None:
+            response = LLMResponse(
+                text="x", model=f"m{worker % 2}", prompt_tokens=1,
+                completion_tokens=1, latency_seconds=0.001,
+            )
             start.wait()
             for index in range(per_thread):
-                collector.record_call(
-                    model=f"m{worker % 2}",
-                    task="serve/dka",
-                    prompt_tokens=1,
-                    completion_tokens=1,
-                    latency_seconds=0.001,
-                )
+                collector.record(response, task="serve/dka")
 
         workers = [
             threading.Thread(target=hammer, args=(index,)) for index in range(threads)

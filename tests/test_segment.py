@@ -22,10 +22,10 @@ Covers the crash-safety contract end to end:
 * no graph a load, a seek, a copy or an apply builds holds a tracked
   edge dict;
 * a historical snapshot equals the from-zero replay at every epoch, in
-  any request order and from several threads at once, whether its checkpoint
-  was decoded or copied from the reader's resident one; the resident
-  is decoded on the second consecutive seek, and nothing a caller does
-  to a snapshot reaches it;
+  any request order and from several threads at once, whether it started
+  from a decoded checkpoint or from a copy of the log's kept snapshot; a
+  seek the kept snapshot does not serve decodes its checkpoint once, and
+  nothing a caller does to a snapshot reaches another;
 * ``MutationLog.save`` (and the segment writer) are crash-atomic: a
   simulated crash mid-write leaves the previous log intact;
 * ``MutationLog.load`` rejects non-monotonic / below-floor epochs with
@@ -50,6 +50,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+import weakref
 import zlib
 from pathlib import Path
 from typing import List
@@ -311,7 +312,7 @@ def test_historical_replay_builds_no_mutation_or_triple(tmp_path, monkeypatch):
         assert len(checkpoints) >= 3 and checkpoints[-1] == loaded.epoch
         assert any(block.continues for block in reader.record_blocks)
         epochs = [checkpoints[0] // 2] + [epoch + 3 for epoch in checkpoints[:-1]]
-        # Twice each: the second consecutive seek decodes into the resident.
+        # Twice each: the second seek copies the log's kept snapshot.
         snapshots = [(e, loaded.snapshot(e)) for e in epochs for _ in range(2)]
         assert calls[Mutation] == calls[Triple] == 0
         assert calls[KnowledgeGraph] > 0
@@ -779,7 +780,7 @@ def test_no_graph_core_feeds_the_cycle_collector(tmp_path):
     assert len(loaded.log.reader.checkpoints) > 1
     _assert_edges_are_untracked_ints(loaded.graph)
     historical = loaded.log.reader.checkpoints[0].first_epoch + 3
-    for _ in range(3):  # decoded, decoded into the resident, then copied
+    for _ in range(3):  # decoded, then copied from the log's kept snapshot
         snapshot = loaded.snapshot(historical)
         _assert_edges_are_untracked_ints(snapshot.graph)
     _assert_edges_are_untracked_ints(loaded.graph.copy())
@@ -952,7 +953,7 @@ def test_page_cache_eviction_and_stats(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the resident checkpoint: repeated seeks behind one checkpoint
+# historical seeks: checkpoints and the log's kept snapshot
 
 
 def _history_store() -> VersionedKnowledgeStore:
@@ -1048,39 +1049,40 @@ def test_a_seeked_snapshot_equals_the_from_zero_replay_in_any_order(history, ord
         assert _view(snapshot.graph, snapshot.corpus) == reference[epoch], epoch
 
 
-def test_a_seeked_snapshot_shares_nothing_with_the_resident(history):
+def test_a_snapshot_served_from_the_kept_state_shares_nothing_with_it(history, monkeypatch):
+    """A snapshot copied from the log's kept one, at its own epoch
+    (unreplayed) or past it, shares nothing with it: changing either
+    reaches neither the other nor any later snapshot."""
     path, reference = history
     loaded = VersionedKnowledgeStore.load(path)
     reader = loaded.log.reader
     block = reader.checkpoints[2]
     behind = _behind(reader, block, reference)
-    assert len(behind) >= 3 and behind[0] == block.first_epoch
-    # Backwards, so the second seek finds no kept state below it: it fills
-    # the resident, and at the checkpoint's own epoch the snapshot is the
-    # resident's copy, unreplayed.
-    loaded.snapshot(behind[1])
-    snapshot = loaded.snapshot(block.first_epoch)
-    offset, resident = reader._resident
-    assert offset == block.offset
-    graph = snapshot.graph
-    victim = next(iter(graph))
-    assert graph.remove(victim) and graph.add(Triple("alias", "p0", "alias-object"))
-    snapshot.corpus.add(_document(10_000))
-    # A store replayed behind the checkpoint applies batches on its copy.
-    twin = VersionedKnowledgeStore.replay(loaded.log, upto=block.first_epoch)
-    twin.apply(
-        [Mutation.add_triple("alias", "p1", "other"), Mutation.remove_triple(*victim.as_tuple()),
-         Mutation.add_document(_document(10_001))]
-    )
+    first, second = behind[1:3]
+    kept = loaded.snapshot(first)
+    applied = _applied(monkeypatch)
+    same = loaded.snapshot(first)  # the kept snapshot's copy, unreplayed
+    later = loaded.snapshot(second)  # a copy of ``same``, and the gap
+    assert applied == _epochs(first, second)
+    for changed in (same, kept):
+        _change_graph_by_remove(changed)
+        _change_graph_by_add(changed)
+        _change_corpus(changed)
+        assert _view(later.graph, later.corpus) == reference[second]
+    assert _view(kept.graph, kept.corpus) != reference[first]
     for epoch in behind:
         again = loaded.snapshot(epoch)
         assert _view(again.graph, again.corpus) == reference[epoch], epoch
-    assert reader._resident[1] is resident
 
 
-def test_the_first_two_seeks_of_a_checkpoint_decode_it_and_no_later_one(
-    history, monkeypatch
+@pytest.mark.parametrize("order", ["ascending", "descending", "random", "checkpoint-alternating"])
+def test_a_seek_the_kept_state_does_not_serve_decodes_its_checkpoint_once(
+    history, monkeypatch, order
 ):
+    """In any order, a historical seek the log's kept snapshot serves
+    decodes nothing and every other one decodes its checkpoint exactly
+    once, as every replay does (none keeps a decode for later); once the
+    caller and the log let go of a returned snapshot, its graph dies."""
     path, reference = history
     decodes = []
     unpickle = segment_module._unpickle_checkpoint
@@ -1088,51 +1090,43 @@ def test_the_first_two_seeks_of_a_checkpoint_decode_it_and_no_later_one(
         segment_module, "_unpickle_checkpoint",
         lambda payload: decodes.append(1) or unpickle(payload),
     )
-
-    def decoded(seek) -> int:
-        decodes.clear()
-        seek()
-        return len(decodes)
-
-    loaded = None
-
-    def load():
-        nonlocal loaded
-        loaded = VersionedKnowledgeStore.load(path)
-
-    assert decoded(load) == 1
+    loaded = VersionedKnowledgeStore.load(path)
+    assert len(decodes) == 1
     reader = loaded.log.reader
-    assert reader._resident is None  # a load leaves nothing resident
-    block, other = reader.checkpoints[1], reader.checkpoints[3]
-    behind = _behind(reader, block, reference)
-    early, middle, late = _behind(reader, other, reference)[:3]
-    # Forwards, each seek starts from the last one's kept state: one decode,
-    # and the resident stays empty.
-    assert [decoded(lambda: loaded.snapshot(e)) for e in behind[:5]] == [1, 0, 0, 0, 0]
-    assert reader._resident is None
-    # Backwards, no kept state lies below the next epoch: the second seek
-    # of the checkpoint decodes it into the resident, and later ones copy it.
-    assert [decoded(lambda: loaded.snapshot(e)) for e in behind[4::-1]] == [0, 1, 0, 0, 0]
-    assert reader._resident[0] == block.offset
-    # Forked logs share the reader, and so its resident.
-    fork = loaded.log.fork()
-    assert decoded(lambda: VersionedKnowledgeStore.replay(fork, upto=behind[1])) == 0
-    # A seek behind another checkpoint breaks a run without evicting
-    # ``block``; two consecutive seeks behind ``other`` replace it.
-    order = [late, behind[0], late, middle, early]
-    assert [decoded(lambda: loaded.snapshot(e)) for e in order] == [1, 0, 1, 1, 0]
-    assert reader._resident[0] == other.offset
-    # A full replay decodes and owns the head checkpoint, resident or not.
-    head = reader.latest_checkpoint()
-    for _ in range(2):
-        VersionedKnowledgeStore.replay(loaded.log, upto=head.first_epoch)
-    assert reader._resident[0] == head.offset
-    assert decoded(lambda: VersionedKnowledgeStore.replay(loaded.log)) == 1
-    assert decoded(lambda: VersionedKnowledgeStore.replay(fork)) == 1
+    historical = [epoch for epoch in sorted(reference) if epoch < loaded.epoch]
+    kept = None
+    graphs = []
+    decoding = 0
+    for epoch in _in_order(order, historical, reader):
+        checkpoint = reader.latest_checkpoint(upto=epoch)
+        start = reader.floor_epoch if checkpoint is None else checkpoint.first_epoch
+        served = kept is not None and start <= kept <= epoch
+        expected = 0 if served or checkpoint is None else 1
+        decodes.clear()
+        snapshot = loaded.snapshot(epoch)
+        assert len(decodes) == expected, (order, epoch, kept, len(decodes))
+        assert _view(snapshot.graph, snapshot.corpus) == reference[epoch], epoch
+        graphs.append(weakref.ref(snapshot.graph))
+        decoding += expected
+        kept = epoch
+    assert decoding >= len(reader.checkpoints) - 1
+    # A replay, bounded or full, of the log or of a fork, decodes its own.
+    for log in (loaded.log, loaded.log.fork()):
+        for upto in (historical[-1], None):
+            decodes.clear()
+            VersionedKnowledgeStore.replay(log, upto=upto)
+            assert len(decodes) == 1, (upto, len(decodes))
+    del snapshot, log
+    gc.collect()
+    # The log keeps the last snapshot alone, and lets it go with itself.
+    assert [ref() is not None for ref in graphs] == [False] * (len(graphs) - 1) + [True]
+    del loaded
+    gc.collect()
+    assert all(ref() is None for ref in graphs)
 
 
 def test_concurrent_seeks_all_match_the_reference(history):
-    """Threads racing to fill and copy one reader's resident checkpoint
+    """Threads racing to take and copy one log's kept snapshot
     (more threads than cores, a short switch interval) all get the
     from-zero replay's state."""
     path, reference = history

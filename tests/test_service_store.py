@@ -268,7 +268,10 @@ class TestApplyMutations:
         assert after.epoch == report.epoch and not after.cached
         assert after_free.epoch == report.epoch and after_free.cached and rerun == 0
 
-    def test_ingest_waits_for_inflight_requests_to_drain(self, runner, backend):
+    def test_ingest_waits_for_inflight_requests_to_drain(self, runner, backend, monkeypatch):
+        """The backend's simulated wait is held on a gate the test owns, so
+        which batches are in the backend when the ingest arrives depends on
+        no clock: two of them stay there until the gate opens."""
         store = runner.versioned_store("factbench")
         service = ValidationService.from_runner(
             runner,
@@ -287,24 +290,41 @@ class TestApplyMutations:
 
         store.apply = applying
         reads = []
+        gate = asyncio.Event()
+        sleep = asyncio.sleep
+
+        async def held(delay, result=None):
+            if delay > 0:  # the backend's simulated wait: no time passes
+                await gate.wait()
+                return result
+            return await sleep(delay, result)
+
+        monkeypatch.setattr(asyncio, "sleep", held)
 
         async def go():
             async with service:
                 # Two batches in the backend and a partial one waiting behind.
                 reads.extend(await backend.three_groups(service, facts))
-                report = await service.apply_mutations(
+                ingest = asyncio.ensure_future(service.apply_mutations(
                     [Mutation.add_triple("Mid", "worksFor", "Load")]
-                )
-                return report, await asyncio.gather(*reads)
+                ))
+                await backend.turns()
+                parked = (ingest.done(), list(seen_at_apply), backend.in_flight(service))
+                gate.set()
+                return parked, await ingest, await asyncio.gather(*reads)
 
-        report, responses = asyncio.run(go())
+        parked, report, responses = asyncio.run(go())
         # The write applied only once every batch had returned from the
         # backend — the waiting partial one included — and every read
         # admitted before it carries its admission epoch.
-        assert seen_at_apply == [(0, 0, [True] * 12)]
-        assert all(response.epoch == report.epoch - 1 for response in responses)
-        assert all(response.outcome is RequestOutcome.COMPLETED for response in responses)
-        assert [response.batch_size for response in responses] == [1] + [8] * 8 + [3] * 3
+        assert parked == (False, [], 2), f"before the gate opened: {parked}"
+        assert seen_at_apply == [(0, 0, [True] * 12)], f"at apply: {seen_at_apply}"
+        epochs = [response.epoch for response in responses]
+        assert epochs == [report.epoch - 1] * 12, f"epochs {epochs}, ingest {report.epoch}"
+        outcomes = [response.outcome for response in responses]
+        assert outcomes == [RequestOutcome.COMPLETED] * 12, f"outcomes {outcomes}"
+        sizes = [response.batch_size for response in responses]
+        assert sizes == [1] + [8] * 8 + [3] * 3, f"batch sizes {sizes}"
 
     def test_quiesce_and_drain_wait_on_each_loops_own_idle_event(self, runner, backend):
         """One service object over two event loops: on each, an ingest and a
